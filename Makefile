@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check cover-check bench bench-all bench-smoke obs-smoke fault-smoke analysis-smoke scenario-smoke block-smoke loadgen-smoke resume-smoke bench-check ci
+.PHONY: build test race vet fmt-check cover-check bench bench-all bench-smoke bench-build obs-smoke fault-smoke analysis-smoke scenario-smoke block-smoke loadgen-smoke resume-smoke bench-check ci
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,13 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkInsert' -benchtime=100x \
 		./internal/netsim/ ./internal/tsdb/
 
+# bench-build vets and tests the repository benchmark (bench/, the command
+# BENCHMARK.json names). It is a module of its own that imports
+# internal/..., so `go build ./...` and `go test ./...` here never compile
+# it; this target is what catches an API change that breaks the benchmark.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # obs-smoke runs a tiny metrics-enabled campaign and asserts the Prometheus
 # dump parses, contains the core series (cache hit/miss, measure latency,
 # shard inserts, campaign progress), has no duplicate or unregistered
@@ -127,9 +134,9 @@ scenario-smoke:
 
 # block-smoke is the storage-determinism gate: it runs the small-smoke
 # scenario with the record-memory budget and spill enabled and diffs the
-# report against the committed golden, then forces the streaming path on a
-# longer variant (budgeted vs unbounded must be byte-identical) and asserts
-# a budgeted campaign really does compress and spill its records.
+# report against the committed golden, then crosses the budget on a longer
+# variant (budgeted vs unbounded must be byte-identical) and asserts an
+# over-budget campaign really does compress and spill its records.
 block-smoke:
 	$(GO) run ./internal/tools/blocksmoke
 
@@ -173,10 +180,10 @@ bench-check:
 
 # ci is the gate for every change: formatting, tier-1 build + tests,
 # static checks, the checkpoint coverage floor, the full suite under the
-# race detector, a benchmark smoke run, the observability,
-# fault-injection, analysis-determinism, scenario-golden,
+# race detector, a benchmark smoke run, the bench/ module build, the
+# observability, fault-injection, analysis-determinism, scenario-golden,
 # storage-determinism, serving-path-telemetry and kill-matrix
 # checkpoint/resume smoke gates, and the benchmark regression check
 # against the committed BENCH_*.json records. It is the local superset of
 # the CI workflow's parallel jobs (.github/workflows/ci.yml).
-ci: fmt-check build test vet cover-check race bench-smoke obs-smoke fault-smoke analysis-smoke scenario-smoke block-smoke loadgen-smoke resume-smoke bench-check
+ci: fmt-check build test vet cover-check race bench-smoke bench-build obs-smoke fault-smoke analysis-smoke scenario-smoke block-smoke loadgen-smoke resume-smoke bench-check

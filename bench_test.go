@@ -155,7 +155,7 @@ func BenchmarkFig2b_CongestedHours(b *testing.B) {
 	f := getFixture(b)
 	var all []congestion.Series
 	for _, res := range f.topo {
-		all = append(all, analysis.GroupSeries(res.Records, netsim.Download, bgp.Premium)...)
+		all = append(all, analysis.GroupSeriesCursor(res.Cursor(), netsim.Download, bgp.Premium)...)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -354,7 +354,7 @@ func BenchmarkElbowMethod(b *testing.B) {
 	f := getFixture(b)
 	var all []congestion.Series
 	for _, res := range f.topo {
-		all = append(all, analysis.GroupSeries(res.Records, netsim.Download, bgp.Premium)...)
+		all = append(all, analysis.GroupSeriesCursor(res.Cursor(), netsim.Download, bgp.Premium)...)
 	}
 	hs := core.DefaultThresholdGrid()
 	b.ResetTimer()
@@ -374,9 +374,10 @@ func BenchmarkElbowMethod(b *testing.B) {
 
 func BenchmarkPremiumLossAnalysis(b *testing.B) {
 	f := getFixture(b)
+	recs := drainRecords(f.diff)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lossy := analysis.PremiumLossTargets(f.diff.Records, "europe-west1", 0.01)
+		lossy := analysis.PremiumLossTargetsCursor(analysis.NewSliceCursor(recs), "europe-west1", 0.01)
 		// Validate one lossy target end-to-end through the packet-capture
 		// pipeline: synthesise its flow, re-estimate the loss.
 		if len(lossy) > 0 {
@@ -705,7 +706,7 @@ func BenchmarkExtensionInband(b *testing.B) {
 // V > 0.5 threshold rule on the most congested pair.
 func BenchmarkExtensionHMM(b *testing.B) {
 	f := getFixture(b)
-	series := analysis.GroupSeries(f.topo["us-west1"].Records, netsim.Download, bgp.Premium)
+	series := analysis.GroupSeriesCursor(f.topo["us-west1"].Cursor(), netsim.Download, bgp.Premium)
 	det := congestion.NewDetector()
 	// Most congested pair.
 	bestIdx, bestEvents := 0, -1

@@ -73,12 +73,13 @@ type Options struct {
 	CaptureEvery    int
 	TracerouteEvery int
 	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). Campaigns whose raw record slice would exceed half
-	// the budget stream their records through a compressed, disk-spilled
-	// columnar log instead; analyses read it back block-at-a-time, and
-	// every report stays byte-identical to the in-memory path.
+	// (0 = unbounded). Every campaign keeps its records in one compressed
+	// columnar log; for a campaign whose records, uncompressed, would
+	// exceed half the budget, the log is spilled to disk and the prepared
+	// per-pair analysis views are not built, so analyses read the log back
+	// block-at-a-time. Every report is byte-identical either way.
 	MaxMemoryMB int
-	// SpillDir is where streaming campaigns place their spilled record
+	// SpillDir is where over-budget campaigns place their spilled record
 	// logs ("" = the system temp dir). Spill files are unlinked at
 	// creation, so they vanish with the process.
 	SpillDir string

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/clasp-measurement/clasp/internal/analysis"
 )
 
 func newPlatform(t *testing.T) *Platform {
@@ -118,7 +120,7 @@ func TestCongestionReportErrors(t *testing.T) {
 	if _, err := p.CongestionReport(nil); err == nil {
 		t.Error("nil result accepted")
 	}
-	if _, err := p.CongestionReport(&CampaignResult{}); err == nil {
+	if _, err := p.CongestionReport(&CampaignResult{Log: analysis.NewRecordLog()}); err == nil {
 		t.Error("empty result accepted")
 	}
 }

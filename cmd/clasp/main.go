@@ -38,9 +38,9 @@
 //	                account for the injected failures deterministically per
 //	                seed
 //	-max-memory N   campaign record memory budget in MB (default 0 =
-//	                unbounded); campaigns exceeding it stream records
-//	                through a compressed, disk-spilled columnar log, with
-//	                byte-identical reports
+//	                unbounded); campaigns exceeding it spill their
+//	                compressed record log to disk and skip the prepared
+//	                analysis views, with byte-identical reports
 //	-spill-dir D    directory for spilled record logs (default: the system
 //	                temp dir); spill files are unlinked at creation
 //	-checkpoint-dir D      enable campaign checkpointing: commit progress and
@@ -103,7 +103,7 @@ func run(args []string) error {
 	parallelism := fs.Int("parallelism", 1, "concurrent VM workers per campaign round and analysis workers per report")
 	faultProfile := fs.String("fault-profile", "none",
 		fmt.Sprintf("fault-injection profile (%s)", strings.Join(faults.Names(), ", ")))
-	maxMemory := fs.Int("max-memory", 0, "campaign record memory budget in MB (0 = unbounded); larger campaigns stream through a compressed spillable log")
+	maxMemory := fs.Int("max-memory", 0, "campaign record memory budget in MB (0 = unbounded); larger campaigns spill their compressed record log to disk")
 	spillDir := fs.String("spill-dir", "", "directory for spilled record logs (default: the system temp dir)")
 	checkpointDir := fs.String("checkpoint-dir", "", "enable campaign checkpointing into this directory; continue a killed run with `clasp resume`")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint every N campaign rounds (default 1 once -checkpoint-dir is set)")

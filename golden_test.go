@@ -16,13 +16,25 @@ import (
 	"github.com/clasp-measurement/clasp/internal/netsim"
 )
 
+// drainRecords flattens a campaign's cursor into one slice: the serial
+// reference groups raw records in one batch, as it always did, and the
+// benchmarks that time a kernel (not the log decode) loop over it.
+func drainRecords(res *CampaignResult) []analysis.Measurement {
+	out := make([]analysis.Measurement, 0, res.NumRecords())
+	c := res.Cursor()
+	for b := c.Next(); b != nil; b = c.Next() {
+		out = append(out, b...)
+	}
+	return out
+}
+
 // serialCongestionReport is the pre-engine implementation of
 // Platform.CongestionReport: one goroutine, per-series re-splits, float
 // fractions from the package-level helpers. The engine must reproduce it
 // exactly.
 func serialCongestionReport(p *Platform, res *CampaignResult) *CongestionReport {
 	det := congestion.NewDetector()
-	withServer := analysis.GroupSeriesWithServer(res.Records, netsim.Download, bgp.Premium)
+	withServer := analysis.GroupSeriesWithServerCursor(analysis.NewSliceCursor(drainRecords(res)), netsim.Download, bgp.Premium)
 	rep := &CongestionReport{Region: res.Region}
 	var series []congestion.Series
 	for _, sw := range withServer {

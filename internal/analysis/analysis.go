@@ -34,6 +34,12 @@ type Measurement struct {
 	Loss     float64
 }
 
+// MeasurementBytes is the in-memory size of one Measurement
+// (unsafe.Sizeof, pinned by TestMeasurementBytes): the unit of the record
+// log's tail accounting, of the engine's memory-budget estimate and of the
+// compression ratio the blocksmoke gate asserts.
+const MeasurementBytes = 88
+
 // PairKey identifies a VM-server measurement pair.
 type PairKey struct {
 	ServerID int
@@ -62,14 +68,9 @@ func pairIDString(region string, serverID int, tier bgp.Tier, dir netsim.Directi
 	return string(b)
 }
 
-// GroupSeries converts measurements into congestion-analysis series, one
-// per pair, filtered by direction and tier. It is a projection of
-// GroupSeriesWithServer (same kernel, server attribution dropped).
-func GroupSeries(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
-	return GroupSeriesCursor(NewSliceCursor(ms), dir, tier)
-}
-
-// GroupSeriesCursor is GroupSeries over a measurement cursor.
+// GroupSeriesCursor converts a measurement stream into congestion-analysis
+// series, one per pair, filtered by direction and tier. It is a projection
+// of GroupSeriesWithServerCursor (same kernel, server attribution dropped).
 func GroupSeriesCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
 	withServer := GroupSeriesWithServerCursor(c, dir, tier)
 	out := make([]congestion.Series, len(withServer))
@@ -101,22 +102,17 @@ type groupBuffers struct {
 
 var groupScratch = sync.Pool{New: func() any { return new(groupBuffers) }}
 
-// GroupSeriesWithServer groups measurements into per-pair series with the
-// server attribution the congestion-by-business-type and Fig. 6 analyses
-// need. One count-then-fill kernel: pass 1 stages each matching sample in a
-// pooled scratch buffer and resolves its pair slot through interned regions
-// plus a dense serverID table (no string hashing in the hot loop), then a
-// scatter pass fills one contiguous pre-sized buffer whose subslices become
-// the series. Sortedness is tracked per slot during the scan, so already
-// time-ordered pairs (the campaign's hour-major layout) skip sorting.
-func GroupSeriesWithServer(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
-	return GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, tier)
-}
-
-// GroupSeriesWithServerCursor runs the grouping kernel over a measurement
-// cursor, one batch at a time: only the matching samples are staged, so
-// the peak footprint is the output plus one input block, independent of
-// stream length. A SliceCursor degenerates to the old contiguous loop.
+// GroupSeriesWithServerCursor groups a measurement stream into per-pair
+// series with the server attribution the congestion-by-business-type and
+// Fig. 6 analyses need. One count-then-fill kernel: pass 1 stages each
+// matching sample in a pooled scratch buffer and resolves its pair slot
+// through interned regions plus a dense serverID table (no string hashing in
+// the hot loop), then a scatter pass fills one contiguous pre-sized buffer
+// whose subslices become the series. Sortedness is tracked per slot during
+// the scan, so already time-ordered pairs (the campaign's hour-major layout)
+// skip sorting. The cursor is consumed one batch at a time and only the
+// matching samples are staged, so the peak footprint is the output plus one
+// input block, independent of stream length.
 func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
 	sp := obs.Trace("analysis.group")
 	defer sp.End()
@@ -259,9 +255,10 @@ func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) 
 
 // SeriesFromStore reconstructs congestion-analysis series from the
 // time-series store (the paper's pipeline: raw results land in InfluxDB,
-// the analysis reads hourly series back out). Filters mirror GroupSeries.
-// Reads go through QueryView — the store's maps are never written to, so
-// the copy-free read-only path is safe here (see tsdb.Store.QueryView).
+// the analysis reads hourly series back out). Filters mirror
+// GroupSeriesCursor. Reads go through QueryView — the store's maps are
+// never written to, so the copy-free read-only path is safe here (see
+// tsdb.Store.QueryView).
 func SeriesFromStore(store *tsdb.Store, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
 	match := tsdb.Tags{"dir": dir.String(), "tier": tier.String()}
 	var out []congestion.Series
@@ -295,20 +292,15 @@ type PerfPoint struct {
 	N        int
 }
 
-// PerfPoints computes one point per (server, region, month) from download
-// measurements, mirroring Fig. 4's use of p95/p5 to mitigate outliers.
-// Same count-then-fill kernel as the series grouping, with interned region
-// names keeping strings out of the slot map. The per-group throughput and
-// latency samples land in two contiguous buffers and each percentile is
-// selected (stats.PercentileInPlace) rather than paying a full sort.
-func PerfPoints(ms []Measurement) []PerfPoint {
-	return PerfPointsCursor(NewSliceCursor(ms))
-}
-
-// PerfPointsCursor is PerfPoints over a measurement cursor. The kernel was
-// already two-pass (count, then re-scan and fill); the cursor version
-// replays the stream with Reset instead of re-walking a slice, so it holds
-// two contiguous float columns plus one input block, never the records.
+// PerfPointsCursor computes one point per (server, region, month) from the
+// download measurements of a stream, mirroring Fig. 4's use of p95/p5 to
+// mitigate outliers. Same count-then-fill kernel as the series grouping,
+// with interned region names keeping strings out of the slot map. The
+// per-group throughput and latency samples land in two contiguous buffers
+// and each percentile is selected (stats.PercentileInPlace) rather than
+// paying a full sort. The kernel is two-pass (count, then Reset, re-scan and
+// fill), so it holds two contiguous float columns plus one input block,
+// never the records.
 func PerfPointsCursor(c Cursor) []PerfPoint {
 	type slotKey struct {
 		server, ym int // ym = year*12 + month: (year, month) order preserved
@@ -467,15 +459,10 @@ type TierDelta struct {
 	Delta    float64
 }
 
-// TierDeltas pairs measurements of the two tiers taken for the same
+// TierDeltasCursor pairs measurements of the two tiers taken for the same
 // (server, region, direction) in the same hour and computes the relative
-// difference for the requested metric.
-func TierDeltas(ms []Measurement, region string, metric Metric) []TierDelta {
-	return TierDeltasCursor(NewSliceCursor(ms), region, metric)
-}
-
-// TierDeltasCursor is TierDeltas over a measurement cursor. Only the
-// matched (server, hour) pairs are retained, not the input stream.
+// difference for the requested metric. Only the matched (server, hour)
+// pairs are retained, not the input stream.
 func TierDeltasCursor(c Cursor, region string, metric Metric) []TierDelta {
 	type key struct {
 		server int
@@ -584,13 +571,8 @@ type LossySummary struct {
 	N        int
 }
 
-// PremiumLossTargets returns servers whose average premium-tier download
-// loss exceeds the threshold (the paper found eight above 10 %).
-func PremiumLossTargets(ms []Measurement, region string, threshold float64) []LossySummary {
-	return PremiumLossTargetsCursor(NewSliceCursor(ms), region, threshold)
-}
-
-// PremiumLossTargetsCursor is PremiumLossTargets over a measurement cursor.
+// PremiumLossTargetsCursor returns servers whose average premium-tier
+// download loss exceeds the threshold (the paper found eight above 10 %).
 func PremiumLossTargetsCursor(c Cursor, region string, threshold float64) []LossySummary {
 	sum := make(map[int]float64)
 	n := make(map[int]int)

@@ -28,7 +28,7 @@ func TestGroupSeries(t *testing.T) {
 		ms = append(ms, mkMeasure(1, h, bgp.Premium, netsim.Upload, 95, 30, 0))
 		ms = append(ms, mkMeasure(1, h, bgp.Standard, netsim.Download, 320, 35, 0))
 	}
-	series := GroupSeries(ms, netsim.Download, bgp.Premium)
+	series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 	if len(series) != 2 {
 		t.Fatalf("series = %d, want 2", len(series))
 	}
@@ -53,7 +53,7 @@ func TestPerfPoints(t *testing.T) {
 			ms = append(ms, m)
 		}
 	}
-	pts := PerfPoints(ms)
+	pts := PerfPointsCursor(NewSliceCursor(ms))
 	if len(pts) != 3 { // May, June, and the tail day in July
 		// 60 days from May 1: May (31), June (29) -> 2 months.
 		if len(pts) != 2 {
@@ -74,7 +74,7 @@ func TestPerfPoints(t *testing.T) {
 	}
 	// Uploads are excluded.
 	up := []Measurement{mkMeasure(1, 0, bgp.Premium, netsim.Upload, 95, 10, 0)}
-	if len(PerfPoints(up)) != 0 {
+	if len(PerfPointsCursor(NewSliceCursor(up))) != 0 {
 		t.Error("upload produced perf points")
 	}
 }
@@ -97,7 +97,7 @@ func TestTierDeltas(t *testing.T) {
 		ms = append(ms, mkMeasure(1, h, bgp.Premium, netsim.Upload, 90, 30, 0))
 		ms = append(ms, mkMeasure(1, h, bgp.Standard, netsim.Upload, 95, 45, 0))
 	}
-	down := TierDeltas(ms, "us-east1", MetricDownload)
+	down := TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricDownload)
 	if len(down) != 24 {
 		t.Fatalf("download deltas = %d", len(down))
 	}
@@ -107,23 +107,23 @@ func TestTierDeltas(t *testing.T) {
 			t.Errorf("delta = %v, want %v", d.Delta, want)
 		}
 	}
-	up := TierDeltas(ms, "us-east1", MetricUpload)
+	up := TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricUpload)
 	if len(up) != 24 || math.Abs(up[0].Delta-(90.0-95.0)/95.0) > 1e-9 {
 		t.Errorf("upload deltas wrong: %v", up[:1])
 	}
-	lat := TierDeltas(ms, "us-east1", MetricLatency)
+	lat := TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricLatency)
 	if len(lat) != 24 || math.Abs(lat[0].Delta-(30.0-45.0)/45.0) > 1e-9 {
 		t.Errorf("latency deltas wrong: %v", lat[:1])
 	}
 	// Different region: nothing.
-	if len(TierDeltas(ms, "europe-west1", MetricDownload)) != 0 {
+	if len(TierDeltasCursor(NewSliceCursor(ms), "europe-west1", MetricDownload)) != 0 {
 		t.Error("wrong region matched")
 	}
 }
 
 func TestTierDeltasUnpaired(t *testing.T) {
 	ms := []Measurement{mkMeasure(1, 0, bgp.Premium, netsim.Download, 250, 30, 0)}
-	if len(TierDeltas(ms, "us-east1", MetricDownload)) != 0 {
+	if len(TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricDownload)) != 0 {
 		t.Error("unpaired measurement produced a delta")
 	}
 }
@@ -152,7 +152,7 @@ func TestPremiumLossTargets(t *testing.T) {
 		ms = append(ms, mkMeasure(2, h, bgp.Premium, netsim.Download, 300, 50, 0.001))
 		ms = append(ms, mkMeasure(3, h, bgp.Standard, netsim.Download, 300, 50, 0.2))
 	}
-	lossy := PremiumLossTargets(ms, "us-east1", 0.1)
+	lossy := PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1", 0.1)
 	if len(lossy) != 1 || lossy[0].ServerID != 1 {
 		t.Fatalf("lossy = %+v", lossy)
 	}

@@ -47,13 +47,13 @@ func BenchmarkAnalysisGroupSeries(b *testing.B) {
 	ms := benchRecords(128, 45)
 	// One warm pass pays first-use lazy costs outside the timer so
 	// allocs/op is the same at any -benchtime.
-	if series := GroupSeries(ms, netsim.Download, bgp.Premium); len(series) != 128 {
+	if series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium); len(series) != 128 {
 		b.Fatalf("series = %d", len(series))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := GroupSeries(ms, netsim.Download, bgp.Premium)
+		series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 		if len(series) != 128 {
 			b.Fatalf("series = %d", len(series))
 		}
@@ -64,13 +64,13 @@ func BenchmarkAnalysisGroupSeries(b *testing.B) {
 // feeding Fig. 6/Fig. 8 and the congestion report.
 func BenchmarkAnalysisGroupSeriesWithServer(b *testing.B) {
 	ms := benchRecords(128, 45)
-	if series := GroupSeriesWithServer(ms, netsim.Download, bgp.Premium); len(series) != 128 {
+	if series := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium); len(series) != 128 {
 		b.Fatalf("series = %d", len(series))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := GroupSeriesWithServer(ms, netsim.Download, bgp.Premium)
+		series := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 		if len(series) != 128 {
 			b.Fatalf("series = %d", len(series))
 		}
@@ -81,13 +81,13 @@ func BenchmarkAnalysisGroupSeriesWithServer(b *testing.B) {
 // p95-download / p5-latency points.
 func BenchmarkAnalysisPerfPoints(b *testing.B) {
 	ms := benchRecords(128, 45)
-	if pts := PerfPoints(ms); len(pts) == 0 {
+	if pts := PerfPointsCursor(NewSliceCursor(ms)); len(pts) == 0 {
 		b.Fatal("no perf points")
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts := PerfPoints(ms)
+		pts := PerfPointsCursor(NewSliceCursor(ms))
 		if len(pts) == 0 {
 			b.Fatal("no perf points")
 		}

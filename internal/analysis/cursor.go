@@ -1,10 +1,8 @@
 // Streaming analysis: every grouping kernel consumes measurements through
-// a Cursor — batches of records delivered block-at-a-time — instead of one
-// contiguous slice. The slice entry points (GroupSeries, PerfPoints, ...)
-// are thin wrappers over a single-batch cursor, so both paths run the
-// exact same kernel and produce byte-identical results (pinned by
-// TestCursorKernelsMatchSlice and the blocksmoke CI gate); the cursor path
-// just never needs all records resident at once.
+// a Cursor — batches of records delivered block-at-a-time — so no analysis
+// needs all records resident at once. A campaign's RecordLog hands out log
+// cursors; NewSliceCursor adapts hand-built records (tests, probes) to the
+// same kernels.
 
 package analysis
 
@@ -12,7 +10,7 @@ package analysis
 // returns nil at end of stream; a returned batch is only valid until the
 // next Next or Reset call and must be treated as read-only. Reset rewinds
 // to the start, replaying the identical sequence — the two-pass kernels
-// (PerfPoints) depend on that.
+// (PerfPointsCursor) depend on that.
 //
 // A Cursor is single-goroutine; concurrent readers each open their own
 // (RecordLog.Cursor, NewSliceCursor are cheap).
@@ -22,8 +20,7 @@ type Cursor interface {
 }
 
 // SliceCursor adapts an in-memory record slice to the Cursor interface as
-// one single batch — the kernels run over it with the same code and
-// near-identical cost as the old contiguous loop.
+// one single batch.
 type SliceCursor struct {
 	ms   []Measurement
 	done bool

@@ -88,7 +88,7 @@ func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ms := randomMeasurements(7, 4000, tc.shuffle)
 			for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
-				got := GroupSeriesWithServer(ms, dir, bgp.Premium)
+				got := GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, bgp.Premium)
 				want := naiveGroup(ms, dir, bgp.Premium)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d series, want %d", dir, len(got), len(want))
@@ -109,8 +109,8 @@ func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 
 func TestGroupSeriesIsProjection(t *testing.T) {
 	ms := randomMeasurements(11, 2000, true)
-	ws := GroupSeriesWithServer(ms, netsim.Download, bgp.Premium)
-	series := GroupSeries(ms, netsim.Download, bgp.Premium)
+	ws := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
+	series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 	if len(series) != len(ws) {
 		t.Fatalf("lengths differ: %d vs %d", len(series), len(ws))
 	}
@@ -122,7 +122,7 @@ func TestGroupSeriesIsProjection(t *testing.T) {
 }
 
 func TestGroupSeriesEmpty(t *testing.T) {
-	if got := GroupSeriesWithServer(nil, netsim.Download, bgp.Premium); len(got) != 0 {
+	if got := GroupSeriesWithServerCursor(NewSliceCursor(nil), netsim.Download, bgp.Premium); len(got) != 0 {
 		t.Errorf("nil input: %d series", len(got))
 	}
 	// Records present but none matching the filter.
@@ -130,14 +130,14 @@ func TestGroupSeriesEmpty(t *testing.T) {
 	for i := range ms {
 		ms[i].Tier = bgp.Standard
 	}
-	if got := GroupSeries(ms, netsim.Download, bgp.Premium); len(got) != 0 {
+	if got := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium); len(got) != 0 {
 		t.Errorf("no matches: %d series", len(got))
 	}
 }
 
 func TestPerfPointsMatchesPercentile(t *testing.T) {
 	ms := randomMeasurements(13, 3000, true)
-	pts := PerfPoints(ms)
+	pts := PerfPointsCursor(NewSliceCursor(ms))
 	if len(pts) == 0 {
 		t.Fatal("no points")
 	}
@@ -203,7 +203,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 
 func TestParallelForDeterministicOutput(t *testing.T) {
 	ms := randomMeasurements(17, 3000, false)
-	ws := GroupSeriesWithServer(ms, netsim.Download, bgp.Premium)
+	ws := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 	run := func(par int) []int {
 		out := make([]int, len(ws))
 		ParallelFor(par, len(ws), func(i int) {
@@ -242,7 +242,7 @@ func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 	}()
 	det := congestion.NewDetector()
 	for round := 0; round < 4; round++ {
-		ws := GroupSeriesWithServer(ms, netsim.Download, bgp.Premium)
+		ws := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 		events := make([]int, len(ws))
 		ParallelFor(8, len(ws), func(i int) {
 			p := congestion.NewPartition(ws[i].Series)

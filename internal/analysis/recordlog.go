@@ -1,12 +1,12 @@
-// RecordLog is the streaming-analysis storage for raw measurement records:
-// an append-only columnar log that compresses Measurements ~5x against the
-// in-memory struct slice (delta-of-delta times, zigzag-delta server IDs,
-// interned regions, XOR float columns — internal/colenc, the same codecs
-// as tsdb's sealed blocks) and can spill its sealed blocks to an unlinked
-// temp file so a campaign's footprint stays bounded by the block size, not
-// the record count. Decode is lossless: a cursor replays the exact
-// append sequence, so every analysis is byte-identical to the in-memory
-// path (pinned by TestRecordLogRoundTrip and the blocksmoke CI gate).
+// RecordLog is the storage for a campaign's raw measurement records: an
+// append-only columnar log that compresses Measurements ~4-5x against the
+// struct (delta-of-delta times, zigzag-delta server IDs, interned regions,
+// XOR float columns — internal/colenc, the same codecs as tsdb's sealed
+// blocks). Its sealed blocks stay resident by default and can spill to an
+// unlinked temp file, so a budgeted campaign's footprint is bounded by the
+// block size, not the record count. Decode is lossless: a cursor replays the
+// exact append sequence (pinned by TestRecordLogRoundTrip and the blocksmoke
+// CI gate).
 
 package analysis
 
@@ -97,8 +97,7 @@ func (l *RecordLog) CompressedBytes() int {
 // MemoryBytes approximates the log's resident footprint: encoded blocks
 // still in memory plus the raw tail.
 func (l *RecordLog) MemoryBytes() int {
-	const measurementSize = 88 // unsafe.Sizeof(Measurement{}), kept literal for doc value
-	return l.inlineBytes + len(l.tail)*measurementSize
+	return l.inlineBytes + len(l.tail)*MeasurementBytes
 }
 
 // Spill seals the tail and moves every block payload into an unlinked temp

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/netsim"
@@ -132,6 +133,67 @@ func TestRecordLogSpill(t *testing.T) {
 	wg.Wait()
 	if err := l.Spill(t.TempDir()); err != nil {
 		t.Fatalf("second Spill: %v", err)
+	}
+}
+
+// TestRecordLogResidentConcurrentCursors pins the default campaign state: a
+// resident, never-spilled log whose last records still sit in the raw tail
+// serves any number of concurrent cursors — plain and filtered, the two
+// shapes the artifact renderers open — each replaying the append sequence.
+// Close on such a log is a no-op, so cursors keep working after it. Run
+// under -race, this is the check that readers share nothing mutable.
+func TestRecordLogResidentConcurrentCursors(t *testing.T) {
+	ms := campaignRecords(2*logBlockSize + 311)
+	l := newLog(t, ms)
+	if l.Spilled() || len(l.tail) == 0 {
+		t.Fatalf("want a resident log with a non-empty tail (spilled %v, tail %d)", l.Spilled(), len(l.tail))
+	}
+	keep := func(m *Measurement) bool { return m.Tier == bgp.Premium }
+	var premium []Measurement
+	for i := range ms {
+		if keep(&ms[i]) {
+			premium = append(premium, ms[i])
+		}
+	}
+	check := func(name string, c Cursor, want []Measurement) {
+		got := drain(c)
+		if len(got) != len(want) {
+			t.Errorf("%s cursor: got %d records, want %d", name, len(got), len(want))
+			return
+		}
+		for i := range want {
+			if !measurementsEqual(got[i], want[i]) {
+				t.Errorf("%s cursor: record %d drifted", name, i)
+				return
+			}
+		}
+	}
+	readAll := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				check("plain", l.Cursor(), ms)
+			}()
+			go func() {
+				defer wg.Done()
+				check("filter", NewFilterCursor(l.Cursor(), keep), premium)
+			}()
+		}
+		wg.Wait()
+	}
+	readAll()
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close on a resident log: %v", err)
+	}
+	readAll()
+}
+
+// TestMeasurementBytes pins the exported record size to the struct.
+func TestMeasurementBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Measurement{}); got != MeasurementBytes {
+		t.Fatalf("unsafe.Sizeof(Measurement{}) = %d, MeasurementBytes = %d", got, MeasurementBytes)
 	}
 }
 
@@ -264,9 +326,9 @@ func TestRecordLogUnpackableTierDir(t *testing.T) {
 	}
 }
 
-// TestCursorKernelsMatchSlice pins byte-identity of the streaming path:
-// every cursor kernel over a compressed (and spilled) log produces exactly
-// the slice kernel's output.
+// TestCursorKernelsMatchSlice pins byte-identity of the log decode under
+// every kernel: each produces over a compressed (and spilled) log exactly
+// what it produces over the raw records.
 func TestCursorKernelsMatchSlice(t *testing.T) {
 	ms := campaignRecords(2*logBlockSize + 503)
 	l := newLog(t, ms)
@@ -276,24 +338,24 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 	defer l.Close()
 
 	if got, want := GroupSeriesWithServerCursor(l.Cursor(), netsim.Download, bgp.Premium),
-		GroupSeriesWithServer(ms, netsim.Download, bgp.Premium); !reflect.DeepEqual(got, want) {
+		GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium); !reflect.DeepEqual(got, want) {
 		t.Fatal("GroupSeriesWithServerCursor differs from slice kernel")
 	}
 	if got, want := GroupSeriesCursor(l.Cursor(), netsim.Upload, bgp.Standard),
-		GroupSeries(ms, netsim.Upload, bgp.Standard); !reflect.DeepEqual(got, want) {
+		GroupSeriesCursor(NewSliceCursor(ms), netsim.Upload, bgp.Standard); !reflect.DeepEqual(got, want) {
 		t.Fatal("GroupSeriesCursor differs from slice kernel")
 	}
-	if got, want := PerfPointsCursor(l.Cursor()), PerfPoints(ms); !reflect.DeepEqual(got, want) {
+	if got, want := PerfPointsCursor(l.Cursor()), PerfPointsCursor(NewSliceCursor(ms)); !reflect.DeepEqual(got, want) {
 		t.Fatal("PerfPointsCursor differs from slice kernel")
 	}
 	for _, metric := range []Metric{MetricDownload, MetricUpload, MetricLatency} {
 		if got, want := TierDeltasCursor(l.Cursor(), "us-west1", metric),
-			TierDeltas(ms, "us-west1", metric); !reflect.DeepEqual(got, want) {
+			TierDeltasCursor(NewSliceCursor(ms), "us-west1", metric); !reflect.DeepEqual(got, want) {
 			t.Fatalf("TierDeltasCursor(%v) differs from slice kernel", metric)
 		}
 	}
 	if got, want := PremiumLossTargetsCursor(l.Cursor(), "us-east1", 0.01),
-		PremiumLossTargets(ms, "us-east1", 0.01); !reflect.DeepEqual(got, want) {
+		PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1", 0.01); !reflect.DeepEqual(got, want) {
 		t.Fatal("PremiumLossTargetsCursor differs from slice kernel")
 	}
 }
@@ -323,7 +385,7 @@ func TestFilterCursor(t *testing.T) {
 		fc.Reset()
 	}
 	// Filtered cursor drives the same kernel output as a filtered slice.
-	if got, want := PerfPointsCursor(NewFilterCursor(l.Cursor(), keep)), PerfPoints(want); !reflect.DeepEqual(got, want) {
+	if got, want := PerfPointsCursor(NewFilterCursor(l.Cursor(), keep)), PerfPointsCursor(NewSliceCursor(want)); !reflect.DeepEqual(got, want) {
 		t.Fatal("PerfPoints over FilterCursor differs from filtered slice")
 	}
 }

@@ -91,8 +91,8 @@ type Writer struct {
 }
 
 // NewWriter prepares a checkpoint directory for a campaign whose record
-// stream accumulates in log (the streaming campaign's own RecordLog, or a
-// shadow log the caller tees records into). The directory is created if
+// stream accumulates in log — the campaign's own RecordLog, which the
+// caller keeps appending to between commits. The directory is created if
 // needed; an existing checkpoint in it is overwritten at the first Commit.
 func NewWriter(dir string, camp Campaign, log *analysis.RecordLog) (*Writer, error) {
 	if log == nil {
@@ -266,8 +266,8 @@ func (c *Checkpoint) NumRecords() int { return c.Meta.NumRecords }
 // Replay streams the snapshot's records — the sidecar truncated to
 // Meta.NumRecords — in original emission order. The resume path feeds
 // them into the same sinks a live round's emit phase would, rebuilding
-// the record slice/log, the store index and the next checkpoint's shadow
-// log in one pass.
+// the campaign's record log (which the next checkpoint serialises), the
+// store index and the prepared views in one pass.
 func (c *Checkpoint) Replay(fn func(analysis.Measurement)) error {
 	cur := c.log.Cursor()
 	n := 0

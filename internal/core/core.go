@@ -86,15 +86,17 @@ type Options struct {
 	// campaign days (0 disables).
 	TracerouteEvery int
 	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). A campaign whose raw record slice would exceed half
-	// the budget streams its records through a compressed columnar log
-	// (analysis.RecordLog) and spills the sealed blocks to disk, so the
-	// in-memory footprint is bounded by the log's block size rather than
-	// the record count. Analyses read the log back block-at-a-time through
-	// CampaignResult.Cursor; every report is byte-identical to the
-	// in-memory path.
+	// (0 = unbounded). Every campaign appends its records to one compressed
+	// columnar log (analysis.RecordLog). For a campaign whose records,
+	// uncompressed, would exceed half the budget, the budget decides two
+	// things: the finished log's blocks are spilled to disk, and the
+	// prepared per-pair views (CampaignResult.Prep, which hold every
+	// sample) are not built — so the resident footprint is bounded by the
+	// log's block size rather than the record count, and analyses run the
+	// cursor kernels over the spilled log. Every report is byte-identical
+	// on either side of the budget.
 	MaxMemoryMB int
-	// SpillDir is where streaming campaigns place their spilled record
+	// SpillDir is where over-budget campaigns place their spilled record
 	// logs ("" = the system temp dir). Spill files are unlinked at
 	// creation, so they vanish when the process exits no matter how.
 	SpillDir string
@@ -336,23 +338,22 @@ func (c *CLASP) selectDifferentialServers(region string, minSamples int) ([]sele
 }
 
 // CampaignResult bundles a campaign's records with its selection and
-// orchestration report. Exactly one of Records and Log is populated:
-// Records for in-memory campaigns (the default), Log when the campaign
-// exceeded the Options.MaxMemoryMB budget and streamed its records into a
-// compressed, disk-spilled columnar log. Analyses should read through
-// Cursor, which hides the difference.
+// orchestration report. Log holds every record in delivery order and is
+// non-nil for every result the engine returns: compressed blocks resident
+// in memory, or spilled to disk when the campaign exceeded the
+// Options.MaxMemoryMB budget. Analyses read it through Cursor or
+// SeriesAndPartitions.
 type CampaignResult struct {
 	Region   string
-	Records  []analysis.Measurement
 	Log      *analysis.RecordLog
 	Report   *orchestrator.Report
 	Selected []*topology.Server
 
 	// Prep holds the incrementally built per-pair series and day
 	// partitions, fed record-by-record during the campaign's emit phase so
-	// grouping and partitioning overlap measurement. nil for streaming
-	// (memory-budgeted) campaigns, which trade the prepared views for the
-	// bounded footprint; analyses fall back to the cursor kernels.
+	// grouping and partitioning overlap measurement. nil for over-budget
+	// campaigns, which trade the prepared views for the bounded footprint;
+	// analyses fall back to the cursor kernels.
 	Prep *analysis.CampaignPrep
 }
 
@@ -392,56 +393,24 @@ func (r *CampaignResult) SeriesAndPartitions(dir netsim.Direction, tier bgp.Tier
 
 // Cursor returns a fresh replayable cursor over the campaign's records in
 // delivery order. Cursors are independent — concurrent analysis workers
-// each open their own — and identical for the in-memory and streaming
-// representations (the record log decodes losslessly).
-func (r *CampaignResult) Cursor() analysis.Cursor {
-	if r.Log != nil {
-		return r.Log.Cursor()
-	}
-	return analysis.NewSliceCursor(r.Records)
-}
+// each open their own.
+func (r *CampaignResult) Cursor() analysis.Cursor { return r.Log.Cursor() }
 
 // NumRecords returns the number of measurement records the campaign
-// produced, whichever representation holds them.
-func (r *CampaignResult) NumRecords() int {
-	if r.Log != nil {
-		return r.Log.Len()
-	}
-	return len(r.Records)
-}
+// produced.
+func (r *CampaignResult) NumRecords() int { return r.Log.Len() }
 
 // FirstRecord returns the first delivered record (zero value when empty).
-func (r *CampaignResult) FirstRecord() analysis.Measurement {
-	if r.Log != nil {
-		return r.Log.First()
-	}
-	if len(r.Records) == 0 {
-		return analysis.Measurement{}
-	}
-	return r.Records[0]
-}
+func (r *CampaignResult) FirstRecord() analysis.Measurement { return r.Log.First() }
 
 // LastRecord returns the last delivered record (zero value when empty).
-func (r *CampaignResult) LastRecord() analysis.Measurement {
-	if r.Log != nil {
-		return r.Log.Last()
-	}
-	if len(r.Records) == 0 {
-		return analysis.Measurement{}
-	}
-	return r.Records[len(r.Records)-1]
-}
+func (r *CampaignResult) LastRecord() analysis.Measurement { return r.Log.Last() }
 
-// Close releases the spill file behind a streaming campaign's record log;
-// it is a no-op for in-memory results. Long-lived processes that discard
-// results should call it; short-lived CLI runs may rely on process exit
-// (spill files are unlinked at creation).
-func (r *CampaignResult) Close() error {
-	if r.Log != nil {
-		return r.Log.Close()
-	}
-	return nil
-}
+// Close releases the spill file behind an over-budget campaign's record
+// log; it is a no-op for a resident log, whose cursors keep working.
+// Long-lived processes that discard results should call it; short-lived CLI
+// runs may rely on process exit (spill files are unlinked at creation).
+func (r *CampaignResult) Close() error { return r.Log.Close() }
 
 // RunTopologyCampaign selects servers with the topology-based method and
 // measures them hourly (premium tier) for the given number of days.
@@ -476,11 +445,6 @@ func (c *CLASP) RunDifferentialCampaign(region string, days, minSamples int) (*C
 // paper-scale campaigns (millions of records) stay in the returned result
 // to keep memory proportional to one campaign.
 const storeIndexLimit = 250_000
-
-// measurementBytes is the in-memory size of one analysis.Measurement,
-// used to estimate whether a campaign's record slice fits the memory
-// budget before running it.
-const measurementBytes = 88
 
 // campaignIdentity records what a checkpoint needs to rebuild this
 // campaign: the selection method, the campaign shape, and the engine
@@ -524,50 +488,37 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	orch := orchestrator.New(c.Sim, c.Cloud, c.Bucket)
-	// est is the record-count upper bound the orchestrator plans for; the
-	// same estimate gates both the interactive store index and the
-	// streaming decision, so the choice is made before any record exists.
+	// est is the record-count upper bound the orchestrator plans for, so
+	// every size decision is made before any record exists: it gates the
+	// interactive store index and — against the memory budget — whether the
+	// prepared views are built and whether the finished log is spilled.
 	est := len(servers) * days * 24 * 2 * len(tiers)
-	var slice *orchestrator.SliceSink
-	var logSink *orchestrator.LogSink
-	var sink orchestrator.Sink
-	if budget := int64(c.Opts.MaxMemoryMB) << 20; budget > 0 && int64(est)*measurementBytes > budget/2 {
-		logSink = &orchestrator.LogSink{Log: analysis.NewRecordLog()}
-		sink = logSink
-	} else {
-		slice = &orchestrator.SliceSink{}
-		sink = slice
-	}
-	sinks := orchestrator.MultiSink{sink}
+	budget := int64(c.Opts.MaxMemoryMB) << 20
+	overBudget := budget > 0 && int64(est)*analysis.MeasurementBytes > budget/2
+	log := analysis.NewRecordLog()
+	sinks := orchestrator.MultiSink{&orchestrator.LogSink{Log: log}}
 	if est <= storeIndexLimit {
 		sinks = append(sinks, &orchestrator.StoreSink{Store: c.Store})
 	}
-	// In-memory campaigns build their analysis views (per-pair series, day
-	// partitions) incrementally from the emit phase, so the grouping work
-	// the artifact renderers start from overlaps measurement. Streaming
-	// campaigns skip it: the prepared views would hold every sample and
-	// defeat the memory budget.
+	// Campaigns inside the budget build their analysis views (per-pair
+	// series, day partitions) incrementally from the emit phase, so the
+	// grouping work the artifact renderers start from overlaps measurement.
+	// Over-budget campaigns skip it: the prepared views would hold every
+	// sample and defeat the memory budget.
 	var prep *analysis.CampaignPrep
-	if slice != nil {
+	if !overBudget {
 		prep = analysis.NewCampaignPrep()
 		sinks = append(sinks, orchestrator.SinkFunc(prep.Record))
 	}
 
-	// Checkpointing needs the record stream in RecordLog form for the
-	// sidecar: streaming campaigns reuse their primary log, slice
-	// campaigns tee records into a shadow log.
+	// The checkpoint sidecar is the campaign's own log, serialised as it
+	// stands at each commit.
 	var ckWriter *checkpoint.Writer
 	if dir := c.checkpointTarget(camp, resume); dir != "" {
 		if camp.Every <= 0 && camp.VMHours <= 0 {
 			camp.Every = 1
 		}
-		ckLog := analysis.NewRecordLog()
-		if logSink != nil {
-			ckLog = logSink.Log
-		} else {
-			sinks = append(sinks, &orchestrator.LogSink{Log: ckLog})
-		}
-		ckWriter, err = checkpoint.NewWriter(dir, camp, ckLog)
+		ckWriter, err = checkpoint.NewWriter(dir, camp, log)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -605,12 +556,12 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	}
 	if resume != nil {
 		// Replay the checkpointed records through the same sinks a live
-		// round's emit phase feeds, rebuilding the record slice/log, the
-		// store index and the next checkpoint's sidecar in one pass; the
-		// orchestrator then re-executes only from the watermark. Egress is
-		// re-metered per replayed record with the emit phase's formula, so
-		// a resumed `costs` bills the same transfers as an uninterrupted
-		// run.
+		// round's emit phase feeds, rebuilding the record log (which the next
+		// checkpoint serialises), the store index and the prepared views in
+		// one pass; the orchestrator then re-executes only from the
+		// watermark. Egress is re-metered per replayed record with the emit
+		// phase's formula, so a resumed `costs` bills the same transfers as
+		// an uninterrupted run.
 		if err := resume.Replay(func(m analysis.Measurement) {
 			sinks.Record(m)
 			c.Cloud.RecordEgress(m.Tier, orchestrator.TestEgressBytes(m, 0))
@@ -632,24 +583,21 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	if prep != nil {
 		prep.Finish()
 	}
-	res := &CampaignResult{
+	if overBudget {
+		// Spilling moves the compressed blocks to disk, so the result's
+		// resident footprint is a few cursor batches regardless of campaign
+		// size.
+		if err := log.Spill(c.Opts.SpillDir); err != nil {
+			return nil, fmt.Errorf("core: spilling campaign records in %s: %w", region, err)
+		}
+	}
+	return &CampaignResult{
 		Region:   region,
+		Log:      log,
 		Report:   rep,
 		Selected: servers,
 		Prep:     prep,
-	}
-	if logSink != nil {
-		// Streaming mode holds only compressed blocks; spilling them moves
-		// even those to disk, so the result's resident footprint is a few
-		// cursor batches regardless of campaign size.
-		if err := logSink.Log.Spill(c.Opts.SpillDir); err != nil {
-			return nil, fmt.Errorf("core: spilling campaign records in %s: %w", region, err)
-		}
-		res.Log = logSink.Log
-	} else {
-		res.Records = slice.Out
-	}
-	return res, nil
+	}, nil
 }
 
 // ResumeOptions returns the engine options a resumed campaign requires to

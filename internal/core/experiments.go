@@ -182,10 +182,10 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 		return nil, fmt.Errorf("core: no Cox Las Vegas server in the topology")
 	}
 	var coxSeries *congestion.Series
-	for _, sr := range analysis.GroupSeriesCursor(result.Cursor(), netsim.Download, bgp.Premium) {
-		sr := sr
-		if sr.PairID == fmt.Sprintf("%s/%d/premium/download", result.Region, cox.ID) {
-			coxSeries = &sr
+	series, _ := result.SeriesAndPartitions(netsim.Download, bgp.Premium)
+	for i := range series {
+		if series[i].ServerID == cox.ID && series[i].Region == result.Region {
+			coxSeries = &series[i].Series
 			break
 		}
 	}

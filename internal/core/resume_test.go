@@ -1,7 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -70,12 +75,13 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if len(res.Records) != len(want.Records) {
-				t.Fatalf("resumed run produced %d records, want %d", len(res.Records), len(want.Records))
+			gotRecs, wantRecs := drainRecords(res), drainRecords(want)
+			if len(gotRecs) != len(wantRecs) {
+				t.Fatalf("resumed run produced %d records, want %d", len(gotRecs), len(wantRecs))
 			}
-			for i := range want.Records {
-				if res.Records[i] != want.Records[i] {
-					t.Fatalf("record %d drifted across kill+resume:\n got: %+v\nwant: %+v", i, res.Records[i], want.Records[i])
+			for i := range wantRecs {
+				if gotRecs[i] != wantRecs[i] {
+					t.Fatalf("record %d drifted across kill+resume:\n got: %+v\nwant: %+v", i, gotRecs[i], wantRecs[i])
 				}
 			}
 			gotRep, wantRep := *res.Report, *want.Report
@@ -95,8 +101,8 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 			if final.Meta.Progress.NextHour != days*24 {
 				t.Fatalf("final watermark %d, want %d", final.Meta.Progress.NextHour, days*24)
 			}
-			if final.NumRecords() != len(want.Records) {
-				t.Fatalf("final checkpoint covers %d records, want %d", final.NumRecords(), len(want.Records))
+			if final.NumRecords() != want.NumRecords() {
+				t.Fatalf("final checkpoint covers %d records, want %d", final.NumRecords(), want.NumRecords())
 			}
 		})
 	}
@@ -155,13 +161,68 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 	}
 }
 
-// TestStreamingResumeMatchesInMemory pins resume under the memory-budgeted
-// representation: a killed streaming campaign (records in a spillable
-// RecordLog, store index disabled or not) resumes into the same bytes as
-// the in-memory reference.
+// TestCheckpointSidecarIsCampaignLog pins that a checkpointed campaign
+// inside its memory budget keeps one record log: the sidecar of its final
+// checkpoint is byte-for-byte what the result's own log serialises to, the
+// log holds each record once, and runCampaign builds no second log to tee
+// records into (a shadow log fed the same appends would serialise to the
+// same bytes, so that half is checked on the source).
+func TestCheckpointSidecarIsCampaignLog(t *testing.T) {
+	const region, days = "us-west1", 2
+	ckDir := t.TempDir()
+	c, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir, CheckpointEvery: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := c.RunTopologyCampaign(region, days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Log.Spilled() || res.NumRecords() != res.Report.Tests {
+		t.Fatalf("want a resident log holding each of %d tests once; spilled %v, %d records",
+			res.Report.Tests, res.Log.Spilled(), res.NumRecords())
+	}
+	var want bytes.Buffer
+	if _, err := res.Log.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(ckDir, region+"-topology", checkpoint.RecordsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("final sidecar (%d bytes) differs from the result log's serialisation (%d bytes)", len(got), want.Len())
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), "core.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := 0
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "runCampaign" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewRecordLog" {
+				logs++
+			}
+			return true
+		})
+	}
+	if logs != 1 {
+		t.Fatalf("runCampaign constructs %d record logs, want exactly 1", logs)
+	}
+}
+
+// TestStreamingResumeMatchesInMemory pins resume across the memory budget:
+// a killed over-budget campaign (no prepared views, store index disabled
+// or not) resumes — still over budget, its log spilled at the end — into
+// the same records as the unbudgeted reference.
 func TestStreamingResumeMatchesInMemory(t *testing.T) {
-	// Three days at this scale overflow the 1MB budget, forcing the
-	// streaming (RecordLog) representation on the killed and resumed runs.
+	// Three days at this scale overflow the 1MB budget on the killed and
+	// resumed runs.
 	const region, days = "us-west1", 3
 	ref, err := New(Options{Seed: 3, Scale: 0.1})
 	if err != nil {
@@ -208,19 +269,17 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Log == nil {
-		t.Fatal("streaming resume did not produce a record log")
+	defer res.Close()
+	if !res.Log.Spilled() || res.Prep != nil {
+		t.Fatal("resumed campaign did not honour the memory budget")
 	}
-	if res.NumRecords() != len(want.Records) {
-		t.Fatalf("streaming resume produced %d records, want %d", res.NumRecords(), len(want.Records))
+	gotRecs, wantRecs := drainRecords(res), drainRecords(want)
+	if len(gotRecs) != len(wantRecs) {
+		t.Fatalf("budgeted resume produced %d records, want %d", len(gotRecs), len(wantRecs))
 	}
-	cur, i := res.Cursor(), 0
-	for batch := cur.Next(); batch != nil; batch = cur.Next() {
-		for _, m := range batch {
-			if m != want.Records[i] {
-				t.Fatalf("record %d drifted across streaming kill+resume", i)
-			}
-			i++
+	for i := range wantRecs {
+		if gotRecs[i] != wantRecs[i] {
+			t.Fatalf("record %d drifted across budgeted kill+resume", i)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // newStreamingCLASP builds an instance whose campaigns exceed the memory
-// budget and therefore run through the compressed, disk-spilled record log.
+// budget: no prepared views, and the finished record log spilled to disk.
 func newStreamingCLASP(t *testing.T) *CLASP {
 	t.Helper()
 	c, err := New(Options{Seed: 3, Scale: 0.1, MaxMemoryMB: 1, SpillDir: t.TempDir()})
@@ -20,9 +20,9 @@ func newStreamingCLASP(t *testing.T) *CLASP {
 }
 
 // TestStreamingCampaignIdentical pins the tentpole invariant: a campaign
-// run under a memory budget — records compressed block-at-a-time into a
-// spilled columnar log, analyses reading it back through cursors — produces
-// exactly the results of the unbounded in-memory path.
+// run over its memory budget — analyses reading a spilled log back through
+// the cursor kernels — produces exactly the results of the unbudgeted one,
+// whose analyses start from prepared views over a resident log.
 func TestStreamingCampaignIdentical(t *testing.T) {
 	mem := newCLASP(t)
 	stream := newStreamingCLASP(t)
@@ -37,42 +37,29 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	}
 	defer resS.Close()
 
-	if resM.Log != nil {
-		t.Fatal("unbounded campaign used the record log")
+	if resM.Log.Spilled() || resM.Prep == nil {
+		t.Fatal("unbudgeted campaign spilled its log or built no prepared views")
 	}
-	if resS.Log == nil {
-		t.Fatal("budgeted campaign did not stream (raise the campaign size or lower the budget)")
-	}
-	if !resS.Log.Spilled() {
-		t.Fatal("streamed campaign's log was not spilled")
-	}
-	if resS.Records != nil {
-		t.Fatal("streamed campaign also kept a record slice")
+	if !resS.Log.Spilled() || resS.Prep != nil {
+		t.Fatal("budgeted campaign kept its log resident or built prepared views (raise the campaign size or lower the budget)")
 	}
 	if got, want := resS.NumRecords(), resM.NumRecords(); got != want {
-		t.Fatalf("streamed campaign has %d records, in-memory has %d", got, want)
+		t.Fatalf("budgeted campaign has %d records, unbudgeted has %d", got, want)
 	}
 	if !reflect.DeepEqual(resS.FirstRecord(), resM.FirstRecord()) ||
 		!reflect.DeepEqual(resS.LastRecord(), resM.LastRecord()) {
-		t.Fatal("first/last record drifted between representations")
+		t.Fatal("first/last record drifted across the budget")
 	}
 
-	// The full record sequence replays identically through the cursor
-	// (batch boundaries differ between representations, so flatten both).
-	drain := func(c analysis.Cursor) []analysis.Measurement {
-		var out []analysis.Measurement
-		for b := c.Next(); b != nil; b = c.Next() {
-			out = append(out, b...)
-		}
-		return out
-	}
-	gotRecs, wantRecs := drain(resS.Cursor()), drain(resM.Cursor())
+	// The full record sequence replays identically from the spilled and the
+	// resident log.
+	gotRecs, wantRecs := drainRecords(resS), drainRecords(resM)
 	if len(gotRecs) != len(wantRecs) {
-		t.Fatalf("streamed cursor yields %d records, in-memory %d", len(gotRecs), len(wantRecs))
+		t.Fatalf("spilled cursor yields %d records, resident %d", len(gotRecs), len(wantRecs))
 	}
 	for i := range wantRecs {
 		if !reflect.DeepEqual(gotRecs[i], wantRecs[i]) {
-			t.Fatalf("record %d drifted:\n mem: %+v\n log: %+v", i, wantRecs[i], gotRecs[i])
+			t.Fatalf("record %d drifted:\n resident: %+v\n spilled:  %+v", i, wantRecs[i], gotRecs[i])
 		}
 	}
 
@@ -86,20 +73,40 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fig4M, fig4S) {
-		t.Error("Fig4 differs between in-memory and streamed campaigns")
+		t.Error("Fig4 differs between unbudgeted and budgeted campaigns")
 	}
 	if got, want := stream.Fig8(resS, bgp.Premium), mem.Fig8(resM, bgp.Premium); !reflect.DeepEqual(got, want) {
-		t.Error("Fig8 differs between in-memory and streamed campaigns")
+		t.Error("Fig8 differs between unbudgeted and budgeted campaigns")
 	}
 	fig2M := Fig2(map[string]*CampaignResult{"us-west1": resM}, nil, 1)
 	fig2S := Fig2(map[string]*CampaignResult{"us-west1": resS}, nil, 3)
 	if !reflect.DeepEqual(fig2M, fig2S) {
-		t.Error("Fig2 differs between in-memory and streamed campaigns")
+		t.Error("Fig2 differs between unbudgeted and budgeted campaigns")
+	}
+	fig3M, err := mem.Fig3(resM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig3S, err := stream.Fig3(resS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fig3M, fig3S) {
+		t.Error("Fig3 differs between unbudgeted and budgeted campaigns")
 	}
 	hM := mem.ComputeHeadlines(map[string]*CampaignResult{"us-west1": resM}, nil)
 	hS := stream.ComputeHeadlines(map[string]*CampaignResult{"us-west1": resS}, nil)
 	if hM != hS {
 		t.Errorf("headlines differ: mem %+v stream %+v", hM, hS)
+	}
+
+	// Close has nothing to release behind a resident log: it is a no-op and
+	// cursors opened afterwards still replay every record.
+	if err := resM.Close(); err != nil {
+		t.Fatalf("Close on a resident result: %v", err)
+	}
+	if !reflect.DeepEqual(drainRecords(resM), wantRecs) {
+		t.Error("resident result no longer replays its records after Close")
 	}
 }
 
@@ -118,15 +125,15 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resS.Close()
-	if resS.Log == nil {
-		t.Fatal("budgeted differential campaign did not stream")
+	if !resS.Log.Spilled() {
+		t.Fatal("budgeted differential campaign did not spill its log")
 	}
 
 	for _, metric := range []analysis.Metric{analysis.MetricDownload, analysis.MetricUpload, analysis.MetricLatency} {
 		got := analysis.TierDeltasCursor(resS.Cursor(), resS.Region, metric)
 		want := analysis.TierDeltasCursor(resM.Cursor(), resM.Region, metric)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("TierDeltas(%v) differs between representations", metric)
+			t.Errorf("TierDeltas(%v) differs across the budget", metric)
 		}
 	}
 	fig5M, err := Fig5(resM, selM)
@@ -138,6 +145,6 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fig5M, fig5S) {
-		t.Error("Fig5 differs between in-memory and streamed campaigns")
+		t.Error("Fig5 differs between unbudgeted and budgeted campaigns")
 	}
 }

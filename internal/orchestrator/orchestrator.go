@@ -85,18 +85,22 @@ func TestEgressBytes(m analysis.Measurement, durSec float64) int64 {
 }
 
 // Sink consumes measurement records as the campaign produces them, so
-// full-scale runs need not hold every record in memory.
+// full-scale runs need not hold every record in memory. The engine feeds
+// every campaign's records to a LogSink, plus a StoreSink and the prepared
+// analysis views when the campaign is small enough for them.
 //
 // A single Run delivers records from one goroutine, so any Sink works for
 // one campaign. Sinks shared across concurrently running campaigns must be
-// safe for concurrent use: StoreSink already is, SliceSink is not — wrap
-// it (or any other unsafe sink) in a LockedSink.
+// safe for concurrent use: StoreSink already is, LogSink and SliceSink are
+// not — wrap them (or any other unsafe sink) in a LockedSink.
 type Sink interface {
 	Record(analysis.Measurement)
 }
 
-// SliceSink collects records into a slice. It is not safe for concurrent
-// use; wrap it in a LockedSink when sharing it across campaigns.
+// SliceSink collects records into a slice: Run's default when given a nil
+// sink, and the collector this package's tests read records back from. The
+// engine does not use it. It is not safe for concurrent use; wrap it in a
+// LockedSink when sharing it across campaigns.
 type SliceSink struct {
 	Out []analysis.Measurement
 }
@@ -170,11 +174,11 @@ func (s *StoreSink) Record(m analysis.Measurement) {
 	})
 }
 
-// LogSink appends records into a columnar RecordLog — the streaming
-// campaign path, where records are compressed block-at-a-time as they
-// arrive instead of accumulating as an 88-byte-struct slice. Like
-// SliceSink it is not safe for concurrent use; wrap it in a LockedSink
-// when sharing it across campaigns.
+// LogSink appends records into a columnar RecordLog, the engine's one
+// record representation: records are compressed block-at-a-time as they
+// arrive, and the same log is what checkpoints serialise and analyses read
+// back. Like SliceSink it is not safe for concurrent use; wrap it in a
+// LockedSink when sharing it across campaigns.
 type LogSink struct {
 	Log *analysis.RecordLog
 }

@@ -251,7 +251,7 @@ func TestDifferentialTierPairs(t *testing.T) {
 		t.Errorf("VMs = %d, want 2", rep.VMs)
 	}
 	// Same-hour pairs must exist for the tier comparison.
-	deltas := analysis.TierDeltas(sink.Out, "europe-west1", analysis.MetricDownload)
+	deltas := analysis.TierDeltasCursor(analysis.NewSliceCursor(sink.Out), "europe-west1", analysis.MetricDownload)
 	if len(deltas) != 5*24 {
 		t.Errorf("paired deltas = %d, want %d", len(deltas), 5*24)
 	}

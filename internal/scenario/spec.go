@@ -60,11 +60,12 @@ type Spec struct {
 	CaptureEvery    int `json:"captureEvery,omitempty"`
 	TracerouteEvery int `json:"tracerouteEvery,omitempty"`
 	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). Campaigns exceeding it stream their records through
-	// a compressed, disk-spilled columnar log; the report is byte-identical
-	// either way — the engine's determinism contract extends to storage.
+	// (0 = unbounded). Campaigns exceeding it spill their compressed record
+	// log to disk and skip the prepared analysis views; the report is
+	// byte-identical either way — the engine's determinism contract extends
+	// to storage.
 	MaxMemoryMB int `json:"maxMemoryMB,omitempty"`
-	// SpillDir is where streaming campaigns place their spilled record
+	// SpillDir is where over-budget campaigns place their spilled record
 	// logs ("" = the system temp dir).
 	SpillDir string `json:"spillDir,omitempty"`
 	// CheckpointDir enables campaign checkpointing: each campaign commits

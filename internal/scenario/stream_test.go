@@ -8,15 +8,16 @@ import (
 
 // TestBudgetedScenarioByteIdentical pins the storage-determinism contract
 // end to end: the same scenario run under a 1 MB record budget — every
-// campaign streamed through the compressed, disk-spilled record log —
-// emits byte-for-byte the report of the unbounded in-memory run.
+// campaign's record log spilled to disk, every analysis on the cursor
+// kernels — emits byte-for-byte the report of the unbounded run, whose
+// analyses start from prepared views over resident logs.
 func TestBudgetedScenarioByteIdentical(t *testing.T) {
 	spec, err := LoadFile(filepath.Join(catalogDir, "small-smoke.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ten virtual days pushes both campaigns past the 1 MB budget's
-	// streaming threshold while staying cheap.
+	// Ten virtual days pushes both campaigns past the 1 MB budget while
+	// staying cheap.
 	spec.Days = 10
 
 	var want bytes.Buffer
@@ -32,7 +33,7 @@ func TestBudgetedScenarioByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := diffBytes(got.Bytes(), want.Bytes()); err != nil {
-		t.Errorf("budgeted scenario drifted from the in-memory run: %v", err)
+		t.Errorf("budgeted scenario drifted from the unbounded run: %v", err)
 	}
 }
 

@@ -5,13 +5,13 @@
 //     and spill enabled must stay byte-identical to its committed golden —
 //     the budget knob must never change results, only where they live.
 //  2. A longer small-smoke variant (enough records to actually cross the
-//     streaming threshold) run budgeted and unbounded must produce
-//     byte-identical reports, so every analysis over the compressed,
-//     disk-spilled record log matches the in-memory path exactly.
-//  3. A direct campaign under the budget must really stream: records land
-//     in a sealed, spilled record log (no in-memory slice), decode to the
-//     same count the orchestration report claims, and compress to at
-//     least 4x fewer bytes than the 88-byte in-memory Measurement.
+//     budget threshold) run budgeted and unbounded must produce
+//     byte-identical reports, so the cursor kernels over a spilled record
+//     log match the prepared views over a resident one exactly.
+//  3. A direct campaign over the budget must really bound its footprint:
+//     the record log is spilled and no prepared views are held, it decodes
+//     to the same count the orchestration report claims, and compresses to
+//     at least 4x fewer bytes than the in-memory Measurement.
 package main
 
 import (
@@ -20,13 +20,10 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/core"
 	"github.com/clasp-measurement/clasp/internal/scenario"
 )
-
-// measurementBytes mirrors core's in-memory record size for the
-// compression-ratio assertion.
-const measurementBytes = 88
 
 func main() {
 	if err := run(); err != nil {
@@ -65,8 +62,8 @@ func run() error {
 		return fmt.Errorf("small-smoke under a memory budget drifted from its golden (%d bytes, want %d)", got.Len(), len(golden))
 	}
 
-	// Gate 2: a ten-day variant crosses the 1 MB streaming threshold in
-	// both campaigns; budgeted and unbounded runs must be byte-identical.
+	// Gate 2: a ten-day variant crosses the 1 MB budget threshold in both
+	// campaigns; budgeted and unbounded runs must be byte-identical.
 	long := *spec
 	long.Days = 10
 	var unbounded bytes.Buffer
@@ -81,10 +78,10 @@ func run() error {
 		return err
 	}
 	if !bytes.Equal(streamed.Bytes(), unbounded.Bytes()) {
-		return fmt.Errorf("streamed 10-day small-smoke (%d bytes) differs from the in-memory run (%d bytes)", streamed.Len(), unbounded.Len())
+		return fmt.Errorf("budgeted 10-day small-smoke (%d bytes) differs from the unbounded run (%d bytes)", streamed.Len(), unbounded.Len())
 	}
 
-	// Gate 3: the budget must actually engage the streaming path.
+	// Gate 3: the budget must actually bound the campaign's footprint.
 	eng, err := core.New(core.Options{Seed: 1, Scale: 0.1, MaxMemoryMB: 1, SpillDir: spillDir})
 	if err != nil {
 		return err
@@ -94,22 +91,22 @@ func run() error {
 		return err
 	}
 	defer res.Close()
-	if res.Log == nil || res.Records != nil {
-		return fmt.Errorf("budgeted 10-day campaign did not stream its records")
-	}
 	if !res.Log.Spilled() {
-		return fmt.Errorf("streamed campaign's record log was not spilled to disk")
+		return fmt.Errorf("over-budget campaign's record log was not spilled to disk")
+	}
+	if res.Prep != nil {
+		return fmt.Errorf("over-budget campaign still holds prepared views")
 	}
 	if res.NumRecords() != res.Report.Tests {
 		return fmt.Errorf("record log holds %d records, report says %d tests", res.NumRecords(), res.Report.Tests)
 	}
 	perRecord := float64(res.Log.CompressedBytes()) / float64(res.NumRecords())
-	if ratio := measurementBytes / perRecord; ratio < 4 {
+	if ratio := analysis.MeasurementBytes / perRecord; ratio < 4 {
 		return fmt.Errorf("record log compresses to %.1f bytes/record (%.1fx vs the %d B struct), want >= 4x",
-			perRecord, ratio, measurementBytes)
+			perRecord, ratio, analysis.MeasurementBytes)
 	}
 
 	fmt.Printf("blocksmoke: OK: budgeted small-smoke matches golden (%d bytes); streamed 10-day run byte-identical (%d bytes); %d records spilled at %.1f B/record (%.1fx)\n",
-		len(golden), streamed.Len(), res.NumRecords(), perRecord, measurementBytes/perRecord)
+		len(golden), streamed.Len(), res.NumRecords(), perRecord, analysis.MeasurementBytes/perRecord)
 	return nil
 }
