@@ -50,9 +50,6 @@ cover-check:
 # joined with the pre-engine baselines from BENCH_analysis_baseline.txt; it
 # runs -count=3 (benchjson keeps the min) because the ms-scale analysis
 # kernels see far fewer iterations per run than the ns-scale hot-path ones.
-# The sixth pass records the pipelined report-all numbers in
-# BENCH_reportall.json: end-to-end wall-clock and peak RSS for the full
-# 13-artifact render, sequential vs scheduled.
 # The fifth pass records the columnar-block numbers in BENCH_tsdb.json:
 # block encode/decode ns/op with the compressed bytes/sample, record-log
 # append with bytes/record (the ≥4x win over the 88-byte struct), and the
@@ -82,11 +79,6 @@ bench:
 		$(GO) run ./internal/tools/benchjson \
 		-note "columnar blocks: BlockEncode/BlockDecode seal and reopen one 512-point tsdb block (extra bytes/sample is the compressed footprint; a raw ts+3-field sample is 32 B, a live Point ~200 B); BlockRecordLogAppend is streaming campaign ingest (extra bytes/record vs the 88 B in-memory Measurement — the >=4x compression gate); BlockStream* are the cursor kernels over a compressed log, comparable to their in-memory twins in BENCH_analysis.json" \
 		-out BENCH_tsdb.json
-	$(GO) test -run=^$$ -bench='BenchmarkReportAll' -benchmem \
-		./internal/scenario/ | tee -a /dev/stderr | \
-		$(GO) run ./internal/tools/benchjson \
-		-note "pipelined report all: one full 13-artifact render at seed 3, scale 0.1, 2 days, parallelism 4; Sequential renders one artifact at a time (campaigns on demand), Pipelined runs the command scheduler (campaigns concurrent, artifacts render as inputs complete) — both share campaign results and memoized selections; peak-RSS-MB is the process high-water mark (VmHWM); the against-main wall-clock comparison is in EXPERIMENTS.md" \
-		-out BENCH_reportall.json
 
 # bench-all runs every benchmark in the repo.
 bench-all:
@@ -165,18 +157,17 @@ resume-smoke:
 # the committed BENCH_*.json records: more than +25% ns/op or more than
 # +0.2% allocs/op fails the build (timings get machine-noise slack;
 # allocation slack rounds to zero for the deterministic micro-benchmarks
-# and only absorbs scheduling jitter in the concurrent report-all
-# macro-benchmark). -count=3 runs each benchmark
-# three times and benchdiff keeps the per-benchmark minimum, so a noisy
-# scheduler can't produce a false regression.
+# and only absorbs scheduling jitter in concurrent ones). -count=3 runs
+# each benchmark three times and benchdiff keeps the per-benchmark
+# minimum, so a noisy scheduler can't produce a false regression.
 bench-check:
 	$(GO) test -run=^$$ -count=3 -benchtime=0.5s \
-		-bench='BenchmarkMeasure|BenchmarkInsert|BenchmarkObs|BenchmarkFaults|BenchmarkAnalysis|BenchmarkBlock|BenchmarkReportAll' -benchmem \
+		-bench='BenchmarkMeasure|BenchmarkInsert|BenchmarkObs|BenchmarkFaults|BenchmarkAnalysis|BenchmarkBlock' -benchmem \
 		./internal/netsim/ ./internal/tsdb/ ./internal/obs/ ./internal/faults/ \
-		./internal/analysis/ ./internal/congestion/ ./internal/scenario/ . | tee -a /dev/stderr | \
+		./internal/analysis/ ./internal/congestion/ . | tee -a /dev/stderr | \
 		$(GO) run ./internal/tools/benchdiff \
 		-against BENCH_hotpath.json -against BENCH_obs.json -against BENCH_faults.json \
-		-against BENCH_analysis.json -against BENCH_tsdb.json -against BENCH_reportall.json
+		-against BENCH_analysis.json -against BENCH_tsdb.json
 
 # ci is the gate for every change: formatting, tier-1 build + tests,
 # static checks, the checkpoint coverage floor, the full suite under the

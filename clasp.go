@@ -41,61 +41,12 @@ import (
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
-// Options configures a Platform.
-type Options struct {
-	// Seed drives all topology generation and simulation randomness;
-	// equal seeds give bit-identical campaigns. Defaults to 1.
-	Seed int64
-	// Scale sizes the synthetic Internet relative to the paper's
-	// measurement scale (1.0 ~ 6k interdomain links per region and ~1.3k
-	// US test servers). Defaults to 0.25; use PaperScale for 1.0.
-	Scale float64
-	// PaperScale overrides Scale with the full paper-scale topology.
-	PaperScale bool
-	// Parallelism bounds the concurrent VM workers per campaign round.
-	// 0 or 1 runs sequentially; any value yields identical results for
-	// the same seed (the engine's determinism guarantee).
-	Parallelism int
-	// FaultProfile names a canned fault-injection profile ("none",
-	// "flaky-vm", "congested-server", "outage") that every campaign runs
-	// under. Empty or "none" disables injection — results stay
-	// bit-identical to a fault-free platform. Active profiles inject
-	// deterministic VM and measurement failures; the orchestrator retries,
-	// degrades and accounts for them (see the Report's resilience
-	// counters), and two runs with the same Seed fail in exactly the same
-	// places.
-	FaultProfile string
-	// CaptureEvery uploads a packet capture plus SoMeta metadata for every
-	// Nth download test (0 disables). TracerouteEvery runs follow-up
-	// traceroutes per server every N campaign days (0 disables). Neither
-	// feeds back into measurements, so results are bit-identical at any
-	// setting.
-	CaptureEvery    int
-	TracerouteEvery int
-	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). Every campaign keeps its records in one compressed
-	// columnar log; for a campaign whose records, uncompressed, would
-	// exceed half the budget, the log is spilled to disk and the prepared
-	// per-pair analysis views are not built, so analyses read the log back
-	// block-at-a-time. Every report is byte-identical either way.
-	MaxMemoryMB int
-	// SpillDir is where over-budget campaigns place their spilled record
-	// logs ("" = the system temp dir). Spill files are unlinked at
-	// creation, so they vanish with the process.
-	SpillDir string
-	// CheckpointDir enables campaign checkpoint/resume: each campaign
-	// periodically commits its progress and record stream into an
-	// atomically renamed checkpoint under this directory, and a killed
-	// process can be continued with `clasp resume` — producing output
-	// byte-identical to a never-killed run. "" disables checkpointing.
-	CheckpointDir string
-	// CheckpointEvery commits a checkpoint every N completed campaign
-	// rounds (hours); CheckpointVMHours instead commits once N VM-hours
-	// accrue since the last checkpoint. With CheckpointDir set and both
-	// zero, the campaign checkpoints every round.
-	CheckpointEvery   int
-	CheckpointVMHours int
-}
+// Options configures a Platform: seed, topology scale, parallelism, fault
+// profile, capture/traceroute cadence, memory budget and checkpointing.
+// core.Options is the one declaration of these knobs — fields, defaults
+// (Seed 1, Scale 0.25) and constraints are documented there — and the CLI
+// flags and scenario spec keys fill in the same struct.
+type Options = core.Options
 
 // Platform is a fully wired CLASP instance over the simulated Internet and
 // cloud substrate.
@@ -103,28 +54,9 @@ type Platform struct {
 	engine *core.CLASP
 }
 
-// New creates a platform.
+// New creates a platform, defaulting and validating opts (core.New).
 func New(opts Options) (*Platform, error) {
-	scale := opts.Scale
-	if opts.PaperScale {
-		scale = 1.0
-	}
-	if scale == 0 {
-		scale = 0.25
-	}
-	eng, err := core.New(core.Options{
-		Seed:              opts.Seed,
-		Scale:             scale,
-		Parallelism:       opts.Parallelism,
-		FaultProfile:      opts.FaultProfile,
-		CaptureEvery:      opts.CaptureEvery,
-		TracerouteEvery:   opts.TracerouteEvery,
-		MaxMemoryMB:       opts.MaxMemoryMB,
-		SpillDir:          opts.SpillDir,
-		CheckpointDir:     opts.CheckpointDir,
-		CheckpointEvery:   opts.CheckpointEvery,
-		CheckpointVMHours: opts.CheckpointVMHours,
-	})
+	eng, err := core.New(opts)
 	if err != nil {
 		return nil, fmt.Errorf("clasp: %w", err)
 	}

@@ -23,43 +23,11 @@
 //	                                  the finished run's output is
 //	                                  byte-identical to a never-killed run
 //
-// Flags (ignored by run/fleet, which read everything from the spec):
-//
-//	-seed N         simulation seed (default 1)
-//	-scale F        topology scale, 1.0 = paper scale (default 0.25)
-//	-days N         campaign length in virtual days (default 30)
-//	-samples N      differential-scan minimum tuple samples (default scales
-//	                with the topology)
-//	-parallelism N  concurrent VM workers per campaign round and analysis
-//	                workers per report (default 1; campaigns and reports
-//	                are identical at any value for the same seed)
-//	-fault-profile P  fault-injection profile: none (default), flaky-vm,
-//	                congested-server, or outage; campaigns retry, degrade and
-//	                account for the injected failures deterministically per
-//	                seed
-//	-max-memory N   campaign record memory budget in MB (default 0 =
-//	                unbounded); campaigns exceeding it spill their
-//	                compressed record log to disk and skip the prepared
-//	                analysis views, with byte-identical reports
-//	-spill-dir D    directory for spilled record logs (default: the system
-//	                temp dir); spill files are unlinked at creation
-//	-checkpoint-dir D      enable campaign checkpointing: commit progress and
-//	                records under D by atomic rename; continue a killed run
-//	                with `clasp resume D`
-//	-checkpoint-every N    checkpoint every N campaign rounds (default 1
-//	                once -checkpoint-dir is set)
-//	-checkpoint-vm-hours N checkpoint once N VM-hours accrue since the last
-//	                checkpoint, instead of a round cadence
-//	-metrics-out F  enable metrics; write a Prometheus text dump to F and a
-//	                JSON snapshot to F.json when the command finishes
-//	-debug-addr A   enable metrics and serve live introspection on A while
-//	                the command runs: /metrics (Prometheus text), /progress
-//	                (per-region campaign progress, breaker state and ETA),
-//	                /debug/obs/history (windowed queries over a 5s-cadence
-//	                scrape of the registry) and /debug/pprof/*
-//	-tracelog F     enable tracing; append span events as JSON lines to F
-//	-cpuprofile F   write a CPU profile to file F
-//	-memprofile F   write an allocation profile to file F on exit
+// Flags follow the subcommand and its positional arguments; `clasp <command>
+// -h` lists them with their defaults. run and fleet read everything from
+// the spec instead, and resume takes the run's identity from the checkpoint
+// and only the runtime flags (-parallelism, -max-memory, -spill-dir) from
+// the command line.
 package main
 
 import (
@@ -68,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -96,18 +65,10 @@ func run(args []string) error {
 	cmd, rest := args[0], args[1:]
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	scale := fs.Float64("scale", 0.25, "topology scale (1.0 = paper scale)")
+	var opts core.Options
+	bindOptions(fs, &opts)
 	days := fs.Int("days", 30, "campaign length in virtual days")
-	samples := fs.Int("samples", 0, "differential-scan minimum tuple samples")
-	parallelism := fs.Int("parallelism", 1, "concurrent VM workers per campaign round and analysis workers per report")
-	faultProfile := fs.String("fault-profile", "none",
-		fmt.Sprintf("fault-injection profile (%s)", strings.Join(faults.Names(), ", ")))
-	maxMemory := fs.Int("max-memory", 0, "campaign record memory budget in MB (0 = unbounded); larger campaigns spill their compressed record log to disk")
-	spillDir := fs.String("spill-dir", "", "directory for spilled record logs (default: the system temp dir)")
-	checkpointDir := fs.String("checkpoint-dir", "", "enable campaign checkpointing into this directory; continue a killed run with `clasp resume`")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint every N campaign rounds (default 1 once -checkpoint-dir is set)")
-	checkpointVMHours := fs.Int("checkpoint-vm-hours", 0, "checkpoint once N VM-hours accrue since the last checkpoint")
+	samples := fs.Int("samples", 0, "differential-scan minimum tuple samples (default scales with the topology)")
 	metricsOut := fs.String("metrics-out", "", "enable metrics and write Prometheus text to this file (JSON snapshot beside it as <file>.json)")
 	debugAddr := fs.String("debug-addr", "", "enable metrics and serve live introspection (/metrics, /progress, /debug/obs/history, /debug/pprof/) on this address while the command runs")
 	tracelog := fs.String("tracelog", "", "enable tracing and write span events as JSON lines to this file")
@@ -145,13 +106,12 @@ func run(args []string) error {
 			f.Close()
 		}()
 	}
+	if *days < 1 {
+		return fmt.Errorf("-days: must be at least 1, got %d", *days)
+	}
 	minSamples := *samples
 	if minSamples == 0 {
-		// Scale the paper's >=100 rule with the VP population.
-		minSamples = int(100 * *scale)
-		if minSamples < 6 {
-			minSamples = 6
-		}
+		minSamples = core.DefaultMinSamples(opts.Scale)
 	}
 
 	// Telemetry: any of these flags turns the obs registry on; campaign
@@ -202,23 +162,9 @@ func run(args []string) error {
 	case "run", "fleet":
 		cmdErr = scenarioCmd(cmd, positional, out)
 	case "resume":
-		// The engine is rebuilt from the checkpoint's campaign identity;
-		// only the runtime knobs (parallelism, memory budget) come from
-		// flags — both may differ from the killed run without changing
-		// output.
-		cmdErr = resumeCmd(positional, out, *parallelism, *maxMemory, *spillDir)
+		cmdErr = resumeCmd(positional, out, opts)
 	default:
-		p, err := clasp.New(clasp.Options{
-			Seed:              *seed,
-			Scale:             *scale,
-			Parallelism:       *parallelism,
-			FaultProfile:      *faultProfile,
-			MaxMemoryMB:       *maxMemory,
-			SpillDir:          *spillDir,
-			CheckpointDir:     *checkpointDir,
-			CheckpointEvery:   *checkpointEvery,
-			CheckpointVMHours: *checkpointVMHours,
-		})
+		p, err := clasp.New(opts)
 		if err != nil {
 			return err
 		}
@@ -233,6 +179,20 @@ func run(args []string) error {
 		}
 	}
 	return cmdErr
+}
+
+// bindOptions registers the engine flags straight onto o — the one place a
+// core.Options field gets its flag name, CLI default and usage text.
+func bindOptions(fs *flag.FlagSet, o *core.Options) {
+	fs.Int64Var(&o.Seed, "seed", 1, "simulation seed")
+	fs.Float64Var(&o.Scale, "scale", 0.25, "topology scale (1.0 = paper scale)")
+	fs.IntVar(&o.Parallelism, "parallelism", 1, "concurrent VM workers per campaign round and analysis workers per report; output is identical at any value for the same seed")
+	fs.StringVar(&o.FaultProfile, "fault-profile", "none",
+		fmt.Sprintf("fault-injection profile (%s); campaigns retry, degrade and account for the injected failures deterministically per seed", strings.Join(faults.Names(), ", ")))
+	fs.IntVar(&o.MaxMemoryMB, "max-memory", 0, "campaign record memory budget in MB (0 = unbounded); larger campaigns spill their compressed record log to disk and skip the prepared analysis views, with byte-identical reports")
+	fs.StringVar(&o.SpillDir, "spill-dir", "", "`dir` for spilled record logs (default: the system temp dir); spill files are unlinked at creation")
+	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", "", "enable campaign checkpointing: commit progress and records under this `dir` by atomic rename; continue a killed run with clasp resume <dir>")
+	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "checkpoint every N campaign rounds (default every round; needs -checkpoint-dir)")
 }
 
 // costsDays is the campaign length of the `costs` command's all-region
@@ -257,13 +217,24 @@ func printCosts(out *os.File, p *clasp.Platform) {
 	fmt.Fprintf(out, "(the paper's real deployment exceeded USD 6k/month)\n")
 }
 
+// resumeEngine rebuilds the engine that wrote a checkpoint or command
+// manifest: the identity comes from disk, the runtime knobs from this
+// invocation's flags, and ckRoot is the checkpoint directory the run keeps
+// committing under.
+func resumeEngine(id checkpoint.Identity, ckRoot string, flags core.Options) (*core.CLASP, error) {
+	opts := core.ResumeOptions(id)
+	opts.Parallelism, opts.MaxMemoryMB, opts.SpillDir = flags.Parallelism, flags.MaxMemoryMB, flags.SpillDir
+	opts.CheckpointDir = ckRoot
+	return core.New(opts)
+}
+
 // resumeCmd continues a checkpointed command or campaign to completion and
 // prints the finished run's output — byte-identical to what the
 // uninterrupted command would have printed. A directory holding a command
 // manifest re-enters the multi-campaign scheduler (finished campaigns are
 // skipped, partial ones resume from their watermark, never-started ones
 // run fresh); a bare campaign checkpoint takes the single-campaign path.
-func resumeCmd(positional []string, out *os.File, parallelism, maxMemory int, spillDir string) error {
+func resumeCmd(positional []string, out *os.File, flags core.Options) error {
 	if len(positional) != 1 {
 		return fmt.Errorf("usage: clasp resume <checkpoint-dir>")
 	}
@@ -272,17 +243,13 @@ func resumeCmd(positional []string, out *os.File, parallelism, maxMemory int, sp
 		return err
 	}
 	if man != nil {
-		return resumeCommand(man, positional[0], out, parallelism, maxMemory, spillDir)
+		return resumeCommand(man, positional[0], out, flags)
 	}
 	ck, err := checkpoint.Load(positional[0])
 	if err != nil {
 		return err
 	}
-	opts := core.ResumeOptions(ck.Meta.Campaign)
-	opts.Parallelism = parallelism
-	opts.MaxMemoryMB = maxMemory
-	opts.SpillDir = spillDir
-	eng, err := core.New(opts)
+	eng, err := resumeEngine(ck.Meta.Campaign.Identity, filepath.Dir(ck.Dir), flags)
 	if err != nil {
 		return err
 	}
@@ -311,23 +278,11 @@ func resumeCmd(positional []string, out *os.File, parallelism, maxMemory int, sp
 // scheduler attaches the per-campaign checkpoints, and the command's
 // normal render path runs — loading finished campaigns from their
 // checkpoints, resuming partial ones, and running the rest.
-func resumeCommand(man *checkpoint.Manifest, dir string, out *os.File, parallelism, maxMemory int, spillDir string) error {
+func resumeCommand(man *checkpoint.Manifest, dir string, out *os.File, flags core.Options) error {
 	if len(man.Campaigns) == 0 {
 		return fmt.Errorf("resume: manifest in %s lists no campaigns", dir)
 	}
-	eng, err := core.New(core.Options{
-		Seed:              man.Seed,
-		Scale:             man.Scale,
-		FaultProfile:      man.FaultProfile,
-		CaptureEvery:      man.CaptureEvery,
-		TracerouteEvery:   man.TracerouteEvery,
-		Parallelism:       parallelism,
-		MaxMemoryMB:       maxMemory,
-		SpillDir:          spillDir,
-		CheckpointDir:     dir,
-		CheckpointEvery:   man.Every,
-		CheckpointVMHours: man.VMHours,
-	})
+	eng, err := resumeEngine(man.Identity, dir, flags)
 	if err != nil {
 		return err
 	}

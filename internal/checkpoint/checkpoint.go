@@ -45,28 +45,38 @@ const (
 // Version is the checkpoint format version; Load rejects anything else.
 const Version = 1
 
-// Campaign identifies the run a checkpoint belongs to: everything `clasp
-// resume` needs to rebuild the engine and re-run the (deterministic)
-// server selection. Parallelism and memory budget are deliberately absent
-// — both may change across a resume without changing the output.
-type Campaign struct {
-	// Kind is the selection method: "topology" or "differential".
-	Kind   string `json:"kind"`
-	Region string `json:"region"`
-	Days   int    `json:"days"`
-	Seed   int64  `json:"seed"`
-	// Scale is the topology scale the engine was built with.
+// Identity is the part of a run's options (core.Options) that a checkpoint
+// and a command manifest record: everything that decides the output bytes —
+// seed, scale, fault profile, capture and traceroute cadence — plus the
+// checkpoint cadence, so a resumed run keeps committing on the schedule the
+// killed run used. A resume rebuilds the engine from it and refuses an
+// engine whose identity differs. Parallelism, the memory budget and the
+// directories are deliberately absent: they may change across a resume
+// without changing output.
+type Identity struct {
+	Seed int64 `json:"seed"`
+	// Scale is the topology scale the engine was built with (0 when the
+	// topology was injected, which no resume can check).
 	Scale float64 `json:"scale"`
 	// FaultProfile is the canned fault-injection profile name.
 	FaultProfile    string `json:"faultProfile,omitempty"`
 	CaptureEvery    int    `json:"captureEvery,omitempty"`
 	TracerouteEvery int    `json:"tracerouteEvery,omitempty"`
+	// CheckpointEvery is the commit cadence in rounds.
+	CheckpointEvery int `json:"checkpointEvery,omitempty"`
+}
+
+// Campaign identifies the campaign a checkpoint belongs to: the run's
+// identity plus the campaign's shape — everything `clasp resume` needs to
+// rebuild the engine and re-run the (deterministic) server selection.
+type Campaign struct {
+	// Kind is the selection method: "topology" or "differential".
+	Kind   string `json:"kind"`
+	Region string `json:"region"`
+	Days   int    `json:"days"`
+	Identity
 	// MinSamples is the differential-scan threshold (differential only).
 	MinSamples int `json:"minSamples,omitempty"`
-	// Every / VMHours are the checkpoint cadences, so a resumed run keeps
-	// checkpointing on the same schedule without re-specifying flags.
-	Every   int `json:"checkpointEvery,omitempty"`
-	VMHours int `json:"checkpointVmHours,omitempty"`
 }
 
 // Meta is the checkpoint.json payload.

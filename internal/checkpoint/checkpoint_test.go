@@ -62,17 +62,18 @@ func randomProgress(rng *rand.Rand) orchestrator.Progress {
 func randomCampaign(rng *rand.Rand) Campaign {
 	kinds := []string{"topology", "differential"}
 	return Campaign{
-		Kind:            kinds[rng.Intn(2)],
-		Region:          fmt.Sprintf("region-%d", rng.Intn(9)),
-		Days:            rng.Intn(30) + 1,
-		Seed:            rng.Int63(),
-		Scale:           rng.Float64(),
-		FaultProfile:    []string{"", "none", "flaky-vm", "storm"}[rng.Intn(4)],
-		CaptureEvery:    rng.Intn(500),
-		TracerouteEvery: rng.Intn(24),
-		MinSamples:      rng.Intn(100),
-		Every:           rng.Intn(5),
-		VMHours:         rng.Intn(200),
+		Kind:   kinds[rng.Intn(2)],
+		Region: fmt.Sprintf("region-%d", rng.Intn(9)),
+		Days:   rng.Intn(30) + 1,
+		Identity: Identity{
+			Seed:            rng.Int63(),
+			Scale:           rng.Float64(),
+			FaultProfile:    []string{"", "none", "flaky-vm", "storm"}[rng.Intn(4)],
+			CaptureEvery:    rng.Intn(500),
+			TracerouteEvery: rng.Intn(24),
+			CheckpointEvery: rng.Intn(5),
+		},
+		MinSamples: rng.Intn(100),
 	}
 }
 
@@ -168,7 +169,7 @@ func TestCheckpointSidecarAhead(t *testing.T) {
 	ms := testRecords(300)
 	log := newTestLog(t, ms[:200])
 	dir := t.TempDir()
-	w, err := NewWriter(dir, Campaign{Kind: "topology", Region: "us-west1", Days: 1, Seed: 3}, log)
+	w, err := NewWriter(dir, Campaign{Kind: "topology", Region: "us-west1", Days: 1, Identity: Identity{Seed: 3}}, log)
 	if err != nil {
 		t.Fatal(err)
 	}

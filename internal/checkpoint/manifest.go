@@ -31,16 +31,8 @@ type Manifest struct {
 	// Days / MinSamples are the command-level campaign shape flags.
 	Days       int `json:"days"`
 	MinSamples int `json:"minSamples,omitempty"`
-	// Engine identity, mirroring Campaign: everything needed to rebuild
-	// the engine so the remaining campaigns reproduce the original run.
-	Seed            int64   `json:"seed"`
-	Scale           float64 `json:"scale"`
-	FaultProfile    string  `json:"faultProfile,omitempty"`
-	CaptureEvery    int     `json:"captureEvery,omitempty"`
-	TracerouteEvery int     `json:"tracerouteEvery,omitempty"`
-	// Every / VMHours are the checkpoint cadences the campaigns ran with.
-	Every   int `json:"checkpointEvery,omitempty"`
-	VMHours int `json:"checkpointVmHours,omitempty"`
+	// Identity is the engine identity every campaign of the set shares.
+	Identity
 	// Campaigns is the full planned campaign set in plan order. Resume
 	// walks it in order, so a fresh run and a resumed run schedule the
 	// remaining work identically.

@@ -14,20 +14,21 @@ import (
 func TestManifestRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ck")
 	man := Manifest{
-		Command:         "report",
-		Artifact:        "all",
-		Days:            2,
-		MinSamples:      6,
-		Seed:            3,
-		Scale:           0.1,
-		FaultProfile:    "flaky-vm",
-		CaptureEvery:    4,
-		TracerouteEvery: 8,
-		Every:           1,
-		VMHours:         0,
+		Command:    "report",
+		Artifact:   "all",
+		Days:       2,
+		MinSamples: 6,
+		Identity: Identity{
+			Seed:            3,
+			Scale:           0.1,
+			FaultProfile:    "flaky-vm",
+			CaptureEvery:    4,
+			TracerouteEvery: 8,
+			CheckpointEvery: 1,
+		},
 		Campaigns: []Campaign{
-			{Kind: "topology", Region: "us-west1", Days: 2, Seed: 3, Scale: 0.1},
-			{Kind: "differential", Region: "europe-west1", Days: 2, MinSamples: 6, Seed: 3, Scale: 0.1},
+			{Kind: "topology", Region: "us-west1", Days: 2, Identity: Identity{Seed: 3, Scale: 0.1}},
+			{Kind: "differential", Region: "europe-west1", Days: 2, MinSamples: 6, Identity: Identity{Seed: 3, Scale: 0.1}},
 		},
 	}
 	if err := WriteManifest(dir, man); err != nil {
@@ -83,7 +84,7 @@ func TestLoadManifestVersionMismatch(t *testing.T) {
 // (killed before its first commit) loads as (nil, nil) — the resume path
 // then runs it from scratch.
 func TestLoadCampaignAbsent(t *testing.T) {
-	camp := Campaign{Kind: "topology", Region: "us-west1", Days: 2, Seed: 3}
+	camp := Campaign{Kind: "topology", Region: "us-west1", Days: 2}
 	ck, err := LoadCampaign(t.TempDir(), camp)
 	if err != nil {
 		t.Fatalf("LoadCampaign with no subdirectory: %v", err)

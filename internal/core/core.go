@@ -56,69 +56,6 @@ var RegionBudgets = map[string]int{
 	"us-central1": 56,
 }
 
-// Options configures a CLASP instance.
-type Options struct {
-	// Seed drives all generation and simulation randomness.
-	Seed int64
-	// Scale sizes the synthetic Internet (1.0 = paper scale; tests use
-	// ~0.1). Ignored when TopoConfig is set.
-	Scale float64
-	// TopoConfig fully overrides topology generation.
-	TopoConfig *topology.Config
-	// SimConfig overrides the simulator calibration.
-	SimConfig *netsim.Config
-	// Parallelism bounds the concurrent VM workers per campaign round
-	// (see orchestrator.Config.Parallelism). 0 or 1 runs sequentially;
-	// results are identical at any value.
-	Parallelism int
-	// FaultProfile names the canned fault-injection profile every campaign
-	// runs under (see faults.Names). "" and "none" disable injection and
-	// keep campaigns bit-identical to a fault-free engine; active profiles
-	// keep them deterministic per Seed. All campaigns of one instance share
-	// the profile, so the platform-level injector is consistent.
-	FaultProfile string
-	// CaptureEvery uploads a packet capture plus SoMeta records for every
-	// Nth download test of each campaign (0 disables; captures are the
-	// heaviest artifact). Captures never feed back into measurements, so
-	// results are bit-identical at any setting.
-	CaptureEvery int
-	// TracerouteEvery runs follow-up traceroutes per server every N
-	// campaign days (0 disables).
-	TracerouteEvery int
-	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). Every campaign appends its records to one compressed
-	// columnar log (analysis.RecordLog). For a campaign whose records,
-	// uncompressed, would exceed half the budget, the budget decides two
-	// things: the finished log's blocks are spilled to disk, and the
-	// prepared per-pair views (CampaignResult.Prep, which hold every
-	// sample) are not built — so the resident footprint is bounded by the
-	// log's block size rather than the record count, and analyses run the
-	// cursor kernels over the spilled log. Every report is byte-identical
-	// on either side of the budget.
-	MaxMemoryMB int
-	// SpillDir is where over-budget campaigns place their spilled record
-	// logs ("" = the system temp dir). Spill files are unlinked at
-	// creation, so they vanish when the process exits no matter how.
-	SpillDir string
-	// CheckpointDir enables campaign checkpointing: each campaign
-	// periodically commits its progress and record stream into
-	// <CheckpointDir>/<region>-<kind>/ by atomic rename, and a killed run
-	// can be continued with ResumeCampaign (CLI: clasp resume) to produce
-	// output byte-identical to a never-killed run. "" disables.
-	CheckpointDir string
-	// CheckpointEvery commits a checkpoint every N completed rounds
-	// (hours); CheckpointVMHours instead commits once N VM-hours accrue.
-	// With CheckpointDir set and both zero, the default is every round.
-	CheckpointEvery   int
-	CheckpointVMHours int
-	// Substrate injects a pre-built topology and router instead of
-	// generating them — the fleet path, where concurrent engines share one
-	// warmed substrate. The substrate's topology config must match what
-	// these options would generate (same Seed and Scale); New enforces
-	// this, because a mismatched substrate would silently change results.
-	Substrate *Substrate
-}
-
 // Substrate is the immutable, shareable half of an engine: the generated
 // topology and its BGP router. Both are pure functions of the topology
 // config and safe for concurrent use (the router's tree caches fill
@@ -200,16 +137,14 @@ type diffSelMemo struct {
 
 // New builds a CLASP instance.
 func New(opts Options) (*CLASP, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if _, err := faults.Named(opts.FaultProfile); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	opts = opts.WithDefaults()
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid options: %w", err)
 	}
 	tcfg := topology.PaperScaleConfig()
 	if opts.TopoConfig != nil {
 		tcfg = *opts.TopoConfig
-	} else if opts.Scale > 0 {
+	} else {
 		tcfg.Scale = opts.Scale
 	}
 	tcfg.Seed = opts.Seed
@@ -447,23 +382,15 @@ func (c *CLASP) RunDifferentialCampaign(region string, days, minSamples int) (*C
 const storeIndexLimit = 250_000
 
 // campaignIdentity records what a checkpoint needs to rebuild this
-// campaign: the selection method, the campaign shape, and the engine
-// options that change results (seed, scale, fault profile, capture and
-// traceroute cadence). Parallelism and the memory budget are deliberately
-// absent — both may change across a resume without changing output.
+// campaign: the selection method, the campaign shape, and the engine's
+// identity.
 func (c *CLASP) campaignIdentity(kind, region string, days, minSamples int) checkpoint.Campaign {
 	return checkpoint.Campaign{
-		Kind:            kind,
-		Region:          region,
-		Days:            days,
-		Seed:            c.Opts.Seed,
-		Scale:           c.Opts.Scale,
-		FaultProfile:    c.Opts.FaultProfile,
-		CaptureEvery:    c.Opts.CaptureEvery,
-		TracerouteEvery: c.Opts.TracerouteEvery,
-		MinSamples:      minSamples,
-		Every:           c.Opts.CheckpointEvery,
-		VMHours:         c.Opts.CheckpointVMHours,
+		Kind:       kind,
+		Region:     region,
+		Days:       days,
+		Identity:   c.Opts.Identity(),
+		MinSamples: minSamples,
 	}
 }
 
@@ -515,9 +442,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	// stands at each commit.
 	var ckWriter *checkpoint.Writer
 	if dir := c.checkpointTarget(camp, resume); dir != "" {
-		if camp.Every <= 0 && camp.VMHours <= 0 {
-			camp.Every = 1
-		}
 		ckWriter, err = checkpoint.NewWriter(dir, camp, log)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -541,8 +465,7 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		cfg.OnRound = s.roundDone
 	}
 	if ckWriter != nil {
-		cfg.CheckpointEvery = camp.Every
-		cfg.CheckpointVMHours = camp.VMHours
+		cfg.CheckpointEvery = camp.CheckpointEvery
 		hook := c.testCheckpointHook
 		cfg.OnCheckpoint = func(p orchestrator.Progress) error {
 			if err := ckWriter.Commit(p); err != nil {
@@ -600,47 +523,22 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	}, nil
 }
 
-// ResumeOptions returns the engine options a resumed campaign requires to
-// reproduce the original run. Callers overlay the free runtime knobs —
-// Parallelism, MaxMemoryMB, SpillDir — before core.New; those may differ
-// from the killed run without changing output.
-func ResumeOptions(camp checkpoint.Campaign) Options {
-	return Options{
-		Seed:            camp.Seed,
-		Scale:           camp.Scale,
-		FaultProfile:    camp.FaultProfile,
-		CaptureEvery:    camp.CaptureEvery,
-		TracerouteEvery: camp.TracerouteEvery,
-	}
-}
-
 // ResumeCampaign continues a checkpointed campaign to completion on this
 // engine and returns the same result an uninterrupted run would have: the
 // server selection is re-run (it is a pure function of the seed), the
 // checkpoint's records are replayed into fresh sinks, and the remaining
 // rounds re-execute from the watermark. The engine must be built with
-// options matching the checkpoint's campaign identity (see ResumeOptions);
-// new checkpoints keep committing into the checkpoint's own directory.
+// options matching the checkpoint's identity (see ResumeOptions); new
+// checkpoints keep committing into the checkpoint's own directory.
 func (c *CLASP) ResumeCampaign(ck *checkpoint.Checkpoint) (*CampaignResult, error) {
 	camp := ck.Meta.Campaign
-	if err := c.checkCampaignIdentity(camp); err != nil {
+	if err := c.checkCampaignIdentity(camp.Identity); err != nil {
 		return nil, err
 	}
 	p, err := c.PlanRef(CampaignRef{Kind: camp.Kind, Region: camp.Region, Days: camp.Days, MinSamples: camp.MinSamples})
 	if err != nil {
 		return nil, err
 	}
-	// Keep the checkpoint's own identity (it carries the cadences the
-	// killed run committed with) and its directory for further commits.
-	p.Camp = camp
 	p.ck = ck
 	return c.RunPlanned(p)
-}
-
-// normalizeProfile folds the two spellings of the fault-free profile.
-func normalizeProfile(p string) string {
-	if p == "" {
-		return "none"
-	}
-	return p
 }

@@ -8,6 +8,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
@@ -108,9 +110,12 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeCampaignRejectsMismatchedEngine pins the identity guards: a
-// resume on an engine whose seed, scale or fault profile differs from the
-// checkpoint must refuse rather than silently produce different output.
+// TestResumeCampaignRejectsMismatchedEngine pins the identity guard: a
+// resume on an engine that differs from the checkpoint in any identity
+// field must refuse, naming the field, rather than silently produce
+// different output. Capture and traceroute cadence are the cases the old
+// three-field check let through (Report.Captures/Traceroutes, bucket
+// contents and the storage bill then differed from the uninterrupted run).
 func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 	ckDir := t.TempDir()
 	killed, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir})
@@ -127,25 +132,42 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name string
-		opts Options
+		field string // the identity field the refusal must name
+		opts  Options
 	}{
-		{"seed", Options{Seed: 4, Scale: 0.1}},
-		{"scale", Options{Seed: 3, Scale: 0.2}},
-		{"profile", Options{Seed: 3, Scale: 0.1, FaultProfile: "flaky-vm"}},
+		{"Seed", Options{Seed: 4, Scale: 0.1}},
+		{"Scale", Options{Seed: 3, Scale: 0.2}},
+		{"FaultProfile", Options{Seed: 3, Scale: 0.1, FaultProfile: "flaky-vm"}},
+		{"CaptureEvery", Options{Seed: 3, Scale: 0.1, CaptureEvery: 50}},
+		{"TracerouteEvery", Options{Seed: 3, Scale: 0.1, TracerouteEvery: 1}},
+		{"CheckpointEvery", Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir, CheckpointEvery: 5}},
 	} {
 		eng, err := New(tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.ResumeCampaign(ck); err == nil {
-			t.Errorf("%s mismatch: resume succeeded, want refusal", tc.name)
+		if _, err := eng.ResumeCampaign(ck); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s mismatch: resume returned %v, want a refusal naming the field", tc.field, err)
 		}
 	}
 
-	// ResumeOptions + the free runtime knobs is the sanctioned path.
-	opts := ResumeOptions(ck.Meta.Campaign)
-	opts.Parallelism = 2
+	// Spellings of one run compare equal: "" is "none", cadence 0 is every
+	// round, and a checkpoint from an injected topology (scale 0) cannot be
+	// checked against the engine's scale.
+	same := &CLASP{Opts: Options{Seed: 3, Scale: 0.1, FaultProfile: "none", CheckpointDir: ckDir, CheckpointEvery: 1}}
+	for _, id := range []checkpoint.Identity{
+		ck.Meta.Campaign.Identity,
+		{Seed: 3, Scale: 0.1},
+		{Seed: 3, Scale: 0, FaultProfile: "none", CheckpointEvery: 1},
+	} {
+		if err := same.checkCampaignIdentity(id); err != nil {
+			t.Errorf("identity %+v refused: %v", id, err)
+		}
+	}
+
+	// ResumeOptions + the runtime knobs is the sanctioned path.
+	opts := ResumeOptions(ck.Meta.Campaign.Identity)
+	opts.Parallelism, opts.CheckpointDir = 2, ckDir
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +278,11 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if every := ck.Meta.Campaign.Every; every != 3 {
+	if every := ck.Meta.Campaign.CheckpointEvery; every != 3 {
 		t.Fatalf("checkpoint cadence %d did not travel, want 3", every)
 	}
-	opts := ResumeOptions(ck.Meta.Campaign)
-	opts.MaxMemoryMB, opts.SpillDir = 1, t.TempDir()
+	opts := ResumeOptions(ck.Meta.Campaign.Identity)
+	opts.MaxMemoryMB, opts.SpillDir, opts.CheckpointDir = 1, t.TempDir(), ckDir
 	resumed, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -281,5 +303,75 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 		if gotRecs[i] != wantRecs[i] {
 			t.Fatalf("record %d drifted across budgeted kill+resume", i)
 		}
+	}
+}
+
+// TestParentCommitCheckpointResumes pins on-disk compatibility across the
+// Identity refactor. testdata/parent-checkpoint is `clasp report fig3 -seed
+// 5 -scale 0.1 -days 1 -fault-profile flaky-vm -checkpoint-dir ...` as
+// written by the commit before checkpoint.Identity existed, SIGKILLed at
+// round-boundary:2. Its command.json omits the default cadence while its
+// checkpoint.json spells it 1; both must load to the same identity, and an
+// engine rebuilt from it must finish the campaign with the records of an
+// uninterrupted run.
+func TestParentCommitCheckpointResumes(t *testing.T) {
+	// The resumed run commits into the checkpoint's directory, so work on a
+	// copy of the fixture.
+	dir := t.TempDir()
+	for _, name := range []string{checkpoint.ManifestFile, "us-west1-topology/" + checkpoint.MetaFile, "us-west1-topology/" + checkpoint.RecordsFile} {
+		raw, err := os.ReadFile(filepath.Join("testdata/parent-checkpoint", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, err := checkpoint.LoadManifest(dir)
+	if err != nil || man == nil {
+		t.Fatalf("LoadManifest = %v, %v", man, err)
+	}
+	ck, err := checkpoint.LoadCampaign(dir, man.Campaigns[0])
+	if err != nil || ck == nil {
+		t.Fatalf("LoadCampaign = %v, %v", ck, err)
+	}
+	want := checkpoint.Identity{Seed: 5, Scale: 0.1, FaultProfile: "flaky-vm", CheckpointEvery: 1}
+	for name, id := range map[string]checkpoint.Identity{
+		"command.json":           man.Identity,
+		"command.json campaigns": man.Campaigns[0].Identity,
+		"checkpoint.json":        ck.Meta.Campaign.Identity,
+	} {
+		if got := ResumeOptions(id).Identity(); got != want {
+			t.Errorf("%s loads to identity %+v, want %+v", name, got, want)
+		}
+	}
+	if ck.Meta.Progress.NextHour != 3 || ck.NumRecords() != 378 {
+		t.Fatalf("fixture checkpoint at hour %d with %d records, want 3 and 378", ck.Meta.Progress.NextHour, ck.NumRecords())
+	}
+
+	opts := ResumeOptions(man.Identity)
+	opts.CheckpointDir = dir
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.ResumeCampaign(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(Options{Seed: 5, Scale: 0.1, FaultProfile: "flaky-vm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uninterrupted, _, err := ref.RunTopologyCampaign("us-west1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(drainRecords(got), drainRecords(uninterrupted)) {
+		t.Errorf("resumed parent checkpoint produced %d records that differ from the uninterrupted run's %d",
+			got.NumRecords(), uninterrupted.NumRecords())
 	}
 }

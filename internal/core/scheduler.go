@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -184,18 +185,7 @@ func (s *CommandScheduler) WriteManifest(command, artifact string, refs []Campai
 	if dir == "" {
 		return nil
 	}
-	o := s.eng.Opts
-	man := checkpoint.Manifest{
-		Command:         command,
-		Artifact:        artifact,
-		Seed:            o.Seed,
-		Scale:           o.Scale,
-		FaultProfile:    o.FaultProfile,
-		CaptureEvery:    o.CaptureEvery,
-		TracerouteEvery: o.TracerouteEvery,
-		Every:           o.CheckpointEvery,
-		VMHours:         o.CheckpointVMHours,
-	}
+	man := checkpoint.Manifest{Command: command, Artifact: artifact, Identity: s.eng.Opts.Identity()}
 	for _, ref := range refs {
 		if len(man.Campaigns) == 0 {
 			man.Days = ref.Days
@@ -225,7 +215,7 @@ func (s *CommandScheduler) Plan(ref CampaignRef) (*PlannedCampaign, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		if ck != nil {
-			if err := s.eng.checkCampaignIdentity(ck.Meta.Campaign); err != nil {
+			if err := s.eng.checkCampaignIdentity(ck.Meta.Campaign.Identity); err != nil {
 				return nil, err
 			}
 			p.ck = ck
@@ -287,16 +277,22 @@ func (s *CommandScheduler) publishLocked() {
 }
 
 // checkCampaignIdentity verifies a loaded checkpoint belongs to this
-// engine's configuration.
-func (c *CLASP) checkCampaignIdentity(camp checkpoint.Campaign) error {
-	if c.Opts.Seed != camp.Seed {
-		return fmt.Errorf("core: engine seed %d does not match checkpoint seed %d", c.Opts.Seed, camp.Seed)
+// engine's configuration: every identity field must match, or the resumed
+// run would not reproduce the uninterrupted one. The recorded identity is
+// put through the same conversion as the engine's, so spellings compare
+// equal; a checkpoint from an engine with an injected topology records
+// scale 0, which cannot be checked.
+func (c *CLASP) checkCampaignIdentity(id checkpoint.Identity) error {
+	want, got := c.Opts.Identity(), ResumeOptions(id).Identity()
+	if got.Scale == 0 {
+		got.Scale = want.Scale
 	}
-	if camp.Scale != 0 && c.Opts.Scale != camp.Scale {
-		return fmt.Errorf("core: engine scale %v does not match checkpoint scale %v", c.Opts.Scale, camp.Scale)
-	}
-	if normalizeProfile(c.Opts.FaultProfile) != normalizeProfile(camp.FaultProfile) {
-		return fmt.Errorf("core: engine fault profile %q does not match checkpoint profile %q", c.Opts.FaultProfile, camp.FaultProfile)
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < w.NumField(); i++ {
+		if w.Field(i).Interface() != g.Field(i).Interface() {
+			return fmt.Errorf("core: engine %s %v does not match checkpoint %[1]s %[3]v",
+				w.Type().Field(i).Name, w.Field(i).Interface(), g.Field(i).Interface())
+		}
 	}
 	return nil
 }

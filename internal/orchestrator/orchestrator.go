@@ -247,13 +247,8 @@ type Config struct {
 	// transition is a pure function of the seed and task coordinates.
 	Faults faults.Profile
 	// CheckpointEvery calls OnCheckpoint after every Nth completed round
-	// (hour). 0 disables the round cadence.
+	// (hour); 0 and 1 both mean every round.
 	CheckpointEvery int
-	// CheckpointVMHours calls OnCheckpoint once at least N VM-hours have
-	// accrued since the last checkpoint (each round adds one VM-hour per
-	// deployed VM). 0 disables the vm-hour cadence. Either cadence firing
-	// emits a checkpoint and resets both accumulators.
-	CheckpointVMHours int
 	// OnCheckpoint receives a Progress snapshot at each checkpoint
 	// boundary. A returned error aborts the campaign — by then the
 	// snapshot's records are already durable, so callers use a sentinel
@@ -555,21 +550,19 @@ func (o *Orchestrator) Run(cfg Config, sink Sink) (*Report, error) {
 		startHour = res.NextHour
 	}
 
-	// Checkpoint cadence: both accumulators advance per completed round
+	// Checkpoint cadence: the accumulator advances per completed round
 	// (shed rounds included — an open breaker is exactly the cross-round
-	// state a crash must not lose) and reset together when either fires.
-	roundsSince, vmHoursSince := 0, 0
+	// state a crash must not lose).
+	roundsSince := 0
 	checkpointAfter := func(hour int) error {
 		if cfg.OnCheckpoint == nil {
 			return nil
 		}
 		roundsSince++
-		vmHoursSince += totalVMs
-		if !(cfg.CheckpointEvery > 0 && roundsSince >= cfg.CheckpointEvery) &&
-			!(cfg.CheckpointVMHours > 0 && vmHoursSince >= cfg.CheckpointVMHours) {
+		if roundsSince < cfg.CheckpointEvery {
 			return nil
 		}
-		roundsSince, vmHoursSince = 0, 0
+		roundsSince = 0
 		var dead []int
 		for i := range vms {
 			if vms[i] == nil {

@@ -62,30 +62,18 @@ func (r *Runner) Run(w io.Writer, s *Spec) error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	sub, err := r.substrate(s.seed(), s.scale())
+	o := s.options()
+	sub, err := r.substrate(o.Seed, o.Scale)
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	ckDir := ""
-	if s.CheckpointDir != "" {
+	o.Substrate = sub
+	if o.CheckpointDir != "" {
 		// Scope per scenario name, so fleet members sharing one
 		// checkpoint root never write into each other's campaigns.
-		ckDir = filepath.Join(s.CheckpointDir, s.Name)
+		o.CheckpointDir = filepath.Join(o.CheckpointDir, s.Name)
 	}
-	eng, err := core.New(core.Options{
-		Seed:              s.seed(),
-		Scale:             s.scale(),
-		Parallelism:       s.Parallelism,
-		FaultProfile:      s.FaultProfile,
-		CaptureEvery:      s.CaptureEvery,
-		TracerouteEvery:   s.TracerouteEvery,
-		MaxMemoryMB:       s.MaxMemoryMB,
-		SpillDir:          s.SpillDir,
-		CheckpointDir:     ckDir,
-		CheckpointEvery:   s.CheckpointEvery,
-		CheckpointVMHours: s.CheckpointVMHours,
-		Substrate:         sub,
-	})
+	eng, err := core.New(o)
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

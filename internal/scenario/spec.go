@@ -23,7 +23,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/clasp-measurement/clasp/internal/faults"
+	"github.com/clasp-measurement/clasp/internal/core"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
 
@@ -36,9 +36,13 @@ type Spec struct {
 	Name string `json:"name"`
 	// Description is free-form documentation, not interpreted.
 	Description string `json:"description,omitempty"`
-	// Seed drives all topology generation and simulation randomness
-	// (default 1). Equal specs produce byte-identical output.
-	Seed int64 `json:"seed,omitempty"`
+	// Options carries the run knobs under their spec keys — seed,
+	// parallelism, faultProfile, captureEvery, tracerouteEvery, maxMemoryMB,
+	// spillDir, checkpointDir, checkpointEvery; core.Options documents and
+	// validates them. Two are spelled differently here: the scale is set
+	// under topology, and checkpointDir is scoped per scenario
+	// (<checkpointDir>/<name>/) so fleet members never collide.
+	core.Options
 	// Topology sets the synthetic-Internet knobs.
 	Topology TopologySpec `json:"topology,omitempty"`
 	// Days is the default campaign length in virtual days (default 30);
@@ -47,38 +51,6 @@ type Spec struct {
 	// MinSamples is the differential-scan tuple threshold (default: scales
 	// with the topology, 100 at paper scale — the CLI's -samples rule).
 	MinSamples int `json:"minSamples,omitempty"`
-	// Parallelism bounds concurrent VM workers per campaign round and
-	// analysis workers per report (default 1). Output is byte-identical at
-	// any value — the engine's determinism contract.
-	Parallelism int `json:"parallelism,omitempty"`
-	// FaultProfile names the canned fault-injection profile every campaign
-	// runs under (default "none"; see faults.Names).
-	FaultProfile string `json:"faultProfile,omitempty"`
-	// CaptureEvery uploads a packet capture + SoMeta metadata for every
-	// Nth download test (0 disables). TracerouteEvery runs follow-up
-	// traceroutes per server every N days (0 disables).
-	CaptureEvery    int `json:"captureEvery,omitempty"`
-	TracerouteEvery int `json:"tracerouteEvery,omitempty"`
-	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). Campaigns exceeding it spill their compressed record
-	// log to disk and skip the prepared analysis views; the report is
-	// byte-identical either way — the engine's determinism contract extends
-	// to storage.
-	MaxMemoryMB int `json:"maxMemoryMB,omitempty"`
-	// SpillDir is where over-budget campaigns place their spilled record
-	// logs ("" = the system temp dir).
-	SpillDir string `json:"spillDir,omitempty"`
-	// CheckpointDir enables campaign checkpointing: each campaign commits
-	// its progress and record stream under <checkpointDir>/<name>/ by
-	// atomic rename, and a killed run can be continued with `clasp resume`
-	// to byte-identical output ("" disables). The scenario name scopes the
-	// directory so fleet members never collide.
-	CheckpointDir string `json:"checkpointDir,omitempty"`
-	// CheckpointEvery commits a checkpoint every N completed campaign
-	// rounds (hours); CheckpointVMHours instead commits once N VM-hours
-	// accrue. With checkpointDir set and both zero: every round.
-	CheckpointEvery   int `json:"checkpointEvery,omitempty"`
-	CheckpointVMHours int `json:"checkpointVmHours,omitempty"`
 	// Campaigns lists measurement campaigns to run, in order.
 	Campaigns []CampaignSpec `json:"campaigns,omitempty"`
 	// Artifacts lists paper artifacts to regenerate after the campaigns
@@ -120,23 +92,15 @@ const (
 	KindDifferential = "differential"
 )
 
-// scale returns the resolved topology scale.
-func (s *Spec) scale() float64 {
+// options resolves the spec into engine options: the topology knobs folded
+// into Scale, defaults applied.
+func (s *Spec) options() core.Options {
+	o := s.Options
+	o.Scale = s.Topology.Scale
 	if s.Topology.PaperScale {
-		return 1.0
+		o.Scale = 1.0
 	}
-	if s.Topology.Scale == 0 {
-		return 0.25
-	}
-	return s.Topology.Scale
-}
-
-// seed returns the resolved seed.
-func (s *Spec) seed() int64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
+	return o.WithDefaults()
 }
 
 // days returns the resolved default campaign length.
@@ -147,17 +111,13 @@ func (s *Spec) days() int {
 	return s.Days
 }
 
-// minSamples resolves the differential-scan threshold, scaling the paper's
-// >=100 rule with the VP population exactly like the CLI's -samples default.
+// minSamples resolves the differential-scan threshold, defaulting exactly
+// like the CLI's -samples.
 func (s *Spec) minSamples() int {
 	if s.MinSamples > 0 {
 		return s.MinSamples
 	}
-	ms := int(100 * s.scale())
-	if ms < 6 {
-		ms = 6
-	}
-	return ms
+	return core.DefaultMinSamples(s.options().Scale)
 }
 
 // renderCongestion resolves the campaign's congestion-report switch.
@@ -288,9 +248,6 @@ func (s *Spec) Validate() error {
 	if !validName(s.Name) {
 		bad("name: %q is not a valid scenario name (want lowercase letters, digits and interior dashes)", s.Name)
 	}
-	if s.Seed < 0 {
-		bad("seed: must be non-negative, got %d", s.Seed)
-	}
 	if s.Topology.Scale < 0 {
 		bad("topology.scale: must be positive, got %v", s.Topology.Scale)
 	}
@@ -303,29 +260,8 @@ func (s *Spec) Validate() error {
 	if s.MinSamples < 0 {
 		bad("minSamples: must be non-negative, got %d", s.MinSamples)
 	}
-	if s.Parallelism < 0 {
-		bad("parallelism: must be non-negative, got %d", s.Parallelism)
-	}
-	if s.CaptureEvery < 0 {
-		bad("captureEvery: must be non-negative, got %d", s.CaptureEvery)
-	}
-	if s.TracerouteEvery < 0 {
-		bad("tracerouteEvery: must be non-negative, got %d", s.TracerouteEvery)
-	}
-	if s.MaxMemoryMB < 0 {
-		bad("maxMemoryMB: must be non-negative, got %d", s.MaxMemoryMB)
-	}
-	if s.CheckpointEvery < 0 {
-		bad("checkpointEvery: must be non-negative, got %d", s.CheckpointEvery)
-	}
-	if s.CheckpointVMHours < 0 {
-		bad("checkpointVmHours: must be non-negative, got %d", s.CheckpointVMHours)
-	}
-	if s.CheckpointDir == "" && (s.CheckpointEvery > 0 || s.CheckpointVMHours > 0) {
-		bad("checkpointEvery/checkpointVmHours: need checkpointDir to take effect")
-	}
-	if _, err := faults.Named(s.FaultProfile); err != nil {
-		bad("faultProfile: %q is not a canned profile (have %s)", s.FaultProfile, strings.Join(faults.Names(), ", "))
+	if err := s.Options.Validate(); err != nil {
+		errs = append(errs, err)
 	}
 	if len(s.Campaigns) == 0 && len(s.Artifacts) == 0 {
 		bad("spec runs nothing: want at least one campaign or artifact")

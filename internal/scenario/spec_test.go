@@ -10,11 +10,11 @@ func TestParseSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if got := s.seed(); got != 1 {
-		t.Errorf("seed() = %d, want 1", got)
+	if got := s.options().Seed; got != 1 {
+		t.Errorf("options().Seed = %d, want 1", got)
 	}
-	if got := s.scale(); got != 0.25 {
-		t.Errorf("scale() = %v, want 0.25", got)
+	if got := s.options().Scale; got != 0.25 {
+		t.Errorf("options().Scale = %v, want 0.25", got)
 	}
 	if got := s.days(); got != 30 {
 		t.Errorf("days() = %d, want 30", got)
@@ -28,8 +28,8 @@ func TestParseSpecDefaults(t *testing.T) {
 		t.Errorf("minSamples() at scale 0.01 = %d, want the floor 6", got)
 	}
 	s.Topology = TopologySpec{PaperScale: true}
-	if got := s.scale(); got != 1.0 {
-		t.Errorf("scale() with paperScale = %v, want 1.0", got)
+	if got := s.options().Scale; got != 1.0 {
+		t.Errorf("options().Scale with paperScale = %v, want 1.0", got)
 	}
 	if got := s.minSamples(); got != 100 {
 		t.Errorf("minSamples() at paper scale = %d, want 100", got)
