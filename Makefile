@@ -5,8 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The second line reruns the cross-core tests on one core and on two: every
+# other gate runs at one GOMAXPROCS or with pacing, which is how a second
+# core once cost 70 % wall-clock unnoticed.
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ReportAllByteIdentical' ./internal/orchestrator/ ./internal/core/ ./internal/scenario/
 
 vet:
 	$(GO) vet ./...
@@ -40,9 +44,16 @@ cover-check:
 		if (got+0 < min+0) { printf "cover-check: internal/checkpoint coverage %.1f%% is below the %.1f%% floor\n", got, min; exit 1 } \
 		printf "cover-check: OK: internal/checkpoint coverage %.1f%% (floor %.1f%%)\n", got, min }'
 
+# The hot-path record's benchmarks and the packages they live in, shared by
+# bench and bench-check.
+HOTPATH_BENCH = BenchmarkMeasure|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale
+HOTPATH_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/
+
 # bench runs the hot-path benchmarks (steady-state Measure, cold Measure,
-# sharded TSDB ingest) and records ns/op and allocs/op — joined with the
-# pre-overhaul baselines from BENCH_baseline.txt — in BENCH_hotpath.json.
+# sharded TSDB ingest through the map API, the campaign's own ingest path
+# through StoreSink, and one paper-scale topology selection) and records
+# ns/op and allocs/op — joined with the pre-overhaul baselines from
+# BENCH_baseline.txt — in BENCH_hotpath.json.
 # A second pass records the observability numbers in BENCH_obs.json:
 # MeasureWarm vs MeasureWarmObs is the metrics-enabled overhead (budget 5%),
 # and the BenchmarkObs* entries pin the disabled paths at 0 allocs/op.
@@ -51,13 +62,13 @@ cover-check:
 # runs -count=3 (benchjson keeps the min) because the ms-scale analysis
 # kernels see far fewer iterations per run than the ns-scale hot-path ones.
 # The fifth pass records the columnar-block numbers in BENCH_tsdb.json:
-# block encode/decode ns/op with the compressed bytes/sample, record-log
+# block encode/decode (columns to block and back) ns/op with the compressed
+# bytes/sample, record-log
 # append with bytes/record (the ≥4x win over the 88-byte struct), and the
 # streaming cursor kernels beside their in-memory counterparts in
 # BENCH_analysis.json.
 bench:
-	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkInsert' -benchmem \
-		./internal/netsim/ ./internal/tsdb/ | tee -a /dev/stderr | \
+	$(GO) test -run=^$$ -bench='$(HOTPATH_BENCH)' -benchmem $(HOTPATH_PKGS) | tee -a /dev/stderr | \
 		$(GO) run ./internal/tools/benchjson -baseline BENCH_baseline.txt -out BENCH_hotpath.json
 	$(GO) test -run=^$$ -bench='BenchmarkObs|BenchmarkMeasureWarm' -benchmem \
 		./internal/obs/ ./internal/netsim/ | tee -a /dev/stderr | \
@@ -77,7 +88,7 @@ bench:
 	$(GO) test -run=^$$ -bench='BenchmarkBlock' -benchmem -count=3 \
 		./internal/tsdb/ ./internal/analysis/ | tee -a /dev/stderr | \
 		$(GO) run ./internal/tools/benchjson \
-		-note "columnar blocks: BlockEncode/BlockDecode seal and reopen one 512-point tsdb block (extra bytes/sample is the compressed footprint; a raw ts+3-field sample is 32 B, a live Point ~200 B); BlockRecordLogAppend is streaming campaign ingest (extra bytes/record vs the 88 B in-memory Measurement — the >=4x compression gate); BlockStream* are the cursor kernels over a compressed log, comparable to their in-memory twins in BENCH_analysis.json" \
+		-note "columnar blocks: BlockEncode seals one 512-point columnar tail and BlockDecode reopens it into caller-owned, reused columns (0 allocs/op; it built 512 Points with a map each, 1,039 allocs/op, until the tail went columnar in PR 17; Query still pays one map per point it returns); extra bytes/sample is the compressed footprint, against 32 B for a raw ts+3-field sample, which is also what a tail row costs; BlockRecordLogAppend is streaming campaign ingest (extra bytes/record vs the 88 B in-memory Measurement — the >=4x compression gate); BlockStream* are the cursor kernels over a compressed log, comparable to their in-memory twins in BENCH_analysis.json" \
 		-out BENCH_tsdb.json
 
 # bench-all runs every benchmark in the repo.
@@ -86,9 +97,12 @@ bench-all:
 
 # bench-smoke executes the hot-path benchmarks a fixed small number of
 # iterations — a CI check that they still compile and run, not a timing.
+# The paper-scale selection runs once: an iteration is a whole region's
+# selection, not a nanosecond-scale call.
 bench-smoke:
-	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkInsert' -benchtime=100x \
-		./internal/netsim/ ./internal/tsdb/
+	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkInsert|BenchmarkStoreSinkRecord' -benchtime=100x \
+		./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/
+	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale' -benchtime=1x ./internal/selection/
 
 # bench-build vets and tests the repository benchmark (bench/, the command
 # BENCHMARK.json names). It is a module of its own that imports
@@ -162,8 +176,8 @@ resume-smoke:
 # minimum, so a noisy scheduler can't produce a false regression.
 bench-check:
 	$(GO) test -run=^$$ -count=3 -benchtime=0.5s \
-		-bench='BenchmarkMeasure|BenchmarkInsert|BenchmarkObs|BenchmarkFaults|BenchmarkAnalysis|BenchmarkBlock' -benchmem \
-		./internal/netsim/ ./internal/tsdb/ ./internal/obs/ ./internal/faults/ \
+		-bench='$(HOTPATH_BENCH)|BenchmarkObs|BenchmarkFaults|BenchmarkAnalysis|BenchmarkBlock' -benchmem \
+		$(HOTPATH_PKGS) ./internal/obs/ ./internal/faults/ \
 		./internal/analysis/ ./internal/congestion/ . | tee -a /dev/stderr | \
 		$(GO) run ./internal/tools/benchdiff \
 		-against BENCH_hotpath.json -against BENCH_obs.json -against BENCH_faults.json \

@@ -66,73 +66,90 @@ func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
 
 	// Interleaved probing: for each address, collect a short series at
-	// staggered ticks.
+	// staggered ticks. series[i] belongs to addrs[i] and is tick-sorted,
+	// since ticks grow with the round; all series are carved, with capacity
+	// for every round, out of one backing array.
 	const rounds = 5
-	series := make(map[netip.Addr][]sample, len(addrs))
+	series := make([][]sample, len(addrs))
+	backing := make([]sample, 0, rounds*len(addrs))
+	for i := range series {
+		series[i] = backing[i*rounds : i*rounds : (i+1)*rounds]
+	}
 	for round := 0; round < rounds; round++ {
 		for i, a := range addrs {
 			tick := round*len(addrs)*2 + i*2
 			if id, ok := p.Probe(a, tick); ok {
-				series[a] = append(series[a], sample{tick: tick, id: id})
+				series[i] = append(series[i], sample{tick: tick, id: id})
 			}
 		}
 	}
 
-	// Union-find over candidates.
-	parent := make(map[netip.Addr]netip.Addr, len(addrs))
-	var find func(a netip.Addr) netip.Addr
-	find = func(a netip.Addr) netip.Addr {
-		if parent[a] != a {
-			parent[a] = find(parent[a])
-		}
-		return parent[a]
+	// Union-find over candidate indices.
+	parent := make([]int, len(addrs))
+	for i := range parent {
+		parent[i] = i
 	}
-	for _, a := range addrs {
-		parent[a] = a
-	}
-	union := func(a, b netip.Addr) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
+	var find func(i int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
 		}
+		return parent[i]
 	}
 
 	// Pairwise shared-counter test. O(n^2) pairs, as in MIDAR's
 	// estimation stage; candidate sets here are per-neighbor and small.
 	for i := 0; i < len(addrs); i++ {
 		for j := i + 1; j < len(addrs); j++ {
-			if sharedCounter(append(append([]sample(nil), series[addrs[i]]...), series[addrs[j]]...)) {
-				union(addrs[i], addrs[j])
+			if sharedCounter(series[i], series[j]) {
+				if ri, rj := find(i), find(j); ri != rj {
+					parent[rj] = ri
+				}
 			}
 		}
 	}
 
-	groups := make(map[netip.Addr][]netip.Addr)
-	for _, a := range addrs {
-		r := find(a)
-		groups[r] = append(groups[r], a)
+	// addrs is sorted, so walking it in order fills every group in address
+	// order and meets the groups in order of their smallest member.
+	groupOf := make(map[int]int)
+	out := [][]netip.Addr{}
+	for i, a := range addrs {
+		r := find(i)
+		g, ok := groupOf[r]
+		if !ok {
+			g = len(out)
+			groupOf[r] = g
+			out = append(out, nil)
+		}
+		out[g] = append(out[g], a)
 	}
-	out := make([][]netip.Addr, 0, len(groups))
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i].Compare(g[j]) < 0 })
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].Compare(out[j][0]) < 0 })
 	return out
 }
 
-// sharedCounter reports whether the combined sample series is consistent
-// with a single linearly advancing IP-ID counter: after estimating the
-// counter velocity from the first and last observations, every sample must
-// sit within a small tolerance of the fitted line (allowing 16-bit
-// wraparound). Interfaces of one router pass; two routers with independent
-// bases and velocities essentially never do.
-func sharedCounter(samples []sample) bool {
-	if len(samples) < 4 {
+// sharedCounter reports whether two probe series, taken together, are
+// consistent with a single linearly advancing IP-ID counter: after
+// estimating the counter velocity from the earliest and latest
+// observations, every sample must sit within a small tolerance of the
+// fitted line (allowing 16-bit wraparound). Interfaces of one router pass;
+// two routers with independent bases and velocities essentially never do.
+// Each series must be tick-sorted; the per-sample test does not depend on
+// the order samples are visited in, so the two series are never merged.
+func sharedCounter(a, b []sample) bool {
+	if len(a)+len(b) < 4 {
 		return false
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].tick < samples[j].tick })
-	first, last := samples[0], samples[len(samples)-1]
+	if len(a) == 0 {
+		a, b = b, a
+	}
+	first, last := a[0], a[len(a)-1]
+	if len(b) > 0 {
+		if b[0].tick < first.tick {
+			first = b[0]
+		}
+		if b[len(b)-1].tick > last.tick {
+			last = b[len(b)-1]
+		}
+	}
 	dt := last.tick - first.tick
 	if dt <= 0 {
 		return false
@@ -144,12 +161,14 @@ func sharedCounter(samples []sample) bool {
 		return false
 	}
 	const tolerance = 24 // counter jitter from cross traffic
-	for _, s := range samples {
-		predicted := velocity * float64(s.tick-first.tick)
-		observed := float64(int(uint16(s.id - first.id)))
-		diff := observed - predicted
-		if diff < -tolerance || diff > tolerance {
-			return false
+	for _, series := range [2][]sample{a, b} {
+		for _, s := range series {
+			predicted := velocity * float64(s.tick-first.tick)
+			observed := float64(int(uint16(s.id - first.id)))
+			diff := observed - predicted
+			if diff < -tolerance || diff > tolerance {
+				return false
+			}
 		}
 	}
 	return true

@@ -105,11 +105,14 @@ type CLASP struct {
 	// Selection memos. The two selection methods are pure functions of the
 	// seed, but expensive — at paper scale they dominate `report all`
 	// (Table 1, Fig. 7 and the campaigns each re-ran them before this
-	// cache). The mutex is held across the computation: pilot scans share
-	// bdrmap/alias state, so selections must also never run concurrently.
+	// cache). Each key is a once-cell: selMu guards only the map lookup, so
+	// selections for different keys run concurrently (the simulator, the
+	// bdrmap mapper and the alias prober hold no mutable state beyond
+	// concurrency-safe caches) and concurrent callers of one key share a
+	// single computation.
 	selMu    sync.Mutex
 	topoSels map[string]*topoSelMemo
-	diffSels map[string]*diffSelMemo
+	diffSels map[diffSelKey]*diffSelMemo
 
 	// sched, when non-nil, is the command scheduler coordinating this
 	// engine's campaigns; runCampaign reports round completions to it.
@@ -125,11 +128,18 @@ type CLASP struct {
 }
 
 type topoSelMemo struct {
-	sel *selection.TopoResult
-	err error
+	once sync.Once
+	sel  *selection.TopoResult
+	err  error
+}
+
+type diffSelKey struct {
+	region     string
+	minSamples int
 }
 
 type diffSelMemo struct {
+	once   sync.Once
 	sel    []selection.DiffSelected
 	deltas []speedchecker.TierDelta
 	err    error
@@ -190,7 +200,7 @@ func New(opts Options) (*CLASP, error) {
 		Checker:     speedchecker.New(sim),
 		pool:        orchestrator.NewWorkerPool(opts.Parallelism),
 		topoSels:    make(map[string]*topoSelMemo),
-		diffSels:    make(map[string]*diffSelMemo),
+		diffSels:    make(map[diffSelKey]*diffSelMemo),
 		regionLocks: make(map[string]*sync.Mutex),
 	}, nil
 }
@@ -213,41 +223,47 @@ func (c *CLASP) lockRegion(region string) func() {
 // per region for the engine's lifetime — the selection is a pure function
 // of the seed (ResumeCampaign has always relied on that), and one `report
 // all` used to recompute the same regions for Table 1, Fig. 7 and the
-// campaigns. Concurrent callers for any regions serialize on one mutex,
-// because the pilot scans share bdrmap/alias state.
+// campaigns. Safe for concurrent use: callers for different regions run
+// side by side, callers for one region share one computation.
 func (c *CLASP) SelectTopologyServers(region string) (*selection.TopoResult, error) {
 	c.selMu.Lock()
-	defer c.selMu.Unlock()
-	if m, ok := c.topoSels[region]; ok {
-		return m.sel, m.err
+	m, ok := c.topoSels[region]
+	if !ok {
+		m = &topoSelMemo{}
+		c.topoSels[region] = m
 	}
-	sel, err := selection.TopologyBased(c.Sim, c.Mapper, selection.TopoParams{
-		Region: region,
-		Budget: RegionBudgets[region],
-		Seed:   c.Opts.Seed,
+	c.selMu.Unlock()
+	m.once.Do(func() {
+		m.sel, m.err = selection.TopologyBased(c.Sim, c.Mapper, selection.TopoParams{
+			Region: region,
+			Budget: RegionBudgets[region],
+			Seed:   c.Opts.Seed,
+		})
 	})
-	c.topoSels[region] = &topoSelMemo{sel: sel, err: err}
-	return sel, err
+	return m.sel, m.err
 }
 
 // SelectDifferentialServers runs the preliminary latency scan and the
 // differential-based method for one region. minSamples scales with the
 // topology (the paper's >= 100 rule assumes Speedchecker-scale VP counts).
-// Like the topology method, results are memoized per (region, minSamples)
-// under the selection mutex.
+// Like the topology method, results are memoized in a once-cell per
+// (region, minSamples).
 func (c *CLASP) SelectDifferentialServers(region string, minSamples int) ([]selection.DiffSelected, []speedchecker.TierDelta, error) {
 	if minSamples <= 0 {
 		minSamples = 100
 	}
+	key := diffSelKey{region, minSamples}
 	c.selMu.Lock()
-	defer c.selMu.Unlock()
-	key := fmt.Sprintf("%s/%d", region, minSamples)
-	if m, ok := c.diffSels[key]; ok {
-		return m.sel, m.deltas, m.err
+	m, ok := c.diffSels[key]
+	if !ok {
+		m = &diffSelMemo{}
+		c.diffSels[key] = m
 	}
-	sel, deltas, err := c.selectDifferentialServers(region, minSamples)
-	c.diffSels[key] = &diffSelMemo{sel: sel, deltas: deltas, err: err}
-	return sel, deltas, err
+	c.selMu.Unlock()
+	m.once.Do(func() {
+		m.sel, m.deltas, m.err = c.selectDifferentialServers(region, minSamples)
+	})
+	return m.sel, m.deltas, m.err
 }
 
 func (c *CLASP) selectDifferentialServers(region string, minSamples int) ([]selection.DiffSelected, []speedchecker.TierDelta, error) {

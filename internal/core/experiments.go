@@ -19,13 +19,13 @@ import (
 
 // RunTopologyCampaigns runs the topology-based campaign in several regions
 // concurrently — the deployment shape of the paper, where all regions
-// measured in parallel for the whole window. Server selection stays
-// sequential (the pilot scans share bdrmap/alias state); the planned
-// campaigns then fan out one goroutine per region over the shared,
-// thread-safe platform, bucket and store, with the engine's worker pool
-// capping their combined VM concurrency at Opts.Parallelism — the global
-// budget, not a per-campaign one. Each region's records are identical to
-// running its campaign alone with the same seed.
+// measured in parallel for the whole window. Planning (server selection,
+// checkpoint attachment) walks the regions in order; the planned campaigns
+// then fan out one goroutine per region over the shared, thread-safe
+// platform, bucket and store, with the engine's worker pool capping their
+// combined VM concurrency at Opts.Parallelism — the global budget, not a
+// per-campaign one. Each region's records are identical to running its
+// campaign alone with the same seed.
 func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, map[string]*selection.TopoResult, error) {
 	// When a command scheduler is attached (`costs`, resumed commands), it
 	// owns planning and execution: progress registers command-wide and

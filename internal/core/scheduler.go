@@ -24,10 +24,9 @@ type CampaignRef struct {
 	MinSamples int // differential only
 }
 
-// PlannedCampaign is a campaign after its (sequential) planning phase:
-// selection done, checkpoint state attached. RunPlanned executes the
-// measurement — the part that is safe to run concurrently with other
-// planned campaigns.
+// PlannedCampaign is a campaign after its planning phase: selection done,
+// checkpoint state attached. RunPlanned executes the measurement, which is
+// safe to run concurrently with other planned campaigns.
 type PlannedCampaign struct {
 	Camp    checkpoint.Campaign
 	Servers []*topology.Server
@@ -134,11 +133,12 @@ func newCommandMetrics(name string) *commandMetrics {
 }
 
 // CommandScheduler coordinates the campaigns of one multi-campaign command
-// (report all, costs): it owns the sequential planning phase (selections
-// serialize; checkpoints attach on resume), accounts whole-command
-// progress across the concurrent campaign runs, writes the command
-// manifest, and arms the campaign-done kill point the resume kill-matrix
-// uses. One scheduler per engine at a time.
+// (report all, costs): it owns the planning phase (callers plan in ref
+// order, so skip lines and progress registration are deterministic;
+// checkpoints attach on resume), accounts whole-command progress across
+// the concurrent campaign runs, writes the command manifest, and arms the
+// campaign-done kill point the resume kill-matrix uses. One scheduler per
+// engine at a time.
 type CommandScheduler struct {
 	eng    *CLASP
 	name   string
@@ -201,7 +201,7 @@ func (s *CommandScheduler) WriteManifest(command, artifact string, refs []Campai
 	return checkpoint.WriteManifest(dir, man)
 }
 
-// Plan runs a campaign's sequential planning phase: selection, progress
+// Plan runs a campaign's planning phase: selection (memoized), progress
 // registration, and — on resume — checkpoint attachment.
 func (s *CommandScheduler) Plan(ref CampaignRef) (*PlannedCampaign, error) {
 	p, err := s.eng.PlanRef(ref)

@@ -24,19 +24,56 @@ type flowKeyT struct {
 	dir    Direction
 }
 
+// rttModel is the time-invariant half of pathRTT for one (region, endpoint,
+// interconnect, tier): everything but the hour's congestion dip and jitter.
+// Immutable once built.
+type rttModel struct {
+	baseRTT      float64 // static partial sum, accumulated in pathRTT's order
+	hasDip       bool    // endpoint city and AS resolved
+	endCong      topology.CongestionProfile
+	endUTC       int
+	regionFactor float64
+}
+
+// newRTTModel resolves the static inputs of pathRTT for one routed path.
+func (s *Sim) newRTTModel(region string, endASN ASN, endCity string, choice bgp.EgressChoice, tier bgp.Tier) rttModel {
+	m := rttModel{
+		baseRTT:      s.staticRTT(region, endASN, endCity, choice, tier),
+		regionFactor: s.cfg.RegionCongestionFactor[region],
+	}
+	if m.regionFactor == 0 {
+		m.regionFactor = 1
+	}
+	if city, ok := s.topo.CityOf(endCity); ok {
+		if endAS := s.topo.AS(endASN); endAS != nil {
+			m.hasDip = true
+			m.endCong = endAS.Congestion
+			m.endUTC = city.UTCOffset
+		}
+	}
+	return m
+}
+
+// at is the cached counterpart of pathRTT: baseRTT already holds the static
+// partial sum, so only the congestion dip and jitter remain.
+func (m *rttModel) at(s *Sim, flowKey uint64, t time.Time) float64 {
+	rtt := m.baseRTT
+	if m.hasDip {
+		dip := s.congestionDip(m.endCong, flowKey, m.endUTC, t, m.regionFactor)
+		rtt += dip * s.cfg.QueueDelayMaxMs
+	}
+	rtt *= clamp(1+0.03*hashNorm(s.cfg.Seed, flowKey, dayOf(t), uint64(t.Hour()), 0xc1), 0.9, 1.15)
+	return rtt
+}
+
 // flowEntry is the resolved routing decision plus interned static model
 // inputs for one flow. Immutable once built.
 type flowEntry struct {
 	choice  bgp.EgressChoice
 	flowKey uint64 // per-flow hash key (the server ID)
 
-	// RTT model.
-	baseRTT      float64 // static partial sum, accumulated in pathRTT's order
-	hasDip       bool    // endpoint city and AS resolved
-	endCong      topology.CongestionProfile
-	endUTC       int
-	regionFactor float64
-	regionHash   uint64
+	rttModel
+	regionHash uint64
 
 	// Bandwidth model.
 	srvCong      topology.CongestionProfile
@@ -89,30 +126,17 @@ func (s *Sim) buildFlow(spec TestSpec) (*flowEntry, error) {
 	}
 	link := choice.Link
 
-	regionFactor := s.cfg.RegionCongestionFactor[spec.Region]
-	if regionFactor == 0 {
-		regionFactor = 1
-	}
-
 	fe := &flowEntry{
-		choice:       choice,
-		flowKey:      uint64(srv.ID),
-		baseRTT:      s.staticRTT(spec.Region, srv.ASN, srv.City, choice, spec.Tier),
-		regionFactor: regionFactor,
-		regionHash:   s.regionHash(spec.Region),
-		srvUTC:       srv.UTCOffset,
-		linkUTC:      link.UTCOffset,
-		linkID:       link.ID,
-		accessMbps:   srv.AccessMbps,
-		headroom:     link.Headroom,
-		baseLoss:     s.cfg.BaseLoss,
-	}
-	if endCity, ok := s.topo.CityOf(srv.City); ok {
-		if endAS := s.topo.AS(srv.ASN); endAS != nil {
-			fe.hasDip = true
-			fe.endCong = endAS.Congestion
-			fe.endUTC = endCity.UTCOffset
-		}
+		choice:     choice,
+		flowKey:    uint64(srv.ID),
+		rttModel:   s.newRTTModel(spec.Region, srv.ASN, srv.City, choice, spec.Tier),
+		regionHash: s.regionHash(spec.Region),
+		srvUTC:     srv.UTCOffset,
+		linkUTC:    link.UTCOffset,
+		linkID:     link.ID,
+		accessMbps: srv.AccessMbps,
+		headroom:   link.Headroom,
+		baseLoss:   s.cfg.BaseLoss,
 	}
 	fe.srvCong = s.topo.AS(srv.ASN).Congestion
 	fe.nbCong = s.topo.AS(link.Neighbor).Congestion
@@ -126,18 +150,6 @@ func (s *Sim) buildFlow(spec TestSpec) (*flowEntry, error) {
 		}
 	}
 	return fe, nil
-}
-
-// rttAt is the cached counterpart of pathRTT: baseRTT already holds the
-// static partial sum, so only the congestion dip and jitter remain.
-func (fe *flowEntry) rttAt(s *Sim, t time.Time) float64 {
-	rtt := fe.baseRTT
-	if fe.hasDip {
-		dip := s.congestionDip(fe.endCong, fe.flowKey, fe.endUTC, t, fe.regionFactor)
-		rtt += dip * s.cfg.QueueDelayMaxMs
-	}
-	rtt *= clamp(1+0.03*hashNorm(s.cfg.Seed, fe.flowKey, dayOf(t), uint64(t.Hour()), 0xc1), 0.9, 1.15)
-	return rtt
 }
 
 // bandwidthAt is the cached counterpart of pathBandwidth: it reproduces the

@@ -283,7 +283,7 @@ func (s *Sim) Measure(spec TestSpec) (TestResult, error) {
 		return TestResult{}, err
 	}
 
-	rtt := fe.rttAt(s, spec.Time)
+	rtt := fe.rttModel.at(s, fe.flowKey, spec.Time)
 	avail, loss := fe.bandwidthAt(s, spec, spec.Time)
 
 	tput := tcpmodel.Throughput(tcpmodel.FlowParams{
@@ -542,6 +542,30 @@ func (s *Sim) PingRTT(region string, endASN ASN, endCity string, tier bgp.Tier, 
 		return 0, err
 	}
 	return s.pathRTT(region, endASN, endCity, choice, tier, t, flowSalt), nil
+}
+
+// Pinger is PingRTT toward one endpoint with the route lookup and the
+// static RTT resolved once: a scan that probes the same (region, endpoint,
+// tier) many times pays for the ingress decision and the path geometry on
+// the first probe only. RTT performs PingRTT's per-probe arithmetic in
+// PingRTT's order, so the two agree bit for bit.
+type Pinger struct {
+	sim   *Sim
+	model rttModel
+}
+
+// Pinger resolves the route PingRTT would take to (endASN, endCity).
+func (s *Sim) Pinger(region string, endASN ASN, endCity string, tier bgp.Tier) (Pinger, error) {
+	choice, err := s.router.IngressLink(region, endASN, endCity, tier)
+	if err != nil {
+		return Pinger{}, err
+	}
+	return Pinger{sim: s, model: s.newRTTModel(region, endASN, endCity, choice, tier)}, nil
+}
+
+// RTT is one probe at virtual time t; flowSalt decorrelates repeated probes.
+func (p *Pinger) RTT(t time.Time, flowSalt uint64) float64 {
+	return p.model.at(p.sim, flowSalt, t)
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -203,6 +203,45 @@ func TestPingRTTStable(t *testing.T) {
 	}
 }
 
+// TestPingerMatchesPingRTT: a Pinger is PingRTT with the route lookup and
+// the static RTT hoisted, so every probe must agree bit for bit — across
+// vantage points, regions, tiers, hours of the day and salts — and the two
+// must fail together.
+func TestPingerMatchesPingRTT(t *testing.T) {
+	s := newSim(t)
+	vps := s.Topology().EdgeVPs()
+	if len(vps) > 200 {
+		vps = vps[:200]
+	}
+	for _, vp := range vps {
+		for _, region := range []string{"us-west1", "europe-west1"} {
+			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+				ping, err := s.Pinger(region, vp.ASN, vp.City, tier)
+				if err != nil {
+					if _, perr := s.PingRTT(region, vp.ASN, vp.City, tier, t0, 0); perr == nil {
+						t.Fatalf("Pinger failed (%v) where PingRTT succeeds", err)
+					}
+					continue
+				}
+				for i := 0; i < 30; i++ {
+					at := t0.Add(time.Duration(i) * 5 * time.Hour)
+					salt := uint64(vp.ID)<<20 | uint64(i)<<8 | uint64(tier)
+					want, err := s.PingRTT(region, vp.ASN, vp.City, tier, at, salt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := ping.RTT(at, salt); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("VP %d %s %v probe %d: Pinger %v, PingRTT %v", vp.ID, region, tier, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	if _, err := s.Pinger("nowhere", vps[0].ASN, vps[0].City, bgp.Premium); err == nil {
+		t.Error("Pinger for an unknown region succeeded")
+	}
+}
+
 func TestWanProfileClassesExist(t *testing.T) {
 	s := newSim(t)
 	classes := map[string]int{}

@@ -17,24 +17,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/telemetry"
 )
 
-func TestLatestSnapshot(t *testing.T) {
-	// Regression for the capture path: slicing Snapshots()[len-1:] panicked
-	// on an empty collector; latestSnapshot must return nil instead.
-	if got := latestSnapshot(nil); got != nil {
-		t.Errorf("latestSnapshot(nil) = %v, want nil", got)
-	}
-	if got := latestSnapshot([]someta.Snapshot{}); got != nil {
-		t.Errorf("latestSnapshot(empty) = %v, want nil", got)
-	}
-	snaps := []someta.Snapshot{
-		{Hostname: "a"}, {Hostname: "b"}, {Hostname: "c"},
-	}
-	got := latestSnapshot(snaps)
-	if len(got) != 1 || got[0].Hostname != "c" {
-		t.Errorf("latestSnapshot = %+v, want one-element slice holding the newest", got)
-	}
-}
-
 func TestCaptureTestUploadsLatestSnapshotOnly(t *testing.T) {
 	f := setup(t)
 	srv := f.topo.Servers()[0]

@@ -8,14 +8,20 @@
 //
 // # Concurrency model
 //
-// A campaign fans each hourly round out across its simulated measurement
-// VMs: every VM's test list runs on its own goroutine, bounded by
-// Config.Parallelism. Measurement results land in a slice indexed by a
-// deterministic per-hour task order, and all observable side effects —
-// sink records, egress metering, report counters — are applied in that
-// order after the round joins. Because netsim.Sim.Measure is a pure
-// function of (seed, spec), a campaign produces bit-identical measurement
-// sets at every parallelism level, including 1 (sequential).
+// A round fans out across its simulated measurement VMs — one goroutine per
+// VM's test list, bounded by Config.Parallelism — only when a test can
+// block: under a Config.Measure hook (a real protocol client occupies its
+// VM for wall-clock time) or an active fault profile (timeouts and retry
+// backoff sleep). A purely simulated round runs inline on the campaign's
+// goroutine under one WorkerPool slot: a VM's hour is ~16 tests of ~0.5 µs,
+// less than the goroutine hand-off it would ride on, and multi-campaign
+// commands already get their parallelism from concurrent campaigns.
+// Either way measurement results land in a slice indexed by a deterministic
+// per-hour task order, and all observable side effects — sink records,
+// egress metering, report counters — are applied in that order after the
+// round completes. Because netsim.Sim.Measure is a pure function of
+// (seed, spec), a campaign produces bit-identical measurement sets at every
+// parallelism level, including 1 (sequential).
 package orchestrator
 
 import (
@@ -133,12 +139,14 @@ func (l *LockedSink) Record(m analysis.Measurement) {
 
 // StoreSink indexes records into a time-series store. It is safe for
 // concurrent use: tsdb.Store shards its lock internally, and the sink
-// interns one series handle per (server, region, tier, dir) so repeated
-// records skip tag construction and canonical-key rendering.
+// interns one bound series handle per (server, region, tier, dir) so a
+// repeated record skips tag construction, key rendering and field-name
+// handling, and inserts its three values without allocating.
 type StoreSink struct {
 	Store *tsdb.Store
 
-	handles sync.Map // storeSinkKey -> *tsdb.Handle
+	mu      sync.Mutex // guards handles, never held across an insert
+	handles map[storeSinkKey]*tsdb.BoundHandle
 }
 
 // storeSinkKey identifies one record stream's series.
@@ -149,29 +157,34 @@ type storeSinkKey struct {
 	dir    netsim.Direction
 }
 
-// Record implements Sink.
-func (s *StoreSink) Record(m analysis.Measurement) {
+// handle returns the bound handle of a record's series, interning it on
+// first use.
+func (s *StoreSink) handle(m *analysis.Measurement) *tsdb.BoundHandle {
 	key := storeSinkKey{server: m.ServerID, region: m.Region, tier: m.Tier, dir: m.Dir}
-	var h *tsdb.Handle
-	if v, ok := s.handles.Load(key); ok {
-		h = v.(*tsdb.Handle)
-	} else {
-		// Handle errors are impossible for the generated tag values.
-		h, _ = s.Store.Handle("speedtest", tsdb.Tags{
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.handles[key]
+	if !ok {
+		// Handle and Bind errors are impossible for the generated tag values
+		// and the fixed field names.
+		h, _ := s.Store.Handle("speedtest", tsdb.Tags{
 			"server": strconv.Itoa(m.ServerID),
 			"region": m.Region,
 			"tier":   m.Tier.String(),
 			"dir":    m.Dir.String(),
 		})
-		if v, loaded := s.handles.LoadOrStore(key, h); loaded {
-			h = v.(*tsdb.Handle)
+		b, _ = h.Bind("mbps", "rtt_ms", "loss")
+		if s.handles == nil {
+			s.handles = make(map[storeSinkKey]*tsdb.BoundHandle)
 		}
+		s.handles[key] = b
 	}
-	_ = h.Insert(m.Time, map[string]float64{
-		"mbps":   m.Mbps,
-		"rtt_ms": m.RTTms,
-		"loss":   m.Loss,
-	})
+	return b
+}
+
+// Record implements Sink.
+func (s *StoreSink) Record(m analysis.Measurement) {
+	_ = s.handle(&m).Insert(m.Time, m.Mbps, m.RTTms, m.Loss) // arity fixed by Bind above
 }
 
 // LogSink appends records into a columnar RecordLog, the engine's one
@@ -227,8 +240,10 @@ type Config struct {
 	// periodic system events).
 	FixedOrder bool
 	// Parallelism bounds how many simulated measurement VMs execute their
-	// hourly test lists concurrently. 0 or 1 runs sequentially. The
-	// measurement set is bit-identical at every setting.
+	// hourly test lists concurrently when tests can block (a Measure hook
+	// or an active fault profile; see the package's concurrency model), and
+	// how many follow-up traceroutes run at once. 0 or 1 runs sequentially.
+	// The measurement set is bit-identical at every setting.
 	Parallelism int
 	// Measure overrides how a scheduled test executes (default: the
 	// simulator's Measure). Drivers use it to route tests through a real
@@ -262,12 +277,13 @@ type Config struct {
 	// the original run for the byte-identical guarantee to hold.
 	Resume *Progress
 	// Workers, when set, is a command-wide VM-worker budget shared with the
-	// other campaigns of a multi-campaign command: every VM round and
-	// traceroute batch entry holds a pool slot while it runs, so concurrent
-	// campaigns together never exceed the pool's capacity even though each
-	// still spawns up to Parallelism goroutines. nil keeps the historical
-	// per-campaign budget. Purely a scheduling constraint — the measurement
-	// set stays bit-identical with or without it.
+	// other campaigns of a multi-campaign command: every fanned-out VM
+	// round, inline round and traceroute batch entry holds a pool slot while
+	// it runs, so concurrent campaigns together never exceed the pool's
+	// capacity even though each may spawn up to Parallelism goroutines. nil
+	// keeps the historical per-campaign budget. Purely a scheduling
+	// constraint — the measurement set stays bit-identical with or without
+	// it.
 	Workers *WorkerPool
 	// OnRound is called after each completed round (hour) with the
 	// campaign's completed-hour watermark and total hours, from the
@@ -805,7 +821,8 @@ func (o *Orchestrator) createVM(inj *faults.Injector, pol faults.Profile, spec c
 	}
 }
 
-// runRound executes one hour's tasks, one goroutine per VM bounded by
+// runRound executes one hour's tasks: inline on the caller's goroutine when
+// no test can block, otherwise one goroutine per VM bounded by
 // cfg.Parallelism. Results are indexed by task position, so callers observe
 // them in the deterministic schedule order regardless of how the round
 // interleaved; completed marks the positions that produced a result (always
@@ -949,7 +966,16 @@ func (o *Orchestrator) runRound(cfg Config, hourStart time.Time, hour int, tasks
 		return nil
 	}
 
-	if err := forEachLimit(len(workers), cfg.Parallelism, cfg.Workers.Wrap(runVM)); err != nil {
+	var err error
+	if cfg.Measure == nil && inj == nil {
+		// Nothing in a simulated, fault-free round can block, so the whole
+		// round is one unit of work under one pool slot.
+		wholeRound := func(int) error { return forEachLimit(len(workers), 1, runVM) }
+		err = cfg.Workers.Wrap(wholeRound)(0)
+	} else {
+		err = forEachLimit(len(workers), cfg.Parallelism, cfg.Workers.Wrap(runVM))
+	}
+	if err != nil {
 		return nil, nil, roundTally{}, err
 	}
 	var total roundTally
@@ -993,18 +1019,6 @@ func forEachLimit(n, limit int, fn func(i int) error) error {
 	return firstErr
 }
 
-// latestSnapshot returns a one-element slice holding the newest snapshot,
-// or nil when none have been recorded. Guards the capture path against the
-// empty-collector case: slicing Snapshots()[len-1:] directly panics with
-// index out of range when a collector has never snapped (e.g. after a
-// Reset, or a probe wired in without the per-VM-hour Snap).
-func latestSnapshot(snaps []someta.Snapshot) []someta.Snapshot {
-	if len(snaps) == 0 {
-		return nil
-	}
-	return snaps[len(snaps)-1:]
-}
-
 // captureTest synthesises a tcpdump-style header capture consistent with
 // the measured flow, snapshots SoMeta metadata, compresses both, and
 // uploads them to the results bucket.
@@ -1042,13 +1056,13 @@ func (o *Orchestrator) captureTest(cfg Config, srv *topology.Server, tier bgp.Ti
 		return err
 	}
 
-	snaps := latestSnapshot(collector.Snapshots())
-	if len(snaps) == 0 {
+	snap, ok := collector.Latest()
+	if !ok {
 		// Nothing to upload; the pcap alone is still a valid artifact.
 		return nil
 	}
 	var meta bytes.Buffer
-	if err := someta.WriteJSON(&meta, snaps); err != nil {
+	if err := someta.WriteJSON(&meta, []someta.Snapshot{snap}); err != nil {
 		return err
 	}
 	metaKey := fmt.Sprintf("%s/someta/%s/server-%d-%s.json", cfg.Region, at.Format("2006-01-02"), srv.ID, tier)

@@ -1,61 +1,84 @@
 package orchestrator
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
+	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
+
+// simulatedAndHooked are the two execution paths of a round: purely
+// simulated rounds run inline at any parallelism, while a Measure hook —
+// here one that only delegates to the simulator — sends them through the
+// per-VM goroutine fan-out. Both must produce the sequential run's bytes.
+var simulatedAndHooked = []struct {
+	name string
+	hook func(*netsim.Sim) func(netsim.TestSpec) (netsim.TestResult, error)
+}{
+	{"simulated", func(*netsim.Sim) func(netsim.TestSpec) (netsim.TestResult, error) { return nil }},
+	{"measure-hook", func(sim *netsim.Sim) func(netsim.TestSpec) (netsim.TestResult, error) { return sim.Measure }},
+}
 
 // TestParallelMatchesSequential is the engine's determinism guarantee: a
 // campaign run at any parallelism produces the same record stream, counters
 // and artifacts as the sequential run. Run with -race it doubles as the
 // data-pipeline race test.
 func TestParallelMatchesSequential(t *testing.T) {
-	run := func(parallelism int) (*Report, []analysis.Measurement, []string) {
-		f := setup(t)
-		sink := &SliceSink{}
-		rep, err := f.orch.Run(Config{
-			Region:          "us-east1",
-			Servers:         f.topo.ServersInCountry("US")[:12],
-			Tiers:           []bgp.Tier{bgp.Premium, bgp.Standard},
-			Days:            2,
-			Seed:            17,
-			TestDurationSec: 3, // keeps the synthesized captures small
-			CaptureEvery:    97,
-			TracerouteEvery: 1,
-			Parallelism:     parallelism,
-		}, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, sink.Out, f.bucket.List("")
-	}
-
-	seqRep, seqOut, seqKeys := run(1)
-	for _, parallelism := range []int{4, 16} {
-		rep, out, keys := run(parallelism)
-		if len(out) != len(seqOut) {
-			t.Fatalf("parallelism %d: %d records, want %d", parallelism, len(out), len(seqOut))
-		}
-		for i := range out {
-			if out[i] != seqOut[i] {
-				t.Fatalf("parallelism %d: record %d = %+v, want %+v", parallelism, i, out[i], seqOut[i])
+	var simulated []analysis.Measurement
+	for _, path := range simulatedAndHooked {
+		run := func(parallelism int) (*Report, []analysis.Measurement, []string) {
+			f := setup(t)
+			sink := &SliceSink{}
+			rep, err := f.orch.Run(Config{
+				Region:          "us-east1",
+				Servers:         f.topo.ServersInCountry("US")[:12],
+				Tiers:           []bgp.Tier{bgp.Premium, bgp.Standard},
+				Days:            2,
+				Seed:            17,
+				TestDurationSec: 3, // keeps the synthesized captures small
+				CaptureEvery:    97,
+				TracerouteEvery: 1,
+				Parallelism:     parallelism,
+				Measure:         path.hook(f.sim),
+			}, sink)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return rep, sink.Out, f.bucket.List("")
 		}
-		if rep.Tests != seqRep.Tests || rep.Hours != seqRep.Hours ||
-			rep.VMs != seqRep.VMs || rep.Captures != seqRep.Captures ||
-			rep.Traceroutes != seqRep.Traceroutes {
-			t.Errorf("parallelism %d: report %+v, want %+v", parallelism, rep, seqRep)
+
+		seqRep, seqOut, seqKeys := run(1)
+		if simulated == nil {
+			simulated = seqOut
+		} else if !reflect.DeepEqual(seqOut, simulated) {
+			t.Fatalf("%s: sequential records differ from the simulated path's", path.name)
 		}
-		if len(keys) != len(seqKeys) {
-			t.Fatalf("parallelism %d: %d bucket objects, want %d", parallelism, len(keys), len(seqKeys))
-		}
-		for i := range keys {
-			if keys[i] != seqKeys[i] {
-				t.Errorf("parallelism %d: bucket key %q, want %q", parallelism, keys[i], seqKeys[i])
+		for _, parallelism := range []int{4, 16} {
+			rep, out, keys := run(parallelism)
+			if len(out) != len(seqOut) {
+				t.Fatalf("%s, parallelism %d: %d records, want %d", path.name, parallelism, len(out), len(seqOut))
+			}
+			for i := range out {
+				if out[i] != seqOut[i] {
+					t.Fatalf("%s, parallelism %d: record %d = %+v, want %+v", path.name, parallelism, i, out[i], seqOut[i])
+				}
+			}
+			if rep.Tests != seqRep.Tests || rep.Hours != seqRep.Hours ||
+				rep.VMs != seqRep.VMs || rep.Captures != seqRep.Captures ||
+				rep.Traceroutes != seqRep.Traceroutes {
+				t.Errorf("%s, parallelism %d: report %+v, want %+v", path.name, parallelism, rep, seqRep)
+			}
+			if len(keys) != len(seqKeys) {
+				t.Fatalf("%s, parallelism %d: %d bucket objects, want %d", path.name, parallelism, len(keys), len(seqKeys))
+			}
+			for i := range keys {
+				if keys[i] != seqKeys[i] {
+					t.Errorf("%s, parallelism %d: bucket key %q, want %q", path.name, parallelism, keys[i], seqKeys[i])
+				}
 			}
 		}
 	}
@@ -65,26 +88,29 @@ func TestParallelMatchesSequential(t *testing.T) {
 // any parallelism: egress metering runs in the deterministic emit phase,
 // so even the floating-point sums match bit for bit.
 func TestParallelEgressAccounting(t *testing.T) {
-	run := func(parallelism int) float64 {
-		f := setup(t)
-		_, err := f.orch.Run(Config{
-			Region:      "us-west1",
-			Servers:     f.topo.Servers()[:9],
-			Days:        1,
-			Seed:        3,
-			Parallelism: parallelism,
-		}, &SliceSink{})
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range simulatedAndHooked {
+		run := func(parallelism int) float64 {
+			f := setup(t)
+			_, err := f.orch.Run(Config{
+				Region:      "us-west1",
+				Servers:     f.topo.Servers()[:9],
+				Days:        1,
+				Seed:        3,
+				Parallelism: parallelism,
+				Measure:     path.hook(f.sim),
+			}, &SliceSink{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f.platform.Costs().EgressUSD
 		}
-		return f.platform.Costs().EgressUSD
-	}
-	seq := run(1)
-	if seq <= 0 {
-		t.Fatal("no egress accrued")
-	}
-	if par := run(4); par != seq {
-		t.Errorf("egress at parallelism 4 = %v, want %v", par, seq)
+		seq := run(1)
+		if seq <= 0 {
+			t.Fatalf("%s: no egress accrued", path.name)
+		}
+		if par := run(4); par != seq {
+			t.Errorf("%s: egress at parallelism 4 = %v, want %v", path.name, par, seq)
+		}
 	}
 }
 

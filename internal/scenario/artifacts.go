@@ -210,25 +210,22 @@ func CampaignRefs(artifacts []string, days, minSamples int) []core.CampaignRef {
 	return refs
 }
 
-// Prelaunch plans every campaign the artifact set needs (sequentially —
-// selections share pilot-scan state) and launches their executions in the
-// background. Renderers then block only on the campaigns they consume, so
-// analysis and rendering overlap measurement; the engine's shared worker
-// pool bounds how much measurement actually runs at once. Planning errors
-// return immediately; execution errors surface when a renderer requests
-// the failed campaign.
+// Prelaunch plans every campaign the artifact set needs in ref order — so
+// skip lines and progress registration keep their order — and launches
+// each one's execution in the background as soon as it is planned, so a
+// campaign measures while the next one's servers are still being selected.
+// Renderers then block only on the campaigns they consume, so analysis and
+// rendering overlap measurement too; the engine's shared worker pool bounds
+// how much measurement actually runs at once. A planning error returns
+// immediately, leaving the campaigns planned before it running in the
+// background; execution errors surface when a renderer requests the failed
+// campaign.
 func (c *ArtifactCache) Prelaunch(eng *core.CLASP, artifacts []string, days, minSamples int) error {
-	var keys []campaignKey
 	for _, ref := range CampaignRefs(artifacts, days, minSamples) {
-		keys = append(keys, campaignKey{kind: ref.Kind, region: ref.Region, days: ref.Days, minSamples: ref.MinSamples})
-	}
-	for _, k := range keys {
+		k := campaignKey{kind: ref.Kind, region: ref.Region, days: ref.Days, minSamples: ref.MinSamples}
 		if e := c.planEntry(eng, k); e.planErr != nil {
 			return e.planErr
 		}
-	}
-	for _, k := range keys {
-		k := k
 		go c.runEntry(eng, k)
 	}
 	return nil

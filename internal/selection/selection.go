@@ -113,6 +113,13 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		return nil, fmt.Errorf("selection: pilot inference: %w", err)
 	}
 
+	// The pilot links by far-side interface: membership attributes server
+	// traces below, the value names each selected link's neighbor.
+	neighborOf := make(map[netip.Addr]bdrmap.ASN, len(pilot.Links))
+	for _, l := range pilot.Links {
+		neighborOf[l.FarIP] = l.Neighbor
+	}
+
 	// 2. Traceroute to every US server and attribute each to the far-side
 	// interface it crossed.
 	type serverObs struct {
@@ -129,7 +136,7 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		if err != nil {
 			return nil, fmt.Errorf("selection: server trace: %w", err)
 		}
-		far, hops, rtt, ok := attributeTrace(topo, pilot, &tr)
+		far, hops, rtt, ok := attributeTrace(topo, neighborOf, &tr)
 		if !ok {
 			continue
 		}
@@ -161,10 +168,6 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		farIPs = append(farIPs, ip)
 	}
 	sort.Slice(farIPs, func(i, j int) bool { return farIPs[i].Compare(farIPs[j]) < 0 })
-	neighborOf := make(map[netip.Addr]bdrmap.ASN)
-	for _, l := range pilot.Links {
-		neighborOf[l.FarIP] = l.Neighbor
-	}
 	for _, ip := range farIPs {
 		g := groups[ip]
 		sort.Slice(g, func(i, j int) bool {
@@ -212,13 +215,10 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 }
 
 // attributeTrace finds the interdomain link a server trace crossed, the AS
-// path length, and the destination RTT.
-func attributeTrace(topo *topology.Topology, pilot *bdrmap.Result, tr *traceroute.Result) (far netip.Addr, asHops int, rtt float64, ok bool) {
+// path length, and the destination RTT. pilotLinks is keyed by the far-side
+// interface of every link the pilot scan inferred.
+func attributeTrace(topo *topology.Topology, pilotLinks map[netip.Addr]bdrmap.ASN, tr *traceroute.Result) (far netip.Addr, asHops int, rtt float64, ok bool) {
 	table := topo.PrefixTable()
-	known := make(map[netip.Addr]bool, len(pilot.Links))
-	for _, l := range pilot.Links {
-		known[l.FarIP] = true
-	}
 	// Walk hops: the far side is the first hop matching a pilot link (or,
 	// failing that, the first non-cloud hop). Count AS transitions after
 	// the cloud for the AS path length.
@@ -232,8 +232,10 @@ func attributeTrace(topo *topology.Topology, pilot *bdrmap.Result, tr *tracerout
 		}
 		reachedRTT = h.RTTms
 		asn := table.LookupASN(h.IP)
-		if known[h.IP] && far == (netip.Addr{}) {
-			far = h.IP
+		if far == (netip.Addr{}) {
+			if _, known := pilotLinks[h.IP]; known {
+				far = h.IP
+			}
 		}
 		if asn != 0 && asn != lastASN {
 			if lastASN != cloud || asn != cloud {

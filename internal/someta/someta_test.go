@@ -93,6 +93,30 @@ func TestSnapshotsAccumulateAndReset(t *testing.T) {
 	}
 }
 
+// TestCollectorLatest covers what the capture path relies on: the newest
+// snapshot without copying the history, and a clean "none" on an empty or
+// Reset collector (slicing Snapshots()[len-1:] there once panicked).
+func TestCollectorLatest(t *testing.T) {
+	c := NewCollector("vm", FuncProbe(func() (float64, float64, int64, int64) { return 0.5, 1, 0, 0 }))
+	if s, ok := c.Latest(); ok {
+		t.Errorf("Latest on an empty collector = %+v, want none", s)
+	}
+	for i := 0; i < 3; i++ {
+		c.Snap(t0.Add(time.Duration(i) * time.Minute))
+	}
+	s, ok := c.Latest()
+	if !ok || !s.Timestamp.Equal(t0.Add(2*time.Minute)) {
+		t.Errorf("Latest = %+v, %v, want the third snapshot", s, ok)
+	}
+	c.Reset()
+	if _, ok := c.Latest(); ok {
+		t.Error("Latest after Reset still returns a snapshot")
+	}
+	if c.MaxCPU() != 0 {
+		t.Errorf("MaxCPU after Reset = %v, want 0", c.MaxCPU())
+	}
+}
+
 func TestMaxCPU(t *testing.T) {
 	vals := []float64{0.1, 0.9, 0.4}
 	i := 0

@@ -86,17 +86,21 @@ func (p *Platform) RunPreliminary(params Params) []Aggregate {
 	for _, vp := range topo.EdgeVPs() {
 		for _, region := range regions {
 			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+				// The ingress decision and the static RTT depend only on
+				// (VP, region, tier); every sample shares them.
+				ping, err := p.sim.Pinger(region, vp.ASN, vp.City, tier)
+				if err != nil {
+					continue
+				}
 				key := TupleKey{City: vp.City, ASN: vp.ASN, Region: region, Tier: tier}
+				xs := samples[key]
 				for i := 0; i < params.SamplesPerVP; i++ {
 					frac := float64(vp.ID*params.SamplesPerVP+i) / float64(len(topo.EdgeVPs())*params.SamplesPerVP+1)
 					at := params.Start.Add(time.Duration(frac * float64(params.Window)))
 					salt := uint64(vp.ID)<<20 | uint64(i)<<8 | uint64(tier)
-					rtt, err := p.sim.PingRTT(region, vp.ASN, vp.City, tier, at, salt)
-					if err != nil {
-						continue
-					}
-					samples[key] = append(samples[key], rtt)
+					xs = append(xs, ping.RTT(at, salt))
 				}
+				samples[key] = xs
 			}
 		}
 	}

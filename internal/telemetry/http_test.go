@@ -84,12 +84,25 @@ func TestHTTPMetricsHijack(t *testing.T) {
 		_, _ = bw.WriteString("HTTP/1.1 101 Switching Protocols\r\n\r\n")
 		_ = bw.Flush()
 	})
-	srv := httptest.NewServer(m.Wrap(handler))
+	// The client returns as soon as the hijacked handler flushes its 101,
+	// which is before Wrap records the observation (it does so after the
+	// inner handler returns): wait for the wrapped handler itself.
+	wrapped := m.Wrap(handler)
+	returned := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(returned)
+		wrapped.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/ws")
 	if err == nil {
 		resp.Body.Close()
+	}
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wrapped handler did not return")
 	}
 
 	found := false

@@ -99,6 +99,9 @@ func (p *Prober) Trace(dst Destination, opts Options) (Result, error) {
 		res.Mode = "classic"
 	}
 
+	// Paris keeps one flow ID, so every TTL probes the same forward path:
+	// resolve it once. Classic re-resolves per TTL below.
+	var path []netsim.Hop
 	for ttl := 1; ttl <= opts.MaxTTL; ttl++ {
 		flowID := opts.FlowID
 		if opts.Mode == Classic {
@@ -106,9 +109,15 @@ func (p *Prober) Trace(dst Destination, opts Options) (Result, error) {
 			// hashes differently at every TTL.
 			flowID = opts.FlowID*131 + uint64(ttl)
 		}
-		path, err := p.sim.ForwardPath(p.region, dst.IP, dst.ASN, dst.City, dst.LinkID, dst.Tier, flowID)
-		if err != nil {
-			return res, fmt.Errorf("traceroute: %w", err)
+		if opts.Mode == Classic || ttl == 1 {
+			var err error
+			path, err = p.sim.ForwardPath(p.region, dst.IP, dst.ASN, dst.City, dst.LinkID, dst.Tier, flowID)
+			if err != nil {
+				return res, fmt.Errorf("traceroute: %w", err)
+			}
+			if ttl == 1 {
+				res.Hops = make([]HopReply, 0, len(path))
+			}
 		}
 		if ttl > len(path) {
 			break

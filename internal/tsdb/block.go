@@ -15,8 +15,7 @@ package tsdb
 
 import (
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"github.com/clasp-measurement/clasp/internal/colenc"
 )
@@ -29,7 +28,7 @@ const DefaultSealThreshold = 512
 // block is one immutable compressed run of points. Blocks of a series are
 // time-ordered and non-overlapping: every point in block i+1 is at or
 // after every point in block i, and the mutable tail follows the last
-// block. All fields are read-only after encodeBlock returns, so blocks may
+// block. All fields are read-only after encodeColumns returns, so blocks may
 // be shared across snapshots without locks.
 type block struct {
 	n            int
@@ -50,136 +49,127 @@ type block struct {
 //	  value column: uvarint byte length + Gorilla XOR bit stream of the
 //	                present values in point order (colenc.AppendFloats)
 
-// encodeBlock seals a time-sorted run of points. Points and their field
-// maps are only read.
-func encodeBlock(points []Point) *block {
-	n := len(points)
-	b := &block{
-		n:     n,
-		minNs: points[0].Time.UnixNano(),
-		maxNs: points[n-1].Time.UnixNano(),
-	}
-	// Field union, sorted for deterministic layout.
-	fieldSet := make(map[string]bool)
-	for i := range points {
-		for f := range points[i].Fields {
-			fieldSet[f] = true
-		}
-	}
-	fields := make([]string, 0, len(fieldSet))
-	for f := range fieldSet {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
+// encodeColumns seals a non-empty time-sorted run of points. The columns are
+// only read.
+func encodeColumns(c *columns) *block {
+	n := c.len()
+	b := &block{n: n, minNs: c.times[0], maxNs: c.times[n-1]}
+	fields := c.sortedFields()
 
 	buf := make([]byte, 0, 16*n/4+64)
 	buf = colenc.AppendUvarint(buf, uint64(n))
 	buf = colenc.AppendUvarint(buf, uint64(len(fields)))
-	for _, f := range fields {
-		buf = colenc.AppendUvarint(buf, uint64(len(f)))
-		buf = append(buf, f...)
+	for _, k := range fields {
+		buf = colenc.AppendUvarint(buf, uint64(len(c.fields[k])))
+		buf = append(buf, c.fields[k]...)
 	}
-	ts := make([]int64, n)
-	for i := range points {
-		ts[i] = points[i].Time.UnixNano()
-	}
-	buf = colenc.AppendTimes(buf, ts)
-	vals := make([]float64, 0, n)
-	for _, f := range fields {
-		vals = vals[:0]
-		missing := false
-		for i := range points {
-			if v, ok := points[i].Fields[f]; ok {
-				vals = append(vals, v)
-			} else {
-				missing = true
-			}
-		}
-		if !missing {
+	buf = colenc.AppendTimes(buf, c.times)
+	var sparse []float64 // the present values of a column some points omit
+	for _, k := range fields {
+		if !slices.Contains(c.present[k], false) {
 			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-			bitmap := make([]byte, (n+7)/8)
-			for i := range points {
-				if _, ok := points[i].Fields[f]; ok {
-					bitmap[i/8] |= 1 << (7 - i%8)
-				}
-			}
-			buf = append(buf, bitmap...)
+			buf = colenc.AppendFloats(buf, c.vals[k])
+			continue
 		}
-		buf = colenc.AppendFloats(buf, vals)
+		buf = append(buf, 0)
+		bitmap := make([]byte, (n+7)/8)
+		sparse = sparse[:0]
+		for i, ok := range c.present[k] {
+			if ok {
+				bitmap[i/8] |= 1 << (7 - i%8)
+				sparse = append(sparse, c.vals[k][i])
+			}
+		}
+		buf = append(buf, bitmap...)
+		buf = colenc.AppendFloats(buf, sparse)
 	}
 	b.data = buf
 	return b
 }
 
-// appendPoints decodes the block into dst, keeping only points within
-// [from, to) (zero bounds disable). Decoded points carry fresh field maps,
-// so callers own them outright. Decode never fails on data produced by
-// encodeBlock; a corrupt buffer (possible via OpenBlockFile) panics with a
-// tsdb-prefixed message, matching the parse-time validation the block file
-// reader performs.
-func (b *block) appendPoints(dst []Point, from, to time.Time) []Point {
-	pts, err := b.decode(nil)
-	if err != nil {
-		panic(fmt.Sprintf("tsdb: corrupt block: %v", err))
+// appendPoints decodes the block and appends its points inside r to dst.
+// Decoded points carry fresh field maps, so callers own them outright.
+// Decode never fails on data produced by encodeColumns; a corrupt buffer
+// (possible via OpenBlockFile) is reported as an error.
+func (b *block) appendPoints(dst []Point, r timeRange) ([]Point, error) {
+	var c columns
+	if err := b.decodeInto(&c); err != nil {
+		return nil, err
 	}
-	for i := range pts {
-		if !from.IsZero() && pts[i].Time.Before(from) {
-			continue
-		}
-		if !to.IsZero() && !pts[i].Time.Before(to) {
-			continue
-		}
-		dst = append(dst, pts[i])
-	}
-	return dst
+	return c.appendPoints(dst, r), nil
 }
 
-// decode reconstructs the block's points, appending to dst. Every point
-// gets a freshly allocated Fields map; timestamps come back in UTC.
-func (b *block) decode(dst []Point) ([]Point, error) {
+// decodeInto appends the block's points to c, adding any column c lacks.
+// Values decode straight into the columns' spare capacity, so a reused c
+// (reset between blocks) decodes without allocating. On error c is left
+// with partially appended columns and must be discarded.
+func (b *block) decodeInto(c *columns) error {
 	buf := b.data
 	n64, k := colenc.Uvarint(buf)
 	if k == 0 {
-		return nil, fmt.Errorf("truncated block header")
+		return fmt.Errorf("truncated block header")
 	}
 	buf = buf[k:]
 	n := int(n64)
 	if n != b.n {
-		return nil, fmt.Errorf("block count mismatch: header %d, index %d", n, b.n)
+		return fmt.Errorf("block count mismatch: header %d, index %d", n, b.n)
 	}
 	fc64, k := colenc.Uvarint(buf)
 	if k == 0 {
-		return nil, fmt.Errorf("truncated field count")
+		return fmt.Errorf("truncated field count")
 	}
 	buf = buf[k:]
-	fields := make([]string, int(fc64))
-	for i := range fields {
+	// Every point and every field costs at least a byte, which bounds what
+	// a corrupt header can make the decoder allocate.
+	if n64 > uint64(len(buf)) || fc64 > uint64(len(buf)) {
+		return fmt.Errorf("block header claims %d points of %d fields in %d bytes", n64, fc64, len(buf))
+	}
+	base := c.len()
+	var colBuf [8]int
+	cols := colBuf[:0]
+	for i := 0; i < int(fc64); i++ {
 		ln, k := colenc.Uvarint(buf)
 		if k == 0 || uint64(len(buf)-k) < ln {
-			return nil, fmt.Errorf("truncated field name")
+			return fmt.Errorf("truncated field name")
 		}
-		fields[i] = string(buf[k : k+int(ln)])
+		name := buf[k : k+int(ln)]
 		buf = buf[k+int(ln):]
+		// Compare as bytes first: a column c already has costs no string
+		// allocation.
+		col := -1
+		for j, f := range c.fields {
+			if f == string(name) {
+				col = j
+				break
+			}
+		}
+		if col < 0 {
+			col = c.col(string(name))
+		}
+		cols = append(cols, col)
 	}
-	ts, k, err := colenc.DecodeTimes(make([]int64, 0, n), buf, n)
+	var filledBuf [8]bool
+	filled := append(filledBuf[:0], make([]bool, len(c.fields))...)
+	for _, col := range cols {
+		if filled[col] {
+			return fmt.Errorf("duplicate field %q", c.fields[col])
+		}
+		filled[col] = true
+	}
+	c.padAbsent(n, filled)
+
+	c.times = slices.Grow(c.times, n)
+	ts, k, err := colenc.DecodeTimes(c.times[base:base], buf, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	c.times = c.times[:base+len(ts)]
 	buf = buf[k:]
 
-	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Point{
-			Time:   time.Unix(0, ts[i]).UTC(),
-			Fields: make(map[string]float64, len(fields)),
-		})
-	}
-	var vals []float64
-	for _, f := range fields {
+	for _, col := range cols {
+		f := c.fields[col]
 		if len(buf) == 0 {
-			return nil, fmt.Errorf("truncated presence flag for %q", f)
+			return fmt.Errorf("truncated presence flag for %q", f)
 		}
 		flag := buf[0]
 		buf = buf[1:]
@@ -190,7 +180,7 @@ func (b *block) decode(dst []Point) ([]Point, error) {
 		case 0:
 			bl := (n + 7) / 8
 			if len(buf) < bl {
-				return nil, fmt.Errorf("truncated presence bitmap for %q", f)
+				return fmt.Errorf("truncated presence bitmap for %q", f)
 			}
 			bitmap = buf[:bl]
 			buf = buf[bl:]
@@ -201,32 +191,49 @@ func (b *block) decode(dst []Point) ([]Point, error) {
 				}
 			}
 		default:
-			return nil, fmt.Errorf("bad presence flag %d for %q", flag, f)
+			return fmt.Errorf("bad presence flag %d for %q", flag, f)
 		}
-		vals, k, err = colenc.DecodeFloats(vals, buf, count)
-		if err != nil {
-			return nil, err
+		// The present values decode packed at the front of the new rows;
+		// a sparse column then spreads them back to front, so no value is
+		// overwritten before it has moved.
+		c.vals[col] = slices.Grow(c.vals[col], n)[:base+n]
+		vals := c.vals[col][base:]
+		if _, k, err = colenc.DecodeFloats(vals[:0], buf, count); err != nil {
+			return err
 		}
 		buf = buf[k:]
-		vi := 0
-		for i := 0; i < n; i++ {
-			if bitmap != nil && bitmap[i/8]&(1<<(7-i%8)) == 0 {
-				continue
+		if bitmap == nil {
+			if c.present[col] != nil {
+				for i := 0; i < n; i++ {
+					c.present[col] = append(c.present[col], true)
+				}
 			}
-			dst[base+i].Fields[f] = vals[vi]
-			vi++
+			continue
+		}
+		c.omit(col, base)
+		c.present[col] = slices.Grow(c.present[col], n)[:base+n]
+		present := c.present[col][base:]
+		vi := count
+		for i := n - 1; i >= 0; i-- {
+			present[i] = bitmap[i/8]&(1<<(7-i%8)) != 0
+			if present[i] {
+				vi--
+				vals[i] = vals[vi]
+			} else {
+				vals[i] = 0
+			}
 		}
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after block", len(buf))
+		return fmt.Errorf("%d trailing bytes after block", len(buf))
 	}
-	return dst, nil
+	return nil
 }
 
 // --- Series seal/reopen --------------------------------------------------------
 
 // sealedPoints returns the number of points held in sealed blocks.
-func (sr *Series) sealedPoints() int {
+func (sr *series) sealedPoints() int {
 	n := 0
 	for _, b := range sr.blocks {
 		n += b.n
@@ -235,39 +242,60 @@ func (sr *Series) sealedPoints() int {
 }
 
 // seal freezes the entire tail into one compressed block. Callers hold the
-// owning shard's write lock and guarantee a non-empty, time-sorted tail.
-func (sr *Series) seal() {
-	sr.blocks = append(sr.blocks, encodeBlock(sr.Points))
-	sr.Points = nil
+// owning shard's write lock and guarantee a non-empty tail.
+func (sr *series) seal() {
+	sr.blocks = append(sr.blocks, encodeColumns(&sr.tail))
+	sr.tail.reset()
 }
 
 // reopen decodes every sealed block back into the mutable tail — the rare
 // path taken when a point arrives before the sealed range (out-of-order
 // ingest across a seal boundary). Blocks are ordered and the tail follows
 // them, so concatenation preserves time order.
-func (sr *Series) reopen() {
-	pts := make([]Point, 0, sr.sealedPoints()+len(sr.Points))
+func (sr *series) reopen() {
+	old := sr.tail
+	n := sr.sealedPoints() + old.len()
+	sr.tail = columns{
+		fields:  old.fields,
+		times:   make([]int64, 0, n),
+		vals:    make([][]float64, len(old.fields)),
+		present: make([][]bool, len(old.fields)),
+	}
 	for _, b := range sr.blocks {
-		var err error
-		pts, err = b.decode(pts)
-		if err != nil {
+		if err := b.decodeInto(&sr.tail); err != nil {
 			panic(fmt.Sprintf("tsdb: corrupt block: %v", err))
 		}
 	}
-	pts = append(pts, sr.Points...)
+	sr.tail.appendColumns(&old)
 	sr.blocks = nil
-	sr.Points = pts
 }
 
-// insertSealed adds a point to a series that may carry sealed blocks,
-// sealing the tail when it reaches threshold (0 disables sealing). Callers
-// hold the owning shard's write lock.
-func (sr *Series) insertSealed(p Point, threshold int) {
-	if n := len(sr.blocks); n > 0 && p.Time.UnixNano() < sr.blocks[n-1].maxNs {
+// insertRow is the store's one write path: it adds a point to a series that
+// may carry sealed blocks. A point older than the sealed range reopens the
+// blocks into the tail, once: the series then stays open — however long the
+// tail — until a point arrives in time order, so a run of out-of-order
+// points costs one decode and one re-seal, not one of each per point. The
+// tail is sealed when an in-order append finds it at or past threshold (0
+// disables sealing). Callers hold the owning shard's write lock.
+func (sr *series) insertRow(at int64, cols []int, vals []float64, threshold int) {
+	if n := len(sr.blocks); n > 0 && at < sr.blocks[n-1].maxNs {
 		sr.reopen()
 	}
-	sr.insertPoint(p)
-	if threshold > 0 && len(sr.Points) >= threshold {
+	appended := sr.tail.insert(at, cols, vals)
+	if appended && threshold > 0 && sr.tail.len() >= threshold {
 		sr.seal()
 	}
+}
+
+// insertFields translates a map-form point onto insertRow, interning field
+// names the series has not seen.
+func (sr *series) insertFields(at int64, fields map[string]float64, threshold int) {
+	var colBuf [8]int
+	var valBuf [8]float64
+	cols, vals := colBuf[:0], valBuf[:0]
+	for name, v := range fields {
+		cols = append(cols, sr.tail.col(name))
+		vals = append(vals, v)
+	}
+	sr.insertRow(at, cols, vals, threshold)
 }

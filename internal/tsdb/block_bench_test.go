@@ -31,36 +31,39 @@ func benchBlockPoints(n int) []Point {
 	return pts
 }
 
-// BenchmarkBlockEncode seals one default-threshold block and reports the
-// encoded footprint per sample (a sample is one Point: timestamp + three
-// fields, 88 bytes as an analysis.Measurement, ~200 B as a live Point map).
+// BenchmarkBlockEncode seals one default-threshold tail and reports the
+// encoded footprint per sample (a sample is one point: timestamp + three
+// fields, 32 B in the columnar tail, 88 B as an analysis.Measurement).
 func BenchmarkBlockEncode(b *testing.B) {
-	pts := benchBlockPoints(DefaultSealThreshold)
+	var sr series
+	for _, p := range benchBlockPoints(DefaultSealThreshold) {
+		sr.insertFields(p.Time.UnixNano(), p.Fields, 0)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	var blk *block
 	for i := 0; i < b.N; i++ {
-		blk = encodeBlock(pts)
+		blk = encodeColumns(&sr.tail)
 	}
 	b.ReportMetric(float64(len(blk.data))/float64(blk.n), "bytes/sample")
 }
 
 // BenchmarkBlockDecode is the read side: one sealed block decoded back into
-// a reused Point slice (the Fields maps are fresh per point — the same
-// ownership Query hands to callers).
+// caller-owned, reused columns — what reopening a series and serialising a
+// store do. Materialising Point values with their Fields maps is Query's
+// own cost on top, one map per point returned.
 func BenchmarkBlockDecode(b *testing.B) {
 	blk := encodeBlock(benchBlockPoints(DefaultSealThreshold))
-	dst := make([]Point, 0, blk.n)
+	var dst columns
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		dst, err = blk.decode(dst[:0])
-		if err != nil {
+		dst.reset()
+		if err := blk.decodeInto(&dst); err != nil {
 			b.Fatal(err)
 		}
-		if len(dst) != blk.n {
-			b.Fatalf("decoded %d points, want %d", len(dst), blk.n)
+		if dst.len() != blk.n {
+			b.Fatalf("decoded %d points, want %d", dst.len(), blk.n)
 		}
 	}
 }

@@ -329,12 +329,13 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 }
 
 // TestQueryViewAliasesStore pins the aliasing contract both ways: the view
-// shares tail Fields maps and Tags with the store (that is the point — no
-// copies on the hot path), and because stored maps are never mutated after
-// insert, a reader holding a view stays correct across later inserts.
+// shares Tags with the store (no copy on the read path) while Query copies
+// them, and points — materialised from the store's columns on every call —
+// belong to the caller in both, so a reader holding a view stays correct
+// across later inserts.
 func TestQueryViewAliasesStore(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(0) // all points in the tail, where sharing applies
+	s.SetSealThreshold(0) // all points in the tail
 	at := time.Unix(100, 0).UTC()
 	if err := s.Insert("m", Tags{"k": "v"}, at, map[string]float64{"f": 1}); err != nil {
 		t.Fatal(err)
@@ -346,25 +347,24 @@ func TestQueryViewAliasesStore(t *testing.T) {
 	sh := s.shardFor(seriesKey("m", Tags{"k": "v"}))
 	stored := sh.series[seriesKey("m", Tags{"k": "v"})]
 
-	viewFields := reflect.ValueOf(view[0].Points[0].Fields).Pointer()
-	storeFields := reflect.ValueOf(stored.Points[0].Fields).Pointer()
-	copyFields := reflect.ValueOf(copied[0].Points[0].Fields).Pointer()
-	if viewFields != storeFields {
-		t.Fatal("QueryView tail Fields should alias the store")
-	}
-	if copyFields == storeFields {
-		t.Fatal("Query Fields must not alias the store")
-	}
-	if reflect.ValueOf(view[0].Tags).Pointer() != reflect.ValueOf(stored.Tags).Pointer() {
+	if reflect.ValueOf(view[0].Tags).Pointer() != reflect.ValueOf(stored.tags).Pointer() {
 		t.Fatal("QueryView Tags should alias the store")
 	}
+	if reflect.ValueOf(copied[0].Tags).Pointer() == reflect.ValueOf(stored.tags).Pointer() {
+		t.Fatal("Query Tags must not alias the store")
+	}
 
-	// A later insert must not disturb the view's already-captured points.
+	// Writing through a view's point must not reach the store, and a later
+	// insert must not disturb the view's already-captured points.
+	view[0].Points[0].Fields["f"] = -1
 	if err := s.Insert("m", Tags{"k": "v"}, at.Add(time.Hour), map[string]float64{"f": 2}); err != nil {
 		t.Fatal(err)
 	}
-	if len(view[0].Points) != 1 || view[0].Points[0].Fields["f"] != 1 {
+	if len(view[0].Points) != 1 || view[0].Points[0].Fields["f"] != -1 {
 		t.Fatal("view mutated by subsequent insert")
+	}
+	if again := s.QueryView("m", nil, time.Time{}, time.Time{}); len(again[0].Points) != 2 || again[0].Points[0].Fields["f"] != 1 {
+		t.Fatalf("store changed through a view's point: %+v", again[0].Points)
 	}
 }
 

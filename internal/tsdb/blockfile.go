@@ -63,8 +63,8 @@ func (s *Store) WriteBlocks(w io.Writer) (int64, error) {
 	var buf []byte
 	for _, snap := range snaps {
 		blocks := snap.blocks
-		if len(snap.tail) > 0 {
-			blocks = append(append([]*block(nil), blocks...), encodeBlock(snap.tail))
+		if snap.tail.len() > 0 {
+			blocks = append(blocks, encodeColumns(&snap.tail)) // the snapshot owns its blocks slice
 		}
 		if len(blocks) == 0 {
 			continue
@@ -324,6 +324,7 @@ func (bf *BlockFile) readSeries(e *blockFileSeries, from, to time.Time) ([]Point
 		return nil, fmt.Errorf("tsdb: truncated section for %q", e.key)
 	}
 	raw = raw[k:]
+	r := newTimeRange(from, to)
 	var pts []Point
 	for bi := 0; bi < int(nb64); bi++ {
 		n64, k := colenc.Uvarint(raw)
@@ -347,25 +348,13 @@ func (bf *BlockFile) readSeries(e *blockFileSeries, from, to time.Time) ([]Point
 		}
 		data := raw[k : k+int(dl)]
 		raw = raw[k+int(dl):]
-		if !from.IsZero() && maxNs < from.UnixNano() {
-			continue
-		}
-		if !to.IsZero() && minNs >= to.UnixNano() {
+		if !r.overlaps(minNs, maxNs) {
 			continue
 		}
 		b := &block{n: int(n64), minNs: minNs, maxNs: maxNs, data: data}
-		decoded, err := b.decode(nil)
-		if err != nil {
+		var err error
+		if pts, err = b.appendPoints(pts, r); err != nil {
 			return nil, fmt.Errorf("tsdb: block file %q: %w", e.key, err)
-		}
-		for i := range decoded {
-			if !from.IsZero() && decoded[i].Time.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !decoded[i].Time.Before(to) {
-				continue
-			}
-			pts = append(pts, decoded[i])
 		}
 	}
 	return pts, nil

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,15 +74,24 @@ type Point struct {
 	Fields map[string]float64
 }
 
-// Series is an ordered sequence of points for one measurement+tags. Inside
-// the store, older points may live in sealed compressed blocks (see
-// block.go) with Points holding only the mutable tail; series returned by
-// Query/QueryView always have everything decoded into Points.
+// Series is an ordered sequence of points for one measurement+tags, as
+// Query and QueryView return it: everything the store holds for the series
+// — sealed blocks and mutable tail alike — decoded into Points.
 type Series struct {
 	Measurement string
 	Tags        Tags
-	Points      []Point  // mutable tail, kept sorted by time
+	Points      []Point // sorted by time
+}
+
+// series is the store-resident form of one series: sealed compressed blocks
+// (see block.go) followed by a columnar mutable tail (see columns.go). The
+// tail's field list doubles as the series' interned field names: it only
+// grows, and survives seals and reopens.
+type series struct {
+	measurement string
+	tags        Tags
 	blocks      []*block // sealed runs preceding the tail, time-ordered
+	tail        columns
 }
 
 // numShards stripes the store lock by series-key hash so concurrent
@@ -91,7 +101,7 @@ const numShards = 16
 type shard struct {
 	id     int // index into obsShardInserts
 	mu     sync.RWMutex
-	series map[string]*Series
+	series map[string]*series
 }
 
 // Store is a thread-safe collection of series. The lock is sharded by
@@ -109,7 +119,7 @@ func NewStore() *Store {
 	s := &Store{sealThreshold: DefaultSealThreshold}
 	for i := range s.shards {
 		s.shards[i].id = i
-		s.shards[i].series = make(map[string]*Series)
+		s.shards[i].series = make(map[string]*series)
 	}
 	return s
 }
@@ -149,7 +159,7 @@ func (s *Store) BlockStats() (blocks, points, bytes int) {
 // are immutable; splitting one would mean decode + re-seal). The mutable
 // tail drops its strict prefix of points before the cutoff. Series entries
 // themselves are never removed, even when emptied: interned Handles hold
-// *Series pointers, and deleting the map entry would silently divorce a
+// series pointers, and deleting the map entry would silently divorce a
 // handle's future inserts from queries.
 func (s *Store) DropBefore(cutoff time.Time) int {
 	cut := cutoff.UnixNano()
@@ -169,10 +179,10 @@ func (s *Store) DropBefore(cutoff time.Time) int {
 				}
 				sr.blocks = keep
 			}
-			idx := sort.Search(len(sr.Points), func(j int) bool { return !sr.Points[j].Time.Before(cutoff) })
+			idx := sort.Search(sr.tail.len(), func(j int) bool { return sr.tail.times[j] >= cut })
 			if idx > 0 {
 				dropped += idx
-				sr.Points = append(sr.Points[:0:0], sr.Points[idx:]...)
+				sr.tail.dropPrefix(idx)
 			}
 		}
 		sh.mu.Unlock()
@@ -216,8 +226,8 @@ func validateIdent(s string) error {
 	return nil
 }
 
-// Insert adds a point. Fields are copied.
-func (s *Store) Insert(measurement string, tags Tags, at time.Time, fields map[string]float64) error {
+// validateSeries checks a measurement name and its tags.
+func validateSeries(measurement string, tags Tags) error {
 	if err := validateIdent(measurement); err != nil {
 		return err
 	}
@@ -229,49 +239,52 @@ func (s *Store) Insert(measurement string, tags Tags, at time.Time, fields map[s
 			return err
 		}
 	}
+	return nil
+}
+
+// validateFields checks the field names of one map-form point.
+func validateFields(fields map[string]float64) error {
 	if len(fields) == 0 {
 		return fmt.Errorf("tsdb: point without fields")
 	}
-	for k := range fields {
-		if err := validateIdent(k); err != nil {
+	for name := range fields {
+		if err := validateIdent(name); err != nil {
 			return err
 		}
 	}
-	cp := make(map[string]float64, len(fields))
-	for k, v := range fields {
-		cp[k] = v
-	}
-	key := seriesKey(measurement, tags)
-	sh := s.shardFor(key)
-	lockShard(sh)
-	defer sh.mu.Unlock()
+	return nil
+}
+
+// intern returns the shard's series for key, creating it (with a copy of
+// tags) if absent. Callers hold the shard's write lock.
+func (sh *shard) intern(key, measurement string, tags Tags) *series {
 	sr := sh.series[key]
 	if sr == nil {
 		tcp := make(Tags, len(tags))
 		for k, v := range tags {
 			tcp[k] = v
 		}
-		sr = &Series{Measurement: measurement, Tags: tcp}
+		sr = &series{measurement: measurement, tags: tcp}
 		sh.series[key] = sr
 	}
-	sr.insertSealed(Point{Time: at, Fields: cp}, s.sealThreshold)
-	obsShardInserts[sh.id].Inc()
-	return nil
+	return sr
 }
 
-// insertPoint adds a point keeping Points time-sorted. Callers hold the
-// owning shard's write lock.
-func (sr *Series) insertPoint(p Point) {
-	at := p.Time
-	// Fast path: append in time order.
-	if n := len(sr.Points); n == 0 || !at.Before(sr.Points[n-1].Time) {
-		sr.Points = append(sr.Points, p)
-		return
+// Insert adds a point. Nothing of fields is retained.
+func (s *Store) Insert(measurement string, tags Tags, at time.Time, fields map[string]float64) error {
+	if err := validateSeries(measurement, tags); err != nil {
+		return err
 	}
-	idx := sort.Search(len(sr.Points), func(i int) bool { return sr.Points[i].Time.After(at) })
-	sr.Points = append(sr.Points, Point{})
-	copy(sr.Points[idx+1:], sr.Points[idx:])
-	sr.Points[idx] = p
+	if err := validateFields(fields); err != nil {
+		return err
+	}
+	key := seriesKey(measurement, tags)
+	sh := s.shardFor(key)
+	lockShard(sh)
+	defer sh.mu.Unlock()
+	sh.intern(key, measurement, tags).insertFields(at.UnixNano(), fields, s.sealThreshold)
+	obsShardInserts[sh.id].Inc()
+	return nil
 }
 
 // Handle is an interned reference to one series: the canonical tag string
@@ -280,57 +293,76 @@ func (sr *Series) insertPoint(p Point) {
 type Handle struct {
 	st *Store
 	sh *shard
-	sr *Series
+	sr *series
 }
 
 // Handle interns a (measurement, tags) series, creating it if absent. Tags
 // are copied; later mutation of the argument does not affect the handle.
 func (s *Store) Handle(measurement string, tags Tags) (*Handle, error) {
-	if err := validateIdent(measurement); err != nil {
+	if err := validateSeries(measurement, tags); err != nil {
 		return nil, err
-	}
-	for k, v := range tags {
-		if err := validateIdent(k); err != nil {
-			return nil, err
-		}
-		if err := validateIdent(v); err != nil {
-			return nil, err
-		}
 	}
 	key := seriesKey(measurement, tags)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sr := sh.series[key]
-	if sr == nil {
-		tcp := make(Tags, len(tags))
-		for k, v := range tags {
-			tcp[k] = v
-		}
-		sr = &Series{Measurement: measurement, Tags: tcp}
-		sh.series[key] = sr
-	}
-	return &Handle{st: s, sh: sh, sr: sr}, nil
+	return &Handle{st: s, sh: sh, sr: sh.intern(key, measurement, tags)}, nil
 }
 
-// Insert adds a point to the handle's series. Fields are copied. Equivalent
-// to Store.Insert with the handle's measurement and tags.
+// Insert adds a point to the handle's series. Nothing of fields is
+// retained. Equivalent to Store.Insert with the handle's measurement and
+// tags.
 func (h *Handle) Insert(at time.Time, fields map[string]float64) error {
-	if len(fields) == 0 {
-		return fmt.Errorf("tsdb: point without fields")
-	}
-	for k := range fields {
-		if err := validateIdent(k); err != nil {
-			return err
-		}
-	}
-	cp := make(map[string]float64, len(fields))
-	for k, v := range fields {
-		cp[k] = v
+	if err := validateFields(fields); err != nil {
+		return err
 	}
 	lockShard(h.sh)
 	defer h.sh.mu.Unlock()
-	h.sr.insertSealed(Point{Time: at, Fields: cp}, h.st.sealThreshold)
+	h.sr.insertFields(at.UnixNano(), fields, h.st.sealThreshold)
+	obsShardInserts[h.sh.id].Inc()
+	return nil
+}
+
+// BoundHandle is a Handle fixed to an ordered list of field names: Insert
+// takes one value per name, positionally, and — names validated and column
+// positions resolved once, at Bind — allocates nothing. It is the ingest
+// path for fixed-schema streams (a campaign's mbps/rtt_ms/loss).
+type BoundHandle struct {
+	h    *Handle
+	cols []int // the series' column index of each bound field
+}
+
+// Bind fixes the handle to the given distinct field names.
+func (h *Handle) Bind(fields ...string) (*BoundHandle, error) {
+	if len(fields) == 0 {
+		return nil, fmt.Errorf("tsdb: binding without fields")
+	}
+	for i, name := range fields {
+		if err := validateIdent(name); err != nil {
+			return nil, err
+		}
+		if slices.Contains(fields[:i], name) {
+			return nil, fmt.Errorf("tsdb: field %q bound twice", name)
+		}
+	}
+	cols := make([]int, len(fields))
+	h.sh.mu.Lock()
+	for i, name := range fields {
+		cols[i] = h.sr.tail.col(name)
+	}
+	h.sh.mu.Unlock()
+	return &BoundHandle{h: h, cols: cols}, nil
+}
+
+// Insert adds a point carrying vals[i] for the i-th bound field.
+func (b *BoundHandle) Insert(at time.Time, vals ...float64) error {
+	if len(vals) != len(b.cols) {
+		return fmt.Errorf("tsdb: %d values for %d bound fields", len(vals), len(b.cols))
+	}
+	h := b.h
+	lockShard(h.sh)
+	h.sr.insertRow(at.UnixNano(), b.cols, vals, h.st.sealThreshold)
+	h.sh.mu.Unlock()
 	obsShardInserts[h.sh.id].Inc()
 	return nil
 }
@@ -354,98 +386,39 @@ func (s *Store) SeriesCount() int {
 // owned by the caller, so mutating a query result never corrupts stored
 // samples (pinned by TestQueryResultsDoNotAliasStore).
 func (s *Store) Query(measurement string, match Tags, from, to time.Time) []Series {
-	defer s.lockAll()()
-	byKey := make(map[string]*Series)
-	keys := make([]string, 0)
-	for i := range s.shards {
-		for k, sr := range s.shards[i].series {
-			if sr.Measurement != measurement {
-				continue
-			}
-			ok := true
-			for mk, mv := range match {
-				if sr.Tags[mk] != mv {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keys = append(keys, k)
-				byKey[k] = sr
-			}
-		}
-	}
-	sort.Strings(keys)
-	var out []Series
-	for _, k := range keys {
-		sr := byKey[k]
-		pts := sr.appendBlockPoints(nil, from, to)
-		for _, p := range sr.Points {
-			if !from.IsZero() && p.Time.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !p.Time.Before(to) {
-				continue
-			}
-			fields := make(map[string]float64, len(p.Fields))
-			for fk, fv := range p.Fields {
-				fields[fk] = fv
-			}
-			pts = append(pts, Point{Time: p.Time, Fields: fields})
-		}
-		if len(pts) == 0 {
-			continue
-		}
-		tags := make(Tags, len(sr.Tags))
-		for tk, tv := range sr.Tags {
+	out := s.QueryView(measurement, match, from, to)
+	for i := range out {
+		tags := make(Tags, len(out[i].Tags))
+		for tk, tv := range out[i].Tags {
 			tags[tk] = tv
 		}
-		out = append(out, Series{Measurement: sr.Measurement, Tags: tags, Points: pts})
+		out[i].Tags = tags
 	}
 	return out
 }
 
-// appendBlockPoints decodes the series' sealed blocks overlapping
-// [from, to) into dst. Decoded points carry fresh field maps either way, so
-// Query and QueryView share this path. Callers hold at least a read lock on
-// the owning shard.
-func (sr *Series) appendBlockPoints(dst []Point, from, to time.Time) []Point {
-	for _, b := range sr.blocks {
-		if !from.IsZero() && b.maxNs < from.UnixNano() {
-			continue
-		}
-		if !to.IsZero() && b.minNs >= to.UnixNano() {
-			continue
-		}
-		dst = b.appendPoints(dst, from, to)
-	}
-	return dst
-}
-
-// QueryView is Query without the defensive deep copy: the hot path for the
-// analysis engine, which reads millions of points and never mutates them.
+// QueryView is Query without the defensive copy of Tags.
 //
-// Aliasing contract: the returned Tags maps and the tail points' Fields
-// maps ALIAS live store memory. This is safe to read concurrently with
-// inserts — the store treats both as immutable after creation (Insert
-// copies its arguments into fresh maps and never mutates a stored map) —
-// but a caller that writes through a view corrupts the store. Treat every
-// map in the result as read-only; callers that need ownership must use
-// Query. Point structs themselves are copied (insertions memmove the
-// stored slice), so the Time/len structure of a view is stable. Pinned by
-// TestQueryViewAliasesStore and TestQueryViewMatchesQuery.
+// Aliasing contract: the returned Tags maps ALIAS live store memory. This
+// is safe to read concurrently with inserts — the store never mutates a
+// series' tags after creating it — but a caller that writes through a view
+// corrupts the store. Treat every Tags map in the result as read-only;
+// callers that need ownership must use Query. Points are materialised from
+// the store's columns on every call, so they — Fields maps included — are
+// the caller's either way. Pinned by TestQueryViewAliasesStore and
+// TestQueryViewMatchesQuery.
 func (s *Store) QueryView(measurement string, match Tags, from, to time.Time) []Series {
 	defer s.lockAll()()
-	byKey := make(map[string]*Series)
+	byKey := make(map[string]*series)
 	keys := make([]string, 0)
 	for i := range s.shards {
 		for k, sr := range s.shards[i].series {
-			if sr.Measurement != measurement {
+			if sr.measurement != measurement {
 				continue
 			}
 			ok := true
 			for mk, mv := range match {
-				if sr.Tags[mk] != mv {
+				if sr.tags[mk] != mv {
 					ok = false
 					break
 				}
@@ -457,25 +430,32 @@ func (s *Store) QueryView(measurement string, match Tags, from, to time.Time) []
 		}
 	}
 	sort.Strings(keys)
+	r := newTimeRange(from, to)
 	var out []Series
 	for _, k := range keys {
 		sr := byKey[k]
-		pts := sr.appendBlockPoints(nil, from, to)
-		for _, p := range sr.Points {
-			if !from.IsZero() && p.Time.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !p.Time.Before(to) {
-				continue
-			}
-			pts = append(pts, p) // struct copy; Fields map shared
-		}
+		pts := sr.tail.appendPoints(appendBlockPoints(nil, sr.blocks, r), r)
 		if len(pts) == 0 {
 			continue
 		}
-		out = append(out, Series{Measurement: sr.Measurement, Tags: sr.Tags, Points: pts})
+		out = append(out, Series{Measurement: sr.measurement, Tags: sr.tags, Points: pts})
 	}
 	return out
+}
+
+// appendBlockPoints decodes the sealed blocks overlapping r into dst. The
+// blocks are the store's own, so a decode failure is a bug, not bad input.
+func appendBlockPoints(dst []Point, blocks []*block, r timeRange) []Point {
+	for _, b := range blocks {
+		if !r.overlaps(b.minNs, b.maxNs) {
+			continue
+		}
+		var err error
+		if dst, err = b.appendPoints(dst, r); err != nil {
+			panic(fmt.Sprintf("tsdb: corrupt block: %v", err))
+		}
+	}
+	return dst
 }
 
 // FieldValues flattens a queried series list into the values of one field.
@@ -621,15 +601,15 @@ func GroupByTime(sr Series, field string, window time.Duration, agg Aggregator) 
 // --- Line protocol -------------------------------------------------------------
 
 // seriesSnap is a point-in-time copy of one series taken under its shard's
-// read lock: blocks are immutable and shared, tail Point structs are copied
-// (insertions memmove the live slice) while their Fields maps are shared
-// (never mutated after insert), and Tags are shared for the same reason.
+// read lock: blocks are immutable and shared, the tail's columns are copied
+// (insertions shift the live ones in place), and Tags are shared because
+// they are never mutated after the series is created.
 type seriesSnap struct {
 	key         string
 	measurement string
 	tags        Tags
 	blocks      []*block
-	tail        []Point
+	tail        columns
 }
 
 // snapshotSeries collects a consistent-per-shard snapshot of every series,
@@ -644,10 +624,10 @@ func (s *Store) snapshotSeries() []seriesSnap {
 		for k, sr := range sh.series {
 			snaps = append(snaps, seriesSnap{
 				key:         k,
-				measurement: sr.Measurement,
-				tags:        sr.Tags,
+				measurement: sr.measurement,
+				tags:        sr.tags,
 				blocks:      append([]*block(nil), sr.blocks...),
-				tail:        append([]Point(nil), sr.Points...),
+				tail:        sr.tail.clone(),
 			})
 		}
 		sh.mu.RUnlock()
@@ -663,36 +643,57 @@ func (s *Store) snapshotSeries() []seriesSnap {
 // inserts run concurrently.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	snaps := s.snapshotSeries()
-	bw := bufio.NewWriter(w)
-	var n int64
-	var scratch []Point
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	var line []byte
 	for _, snap := range snaps {
-		scratch = scratch[:0]
+		head := snap.measurement + snap.tags.canonical() + " "
 		for _, b := range snap.blocks {
-			scratch = b.appendPoints(scratch, time.Time{}, time.Time{})
+			var c columns
+			if err := b.decodeInto(&c); err != nil {
+				panic(fmt.Sprintf("tsdb: corrupt block: %v", err))
+			}
+			var err error
+			if line, err = writeLines(bw, line, head, &c); err != nil {
+				return cw.n, err
+			}
 		}
-		scratch = append(scratch, snap.tail...)
-		for _, p := range scratch {
-			fields := make([]string, 0, len(p.Fields))
-			for fk := range p.Fields {
-				fields = append(fields, fk)
-			}
-			sort.Strings(fields)
-			var fb strings.Builder
-			for i, fk := range fields {
-				if i > 0 {
-					fb.WriteByte(',')
-				}
-				fmt.Fprintf(&fb, "%s=%s", fk, strconv.FormatFloat(p.Fields[fk], 'g', -1, 64))
-			}
-			c, err := fmt.Fprintf(bw, "%s%s %s %d\n", snap.measurement, snap.tags.canonical(), fb.String(), p.Time.UnixNano())
-			n += int64(c)
-			if err != nil {
-				return n, err
-			}
+		var err error
+		if line, err = writeLines(bw, line, head, &snap.tail); err != nil {
+			return cw.n, err
 		}
 	}
-	return n, bw.Flush()
+	err := bw.Flush()
+	return cw.n, err
+}
+
+// writeLines writes one line-protocol record per point of c — head, the
+// point's fields sorted by name, its timestamp — reusing line as scratch.
+func writeLines(w io.Writer, line []byte, head string, c *columns) ([]byte, error) {
+	order := c.sortedFields()
+	for i, ns := range c.times {
+		line = append(line[:0], head...)
+		sep := false
+		for _, k := range order {
+			if !c.has(k, i) {
+				continue
+			}
+			if sep {
+				line = append(line, ',')
+			}
+			sep = true
+			line = append(line, c.fields[k]...)
+			line = append(line, '=')
+			line = strconv.AppendFloat(line, c.vals[k][i], 'g', -1, 64)
+		}
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, ns, 10)
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
+			return line, err
+		}
+	}
+	return line, nil
 }
 
 // Read parses line protocol into a new store.
