@@ -10,7 +10,7 @@ build:
 # core once cost 70 % wall-clock unnoticed.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ReportAllByteIdentical' ./internal/orchestrator/ ./internal/core/ ./internal/scenario/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical' ./internal/orchestrator/ ./internal/core/ ./internal/scenario/
 
 vet:
 	$(GO) vet ./...
@@ -24,10 +24,8 @@ fmt-check:
 	fi; \
 	echo "fmt-check: OK"
 
-# The explicit timeout gives the orchestrator suite headroom under the
-# race detector on small CI machines (the default is 10m per package).
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race ./...
 
 # cover-check enforces the statement-coverage floor on the checkpoint
 # package — the code whose whole job is surviving kills, where an

@@ -12,51 +12,62 @@ import (
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/faults"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
 )
 
-// randomProgress builds an arbitrary orchestrator snapshot from rng. All
-// floats are finite — encoding/json round-trips finite float64 exactly —
-// and optional fields flip between present and absent so both JSON shapes
-// are exercised.
-func randomProgress(rng *rand.Rand) orchestrator.Progress {
-	p := orchestrator.Progress{
-		NextHour:  rng.Intn(720),
-		Downloads: rng.Intn(100000),
-		Report: orchestrator.Report{
-			Region:            fmt.Sprintf("region-%d", rng.Intn(9)),
-			VMs:               rng.Intn(40),
-			Tests:             rng.Intn(1 << 20),
-			Hours:             rng.Intn(720),
-			Traceroutes:       rng.Intn(5000),
-			Captures:          rng.Intn(5000),
-			MaxVMCPUUtil:      rng.Float64(),
-			Failed:            rng.Intn(300),
-			Retried:           rng.Intn(300),
-			Dropped:           rng.Intn(300),
-			Preemptions:       rng.Intn(50),
-			VMCreateRetries:   rng.Intn(50),
-			BreakerOpenRounds: rng.Intn(50),
-		},
-		Breaker: faults.BreakerSnapshot{
-			State:      faults.BreakerState(rng.Intn(3)),
-			OpenRounds: rng.Intn(10),
-		},
-	}
-	if rng.Intn(2) == 0 {
-		p.VMCreateAttempts = map[string]int{}
-		for i, n := 0, rng.Intn(4)+1; i < n; i++ {
-			p.VMCreateAttempts[fmt.Sprintf("vm-%d", rng.Intn(32))] = rng.Intn(5) + 1
-		}
-	}
-	if rng.Intn(2) == 0 {
-		for i, n := 0, rng.Intn(3)+1; i < n; i++ {
-			p.DeadVMs = append(p.DeadVMs, rng.Intn(32))
-		}
-	}
+// randomProgress fills every field of an orchestrator.Progress from rng by
+// reflection, so a field added to the campaign state is round-tripped here
+// without anyone remembering to: one that cannot survive Commit → Load
+// (unexported, json:"-", a kind JSON cannot carry) fails
+// TestCheckpointRoundTripProperty. All floats are finite — encoding/json
+// round-trips finite float64 exactly — and maps and slices flip between
+// filled and absent so both JSON shapes are exercised.
+func randomProgress(t *testing.T, rng *rand.Rand) orchestrator.Progress {
+	t.Helper()
+	var p orchestrator.Progress
+	fillRandom(t, reflect.ValueOf(&p).Elem(), "Progress", rng)
 	return p
+}
+
+func fillRandom(t *testing.T, v reflect.Value, path string, rng *rand.Rand) {
+	t.Helper()
+	if !v.CanSet() {
+		t.Fatalf("%s is unexported: a checkpoint cannot carry it", path)
+	}
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(rng.Intn(1<<20) + 1))
+	case reflect.Float64:
+		v.SetFloat(rng.Float64() + 0.001)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s-%d", rng.Intn(1000)))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillRandom(t, v.Field(i), path+"."+v.Type().Field(i).Name, rng)
+		}
+	case reflect.Slice:
+		if rng.Intn(4) == 0 {
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), rng.Intn(3)+1, 4))
+		for i := 0; i < v.Len(); i++ {
+			fillRandom(t, v.Index(i), path+"[]", rng)
+		}
+	case reflect.Map:
+		if rng.Intn(4) == 0 {
+			return
+		}
+		v.Set(reflect.MakeMap(v.Type()))
+		for i, n := 0, rng.Intn(3)+1; i < n; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fillRandom(t, k, path+"[key]", rng)
+			fillRandom(t, e, path+"[value]", rng)
+			v.SetMapIndex(k, e)
+		}
+	default:
+		t.Fatalf("%s has kind %s, which this filler (and so the round-trip property) does not cover", path, v.Kind())
+	}
 }
 
 func randomCampaign(rng *rand.Rand) Campaign {
@@ -117,7 +128,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		camp := randomCampaign(rng)
-		prog := randomProgress(rng)
+		prog := randomProgress(t, rng)
 
 		n := rng.Intn(len(ms) + 1)
 		log := newTestLog(t, ms[:n])

@@ -507,8 +507,7 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		}); err != nil {
 			return nil, fmt.Errorf("core: resuming campaign in %s: %w", region, err)
 		}
-		prog := resume.Meta.Progress
-		cfg.Resume = &prog
+		cfg.Resume = &resume.Meta.Progress
 	}
 	// The deploy/measure/teardown window holds the region lock: VM names
 	// and the platform's per-name fault counters are region-scoped, so two

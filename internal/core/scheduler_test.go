@@ -1,23 +1,33 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
+	"github.com/clasp-measurement/clasp/internal/orchestrator"
 )
 
 // TestSchedulerResumeSkipsFinished is the command-resume invariant at the
 // core layer: a campaign run to completion under a command scheduler with
 // checkpointing on is, on resume, recognized as finished at Plan time
 // (OnSkip fires), and Run rebuilds its result from the recorded stream —
-// records bit-identical to the original run, no re-measurement.
+// records bit-identical to the original run, no re-measurement. It holds at
+// a checkpoint cadence that does not divide the campaign's 24 hours too: the
+// last hour commits regardless, so the final watermark is on disk.
 func TestSchedulerResumeSkipsFinished(t *testing.T) {
+	for _, every := range []int{0, 7} {
+		t.Run(fmt.Sprintf("every-%d", every), func(t *testing.T) { testSchedulerResumeSkipsFinished(t, every) })
+	}
+}
+
+func testSchedulerResumeSkipsFinished(t *testing.T, every int) {
 	const region, days = "us-west1", 1
 	ckDir := t.TempDir()
 	ref := CampaignRef{Kind: "topology", Region: region, Days: days}
 
-	first, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir})
+	first, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir, CheckpointEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +52,13 @@ func TestSchedulerResumeSkipsFinished(t *testing.T) {
 		t.Fatalf("manifest after run = %+v, want a costs manifest with one campaign", man)
 	}
 
-	second, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir})
+	second, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir, CheckpointEvery: every})
 	if err != nil {
 		t.Fatal(err)
+	}
+	second.testCheckpointHook = func(p orchestrator.Progress) error {
+		t.Errorf("resume re-executed a round of the finished campaign (watermark %d)", p.NextHour)
+		return nil
 	}
 	s2 := second.NewResumeScheduler("costs")
 	var skipped []string

@@ -24,6 +24,18 @@ func (s BreakerState) String() string {
 	}
 }
 
+// BreakerStatus is a breaker's whole dynamic state. It is declared apart
+// from the Breaker so its owner can keep it wherever the rest of its state
+// lives: the orchestrator's is a field of the campaign Progress, so the
+// breaker transitions the very struct a checkpoint serialises and a resumed
+// run re-enters the exact state (mid-cooldown included) the killed run was
+// in. The static configuration is not part of it: it is re-derived from the
+// fault profile.
+type BreakerStatus struct {
+	State      BreakerState `json:"state"`
+	OpenRounds int          `json:"openRounds"` // cooldown rounds remaining while Open
+}
+
 // Breaker is a round-granular circuit breaker for one region's campaign.
 // State only changes at round boundaries, driven by order-independent
 // per-round counts, so campaigns remain deterministic at any parallelism
@@ -34,15 +46,13 @@ type Breaker struct {
 	failFrac   float64
 	minSamples int
 	cooldown   int
-
-	state      BreakerState
-	openRounds int // cooldown rounds remaining while Open
+	st         *BreakerStatus
 }
 
-// NewBreaker builds a breaker that opens when a round drops at least
-// failFrac of its tasks (with at least minSamples tasks scheduled) and
-// stays open for cooldown rounds before probing.
-func NewBreaker(failFrac float64, minSamples, cooldown int) *Breaker {
+// NewBreaker builds a breaker over the caller-owned status st. It opens when
+// a round drops at least failFrac of its tasks (with at least minSamples
+// tasks scheduled) and stays open for cooldown rounds before probing.
+func NewBreaker(failFrac float64, minSamples, cooldown int, st *BreakerStatus) *Breaker {
 	if failFrac <= 0 {
 		failFrac = 0.5
 	}
@@ -52,7 +62,7 @@ func NewBreaker(failFrac float64, minSamples, cooldown int) *Breaker {
 	if cooldown <= 0 {
 		cooldown = 1
 	}
-	return &Breaker{failFrac: failFrac, minSamples: minSamples, cooldown: cooldown}
+	return &Breaker{failFrac: failFrac, minSamples: minSamples, cooldown: cooldown, st: st}
 }
 
 // State returns the current state.
@@ -60,7 +70,7 @@ func (b *Breaker) State() BreakerState {
 	if b == nil {
 		return Closed
 	}
-	return b.state
+	return b.st.State
 }
 
 // Allow reports whether the next round may execute. False means the caller
@@ -77,11 +87,11 @@ func (b *Breaker) ObserveRound(failed, total int) {
 	if b == nil {
 		return
 	}
-	switch b.state {
+	switch b.st.State {
 	case Open:
-		b.openRounds--
-		if b.openRounds <= 0 {
-			b.state = HalfOpen
+		b.st.OpenRounds--
+		if b.st.OpenRounds <= 0 {
+			b.st.State = HalfOpen
 		}
 	case HalfOpen:
 		if total == 0 {
@@ -90,7 +100,7 @@ func (b *Breaker) ObserveRound(failed, total int) {
 		if float64(failed) >= b.failFrac*float64(total) {
 			b.trip()
 		} else {
-			b.state = Closed
+			b.st.State = Closed
 		}
 	default: // Closed
 		if total >= b.minSamples && float64(failed) >= b.failFrac*float64(total) {
@@ -100,35 +110,5 @@ func (b *Breaker) ObserveRound(failed, total int) {
 }
 
 func (b *Breaker) trip() {
-	b.state = Open
-	b.openRounds = b.cooldown
-}
-
-// BreakerSnapshot is the serializable dynamic state of a Breaker — the
-// campaign checkpoint persists it so a resumed run re-enters the exact
-// breaker state (including mid-cooldown) the killed run was in. The static
-// configuration (fail fraction, min samples, cooldown length) is not part
-// of the snapshot: it is re-derived from the fault profile on resume.
-type BreakerSnapshot struct {
-	State      BreakerState `json:"state"`
-	OpenRounds int          `json:"openRounds"`
-}
-
-// Snapshot captures the breaker's dynamic state. Safe on a nil receiver
-// (returns the zero snapshot: Closed, no cooldown).
-func (b *Breaker) Snapshot() BreakerSnapshot {
-	if b == nil {
-		return BreakerSnapshot{}
-	}
-	return BreakerSnapshot{State: b.state, OpenRounds: b.openRounds}
-}
-
-// Restore re-enters a snapshotted state. Safe on a nil receiver (no-op), so
-// resume paths need not branch on whether the profile has a breaker.
-func (b *Breaker) Restore(s BreakerSnapshot) {
-	if b == nil {
-		return
-	}
-	b.state = s.State
-	b.openRounds = s.OpenRounds
+	*b.st = BreakerStatus{State: Open, OpenRounds: b.cooldown}
 }

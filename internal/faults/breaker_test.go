@@ -20,7 +20,7 @@ func TestBreakerStateStrings(t *testing.T) {
 }
 
 func TestBreakerTripAndRecover(t *testing.T) {
-	b := NewBreaker(0.5, 10, 2)
+	b := NewBreaker(0.5, 10, 2, new(BreakerStatus))
 
 	// Below the sample floor: even a fully failed round cannot trip.
 	b.ObserveRound(5, 5)
@@ -73,7 +73,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 }
 
 func TestNewBreakerGuardsDegenerateConfig(t *testing.T) {
-	b := NewBreaker(0, 0, 0)
+	b := NewBreaker(0, 0, 0, new(BreakerStatus))
 	// Defaults: fail fraction 0.5, one-sample floor, one-round cooldown.
 	b.ObserveRound(1, 1)
 	if b.State() != Open {

@@ -13,8 +13,8 @@ import (
 
 // The hot-path benchmarks behind `make bench` / BENCH_hotpath.json.
 // BenchmarkMeasureWarm is the steady-state campaign cost: routing and flow
-// caches populated, 4 concurrent workers per proc (the shape runRound
-// produces at Parallelism >= 4).
+// caches populated, 4 concurrent workers per proc (the shape a fanned-out
+// round produces at Parallelism >= 4).
 
 var (
 	benchOnce  sync.Once

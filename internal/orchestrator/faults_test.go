@@ -27,11 +27,13 @@ func runFaultCampaign(t *testing.T, profile string, seed int64, parallelism int)
 		Days:    1,
 		Seed:    seed,
 		// Packet capture dominates campaign wall-clock (~160ms per
-		// capture); a sparse stride still pins capture ordering and the
-		// capture-vs-fault interaction without slowing the -race run.
-		CaptureEvery: 48,
-		Parallelism:  parallelism,
-		Faults:       prof,
+		// full-size capture); a sparse stride of short ones still pins
+		// capture ordering and the capture-vs-fault interaction without
+		// slowing the -race run.
+		TestDurationSec: 0.2,
+		CaptureEvery:    48,
+		Parallelism:     parallelism,
+		Faults:          prof,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +140,11 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 		Servers: servers,
 		Days:    1,
 		Seed:    5,
-		// Sparse capture on a campaign that actually drops tests: a
+		// Sparse, short captures on a campaign that actually drops tests: a
 		// dropped test must never reach the capture path.
-		CaptureEvery: 48,
-		Faults:       prof,
+		TestDurationSec: 0.2,
+		CaptureEvery:    48,
+		Faults:          prof,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)

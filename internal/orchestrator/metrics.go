@@ -13,24 +13,28 @@ var campaignPhases = []string{"warm", "deploy", "measure", "emit", "traceroute"}
 
 // campaignMetrics holds one region's campaign-progress series (see
 // DESIGN.md §8). Registration is idempotent, so repeated campaigns in the
-// same region accumulate into the same counters. All methods are safe on a
-// nil receiver so tests can exercise orchestrator internals without
-// constructing metrics.
+// same region accumulate into the same counters. obs series are no-ops on a
+// nil receiver, so the zero value is usable: tests exercise orchestrator
+// internals without constructing metrics.
 type campaignMetrics struct {
-	scheduled   *obs.Counter
-	completed   *obs.Counter
-	captures    *obs.Counter
-	traceroutes *obs.Counter
-	snapshots   *obs.Counter
-	phase       map[string]*obs.Gauge
+	// Series with no Report field behind them, moved where the event occurs.
+	scheduled *obs.Counter
+	snapshots *obs.Counter
+	phase     map[string]*obs.Gauge
 
-	// Resilience series, only moved by fault-injected campaigns.
+	// Mirrors of Report fields (the resilience ones only move in
+	// fault-injected campaigns): publish moves them by the report's delta
+	// since the last committed round, so they cannot drift from it.
+	completed       *obs.Counter
+	captures        *obs.Counter
+	traceroutes     *obs.Counter
 	failed          *obs.Counter
 	retried         *obs.Counter
 	dropped         *obs.Counter
 	preemptions     *obs.Counter
 	vmCreateRetries *obs.Counter
 	breakerOpen     *obs.Counter
+	published       Report // the report as of the last publish
 	breakerState    *obs.Gauge
 
 	// Progress gauges published per hourly round so a live -debug-addr
@@ -40,16 +44,16 @@ type campaignMetrics struct {
 	eta        *obs.Gauge
 }
 
-func newCampaignMetrics(region string) *campaignMetrics {
+func newCampaignMetrics(region string) campaignMetrics {
 	r := obs.Default()
-	m := &campaignMetrics{
-		scheduled:   r.Counter("campaign_tests_scheduled_total", "region", region),
-		completed:   r.Counter("campaign_tests_completed_total", "region", region),
-		captures:    r.Counter("campaign_captures_total", "region", region),
-		traceroutes: r.Counter("campaign_traceroutes_total", "region", region),
-		snapshots:   r.Counter("campaign_someta_snapshots_total", "region", region),
-		phase:       make(map[string]*obs.Gauge, len(campaignPhases)),
+	m := campaignMetrics{
+		scheduled: r.Counter("campaign_tests_scheduled_total", "region", region),
+		snapshots: r.Counter("campaign_someta_snapshots_total", "region", region),
+		phase:     make(map[string]*obs.Gauge, len(campaignPhases)),
 
+		completed:       r.Counter("campaign_tests_completed_total", "region", region),
+		captures:        r.Counter("campaign_captures_total", "region", region),
+		traceroutes:     r.Counter("campaign_traceroutes_total", "region", region),
 		failed:          r.Counter("campaign_tests_failed_total", "region", region),
 		retried:         r.Counter("campaign_tests_retried_total", "region", region),
 		dropped:         r.Counter("campaign_tests_dropped_total", "region", region),
@@ -72,80 +76,26 @@ func newCampaignMetrics(region string) *campaignMetrics {
 // The gauge is cumulative across hourly rounds (a per-phase stopwatch), so
 // a campaign's final dump shows where its runtime went.
 func (m *campaignMetrics) phaseDone(phase string, start time.Time) {
-	if m == nil {
-		return
-	}
-	if g := m.phase[phase]; g != nil {
-		g.Add(time.Since(start).Seconds())
-	}
+	m.phase[phase].Add(time.Since(start).Seconds())
 }
 
-func (m *campaignMetrics) addScheduled(n int) {
-	if m != nil {
-		m.scheduled.Add(uint64(n))
-	}
-}
-
-func (m *campaignMetrics) incCompleted() {
-	if m != nil {
-		m.completed.Inc()
-	}
-}
-
-func (m *campaignMetrics) incCaptures() {
-	if m != nil {
-		m.captures.Inc()
-	}
-}
-
-func (m *campaignMetrics) incTraceroutes() {
-	if m != nil {
-		m.traceroutes.Inc()
-	}
-}
-
-func (m *campaignMetrics) incSnapshots() {
-	if m != nil {
-		m.snapshots.Inc()
-	}
-}
-
-// addFaultTally ingests one round's resilience counts.
-func (m *campaignMetrics) addFaultTally(t roundTally) {
-	if m == nil {
-		return
-	}
-	m.failed.Add(uint64(t.failed))
-	m.retried.Add(uint64(t.retried))
-	m.dropped.Add(uint64(t.dropped))
-	m.preemptions.Add(uint64(t.preemptions))
-	m.vmCreateRetries.Add(uint64(t.vmCreateRetries))
-}
-
-func (m *campaignMetrics) addDropped(n int) {
-	if m != nil {
-		m.dropped.Add(uint64(n))
-	}
-}
-
-func (m *campaignMetrics) addVMCreateRetries(n int) {
-	if m != nil {
-		m.vmCreateRetries.Add(uint64(n))
-	}
-}
-
-func (m *campaignMetrics) incBreakerOpenRounds() {
-	if m != nil {
-		m.breakerOpen.Inc()
-	}
-}
-
-// setBreakerState records the breaker state as a gauge (0 closed,
-// 1 half-open, 2 open — the faults.BreakerState values).
-func (m *campaignMetrics) setBreakerState(s faults.BreakerState) {
-	if m != nil {
-		m.breakerState.Set(float64(s))
-	}
+// publish records one committed round: how many tests it scheduled, what it
+// added to the report, and the breaker state it left (0 closed, 1 half-open,
+// 2 open — the faults.BreakerState values).
+func (m *campaignMetrics) publish(scheduled int, rep *Report, breaker faults.BreakerState) {
+	was := &m.published
+	m.scheduled.Add(uint64(scheduled))
+	m.completed.Add(uint64(rep.Tests - was.Tests))
+	m.captures.Add(uint64(rep.Captures - was.Captures))
+	m.traceroutes.Add(uint64(rep.Traceroutes - was.Traceroutes))
+	m.failed.Add(uint64(rep.Failed - was.Failed))
+	m.retried.Add(uint64(rep.Retried - was.Retried))
+	m.dropped.Add(uint64(rep.Dropped - was.Dropped))
+	m.preemptions.Add(uint64(rep.Preemptions - was.Preemptions))
+	m.vmCreateRetries.Add(uint64(rep.VMCreateRetries - was.VMCreateRetries))
+	m.breakerOpen.Add(uint64(rep.BreakerOpenRounds - was.BreakerOpenRounds))
+	m.published = *rep
+	m.breakerState.Set(float64(breaker))
 }
 
 // setProgress publishes the campaign's position after `done` of `total`
@@ -153,15 +103,11 @@ func (m *campaignMetrics) setBreakerState(s faults.BreakerState) {
 // wallStart — simulated timestamps and measurement data never feed it, so
 // the gauges are pure observers and cannot perturb campaign results.
 func (m *campaignMetrics) setProgress(done, total int, wallStart time.Time) {
-	if m == nil {
-		return
-	}
 	m.hoursTotal.Set(float64(total))
 	m.hoursDone.Set(float64(done))
-	if done <= 0 || done >= total {
-		m.eta.Set(0)
-		return
+	eta := 0.0
+	if done > 0 && done < total {
+		eta = time.Since(wallStart).Seconds() / float64(done) * float64(total-done)
 	}
-	elapsed := time.Since(wallStart).Seconds()
-	m.eta.Set(elapsed / float64(done) * float64(total-done))
+	m.eta.Set(eta)
 }

@@ -6,29 +6,30 @@
 // uploads results to the region's storage bucket, and indexes them into the
 // time-series store.
 //
-// # Concurrency model
+// # Round model
 //
-// A round fans out across its simulated measurement VMs — one goroutine per
-// VM's test list, bounded by Config.Parallelism — only when a test can
-// block: under a Config.Measure hook (a real protocol client occupies its
-// VM for wall-clock time) or an active fault profile (timeouts and retry
-// backoff sleep). A purely simulated round runs inline on the campaign's
-// goroutine under one WorkerPool slot: a VM's hour is ~16 tests of ~0.5 µs,
-// less than the goroutine hand-off it would ride on, and multi-campaign
-// commands already get their parallelism from concurrent campaigns.
-// Either way measurement results land in a slice indexed by a deterministic
-// per-hour task order, and all observable side effects — sink records,
-// egress metering, report counters — are applied in that order after the
-// round completes. Because netsim.Sim.Measure is a pure function of
-// (seed, spec), a campaign produces bit-identical measurement sets at every
-// parallelism level, including 1 (sequential).
+// A campaign is one struct (campaign.go) whose cross-round state is the
+// Progress a checkpoint serialises, advanced one hour at a time by three
+// steps. plan builds the hour's deterministic task list. execute runs it and
+// is the only step that decides how: a round is shed when the circuit
+// breaker is open, and otherwise fans out across its simulated measurement
+// VMs — one goroutine per VM's test list, bounded by Config.Parallelism —
+// only when a test can block: under a Config.Measure hook (a real protocol
+// client occupies its VM for wall-clock time) or an active fault profile
+// (timeouts and retry backoff sleep). A purely simulated round runs inline
+// on the campaign's goroutine under one WorkerPool slot: a VM's hour is ~16
+// tests of ~0.5 µs, less than the goroutine hand-off it would ride on, and
+// multi-campaign commands already get their parallelism from concurrent
+// campaigns. Either way measurement results land in a slice indexed by the
+// deterministic task order, and commit applies every observable side effect
+// — sink records, egress metering, report counters, breaker transition,
+// watermark, checkpoint — in that order from the campaign's goroutine.
+// Because netsim.Sim.Measure is a pure function of (seed, spec), a campaign
+// produces bit-identical measurement sets at every parallelism level,
+// including 1 (sequential).
 package orchestrator
 
 import (
-	"bytes"
-	"compress/gzip"
-	"context"
-	"fmt"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -38,13 +39,8 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/cloud"
 	"github.com/clasp-measurement/clasp/internal/faults"
-	"github.com/clasp-measurement/clasp/internal/flowstats"
-	"github.com/clasp-measurement/clasp/internal/killpoint"
 	"github.com/clasp-measurement/clasp/internal/netsim"
-	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/someta"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/traceroute"
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
@@ -103,10 +99,10 @@ type Sink interface {
 	Record(analysis.Measurement)
 }
 
-// SliceSink collects records into a slice: Run's default when given a nil
-// sink, and the collector this package's tests read records back from. The
-// engine does not use it. It is not safe for concurrent use; wrap it in a
-// LockedSink when sharing it across campaigns.
+// SliceSink collects records into a slice: the collector this package's
+// tests and the root benchmarks read records back from. The engine does not
+// use it. It is not safe for concurrent use; wrap it in a LockedSink when
+// sharing it across campaigns.
 type SliceSink struct {
 	Out []analysis.Measurement
 }
@@ -240,9 +236,9 @@ type Config struct {
 	// periodic system events).
 	FixedOrder bool
 	// Parallelism bounds how many simulated measurement VMs execute their
-	// hourly test lists concurrently when tests can block (a Measure hook
-	// or an active fault profile; see the package's concurrency model), and
-	// how many follow-up traceroutes run at once. 0 or 1 runs sequentially.
+	// hourly test lists — and how many follow-up traceroutes run —
+	// concurrently when tests can block (a Measure hook or an active fault
+	// profile; see the package's round model). 0 or 1 runs sequentially.
 	// The measurement set is bit-identical at every setting.
 	Parallelism int
 	// Measure overrides how a scheduled test executes (default: the
@@ -261,12 +257,13 @@ type Config struct {
 	// Parallelism: every injection decision, retry delay and breaker
 	// transition is a pure function of the seed and task coordinates.
 	Faults faults.Profile
-	// CheckpointEvery calls OnCheckpoint after every Nth completed round
-	// (hour); 0 and 1 both mean every round.
+	// CheckpointEvery calls OnCheckpoint whenever the completed-hour
+	// watermark reaches a multiple of N, and at the campaign's last hour
+	// whether or not N divides it; 0 and 1 both mean every round.
 	CheckpointEvery int
-	// OnCheckpoint receives a Progress snapshot at each checkpoint
+	// OnCheckpoint receives the campaign's Progress at each checkpoint
 	// boundary. A returned error aborts the campaign — by then the
-	// snapshot's records are already durable, so callers use a sentinel
+	// covered records are already durable, so callers use a sentinel
 	// error to stop a campaign with a valid checkpoint on disk (the
 	// in-process resume tests do exactly that). nil disables checkpointing.
 	OnCheckpoint func(Progress) error
@@ -277,13 +274,13 @@ type Config struct {
 	// the original run for the byte-identical guarantee to hold.
 	Resume *Progress
 	// Workers, when set, is a command-wide VM-worker budget shared with the
-	// other campaigns of a multi-campaign command: every fanned-out VM
-	// round, inline round and traceroute batch entry holds a pool slot while
-	// it runs, so concurrent campaigns together never exceed the pool's
-	// capacity even though each may spawn up to Parallelism goroutines. nil
-	// keeps the historical per-campaign budget. Purely a scheduling
-	// constraint — the measurement set stays bit-identical with or without
-	// it.
+	// other campaigns of a multi-campaign command: every fanned-out VM-hour
+	// or traceroute, and every inline round or traceroute batch, holds a
+	// pool slot while it runs, so concurrent campaigns together never exceed
+	// the pool's capacity even though each may spawn up to Parallelism
+	// goroutines. nil keeps the historical per-campaign budget. Purely a
+	// scheduling constraint — the measurement set stays bit-identical with
+	// or without it.
 	Workers *WorkerPool
 	// OnRound is called after each completed round (hour) with the
 	// campaign's completed-hour watermark and total hours, from the
@@ -292,12 +289,14 @@ type Config struct {
 	OnRound func(done, total int)
 }
 
-// Progress is the serializable cross-round state of a running campaign —
-// everything mutable that survives from one hourly round to the next.
-// Together with the campaign Config (seed included) it determines the rest
-// of the run exactly: per-hour test orders, fault decisions and measurement
-// results are pure functions of (seed, coordinates), so a campaign resumed
-// from a Progress re-executes the remaining rounds bit-identically at any
+// Progress is the cross-round state of a running campaign — everything
+// mutable that survives from one hourly round to the next. It is not a copy
+// of that state: the round loop's campaign struct embeds it and mutates it
+// in place, and a checkpoint serialises it as it stands. Together with the
+// campaign Config (seed included) it determines the rest of the run
+// exactly: per-hour test orders, fault decisions and measurement results
+// are pure functions of (seed, coordinates), so a campaign resumed from a
+// Progress re-executes the remaining rounds bit-identically at any
 // Parallelism. Everything else the engine touches is either pure
 // (per-hour RNG, routing caches) or rebuilt on resume (VM pool, workers).
 type Progress struct {
@@ -311,9 +310,14 @@ type Progress struct {
 	// including the original deploy's retry accounting (a resumed run
 	// discards its own redeploy counters in favour of this).
 	Report Report `json:"report"`
-	// Breaker is the circuit breaker's dynamic state (zero when the
-	// profile has no breaker).
-	Breaker faults.BreakerSnapshot `json:"breaker"`
+	// Breaker is the circuit breaker's dynamic state, transitioned in place
+	// by the campaign's faults.Breaker (zero when the profile has none).
+	Breaker faults.BreakerStatus `json:"breaker"`
+
+	// The last two are held by other owners while the campaign runs — the
+	// platform and the VM slots — so they are set only in the value handed
+	// to OnCheckpoint (campaign.checkpointState) and handed back by restore.
+
 	// VMCreateAttempts is the platform's per-name creation-attempt residue
 	// from failed re-creations; FailVMCreate keys on (name, attempt), so
 	// future re-creation decisions depend on it.
@@ -383,20 +387,29 @@ func New(sim *netsim.Sim, platform *cloud.Platform, bucket *cloud.Bucket) *Orche
 
 // Report summarises a finished campaign.
 type Report struct {
-	Region       string
-	VMs          int
-	Tests        int
-	Hours        int
-	Traceroutes  int
-	Captures     int
+	Region      string
+	VMs         int
+	Tests       int
+	Hours       int
+	Traceroutes int
+	Captures    int
+	// MaxVMCPUUtil is the peak of the VMs' SoMeta CPU samples: host
+	// telemetry, not part of the deterministic measurement set, and never
+	// rendered.
 	MaxVMCPUUtil float64
 
-	// Resilience accounting, all zero in fault-free campaigns. Every
-	// scheduled test either completes (Tests) or is Dropped — after
-	// exhausting its retry budget, hitting a server-unavailability window,
-	// losing its VM for the hour, or being shed by an open breaker.
-	// Failed counts failed executions (a test that fails twice counts
-	// twice) and Retried the re-executions, so Failed >= Dropped.
+	Resilience
+}
+
+// Resilience is the resilience accounting of a campaign, a round or one
+// VM's hour, all zero when fault-free. Every scheduled test either completes
+// (Report.Tests) or is Dropped — after exhausting its retry budget, hitting
+// a server-unavailability window, losing its VM for the hour, or being shed
+// by an open breaker. Failed counts failed executions (a test that fails
+// twice counts twice) and Retried the re-executions, so Failed >= Dropped.
+// Each VM goroutine fills its own value and the round sums them after it
+// joins, so the counts are deterministic at any parallelism.
+type Resilience struct {
 	Failed            int
 	Retried           int
 	Dropped           int
@@ -405,673 +418,32 @@ type Report struct {
 	BreakerOpenRounds int
 }
 
-// vmWorker is the execution state of one simulated measurement VM: its own
-// SoMeta collector and traceroute prober, so concurrently running VMs never
-// share a mutable instrument.
-type vmWorker struct {
-	collector *someta.Collector
-	prober    *traceroute.Prober
+func (r *Resilience) add(o Resilience) {
+	r.Failed += o.Failed
+	r.Retried += o.Retried
+	r.Dropped += o.Dropped
+	r.Preemptions += o.Preemptions
+	r.VMCreateRetries += o.VMCreateRetries
+	r.BreakerOpenRounds += o.BreakerOpenRounds
 }
 
-// task is one scheduled speed test of an hourly round.
-type task struct {
-	srv     *topology.Server
-	tier    bgp.Tier
-	dir     netsim.Direction
-	at      time.Time
-	vm      int // global VM index: tierIndex*perTierVMs + vmWithinTier
-	capture bool
-}
-
-// Run executes the campaign, streaming measurements into sink.
+// Run executes the campaign, streaming measurements into sink. The campaign
+// is a state machine over one struct: each hour is planned from the state,
+// executed without touching it, and committed into it (campaign.go).
 func (o *Orchestrator) Run(cfg Config, sink Sink) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Servers) == 0 {
-		return nil, fmt.Errorf("orchestrator: no servers to measure")
+	c, err := o.newCampaign(cfg, sink)
+	if err != nil {
+		return nil, err
 	}
-	if sink == nil {
-		sink = &SliceSink{}
-	}
-	topo := o.sim.Topology()
-	if _, ok := topo.Region(cfg.Region); !ok {
-		return nil, fmt.Errorf("orchestrator: unknown region %q", cfg.Region)
-	}
-
-	// Campaign progress metrics and the root of the span hierarchy
-	// (campaign → phase/round → vm-hour → test). Both no-op entirely when
-	// the obs registry/tracer are disabled, and nothing they record feeds
-	// back into the measurement arithmetic — TestMetricsDoNotChangeResults
-	// pins that campaigns are bit-identical either way.
-	metrics := newCampaignMetrics(cfg.Region)
-	campSpan := obs.Trace("campaign").With("region", cfg.Region).WithInt("days", cfg.Days)
-	defer campSpan.End()
-
-	// Fault machinery. A nil injector — the common case — short-circuits
-	// every fault branch below, keeping the fault-free path identical to an
-	// engine without this layer. The platform injector is (re)installed
-	// unconditionally so a previous campaign's cannot leak into this run.
-	inj := faults.NewInjector(cfg.Faults, cfg.Seed)
-	var pol faults.Profile
-	var breaker *faults.Breaker
-	if inj != nil {
-		pol = inj.Profile()
-		breaker = faults.NewBreaker(pol.BreakerFailFrac, pol.BreakerMinSamples, pol.BreakerCooldown)
-		o.platform.SetVMFaults(inj)
-	} else {
-		o.platform.SetVMFaults(nil)
-	}
-
-	// Precompute the routing trees every measurement will need — the tree
-	// toward the cloud (download ingress) and toward each server AS
-	// (upload egress) — so the first hourly round starts with caches hot.
-	// Warming is a pure cache fill: results are identical without it.
-	warmDsts := []bgp.ASN{topo.Cloud.ASN}
-	seen := map[bgp.ASN]bool{topo.Cloud.ASN: true}
-	for _, srv := range cfg.Servers {
-		if !seen[srv.ASN] {
-			seen[srv.ASN] = true
-			warmDsts = append(warmDsts, srv.ASN)
-		}
-	}
-	phaseStart := time.Now()
-	warmSpan := campSpan.Child("warm").WithInt("destinations", len(warmDsts))
-	o.sim.Router().Warm(warmDsts, cfg.Parallelism)
-	warmSpan.End()
-	metrics.phaseDone("warm", phaseStart)
-
-	// Deploy measurement VMs: enough for the hourly test load (two tests
-	// per server), per tier, spread across zones.
-	phaseStart = time.Now()
-	deploySpan := campSpan.Child("deploy")
-	perTierVMs := PlanVMs(len(cfg.Servers))
-	totalVMs := perTierVMs * len(cfg.Tiers)
-	rep := &Report{Region: cfg.Region, VMs: totalVMs}
-	vms := make([]*cloud.VM, 0, totalVMs)
-	specs := make([]cloud.VMSpec, 0, totalVMs)
-	for _, tier := range cfg.Tiers {
-		for i := 0; i < perTierVMs; i++ {
-			vm, retries, err := o.createVM(inj, pol, cloud.VMSpec{
-				Name:         fmt.Sprintf("clasp-%s-%s-%d", cfg.Region, tier, i),
-				Region:       cfg.Region,
-				Type:         cloud.N1Standard2,
-				Tier:         tier,
-				DownlinkMbps: cfg.DownlinkMbps,
-				UplinkMbps:   cfg.UplinkMbps,
-				Labels:       map[string]string{"role": "measurement", "tier": tier.String()},
-			}, cfg.Start)
-			rep.VMCreateRetries += retries
-			metrics.addVMCreateRetries(retries)
-			if err != nil {
-				return nil, fmt.Errorf("orchestrator: deploying VM %d/%s: %w", i, tier, err)
-			}
-			vms = append(vms, vm)
-			// The provisioned spec has its zone resolved, so a preempted VM
-			// is re-created in the same zone without consuming another
-			// round-robin slot — keeping zone assignment deterministic.
-			specs = append(specs, vm.VMSpec)
-		}
-	}
-	defer func() {
-		end := cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-		for i := range vms {
-			// A slot is nil while its VM is preempted and not yet replaced.
-			if vms[i] != nil {
-				_ = o.platform.DeleteVM(vms[i].Name, end)
-			}
-		}
-	}()
-
-	workers := make([]*vmWorker, totalVMs)
-	for i := range workers {
-		workers[i] = &vmWorker{
-			collector: someta.NewCollector(fmt.Sprintf("clasp-%s-%d", cfg.Region, i), nil),
-			prober:    traceroute.NewProber(o.sim, cfg.Region, cfg.Seed),
-		}
-	}
-	deploySpan.WithInt("vms", totalVMs).End()
-	metrics.phaseDone("deploy", phaseStart)
-
-	totalHours := cfg.Days * 24
-	slotGap := time.Hour / time.Duration(TestsPerVMPerHour+1)
-	downloads := 0
-
-	// Resume: swap in the checkpointed cross-round state. The redeploy
-	// above re-ran the original deploy bit-identically (fresh platform,
-	// pure FailVMCreate decisions), so its retry counters duplicate what
-	// the checkpointed report already carries — the report is restored
-	// wholesale, not merged. VM slots that were dead at the checkpoint are
-	// re-emptied so their rounds keep dropping tests until the hour that
-	// deterministically re-creates them.
-	startHour := 0
-	if cfg.Resume != nil {
-		res := cfg.Resume
-		if res.NextHour < 0 || res.NextHour > totalHours {
-			return nil, fmt.Errorf("orchestrator: resume watermark %d outside campaign of %d hours", res.NextHour, totalHours)
-		}
-		restored := res.Report
-		rep = &restored
-		downloads = res.Downloads
-		breaker.Restore(res.Breaker)
-		o.platform.RestoreCreateAttempts(res.VMCreateAttempts)
-		resumeAt := cfg.Start.Add(time.Duration(res.NextHour) * time.Hour)
-		for _, i := range res.DeadVMs {
-			if i < 0 || i >= len(vms) || vms[i] == nil {
-				continue
-			}
-			if err := o.platform.DeleteVM(vms[i].Name, resumeAt); err != nil {
-				return nil, fmt.Errorf("orchestrator: resuming dead VM slot %d: %w", i, err)
-			}
-			vms[i] = nil
-		}
-		startHour = res.NextHour
-	}
-
-	// Checkpoint cadence: the accumulator advances per completed round
-	// (shed rounds included — an open breaker is exactly the cross-round
-	// state a crash must not lose).
-	roundsSince := 0
-	checkpointAfter := func(hour int) error {
-		if cfg.OnCheckpoint == nil {
-			return nil
-		}
-		roundsSince++
-		if roundsSince < cfg.CheckpointEvery {
-			return nil
-		}
-		roundsSince = 0
-		var dead []int
-		for i := range vms {
-			if vms[i] == nil {
-				dead = append(dead, i)
-			}
-		}
-		p := Progress{
-			NextHour:         hour + 1,
-			Downloads:        downloads,
-			Report:           *rep,
-			Breaker:          breaker.Snapshot(),
-			VMCreateAttempts: o.platform.CreateAttempts(),
-			DeadVMs:          dead,
-		}
-		if err := cfg.OnCheckpoint(p); err != nil {
-			return fmt.Errorf("orchestrator: checkpoint after hour %d: %w", hour, err)
-		}
-		killpoint.Maybe("round-boundary", hour)
-		return nil
-	}
-
-	// Progress/ETA gauges for live introspection (-debug-addr). Driven by
-	// the wall clock only; see setProgress for the no-feedback invariant.
-	wallStart := time.Now()
-	metrics.setProgress(startHour, totalHours, wallStart)
-
-	for hour := startHour; hour < totalHours; hour++ {
-		hourStart := cfg.Start.Add(time.Duration(hour) * time.Hour)
-		rep.Hours++
-		// Randomise the test order each hour to decorrelate from periodic
-		// system events (§3.2).
-		var order []int
-		if cfg.FixedOrder {
-			order = make([]int, len(cfg.Servers))
-			for i := range order {
-				order[i] = i
-			}
-		} else {
-			order = HourOrder(cfg.Seed, hour, len(cfg.Servers))
-		}
-
-		// Build the hour's task list. Everything observable is derived
-		// from this deterministic order: VM assignment, slot timestamps
-		// (upload gets its own slot after the download), and the capture
-		// cadence, which counts downloads in task order so it selects the
-		// same tests at any parallelism.
-		tasks := make([]task, 0, len(order)*TestsPerServerPerHour*len(cfg.Tiers))
-		for ti, tier := range cfg.Tiers {
-			for pos, idx := range order {
-				srv := cfg.Servers[idx]
-				for di, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
-					testIdx := pos*TestsPerServerPerHour + di
-					capture := false
-					if dir == netsim.Download {
-						downloads++
-						capture = cfg.CaptureEvery > 0 && downloads%cfg.CaptureEvery == 0
-					}
-					tasks = append(tasks, task{
-						srv:     srv,
-						tier:    tier,
-						dir:     dir,
-						at:      hourStart.Add(time.Duration(testIdx%TestsPerVMPerHour) * slotGap),
-						vm:      ti*perTierVMs + testIdx/TestsPerVMPerHour,
-						capture: capture,
-					})
-				}
-			}
-		}
-
-		metrics.addScheduled(len(tasks))
-		if breaker != nil && !breaker.Allow() {
-			// Open breaker: shed the whole round with explicit accounting
-			// instead of executing it. Observing the shed round with zero
-			// executed tasks advances the cooldown toward the probe round.
-			rep.Dropped += len(tasks)
-			rep.BreakerOpenRounds++
-			metrics.addDropped(len(tasks))
-			metrics.incBreakerOpenRounds()
-			breaker.ObserveRound(len(tasks), 0)
-			metrics.setBreakerState(breaker.State())
-			if err := checkpointAfter(hour); err != nil {
-				return nil, err
-			}
-			metrics.setProgress(hour+1, totalHours, wallStart)
-			if cfg.OnRound != nil {
-				cfg.OnRound(hour+1, totalHours)
-			}
-			continue
-		}
-		phaseStart = time.Now()
-		roundSpan := campSpan.Child("round").WithInt("hour", hour).WithInt("tasks", len(tasks))
-		results, completed, tally, err := o.runRound(cfg, hourStart, hour, tasks, workers, vms, specs, inj, pol, roundSpan, metrics)
-		roundSpan.End()
-		metrics.phaseDone("measure", phaseStart)
-		if err != nil {
+	defer c.close()
+	for c.NextHour < c.total {
+		r := c.plan()
+		if err := c.execute(r); err != nil {
 			return nil, err
 		}
-		// Crash-test point: the round has executed but nothing is emitted
-		// or checkpointed yet — a kill here loses the whole round, which
-		// resume must re-execute from the last checkpoint's watermark.
-		killpoint.Maybe("mid-round", hour)
-		rep.Failed += tally.failed
-		rep.Retried += tally.retried
-		rep.Dropped += tally.dropped
-		rep.Preemptions += tally.preemptions
-		rep.VMCreateRetries += tally.vmCreateRetries
-		metrics.addFaultTally(tally)
-		if breaker != nil {
-			// Round-boundary breaker feed: order-independent counts only,
-			// so the trip point is deterministic at any parallelism.
-			breaker.ObserveRound(tally.dropped, len(tasks))
-			metrics.setBreakerState(breaker.State())
-		}
-
-		// Emit phase: sink records, egress metering and report counters
-		// run in task order, so the record stream and the accrued
-		// floating-point sums match the sequential schedule exactly.
-		// Dropped tests never reach the sink — the paper discards failed
-		// tests rather than recording partial measurements.
-		phaseStart = time.Now()
-		for i, t := range tasks {
-			if !completed[i] {
-				continue
-			}
-			res := results[i]
-			sink.Record(analysis.Measurement{
-				ServerID: t.srv.ID,
-				Region:   cfg.Region,
-				Tier:     t.tier,
-				Dir:      t.dir,
-				Time:     t.at,
-				Mbps:     res.ThroughputMbps,
-				RTTms:    res.RTTms,
-				Loss:     res.LossRate,
-			})
-			rep.Tests++
-			metrics.incCompleted()
-			o.platform.RecordEgress(t.tier, TestEgressBytes(analysis.Measurement{
-				Dir: t.dir, Mbps: res.ThroughputMbps,
-			}, cfg.TestDurationSec))
-			if t.capture {
-				rep.Captures++
-				metrics.incCaptures()
-			}
-		}
-		metrics.phaseDone("emit", phaseStart)
-
-		// Daily follow-up traceroutes: probing is pure, so it fans out
-		// across the VM pool; uploads run in server order afterwards.
-		if cfg.TracerouteEvery > 0 && hour%(24*cfg.TracerouteEvery) == 0 {
-			phaseStart = time.Now()
-			trSpan := campSpan.Child("traceroute").WithInt("hour", hour).WithInt("servers", len(cfg.Servers))
-			trs := make([]traceroute.Result, len(cfg.Servers))
-			err := forEachLimit(len(cfg.Servers), cfg.Parallelism, cfg.Workers.Wrap(func(i int) error {
-				srv := cfg.Servers[i]
-				w := workers[i%len(workers)]
-				tr, err := w.prober.Trace(traceroute.Destination{
-					IP: srv.IP, ASN: srv.ASN, City: srv.City, LinkID: -1, Tier: cfg.Tiers[0],
-				}, traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(srv.ID)})
-				if err != nil {
-					return fmt.Errorf("orchestrator: traceroute to %d: %w", srv.ID, err)
-				}
-				trs[i] = tr
-				return nil
-			}))
-			if err != nil {
-				return nil, err
-			}
-			for i, srv := range cfg.Servers {
-				rep.Traceroutes++
-				metrics.incTraceroutes()
-				if o.bucket == nil {
-					continue
-				}
-				var buf bytes.Buffer
-				if err := traceroute.WriteJSON(&buf, []traceroute.Result{trs[i]}); err != nil {
-					return nil, err
-				}
-				key := fmt.Sprintf("%s/traceroute/%s/server-%d.json", cfg.Region, hourStart.Format("2006-01-02"), srv.ID)
-				if err := o.bucket.Put(key, buf.Bytes(), hourStart); err != nil {
-					return nil, err
-				}
-			}
-			trSpan.End()
-			metrics.phaseDone("traceroute", phaseStart)
-		}
-		if err := checkpointAfter(hour); err != nil {
+		if err := c.commit(r); err != nil {
 			return nil, err
 		}
-		metrics.setProgress(hour+1, totalHours, wallStart)
-		if cfg.OnRound != nil {
-			cfg.OnRound(hour+1, totalHours)
-		}
 	}
-	o.platform.AccrueVMHours(totalVMs, time.Duration(totalHours)*time.Hour, cloud.N1Standard2)
-	for _, w := range workers {
-		if u := w.collector.MaxCPU(); u > rep.MaxVMCPUUtil {
-			rep.MaxVMCPUUtil = u
-		}
-	}
-	return rep, nil
-}
-
-// roundTally aggregates one round's resilience events. Each VM goroutine
-// fills its own slot and the totals are summed after the round joins, so
-// the counts are deterministic at any parallelism.
-type roundTally struct {
-	failed          int
-	retried         int
-	dropped         int
-	preemptions     int
-	vmCreateRetries int
-}
-
-func (t *roundTally) add(o roundTally) {
-	t.failed += o.failed
-	t.retried += o.retried
-	t.dropped += o.dropped
-	t.preemptions += o.preemptions
-	t.vmCreateRetries += o.vmCreateRetries
-}
-
-// createVM provisions one VM, retrying injected control-plane rejections on
-// the profile's deterministic backoff schedule. It returns how many retries
-// it spent; real errors — and injected ones past the retry budget — surface
-// to the caller.
-func (o *Orchestrator) createVM(inj *faults.Injector, pol faults.Profile, spec cloud.VMSpec, at time.Time) (*cloud.VM, int, error) {
-	retries := 0
-	for attempt := 0; ; attempt++ {
-		vm, err := o.platform.CreateVM(spec, at)
-		if err == nil {
-			return vm, retries, nil
-		}
-		fe, injected := faults.AsError(err)
-		if inj == nil || !injected || !fe.Retryable() || attempt >= pol.MaxRetries {
-			return nil, retries, err
-		}
-		retries++
-		time.Sleep(inj.Backoff(attempt, faults.KeyString(spec.Name)))
-	}
-}
-
-// runRound executes one hour's tasks: inline on the caller's goroutine when
-// no test can block, otherwise one goroutine per VM bounded by
-// cfg.Parallelism. Results are indexed by task position, so callers observe
-// them in the deterministic schedule order regardless of how the round
-// interleaved; completed marks the positions that produced a result (always
-// all of them in fault-free campaigns).
-func (o *Orchestrator) runRound(cfg Config, hourStart time.Time, hour int, tasks []task, workers []*vmWorker, vms []*cloud.VM, specs []cloud.VMSpec, inj *faults.Injector, pol faults.Profile, round obs.Span, metrics *campaignMetrics) ([]netsim.TestResult, []bool, roundTally, error) {
-	results := make([]netsim.TestResult, len(tasks))
-	completed := make([]bool, len(tasks))
-	byVM := make([][]int, len(workers))
-	for i, t := range tasks {
-		byVM[t.vm] = append(byVM[t.vm], i)
-	}
-	measure := cfg.Measure
-	if measure == nil {
-		measure = o.sim.Measure
-	}
-	traced := obs.TraceEnabled()
-	tallies := make([]roundTally, len(workers))
-
-	// execute is the faulted execution path: injection (bounded by ctx),
-	// then the measurement. The default simulator route goes through
-	// MeasureCtx so the netsim fault counters see every injection; a
-	// Measure override keeps its plain signature and gets the injection
-	// applied here.
-	var execute func(ctx context.Context, spec netsim.TestSpec) (netsim.TestResult, error)
-	if inj != nil {
-		if cfg.Measure != nil {
-			execute = func(ctx context.Context, spec netsim.TestSpec) (netsim.TestResult, error) {
-				if err := inj.BeforeMeasure(ctx, spec); err != nil {
-					return netsim.TestResult{}, err
-				}
-				return cfg.Measure(spec)
-			}
-		} else {
-			execute = func(ctx context.Context, spec netsim.TestSpec) (netsim.TestResult, error) {
-				return o.sim.MeasureCtx(ctx, spec, inj)
-			}
-		}
-	}
-
-	// runTest executes one task under the profile's timeout/retry/backoff
-	// policy. Injected failures are tallied and — once non-retryable or out
-	// of budget — dropped, leaving completed[ti] false; real errors still
-	// abort the campaign exactly as they did before the fault layer.
-	runTest := func(t task, ti int, tally *roundTally) error {
-		spec := netsim.TestSpec{
-			Region:      cfg.Region,
-			Server:      t.srv,
-			Tier:        t.tier,
-			Dir:         t.dir,
-			Time:        t.at,
-			DurationSec: cfg.TestDurationSec,
-			VMDownMbps:  cfg.DownlinkMbps,
-			VMUpMbps:    cfg.UplinkMbps,
-		}
-		if inj == nil {
-			res, err := measure(spec)
-			if err != nil {
-				return fmt.Errorf("orchestrator: test %d/%s/%s: %w", t.srv.ID, t.tier, t.dir, err)
-			}
-			results[ti], completed[ti] = res, true
-			return nil
-		}
-		for attempt := 0; ; attempt++ {
-			spec.Attempt = attempt
-			ctx, cancel := context.WithTimeout(context.Background(), pol.TestTimeout)
-			res, err := execute(ctx, spec)
-			cancel()
-			if err == nil {
-				results[ti], completed[ti] = res, true
-				return nil
-			}
-			fe, injected := faults.AsError(err)
-			if !injected {
-				return fmt.Errorf("orchestrator: test %d/%s/%s: %w", t.srv.ID, t.tier, t.dir, err)
-			}
-			tally.failed++
-			if !fe.Retryable() || attempt >= pol.MaxRetries {
-				tally.dropped++
-				return nil
-			}
-			tally.retried++
-			time.Sleep(inj.Backoff(attempt,
-				faults.KeyString(cfg.Region), uint64(t.srv.ID),
-				uint64(t.tier), uint64(t.dir), uint64(hour)))
-		}
-	}
-
-	runVM := func(vm int) error {
-		if len(byVM[vm]) == 0 {
-			return nil
-		}
-		tally := &tallies[vm]
-		if inj != nil {
-			// Survive this hour's preemption, then make sure the VM slot is
-			// populated — a re-creation that failed in an earlier hour left
-			// it nil. A VM-hour with no instance is degraded, not fatal:
-			// its tests are dropped and the campaign continues (the paper
-			// re-plans lost VM-hours rather than aborting, §3.2).
-			if vms[vm] != nil && inj.PreemptVM(specs[vm].Name, hour) {
-				if err := o.platform.Preempt(specs[vm].Name, hourStart); err != nil {
-					return fmt.Errorf("orchestrator: preempting VM %q: %w", specs[vm].Name, err)
-				}
-				vms[vm] = nil
-				tally.preemptions++
-			}
-			if vms[vm] == nil {
-				nvm, retries, err := o.createVM(inj, pol, specs[vm], hourStart)
-				tally.vmCreateRetries += retries
-				if err != nil {
-					tally.dropped += len(byVM[vm])
-					return nil
-				}
-				vms[vm] = nvm
-			}
-		}
-		w := workers[vm]
-		vmSpan := round.Child("vm-hour").WithInt("vm", vm).WithInt("tests", len(byVM[vm]))
-		defer vmSpan.End()
-		// One unconditional SoMeta snapshot per VM-hour, so the report's
-		// MaxVMCPUUtil is populated even with captures disabled.
-		w.collector.Snap(hourStart)
-		metrics.incSnapshots()
-		for _, ti := range byVM[vm] {
-			t := tasks[ti]
-			var testSpan obs.Span
-			if traced {
-				testSpan = vmSpan.Child("test").WithInt("server", t.srv.ID).
-					With("tier", t.tier.String()).With("dir", t.dir.String())
-			}
-			err := runTest(t, ti, tally)
-			testSpan.End()
-			if err != nil {
-				return err
-			}
-			if completed[ti] && t.capture {
-				if err := o.captureTest(cfg, t.srv, t.tier, t.at, results[ti], w.collector, metrics); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	var err error
-	if cfg.Measure == nil && inj == nil {
-		// Nothing in a simulated, fault-free round can block, so the whole
-		// round is one unit of work under one pool slot.
-		wholeRound := func(int) error { return forEachLimit(len(workers), 1, runVM) }
-		err = cfg.Workers.Wrap(wholeRound)(0)
-	} else {
-		err = forEachLimit(len(workers), cfg.Parallelism, cfg.Workers.Wrap(runVM))
-	}
-	if err != nil {
-		return nil, nil, roundTally{}, err
-	}
-	var total roundTally
-	for i := range tallies {
-		total.add(tallies[i])
-	}
-	return results, completed, total, nil
-}
-
-// forEachLimit runs fn(0..n-1), at most `limit` calls in flight; limit <= 1
-// runs inline. The first error wins; remaining started calls still finish.
-func forEachLimit(n, limit int, fn func(i int) error) error {
-	if limit <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// captureTest synthesises a tcpdump-style header capture consistent with
-// the measured flow, snapshots SoMeta metadata, compresses both, and
-// uploads them to the results bucket.
-func (o *Orchestrator) captureTest(cfg Config, srv *topology.Server, tier bgp.Tier, at time.Time, res netsim.TestResult, collector *someta.Collector, metrics *campaignMetrics) error {
-	collector.Snap(at)
-	metrics.incSnapshots()
-	if o.bucket == nil {
-		return nil
-	}
-	var raw bytes.Buffer
-	err := flowstats.Synthesize(&raw, flowstats.SynthConfig{
-		Client:      o.sim.VMAddr(cfg.Region, 0, 0),
-		Server:      srv.IP,
-		ClientPort:  uint16(40000 + srv.ID%20000),
-		Start:       at,
-		RTTms:       res.RTTms,
-		Loss:        res.LossRate,
-		RateMbps:    res.ThroughputMbps,
-		DurationSec: minF(cfg.TestDurationSec, 5), // header capture of the first seconds
-		Seed:        cfg.Seed ^ int64(srv.ID),
-	})
-	if err != nil {
-		return fmt.Errorf("orchestrator: synthesising capture: %w", err)
-	}
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(raw.Bytes()); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	key := fmt.Sprintf("%s/pcap/%s/server-%d-%s.pcap.gz", cfg.Region, at.Format("2006-01-02"), srv.ID, tier)
-	if err := o.bucket.Put(key, gz.Bytes(), at); err != nil {
-		return err
-	}
-
-	snap, ok := collector.Latest()
-	if !ok {
-		// Nothing to upload; the pcap alone is still a valid artifact.
-		return nil
-	}
-	var meta bytes.Buffer
-	if err := someta.WriteJSON(&meta, []someta.Snapshot{snap}); err != nil {
-		return err
-	}
-	metaKey := fmt.Sprintf("%s/someta/%s/server-%d-%s.json", cfg.Region, at.Format("2006-01-02"), srv.ID, tier)
-	return o.bucket.Put(metaKey, meta.Bytes(), at)
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	return c.finish(), nil
 }

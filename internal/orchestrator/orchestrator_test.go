@@ -193,11 +193,15 @@ func TestRunBasicCampaign(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	f := setup(t)
-	if _, err := f.orch.Run(Config{Region: "us-east1"}, nil); err == nil {
+	if _, err := f.orch.Run(Config{Region: "us-east1"}, &SliceSink{}); err == nil {
 		t.Error("no servers: want error")
 	}
-	if _, err := f.orch.Run(Config{Region: "atlantis", Servers: f.topo.Servers()[:1]}, nil); err == nil {
+	if _, err := f.orch.Run(Config{Region: "atlantis", Servers: f.topo.Servers()[:1]}, &SliceSink{}); err == nil {
 		t.Error("unknown region: want error")
+	}
+	// A nil sink would measure a whole campaign into nowhere.
+	if _, err := f.orch.Run(Config{Region: "us-east1", Servers: f.topo.Servers()[:1]}, nil); err == nil {
+		t.Error("nil sink: want error")
 	}
 }
 

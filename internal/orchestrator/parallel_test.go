@@ -39,7 +39,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				Tiers:           []bgp.Tier{bgp.Premium, bgp.Standard},
 				Days:            2,
 				Seed:            17,
-				TestDurationSec: 3, // keeps the synthesized captures small
+				TestDurationSec: 0.2, // keeps the synthesized captures small
 				CaptureEvery:    97,
 				TracerouteEvery: 1,
 				Parallelism:     parallelism,

@@ -8,10 +8,11 @@ package orchestrator
 // keeps the command-wide concurrency at exactly the requested parallelism
 // no matter how many campaigns are in flight.
 //
-// The pool is a plain counting semaphore: workers acquire a slot for the
-// duration of one VM's round (or one traceroute batch entry), so slots
-// freed by a campaign draining its round barrier are immediately usable by
-// another campaign mid-round. Determinism is unaffected — results are
+// The pool is a plain counting semaphore: a campaign holds a slot for the
+// duration of one fanned-out VM-hour or traceroute, or of one whole inline
+// round or traceroute batch (campaign.fanOut), so slots freed by a campaign
+// draining its round barrier are immediately usable by another campaign
+// mid-round. Determinism is unaffected — results are
 // indexed by deterministic task order and emitted serially per campaign —
 // so the pool only changes scheduling, never bytes.
 type WorkerPool struct {
@@ -26,12 +27,6 @@ func NewWorkerPool(slots int) *WorkerPool {
 	return &WorkerPool{sem: make(chan struct{}, slots)}
 }
 
-// Slots reports the pool's capacity.
-func (p *WorkerPool) Slots() int { return cap(p.sem) }
-
-func (p *WorkerPool) acquire() { p.sem <- struct{}{} }
-func (p *WorkerPool) release() { <-p.sem }
-
 // Wrap returns fn bracketed by a pool slot. A nil pool is a no-op, so
 // call sites can wrap unconditionally.
 func (p *WorkerPool) Wrap(fn func(int) error) func(int) error {
@@ -39,8 +34,8 @@ func (p *WorkerPool) Wrap(fn func(int) error) func(int) error {
 		return fn
 	}
 	return func(i int) error {
-		p.acquire()
-		defer p.release()
+		p.sem <- struct{}{}
+		defer func() { <-p.sem }()
 		return fn(i)
 	}
 }

@@ -2,6 +2,7 @@ package someta
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,10 @@ import (
 var t0 = time.Date(2020, 5, 1, 12, 0, 0, 0, time.UTC)
 
 func TestLocalProbeSnapshot(t *testing.T) {
+	// runtime/metrics reads heap bytes from per-P statistics that a process
+	// only a few allocations old may not have flushed yet (about one run in
+	// a hundred read 0 here); a collection flushes them.
+	runtime.GC()
 	c := NewCollector("vm-test", nil)
 	s := c.Snap(t0)
 	if s.Hostname != "vm-test" {
