@@ -242,6 +242,18 @@ func WriteReport(w io.Writer, rep *CongestionReport) {
 	}
 }
 
+// WriteCampaignSummary renders a campaign's orchestration report — the one
+// rendering `clasp campaign`, `clasp resume` and the scenario runner share:
+// the totals, and the resilience line when anything degraded.
+func WriteCampaignSummary(w io.Writer, res *CampaignResult) {
+	r := res.Report
+	fmt.Fprintf(w, "Campaign: %d tests over %d hours with %d VMs\n", r.Tests, r.Hours, r.VMs)
+	if r.Failed+r.Dropped+r.Retried+r.Preemptions+r.VMCreateRetries > 0 {
+		fmt.Fprintf(w, "Resilience: %d failed, %d retried, %d dropped, %d preemptions, %d create retries, %d breaker-open rounds\n",
+			r.Failed, r.Retried, r.Dropped, r.Preemptions, r.VMCreateRetries, r.BreakerOpenRounds)
+	}
+}
+
 // TierComparison is the §4.1 premium-vs-standard summary of a differential
 // campaign.
 type TierComparison struct {
@@ -289,6 +301,15 @@ func (p *Platform) CompareTiers(res *CampaignResult) (*TierComparison, error) {
 	}, nil
 }
 
+// WriteTierComparison renders the §4.1 premium-vs-standard summary as text.
+func WriteTierComparison(w io.Writer, tc *TierComparison) {
+	fmt.Fprintf(w, "Tier comparison for %s over %d paired tests\n", tc.Region, tc.PairedTests)
+	fmt.Fprintf(w, "  standard faster: %.1f%% of downloads, %.1f%% of uploads\n",
+		tc.StdFasterDownload*100, tc.StdFasterUpload*100)
+	fmt.Fprintf(w, "  downloads within 50%%: %.1f%%   median download delta: %+.3f\n",
+		tc.Within50*100, tc.MedianDownloadDelta)
+}
+
 // Costs reports the accrued simulated cloud bill (egress, storage,
 // compute), the constraint that shaped the paper's deployment (§5: over
 // USD 6k per month).
@@ -322,30 +343,30 @@ func (p *Platform) DetectHMM(res *CampaignResult, serverID int) (*HMMEvents, err
 		return nil, fmt.Errorf("clasp: empty campaign result")
 	}
 	det := congestion.NewDetector()
-	series, _ := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
+	series, parts := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
 	if len(series) == 0 {
 		return nil, fmt.Errorf("clasp: no premium download series")
 	}
-	var target *congestion.Series
+	pick := -1
 	if serverID >= 0 {
 		for i := range series {
 			if series[i].ServerID == serverID {
-				target = &series[i].Series
+				pick = i
 				break
 			}
 		}
-		if target == nil {
+		if pick < 0 {
 			return nil, fmt.Errorf("clasp: server %d not in campaign", serverID)
 		}
 	} else {
 		bestEvents := -1
-		for i := range series {
-			if n := len(det.Events(series[i].Series)); n > bestEvents {
-				bestEvents = n
-				target = &series[i].Series
+		for i := range parts {
+			if n := len(det.EventsIn(parts[i])); n > bestEvents {
+				bestEvents, pick = n, i
 			}
 		}
 	}
+	target := series[pick].Series
 	mbps := make([]float64, len(target.Samples))
 	times := make([]time.Time, len(target.Samples))
 	for i, s := range target.Samples {
@@ -357,7 +378,7 @@ func (p *Platform) DetectHMM(res *CampaignResult, serverID int) (*HMMEvents, err
 		return nil, fmt.Errorf("clasp: %w", err)
 	}
 	thresholdAt := make(map[int64]bool)
-	for _, e := range det.Events(*target) {
+	for _, e := range det.EventsIn(parts[pick]) {
 		thresholdAt[e.Time.Unix()] = true
 	}
 	out := &HMMEvents{PairID: target.PairID, Times: times, HMM: labels}

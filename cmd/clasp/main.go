@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -209,7 +210,7 @@ func costsRefs() []core.CampaignRef {
 }
 
 // printCosts renders the simulated bill after the costs campaign set.
-func printCosts(out *os.File, p *clasp.Platform) {
+func printCosts(out io.Writer, p *clasp.Platform) {
 	egress, storage, compute := p.Costs()
 	fmt.Fprintf(out, "Simulated 7-day all-region bill:\n")
 	fmt.Fprintf(out, "  egress:  $%8.2f\n  storage: $%8.2f\n  compute: $%8.2f\n  total:   $%8.2f\n",
@@ -234,7 +235,7 @@ func resumeEngine(id checkpoint.Identity, ckRoot string, flags core.Options) (*c
 // manifest re-enters the multi-campaign scheduler (finished campaigns are
 // skipped, partial ones resume from their watermark, never-started ones
 // run fresh); a bare campaign checkpoint takes the single-campaign path.
-func resumeCmd(positional []string, out *os.File, flags core.Options) error {
+func resumeCmd(positional []string, out io.Writer, flags core.Options) error {
 	if len(positional) != 1 {
 		return fmt.Errorf("usage: clasp resume <checkpoint-dir>")
 	}
@@ -259,15 +260,12 @@ func resumeCmd(positional []string, out *os.File, flags core.Options) error {
 	}
 	p := clasp.NewFromCore(eng)
 	if ck.Meta.Campaign.Kind == "differential" {
-		fmt.Fprintf(out, "Campaign: %d tests over %d hours with %d VMs\n",
-			res.Report.Tests, res.Report.Hours, res.Report.VMs)
+		clasp.WriteCampaignSummary(out, res)
 		tc, err := p.CompareTiers(res)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "Tier comparison for %s over %d paired tests\n", tc.Region, tc.PairedTests)
-		fmt.Fprintf(out, "  standard faster: %.1f%% of downloads, %.1f%% of uploads\n",
-			tc.StdFasterDownload*100, tc.StdFasterUpload*100)
+		clasp.WriteTierComparison(out, tc)
 		return nil
 	}
 	return printCampaign(out, p, res, true)
@@ -278,7 +276,7 @@ func resumeCmd(positional []string, out *os.File, flags core.Options) error {
 // scheduler attaches the per-campaign checkpoints, and the command's
 // normal render path runs — loading finished campaigns from their
 // checkpoints, resuming partial ones, and running the rest.
-func resumeCommand(man *checkpoint.Manifest, dir string, out *os.File, flags core.Options) error {
+func resumeCommand(man *checkpoint.Manifest, dir string, out io.Writer, flags core.Options) error {
 	if len(man.Campaigns) == 0 {
 		return fmt.Errorf("resume: manifest in %s lists no campaigns", dir)
 	}
@@ -318,13 +316,8 @@ func resumeCommand(man *checkpoint.Manifest, dir string, out *os.File, flags cor
 // printCampaign renders a finished campaign exactly like `clasp campaign`:
 // the orchestration summary, the resilience line when anything degraded,
 // and (optionally) the congestion report.
-func printCampaign(out *os.File, p *clasp.Platform, res *core.CampaignResult, congestion bool) error {
-	fmt.Fprintf(out, "Campaign: %d tests over %d hours with %d VMs\n",
-		res.Report.Tests, res.Report.Hours, res.Report.VMs)
-	if r := res.Report; r.Failed+r.Dropped+r.Retried+r.Preemptions+r.VMCreateRetries > 0 {
-		fmt.Fprintf(out, "Resilience: %d failed, %d retried, %d dropped, %d preemptions, %d create retries, %d breaker-open rounds\n",
-			r.Failed, r.Retried, r.Dropped, r.Preemptions, r.VMCreateRetries, r.BreakerOpenRounds)
-	}
+func printCampaign(out io.Writer, p *clasp.Platform, res *core.CampaignResult, congestion bool) error {
+	clasp.WriteCampaignSummary(out, res)
 	if !congestion {
 		return nil
 	}

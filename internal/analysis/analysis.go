@@ -6,7 +6,7 @@
 package analysis
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,7 +18,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/stats"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // Measurement is one completed speed test record, the unit stored in the
@@ -87,122 +86,123 @@ type SeriesWithServer struct {
 	Series   congestion.Series
 }
 
-// denseServerMax bounds the dense serverID→slot tables: IDs in [0, denseMax)
-// index a flat slice (no hashing); anything else falls back to a map keyed
-// by the full PairKey. Real topologies number servers from zero, so the
-// fallback never runs in practice.
-const denseServerMax = 1 << 20
-
-// groupBuffers is the per-call scratch of the grouping kernel — the staged
-// samples and their slot assignments never escape, so they are pooled.
-type groupBuffers struct {
-	samples []congestion.Sample
-	slotOf  []int32
+// regionTable interns region names, so the grouping kernels key their slots
+// by a small index and no string is hashed per record. A campaign stream
+// names a handful of regions in long runs: the last answer is tried first
+// and a miss is a short linear scan.
+type regionTable struct {
+	names   []string // index = region index
+	last    string
+	lastIdx int32
 }
 
-var groupScratch = sync.Pool{New: func() any { return new(groupBuffers) }}
-
-// GroupSeriesWithServerCursor groups a measurement stream into per-pair
-// series with the server attribution the congestion-by-business-type and
-// Fig. 6 analyses need. One count-then-fill kernel: pass 1 stages each
-// matching sample in a pooled scratch buffer and resolves its pair slot
-// through interned regions plus a dense serverID table (no string hashing in
-// the hot loop), then a scatter pass fills one contiguous pre-sized buffer
-// whose subslices become the series. Sortedness is tracked per slot during
-// the scan, so already time-ordered pairs (the campaign's hour-major layout)
-// skip sorting. The cursor is consumed one batch at a time and only the
-// matching samples are staged, so the peak footprint is the output plus one
-// input block, independent of stream length.
-func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
-	sp := obs.Trace("analysis.group")
-	defer sp.End()
-	obsGroupCalls.Inc()
-
-	type pairSlot struct {
-		regionIdx   int32
-		serverID    int
-		count, next int       // sample count; fill cursor into buf
-		last        time.Time // last staged sample time, for the sorted check
-		unsorted    bool
+func (t *regionTable) intern(name string) int32 {
+	if name == t.last && t.names != nil {
+		return t.lastIdx
 	}
-	var (
-		regions    []string  // interned region names; index = regionIdx
-		tables     [][]int32 // per region: serverID -> slot+1
-		lastRegion string
-		lastIdx    int32
-		overflow   map[PairKey]int32 // IDs outside [0, denseServerMax)
-		slots      []pairSlot
-	)
-	gb := groupScratch.Get().(*groupBuffers)
-	tmp := gb.samples[:0]
-	slotOf := gb.slotOf[:0]
-	records := 0
-	for ms := c.Next(); ms != nil; ms = c.Next() {
-		records += len(ms)
-		for i := range ms {
-			m := &ms[i]
-			if m.Dir != dir || m.Tier != tier {
-				continue
-			}
-			ri := lastIdx
-			if m.Region != lastRegion || regions == nil {
-				ri = -1
-				for r, name := range regions {
-					if name == m.Region {
-						ri = int32(r)
-						break
-					}
-				}
-				if ri < 0 {
-					ri = int32(len(regions))
-					regions = append(regions, m.Region)
-					tables = append(tables, nil)
-				}
-				lastRegion, lastIdx = m.Region, ri
-			}
-			var si int32
-			if id := m.ServerID; id >= 0 && id < denseServerMax {
-				t := tables[ri]
-				if id >= len(t) {
-					nt := make([]int32, id+64)
-					copy(nt, t)
-					tables[ri] = nt
-					t = nt
-				}
-				si = t[id] - 1
-				if si < 0 {
-					si = int32(len(slots))
-					t[id] = si + 1
-					slots = append(slots, pairSlot{regionIdx: ri, serverID: id})
-				}
-			} else {
-				if overflow == nil {
-					overflow = make(map[PairKey]int32)
-				}
-				k := PairKey{ServerID: id, Region: m.Region, Tier: tier, Dir: dir}
-				v, ok := overflow[k]
-				if !ok {
-					v = int32(len(slots))
-					overflow[k] = v
-					slots = append(slots, pairSlot{regionIdx: ri, serverID: id})
-				}
-				si = v
-			}
-			s := &slots[si]
-			if s.count > 0 && m.Time.Before(s.last) {
-				s.unsorted = true
-			}
-			s.last = m.Time
-			s.count++
-			tmp = append(tmp, congestion.Sample{Time: m.Time, Mbps: m.Mbps})
-			slotOf = append(slotOf, si)
+	ri := int32(slices.Index(t.names, name))
+	if ri < 0 {
+		ri = int32(len(t.names))
+		t.names = append(t.names, name)
+	}
+	t.last, t.lastIdx = name, ri
+	return ri
+}
+
+// denseServerMax bounds the dense serverID→slot tables: IDs in [0, denseMax)
+// index a flat slice (no hashing); anything else falls back to a map. Real
+// topologies number servers from zero, so the fallback never runs in
+// practice.
+const denseServerMax = 1 << 20
+
+// grouper is the count-then-fill grouping kernel for one (direction, tier):
+// stage resolves each sample's pair slot and appends it to a staging buffer
+// in delivery order, finish scatters the staged samples into one contiguous
+// pre-sized buffer whose subslices become the series. It has two feeders —
+// GroupSeriesWithServerCursor over a finished record stream, CampaignPrep
+// from a running campaign's emit phase — and no second implementation.
+type grouper struct {
+	dir  netsim.Direction
+	tier bgp.Tier
+
+	regions  regionTable
+	tables   [][]int32 // per region: serverID -> slot+1
+	overflow map[overflowKey]int32
+	slots    []pairSlot
+
+	samples []congestion.Sample // staged, in delivery order
+	slotOf  []int32             // slot of each staged sample
+}
+
+type pairSlot struct {
+	regionIdx   int32
+	serverID    int
+	count, next int       // sample count; fill cursor into the output buffer
+	last        time.Time // last staged sample time, for the sorted check
+	unsorted    bool
+}
+
+// overflowKey identifies a pair whose server ID is outside [0, denseServerMax).
+type overflowKey struct {
+	regionIdx int32
+	serverID  int
+}
+
+// stage adds one sample of the grouper's (direction, tier); the caller has
+// already filtered. The pair slot is resolved through the interned region
+// plus a dense serverID table (no string hashing in the hot loop), and
+// sortedness is tracked per slot so already time-ordered pairs (the
+// campaign's hour-major layout) skip sorting in finish.
+func (g *grouper) stage(m *Measurement) {
+	ri := g.regions.intern(m.Region)
+	if int(ri) == len(g.tables) {
+		g.tables = append(g.tables, nil)
+	}
+	id := m.ServerID
+	var si int32
+	if id >= 0 && id < denseServerMax {
+		t := g.tables[ri]
+		if id >= len(t) {
+			nt := make([]int32, id+64)
+			copy(nt, t)
+			g.tables[ri] = nt
+			t = nt
 		}
+		si = t[id] - 1
+		if si < 0 {
+			si = int32(len(g.slots))
+			t[id] = si + 1
+			g.slots = append(g.slots, pairSlot{regionIdx: ri, serverID: id})
+		}
+	} else {
+		if g.overflow == nil {
+			g.overflow = make(map[overflowKey]int32)
+		}
+		k := overflowKey{ri, id}
+		v, ok := g.overflow[k]
+		if !ok {
+			v = int32(len(g.slots))
+			g.overflow[k] = v
+			g.slots = append(g.slots, pairSlot{regionIdx: ri, serverID: id})
+		}
+		si = v
 	}
-	obsGroupRecords.Add(uint64(records))
-	sp.WithInt("records", records)
+	s := &g.slots[si]
+	if s.count > 0 && m.Time.Before(s.last) {
+		s.unsorted = true
+	}
+	s.last = m.Time
+	s.count++
+	g.samples = append(g.samples, congestion.Sample{Time: m.Time, Mbps: m.Mbps})
+	g.slotOf = append(g.slotOf, si)
+}
+
+// finish turns the staged samples into per-pair series. The staging buffers
+// are left as they are — the caller recycles or drops them — and the result
+// shares no memory with them.
+func (g *grouper) finish() []SeriesWithServer {
+	slots, regions := g.slots, g.regions.names
 	if len(slots) == 0 {
-		gb.samples, gb.slotOf = tmp, slotOf
-		groupScratch.Put(gb)
 		return nil
 	}
 	// Deterministic pair order: region, then server ID (unchanged from the
@@ -218,16 +218,15 @@ func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) 
 		}
 		return ka.serverID < kb.serverID
 	})
-	total := len(tmp)
 	off := 0
 	for _, si := range order {
 		slots[si].next = off
 		off += slots[si].count
 	}
-	buf := make([]congestion.Sample, total)
-	for j, si := range slotOf {
+	buf := make([]congestion.Sample, len(g.samples))
+	for j, si := range g.slotOf {
 		s := &slots[si]
-		buf[s.next] = tmp[j]
+		buf[s.next] = g.samples[j]
 		s.next++
 	}
 	out := make([]SeriesWithServer, 0, len(order))
@@ -241,40 +240,51 @@ func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) 
 			ServerID: s.serverID,
 			Region:   regions[s.regionIdx],
 			Series: congestion.Series{
-				PairID:  pairIDString(regions[s.regionIdx], s.serverID, tier, dir),
+				PairID:  pairIDString(regions[s.regionIdx], s.serverID, g.tier, g.dir),
 				Samples: samples,
 			},
 		})
 	}
-	gb.samples, gb.slotOf = tmp, slotOf
-	groupScratch.Put(gb)
-	obsGroupSeries.Add(uint64(len(out)))
-	sp.WithInt("series", len(out))
 	return out
 }
 
-// SeriesFromStore reconstructs congestion-analysis series from the
-// time-series store (the paper's pipeline: raw results land in InfluxDB,
-// the analysis reads hourly series back out). Filters mirror
-// GroupSeriesCursor. Reads go through QueryView — the store's maps are
-// never written to, so the copy-free read-only path is safe here (see
-// tsdb.Store.QueryView).
-func SeriesFromStore(store *tsdb.Store, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
-	match := tsdb.Tags{"dir": dir.String(), "tier": tier.String()}
-	var out []congestion.Series
-	for _, sr := range store.QueryView("speedtest", match, time.Time{}, time.Time{}) {
-		cs := congestion.Series{
-			PairID: fmt.Sprintf("%s/%s/%s/%s", sr.Tags["region"], sr.Tags["server"], sr.Tags["tier"], sr.Tags["dir"]),
-		}
-		for _, p := range sr.Points {
-			if v, ok := p.Fields["mbps"]; ok {
-				cs.Samples = append(cs.Samples, congestion.Sample{Time: p.Time, Mbps: v})
+// groupBuffers is the staging scratch of a cursor-fed grouping call — the
+// staged samples and their slot assignments never escape, so they are
+// pooled.
+type groupBuffers struct {
+	samples []congestion.Sample
+	slotOf  []int32
+}
+
+var groupScratch = sync.Pool{New: func() any { return new(groupBuffers) }}
+
+// GroupSeriesWithServerCursor groups a measurement stream into per-pair
+// series with the server attribution the congestion-by-business-type and
+// Fig. 6 analyses need: the grouper kernel fed from a cursor, staging into
+// pooled scratch. The cursor is consumed one batch at a time and only the
+// matching samples are staged, so the peak footprint is the output plus one
+// input block, independent of stream length.
+func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
+	sp := obs.Trace("analysis.group")
+	obsGroupCalls.Inc()
+
+	gb := groupScratch.Get().(*groupBuffers)
+	g := grouper{dir: dir, tier: tier, samples: gb.samples[:0], slotOf: gb.slotOf[:0]}
+	records := 0
+	for ms := c.Next(); ms != nil; ms = c.Next() {
+		records += len(ms)
+		for i := range ms {
+			if m := &ms[i]; m.Dir == dir && m.Tier == tier {
+				g.stage(m)
 			}
 		}
-		if len(cs.Samples) > 0 {
-			out = append(out, cs)
-		}
 	}
+	out := g.finish()
+	gb.samples, gb.slotOf = g.samples, g.slotOf
+	groupScratch.Put(gb)
+	obsGroupRecords.Add(uint64(records))
+	obsGroupSeries.Add(uint64(len(out)))
+	sp.WithInt("records", records).WithInt("series", len(out)).End()
 	return out
 }
 
@@ -313,11 +323,7 @@ func PerfPointsCursor(c Cursor) []PerfPoint {
 		month       time.Month
 		count, next int
 	}
-	var (
-		regions    []string
-		lastRegion string
-		lastIdx    int32
-	)
+	var regions regionTable
 	idx := make(map[slotKey]int32)
 	var slots []slot
 	var slotOf []int32
@@ -327,21 +333,7 @@ func PerfPointsCursor(c Cursor) []PerfPoint {
 			if m.Dir != netsim.Download {
 				continue
 			}
-			ri := lastIdx
-			if m.Region != lastRegion || regions == nil {
-				ri = -1
-				for r, name := range regions {
-					if name == m.Region {
-						ri = int32(r)
-						break
-					}
-				}
-				if ri < 0 {
-					ri = int32(len(regions))
-					regions = append(regions, m.Region)
-				}
-				lastRegion, lastIdx = m.Region, ri
-			}
+			ri := regions.intern(m.Region)
 			year, month, _ := m.Time.Date()
 			k := slotKey{server: m.ServerID, ym: year*12 + int(month), ri: ri}
 			si, ok := idx[k]
@@ -364,7 +356,7 @@ func PerfPointsCursor(c Cursor) []PerfPoint {
 	sort.Slice(order, func(i, j int) bool {
 		a, b := &slots[order[i]], &slots[order[j]]
 		if a.ri != b.ri {
-			return regions[a.ri] < regions[b.ri]
+			return regions.names[a.ri] < regions.names[b.ri]
 		}
 		if a.server != b.server {
 			return a.server < b.server
@@ -405,7 +397,7 @@ func PerfPointsCursor(c Cursor) []PerfPoint {
 		p95, _ := stats.PercentileInPlace(d, 95)
 		p5, _ := stats.PercentileInPlace(l, 5)
 		out = append(out, PerfPoint{
-			ServerID: s.server, Region: regions[s.ri], Month: s.month, Year: s.year,
+			ServerID: s.server, Region: regions.names[s.ri], Month: s.month, Year: s.year,
 			P95Down: p95, P5LatMs: p5, N: len(d),
 		})
 	}
@@ -572,7 +564,8 @@ type LossySummary struct {
 }
 
 // PremiumLossTargetsCursor returns servers whose average premium-tier
-// download loss exceeds the threshold (the paper found eight above 10 %).
+// download loss exceeds the threshold (the paper found eight above 10 %),
+// lossiest first, equal means by server ID.
 func PremiumLossTargetsCursor(c Cursor, region string, threshold float64) []LossySummary {
 	sum := make(map[int]float64)
 	n := make(map[int]int)
@@ -592,7 +585,12 @@ func PremiumLossTargetsCursor(c Cursor, region string, threshold float64) []Loss
 			out = append(out, LossySummary{ServerID: id, MeanLoss: mean, N: n[id]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MeanLoss > out[j].MeanLoss })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].MeanLoss != out[j].MeanLoss {
+			return out[i].MeanLoss > out[j].MeanLoss
+		}
+		return out[i].ServerID < out[j].ServerID
+	})
 	return out
 }
 

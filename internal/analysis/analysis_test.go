@@ -2,13 +2,13 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 var t0 = time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -151,13 +151,23 @@ func TestPremiumLossTargets(t *testing.T) {
 		ms = append(ms, mkMeasure(1, h, bgp.Premium, netsim.Download, 10, 50, 0.12))
 		ms = append(ms, mkMeasure(2, h, bgp.Premium, netsim.Download, 300, 50, 0.001))
 		ms = append(ms, mkMeasure(3, h, bgp.Standard, netsim.Download, 300, 50, 0.2))
+		// Ties: equal mean loss (certain under a constant loss model) must
+		// order by server ID, not by map iteration.
+		for _, id := range []int{9, 7, 8, 6} {
+			ms = append(ms, mkMeasure(id, h, bgp.Premium, netsim.Download, 10, 50, 0.12))
+		}
+		ms = append(ms, mkMeasure(5, h, bgp.Premium, netsim.Download, 10, 50, 0.3))
 	}
 	lossy := PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1", 0.1)
-	if len(lossy) != 1 || lossy[0].ServerID != 1 {
-		t.Fatalf("lossy = %+v", lossy)
+	var ids []int
+	for _, l := range lossy {
+		ids = append(ids, l.ServerID)
 	}
-	if math.Abs(lossy[0].MeanLoss-0.12) > 1e-9 || lossy[0].N != 10 {
-		t.Errorf("summary: %+v", lossy[0])
+	if want := []int{5, 1, 6, 7, 8, 9}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("lossy servers = %v, want %v (mean loss descending, ties by server ID)", ids, want)
+	}
+	if math.Abs(lossy[1].MeanLoss-0.12) > 1e-9 || lossy[1].N != 10 {
+		t.Errorf("summary: %+v", lossy[1])
 	}
 }
 
@@ -192,29 +202,5 @@ func TestBusinessAndFig8(t *testing.T) {
 	// Unknown server resolves to BizUnknown.
 	if BusinessOf(topo, 1<<30) != topology.BizUnknown {
 		t.Error("unknown server business")
-	}
-}
-
-func TestSeriesFromStore(t *testing.T) {
-	store := tsdb.NewStore()
-	for h := 0; h < 24; h++ {
-		at := t0.Add(time.Duration(h) * time.Hour)
-		store.Insert("speedtest", tsdb.Tags{"server": "9", "region": "us-west1", "tier": "premium", "dir": "download"},
-			at, map[string]float64{"mbps": 300 + float64(h), "rtt_ms": 30})
-		store.Insert("speedtest", tsdb.Tags{"server": "9", "region": "us-west1", "tier": "premium", "dir": "upload"},
-			at, map[string]float64{"mbps": 95, "rtt_ms": 30})
-	}
-	series := SeriesFromStore(store, netsim.Download, bgp.Premium)
-	if len(series) != 1 {
-		t.Fatalf("series = %d, want 1 (upload must be filtered)", len(series))
-	}
-	if len(series[0].Samples) != 24 {
-		t.Errorf("samples = %d", len(series[0].Samples))
-	}
-	if series[0].PairID != "us-west1/9/premium/download" {
-		t.Errorf("pair ID = %q", series[0].PairID)
-	}
-	if got := SeriesFromStore(store, netsim.Upload, bgp.Standard); len(got) != 0 {
-		t.Errorf("standard upload series = %d, want 0", len(got))
 	}
 }

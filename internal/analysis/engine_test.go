@@ -80,6 +80,26 @@ func randomMeasurements(seed int64, n int, shuffleTime bool) []Measurement {
 	return out
 }
 
+// checkGrouped holds one feeder's output to the naiveGroup reference.
+func checkGrouped(t *testing.T, label string, got, want []SeriesWithServer) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d series, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ServerID != want[i].ServerID || got[i].Region != want[i].Region ||
+			got[i].Series.PairID != want[i].Series.PairID {
+			t.Fatalf("%s series %d: header %+v != %+v", label, i, got[i], want[i])
+		}
+		if !reflect.DeepEqual(got[i].Series.Samples, want[i].Series.Samples) {
+			t.Fatalf("%s series %d (%s): samples differ", label, i, got[i].Series.PairID)
+		}
+	}
+}
+
+// TestGroupSeriesWithServerMatchesNaive feeds the kernel both ways — from a
+// cursor and record by record through CampaignPrep — and holds each to the
+// map-of-slices reference, on the sorted (skip-sort) and unsorted branches.
 func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -89,19 +109,28 @@ func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 			ms := randomMeasurements(7, 4000, tc.shuffle)
 			for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
 				got := GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, bgp.Premium)
-				want := naiveGroup(ms, dir, bgp.Premium)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d series, want %d", dir, len(got), len(want))
+				checkGrouped(t, "cursor "+dir.String(), got, naiveGroup(ms, dir, bgp.Premium))
+			}
+
+			prep := NewCampaignPrep()
+			for _, m := range ms {
+				prep.Record(m)
+			}
+			if _, _, ok := prep.Views(netsim.Download, bgp.Premium); ok {
+				t.Fatal("prep answered before Finish")
+			}
+			prep.Finish()
+			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+				got, parts, ok := prep.Views(netsim.Download, tier)
+				if !ok || len(parts) != len(got) {
+					t.Fatalf("prep %s: ok=%v, %d partitions for %d series", tier, ok, len(parts), len(got))
 				}
-				for i := range got {
-					if got[i].ServerID != want[i].ServerID || got[i].Region != want[i].Region ||
-						got[i].Series.PairID != want[i].Series.PairID {
-						t.Fatalf("%s series %d: header %+v != %+v", dir, i, got[i], want[i])
-					}
-					if !reflect.DeepEqual(got[i].Series.Samples, want[i].Series.Samples) {
-						t.Fatalf("%s series %d (%s): samples differ", dir, i, got[i].Series.PairID)
-					}
-				}
+				checkGrouped(t, "prep "+tier.String(), got, naiveGroup(ms, netsim.Download, tier))
+			}
+			// The prep groups downloads only: an upload request is deferred to
+			// the record log, never answered empty.
+			if _, _, ok := prep.Views(netsim.Upload, bgp.Premium); ok {
+				t.Fatal("prep answered an upload request")
 			}
 		})
 	}
@@ -240,6 +269,22 @@ func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 			}
 		}
 	}()
+	// readStore partitions every premium download series straight off the
+	// store's copy-free read path (tsdb.Store.QueryView) and returns how many
+	// there were.
+	readStore := func() int {
+		views := store.QueryView("speedtest", tsdb.Tags{"dir": "download", "tier": "premium"}, time.Time{}, time.Time{})
+		ParallelFor(4, len(views), func(i int) {
+			var s congestion.Series
+			for _, p := range views[i].Points {
+				if v, ok := p.Fields["mbps"]; ok {
+					s.Samples = append(s.Samples, congestion.Sample{Time: p.Time, Mbps: v})
+				}
+			}
+			congestion.NewPartition(s).DayTally(0.5, 0)
+		})
+		return len(views)
+	}
 	det := congestion.NewDetector()
 	for round := 0; round < 4; round++ {
 		ws := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
@@ -249,13 +294,10 @@ func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 			events[i] = len(det.EventsIn(p))
 		})
 		// Interleave reads of the store mid-insert.
-		series := SeriesFromStore(store, netsim.Download, bgp.Premium)
-		ParallelFor(4, len(series), func(i int) {
-			congestion.NewPartition(series[i]).DayTally(0.5, 0)
-		})
+		readStore()
 	}
 	<-done
-	if got := SeriesFromStore(store, netsim.Download, bgp.Premium); len(got) == 0 {
+	if readStore() == 0 {
 		t.Fatal("no series reached the store")
 	}
 }

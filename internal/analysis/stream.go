@@ -1,231 +1,101 @@
 package analysis
 
 import (
-	"sort"
-	"time"
-
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 )
 
-// CampaignPrep is the incremental twin of the grouping kernel: it is fed
-// one Measurement at a time from a campaign's emit phase and maintains,
-// per (direction, tier), exactly the per-pair series that
-// GroupSeriesWithServerCursor would produce over the finished record
-// stream — same slot resolution (interned regions, dense serverID tables,
-// overflow map), same delivery-order samples, same per-slot sortedness
-// tracking, same (region, serverID) output order. Download slots
-// additionally feed a congestion.PartitionBuilder as samples arrive, so
-// the day-partitioning work that every congestion analysis starts from
-// overlaps measurement instead of following it.
+// CampaignPrep is the emit-side feeder of the grouping kernel: fed one
+// Measurement at a time while a campaign runs, it stages every download
+// sample into one grouper per tier, so slot resolution overlaps measurement
+// and Finish is left with the scatter and the day split. The views it then
+// holds are what GroupSeriesWithServerCursor and congestion.NewPartition
+// produce over the finished record stream — same kernel, same values — with
+// each sample stored once (a partition references its series' samples).
+// Uploads are not grouped: no analysis reads upload series, and a caller
+// that does ask takes the record-log path.
 //
 // Record is called from one goroutine (the emit phase is serial per
-// campaign); after Finish the accessors are read-only and safe to call
-// from concurrent artifact renderers. Record implements the orchestrator
-// sink contract, so a prep can be appended to a campaign's sink list and
-// is equally fed by a checkpoint replay.
+// campaign); after Finish, Views is read-only and safe to call from
+// concurrent artifact renderers. Record implements the orchestrator sink
+// contract, so a prep can be appended to a campaign's sink list and is
+// equally fed by a checkpoint replay.
 type CampaignPrep struct {
-	combos   map[prepKey]*prepGroup
+	tiers    []prepTier
 	finished bool
 }
 
-type prepKey struct {
-	Dir  netsim.Direction
-	Tier bgp.Tier
-}
-
-// prepGroup is one (direction, tier) instance of the grouping kernel's
-// state, with per-slot sample slices in place of the post-hoc scatter
-// buffer (values and order are identical; only the backing layout differs).
-type prepGroup struct {
-	dir  netsim.Direction
-	tier bgp.Tier
-
-	regions    []string
-	tables     [][]int32 // per region: serverID -> slot+1
-	lastRegion string
-	lastIdx    int32
-	overflow   map[PairKey]int32
-	slots      []*prepSlot
-
-	series []SeriesWithServer
-	parts  []*congestion.Partition // download groups only, index-aligned with series
-}
-
-type prepSlot struct {
-	regionIdx int32
-	serverID  int
-	samples   []congestion.Sample
-	last      time.Time
-	unsorted  bool
-	// part accumulates the day partition while the slot stays time-sorted
-	// (the campaign's hour-major emit order always is). A slot that turns
-	// unsorted drops it and falls back to NewPartition over the sorted
-	// samples at Finish — identical to the post-hoc path by construction.
-	part *congestion.PartitionBuilder
+type prepTier struct {
+	tier    bgp.Tier
+	staging *grouper // nil once finished: the staged copy is garbage
+	series  []SeriesWithServer
+	parts   []*congestion.Partition // index-aligned with series
 }
 
 // NewCampaignPrep returns an empty prep.
-func NewCampaignPrep() *CampaignPrep {
-	return &CampaignPrep{combos: make(map[prepKey]*prepGroup)}
+func NewCampaignPrep() *CampaignPrep { return &CampaignPrep{} }
+
+func (p *CampaignPrep) tier(tier bgp.Tier) *prepTier {
+	for i := range p.tiers {
+		if p.tiers[i].tier == tier {
+			return &p.tiers[i]
+		}
+	}
+	return nil
 }
 
-// Record folds one measurement into its (direction, tier) group.
+// Record stages one measurement into its tier's grouper; anything but a
+// download is dropped.
 func (p *CampaignPrep) Record(m Measurement) {
-	k := prepKey{Dir: m.Dir, Tier: m.Tier}
-	g := p.combos[k]
-	if g == nil {
-		g = &prepGroup{dir: m.Dir, tier: m.Tier}
-		p.combos[k] = g
+	if m.Dir != netsim.Download {
+		return
 	}
-	g.add(m)
+	t := p.tier(m.Tier)
+	if t == nil {
+		p.tiers = append(p.tiers, prepTier{tier: m.Tier, staging: &grouper{dir: netsim.Download, tier: m.Tier}})
+		t = &p.tiers[len(p.tiers)-1]
+	}
+	t.staging.stage(&m)
 }
 
-func (g *prepGroup) add(m Measurement) {
-	ri := g.lastIdx
-	if m.Region != g.lastRegion || g.regions == nil {
-		ri = -1
-		for r, name := range g.regions {
-			if name == m.Region {
-				ri = int32(r)
-				break
-			}
-		}
-		if ri < 0 {
-			ri = int32(len(g.regions))
-			g.regions = append(g.regions, m.Region)
-			g.tables = append(g.tables, nil)
-		}
-		g.lastRegion, g.lastIdx = m.Region, ri
-	}
-	var si int32
-	if id := m.ServerID; id >= 0 && id < denseServerMax {
-		t := g.tables[ri]
-		if id >= len(t) {
-			nt := make([]int32, id+64)
-			copy(nt, t)
-			g.tables[ri] = nt
-			t = nt
-		}
-		si = t[id] - 1
-		if si < 0 {
-			si = int32(len(g.slots))
-			t[id] = si + 1
-			g.slots = append(g.slots, g.newSlot(ri, id))
-		}
-	} else {
-		if g.overflow == nil {
-			g.overflow = make(map[PairKey]int32)
-		}
-		k := PairKey{ServerID: id, Region: m.Region, Tier: g.tier, Dir: g.dir}
-		v, ok := g.overflow[k]
-		if !ok {
-			v = int32(len(g.slots))
-			g.overflow[k] = v
-			g.slots = append(g.slots, g.newSlot(ri, id))
-		}
-		si = v
-	}
-	s := g.slots[si]
-	if len(s.samples) > 0 && m.Time.Before(s.last) {
-		s.unsorted = true
-		s.part = nil
-	}
-	s.last = m.Time
-	s.samples = append(s.samples, congestion.Sample{Time: m.Time, Mbps: m.Mbps})
-	if s.part != nil {
-		s.part.Add(s.samples[len(s.samples)-1:])
-	}
-}
-
-func (g *prepGroup) newSlot(ri int32, id int) *prepSlot {
-	s := &prepSlot{regionIdx: ri, serverID: id}
-	if g.dir == netsim.Download {
-		s.part = congestion.NewPartitionBuilder(pairIDString(g.regions[ri], id, g.tier, g.dir))
-	}
-	return s
-}
-
-// Finish seals every group: slots are ordered by (region, serverID), any
-// unsorted slot's samples are time-sorted, and the download partitions are
-// completed. Idempotent; Record must not be called afterwards.
+// Finish builds every tier's series and day partitions from what was
+// staged and drops the staging buffers. Idempotent; Record must not be
+// called afterwards.
 func (p *CampaignPrep) Finish() {
 	if p.finished {
 		return
 	}
 	p.finished = true
-	for _, g := range p.combos {
-		g.finish()
+	for i := range p.tiers {
+		t := &p.tiers[i]
+		t.series = t.staging.finish()
+		t.parts = Partitions(t.series)
+		t.staging = nil
 	}
 }
 
-func (g *prepGroup) finish() {
-	order := make([]int32, len(g.slots))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := g.slots[order[a]], g.slots[order[b]]
-		if ka.regionIdx != kb.regionIdx {
-			return g.regions[ka.regionIdx] < g.regions[kb.regionIdx]
-		}
-		return ka.serverID < kb.serverID
-	})
-	g.series = make([]SeriesWithServer, 0, len(order))
-	if g.dir == netsim.Download {
-		g.parts = make([]*congestion.Partition, 0, len(order))
-	}
-	for _, si := range order {
-		s := g.slots[si]
-		if s.unsorted {
-			samples := s.samples
-			sort.Slice(samples, func(a, b int) bool { return samples[a].Time.Before(samples[b].Time) })
-		}
-		ser := congestion.Series{
-			PairID:  pairIDString(g.regions[s.regionIdx], s.serverID, g.tier, g.dir),
-			Samples: s.samples,
-		}
-		g.series = append(g.series, SeriesWithServer{
-			ServerID: s.serverID,
-			Region:   g.regions[s.regionIdx],
-			Series:   ser,
-		})
-		if g.dir == netsim.Download {
-			if s.part != nil {
-				g.parts = append(g.parts, s.part.Finish())
-			} else {
-				g.parts = append(g.parts, congestion.NewPartition(ser))
-			}
-		}
-	}
-	g.slots, g.tables, g.overflow = nil, nil, nil
-}
-
-// Series returns the prepared per-pair series for a (direction, tier), or
-// (nil, false) before Finish or when no record matched. The result is what
-// GroupSeriesWithServerCursor over the campaign's cursor would return.
-func (p *CampaignPrep) Series(dir netsim.Direction, tier bgp.Tier) ([]SeriesWithServer, bool) {
-	if p == nil || !p.finished {
-		return nil, false
-	}
-	g := p.combos[prepKey{Dir: dir, Tier: tier}]
-	if g == nil {
-		return nil, false
-	}
-	return g.series, true
-}
-
-// Partitions returns the prepared day partitions for a download group,
-// index-aligned with Series. Each partition equals
-// congestion.NewPartition of the corresponding series.
-func (p *CampaignPrep) Partitions(dir netsim.Direction, tier bgp.Tier) ([]*congestion.Partition, bool) {
+// Views returns the prepared per-pair series and their index-aligned day
+// partitions for a (direction, tier). ok is false when the prep cannot
+// answer — it is nil (an over-budget campaign), not finished, or asked for
+// a direction it does not group — and the caller runs the same kernel over
+// the record log instead. A download tier that saw no record is answered
+// (empty), not deferred.
+func (p *CampaignPrep) Views(dir netsim.Direction, tier bgp.Tier) (series []SeriesWithServer, parts []*congestion.Partition, ok bool) {
 	if p == nil || !p.finished || dir != netsim.Download {
-		return nil, false
+		return nil, nil, false
 	}
-	g := p.combos[prepKey{Dir: dir, Tier: tier}]
-	if g == nil || g.parts == nil {
-		return nil, false
+	if t := p.tier(tier); t != nil {
+		return t.series, t.parts, true
 	}
-	return g.parts, true
+	return nil, nil, true
+}
+
+// Partitions splits every series into its day partition, index-aligned.
+func Partitions(series []SeriesWithServer) []*congestion.Partition {
+	parts := make([]*congestion.Partition, len(series))
+	for i := range series {
+		parts[i] = congestion.NewPartition(series[i].Series)
+	}
+	return parts
 }

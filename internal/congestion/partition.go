@@ -23,7 +23,7 @@ var (
 //
 // A Partition is cheap to build (one pass when samples are time-sorted,
 // as grouped campaign series are) and safe for concurrent use once built:
-// campaigns prepare one partition per series during measurement and every
+// a campaign prepares one partition per series as it ends and every
 // downstream analysis — possibly several rendering concurrently — shares
 // it, so the lazy caches are filled under a lock.
 type Partition struct {
@@ -48,137 +48,35 @@ type Partition struct {
 // applied by the accessors so one partition serves any minSamples. The
 // samples slice is referenced, not copied.
 func NewPartition(s Series) *Partition {
-	b := PartitionBuilder{pairID: s.PairID}
-	b.add(s.Samples, false)
-	return b.Finish()
-}
-
-// PartitionBuilder assembles a Partition from sample chunks — the
-// streaming path, where a series arrives from a cursor one block at a time
-// rather than as one contiguous buffer. Add copies its chunk (cursor
-// batches are reused), and the per-day summary is extended incrementally
-// while chunks stay time-sorted, so building from N chunks does the same
-// single pass as NewPartition on the concatenation. Out-of-order input is
-// detected on the fly and re-split at Finish, exactly like NewPartition's
-// map fallback.
-type PartitionBuilder struct {
-	pairID   string
-	samples  []Sample
-	days     []Day
-	dayOf    []int32
-	unsorted bool
-}
-
-// NewPartitionBuilder starts an empty builder for one pair.
-func NewPartitionBuilder(pairID string) *PartitionBuilder {
-	return &PartitionBuilder{pairID: pairID}
-}
-
-// Add appends a chunk of samples (copied). Chunks are concatenated in call
-// order; time order across and within chunks is not required, only cheaper.
-func (b *PartitionBuilder) Add(chunk []Sample) { b.add(chunk, true) }
-
-// Len returns the number of samples added so far.
-func (b *PartitionBuilder) Len() int { return len(b.samples) }
-
-// add extends the day decomposition with chunk; NewPartition passes
-// copy=false to share its caller's backing array for the single-chunk case.
-func (b *PartitionBuilder) add(chunk []Sample, copyChunk bool) {
-	if len(chunk) == 0 {
-		return
-	}
-	base := len(b.samples)
-	if copyChunk || base > 0 {
-		b.samples = append(b.samples, chunk...)
-	} else {
-		b.samples = chunk
-	}
-	if b.unsorted {
-		return // day build deferred to Finish's re-split
-	}
-	if b.dayOf == nil {
-		// Size for what we have so far: exact for the one-shot NewPartition
-		// path, a head start for streamed chunks. Grouped campaign samples
-		// are hourly, so days run ~n/24; n/16+1 leaves slack without waste.
-		b.dayOf = make([]int32, 0, len(b.samples))
-		b.days = make([]Day, 0, len(b.samples)/16+1)
-	}
-	for i := range chunk {
-		smp := &chunk[i]
-		d := dayIndex(smp.Time)
-		if len(b.days) == 0 || d > b.days[len(b.days)-1].Day {
-			b.days = append(b.days, Day{PairID: b.pairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps, Samples: 1})
-		} else if d == b.days[len(b.days)-1].Day {
-			day := &b.days[len(b.days)-1]
-			if smp.Mbps > day.Tmax {
-				day.Tmax = smp.Mbps
-			}
-			if smp.Mbps < day.Tmin {
-				day.Tmin = smp.Mbps
-			}
-			day.Samples++
-		} else {
-			// Out of order: abandon the incremental build, Finish re-splits.
-			b.unsorted = true
-			b.days, b.dayOf = nil, nil
-			return
-		}
-		b.dayOf = append(b.dayOf, int32(len(b.days)-1))
-	}
-}
-
-// Finish seals the builder into a Partition. The builder must not be used
-// afterwards.
-func (b *PartitionBuilder) Finish() *Partition {
 	obsPartitions.Inc()
-	p := &Partition{pairID: b.pairID, samples: b.samples}
-	n := len(b.samples)
+	p := &Partition{pairID: s.PairID, samples: s.Samples}
+	n := len(s.Samples)
 	if n == 0 {
 		return p
 	}
-	if !b.unsorted {
-		p.days, p.dayOf = b.days, b.dayOf
-	} else {
-		// Arbitrary-order input: split through a day map, then re-establish
-		// the ascending day order SplitDays promises and remap the
-		// per-sample day indices to the sorted positions.
-		p.dayOf = make([]int32, n)
-		idx := make(map[int]int32)
-		for i := range p.samples {
-			smp := &p.samples[i]
-			d := dayIndex(smp.Time)
-			di, ok := idx[d]
-			if !ok {
-				di = int32(len(p.days))
-				idx[d] = di
-				p.days = append(p.days, Day{PairID: b.pairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps, Samples: 1})
-			} else {
-				day := &p.days[di]
-				if smp.Mbps > day.Tmax {
-					day.Tmax = smp.Mbps
-				}
-				if smp.Mbps < day.Tmin {
-					day.Tmin = smp.Mbps
-				}
-				day.Samples++
-			}
-			p.dayOf[i] = di
+	// Grouped campaign samples are hourly, so days run ~n/24; n/16+1 leaves
+	// slack without waste.
+	days := make([]Day, 0, n/16+1)
+	dayOf := make([]int32, n)
+	// Time-sorted samples (every grouped campaign series) only ever extend
+	// the last day: one pass, no map.
+	i := 0
+	for ; i < n; i++ {
+		smp := &s.Samples[i]
+		d := dayIndex(smp.Time)
+		last := len(days) - 1
+		if last < 0 || d > days[last].Day {
+			days = append(days, Day{PairID: s.PairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
+			last++
+		} else if d < days[last].Day {
+			break
 		}
-		perm := make([]int32, len(p.days))
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		sort.Slice(perm, func(a, b int) bool { return p.days[perm[a]].Day < p.days[perm[b]].Day })
-		sortedDays := make([]Day, len(p.days))
-		inv := make([]int32, len(p.days))
-		for pos, old := range perm {
-			sortedDays[pos] = p.days[old]
-			inv[old] = int32(pos)
-		}
-		p.days = sortedDays
-		for i, di := range p.dayOf {
-			p.dayOf[i] = inv[di]
-		}
+		days[last].add(smp.Mbps)
+		dayOf[i] = int32(last)
+	}
+	p.days, p.dayOf = days, dayOf
+	if i < n {
+		p.splitUnsorted(i)
 	}
 	for i := range p.days {
 		day := &p.days[i]
@@ -187,6 +85,55 @@ func (b *PartitionBuilder) Finish() *Partition {
 		}
 	}
 	return p
+}
+
+func (d *Day) add(mbps float64) {
+	if mbps > d.Tmax {
+		d.Tmax = mbps
+	}
+	if mbps < d.Tmin {
+		d.Tmin = mbps
+	}
+	d.Samples++
+}
+
+// splitUnsorted finishes the day split from sample i, the first that steps
+// back to an earlier day: the rest of the pass finds its day through a map,
+// so days stand in first-seen order, and the ascending order SplitDays
+// promises is re-established at the end with the per-sample day indices
+// remapped to the sorted positions.
+func (p *Partition) splitUnsorted(i int) {
+	byDay := make(map[int]int32, len(p.days))
+	for j := range p.days {
+		byDay[p.days[j].Day] = int32(j)
+	}
+	for ; i < len(p.samples); i++ {
+		smp := &p.samples[i]
+		d := dayIndex(smp.Time)
+		di, ok := byDay[d]
+		if !ok {
+			di = int32(len(p.days))
+			byDay[d] = di
+			p.days = append(p.days, Day{PairID: p.pairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
+		}
+		p.days[di].add(smp.Mbps)
+		p.dayOf[i] = di
+	}
+	perm := make([]int32, len(p.days))
+	for j := range perm {
+		perm[j] = int32(j)
+	}
+	sort.Slice(perm, func(a, b int) bool { return p.days[perm[a]].Day < p.days[perm[b]].Day })
+	sorted := make([]Day, len(p.days))
+	inv := make([]int32, len(p.days))
+	for pos, old := range perm {
+		sorted[pos] = p.days[old]
+		inv[old] = int32(pos)
+	}
+	p.days = sorted
+	for j, di := range p.dayOf {
+		p.dayOf[j] = inv[di]
+	}
 }
 
 // Days returns the per-day records with at least minSamples observations —

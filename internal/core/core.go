@@ -300,46 +300,25 @@ type CampaignResult struct {
 	Report   *orchestrator.Report
 	Selected []*topology.Server
 
-	// Prep holds the incrementally built per-pair series and day
-	// partitions, fed record-by-record during the campaign's emit phase so
-	// grouping and partitioning overlap measurement. nil for over-budget
-	// campaigns, which trade the prepared views for the bounded footprint;
-	// analyses fall back to the cursor kernels.
+	// Prep holds the prepared per-pair download series and day partitions:
+	// staged record-by-record during the campaign's emit phase, so slot
+	// resolution overlaps measurement, and built when the campaign ends. nil
+	// for over-budget campaigns, which trade the prepared views for the
+	// bounded footprint; analyses then group the record log.
 	Prep *analysis.CampaignPrep
 }
 
-// PreparedSeries returns the incrementally grouped per-pair series for a
-// (direction, tier) when the campaign built them — identical to
-// analysis.GroupSeriesWithServerCursor over Cursor(), which is the
-// fallback callers run when ok is false.
-func (r *CampaignResult) PreparedSeries(dir netsim.Direction, tier bgp.Tier) ([]analysis.SeriesWithServer, bool) {
-	return r.Prep.Series(dir, tier)
-}
-
-// PreparedPartitions returns the incrementally built day partitions for a
-// download (direction, tier), index-aligned with PreparedSeries. Each
-// equals congestion.NewPartition of the corresponding series.
-func (r *CampaignResult) PreparedPartitions(dir netsim.Direction, tier bgp.Tier) ([]*congestion.Partition, bool) {
-	return r.Prep.Partitions(dir, tier)
-}
-
 // SeriesAndPartitions returns the campaign's per-pair series and their
-// index-aligned day partitions for a (direction, tier), from the prepared
-// incremental views when the campaign built them and from the cursor
-// kernels otherwise. Both paths produce identical values, so analyses can
-// consume whichever is available without changing output.
+// index-aligned day partitions for a (direction, tier): the prepared views
+// when the prep grouped this stream, else the same kernel over Cursor().
+// Both branches produce identical values, so analyses consume whichever is
+// available without changing output.
 func (r *CampaignResult) SeriesAndPartitions(dir netsim.Direction, tier bgp.Tier) ([]analysis.SeriesWithServer, []*congestion.Partition) {
-	sw, ok := r.PreparedSeries(dir, tier)
-	if !ok {
-		sw = analysis.GroupSeriesWithServerCursor(r.Cursor(), dir, tier)
-	} else if parts, ok := r.PreparedPartitions(dir, tier); ok {
+	if sw, parts, ok := r.Prep.Views(dir, tier); ok {
 		return sw, parts
 	}
-	parts := make([]*congestion.Partition, len(sw))
-	for i := range sw {
-		parts[i] = congestion.NewPartition(sw[i].Series)
-	}
-	return sw, parts
+	sw := analysis.GroupSeriesWithServerCursor(r.Cursor(), dir, tier)
+	return sw, analysis.Partitions(sw)
 }
 
 // Cursor returns a fresh replayable cursor over the campaign's records in
@@ -443,11 +422,11 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	if est <= storeIndexLimit {
 		sinks = append(sinks, &orchestrator.StoreSink{Store: c.Store})
 	}
-	// Campaigns inside the budget build their analysis views (per-pair
-	// series, day partitions) incrementally from the emit phase, so the
-	// grouping work the artifact renderers start from overlaps measurement.
+	// Campaigns inside the budget stage their analysis views (per-pair
+	// download series, day partitions) from the emit phase, so the slot
+	// resolution the artifact renderers start from overlaps measurement.
 	// Over-budget campaigns skip it: the prepared views would hold every
-	// sample and defeat the memory budget.
+	// download sample and defeat the memory budget.
 	var prep *analysis.CampaignPrep
 	if !overBudget {
 		prep = analysis.NewCampaignPrep()

@@ -63,10 +63,10 @@ type Options struct {
 	// uncompressed, would exceed half the budget, the budget decides two
 	// things: the finished log's blocks are spilled to disk, and the
 	// prepared per-pair views (CampaignResult.Prep, which hold every
-	// sample) are not built — so the resident footprint is bounded by the
-	// log's block size rather than the record count, and analyses run the
-	// cursor kernels over the spilled log. Every report is byte-identical
-	// on either side of the budget.
+	// download sample once) are not built — so the resident footprint is
+	// bounded by the log's block size rather than the record count, and
+	// analyses run the same kernels over the spilled log. Every report is
+	// byte-identical on either side of the budget.
 	MaxMemoryMB int `json:"maxMemoryMB,omitempty"`
 	// SpillDir is where over-budget campaigns place their spilled record
 	// logs ("" = the system temp dir). Spill files are unlinked at

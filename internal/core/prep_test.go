@@ -4,61 +4,66 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 )
 
-// TestPreparedMatchesCursor is the incremental-analysis equivalence
-// property the pipelined scheduler rests on: the per-pair series and day
-// partitions a campaign builds incrementally during its emit phase
-// (CampaignPrep, fed round by round) must equal what the post-hoc kernels
-// compute over the finished record stream. Byte-identical `report all`
-// output at any parallelism follows from this plus deterministic merge.
+// TestPreparedMatchesCursor is the equivalence property the pipelined
+// scheduler rests on: SeriesAndPartitions answers the same whether the
+// campaign's emit phase fed the grouping kernel (prepared views) or the
+// kernel runs over the finished record log. A differential campaign has
+// records in all four (direction, tier) streams: downloads are served from
+// the prep, uploads — which the prep does not group — take the log path on
+// both sides, so the public accessor is checked for every request.
+// Byte-identical `report all` output at any memory budget follows from this
+// plus deterministic merge.
 func TestPreparedMatchesCursor(t *testing.T) {
 	c, err := New(Options{Seed: 3, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := c.RunTopologyCampaign("us-west1", 2)
+	res, _, err := c.RunDifferentialCampaign("us-east1", 2, DefaultMinSamples(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
-		sw, ok := res.PreparedSeries(dir, bgp.Premium)
-		if !ok {
-			t.Fatalf("campaign has no prepared series for %v/premium", dir)
-		}
-		want := analysis.GroupSeriesWithServerCursor(res.Cursor(), dir, bgp.Premium)
-		if !reflect.DeepEqual(sw, want) {
-			t.Fatalf("prepared series for %v/premium differ from the cursor grouping (%d vs %d series)",
-				dir, len(sw), len(want))
-		}
+	if res.Prep == nil {
+		t.Fatal("unbudgeted campaign has no prepared views")
 	}
+	logOnly := *res
+	logOnly.Prep = nil
 
-	parts, ok := res.PreparedPartitions(netsim.Download, bgp.Premium)
-	if !ok {
-		t.Fatal("campaign has no prepared download partitions")
-	}
-	want := analysis.GroupSeriesWithServerCursor(res.Cursor(), netsim.Download, bgp.Premium)
-	if len(parts) != len(want) {
-		t.Fatalf("%d prepared partitions for %d series", len(parts), len(want))
-	}
 	const minSamples = 4
-	for i, sw := range want {
-		ref := congestion.NewPartition(sw.Series)
-		if !reflect.DeepEqual(parts[i].Days(minSamples), ref.Days(minSamples)) {
-			t.Fatalf("partition %d (%s): prepared day split differs from NewPartition", i, sw.Series.PairID)
-		}
-		if !reflect.DeepEqual(parts[i].DayMedians(), ref.DayMedians()) {
-			t.Fatalf("partition %d (%s): prepared day medians differ from NewPartition", i, sw.Series.PairID)
-		}
-		gotEv, gotHr := parts[i].HourTally(0.2, minSamples)
-		wantEv, wantHr := ref.HourTally(0.2, minSamples)
-		if gotEv != wantEv || gotHr != wantHr {
-			t.Fatalf("partition %d (%s): prepared hour tally (%d,%d) != post-hoc (%d,%d)",
-				i, sw.Series.PairID, gotEv, gotHr, wantEv, wantHr)
+	for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
+		for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+			_, _, prepared := res.Prep.Views(dir, tier)
+			if prepared != (dir == netsim.Download) {
+				t.Fatalf("%v/%v: prep answered = %v", dir, tier, prepared)
+			}
+			series, parts := res.SeriesAndPartitions(dir, tier)
+			wantSeries, wantParts := logOnly.SeriesAndPartitions(dir, tier)
+			if len(wantSeries) == 0 {
+				t.Fatalf("%v/%v: differential campaign has no series", dir, tier)
+			}
+			if !reflect.DeepEqual(series, wantSeries) {
+				t.Fatalf("%v/%v: series differ from the log grouping (%d vs %d series)", dir, tier, len(series), len(wantSeries))
+			}
+			if len(parts) != len(wantParts) {
+				t.Fatalf("%v/%v: %d partitions, want %d", dir, tier, len(parts), len(wantParts))
+			}
+			for i, want := range wantParts {
+				id := series[i].Series.PairID
+				if !reflect.DeepEqual(parts[i].Days(minSamples), want.Days(minSamples)) {
+					t.Fatalf("partition %d (%s): day split differs", i, id)
+				}
+				if !reflect.DeepEqual(parts[i].DayMedians(), want.DayMedians()) {
+					t.Fatalf("partition %d (%s): day medians differ", i, id)
+				}
+				gotEv, gotHr := parts[i].HourTally(0.2, minSamples)
+				wantEv, wantHr := want.HourTally(0.2, minSamples)
+				if gotEv != wantEv || gotHr != wantHr {
+					t.Fatalf("partition %d (%s): hour tally (%d,%d) != (%d,%d)", i, id, gotEv, gotHr, wantEv, wantHr)
+				}
+			}
 		}
 	}
 }

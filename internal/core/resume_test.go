@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
+	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
 )
 
@@ -85,6 +87,17 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 				if gotRecs[i] != wantRecs[i] {
 					t.Fatalf("record %d drifted across kill+resume:\n got: %+v\nwant: %+v", i, gotRecs[i], wantRecs[i])
 				}
+			}
+			// The prepared views of the resumed run were fed by the checkpoint
+			// replay, then by live rounds; the uninterrupted run's by live
+			// rounds only.
+			if res.Prep == nil || want.Prep == nil {
+				t.Fatal("unbudgeted campaign has no prepared views")
+			}
+			gotSeries, _ := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
+			wantSeries, _ := want.SeriesAndPartitions(netsim.Download, bgp.Premium)
+			if len(wantSeries) == 0 || !reflect.DeepEqual(gotSeries, wantSeries) {
+				t.Fatalf("prepared series drifted across kill+resume (%d vs %d series)", len(gotSeries), len(wantSeries))
 			}
 			gotRep, wantRep := *res.Report, *want.Report
 			// CPU peaks depend on goroutine interleaving, not the seed; they

@@ -121,7 +121,7 @@ func (r *Runner) runCampaign(w io.Writer, s *Spec, c *CampaignSpec, p *clasp.Pla
 		if err != nil {
 			return err
 		}
-		writeCampaignSummary(w, res)
+		clasp.WriteCampaignSummary(w, res)
 		if c.renderCongestion() {
 			rep, err := p.CongestionReport(res)
 			if err != nil {
@@ -134,28 +134,8 @@ func (r *Runner) runCampaign(w io.Writer, s *Spec, c *CampaignSpec, p *clasp.Pla
 			if err != nil {
 				return err
 			}
-			writeTierComparison(w, tc)
+			clasp.WriteTierComparison(w, tc)
 		}
 	}
 	return nil
-}
-
-// writeCampaignSummary renders the orchestration report exactly like
-// `clasp campaign` does.
-func writeCampaignSummary(w io.Writer, res *core.CampaignResult) {
-	fmt.Fprintf(w, "Campaign: %d tests over %d hours with %d VMs\n",
-		res.Report.Tests, res.Report.Hours, res.Report.VMs)
-	if r := res.Report; r.Failed+r.Dropped+r.Retried+r.Preemptions+r.VMCreateRetries > 0 {
-		fmt.Fprintf(w, "Resilience: %d failed, %d retried, %d dropped, %d preemptions, %d create retries, %d breaker-open rounds\n",
-			r.Failed, r.Retried, r.Dropped, r.Preemptions, r.VMCreateRetries, r.BreakerOpenRounds)
-	}
-}
-
-// writeTierComparison renders the §4.1 premium-vs-standard summary.
-func writeTierComparison(w io.Writer, tc *clasp.TierComparison) {
-	fmt.Fprintf(w, "Tier comparison for %s over %d paired tests\n", tc.Region, tc.PairedTests)
-	fmt.Fprintf(w, "  standard faster: %.1f%% of downloads, %.1f%% of uploads\n",
-		tc.StdFasterDownload*100, tc.StdFasterUpload*100)
-	fmt.Fprintf(w, "  downloads within 50%%: %.1f%%   median download delta: %+.3f\n",
-		tc.Within50*100, tc.MedianDownloadDelta)
 }
