@@ -79,9 +79,9 @@ bench:
 		-note "fault injection: FaultsDisabledMeasureCtx vs MeasureWarm (BENCH_obs.json) is the nil-injector overhead on the fault-free campaign path, budget 0 allocs/op (pinned by TestMeasureCtxDisabledPathZeroAlloc); FaultsBeforeMeasureMiss is the per-test decision cost under an active profile; FaultsBackoff is the per-retry schedule computation" \
 		-out BENCH_faults.json
 	$(GO) test -run=^$$ -bench='BenchmarkAnalysis' -benchmem -count=3 \
-		./internal/analysis/ ./internal/congestion/ ./internal/tsdb/ . | tee -a /dev/stderr | \
+		./internal/analysis/ ./internal/congestion/ . | tee -a /dev/stderr | \
 		$(GO) run ./internal/tools/benchjson -baseline BENCH_analysis_baseline.txt \
-		-note "analysis engine: grouping and sweep kernels, percentile rollup, and the end-to-end CongestionReport; Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report)" \
+		-note "analysis engine: grouping and sweep kernels and the end-to-end CongestionReport; Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report)" \
 		-out BENCH_analysis.json
 	$(GO) test -run=^$$ -bench='BenchmarkBlock' -benchmem -count=3 \
 		./internal/tsdb/ ./internal/analysis/ | tee -a /dev/stderr | \

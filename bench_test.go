@@ -151,15 +151,25 @@ func BenchmarkFig2a_CongestedDays(b *testing.B) {
 	}
 }
 
+// groupSeries is the grouping kernel with the server attribution dropped.
+func groupSeries(c analysis.Cursor, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
+	withServer := analysis.GroupSeriesWithServerCursor(c, dir, tier)
+	out := make([]congestion.Series, len(withServer))
+	for i := range withServer {
+		out[i] = withServer[i].Series
+	}
+	return out
+}
+
 func BenchmarkFig2b_CongestedHours(b *testing.B) {
 	f := getFixture(b)
 	var all []congestion.Series
 	for _, res := range f.topo {
-		all = append(all, analysis.GroupSeriesCursor(res.Cursor(), netsim.Download, bgp.Premium)...)
+		all = append(all, groupSeries(res.Cursor(), netsim.Download, bgp.Premium)...)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frac := congestion.FractionCongestedHours(all, congestion.DefaultThreshold, 0)
+		frac := congestion.SweepHoursPartitioned(congestion.Partitions(all), []float64{congestion.DefaultThreshold}, 0)[0].Fraction
 		if i == 0 {
 			b.ReportMetric(frac*100, "hours@H=0.5-%")
 			printOnce(b, i, func(w io.Writer) {
@@ -354,7 +364,7 @@ func BenchmarkElbowMethod(b *testing.B) {
 	f := getFixture(b)
 	var all []congestion.Series
 	for _, res := range f.topo {
-		all = append(all, analysis.GroupSeriesCursor(res.Cursor(), netsim.Download, bgp.Premium)...)
+		all = append(all, groupSeries(res.Cursor(), netsim.Download, bgp.Premium)...)
 	}
 	hs := core.DefaultThresholdGrid()
 	b.ResetTimer()
@@ -706,7 +716,7 @@ func BenchmarkExtensionInband(b *testing.B) {
 // V > 0.5 threshold rule on the most congested pair.
 func BenchmarkExtensionHMM(b *testing.B) {
 	f := getFixture(b)
-	series := analysis.GroupSeriesCursor(f.topo["us-west1"].Cursor(), netsim.Download, bgp.Premium)
+	series := groupSeries(f.topo["us-west1"].Cursor(), netsim.Download, bgp.Premium)
 	det := congestion.NewDetector()
 	// Most congested pair.
 	bestIdx, bestEvents := 0, -1

@@ -199,7 +199,7 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 	rep := &CongestionReport{Region: res.Region, Pairs: make([]PairSummary, 0, len(tallies))}
 	// Campaign-wide fractions fold the per-series integer tallies, in index
 	// order, and divide once — order-independent, so identical to the
-	// serial FractionCongested{Hours,Days} path.
+	// serial reference in golden_test.go.
 	var dTot, dCong, hTot, hCong int
 	for i := range tallies {
 		t := &tallies[i]

@@ -8,12 +8,14 @@ package clasp
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/netsim"
+	"github.com/clasp-measurement/clasp/internal/stats"
 )
 
 // drainRecords flattens a campaign's cursor into one slice: the serial
@@ -28,19 +30,58 @@ func drainRecords(res *CampaignResult) []analysis.Measurement {
 	return out
 }
 
+// splitDays is the pre-engine day split of package congestion, from before
+// Partition existed: a map-based re-split per call, sharing nothing with
+// the partition kernels the engine folds. Days with fewer than the default
+// four samples are skipped.
+func splitDays(s congestion.Series) []congestion.Day {
+	byDay := make(map[int][]float64)
+	for _, smp := range s.Samples {
+		d := int(smp.Time.Unix() / 86400)
+		byDay[d] = append(byDay[d], smp.Mbps)
+	}
+	days := make([]int, 0, len(byDay))
+	for d := range byDay {
+		days = append(days, d)
+	}
+	sort.Ints(days)
+	var out []congestion.Day
+	for _, d := range days {
+		xs := byDay[d]
+		if len(xs) < 4 {
+			continue
+		}
+		min, max, _ := stats.MinMax(xs)
+		v := 0.0
+		if max > 0 {
+			v = (max - min) / max
+		}
+		out = append(out, congestion.Day{PairID: s.PairID, Day: d, Tmax: max, Tmin: min, V: v, Samples: len(xs)})
+	}
+	return out
+}
+
 // serialCongestionReport is the pre-engine implementation of
-// Platform.CongestionReport: one goroutine, per-series re-splits, float
-// fractions from the package-level helpers. The engine must reproduce it
+// Platform.CongestionReport: one goroutine, per-series re-splits, and the
+// campaign-wide fractions as pair-days with V > H over qualifying pair-days
+// and events over samples on qualifying days. The engine must reproduce it
 // exactly.
 func serialCongestionReport(p *Platform, res *CampaignResult) *CongestionReport {
 	det := congestion.NewDetector()
 	withServer := analysis.GroupSeriesWithServerCursor(analysis.NewSliceCursor(drainRecords(res)), netsim.Download, bgp.Premium)
 	rep := &CongestionReport{Region: res.Region}
-	var series []congestion.Series
+	var dTot, dCong, hTot, hCong int
 	for _, sw := range withServer {
-		series = append(series, sw.Series)
-		days := congestion.SplitDays(sw.Series, 0)
+		days := splitDays(sw.Series)
 		events := det.Events(sw.Series)
+		for _, d := range days {
+			dTot++
+			hTot += d.Samples
+			if d.V > det.H {
+				dCong++
+			}
+		}
+		hCong += len(events)
 		congDays := make(map[int]bool)
 		var hourCount [24]int
 		for _, e := range events {
@@ -68,8 +109,12 @@ func serialCongestionReport(p *Platform, res *CampaignResult) *CongestionReport 
 			PeakHourLocal: peak,
 		})
 	}
-	rep.HourFraction = congestion.FractionCongestedHours(series, congestion.DefaultThreshold, 0)
-	rep.DayFraction = congestion.FractionCongestedDays(series, congestion.DefaultThreshold, 0)
+	if hTot > 0 {
+		rep.HourFraction = float64(hCong) / float64(hTot)
+	}
+	if dTot > 0 {
+		rep.DayFraction = float64(dCong) / float64(dTot)
+	}
 	sortPairs(rep.Pairs)
 	return rep
 }

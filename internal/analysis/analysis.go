@@ -39,19 +39,6 @@ type Measurement struct {
 // compression ratio the blocksmoke gate asserts.
 const MeasurementBytes = 88
 
-// PairKey identifies a VM-server measurement pair.
-type PairKey struct {
-	ServerID int
-	Region   string
-	Tier     bgp.Tier
-	Dir      netsim.Direction
-}
-
-// Key returns the measurement's pair key.
-func (m Measurement) Key() PairKey {
-	return PairKey{ServerID: m.ServerID, Region: m.Region, Tier: m.Tier, Dir: m.Dir}
-}
-
 // pairIDString renders "region/serverID/tier/dir" without fmt — the only
 // string construction in the grouping hot loop, called once per pair.
 func pairIDString(region string, serverID int, tier bgp.Tier, dir netsim.Direction) string {
@@ -65,18 +52,6 @@ func pairIDString(region string, serverID int, tier bgp.Tier, dir netsim.Directi
 	b = append(b, '/')
 	b = append(b, d...)
 	return string(b)
-}
-
-// GroupSeriesCursor converts a measurement stream into congestion-analysis
-// series, one per pair, filtered by direction and tier. It is a projection
-// of GroupSeriesWithServerCursor (same kernel, server attribution dropped).
-func GroupSeriesCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
-	withServer := GroupSeriesWithServerCursor(c, dir, tier)
-	out := make([]congestion.Series, len(withServer))
-	for i := range withServer {
-		out[i] = withServer[i].Series
-	}
-	return out
 }
 
 // SeriesWithServer pairs a congestion series with the server it measures.

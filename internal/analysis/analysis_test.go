@@ -28,7 +28,7 @@ func TestGroupSeries(t *testing.T) {
 		ms = append(ms, mkMeasure(1, h, bgp.Premium, netsim.Upload, 95, 30, 0))
 		ms = append(ms, mkMeasure(1, h, bgp.Standard, netsim.Download, 320, 35, 0))
 	}
-	series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
+	series := groupSeries(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 	if len(series) != 2 {
 		t.Fatalf("series = %d, want 2", len(series))
 	}

@@ -47,13 +47,13 @@ func BenchmarkAnalysisGroupSeries(b *testing.B) {
 	ms := benchRecords(128, 45)
 	// One warm pass pays first-use lazy costs outside the timer so
 	// allocs/op is the same at any -benchtime.
-	if series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium); len(series) != 128 {
+	if series := groupSeries(NewSliceCursor(ms), netsim.Download, bgp.Premium); len(series) != 128 {
 		b.Fatalf("series = %d", len(series))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := GroupSeriesCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)
+		series := groupSeries(NewSliceCursor(ms), netsim.Download, bgp.Premium)
 		if len(series) != 128 {
 			b.Fatalf("series = %d", len(series))
 		}

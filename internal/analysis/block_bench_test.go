@@ -42,13 +42,13 @@ func BenchmarkBlockStreamGroupSeries(b *testing.B) {
 	l := benchLog(ms)
 	// One warm pass pays first-use lazy costs outside the timer so
 	// allocs/op is the same at any -benchtime.
-	if series := GroupSeriesCursor(l.Cursor(), netsim.Download, bgp.Premium); len(series) != 128 {
+	if series := groupSeries(l.Cursor(), netsim.Download, bgp.Premium); len(series) != 128 {
 		b.Fatalf("series = %d", len(series))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := GroupSeriesCursor(l.Cursor(), netsim.Download, bgp.Premium)
+		series := groupSeries(l.Cursor(), netsim.Download, bgp.Premium)
 		if len(series) != 128 {
 			b.Fatalf("series = %d", len(series))
 		}

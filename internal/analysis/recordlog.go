@@ -45,12 +45,11 @@ type RecordLog struct {
 	blocks []logBlock
 	tail   []Measurement
 
-	count       int
-	firstRec    Measurement
-	lastRec     Measurement
-	spill       *os.File
-	spilled     bool
-	inlineBytes int // total encoded bytes still held in memory
+	count    int
+	firstRec Measurement
+	lastRec  Measurement
+	spill    *os.File
+	spilled  bool
 }
 
 // NewRecordLog returns an empty log.
@@ -94,12 +93,6 @@ func (l *RecordLog) CompressedBytes() int {
 	return n
 }
 
-// MemoryBytes approximates the log's resident footprint: encoded blocks
-// still in memory plus the raw tail.
-func (l *RecordLog) MemoryBytes() int {
-	return l.inlineBytes + len(l.tail)*MeasurementBytes
-}
-
 // Spill seals the tail and moves every block payload into an unlinked temp
 // file under dir (""+os.TempDir() semantics of os.CreateTemp). After Spill
 // the log is read-only; cursors read blocks back with ReadAt, so any
@@ -132,7 +125,6 @@ func (l *RecordLog) Spill(dir string) error {
 		off += b.size
 		b.data = nil
 	}
-	l.inlineBytes = 0
 	l.spill = f
 	l.spilled = true
 	return nil
@@ -166,7 +158,6 @@ func (l *RecordLog) internRegion(r string) int {
 func (l *RecordLog) sealTail() {
 	buf := encodeRecords(l.tail, l.internRegion)
 	l.blocks = append(l.blocks, logBlock{n: len(l.tail), data: buf, size: int64(len(buf))})
-	l.inlineBytes += len(buf)
 	l.tail = l.tail[:0]
 }
 
@@ -537,7 +528,6 @@ func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 		}
 		l.count += int(n64)
 		l.blocks = append(l.blocks, logBlock{n: int(n64), data: data, size: int64(len(data))})
-		l.inlineBytes += len(data)
 	}
 	if len(raw) != 0 {
 		return nil, fmt.Errorf("analysis: %d trailing bytes after record log", len(raw))

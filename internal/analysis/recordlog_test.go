@@ -98,7 +98,6 @@ func TestRecordLogRoundTrip(t *testing.T) {
 func TestRecordLogSpill(t *testing.T) {
 	ms := campaignRecords(2*logBlockSize + 17)
 	l := newLog(t, ms)
-	before := l.MemoryBytes()
 	if err := l.Spill(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +105,13 @@ func TestRecordLogSpill(t *testing.T) {
 	if !l.Spilled() {
 		t.Fatal("not spilled")
 	}
-	if l.MemoryBytes() != 0 {
-		t.Fatalf("MemoryBytes = %d after spill, want 0 (was %d)", l.MemoryBytes(), before)
+	for i := range l.blocks {
+		if l.blocks[i].data != nil {
+			t.Fatalf("block %d still holds %d bytes in memory after spill", i, len(l.blocks[i].data))
+		}
+	}
+	if len(l.tail) != 0 {
+		t.Fatalf("%d records left in the tail after spill", len(l.tail))
 	}
 	if l.CompressedBytes() == 0 {
 		t.Fatal("CompressedBytes = 0")
@@ -341,9 +345,9 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 		GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium); !reflect.DeepEqual(got, want) {
 		t.Fatal("GroupSeriesWithServerCursor differs from slice kernel")
 	}
-	if got, want := GroupSeriesCursor(l.Cursor(), netsim.Upload, bgp.Standard),
-		GroupSeriesCursor(NewSliceCursor(ms), netsim.Upload, bgp.Standard); !reflect.DeepEqual(got, want) {
-		t.Fatal("GroupSeriesCursor differs from slice kernel")
+	if got, want := groupSeries(l.Cursor(), netsim.Upload, bgp.Standard),
+		groupSeries(NewSliceCursor(ms), netsim.Upload, bgp.Standard); !reflect.DeepEqual(got, want) {
+		t.Fatal("grouping over the log differs from slice kernel")
 	}
 	if got, want := PerfPointsCursor(l.Cursor()), PerfPointsCursor(NewSliceCursor(ms)); !reflect.DeepEqual(got, want) {
 		t.Fatal("PerfPointsCursor differs from slice kernel")

@@ -47,20 +47,6 @@ type Result struct {
 // LinkCount returns the number of inferred links.
 func (r *Result) LinkCount() int { return len(r.Links) }
 
-// Neighbors returns the distinct inferred neighbor ASes, sorted.
-func (r *Result) Neighbors() []ASN {
-	set := make(map[ASN]bool)
-	for _, l := range r.Links {
-		set[l.Neighbor] = true
-	}
-	out := make([]ASN, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Mapper runs border inference for one cloud region.
 type Mapper struct {
 	cloudASN ASN

@@ -65,7 +65,6 @@ const (
 	classCustomer = iota
 	classPeer
 	classProvider
-	classNone
 )
 
 // denseGraph is the topology's AS relationships re-indexed by the contiguous
@@ -366,39 +365,9 @@ func (tr *Tree) Path(src ASN) ([]ASN, bool) {
 	return append(path, tr.dst), true
 }
 
-// Dist returns the AS-hop distance from src to the destination and whether a
-// route exists.
-func (tr *Tree) Dist(src ASN) (int, bool) {
-	if src == tr.dst {
-		return 0, true
-	}
-	if tr.dstIdx < 0 {
-		return 0, false
-	}
-	si, ok := tr.g.index[src]
-	if !ok {
-		return 0, false
-	}
-	for c := 0; c < 3; c++ {
-		if d := tr.dist[c][si]; d >= 0 {
-			return int(d), true
-		}
-	}
-	return 0, false
-}
-
 // Path returns the AS path from src to dst.
 func (r *Router) Path(src, dst ASN) ([]ASN, bool) {
 	return r.TreeTo(dst).Path(src)
-}
-
-// ASPathLen returns the number of AS hops (path length - 1) between src and
-// dst, or -1 when unreachable.
-func (r *Router) ASPathLen(src, dst ASN) int {
-	if d, ok := r.TreeTo(dst).Dist(src); ok {
-		return d
-	}
-	return -1
 }
 
 // EgressChoice describes the cloud-side routing decision for one flow.

@@ -130,35 +130,15 @@ func TestDirectPeerPathLength(t *testing.T) {
 	topo := testTopo(t)
 	r := NewRouter(topo)
 	// Cox directly peers with the cloud: AS path must be exactly 1 hop.
-	if n := r.ASPathLen(22773, topo.Cloud.ASN); n != 1 {
-		t.Errorf("Cox -> cloud AS hops = %d, want 1", n)
+	if p, _ := r.Path(22773, topo.Cloud.ASN); len(p) != 2 {
+		t.Errorf("Cox -> cloud AS path = %v, want 1 hop", p)
 	}
-	if n := r.ASPathLen(topo.Cloud.ASN, 22773); n != 1 {
-		t.Errorf("cloud -> Cox AS hops = %d, want 1", n)
+	if p, _ := r.Path(topo.Cloud.ASN, 22773); len(p) != 2 {
+		t.Errorf("cloud -> Cox AS path = %v, want 1 hop", p)
 	}
 	// Self distance is zero.
-	if n := r.ASPathLen(topo.Cloud.ASN, topo.Cloud.ASN); n != 0 {
-		t.Errorf("self distance = %d", n)
-	}
-}
-
-func TestDistMatchesPathLength(t *testing.T) {
-	topo := testTopo(t)
-	r := NewRouter(topo)
-	tr := r.TreeTo(topo.Cloud.ASN)
-	for _, a := range topo.ASes() {
-		d, ok := tr.Dist(a.ASN)
-		if !ok {
-			continue
-		}
-		path, ok := tr.Path(a.ASN)
-		if !ok {
-			t.Errorf("Dist exists but Path missing for AS%d", a.ASN)
-			continue
-		}
-		if len(path)-1 != d {
-			t.Errorf("AS%d: Dist=%d but path length %d (%v)", a.ASN, d, len(path)-1, path)
-		}
+	if p, _ := r.Path(topo.Cloud.ASN, topo.Cloud.ASN); len(p) != 1 {
+		t.Errorf("self path = %v", p)
 	}
 }
 

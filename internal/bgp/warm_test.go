@@ -102,7 +102,4 @@ func TestTreeUnknownDestination(t *testing.T) {
 	if p, ok := r.Path(bogus, bogus); !ok || len(p) != 1 {
 		t.Fatalf("src==dst must short-circuit even when unknown, got %v %v", p, ok)
 	}
-	if d := r.ASPathLen(topo.Cloud.ASN, bogus); d != -1 {
-		t.Fatalf("ASPathLen to unknown ASN = %d, want -1", d)
-	}
 }

@@ -114,9 +114,6 @@ func NewWriter(dir string, camp Campaign, log *analysis.RecordLog) (*Writer, err
 	return &Writer{dir: dir, camp: camp, log: log}, nil
 }
 
-// Dir returns the checkpoint directory.
-func (w *Writer) Dir() string { return w.dir }
-
 // Commit durably records a progress snapshot: records sidecar first, then
 // metadata, each written to a temp file in the same directory and renamed
 // over the previous version. The record log must already contain every

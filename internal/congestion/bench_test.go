@@ -57,7 +57,7 @@ func BenchmarkAnalysisSweepHours(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep := SweepHours(series, hs, 0)
+		sweep := SweepHoursPartitioned(Partitions(series), hs, 0)
 		if len(sweep) != len(hs) {
 			b.Fatal("bad sweep")
 		}
@@ -71,7 +71,7 @@ func BenchmarkAnalysisSplitDays(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if days := SplitDays(series[0], 0); len(days) != 45 {
+		if days := NewPartition(series[0]).Days(0); len(days) != 45 {
 			b.Fatalf("days = %d", len(days))
 		}
 	}

@@ -45,15 +45,6 @@ type Day struct {
 	Samples    int
 }
 
-// SplitDays summarises a series into per-day V(s,d) records. Days with
-// fewer than minSamples observations are skipped (a half-covered day can
-// fake a low V). One-shot convenience over NewPartition; callers that
-// evaluate several thresholds or both day and hour views should build the
-// Partition themselves and reuse it.
-func SplitDays(s Series, minSamples int) []Day {
-	return NewPartition(s).Days(minSamples)
-}
-
 // Event is one congested hour: VH(s,t) exceeded the threshold.
 type Event struct {
 	PairID string
@@ -72,53 +63,10 @@ type Detector struct {
 // NewDetector creates a detector with the paper's defaults.
 func NewDetector() *Detector { return &Detector{H: DefaultThreshold} }
 
-// CongestedDays returns the days of the series with V(s,d) > H.
-func (d *Detector) CongestedDays(s Series) []Day {
-	var out []Day
-	for _, day := range SplitDays(s, d.MinSamples) {
-		if day.V > d.H {
-			out = append(out, day)
-		}
-	}
-	return out
-}
-
 // Events returns the congested hours of the series: samples whose
 // normalised intra-day difference VH(s,t) exceeds H.
 func (d *Detector) Events(s Series) []Event {
 	return d.EventsIn(NewPartition(s))
-}
-
-// FractionCongestedDays returns the fraction of pair-days with V > H
-// across many series (one point of Fig. 2a).
-func FractionCongestedDays(series []Series, h float64, minSamples int) float64 {
-	total, congested := 0, 0
-	for i := range series {
-		c, t := NewPartition(series[i]).DayTally(h, minSamples)
-		congested += c
-		total += t
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(congested) / float64(total)
-}
-
-// FractionCongestedHours returns the fraction of pair-hours with VH > H
-// (one point of Fig. 2b). The denominator counts every sample on a
-// qualifying day; samples on zero-peak days are measured hours that can
-// never be events.
-func FractionCongestedHours(series []Series, h float64, minSamples int) float64 {
-	total, congested := 0, 0
-	for i := range series {
-		e, n := NewPartition(series[i]).HourTally(h, minSamples)
-		congested += e
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(congested) / float64(total)
 }
 
 // SweepPoint is one point of the threshold sweep in Fig. 2.
@@ -127,18 +75,12 @@ type SweepPoint struct {
 	Fraction float64
 }
 
-// SweepDays evaluates FractionCongestedDays over a threshold grid. Each
-// series is split into days once; every threshold then scans the cached
-// partition, so the sweep costs one split plus |hs| cheap tallies instead
-// of |hs| full re-splits.
+// SweepDays evaluates the fraction of pair-days with V > H (one point of
+// Fig. 2a per threshold) over a threshold grid. Each series is split into
+// days once; every threshold then scans the cached partition, so the sweep
+// costs one split plus |hs| cheap tallies instead of |hs| full re-splits.
 func SweepDays(series []Series, hs []float64, minSamples int) []SweepPoint {
 	return SweepDaysPartitioned(Partitions(series), hs, minSamples)
-}
-
-// SweepHours evaluates FractionCongestedHours over a threshold grid, with
-// the same split-once memoization as SweepDays.
-func SweepHours(series []Series, hs []float64, minSamples int) []SweepPoint {
-	return SweepHoursPartitioned(Partitions(series), hs, minSamples)
 }
 
 // ElbowThreshold locates the knee of a sweep with the maximum-distance-to-
@@ -188,16 +130,9 @@ func HourlyProbability(s Series, events []Event, utcOffset int) [24]float64 {
 	return out
 }
 
-// CongestedPair reports whether a pair qualifies as "congested" under the
+// CongestedPairIn reports whether a pair qualifies as "congested" under the
 // Fig. 8 rule: more than fracDays of its measured days contain at least one
 // congestion event (the paper used 10 %).
-func CongestedPair(s Series, det *Detector, fracDays float64) bool {
-	return CongestedPairIn(NewPartition(s), det, fracDays)
-}
-
-// CongestedPairIn is CongestedPair over a prepared partition, so callers
-// that already hold one (the incremental campaign feed, the memoized
-// analyses) skip the re-partition.
 func CongestedPairIn(p *Partition, det *Detector, fracDays float64) bool {
 	if fracDays <= 0 {
 		fracDays = 0.1

@@ -27,7 +27,7 @@ func flatDaySeries(days int, base, dip float64, dipDays map[int]bool) Series {
 
 func TestSplitDaysV(t *testing.T) {
 	s := flatDaySeries(3, 400, 100, map[int]bool{1: true})
-	days := SplitDays(s, 0)
+	days := NewPartition(s).Days(0)
 	if len(days) != 3 {
 		t.Fatalf("days = %d", len(days))
 	}
@@ -51,10 +51,10 @@ func TestSplitDaysMinSamples(t *testing.T) {
 	for h := 0; h < 3; h++ { // only 3 samples in the day
 		s.Samples = append(s.Samples, Sample{Time: t0.Add(time.Duration(h) * time.Hour), Mbps: 100})
 	}
-	if days := SplitDays(s, 4); len(days) != 0 {
+	if days := NewPartition(s).Days(4); len(days) != 0 {
 		t.Errorf("under-covered day kept: %v", days)
 	}
-	if days := SplitDays(s, 3); len(days) != 1 {
+	if days := NewPartition(s).Days(3); len(days) != 1 {
 		t.Errorf("3-sample day dropped at min 3")
 	}
 }
@@ -62,14 +62,13 @@ func TestSplitDaysMinSamples(t *testing.T) {
 func TestDetectorCongestedDays(t *testing.T) {
 	s := flatDaySeries(10, 400, 150, map[int]bool{2: true, 7: true})
 	det := NewDetector()
-	days := det.CongestedDays(s)
-	if len(days) != 2 {
-		t.Fatalf("congested days = %d, want 2", len(days))
+	if days, _ := NewPartition(s).DayTally(det.H, det.MinSamples); days != 2 {
+		t.Fatalf("congested days = %d, want 2", days)
 	}
 	// Shallow dip below threshold is not congested: V = (400-250)/400 = 0.375.
 	s2 := flatDaySeries(5, 400, 250, map[int]bool{1: true})
-	if days := det.CongestedDays(s2); len(days) != 0 {
-		t.Errorf("shallow dip flagged: %v", days)
+	if days, _ := NewPartition(s2).DayTally(det.H, det.MinSamples); days != 0 {
+		t.Errorf("shallow dip flagged on %d days", days)
 	}
 }
 
@@ -99,17 +98,18 @@ func TestFractions(t *testing.T) {
 		flatDaySeries(10, 400, 100, map[int]bool{0: true}),
 		flatDaySeries(10, 400, 100, nil),
 	}
-	fd := FractionCongestedDays(series, 0.5, 0)
+	parts := Partitions(series)
+	fd := SweepDaysPartitioned(parts, []float64{0.5}, 0)[0].Fraction
 	if math.Abs(fd-1.0/20) > 1e-9 {
 		t.Errorf("fraction days = %v, want 0.05", fd)
 	}
-	fh := FractionCongestedHours(series, 0.5, 0)
+	fh := SweepHoursPartitioned(parts, []float64{0.5}, 0)[0].Fraction
 	if math.Abs(fh-4.0/480) > 1e-9 {
 		t.Errorf("fraction hours = %v, want %v", fh, 4.0/480)
 	}
 	// H = 0 labels every day with any variation; here flat days are
 	// exactly flat so V=0 is not > 0.
-	if f := FractionCongestedDays(series, 0, 0); math.Abs(f-1.0/20) > 1e-9 {
+	if f := SweepDaysPartitioned(parts, []float64{0}, 0)[0].Fraction; math.Abs(f-1.0/20) > 1e-9 {
 		t.Errorf("H=0 fraction = %v", f)
 	}
 }
@@ -123,7 +123,7 @@ func TestSweepMonotone(t *testing.T) {
 			t.Errorf("sweep not non-increasing at %v", sweep[i].H)
 		}
 	}
-	hsweep := SweepHours(series, hs, 0)
+	hsweep := SweepHoursPartitioned(Partitions(series), hs, 0)
 	for i := 1; i < len(hsweep); i++ {
 		if hsweep[i].Fraction > hsweep[i-1].Fraction {
 			t.Errorf("hour sweep not non-increasing at %v", hsweep[i].H)
@@ -178,15 +178,15 @@ func TestCongestedPair(t *testing.T) {
 	det := NewDetector()
 	// 2 event days of 10 -> 20% > 10% -> congested.
 	s := flatDaySeries(10, 400, 100, map[int]bool{0: true, 5: true})
-	if !CongestedPair(s, det, 0.1) {
+	if !CongestedPairIn(NewPartition(s), det, 0.1) {
 		t.Error("20% event days not flagged")
 	}
 	// 1 event day of 20 -> 5% -> not congested.
 	s2 := flatDaySeries(20, 400, 100, map[int]bool{3: true})
-	if CongestedPair(s2, det, 0.1) {
+	if CongestedPairIn(NewPartition(s2), det, 0.1) {
 		t.Error("5% event days flagged")
 	}
-	if CongestedPair(Series{}, det, 0.1) {
+	if CongestedPairIn(NewPartition(Series{}), det, 0.1) {
 		t.Error("empty series flagged")
 	}
 }
@@ -196,7 +196,7 @@ func TestZeroThroughputDaySafe(t *testing.T) {
 	for h := 0; h < 24; h++ {
 		s.Samples = append(s.Samples, Sample{Time: t0.Add(time.Duration(h) * time.Hour), Mbps: 0})
 	}
-	days := SplitDays(s, 0)
+	days := NewPartition(s).Days(0)
 	if len(days) != 1 || days[0].V != 0 {
 		t.Errorf("all-zero day mishandled: %+v", days)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/stats"
 )
 
 var (
@@ -25,22 +24,20 @@ var (
 // as grouped campaign series are) and safe for concurrent use once built:
 // a campaign prepares one partition per series as it ends and every
 // downstream analysis — possibly several rendering concurrently — shares
-// it, so the lazy caches are filled under a lock.
+// it, so the lazy cache is filled under a lock.
 type Partition struct {
 	pairID  string
 	samples []Sample
 	days    []Day   // ascending by day index; every day with >= 1 sample
 	dayOf   []int32 // per-sample index into days
 
-	mu sync.Mutex // guards the lazy caches below
+	mu sync.Mutex // guards the lazy cache below
 
 	// vhq caches VH(s,t) for samples on qualifying days (>= vhqMin
 	// samples); samples on zero-peak days are kept as NaN so they count
 	// as measured hours but can never exceed a threshold.
 	vhq    []float64
 	vhqMin int
-
-	medians []float64 // per-day sample medians, aligned with days
 }
 
 // NewPartition splits a series into its per-day summary once. All days
@@ -99,7 +96,7 @@ func (d *Day) add(mbps float64) {
 
 // splitUnsorted finishes the day split from sample i, the first that steps
 // back to an earlier day: the rest of the pass finds its day through a map,
-// so days stand in first-seen order, and the ascending order SplitDays
+// so days stand in first-seen order, and the ascending order Days
 // promises is re-established at the end with the per-sample day indices
 // remapped to the sorted positions.
 func (p *Partition) splitUnsorted(i int) {
@@ -136,8 +133,9 @@ func (p *Partition) splitUnsorted(i int) {
 	}
 }
 
-// Days returns the per-day records with at least minSamples observations —
-// the same output as SplitDays on the original series.
+// Days returns the per-day V(s,d) records, ascending by day. Days with
+// fewer than minSamples observations are skipped (a half-covered day can
+// fake a low V).
 func (p *Partition) Days(minSamples int) []Day {
 	if minSamples <= 0 {
 		minSamples = 4
@@ -201,9 +199,10 @@ func (p *Partition) hourVH(minSamples int) []float64 {
 	return vhq
 }
 
-// HourTally counts qualifying samples and those with VH > h. The hours
-// total matches FractionCongestedHours' denominator and events matches
-// len(Detector.Events) at the same threshold.
+// HourTally counts qualifying samples and those with VH > h — one series'
+// share of a Fig. 2b point. hours counts every sample on a qualifying day
+// (samples on zero-peak days are measured hours that can never be events)
+// and events matches len(Detector.Events) at the same threshold.
 func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
 	vhq := p.hourVH(minSamples)
 	for _, v := range vhq {
@@ -212,40 +211,6 @@ func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
 		}
 	}
 	return events, len(vhq)
-}
-
-// DayMedians returns the median throughput of every day in the partition
-// (aligned with the full, unfiltered day list), computed once and cached.
-// Medians are the robust per-day statistic variability detectors reach for
-// when Tmax is noise-prone; keeping them beside the partition means a
-// sweep that wants them pays one sort per day total, not per threshold.
-func (p *Partition) DayMedians() []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.medians != nil || len(p.days) == 0 {
-		return p.medians
-	}
-	meds := make([]float64, len(p.days))
-	scratch := make([]float64, 0, 32)
-	start := 0
-	for di := range p.days {
-		scratch = scratch[:0]
-		for i := start; i < len(p.samples); i++ {
-			if int(p.dayOf[i]) != di {
-				continue
-			}
-			scratch = append(scratch, p.samples[i].Mbps)
-		}
-		// Advance the scan start when samples are day-contiguous (the
-		// sorted fast path); the inner scan above stays correct either way.
-		for start < len(p.samples) && int(p.dayOf[start]) <= di {
-			start++
-		}
-		sort.Float64s(scratch)
-		meds[di] = stats.PercentileSorted(scratch, 50)
-	}
-	p.medians = meds
-	return meds
 }
 
 // EventsIn extracts the congestion events of a pre-built partition —

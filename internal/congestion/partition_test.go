@@ -1,7 +1,6 @@
 package congestion
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -80,14 +79,39 @@ func naiveSplitDays(s Series, minSamples int) []Day {
 	return out
 }
 
+// naiveFractions is the pre-partition form of one Fig. 2 point — the
+// fractions of pair-days with V > h and of pair-hours with VH > h — from a
+// full re-split per series and threshold.
+func naiveFractions(series []Series, h float64) (days, hours float64) {
+	det := Detector{H: h}
+	var dTot, dCong, hTot, hCong int
+	for _, s := range series {
+		for _, d := range naiveSplitDays(s, 0) {
+			dTot++
+			hTot += d.Samples
+			if d.V > h {
+				dCong++
+			}
+		}
+		hCong += len(det.Events(s))
+	}
+	if dTot > 0 {
+		days = float64(dCong) / float64(dTot)
+	}
+	if hTot > 0 {
+		hours = float64(hCong) / float64(hTot)
+	}
+	return days, hours
+}
+
 func TestPartitionDaysMatchesNaive(t *testing.T) {
 	for _, shuffled := range []bool{false, true} {
 		s := randomSeries(21, 14, shuffled)
 		for _, min := range []int{0, 1, 4, 10} {
-			got := SplitDays(s, min)
+			got := NewPartition(s).Days(min)
 			want := naiveSplitDays(s, min)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shuffled=%v min=%d: SplitDays diverged\n got %+v\nwant %+v", shuffled, min, got, want)
+				t.Fatalf("shuffled=%v min=%d: Days diverged\n got %+v\nwant %+v", shuffled, min, got, want)
 			}
 		}
 	}
@@ -96,8 +120,7 @@ func TestPartitionDaysMatchesNaive(t *testing.T) {
 func TestPartitionTalliesMatchFractions(t *testing.T) {
 	series := []Series{randomSeries(1, 10, false), randomSeries(2, 10, true), randomSeries(3, 3, false)}
 	for _, h := range []float64{0, 0.25, 0.5, 0.9} {
-		wantDays := FractionCongestedDays(series, h, 0)
-		wantHours := FractionCongestedHours(series, h, 0)
+		wantDays, wantHours := naiveFractions(series, h)
 		// Recompute from a shared partition set, as the sweeps do.
 		parts := Partitions(series)
 		d := SweepDaysPartitioned(parts, []float64{h}, 0)[0].Fraction
@@ -115,13 +138,14 @@ func TestSweepsMatchPerThresholdFractions(t *testing.T) {
 	series := []Series{randomSeries(5, 12, false), randomSeries(6, 12, true)}
 	hs := []float64{0, 0.1, 0.3, 0.5, 0.7, 1}
 	daySweep := SweepDays(series, hs, 0)
-	hourSweep := SweepHours(series, hs, 0)
+	hourSweep := SweepHoursPartitioned(Partitions(series), hs, 0)
 	for i, h := range hs {
-		if want := FractionCongestedDays(series, h, 0); daySweep[i].Fraction != want {
-			t.Errorf("day sweep at %v: %v != %v", h, daySweep[i].Fraction, want)
+		wantDays, wantHours := naiveFractions(series, h)
+		if daySweep[i].Fraction != wantDays {
+			t.Errorf("day sweep at %v: %v != %v", h, daySweep[i].Fraction, wantDays)
 		}
-		if want := FractionCongestedHours(series, h, 0); hourSweep[i].Fraction != want {
-			t.Errorf("hour sweep at %v: %v != %v", h, hourSweep[i].Fraction, want)
+		if hourSweep[i].Fraction != wantHours {
+			t.Errorf("hour sweep at %v: %v != %v", h, hourSweep[i].Fraction, wantHours)
 		}
 	}
 }
@@ -152,49 +176,8 @@ func TestHourTallyCountsDeadDayHours(t *testing.T) {
 	if events != 0 || hours != 24 {
 		t.Errorf("dead day: events=%d hours=%d, want 0/24", events, hours)
 	}
-	if got := FractionCongestedHours([]Series{s}, 0.5, 0); got != 0 {
+	if got := SweepHoursPartitioned([]*Partition{p}, []float64{0.5}, 0)[0].Fraction; got != 0 {
 		t.Errorf("dead-day fraction = %v", got)
-	}
-}
-
-func TestPartitionDayMedians(t *testing.T) {
-	s := randomSeries(33, 8, true)
-	p := NewPartition(s)
-	meds := p.DayMedians()
-	allDays := p.Days(1)
-	if len(meds) != len(allDays) {
-		t.Fatalf("medians = %d, days = %d", len(meds), len(allDays))
-	}
-	// Validate against a direct per-day median.
-	byDay := make(map[int][]float64)
-	for _, smp := range s.Samples {
-		byDay[dayIndex(smp.Time)] = append(byDay[dayIndex(smp.Time)], smp.Mbps)
-	}
-	for i, d := range allDays {
-		xs := byDay[d.Day]
-		sort.Float64s(xs)
-		var want float64
-		if n := len(xs); n%2 == 1 {
-			want = xs[n/2]
-		} else {
-			want = (xs[n/2-1] + xs[n/2]) / 2
-		}
-		if math.Abs(meds[i]-want) > 1e-12 {
-			t.Errorf("day %d: median %v, want %v", d.Day, meds[i], want)
-		}
-		if d.Tmin-1e-12 > meds[i] || meds[i] > d.Tmax+1e-12 {
-			t.Errorf("day %d: median %v outside [%v, %v]", d.Day, meds[i], d.Tmin, d.Tmax)
-		}
-	}
-	// Cached: second call returns the same slice.
-	if &meds[0] != &p.DayMedians()[0] {
-		t.Error("medians not cached")
-	}
-	// The VH cache is also built once per min-samples value.
-	_, h1 := p.HourTally(0.3, 0)
-	_, h2 := p.HourTally(0.8, 0)
-	if h1 != h2 {
-		t.Errorf("hour totals differ across thresholds: %d vs %d", h1, h2)
 	}
 }
 
@@ -205,8 +188,5 @@ func TestPartitionEmptySeries(t *testing.T) {
 	}
 	if e, h := p.HourTally(0.5, 0); e != 0 || h != 0 {
 		t.Errorf("empty tally: %d/%d", e, h)
-	}
-	if meds := p.DayMedians(); meds != nil {
-		t.Errorf("empty medians: %v", meds)
 	}
 }

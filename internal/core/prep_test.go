@@ -55,9 +55,6 @@ func TestPreparedMatchesCursor(t *testing.T) {
 				if !reflect.DeepEqual(parts[i].Days(minSamples), want.Days(minSamples)) {
 					t.Fatalf("partition %d (%s): day split differs", i, id)
 				}
-				if !reflect.DeepEqual(parts[i].DayMedians(), want.DayMedians()) {
-					t.Fatalf("partition %d (%s): day medians differ", i, id)
-				}
 				gotEv, gotHr := parts[i].HourTally(0.2, minSamples)
 				wantEv, wantHr := want.HourTally(0.2, minSamples)
 				if gotEv != wantEv || gotHr != wantHr {

@@ -23,7 +23,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/speedtest/ookla"
 	"github.com/clasp-measurement/clasp/internal/speedtest/xfinity"
 	"github.com/clasp-measurement/clasp/internal/telemetry"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // HTTPDurationFamily is the serving-path histogram family recorded by the
@@ -231,7 +230,3 @@ func (d *Daemon) writeTelemetry() error {
 	// block file where the previous telemetry history used to be.
 	return d.Pipeline.WriteBlocksFile(d.cfg.TelemetryOut)
 }
-
-// SelfStore returns the self-telemetry store (the /debug/obs/history
-// backend) — exported for smoke gates that assert on scraped series.
-func (d *Daemon) SelfStore() *tsdb.Store { return d.Pipeline.Store }

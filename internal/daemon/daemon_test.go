@@ -187,7 +187,7 @@ func TestDaemonScraperRunsOnCadence(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := d.SelfStore().SeriesCount(); got == 0 {
+	if got := d.Pipeline.Store.SeriesCount(); got == 0 {
 		t.Fatal("self-store empty after background scrapes")
 	}
 }

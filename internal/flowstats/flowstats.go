@@ -46,16 +46,6 @@ type Transaction struct {
 	TurnRTTms float64 // request -> first response byte
 }
 
-// ThroughputMbps is the mean goodput toward the client over the flow's
-// lifetime.
-func (f *FlowStats) ThroughputMbps() float64 {
-	d := f.Last.Sub(f.First).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(f.BytesToClient) * 8 / 1e6 / d
-}
-
 // Analyze reads a pcap stream and returns per-flow statistics, sorted by
 // first-packet time.
 func Analyze(r io.Reader) ([]*FlowStats, error) {

@@ -66,7 +66,7 @@ func TestSynthesizeAnalyzeLoss(t *testing.T) {
 func TestSynthesizeAnalyzeThroughput(t *testing.T) {
 	flows := synth(t, SynthConfig{RTTms: 30, RateMbps: 200, DurationSec: 3, Seed: 2})
 	f := flows[0]
-	got := f.ThroughputMbps()
+	got := float64(f.BytesToClient) * 8 / 1e6 / f.Last.Sub(f.First).Seconds()
 	if got < 150 || got > 250 {
 		t.Errorf("estimated throughput %.1f Mbps, modelled 200", got)
 	}

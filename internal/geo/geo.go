@@ -137,24 +137,6 @@ func (db *DB) InCountry(country string) []City {
 	return out
 }
 
-// Len returns the number of cities.
-func (db *DB) Len() int { return len(db.cities) }
-
-// Nearest returns the city closest to the given coordinate.
-func (db *DB) Nearest(p Coord) (City, bool) {
-	if len(db.cities) == 0 {
-		return City{}, false
-	}
-	best := db.cities[0]
-	bestD := DistanceKm(p, best.Coord())
-	for _, c := range db.cities[1:] {
-		if d := DistanceKm(p, c.Coord()); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best, true
-}
-
 // LocalHour converts a UTC hour-of-day (0-23) to the city's local hour.
 func (c City) LocalHour(utcHour int) int {
 	h := (utcHour + c.UTCOffset) % 24

@@ -71,8 +71,8 @@ func TestRTTCrossCountry(t *testing.T) {
 
 func TestDefaultDBIntegrity(t *testing.T) {
 	db := DefaultDB()
-	if db.Len() < 150 {
-		t.Errorf("default DB has %d cities, want >= 150", db.Len())
+	if n := len(db.All()); n < 150 {
+		t.Errorf("default DB has %d cities, want >= 150", n)
 	}
 	for _, c := range db.All() {
 		if c.Lat < -90 || c.Lat > 90 {
@@ -133,22 +133,6 @@ func TestInCountrySorted(t *testing.T) {
 	}
 	if len(db.InCountry("XX")) != 0 {
 		t.Error("unknown country should be empty")
-	}
-}
-
-func TestNearest(t *testing.T) {
-	db := DefaultDB()
-	// A point in Nevada near Las Vegas.
-	c, ok := db.Nearest(Coord{36.1, -115.1})
-	if !ok {
-		t.Fatal("Nearest returned no city")
-	}
-	if c.Name != "Las Vegas" && c.Name != "North Las Vegas" && c.Name != "Henderson" {
-		t.Errorf("Nearest(Vegas area) = %s", c.Name)
-	}
-	empty, _ := NewDB(nil)
-	if _, ok := empty.Nearest(Coord{0, 0}); ok {
-		t.Error("Nearest on empty DB should report not-found")
 	}
 }
 

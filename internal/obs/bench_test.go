@@ -31,7 +31,7 @@ func BenchmarkObsDisabledHistogram(b *testing.B) {
 
 func BenchmarkObsDisabledSpan(b *testing.B) {
 	r := NewRegistry()
-	tr := r.Tracer()
+	tr := &r.tracer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -108,9 +108,6 @@ func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 // Enabled reports whether the registry is collecting.
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
-// Tracer returns the registry's span tracer.
-func (r *Registry) Tracer() *Tracer { return &r.tracer }
-
 // seriesID renders the canonical series identity — name plus a sorted,
 // Prometheus-style label block ({k="v",...}) when labels are present — and
 // returns the sorted alternating key/value pairs alongside it, which each

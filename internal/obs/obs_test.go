@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -187,7 +186,7 @@ func TestWritePromAndSnapshot(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	r.SetEnabled(true)
-	r.Tracer().SetWriter(&syncDiscard{})
+	r.tracer.SetWriter(&syncDiscard{})
 	c := r.Counter("conc_total")
 	g := r.Gauge("conc_gauge")
 	h := r.Histogram("conc_hist")
@@ -211,7 +210,7 @@ func TestRegistryConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					sp := r.Tracer().Span("iter").WithInt("g", gi)
+					sp := r.tracer.Span("iter").WithInt("g", gi)
 					sp.Child("leaf").End()
 					sp.End()
 				}
@@ -262,8 +261,8 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		g.Set(1)
 		g.Add(2)
 		h.Observe(42)
-		sp := r.Tracer().Span("campaign").With("region", "us-east1").WithInt("hour", 3)
-		child := sp.Child("test").WithTime("at", time.Time{})
+		sp := r.tracer.Span("campaign").With("region", "us-east1").WithInt("hour", 3)
+		child := sp.Child("test")
 		child.End()
 		sp.End()
 	})

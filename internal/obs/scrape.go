@@ -15,8 +15,6 @@ type Appender interface {
 
 // ScrapeConfig configures a Scraper.
 type ScrapeConfig struct {
-	// Interval is the cadence for Start's background loop. Defaults to 5s.
-	Interval time.Duration
 	// Now supplies timestamps; tests inject a fake clock for deterministic
 	// series contents. Defaults to time.Now.
 	Now func() time.Time
@@ -30,8 +28,9 @@ type ScrapeStats struct {
 	Last    time.Time // timestamp of the most recent pass
 }
 
-// Scraper samples a Registry on a cadence and appends the readings to an
-// Appender, turning point-in-time metrics into history:
+// Scraper samples a Registry each time ScrapeOnce is called (the cadence is
+// its owner's: telemetry.Pipeline runs the one scrape loop) and appends the
+// readings to an Appender, turning point-in-time metrics into history:
 //
 //   - counters become points {value, rate} where rate is the per-second
 //     delta since the previous scrape (0 on the first pass);
@@ -54,10 +53,6 @@ type Scraper struct {
 	prevCount map[string]uint64 // series id -> counter value / histogram count
 	prevAt    time.Time
 	stats     ScrapeStats
-
-	startOnce sync.Once
-	stop      chan struct{}
-	done      chan struct{}
 }
 
 // NewScraper creates a scraper over r feeding app. Defaults are applied for
@@ -69,9 +64,6 @@ func NewScraper(r *Registry, app Appender, cfg ScrapeConfig) *Scraper {
 	if app == nil {
 		panic("obs: NewScraper with nil appender")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -80,8 +72,6 @@ func NewScraper(r *Registry, app Appender, cfg ScrapeConfig) *Scraper {
 		app:       app,
 		cfg:       cfg,
 		prevCount: make(map[string]uint64),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 }
 
@@ -167,38 +157,6 @@ func labelTags(pairs []string) map[string]string {
 		t[pairs[i]] = pairs[i+1]
 	}
 	return t
-}
-
-// Start launches the background scrape loop at the configured interval.
-// Safe to call once; subsequent calls no-op. Stop terminates the loop.
-func (s *Scraper) Start() {
-	s.startOnce.Do(func() {
-		go func() {
-			defer close(s.done)
-			t := time.NewTicker(s.cfg.Interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.stop:
-					return
-				case <-t.C:
-					_ = s.ScrapeOnce() // errors are counted in Stats
-				}
-			}
-		}()
-	})
-}
-
-// Stop terminates a Start-ed loop and waits for it to exit. Calling Stop
-// without Start, or twice, is safe.
-func (s *Scraper) Stop() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	s.startOnce.Do(func() { close(s.done) }) // never started: mark done
-	<-s.done
 }
 
 // Stats returns a copy of the scraper's counters.

@@ -155,38 +155,6 @@ func TestScraperCounterResetYieldsZeroRate(t *testing.T) {
 	}
 }
 
-func TestScraperStartStop(t *testing.T) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	r.Counter("ticks_total").Inc()
-	app := &fakeAppender{}
-	sc := NewScraper(r, app, ScrapeConfig{Interval: time.Millisecond})
-	sc.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if sc.Stats().Scrapes > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background scraper never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sc.Stop()
-	sc.Stop() // idempotent
-	after := sc.Stats().Scrapes
-	time.Sleep(5 * time.Millisecond)
-	if got := sc.Stats().Scrapes; got != after {
-		t.Fatalf("scraper kept running after Stop: %d -> %d", after, got)
-	}
-}
-
-func TestScraperStopWithoutStart(t *testing.T) {
-	r := NewRegistry()
-	sc := NewScraper(r, &fakeAppender{}, ScrapeConfig{})
-	sc.Stop() // must not hang or panic
-}
-
 // TestSamplesSnapshot pins the structured snapshot contract: sorted by id,
 // kinds discriminated, labels as sorted pairs, cumulative populated buckets.
 func TestSamplesSnapshot(t *testing.T) {

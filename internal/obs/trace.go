@@ -102,15 +102,6 @@ func (s Span) WithInt(k string, v int) Span {
 	return s.With(k, strconv.Itoa(v))
 }
 
-// WithTime attaches a virtual-clock timestamp attribute (RFC 3339). The
-// formatting only runs when the span is live.
-func (s Span) WithTime(k string, v time.Time) Span {
-	if s.tr == nil {
-		return s
-	}
-	return s.With(k, v.UTC().Format(time.RFC3339))
-}
-
 // End completes the span and writes its event. No-op on the zero Span.
 func (s Span) End() {
 	if s.tr == nil {

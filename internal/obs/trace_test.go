@@ -14,7 +14,7 @@ func TestSpanEventsAreJSONL(t *testing.T) {
 	tr.SetWriter(&buf)
 
 	root := tr.Span("campaign").With("region", "us-west1")
-	child := root.Child("round").WithInt("hour", 4).WithTime("virtual", time.Date(2020, 5, 1, 4, 0, 0, 0, time.UTC))
+	child := root.Child("round").WithInt("hour", 4)
 	child.End()
 	root.End()
 	tr.SetWriter(nil)
@@ -47,9 +47,6 @@ func TestSpanEventsAreJSONL(t *testing.T) {
 	}
 	if childEv.Attrs["hour"] != "4" {
 		t.Errorf("child hour attr = %q, want 4", childEv.Attrs["hour"])
-	}
-	if childEv.Attrs["virtual"] != "2020-05-01T04:00:00Z" {
-		t.Errorf("child virtual attr = %q", childEv.Attrs["virtual"])
 	}
 	if rootEv.Attrs["region"] != "us-west1" {
 		t.Errorf("root region attr = %q", rootEv.Attrs["region"])

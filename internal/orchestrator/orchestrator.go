@@ -93,16 +93,15 @@ func TestEgressBytes(m analysis.Measurement, durSec float64) int64 {
 //
 // A single Run delivers records from one goroutine, so any Sink works for
 // one campaign. Sinks shared across concurrently running campaigns must be
-// safe for concurrent use: StoreSink already is, LogSink and SliceSink are
-// not — wrap them (or any other unsafe sink) in a LockedSink.
+// safe for concurrent use: StoreSink is; LogSink and SliceSink are not, so
+// each campaign gets its own.
 type Sink interface {
 	Record(analysis.Measurement)
 }
 
 // SliceSink collects records into a slice: the collector this package's
 // tests and the root benchmarks read records back from. The engine does not
-// use it. It is not safe for concurrent use; wrap it in a LockedSink when
-// sharing it across campaigns.
+// use it. It is not safe for concurrent use: one per campaign.
 type SliceSink struct {
 	Out []analysis.Measurement
 }
@@ -115,23 +114,6 @@ type SinkFunc func(analysis.Measurement)
 
 // Record implements Sink.
 func (f SinkFunc) Record(m analysis.Measurement) { f(m) }
-
-// LockedSink serialises access to an inner sink, making it safe to share
-// across concurrently running campaigns.
-type LockedSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-// NewLockedSink wraps a sink with a mutex.
-func NewLockedSink(inner Sink) *LockedSink { return &LockedSink{inner: inner} }
-
-// Record implements Sink.
-func (l *LockedSink) Record(m analysis.Measurement) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.Record(m)
-}
 
 // StoreSink indexes records into a time-series store. It is safe for
 // concurrent use: tsdb.Store shards its lock internally, and the sink
@@ -186,8 +168,7 @@ func (s *StoreSink) Record(m analysis.Measurement) {
 // LogSink appends records into a columnar RecordLog, the engine's one
 // record representation: records are compressed block-at-a-time as they
 // arrive, and the same log is what checkpoints serialise and analyses read
-// back. Like SliceSink it is not safe for concurrent use; wrap it in a
-// LockedSink when sharing it across campaigns.
+// back. Like SliceSink it is not safe for concurrent use: one per campaign.
 type LogSink struct {
 	Log *analysis.RecordLog
 }

@@ -114,38 +114,17 @@ func TestParallelEgressAccounting(t *testing.T) {
 	}
 }
 
-// TestLockedSinkConcurrent hammers a LockedSink-wrapped SliceSink from many
-// goroutines; -race verifies the locking, the count verifies delivery.
-func TestLockedSinkConcurrent(t *testing.T) {
-	inner := &SliceSink{}
-	sink := NewLockedSink(inner)
-	const goroutines, records = 16, 200
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < records; i++ {
-				sink.Record(analysis.Measurement{ServerID: g*records + i, Region: "us-east1"})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if len(inner.Out) != goroutines*records {
-		t.Fatalf("records = %d, want %d", len(inner.Out), goroutines*records)
-	}
-}
-
-// TestMultiSinkConcurrentFanOut fans records out to a store sink and a
-// locked slice sink from concurrent campaigns sharing one MultiSink.
+// TestMultiSinkConcurrentFanOut fans records out from concurrent campaigns
+// to one shared store sink and, each campaign delivering from its own
+// goroutine, a slice sink per campaign.
 func TestMultiSinkConcurrentFanOut(t *testing.T) {
 	store := tsdb.NewStore()
-	slice := &SliceSink{}
-	sink := MultiSink{&StoreSink{Store: store}, NewLockedSink(slice)}
+	storeSink := &StoreSink{Store: store}
 
 	f := setup(t)
 	servers := f.topo.Servers()
 	regions := []string{"us-east1", "us-west1", "europe-west1"}
+	slices := make([]SliceSink, len(regions))
 	var wg sync.WaitGroup
 	errs := make([]error, len(regions))
 	for i, region := range regions {
@@ -158,7 +137,7 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 				Days:        1,
 				Seed:        int64(i + 1),
 				Parallelism: 2,
-			}, sink)
+			}, MultiSink{storeSink, &slices[i]})
 		}(i, region)
 	}
 	wg.Wait()
@@ -167,9 +146,10 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 			t.Fatalf("campaign %s: %v", regions[i], err)
 		}
 	}
-	want := len(regions) * 4 * 24 * 2
-	if len(slice.Out) != want {
-		t.Errorf("fanned-out records = %d, want %d", len(slice.Out), want)
+	for i := range slices {
+		if want := 4 * 24 * 2; len(slices[i].Out) != want {
+			t.Errorf("%s: fanned-out records = %d, want %d", regions[i], len(slices[i].Out), want)
+		}
 	}
 	// 4 servers x 2 dirs x 3 regions = 24 series.
 	if store.SeriesCount() != 24 {

@@ -45,26 +45,6 @@ func (f Flow) Canonical() Flow {
 	return f.Reverse()
 }
 
-// FastHash returns a symmetric 64-bit hash: both directions of a flow hash
-// identically, so a flow and its reverse land in the same shard.
-func (f Flow) FastHash() uint64 {
-	h1 := endpointHash(f.Src)
-	h2 := endpointHash(f.Dst)
-	return h1 ^ h2 // XOR is commutative -> symmetric
-}
-
-func endpointHash(e Endpoint) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, b := range e.Addr.AsSlice() {
-		h ^= uint64(b)
-		h *= prime
-	}
-	h ^= uint64(e.Port)
-	h *= prime
-	return h
-}
-
 // NetworkFlow extracts the IP-level flow of a packet, or ok=false when it
 // has no network layer.
 func (p *Packet) NetworkFlow() (Flow, bool) {

@@ -77,9 +77,8 @@ type IPv4 struct {
 
 // IP protocol numbers.
 const (
-	ProtoTCP  = 6
-	ProtoUDP  = 17
-	ProtoICMP = 1
+	ProtoTCP = 6
+	ProtoUDP = 17
 )
 
 // LayerType implements Layer.
@@ -207,16 +206,16 @@ func ipChecksum(hdr []byte) uint16 {
 // Packet is a decoded packet: an ordered list of layers plus convenience
 // accessors in the gopacket style.
 type Packet struct {
-	ci     CaptureInfo
 	layers []Layer
 	err    error
 }
 
 // Decode parses packet bytes starting at the Ethernet layer. Decoding stops
 // at the first malformed layer; Packet.Err reports what went wrong while
-// the successfully decoded prefix remains accessible.
-func Decode(ci CaptureInfo, data []byte) *Packet {
-	p := &Packet{ci: ci}
+// the successfully decoded prefix remains accessible. The capture info
+// stays with the caller; the packet does not retain it.
+func Decode(_ CaptureInfo, data []byte) *Packet {
+	p := &Packet{}
 	if len(data) < 14 {
 		p.err = fmt.Errorf("pcap: ethernet header truncated (%d bytes)", len(data))
 		return p
@@ -334,12 +333,6 @@ func (p *Packet) decodeTransport(proto uint8, data []byte, ipPayloadLen int) {
 		}
 	}
 }
-
-// CaptureInfo returns the record metadata.
-func (p *Packet) CaptureInfo() CaptureInfo { return p.ci }
-
-// Layers returns all decoded layers in order.
-func (p *Packet) Layers() []Layer { return p.layers }
 
 // Err reports a decoding problem, if any. Layers decoded before the error
 // remain available (mirroring gopacket's ErrorLayer behaviour).

@@ -85,8 +85,7 @@ func (w *Writer) WritePacket(ci CaptureInfo, data []byte) error {
 
 // Reader reads a pcap file written in little-endian microsecond format.
 type Reader struct {
-	r       io.Reader
-	snaplen uint32
+	r io.Reader
 }
 
 // NewReader validates the global header and returns a packet reader.
@@ -101,11 +100,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if lt := binary.LittleEndian.Uint32(hdr[20:]); lt != LinkTypeEthernet {
 		return nil, fmt.Errorf("pcap: unsupported link type %d", lt)
 	}
-	return &Reader{r: r, snaplen: binary.LittleEndian.Uint32(hdr[16:])}, nil
+	return &Reader{r: r}, nil
 }
-
-// Snaplen returns the file's snapshot length.
-func (r *Reader) Snaplen() uint32 { return r.snaplen }
 
 // ReadPacket returns the next record. io.EOF signals a clean end of file.
 func (r *Reader) ReadPacket() (CaptureInfo, []byte, error) {

@@ -3,18 +3,13 @@
 // to AS numbers and bdrmap uses it to assign ownership of router interfaces.
 //
 // The table is a binary (per-bit) trie keyed by the prefix bits, answering
-// longest-prefix-match queries. The text serialisation follows the
-// RouteViews pfx2as format: one "prefix<TAB>length<TAB>AS" line per prefix,
-// with multi-origin prefixes written as underscore-joined AS sets (e.g.
-// "701_702") and AS sets from distinct announcements joined by commas.
+// longest-prefix-match queries. It is built in memory from the generated
+// topology; no dataset file is read or written.
 package pfx2as
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -37,16 +32,6 @@ func (o Origin) Primary() ASN {
 	return o[0]
 }
 
-// Contains reports whether the set contains asn.
-func (o Origin) Contains(asn ASN) bool {
-	for _, a := range o {
-		if a == asn {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the origin in RouteViews notation (underscore-joined).
 func (o Origin) String() string {
 	parts := make([]string, len(o))
@@ -65,17 +50,13 @@ type trieNode struct {
 // Table is a longest-prefix-match table from IP prefixes to origin AS sets.
 // The zero value is not usable; call New.
 type Table struct {
-	v4, v6   *trieNode
-	prefixes int
+	v4, v6 *trieNode
 }
 
 // New returns an empty table.
 func New() *Table {
 	return &Table{v4: &trieNode{}, v6: &trieNode{}}
 }
-
-// Len returns the number of distinct prefixes inserted.
-func (t *Table) Len() int { return t.prefixes }
 
 // Insert adds or replaces the origin for a prefix. An invalid prefix or an
 // empty origin is rejected.
@@ -99,9 +80,6 @@ func (t *Table) Insert(p netip.Prefix, origin Origin) error {
 			n.child[b] = &trieNode{}
 		}
 		n = n.child[b]
-	}
-	if !n.set {
-		t.prefixes++
 	}
 	o := make(Origin, len(origin))
 	copy(o, origin)
@@ -155,132 +133,4 @@ func (t *Table) LookupASN(addr netip.Addr) ASN {
 
 func bitAt(b []byte, i int) int {
 	return int(b[i/8]>>(7-uint(i%8))) & 1
-}
-
-// entry pairs a prefix with its origin for serialisation.
-type entry struct {
-	prefix netip.Prefix
-	origin Origin
-}
-
-func (t *Table) entries() []entry {
-	var out []entry
-	var walk func(n *trieNode, addr [16]byte, bits int, v6 bool)
-	walk = func(n *trieNode, addr [16]byte, bits int, v6 bool) {
-		if n == nil {
-			return
-		}
-		if n.set {
-			var ip netip.Addr
-			if v6 {
-				ip = netip.AddrFrom16(addr)
-			} else {
-				var a4 [4]byte
-				copy(a4[:], addr[:4])
-				ip = netip.AddrFrom4(a4)
-			}
-			out = append(out, entry{netip.PrefixFrom(ip, bits), n.origin})
-		}
-		for b := 0; b < 2; b++ {
-			if n.child[b] == nil {
-				continue
-			}
-			next := addr
-			if b == 1 {
-				next[bits/8] |= 1 << (7 - uint(bits%8))
-			}
-			walk(n.child[b], next, bits+1, v6)
-		}
-	}
-	walk(t.v4, [16]byte{}, 0, false)
-	walk(t.v6, [16]byte{}, 0, true)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].prefix, out[j].prefix
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c < 0
-		}
-		return a.Bits() < b.Bits()
-	})
-	return out
-}
-
-// WriteTo serialises the table in RouteViews pfx2as text format.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	for _, e := range t.entries() {
-		c, err := fmt.Fprintf(bw, "%s\t%d\t%s\n", e.prefix.Addr(), e.prefix.Bits(), e.origin)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// Read parses a RouteViews pfx2as text stream into a new table. Lines are
-// "addr<TAB>length<TAB>origin" where origin is an underscore- or
-// comma-separated AS list. Blank lines and lines starting with '#' are
-// skipped.
-func Read(r io.Reader) (*Table, error) {
-	t := New()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("pfx2as: line %d: want 3 fields, got %d", lineNo, len(fields))
-		}
-		addr, err := netip.ParseAddr(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("pfx2as: line %d: %v", lineNo, err)
-		}
-		bits, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("pfx2as: line %d: bad length: %v", lineNo, err)
-		}
-		prefix := netip.PrefixFrom(addr, bits)
-		if !prefix.IsValid() {
-			return nil, fmt.Errorf("pfx2as: line %d: invalid prefix %s/%d", lineNo, addr, bits)
-		}
-		origin, err := ParseOrigin(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("pfx2as: line %d: %v", lineNo, err)
-		}
-		if err := t.Insert(prefix, origin); err != nil {
-			return nil, fmt.Errorf("pfx2as: line %d: %v", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ParseOrigin parses a RouteViews origin field: AS numbers joined with '_'
-// (MOAS set) or ',' (alternative sets, flattened here).
-func ParseOrigin(s string) (Origin, error) {
-	var out Origin
-	for _, group := range strings.Split(s, ",") {
-		for _, part := range strings.Split(group, "_") {
-			part = strings.TrimPrefix(strings.TrimSpace(part), "AS")
-			if part == "" {
-				continue
-			}
-			v, err := strconv.ParseUint(part, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("pfx2as: bad AS %q", part)
-			}
-			out = append(out, ASN(v))
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("pfx2as: empty origin %q", s)
-	}
-	return out, nil
 }

@@ -71,7 +71,7 @@ type ArtifactCache struct {
 	mu      sync.Mutex
 	entries map[campaignKey]*campaignEntry
 	sched   *core.CommandScheduler
-	fills   atomic.Int64
+	fills   atomic.Int64 // campaigns executed; the coalescing test reads it
 }
 
 // NewArtifactCache returns an empty cache.
@@ -83,10 +83,6 @@ func NewArtifactCache() *ArtifactCache {
 // command scheduler, which accounts whole-command progress and, on resume,
 // skips campaigns whose checkpoints are already complete.
 func (c *ArtifactCache) UseScheduler(s *core.CommandScheduler) { c.sched = s }
-
-// Fills reports how many campaigns the cache has actually executed —
-// concurrent requests for the same campaign count once.
-func (c *ArtifactCache) Fills() int64 { return c.fills.Load() }
 
 func (c *ArtifactCache) entry(k campaignKey) *campaignEntry {
 	c.mu.Lock()

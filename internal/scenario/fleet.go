@@ -51,28 +51,13 @@ func sortSpecs(specs []*Spec) {
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 }
 
-// RunAll runs the scenarios serially in name order, each under a
-// "scenario <name>" banner. This is the reference output Fleet must
-// reproduce byte-for-byte.
-func (r *Runner) RunAll(w io.Writer, specs []*Spec) error {
-	ordered := append([]*Spec(nil), specs...)
-	sortSpecs(ordered)
-	var errs []error
-	for _, s := range ordered {
-		core.Separator(w, "scenario "+s.Name)
-		if err := r.Run(w, s); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Fleet runs the scenarios concurrently, one goroutine per scenario over
 // the Runner's shared substrate cache, buffering each scenario's report
 // and emitting them in name order. The output — including any partial
-// output of a failed scenario — is byte-identical to RunAll over the same
-// specs (pinned by TestFleetMatchesSerial): substrates are immutable and
-// concurrent-safe, and all mutable engine state is per-scenario.
+// output of a failed scenario — is byte-identical to running the same specs
+// serially in name order, each under its "scenario <name>" banner (pinned by
+// TestFleetMatchesSerial): substrates are immutable and concurrent-safe,
+// and all mutable engine state is per-scenario.
 func (r *Runner) Fleet(w io.Writer, specs []*Spec) error {
 	ordered := append([]*Spec(nil), specs...)
 	sortSpecs(ordered)

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"testing"
+
+	"github.com/clasp-measurement/clasp/internal/core"
 )
 
 // cheapSpecs loads the catalog minus the paper-scale scenario: four
@@ -31,9 +33,17 @@ func cheapSpecs(t *testing.T) []*Spec {
 func TestFleetMatchesSerial(t *testing.T) {
 	specs := cheapSpecs(t)
 
+	// The serial reference: one runner, one scenario after another in name
+	// order, each under its banner.
 	var serial bytes.Buffer
-	if err := NewRunner().RunAll(&serial, specs); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	ordered := append([]*Spec(nil), specs...)
+	sortSpecs(ordered)
+	runner := NewRunner()
+	for _, s := range ordered {
+		core.Separator(&serial, "scenario "+s.Name)
+		if err := runner.Run(&serial, s); err != nil {
+			t.Fatalf("serial run of %s: %v", s.Name, err)
+		}
 	}
 
 	fleet := NewRunner()

@@ -42,7 +42,7 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different result object than caller 0", i)
 		}
 	}
-	if got := cache.Fills(); got != 1 {
+	if got := cache.fills.Load(); got != 1 {
 		t.Fatalf("cache executed the campaign %d times under %d concurrent callers, want exactly 1", got, callers)
 	}
 }

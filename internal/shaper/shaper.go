@@ -139,18 +139,3 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.wr.Wait(len(p))
 	return c.Conn.Write(p)
 }
-
-// Listener wraps an accepting listener so every connection is shaped.
-type Listener struct {
-	net.Listener
-	Opts Options
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c, l.Opts), nil
-}

@@ -185,27 +185,3 @@ func TestLatencyOption(t *testing.T) {
 		t.Errorf("second read took %v", d)
 	}
 }
-
-func TestListenerWrapsConns(t *testing.T) {
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &Listener{Listener: raw, Opts: Options{WriteMbps: 50}}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if _, ok := c.(*Conn); !ok {
-			t.Error("accepted conn not shaped")
-		}
-		c.Close()
-	}()
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-}

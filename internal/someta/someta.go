@@ -51,8 +51,8 @@ type Snapshot struct {
 	GoVersion   string    `json:"go_version"`
 }
 
-// Probe supplies host counters for a snapshot. Implementations exist for
-// the local process (LocalProbe) and for simulated VMs (FuncProbe).
+// Probe supplies host counters for a snapshot. LocalProbe samples the local
+// process; tests substitute their own.
 type Probe interface {
 	Sample() (cpuUtil float64, memUsedMB float64, netIn, netOut int64)
 }
@@ -62,8 +62,8 @@ type Probe interface {
 const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
 
 // LocalProbe samples the current process: heap bytes from runtime/metrics
-// and a CPU proxy from goroutine pressure. Network counters must be fed by
-// the caller via AddNetBytes.
+// and a CPU proxy from goroutine pressure. It has no source of network
+// counters and reports them as zero.
 //
 // Sampling never stops the world: campaigns snapshot once per VM-hour, and
 // runtime.ReadMemStats — a stop-the-world per call — made every snapshot a
@@ -71,17 +71,7 @@ const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
 // on two busy ones. TestCampaignPathNeverStopsTheWorld pins the property.
 type LocalProbe struct {
 	mu   sync.Mutex
-	in   int64
-	out  int64
 	heap [1]metrics.Sample // reused across samples; guarded by mu
-}
-
-// AddNetBytes accumulates observed network traffic.
-func (p *LocalProbe) AddNetBytes(in, out int64) {
-	p.mu.Lock()
-	p.in += in
-	p.out += out
-	p.mu.Unlock()
 }
 
 // Sample implements Probe.
@@ -94,25 +84,19 @@ func (p *LocalProbe) Sample() (float64, float64, int64, int64) {
 	if p.heap[0].Value.Kind() == metrics.KindUint64 {
 		heapBytes = p.heap[0].Value.Uint64()
 	}
-	in, out := p.in, p.out
 	p.mu.Unlock()
-	return cpu, float64(heapBytes) / (1 << 20), in, out
+	return cpu, float64(heapBytes) / (1 << 20), 0, 0
 }
-
-// FuncProbe adapts a function to the Probe interface (simulated VMs).
-type FuncProbe func() (cpuUtil, memUsedMB float64, netIn, netOut int64)
-
-// Sample implements Probe.
-func (f FuncProbe) Sample() (float64, float64, int64, int64) { return f() }
 
 // Collector takes snapshots from a probe.
 type Collector struct {
 	Hostname string
 	Probe    Probe
 
-	mu        sync.Mutex
-	snapshots []Snapshot
-	maxCPU    float64 // running maximum of snapshots' CPUUtil
+	mu      sync.Mutex
+	latest  Snapshot // the newest snapshot, once snapped
+	snapped bool
+	maxCPU  float64 // running maximum of snapshots' CPUUtil
 }
 
 // NewCollector creates a collector. A nil probe uses LocalProbe.
@@ -137,7 +121,7 @@ func (c *Collector) Snap(at time.Time) Snapshot {
 		GoVersion:   runtime.Version(),
 	}
 	c.mu.Lock()
-	c.snapshots = append(c.snapshots, s)
+	c.latest, c.snapped = s, true
 	if s.CPUUtil > c.maxCPU {
 		c.maxCPU = s.CPUUtil
 	}
@@ -147,36 +131,16 @@ func (c *Collector) Snap(at time.Time) Snapshot {
 	return s
 }
 
-// Snapshots returns a copy of the records so far.
-func (c *Collector) Snapshots() []Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Snapshot, len(c.snapshots))
-	copy(out, c.snapshots)
-	return out
-}
-
 // Latest returns the newest snapshot; ok is false when none has been
-// recorded (a fresh or Reset collector).
+// recorded.
 func (c *Collector) Latest() (s Snapshot, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.snapshots) == 0 {
-		return Snapshot{}, false
-	}
-	return c.snapshots[len(c.snapshots)-1], true
+	return c.latest, c.snapped
 }
 
-// Reset discards recorded snapshots.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.snapshots = nil
-	c.maxCPU = 0
-	c.mu.Unlock()
-}
-
-// MaxCPU returns the highest CPU utilisation observed since the last Reset
-// (0 when empty). The analysis uses it to discard tests run on a starved VM.
+// MaxCPU returns the highest CPU utilisation observed (0 when empty). The
+// analysis uses it to discard tests run on a starved VM.
 func (c *Collector) MaxCPU() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -34,15 +34,11 @@ func TestLocalProbeSnapshot(t *testing.T) {
 	}
 }
 
-func TestLocalProbeNetCounters(t *testing.T) {
-	p := &LocalProbe{}
-	p.AddNetBytes(100, 50)
-	p.AddNetBytes(10, 5)
-	_, _, in, out := p.Sample()
-	if in != 110 || out != 55 {
-		t.Errorf("net counters = %d/%d", in, out)
-	}
-}
+// FuncProbe adapts a function to the Probe interface: the fake these tests
+// substitute for LocalProbe.
+type FuncProbe func() (cpuUtil, memUsedMB float64, netIn, netOut int64)
+
+func (f FuncProbe) Sample() (float64, float64, int64, int64) { return f() }
 
 func TestFuncProbe(t *testing.T) {
 	c := NewCollector("sim-vm", FuncProbe(func() (float64, float64, int64, int64) {
@@ -78,29 +74,8 @@ func TestSnapClampsProbeCPU(t *testing.T) {
 	}
 }
 
-func TestSnapshotsAccumulateAndReset(t *testing.T) {
-	c := NewCollector("vm", FuncProbe(func() (float64, float64, int64, int64) { return 0.5, 1, 0, 0 }))
-	for i := 0; i < 5; i++ {
-		c.Snap(t0.Add(time.Duration(i) * time.Minute))
-	}
-	snaps := c.Snapshots()
-	if len(snaps) != 5 {
-		t.Fatalf("snapshots = %d", len(snaps))
-	}
-	// Returned slice is a copy.
-	snaps[0].Hostname = "mutated"
-	if c.Snapshots()[0].Hostname == "mutated" {
-		t.Error("Snapshots exposes internal slice")
-	}
-	c.Reset()
-	if len(c.Snapshots()) != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
 // TestCollectorLatest covers what the capture path relies on: the newest
-// snapshot without copying the history, and a clean "none" on an empty or
-// Reset collector (slicing Snapshots()[len-1:] there once panicked).
+// snapshot, and a clean "none" on an empty collector.
 func TestCollectorLatest(t *testing.T) {
 	c := NewCollector("vm", FuncProbe(func() (float64, float64, int64, int64) { return 0.5, 1, 0, 0 }))
 	if s, ok := c.Latest(); ok {
@@ -112,13 +87,6 @@ func TestCollectorLatest(t *testing.T) {
 	s, ok := c.Latest()
 	if !ok || !s.Timestamp.Equal(t0.Add(2*time.Minute)) {
 		t.Errorf("Latest = %+v, %v, want the third snapshot", s, ok)
-	}
-	c.Reset()
-	if _, ok := c.Latest(); ok {
-		t.Error("Latest after Reset still returns a snapshot")
-	}
-	if c.MaxCPU() != 0 {
-		t.Errorf("MaxCPU after Reset = %v, want 0", c.MaxCPU())
 	}
 }
 
@@ -143,11 +111,12 @@ func TestMaxCPU(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	c := NewCollector("vm", FuncProbe(func() (float64, float64, int64, int64) { return 0.3, 500, 1000, 2000 }))
+	var snaps []Snapshot
 	for i := 0; i < 3; i++ {
-		c.Snap(t0.Add(time.Duration(i) * time.Second))
+		snaps = append(snaps, c.Snap(t0.Add(time.Duration(i)*time.Second)))
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, c.Snapshots()); err != nil {
+	if err := WriteJSON(&buf, snaps); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJSON(&buf)
@@ -158,7 +127,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip count = %d", len(got))
 	}
 	for i, s := range got {
-		orig := c.Snapshots()[i]
+		orig := snaps[i]
 		if !s.Timestamp.Equal(orig.Timestamp) || s.CPUUtil != orig.CPUUtil || s.NetBytesOut != orig.NetBytesOut {
 			t.Errorf("snapshot %d mismatch: %+v vs %+v", i, s, orig)
 		}

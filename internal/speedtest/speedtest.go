@@ -1,13 +1,12 @@
 // Package speedtest defines the common vocabulary of CLASP's three speed
-// test platforms — result records, server metadata, and the crawler that
-// fetches platform server lists — plus the Client interface each protocol
+// test platforms — result records, server metadata, and the directory that
+// serves a platform's server list — plus the Client interface each protocol
 // implementation (ookla, ndt7, xfinity) satisfies.
 package speedtest
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -64,13 +63,6 @@ func NewDirectory(servers []ServerInfo) *Directory {
 	return &Directory{servers: cp}
 }
 
-// Servers returns a copy of the directory contents.
-func (d *Directory) Servers() []ServerInfo {
-	cp := make([]ServerInfo, len(d.servers))
-	copy(cp, d.servers)
-	return cp
-}
-
 // ServeHTTP implements http.Handler: GET returns the JSON server list,
 // optionally filtered by ?country=XX.
 func (d *Directory) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -93,30 +85,6 @@ func (d *Directory) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Too late for an HTTP error; the connection is what it is.
 		return
 	}
-}
-
-// Crawl fetches a platform server list from a directory URL.
-func Crawl(ctx context.Context, client *http.Client, url string) ([]ServerInfo, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("speedtest: building crawl request: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("speedtest: crawling %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("speedtest: crawling %s: status %s", url, resp.Status)
-	}
-	var servers []ServerInfo
-	if err := json.NewDecoder(resp.Body).Decode(&servers); err != nil {
-		return nil, fmt.Errorf("speedtest: decoding server list: %w", err)
-	}
-	return servers, nil
 }
 
 // Mbps converts a byte count and elapsed duration to megabits per second.

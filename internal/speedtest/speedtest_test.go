@@ -1,7 +1,8 @@
 package speedtest
 
 import (
-	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -15,29 +16,32 @@ func sampleServers() []ServerInfo {
 	}
 }
 
+// fetch serves one GET of the directory and decodes the list it returns.
+func fetch(t *testing.T, d *Directory, query string) []ServerInfo {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/"+query, nil))
+	var servers []ServerInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &servers); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /%s: status %d, %v", query, rec.Code, err)
+	}
+	return servers
+}
+
 func TestDirectorySortsAndCopies(t *testing.T) {
-	d := NewDirectory(sampleServers())
-	got := d.Servers()
-	if len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
+	in := sampleServers()
+	d := NewDirectory(in)
+	if got := d.servers; len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
 		t.Errorf("directory order wrong: %+v", got)
 	}
-	got[0].Host = "mutated"
-	if d.Servers()[0].Host == "mutated" {
-		t.Error("Servers() exposes internal state")
+	in[0].Host = "mutated"
+	if d.servers[1].Host == "mutated" {
+		t.Error("directory aliases the caller's slice")
 	}
 }
 
 func TestCrawlRoundTrip(t *testing.T) {
-	d := NewDirectory(sampleServers())
-	srv := httptest.NewServer(d)
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	servers, err := Crawl(ctx, nil, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	servers := fetch(t, NewDirectory(sampleServers()), "")
 	if len(servers) != 3 {
 		t.Fatalf("crawled %d servers", len(servers))
 	}
@@ -48,36 +52,11 @@ func TestCrawlRoundTrip(t *testing.T) {
 
 func TestCrawlCountryFilter(t *testing.T) {
 	d := NewDirectory(sampleServers())
-	srv := httptest.NewServer(d)
-	defer srv.Close()
-	ctx := context.Background()
-	us, err := Crawl(ctx, nil, srv.URL+"?country=US")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(us) != 2 {
+	if us := fetch(t, d, "?country=US"); len(us) != 2 {
 		t.Errorf("US filter returned %d", len(us))
 	}
-	none, err := Crawl(ctx, nil, srv.URL+"?country=XX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
+	if none := fetch(t, d, "?country=XX"); len(none) != 0 {
 		t.Errorf("XX filter returned %d", len(none))
-	}
-}
-
-func TestCrawlErrors(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Crawl(ctx, nil, "http://127.0.0.1:1/"); err == nil {
-		t.Error("unreachable host: want error")
-	}
-	d := NewDirectory(nil)
-	srv := httptest.NewServer(d)
-	defer srv.Close()
-	// POST is rejected.
-	if _, err := Crawl(ctx, nil, srv.URL+"/%zz"); err == nil {
-		t.Error("bad URL: want error")
 	}
 }
 

@@ -49,25 +49,6 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// PercentilesSorted returns the ps-th percentiles of an already-sorted
-// sample, one output per requested p — the sort-once companion of
-// Percentile for callers that need several percentiles of the same sample
-// (or own the buffer and can sort it in place). Behaviour is undefined for
-// unsorted input.
-func PercentilesSorted(sorted []float64, ps ...float64) ([]float64, error) {
-	if len(sorted) == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 || p > 100 {
-			return nil, errors.New("stats: percentile out of range [0,100]")
-		}
-		out[i] = PercentileSorted(sorted, p)
-	}
-	return out, nil
-}
-
 // PercentileInPlace returns the same value as Percentile but finds the two
 // bracketing order statistics with quickselect instead of fully sorting —
 // O(n) rather than O(n log n). It partially reorders xs (no copy): on
@@ -286,53 +267,6 @@ func CDF(xs []float64) ([]CDFPoint, error) {
 	return pts, nil
 }
 
-// CDFAt evaluates an empirical CDF (from CDF) at x: the fraction of samples
-// less than or equal to x.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	// Binary search for the last point with X <= x.
-	lo, hi := 0, len(cdf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid].X <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return cdf[lo-1].P
-}
-
-// FractionBelow returns the fraction of samples in xs strictly below x.
-func FractionBelow(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v < x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// FractionAbove returns the fraction of samples in xs strictly above x.
-func FractionAbove(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v > x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // KDEPoint is one evaluation point of a kernel density estimate.
 type KDEPoint struct {
 	X       float64
@@ -480,51 +414,3 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest sample seen (0 for an empty accumulator).
 func (w *Welford) Max() float64 { return w.max }
-
-// Histogram counts samples into equal-width bins across [lo, hi). Samples
-// outside the range are clamped to the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi). Panics if
-// n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(n))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the centre value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}

@@ -112,33 +112,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	pts, _ := CDF([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x, want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := CDFAt(pts, c.x); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestFractions(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if f := FractionBelow(xs, 3); !almostEqual(f, 0.4, 1e-9) {
-		t.Errorf("FractionBelow = %v", f)
-	}
-	if f := FractionAbove(xs, 3); !almostEqual(f, 0.4, 1e-9) {
-		t.Errorf("FractionAbove = %v", f)
-	}
-	if f := FractionBelow(nil, 3); f != 0 {
-		t.Errorf("FractionBelow(nil) = %v", f)
-	}
-}
-
 func TestKDEIntegratesToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 500)
@@ -247,38 +220,6 @@ func TestWelfordEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	// bins: [0,2) has -1,0,1.9 = 3; [2,4) has 2; [4,6) has 5; [8,10) has 9.9,10,100 = 3
-	want := []int{3, 1, 1, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if !almostEqual(h.BinCenter(0), 1, 1e-9) {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	if !almostEqual(h.Fraction(0), 3.0/8.0, 1e-9) {
-		t.Errorf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on invalid histogram")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -362,55 +303,6 @@ func TestWelfordBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPercentilesSortedMatchesPercentile(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	ps := []float64{0, 5, 50, 95, 100}
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-		}
-		sorted := make([]float64, n)
-		copy(sorted, xs)
-		sort.Float64s(sorted)
-		got, err := PercentilesSorted(sorted, ps...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range ps {
-			want, err := Percentile(xs, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] != want {
-				t.Fatalf("trial %d n=%d p=%v: PercentilesSorted=%v Percentile=%v", trial, n, p, got[i], want)
-			}
-		}
-		// A random p too, not just the paper's grid.
-		p := rng.Float64() * 100
-		one, err := PercentilesSorted(sorted, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := Percentile(xs, p); one[0] != want {
-			t.Fatalf("trial %d p=%v: %v != %v", trial, p, one[0], want)
-		}
-	}
-}
-
-func TestPercentilesSortedErrors(t *testing.T) {
-	if _, err := PercentilesSorted(nil, 50); err != ErrEmpty {
-		t.Errorf("empty: err = %v", err)
-	}
-	if _, err := PercentilesSorted([]float64{1}, -1); err == nil {
-		t.Error("p < 0 accepted")
-	}
-	if _, err := PercentilesSorted([]float64{1}, 101); err == nil {
-		t.Error("p > 100 accepted")
 	}
 }
 

@@ -63,23 +63,6 @@ func SteadyStateMbps(rttMs, loss, mssBytes float64) float64 {
 	return pps * mssBytes * 8 / 1e6
 }
 
-// MathisMbps returns the classic Mathis et al. approximation
-// (MSS/RTT)*(C/sqrt(p)); exported for comparison and tests.
-func MathisMbps(rttMs, loss, mssBytes float64) float64 {
-	if mssBytes <= 0 {
-		mssBytes = DefaultMSS
-	}
-	if loss <= 0 {
-		return math.Inf(1)
-	}
-	if rttMs <= 0 {
-		rttMs = 1
-	}
-	const c = 1.22
-	bps := mssBytes * 8 / (rttMs / 1000) * c / math.Sqrt(loss)
-	return bps / 1e6
-}
-
 // slowStartSeconds estimates the time a flow needs to ramp from one segment
 // to the target rate, doubling its window every RTT.
 func slowStartSeconds(targetMbps, rttMs, mssBytes float64) float64 {

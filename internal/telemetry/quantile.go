@@ -67,26 +67,16 @@ func (w HistogramWindow) Quantile(q float64) float64 {
 	return last
 }
 
-// HistogramWindows reconstructs the windowed histograms of one metric
-// family from a store holding its scraped "<family>_bucket" series. match
-// filters on family tags (never "le"); from/to bound the window, zero
-// times meaning unbounded on that side.
-func HistogramWindows(st *tsdb.Store, family string, match tsdb.Tags, from, to time.Time) []HistogramWindow {
-	// Query everything up to the window's end: the baseline at `from` and
-	// the end state at `to` are both "last cumulative value at or before
-	// the boundary", which may predate the window itself.
-	var end time.Time
-	if !to.IsZero() {
-		end = to.Add(time.Nanosecond) // Query's upper bound is exclusive
-	}
-	return WindowsFromSeries(st.Query(family+"_bucket", match, time.Time{}, end), from, to)
-}
-
-// WindowsFromSeries is HistogramWindows over already-fetched bucket series
-// (e.g. decoded from a /debug/obs/history response). Each input series must
-// carry an "le" tag and the scraped "cum" field; series without them are
-// skipped. The series' points must already be bounded above by the window
-// end — pass the same `to` used to fetch them.
+// WindowsFromSeries reconstructs the windowed histograms of one metric
+// family from its scraped "<family>_bucket" series (e.g. decoded from a
+// /debug/obs/history response). from/to bound the window, zero times
+// meaning unbounded on that side. The baseline at `from` and the end state
+// at `to` are both "last cumulative value at or before the boundary", which
+// may predate the window itself, so fetch everything up to the window's
+// end. Each input series must carry an "le" tag and the scraped "cum"
+// field; series without them are skipped. The series' points must already
+// be bounded above by the window end — pass the same `to` used to fetch
+// them.
 func WindowsFromSeries(series []tsdb.Series, from, to time.Time) []HistogramWindow {
 	type bucketState struct {
 		le         float64

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -79,6 +78,3 @@ func (d *DebugServer) Addr() net.Addr { return d.ln.Addr() }
 
 // Close shuts the listener down immediately.
 func (d *DebugServer) Close() error { return d.srv.Close() }
-
-// Shutdown drains gracefully under ctx.
-func (d *DebugServer) Shutdown(ctx context.Context) error { return d.srv.Shutdown(ctx) }

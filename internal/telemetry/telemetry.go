@@ -17,7 +17,7 @@
 //     campaign gauges as a live progress document (/progress).
 //   - Introspection wires all of it plus net/http/pprof onto a mux, and
 //     StartDebug serves that mux on a side listener (clasp -debug-addr).
-//   - HistogramWindows / LogBucketQuantile recover latency percentiles
+//   - WindowsFromSeries / LogBucketQuantile recover latency percentiles
 //     from scraped cumulative bucket series — the shape loadgen consumes.
 //
 // Nothing here feeds back into measurement arithmetic: scrapes read the
@@ -27,7 +27,6 @@
 package telemetry
 
 import (
-	"io"
 	"sync"
 	"time"
 
@@ -91,7 +90,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	store := tsdb.NewStore()
 	return &Pipeline{
 		Store:     store,
-		Scraper:   obs.NewScraper(cfg.Registry, StoreAppender{Store: store}, obs.ScrapeConfig{Interval: cfg.Interval, Now: cfg.Now}),
+		Scraper:   obs.NewScraper(cfg.Registry, StoreAppender{Store: store}, obs.ScrapeConfig{Now: cfg.Now}),
 		interval:  cfg.Interval,
 		retention: cfg.Retention,
 		now:       cfg.Now,
@@ -139,13 +138,6 @@ func (p *Pipeline) Stop() {
 	}
 	p.startOnce.Do(func() { close(p.done) })
 	<-p.done
-}
-
-// WriteBlocks seals nothing extra but dumps the self-store — tail and
-// sealed blocks both — in the indexed block-file format, so telemetry
-// history survives the process and reopens with tsdb.OpenBlockFile.
-func (p *Pipeline) WriteBlocks(w io.Writer) (int64, error) {
-	return p.Store.WriteBlocks(w)
 }
 
 // WriteBlocksFile dumps the self-store to path via temp file and atomic

@@ -127,7 +127,7 @@ func TestScrapedSeriesBlockFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.WriteBlocks(f); err != nil {
+	if _, err := p.Store.WriteBlocks(f); err != nil {
 		t.Fatalf("WriteBlocks: %v", err)
 	}
 	if err := f.Close(); err != nil {
@@ -217,7 +217,14 @@ func TestHistogramWindowsAndQuantile(t *testing.T) {
 
 	// Window (100, 200]: deltas 20/40/50 — le=128's baseline must inherit
 	// the lower buckets' running start (20), not zero.
-	ws := HistogramWindows(st, "lat_ns", nil, time.Unix(150, 0), time.Unix(200, 0))
+	windows := func(from, to time.Time) []HistogramWindow {
+		var end time.Time
+		if !to.IsZero() {
+			end = to.Add(time.Nanosecond) // Query's upper bound is exclusive
+		}
+		return WindowsFromSeries(st.Query("lat_ns_bucket", nil, time.Time{}, end), from, to)
+	}
+	ws := windows(time.Unix(150, 0), time.Unix(200, 0))
 	if len(ws) != 1 {
 		t.Fatalf("windows = %d, want 1", len(ws))
 	}
@@ -252,7 +259,7 @@ func TestHistogramWindowsAndQuantile(t *testing.T) {
 	}
 
 	// Unbounded window covers everything: count 70.
-	all := HistogramWindows(st, "lat_ns", nil, time.Time{}, time.Time{})
+	all := windows(time.Time{}, time.Time{})
 	if len(all) != 1 || all[0].Count != 70 {
 		t.Fatalf("unbounded window = %+v", all)
 	}

@@ -18,9 +18,8 @@ type Topology struct {
 	Cloud   *AS
 	Regions []Region
 
-	ases    map[ASN]*AS
-	asList  []*AS       // stable generation order
-	asIndex map[ASN]int // ASN -> position in asList (contiguous AS index)
+	ases   map[ASN]*AS
+	asList []*AS // stable generation order
 
 	edges     []ASEdge
 	providers map[ASN][]ASN
@@ -33,7 +32,6 @@ type Topology struct {
 	visible         map[string]map[int]bool // region name -> set of link IDs
 	visibleDense    map[string][]bool       // region name -> link-ID-indexed set
 	probeAddr       map[int]netip.Addr      // link ID -> probe target
-	probeLink       map[netip.Prefix]int    // probe /24 -> link ID
 
 	regionByName map[string]Region
 
@@ -59,7 +57,6 @@ func New(cfg Config) (*Topology, error) {
 		Geo:             geo.DefaultDB(),
 		Regions:         Regions(),
 		ases:            make(map[ASN]*AS),
-		asIndex:         make(map[ASN]int),
 		providers:       make(map[ASN][]ASN),
 		customers:       make(map[ASN][]ASN),
 		peers:           make(map[ASN][]ASN),
@@ -68,7 +65,6 @@ func New(cfg Config) (*Topology, error) {
 		visible:         make(map[string]map[int]bool),
 		regionByName:    make(map[string]Region),
 		probeAddr:       make(map[int]netip.Addr),
-		probeLink:       make(map[netip.Prefix]int),
 		serverByID:      make(map[int]*Server),
 		routers:         make(map[RouterID][]netip.Addr),
 		routerOfIP:      make(map[netip.Addr]RouterID),
@@ -99,7 +95,7 @@ func New(cfg Config) (*Topology, error) {
 
 // --- AS construction -------------------------------------------------------
 
-// asIndex is incremented per created AS and drives prefix allocation.
+// asPrefix allocates the /16 of the index-th created AS.
 func asPrefix(index int) netip.Prefix {
 	a := byte(20 + index/200)
 	b := byte(index % 200)
@@ -111,7 +107,6 @@ var cloudPrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{15, 0, 0, 0}), 8)
 
 func (t *Topology) addAS(a *AS) *AS {
 	t.ases[a.ASN] = a
-	t.asIndex[a.ASN] = len(t.asList)
 	t.asList = append(t.asList, a)
 	return a
 }
@@ -508,10 +503,8 @@ func (t *Topology) buildInterconnects(rng *rand.Rand) {
 			t.linkByID[link.ID] = link
 			t.linksByNeighbor[nb.ASN] = append(t.linksByNeighbor[nb.ASN], link)
 
-			// Probe prefix for pilot scans: a /24 of neighbor
-			// customer-cone space engineered through this link.
-			pp := netip.PrefixFrom(addrInPrefix(nb.Prefix, byte(128+idx%126), 0), 24)
-			t.probeLink[pp] = link.ID
+			// Probe target for pilot scans: an address in a /24 of
+			// neighbor customer-cone space engineered through this link.
 			t.probeAddr[link.ID] = addrInPrefix(nb.Prefix, byte(128+idx%126), 1)
 		}
 	}
@@ -759,19 +752,6 @@ func (t *Topology) AS(asn ASN) *AS { return t.ases[asn] }
 // ASes returns all ASes in generation order (cloud first).
 func (t *Topology) ASes() []*AS { return t.asList }
 
-// NumASes returns the number of ASes.
-func (t *Topology) NumASes() int { return len(t.asList) }
-
-// ASIndex returns the contiguous index of an AS: its position in the stable
-// generation order, usable as a dense-slice key by route computations.
-func (t *Topology) ASIndex(asn ASN) (int, bool) {
-	i, ok := t.asIndex[asn]
-	return i, ok
-}
-
-// ASAt returns the AS at a contiguous index (the inverse of ASIndex).
-func (t *Topology) ASAt(i int) *AS { return t.asList[i] }
-
 // Providers returns the AS's transit providers.
 func (t *Topology) Providers(asn ASN) []ASN { return t.providers[asn] }
 
@@ -826,20 +806,6 @@ func (t *Topology) VisibleLinks(region string) []*Interconnect {
 func (t *Topology) ProbeTarget(linkID int) (netip.Addr, bool) {
 	a, ok := t.probeAddr[linkID]
 	return a, ok
-}
-
-// LinkForProbe resolves a probe address back to the engineered link, or -1.
-// Probe prefixes are /24s, so masking the address to its /24 turns the old
-// O(prefixes) scan into one map lookup.
-func (t *Topology) LinkForProbe(addr netip.Addr) int {
-	p, err := addr.Prefix(24)
-	if err != nil {
-		return -1
-	}
-	if id, ok := t.probeLink[p]; ok {
-		return id
-	}
-	return -1
 }
 
 // Servers returns every speed test server.

@@ -118,16 +118,6 @@ type AS struct {
 	Congestion CongestionProfile
 }
 
-// HasCity reports whether the AS has a PoP in the named city.
-func (a *AS) HasCity(city string) bool {
-	for _, c := range a.Cities {
-		if c == city {
-			return true
-		}
-	}
-	return false
-}
-
 // RelKind is the business relationship on an AS-level edge.
 type RelKind int
 

@@ -176,19 +176,3 @@ func WriteJSON(w io.Writer, results []Result) error {
 	}
 	return nil
 }
-
-// ReadJSON parses results written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Result, error) {
-	dec := json.NewDecoder(r)
-	var out []Result
-	for {
-		var res Result
-		if err := dec.Decode(&res); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("traceroute: decoding result: %w", err)
-		}
-		out = append(out, res)
-	}
-}

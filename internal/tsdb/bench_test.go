@@ -48,24 +48,3 @@ func BenchmarkInsert(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAnalysisAggPercentile is the p95 rollup behind the paper's
-// hourly-to-daily aggregation: GroupByTime over a 90-day hourly series.
-func BenchmarkAnalysisAggPercentile(b *testing.B) {
-	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	sr := Series{Measurement: "speedtest"}
-	for h := 0; h < 90*24; h++ {
-		sr.Points = append(sr.Points, Point{
-			Time:   base.Add(time.Duration(h) * time.Hour),
-			Fields: map[string]float64{"mbps": 300 + float64(h%37)},
-		})
-	}
-	p95 := AggPercentile(95)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if buckets := GroupByTime(sr, "mbps", 24*time.Hour, p95); len(buckets) != 90 {
-			b.Fatalf("buckets = %d", len(buckets))
-		}
-	}
-}

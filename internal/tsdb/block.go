@@ -8,7 +8,7 @@
 // bit-identical to the input — timestamps to the nanosecond (normalised to
 // UTC) and field values to the IEEE-754 bit pattern, pinned by the
 // round-trip property tests and fuzzer in block_test.go. Nothing
-// downstream (Query, WriteTo, analysis) can observe whether a series was
+// downstream (Query, WriteBlocks, analysis) can observe whether a series was
 // sealed, except through memory use.
 
 package tsdb

@@ -210,8 +210,8 @@ func fillStores(t testing.TB, n int, stores ...*Store) {
 }
 
 // TestSealedStoreMatchesUnsealed pins that sealing is invisible: Query
-// results and WriteTo bytes are identical whether blocks are enabled
-// (small threshold, many blocks) or disabled.
+// results are identical whether blocks are enabled (small threshold, many
+// blocks) or disabled.
 func TestSealedStoreMatchesUnsealed(t *testing.T) {
 	sealed, plain := NewStore(), NewStore()
 	sealed.SetSealThreshold(16)
@@ -240,17 +240,6 @@ func TestSealedStoreMatchesUnsealed(t *testing.T) {
 		plain.Query("speedtest", Tags{"server": "a"}, from, to),
 	) {
 		t.Fatal("sealed range Query differs from unsealed")
-	}
-
-	var bs, bp bytes.Buffer
-	if _, err := sealed.WriteTo(&bs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.WriteTo(&bp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
-		t.Fatal("sealed WriteTo differs from unsealed")
 	}
 }
 
@@ -370,10 +359,10 @@ func TestQueryViewAliasesStore(t *testing.T) {
 
 // --- Concurrency -----------------------------------------------------------------
 
-// TestWriteToConcurrentWithInserts is the -race pin for the shard-by-shard
-// snapshot: serialisation runs while writers insert, and every serialised
-// store must itself parse back cleanly.
-func TestWriteToConcurrentWithInserts(t *testing.T) {
+// TestWriteBlocksConcurrentWithInserts is the -race pin for the
+// shard-by-shard snapshot: serialisation runs while writers insert, and
+// every serialised store must itself open and decode cleanly.
+func TestWriteBlocksConcurrentWithInserts(t *testing.T) {
 	s := NewStore()
 	s.SetSealThreshold(32)
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -393,12 +382,8 @@ func TestWriteToConcurrentWithInserts(t *testing.T) {
 		}(g)
 	}
 	for round := 0; round < 6; round++ {
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Read(&buf); err != nil {
-			t.Fatalf("round %d: serialised store does not parse: %v", round, err)
+		if _, err := writeBlockFile(t, s).Query("speedtest", nil, time.Time{}, time.Time{}); err != nil {
+			t.Fatalf("round %d: serialised store does not decode: %v", round, err)
 		}
 	}
 	wg.Wait()

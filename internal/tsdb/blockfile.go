@@ -46,8 +46,11 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // WriteBlocks serialises the store in the block file format. Tails that
 // have not reached the seal threshold are encoded into transient blocks on
-// the fly without mutating the store. The snapshot is shard-by-shard, like
-// WriteTo. Returns the bytes written.
+// the fly without mutating the store. The snapshot is taken shard by shard:
+// each series is internally consistent and the output is a valid store
+// state, but series on different shards may be captured at slightly
+// different instants when inserts run concurrently. Returns the bytes
+// written.
 func (s *Store) WriteBlocks(w io.Writer) (int64, error) {
 	snaps := s.snapshotSeries()
 	cw := &countWriter{w: w}
@@ -207,8 +210,12 @@ func newBlockFile(f *os.File) (*BlockFile, error) {
 		return nil, fmt.Errorf("tsdb: truncated block file index")
 	}
 	raw = raw[k:]
-	series := make([]blockFileSeries, 0, int(n64))
-	for i := 0; i < int(n64); i++ {
+	// Counts and lengths come off the disk: each is bounded by the bytes
+	// that could back it before it sizes an allocation or a cast, so a file
+	// that lies about one runs into a truncation error below. An index
+	// entry is at least three bytes.
+	series := make([]blockFileSeries, 0, min(n64, uint64(len(raw))/3))
+	for i := uint64(0); i < n64; i++ {
 		kl, k := colenc.Uvarint(raw)
 		if k == 0 || uint64(len(raw)-k) < kl {
 			return nil, fmt.Errorf("tsdb: truncated block file index entry %d", i)
@@ -221,8 +228,9 @@ func newBlockFile(f *os.File) (*BlockFile, error) {
 		}
 		raw = raw[k:]
 		length, k := colenc.Uvarint(raw)
-		if k == 0 {
-			return nil, fmt.Errorf("tsdb: truncated block file index entry %d", i)
+		// A section lies between the header magic and the index.
+		if k == 0 || off < uint64(len(blockFileMagic)) || length > uint64(indexOff) || off > uint64(indexOff)-length {
+			return nil, fmt.Errorf("tsdb: block file index entry %d truncated or out of range", i)
 		}
 		raw = raw[k:]
 		measurement, tags, err := parseSeriesKey(key)
@@ -261,15 +269,6 @@ func (bf *BlockFile) Close() error { return bf.f.Close() }
 
 // SeriesCount returns the number of series in the file.
 func (bf *BlockFile) SeriesCount() int { return len(bf.series) }
-
-// Keys returns the series keys in index (sorted) order.
-func (bf *BlockFile) Keys() []string {
-	keys := make([]string, len(bf.series))
-	for i := range bf.series {
-		keys[i] = bf.series[i].key
-	}
-	return keys
-}
 
 // Query selects points with Store.Query semantics (tag match, [from, to)
 // bounds, series sorted by key, deep-owned results) but reads and decodes
@@ -326,7 +325,7 @@ func (bf *BlockFile) readSeries(e *blockFileSeries, from, to time.Time) ([]Point
 	raw = raw[k:]
 	r := newTimeRange(from, to)
 	var pts []Point
-	for bi := 0; bi < int(nb64); bi++ {
+	for bi := uint64(0); bi < nb64; bi++ {
 		n64, k := colenc.Uvarint(raw)
 		if k == 0 {
 			return nil, fmt.Errorf("tsdb: truncated block header for %q", e.key)
@@ -343,7 +342,8 @@ func (bf *BlockFile) readSeries(e *blockFileSeries, from, to time.Time) ([]Point
 		}
 		raw = raw[k:]
 		dl, k := colenc.Uvarint(raw)
-		if k == 0 || uint64(len(raw)-k) < dl {
+		// Every point costs at least a byte of block data.
+		if k == 0 || uint64(len(raw)-k) < dl || n64 > dl {
 			return nil, fmt.Errorf("tsdb: truncated block data for %q", e.key)
 		}
 		data := raw[k : k+int(dl)]

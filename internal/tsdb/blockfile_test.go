@@ -2,11 +2,14 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/clasp-measurement/clasp/internal/colenc"
 )
 
 // writeBlockFile spills s into dir and opens the result.
@@ -135,6 +138,62 @@ func TestBlockFileCorruption(t *testing.T) {
 	noTrailer := raw[:len(raw)-4]
 	if _, err := OpenBlockFile(write("trailer", noTrailer)); err == nil {
 		t.Fatal("bad trailer should not open")
+	}
+}
+
+// TestBlockFileHostileLengths pins that every count and length a block file
+// carries is bounded by the bytes that could back it before it sizes an
+// allocation or a loop: a file that lies about one is rejected with an error
+// — at open for the index, at Query for a section — never with a panic.
+func TestBlockFileHostileLengths(t *testing.T) {
+	uv := colenc.AppendUvarint
+	// file assembles the magic, the series sections, an index and the
+	// trailer pointing at it.
+	file := func(sections, index []byte) []byte {
+		b := append([]byte(blockFileMagic), sections...)
+		trailer := binary.LittleEndian.AppendUint64(nil, uint64(len(b)))
+		return append(append(append(b, index...), trailer...), blockFileMagic...)
+	}
+	// index lists one series "m" whose section is [off, off+length).
+	index := func(off, length uint64) []byte {
+		return uv(uv(append(uv(uv(nil, 1), 1), 'm'), off), length)
+	}
+	// section holds nblocks blocks, the first claiming n points over data.
+	section := func(nblocks, n uint64, data []byte) []byte {
+		b := colenc.AppendVarint(colenc.AppendVarint(uv(uv(nil, nblocks), n), 0), 0)
+		return append(uv(b, uint64(len(data))), data...)
+	}
+	const start = uint64(len(blockFileMagic))
+	var one columns // a valid first block, so the lie is the block count
+	one.insert(0, []int{one.col("v")}, []float64{1})
+	manyBlocks := section(1<<62, 1, encodeColumns(&one).data)
+	manyPoints := section(1, 1<<40, uv(uv(nil, 1<<40), 0))
+	cases := []struct {
+		name string
+		raw  []byte
+	}{
+		{"series count beyond the index", file(nil, uv(nil, 1<<62))},
+		{"section length beyond the file", file(nil, index(start, 1<<62))},
+		{"section offset negative after cast", file(nil, index(1<<63, 1))},
+		{"section offset plus length wraps", file(nil, index(1<<64-1, 2))},
+		{"section runs past the index", file([]byte{1, 2, 3}, index(start, 100))},
+		{"section starts inside the magic", file([]byte{1, 2, 3}, index(0, 3))},
+		{"block count beyond the section", file(manyBlocks, index(start, uint64(len(manyBlocks))))},
+		{"point count beyond the block", file(manyPoints, index(start, uint64(len(manyPoints))))},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "hostile.clbf")
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bf, err := OpenBlockFile(path)
+		if err == nil {
+			_, err = bf.Query("m", nil, time.Time{}, time.Time{})
+			bf.Close()
+		}
+		if err == nil {
+			t.Errorf("%s: opened and queried without error", tc.name)
+		}
 	}
 }
 

@@ -175,8 +175,7 @@ func (c *columns) clone() columns {
 }
 
 // sortedFields returns the indices of the columns at least one point
-// carries, ordered by field name — the order blocks and line protocol
-// write fields in.
+// carries, ordered by field name — the order blocks write fields in.
 func (c *columns) sortedFields() []int {
 	order := make([]int, 0, len(c.fields))
 	for k := range c.fields {

@@ -77,8 +77,8 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 			}
 		}
 		want := byMap.Query("speedtest", nil, time.Time{}, time.Time{})
-		var wantLP bytes.Buffer
-		if _, err := byMap.WriteTo(&wantLP); err != nil {
+		var wantBlocks bytes.Buffer
+		if _, err := byMap.WriteBlocks(&wantBlocks); err != nil {
 			t.Fatal(err)
 		}
 		wb, wp, wbytes := byMap.BlockStats()
@@ -89,12 +89,12 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 			if got := s.Query("speedtest", nil, time.Time{}, time.Time{}); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: %s Query differs from the map API's", seed, name)
 			}
-			var lp bytes.Buffer
-			if _, err := s.WriteTo(&lp); err != nil {
+			var blocks bytes.Buffer
+			if _, err := s.WriteBlocks(&blocks); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(lp.Bytes(), wantLP.Bytes()) {
-				t.Fatalf("seed %d: %s WriteTo differs from the map API's", seed, name)
+			if !bytes.Equal(blocks.Bytes(), wantBlocks.Bytes()) {
+				t.Fatalf("seed %d: %s WriteBlocks differs from the map API's", seed, name)
 			}
 			if b, p, n := s.BlockStats(); b != wb || p != wp || n != wbytes {
 				t.Fatalf("seed %d: %s BlockStats = %d/%d/%d, want %d/%d/%d", seed, name, b, p, n, wb, wp, wbytes)

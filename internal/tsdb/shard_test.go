@@ -120,14 +120,14 @@ func TestHandleMatchesInsert(t *testing.T) {
 	}
 
 	var a, b bytes.Buffer
-	if _, err := plain.WriteTo(&a); err != nil {
+	if _, err := plain.WriteBlocks(&a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := handled.WriteTo(&b); err != nil {
+	if _, err := handled.WriteBlocks(&b); err != nil {
 		t.Fatal(err)
 	}
-	if a.String() != b.String() {
-		t.Fatalf("handle inserts serialise differently:\n%s\nvs\n%s", a.String(), b.String())
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("handle inserts serialise differently")
 	}
 }
 

@@ -1,14 +1,12 @@
-// Package tsdb is the time-series store behind CLASP's data pipeline,
-// standing in for InfluxDB: an in-memory series store with tagged points,
-// an InfluxDB-style line protocol for persistence, time-range and tag
-// queries, and time-bucketed aggregation for the hourly/daily rollups the
-// congestion analysis consumes.
+// Package tsdb is CLASP's time-series store, standing in for InfluxDB: a
+// sharded in-memory series store with tagged points, sealed columnar
+// blocks, time-range and tag queries, and the block file format
+// (blockfile.go) it persists to. Its clients are the telemetry pipeline's
+// self-scrape history and the campaign index.
 package tsdb
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -17,7 +15,6 @@ import (
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/stats"
 )
 
 // Ingest telemetry (see DESIGN.md §8): per-shard insert counts expose the
@@ -107,7 +104,7 @@ type shard struct {
 // Store is a thread-safe collection of series. The lock is sharded by
 // series key: writers to distinct series take distinct locks; whole-store
 // readers (Query, QueryView, SeriesCount) lock every shard in order for a
-// consistent snapshot, while WriteTo snapshots one shard at a time so
+// consistent snapshot, while WriteBlocks snapshots one shard at a time so
 // serialisation never stalls more than one shard's writers.
 type Store struct {
 	shards        [numShards]shard
@@ -458,148 +455,6 @@ func appendBlockPoints(dst []Point, blocks []*block, r timeRange) []Point {
 	return dst
 }
 
-// FieldValues flattens a queried series list into the values of one field.
-func FieldValues(series []Series, field string) []float64 {
-	var out []float64
-	for _, sr := range series {
-		for _, p := range sr.Points {
-			if v, ok := p.Fields[field]; ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// Aggregator reduces a bucket of values to one value. GroupByTime only
-// invokes aggregators with non-empty buckets; the built-ins additionally
-// guard the empty case for direct callers, returning 0 rather than NaN
-// (AggMean's old behaviour) or panicking (AggMax/AggMin/AggPercentile).
-type Aggregator func([]float64) float64
-
-// Built-in aggregators.
-var (
-	AggMean Aggregator = func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	AggMax Aggregator = func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x > m {
-				m = x
-			}
-		}
-		return m
-	}
-	AggMin Aggregator = func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		return m
-	}
-)
-
-// aggScratch pools the sort buffer behind AggPercentile so per-bucket
-// rollups stop allocating once the pool is warm.
-var aggScratch = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &b }}
-
-// AggPercentile returns an aggregator for the p-th percentile (0-100),
-// linearly interpolated — the rollup behind the paper's p95/p5 plots.
-// Returns 0 on an empty bucket (see Aggregator).
-func AggPercentile(p float64) Aggregator {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	return func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		// Selection, not a sort: rollup buckets are small and only the two
-		// bracketing order statistics matter. Typical buckets (hourly
-		// rollups) fit the stack buffer; larger ones borrow pooled scratch.
-		var a [32]float64
-		if len(xs) <= len(a) {
-			t := a[:len(xs)]
-			copy(t, xs)
-			v, _ := stats.PercentileInPlace(t, p)
-			return v
-		}
-		bp := aggScratch.Get().(*[]float64)
-		s := append((*bp)[:0], xs...)
-		v, _ := stats.PercentileInPlace(s, p)
-		*bp = s
-		aggScratch.Put(bp)
-		return v
-	}
-}
-
-// Bucket is one aggregated time window.
-type Bucket struct {
-	Start time.Time
-	Value float64
-	N     int
-}
-
-// GroupByTime buckets one series' field by window and aggregates each
-// bucket. Buckets align to the Unix epoch. Empty buckets are never
-// materialised, so agg is always called with at least one value.
-//
-// Bucket starts are computed in nanoseconds with a floored modulo, so
-// sub-second windows work (the old seconds-based arithmetic divided by
-// int64(window.Seconds()) == 0 for window < time.Second) and pre-epoch
-// points round down rather than toward zero.
-func GroupByTime(sr Series, field string, window time.Duration, agg Aggregator) []Bucket {
-	if window <= 0 || agg == nil {
-		return nil
-	}
-	w := window.Nanoseconds()
-	byStart := make(map[int64][]float64)
-	for _, p := range sr.Points {
-		v, ok := p.Fields[field]
-		if !ok {
-			continue
-		}
-		ns := p.Time.UnixNano()
-		rem := ns % w
-		if rem < 0 {
-			rem += w
-		}
-		byStart[ns-rem] = append(byStart[ns-rem], v)
-	}
-	starts := make([]int64, 0, len(byStart))
-	for s := range byStart {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	out := make([]Bucket, 0, len(starts))
-	for _, st := range starts {
-		xs := byStart[st]
-		out = append(out, Bucket{Start: time.Unix(0, st).UTC(), Value: agg(xs), N: len(xs)})
-	}
-	return out
-}
-
-// --- Line protocol -------------------------------------------------------------
-
 // seriesSnap is a point-in-time copy of one series taken under its shard's
 // read lock: blocks are immutable and shared, the tail's columns are copied
 // (insertions shift the live ones in place), and Tags are shared because
@@ -615,7 +470,7 @@ type seriesSnap struct {
 // snapshotSeries collects a consistent-per-shard snapshot of every series,
 // holding only one shard's read lock at a time so concurrent inserts stall
 // for at most one shard, not the whole store (pinned by the -race test
-// TestWriteToConcurrentWithInserts).
+// TestWriteBlocksConcurrentWithInserts).
 func (s *Store) snapshotSeries() []seriesSnap {
 	var snaps []seriesSnap
 	for i := range s.shards {
@@ -634,132 +489,4 @@ func (s *Store) snapshotSeries() []seriesSnap {
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
 	return snaps
-}
-
-// WriteTo serialises the store in InfluxDB line protocol, sorted by series
-// key then time. The snapshot is taken shard-by-shard: each series is
-// internally consistent and the output is a valid store state, but series
-// on different shards may be captured at slightly different instants when
-// inserts run concurrently.
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	snaps := s.snapshotSeries()
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	var line []byte
-	for _, snap := range snaps {
-		head := snap.measurement + snap.tags.canonical() + " "
-		for _, b := range snap.blocks {
-			var c columns
-			if err := b.decodeInto(&c); err != nil {
-				panic(fmt.Sprintf("tsdb: corrupt block: %v", err))
-			}
-			var err error
-			if line, err = writeLines(bw, line, head, &c); err != nil {
-				return cw.n, err
-			}
-		}
-		var err error
-		if line, err = writeLines(bw, line, head, &snap.tail); err != nil {
-			return cw.n, err
-		}
-	}
-	err := bw.Flush()
-	return cw.n, err
-}
-
-// writeLines writes one line-protocol record per point of c — head, the
-// point's fields sorted by name, its timestamp — reusing line as scratch.
-func writeLines(w io.Writer, line []byte, head string, c *columns) ([]byte, error) {
-	order := c.sortedFields()
-	for i, ns := range c.times {
-		line = append(line[:0], head...)
-		sep := false
-		for _, k := range order {
-			if !c.has(k, i) {
-				continue
-			}
-			if sep {
-				line = append(line, ',')
-			}
-			sep = true
-			line = append(line, c.fields[k]...)
-			line = append(line, '=')
-			line = strconv.AppendFloat(line, c.vals[k][i], 'g', -1, 64)
-		}
-		line = append(line, ' ')
-		line = strconv.AppendInt(line, ns, 10)
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return line, err
-		}
-	}
-	return line, nil
-}
-
-// Read parses line protocol into a new store.
-func Read(r io.Reader) (*Store, error) {
-	s := NewStore()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		measurement, tags, fields, ts, err := ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: line %d: %w", lineNo, err)
-		}
-		if err := s.Insert(measurement, tags, ts, fields); err != nil {
-			return nil, fmt.Errorf("tsdb: line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ParseLine parses one line-protocol record:
-// measurement[,tag=value...] field=value[,field=value...] [timestamp_ns]
-func ParseLine(line string) (measurement string, tags Tags, fields map[string]float64, ts time.Time, err error) {
-	parts := strings.Fields(line)
-	if len(parts) < 2 || len(parts) > 3 {
-		return "", nil, nil, time.Time{}, fmt.Errorf("want 2-3 space-separated sections, got %d", len(parts))
-	}
-	head := strings.Split(parts[0], ",")
-	measurement = head[0]
-	if measurement == "" {
-		return "", nil, nil, time.Time{}, fmt.Errorf("empty measurement")
-	}
-	tags = make(Tags)
-	for _, kv := range head[1:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok || k == "" || v == "" {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad tag %q", kv)
-		}
-		tags[k] = v
-	}
-	fields = make(map[string]float64)
-	for _, kv := range strings.Split(parts[1], ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad field %q", kv)
-		}
-		f, perr := strconv.ParseFloat(v, 64)
-		if perr != nil {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad field value %q", v)
-		}
-		fields[k] = f
-	}
-	if len(parts) == 3 {
-		ns, perr := strconv.ParseInt(parts[2], 10, 64)
-		if perr != nil {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad timestamp %q", parts[2])
-		}
-		ts = time.Unix(0, ns).UTC()
-	}
-	return measurement, tags, fields, ts, nil
 }

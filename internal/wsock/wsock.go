@@ -308,9 +308,3 @@ func (c *Conn) Close() error {
 
 // SetDeadline sets the read/write deadline on the underlying transport.
 func (c *Conn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
-
-// LocalAddr returns the transport's local address.
-func (c *Conn) LocalAddr() net.Addr { return c.conn.LocalAddr() }
-
-// RemoteAddr returns the transport's remote address.
-func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
