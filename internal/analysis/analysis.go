@@ -84,6 +84,28 @@ func (t *regionTable) intern(name string) int32 {
 	return ri
 }
 
+// batchRegions maps a batch's region codes into a kernel's own regionTable
+// once per batch: a code costs one intern the first time the batch shows
+// it and an index after.
+type batchRegions struct {
+	names []string // the batch's table
+	index []int32  // batch code -> table index + 1, 0 while unresolved
+}
+
+func (r *batchRegions) reset(b *ColumnBatch) {
+	r.names = b.RegionNames
+	r.index = append(r.index[:0], make([]int32, len(b.RegionNames))...)
+}
+
+func (r *batchRegions) resolve(code int32, t *regionTable) int32 {
+	if ri := r.index[code]; ri != 0 {
+		return ri - 1
+	}
+	ri := t.intern(r.names[code])
+	r.index[code] = ri + 1
+	return ri
+}
+
 // denseServerMax bounds the dense serverID→slot tables: IDs in [0, denseMax)
 // index a flat slice (no hashing); anything else falls back to a map. Real
 // topologies number servers from zero, so the fallback never runs in
@@ -91,11 +113,12 @@ func (t *regionTable) intern(name string) int32 {
 const denseServerMax = 1 << 20
 
 // grouper is the count-then-fill grouping kernel for one (direction, tier):
-// stage resolves each sample's pair slot and appends it to a staging buffer
+// put resolves each sample's pair slot and appends it to a staging buffer
 // in delivery order, finish scatters the staged samples into one contiguous
 // pre-sized buffer whose subslices become the series. It has two feeders —
-// GroupSeriesWithServerCursor over a finished record stream, CampaignPrep
-// from a running campaign's emit phase — and no second implementation.
+// GroupSeriesWithServerCursor's column loop over a finished record stream,
+// CampaignPrep record by record from a running campaign's emit phase — and
+// both end in put: no second implementation.
 type grouper struct {
 	dir  netsim.Direction
 	tier bgp.Tier
@@ -112,8 +135,8 @@ type grouper struct {
 type pairSlot struct {
 	regionIdx   int32
 	serverID    int
-	count, next int       // sample count; fill cursor into the output buffer
-	last        time.Time // last staged sample time, for the sorted check
+	count, next int   // sample count; fill cursor into the output buffer
+	last        int64 // last staged sample time (Unix ns), for the sorted check
 	unsorted    bool
 }
 
@@ -123,17 +146,21 @@ type overflowKey struct {
 	serverID  int
 }
 
-// stage adds one sample of the grouper's (direction, tier); the caller has
-// already filtered. The pair slot is resolved through the interned region
-// plus a dense serverID table (no string hashing in the hot loop), and
+// stage adds one record of the grouper's (direction, tier); the caller has
+// already filtered.
+func (g *grouper) stage(m *Measurement) {
+	g.put(g.regions.intern(m.Region), m.ServerID, m.Time.UnixNano(), m.Time, m.Mbps)
+}
+
+// put stages one sample for the pair (ri, id), ri an index of g.regions; t
+// and ns are the same instant. The pair slot is resolved through a dense
+// serverID table per region (no string hashing in the hot loop), and
 // sortedness is tracked per slot so already time-ordered pairs (the
 // campaign's hour-major layout) skip sorting in finish.
-func (g *grouper) stage(m *Measurement) {
-	ri := g.regions.intern(m.Region)
+func (g *grouper) put(ri int32, id int, ns int64, t time.Time, mbps float64) {
 	if int(ri) == len(g.tables) {
 		g.tables = append(g.tables, nil)
 	}
-	id := m.ServerID
 	var si int32
 	if id >= 0 && id < denseServerMax {
 		t := g.tables[ri]
@@ -163,12 +190,12 @@ func (g *grouper) stage(m *Measurement) {
 		si = v
 	}
 	s := &g.slots[si]
-	if s.count > 0 && m.Time.Before(s.last) {
+	if s.count > 0 && ns < s.last {
 		s.unsorted = true
 	}
-	s.last = m.Time
+	s.last = ns
 	s.count++
-	g.samples = append(g.samples, congestion.Sample{Time: m.Time, Mbps: m.Mbps})
+	g.samples = append(g.samples, congestion.Sample{Time: t, Mbps: mbps})
 	g.slotOf = append(g.slotOf, si)
 }
 
@@ -235,10 +262,13 @@ var groupScratch = sync.Pool{New: func() any { return new(groupBuffers) }}
 
 // GroupSeriesWithServerCursor groups a measurement stream into per-pair
 // series with the server attribution the congestion-by-business-type and
-// Fig. 6 analyses need: the grouper kernel fed from a cursor, staging into
-// pooled scratch. The cursor is consumed one batch at a time and only the
-// matching samples are staged, so the peak footprint is the output plus one
-// input block, independent of stream length.
+// Fig. 6 analyses need: the grouper kernel fed from a cursor's columns,
+// staging into pooled scratch. It filters on tier and direction before it
+// touches anything else of a record, never asks for latency or loss, and
+// builds a time.Time only for the samples it stages (one per run of equal
+// timestamps: the campaign's layout is hour-major). The cursor is consumed
+// one batch at a time, so the peak footprint is the output plus one input
+// block, independent of stream length.
 func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
 	sp := obs.Trace("analysis.group")
 	obsGroupCalls.Inc()
@@ -246,12 +276,22 @@ func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) 
 	gb := groupScratch.Get().(*groupBuffers)
 	g := grouper{dir: dir, tier: tier, samples: gb.samples[:0], slotOf: gb.slotOf[:0]}
 	records := 0
-	for ms := c.Next(); ms != nil; ms = c.Next() {
-		records += len(ms)
-		for i := range ms {
-			if m := &ms[i]; m.Dir == dir && m.Tier == tier {
-				g.stage(m)
+	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps
+	var regions batchRegions
+	var at time.Time // the instant atNs, rebuilt when a record's differs
+	var atNs int64
+	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
+		records += b.N
+		regions.reset(b)
+		for i, d := range b.Dirs {
+			if d != dir || b.Tiers[i] != tier {
+				continue
 			}
+			ns := b.Times[i]
+			if ns != atNs || at.IsZero() {
+				at, atNs = time.Unix(0, ns).UTC(), ns
+			}
+			g.put(regions.resolve(b.Regions[i], &g.regions), b.Servers[i], ns, at, b.Mbps[i])
 		}
 	}
 	out := g.finish()
@@ -279,14 +319,41 @@ type PerfPoint struct {
 
 // PerfPointsCursor computes one point per (server, region, month) from the
 // download measurements of a stream, mirroring Fig. 4's use of p95/p5 to
-// mitigate outliers. Same count-then-fill kernel as the series grouping,
+// mitigate outliers.
+func PerfPointsCursor(c Cursor) []PerfPoint { return perfPoints(c, 0, false) }
+
+// PerfPointsTierCursor is PerfPointsCursor over the downloads of one tier:
+// a panel of Fig. 4.
+func PerfPointsTierCursor(c Cursor, tier bgp.Tier) []PerfPoint { return perfPoints(c, tier, true) }
+
+// monthSpan caches the calendar month an instant fell in: a campaign stream
+// stays inside one month for tens of thousands of records, so the (year,
+// month) of a record is two comparisons against the month's bounds, not a
+// calendar conversion.
+type monthSpan struct {
+	lo, hi int64 // Unix ns of the month's first instant and of the next month's; hi == lo == 0: none yet
+	year   int
+	month  time.Month
+}
+
+func (s *monthSpan) at(ns int64) {
+	if ns >= s.lo && ns < s.hi {
+		return
+	}
+	s.year, s.month, _ = time.Unix(0, ns).UTC().Date()
+	s.lo = time.Date(s.year, s.month, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	s.hi = time.Date(s.year, s.month+1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+}
+
+// perfPoints is the count-then-fill kernel of the series grouping again,
 // with interned region names keeping strings out of the slot map. The
 // per-group throughput and latency samples land in two contiguous buffers
 // and each percentile is selected (stats.PercentileInPlace) rather than
-// paying a full sort. The kernel is two-pass (count, then Reset, re-scan and
-// fill), so it holds two contiguous float columns plus one input block,
-// never the records.
-func PerfPointsCursor(c Cursor) []PerfPoint {
+// paying a full sort. The kernel is two-pass — count, then Reset, re-scan
+// and fill — so it holds two contiguous float columns plus one input
+// block, never the records; the count pass asks for no float column and the
+// fill pass for nothing but the filter byte, throughput and latency.
+func perfPoints(c Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
 	type slotKey struct {
 		server, ym int // ym = year*12 + month: (year, month) order preserved
 		ri         int32
@@ -298,24 +365,30 @@ func PerfPointsCursor(c Cursor) []PerfPoint {
 		month       time.Month
 		count, next int
 	}
+	keep := func(b *ColumnBatch, i int) bool {
+		return b.Dirs[i] == netsim.Download && (!oneTier || b.Tiers[i] == tier)
+	}
 	var regions regionTable
+	var codes batchRegions
+	var in monthSpan
 	idx := make(map[slotKey]int32)
 	var slots []slot
 	var slotOf []int32
-	for ms := c.Next(); ms != nil; ms = c.Next() {
-		for i := range ms {
-			m := &ms[i]
-			if m.Dir != netsim.Download {
+	const countCols = ColTime | ColServer | ColRegion | ColTierDir
+	for b := c.NextColumns(countCols); b != nil; b = c.NextColumns(countCols) {
+		codes.reset(b)
+		for i := 0; i < b.N; i++ {
+			if !keep(b, i) {
 				continue
 			}
-			ri := regions.intern(m.Region)
-			year, month, _ := m.Time.Date()
-			k := slotKey{server: m.ServerID, ym: year*12 + int(month), ri: ri}
+			ri := codes.resolve(b.Regions[i], &regions)
+			in.at(b.Times[i])
+			k := slotKey{server: b.Servers[i], ym: in.year*12 + int(in.month), ri: ri}
 			si, ok := idx[k]
 			if !ok {
 				si = int32(len(slots))
 				idx[k] = si
-				slots = append(slots, slot{server: m.ServerID, ri: ri, year: year, month: month})
+				slots = append(slots, slot{server: k.server, ri: ri, year: in.year, month: in.month})
 			}
 			slots[si].count++
 			slotOf = append(slotOf, si)
@@ -351,16 +424,16 @@ func PerfPointsCursor(c Cursor) []PerfPoint {
 	lat := make([]float64, total)
 	j := 0
 	c.Reset()
-	for ms := c.Next(); ms != nil; ms = c.Next() {
-		for i := range ms {
-			m := &ms[i]
-			if m.Dir != netsim.Download {
+	const fillCols = ColTierDir | ColMbps | ColRTT
+	for b := c.NextColumns(fillCols); b != nil; b = c.NextColumns(fillCols) {
+		for i := 0; i < b.N; i++ {
+			if !keep(b, i) {
 				continue
 			}
 			s := &slots[slotOf[j]]
 			j++
-			down[s.next] = m.Mbps
-			lat[s.next] = m.RTTms
+			down[s.next] = b.Mbps[i]
+			lat[s.next] = b.RTTms[i]
 			s.next++
 		}
 	}
@@ -428,49 +501,48 @@ type TierDelta struct {
 
 // TierDeltasCursor pairs measurements of the two tiers taken for the same
 // (server, region, direction) in the same hour and computes the relative
-// difference for the requested metric. Only the matched (server, hour)
-// pairs are retained, not the input stream.
+// difference for the requested metric. It asks for the one float column the
+// metric names and keeps one value per (tier, server, hour) — the last one
+// delivered — never the input stream.
 func TierDeltasCursor(c Cursor, region string, metric Metric) []TierDelta {
 	type key struct {
 		server int
 		hour   int64
 	}
-	wantDir := netsim.Download
+	// Latency deltas ride on download tests (each test reports RTT).
+	wantDir, need := netsim.Download, ColTime|ColServer|ColRegion|ColTierDir
 	if metric == MetricUpload {
 		wantDir = netsim.Upload
 	}
-	prem := make(map[key]Measurement)
-	std := make(map[key]Measurement)
-	for ms := c.Next(); ms != nil; ms = c.Next() {
-		for _, m := range ms {
-			if m.Region != region {
+	if metric == MetricLatency {
+		need |= ColRTT
+	} else {
+		need |= ColMbps
+	}
+	prem := make(map[key]float64)
+	std := make(map[key]float64)
+	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
+		code := int32(slices.Index(b.RegionNames, region))
+		vals := b.Mbps
+		if metric == MetricLatency {
+			vals = b.RTTms
+		}
+		for i, r := range b.Regions {
+			if r != code || b.Dirs[i] != wantDir {
 				continue
 			}
-			// Latency deltas ride on download tests (each test reports RTT).
-			if m.Dir != wantDir {
-				continue
-			}
-			k := key{m.ServerID, m.Time.Unix() / 3600}
-			if m.Tier == bgp.Premium {
-				prem[k] = m
+			k := key{b.Servers[i], b.Times[i] / int64(time.Hour)}
+			if b.Tiers[i] == bgp.Premium {
+				prem[k] = vals[i]
 			} else {
-				std[k] = m
+				std[k] = vals[i]
 			}
 		}
 	}
 	var out []TierDelta
-	for k, p := range prem {
-		s, ok := std[k]
-		if !ok {
-			continue
-		}
-		var pv, sv float64
-		if metric == MetricLatency {
-			pv, sv = p.RTTms, s.RTTms
-		} else {
-			pv, sv = p.Mbps, s.Mbps
-		}
-		if sv == 0 {
+	for k, pv := range prem {
+		sv, ok := std[k]
+		if !ok || sv == 0 {
 			continue
 		}
 		out = append(out, TierDelta{
@@ -544,13 +616,17 @@ type LossySummary struct {
 func PremiumLossTargetsCursor(c Cursor, region string, threshold float64) []LossySummary {
 	sum := make(map[int]float64)
 	n := make(map[int]int)
-	for ms := c.Next(); ms != nil; ms = c.Next() {
-		for _, m := range ms {
-			if m.Region != region || m.Tier != bgp.Premium || m.Dir != netsim.Download {
+	const need = ColServer | ColRegion | ColTierDir | ColLoss
+	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
+		code := int32(slices.Index(b.RegionNames, region))
+		for i, r := range b.Regions {
+			if r != code || b.Tiers[i] != bgp.Premium || b.Dirs[i] != netsim.Download {
 				continue
 			}
-			sum[m.ServerID] += m.Loss
-			n[m.ServerID]++
+			// Folded in record order, so a mean is the same bits however
+			// the stream was batched.
+			sum[b.Servers[i]] += b.Loss[i]
+			n[b.Servers[i]]++
 		}
 	}
 	var out []LossySummary

@@ -117,19 +117,23 @@ func checkGrouped(t *testing.T, label string, got, want []SeriesWithServer) {
 	}
 }
 
-// TestGroupSeriesWithServerMatchesNaive feeds the kernel both ways — from a
-// cursor and record by record through CampaignPrep — and holds each to the
-// map-of-slices reference, on the sorted (skip-sort) and unsorted branches.
+// TestGroupSeriesWithServerMatchesNaive feeds the kernel every way — from a
+// slice cursor, from a log cursor over sealed blocks and a tail (the two
+// share the column loop, so neither is the other's oracle) and record by
+// record through CampaignPrep — and holds each to the map-of-slices
+// reference, on the sorted (skip-sort) and unsorted branches.
 func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		shuffle bool
 	}{{"time-sorted", false}, {"time-shuffled", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ms := randomMeasurements(7, 4000, tc.shuffle)
+			ms := randomMeasurements(7, 2*logBlockSize+900, tc.shuffle)
+			l := newLog(t, ms)
 			for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
-				got := GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, bgp.Premium)
-				checkGrouped(t, "cursor "+dir.String(), got, naiveGroup(ms, dir, bgp.Premium))
+				want := naiveGroup(ms, dir, bgp.Premium)
+				checkGrouped(t, "slice cursor "+dir.String(), GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, bgp.Premium), want)
+				checkGrouped(t, "log cursor "+dir.String(), GroupSeriesWithServerCursor(l.Cursor(), dir, bgp.Premium), want)
 			}
 
 			prep := NewCampaignPrep()
@@ -170,33 +174,76 @@ func TestGroupSeriesEmpty(t *testing.T) {
 	}
 }
 
-func TestPerfPointsMatchesPercentile(t *testing.T) {
-	ms := randomMeasurements(13, 3000, true)
-	pts := PerfPointsCursor(NewSliceCursor(ms))
-	if len(pts) == 0 {
-		t.Fatal("no points")
-	}
-	// Recompute one point the naive way.
-	p := pts[len(pts)/2]
-	var down, lat []float64
+// naivePerfPoints is the map-of-slices reference of the Fig. 4 kernel: every
+// download (of one tier when oneTier is set) appended to its (region,
+// server, year, month) group, each group sorted whole and read with
+// percentileRef.
+func naivePerfPoints(ms []Measurement, tier bgp.Tier, oneTier bool) []PerfPoint {
+	type group struct{ down, lat []float64 }
+	groups := make(map[PerfPoint]*group) // keyed by a point with only its identity set
 	for _, m := range ms {
-		if m.Dir != netsim.Download || m.ServerID != p.ServerID || m.Region != p.Region ||
-			m.Time.Year() != p.Year || m.Time.Month() != p.Month {
+		if m.Dir != netsim.Download || oneTier && m.Tier != tier {
 			continue
 		}
-		down = append(down, m.Mbps)
-		lat = append(lat, m.RTTms)
+		year, month, _ := m.Time.UTC().Date()
+		k := PerfPoint{ServerID: m.ServerID, Region: m.Region, Year: year, Month: month}
+		if groups[k] == nil {
+			groups[k] = new(group)
+		}
+		groups[k].down = append(groups[k].down, m.Mbps)
+		groups[k].lat = append(groups[k].lat, m.RTTms)
 	}
-	if len(down) != p.N {
-		t.Fatalf("N = %d, want %d", p.N, len(down))
+	var out []PerfPoint
+	for p, g := range groups {
+		sort.Float64s(g.down)
+		sort.Float64s(g.lat)
+		p.P95Down, p.P5LatMs, p.N = percentileRef(g.down, 95), percentileRef(g.lat, 5), len(g.down)
+		out = append(out, p)
 	}
-	sort.Float64s(down)
-	sort.Float64s(lat)
-	if want := percentileRef(down, 95); p.P95Down != want {
-		t.Errorf("P95Down = %v, want %v", p.P95Down, want)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Region != b.Region {
+			return a.Region < b.Region
+		}
+		if a.ServerID != b.ServerID {
+			return a.ServerID < b.ServerID
+		}
+		if a.Year != b.Year {
+			return a.Year < b.Year
+		}
+		return a.Month < b.Month
+	})
+	return out
+}
+
+// TestPerfPointsMatchesPercentile holds both entry points of the Fig. 4
+// kernel, over a slice cursor and over a log cursor, to naivePerfPoints —
+// on a stream that crosses month and year boundaries out of order.
+func TestPerfPointsMatchesPercentile(t *testing.T) {
+	ms := randomMeasurements(13, 2*logBlockSize+300, true)
+	for i := range ms {
+		// Minutes become half-days: the stream spans years, so the month
+		// cache is entered, left and re-entered.
+		ms[i].Time = ms[i].Time.Add(719 * ms[i].Time.Sub(ms[0].Time.Truncate(24*time.Hour)))
 	}
-	if want := percentileRef(lat, 5); p.P5LatMs != want {
-		t.Errorf("P5LatMs = %v, want %v", p.P5LatMs, want)
+	l := newLog(t, ms)
+	cursors := map[string]func() Cursor{
+		"slice": func() Cursor { return NewSliceCursor(ms) },
+		"log":   l.Cursor,
+	}
+	for name, open := range cursors {
+		want := naivePerfPoints(ms, 0, false)
+		if len(want) < 100 {
+			t.Fatalf("only %d reference points", len(want))
+		}
+		if got := PerfPointsCursor(open()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s cursor: PerfPointsCursor differs from the naive reference", name)
+		}
+		for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+			if got := PerfPointsTierCursor(open(), tier); !reflect.DeepEqual(got, naivePerfPoints(ms, tier, true)) {
+				t.Errorf("%s cursor: PerfPointsTierCursor(%s) differs from the naive reference", name, tier)
+			}
+		}
 	}
 }
 

@@ -11,14 +11,16 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/colenc"
 	"github.com/clasp-measurement/clasp/internal/netsim"
-	"time"
 )
 
 // logBlockSize is the records-per-block granularity: one block is the unit
@@ -50,6 +52,12 @@ type RecordLog struct {
 	lastRec  Measurement
 	spill    *os.File
 	spilled  bool
+
+	// Encode scratch, reused across seals and serialisation passes (the
+	// tail is re-encoded at every checkpoint commit).
+	encBuf   []byte
+	encTimes []int64
+	encVals  []float64
 }
 
 // NewRecordLog returns an empty log.
@@ -153,26 +161,30 @@ func (l *RecordLog) internRegion(r string) int {
 	return i
 }
 
-// sealTail compresses the tail into one block. Column order: times,
-// server IDs, region indices, tiers, dirs, mbps, rtt, loss.
+// sealTail compresses the tail into one block.
 func (l *RecordLog) sealTail() {
-	buf := encodeRecords(l.tail, l.internRegion)
-	l.blocks = append(l.blocks, logBlock{n: len(l.tail), data: buf, size: int64(len(buf))})
+	// An exact-size copy out of the scratch: a resident block holds its
+	// bytes and no spare capacity.
+	data := bytes.Clone(l.encodeRecords(l.tail, l.internRegion))
+	l.blocks = append(l.blocks, logBlock{n: len(l.tail), data: data, size: int64(len(data))})
 	l.tail = l.tail[:0]
 }
 
 // encodeRecords compresses one batch of records into block form, interning
 // regions through the supplied function. sealTail uses it against the log's
 // own table; WriteTo uses it with a copy so serialising a snapshot never
-// mutates the live log.
-func encodeRecords(ms []Measurement, internRegion func(string) int) []byte {
+// grows the live table. The result is the log's encode scratch, valid until
+// the next call. Column order: times, server IDs, region codes,
+// tier/dir, mbps, rtt, loss. Only the three float columns carry a length;
+// the varint columns before them are delimited by the block's record count.
+func (l *RecordLog) encodeRecords(ms []Measurement, internRegion func(string) int) []byte {
 	n := len(ms)
-	buf := make([]byte, 0, 20*n)
-	ts := make([]int64, n)
+	buf := l.encBuf[:0]
+	l.encTimes = column(l.encTimes, n, true)
 	for i := range ms {
-		ts[i] = ms[i].Time.UnixNano()
+		l.encTimes[i] = ms[i].Time.UnixNano()
 	}
-	buf = colenc.AppendTimes(buf, ts)
+	buf = colenc.AppendTimes(buf, l.encTimes)
 	prev := int64(0)
 	for i := range ms {
 		id := int64(ms[i].ServerID)
@@ -206,111 +218,127 @@ func encodeRecords(ms []Measurement, internRegion func(string) int) []byte {
 			buf = colenc.AppendVarint(buf, int64(ms[i].Dir))
 		}
 	}
-	vals := make([]float64, n)
-	for _, get := range []func(*Measurement) float64{
-		func(m *Measurement) float64 { return m.Mbps },
-		func(m *Measurement) float64 { return m.RTTms },
-		func(m *Measurement) float64 { return m.Loss },
-	} {
-		for i := range ms {
-			vals[i] = get(&ms[i])
-		}
-		buf = colenc.AppendFloats(buf, vals)
+	l.encVals = column(l.encVals, n, true)
+	vals := l.encVals
+	for i := range ms {
+		vals[i] = ms[i].Mbps
 	}
-	return buf
+	buf = colenc.AppendFloats(buf, vals)
+	for i := range ms {
+		vals[i] = ms[i].RTTms
+	}
+	buf = colenc.AppendFloats(buf, vals)
+	for i := range ms {
+		vals[i] = ms[i].Loss
+	}
+	l.encBuf = colenc.AppendFloats(buf, vals)
+	return l.encBuf
 }
 
-// decodeLogBlock reconstructs one block into dst (resliced). Scratch
-// slices are reused across calls.
-func (l *RecordLog) decodeLogBlock(data []byte, n int, dst []Measurement, ts []int64, vals []float64) ([]Measurement, []int64, []float64, error) {
-	dst = dst[:0]
+// decodeColumns is the log's one block decoder: it reconstructs the need
+// columns of a block of n records into b, whose buffers it reuses. What
+// need buys is the float columns: each sits behind its byte length and one
+// outside need is stepped over in O(1). The varint columns carry no length
+// and are walked either way — outside need they are just not kept. No
+// framing check depends on need: a truncated column, a region code outside
+// the log's table, a bad tier/dir flag and trailing bytes are errors
+// whether the column they sit in was asked for or not. (What a skipped
+// float column does not get is the check that its bit stream holds n
+// values; ReadRecordLog validates with every column.) n, which must not be
+// negative, is trusted only as far as the bytes back it: the times column,
+// a byte or more per record, is decoded by appending before any buffer is
+// sized from n. After an error b holds nothing usable.
+func (l *RecordLog) decodeColumns(data []byte, n int, need Columns, b *ColumnBatch) error {
 	var k int
 	var err error
-	ts, k, err = colenc.DecodeTimes(ts, data, n)
-	if err != nil {
-		return dst, ts, vals, err
+	if b.Times, k, err = colenc.DecodeTimes(b.Times, data, n); err != nil {
+		return err
 	}
 	data = data[k:]
-	if cap(dst) < n {
-		dst = make([]Measurement, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, Measurement{Time: time.Unix(0, ts[i]).UTC()})
-	}
+	b.size(n, need) // keeps the n times, or empties them
+	b.RegionNames = l.regions
+
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		d, k := colenc.Varint(data)
 		if k == 0 {
-			return dst, ts, vals, fmt.Errorf("truncated server column")
+			return fmt.Errorf("truncated server column")
 		}
 		data = data[k:]
 		prev += d
-		dst[i].ServerID = int(prev)
+		if need&ColServer != 0 {
+			b.Servers[i] = int(prev)
+		}
 	}
 	for i := 0; i < n; i++ {
 		ri, k := colenc.Uvarint(data)
 		if k == 0 || ri >= uint64(len(l.regions)) {
-			return dst, ts, vals, fmt.Errorf("bad region index")
+			return fmt.Errorf("bad region index")
 		}
 		data = data[k:]
-		dst[i].Region = l.regions[ri]
+		if need&ColRegion != 0 {
+			b.Regions[i] = int32(ri)
+		}
 	}
 	if len(data) == 0 {
-		return dst, ts, vals, fmt.Errorf("truncated tier/dir flag")
+		return fmt.Errorf("truncated tier/dir flag")
 	}
 	packed := data[0]
 	data = data[1:]
 	switch packed {
 	case 1:
 		if len(data) < n {
-			return dst, ts, vals, fmt.Errorf("truncated packed tier/dir column")
+			return fmt.Errorf("truncated packed tier/dir column")
 		}
-		for i := 0; i < n; i++ {
-			dst[i].Tier = bgp.Tier(data[i] >> 4)
-			dst[i].Dir = netsim.Direction(data[i] & 0xf)
+		if need&ColTierDir != 0 {
+			for i, td := range data[:n] {
+				b.Tiers[i] = bgp.Tier(td >> 4)
+				b.Dirs[i] = netsim.Direction(td & 0xf)
+			}
 		}
 		data = data[n:]
 	case 0:
 		for i := 0; i < n; i++ {
 			v, k := colenc.Varint(data)
 			if k == 0 {
-				return dst, ts, vals, fmt.Errorf("truncated tier column")
+				return fmt.Errorf("truncated tier column")
 			}
 			data = data[k:]
-			dst[i].Tier = bgp.Tier(v)
+			if need&ColTierDir != 0 {
+				b.Tiers[i] = bgp.Tier(v)
+			}
 		}
 		for i := 0; i < n; i++ {
 			v, k := colenc.Varint(data)
 			if k == 0 {
-				return dst, ts, vals, fmt.Errorf("truncated dir column")
+				return fmt.Errorf("truncated dir column")
 			}
 			data = data[k:]
-			dst[i].Dir = netsim.Direction(v)
-		}
-	default:
-		return dst, ts, vals, fmt.Errorf("bad tier/dir flag %d", packed)
-	}
-	for col := 0; col < 3; col++ {
-		vals, k, err = colenc.DecodeFloats(vals, data, n)
-		if err != nil {
-			return dst, ts, vals, err
-		}
-		data = data[k:]
-		for i := 0; i < n; i++ {
-			switch col {
-			case 0:
-				dst[i].Mbps = vals[i]
-			case 1:
-				dst[i].RTTms = vals[i]
-			case 2:
-				dst[i].Loss = vals[i]
+			if need&ColTierDir != 0 {
+				b.Dirs[i] = netsim.Direction(v)
 			}
 		}
+	default:
+		return fmt.Errorf("bad tier/dir flag %d", packed)
+	}
+	for _, col := range [...]struct {
+		bit  Columns
+		vals *[]float64
+	}{{ColMbps, &b.Mbps}, {ColRTT, &b.RTTms}, {ColLoss, &b.Loss}} {
+		if need&col.bit != 0 {
+			*col.vals, k, err = colenc.DecodeFloats(*col.vals, data, n)
+		} else {
+			k, err = colenc.SkipFloats(data)
+		}
+		if err != nil {
+			return err
+		}
+		data = data[k:]
 	}
 	if len(data) != 0 {
-		return dst, ts, vals, fmt.Errorf("%d trailing bytes", len(data))
+		return fmt.Errorf("%d trailing bytes", len(data))
 	}
-	return dst, ts, vals, nil
+	return nil
 }
 
 // Cursor returns a new cursor over the log, replaying records in append
@@ -321,21 +349,25 @@ func (l *RecordLog) Cursor() Cursor {
 	return &logCursor{l: l}
 }
 
+// logCursor feeds the decoder's columns to the kernels: a sealed block is
+// decoded straight into the cursor's batch, the unsealed tail is transposed
+// into it. The batch, the spill read buffer and the record slice Next
+// gathers into are the cursor's whole footprint, reused block after block.
 type logCursor struct {
-	l       *RecordLog
-	next    int // block index; len(blocks) = tail, beyond = EOF
-	batch   []Measurement
-	readBuf []byte
-	ts      []int64
-	vals    []float64
+	l           *RecordLog
+	next        int // block index; len(blocks) = tail, beyond = EOF
+	cols        ColumnBatch
+	tailRegions regionTable // codes of the tail's batch: the log's table plus names only the tail has seen
+	readBuf     []byte
+	batch       []Measurement
 }
 
-// Next decodes and returns the next block of records; the batch is only
-// valid until the following Next or Reset. A corrupt or unreadable spill
-// block panics: the log wrote these bytes itself moments ago, so damage
-// means the environment is failing and silent truncation of results would
-// be worse.
-func (c *logCursor) Next() []Measurement {
+// NextColumns returns the need columns of the next block of records; the
+// batch is only valid until the following call on the cursor. A corrupt or
+// unreadable spill block panics: the log wrote these bytes itself moments
+// ago, so damage means the environment is failing and silent truncation of
+// results would be worse.
+func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 	l := c.l
 	if c.next > len(l.blocks) {
 		return nil
@@ -345,7 +377,13 @@ func (c *logCursor) Next() []Measurement {
 		if len(l.tail) == 0 {
 			return nil
 		}
-		return l.tail
+		if c.tailRegions.names == nil {
+			// Clipped, so a name the tail adds reallocates instead of
+			// writing into the log's own table.
+			c.tailRegions.names = slices.Clip(l.regions)
+		}
+		c.cols.transpose(l.tail, need, &c.tailRegions)
+		return &c.cols
 	}
 	b := &l.blocks[c.next]
 	c.next++
@@ -360,10 +398,26 @@ func (c *logCursor) Next() []Measurement {
 		}
 		data = c.readBuf
 	}
-	var err error
-	c.batch, c.ts, c.vals, err = l.decodeLogBlock(data, b.n, c.batch, c.ts, c.vals)
-	if err != nil {
+	if err := l.decodeColumns(data, b.n, need, &c.cols); err != nil {
 		panic(fmt.Sprintf("analysis: record log corrupt: %v", err))
+	}
+	return &c.cols
+}
+
+// Next returns the next block as records: a gather over every column of a
+// sealed block, the tail itself for the last batch.
+func (c *logCursor) Next() []Measurement {
+	if c.next == len(c.l.blocks) && len(c.l.tail) > 0 {
+		c.next++
+		return c.l.tail
+	}
+	cols := c.NextColumns(ColAll)
+	if cols == nil {
+		return nil
+	}
+	c.batch = c.batch[:0]
+	for i := 0; i < cols.N; i++ {
+		c.batch = append(c.batch, cols.record(i))
 	}
 	return c.batch
 }
@@ -385,9 +439,10 @@ const recordLogMagic = "CLRL0001"
 
 // WriteTo serialises the log's current state — sealed blocks, spilled or
 // in memory, plus the unsealed tail — so a reader reconstructs the exact
-// append sequence. It never mutates the log: the campaign checkpoint calls
-// it at every round boundary while the orchestrator keeps appending
-// afterwards. Not safe concurrently with Append.
+// append sequence. It never changes what the log holds (its encode scratch
+// aside): the campaign checkpoint calls it at every round boundary while
+// the orchestrator keeps appending afterwards. Not safe concurrently with
+// Append or another WriteTo.
 func (l *RecordLog) WriteTo(w io.Writer) (int64, error) {
 	// Extend a copy of the region table with anything only the tail has
 	// seen; the live table must not grow from a serialisation pass.
@@ -407,7 +462,7 @@ func (l *RecordLog) WriteTo(w io.Writer) (int64, error) {
 	}
 	var tailBlock []byte
 	if len(l.tail) > 0 {
-		tailBlock = encodeRecords(l.tail, intern)
+		tailBlock = l.encodeRecords(l.tail, intern)
 	}
 
 	cw := &recordLogCountWriter{w: w}
@@ -470,9 +525,12 @@ func (c *recordLogCountWriter) Write(p []byte) (int, error) {
 }
 
 // ReadRecordLog parses a log serialised by WriteTo back into memory. Every
-// block is decoded once to validate the payload and rebuild the record
-// count and first/last records, so a truncated or corrupt file fails here
-// with an error instead of panicking later in a cursor.
+// block goes through the decoder once with every column asked for — the
+// records themselves are not built — to validate the payload and rebuild
+// the record count and first/last records, so a truncated or corrupt file
+// fails here with an error instead of panicking later in a cursor. Every
+// count the file states is checked against the bytes that could back it
+// before anything is sized or sliced from it.
 func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -482,29 +540,31 @@ func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 		return nil, fmt.Errorf("analysis: bad record log magic")
 	}
 	raw = raw[len(recordLogMagic):]
-	nr64, k := colenc.Uvarint(raw)
-	if k == 0 {
+	nr, k := colenc.Uvarint(raw)
+	// A region costs a byte or more (its length), a code is an int32.
+	if k == 0 || nr > uint64(len(raw)-k) || nr > math.MaxInt32 {
 		return nil, fmt.Errorf("analysis: truncated record log region table")
 	}
 	raw = raw[k:]
 	l := NewRecordLog()
-	for i := 0; i < int(nr64); i++ {
+	for i := 0; i < int(nr); i++ {
 		rl, k := colenc.Uvarint(raw)
 		if k == 0 || uint64(len(raw)-k) < rl {
 			return nil, fmt.Errorf("analysis: truncated record log region %d", i)
 		}
-		l.internRegion(string(raw[k : k+int(rl)]))
+		if l.internRegion(string(raw[k:k+int(rl)])) != i {
+			return nil, fmt.Errorf("analysis: record log region %d repeats an earlier one", i)
+		}
 		raw = raw[k+int(rl):]
 	}
-	nb64, k := colenc.Uvarint(raw)
-	if k == 0 {
+	nb, k := colenc.Uvarint(raw)
+	// A block costs two bytes or more (record count, data length).
+	if k == 0 || nb > uint64(len(raw)-k)/2 {
 		return nil, fmt.Errorf("analysis: truncated record log block count")
 	}
 	raw = raw[k:]
-	var scratch []Measurement
-	var ts []int64
-	var vals []float64
-	for i := 0; i < int(nb64); i++ {
+	var cols ColumnBatch
+	for i := 0; i < int(nb); i++ {
 		n64, k := colenc.Uvarint(raw)
 		if k == 0 {
 			return nil, fmt.Errorf("analysis: truncated record log block %d header", i)
@@ -516,18 +576,22 @@ func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 		}
 		data := raw[k : k+int(dl)]
 		raw = raw[k+int(dl):]
-		scratch, ts, vals, err = l.decodeLogBlock(data, int(n64), scratch, ts, vals)
-		if err != nil {
+		// A record costs a byte or more in the times column alone.
+		if n64 > dl {
+			return nil, fmt.Errorf("analysis: record log block %d claims %d records in %d bytes", i, n64, dl)
+		}
+		n := int(n64)
+		if err := l.decodeColumns(data, n, ColAll, &cols); err != nil {
 			return nil, fmt.Errorf("analysis: record log block %d: %w", i, err)
 		}
-		if len(scratch) > 0 {
+		if n > 0 {
 			if l.count == 0 {
-				l.firstRec = scratch[0]
+				l.firstRec = cols.record(0)
 			}
-			l.lastRec = scratch[len(scratch)-1]
+			l.lastRec = cols.record(n - 1)
 		}
-		l.count += int(n64)
-		l.blocks = append(l.blocks, logBlock{n: int(n64), data: data, size: int64(len(data))})
+		l.count += n
+		l.blocks = append(l.blocks, logBlock{n: n, data: data, size: int64(len(data))})
 	}
 	if len(raw) != 0 {
 		return nil, fmt.Errorf("analysis: %d trailing bytes after record log", len(raw))

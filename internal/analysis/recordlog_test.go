@@ -58,6 +58,18 @@ func drain(c Cursor) []Measurement {
 	return out
 }
 
+// drainColumns is drain through the column side of the cursor: every batch
+// asked for whole and gathered back into records.
+func drainColumns(c Cursor) []Measurement {
+	var out []Measurement
+	for b := c.NextColumns(ColAll); b != nil; b = c.NextColumns(ColAll) {
+		for i := 0; i < b.N; i++ {
+			out = append(out, b.record(i))
+		}
+	}
+	return out
+}
+
 func newLog(t *testing.T, ms []Measurement) *RecordLog {
 	t.Helper()
 	l := NewRecordLog()
@@ -142,32 +154,27 @@ func TestRecordLogSpill(t *testing.T) {
 
 // TestRecordLogResidentConcurrentCursors pins the default campaign state: a
 // resident, never-spilled log whose last records still sit in the raw tail
-// serves any number of concurrent cursors — plain and filtered, the two
-// shapes the artifact renderers open — each replaying the append sequence.
+// serves any number of concurrent cursors — read as records and as column
+// batches, the two sides a cursor has — each replaying the append sequence.
 // Close on such a log is a no-op, so cursors keep working after it. Run
 // under -race, this is the check that readers share nothing mutable.
 func TestRecordLogResidentConcurrentCursors(t *testing.T) {
 	ms := campaignRecords(2*logBlockSize + 311)
+	// A region only the tail has seen: its batch codes regions through a
+	// table of the cursor's own, never by growing the log's.
+	ms[len(ms)-1].Region = "asia-east1"
 	l := newLog(t, ms)
 	if l.Spilled() || len(l.tail) == 0 {
 		t.Fatalf("want a resident log with a non-empty tail (spilled %v, tail %d)", l.Spilled(), len(l.tail))
 	}
-	keep := func(m *Measurement) bool { return m.Tier == bgp.Premium }
-	var premium []Measurement
-	for i := range ms {
-		if keep(&ms[i]) {
-			premium = append(premium, ms[i])
-		}
-	}
-	check := func(name string, c Cursor, want []Measurement) {
-		got := drain(c)
-		if len(got) != len(want) {
-			t.Errorf("%s cursor: got %d records, want %d", name, len(got), len(want))
+	check := func(name string, got []Measurement) {
+		if len(got) != len(ms) {
+			t.Errorf("%s: got %d records, want %d", name, len(got), len(ms))
 			return
 		}
-		for i := range want {
-			if !measurementsEqual(got[i], want[i]) {
-				t.Errorf("%s cursor: record %d drifted", name, i)
+		for i := range ms {
+			if !measurementsEqual(got[i], ms[i]) {
+				t.Errorf("%s: record %d drifted", name, i)
 				return
 			}
 		}
@@ -178,11 +185,11 @@ func TestRecordLogResidentConcurrentCursors(t *testing.T) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				check("plain", l.Cursor(), ms)
+				check("records", drain(l.Cursor()))
 			}()
 			go func() {
 				defer wg.Done()
-				check("filter", NewFilterCursor(l.Cursor(), keep), premium)
+				check("columns", drainColumns(l.Cursor()))
 			}()
 		}
 		wg.Wait()
@@ -192,6 +199,9 @@ func TestRecordLogResidentConcurrentCursors(t *testing.T) {
 		t.Fatalf("Close on a resident log: %v", err)
 	}
 	readAll()
+	if len(l.regions) != 3 {
+		t.Fatalf("reading grew the log's region table to %q", l.regions)
+	}
 }
 
 // TestMeasurementBytes pins the exported record size to the struct.
@@ -364,33 +374,29 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 	}
 }
 
-// TestFilterCursor pins the filtered view used by the Fig. 4 tier split.
-func TestFilterCursor(t *testing.T) {
+// TestPerfPointsTierMatchesFilteredSlice pins Fig. 4's tier split: the
+// per-tier entry point over a whole stream yields what the all-tier kernel
+// yields over the records of that tier alone.
+func TestPerfPointsTierMatchesFilteredSlice(t *testing.T) {
 	ms := campaignRecords(logBlockSize + 301)
 	l := newLog(t, ms)
-	keep := func(m *Measurement) bool { return m.Tier == bgp.Premium }
-	var want []Measurement
-	for _, m := range ms {
-		if m.Tier == bgp.Premium {
-			want = append(want, m)
-		}
-	}
-	fc := NewFilterCursor(l.Cursor(), keep)
-	for pass := 0; pass < 2; pass++ {
-		got := drain(fc)
-		if len(got) != len(want) {
-			t.Fatalf("pass %d: got %d records, want %d", pass, len(got), len(want))
-		}
-		for i := range want {
-			if !measurementsEqual(got[i], want[i]) {
-				t.Fatalf("pass %d: record %d drifted", pass, i)
+	for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+		var only []Measurement
+		for _, m := range ms {
+			if m.Tier == tier {
+				only = append(only, m)
 			}
 		}
-		fc.Reset()
-	}
-	// Filtered cursor drives the same kernel output as a filtered slice.
-	if got, want := PerfPointsCursor(NewFilterCursor(l.Cursor(), keep)), PerfPointsCursor(NewSliceCursor(want)); !reflect.DeepEqual(got, want) {
-		t.Fatal("PerfPoints over FilterCursor differs from filtered slice")
+		want := PerfPointsCursor(NewSliceCursor(only))
+		if len(want) == 0 {
+			t.Fatalf("%s: no perf points", tier)
+		}
+		if got := PerfPointsTierCursor(l.Cursor(), tier); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: perf points over the log differ from those of the pre-filtered slice", tier)
+		}
+		if got := PerfPointsTierCursor(NewSliceCursor(ms), tier); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: perf points over the slice differ from those of the pre-filtered slice", tier)
+		}
 	}
 }
 

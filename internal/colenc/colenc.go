@@ -1,6 +1,6 @@
 // Package colenc holds the bit-level column codecs behind CLASP's
-// compressed storage: a little-endian bit writer/reader, zigzag varints,
-// a delta-of-delta timestamp codec, and a Gorilla-lineage XOR float codec
+// compressed storage: an MSB-first bit writer/reader, zigzag varints, a
+// delta-of-delta timestamp codec, and a Gorilla-lineage XOR float codec
 // (Pelkonen et al., "Gorilla: A Fast, Scalable, In-Memory Time Series
 // Database", VLDB 2015).
 //
@@ -9,9 +9,20 @@
 // reproduces the input bit-for-bit, including NaN payloads, signed zeros,
 // infinities and denormals (floats travel as raw IEEE-754 bit patterns)
 // and pre-epoch timestamps (deltas are zigzag-coded signed integers).
+//
+// The bit stream moves a word at a time. The writer collects bits in a
+// 64-bit accumulator and touches its buffer once per eight bytes; the
+// reader keeps the unread bits left-aligned in a 64-bit window that one
+// eight-byte load tops up to 56 bits or more, so a read of up to 56 bits
+// is a shift and a mask and a longer one is two — a noisy float's ~52-bit
+// XOR run was seven turns of a byte-at-a-time loop. The bytes are the ones
+// the bit-at-a-time codec wrote (TestFloatsEncodingGolden) and an overrun
+// is reported at the same read (FuzzBitStream, against a one-bit-per-turn
+// reference in the test file).
 package colenc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -19,110 +30,121 @@ import (
 
 // --- Bit writer ----------------------------------------------------------------
 
-// BitWriter appends MSB-first bit runs to a byte buffer.
+// BitWriter appends MSB-first bit runs to a byte buffer. Bits collect in a
+// 64-bit accumulator and reach the buffer eight bytes at a time; Bytes
+// flushes the rest. A BitWriter with buf set (nil is fine) is ready to use.
 type BitWriter struct {
-	buf  []byte
-	free uint8 // unused low bits in the last byte (0 when buf ends on a byte boundary)
-}
-
-// NewBitWriter returns a writer appending to buf (may be nil).
-func NewBitWriter(buf []byte) *BitWriter {
-	return &BitWriter{buf: buf}
-}
-
-// WriteBit appends one bit.
-func (w *BitWriter) WriteBit(bit uint64) {
-	if w.free == 0 {
-		w.buf = append(w.buf, 0)
-		w.free = 8
-	}
-	w.free--
-	if bit != 0 {
-		w.buf[len(w.buf)-1] |= 1 << w.free
-	}
+	buf []byte
+	acc uint64 // pending bits, right-aligned
+	n   uint   // pending bit count, < 64
 }
 
 // WriteBits appends the low n bits of v, most significant first. n must be
 // in [0, 64].
 func (w *BitWriter) WriteBits(v uint64, n uint) {
-	for n > 0 {
-		if w.free == 0 {
-			w.buf = append(w.buf, 0)
-			w.free = 8
-		}
-		take := uint(w.free)
-		if take > n {
-			take = n
-		}
-		chunk := (v >> (n - take)) & ((1 << take) - 1)
-		w.free -= uint8(take)
-		w.buf[len(w.buf)-1] |= byte(chunk << w.free)
-		n -= take
+	if n < 64 {
+		v &= 1<<n - 1
 	}
+	free := 64 - w.n
+	if n < free {
+		w.acc = w.acc<<n | v
+		w.n += n
+		return
+	}
+	// The run fills the accumulator: flush a word, keep what is left over.
+	rest := n - free
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<free|v>>rest)
+	w.acc = v & (1<<rest - 1)
+	w.n = rest
 }
 
-// Bytes returns the encoded buffer. Trailing unused bits are zero.
-func (w *BitWriter) Bytes() []byte { return w.buf }
+// Bytes returns the encoded buffer, the pending bits included and the last
+// byte's unused low bits zero. The writer is left as it was, so writing may
+// continue; the returned slice is valid until it does.
+func (w *BitWriter) Bytes() []byte {
+	if w.n == 0 {
+		return w.buf
+	}
+	var pending [8]byte
+	binary.BigEndian.PutUint64(pending[:], w.acc<<(64-w.n))
+	return append(w.buf, pending[:(w.n+7)/8]...)
+}
 
 // --- Bit reader ----------------------------------------------------------------
 
-// BitReader consumes MSB-first bit runs from a byte buffer.
+// BitReader consumes MSB-first bit runs from a byte buffer through a
+// left-aligned 64-bit window: the next unread bit is the window's top bit,
+// and the window refills eight bytes at a time (fill). A BitReader with buf
+// set is ready to use.
 type BitReader struct {
-	buf []byte
-	pos int   // next byte
-	rem uint8 // unread low bits of buf[pos-1]... actually of current byte
-	cur byte
-	err error
-}
-
-// NewBitReader returns a reader over buf.
-func NewBitReader(buf []byte) *BitReader {
-	return &BitReader{buf: buf}
+	buf   []byte
+	pos   int    // next byte of buf to load into the window
+	win   uint64 // unread bits, left-aligned
+	nbits uint   // valid bits in win, at most 63
+	err   error
 }
 
 // Err reports whether the reader ran past the end of its buffer.
 func (r *BitReader) Err() error { return r.err }
 
-// ReadBit reads one bit (0 or 1).
-func (r *BitReader) ReadBit() uint64 {
-	if r.rem == 0 {
-		if r.pos >= len(r.buf) {
-			if r.err == nil {
-				r.err = fmt.Errorf("colenc: bit reader overrun at byte %d", r.pos)
-			}
-			return 0
+// fill tops a window up from buf[pos:]: to at least 56 valid bits while
+// eight bytes remain to load from, and byte by byte with everything that is
+// left inside the last eight. It is a function of the window state, not a
+// method, so that DecodeFloats can keep that state in registers. Bits of
+// win below nbits are zero or, after a word load, the stream's own next
+// bits — loading the same bytes over them again changes nothing.
+func fill(buf []byte, pos int, win uint64, nbits uint) (int, uint64, uint) {
+	if len(buf)-pos < 8 {
+		for nbits < 56 && pos < len(buf) {
+			win |= uint64(buf[pos]) << (56 - nbits)
+			pos++
+			nbits += 8
 		}
-		r.cur = r.buf[r.pos]
-		r.pos++
-		r.rem = 8
+		return pos, win, nbits
 	}
-	r.rem--
-	return uint64(r.cur>>r.rem) & 1
+	win |= binary.BigEndian.Uint64(buf[pos:]) >> (nbits & 63)
+	pos += int(63-nbits) >> 3
+	return pos, win, nbits | 56
 }
 
-// ReadBits reads n bits (n in [0, 64]), most significant first.
+func overrun(buf []byte) error {
+	return fmt.Errorf("colenc: bit reader overrun at byte %d", len(buf))
+}
+
+// ReadBits reads n bits (n in [0, 64]), most significant first. A read past
+// the end of the buffer returns 0, as does every read after it, and sets
+// Err.
 func (r *BitReader) ReadBits(n uint) uint64 {
-	var v uint64
-	for n > 0 {
-		if r.rem == 0 {
-			if r.pos >= len(r.buf) {
-				if r.err == nil {
-					r.err = fmt.Errorf("colenc: bit reader overrun at byte %d", r.pos)
-				}
-				return 0
-			}
-			r.cur = r.buf[r.pos]
-			r.pos++
-			r.rem = 8
-		}
-		take := uint(r.rem)
-		if take > n {
-			take = n
-		}
-		r.rem -= uint8(take)
-		v = v<<take | uint64(r.cur>>r.rem)&((1<<take)-1)
-		n -= take
+	if n > r.nbits {
+		return r.readRefill(n)
 	}
+	v := r.win >> (64 - n)
+	r.win <<= n
+	r.nbits -= n
+	return v
+}
+
+// readRefill is ReadBits when the window holds fewer than n bits: one
+// refill serves any n up to 56; a longer run takes the window whole, refills
+// and takes the rest.
+func (r *BitReader) readRefill(n uint) uint64 {
+	r.pos, r.win, r.nbits = fill(r.buf, r.pos, r.win, r.nbits)
+	var hi uint64
+	if n > r.nbits {
+		hi = r.win >> (64 - r.nbits)
+		n -= r.nbits
+		r.pos, r.win, r.nbits = fill(r.buf, r.pos, 0, 0)
+		if n > r.nbits {
+			if r.err == nil {
+				r.err = overrun(r.buf)
+			}
+			r.win, r.nbits = 0, 0
+			return 0
+		}
+	}
+	v := hi<<n | r.win>>(64-n)
+	r.win <<= n
+	r.nbits -= n
 	return v
 }
 
@@ -237,127 +259,149 @@ func DecodeTimes(dst []int64, buf []byte, n int) ([]int64, int, error) {
 
 // --- Float column: Gorilla XOR --------------------------------------------------
 
-// FloatEncoder XOR-compresses a float column into a BitWriter. The scheme
-// is the Gorilla paper's: a repeated value is one bit; otherwise the XOR
-// with the previous value is stored either inside the previous leading/
-// trailing-zero window ('10' prefix) or with a fresh window ('11' prefix,
-// 6 bits of leading-zero count, 6 bits of significant-bit count). Values
-// are raw IEEE-754 bit patterns, so the column is lossless for every
-// float64 including NaN payloads.
-type FloatEncoder struct {
-	w        *BitWriter
-	prev     uint64
-	leading  uint8
-	trailing uint8
-	first    bool
-}
-
-// NewFloatEncoder returns an encoder writing to w.
-func NewFloatEncoder(w *BitWriter) *FloatEncoder {
-	return &FloatEncoder{w: w, first: true, leading: 0xff}
-}
-
-// Write appends one value.
-func (e *FloatEncoder) Write(f float64) {
-	v := math.Float64bits(f)
-	if e.first {
-		e.first = false
-		e.w.WriteBits(v, 64)
-		e.prev = v
-		return
-	}
-	xor := v ^ e.prev
-	e.prev = v
-	if xor == 0 {
-		e.w.WriteBit(0)
-		return
-	}
-	e.w.WriteBit(1)
-	leading := uint8(bits.LeadingZeros64(xor))
-	trailing := uint8(bits.TrailingZeros64(xor))
-	// 6 bits of leading-zero count caps at 63; clamping only costs
-	// compression, never correctness.
-	if leading > 63 {
-		leading = 63
-	}
-	if e.leading != 0xff && leading >= e.leading && trailing >= e.trailing {
-		// Fits the previous window: '0' + the window's significant bits.
-		e.w.WriteBit(0)
-		e.w.WriteBits(xor>>e.trailing, uint(64-e.leading-e.trailing))
-		return
-	}
-	e.leading, e.trailing = leading, trailing
-	sig := 64 - leading - trailing
-	e.w.WriteBit(1)
-	e.w.WriteBits(uint64(leading), 6)
-	// sig is in [1, 64]; store sig-1 in 6 bits.
-	e.w.WriteBits(uint64(sig-1), 6)
-	e.w.WriteBits(xor>>trailing, uint(sig))
-}
-
-// FloatDecoder decodes a column written by FloatEncoder.
-type FloatDecoder struct {
-	r        *BitReader
-	prev     uint64
-	leading  uint8
-	trailing uint8
-	first    bool
-}
-
-// NewFloatDecoder returns a decoder reading from r.
-func NewFloatDecoder(r *BitReader) *FloatDecoder {
-	return &FloatDecoder{r: r, first: true}
-}
-
-// Read decodes the next value.
-func (d *FloatDecoder) Read() float64 {
-	if d.first {
-		d.first = false
-		d.prev = d.r.ReadBits(64)
-		return math.Float64frombits(d.prev)
-	}
-	if d.r.ReadBit() == 0 {
-		return math.Float64frombits(d.prev)
-	}
-	if d.r.ReadBit() == 1 {
-		d.leading = uint8(d.r.ReadBits(6))
-		d.trailing = 64 - d.leading - uint8(d.r.ReadBits(6)) - 1
-	}
-	sig := 64 - d.leading - d.trailing
-	xor := d.r.ReadBits(uint(sig)) << d.trailing
-	d.prev ^= xor
-	return math.Float64frombits(d.prev)
-}
-
 // AppendFloats appends an XOR-compressed float column (the values of one
 // field, in order) to buf as a self-contained byte run: a uvarint byte
-// length followed by the bit stream.
+// length followed by the bit stream, so a reader that does not want the
+// column steps over it without decoding.
+//
+// The scheme is the Gorilla paper's. The first value is stored whole; after
+// it a repeated value is one '0' bit, and otherwise the XOR with the
+// previous value is stored either inside the previous leading/trailing-zero
+// window ('10' prefix) or with a fresh window ('11' prefix, 6 bits of
+// leading-zero count, 6 bits of significant-bit count minus one). Values
+// are raw IEEE-754 bit patterns, so the column is lossless for every
+// float64 including NaN payloads.
 func AppendFloats(buf []byte, vals []float64) []byte {
-	w := NewBitWriter(nil)
-	enc := NewFloatEncoder(w)
-	for _, v := range vals {
-		enc.Write(v)
+	// The length prefix's own width is known only once the body is: write
+	// the body past a gap of the widest prefix, then close the gap.
+	const gap = binary.MaxVarintLen64
+	start := len(buf)
+	var pad [gap]byte
+	w := BitWriter{buf: append(buf, pad[:]...)}
+	var prev uint64
+	leading, trailing := uint(0xff), uint(0)
+	for i, f := range vals {
+		v := math.Float64bits(f)
+		xor := v ^ prev
+		prev = v
+		switch {
+		case i == 0:
+			w.WriteBits(v, 64)
+			continue
+		case xor == 0:
+			w.WriteBits(0, 1)
+			continue
+		}
+		// 6 bits of leading-zero count caps at 63; clamping only costs
+		// compression, never correctness.
+		lz := min(uint(bits.LeadingZeros64(xor)), 63)
+		tz := uint(bits.TrailingZeros64(xor))
+		if leading != 0xff && lz >= leading && tz >= trailing {
+			w.WriteBits(0b10, 2)
+		} else {
+			leading, trailing = lz, tz
+			// The significant-bit count is in [1, 64]; it travels minus one.
+			w.WriteBits(0b11<<12|uint64(lz)<<6|uint64(63-lz-tz), 14)
+		}
+		w.WriteBits(xor>>trailing, 64-leading-trailing)
 	}
-	body := w.Bytes()
-	buf = AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	out := w.Bytes()
+	n := len(out) - start - gap
+	buf = AppendUvarint(out[:start], uint64(n))
+	return append(buf, out[start+gap:]...)
 }
 
-// DecodeFloats decodes n values appended by AppendFloats into dst
-// (resliced) and returns dst plus the bytes consumed.
-func DecodeFloats(dst []float64, buf []byte, n int) ([]float64, int, error) {
+// floatColumn splits the column AppendFloats wrote at the front of buf into
+// its bit stream and its whole size, length prefix included.
+func floatColumn(buf []byte) (body []byte, size int, err error) {
 	ln, k := Uvarint(buf)
 	if k == 0 || uint64(len(buf)-k) < ln {
 		return nil, 0, fmt.Errorf("colenc: truncated float column")
 	}
-	r := NewBitReader(buf[k : k+int(ln)])
-	dec := NewFloatDecoder(r)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, dec.Read())
+	return buf[k : k+int(ln)], k + int(ln), nil
+}
+
+// SkipFloats returns the size of the column at the front of buf without
+// decoding it: the framing check of DecodeFloats and nothing else.
+func SkipFloats(buf []byte) (int, error) {
+	_, size, err := floatColumn(buf)
+	return size, err
+}
+
+// DecodeFloats decodes n values appended by AppendFloats into dst
+// (resliced, reallocated only when its capacity is short) and returns dst
+// plus the bytes consumed. The loop is BitReader's, with the window in
+// locals: a sample is one to four dependent reads, and keeping their state
+// out of memory is most of the decoder's speed.
+func DecodeFloats(dst []float64, buf []byte, n int) ([]float64, int, error) {
+	body, size, err := floatColumn(buf)
+	if err != nil {
+		return nil, 0, err
 	}
+	if n <= 0 {
+		return dst[:0], size, nil
+	}
+	// A value costs at least a bit, which bounds what a corrupt count can
+	// make the decoder allocate.
+	if uint64(n) > uint64(len(body))*8 {
+		return nil, 0, overrun(body)
+	}
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+
+	r := BitReader{buf: body}
+	prev := r.ReadBits(64)
 	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
-	return dst, k + int(ln), nil
+	dst[0] = math.Float64frombits(prev)
+	pos, win, nbits := r.pos, r.win, r.nbits
+	var leading, trailing uint8
+	for i := 1; i < n; i++ {
+		if nbits < 14 {
+			pos, win, nbits = fill(body, pos, win, nbits)
+		}
+		if int64(win) >= 0 { // '0': the previous value again
+			if nbits == 0 {
+				return nil, 0, overrun(body)
+			}
+			win <<= 1
+			nbits--
+			dst[i] = math.Float64frombits(prev)
+			continue
+		}
+		ctl := uint(2)
+		if win>>62 == 3 { // '11': a fresh window
+			leading = uint8(win>>56) & 63
+			trailing = 64 - leading - uint8(win>>50)&63 - 1
+			ctl = 14
+		}
+		if nbits < ctl {
+			return nil, 0, overrun(body)
+		}
+		win <<= ctl
+		nbits -= ctl
+		// uint8 arithmetic on purpose: a corrupt window whose counts exceed
+		// 64 wraps to a shift that clears the XOR instead of panicking.
+		sig := uint(64 - leading - trailing)
+		if sig > nbits {
+			pos, win, nbits = fill(body, pos, win, nbits)
+		}
+		var hi uint64
+		if sig > nbits { // longer than one refill: the window whole, then the rest
+			hi = win >> (64 - nbits)
+			sig -= nbits
+			pos, win, nbits = fill(body, pos, 0, 0)
+			if sig > nbits {
+				return nil, 0, overrun(body)
+			}
+		}
+		prev ^= (hi<<sig | win>>(64-sig)) << trailing
+		win <<= sig
+		nbits -= sig
+		dst[i] = math.Float64frombits(prev)
+	}
+	return dst, size, nil
 }

@@ -1,50 +1,134 @@
 package colenc
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestBitRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		type run struct {
-			v    uint64
-			bits uint
+// refBitWriter and refBitReader are the bit-at-a-time reference BitWriter
+// and BitReader are held to: one loop turn per bit, nothing to get wrong.
+// The reader has the contract of the byte-wise reader the window reader
+// replaced — a read past the end returns 0 and sets the error, and so does
+// every read after it.
+type refBitWriter struct{ bits []byte } // one element per bit
+
+func (w *refBitWriter) write(v uint64, n uint) {
+	for ; n > 0; n-- {
+		w.bits = append(w.bits, byte(v>>(n-1))&1)
+	}
+}
+
+func (w *refBitWriter) bytes() []byte {
+	out := make([]byte, (len(w.bits)+7)/8)
+	for i, b := range w.bits {
+		out[i/8] |= b << (7 - i%8)
+	}
+	return out
+}
+
+type refBitReader struct {
+	buf []byte
+	pos int // next bit
+	err bool
+}
+
+func (r *refBitReader) read(n uint) uint64 {
+	var v uint64
+	for ; n > 0; n-- {
+		if r.pos >= 8*len(r.buf) {
+			r.err = true
+			return 0
 		}
-		runs := make([]run, 0, n)
-		w := NewBitWriter(nil)
-		for i := 0; i < n; i++ {
-			bits := uint(rng.Intn(64) + 1)
-			v := rng.Uint64()
-			if bits < 64 {
-				v &= 1<<bits - 1
-			}
-			runs = append(runs, run{v, bits})
-			w.WriteBits(v, bits)
+		v = v<<1 | uint64(r.buf[r.pos/8]>>(7-r.pos%8))&1
+		r.pos++
+	}
+	return v
+}
+
+type bitRun struct {
+	v uint64
+	n uint
+}
+
+// checkBitStream writes runs through BitWriter and the reference, requires
+// the same bytes after every run (Bytes must not disturb the writer), then
+// reads the runs back from every truncation of those bytes: each read's
+// value and whether it has set Err must match the reference's.
+func checkBitStream(t *testing.T, runs []bitRun) {
+	t.Helper()
+	var w BitWriter
+	var ref refBitWriter
+	for i, ru := range runs {
+		w.WriteBits(ru.v, ru.n)
+		ref.write(ru.v, ru.n)
+		if got, want := w.Bytes(), ref.bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("after run %d (%d bits): wrote %x, reference %x", i, ru.n, got, want)
 		}
-		r := NewBitReader(w.Bytes())
+	}
+	full := ref.bytes()
+	for cut := len(full); cut >= 0; cut-- {
+		r := BitReader{buf: full[:cut]}
+		rr := refBitReader{buf: full[:cut]}
 		for i, ru := range runs {
-			if got := r.ReadBits(ru.bits); got != ru.v {
-				t.Fatalf("trial %d run %d: got %#x, want %#x (%d bits)", trial, i, got, ru.v, ru.bits)
+			got, want := r.ReadBits(ru.n), rr.read(ru.n)
+			if got != want || (r.Err() != nil) != rr.err {
+				t.Fatalf("%d of %d bytes, run %d (%d bits): read %#x err %v, reference %#x err %v",
+					cut, len(full), i, ru.n, got, r.Err(), want, rr.err)
 			}
-		}
-		if r.Err() != nil {
-			t.Fatalf("trial %d: reader error: %v", trial, r.Err())
 		}
 	}
 }
 
+func TestBitRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		runs := make([]bitRun, rng.Intn(120))
+		for i := range runs {
+			// Unmasked on purpose: WriteBits takes the low n bits of v.
+			runs[i] = bitRun{rng.Uint64(), uint(rng.Intn(65))}
+		}
+		checkBitStream(t, runs)
+	}
+}
+
+// TestBitRunsAtEveryAlignment puts a run of every length 0-64 at every bit
+// offset of the 64-bit window, followed by enough to force a refill.
+func TestBitRunsAtEveryAlignment(t *testing.T) {
+	for align := uint(0); align < 64; align++ {
+		for n := uint(0); n <= 64; n++ {
+			checkBitStream(t, []bitRun{{0x5555555555555555, align}, {0xfedcba9876543210, n}, {^uint64(0), 64}, {0, 3}})
+		}
+	}
+}
+
+// FuzzBitStream drives checkBitStream from a script: nine bytes a run, the
+// first its length (mod 65), the rest its value. The seed corpus under
+// testdata/fuzz runs as part of the ordinary test.
+func FuzzBitStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{64, 1, 2, 3, 4, 5, 6, 7, 8, 1, 0xff, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var runs []bitRun
+		for ; len(script) >= 9 && len(runs) < 64; script = script[9:] {
+			runs = append(runs, bitRun{binary.BigEndian.Uint64(script[1:9]), uint(script[0]) % 65})
+		}
+		checkBitStream(t, runs)
+	})
+}
+
 func TestBitReaderOverrun(t *testing.T) {
-	r := NewBitReader([]byte{0xff})
+	r := BitReader{buf: []byte{0xff}}
 	r.ReadBits(8)
 	if r.Err() != nil {
 		t.Fatalf("unexpected error inside buffer: %v", r.Err())
 	}
-	r.ReadBit()
+	r.ReadBits(1)
 	if r.Err() == nil {
 		t.Fatal("expected overrun error")
 	}
@@ -198,5 +282,47 @@ func TestConstantColumnCompresses(t *testing.T) {
 	// First value 8 bytes + 1 bit per repeat + length prefix.
 	if len(buf) > 8+1000/8+4 {
 		t.Fatalf("constant column too large: %d bytes for %d values", len(buf), len(vals))
+	}
+}
+
+// goldenFloats is a fixed column that takes every branch of the encoder:
+// repeats, XORs inside and outside the previous window, single-bit XORs,
+// full-width XORs and the IEEE-754 corners.
+func goldenFloats() []float64 {
+	rng := rand.New(rand.NewSource(22))
+	vals := []float64{0, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(1), math.Float64frombits(3), math.MaxFloat64, -math.MaxFloat64}
+	for i := 0; i < 5000; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			vals = append(vals, vals[len(vals)-1])
+		case 1:
+			vals = append(vals, 3e-7)
+		case 2:
+			vals = append(vals, math.Float64frombits(rng.Uint64()))
+		case 3:
+			vals = append(vals, math.Float64frombits(math.Float64bits(vals[len(vals)-1])^1<<uint(rng.Intn(64))))
+		default:
+			vals = append(vals, 250+60*rng.Float64())
+		}
+	}
+	return vals
+}
+
+// TestFloatsEncodingGolden pins the float column's bytes — shared by tsdb's
+// sealed blocks and the analysis record log — to what the bit-at-a-time
+// writer of the parent commit produced (hash computed there), so a faster
+// writer is provably the same format.
+func TestFloatsEncodingGolden(t *testing.T) {
+	vals := goldenFloats()
+	buf := AppendFloats([]byte("prefix"), vals)
+	sum := sha256.Sum256(buf)
+	const want = "1756b54ce3d2271009e5665d6435db62a501c2d584d2f27e30dd93905ec05e76"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("AppendFloats wrote %d bytes hashing to %s, want %s", len(buf), got, want)
+	}
+	got, n, err := DecodeFloats(nil, buf[len("prefix"):], len(vals))
+	if err != nil || n != len(buf)-len("prefix") || !floatBitsEqual(got, vals) {
+		t.Fatalf("golden column does not decode back: %d of %d bytes, err %v", n, len(buf)-len("prefix"), err)
 	}
 }

@@ -266,8 +266,7 @@ type Fig4Data struct {
 
 // Fig4 builds a panel from campaign records for one tier.
 func Fig4(result *CampaignResult, tier bgp.Tier) (*Fig4Data, error) {
-	points := analysis.PerfPointsCursor(analysis.NewFilterCursor(result.Cursor(),
-		func(m *analysis.Measurement) bool { return m.Tier == tier }))
+	points := analysis.PerfPointsTierCursor(result.Cursor(), tier)
 	if len(points) == 0 {
 		return nil, fmt.Errorf("core: no perf points for %s/%s", result.Region, tier)
 	}
