@@ -10,7 +10,7 @@ build:
 # core once cost 70 % wall-clock unnoticed.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical' ./internal/orchestrator/ ./internal/core/ ./internal/scenario/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays' ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/
 
 vet:
 	$(GO) vet ./...
@@ -44,12 +44,13 @@ cover-check:
 
 # The hot-path record's benchmarks and the packages they live in, shared by
 # bench and bench-check.
-HOTPATH_BENCH = BenchmarkMeasure|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale
+HOTPATH_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale
 HOTPATH_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/
 
-# bench runs the hot-path benchmarks (steady-state Measure, cold Measure,
-# sharded TSDB ingest through the map API, the campaign's own ingest path
-# through StoreSink, and one paper-scale topology selection) and records
+# bench runs the hot-path benchmarks (steady-state Measure by spec and by
+# flow handle, cold Measure, one whole campaign round, sharded TSDB ingest
+# through the map API, the campaign's own ingest path through StoreSink, and
+# one paper-scale topology selection) and records
 # ns/op and allocs/op — joined with the pre-overhaul baselines from
 # BENCH_baseline.txt — in BENCH_hotpath.json.
 # A second pass records the observability numbers in BENCH_obs.json:
@@ -98,7 +99,7 @@ bench-all:
 # The paper-scale selection runs once: an iteration is a whole region's
 # selection, not a nanosecond-scale call.
 bench-smoke:
-	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkInsert|BenchmarkStoreSinkRecord' -benchtime=100x \
+	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord' -benchtime=100x \
 		./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/
 	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale' -benchtime=1x ./internal/selection/
 

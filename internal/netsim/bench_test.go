@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,4 +120,27 @@ func BenchmarkMeasureWarmObs(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMeasureFlow is the campaign's own path: one goroutine measuring
+// through caller-owned handles, each flow once an hour at its VM slot's
+// minute offset, hour after hour — so every 24th visit of a flow rolls its
+// day record over and that cost is in the number. No sync.Map lookup, no
+// TestSpec copy. It is sequential where BenchmarkMeasureWarm runs four
+// goroutines per proc: compare the two at -cpu 1.
+func BenchmarkMeasureFlow(b *testing.B) {
+	topo, specs := benchSetup(b)
+	sim := New(topo, nil, Config{Seed: 7})
+	specs = slices.Clone(specs)
+	flows := make([]Flow, len(specs))
+	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, hour := i%len(specs), i/len(specs)
+		specs[f].Time = start.Add(time.Duration(hour)*time.Hour + time.Duration(f%17)*slotGap)
+		if _, err := sim.MeasureFlow(&flows[f], &specs[f]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -18,9 +18,23 @@ func dayOf(t time.Time) uint64 {
 	return uint64(t.Unix() / 86400)
 }
 
-// hourOfDayLocal converts t (UTC) to fractional local hour for a UTC offset.
-func hourOfDayLocal(t time.Time, utcOffset int) float64 {
-	h := float64(t.Hour()) + float64(t.Minute())/60 + float64(utcOffset)
+// clock is a timestamp decomposed once into what the models key on, so a
+// test that asks for several dips and draws walks its time.Time once.
+type clock struct {
+	day  uint64  // dayOf
+	hour uint64  // hour of day, the key of the per-test draws
+	hm   float64 // fractional hour of day
+}
+
+func clockOf(t time.Time) clock {
+	h, m, _ := t.Clock()
+	return clock{day: dayOf(t), hour: uint64(h), hm: float64(h) + float64(m)/60}
+}
+
+// local converts the clock's (UTC) hour of day to fractional local hour for
+// a UTC offset.
+func (c clock) local(utcOffset int) float64 {
+	h := c.hm + float64(utcOffset)
 	for h < 0 {
 		h += 24
 	}
@@ -49,14 +63,20 @@ func dipShape(localHour, peakHour, sigma float64) float64 {
 	return math.Exp(-d * d / (2 * sigma * sigma))
 }
 
-// congestionDip returns the fractional reduction in available bandwidth for
-// an entity (keyed by entityKey) with the given profile, at UTC time t in a
-// city with the given UTC offset. regionFactor scales the daily congestion
-// probability (regions differ, Fig. 2).
-func (s *Sim) congestionDip(profile topology.CongestionProfile, entityKey uint64, utcOffset int, t time.Time, regionFactor float64) float64 {
-	day := dayOf(t)
-	local := hourOfDayLocal(t, utcOffset)
+// dipDay is everything about an entity's congestion dip that is drawn once
+// per day: whether the event realises, where its peak drifts to and how
+// deep it goes are hashes of (seed, entity, day), and the window's width is
+// the profile's. Only the hour of day is left to dipFrom.
+type dipDay struct {
+	peak  float64 // realised peak, local hour
+	depth float64 // fractional capacity reduction at the peak
+	sigma float64 // window width in hours
+}
 
+// dayDraws draws an entity's dip for one day. regionFactor scales the daily
+// congestion probability (regions differ, Fig. 2). The flow cache remembers
+// the result per (flow, day); every other caller draws it per call.
+func (s *Sim) dayDraws(profile topology.CongestionProfile, entityKey, day uint64, regionFactor float64) dipDay {
 	// Does this entity realise a congestion event today?
 	dayProb := s.cfg.CongestionDayProbBase
 	if profile.Prone {
@@ -68,18 +88,24 @@ func (s *Sim) congestionDip(profile topology.CongestionProfile, entityKey uint64
 	// The realised peak drifts several hours day to day, so a server's
 	// hour-of-day congestion probability stays moderate (Fig. 6 shows
 	// probabilities mostly below 0.1-0.2 even for the worst servers).
-	peak := float64(profile.PeakHourLocal) + hashRange(s.cfg.Seed, -5, 5, entityKey, day, 0xd2)
-	sigma := s.cfg.EveningSigmaHours
+	d := dipDay{
+		peak:  float64(profile.PeakHourLocal) + hashRange(s.cfg.Seed, -5, 5, entityKey, day, 0xd2),
+		depth: profile.PeakDepth * s.cfg.OffDayDepthFactor,
+		sigma: s.cfg.EveningSigmaHours,
+	}
 	if profile.Daytime {
-		sigma = s.cfg.DaytimeSigmaHours
+		d.sigma = s.cfg.DaytimeSigmaHours
 	}
-	shape := dipShape(local, peak, sigma)
-
-	depth := profile.PeakDepth * s.cfg.OffDayDepthFactor
 	if congestedToday {
-		depth = profile.PeakDepth * hashRange(s.cfg.Seed, 0.85, 1.1, entityKey, day, 0xd3)
+		d.depth = profile.PeakDepth * hashRange(s.cfg.Seed, 0.85, 1.1, entityKey, day, 0xd3)
 	}
-	dip := depth * shape
+	return d
+}
+
+// dipFrom is the dip at a local hour of the day d was drawn for: the one
+// body behind every congestion dip, with fresh or remembered day draws.
+func dipFrom(d dipDay, localHour float64) float64 {
+	dip := d.depth * dipShape(localHour, d.peak, d.sigma)
 	if dip < 0 {
 		dip = 0
 	}
@@ -87,6 +113,14 @@ func (s *Sim) congestionDip(profile topology.CongestionProfile, entityKey uint64
 		dip = 0.97
 	}
 	return dip
+}
+
+// congestionDip returns the fractional reduction in available bandwidth for
+// an entity (keyed by entityKey) with the given profile, at UTC time t in a
+// city with the given UTC offset.
+func (s *Sim) congestionDip(profile topology.CongestionProfile, entityKey uint64, utcOffset int, t time.Time, regionFactor float64) float64 {
+	c := clockOf(t)
+	return dipFrom(s.dayDraws(profile, entityKey, c.day, regionFactor), c.local(utcOffset))
 }
 
 // congestionLoss returns the extra packet loss induced by a realised dip.

@@ -1,20 +1,37 @@
 package netsim
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
 
-// The per-flow route cache. A flow is one (region, server, tier, direction)
-// combination; its routing decision and every time-invariant input to the
-// RTT and bandwidth models are pure functions of (topology, seed), so they
-// are resolved once and reused for the campaign's remaining samples. The
-// cached fast path replays exactly the arithmetic of pathRTT/pathBandwidth
-// — same operations in the same order — so a warmed Measure is bit-identical
-// to a cold one; TestFlowCacheMatchesUncached pins this.
+// The per-flow cache. A flow is one (region, server, tier, direction)
+// combination, and a measurement's inputs stop changing at three levels:
+//
+//   - Per flow: the routing decision and every time-invariant input to the
+//     RTT and bandwidth models are pure functions of (topology, seed),
+//     resolved once into a flowEntry.
+//   - Per (flow, day): the paper's schedule asks a flow the same question 24
+//     times a day with only the hour changing, and the congestion dips' day
+//     draws, the lossy-port day factor and the hash prefixes of the jitter
+//     and noise draws are pure functions of (seed, flow, day). The entry
+//     holds them in an immutable flowDay behind an atomic pointer, rebuilt
+//     when a test's day differs from the remembered one.
+//   - Per caller: Measure finds the entry by key on every call; a Flow is a
+//     caller-owned handle that found it once.
+//
+// Nothing remembered can change a bit. Each record is a pure function of
+// its key, so goroutines racing to replace a day record store equal values,
+// a reader holding a replaced record still computes that record's own day
+// correctly, and no measured value ever feeds back into a record. The
+// arithmetic is the uncached path's — pathRTT/pathBandwidth, same operations
+// in the same order — which TestFlowCacheMatchesUncached holds it to, by
+// spec and by handle.
 
 // flowKeyT identifies one measured flow.
 type flowKeyT struct {
@@ -54,22 +71,32 @@ func (s *Sim) newRTTModel(region string, endASN ASN, endCity string, choice bgp.
 	return m
 }
 
-// at is the cached counterpart of pathRTT: baseRTT already holds the static
-// partial sum, so only the congestion dip and jitter remain.
-func (m *rttModel) at(s *Sim, flowKey uint64, t time.Time) float64 {
-	rtt := m.baseRTT
-	if m.hasDip {
-		dip := s.congestionDip(m.endCong, flowKey, m.endUTC, t, m.regionFactor)
-		rtt += dip * s.cfg.QueueDelayMaxMs
-	}
-	rtt *= clamp(1+0.03*hashNorm(s.cfg.Seed, flowKey, dayOf(t), uint64(t.Hour()), 0xc1), 0.9, 1.15)
+// rtt is the time-varying half of pathRTT given the hour's two draws: the
+// endpoint's congestion dip (0 for a model without one, which adds nothing)
+// and the jitter normal.
+func (m *rttModel) rtt(s *Sim, dip, jitter float64) float64 {
+	rtt := m.baseRTT + dip*s.cfg.QueueDelayMaxMs
+	rtt *= clamp(1+0.03*jitter, 0.9, 1.15)
 	return rtt
 }
 
+// at is the cached counterpart of pathRTT for a probe keyed by its own
+// salt: nothing about the salt's day is remembered, so both draws are fresh.
+func (m *rttModel) at(s *Sim, flowKey uint64, t time.Time) float64 {
+	c := clockOf(t)
+	dip := 0.0
+	if m.hasDip {
+		dip = dipFrom(s.dayDraws(m.endCong, flowKey, c.day, m.regionFactor), c.local(m.endUTC))
+	}
+	return m.rtt(s, dip, hashNorm(s.cfg.Seed, flowKey, c.day, c.hour, 0xc1))
+}
+
 // flowEntry is the resolved routing decision plus interned static model
-// inputs for one flow. Immutable once built.
+// inputs for one flow. Immutable once built, except for the day pointer.
 type flowEntry struct {
 	choice  bgp.EgressChoice
+	tier    bgp.Tier
+	dir     Direction
 	flowKey uint64 // per-flow hash key (the server ID)
 
 	rttModel
@@ -80,13 +107,61 @@ type flowEntry struct {
 	nbCong       topology.CongestionProfile
 	srvUTC       int
 	linkUTC      int
-	linkID       int
+	srvKey       uint64 // serverKey: the ISP-aggregation dip's entity
+	linkKey      uint64 // linkKey: the interconnect's entity
 	accessMbps   float64
 	aggBase      float64 // download ISP-aggregation capacity before the dip
 	headroom     float64 // tier-adjusted interconnect headroom
 	baseLoss     float64 // tier-adjusted residual loss
 	lossyPremium bool
 	lossRate     float64
+
+	// day is the flow's day record, nil until the first measurement.
+	day atomic.Pointer[flowDay]
+}
+
+// flowDay is what a flow's measurements share within one day. Immutable.
+type flowDay struct {
+	day uint64
+	// The dips a test of this flow asks for: the endpoint's queueing dip of
+	// the RTT model, the server's ISP-aggregation dip (download only) and
+	// the interconnect's, which an upload keys and scales differently.
+	endDip, srvDip, linkDip dipDay
+	// lossyFactor is the day's loss scale of a chronically lossy premium
+	// port; zero on every other flow.
+	lossyFactor float64
+	// jitter and noise are the FNV prefixes of the two per-test normals,
+	// folded through (seed, flow, day); a test folds in the hour and the
+	// draw's remaining keys.
+	jitter, noise uint64
+}
+
+// dayFor returns the flow's record for day, replacing the remembered one
+// when it is for another day. Racing replacements store equal records.
+func (fe *flowEntry) dayFor(s *Sim, day uint64) *flowDay {
+	if d := fe.day.Load(); d != nil && d.day == day {
+		return d
+	}
+	d := &flowDay{
+		day:    day,
+		jitter: fnvFold(s.cfg.Seed, fe.flowKey, day),
+		noise:  fnvFold(s.cfg.Seed, fe.regionHash, fe.flowKey, day),
+	}
+	if fe.hasDip {
+		d.endDip = s.dayDraws(fe.endCong, fe.flowKey, day, fe.regionFactor)
+	}
+	if fe.dir == Download {
+		d.srvDip = s.dayDraws(fe.srvCong, fe.srvKey, day, fe.regionFactor)
+		d.linkDip = s.dayDraws(fe.nbCong, fe.linkKey, day, fe.regionFactor)
+		if fe.lossyPremium {
+			d.lossyFactor = hashRange(s.cfg.Seed, 0.8, 1.2, fe.linkKey, day, 0xb3)
+		}
+	} else {
+		// Mild downstream (cloud -> edge) evening load.
+		d.linkDip = s.dayDraws(fe.nbCong, fe.linkKey^0x5555, day, fe.regionFactor*0.3)
+	}
+	fe.day.Store(d)
+	return d
 }
 
 // flowHolder singleflights one flow's resolution.
@@ -98,7 +173,10 @@ type flowHolder struct {
 
 // flowFor returns the cached flow entry for spec, resolving it on first use.
 // Hits are lock-free; misses compute once per key.
-func (s *Sim) flowFor(spec TestSpec) (*flowEntry, error) {
+func (s *Sim) flowFor(spec *TestSpec) (*flowEntry, error) {
+	if spec.Server == nil {
+		return nil, fmt.Errorf("netsim: nil server")
+	}
 	key := flowKeyT{region: spec.Region, server: spec.Server.ID, tier: spec.Tier, dir: spec.Dir}
 	v, ok := s.flows.Load(key)
 	if ok {
@@ -112,7 +190,7 @@ func (s *Sim) flowFor(spec TestSpec) (*flowEntry, error) {
 	return h.fe, h.err
 }
 
-func (s *Sim) buildFlow(spec TestSpec) (*flowEntry, error) {
+func (s *Sim) buildFlow(spec *TestSpec) (*flowEntry, error) {
 	srv := spec.Server
 	var choice bgp.EgressChoice
 	var err error
@@ -128,19 +206,22 @@ func (s *Sim) buildFlow(spec TestSpec) (*flowEntry, error) {
 
 	fe := &flowEntry{
 		choice:     choice,
+		tier:       spec.Tier,
+		dir:        spec.Dir,
 		flowKey:    uint64(srv.ID),
 		rttModel:   s.newRTTModel(spec.Region, srv.ASN, srv.City, choice, spec.Tier),
 		regionHash: s.regionHash(spec.Region),
 		srvUTC:     srv.UTCOffset,
 		linkUTC:    link.UTCOffset,
-		linkID:     link.ID,
+		srvKey:     serverKey(srv.ID),
+		linkKey:    linkKey(link.ID),
 		accessMbps: srv.AccessMbps,
 		headroom:   link.Headroom,
 		baseLoss:   s.cfg.BaseLoss,
 	}
 	fe.srvCong = s.topo.AS(srv.ASN).Congestion
 	fe.nbCong = s.topo.AS(link.Neighbor).Congestion
-	fe.aggBase = hashRange(s.cfg.Seed, 500, 1400, serverKey(srv.ID), 0xb2)
+	fe.aggBase = hashRange(s.cfg.Seed, 500, 1400, fe.srvKey, 0xb2)
 	if spec.Tier == bgp.Premium {
 		fe.headroom *= s.cfg.PremiumAvailFactor
 		fe.baseLoss += s.cfg.PremiumExtraLoss
@@ -152,25 +233,25 @@ func (s *Sim) buildFlow(spec TestSpec) (*flowEntry, error) {
 	return fe, nil
 }
 
-// bandwidthAt is the cached counterpart of pathBandwidth: it reproduces the
-// segment walk's min/sum arithmetic without building the segment slice.
-// vmDown/vmUp come from the spec because shaper experiments override them
-// per test.
-func (fe *flowEntry) bandwidthAt(s *Sim, spec TestSpec, t time.Time) (availMbps, loss float64) {
-	if spec.Dir == Download {
+// bandwidth is the cached counterpart of pathBandwidth at clock c of day d:
+// it reproduces the segment walk's min/sum arithmetic without building the
+// segment slice. vmDown/vmUp come from the spec because shaper experiments
+// override them per test.
+func (fe *flowEntry) bandwidth(s *Sim, d *flowDay, c clock, spec *TestSpec) (availMbps, loss float64) {
+	linkDip := dipFrom(d.linkDip, c.local(fe.linkUTC))
+	if fe.dir == Download {
 		vmDown := spec.VMDownMbps
 		if vmDown <= 0 {
 			vmDown = s.cfg.VMDownMbps
 		}
-		ispDip := s.congestionDip(fe.srvCong, serverKey(spec.Server.ID), fe.srvUTC, t, fe.regionFactor)
+		ispDip := dipFrom(d.srvDip, c.local(fe.srvUTC))
 		agg := fe.aggBase * (1 - ispDip)
-		linkDip := s.congestionDip(fe.nbCong, linkKey(fe.linkID), fe.linkUTC, t, fe.regionFactor)
 		if linkDip > 0.8 {
 			linkDip = 0.8
 		}
 		linkLoss := fe.baseLoss + congestionLoss(fe.nbCong, linkDip)*0.25
 		if fe.lossyPremium {
-			linkLoss += fe.lossRate * hashRange(s.cfg.Seed, 0.8, 1.2, linkKey(fe.linkID), dayOf(t), 0xb3)
+			linkLoss += fe.lossRate * d.lossyFactor
 		}
 		linkAvail := fe.headroom * (1 - linkDip)
 
@@ -190,7 +271,6 @@ func (fe *flowEntry) bandwidthAt(s *Sim, spec TestSpec, t time.Time) (availMbps,
 		if vmUp <= 0 {
 			vmUp = s.cfg.VMUpMbps
 		}
-		linkDip := s.congestionDip(fe.nbCong, linkKey(fe.linkID)^0x5555, fe.linkUTC, t, fe.regionFactor*0.3)
 		linkAvail := fe.headroom * (1 - 0.3*linkDip)
 
 		availMbps = vmUp

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -54,9 +55,28 @@ func measureUncached(t *testing.T, s *Sim, spec TestSpec) TestResult {
 	}
 }
 
-// TestFlowCacheMatchesUncached sweeps servers, tiers, directions and times
-// — including repeated hits on warmed entries — and asserts every cached
-// Measure equals the uncached recomputation bit for bit.
+// sameResult reports whether two results agree in every field, bit for bit.
+func sameResult(a, b TestResult) bool {
+	return a.ThroughputMbps == b.ThroughputMbps && a.RTTms == b.RTTms && a.LossRate == b.LossRate &&
+		a.Link == b.Link && slices.Equal(a.ASPath, b.ASPath) && a.Dir == b.Dir && a.Tier == b.Tier
+}
+
+// slotGap is the spacing of a VM's 17 hourly test slots (the orchestrator's
+// time.Hour / (TestsPerVMPerHour+1)), so the sweeps below visit the minute
+// offsets a campaign's tests carry.
+const slotGap = time.Hour / 18
+
+// sweepHours steps across four day boundaries and back: the day record must
+// be replaced going forward and going back, never served for another day.
+var sweepHours = []int{0, 5, 23, 24, 30, 47, 48, 72 + 13, 24 + 5, 3, 24*9 + 13, 48 + 1, 24*9 + 14, 24 * 9, 0}
+
+// TestFlowCacheMatchesUncached holds the three routes to a measurement —
+// Measure by spec, MeasureFlow by handle and the uncached recomputation — to
+// one another bit for bit, over servers, tiers, directions and times:
+// repeated hits on one day's record, day boundaries crossed in both
+// directions, and the minute offset of every VM slot. The servers include a
+// chronically lossy premium port and daytime- and evening-profile networks,
+// so every field of the day record is exercised.
 func TestFlowCacheMatchesUncached(t *testing.T) {
 	topo, err := topology.New(topology.DefaultConfig())
 	if err != nil {
@@ -64,45 +84,57 @@ func TestFlowCacheMatchesUncached(t *testing.T) {
 	}
 	sim := New(topo, nil, Config{Seed: 7})
 	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-
-	servers := topo.Servers()
-	if len(servers) > 12 {
-		servers = servers[:12]
-	}
 	regions := []string{"us-east1", "us-west1"}
+
+	// The first dozen servers, plus the first server of each kind the dozen
+	// may lack.
+	servers := topo.Servers()
+	const base = 12
+	picked := slices.Clone(servers[:base])
+	kinds := map[string]func(fe *flowEntry) bool{
+		"lossy premium port":       func(fe *flowEntry) bool { return fe.lossyPremium },
+		"daytime-profile server":   func(fe *flowEntry) bool { return fe.srvCong.Daytime && fe.srvCong.Prone },
+		"evening-profile server":   func(fe *flowEntry) bool { return !fe.srvCong.Daytime && fe.srvCong.Prone },
+		"daytime-profile neighbor": func(fe *flowEntry) bool { return fe.nbCong.Daytime },
+	}
+	for name, is := range kinds {
+		found := false
+		for _, srv := range servers {
+			fe, err := sim.flowFor(&TestSpec{Region: regions[0], Server: srv, Tier: bgp.Premium, Dir: Download})
+			if err == nil && is(fe) {
+				picked, found = append(picked, srv), true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("no server with a %s: the sweep would not cover it", name)
+		}
+	}
+
 	checked := 0
 	for _, region := range regions {
-		for _, srv := range servers {
+		for _, srv := range picked {
 			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
 				for _, dir := range []Direction{Download, Upload} {
-					for _, dh := range []int{0, 5, 21, 24*9 + 13} {
+					var flow Flow
+					for _, dh := range sweepHours {
 						spec := TestSpec{
 							Region: region, Server: srv, Tier: tier, Dir: dir,
-							Time: start.Add(time.Duration(dh) * time.Hour),
+							Time: start.Add(time.Duration(dh)*time.Hour + time.Duration(checked%17)*slotGap),
 						}
-						got, err := sim.Measure(spec)
+						want := measureUncached(t, sim, spec)
+						bySpec, err := sim.Measure(spec)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := measureUncached(t, sim, spec)
-						if got.ThroughputMbps != want.ThroughputMbps ||
-							got.RTTms != want.RTTms ||
-							got.LossRate != want.LossRate {
-							t.Fatalf("%s srv%d %v %v t+%dh: cached (%v, %v, %v) != uncached (%v, %v, %v)",
-								region, srv.ID, tier, dir, dh,
-								got.ThroughputMbps, got.RTTms, got.LossRate,
-								want.ThroughputMbps, want.RTTms, want.LossRate)
+						byHandle, err := sim.MeasureFlow(&flow, &spec)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if got.Link != want.Link {
-							t.Fatalf("%s srv%d %v %v: cached link %d != uncached link %d",
-								region, srv.ID, tier, dir, got.Link.ID, want.Link.ID)
-						}
-						if len(got.ASPath) != len(want.ASPath) {
-							t.Fatalf("AS path lengths differ: %v vs %v", got.ASPath, want.ASPath)
-						}
-						for i := range got.ASPath {
-							if got.ASPath[i] != want.ASPath[i] {
-								t.Fatalf("AS paths differ: %v vs %v", got.ASPath, want.ASPath)
+						for route, got := range map[string]TestResult{"Measure": bySpec, "MeasureFlow": byHandle} {
+							if !sameResult(got, want) {
+								t.Fatalf("%s srv%d %v %v at %v: %s = %+v, uncached = %+v",
+									region, srv.ID, tier, dir, spec.Time, route, got, want)
 							}
 						}
 						checked++
@@ -111,9 +143,79 @@ func TestFlowCacheMatchesUncached(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no specs checked")
+	if checked < 17 {
+		t.Fatalf("%d specs checked: not every slot offset was visited", checked)
 	}
+}
+
+// TestSharedFlowInterleavedDays is the day record under contention: 16
+// goroutines measure the same flows — one shared flowEntry each, as two
+// campaigns of one region share them in `report all` — every goroutine on a
+// different day at any moment, half by spec and half by handle, so the
+// record is replaced continuously while others read it. Everyone must see
+// the values a lone goroutine computes on a simulator of its own. Run under
+// -race this pins the atomic publish.
+func TestSharedFlowInterleavedDays(t *testing.T) {
+	topo, err := topology.New(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	var specs []TestSpec
+	for _, srv := range topo.Servers()[:3] {
+		for _, dir := range []Direction{Download, Upload} {
+			for i := 0; i < 40; i++ {
+				specs = append(specs, TestSpec{
+					Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: dir,
+					Time: start.Add(time.Duration(i%5)*24*time.Hour + time.Duration(i)*time.Hour + time.Duration(i%17)*slotGap),
+				})
+			}
+		}
+	}
+	want := make([]TestResult, len(specs))
+	alone := New(topo, nil, Config{Seed: 7})
+	for i, spec := range specs {
+		if want[i], err = alone.Measure(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sim := New(topo, alone.Router(), Config{Seed: 7})
+	const goroutines = 16
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			flows := map[flowKeyT]*Flow{}
+			// Each goroutine starts at its own offset, so at any moment the
+			// goroutines ask one flow for different days.
+			for n := range specs {
+				i := (n + g*7) % len(specs)
+				spec := specs[i]
+				var got TestResult
+				var err error
+				if g%2 == 0 {
+					got, err = sim.Measure(spec)
+				} else {
+					key := flowKeyT{region: spec.Region, server: spec.Server.ID, tier: spec.Tier, dir: spec.Dir}
+					if flows[key] == nil {
+						flows[key] = new(Flow)
+					}
+					got, err = sim.MeasureFlow(flows[key], &spec)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !sameResult(got, want[i]) {
+					t.Errorf("goroutine %d spec %d: %+v, want %+v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestMeasureConcurrentCold races many goroutines into a cold simulator —

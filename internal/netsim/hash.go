@@ -4,6 +4,15 @@ package netsim
 // simulator is a pure function of (seed, key...), so a campaign replayed
 // with the same seed produces identical measurements regardless of
 // execution order or concurrency.
+//
+// A draw is an FNV-1a fold of the seed and keys — the prefix state —
+// followed by a finaliser. FNV folds strictly left to right, so the state
+// after (seed, k1..ki) is itself a pure function of those keys and can be
+// remembered: the flow cache's day record (flowcache.go) keeps the prefixes
+// folded through (seed, flow, day) and each test folds only the keys that
+// change within a day. hashNorm and hash01 are the same fold and the same
+// finalisers with nothing remembered, so both routes draw one value
+// sequence.
 
 const (
 	fnvOffset = 14695981039346656037
@@ -34,18 +43,37 @@ func fnvFinal(h uint64) uint64 {
 	return h
 }
 
-// hash64 is FNV-1a over the seed and keys.
-func hash64(seed int64, keys ...uint64) uint64 {
+// fnvFold is the prefix state of a draw: FNV-1a over the seed and keys, not
+// yet finalised, so further keys can be folded in with fnvMix.
+func fnvFold(seed int64, keys ...uint64) uint64 {
 	h := fnvMix(fnvOffset, uint64(seed))
 	for _, k := range keys {
 		h = fnvMix(h, k)
 	}
-	return fnvFinal(h)
+	return h
+}
+
+// uniformFrom finalises a prefix state into a uniform float64 in [0, 1).
+func uniformFrom(prefix uint64) float64 {
+	return float64(fnvFinal(prefix)>>11) / (1 << 53)
+}
+
+// normFrom finalises a prefix state into an approximately standard normal
+// value: an Irwin-Hall sum of four uniforms that share the prefix and
+// differ only in a trailing salt, so the prefix is folded once and
+// re-salted per draw.
+func normFrom(prefix uint64) float64 {
+	s := 0.0
+	for i := uint64(0); i < 4; i++ {
+		s += uniformFrom(fnvMix(prefix, 0x9e3779b97f4a7c15+i))
+	}
+	// Sum of 4 U(0,1): mean 2, variance 4/12 -> scale to unit variance.
+	return (s - 2) / 0.5773502691896258
 }
 
 // hash01 maps (seed, keys) to a uniform float64 in [0, 1).
 func hash01(seed int64, keys ...uint64) float64 {
-	return float64(hash64(seed, keys...)>>11) / (1 << 53)
+	return uniformFrom(fnvFold(seed, keys...))
 }
 
 // hashRange maps (seed, keys) to a uniform float64 in [lo, hi).
@@ -53,22 +81,7 @@ func hashRange(seed int64, lo, hi float64, keys ...uint64) float64 {
 	return lo + (hi-lo)*hash01(seed, keys...)
 }
 
-// hashNorm maps (seed, keys) to an approximately standard normal value
-// using an Irwin-Hall sum of four uniforms. The four draws share the
-// (seed, keys) FNV prefix and differ only in a trailing salt, so the
-// prefix state is folded once and re-salted per draw — the same value
-// sequence hash01(seed, keys..., salt_i) would produce, at a quarter of
-// the mixing work and with no allocation.
+// hashNorm maps (seed, keys) to an approximately standard normal value.
 func hashNorm(seed int64, keys ...uint64) float64 {
-	h := fnvMix(fnvOffset, uint64(seed))
-	for _, k := range keys {
-		h = fnvMix(h, k)
-	}
-	s := 0.0
-	for i := uint64(0); i < 4; i++ {
-		u := fnvFinal(fnvMix(h, 0x9e3779b97f4a7c15+i))
-		s += float64(u>>11) / (1 << 53)
-	}
-	// Sum of 4 U(0,1): mean 2, variance 4/12 -> scale to unit variance.
-	return (s - 2) / 0.5773502691896258
+	return normFrom(fnvFold(seed, keys...))
 }

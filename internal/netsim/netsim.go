@@ -8,14 +8,15 @@
 // region, tier, direction, time) always yields the same result.
 //
 // A Sim is safe for concurrent use. Measure, PingRTT, ForwardPath and the
-// segment helpers are pure per call: every stochastic choice is a hash of
-// (seed, key...), the Sim's own fields are read-only after New, and the
-// shared caches — the BGP router's route trees and link choices, and the
-// Sim's per-flow cache (flowcache.go) — serve hits as lock-free sync.Map
-// reads and singleflight their fills, which never changes a value (each
-// cached entry is a pure function of topology and seed). The parallel
-// campaign engine in internal/orchestrator relies on this to fan hourly
-// rounds out across goroutines without changing any measured value.
+// segment helpers are pure per call for their callers: every stochastic
+// choice is a hash of (seed, key...), the Sim's own fields are read-only
+// after New, and the shared caches — the BGP router's route trees and link
+// choices, and the Sim's per-flow cache with its per-day records
+// (flowcache.go) — serve hits as lock-free reads and hold only pure
+// functions of (topology, seed, key), so filling, replacing or racing on
+// one never changes a value. The parallel campaign engine in
+// internal/orchestrator relies on this to fan hourly rounds out across
+// goroutines without changing any measured value.
 package netsim
 
 import (
@@ -265,56 +266,92 @@ type TestResult struct {
 
 // Measure runs one modelled speed test. The flow's routing decision and
 // static model inputs come from the per-flow cache, so a steady-state call
-// does no path walk and near-zero allocation.
+// does no path walk and no allocation.
 func (s *Sim) Measure(spec TestSpec) (TestResult, error) {
-	if spec.Server == nil {
-		return TestResult{}, fmt.Errorf("netsim: nil server")
-	}
-	if spec.DurationSec <= 0 {
-		spec.DurationSec = 15
-	}
-	var timeStart time.Time
-	timed := sampleMeasure()
-	if timed {
-		timeStart = time.Now()
-	}
-	fe, err := s.flowFor(spec)
+	timed := startMeasureTimer()
+	fe, err := s.flowFor(&spec)
 	if err != nil {
 		return TestResult{}, err
 	}
+	res := s.measure(fe, &spec)
+	timed.observe()
+	return res, nil
+}
 
-	rtt := fe.rttModel.at(s, fe.flowKey, spec.Time)
-	avail, loss := fe.bandwidthAt(s, spec, spec.Time)
+// Flow is a caller-owned handle on one (region, server, tier, direction)
+// flow: Measure with the flow-cache lookup done once, for a caller that
+// measures the same flow again and again, as a campaign does every hour.
+// The zero value is an unresolved handle. A Flow is not safe for concurrent
+// use; the flow entry it points to is.
+type Flow struct {
+	fe *flowEntry
+}
+
+// MeasureFlow is Measure through f. The first call resolves f from spec —
+// the flow cache counts it a hit or a miss, as it would for Measure — and
+// every later call counts one hit and reads only the spec's Time,
+// DurationSec and VM caps: spec must keep naming the flow f was resolved
+// for. Both entries run the same arithmetic on the same flow entry, so the
+// results agree bit for bit.
+func (s *Sim) MeasureFlow(f *Flow, spec *TestSpec) (TestResult, error) {
+	timed := startMeasureTimer()
+	if f.fe == nil {
+		fe, err := s.flowFor(spec)
+		if err != nil {
+			return TestResult{}, err
+		}
+		f.fe = fe
+	} else {
+		obsFlowHits.Inc()
+	}
+	res := s.measure(f.fe, spec)
+	timed.observe()
+	return res, nil
+}
+
+// measure is the one measurement body, reached by spec or by handle: the
+// time-varying arithmetic of a resolved flow at the spec's time.
+func (s *Sim) measure(fe *flowEntry, spec *TestSpec) TestResult {
+	c := clockOf(spec.Time)
+	d := fe.dayFor(s, c.day)
+	dur := spec.DurationSec
+	if dur <= 0 {
+		dur = 15
+	}
+
+	endDip := 0.0
+	if fe.hasDip {
+		endDip = dipFrom(d.endDip, c.local(fe.endUTC))
+	}
+	rtt := fe.rtt(s, endDip, normFrom(fnvMix(fnvMix(d.jitter, c.hour), 0xc1)))
+	avail, loss := fe.bandwidth(s, d, c, spec)
 
 	tput := tcpmodel.Throughput(tcpmodel.FlowParams{
 		RTTms:          rtt,
 		Loss:           loss,
 		BottleneckMbps: avail,
-		DurationSec:    spec.DurationSec,
+		DurationSec:    dur,
 		Streams:        s.cfg.ParallelStreams,
 	})
 	// Per-test multiplicative measurement noise. The hash key includes the
 	// region so two regions measuring the same server in the same hour
 	// draw independent noise.
 	sigma := s.cfg.NoiseSigmaPremium
-	if spec.Tier == bgp.Standard {
+	if fe.tier == bgp.Standard {
 		sigma = s.cfg.NoiseSigmaStandard
 	}
-	n := hashNorm(s.cfg.Seed, fe.regionHash, uint64(spec.Server.ID), dayOf(spec.Time), uint64(spec.Time.Hour()), uint64(spec.Dir), uint64(spec.Tier), 0xa1)
+	n := normFrom(fnvMix(fnvMix(fnvMix(fnvMix(d.noise, c.hour), uint64(fe.dir)), uint64(fe.tier)), 0xa1))
 	tput *= clamp(1+sigma*n, 0.4, 1.6)
 
-	if timed {
-		obsMeasureLat.Observe(float64(time.Since(timeStart)))
-	}
 	return TestResult{
 		ThroughputMbps: tput,
 		RTTms:          rtt,
 		LossRate:       loss,
 		Link:           fe.choice.Link,
 		ASPath:         fe.choice.Path,
-		Dir:            spec.Dir,
-		Tier:           spec.Tier,
-	}, nil
+		Dir:            fe.dir,
+		Tier:           fe.tier,
+	}
 }
 
 // Segment is one capacity-relevant element of a simulated path, ordered

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
@@ -22,4 +23,31 @@ func BenchmarkStoreSinkRecord(b *testing.B) {
 		}
 		sink.Record(recs[i%len(recs)])
 	}
+}
+
+// BenchmarkCampaignRound is one hour of a simulated campaign — plan, execute
+// and commit into a sink that discards — at 32 servers over both tiers (128
+// tests on 8 VMs), hours following one another through days as a campaign's
+// do. ns/test is the figure to hold against netsim's BenchmarkMeasureFlow:
+// the difference is the round loop's own cost. Allocations are the day
+// records alone, one per flow every 24th round (128/24 ≈ 5 allocs/op);
+// TestSteadyRoundAllocs pins the rounds in between at zero.
+func BenchmarkCampaignRound(b *testing.B) {
+	f := setup(b)
+	c := newTestCampaign(b, f, Config{
+		Region: "us-east1", Servers: f.topo.Servers()[:32], Seed: 5,
+		Tiers: []bgp.Tier{bgp.Premium, bgp.Standard}, Days: b.N/24 + 1,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.plan()
+		if err := c.execute(); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Report.Tests), "ns/test")
 }

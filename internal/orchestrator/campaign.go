@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -45,6 +46,17 @@ type campaign struct {
 	// test can block under a Measure hook or an active fault profile.
 	canBlock bool
 
+	// What the schedule repeats, held once. flows is the simulator's handle
+	// of every scheduled flow, indexed (tier, server, direction) and resolved
+	// by the flow's first test; only the campaign whose tests cannot block
+	// reads it, inline on its own goroutine, so it needs no lock. round is the
+	// one round value plan refills, and order and rng the server permutation
+	// buffer and its re-seeded generator.
+	flows []netsim.Flow
+	round round
+	order []int
+	rng   *rand.Rand
+
 	vms   []*cloud.VM // a slot is nil while its VM is preempted and not yet replaced
 	specs []cloud.VMSpec
 	// Each VM owns its SoMeta collector, so concurrently running VMs never
@@ -65,14 +77,16 @@ type campaign struct {
 // task is one scheduled speed test of an hourly round.
 type task struct {
 	spec    netsim.TestSpec
+	flow    int // the spec's flow in campaign.flows
 	capture bool
 }
 
 // round is one hour of a campaign: what plan scheduled and what execute
-// made of it.
+// made of it. A campaign has one, refilled every hour.
 type round struct {
 	hour  int
 	start time.Time
+	span  obs.Span // the executing round's, parent of its vm-hour spans
 	// tasks is the hour's schedule, tier-major in slot order, so each VM's
 	// 17 slots are contiguous (campaign.vmTasks).
 	tasks     []task
@@ -84,7 +98,8 @@ type round struct {
 	// results and completed are indexed by task position, so commit observes
 	// them in schedule order regardless of how the round interleaved;
 	// completed marks the positions that produced a result (all of them in a
-	// fault-free campaign, none in a shed round).
+	// fault-free campaign, none in a shed round), and a result is meaningful
+	// only where it is set — plan clears completed, not results.
 	results   []netsim.TestResult
 	completed []bool
 	perVM     []Resilience // each VM goroutine's own tally
@@ -122,6 +137,19 @@ func (o *Orchestrator) newCampaign(cfg Config, sink Sink) (*campaign, error) {
 		span:       obs.Trace("campaign").With("region", cfg.Region).WithInt("days", cfg.Days),
 	}
 	c.canBlock = cfg.Measure != nil || c.inj != nil
+	perHour := len(cfg.Servers) * TestsPerServerPerHour * len(cfg.Tiers)
+	c.flows = make([]netsim.Flow, perHour)
+	c.round = round{
+		tasks:     make([]task, 0, perHour),
+		results:   make([]netsim.TestResult, perHour),
+		completed: make([]bool, perHour),
+		perVM:     make([]Resilience, c.perTierVMs*len(cfg.Tiers)),
+	}
+	c.order = make([]int, len(cfg.Servers))
+	for i := range c.order {
+		c.order[i] = i // the order under FixedOrder; hourOrder overwrites it otherwise
+	}
+	c.rng = rand.New(rand.NewSource(0)) // hourOrder re-seeds it every hour
 	// The platform injector is (re)installed unconditionally so a previous
 	// campaign's cannot leak into this run.
 	if c.inj != nil {
@@ -240,58 +268,56 @@ func (c *campaign) checkpointState() Progress {
 	return p
 }
 
-// plan schedules hour NextHour: a pure function of (Config, NextHour,
-// Downloads). Everything observable is derived from this deterministic
-// order: VM assignment, slot timestamps (upload gets its own slot after the
-// download), and the capture cadence, which counts downloads in task order
-// so it selects the same tests at any parallelism.
-func (c *campaign) plan() *round {
-	cfg := &c.cfg
-	n := len(cfg.Servers) * TestsPerServerPerHour * len(cfg.Tiers)
-	r := &round{
+// plan refills the campaign's round with hour NextHour's schedule: a pure
+// function of (Config, NextHour, Downloads). Everything observable is
+// derived from this deterministic order: VM assignment, slot timestamps
+// (upload gets its own slot after the download), and the capture cadence,
+// which counts downloads in task order so it selects the same tests at any
+// parallelism.
+func (c *campaign) plan() {
+	cfg, r := &c.cfg, &c.round
+	*r = round{
 		hour:      c.NextHour,
 		start:     cfg.Start.Add(time.Duration(c.NextHour) * time.Hour),
-		tasks:     make([]task, 0, n),
+		tasks:     r.tasks[:0],
 		downloads: c.Downloads,
-		results:   make([]netsim.TestResult, n),
-		completed: make([]bool, n),
-		perVM:     make([]Resilience, len(c.vms)),
+		results:   r.results,
+		completed: r.completed,
+		perVM:     r.perVM,
 	}
+	clear(r.completed)
+	clear(r.perVM)
 	// Randomise the test order each hour to decorrelate from periodic
 	// system events (§3.2).
-	var order []int
-	if cfg.FixedOrder {
-		order = make([]int, len(cfg.Servers))
-		for i := range order {
-			order[i] = i
-		}
-	} else {
-		order = HourOrder(cfg.Seed, r.hour, len(cfg.Servers))
+	if !cfg.FixedOrder {
+		hourOrder(c.rng, cfg.Seed, r.hour, c.order)
 	}
 	slotGap := time.Hour / time.Duration(TestsPerVMPerHour+1)
-	for _, tier := range cfg.Tiers {
-		for pos, idx := range order {
-			for di, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
+	for ti, tier := range cfg.Tiers {
+		for pos, idx := range c.order {
+			for di, dir := range [TestsPerServerPerHour]netsim.Direction{netsim.Download, netsim.Upload} {
 				capture := false
 				if dir == netsim.Download {
 					r.downloads++
 					capture = cfg.CaptureEvery > 0 && r.downloads%cfg.CaptureEvery == 0
 				}
 				slot := (pos*TestsPerServerPerHour + di) % TestsPerVMPerHour
-				r.tasks = append(r.tasks, task{capture: capture, spec: netsim.TestSpec{
-					Region:      cfg.Region,
-					Server:      cfg.Servers[idx],
-					Tier:        tier,
-					Dir:         dir,
-					Time:        r.start.Add(time.Duration(slot) * slotGap),
-					DurationSec: cfg.TestDurationSec,
-					VMDownMbps:  cfg.DownlinkMbps,
-					VMUpMbps:    cfg.UplinkMbps,
-				}})
+				r.tasks = append(r.tasks, task{
+					flow:    (ti*len(cfg.Servers)+idx)*TestsPerServerPerHour + di,
+					capture: capture,
+					spec: netsim.TestSpec{
+						Region:      cfg.Region,
+						Server:      cfg.Servers[idx],
+						Tier:        tier,
+						Dir:         dir,
+						Time:        r.start.Add(time.Duration(slot) * slotGap),
+						DurationSec: cfg.TestDurationSec,
+						VMDownMbps:  cfg.DownlinkMbps,
+						VMUpMbps:    cfg.UplinkMbps,
+					}})
 			}
 		}
 	}
-	return r
 }
 
 // vmTasks returns the half-open range of a round's tasks that VM vm (global
@@ -304,10 +330,11 @@ func (c *campaign) vmTasks(vm int) (lo, hi int) {
 	return base + lo, base + min(lo+TestsPerVMPerHour, perTier)
 }
 
-// execute runs a planned round and is the only place that decides how: shed
-// under an open breaker, else inline or fanned out (fanOut). It touches no
-// campaign state commit owns; its outcome is the round.
-func (c *campaign) execute(r *round) error {
+// execute runs the planned round and is the only place that decides how:
+// shed under an open breaker, else inline or fanned out (fanOut). It touches
+// no campaign state commit owns; its outcome is the round.
+func (c *campaign) execute() error {
+	r := &c.round
 	if !c.breaker.Allow() {
 		// Open breaker: drop the whole round with explicit accounting
 		// instead of executing it. Committing it with zero executed tasks
@@ -317,9 +344,9 @@ func (c *campaign) execute(r *round) error {
 	}
 	r.executed = len(r.tasks)
 	phaseStart := time.Now()
-	span := c.span.Child("round").WithInt("hour", r.hour).WithInt("tasks", len(r.tasks))
-	err := c.fanOut(len(c.vms), func(vm int) error { return c.runVM(r, vm, span) })
-	span.End()
+	r.span = c.span.Child("round").WithInt("hour", r.hour).WithInt("tasks", len(r.tasks))
+	err := c.fanOut(len(c.vms), (*campaign).runVM)
+	r.span.End()
 	c.metrics.phaseDone("measure", phaseStart)
 	if err != nil {
 		return err
@@ -328,20 +355,27 @@ func (c *campaign) execute(r *round) error {
 		r.tally.add(r.perVM[i])
 	}
 	if every := c.cfg.TracerouteEvery; every > 0 && r.hour%(24*every) == 0 {
-		return c.traceroutes(r)
+		return c.traceroutes()
 	}
 	return nil
 }
 
-// fanOut runs fn(0..n-1). When nothing can block the whole batch is one unit
-// of work under one pool slot, inline on the campaign's goroutine; otherwise
-// one goroutine per index, at most Parallelism in flight, each holding a
-// pool slot while it runs.
-func (c *campaign) fanOut(n int, fn func(int) error) error {
+// fanOut runs unit(c, 0..n-1), a step of the current round. When nothing can
+// block the whole batch is one unit of work under one pool slot, inline on
+// the campaign's goroutine; otherwise one goroutine per index, at most
+// Parallelism in flight, each holding a pool slot while it runs.
+func (c *campaign) fanOut(n int, unit func(*campaign, int) error) error {
 	if !c.canBlock {
-		return c.cfg.Workers.Wrap(func(int) error { return forEachLimit(n, 1, fn) })(0)
+		c.cfg.Workers.acquire()
+		defer c.cfg.Workers.release()
+		for i := 0; i < n; i++ {
+			if err := unit(c, i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return forEachLimit(n, c.cfg.Parallelism, c.cfg.Workers.Wrap(fn))
+	return forEachLimit(n, c.cfg.Parallelism, c.cfg.Workers.Wrap(func(i int) error { return unit(c, i) }))
 }
 
 // forEachLimit runs fn(0..n-1), at most `limit` calls in flight; limit <= 1
@@ -373,7 +407,8 @@ func forEachLimit(n, limit int, fn func(i int) error) error {
 }
 
 // runVM executes one VM's hour of the round.
-func (c *campaign) runVM(r *round, vm int, roundSpan obs.Span) error {
+func (c *campaign) runVM(vm int) error {
+	r := &c.round
 	lo, hi := c.vmTasks(vm)
 	tally := &r.perVM[vm]
 	if c.inj != nil {
@@ -400,7 +435,7 @@ func (c *campaign) runVM(r *round, vm int, roundSpan obs.Span) error {
 			c.vms[vm] = nvm
 		}
 	}
-	vmSpan := roundSpan.Child("vm-hour").WithInt("vm", vm).WithInt("tests", hi-lo)
+	vmSpan := r.span.Child("vm-hour").WithInt("vm", vm).WithInt("tests", hi-lo)
 	defer vmSpan.End()
 	// One unconditional SoMeta snapshot per VM-hour, so the report's
 	// MaxVMCPUUtil is populated even with captures disabled.
@@ -414,7 +449,7 @@ func (c *campaign) runVM(r *round, vm int, roundSpan obs.Span) error {
 			testSpan = vmSpan.Child("test").WithInt("server", t.spec.Server.ID).
 				With("tier", t.spec.Tier.String()).With("dir", t.spec.Dir.String())
 		}
-		err := c.runTest(r, ti, tally)
+		err := c.runTest(t, ti, tally)
 		testSpan.End()
 		if err != nil {
 			return err
@@ -446,15 +481,17 @@ func (c *campaign) createVM(spec cloud.VMSpec, at time.Time) (*cloud.VM, int, er
 	}
 }
 
-// runTest executes task ti under the profile's timeout/retry/backoff
-// policy. Injected failures are tallied and — once non-retryable or out of
-// budget — dropped, leaving completed[ti] false; real errors still abort the
-// campaign exactly as they did before the fault layer.
-func (c *campaign) runTest(r *round, ti int, tally *Resilience) error {
-	spec := r.tasks[ti].spec
+// runTest executes task t, the round's ti-th, under the profile's
+// timeout/retry/backoff policy. Injected failures are tallied and — once
+// non-retryable or out of budget — dropped, leaving completed[ti] false;
+// real errors still abort the campaign exactly as they did before the fault
+// layer. The attempt number is written into the task's own spec: the task is
+// this VM's alone, and nothing downstream reads it.
+func (c *campaign) runTest(t *task, ti int, tally *Resilience) error {
+	r, spec := &c.round, &t.spec
 	for attempt := 0; ; attempt++ {
 		spec.Attempt = attempt
-		res, err := c.attempt(spec)
+		res, err := c.attempt(t)
 		if err == nil {
 			r.results[ti], r.completed[ti] = res, true
 			return nil
@@ -475,47 +512,39 @@ func (c *campaign) runTest(r *round, ti int, tally *Resilience) error {
 	}
 }
 
-// attempt is one execution of a test: the measurement alone without a fault
-// profile, else injection (bounded by the profile's timeout) and then the
-// measurement. The simulator route goes through MeasureCtx so the netsim
-// fault counters see every injection; a Measure override keeps its plain
-// signature and gets the injection applied here.
-func (c *campaign) attempt(spec netsim.TestSpec) (netsim.TestResult, error) {
+// attempt is one execution of a test: injection (bounded by the profile's
+// timeout) and then the measurement under a fault profile, the hook under a
+// Measure override, and otherwise — the campaign whose tests cannot block,
+// running inline — the simulator through the campaign's own flow handle. The
+// faulted simulator route goes through MeasureCtx so the netsim fault
+// counters see every injection; a Measure override keeps its plain signature
+// and gets the injection applied here.
+func (c *campaign) attempt(t *task) (netsim.TestResult, error) {
 	if c.inj != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), c.pol.TestTimeout)
 		defer cancel()
 		if c.cfg.Measure == nil {
-			return c.o.sim.MeasureCtx(ctx, spec, c.inj)
+			return c.o.sim.MeasureCtx(ctx, t.spec, c.inj)
 		}
-		if err := c.inj.BeforeMeasure(ctx, spec); err != nil {
+		if err := c.inj.BeforeMeasure(ctx, t.spec); err != nil {
 			return netsim.TestResult{}, err
 		}
 	}
 	if c.cfg.Measure != nil {
-		return c.cfg.Measure(spec)
+		return c.cfg.Measure(t.spec)
 	}
-	return c.o.sim.Measure(spec)
+	return c.o.sim.MeasureFlow(&c.flows[t.flow], &t.spec)
 }
 
 // traceroutes runs the daily follow-up batch: probing is pure, so it goes
 // through the round's fan-out; uploads run in server order afterwards.
-func (c *campaign) traceroutes(r *round) error {
+func (c *campaign) traceroutes() error {
 	defer c.metrics.phaseDone("traceroute", time.Now())
-	cfg := &c.cfg
+	cfg, r := &c.cfg, &c.round
 	span := c.span.Child("traceroute").WithInt("hour", r.hour).WithInt("servers", len(cfg.Servers))
 	defer span.End()
 	r.traces = make([]traceroute.Result, len(cfg.Servers))
-	err := c.fanOut(len(cfg.Servers), func(i int) error {
-		srv := cfg.Servers[i]
-		tr, err := c.prober.Trace(traceroute.Destination{
-			IP: srv.IP, ASN: srv.ASN, City: srv.City, LinkID: -1, Tier: cfg.Tiers[0],
-		}, traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(srv.ID)})
-		if err != nil {
-			return fmt.Errorf("orchestrator: traceroute to %d: %w", srv.ID, err)
-		}
-		r.traces[i] = tr
-		return nil
-	})
+	err := c.fanOut(len(cfg.Servers), (*campaign).traceServer)
 	if err != nil || c.o.bucket == nil {
 		return err
 	}
@@ -532,14 +561,27 @@ func (c *campaign) traceroutes(r *round) error {
 	return nil
 }
 
+// traceServer probes the round's follow-up traceroute to server i.
+func (c *campaign) traceServer(i int) error {
+	srv := c.cfg.Servers[i]
+	tr, err := c.prober.Trace(traceroute.Destination{
+		IP: srv.IP, ASN: srv.ASN, City: srv.City, LinkID: -1, Tier: c.cfg.Tiers[0],
+	}, traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(srv.ID)})
+	if err != nil {
+		return fmt.Errorf("orchestrator: traceroute to %d: %w", srv.ID, err)
+	}
+	c.round.traces[i] = tr
+	return nil
+}
+
 // commit folds an executed (or shed) round into the campaign state and is
 // the only place that touches the sink, the egress meter, the report, the
 // breaker, the watermark, the checkpoint, the kill points and the progress
 // hooks — from the campaign's goroutine, in task order, so the record
 // stream and the accrued floating-point sums match the sequential schedule
 // exactly at any parallelism.
-func (c *campaign) commit(r *round) error {
-	cfg, rep := &c.cfg, &c.Report
+func (c *campaign) commit() error {
+	cfg, rep, r := &c.cfg, &c.Report, &c.round
 	if r.executed > 0 {
 		// Crash-test point: the round has executed but nothing is emitted
 		// or checkpointed yet — a kill here loses the whole round, which

@@ -18,10 +18,14 @@
 // client occupies its VM for wall-clock time) or an active fault profile
 // (timeouts and retry backoff sleep). A purely simulated round runs inline
 // on the campaign's goroutine under one WorkerPool slot: a VM's hour is ~16
-// tests of ~0.5 µs, less than the goroutine hand-off it would ride on, and
+// tests of ~0.3 µs, less than the goroutine hand-off it would ride on, and
 // multi-campaign commands already get their parallelism from concurrent
-// campaigns. Either way measurement results land in a slice indexed by the
-// deterministic task order, and commit applies every observable side effect
+// campaigns. Such a campaign measures each flow through a simulator handle
+// resolved by the flow's first test (netsim.Flow), and every campaign
+// refills one round, one permutation buffer and one generator hour after
+// hour, so a simulated round within a day allocates nothing. Either way
+// measurement results land in a slice indexed by the deterministic task
+// order, and commit applies every observable side effect
 // — sink records, egress metering, report counters, breaker transition,
 // watermark, checkpoint — in that order from the campaign's goroutine.
 // Because netsim.Sim.Measure is a pure function of (seed, spec), a campaign
@@ -347,10 +351,18 @@ func hourSeed(seed int64, hour int) int64 {
 	return int64(z)
 }
 
-// HourOrder returns the randomised server visit order for one campaign
-// hour. Exported so tests can pin the deterministic schedule.
-func HourOrder(seed int64, hour, n int) []int {
-	return rand.New(rand.NewSource(hourSeed(seed, hour))).Perm(n)
+// hourOrder fills order with the randomised server visit order of one
+// campaign hour: rand.New(rand.NewSource(hourSeed(seed, hour))).Perm(n) —
+// re-seeding rng restarts the same source's sequence and the loop is Perm's
+// own, which never reads an element it has not written — without the 5 KB
+// source and the slice a fresh generator costs every hour.
+func hourOrder(rng *rand.Rand, seed int64, hour int, order []int) {
+	rng.Seed(hourSeed(seed, hour))
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = i
+	}
 }
 
 // Orchestrator wires the simulator, the cloud control plane and the data
@@ -418,11 +430,11 @@ func (o *Orchestrator) Run(cfg Config, sink Sink) (*Report, error) {
 	}
 	defer c.close()
 	for c.NextHour < c.total {
-		r := c.plan()
-		if err := c.execute(r); err != nil {
+		c.plan()
+		if err := c.execute(); err != nil {
 			return nil, err
 		}
-		if err := c.commit(r); err != nil {
+		if err := c.commit(); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ type fixture struct {
 	orch     *Orchestrator
 }
 
-func setup(t *testing.T) *fixture {
+func setup(t testing.TB) *fixture {
 	t.Helper()
 	topo, err := topology.New(topology.DefaultConfig())
 	if err != nil {
@@ -105,30 +107,22 @@ func TestHourOrderGolden(t *testing.T) {
 		1: {7, 4, 3, 2, 1, 0, 6, 5},
 		2: {3, 6, 7, 0, 2, 4, 5, 1},
 	}
+	rng := rand.New(rand.NewSource(0))
 	for hour, want := range golden {
-		got := HourOrder(1, hour, 8)
-		if len(got) != len(want) {
-			t.Fatalf("hour %d: %d elements, want %d", hour, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("HourOrder(1, %d, 8) = %v, want %v", hour, got, want)
-			}
+		got := make([]int, 8)
+		hourOrder(rng, 1, hour, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("hourOrder(1, %d) = %v, want %v", hour, got, want)
 		}
 	}
 	// Adjacent hours must differ for small seeds (the old xor mixing
 	// correlated them).
+	a, b := make([]int, 16), make([]int, 16)
 	for seed := int64(0); seed < 8; seed++ {
 		for hour := 0; hour < 23; hour++ {
-			a, b := HourOrder(seed, hour, 16), HourOrder(seed, hour+1, 16)
-			same := true
-			for i := range a {
-				if a[i] != b[i] {
-					same = false
-					break
-				}
-			}
-			if same {
+			hourOrder(rng, seed, hour, a)
+			hourOrder(rng, seed, hour+1, b)
+			if slices.Equal(a, b) {
 				t.Errorf("seed %d: hours %d and %d share order %v", seed, hour, hour+1, a)
 			}
 		}

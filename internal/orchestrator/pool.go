@@ -27,15 +27,28 @@ func NewWorkerPool(slots int) *WorkerPool {
 	return &WorkerPool{sem: make(chan struct{}, slots)}
 }
 
-// Wrap returns fn bracketed by a pool slot. A nil pool is a no-op, so
-// call sites can wrap unconditionally.
+// acquire takes a pool slot and release returns it. Both are no-ops on a
+// nil pool, so call sites can bracket unconditionally.
+func (p *WorkerPool) acquire() {
+	if p != nil {
+		p.sem <- struct{}{}
+	}
+}
+
+func (p *WorkerPool) release() {
+	if p != nil {
+		<-p.sem
+	}
+}
+
+// Wrap returns fn bracketed by a pool slot; on a nil pool, fn itself.
 func (p *WorkerPool) Wrap(fn func(int) error) func(int) error {
 	if p == nil {
 		return fn
 	}
 	return func(i int) error {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
+		p.acquire()
+		defer p.release()
 		return fn(i)
 	}
 }

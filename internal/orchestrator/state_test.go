@@ -27,6 +27,10 @@ var rebuiltOnResume = map[string]string{
 	"pol":        "the injector's profile",
 	"breaker":    "the profile's static configuration over a pointer to Progress.Breaker",
 	"canBlock":   "Config.Measure and the injector",
+	"flows":      "the simulator's flow cache, re-resolved by each flow's first test; pure in (Config, topology, seed)",
+	"round":      "plan refills it from (Config, NextHour, Downloads) before anything reads it",
+	"order":      "the identity under Config.FixedOrder, else plan's buffer: the hour's permutation is a pure function of (Config.Seed, NextHour)",
+	"rng":        "re-seeded from (Config.Seed, NextHour) by every plan; carries nothing across rounds",
 	"vms":        "deploy re-creates them; restore re-empties Progress.DeadVMs",
 	"specs":      "deploy; zone assignment is deterministic on a fresh platform",
 	"collectors": "deploy; they only feed Report.MaxVMCPUUtil, folded every commit",

@@ -76,7 +76,13 @@ type LocalProbe struct {
 
 // Sample implements Probe.
 func (p *LocalProbe) Sample() (float64, float64, int64, int64) {
-	cpu := ClampUtil(float64(runtime.NumGoroutine()) / float64(runtime.NumCPU()*8))
+	return p.sample(runtime.NumGoroutine())
+}
+
+// sample is Sample with the goroutine count taken by the caller, so a
+// snapshot's CPU proxy and its Goroutines field come from one reading.
+func (p *LocalProbe) sample(goroutines int) (float64, float64, int64, int64) {
+	cpu := ClampUtil(float64(goroutines) / float64(runtime.NumCPU()*8))
 	p.mu.Lock()
 	p.heap[0].Name = heapObjectsMetric
 	metrics.Read(p.heap[:])
@@ -107,9 +113,21 @@ func NewCollector(hostname string, probe Probe) *Collector {
 	return &Collector{Hostname: hostname, Probe: probe}
 }
 
-// Snap records one snapshot at the given (possibly virtual) time.
+// goVersion is the toolchain every snapshot of this process reports.
+var goVersion = runtime.Version()
+
+// Snap records one snapshot at the given (possibly virtual) time. The
+// goroutine count is read once: the local probe derives its CPU proxy from
+// the same reading the snapshot records.
 func (c *Collector) Snap(at time.Time) Snapshot {
-	cpu, mem, in, out := c.Probe.Sample()
+	goroutines := runtime.NumGoroutine()
+	var cpu, mem float64
+	var in, out int64
+	if local, ok := c.Probe.(*LocalProbe); ok {
+		cpu, mem, in, out = local.sample(goroutines)
+	} else {
+		cpu, mem, in, out = c.Probe.Sample()
+	}
 	s := Snapshot{
 		Timestamp:   at,
 		Hostname:    c.Hostname,
@@ -117,8 +135,8 @@ func (c *Collector) Snap(at time.Time) Snapshot {
 		MemUsedMB:   mem,
 		NetBytesIn:  in,
 		NetBytesOut: out,
-		Goroutines:  runtime.NumGoroutine(),
-		GoVersion:   runtime.Version(),
+		Goroutines:  goroutines,
+		GoVersion:   goVersion,
 	}
 	c.mu.Lock()
 	c.latest, c.snapped = s, true

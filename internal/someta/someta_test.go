@@ -29,6 +29,10 @@ func TestLocalProbeSnapshot(t *testing.T) {
 	if s.Goroutines <= 0 || !strings.HasPrefix(s.GoVersion, "go") {
 		t.Errorf("runtime fields: %+v", s)
 	}
+	// One reading of the goroutine count feeds both fields.
+	if want := ClampUtil(float64(s.Goroutines) / float64(runtime.NumCPU()*8)); s.CPUUtil != want {
+		t.Errorf("cpu = %v, but %d goroutines make %v", s.CPUUtil, s.Goroutines, want)
+	}
 	if !s.Timestamp.Equal(t0) {
 		t.Errorf("timestamp = %v", s.Timestamp)
 	}
