@@ -25,9 +25,9 @@
 //
 // Flags follow the subcommand and its positional arguments; `clasp <command>
 // -h` lists them with their defaults. run and fleet read everything from
-// the spec instead, and resume takes the run's identity from the checkpoint
-// and only the runtime flags (-parallelism, -max-memory, -spill-dir) from
-// the command line.
+// the spec instead (and reject the flag that a spec key replaces), and resume
+// takes the run's identity from the checkpoint and only the runtime flags
+// (-parallelism, -max-memory, -spill-dir) from the command line.
 package main
 
 import (
@@ -53,13 +53,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "clasp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: clasp <report|select|campaign|costs|run|fleet|resume> ... (see -h)")
 	}
@@ -84,6 +84,19 @@ func run(args []string) error {
 	}
 	if err := fs.Parse(rest); err != nil {
 		return err
+	}
+	if cmd == "run" || cmd == "fleet" {
+		// A scenario takes every engine knob from its spec; these flags
+		// used to parse here and be silently ignored.
+		var misplaced error
+		fs.Visit(func(f *flag.Flag) {
+			if key, ok := specKeys[f.Name]; ok && misplaced == nil {
+				misplaced = fmt.Errorf("-%s: clasp %s reads it from the spec, not the command line: set %q there", f.Name, cmd, key)
+			}
+		})
+		if misplaced != nil {
+			return misplaced
+		}
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -154,8 +167,6 @@ func run(args []string) error {
 		}()
 	}
 
-	out := os.Stdout
-
 	// Scenario commands build their own platforms from the spec; the flag
 	// set above configures only the classic subcommands.
 	var cmdErr error
@@ -194,6 +205,14 @@ func bindOptions(fs *flag.FlagSet, o *core.Options) {
 	fs.StringVar(&o.SpillDir, "spill-dir", "", "`dir` for spilled record logs (default: the system temp dir); spill files are unlinked at creation")
 	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", "", "enable campaign checkpointing: commit progress and records under this `dir` by atomic rename; continue a killed run with clasp resume <dir>")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "checkpoint every N campaign rounds (default every round; needs -checkpoint-dir)")
+}
+
+// specKeys maps each flag that shapes a run — bindOptions', -days and
+// -samples — to the scenario-spec key that sets the same knob.
+var specKeys = map[string]string{
+	"seed": "seed", "scale": "topology.scale", "parallelism": "parallelism", "fault-profile": "faultProfile",
+	"max-memory": "maxMemoryMB", "spill-dir": "spillDir", "checkpoint-dir": "checkpointDir", "checkpoint-every": "checkpointEvery",
+	"days": "days", "samples": "minSamples",
 }
 
 // costsDays is the campaign length of the `costs` command's all-region
@@ -330,7 +349,7 @@ func printCampaign(out io.Writer, p *clasp.Platform, res *core.CampaignResult, c
 }
 
 // scenarioCmd runs the declarative-scenario subcommands.
-func scenarioCmd(cmd string, positional []string, out *os.File) error {
+func scenarioCmd(cmd string, positional []string, out io.Writer) error {
 	if len(positional) != 1 {
 		return fmt.Errorf("usage: clasp %s <%s>", cmd, map[string]string{"run": "scenario.json", "fleet": "dir"}[cmd])
 	}
@@ -346,7 +365,7 @@ func scenarioCmd(cmd string, positional []string, out *os.File) error {
 }
 
 // dispatch runs one classic subcommand against an initialised platform.
-func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLASP, out *os.File, days, minSamples int) error {
+func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLASP, out io.Writer, days, minSamples int) error {
 	switch cmd {
 	case "select":
 		if len(positional) != 1 {

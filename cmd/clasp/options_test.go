@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -121,9 +122,35 @@ func TestEveryOptionReachesEveryLayer(t *testing.T) {
 		} else if got := fmt.Sprint(landed(&spec)); got != "7" {
 			t.Errorf("spec document %s left %s = %v, want 7", doc, f.Name, got)
 		}
-		if _, hasFlag := flagOf[f.Name]; hasFlag == slices.Contains(noFlagFields, f.Name) {
+		fl, hasFlag := flagOf[f.Name]
+		if hasFlag == slices.Contains(noFlagFields, f.Name) {
 			t.Errorf("%s: bound to a CLI flag = %v and listed in noFlagFields = %[2]v; want exactly one", f.Name, hasFlag)
 		}
+		if f.Name == "Scale" {
+			key = "topology.scale"
+		}
+		if hasFlag && specKeys[fl] != key {
+			t.Errorf("specKeys[%q] = %q, want %s's spec key %q", fl, specKeys[fl], f.Name, key)
+		}
+	}
+}
+
+// TestScenarioCommandsRejectEngineFlags: run and fleet take every knob from
+// the spec, so a flag that names one — each used to parse and be ignored — is
+// refused with the spec key to set instead (specKeys lists every bindOptions
+// flag: TestEveryOptionReachesEveryLayer). Telemetry flags stay valid.
+func TestScenarioCommandsRejectEngineFlags(t *testing.T) {
+	const spec = "../../examples/scenarios/small-smoke.json"
+	for name, key := range specKeys {
+		for _, cmd := range []string{"run", "fleet"} {
+			err := run([]string{cmd, spec, "-" + name, "7"}, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", key)) {
+				t.Errorf("clasp %s <spec> -%s 7: got %v, want an error naming spec key %q", cmd, name, err, key)
+			}
+		}
+	}
+	if err := run([]string{"run", spec, "-memprofile", filepath.Join(t.TempDir(), "mem.prof")}, io.Discard); err != nil {
+		t.Errorf("clasp run <spec> -memprofile: %v", err)
 	}
 }
 
@@ -153,7 +180,7 @@ func TestInvalidOptionsRejectedEverywhere(t *testing.T) {
 				t.Errorf("%s with a bad %s: got %v, want an error naming it", entry, tc.field, err)
 			}
 		}
-		check("CLI", run(append([]string{"select", "us-west1"}, tc.args...)))
+		check("CLI", run(append([]string{"select", "us-west1"}, tc.args...), io.Discard))
 		opts := clasp.Options{Scale: 0.1}
 		tc.set(&opts)
 		_, err := clasp.New(opts)
@@ -162,7 +189,7 @@ func TestInvalidOptionsRejectedEverywhere(t *testing.T) {
 		check("spec", err)
 	}
 	for _, days := range []string{"0", "-3"} {
-		if err := run([]string{"campaign", "us-west1", "-scale", "0.1", "-days", days}); err == nil || !strings.Contains(err.Error(), "-days") {
+		if err := run([]string{"campaign", "us-west1", "-scale", "0.1", "-days", days}, io.Discard); err == nil || !strings.Contains(err.Error(), "-days") {
 			t.Errorf("-days %s: got %v, want an error naming -days", days, err)
 		}
 	}

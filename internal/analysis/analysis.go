@@ -36,7 +36,7 @@ type Measurement struct {
 // MeasurementBytes is the in-memory size of one Measurement
 // (unsafe.Sizeof, pinned by TestMeasurementBytes): the unit of the record
 // log's tail accounting, of the engine's memory-budget estimate and of the
-// compression ratio the blocksmoke gate asserts.
+// compression ratio TestStreamingCampaignIdentical (internal/core) asserts.
 const MeasurementBytes = 88
 
 // pairIDString renders "region/serverID/tier/dir" without fmt — the only

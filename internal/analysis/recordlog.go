@@ -5,8 +5,7 @@
 // blocks). Its sealed blocks stay resident by default and can spill to an
 // unlinked temp file, so a budgeted campaign's footprint is bounded by the
 // block size, not the record count. Decode is lossless: a cursor replays the
-// exact append sequence (pinned by TestRecordLogRoundTrip and the blocksmoke
-// CI gate).
+// exact append sequence (pinned by TestRecordLogRoundTrip).
 
 package analysis
 

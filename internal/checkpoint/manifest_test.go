@@ -95,7 +95,7 @@ func TestLoadCampaignAbsent(t *testing.T) {
 }
 
 // TestCampaignDirLayout pins the per-campaign subdirectory naming the
-// resume smoke and the skip messages both key on.
+// kill cells of cmd/clasp's contract test and the skip messages both key on.
 func TestCampaignDirLayout(t *testing.T) {
 	got := CampaignDir(Campaign{Kind: "differential", Region: "europe-west1"})
 	if got != "europe-west1-differential" {

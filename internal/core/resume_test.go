@@ -21,7 +21,7 @@ import (
 // errKilled is the sentinel a test checkpoint hook returns to abort a
 // campaign right after a checkpoint commits — an in-process stand-in for
 // SIGKILL that leaves a valid checkpoint on disk (the cross-process kill
-// matrix lives in internal/tools/resumesmoke).
+// matrix is cmd/clasp's TestDeterminismContract).
 var errKilled = errors.New("resume test: simulated kill after checkpoint")
 
 // TestResumeCampaignBitIdentical is the core resume invariant: kill a

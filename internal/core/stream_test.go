@@ -43,8 +43,13 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	if !resS.Log.Spilled() || resS.Prep != nil {
 		t.Fatal("budgeted campaign kept its log resident or built prepared views (raise the campaign size or lower the budget)")
 	}
-	if got, want := resS.NumRecords(), resM.NumRecords(); got != want {
-		t.Fatalf("budgeted campaign has %d records, unbudgeted has %d", got, want)
+	if got, want := resS.NumRecords(), resM.NumRecords(); got != want || got != resS.Report.Tests {
+		t.Fatalf("budgeted campaign has %d records for %d tests, unbudgeted has %d", got, resS.Report.Tests, want)
+	}
+	// The budget is worth having only while the log it spills is small: at
+	// least 4x under the in-memory struct.
+	if perRecord := float64(resS.Log.CompressedBytes()) / float64(resS.Log.Len()); perRecord > analysis.MeasurementBytes/4 {
+		t.Errorf("spilled record log takes %.1f bytes/record, want at most a quarter of the %d B struct", perRecord, analysis.MeasurementBytes)
 	}
 	if !reflect.DeepEqual(resS.FirstRecord(), resM.FirstRecord()) ||
 		!reflect.DeepEqual(resS.LastRecord(), resM.LastRecord()) {

@@ -4,7 +4,7 @@
 // self-telemetry scrape pipeline into a columnar tsdb store), and the
 // introspection endpoints (/metrics, /debug/vars, /debug/obs/history,
 // net/http/pprof). Extracting it from main() lets tests and the loadgen
-// smoke gate boot the full daemon in-process on ephemeral ports.
+// tool boot the full daemon in-process on ephemeral ports.
 package daemon
 
 import (

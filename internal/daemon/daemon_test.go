@@ -119,10 +119,22 @@ func TestDaemonServesAndInstruments(t *testing.T) {
 	if len(hr.Series) == 0 {
 		t.Fatal("no scraped bucket series in /debug/obs/history")
 	}
+	if hr.Measurement != "speedtestd_http_request_duration_ns_bucket" {
+		t.Errorf("history echoes measurement %q", hr.Measurement)
+	}
 	seenRoute := false
 	for _, s := range hr.Series {
 		if s.Tags["route"] == "/servers.json" && s.Tags["le"] != "" {
 			seenRoute = true
+		}
+		// What loadgen's quantile reconstruction reads off every series.
+		if s.Tags["le"] == "" || s.Tags["route"] == "" || s.Tags["status"] == "" || len(s.Points) == 0 {
+			t.Errorf("bucket series %v with %d points: want le, route and status tags and at least one point", s.Tags, len(s.Points))
+		}
+		for _, p := range s.Points {
+			if _, ok := p.Fields["cum"]; !ok {
+				t.Errorf("bucket series %v point lacks the cum field: %v", s.Tags, p.Fields)
+			}
 		}
 	}
 	if !seenRoute {

@@ -1,7 +1,8 @@
-// Package killpoint is the crash-test hook behind the `make resume-smoke`
-// kill matrix: it SIGKILLs the current process at a named, deterministic
-// point of a campaign so the checkpoint/resume machinery can be proven
-// against real uncooperative deaths (no deferred cleanup, no flushes).
+// Package killpoint is the crash-test hook behind the kill cells of
+// cmd/clasp's TestDeterminismContract: it SIGKILLs the current process at a
+// named, deterministic point of a campaign so the checkpoint/resume machinery
+// can be proven against real uncooperative deaths (no deferred cleanup, no
+// flushes).
 //
 // The hook is armed through the environment: CLASP_KILL_POINT="<point>:<hour>"
 // kills the process the first time Maybe(point, hour) is reached. With the
@@ -38,22 +39,17 @@ type armed struct {
 	hour  int
 }
 
-var target *armed
+var target = parse(os.Getenv(EnvVar))
 
-func init() {
-	v := os.Getenv(EnvVar)
-	if v == "" {
-		return
-	}
+// parse reads "<point>:<hour>". Anything else — empty, no colon, no point,
+// an hour that is not a number — arms nothing.
+func parse(v string) *armed {
 	point, hourStr, ok := strings.Cut(v, ":")
-	if !ok || point == "" {
-		return
-	}
 	hour, err := strconv.Atoi(hourStr)
-	if err != nil {
-		return
+	if !ok || point == "" || err != nil {
+		return nil
 	}
-	target = &armed{point: point, hour: hour}
+	return &armed{point: point, hour: hour}
 }
 
 // Maybe SIGKILLs the process if the (point, hour) pair matches the armed

@@ -169,8 +169,8 @@ func validateName(s string) error {
 
 // checkKind records the series' kind, panicking when the same series id was
 // already registered as a different metric type — duplicate names across
-// kinds are programmer errors the obs-smoke CI step also guards against.
-// Callers hold r.mu.
+// kinds are programmer errors cmd/clasp's metrics-dump test also guards
+// against. Callers hold r.mu.
 func (r *Registry) checkKind(id string, k MetricKind) {
 	if prev, ok := r.kinds[id]; ok && prev != k {
 		panic(fmt.Sprintf("obs: metric %s already registered as %s, re-registered as %s", id, prev, k))

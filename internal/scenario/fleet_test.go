@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/core"
@@ -29,21 +31,23 @@ func cheapSpecs(t *testing.T) []*Spec {
 
 // TestFleetMatchesSerial pins the fleet contract: running the catalog's
 // cheap scenarios concurrently over one shared substrate produces output
-// byte-identical to running them serially, one after another.
+// byte-identical to running them serially, one after another. The serial
+// side is committed — TestCatalogGoldens holds each scenario run alone to its
+// golden — so the fleet is held to the goldens, each under its banner, in
+// name order, and no scenario is run a second time to say so.
 func TestFleetMatchesSerial(t *testing.T) {
 	specs := cheapSpecs(t)
 
-	// The serial reference: one runner, one scenario after another in name
-	// order, each under its banner.
 	var serial bytes.Buffer
 	ordered := append([]*Spec(nil), specs...)
 	sortSpecs(ordered)
-	runner := NewRunner()
 	for _, s := range ordered {
 		core.Separator(&serial, "scenario "+s.Name)
-		if err := runner.Run(&serial, s); err != nil {
-			t.Fatalf("serial run of %s: %v", s.Name, err)
+		golden, err := os.ReadFile(filepath.Join(catalogDir, s.Name+".golden"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		serial.Write(golden)
 	}
 
 	fleet := NewRunner()
@@ -53,7 +57,7 @@ func TestFleetMatchesSerial(t *testing.T) {
 	}
 
 	if err := diffBytes(concurrent.Bytes(), serial.Bytes()); err != nil {
-		t.Errorf("fleet output != serial output: %v", err)
+		t.Errorf("fleet output != the serial goldens: %v", err)
 	}
 
 	// All cheap scenarios share (seed 1, scale 0.1), so the fleet must have

@@ -8,8 +8,8 @@
 //
 // Every scenario doubles as a regression pin: the catalog under
 // examples/scenarios/ keeps a golden report per scenario, and the
-// table-driven golden test (and the `make scenario-smoke` CI gate) fails
-// on any byte of drift. The paper-repro scenario reproduces
+// table-driven golden test (TestCatalogGoldens) fails on any byte of
+// drift. The paper-repro scenario reproduces
 // paperscale_report.txt exactly.
 package scenario
 

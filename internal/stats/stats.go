@@ -140,45 +140,6 @@ func selectKth(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// Summary describes a sample with one sort: size, mean, extremes, and the
-// percentiles the paper's figures lean on.
-type Summary struct {
-	N                      int
-	Mean, Min, Max         float64
-	P5, P25, P50, P75, P95 float64
-}
-
-// Describe computes a Summary, copying and sorting the input once.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return DescribeSorted(s), nil
-}
-
-// DescribeSorted computes a Summary from an already-sorted sample without
-// allocating. Panics on empty input.
-func DescribeSorted(sorted []float64) Summary {
-	sum := 0.0
-	for _, x := range sorted {
-		sum += x
-	}
-	return Summary{
-		N:    len(sorted),
-		Mean: sum / float64(len(sorted)),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		P5:   PercentileSorted(sorted, 5),
-		P25:  PercentileSorted(sorted, 25),
-		P50:  PercentileSorted(sorted, 50),
-		P75:  PercentileSorted(sorted, 75),
-		P95:  PercentileSorted(sorted, 95),
-	}
-}
-
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 

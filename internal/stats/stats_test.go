@@ -306,28 +306,6 @@ func TestWelfordBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	s, err := Describe(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	for _, pair := range [][2]float64{{s.P5, s.P25}, {s.P25, s.P50}, {s.P50, s.P75}, {s.P75, s.P95}} {
-		if pair[0] > pair[1] {
-			t.Errorf("percentiles not monotone: %+v", s)
-		}
-	}
-	if xs[0] != 5 {
-		t.Error("Describe mutated its input")
-	}
-	if _, err := Describe(nil); err != ErrEmpty {
-		t.Errorf("empty: err = %v", err)
-	}
-}
-
 func TestPercentileInPlaceMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	ps := []float64{0, 5, 25, 50, 75, 95, 100}
