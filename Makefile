@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|DeterminismContract' ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|DeterminismContract' ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -59,13 +59,13 @@ hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|Benchmar
 hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/
 hotpath_JSON = -baseline BENCH_baseline.txt
 
-obs_BENCH = BenchmarkObs|BenchmarkMeasureWarm
-obs_PKGS = ./internal/obs/ ./internal/netsim/
-obs_JSON = -note "observability: MeasureWarm vs MeasureWarmObs is the metrics-enabled overhead on the steady-state campaign path (budget 5%); ObsDisabled* pin the disabled paths at 0 allocs/op"
+obs_BENCH = BenchmarkObs
+obs_PKGS = ./internal/obs/
+obs_JSON = -note "observability: MeasureWarm vs MeasureWarmObs (BENCH_hotpath.json) is the metrics-enabled overhead on the steady-state campaign path (budget 5%); ObsDisabled* pin the disabled paths at 0 allocs/op"
 
 faults_BENCH = BenchmarkFaults
 faults_PKGS = ./internal/netsim/ ./internal/faults/
-faults_JSON = -note "fault injection: FaultsDisabledMeasureCtx vs MeasureWarm (BENCH_obs.json) is the nil-injector overhead on the fault-free campaign path, budget 0 allocs/op (pinned by TestMeasureCtxDisabledPathZeroAlloc); FaultsBeforeMeasureMiss is the per-test decision cost under an active profile; FaultsBackoff is the per-retry schedule computation"
+faults_JSON = -note "fault injection: FaultsDisabledMeasureCtx vs MeasureWarm (BENCH_hotpath.json) is the nil-injector overhead on the fault-free campaign path, budget 0 allocs/op (pinned by TestMeasureCtxDisabledPathZeroAlloc); FaultsBeforeMeasureMiss is the per-test decision cost under an active profile; FaultsBackoff is the per-retry schedule computation"
 
 # -count=3 (benchjson keeps the min): the ms-scale analysis kernels see far
 # fewer iterations per run than the ns-scale hot-path ones.

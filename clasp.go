@@ -149,7 +149,7 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 	sp := obs.Trace("congestion_report").With("region", res.Region).WithInt("records", res.NumRecords())
 	defer sp.End()
 	det := congestion.NewDetector()
-	withServer, parts := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
+	withServer, parts := res.SeriesAndPartitions(bgp.Premium)
 	if len(withServer) == 0 {
 		return nil, fmt.Errorf("clasp: no premium download series in result")
 	}
@@ -343,7 +343,7 @@ func (p *Platform) DetectHMM(res *CampaignResult, serverID int) (*HMMEvents, err
 		return nil, fmt.Errorf("clasp: empty campaign result")
 	}
 	det := congestion.NewDetector()
-	series, parts := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
+	series, parts := res.SeriesAndPartitions(bgp.Premium)
 	if len(series) == 0 {
 		return nil, fmt.Errorf("clasp: no premium download series")
 	}

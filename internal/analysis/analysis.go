@@ -115,10 +115,8 @@ const denseServerMax = 1 << 20
 // grouper is the count-then-fill grouping kernel for one (direction, tier):
 // put resolves each sample's pair slot and appends it to a staging buffer
 // in delivery order, finish scatters the staged samples into one contiguous
-// pre-sized buffer whose subslices become the series. It has two feeders —
-// GroupSeriesWithServerCursor's column loop over a finished record stream,
-// CampaignPrep record by record from a running campaign's emit phase — and
-// both end in put: no second implementation.
+// pre-sized buffer whose subslices become the series. Its one feeder is
+// GroupSeriesWithServerCursor's column loop over a finished record stream.
 type grouper struct {
 	dir  netsim.Direction
 	tier bgp.Tier
@@ -144,12 +142,6 @@ type pairSlot struct {
 type overflowKey struct {
 	regionIdx int32
 	serverID  int
-}
-
-// stage adds one record of the grouper's (direction, tier); the caller has
-// already filtered.
-func (g *grouper) stage(m *Measurement) {
-	g.put(g.regions.intern(m.Region), m.ServerID, m.Time.UnixNano(), m.Time, m.Mbps)
 }
 
 // put stages one sample for the pair (ri, id), ri an index of g.regions; t

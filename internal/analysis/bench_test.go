@@ -77,26 +77,6 @@ func BenchmarkAnalysisGroupSeriesWithServer(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalysisPrepRecord is the same kernel fed from the emit side:
-// every record of the campaign through CampaignPrep.Record, then Finish
-// (scatter plus one day partition per series). B/op is the guard that each
-// prepared download sample is held once.
-func BenchmarkAnalysisPrepRecord(b *testing.B) {
-	ms := benchRecords(128, 45)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		prep := NewCampaignPrep()
-		for _, m := range ms {
-			prep.Record(m)
-		}
-		prep.Finish()
-		if series, _, _ := prep.Views(netsim.Download, bgp.Premium); len(series) != 128 {
-			b.Fatalf("series = %d", len(series))
-		}
-	}
-}
-
 // BenchmarkAnalysisPerfPoints is the Fig. 4 kernel: per-(server, month)
 // p95-download / p5-latency points.
 func BenchmarkAnalysisPerfPoints(b *testing.B) {

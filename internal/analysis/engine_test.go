@@ -117,11 +117,11 @@ func checkGrouped(t *testing.T, label string, got, want []SeriesWithServer) {
 	}
 }
 
-// TestGroupSeriesWithServerMatchesNaive feeds the kernel every way — from a
-// slice cursor, from a log cursor over sealed blocks and a tail (the two
-// share the column loop, so neither is the other's oracle) and record by
-// record through CampaignPrep — and holds each to the map-of-slices
-// reference, on the sorted (skip-sort) and unsorted branches.
+// TestGroupSeriesWithServerMatchesNaive feeds the kernel from a slice cursor
+// and from a log cursor over sealed blocks and a tail (the two share the
+// column loop, so neither is the other's oracle) and holds both to the
+// map-of-slices reference, per (direction, tier), on the sorted (skip-sort)
+// and unsorted branches.
 func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -131,30 +131,12 @@ func TestGroupSeriesWithServerMatchesNaive(t *testing.T) {
 			ms := randomMeasurements(7, 2*logBlockSize+900, tc.shuffle)
 			l := newLog(t, ms)
 			for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
-				want := naiveGroup(ms, dir, bgp.Premium)
-				checkGrouped(t, "slice cursor "+dir.String(), GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, bgp.Premium), want)
-				checkGrouped(t, "log cursor "+dir.String(), GroupSeriesWithServerCursor(l.Cursor(), dir, bgp.Premium), want)
-			}
-
-			prep := NewCampaignPrep()
-			for _, m := range ms {
-				prep.Record(m)
-			}
-			if _, _, ok := prep.Views(netsim.Download, bgp.Premium); ok {
-				t.Fatal("prep answered before Finish")
-			}
-			prep.Finish()
-			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
-				got, parts, ok := prep.Views(netsim.Download, tier)
-				if !ok || len(parts) != len(got) {
-					t.Fatalf("prep %s: ok=%v, %d partitions for %d series", tier, ok, len(parts), len(got))
+				for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+					label := dir.String() + "/" + tier.String()
+					want := naiveGroup(ms, dir, tier)
+					checkGrouped(t, "slice cursor "+label, GroupSeriesWithServerCursor(NewSliceCursor(ms), dir, tier), want)
+					checkGrouped(t, "log cursor "+label, GroupSeriesWithServerCursor(l.Cursor(), dir, tier), want)
 				}
-				checkGrouped(t, "prep "+tier.String(), got, naiveGroup(ms, netsim.Download, tier))
-			}
-			// The prep groups downloads only: an upload request is deferred to
-			// the record log, never answered empty.
-			if _, _, ok := prep.Views(netsim.Upload, bgp.Premium); ok {
-				t.Fatal("prep answered an upload request")
 			}
 		})
 	}

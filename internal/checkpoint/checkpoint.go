@@ -273,8 +273,8 @@ func (c *Checkpoint) NumRecords() int { return c.Meta.NumRecords }
 // Replay streams the snapshot's records — the sidecar truncated to
 // Meta.NumRecords — in original emission order. The resume path feeds
 // them into the same sinks a live round's emit phase would, rebuilding
-// the campaign's record log (which the next checkpoint serialises), the
-// store index and the prepared views in one pass.
+// the campaign's record log (which the next checkpoint serialises) and the
+// store index in one pass.
 func (c *Checkpoint) Replay(fn func(analysis.Measurement)) error {
 	cur := c.log.Cursor()
 	n := 0

@@ -22,9 +22,9 @@ var (
 //
 // A Partition is cheap to build (one pass when samples are time-sorted,
 // as grouped campaign series are) and safe for concurrent use once built:
-// a campaign prepares one partition per series as it ends and every
-// downstream analysis — possibly several rendering concurrently — shares
-// it, so the lazy cache is filled under a lock.
+// a resident campaign memoises one partition per series on first use and
+// every downstream analysis — possibly several rendering concurrently —
+// shares it, so the lazy cache is filled under a lock.
 type Partition struct {
 	pairID  string
 	samples []Sample

@@ -300,25 +300,37 @@ type CampaignResult struct {
 	Report   *orchestrator.Report
 	Selected []*topology.Server
 
-	// Prep holds the prepared per-pair download series and day partitions:
-	// staged record-by-record during the campaign's emit phase, so slot
-	// resolution overlaps measurement, and built when the campaign ends. nil
-	// for over-budget campaigns, which trade the prepared views for the
-	// bounded footprint; analyses then group the record log.
-	Prep *analysis.CampaignPrep
+	views [2]tierViews // indexed by bgp.Tier; used while Log is resident
 }
 
-// SeriesAndPartitions returns the campaign's per-pair series and their
-// index-aligned day partitions for a (direction, tier): the prepared views
-// when the prep grouped this stream, else the same kernel over Cursor().
-// Both branches produce identical values, so analyses consume whichever is
-// available without changing output.
-func (r *CampaignResult) SeriesAndPartitions(dir netsim.Direction, tier bgp.Tier) ([]analysis.SeriesWithServer, []*congestion.Partition) {
-	if sw, parts, ok := r.Prep.Views(dir, tier); ok {
+// tierViews memoises one tier's download views over a resident log.
+type tierViews struct {
+	once   sync.Once
+	series []analysis.SeriesWithServer
+	parts  []*congestion.Partition // index-aligned with series
+}
+
+// SeriesAndPartitions returns the campaign's per-pair download series of
+// one tier and their index-aligned day partitions, grouped from Cursor().
+// A resident log is grouped once per tier, by the first caller, and every
+// later or concurrent caller shares those views (a partition is safe for
+// concurrent use). A spilled log is regrouped on every call, so an
+// over-budget campaign holds no views between analyses.
+func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWithServer, []*congestion.Partition) {
+	group := func() ([]analysis.SeriesWithServer, []*congestion.Partition) {
+		sw := analysis.GroupSeriesWithServerCursor(r.Cursor(), netsim.Download, tier)
+		parts := make([]*congestion.Partition, len(sw))
+		for i := range sw {
+			parts[i] = congestion.NewPartition(sw[i].Series)
+		}
 		return sw, parts
 	}
-	sw := analysis.GroupSeriesWithServerCursor(r.Cursor(), dir, tier)
-	return sw, analysis.Partitions(sw)
+	if r.Log.Spilled() {
+		return group()
+	}
+	v := &r.views[tier]
+	v.once.Do(func() { v.series, v.parts = group() })
+	return v.series, v.parts
 }
 
 // Cursor returns a fresh replayable cursor over the campaign's records in
@@ -413,7 +425,7 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	// est is the record-count upper bound the orchestrator plans for, so
 	// every size decision is made before any record exists: it gates the
 	// interactive store index and — against the memory budget — whether the
-	// prepared views are built and whether the finished log is spilled.
+	// finished log is spilled.
 	est := len(servers) * days * 24 * 2 * len(tiers)
 	budget := int64(c.Opts.MaxMemoryMB) << 20
 	overBudget := budget > 0 && int64(est)*analysis.MeasurementBytes > budget/2
@@ -421,16 +433,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	sinks := orchestrator.MultiSink{&orchestrator.LogSink{Log: log}}
 	if est <= storeIndexLimit {
 		sinks = append(sinks, &orchestrator.StoreSink{Store: c.Store})
-	}
-	// Campaigns inside the budget stage their analysis views (per-pair
-	// download series, day partitions) from the emit phase, so the slot
-	// resolution the artifact renderers start from overlaps measurement.
-	// Over-budget campaigns skip it: the prepared views would hold every
-	// download sample and defeat the memory budget.
-	var prep *analysis.CampaignPrep
-	if !overBudget {
-		prep = analysis.NewCampaignPrep()
-		sinks = append(sinks, orchestrator.SinkFunc(prep.Record))
 	}
 
 	// The checkpoint sidecar is the campaign's own log, serialised as it
@@ -475,11 +477,10 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	if resume != nil {
 		// Replay the checkpointed records through the same sinks a live
 		// round's emit phase feeds, rebuilding the record log (which the next
-		// checkpoint serialises), the store index and the prepared views in
-		// one pass; the orchestrator then re-executes only from the
-		// watermark. Egress is re-metered per replayed record with the emit
-		// phase's formula, so a resumed `costs` bills the same transfers as
-		// an uninterrupted run.
+		// checkpoint serialises) and the store index in one pass; the
+		// orchestrator then re-executes only from the watermark. Egress is
+		// re-metered per replayed record with the emit phase's formula, so a
+		// resumed `costs` bills the same transfers as an uninterrupted run.
 		if err := resume.Replay(func(m analysis.Measurement) {
 			sinks.Record(m)
 			c.Cloud.RecordEgress(m.Tier, orchestrator.TestEgressBytes(m, 0))
@@ -497,9 +498,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	if err != nil {
 		return nil, fmt.Errorf("core: campaign in %s: %w", region, err)
 	}
-	if prep != nil {
-		prep.Finish()
-	}
 	if overBudget {
 		// Spilling moves the compressed blocks to disk, so the result's
 		// resident footprint is a few cursor batches regardless of campaign
@@ -513,7 +511,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		Log:      log,
 		Report:   rep,
 		Selected: servers,
-		Prep:     prep,
 	}, nil
 }
 

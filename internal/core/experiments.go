@@ -142,7 +142,7 @@ func Fig2(results map[string]*CampaignResult, hs []float64, parallelism int) []F
 	out := make([]Fig2Series, len(regions))
 	analysis.ParallelFor(parallelism, len(regions), func(i int) {
 		region := regions[i]
-		_, parts := results[region].SeriesAndPartitions(netsim.Download, bgp.Premium)
+		_, parts := results[region].SeriesAndPartitions(bgp.Premium)
 		s := Fig2Series{
 			Region: region,
 			Days:   congestion.SweepDaysPartitioned(parts, hs, 0),
@@ -182,7 +182,7 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 		return nil, fmt.Errorf("core: no Cox Las Vegas server in the topology")
 	}
 	var coxSeries *congestion.Series
-	series, _ := result.SeriesAndPartitions(netsim.Download, bgp.Premium)
+	series, _ := result.SeriesAndPartitions(bgp.Premium)
 	for i := range series {
 		if series[i].ServerID == cox.ID && series[i].Region == result.Region {
 			coxSeries = &series[i].Series
@@ -362,7 +362,7 @@ func (c *CLASP) Fig6(result *CampaignResult, tier bgp.Tier, topN int) []Fig6Line
 		topN = 10
 	}
 	det := congestion.NewDetector()
-	series, parts := result.SeriesAndPartitions(netsim.Download, tier)
+	series, parts := result.SeriesAndPartitions(tier)
 	type cand struct {
 		line   Fig6Line
 		events int
@@ -445,7 +445,7 @@ func (c *CLASP) Fig7(region string, topo *selection.TopoResult, diff []selection
 // event) and groups by business type.
 func (c *CLASP) Fig8(result *CampaignResult, tier bgp.Tier) []analysis.Fig8Row {
 	det := congestion.NewDetector()
-	series, parts := result.SeriesAndPartitions(netsim.Download, tier)
+	series, parts := result.SeriesAndPartitions(tier)
 	congested := make(map[int]bool)
 	var ids []int
 	for i, sw := range series {
@@ -497,7 +497,7 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 	analysis.ParallelFor(c.Opts.Parallelism, len(regions), func(i int) {
 		res := topoResults[regions[i]]
 		t := &tallies[i]
-		series, parts := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
+		series, parts := res.SeriesAndPartitions(bgp.Premium)
 		for j, sw := range series {
 			ev, hrs := parts[j].HourTally(det.H, det.MinSamples)
 			t.hourEvents += ev

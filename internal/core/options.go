@@ -60,13 +60,13 @@ type Options struct {
 	// MaxMemoryMB budgets the resident footprint of campaign records
 	// (0 = unbounded). Every campaign appends its records to one compressed
 	// columnar log (analysis.RecordLog). For a campaign whose records,
-	// uncompressed, would exceed half the budget, the budget decides two
-	// things: the finished log's blocks are spilled to disk, and the
-	// prepared per-pair views (CampaignResult.Prep, which hold every
-	// download sample once) are not built — so the resident footprint is
-	// bounded by the log's block size rather than the record count, and
-	// analyses run the same kernels over the spilled log. Every report is
-	// byte-identical on either side of the budget.
+	// uncompressed, would exceed half the budget, the budget decides one
+	// thing: the finished log's blocks are spilled to disk. The resident
+	// footprint is then bounded by the log's block size rather than the
+	// record count, and analyses run the same kernels over the spilled log,
+	// regrouping per call where a resident log's per-pair views are grouped
+	// once and shared. Every report is byte-identical on either side of the
+	// budget.
 	MaxMemoryMB int `json:"maxMemoryMB,omitempty"`
 	// SpillDir is where over-budget campaigns place their spilled record
 	// logs ("" = the system temp dir). Spill files are unlinked at

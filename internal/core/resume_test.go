@@ -14,7 +14,6 @@ import (
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
-	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
 )
 
@@ -88,16 +87,10 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 					t.Fatalf("record %d drifted across kill+resume:\n got: %+v\nwant: %+v", i, gotRecs[i], wantRecs[i])
 				}
 			}
-			// The prepared views of the resumed run were fed by the checkpoint
-			// replay, then by live rounds; the uninterrupted run's by live
-			// rounds only.
-			if res.Prep == nil || want.Prep == nil {
-				t.Fatal("unbudgeted campaign has no prepared views")
-			}
-			gotSeries, _ := res.SeriesAndPartitions(netsim.Download, bgp.Premium)
-			wantSeries, _ := want.SeriesAndPartitions(netsim.Download, bgp.Premium)
+			gotSeries, _ := res.SeriesAndPartitions(bgp.Premium)
+			wantSeries, _ := want.SeriesAndPartitions(bgp.Premium)
 			if len(wantSeries) == 0 || !reflect.DeepEqual(gotSeries, wantSeries) {
-				t.Fatalf("prepared series drifted across kill+resume (%d vs %d series)", len(gotSeries), len(wantSeries))
+				t.Fatalf("series drifted across kill+resume (%d vs %d series)", len(gotSeries), len(wantSeries))
 			}
 			gotRep, wantRep := *res.Report, *want.Report
 			// CPU peaks depend on goroutine interleaving, not the seed; they
@@ -252,9 +245,9 @@ func TestCheckpointSidecarIsCampaignLog(t *testing.T) {
 }
 
 // TestStreamingResumeMatchesInMemory pins resume across the memory budget:
-// a killed over-budget campaign (no prepared views, store index disabled
-// or not) resumes — still over budget, its log spilled at the end — into
-// the same records as the unbudgeted reference.
+// a killed over-budget campaign (store index disabled or not) resumes —
+// still over budget, its log spilled at the end — into the same records as
+// the unbudgeted reference.
 func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	// Three days at this scale overflow the 1MB budget on the killed and
 	// resumed runs.
@@ -305,7 +298,7 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if !res.Log.Spilled() || res.Prep != nil {
+	if !res.Log.Spilled() {
 		t.Fatal("resumed campaign did not honour the memory budget")
 	}
 	gotRecs, wantRecs := drainRecords(res), drainRecords(want)

@@ -2,14 +2,16 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
+	"github.com/clasp-measurement/clasp/internal/congestion"
 )
 
 // newStreamingCLASP builds an instance whose campaigns exceed the memory
-// budget: no prepared views, and the finished record log spilled to disk.
+// budget: the finished record log is spilled to disk.
 func newStreamingCLASP(t *testing.T) *CLASP {
 	t.Helper()
 	c, err := New(Options{Seed: 3, Scale: 0.1, MaxMemoryMB: 1, SpillDir: t.TempDir()})
@@ -22,7 +24,7 @@ func newStreamingCLASP(t *testing.T) *CLASP {
 // TestStreamingCampaignIdentical pins the tentpole invariant: a campaign
 // run over its memory budget — analyses reading a spilled log back through
 // the cursor kernels — produces exactly the results of the unbudgeted one,
-// whose analyses start from prepared views over a resident log.
+// whose analyses share views grouped once over a resident log.
 func TestStreamingCampaignIdentical(t *testing.T) {
 	mem := newCLASP(t)
 	stream := newStreamingCLASP(t)
@@ -37,11 +39,11 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	}
 	defer resS.Close()
 
-	if resM.Log.Spilled() || resM.Prep == nil {
-		t.Fatal("unbudgeted campaign spilled its log or built no prepared views")
+	if resM.Log.Spilled() {
+		t.Fatal("unbudgeted campaign spilled its log")
 	}
-	if !resS.Log.Spilled() || resS.Prep != nil {
-		t.Fatal("budgeted campaign kept its log resident or built prepared views (raise the campaign size or lower the budget)")
+	if !resS.Log.Spilled() {
+		t.Fatal("budgeted campaign kept its log resident (raise the campaign size or lower the budget)")
 	}
 	if got, want := resS.NumRecords(), resM.NumRecords(); got != want || got != resS.Report.Tests {
 		t.Fatalf("budgeted campaign has %d records for %d tests, unbudgeted has %d", got, resS.Report.Tests, want)
@@ -112,6 +114,98 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(drainRecords(resM), wantRecs) {
 		t.Error("resident result no longer replays its records after Close")
+	}
+}
+
+// TestCampaignViewsGroupedOnce is SeriesAndPartitions' contract on both
+// sides of the budget. A resident campaign groups each tier once: eight
+// goroutines racing the first call (and reading the shared partitions) and
+// two calls after them all get the same backing arrays. A spilled twin
+// hands back fresh slices per call, and its answer equals the resident one
+// on every series and on every partition's day split and tallies.
+func TestCampaignViewsGroupedOnce(t *testing.T) {
+	const region, days, minSamples = "europe-west1", 14, 4
+	resident, _, err := newCLASP(t).RunDifferentialCampaign(region, days, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled, _, err := newStreamingCLASP(t).RunDifferentialCampaign(region, days, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spilled.Close()
+	if resident.Log.Spilled() || !spilled.Log.Spilled() {
+		t.Fatalf("spilled: resident %v, budgeted %v (resize the campaign)", resident.Log.Spilled(), spilled.Log.Spilled())
+	}
+	tiers := []bgp.Tier{bgp.Premium, bgp.Standard}
+
+	type views struct {
+		series []analysis.SeriesWithServer
+		parts  []*congestion.Partition
+	}
+	const callers = 8
+	got := make([][]views, callers+2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, tier := range tiers {
+				series, parts := resident.SeriesAndPartitions(tier)
+				for _, p := range parts {
+					p.HourTally(0.2, minSamples)
+				}
+				got[g] = append(got[g], views{series, parts})
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := callers; g < len(got); g++ {
+		for _, tier := range tiers {
+			series, parts := resident.SeriesAndPartitions(tier)
+			got[g] = append(got[g], views{series, parts})
+		}
+	}
+
+	for ti, tier := range tiers {
+		first := got[0][ti]
+		if len(first.series) == 0 || len(first.parts) != len(first.series) {
+			t.Fatalf("%v: %d series, %d partitions", tier, len(first.series), len(first.parts))
+		}
+		for g := range got {
+			v := got[g][ti]
+			if &v.series[0] != &first.series[0] || &v.parts[0] != &first.parts[0] {
+				t.Fatalf("%v: caller %d got a second grouping of a resident log", tier, g)
+			}
+		}
+
+		series, parts := spilled.SeriesAndPartitions(tier)
+		again, againParts := spilled.SeriesAndPartitions(tier)
+		if &again[0] == &series[0] || &againParts[0] == &parts[0] {
+			t.Fatalf("%v: a spilled log's views were memoised", tier)
+		}
+		if !reflect.DeepEqual(series, first.series) {
+			t.Fatalf("%v: spilled series differ from the resident ones", tier)
+		}
+		for i, want := range first.parts {
+			id := series[i].Series.PairID
+			if !reflect.DeepEqual(parts[i].Days(minSamples), want.Days(minSamples)) {
+				t.Fatalf("%v partition %d (%s): day split differs", tier, i, id)
+			}
+			for _, h := range []float64{0.1, 0.2, 0.5} {
+				gotC, gotN := parts[i].DayTally(h, minSamples)
+				wantC, wantN := want.DayTally(h, minSamples)
+				gotEv, gotHr := parts[i].HourTally(h, minSamples)
+				wantEv, wantHr := want.HourTally(h, minSamples)
+				if gotC != wantC || gotN != wantN || gotEv != wantEv || gotHr != wantHr {
+					t.Fatalf("%v partition %d (%s) at h=%v: tallies (%d,%d,%d,%d) != (%d,%d,%d,%d)",
+						tier, i, id, h, gotC, gotN, gotEv, gotHr, wantC, wantN, wantEv, wantHr)
+				}
+			}
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func BenchmarkMeasureWarm(b *testing.B) {
 
 // BenchmarkMeasureWarmObs is BenchmarkMeasureWarm with the obs registry
 // enabled: the delta between the two is the metrics-enabled overhead on the
-// steady-state campaign path, recorded side by side in BENCH_obs.json
+// steady-state campaign path, recorded side by side in BENCH_hotpath.json
 // (budget: within 5% — the latency histogram's 1-in-16 sampling and the
 // flow-cache counter atomics are sized for that).
 func BenchmarkMeasureWarmObs(b *testing.B) {

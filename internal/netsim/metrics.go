@@ -11,7 +11,7 @@ import (
 // plain atomic adds; the Measure latency histogram is sampled so the two
 // time.Now calls it needs are amortised — with metrics enabled, the warm
 // Measure path stays within the 5% overhead budget recorded in
-// BENCH_obs.json, and with metrics disabled every update is a single
+// BENCH_hotpath.json, and with metrics disabled every update is a single
 // atomic load (0 allocs/op, pinned in internal/obs).
 var (
 	obsFlowHits       = obs.Default().Counter("netsim_flowcache_hits_total")

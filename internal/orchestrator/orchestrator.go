@@ -92,8 +92,8 @@ func TestEgressBytes(m analysis.Measurement, durSec float64) int64 {
 
 // Sink consumes measurement records as the campaign produces them, so
 // full-scale runs need not hold every record in memory. The engine feeds
-// every campaign's records to a LogSink, plus a StoreSink and the prepared
-// analysis views when the campaign is small enough for them.
+// every campaign's records to a LogSink, plus a StoreSink when the campaign
+// is small enough to index.
 //
 // A single Run delivers records from one goroutine, so any Sink works for
 // one campaign. Sinks shared across concurrently running campaigns must be
@@ -112,12 +112,6 @@ type SliceSink struct {
 
 // Record implements Sink.
 func (s *SliceSink) Record(m analysis.Measurement) { s.Out = append(s.Out, m) }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(analysis.Measurement)
-
-// Record implements Sink.
-func (f SinkFunc) Record(m analysis.Measurement) { f(m) }
 
 // StoreSink indexes records into a time-series store. It is safe for
 // concurrent use: tsdb.Store shards its lock internally, and the sink

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/cloud"
 )
@@ -16,7 +15,7 @@ import (
 // process would; the simulator is pure and shared.
 func newTestCampaign(t testing.TB, f *fixture, cfg Config) *campaign {
 	t.Helper()
-	c, err := New(f.sim, cloud.New(f.topo, f.sim, cloud.Pricing{}), nil).newCampaign(cfg, SinkFunc(func(analysis.Measurement) {}))
+	c, err := New(f.sim, cloud.New(f.topo, f.sim, cloud.Pricing{}), nil).newCampaign(cfg, MultiSink{})
 	if err != nil {
 		t.Fatal(err)
 	}

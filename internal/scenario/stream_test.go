@@ -10,7 +10,7 @@ import (
 // end to end: the same scenario run under a 1 MB record budget — every
 // campaign's record log spilled to disk, every analysis on the cursor
 // kernels — emits byte-for-byte the report of the unbounded run, whose
-// analyses start from prepared views over resident logs.
+// analyses share views grouped once over resident logs.
 func TestBudgetedScenarioByteIdentical(t *testing.T) {
 	spec, err := LoadFile(filepath.Join(catalogDir, "small-smoke.json"))
 	if err != nil {

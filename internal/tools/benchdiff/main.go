@@ -9,9 +9,10 @@
 // the slack only absorbs the scheduling jitter of concurrent
 // macro-benchmarks like the report-all pipeline, whose per-op counts in
 // the hundreds of thousands wobble by tens between runs. Timings get
-// +25% for machine noise. A committed record none of whose entries match
-// the fresh run is itself a failure: it means the bench regex drifted and
-// the gate is no longer measuring anything.
+// +25% for machine noise. A committed entry the fresh run has no line for
+// is itself a failure — the benchmark was deleted or the bench regex
+// drifted, and the gate would silently stop measuring it — and so is one
+// benchmark name in two records: two committed answers to one question.
 package main
 
 import (
@@ -33,8 +34,9 @@ type record struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// benchFile is one committed BENCH_*.json record and where it was read from.
 type benchFile struct {
-	Note       string   `json:"note"`
+	path       string
 	Benchmarks []record `json:"benchmarks"`
 }
 
@@ -61,45 +63,59 @@ func main() {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
 	}
 
-	bad, compared := 0, 0
+	var records []benchFile
 	for _, path := range against {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			fatal(err)
 		}
-		var bf benchFile
+		bf := benchFile{path: path}
 		if err := json.Unmarshal(raw, &bf); err != nil {
 			fatal(fmt.Errorf("%s: %w", path, err))
 		}
-		matched := 0
-		for _, c := range bf.Benchmarks {
-			f, ok := fresh[c.Name]
-			if !ok {
-				continue
-			}
-			matched++
-			if c.NsPerOp > 0 && f.NsPerOp > c.NsPerOp*(1+*maxNsFrac) {
-				fmt.Printf("benchdiff: FAIL %s: %.4g ns/op vs committed %.4g (+%.0f%%, budget +%.0f%%) [%s]\n",
-					c.Name, f.NsPerOp, c.NsPerOp,
-					(f.NsPerOp/c.NsPerOp-1)*100, *maxNsFrac*100, path)
-				bad++
-			}
-			if f.AllocsPerOp > c.AllocsPerOp*(1+*maxAllocsFrac) {
-				fmt.Printf("benchdiff: FAIL %s: %.0f allocs/op vs committed %.0f (budget +%.1f%%) [%s]\n",
-					c.Name, f.AllocsPerOp, c.AllocsPerOp, *maxAllocsFrac*100, path)
-				bad++
-			}
-		}
-		if matched == 0 {
-			fatal(fmt.Errorf("no fresh benchmark matches any entry in %s — bench regex drift?", path))
-		}
-		compared += matched
+		records = append(records, bf)
 	}
-	if bad > 0 {
+	fails, compared := compare(fresh, records, *maxNsFrac, *maxAllocsFrac)
+	for _, f := range fails {
+		fmt.Println("benchdiff: FAIL", f)
+	}
+	if len(fails) > 0 {
 		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: OK (%d comparisons across %d committed records, all within budget)\n",
 		compared, len(against))
+}
+
+// compare holds every committed entry against the fresh run and returns one
+// line per failure, plus the number of entries compared. An entry fails when
+// its ns/op or allocs/op is over budget, when the fresh run has no line for
+// it, or when an earlier record already holds its name.
+func compare(fresh map[string]record, records []benchFile, maxNsFrac, maxAllocsFrac float64) (fails []string, compared int) {
+	owner := map[string]string{} // benchmark name -> the record holding it
+	for _, r := range records {
+		for _, c := range r.Benchmarks {
+			if prev, dup := owner[c.Name]; dup {
+				fails = append(fails, fmt.Sprintf("%s: recorded in both %s and %s (keep it in one)", c.Name, prev, r.path))
+				continue
+			}
+			owner[c.Name] = r.path
+			f, ok := fresh[c.Name]
+			if !ok {
+				fails = append(fails, fmt.Sprintf("%s: committed in %s but absent from the fresh run (benchmark deleted or bench regex drift?)", c.Name, r.path))
+				continue
+			}
+			compared++
+			if c.NsPerOp > 0 && f.NsPerOp > c.NsPerOp*(1+maxNsFrac) {
+				fails = append(fails, fmt.Sprintf("%s: %.4g ns/op vs committed %.4g (+%.0f%%, budget +%.0f%%) [%s]",
+					c.Name, f.NsPerOp, c.NsPerOp, (f.NsPerOp/c.NsPerOp-1)*100, maxNsFrac*100, r.path))
+			}
+			if f.AllocsPerOp > c.AllocsPerOp*(1+maxAllocsFrac) {
+				fails = append(fails, fmt.Sprintf("%s: %.0f allocs/op vs committed %.0f (budget +%.1f%%) [%s]",
+					c.Name, f.AllocsPerOp, c.AllocsPerOp, maxAllocsFrac*100, r.path))
+			}
+		}
+	}
+	return fails, compared
 }
 
 // parseBench extracts Benchmark lines from `go test -bench` output, the

@@ -68,7 +68,6 @@ var reachAllowed = map[string]string{
 	"internal/obs.Scraper.Stats":                reachObserve,
 	"internal/checkpoint.Checkpoint.NumRecords": reachObserve,
 	"internal/orchestrator.SliceSink":           reachObserve,
-	"internal/analysis.RecordLog.Spilled":       reachObserve,
 	// Store controls telemetry and orchestrator tests drive sealing with.
 	"internal/tsdb.Store.SetSealThreshold": reachObserve,
 	"internal/tsdb.Handle.Insert":          reachObserve,
