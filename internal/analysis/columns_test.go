@@ -221,19 +221,18 @@ func goldenLogRecords() []Measurement {
 	return ms
 }
 
-// TestRecordLogFormatGolden pins the CLRL0001 bytes: the hash is of what
-// the parent commit's writer (byte-at-a-time bits, a fresh buffer per
-// column) serialised for this vector, so checkpoints cross the rewrite in
-// both directions.
+// TestRecordLogFormatGolden pins the block payloads, frames and tail
+// encoding: the hash is of the CLRL0001 file the first writer of that
+// format (byte-at-a-time bits, a fresh buffer per column) serialised for
+// this vector, rebuilt here from the frame writer and EncodeTail — so the
+// CLRL0002 sidecar carries the same bytes, and old checkpoints cross every
+// rewrite.
 func TestRecordLogFormatGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := newLog(t, goldenLogRecords()).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
+	raw := recordLogV1(t, newLog(t, goldenLogRecords()))
+	sum := sha256.Sum256(raw)
 	const wantLen, want = 212925, "97511dea240424bc940fab2073cd48bf45191f58837e70efff4429c23fff6b8c"
-	if got := hex.EncodeToString(sum[:]); buf.Len() != wantLen || got != want {
-		t.Fatalf("WriteTo produced %d bytes hashing to %s, want %d bytes hashing to %s", buf.Len(), got, wantLen, want)
+	if got := hex.EncodeToString(sum[:]); len(raw) != wantLen || got != want {
+		t.Fatalf("serialised %d bytes hashing to %s, want %d bytes hashing to %s", len(raw), got, wantLen, want)
 	}
 }
 

@@ -171,11 +171,12 @@ func (l *RecordLog) sealTail() {
 
 // encodeRecords compresses one batch of records into block form, interning
 // regions through the supplied function. sealTail uses it against the log's
-// own table; WriteTo uses it with a copy so serialising a snapshot never
-// grows the live table. The result is the log's encode scratch, valid until
-// the next call. Column order: times, server IDs, region codes,
-// tier/dir, mbps, rtt, loss. Only the three float columns carry a length;
-// the varint columns before them are delimited by the block's record count.
+// own table; EncodeTail uses it with an extension of that table, so
+// encoding a snapshot never grows the live one. The result is the log's
+// encode scratch, valid until the next call. Column order: times, server
+// IDs, region codes, tier/dir, mbps, rtt, loss. Only the three float
+// columns carry a length; the varint columns before them are delimited by
+// the block's record count.
 func (l *RecordLog) encodeRecords(ms []Measurement, internRegion func(string) int) []byte {
 	n := len(ms)
 	buf := l.encBuf[:0]
@@ -388,14 +389,10 @@ func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 	c.next++
 	data := b.data
 	if data == nil {
-		if cap(c.readBuf) < int(b.size) {
-			c.readBuf = make([]byte, b.size)
+		var err error
+		if data, err = l.readSpilled(b, &c.readBuf); err != nil {
+			panic(err.Error())
 		}
-		c.readBuf = c.readBuf[:b.size]
-		if _, err := l.spill.ReadAt(c.readBuf, b.off); err != nil {
-			panic(fmt.Sprintf("analysis: record log spill read: %v", err))
-		}
-		data = c.readBuf
 	}
 	if err := l.decodeColumns(data, b.n, need, &c.cols); err != nil {
 		panic(fmt.Sprintf("analysis: record log corrupt: %v", err))
@@ -424,112 +421,215 @@ func (c *logCursor) Next() []Measurement {
 // Reset rewinds the cursor to the first record.
 func (c *logCursor) Reset() { c.next = 0 }
 
-// Serialised record-log format (the campaign checkpoint's records sidecar):
+// readSpilled reads a spilled block's payload back into *scratch, grown as
+// needed, and returns it.
+func (l *RecordLog) readSpilled(b *logBlock, scratch *[]byte) ([]byte, error) {
+	if cap(*scratch) < int(b.size) {
+		*scratch = make([]byte, b.size)
+	}
+	*scratch = (*scratch)[:b.size]
+	if _, err := l.spill.ReadAt(*scratch, b.off); err != nil {
+		return nil, fmt.Errorf("analysis: record log spill read: %w", err)
+	}
+	return *scratch, nil
+}
+
+// The record log on disk. Both formats are built from one frame — a block
+// as uvarint record count, uvarint payload length, payload (encodeRecords)
+// — and differ only in what goes around the frames.
+//
+// CLRL0002, the campaign checkpoint's append-only records sidecar:
+//
+//	header  8-byte magic "CLRL0002"
+//	frames  one per sealed block, in seal order, each of logBlockSize
+//	        records
+//
+// A sealed block never changes, so a checkpoint appends the frames sealed
+// since its last commit and rewrites nothing. The region table and the
+// unsealed tail (EncodeTail) are kept beside the file, by the caller.
+//
+// CLRL0001, the sidecar format before it, now only read (ReadRecordLog):
 //
 //	header   8-byte magic "CLRL0001"
 //	regions  uvarint count, then per region: uvarint len, bytes
-//	blocks   uvarint count, then per block: uvarint pointCount,
-//	         uvarint dataLen, data (encodeRecords payload)
-//
-// The unsealed tail is serialised as one extra block, so a reader sees one
-// uniform block sequence; any regions first interned by the tail extend the
-// region table, which is why the table is built before the header goes out.
-const recordLogMagic = "CLRL0001"
+//	blocks   uvarint count, then that many frames; the last may be the
+//	         unsealed tail, coded against the table as extended by it
+const (
+	FramesMagic    = "CLRL0002"
+	recordLogMagic = "CLRL0001"
+)
 
-// WriteTo serialises the log's current state — sealed blocks, spilled or
-// in memory, plus the unsealed tail — so a reader reconstructs the exact
-// append sequence. It never changes what the log holds (its encode scratch
-// aside): the campaign checkpoint calls it at every round boundary while
-// the orchestrator keeps appending afterwards. Not safe concurrently with
-// Append or another WriteTo.
-func (l *RecordLog) WriteTo(w io.Writer) (int64, error) {
-	// Extend a copy of the region table with anything only the tail has
-	// seen; the live table must not grow from a serialisation pass.
-	regions := append([]string(nil), l.regions...)
-	idx := make(map[string]int, len(regions))
-	for i, r := range regions {
-		idx[r] = i
-	}
-	intern := func(r string) int {
-		if i, ok := idx[r]; ok {
-			return i
-		}
-		i := len(regions)
-		regions = append(regions, r)
-		idx[r] = i
-		return i
-	}
-	var tailBlock []byte
-	if len(l.tail) > 0 {
-		tailBlock = l.encodeRecords(l.tail, intern)
-	}
+// SealedBlocks returns how many blocks the log has sealed.
+func (l *RecordLog) SealedBlocks() int { return len(l.blocks) }
 
-	cw := &recordLogCountWriter{w: w}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, recordLogMagic...)
-	buf = colenc.AppendUvarint(buf, uint64(len(regions)))
-	for _, r := range regions {
-		buf = colenc.AppendUvarint(buf, uint64(len(r)))
-		buf = append(buf, r...)
-	}
-	nBlocks := len(l.blocks)
-	if tailBlock != nil {
-		nBlocks++
-	}
-	buf = colenc.AppendUvarint(buf, uint64(nBlocks))
-	if _, err := cw.Write(buf); err != nil {
-		return cw.n, err
-	}
-	var readBuf []byte
-	for i := range l.blocks {
+// AppendFrames appends the frames of sealed blocks [from, to) to buf and
+// returns the extended buffer; a spilled block is read back from disk.
+func (l *RecordLog) AppendFrames(buf []byte, from, to int) ([]byte, error) {
+	var scratch []byte
+	for i := from; i < to; i++ {
 		b := &l.blocks[i]
 		data := b.data
 		if data == nil {
-			if cap(readBuf) < int(b.size) {
-				readBuf = make([]byte, b.size)
+			var err error
+			if data, err = l.readSpilled(b, &scratch); err != nil {
+				return buf, err
 			}
-			readBuf = readBuf[:b.size]
-			if _, err := l.spill.ReadAt(readBuf, b.off); err != nil {
-				return cw.n, fmt.Errorf("analysis: record log spill read: %w", err)
-			}
-			data = readBuf
 		}
-		buf = colenc.AppendUvarint(buf[:0], uint64(b.n))
+		buf = colenc.AppendUvarint(buf, uint64(b.n))
 		buf = colenc.AppendUvarint(buf, uint64(len(data)))
 		buf = append(buf, data...)
-		if _, err := cw.Write(buf); err != nil {
-			return cw.n, err
+	}
+	return buf, nil
+}
+
+// EncodeTail encodes the unsealed tail of n records as one block payload,
+// and returns it with the region table it is coded against: the log's own,
+// extended by the names only the tail has seen in the order the tail first
+// names them, which is the order sealing it will intern them. The live
+// table does not grow. data is the log's encode scratch and regions may
+// share the live table's array: both are valid until the next call on the
+// log.
+func (l *RecordLog) EncodeTail() (regions []string, n int, data []byte) {
+	if len(l.tail) == 0 {
+		return l.regions, 0, nil
+	}
+	// Clipped, so a name the tail adds reallocates instead of writing into
+	// the log's own table.
+	ext := regionTable{names: slices.Clip(l.regions)}
+	data = l.encodeRecords(l.tail, func(r string) int { return int(ext.intern(r)) })
+	return ext.names, len(l.tail), data
+}
+
+// ReadFrames rebuilds a log from a CLRL0002 file — its magic and whole
+// frames, each a full block — whose blocks are coded against regions, plus
+// the tail of tailN records EncodeTail gave beside it, which becomes one
+// last short block: the shape ReadRecordLog returns, for Adopt to take up.
+// Validation is ReadRecordLog's: every block decoded with every column, and
+// every count checked against the bytes that could back it before anything
+// is sized from it.
+func ReadFrames(file []byte, regions []string, tailN int, tail []byte) (*RecordLog, error) {
+	if len(file) < len(FramesMagic) || string(file[:len(FramesMagic)]) != FramesMagic {
+		return nil, fmt.Errorf("analysis: bad record log magic")
+	}
+	l := NewRecordLog()
+	for i, r := range regions {
+		if l.internRegion(r) != i {
+			return nil, fmt.Errorf("analysis: record log region %d repeats an earlier one", i)
 		}
 	}
-	if tailBlock != nil {
-		buf = colenc.AppendUvarint(buf[:0], uint64(len(l.tail)))
-		buf = colenc.AppendUvarint(buf, uint64(len(tailBlock)))
-		buf = append(buf, tailBlock...)
-		if _, err := cw.Write(buf); err != nil {
-			return cw.n, err
+	var cols ColumnBatch
+	frames := file[len(FramesMagic):]
+	for i := 0; len(frames) > 0; i++ {
+		var n int
+		var err error
+		if frames, n, err = l.readFrame(frames, &cols); err != nil {
+			return nil, fmt.Errorf("analysis: record log block %d: %w", i, err)
+		}
+		if n != logBlockSize {
+			return nil, fmt.Errorf("analysis: sealed record log block %d holds %d records, want %d", i, n, logBlockSize)
 		}
 	}
-	return cw.n, nil
+	// A tail is short of a block; addBlock holds its count to its bytes.
+	if tailN < 0 || tailN >= logBlockSize || tailN == 0 && len(tail) > 0 {
+		return nil, fmt.Errorf("analysis: record log tail of %d records in %d bytes", tailN, len(tail))
+	}
+	if tailN > 0 {
+		if err := l.addBlock(tail, uint64(tailN), &cols); err != nil {
+			return nil, fmt.Errorf("analysis: record log tail: %w", err)
+		}
+	}
+	return l, nil
 }
 
-type recordLogCountWriter struct {
-	w io.Writer
-	n int64
+// readFrame parses the frame at the head of raw, validates its block and
+// adds it to the log, returning the rest of raw and the block's record
+// count.
+func (l *RecordLog) readFrame(raw []byte, cols *ColumnBatch) ([]byte, int, error) {
+	n, k := colenc.Uvarint(raw)
+	if k == 0 {
+		return nil, 0, fmt.Errorf("truncated header")
+	}
+	raw = raw[k:]
+	dl, k := colenc.Uvarint(raw)
+	if k == 0 || uint64(len(raw)-k) < dl {
+		return nil, 0, fmt.Errorf("truncated data")
+	}
+	if err := l.addBlock(raw[k:k+int(dl)], n, cols); err != nil {
+		return nil, 0, err
+	}
+	return raw[k+int(dl):], int(n), nil
 }
 
-func (c *recordLogCountWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// addBlock validates a block payload of n records by decoding it with every
+// column into cols — the records themselves are not built — and adds it to
+// the log, resident, with the record count and first/last records updated.
+func (l *RecordLog) addBlock(data []byte, n uint64, cols *ColumnBatch) error {
+	// A record costs a byte or more in the times column alone.
+	if n > uint64(len(data)) {
+		return fmt.Errorf("claims %d records in %d bytes", n, len(data))
+	}
+	if err := l.decodeColumns(data, int(n), ColAll, cols); err != nil {
+		return err
+	}
+	if n > 0 {
+		if l.count == 0 {
+			l.firstRec = cols.record(0)
+		}
+		l.lastRec = cols.record(int(n) - 1)
+	}
+	l.count += int(n)
+	l.blocks = append(l.blocks, logBlock{n: int(n), data: data, size: int64(len(data))})
+	return nil
 }
 
-// ReadRecordLog parses a log serialised by WriteTo back into memory. Every
-// block goes through the decoder once with every column asked for — the
-// records themselves are not built — to validate the payload and rebuild
-// the record count and first/last records, so a truncated or corrupt file
-// fails here with an error instead of panicking later in a cursor. Every
-// count the file states is checked against the bytes that could back it
-// before anything is sized or sliced from it.
+// Adopt makes a log read back from disk (ReadRecordLog, ReadFrames) the
+// live log of a campaign resuming with its first n records. The leading
+// full blocks within n stay sealed as read, byte for byte; the records
+// after them, up to n, go back into the tail; the rest are dropped. Blocks
+// seal at fixed logBlockSize-record boundaries, so the next blocks the
+// resumed campaign seals are the ones an uninterrupted run seals. The region
+// table stays as read: any names past the kept blocks' are ones later
+// records named first, in that order, which is the order sealing them
+// interns them.
+func (l *RecordLog) Adopt(n int) error {
+	if n < 0 || n > l.count {
+		return fmt.Errorf("analysis: adopting %d of %d records", n, l.count)
+	}
+	keep := 0
+	for keep < len(l.blocks) && l.blocks[keep].n == logBlockSize && (keep+1)*logBlockSize <= n {
+		keep++
+	}
+	rest, total := l.blocks[keep:], l.count
+	// Clipped, so a block the re-appends seal cannot overwrite rest.
+	l.blocks, l.count, l.tail = slices.Clip(l.blocks[:keep]), keep*logBlockSize, nil
+	if keep == 0 {
+		l.firstRec, l.lastRec = Measurement{}, Measurement{}
+	}
+	var cols ColumnBatch
+	for i := 0; i < len(rest) && l.count < n; i++ {
+		if err := l.decodeColumns(rest[i].data, rest[i].n, ColAll, &cols); err != nil {
+			return fmt.Errorf("analysis: adopting record log block %d: %w", keep+i, err)
+		}
+		for j := 0; j < cols.N && l.count < n; j++ {
+			l.Append(cols.record(j))
+		}
+	}
+	if keep > 0 && l.count == keep*logBlockSize && total != n {
+		// Nothing re-appended and the read log ran past n: the last record
+		// closes the last kept block.
+		b := &l.blocks[keep-1]
+		if err := l.decodeColumns(b.data, b.n, ColAll, &cols); err != nil {
+			return fmt.Errorf("analysis: adopting record log block %d: %w", keep-1, err)
+		}
+		l.lastRec = cols.record(b.n - 1)
+	}
+	return nil
+}
+
+// ReadRecordLog parses a CLRL0001 file back into memory: every block it
+// holds, the tail's included, validated as ReadFrames validates them, so a
+// truncated or corrupt file fails here with an error instead of panicking
+// later in a cursor.
 func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -564,33 +664,9 @@ func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 	raw = raw[k:]
 	var cols ColumnBatch
 	for i := 0; i < int(nb); i++ {
-		n64, k := colenc.Uvarint(raw)
-		if k == 0 {
-			return nil, fmt.Errorf("analysis: truncated record log block %d header", i)
-		}
-		raw = raw[k:]
-		dl, k := colenc.Uvarint(raw)
-		if k == 0 || uint64(len(raw)-k) < dl {
-			return nil, fmt.Errorf("analysis: truncated record log block %d data", i)
-		}
-		data := raw[k : k+int(dl)]
-		raw = raw[k+int(dl):]
-		// A record costs a byte or more in the times column alone.
-		if n64 > dl {
-			return nil, fmt.Errorf("analysis: record log block %d claims %d records in %d bytes", i, n64, dl)
-		}
-		n := int(n64)
-		if err := l.decodeColumns(data, n, ColAll, &cols); err != nil {
+		if raw, _, err = l.readFrame(raw, &cols); err != nil {
 			return nil, fmt.Errorf("analysis: record log block %d: %w", i, err)
 		}
-		if n > 0 {
-			if l.count == 0 {
-				l.firstRec = cols.record(0)
-			}
-			l.lastRec = cols.record(n - 1)
-		}
-		l.count += n
-		l.blocks = append(l.blocks, logBlock{n: n, data: data, size: int64(len(data))})
 	}
 	if len(raw) != 0 {
 		return nil, fmt.Errorf("analysis: %d trailing bytes after record log", len(raw))

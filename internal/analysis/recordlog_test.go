@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
+	"github.com/clasp-measurement/clasp/internal/colenc"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 )
 
@@ -211,11 +213,59 @@ func TestMeasurementBytes(t *testing.T) {
 	}
 }
 
-// TestRecordLogSerializeRoundTrip pins WriteTo/ReadRecordLog losslessness
-// — the checkpoint sidecar contract. Every log shape (empty, tail-only,
-// sealed blocks + tail, spilled) serializes to a byte stream that reads
-// back into an identical replay, serializing never mutates the live log,
-// and the byte stream itself is deterministic.
+// logSnapshot is what a checkpoint saves of a log: the CLRL0002 file of its
+// sealed blocks and the tail EncodeTail gives beside it, copied out of the
+// log's scratch.
+type logSnapshot struct {
+	file    []byte
+	regions []string
+	tailN   int
+	tail    []byte
+}
+
+func snapshot(t *testing.T, l *RecordLog) logSnapshot {
+	t.Helper()
+	file, err := l.AppendFrames([]byte(FramesMagic), 0, l.SealedBlocks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, n, tail := l.EncodeTail()
+	return logSnapshot{file, slices.Clone(regions), n, bytes.Clone(tail)}
+}
+
+func (s logSnapshot) read() (*RecordLog, error) {
+	return ReadFrames(s.file, s.regions, s.tailN, s.tail)
+}
+
+// recordLogV1 is l as the CLRL0001 sidecar the previous format's writer
+// produced: the region table as extended by the tail, every sealed block,
+// then the tail as one more block. The two formats share frames and
+// payloads, so it is built from the frame writer and EncodeTail.
+func recordLogV1(t *testing.T, l *RecordLog) []byte {
+	t.Helper()
+	s := snapshot(t, l)
+	buf := colenc.AppendUvarint([]byte(recordLogMagic), uint64(len(s.regions)))
+	for _, r := range s.regions {
+		buf = append(colenc.AppendUvarint(buf, uint64(len(r))), r...)
+	}
+	nb := l.SealedBlocks()
+	if s.tailN > 0 {
+		nb++
+	}
+	buf = colenc.AppendUvarint(buf, uint64(nb))
+	buf = append(buf, s.file[len(FramesMagic):]...)
+	if s.tailN > 0 {
+		buf = colenc.AppendUvarint(colenc.AppendUvarint(buf, uint64(s.tailN)), uint64(len(s.tail)))
+		buf = append(buf, s.tail...)
+	}
+	return buf
+}
+
+// TestRecordLogSerializeRoundTrip pins the checkpoint sidecar contract:
+// every log shape (empty, tail-only, sealed blocks + tail, spilled) saves
+// as frames plus an encoded tail that read back (ReadFrames + Adopt) into
+// an identical replay, and as a CLRL0001 file that ReadRecordLog reads back
+// the same way. Saving never mutates the live log, and is deterministic.
 func TestRecordLogSerializeRoundTrip(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -225,7 +275,9 @@ func TestRecordLogSerializeRoundTrip(t *testing.T) {
 		{"empty", 0, false},
 		{"tail-only", 13, false},
 		{"blocks+tail", 2*logBlockSize + 177, false},
-		{"spilled", logBlockSize + 29, true},
+		// Spill seals the tail, and a short sealed block is no frame of a
+		// CLRL0002 file, so this shape is whole blocks.
+		{"spilled", 2 * logBlockSize, true},
 	}
 	for _, tc := range shapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,60 +289,134 @@ func TestRecordLogSerializeRoundTrip(t *testing.T) {
 				}
 				defer l.Close()
 			}
-			var buf bytes.Buffer
-			n, err := l.WriteTo(&buf)
+			s := snapshot(t, l)
+			if again := snapshot(t, l); !reflect.DeepEqual(s, again) {
+				t.Fatal("two snapshots of the same log differ")
+			}
+			v1, err := ReadRecordLog(bytes.NewReader(recordLogV1(t, l)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != int64(buf.Len()) {
-				t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-			}
-			var again bytes.Buffer
-			if _, err := l.WriteTo(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-				t.Fatal("two WriteTo passes over the same log differ")
-			}
-			got, err := ReadRecordLog(bytes.NewReader(buf.Bytes()))
+			v2, err := s.read()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Len() != len(ms) {
-				t.Fatalf("decoded Len = %d, want %d", got.Len(), len(ms))
-			}
-			out := drain(got.Cursor())
-			for i := range ms {
-				if !measurementsEqual(out[i], ms[i]) {
-					t.Fatalf("record %d drifted through serialization", i)
+			for name, got := range map[string]*RecordLog{"CLRL0001": v1, "CLRL0002": v2} {
+				if err := got.Adopt(len(ms)); err != nil {
+					t.Fatal(err)
+				}
+				if got.Len() != len(ms) {
+					t.Fatalf("%s: decoded Len = %d, want %d", name, got.Len(), len(ms))
+				}
+				out := drain(got.Cursor())
+				for i := range ms {
+					if !measurementsEqual(out[i], ms[i]) {
+						t.Fatalf("%s: record %d drifted through serialization", name, i)
+					}
+				}
+				if len(ms) > 0 {
+					if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
+						t.Fatalf("%s: First/Last drifted through serialization", name)
+					}
 				}
 			}
-			if len(ms) > 0 {
-				if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
-					t.Fatal("First/Last drifted through serialization")
-				}
-			}
-			// The source log must still replay — WriteTo may not consume
-			// or reorder anything (it serves live sinks after a commit).
+			// The source log must still replay — saving may not consume or
+			// reorder anything (it serves live sinks after a commit).
 			src := drain(l.Cursor())
 			if len(src) != len(ms) {
-				t.Fatalf("WriteTo mutated the source log: %d records left, want %d", len(src), len(ms))
+				t.Fatalf("saving mutated the source log: %d records left, want %d", len(src), len(ms))
 			}
 		})
 	}
 }
 
-// TestReadRecordLogRejectsPartial sweeps truncation points over a valid
-// sidecar stream: no strict prefix may decode, and garbage magic fails.
-// Together with the checkpoint writer's atomic rename this pins that a
-// resume sees either a complete record stream or an error.
+// TestAdoptSealsLikeUninterrupted is the resume contract at the log: a log
+// saved at any record count, read back in either format, adopted at any n
+// up to what it holds and then fed the records after n seals the blocks an
+// uninterrupted log seals, byte for byte, with the same tail and First/Last.
+// A region only the tail names crosses the save.
+func TestAdoptSealsLikeUninterrupted(t *testing.T) {
+	ms := campaignRecords(3*logBlockSize + 177)
+	ms[2*logBlockSize+100].Region = "asia-east1"
+	want := snapshot(t, newLog(t, ms))
+	for _, saved := range []int{0, 100, logBlockSize, 2*logBlockSize + 150, len(ms)} {
+		l := newLog(t, ms[:saved])
+		s := snapshot(t, l)
+		v1 := recordLogV1(t, l)
+		for _, n := range []int{0, 1, logBlockSize - 1, logBlockSize, logBlockSize + 1, 2*logBlockSize + 120, saved} {
+			if n > saved {
+				continue
+			}
+			reads := map[string]func() (*RecordLog, error){
+				"CLRL0001": func() (*RecordLog, error) { return ReadRecordLog(bytes.NewReader(v1)) },
+			}
+			if n == saved { // a CLRL0002 snapshot always covers its whole log
+				reads["CLRL0002"] = s.read
+			}
+			for name, read := range reads {
+				got, err := read()
+				if err != nil {
+					t.Fatalf("%s saved at %d: %v", name, saved, err)
+				}
+				if err := got.Adopt(n); err != nil {
+					t.Fatalf("%s saved at %d, adopted at %d: %v", name, saved, n, err)
+				}
+				if n > 0 && !measurementsEqual(got.Last(), ms[n-1]) || n == 0 && got.Last() != (Measurement{}) {
+					t.Fatalf("%s saved at %d, adopted at %d: Last drifted", name, saved, n)
+				}
+				for _, m := range ms[n:] {
+					got.Append(m)
+				}
+				if !reflect.DeepEqual(snapshot(t, got), want) {
+					t.Fatalf("%s saved at %d, adopted at %d: the continued log differs from the uninterrupted one", name, saved, n)
+				}
+				if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
+					t.Fatalf("%s saved at %d, adopted at %d: First/Last drifted", name, saved, n)
+				}
+			}
+		}
+	}
+	if err := newLog(t, ms[:10]).Adopt(11); err == nil {
+		t.Fatal("adopting more records than the log holds succeeded")
+	}
+}
+
+// TestReadFramesRejectsMisshapen pins the shape ReadFrames requires, each
+// case otherwise well formed: every frame a full block, a tail short of
+// one, and no tail bytes without a tail count. A checkpoint's writer
+// resumes at the end of the frames Adopt keeps sealed, so a short frame or
+// a whole-block tail would put the sidecar and the log out of step.
+func TestReadFramesRejectsMisshapen(t *testing.T) {
+	ms := campaignRecords(logBlockSize + 10)
+	whole := snapshot(t, newLog(t, ms))
+	short := snapshot(t, newLog(t, ms[:10]))
+	shortFrame := colenc.AppendUvarint(colenc.AppendUvarint([]byte(FramesMagic), 10), uint64(len(short.tail)))
+	shortFrame = append(shortFrame, short.tail...)
+	block := whole.file[len(FramesMagic):]
+	_, k := colenc.Uvarint(block)
+	_, k2 := colenc.Uvarint(block[k:])
+	for name, s := range map[string]logSnapshot{
+		"a frame short of a block": {shortFrame, short.regions, 0, nil},
+		"a tail of a whole block":  {[]byte(FramesMagic), whole.regions, logBlockSize, block[k+k2:]},
+		"tail bytes and no count":  {whole.file, whole.regions, 0, whole.tail},
+	} {
+		if _, err := s.read(); err == nil {
+			t.Errorf("%s: read without error", name)
+		}
+	}
+	if _, err := whole.read(); err != nil {
+		t.Fatalf("the snapshot the cases are cut from: %v", err)
+	}
+}
+
+// TestReadRecordLogRejectsPartial sweeps truncation points over valid
+// sidecars of both formats: no strict prefix of a CLRL0001 file decodes,
+// no prefix of a CLRL0002 file that cuts a frame does, and garbage magic
+// fails. With the checkpoint's commit ordering this pins that a resume sees
+// either a complete record stream or an error.
 func TestReadRecordLogRejectsPartial(t *testing.T) {
 	l := newLog(t, campaignRecords(logBlockSize+57))
-	var buf bytes.Buffer
-	if _, err := l.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := recordLogV1(t, l)
 	for cut := 0; cut < len(raw); cut += 11 {
 		if _, err := ReadRecordLog(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("stream truncated to %d of %d bytes decoded without error", cut, len(raw))
@@ -303,6 +429,18 @@ func TestReadRecordLogRejectsPartial(t *testing.T) {
 	}
 	if _, err := ReadRecordLog(bytes.NewReader(append(raw, 0))); err == nil {
 		t.Fatal("trailing byte decoded without error")
+	}
+
+	s := snapshot(t, l) // the magic and one frame
+	for cut := 0; cut < len(s.file); cut++ {
+		if _, err := ReadFrames(s.file[:cut], s.regions, 0, nil); (err == nil) != (cut == len(FramesMagic)) {
+			t.Fatalf("CLRL0002 file cut to %d of %d bytes: error %v", cut, len(s.file), err)
+		}
+	}
+	bad = bytes.Clone(s.file)
+	bad[0] ^= 0xff
+	if _, err := ReadFrames(bad, s.regions, 0, nil); err == nil {
+		t.Fatal("bad CLRL0002 magic decoded without error")
 	}
 }
 

@@ -1,30 +1,48 @@
 // Package checkpoint persists a running campaign's progress so a killed
 // process can resume and finish with byte-identical output. A checkpoint
-// is a directory holding two files, each committed by atomic rename:
+// is a directory holding two files:
 //
-//	records.clog    the record stream emitted so far, in the RecordLog
-//	                columnar format (analysis.RecordLog.WriteTo)
-//	checkpoint.json the metadata: campaign identity (enough to rebuild
-//	                the engine), the orchestrator Progress snapshot, and
-//	                NumRecords — how many records of the sidecar the
-//	                snapshot covers
+//	records.clog    the campaign's sealed record blocks, append-only: the
+//	                CLRL0002 frame file (analysis.RecordLog.AppendFrames)
+//	checkpoint.json the commit point: campaign identity (enough to rebuild
+//	                the engine), the orchestrator Progress snapshot,
+//	                NumRecords, SealedBytes — how much of the sidecar the
+//	                snapshot covers — and the unsealed tail (fewer than
+//	                4,096 records) with the region table it is coded
+//	                against (analysis.RecordLog.EncodeTail)
 //
-// Commit writes the records sidecar first and the metadata second. A kill
-// between the two renames therefore leaves new records under old metadata,
-// never the reverse: Meta.NumRecords is always ≤ the sidecar's record
-// count, and replay simply truncates to NumRecords — that truncation is
-// the partial-round dedupe. A kill before either rename (the block-flush
-// kill point) leaves the previous checkpoint fully intact.
+// Commit appends the frames of the blocks sealed since the last commit at
+// the sidecar's end and syncs it — a commit that sealed none leaves the
+// file alone — then replaces checkpoint.json by atomic rename, the one
+// commit point. So a commit writes what its rounds added, not the campaign
+// so far. A kill before the rename (the block-flush kill point) leaves
+// appended bytes past the old SealedBytes: Load ignores them and Resume
+// truncates them before anything is appended after the snapshot, which is
+// the partial-commit dedupe. Nothing a live checkpoint.json references is
+// ever overwritten; that is why the tail lives in the metadata and not at
+// the end of the sidecar. A writer's first commit creates the sidecar by temp
+// file and rename, so it supersedes any checkpoint the directory held.
+//
+// Resume adopts the loaded blocks byte for byte and puts the tail back
+// into the log's tail (analysis.RecordLog.Adopt), so the resumed campaign
+// seals the blocks an uninterrupted run seals and its writer keeps
+// appending to the same file. A version 1 checkpoint (a CLRL0001 sidecar
+// holding blocks and tail, renamed before its metadata, so possibly ahead
+// of it) reads through analysis.ReadRecordLog into the same adopt step;
+// its resumed run's first commit rewrites the sidecar as CLRL0002. That
+// commit replaces the file the version 1 metadata names, so a kill between
+// its two renames loses the version 1 checkpoint.
 //
 // Everything beyond the checkpoint is re-derived on resume, because the
 // engine is deterministic: per-hour test orders, fault decisions and
 // measurement results are pure functions of the seed and task coordinates
-// (see orchestrator.Progress), so replaying the checkpointed records and
-// re-executing from the watermark reproduces the uninterrupted run
+// (see orchestrator.Progress), so continuing from the checkpointed records
+// and re-executing from the watermark reproduces the uninterrupted run
 // bit-exactly at any parallelism.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -42,8 +60,9 @@ const (
 	RecordsFile = "records.clog"
 )
 
-// Version is the checkpoint format version; Load rejects anything else.
-const Version = 1
+// Version is the checkpoint format version Commit writes. Load also reads
+// version 1, the format before the sidecar became append-only.
+const Version = 2
 
 // Identity is the part of a run's options (core.Options) that a checkpoint
 // and a command manifest record: everything that decides the output bytes —
@@ -83,27 +102,45 @@ type Campaign struct {
 type Meta struct {
 	Version  int      `json:"version"`
 	Campaign Campaign `json:"campaign"`
-	// NumRecords is how many records of the sidecar this snapshot covers.
-	// The sidecar may hold more (a kill between the two Commit renames);
-	// replay truncates to this count.
+	// NumRecords is how many records the snapshot covers: the sealed
+	// blocks in the first SealedBytes of the sidecar plus the tail. (A
+	// version 1 sidecar may hold more; they are dropped.)
 	NumRecords int `json:"numRecords"`
 	// Progress is the orchestrator's cross-round state at the watermark.
 	Progress orchestrator.Progress `json:"progress"`
+
+	// SealedBytes is the sidecar length the snapshot covers; bytes past it
+	// are a killed commit's append.
+	SealedBytes int64 `json:"sealedBytes"`
+	// Regions is the region table the sealed blocks and the tail are coded
+	// against.
+	Regions []string `json:"regions,omitempty"`
+	// TailRecords and Tail are the unsealed records, as one block payload.
+	TailRecords int    `json:"tailRecords,omitempty"`
+	Tail        []byte `json:"tail,omitempty"`
 }
 
 // Writer commits checkpoints for one campaign into one directory. It is
 // driven from the campaign goroutine (orchestrator.Config.OnCheckpoint)
-// and is not safe for concurrent use.
+// and is not safe for concurrent use. It holds no open file between
+// commits.
 type Writer struct {
 	dir  string
 	camp Campaign
 	log  *analysis.RecordLog
+
+	// The sidecar as the last commit left it: the magic and the frames of
+	// the log's first blocks sealed blocks, size bytes in all. blocks is
+	// -1 until a first commit creates the file.
+	blocks int
+	size   int64
+	buf    []byte // frame scratch, reused across commits
 }
 
 // NewWriter prepares a checkpoint directory for a campaign whose record
 // stream accumulates in log — the campaign's own RecordLog, which the
 // caller keeps appending to between commits. The directory is created if
-// needed; an existing checkpoint in it is overwritten at the first Commit.
+// needed; an existing checkpoint in it is superseded at the first Commit.
 func NewWriter(dir string, camp Campaign, log *analysis.RecordLog) (*Writer, error) {
 	if log == nil {
 		return nil, fmt.Errorf("checkpoint: nil record log")
@@ -111,40 +148,91 @@ func NewWriter(dir string, camp Campaign, log *analysis.RecordLog) (*Writer, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Writer{dir: dir, camp: camp, log: log}, nil
+	return &Writer{dir: dir, camp: camp, log: log, blocks: -1}, nil
 }
 
-// Commit durably records a progress snapshot: records sidecar first, then
-// metadata, each written to a temp file in the same directory and renamed
-// over the previous version. The record log must already contain every
-// record of the completed rounds p covers (the orchestrator emits before
-// it checkpoints), so NumRecords is simply the log's current length.
+// Commit durably records a progress snapshot: the blocks sealed since the
+// last commit go to the sidecar, then the metadata is written to a temp
+// file and renamed over the previous one. The record log must already
+// contain every record of the completed rounds p covers (the orchestrator
+// emits before it checkpoints), so NumRecords is simply the log's length.
 func (w *Writer) Commit(p orchestrator.Progress) error {
-	if err := w.commitRecords(p.NextHour - 1); err != nil {
+	if err := w.appendRecords(); err != nil {
 		return err
 	}
+	regions, tailN, tail := w.log.EncodeTail()
 	meta := Meta{
-		Version:    Version,
-		Campaign:   w.camp,
-		NumRecords: w.log.Len(),
-		Progress:   p,
+		Version:     Version,
+		Campaign:    w.camp,
+		NumRecords:  w.log.Len(),
+		Progress:    p,
+		SealedBytes: w.size,
+		Regions:     regions,
+		TailRecords: tailN,
+		Tail:        tail,
 	}
+	// Compact, not indented: an indent pass rescans every byte of the
+	// tail's base64, and was most of a commit's CPU time when it ran.
 	return atomicWrite(filepath.Join(w.dir, MetaFile), func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(meta)
-	}, nil)
+		return json.NewEncoder(f).Encode(meta)
+	}, func() {
+		// Crash-test point: the round's blocks are appended and synced but
+		// the metadata is not yet renamed — a kill here must leave the
+		// previous checkpoint loadable.
+		killpoint.Maybe("block-flush", p.NextHour-1)
+	})
 }
 
-func (w *Writer) commitRecords(hour int) error {
-	return atomicWrite(filepath.Join(w.dir, RecordsFile), func(f *os.File) error {
-		_, err := w.log.WriteTo(f)
+// appendRecords brings the sidecar up to the log's sealed blocks. The
+// first commit writes the file whole, by temp file and rename; later ones
+// append the frames sealed since the last and sync.
+func (w *Writer) appendRecords() error {
+	sealed, first := w.log.SealedBlocks(), w.blocks < 0
+	if !first && sealed == w.blocks {
+		return nil
+	}
+	buf, from := w.buf[:0], w.blocks
+	if first {
+		buf, from = append(buf, analysis.FramesMagic...), 0
+	}
+	buf, err := w.log.AppendFrames(buf, from, sealed)
+	w.buf = buf
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	path := filepath.Join(w.dir, RecordsFile)
+	if first {
+		err = atomicWrite(path, func(f *os.File) error {
+			_, err := f.Write(buf)
+			return err
+		}, nil)
+	} else {
+		err = appendAt(path, buf, w.size)
+	}
+	if err != nil {
 		return err
-	}, func() {
-		// Crash-test point: the new sidecar is fully written but not yet
-		// renamed — a kill here must leave the previous checkpoint intact.
-		killpoint.Maybe("block-flush", hour)
-	})
+	}
+	w.blocks, w.size = sealed, w.size+int64(len(buf))
+	return nil
+}
+
+// appendAt writes buf into the file at path at offset off and syncs it.
+func appendAt(path string, buf []byte, off int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	_, err = f.WriteAt(buf, off)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: appending to %s: %w", filepath.Base(path), err)
+	}
+	return nil
 }
 
 // atomicWrite writes via fill into a temp file in path's directory, syncs,
@@ -181,20 +269,22 @@ func atomicWrite(path string, fill func(*os.File) error, beforeRename func()) er
 	return nil
 }
 
-// Checkpoint is a loaded checkpoint, ready to replay.
+// Checkpoint is a loaded checkpoint, ready to replay or resume.
 type Checkpoint struct {
 	// Dir is the directory the checkpoint was loaded from; a resumed
 	// campaign keeps committing new checkpoints there.
 	Dir  string
 	Meta Meta
 
-	log *analysis.RecordLog
+	log *analysis.RecordLog // the snapshot's records, adopted; nil once resumed
 }
 
 // Load reads a checkpoint. path may be the checkpoint.json file itself, a
 // directory containing one, or a parent directory (such as the
 // -checkpoint-dir of a single-campaign run) exactly one of whose
-// subdirectories contains one.
+// subdirectories contains one. Every block is validated on the way in, and
+// every count and length the metadata states is checked against the bytes
+// that back it, so a corrupt checkpoint fails here.
 func Load(path string) (*Checkpoint, error) {
 	metaPath, err := findMeta(path)
 	if err != nil {
@@ -209,24 +299,50 @@ func Load(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		return nil, fmt.Errorf("checkpoint: parsing %s: %w", metaPath, err)
 	}
-	if meta.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s has format version %d, want %d", metaPath, meta.Version, Version)
+	if meta.Version != 1 && meta.Version != Version {
+		return nil, fmt.Errorf("checkpoint: %s has format version %d, want 1 or %d", metaPath, meta.Version, Version)
 	}
-	rf, err := os.Open(filepath.Join(dir, RecordsFile))
+	if meta.NumRecords < 0 {
+		return nil, fmt.Errorf("checkpoint: %s covers %d records", metaPath, meta.NumRecords)
+	}
+	recordsPath := filepath.Join(dir, RecordsFile)
+	file, err := os.ReadFile(recordsPath)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	defer rf.Close()
-	log, err := analysis.ReadRecordLog(rf)
+	log, err := readRecords(meta, file)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: %w", filepath.Join(dir, RecordsFile), err)
-	}
-	// The sidecar commits before the metadata, so it may run ahead of the
-	// snapshot (kill between the renames) but never behind it.
-	if log.Len() < meta.NumRecords {
-		return nil, fmt.Errorf("checkpoint: records sidecar holds %d records, metadata expects %d", log.Len(), meta.NumRecords)
+		return nil, fmt.Errorf("checkpoint: %s: %w", recordsPath, err)
 	}
 	return &Checkpoint{Dir: dir, Meta: meta, log: log}, nil
+}
+
+// readRecords rebuilds the snapshot's record log from the sidecar file and
+// the metadata, and adopts it at NumRecords.
+func readRecords(meta Meta, file []byte) (*analysis.RecordLog, error) {
+	var log *analysis.RecordLog
+	var err error
+	switch {
+	case meta.Version == 1:
+		// Renamed before its metadata, a version 1 sidecar may run ahead of
+		// the snapshot (a kill between the renames) but never behind it:
+		// Adopt drops what runs ahead and refuses a shortfall.
+		log, err = analysis.ReadRecordLog(bytes.NewReader(file))
+	case meta.SealedBytes < int64(len(analysis.FramesMagic)) || meta.SealedBytes > int64(len(file)):
+		return nil, fmt.Errorf("metadata covers %d bytes of a %d-byte file", meta.SealedBytes, len(file))
+	default:
+		log, err = analysis.ReadFrames(file[:meta.SealedBytes], meta.Regions, meta.TailRecords, meta.Tail)
+		if err == nil && log.Len() != meta.NumRecords {
+			err = fmt.Errorf("sealed blocks and tail hold %d records, metadata expects %d", log.Len(), meta.NumRecords)
+		}
+	}
+	if err == nil {
+		err = log.Adopt(meta.NumRecords)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return log, nil
 }
 
 // findMeta resolves the user-supplied path to the checkpoint.json file.
@@ -270,12 +386,12 @@ func findMeta(path string) (string, error) {
 // NumRecords returns how many records Replay will deliver.
 func (c *Checkpoint) NumRecords() int { return c.Meta.NumRecords }
 
-// Replay streams the snapshot's records — the sidecar truncated to
-// Meta.NumRecords — in original emission order. The resume path feeds
-// them into the same sinks a live round's emit phase would, rebuilding
-// the campaign's record log (which the next checkpoint serialises) and the
-// store index in one pass.
+// Replay streams the snapshot's records in original emission order. It
+// reads the checkpoint without resuming it, and fails once it is resumed.
 func (c *Checkpoint) Replay(fn func(analysis.Measurement)) error {
+	if c.log == nil {
+		return fmt.Errorf("checkpoint: %s was resumed", c.Dir)
+	}
 	cur := c.log.Cursor()
 	n := 0
 	for n < c.Meta.NumRecords {
@@ -292,4 +408,34 @@ func (c *Checkpoint) Replay(fn func(analysis.Measurement)) error {
 		n += len(batch)
 	}
 	return nil
+}
+
+// Resume hands the snapshot's record log to the campaign resuming from
+// this checkpoint, with a writer that commits that campaign, identified by
+// camp, into Dir: appending to the sidecar where the snapshot ends, once
+// Resume has cut what a killed commit appended past it, or, for a version 1
+// checkpoint, rewriting it whole at the first commit. The log moves to the
+// caller, so a checkpoint resumes once. A campaign's snapshot holds one
+// record per completed test, and one that does not is refused: resuming it
+// would silently drop or duplicate records.
+func (c *Checkpoint) Resume(camp Campaign) (*analysis.RecordLog, *Writer, error) {
+	if c.log == nil {
+		return nil, nil, fmt.Errorf("checkpoint: %s was already resumed", c.Dir)
+	}
+	if n, tests := c.Meta.NumRecords, c.Meta.Progress.Report.Tests; n != tests {
+		return nil, nil, fmt.Errorf("checkpoint: %s holds %d records for %d completed tests", c.Dir, n, tests)
+	}
+	w, err := NewWriter(c.Dir, camp, c.log)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.Meta.Version == Version {
+		if err := os.Truncate(filepath.Join(c.Dir, RecordsFile), c.Meta.SealedBytes); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		w.blocks, w.size = c.log.SealedBlocks(), c.Meta.SealedBytes
+	}
+	log := c.log
+	c.log = nil
+	return log, w, nil
 }

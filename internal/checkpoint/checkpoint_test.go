@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -172,28 +173,70 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestCheckpointSidecarAhead pins the partial-commit contract: when the
-// record sidecar runs ahead of the metadata (a kill between the two Commit
-// renames), Load succeeds with the old snapshot and Replay truncates the
-// extra records — the partial-round dedupe.
+// campaignProgress is a campaign's snapshot after hour-1 with n records,
+// one per completed test.
+func campaignProgress(hour, n int) orchestrator.Progress {
+	p := orchestrator.Progress{NextHour: hour}
+	p.Report.Tests = n
+	return p
+}
+
+// commitAt feeds log the records of ms it does not hold yet up to each cut
+// and commits after each, at hours first, first+1, ...
+func commitAt(t testing.TB, w *Writer, log *analysis.RecordLog, ms []analysis.Measurement, first int, cuts ...int) {
+	t.Helper()
+	for i, n := range cuts {
+		for _, m := range ms[log.Len():n] {
+			log.Append(m)
+		}
+		if err := w.Commit(campaignProgress(first+i, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointSidecarAhead pins the partial-commit contract. A commit
+// killed after its sidecar append but before the metadata rename leaves
+// bytes past SealedBytes — here whole frames and then junk, as a torn
+// write could. Load ignores them and delivers the old snapshot; Resume
+// truncates them, and the finished directory equals an uninterrupted run's
+// byte for byte. A sidecar shorter than the metadata
+// covers is refused.
 func TestCheckpointSidecarAhead(t *testing.T) {
-	ms := testRecords(300)
-	log := newTestLog(t, ms[:200])
-	dir := t.TempDir()
-	w, err := NewWriter(dir, Campaign{Kind: "topology", Region: "us-west1", Days: 1, Identity: Identity{Seed: 3}}, log)
+	// Blocks seal every 4,096 records: each commit after the first seals one.
+	ms := testRecords(3*4096 + 100)
+	cuts := []int{5000, 9000, len(ms)}
+	camp := Campaign{Kind: "topology", Region: "us-west1", Days: 1, Identity: Identity{Seed: 3}}
+
+	ref := t.TempDir()
+	refLog := analysis.NewRecordLog()
+	w, err := NewWriter(ref, camp, refLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := orchestrator.Progress{NextHour: 5}
-	if err := w.Commit(prog); err != nil {
+	commitAt(t, w, refLog, ms, 1, cuts...)
+
+	dir := t.TempDir()
+	log := analysis.NewRecordLog()
+	if w, err = NewWriter(dir, camp, log); err != nil {
 		t.Fatal(err)
 	}
-	// The next round emits 100 more records; the process dies after the
-	// sidecar rename but before the metadata rename.
-	for _, m := range ms[200:] {
+	commitAt(t, w, log, ms, 1, cuts[0])
+	for _, m := range ms[cuts[0]:cuts[1]] {
 		log.Append(m)
 	}
-	if err := w.commitRecords(5); err != nil {
+	if err := w.appendRecords(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, RecordsFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More junk than the resumed run appends, so only truncation clears it.
+	if _, err := f.Write(bytes.Repeat([]byte{0xff}, 1<<18)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,34 +244,37 @@ func TestCheckpointSidecarAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Meta.Progress.NextHour != 5 {
-		t.Fatalf("NextHour = %d, want the old snapshot's 5", ck.Meta.Progress.NextHour)
-	}
-	if ck.NumRecords() != 200 {
-		t.Fatalf("NumRecords = %d, want 200", ck.NumRecords())
+	if ck.Meta.Progress.NextHour != 1 || ck.NumRecords() != cuts[0] {
+		t.Fatalf("loaded hour %d with %d records, want the old snapshot's 1 and %d", ck.Meta.Progress.NextHour, ck.NumRecords(), cuts[0])
 	}
 	var got []analysis.Measurement
 	if err := ck.Replay(func(m analysis.Measurement) { got = append(got, m) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 200 {
-		t.Fatalf("replayed %d records, want 200 (truncated)", len(got))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], ms[i]) {
-			t.Fatalf("record %d drifted", i)
-		}
+	if !reflect.DeepEqual(got, ms[:cuts[0]]) {
+		t.Fatalf("replayed %d records that differ from the snapshot's %d", len(got), cuts[0])
 	}
 
-	// The reverse — a sidecar shorter than the metadata expects — means
-	// the checkpoint directory was tampered with or the rename ordering
-	// violated; Load must refuse.
-	short := newTestLog(t, ms[:50])
-	w2, err := NewWriter(dir, Campaign{}, short)
+	log, w, err = ck.Resume(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.commitRecords(0); err != nil {
+	commitAt(t, w, log, ms, 2, cuts[1:]...)
+	for _, name := range []string{RecordsFile, MetaFile} {
+		a, errA := os.ReadFile(filepath.Join(dir, name))
+		b, errB := os.ReadFile(filepath.Join(ref, name))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("resumed %s (%d bytes, %v) differs from the uninterrupted run's (%d bytes, %v)", name, len(a), errA, len(b), errB)
+		}
+	}
+
+	// A sidecar shorter than the metadata covers means the directory was
+	// tampered with or the commit ordering violated; Load must refuse.
+	fi, err := os.Stat(filepath.Join(dir, RecordsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, RecordsFile), fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); err == nil {
@@ -318,9 +364,25 @@ func TestLoadPathForms(t *testing.T) {
 }
 
 // TestWriterRefusals pins the writer's error paths: a nil record log, an
-// uncreatable directory, and a commit into a directory that has been
-// yanked out from under the writer (atomicWrite's temp-file failure).
+// uncreatable directory, a commit into a directory that has been yanked
+// out from under the writer (atomicWrite's temp-file failure) and an
+// append to a sidecar that has. No commit, failed or not, leaves a file
+// open: the writer holds no descriptor between commits.
 func TestWriterRefusals(t *testing.T) {
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1 // no /proc: the count is not checked
+		}
+		return len(fds)
+	}
+	open := openFiles()
+	defer func() {
+		if now := openFiles(); now != open {
+			t.Errorf("%d files open after the commits, %d before", now, open)
+		}
+	}()
+
 	if _, err := NewWriter(t.TempDir(), Campaign{}, nil); err == nil {
 		t.Fatal("nil record log should be refused")
 	}
@@ -344,6 +406,25 @@ func TestWriterRefusals(t *testing.T) {
 	if err := w.Commit(orchestrator.Progress{NextHour: 1}); err == nil {
 		t.Fatal("commit into a removed directory should fail")
 	}
+
+	// Blocks seal every 4,096 records: the first commit creates the
+	// sidecar, the second appends to it, the third finds it gone.
+	ms := testRecords(3 * 4096)
+	dir = t.TempDir()
+	log := analysis.NewRecordLog()
+	if w, err = NewWriter(dir, Campaign{}, log); err != nil {
+		t.Fatal(err)
+	}
+	commitAt(t, w, log, ms, 1, 4096, 2*4096)
+	if err := os.Remove(filepath.Join(dir, RecordsFile)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms[log.Len():] {
+		log.Append(m)
+	}
+	if err := w.Commit(campaignProgress(3, len(ms))); err == nil {
+		t.Fatal("an append to a removed sidecar should fail")
+	}
 }
 
 // TestReplayTruncatedStream pins Replay's own refusal: metadata demanding
@@ -361,14 +442,18 @@ func TestReplayTruncatedStream(t *testing.T) {
 }
 
 // TestLoadRejectsBadCheckpoints pins the refusal paths: wrong format
-// version, unparsable metadata, and a missing records sidecar.
+// version, unparsable metadata, a negative record count (which used to
+// load and replay nothing, silently dropping every checkpointed hour from
+// the resumed output), a missing records sidecar — and, at Resume, a
+// snapshot whose record count is not its completed-test count, and a
+// second resume of one checkpoint.
 func TestLoadRejectsBadCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(dir, Campaign{Kind: "topology"}, newTestLog(t, testRecords(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Commit(orchestrator.Progress{NextHour: 1}); err != nil {
+	if err := w.Commit(orchestrator.Progress{NextHour: 3}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -377,16 +462,32 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// doctor writes the good metadata with each old → new edit applied.
+	doctor := func(edits ...string) {
+		t.Helper()
+		bad := string(good)
+		for i := 0; i < len(edits); i += 2 {
+			if !strings.Contains(bad, edits[i]) {
+				t.Fatalf("test assumption broken: %s not found in metadata", edits[i])
+			}
+			bad = strings.Replace(bad, edits[i], edits[i+1], 1)
+		}
+		if err := os.WriteFile(metaPath, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	bad := strings.Replace(string(good), `"version": 1`, `"version": 99`, 1)
-	if bad == string(good) {
-		t.Fatal("test assumption broken: version field not found in metadata")
-	}
-	if err := os.WriteFile(metaPath, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	doctor(`"version":2`, `"version":99`)
 	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("future version: got %v", err)
+	}
+	// The count is refused before the sidecar is read, whatever version
+	// the metadata claims.
+	for _, version := range []string{`"version":2`, `"version":1`} {
+		doctor(`"numRecords":10`, `"numRecords":-5`, `"version":2`, version)
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "-5 records") {
+			t.Fatalf("negative record count (%s): got %v", version, err)
+		}
 	}
 
 	if err := os.WriteFile(metaPath, []byte("{not json"), 0o644); err != nil {
@@ -396,9 +497,30 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 		t.Fatal("garbage metadata should not load")
 	}
 
+	// The snapshot loads — a checkpoint can be read without being a
+	// campaign's — but it claims 10 records for 0 completed tests, so no
+	// campaign resumes from it.
 	if err := os.WriteFile(metaPath, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	ck, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ck.Resume(Campaign{}); err == nil || !strings.Contains(err.Error(), "10 records for 0 completed tests") {
+		t.Fatalf("records ≠ tests: got %v", err)
+	}
+	ck.Meta.Progress.Report.Tests = 10
+	if _, _, err := ck.Resume(Campaign{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ck.Resume(Campaign{}); err == nil {
+		t.Fatal("a checkpoint resumed twice")
+	}
+	if err := ck.Replay(func(analysis.Measurement) {}); err == nil {
+		t.Fatal("a resumed checkpoint replayed the log it handed over")
+	}
+
 	if err := os.Remove(filepath.Join(dir, RecordsFile)); err != nil {
 		t.Fatal(err)
 	}

@@ -401,20 +401,6 @@ func (c *CLASP) campaignIdentity(kind, region string, days, minSamples int) chec
 	}
 }
 
-// checkpointTarget returns the directory this campaign checkpoints into:
-// the loaded checkpoint's own directory on resume (so the resumed run
-// keeps committing where it left off), the per-campaign subdirectory of
-// Options.CheckpointDir otherwise, or "" when checkpointing is off.
-func (c *CLASP) checkpointTarget(camp checkpoint.Campaign, resume *checkpoint.Checkpoint) string {
-	if resume != nil {
-		return resume.Dir
-	}
-	if c.Opts.CheckpointDir == "" {
-		return ""
-	}
-	return filepath.Join(c.Opts.CheckpointDir, camp.Region+"-"+camp.Kind)
-}
-
 func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server, tiers []bgp.Tier, resume *checkpoint.Checkpoint) (*CampaignResult, error) {
 	region, days := camp.Region, camp.Days
 	prof, err := faults.Named(c.Opts.FaultProfile)
@@ -429,20 +415,30 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	est := len(servers) * days * 24 * 2 * len(tiers)
 	budget := int64(c.Opts.MaxMemoryMB) << 20
 	overBudget := budget > 0 && int64(est)*analysis.MeasurementBytes > budget/2
-	log := analysis.NewRecordLog()
+
+	// One record log per campaign, and the checkpoint sidecar holds its
+	// sealed blocks: a resume continues on the log the checkpoint loaded,
+	// and its writer keeps appending to the same sidecar in the
+	// checkpoint's own directory.
+	var log *analysis.RecordLog
+	var ckWriter *checkpoint.Writer
+	if resume != nil {
+		log, ckWriter, err = resume.Resume(camp)
+		if err != nil {
+			return nil, fmt.Errorf("core: resuming campaign in %s: %w", region, err)
+		}
+	} else {
+		log = analysis.NewRecordLog()
+		if dir := c.Opts.CheckpointDir; dir != "" {
+			ckWriter, err = checkpoint.NewWriter(filepath.Join(dir, checkpoint.CampaignDir(camp)), camp, log)
+			if err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+		}
+	}
 	sinks := orchestrator.MultiSink{&orchestrator.LogSink{Log: log}}
 	if est <= storeIndexLimit {
 		sinks = append(sinks, &orchestrator.StoreSink{Store: c.Store})
-	}
-
-	// The checkpoint sidecar is the campaign's own log, serialised as it
-	// stands at each commit.
-	var ckWriter *checkpoint.Writer
-	if dir := c.checkpointTarget(camp, resume); dir != "" {
-		ckWriter, err = checkpoint.NewWriter(dir, camp, log)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
 	}
 
 	cfg := orchestrator.Config{
@@ -475,17 +471,18 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		}
 	}
 	if resume != nil {
-		// Replay the checkpointed records through the same sinks a live
-		// round's emit phase feeds, rebuilding the record log (which the next
-		// checkpoint serialises) and the store index in one pass; the
-		// orchestrator then re-executes only from the watermark. Egress is
-		// re-metered per replayed record with the emit phase's formula, so a
-		// resumed `costs` bills the same transfers as an uninterrupted run.
-		if err := resume.Replay(func(m analysis.Measurement) {
-			sinks.Record(m)
-			c.Cloud.RecordEgress(m.Tier, orchestrator.TestEgressBytes(m, 0))
-		}); err != nil {
-			return nil, fmt.Errorf("core: resuming campaign in %s: %w", region, err)
+		// The log already holds the checkpointed records; replay them into
+		// what it does not hold — the store index and the egress meter, with
+		// the emit phase's formula, so a resumed `costs` bills the same
+		// transfers as an uninterrupted run. The orchestrator then
+		// re-executes only from the watermark.
+		index := sinks[1:]
+		cur := log.Cursor()
+		for batch := cur.Next(); batch != nil; batch = cur.Next() {
+			for _, m := range batch {
+				index.Record(m)
+				c.Cloud.RecordEgress(m.Tier, orchestrator.TestEgressBytes(m, 0))
+			}
 		}
 		cfg.Resume = &resume.Meta.Progress
 	}
@@ -517,9 +514,9 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 // ResumeCampaign continues a checkpointed campaign to completion on this
 // engine and returns the same result an uninterrupted run would have: the
 // server selection is re-run (it is a pure function of the seed), the
-// checkpoint's records are replayed into fresh sinks, and the remaining
-// rounds re-execute from the watermark. The engine must be built with
-// options matching the checkpoint's identity (see ResumeOptions); new
+// campaign continues on the record log the checkpoint loaded, and the
+// remaining rounds re-execute from the watermark. The engine must be built
+// with options matching the checkpoint's identity (see ResumeOptions); new
 // checkpoints keep committing into the checkpoint's own directory.
 func (c *CLASP) ResumeCampaign(ck *checkpoint.Checkpoint) (*CampaignResult, error) {
 	camp := ck.Meta.Campaign

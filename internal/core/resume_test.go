@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
@@ -190,11 +192,13 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 }
 
 // TestCheckpointSidecarIsCampaignLog pins that a checkpointed campaign
-// inside its memory budget keeps one record log: the sidecar of its final
-// checkpoint is byte-for-byte what the result's own log serialises to, the
-// log holds each record once, and runCampaign builds no second log to tee
-// records into (a shadow log fed the same appends would serialise to the
-// same bytes, so that half is checked on the source).
+// inside its memory budget keeps one record log and that its final
+// checkpoint is that log: the sidecar is the frames of the result log's
+// sealed blocks byte for byte, the metadata's tail is the log's encoded
+// tail, and the two load back to the log's records, each once. runCampaign
+// builds no second log to tee records into: it constructs one log or
+// adopts the checkpoint's, once each (a shadow log fed the same appends
+// would save to the same bytes, so that half is checked on the source).
 func TestCheckpointSidecarIsCampaignLog(t *testing.T) {
 	const region, days = "us-west1", 2
 	ckDir := t.TempDir()
@@ -206,41 +210,157 @@ func TestCheckpointSidecarIsCampaignLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Log.Spilled() || res.NumRecords() != res.Report.Tests {
-		t.Fatalf("want a resident log holding each of %d tests once; spilled %v, %d records",
-			res.Report.Tests, res.Log.Spilled(), res.NumRecords())
+	if res.Log.Spilled() || res.NumRecords() != res.Report.Tests || res.Log.SealedBlocks() == 0 {
+		t.Fatalf("want a resident log holding each of %d tests once in sealed blocks and a tail; spilled %v, %d records, %d blocks",
+			res.Report.Tests, res.Log.Spilled(), res.NumRecords(), res.Log.SealedBlocks())
 	}
-	var want bytes.Buffer
-	if _, err := res.Log.WriteTo(&want); err != nil {
+	want, err := res.Log.AppendFrames([]byte(analysis.FramesMagic), 0, res.Log.SealedBlocks())
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(ckDir, region+"-topology", checkpoint.RecordsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("final sidecar (%d bytes) differs from the result log's serialisation (%d bytes)", len(got), want.Len())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("final sidecar (%d bytes) differs from the result log's frames (%d bytes)", len(got), len(want))
+	}
+	ck, err := checkpoint.Load(ckDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, tailN, tail := res.Log.EncodeTail()
+	if m := ck.Meta; m.SealedBytes != int64(len(got)) || m.TailRecords != tailN || tailN == 0 ||
+		!bytes.Equal(m.Tail, tail) || !reflect.DeepEqual(m.Regions, regions) {
+		t.Fatalf("final metadata covers %d sidecar bytes and a %d-record tail %q; the log has %d bytes of frames and a %d-record tail %q",
+			m.SealedBytes, m.TailRecords, m.Regions, len(got), tailN, regions)
+	}
+	var replayed []analysis.Measurement
+	if err := ck.Replay(func(m analysis.Measurement) { replayed = append(replayed, m) }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed, drainRecords(res)) {
+		t.Fatalf("the final checkpoint loads %d records that differ from the result's %d", len(replayed), res.NumRecords())
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "core.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logs := 0
+	calls := map[string]int{}
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Name.Name != "runCampaign" {
 			continue
 		}
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewRecordLog" {
-				logs++
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					calls[sel.Sel.Name]++
+				}
 			}
 			return true
 		})
 	}
-	if logs != 1 {
-		t.Fatalf("runCampaign constructs %d record logs, want exactly 1", logs)
+	if calls["NewRecordLog"] != 1 || calls["Resume"] != 1 {
+		t.Fatalf("runCampaign constructs %d record logs and adopts %d, want exactly 1 of each", calls["NewRecordLog"], calls["Resume"])
+	}
+}
+
+// TestCommitAppendsOnly pins what a checkpoint commit writes, on a real
+// checkpointed campaign at two lengths. Across consecutive commits the
+// sidecar stays the same file and only grows: the previous sidecar is a
+// byte prefix of the next, each growth is the frames of the blocks sealed
+// in between (or nothing), and each commit's metadata covers the whole file
+// with every record. So the bytes a campaign writes to checkpoint itself —
+// sidecar growth plus every metadata file — grow linearly with its length:
+// doubling it at most about doubles them.
+func TestCommitAppendsOnly(t *testing.T) {
+	const region, short, long = "us-west1", 4, 8
+	written := map[int]int64{}
+	for _, days := range []int{short, long} {
+		dir := t.TempDir()
+		c, err := New(Options{Seed: 3, Scale: 0.1, CheckpointDir: dir, CheckpointEvery: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckDir := filepath.Join(dir, region+"-topology")
+		sidecar := filepath.Join(ckDir, checkpoint.RecordsFile)
+		var prev []byte
+		var prevInfo os.FileInfo
+		var growths [][]byte
+		c.testCheckpointHook = func(p orchestrator.Progress) error {
+			raw, err := os.ReadFile(sidecar)
+			if err != nil {
+				return err
+			}
+			fi, err := os.Stat(sidecar)
+			if err != nil {
+				return err
+			}
+			if prevInfo != nil && !os.SameFile(prevInfo, fi) {
+				return fmt.Errorf("hour %d: the sidecar was replaced", p.NextHour)
+			}
+			if !bytes.HasPrefix(raw, prev) {
+				return fmt.Errorf("hour %d: the previous sidecar is not a prefix of the new one", p.NextHour)
+			}
+			ck, err := checkpoint.Load(ckDir)
+			if err != nil {
+				return err
+			}
+			if ck.Meta.SealedBytes != int64(len(raw)) || ck.NumRecords() != p.Report.Tests {
+				return fmt.Errorf("hour %d: metadata covers %d of %d sidecar bytes and %d records of %d tests",
+					p.NextHour, ck.Meta.SealedBytes, len(raw), ck.NumRecords(), p.Report.Tests)
+			}
+			meta, err := os.Stat(filepath.Join(ckDir, checkpoint.MetaFile))
+			if err != nil {
+				return err
+			}
+			growths = append(growths, raw[len(prev):])
+			written[days] += int64(len(raw)-len(prev)) + meta.Size()
+			prev, prevInfo = raw, fi
+			return nil
+		}
+		res, _, err := c.RunTopologyCampaign(region, days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(growths) != days*24/6 {
+			t.Fatalf("%d days: %d commits, want %d", days, len(growths), days*24/6)
+		}
+		// Each growth is the frames of the next k blocks in seal order, the
+		// first after the magic; together they are every sealed block.
+		growths[0] = bytes.TrimPrefix(growths[0], []byte(analysis.FramesMagic))
+		blocks, grew := 0, 0
+		for i, g := range growths {
+			k := 0
+			for {
+				frames, err := res.Log.AppendFrames(nil, blocks, blocks+k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(frames, g) {
+					break
+				}
+				if len(frames) > len(g) || blocks+k == res.Log.SealedBlocks() {
+					t.Fatalf("%d days, commit %d: the sidecar grew by %d bytes that are not the frames of the blocks after %d", days, i, len(g), blocks)
+				}
+				k++
+			}
+			blocks += k
+			if k > 0 {
+				grew++
+			}
+		}
+		if blocks != res.Log.SealedBlocks() || grew == 0 || grew == len(growths) {
+			t.Fatalf("%d days: %d of %d commits appended %d frames, want all %d sealed blocks, by some commits and not others",
+				days, grew, len(growths), blocks, res.Log.SealedBlocks())
+		}
+	}
+	ratio := float64(written[long]) / float64(written[short])
+	t.Logf("checkpointing %d days wrote %d bytes, %d days %d: %.2f×", long, written[long], short, written[short], ratio)
+	if ratio > 2.2 {
+		t.Fatalf("checkpointing %d days wrote %.2f× the bytes of %d days, want ≤ 2.2×", long, ratio, short)
 	}
 }
 
@@ -379,5 +499,23 @@ func TestParentCommitCheckpointResumes(t *testing.T) {
 	if !reflect.DeepEqual(drainRecords(got), drainRecords(uninterrupted)) {
 		t.Errorf("resumed parent checkpoint produced %d records that differ from the uninterrupted run's %d",
 			got.NumRecords(), uninterrupted.NumRecords())
+	}
+
+	// The resumed run rewrote the sidecar in the current format, and its
+	// final checkpoint loads at the final watermark.
+	sidecar, err := os.ReadFile(filepath.Join(ck.Dir, checkpoint.RecordsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(sidecar, []byte(analysis.FramesMagic)) {
+		t.Fatalf("resumed sidecar starts %q, want %q", sidecar[:min(len(sidecar), 8)], analysis.FramesMagic)
+	}
+	final, err := checkpoint.Load(ck.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Meta.Version != checkpoint.Version || final.Meta.Progress.NextHour != 24 || final.NumRecords() != uninterrupted.NumRecords() {
+		t.Fatalf("final checkpoint: version %d at hour %d with %d records, want %d at 24 with %d",
+			final.Meta.Version, final.Meta.Progress.NextHour, final.NumRecords(), checkpoint.Version, uninterrupted.NumRecords())
 	}
 }

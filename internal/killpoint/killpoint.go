@@ -14,9 +14,11 @@
 //	mid-round       a round has executed but its records are not yet
 //	                emitted or checkpointed — the work since the last
 //	                checkpoint must be re-executed on resume
-//	block-flush     the checkpoint's record blocks are written to the
-//	                temp file but not yet atomically renamed — the
-//	                previous checkpoint must stay intact
+//	block-flush     the blocks sealed since the last checkpoint are
+//	                appended to its sidecar and synced, but the metadata
+//	                is not yet renamed over the last — the previous
+//	                checkpoint must stay loadable, and resume must
+//	                truncate the appended bytes
 //	round-boundary  a checkpoint just committed — resume must continue
 //	                from exactly this round
 //	campaign-done   the Nth campaign of a multi-campaign command (report

@@ -165,8 +165,8 @@ func (s *StoreSink) Record(m analysis.Measurement) {
 
 // LogSink appends records into a columnar RecordLog, the engine's one
 // record representation: records are compressed block-at-a-time as they
-// arrive, and the same log is what checkpoints serialise and analyses read
-// back. Like SliceSink it is not safe for concurrent use: one per campaign.
+// arrive, checkpoints append its sealed blocks, and analyses read it back.
+// Like SliceSink it is not safe for concurrent use: one per campaign.
 type LogSink struct {
 	Log *analysis.RecordLog
 }
@@ -247,9 +247,9 @@ type Config struct {
 	// in-process resume tests do exactly that). nil disables checkpointing.
 	OnCheckpoint func(Progress) error
 	// Resume continues a campaign from a checkpointed Progress instead of
-	// from hour zero. The caller must replay the checkpoint's records into
-	// its sink first: Run only re-executes rounds from Progress.NextHour
-	// on, emitting into the same sink. Every other Config field must match
+	// from hour zero. The caller's sink must already hold the checkpoint's
+	// records: Run only re-executes rounds from Progress.NextHour on,
+	// emitting into the same sink. Every other Config field must match
 	// the original run for the byte-identical guarantee to hold.
 	Resume *Progress
 	// Workers, when set, is a command-wide VM-worker budget shared with the
