@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|DeterminismContract' ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...

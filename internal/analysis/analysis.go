@@ -67,12 +67,11 @@ type SeriesWithServer struct {
 // and a miss is a short linear scan.
 type regionTable struct {
 	names   []string // index = region index
-	last    string
-	lastIdx int32
+	lastIdx int32    // the last answer
 }
 
 func (t *regionTable) intern(name string) int32 {
-	if name == t.last && t.names != nil {
+	if int(t.lastIdx) < len(t.names) && t.names[t.lastIdx] == name {
 		return t.lastIdx
 	}
 	ri := int32(slices.Index(t.names, name))
@@ -80,7 +79,7 @@ func (t *regionTable) intern(name string) int32 {
 		ri = int32(len(t.names))
 		t.names = append(t.names, name)
 	}
-	t.last, t.lastIdx = name, ri
+	t.lastIdx = ri
 	return ri
 }
 
@@ -112,15 +111,15 @@ func (r *batchRegions) resolve(code int32, t *regionTable) int32 {
 // practice.
 const denseServerMax = 1 << 20
 
-// grouper is the count-then-fill grouping kernel for one (direction, tier):
-// put resolves each sample's pair slot and appends it to a staging buffer
-// in delivery order, finish scatters the staged samples into one contiguous
-// pre-sized buffer whose subslices become the series. Its one feeder is
-// GroupSeriesWithServerCursor's column loop over a finished record stream.
-type grouper struct {
-	dir  netsim.Direction
-	tier bgp.Tier
-
+// groupStage is one block range's half of the count-then-fill grouping
+// kernel for one (direction, tier): put resolves each sample's pair slot,
+// range-local, and appends the sample to a staging buffer in delivery order.
+// mergeGroups then maps every range's slots onto the global pairs, in range
+// order, and scatters all the staged samples into one contiguous pre-sized
+// buffer whose subslices become the series. Its one feeder is
+// GroupSeriesWithServerRanges' column loop over a finished record stream.
+// Stages never escape a call, so they are pooled, buffers and all.
+type groupStage struct {
 	regions  regionTable
 	tables   [][]int32 // per region: serverID -> slot+1
 	overflow map[overflowKey]int32
@@ -128,14 +127,16 @@ type grouper struct {
 
 	samples []congestion.Sample // staged, in delivery order
 	slotOf  []int32             // slot of each staged sample
+	records int                 // records scanned, kept or not
 }
 
 type pairSlot struct {
 	regionIdx   int32
 	serverID    int
-	count, next int   // sample count; fill cursor into the output buffer
-	last        int64 // last staged sample time (Unix ns), for the sorted check
+	count, next int   // sample count; merged: first index in the output buffer, staged: fill cursor into it
+	first, last int64 // first and last staged sample time (Unix ns), for the sorted check
 	unsorted    bool
+	merged      int32 // staged: the global slot mergeGroups maps it to
 }
 
 // overflowKey identifies a pair whose server ID is outside [0, denseServerMax).
@@ -144,16 +145,27 @@ type overflowKey struct {
 	serverID  int
 }
 
-// put stages one sample for the pair (ri, id), ri an index of g.regions; t
-// and ns are the same instant. The pair slot is resolved through a dense
-// serverID table per region (no string hashing in the hot loop), and
-// sortedness is tracked per slot so already time-ordered pairs (the
-// campaign's hour-major layout) skip sorting in finish.
-func (g *grouper) put(ri int32, id int, ns int64, t time.Time, mbps float64) {
+var groupStages = sync.Pool{New: func() any { return new(groupStage) }}
+
+// newGroupStage takes an empty stage from the pool.
+func newGroupStage() *groupStage {
+	g := groupStages.Get().(*groupStage)
+	g.regions = regionTable{names: g.regions.names[:0]}
+	for _, t := range g.tables {
+		clear(t)
+	}
+	clear(g.overflow)
+	g.slots, g.samples, g.slotOf, g.records = g.slots[:0], g.samples[:0], g.slotOf[:0], 0
+	return g
+}
+
+// slot returns the slot of the pair (ri, id), ri an index of g.regions,
+// adding one whose first sample is at ns. It resolves through a dense
+// serverID table per region, so no string is hashed.
+func (g *groupStage) slot(ri int32, id int, ns int64) int32 {
 	if int(ri) == len(g.tables) {
 		g.tables = append(g.tables, nil)
 	}
-	var si int32
 	if id >= 0 && id < denseServerMax {
 		t := g.tables[ri]
 		if id >= len(t) {
@@ -162,25 +174,29 @@ func (g *grouper) put(ri int32, id int, ns int64, t time.Time, mbps float64) {
 			g.tables[ri] = nt
 			t = nt
 		}
-		si = t[id] - 1
-		if si < 0 {
-			si = int32(len(g.slots))
-			t[id] = si + 1
-			g.slots = append(g.slots, pairSlot{regionIdx: ri, serverID: id})
+		if si := t[id] - 1; si >= 0 {
+			return si
 		}
+		t[id] = int32(len(g.slots)) + 1
 	} else {
 		if g.overflow == nil {
 			g.overflow = make(map[overflowKey]int32)
 		}
 		k := overflowKey{ri, id}
-		v, ok := g.overflow[k]
-		if !ok {
-			v = int32(len(g.slots))
-			g.overflow[k] = v
-			g.slots = append(g.slots, pairSlot{regionIdx: ri, serverID: id})
+		if si, ok := g.overflow[k]; ok {
+			return si
 		}
-		si = v
+		g.overflow[k] = int32(len(g.slots))
 	}
+	g.slots = append(g.slots, pairSlot{regionIdx: ri, serverID: id, first: ns})
+	return int32(len(g.slots)) - 1
+}
+
+// put stages one sample for the pair (ri, id); t and ns are the same
+// instant. Sortedness is tracked per slot so already time-ordered pairs (the
+// campaign's hour-major layout) skip sorting after the merge.
+func (g *groupStage) put(ri int32, id int, ns int64, t time.Time, mbps float64) {
+	si := g.slot(ri, id, ns)
 	s := &g.slots[si]
 	if s.count > 0 && ns < s.last {
 		s.unsorted = true
@@ -191,89 +207,17 @@ func (g *grouper) put(ri int32, id int, ns int64, t time.Time, mbps float64) {
 	g.slotOf = append(g.slotOf, si)
 }
 
-// finish turns the staged samples into per-pair series. The staging buffers
-// are left as they are — the caller recycles or drops them — and the result
-// shares no memory with them.
-func (g *grouper) finish() []SeriesWithServer {
-	slots, regions := g.slots, g.regions.names
-	if len(slots) == 0 {
-		return nil
-	}
-	// Deterministic pair order: region, then server ID (unchanged from the
-	// map-of-slices implementation).
-	order := make([]int32, len(slots))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := &slots[order[a]], &slots[order[b]]
-		if ka.regionIdx != kb.regionIdx {
-			return regions[ka.regionIdx] < regions[kb.regionIdx]
-		}
-		return ka.serverID < kb.serverID
-	})
-	off := 0
-	for _, si := range order {
-		slots[si].next = off
-		off += slots[si].count
-	}
-	buf := make([]congestion.Sample, len(g.samples))
-	for j, si := range g.slotOf {
-		s := &slots[si]
-		buf[s.next] = g.samples[j]
-		s.next++
-	}
-	out := make([]SeriesWithServer, 0, len(order))
-	for _, si := range order {
-		s := &slots[si]
-		samples := buf[s.next-s.count : s.next : s.next]
-		if s.unsorted {
-			sort.Slice(samples, func(a, b int) bool { return samples[a].Time.Before(samples[b].Time) })
-		}
-		out = append(out, SeriesWithServer{
-			ServerID: s.serverID,
-			Region:   regions[s.regionIdx],
-			Series: congestion.Series{
-				PairID:  pairIDString(regions[s.regionIdx], s.serverID, g.tier, g.dir),
-				Samples: samples,
-			},
-		})
-	}
-	return out
-}
-
-// groupBuffers is the staging scratch of a cursor-fed grouping call — the
-// staged samples and their slot assignments never escape, so they are
-// pooled.
-type groupBuffers struct {
-	samples []congestion.Sample
-	slotOf  []int32
-}
-
-var groupScratch = sync.Pool{New: func() any { return new(groupBuffers) }}
-
-// GroupSeriesWithServerCursor groups a measurement stream into per-pair
-// series with the server attribution the congestion-by-business-type and
-// Fig. 6 analyses need: the grouper kernel fed from a cursor's columns,
-// staging into pooled scratch. It filters on tier and direction before it
-// touches anything else of a record, never asks for latency or loss, and
-// builds a time.Time only for the samples it stages (one per run of equal
-// timestamps: the campaign's layout is hour-major). The cursor is consumed
-// one batch at a time, so the peak footprint is the output plus one input
-// block, independent of stream length.
-func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
-	sp := obs.Trace("analysis.group")
-	obsGroupCalls.Inc()
-
-	gb := groupScratch.Get().(*groupBuffers)
-	g := grouper{dir: dir, tier: tier, samples: gb.samples[:0], slotOf: gb.slotOf[:0]}
-	records := 0
+// scan stages the (dir, tier) samples of one cursor. It filters on tier and
+// direction before it touches anything else of a record, never asks for
+// latency or loss, and builds a time.Time only for the samples it stages
+// (one per run of equal timestamps: the campaign's layout is hour-major).
+func (g *groupStage) scan(c Cursor, dir netsim.Direction, tier bgp.Tier) {
 	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps
 	var regions batchRegions
 	var at time.Time // the instant atNs, rebuilt when a record's differs
 	var atNs int64
 	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
-		records += b.N
+		g.records += b.N
 		regions.reset(b)
 		for i, d := range b.Dirs {
 			if d != dir || b.Tiers[i] != tier {
@@ -286,12 +230,119 @@ func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) 
 			g.put(regions.resolve(b.Regions[i], &g.regions), b.Servers[i], ns, at, b.Mbps[i])
 		}
 	}
-	out := g.finish()
-	gb.samples, gb.slotOf = g.samples, g.slotOf
-	groupScratch.Put(gb)
+}
+
+// mergeGroups turns the ranges' staged samples into per-pair series. A
+// range's slots map onto global (region name, server ID) slots — resolved
+// by a stage of their own — in range order, so a pair's samples land in the
+// order one cursor over the whole stream would have staged them; a global
+// slot is unsorted when any range's slot was, or when a range's first
+// sample of the pair is earlier than the previous range's last. Each range
+// then scatters its own samples, on its own worker, into the positions the
+// ranges before it leave free. The result shares no memory with the stages.
+func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
+	m := newGroupStage()
+	defer groupStages.Put(m)
+	total := 0
+	for _, st := range stages {
+		total += len(st.samples)
+		for ls := range st.slots {
+			s := &st.slots[ls]
+			s.merged = m.slot(m.regions.intern(st.regions.names[s.regionIdx]), s.serverID, s.first)
+			g := &m.slots[s.merged]
+			if s.unsorted || g.count > 0 && s.first < g.last {
+				g.unsorted = true
+			}
+			g.last = s.last
+			s.next = g.count // the pair's samples the ranges before this one staged
+			g.count += s.count
+		}
+	}
+	slots, names := m.slots, m.regions.names
+	if len(slots) == 0 {
+		return nil
+	}
+	// Deterministic pair order: region, then server ID (unchanged from the
+	// map-of-slices implementation).
+	order := make([]int32, len(slots))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ka, kb := &slots[order[a]], &slots[order[b]]
+		if ka.regionIdx != kb.regionIdx {
+			return names[ka.regionIdx] < names[kb.regionIdx]
+		}
+		return ka.serverID < kb.serverID
+	})
+	off := 0
+	for _, si := range order {
+		slots[si].next = off
+		off += slots[si].count
+	}
+	buf := make([]congestion.Sample, total)
+	ParallelFor(len(stages), len(stages), func(r int) {
+		st := stages[r]
+		for ls := range st.slots {
+			st.slots[ls].next += slots[st.slots[ls].merged].next
+		}
+		for j, ls := range st.slotOf {
+			s := &st.slots[ls]
+			buf[s.next] = st.samples[j]
+			s.next++
+		}
+	})
+	out := make([]SeriesWithServer, 0, len(order))
+	for _, si := range order {
+		s := &slots[si]
+		samples := buf[s.next : s.next+s.count : s.next+s.count]
+		if s.unsorted {
+			sort.Slice(samples, func(a, b int) bool { return samples[a].Time.Before(samples[b].Time) })
+		}
+		out = append(out, SeriesWithServer{
+			ServerID: s.serverID,
+			Region:   names[s.regionIdx],
+			Series: congestion.Series{
+				PairID:  pairIDString(names[s.regionIdx], s.serverID, tier, dir),
+				Samples: samples,
+			},
+		})
+	}
+	return out
+}
+
+// GroupSeriesWithServerCursor groups a measurement stream into per-pair
+// series with the server attribution the congestion-by-business-type and
+// Fig. 6 analyses need: GroupSeriesWithServerRanges over one range.
+func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
+	return GroupSeriesWithServerRanges([]Cursor{c}, dir, tier)
+}
+
+// GroupSeriesWithServerRanges groups the stream that cs deliver one after
+// another (RecordLog.Cursors) into per-pair series: each range is staged on
+// its own ParallelFor worker, and mergeGroups puts the stages together in
+// range order, so the result is the one-cursor result at any number of
+// ranges. Each cursor is consumed one batch at a time, so the peak
+// footprint is the output, the staged samples and one input block per
+// range, independent of stream length.
+func GroupSeriesWithServerRanges(cs []Cursor, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
+	sp := obs.Trace("analysis.group")
+	obsGroupCalls.Inc()
+
+	stages := make([]*groupStage, len(cs))
+	ParallelFor(len(cs), len(cs), func(r int) {
+		stages[r] = newGroupStage()
+		stages[r].scan(cs[r], dir, tier)
+	})
+	out := mergeGroups(stages, dir, tier)
+	records := 0
+	for _, g := range stages {
+		records += g.records
+		groupStages.Put(g)
+	}
 	obsGroupRecords.Add(uint64(records))
 	obsGroupSeries.Add(uint64(len(out)))
-	sp.WithInt("records", records).WithInt("series", len(out)).End()
+	sp.WithInt("records", records).WithInt("series", len(out)).WithInt("ranges", len(cs)).End()
 	return out
 }
 
@@ -312,11 +363,15 @@ type PerfPoint struct {
 // PerfPointsCursor computes one point per (server, region, month) from the
 // download measurements of a stream, mirroring Fig. 4's use of p95/p5 to
 // mitigate outliers.
-func PerfPointsCursor(c Cursor) []PerfPoint { return perfPoints(c, 0, false) }
+func PerfPointsCursor(c Cursor) []PerfPoint { return perfPoints([]Cursor{c}, 0, false) }
 
-// PerfPointsTierCursor is PerfPointsCursor over the downloads of one tier:
+// PerfPointsRanges is PerfPointsCursor over the stream that cs deliver one
+// after another (RecordLog.Cursors), each range scanned on its own worker.
+func PerfPointsRanges(cs []Cursor) []PerfPoint { return perfPoints(cs, 0, false) }
+
+// PerfPointsTierRanges is PerfPointsRanges over the downloads of one tier:
 // a panel of Fig. 4.
-func PerfPointsTierCursor(c Cursor, tier bgp.Tier) []PerfPoint { return perfPoints(c, tier, true) }
+func PerfPointsTierRanges(cs []Cursor, tier bgp.Tier) []PerfPoint { return perfPoints(cs, tier, true) }
 
 // monthSpan caches the calendar month an instant fell in: a campaign stream
 // stays inside one month for tens of thousands of records, so the (year,
@@ -337,55 +392,150 @@ func (s *monthSpan) at(ns int64) {
 	s.hi = time.Date(s.year, s.month+1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 }
 
-// perfPoints is the count-then-fill kernel of the series grouping again,
-// with interned region names keeping strings out of the slot map. The
-// per-group throughput and latency samples land in two contiguous buffers
-// and each percentile is selected (stats.PercentileInPlace) rather than
-// paying a full sort. The kernel is two-pass — count, then Reset, re-scan
-// and fill — so it holds two contiguous float columns plus one input
-// block, never the records; the count pass asks for no float column and the
-// fill pass for nothing but the filter byte, throughput and latency.
-func perfPoints(c Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
-	type slotKey struct {
-		server, ym int // ym = year*12 + month: (year, month) order preserved
-		ri         int32
+// perfKey identifies one Fig. 4 group.
+type perfKey struct {
+	server, ym int // ym = year*12 + month: (year, month) order preserved
+	ri         int32
+}
+
+type perfSlot struct {
+	server int
+	ri     int32
+	year   int
+	month  time.Month
+	count  int
+	chunks []*perfChunk // the slot's samples, perfChunkLen to a chunk
+}
+
+// perfChunkLen is how many samples a perfChunk holds: small enough that a
+// group's last, partly filled chunk wastes little, large enough that
+// chunking costs nothing per sample.
+const perfChunkLen = 128
+
+// perfChunk holds a run of one group's throughput and latency samples.
+type perfChunk struct{ down, lat [perfChunkLen]float64 }
+
+// perfStage is one block range's half of the Fig. 4 kernel: in one pass it
+// resolves each kept download's (region, server, month) slot, range-local
+// and keyed by an interned region index, and appends the throughput and
+// latency to the slot's chunks. Stages never escape a call, so they are
+// pooled, chunks and all.
+type perfStage struct {
+	regions regionTable
+	idx     map[perfKey]int32
+	slots   []perfSlot
+	spare   []*perfChunk // chunks of an earlier use, for reuse
+}
+
+var perfStages = sync.Pool{New: func() any { return &perfStage{idx: make(map[perfKey]int32)} }}
+
+// newPerfStage takes an empty stage from the pool.
+func newPerfStage() *perfStage {
+	p := perfStages.Get().(*perfStage)
+	p.regions = regionTable{names: p.regions.names[:0]}
+	clear(p.idx)
+	for _, s := range p.slots {
+		p.spare = append(p.spare, s.chunks...)
 	}
-	type slot struct {
-		server      int
-		ri          int32
-		year        int
-		month       time.Month
-		count, next int
+	p.slots = p.slots[:0]
+	return p
+}
+
+// slot returns the slot of k, adding one for (year, month).
+func (p *perfStage) slot(k perfKey, year int, month time.Month) int32 {
+	si, ok := p.idx[k]
+	if !ok {
+		si = int32(len(p.slots))
+		p.idx[k] = si
+		p.slots = append(p.slots, perfSlot{server: k.server, ri: k.ri, year: year, month: month})
 	}
-	keep := func(b *ColumnBatch, i int) bool {
-		return b.Dirs[i] == netsim.Download && (!oneTier || b.Tiers[i] == tier)
-	}
-	var regions regionTable
-	var codes batchRegions
-	var in monthSpan
-	idx := make(map[slotKey]int32)
-	var slots []slot
-	var slotOf []int32
-	const countCols = ColTime | ColServer | ColRegion | ColTierDir
-	for b := c.NextColumns(countCols); b != nil; b = c.NextColumns(countCols) {
-		codes.reset(b)
-		for i := 0; i < b.N; i++ {
-			if !keep(b, i) {
-				continue
-			}
-			ri := codes.resolve(b.Regions[i], &regions)
-			in.at(b.Times[i])
-			k := slotKey{server: b.Servers[i], ym: in.year*12 + int(in.month), ri: ri}
-			si, ok := idx[k]
-			if !ok {
-				si = int32(len(slots))
-				idx[k] = si
-				slots = append(slots, slot{server: k.server, ri: ri, year: in.year, month: in.month})
-			}
-			slots[si].count++
-			slotOf = append(slotOf, si)
+	return si
+}
+
+// put appends one sample to slot si.
+func (p *perfStage) put(si int32, down, lat float64) {
+	s := &p.slots[si]
+	i := s.count % perfChunkLen
+	if i == 0 {
+		if n := len(p.spare); n > 0 {
+			s.chunks = append(s.chunks, p.spare[n-1])
+			p.spare = p.spare[:n-1]
+		} else {
+			s.chunks = append(s.chunks, new(perfChunk))
 		}
 	}
+	c := s.chunks[len(s.chunks)-1]
+	c.down[i], c.lat[i] = down, lat
+	s.count++
+}
+
+// scan stages the downloads of one cursor, of one tier when oneTier.
+func (p *perfStage) scan(c Cursor, tier bgp.Tier, oneTier bool) {
+	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps | ColRTT
+	var codes batchRegions
+	var in monthSpan
+	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
+		codes.reset(b)
+		for i, d := range b.Dirs {
+			if d != netsim.Download || oneTier && b.Tiers[i] != tier {
+				continue
+			}
+			in.at(b.Times[i])
+			k := perfKey{server: b.Servers[i], ym: in.year*12 + int(in.month), ri: codes.resolve(b.Regions[i], &p.regions)}
+			p.put(p.slot(k, in.year, in.month), b.Mbps[i], b.RTTms[i])
+		}
+	}
+}
+
+// appendSamples appends the samples the stage holds of the group named by
+// region, server and ym, if it has seen the group, to down and lat.
+func (p *perfStage) appendSamples(down, lat []float64, region string, server, ym int) ([]float64, []float64) {
+	ri := slices.Index(p.regions.names, region)
+	if ri < 0 {
+		return down, lat
+	}
+	si, ok := p.idx[perfKey{server: server, ym: ym, ri: int32(ri)}]
+	if !ok {
+		return down, lat
+	}
+	s := &p.slots[si]
+	for i, c := range s.chunks {
+		n := min(perfChunkLen, s.count-i*perfChunkLen)
+		down, lat = append(down, c.down[:n]...), append(lat, c.lat[:n]...)
+	}
+	return down, lat
+}
+
+// perfPoints is the Fig. 4 kernel: each range of cs is staged on its own
+// ParallelFor worker (perfStage), the ranges' slots map onto global (region
+// name, server, month) slots, and each global group's throughput and
+// latency samples are gathered from the ranges' chunks, in range order —
+// the order one cursor over the whole stream delivers them — into one
+// reused pair of buffers, where each percentile is selected
+// (stats.PercentileInPlace) rather than paying a full sort. The stream is
+// read once; the footprint is the staged samples, 16 bytes each, and one
+// input block per range, never the records.
+func perfPoints(cs []Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
+	stages := make([]*perfStage, len(cs))
+	ParallelFor(len(cs), len(cs), func(r int) {
+		stages[r] = newPerfStage()
+		stages[r].scan(cs[r], tier, oneTier)
+	})
+	m := newPerfStage()
+	defer func() {
+		for _, p := range stages {
+			perfStages.Put(p)
+		}
+		perfStages.Put(m)
+	}()
+
+	for _, st := range stages {
+		for _, s := range st.slots {
+			k := perfKey{server: s.server, ym: s.year*12 + int(s.month), ri: m.regions.intern(st.regions.names[s.ri])}
+			m.slots[m.slot(k, s.year, s.month)].count += s.count
+		}
+	}
+	slots, names := m.slots, m.regions.names
 	if len(slots) == 0 {
 		return nil
 	}
@@ -396,7 +546,7 @@ func perfPoints(c Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
 	sort.Slice(order, func(i, j int) bool {
 		a, b := &slots[order[i]], &slots[order[j]]
 		if a.ri != b.ri {
-			return regions.names[a.ri] < regions.names[b.ri]
+			return names[a.ri] < names[b.ri]
 		}
 		if a.server != b.server {
 			return a.server < b.server
@@ -406,38 +556,19 @@ func perfPoints(c Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
 		}
 		return a.month < b.month
 	})
-	total := len(slotOf)
-	off := 0
-	for _, si := range order {
-		slots[si].next = off
-		off += slots[si].count
-	}
-	down := make([]float64, total)
-	lat := make([]float64, total)
-	j := 0
-	c.Reset()
-	const fillCols = ColTierDir | ColMbps | ColRTT
-	for b := c.NextColumns(fillCols); b != nil; b = c.NextColumns(fillCols) {
-		for i := 0; i < b.N; i++ {
-			if !keep(b, i) {
-				continue
-			}
-			s := &slots[slotOf[j]]
-			j++
-			down[s.next] = b.Mbps[i]
-			lat[s.next] = b.RTTms[i]
-			s.next++
-		}
-	}
 	out := make([]PerfPoint, 0, len(order))
+	var down, lat []float64 // one group's samples, gathered from the ranges
 	for _, si := range order {
 		s := &slots[si]
-		d := down[s.next-s.count : s.next]
-		l := lat[s.next-s.count : s.next]
+		d, l := down[:0], lat[:0]
+		for _, st := range stages {
+			d, l = st.appendSamples(d, l, names[s.ri], s.server, s.year*12+int(s.month))
+		}
+		down, lat = d, l
 		p95, _ := stats.PercentileInPlace(d, 95)
 		p5, _ := stats.PercentileInPlace(l, 5)
 		out = append(out, PerfPoint{
-			ServerID: s.server, Region: regions.names[s.ri], Month: s.month, Year: s.year,
+			ServerID: s.server, Region: names[s.ri], Month: s.month, Year: s.year,
 			P95Down: p95, P5LatMs: p5, N: len(d),
 		})
 	}

@@ -55,9 +55,8 @@ func BenchmarkBlockStreamGroupSeries(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockStreamPerfPoints is the two-pass Fig. 4 kernel over a
-// cursor: pass one tallies, Reset rewinds, pass two fills — the shape that
-// proves Reset replay costs one extra decode, not a materialised copy.
+// BenchmarkBlockStreamPerfPoints is the Fig. 4 kernel over one cursor of a
+// compressed log: one range staged in one pass, then merged.
 func BenchmarkBlockStreamPerfPoints(b *testing.B) {
 	ms := benchRecords(128, 45)
 	l := benchLog(ms)

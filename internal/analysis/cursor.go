@@ -133,10 +133,18 @@ func (b *ColumnBatch) record(i int) Measurement {
 // (checkpoint replay, probes, tests); it too returns nil at end of stream.
 // Either result is valid only until the next call on the cursor and must be
 // treated as read-only. Reset rewinds to the start, replaying the identical
-// sequence — the two-pass kernel (PerfPointsCursor) depends on that.
+// sequence; no kernel needs it — each reads its stream once.
+//
+// A cursor may cover one range of a longer stream: RecordLog.Cursors splits
+// a log into contiguous block ranges, and a range cursor's start is its
+// range's first block. The range kernels (GroupSeriesWithServerRanges,
+// PerfPointsRanges) stage each range on its own worker and merge the stages
+// in range order, which rebuilds the one-cursor sequence exactly; so their
+// results — and every byte rendered from them — cannot depend on how many
+// ranges there are.
 //
 // A Cursor is single-goroutine; concurrent readers each open their own
-// (RecordLog.Cursor, NewSliceCursor are cheap).
+// (RecordLog.Cursor, RecordLog.Cursors, NewSliceCursor are cheap).
 type Cursor interface {
 	Next() []Measurement
 	NextColumns(need Columns) *ColumnBatch

@@ -222,8 +222,8 @@ func TestPerfPointsMatchesPercentile(t *testing.T) {
 			t.Errorf("%s cursor: PerfPointsCursor differs from the naive reference", name)
 		}
 		for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
-			if got := PerfPointsTierCursor(open(), tier); !reflect.DeepEqual(got, naivePerfPoints(ms, tier, true)) {
-				t.Errorf("%s cursor: PerfPointsTierCursor(%s) differs from the naive reference", name, tier)
+			if got := PerfPointsTierRanges([]Cursor{open()}, tier); !reflect.DeepEqual(got, naivePerfPoints(ms, tier, true)) {
+				t.Errorf("%s cursor: PerfPointsTierRanges(%s) differs from the naive reference", name, tier)
 			}
 		}
 	}

@@ -341,12 +341,33 @@ func (l *RecordLog) decodeColumns(data []byte, n int, need Columns, b *ColumnBat
 	return nil
 }
 
-// Cursor returns a new cursor over the log, replaying records in append
-// order one block at a time. Each cursor owns its scratch, so independent
-// cursors (ParallelFor workers, repeated artifact renders) can run
-// concurrently once appending is done.
-func (l *RecordLog) Cursor() Cursor {
-	return &logCursor{l: l}
+// Cursor returns a new cursor over the whole log, replaying records in
+// append order one block at a time: Cursors(1)'s one range. Each cursor owns
+// its scratch, so independent cursors (ParallelFor workers, repeated
+// artifact renders) can run concurrently once appending is done.
+func (l *RecordLog) Cursor() Cursor { return &logCursor{l: l, end: -1} }
+
+// Cursors splits the log into max(1, min(n, SealedBlocks())) cursors over
+// contiguous ranges of sealed blocks, in log order, sized to within a block
+// of each other; the last range also owns the unsealed tail. Read one after
+// another they deliver exactly the batches of Cursor, so a kernel that scans
+// each range on its own worker and concatenates what the ranges staged in
+// range order has seen the one-cursor sequence — which is why nothing a
+// kernel returns can depend on n. Reset rewinds a range cursor to its own
+// first block.
+func (l *RecordLog) Cursors(n int) []Cursor {
+	blocks := len(l.blocks)
+	n = max(1, min(n, blocks))
+	cs := make([]Cursor, n)
+	for i := range cs {
+		c := &logCursor{l: l, start: i * blocks / n, end: (i + 1) * blocks / n}
+		if i == n-1 {
+			c.end = -1
+		}
+		c.next = c.start
+		cs[i] = c
+	}
+	return cs
 }
 
 // logCursor feeds the decoder's columns to the kernels: a sealed block is
@@ -354,13 +375,19 @@ func (l *RecordLog) Cursor() Cursor {
 // into it. The batch, the spill read buffer and the record slice Next
 // gathers into are the cursor's whole footprint, reused block after block.
 type logCursor struct {
-	l           *RecordLog
-	next        int // block index; len(blocks) = tail, beyond = EOF
+	l *RecordLog
+	// The blocks [start, end) are the cursor's range; end < 0 runs through
+	// the log's last sealed block and then its tail.
+	start, end  int
+	next        int // block index; len(blocks) = tail (of the range that owns it), beyond = EOF
 	cols        ColumnBatch
 	tailRegions regionTable // codes of the tail's batch: the log's table plus names only the tail has seen
 	readBuf     []byte
 	batch       []Measurement
 }
+
+// atTail reports whether the cursor's next batch is the log's tail.
+func (c *logCursor) atTail() bool { return c.end < 0 && c.next == len(c.l.blocks) }
 
 // NextColumns returns the need columns of the next block of records; the
 // batch is only valid until the following call on the cursor. A corrupt or
@@ -369,10 +396,7 @@ type logCursor struct {
 // results would be worse.
 func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 	l := c.l
-	if c.next > len(l.blocks) {
-		return nil
-	}
-	if c.next == len(l.blocks) {
+	if c.atTail() {
 		c.next++
 		if len(l.tail) == 0 {
 			return nil
@@ -384,6 +408,9 @@ func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 		}
 		c.cols.transpose(l.tail, need, &c.tailRegions)
 		return &c.cols
+	}
+	if c.next >= len(l.blocks) || c.end >= 0 && c.next >= c.end {
+		return nil
 	}
 	b := &l.blocks[c.next]
 	c.next++
@@ -403,7 +430,7 @@ func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 // Next returns the next block as records: a gather over every column of a
 // sealed block, the tail itself for the last batch.
 func (c *logCursor) Next() []Measurement {
-	if c.next == len(c.l.blocks) && len(c.l.tail) > 0 {
+	if c.atTail() && len(c.l.tail) > 0 {
 		c.next++
 		return c.l.tail
 	}
@@ -418,8 +445,8 @@ func (c *logCursor) Next() []Measurement {
 	return c.batch
 }
 
-// Reset rewinds the cursor to the first record.
-func (c *logCursor) Reset() { c.next = 0 }
+// Reset rewinds the cursor to the first record of its range.
+func (c *logCursor) Reset() { c.next = c.start }
 
 // readSpilled reads a spilled block's payload back into *scratch, grown as
 // needed, and returns it.

@@ -529,10 +529,10 @@ func TestPerfPointsTierMatchesFilteredSlice(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: no perf points", tier)
 		}
-		if got := PerfPointsTierCursor(l.Cursor(), tier); !reflect.DeepEqual(got, want) {
+		if got := PerfPointsTierRanges([]Cursor{l.Cursor()}, tier); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: perf points over the log differ from those of the pre-filtered slice", tier)
 		}
-		if got := PerfPointsTierCursor(NewSliceCursor(ms), tier); !reflect.DeepEqual(got, want) {
+		if got := PerfPointsTierRanges([]Cursor{NewSliceCursor(ms)}, tier); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: perf points over the slice differ from those of the pre-filtered slice", tier)
 		}
 	}

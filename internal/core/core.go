@@ -300,7 +300,10 @@ type CampaignResult struct {
 	Report   *orchestrator.Report
 	Selected []*topology.Server
 
-	views [2]tierViews // indexed by bgp.Tier; used while Log is resident
+	// parallelism is the engine's Opts.Parallelism: how many block ranges
+	// of Log the grouping and perf-point kernels scan at once.
+	parallelism int
+	views       [2]tierViews // indexed by bgp.Tier; used while Log is resident
 }
 
 // tierViews memoises one tier's download views over a resident log.
@@ -311,18 +314,19 @@ type tierViews struct {
 }
 
 // SeriesAndPartitions returns the campaign's per-pair download series of
-// one tier and their index-aligned day partitions, grouped from Cursor().
-// A resident log is grouped once per tier, by the first caller, and every
-// later or concurrent caller shares those views (a partition is safe for
-// concurrent use). A spilled log is regrouped on every call, so an
+// one tier and their index-aligned day partitions, grouped over the log's
+// block ranges (ranges) and partitioned on as many workers. A resident log
+// is grouped once per tier, by the first caller, and every later or
+// concurrent caller shares those views (a partition is safe for concurrent
+// use). A spilled log is regrouped on every call, so an
 // over-budget campaign holds no views between analyses.
 func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWithServer, []*congestion.Partition) {
 	group := func() ([]analysis.SeriesWithServer, []*congestion.Partition) {
-		sw := analysis.GroupSeriesWithServerCursor(r.Cursor(), netsim.Download, tier)
+		sw := analysis.GroupSeriesWithServerRanges(r.ranges(), netsim.Download, tier)
 		parts := make([]*congestion.Partition, len(sw))
-		for i := range sw {
+		analysis.ParallelFor(r.parallelism, len(sw), func(i int) {
 			parts[i] = congestion.NewPartition(sw[i].Series)
-		}
+		})
 		return sw, parts
 	}
 	if r.Log.Spilled() {
@@ -332,6 +336,10 @@ func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWi
 	v.once.Do(func() { v.series, v.parts = group() })
 	return v.series, v.parts
 }
+
+// ranges splits the campaign's records into one cursor per analysis worker
+// (RecordLog.Cursors): at parallelism 1, the one cursor of Cursor.
+func (r *CampaignResult) ranges() []analysis.Cursor { return r.Log.Cursors(r.parallelism) }
 
 // Cursor returns a fresh replayable cursor over the campaign's records in
 // delivery order. Cursors are independent — concurrent analysis workers
@@ -504,10 +512,11 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		}
 	}
 	return &CampaignResult{
-		Region:   region,
-		Log:      log,
-		Report:   rep,
-		Selected: servers,
+		Region:      region,
+		Log:         log,
+		Report:      rep,
+		Selected:    servers,
+		parallelism: c.Opts.Parallelism,
 	}, nil
 }
 

@@ -266,7 +266,7 @@ type Fig4Data struct {
 
 // Fig4 builds a panel from campaign records for one tier.
 func Fig4(result *CampaignResult, tier bgp.Tier) (*Fig4Data, error) {
-	points := analysis.PerfPointsTierCursor(result.Cursor(), tier)
+	points := analysis.PerfPointsTierRanges(result.ranges(), tier)
 	if len(points) == 0 {
 		return nil, fmt.Errorf("core: no perf points for %s/%s", result.Region, tier)
 	}
@@ -509,7 +509,7 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 				}
 			}
 		}
-		for _, p := range analysis.PerfPointsCursor(res.Cursor()) {
+		for _, p := range analysis.PerfPointsRanges(res.ranges()) {
 			t.perfPoints++
 			if p.P95Down >= 200 && p.P95Down <= 600 {
 				t.perfIn200600++

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
+	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
 // newStreamingCLASP builds an instance whose campaigns exceed the memory
@@ -245,5 +250,83 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fig5M, fig5S) {
 		t.Error("Fig5 differs between unbudgeted and budgeted campaigns")
+	}
+}
+
+// TestRangeScanCountersAtAnyParallelism pins that splitting a log into
+// block ranges changes no observable counter: one campaign's grouping and
+// Fig. 4 read the same call, record and series counts at parallelism 1 and
+// 4, with one analysis.group span per call that names its ranges — and at
+// parallelism 1 there is one range and no parallel task at all.
+func TestRangeScanCountersAtAnyParallelism(t *testing.T) {
+	res, _, err := newStreamingCLASP(t).RunTopologyCampaign("us-west1", 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Log.SealedBlocks() < 4 {
+		t.Fatalf("%d sealed blocks: too few for four ranges (lengthen the campaign)", res.Log.SealedBlocks())
+	}
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	counters := []string{"analysis_group_calls_total", "analysis_records_scanned_total", "analysis_series_grouped_total", "analysis_parallel_tasks_total"}
+	read := func() []uint64 {
+		out := make([]uint64, len(counters))
+		for i, name := range counters {
+			out[i] = obs.Default().Counter(name).Value()
+		}
+		return out
+	}
+	type scan struct {
+		moved  []uint64 // per counter
+		ranges []int    // per analysis.group span
+		series []analysis.SeriesWithServer
+		fig4   *Fig4Data
+	}
+	run := func(parallelism int) scan {
+		r := &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected, parallelism: parallelism}
+		var trace bytes.Buffer
+		obs.SetTraceWriter(&trace)
+		before := read()
+		series, _ := r.SeriesAndPartitions(bgp.Premium)
+		fig4, err := Fig4(r, bgp.Premium)
+		after := read()
+		obs.SetTraceWriter(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := scan{series: series, fig4: fig4}
+		for i := range after {
+			s.moved = append(s.moved, after[i]-before[i])
+		}
+		for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+			var ev struct {
+				Span  string
+				Attrs map[string]string
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("span event %q: %v", line, err)
+			}
+			if ev.Span == "analysis.group" {
+				n, _ := strconv.Atoi(ev.Attrs["ranges"])
+				s.ranges = append(s.ranges, n)
+			}
+		}
+		return s
+	}
+	one, four := run(1), run(4)
+	for i, name := range counters[:3] {
+		if one.moved[i] == 0 || one.moved[i] != four.moved[i] {
+			t.Errorf("%s moved %d at parallelism 1 and %d at 4", name, one.moved[i], four.moved[i])
+		}
+	}
+	if one.moved[3] != 0 || four.moved[3] == 0 {
+		t.Errorf("analysis_parallel_tasks_total moved %d at parallelism 1 (want 0) and %d at 4 (want some)", one.moved[3], four.moved[3])
+	}
+	if !reflect.DeepEqual(one.ranges, []int{1}) || !reflect.DeepEqual(four.ranges, []int{4}) {
+		t.Errorf("analysis.group spans: ranges %v at parallelism 1, %v at 4; want one span each, of 1 and 4 ranges", one.ranges, four.ranges)
+	}
+	if !reflect.DeepEqual(one.series, four.series) || !reflect.DeepEqual(one.fig4, four.fig4) {
+		t.Error("grouping or Fig. 4 differ between parallelism 1 and 4")
 	}
 }

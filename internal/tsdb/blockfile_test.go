@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -141,11 +142,16 @@ func TestBlockFileCorruption(t *testing.T) {
 	}
 }
 
-// TestBlockFileHostileLengths pins that every count and length a block file
-// carries is bounded by the bytes that could back it before it sizes an
-// allocation or a loop: a file that lies about one is rejected with an error
-// — at open for the index, at Query for a section — never with a panic.
-func TestBlockFileHostileLengths(t *testing.T) {
+// hostileBlockFile is a block file whose counts or lengths lie.
+type hostileBlockFile struct {
+	name string
+	raw  []byte
+}
+
+// hostileBlockFiles lies about every count and length a block file
+// carries, one per file: TestBlockFileHostileLengths' cases and the seed
+// corpus of FuzzOpenBlockFile.
+func hostileBlockFiles() []hostileBlockFile {
 	uv := colenc.AppendUvarint
 	// file assembles the magic, the series sections, an index and the
 	// trailer pointing at it.
@@ -168,10 +174,7 @@ func TestBlockFileHostileLengths(t *testing.T) {
 	one.insert(0, []int{one.col("v")}, []float64{1})
 	manyBlocks := section(1<<62, 1, encodeColumns(&one).data)
 	manyPoints := section(1, 1<<40, uv(uv(nil, 1<<40), 0))
-	cases := []struct {
-		name string
-		raw  []byte
-	}{
+	return []hostileBlockFile{
 		{"series count beyond the index", file(nil, uv(nil, 1<<62))},
 		{"section length beyond the file", file(nil, index(start, 1<<62))},
 		{"section offset negative after cast", file(nil, index(1<<63, 1))},
@@ -181,21 +184,62 @@ func TestBlockFileHostileLengths(t *testing.T) {
 		{"block count beyond the section", file(manyBlocks, index(start, uint64(len(manyBlocks))))},
 		{"point count beyond the block", file(manyPoints, index(start, uint64(len(manyPoints))))},
 	}
-	for _, tc := range cases {
-		path := filepath.Join(t.TempDir(), "hostile.clbf")
-		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
-			t.Fatal(err)
+}
+
+// openAndQuery opens the block file raw in dir and queries every
+// measurement its index names, returning the first error.
+func openAndQuery(dir string, raw []byte) error {
+	path := filepath.Join(dir, "in.clbf")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		return err
+	}
+	bf, err := OpenBlockFile(path)
+	if err != nil {
+		return err
+	}
+	defer bf.Close()
+	for i := range bf.series {
+		if _, err := bf.Query(bf.series[i].measurement, nil, time.Time{}, time.Time{}); err != nil {
+			return err
 		}
-		bf, err := OpenBlockFile(path)
-		if err == nil {
-			_, err = bf.Query("m", nil, time.Time{}, time.Time{})
-			bf.Close()
-		}
-		if err == nil {
+	}
+	return nil
+}
+
+// TestBlockFileHostileLengths pins that every count and length a block file
+// carries is bounded by the bytes that could back it before it sizes an
+// allocation or a loop: a file that lies about one is rejected with an error
+// — at open for the index, at Query for a section — never with a panic.
+func TestBlockFileHostileLengths(t *testing.T) {
+	for _, tc := range hostileBlockFiles() {
+		if openAndQuery(t.TempDir(), tc.raw) == nil {
 			t.Errorf("%s: opened and queried without error", tc.name)
 		}
 	}
 }
+
+// FuzzOpenBlockFile holds the block-file reader to its contract on any
+// bytes: opening a file and querying every series it indexes returns data
+// or an error, never a panic, and allocates in proportion to the file
+// whatever its counts and lengths claim. The checked-in corpus is
+// hostileBlockFiles and one real file; tier-1 runs it as a unit test.
+func FuzzOpenBlockFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		openAndQuery(dir, raw)
+		runtime.ReadMemStats(&after)
+		// A decoded point (its time and field map) is a few hundred bytes,
+		// and a point costs at least a byte of file.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(blockFileAllocPerByte*len(raw)+64<<10); grew > limit {
+			t.Fatalf("allocated %d bytes opening and querying a %d-byte file (limit %d)", grew, len(raw), limit)
+		}
+	})
+}
+
+// blockFileAllocPerByte bounds FuzzOpenBlockFile's allocation per file byte.
+const blockFileAllocPerByte = 1024
 
 // TestBlockFilePartialRejection sweeps truncation points over a valid
 // block file: no strict prefix — a file cut short by a crash mid-write —
