@@ -28,8 +28,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/core"
 	"github.com/clasp-measurement/clasp/internal/flowstats"
-	"github.com/clasp-measurement/clasp/internal/hmm"
-	"github.com/clasp-measurement/clasp/internal/inband"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
 	"github.com/clasp-measurement/clasp/internal/selection"
@@ -412,7 +410,8 @@ func BenchmarkPremiumLossAnalysis(b *testing.B) {
 			}
 			if i == 0 {
 				b.ReportMetric(float64(len(lossy)), "lossy-targets")
-				b.ReportMetric(flowstats.EstimateLoss(flows)*100, "pcap-estimated-loss-%")
+				// A synthesised capture holds one flow: its loss is the estimate.
+				b.ReportMetric(flows[0].LossRate*100, "pcap-estimated-loss-%")
 				printOnce(b, i, func(w io.Writer) {
 					for _, l := range lossy {
 						fmt.Fprintf(w, "lossy premium target server %d: mean loss %.1f%% over %d tests\n",
@@ -681,76 +680,3 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 
 func BenchmarkCampaignPacedParallelism1(b *testing.B) { benchPacedCampaign(b, 1) }
 func BenchmarkCampaignPacedParallelism4(b *testing.B) { benchPacedCampaign(b, 4) }
-
-// --- Extensions (§5) ----------------------------------------------------------------
-
-// BenchmarkExtensionInband: the in-band estimator against the full
-// throughput test — accuracy and egress cost.
-func BenchmarkExtensionInband(b *testing.B) {
-	f := getFixture(b)
-	prober := inband.NewProber(f.eng.Sim, benchSeed)
-	srv := f.topo["us-east1"].Selected[0]
-	spec := netsim.TestSpec{
-		Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: netsim.Download,
-		Time: core.CampaignStart.Add(8 * 3600e9),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := prober.Estimate(spec, inband.Train{Packets: 128})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			full, err := f.eng.Sim.Measure(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.AvailMbps, "inband-estimate-mbps")
-			b.ReportMetric(full.ThroughputMbps, "speedtest-mbps")
-			b.ReportMetric(res.CostRatio(15)*100, "probe-cost-%")
-		}
-	}
-}
-
-// BenchmarkExtensionHMM: agreement between the §5 HMM detector and the
-// V > 0.5 threshold rule on the most congested pair.
-func BenchmarkExtensionHMM(b *testing.B) {
-	f := getFixture(b)
-	series := groupSeries(f.topo["us-west1"].Cursor(), netsim.Download, bgp.Premium)
-	det := congestion.NewDetector()
-	// Most congested pair.
-	bestIdx, bestEvents := 0, -1
-	for i, s := range series {
-		if n := len(det.Events(s)); n > bestEvents {
-			bestEvents, bestIdx = n, i
-		}
-	}
-	target := series[bestIdx]
-	var mbps []float64
-	for _, s := range target.Samples {
-		mbps = append(mbps, s.Mbps)
-	}
-	thresholdLabels := make(map[int64]bool)
-	for _, e := range det.Events(target) {
-		thresholdLabels[e.Time.Unix()] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		labels, model, err := hmm.DetectCongestion(mbps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			agree := 0
-			for j, s := range target.Samples {
-				if labels[j] == thresholdLabels[s.Time.Unix()] {
-					agree++
-				}
-			}
-			score, _ := hmm.DiurnalScore(mbps)
-			b.ReportMetric(float64(agree)/float64(len(labels))*100, "hmm-threshold-agreement-%")
-			b.ReportMetric(score, "diurnal-acf24")
-			b.ReportMetric(float64(model.Iterations), "baum-welch-iters")
-		}
-	}
-}

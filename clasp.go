@@ -29,15 +29,11 @@ package clasp
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/core"
-	"github.com/clasp-measurement/clasp/internal/hmm"
-	"github.com/clasp-measurement/clasp/internal/inband"
-	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
@@ -99,15 +95,6 @@ func (p *Platform) RunTopologyCampaign(region string, days int) (*CampaignResult
 // running each campaign alone with the same seed.
 func (p *Platform) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, error) {
 	res, _, err := p.engine.RunTopologyCampaigns(regions, days)
-	return res, err
-}
-
-// RunDifferentialCampaign selects servers with the differential-based
-// method and measures each hourly over both network tiers. minSamples is
-// the preliminary-scan tuple threshold (the paper used 100; pass a smaller
-// value for reduced-scale platforms).
-func (p *Platform) RunDifferentialCampaign(region string, days, minSamples int) (*CampaignResult, error) {
-	res, _, err := p.engine.RunDifferentialCampaign(region, days, minSamples)
 	return res, err
 }
 
@@ -316,122 +303,4 @@ func WriteTierComparison(w io.Writer, tc *TierComparison) {
 func (p *Platform) Costs() (egressUSD, storageUSD, computeUSD float64) {
 	c := p.engine.Cloud.Costs()
 	return c.EgressUSD, c.StorageUSD, c.ComputeUSD
-}
-
-// --- §5 extensions through the public API -------------------------------------
-
-// HMMEvents runs the §5 hidden-Markov congestion detector over one pair's
-// download series from a campaign and returns, per sample hour, whether the
-// HMM labels it congested, alongside the detector threshold labels for
-// comparison.
-type HMMEvents struct {
-	PairID string
-	// Hours and the two labelings, index-aligned.
-	Times     []time.Time
-	HMM       []bool
-	Threshold []bool
-	// Agreement is the fraction of hours where the two detectors agree.
-	Agreement float64
-	// DiurnalACF24 is the lag-24h autocorrelation of the series.
-	DiurnalACF24 float64
-}
-
-// DetectHMM applies the HMM detector to the most congested pair of a
-// campaign (or the pair with the given server ID when serverID >= 0).
-func (p *Platform) DetectHMM(res *CampaignResult, serverID int) (*HMMEvents, error) {
-	if res == nil || res.NumRecords() == 0 {
-		return nil, fmt.Errorf("clasp: empty campaign result")
-	}
-	det := congestion.NewDetector()
-	series, parts := res.SeriesAndPartitions(bgp.Premium)
-	if len(series) == 0 {
-		return nil, fmt.Errorf("clasp: no premium download series")
-	}
-	pick := -1
-	if serverID >= 0 {
-		for i := range series {
-			if series[i].ServerID == serverID {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
-			return nil, fmt.Errorf("clasp: server %d not in campaign", serverID)
-		}
-	} else {
-		bestEvents := -1
-		for i := range parts {
-			if n := len(det.EventsIn(parts[i])); n > bestEvents {
-				bestEvents, pick = n, i
-			}
-		}
-	}
-	target := series[pick].Series
-	mbps := make([]float64, len(target.Samples))
-	times := make([]time.Time, len(target.Samples))
-	for i, s := range target.Samples {
-		mbps[i] = s.Mbps
-		times[i] = s.Time
-	}
-	labels, _, err := hmm.DetectCongestion(mbps)
-	if err != nil {
-		return nil, fmt.Errorf("clasp: %w", err)
-	}
-	thresholdAt := make(map[int64]bool)
-	for _, e := range det.EventsIn(parts[pick]) {
-		thresholdAt[e.Time.Unix()] = true
-	}
-	out := &HMMEvents{PairID: target.PairID, Times: times, HMM: labels}
-	agree := 0
-	for i, at := range times {
-		th := thresholdAt[at.Unix()]
-		out.Threshold = append(out.Threshold, th)
-		if th == labels[i] {
-			agree++
-		}
-	}
-	out.Agreement = float64(agree) / float64(len(times))
-	if acf, err := hmm.DiurnalScore(mbps); err == nil {
-		out.DiurnalACF24 = acf
-	}
-	return out, nil
-}
-
-// InbandEstimate runs the §5 in-band packet-train estimator against one
-// server and compares it with a full speed test.
-type InbandEstimate struct {
-	ServerID       int
-	AvailMbps      float64 // train estimate
-	SpeedtestMbps  float64 // full test for comparison
-	BottleneckName string  // segment the trains located
-	ProbeCostRatio float64 // probe bytes / full-test bytes
-}
-
-// EstimateInband measures a server with packet trains instead of a
-// throughput test.
-func (p *Platform) EstimateInband(region string, serverID int) (*InbandEstimate, error) {
-	srv := p.engine.Topo.Server(serverID)
-	if srv == nil {
-		return nil, fmt.Errorf("clasp: unknown server %d", serverID)
-	}
-	spec := netsim.TestSpec{
-		Region: region, Server: srv, Tier: bgp.Premium,
-		Dir: netsim.Download, Time: core.CampaignStart.Add(8 * time.Hour),
-	}
-	prober := inband.NewProber(p.engine.Sim, p.engine.Opts.Seed)
-	res, err := prober.Estimate(spec, inband.Train{Packets: 128})
-	if err != nil {
-		return nil, fmt.Errorf("clasp: %w", err)
-	}
-	full, err := p.engine.Sim.Measure(spec)
-	if err != nil {
-		return nil, fmt.Errorf("clasp: %w", err)
-	}
-	return &InbandEstimate{
-		ServerID:       serverID,
-		AvailMbps:      res.AvailMbps,
-		SpeedtestMbps:  full.ThroughputMbps,
-		BottleneckName: res.Hops[res.Bottleneck].Name,
-		ProbeCostRatio: res.CostRatio(15),
-	}, nil
 }

@@ -77,7 +77,7 @@ func TestTopologyCampaignAndCongestionReport(t *testing.T) {
 
 func TestDifferentialCampaignAndTierComparison(t *testing.T) {
 	p := newPlatform(t)
-	res, err := p.RunDifferentialCampaign("europe-west1", 7, 6)
+	res, _, err := p.Engine().RunDifferentialCampaign("europe-west1", 7, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,60 +133,5 @@ func TestCostsAccrue(t *testing.T) {
 	egress, _, compute := p.Costs()
 	if egress <= 0 || compute <= 0 {
 		t.Errorf("costs = %v/%v", egress, compute)
-	}
-}
-
-func TestDetectHMMAgainstThreshold(t *testing.T) {
-	p := newPlatform(t)
-	res, err := p.RunTopologyCampaign("us-east4", 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := p.DetectHMM(res, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.Times) != len(ev.HMM) || len(ev.HMM) != len(ev.Threshold) {
-		t.Fatal("label slices misaligned")
-	}
-	// The two detectors must broadly agree on the most congested pair.
-	if ev.Agreement < 0.85 {
-		t.Errorf("HMM/threshold agreement = %.2f", ev.Agreement)
-	}
-	if ev.PairID == "" {
-		t.Error("pair ID missing")
-	}
-	// Specific-server variant and error paths.
-	if _, err := p.DetectHMM(res, 1<<30); err == nil {
-		t.Error("unknown server accepted")
-	}
-	if _, err := p.DetectHMM(nil, -1); err == nil {
-		t.Error("nil result accepted")
-	}
-}
-
-func TestEstimateInband(t *testing.T) {
-	p := newPlatform(t)
-	srv := p.Engine().Topo.Servers()[0]
-	est, err := p.EstimateInband("us-east1", srv.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.AvailMbps <= 0 || est.SpeedtestMbps <= 0 {
-		t.Errorf("estimates: %+v", est)
-	}
-	// The train estimate should land near the full test.
-	ratio := est.AvailMbps / est.SpeedtestMbps
-	if ratio < 0.6 || ratio > 1.7 {
-		t.Errorf("inband/speedtest ratio = %.2f", ratio)
-	}
-	if est.ProbeCostRatio > 0.01 {
-		t.Errorf("probe cost ratio = %.4f, want < 1%%", est.ProbeCostRatio)
-	}
-	if est.BottleneckName == "" {
-		t.Error("bottleneck unnamed")
-	}
-	if _, err := p.EstimateInband("us-east1", 1<<30); err == nil {
-		t.Error("unknown server accepted")
 	}
 }

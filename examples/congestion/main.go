@@ -1,6 +1,6 @@
 // Congestion walks through the §3.3 detection pipeline on a single ISP:
 // the Cox (Las Vegas) server the paper highlights in Fig. 3. It measures
-// the pair hourly for two weeks, sweeps the variability threshold H
+// the pair hourly for 30 days, sweeps the variability threshold H
 // (Fig. 2), locates the elbow, and prints the annotated two-day series
 // with congested hours highlighted.
 package main

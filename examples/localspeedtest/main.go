@@ -3,6 +3,10 @@
 // Xfinity-style HTTP server in-process, then runs each client against them
 // — once unshaped and once through the token-bucket shaper standing in for
 // the paper's tc setup (1000/100 Mbps), showing the caps take effect.
+//
+// Unlike the other examples it has no main_test.go: its transfers run in
+// real time, about 20 s in all, too slow for the unit-test suite. The
+// protocol and shaper packages' own tests cover the same code.
 package main
 
 import (

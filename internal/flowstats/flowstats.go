@@ -14,7 +14,6 @@ package flowstats
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -300,34 +299,4 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 		return err
 	}
 	return emit(now.Add(rtt/2), cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Seq: cSeq, Ack: sSeq + 1, ACK: true, FIN: true, Window: 65535}, 0)
-}
-
-// EstimateLoss is a convenience: the mean loss rate across flows weighted
-// by data segments.
-func EstimateLoss(flows []*FlowStats) float64 {
-	segs, retrans := 0, 0
-	for _, f := range flows {
-		segs += f.DataSegments
-		retrans += f.RetransSegs
-	}
-	if segs == 0 {
-		return 0
-	}
-	return float64(retrans) / float64(segs)
-}
-
-// MedianHandshakeRTT returns the median handshake RTT across flows that
-// completed a handshake, or NaN when none did.
-func MedianHandshakeRTT(flows []*FlowStats) float64 {
-	var xs []float64
-	for _, f := range flows {
-		if f.HandshakeRTTms > 0 {
-			xs = append(xs, f.HandshakeRTTms)
-		}
-	}
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(xs)
-	return xs[len(xs)/2]
 }

@@ -96,40 +96,6 @@ func TestTransactionsIdentified(t *testing.T) {
 	}
 }
 
-func TestEstimateLossAggregates(t *testing.T) {
-	// Two separate captures (distinct client ports), aggregated.
-	var all []*FlowStats
-	for port := uint16(1000); port < 1002; port++ {
-		all = append(all, synth(t, SynthConfig{
-			ClientPort: port, RTTms: 30, RateMbps: 50, DurationSec: 2,
-			Loss: 0.1, Seed: int64(port),
-		})...)
-	}
-	if len(all) != 2 {
-		t.Fatalf("flows = %d", len(all))
-	}
-	agg := EstimateLoss(all)
-	if math.Abs(agg-0.1) > 0.04 {
-		t.Errorf("aggregate loss = %.4f, want ~0.1", agg)
-	}
-}
-
-func TestMedianHandshakeRTT(t *testing.T) {
-	if !math.IsNaN(MedianHandshakeRTT(nil)) {
-		t.Error("empty median should be NaN")
-	}
-	flows := []*FlowStats{{HandshakeRTTms: 10}, {HandshakeRTTms: 30}, {HandshakeRTTms: 20}}
-	if m := MedianHandshakeRTT(flows); m != 20 {
-		t.Errorf("median = %v", m)
-	}
-}
-
-func TestEstimateLossEmpty(t *testing.T) {
-	if EstimateLoss(nil) != 0 {
-		t.Error("empty loss should be 0")
-	}
-}
-
 func TestSynthesizeValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Synthesize(&buf, SynthConfig{Client: clientIP, Server: serverIP}); err == nil {

@@ -19,13 +19,7 @@ func measureUncached(t *testing.T, s *Sim, spec TestSpec) TestResult {
 	if spec.DurationSec <= 0 {
 		spec.DurationSec = 15
 	}
-	var choice bgp.EgressChoice
-	var err error
-	if spec.Dir == Download {
-		choice, err = s.router.IngressLink(spec.Region, spec.Server.ASN, spec.Server.City, spec.Tier)
-	} else {
-		choice, err = s.router.EgressLink(spec.Region, spec.Server.ASN, spec.Server.City, spec.Tier)
-	}
+	choice, err := routeFor(s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +47,15 @@ func measureUncached(t *testing.T, s *Sim, spec TestSpec) TestResult {
 		Dir:            spec.Dir,
 		Tier:           spec.Tier,
 	}
+}
+
+// routeFor resolves the interconnect a test crosses: the ingress link of a
+// download, the egress link of an upload.
+func routeFor(s *Sim, spec TestSpec) (bgp.EgressChoice, error) {
+	if spec.Dir == Download {
+		return s.router.IngressLink(spec.Region, spec.Server.ASN, spec.Server.City, spec.Tier)
+	}
+	return s.router.EgressLink(spec.Region, spec.Server.ASN, spec.Server.City, spec.Tier)
 }
 
 // sameResult reports whether two results agree in every field, bit for bit.

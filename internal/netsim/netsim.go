@@ -20,7 +20,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -356,7 +355,8 @@ func (s *Sim) measure(fe *flowEntry, spec *TestSpec) TestResult {
 
 // Segment is one capacity-relevant element of a simulated path, ordered
 // from the traffic source toward the cloud VM (download) or the server
-// (upload). The in-band measurement extension probes these per hop.
+// (upload). PathSegments lists them; pathBandwidth folds them into the
+// flow's bottleneck and loss.
 type Segment struct {
 	Name      string
 	LinkID    int // interconnect ID, or -1
@@ -471,25 +471,6 @@ func (s *Sim) pathBandwidth(spec TestSpec, choice bgp.EgressChoice, t time.Time)
 		availMbps = 0.1
 	}
 	return availMbps, loss
-}
-
-// SegmentsFor resolves the routing for a test and returns its segments;
-// a convenience for the in-band measurement tools.
-func (s *Sim) SegmentsFor(spec TestSpec) ([]Segment, error) {
-	if spec.Server == nil {
-		return nil, fmt.Errorf("netsim: nil server")
-	}
-	var choice bgp.EgressChoice
-	var err error
-	if spec.Dir == Download {
-		choice, err = s.router.IngressLink(spec.Region, spec.Server.ASN, spec.Server.City, spec.Tier)
-	} else {
-		choice, err = s.router.EgressLink(spec.Region, spec.Server.ASN, spec.Server.City, spec.Tier)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s.PathSegments(spec, choice, spec.Time), nil
 }
 
 // pathRTT models the round-trip time between a region VM and an endpoint

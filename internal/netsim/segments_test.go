@@ -1,16 +1,30 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 )
 
+// segmentsFor resolves the routing for a test as Measure does and returns
+// its path segments at the test's time.
+func segmentsFor(s *Sim, spec TestSpec) ([]Segment, error) {
+	if spec.Server == nil {
+		return nil, fmt.Errorf("netsim: nil server")
+	}
+	choice, err := routeFor(s, spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.PathSegments(spec, choice, spec.Time), nil
+}
+
 func TestSegmentsForDownloadStructure(t *testing.T) {
 	s := newSim(t)
 	srv := s.Topology().Servers()[2]
-	segs, err := s.SegmentsFor(TestSpec{
+	segs, err := segmentsFor(s, TestSpec{
 		Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: Download,
 		Time: time.Date(2020, 5, 1, 8, 0, 0, 0, time.UTC),
 	})
@@ -51,7 +65,7 @@ func TestSegmentsForDownloadStructure(t *testing.T) {
 func TestSegmentsForUploadStructure(t *testing.T) {
 	s := newSim(t)
 	srv := s.Topology().Servers()[2]
-	segs, err := s.SegmentsFor(TestSpec{
+	segs, err := segmentsFor(s, TestSpec{
 		Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: Upload,
 		Time: t0,
 	})
@@ -72,7 +86,7 @@ func TestSegmentsMatchMeasureBottleneck(t *testing.T) {
 	// throughput (modulo the 1.6x noise clamp).
 	for _, srv := range s.Topology().Servers()[:25] {
 		spec := TestSpec{Region: "us-central1", Server: srv, Tier: bgp.Premium, Dir: Download, Time: t0.Add(5 * time.Hour)}
-		segs, err := s.SegmentsFor(spec)
+		segs, err := segmentsFor(s, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,10 +108,10 @@ func TestSegmentsMatchMeasureBottleneck(t *testing.T) {
 
 func TestSegmentsForErrors(t *testing.T) {
 	s := newSim(t)
-	if _, err := s.SegmentsFor(TestSpec{Region: "us-east1", Server: nil, Time: t0}); err == nil {
+	if _, err := segmentsFor(s, TestSpec{Region: "us-east1", Server: nil, Time: t0}); err == nil {
 		t.Error("nil server accepted")
 	}
-	if _, err := s.SegmentsFor(TestSpec{Region: "bogus", Server: s.Topology().Servers()[0], Time: t0}); err == nil {
+	if _, err := segmentsFor(s, TestSpec{Region: "bogus", Server: s.Topology().Servers()[0], Time: t0}); err == nil {
 		t.Error("bogus region accepted")
 	}
 }
@@ -108,7 +122,7 @@ func TestLossyLinksPremiumOnly(t *testing.T) {
 	// Find a server whose premium ingress crosses a lossy link.
 	for _, srv := range topo.Servers() {
 		spec := TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: Download, Time: t0}
-		segs, err := s.SegmentsFor(spec)
+		segs, err := segmentsFor(s, spec)
 		if err != nil {
 			continue
 		}
@@ -131,7 +145,7 @@ func TestLossyLinksPremiumOnly(t *testing.T) {
 		}
 		// Standard ingress over the same server must not carry that
 		// chronic loss (different port or tier exemption).
-		stdSegs, err := s.SegmentsFor(TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Standard, Dir: Download, Time: t0})
+		stdSegs, err := segmentsFor(s, TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Standard, Dir: Download, Time: t0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,12 +207,12 @@ func ipChecksum(hdr []byte) uint16 {
 // accessors in the gopacket style.
 type Packet struct {
 	layers []Layer
-	err    error
+	err    error // the first decoding problem; layers before it remain
 }
 
 // Decode parses packet bytes starting at the Ethernet layer. Decoding stops
-// at the first malformed layer; Packet.Err reports what went wrong while
-// the successfully decoded prefix remains accessible. The capture info
+// at the first malformed layer, recording what went wrong, while the
+// successfully decoded prefix remains accessible. The capture info
 // stays with the caller; the packet does not retain it.
 func Decode(_ CaptureInfo, data []byte) *Packet {
 	p := &Packet{}
@@ -333,10 +333,6 @@ func (p *Packet) decodeTransport(proto uint8, data []byte, ipPayloadLen int) {
 		}
 	}
 }
-
-// Err reports a decoding problem, if any. Layers decoded before the error
-// remain available (mirroring gopacket's ErrorLayer behaviour).
-func (p *Packet) Err() error { return p.err }
 
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {

@@ -101,8 +101,8 @@ func TestDecodeTCPPacket(t *testing.T) {
 		SYN: true, ACK: true, Window: 29200,
 	}, 42, 57, 0, 0)
 	p := Decode(CaptureInfo{}, raw)
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	if p.err != nil {
+		t.Fatal(p.err)
 	}
 	ip, ok := p.NetworkLayer().(*IPv4)
 	if !ok {
@@ -144,7 +144,7 @@ func TestDecodeTruncated(t *testing.T) {
 		if cut >= 34 {
 			continue
 		}
-		if p.Err() == nil && cut < 34 && cut != 0 {
+		if p.err == nil && cut < 34 && cut != 0 {
 			// Ethernet-only truncations below IP+TCP must error...
 			if cut >= 14 {
 				t.Errorf("cut=%d: want decode error", cut)
@@ -156,7 +156,7 @@ func TestDecodeTruncated(t *testing.T) {
 	if p.Layer(LayerTypeIPv4) == nil {
 		t.Error("IPv4 layer lost on TCP truncation")
 	}
-	if p.Err() == nil {
+	if p.err == nil {
 		t.Error("truncated TCP: want error recorded")
 	}
 }
@@ -165,8 +165,8 @@ func TestDecodeUnknownEtherType(t *testing.T) {
 	raw := samplePacket(0, 0)
 	raw[12], raw[13] = 0x08, 0x06 // ARP
 	p := Decode(CaptureInfo{}, raw)
-	if p.Err() != nil {
-		t.Errorf("unknown ethertype should not error: %v", p.Err())
+	if p.err != nil {
+		t.Errorf("unknown ethertype should not error: %v", p.err)
 	}
 	if p.NetworkLayer() != nil {
 		t.Error("should have no network layer")
@@ -180,7 +180,7 @@ func TestDecodeBadIPVersion(t *testing.T) {
 	raw := samplePacket(0, 0)
 	raw[14] = 0x65 // version 6 in an IPv4 ethertype frame
 	p := Decode(CaptureInfo{}, raw)
-	if p.Err() == nil {
+	if p.err == nil {
 		t.Error("bad IP version: want error")
 	}
 }

@@ -2,12 +2,12 @@ package clasp
 
 // The reachability rule (DESIGN.md §17): every package-level declaration and
 // method of the module's non-test code must be reachable from a program. The
-// roots are func main and every init of the main packages, every exported
-// name of this facade package, and every declaration of a nested module
-// (bench/, frozen to this rule, so whatever it calls is live). The graph is
-// def→use over type-checked identifiers, exported and unexported alike, so a
-// declaration reached only from dead code is dead too — the case a by-name
-// scan misses. A method is live when reachable code selects it, or when its
+// roots are func main and every init of the main packages, and every
+// declaration of a nested module (bench/, frozen to this rule, so whatever
+// it calls is live). This facade package is a library like any other: an
+// export no program calls is dead. The graph is def→use over type-checked
+// identifiers, exported and unexported alike, so a declaration reached only
+// from dead code is dead too — the case a by-name scan misses. A method is live when reachable code selects it, or when its
 // receiver type is live and a live interface the type implements names it.
 // The only escape is reachAllowed below.
 
@@ -28,7 +28,7 @@ import (
 	"testing"
 )
 
-// The three reasons a declaration no program reaches may stay.
+// The two reasons a declaration no program reaches may stay.
 const (
 	// reachReference: an implementation tests hold product code to bit for
 	// bit, shared by tests of more than one package.
@@ -36,12 +36,9 @@ const (
 	// reachObserve: the only way a test in another package can read what
 	// the product wrote or did.
 	reachObserve = "observe"
-	// reachPending: a §4.1/§5 extension ROADMAP item 4 scores before it
-	// gets a command or goes.
-	reachPending = "pending-item-4"
 )
 
-var reachReasons = []string{reachReference, reachObserve, reachPending}
+var reachReasons = []string{reachReference, reachObserve}
 
 // reachAllowed is the allow-list: declaration → reason. What an entry alone
 // reaches rides along with it, and an entry naming a type keeps the type's
@@ -77,13 +74,8 @@ var reachAllowed = map[string]string{
 	"internal/topology.Topology.RouterAliases":  reachObserve,
 	// The client end of the protocol servers, for their tests.
 	"internal/wsock.Dial": reachObserve,
-
-	// §4.1/§5 extensions: library only, no command reaches them yet.
-	"internal/flowstats.Analyze":            reachPending,
-	"internal/flowstats.EstimateLoss":       reachPending,
-	"internal/flowstats.MedianHandshakeRTT": reachPending,
-	"internal/pcap.Packet.Err":              reachPending,
-	"internal/selection.Refresh":            reachPending,
+	// Reads back the captures campaigns upload (and with it pcap's reader).
+	"internal/flowstats.Analyze": reachObserve,
 }
 
 // reachStdIfaces are the std interfaces through which std code calls module
@@ -247,7 +239,6 @@ func buildReachGraph(root string) (*reachGraph, error) {
 		if rel == "" {
 			rel = p.Name()
 		}
-		facade := p.Path() == l.mod && p.Name() != "main"
 		// add registers the objects one declaration defines; node is the
 		// source they share.
 		add := func(node ast.Node, idents ...*ast.Ident) {
@@ -290,7 +281,7 @@ func buildReachGraph(root string) (*reachGraph, error) {
 				if obj == nil || id.Name == "_" {
 					continue
 				}
-				name, exported := id.Name, id.IsExported()
+				name := id.Name
 				if f, ok := obj.(*types.Func); ok {
 					if recv := f.Type().(*types.Signature).Recv(); recv != nil {
 						t := recv.Type()
@@ -298,12 +289,12 @@ func buildReachGraph(root string) (*reachGraph, error) {
 							t = pt.Elem()
 						}
 						tn := t.(*types.Named).Obj()
-						name, exported = tn.Name()+"."+name, exported && tn.Exported()
+						name = tn.Name() + "." + name
 						g.methods[tn] = append(g.methods[tn], obj)
 					}
 				}
 				d := &reachDecl{name: rel + "." + name, pos: pos, lines: lines, uses: uses}
-				d.root = nested[p] || id.Name == "init" || p.Name() == "main" && name == "main" || facade && exported
+				d.root = nested[p] || id.Name == "init" || p.Name() == "main" && name == "main"
 				g.decls[obj], g.byName[d.name] = d, obj
 				for _, t := range written {
 					ifaces = append(ifaces, iface{obj, t})
@@ -507,20 +498,28 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestReachabilityRuleBites runs the checker on a three-file program: one
+// TestReachabilityRuleBites runs the checker on a module shaped like this
+// one: a library package at the module's root path, with one export the
+// program calls and one it does not, and a program under cmd/ with one
 // function reached from main, one reached only from a dead function — the
 // transitive case a by-name scan misses, since the name is referenced — and
-// one method live only through an interface. It must report the dead pair
-// and nothing else, and must reject every kind of stale allow-list entry.
+// one method live only through an interface. It must report the unused
+// export and the dead pair and nothing else, and must reject every kind of
+// stale allow-list entry.
 func TestReachabilityRuleBites(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
-		"go.mod":   "module fixture\n\ngo 1.22\n",
-		"main.go":  "package main\n\nfunc main() {\n\treached()\n\tvar s shape = square{}\n\t_ = s.area()\n}\n\nfunc reached() {}\n",
-		"dead.go":  "package main\n\nfunc dead() { onlyFromDead() }\n\nfunc onlyFromDead() {}\n",
-		"iface.go": "package main\n\ntype shape interface{ area() int }\n\ntype square struct{}\n\nfunc (square) area() int { return 1 }\n",
+		"go.mod":       "module fixture\n\ngo 1.22\n",
+		"lib.go":       "package fixture\n\nfunc Used() {}\n\nfunc Unused() {}\n",
+		"cmd/main.go":  "package main\n\nimport \"fixture\"\n\nfunc main() {\n\treached()\n\tfixture.Used()\n\tvar s shape = square{}\n\t_ = s.area()\n}\n\nfunc reached() {}\n",
+		"cmd/dead.go":  "package main\n\nfunc dead() { onlyFromDead() }\n\nfunc onlyFromDead() {}\n",
+		"cmd/iface.go": "package main\n\ntype shape interface{ area() int }\n\ntype square struct{}\n\nfunc (square) area() int { return 1 }\n",
 	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -528,13 +527,14 @@ func TestReachabilityRuleBites(t *testing.T) {
 		allowed map[string]string
 		want    string
 	}{
-		{nil, "main.dead: | main.onlyFromDead:"},
-		{map[string]string{"main.dead": reachReference}, ""},
-		{map[string]string{"main.onlyFromDead": reachObserve}, "main.dead:"},
-		{map[string]string{"main.dead": reachPending, "main.onlyFromDead": reachPending}, "main.onlyFromDead: allow-listed but reachable without its entry"},
-		{map[string]string{"main.dead": reachReference, "main.reached": reachObserve}, "main.reached: allow-listed but reachable without its entry"},
-		{map[string]string{"main.dead": reachReference, "main.gone": reachObserve}, "main.gone: allow-listed but gone"},
-		{map[string]string{"main.dead": "handy"}, `main.dead: allow-listed with reason "handy", not one of [reference observe pending-item-4] | main.dead: | main.onlyFromDead:`},
+		{nil, "cmd.dead: | cmd.onlyFromDead: | fixture.Unused:"},
+		{map[string]string{"cmd.dead": reachReference, "fixture.Unused": reachObserve}, ""},
+		{map[string]string{"cmd.onlyFromDead": reachObserve}, "cmd.dead: | fixture.Unused:"},
+		{map[string]string{"cmd.dead": reachReference, "cmd.onlyFromDead": reachReference}, "cmd.onlyFromDead: allow-listed but reachable without its entry | fixture.Unused:"},
+		{map[string]string{"cmd.dead": reachReference, "cmd.reached": reachObserve}, "cmd.reached: allow-listed but reachable without its entry | fixture.Unused:"},
+		{map[string]string{"cmd.dead": reachReference, "fixture.Used": reachObserve}, "fixture.Used: allow-listed but reachable without its entry | fixture.Unused:"},
+		{map[string]string{"cmd.dead": reachReference, "cmd.gone": reachObserve}, "cmd.gone: allow-listed but gone | fixture.Unused:"},
+		{map[string]string{"cmd.dead": "handy"}, `cmd.dead: allow-listed with reason "handy", not one of [reference observe] | cmd.dead: | cmd.onlyFromDead: | fixture.Unused:`},
 	} {
 		findings, _, err := checkReach(dir, tc.allowed)
 		if err != nil {
