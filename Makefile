@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check cover-check bench bench-all bench-smoke bench-build bench-check ci
+.PHONY: build test race vet fmt-check cover-check fuzz-smoke bench bench-all bench-smoke bench-build bench-check ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,21 @@ cover-check:
 	awk -v got="$$total" -v min="$(CHECKPOINT_COVER_MIN)" 'BEGIN { \
 		if (got+0 < min+0) { printf "cover-check: internal/checkpoint coverage %.1f%% is below the %.1f%% floor\n", got, min; exit 1 } \
 		printf "cover-check: OK: internal/checkpoint coverage %.1f%% (floor %.1f%%)\n", got, min }'
+
+# fuzz-smoke searches for crashers: every fuzz target runs for 10 s on
+# inputs it generates, where tier-1 only replays the checked-in corpora
+# (testdata/fuzz). -fuzz takes one target per run, hence one line each; the
+# minimize cap keeps a new interesting input from stalling a short run for
+# the default minute while it is minimised. A failing input is written to
+# the package's testdata/fuzz/<target>, where tier-1 replays it from then on.
+FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=100x
+
+fuzz-smoke:
+	$(FUZZ) -fuzz='^FuzzBitStream$$' ./internal/colenc/
+	$(FUZZ) -fuzz='^FuzzBlockRoundTrip$$' ./internal/tsdb/
+	$(FUZZ) -fuzz='^FuzzOpenBlockFile$$' ./internal/tsdb/
+	$(FUZZ) -fuzz='^FuzzLoadCheckpoint$$' ./internal/checkpoint/
+	$(FUZZ) -fuzz='^FuzzDecodeColumns$$' ./internal/analysis/
 
 # The committed micro-benchmark records, BENCH_<record>.json each. Per record:
 # the benchmarks it holds (_BENCH), the packages they live in (_PKGS), what its
@@ -128,8 +143,8 @@ bench-check:
 # ci is the gate for every change: formatting, tier-1 build + tests (the
 # determinism contract, the observability, serving-path and fault gates are
 # all go tests), static checks, the checkpoint coverage floor, the full suite
-# under the race detector, a benchmark smoke run, the bench/ module build, and
-# the benchmark regression check against the committed BENCH_*.json records.
-# It is the local superset of the CI workflow's parallel jobs
-# (.github/workflows/ci.yml).
-ci: fmt-check build test vet cover-check race bench-smoke bench-build bench-check
+# under the race detector, a short crasher search by every fuzz target, a
+# benchmark smoke run, the bench/ module build, and the benchmark regression
+# check against the committed BENCH_*.json records. It is the local superset
+# of the CI workflow's parallel jobs (.github/workflows/ci.yml).
+ci: fmt-check build test vet cover-check race fuzz-smoke bench-smoke bench-build bench-check

@@ -156,7 +156,7 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 		var hourCount [24]int
 		srv := p.engine.Topo.Server(sw.ServerID) // read-only lookups, safe across workers
 		for _, e := range events {
-			congDays[int(e.Time.Unix()/86400)] = true
+			congDays[congestion.DayOf(e.Time.UnixNano())] = true
 			if srv != nil {
 				if city, ok := p.engine.Topo.CityOf(srv.City); ok {
 					hourCount[city.LocalHour(e.Time.Hour())]++

@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		series.Samples = append(series.Samples, congestion.Sample{Time: at, Mbps: res.ThroughputMbps})
+		series.Samples = append(series.Samples, congestion.Sample{Unix: at.UnixNano(), Mbps: res.ThroughputMbps})
 	}
 
 	// Fig. 2-style sweep over this single pair.
@@ -85,21 +85,22 @@ func main() {
 	firstDay := events[0].Time.Truncate(24 * time.Hour)
 	window := congestion.Series{PairID: series.PairID}
 	var vh []float64
-	dayMax := map[int64]float64{}
+	dayMax := map[int]float64{}
 	for _, s := range series.Samples {
-		if s.Time.Before(firstDay) || !s.Time.Before(firstDay.Add(48*time.Hour)) {
+		if t := s.T(); t.Before(firstDay) || !t.Before(firstDay.Add(48*time.Hour)) {
 			continue
 		}
 		window.Samples = append(window.Samples, s)
 	}
 	for _, s := range window.Samples {
-		d := s.Time.Unix() / 86400
+		d := congestion.DayOf(s.Unix)
 		if s.Mbps > dayMax[d] {
 			dayMax[d] = s.Mbps
 		}
 	}
 	for _, s := range window.Samples {
-		vh = append(vh, (dayMax[s.Time.Unix()/86400]-s.Mbps)/dayMax[s.Time.Unix()/86400])
+		d := congestion.DayOf(s.Unix)
+		vh = append(vh, (dayMax[d]-s.Mbps)/dayMax[d])
 	}
 	core.WriteFig3(os.Stdout, &core.Fig3Data{
 		PairID:  window.PairID,

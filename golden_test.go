@@ -37,7 +37,7 @@ func drainRecords(res *CampaignResult) []analysis.Measurement {
 func splitDays(s congestion.Series) []congestion.Day {
 	byDay := make(map[int][]float64)
 	for _, smp := range s.Samples {
-		d := int(smp.Time.Unix() / 86400)
+		d := int(smp.T().Unix() / 86400)
 		byDay[d] = append(byDay[d], smp.Mbps)
 	}
 	days := make([]int, 0, len(byDay))

@@ -145,6 +145,23 @@ type overflowKey struct {
 	serverID  int
 }
 
+// denseTable returns region ri's serverID-indexed table in *tables, adding
+// tables up to ri and growing ri's to hold id, which must be in
+// [0, denseServerMax).
+func denseTable[T any](tables *[][]T, ri int32, id int) []T {
+	for int(ri) >= len(*tables) {
+		*tables = append(*tables, nil)
+	}
+	t := (*tables)[ri]
+	if id >= len(t) {
+		nt := make([]T, id+64)
+		copy(nt, t)
+		(*tables)[ri] = nt
+		t = nt
+	}
+	return t
+}
+
 var groupStages = sync.Pool{New: func() any { return new(groupStage) }}
 
 // newGroupStage takes an empty stage from the pool.
@@ -163,17 +180,8 @@ func newGroupStage() *groupStage {
 // adding one whose first sample is at ns. It resolves through a dense
 // serverID table per region, so no string is hashed.
 func (g *groupStage) slot(ri int32, id int, ns int64) int32 {
-	if int(ri) == len(g.tables) {
-		g.tables = append(g.tables, nil)
-	}
 	if id >= 0 && id < denseServerMax {
-		t := g.tables[ri]
-		if id >= len(t) {
-			nt := make([]int32, id+64)
-			copy(nt, t)
-			g.tables[ri] = nt
-			t = nt
-		}
+		t := denseTable(&g.tables, ri, id)
 		if si := t[id] - 1; si >= 0 {
 			return si
 		}
@@ -192,10 +200,10 @@ func (g *groupStage) slot(ri int32, id int, ns int64) int32 {
 	return int32(len(g.slots)) - 1
 }
 
-// put stages one sample for the pair (ri, id); t and ns are the same
-// instant. Sortedness is tracked per slot so already time-ordered pairs (the
-// campaign's hour-major layout) skip sorting after the merge.
-func (g *groupStage) put(ri int32, id int, ns int64, t time.Time, mbps float64) {
+// put stages one sample for the pair (ri, id) at ns (Unix ns). Sortedness
+// is tracked per slot so already time-ordered pairs (the campaign's
+// hour-major layout) skip sorting after the merge.
+func (g *groupStage) put(ri int32, id int, ns int64, mbps float64) {
 	si := g.slot(ri, id, ns)
 	s := &g.slots[si]
 	if s.count > 0 && ns < s.last {
@@ -203,19 +211,18 @@ func (g *groupStage) put(ri int32, id int, ns int64, t time.Time, mbps float64) 
 	}
 	s.last = ns
 	s.count++
-	g.samples = append(g.samples, congestion.Sample{Time: t, Mbps: mbps})
+	g.samples = append(g.samples, congestion.Sample{Unix: ns, Mbps: mbps})
 	g.slotOf = append(g.slotOf, si)
 }
 
 // scan stages the (dir, tier) samples of one cursor. It filters on tier and
 // direction before it touches anything else of a record, never asks for
-// latency or loss, and builds a time.Time only for the samples it stages
-// (one per run of equal timestamps: the campaign's layout is hour-major).
+// latency or loss, and stages the times column's Unix nanoseconds as they
+// are: a congestion.Sample holds no time.Time, so nothing is converted per
+// record.
 func (g *groupStage) scan(c Cursor, dir netsim.Direction, tier bgp.Tier) {
 	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps
 	var regions batchRegions
-	var at time.Time // the instant atNs, rebuilt when a record's differs
-	var atNs int64
 	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
 		g.records += b.N
 		regions.reset(b)
@@ -223,11 +230,7 @@ func (g *groupStage) scan(c Cursor, dir netsim.Direction, tier bgp.Tier) {
 			if d != dir || b.Tiers[i] != tier {
 				continue
 			}
-			ns := b.Times[i]
-			if ns != atNs || at.IsZero() {
-				at, atNs = time.Unix(0, ns).UTC(), ns
-			}
-			g.put(regions.resolve(b.Regions[i], &g.regions), b.Servers[i], ns, at, b.Mbps[i])
+			g.put(regions.resolve(b.Regions[i], &g.regions), b.Servers[i], b.Times[i], b.Mbps[i])
 		}
 	}
 }
@@ -297,7 +300,7 @@ func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []Se
 		s := &slots[si]
 		samples := buf[s.next : s.next+s.count : s.next+s.count]
 		if s.unsorted {
-			sort.Slice(samples, func(a, b int) bool { return samples[a].Time.Before(samples[b].Time) })
+			sort.Slice(samples, func(a, b int) bool { return samples[a].Unix < samples[b].Unix })
 		}
 		out = append(out, SeriesWithServer{
 			ServerID: s.serverID,
@@ -423,8 +426,16 @@ type perfChunk struct{ down, lat [perfChunkLen]float64 }
 type perfStage struct {
 	regions regionTable
 	idx     map[perfKey]int32
+	last    [][]perfLast // per region: serverID -> the month and slot it last resolved to
 	slots   []perfSlot
 	spare   []*perfChunk // chunks of an earlier use, for reuse
+}
+
+// perfLast is one dense entry of perfStage.last: the ym of the pair's last
+// slot and that slot+1, 0 while the pair has none.
+type perfLast struct {
+	ym   int
+	slot int32
 }
 
 var perfStages = sync.Pool{New: func() any { return &perfStage{idx: make(map[perfKey]int32)} }}
@@ -434,6 +445,9 @@ func newPerfStage() *perfStage {
 	p := perfStages.Get().(*perfStage)
 	p.regions = regionTable{names: p.regions.names[:0]}
 	clear(p.idx)
+	for _, t := range p.last {
+		clear(t)
+	}
 	for _, s := range p.slots {
 		p.spare = append(p.spare, s.chunks...)
 	}
@@ -441,13 +455,26 @@ func newPerfStage() *perfStage {
 	return p
 }
 
-// slot returns the slot of k, adding one for (year, month).
+// slot returns the slot of k, adding one for (year, month). A dense
+// per-(region, server ID) entry — groupStage's idiom — holds the month and
+// slot the pair last resolved to and is tried first, so the campaign's
+// hour-major layout hashes k once per pair-month, not once per download.
 func (p *perfStage) slot(k perfKey, year int, month time.Month) int32 {
+	var last *perfLast
+	if k.server >= 0 && k.server < denseServerMax {
+		last = &denseTable(&p.last, k.ri, k.server)[k.server]
+		if last.slot != 0 && last.ym == k.ym {
+			return last.slot - 1
+		}
+	}
 	si, ok := p.idx[k]
 	if !ok {
 		si = int32(len(p.slots))
 		p.idx[k] = si
 		p.slots = append(p.slots, perfSlot{server: k.server, ri: k.ri, year: year, month: month})
+	}
+	if last != nil {
+		*last = perfLast{ym: k.ym, slot: si + 1}
 	}
 	return si
 }

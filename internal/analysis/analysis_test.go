@@ -37,7 +37,7 @@ func TestGroupSeries(t *testing.T) {
 			t.Errorf("series %s has %d samples", s.PairID, len(s.Samples))
 		}
 		for i := 1; i < len(s.Samples); i++ {
-			if s.Samples[i].Time.Before(s.Samples[i-1].Time) {
+			if s.Samples[i].Unix < s.Samples[i-1].Unix {
 				t.Error("samples not time-ordered")
 			}
 		}

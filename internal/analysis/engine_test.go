@@ -44,7 +44,7 @@ func naiveGroup(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []SeriesW
 			continue
 		}
 		k := pairKey{ServerID: m.ServerID, Region: m.Region, Tier: m.Tier, Dir: m.Dir}
-		byPair[k] = append(byPair[k], congestion.Sample{Time: m.Time, Mbps: m.Mbps})
+		byPair[k] = append(byPair[k], congestion.Sample{Unix: m.Time.UnixNano(), Mbps: m.Mbps})
 	}
 	keys := make([]pairKey, 0, len(byPair))
 	for k := range byPair {
@@ -59,7 +59,7 @@ func naiveGroup(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []SeriesW
 	out := make([]SeriesWithServer, 0, len(keys))
 	for _, k := range keys {
 		samples := byPair[k]
-		sort.Slice(samples, func(i, j int) bool { return samples[i].Time.Before(samples[j].Time) })
+		sort.Slice(samples, func(i, j int) bool { return samples[i].Unix < samples[j].Unix })
 		out = append(out, SeriesWithServer{
 			ServerID: k.ServerID,
 			Region:   k.Region,
@@ -313,7 +313,7 @@ func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 			var s congestion.Series
 			for _, p := range views[i].Points {
 				if v, ok := p.Fields["mbps"]; ok {
-					s.Samples = append(s.Samples, congestion.Sample{Time: p.Time, Mbps: v})
+					s.Samples = append(s.Samples, congestion.Sample{Unix: p.Time.UnixNano(), Mbps: v})
 				}
 			}
 			congestion.NewPartition(s).DayTally(0.5, 0)

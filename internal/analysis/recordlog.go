@@ -239,15 +239,20 @@ func (l *RecordLog) encodeRecords(ms []Measurement, internRegion func(string) in
 // columns of a block of n records into b, whose buffers it reuses. What
 // need buys is the float columns: each sits behind its byte length and one
 // outside need is stepped over in O(1). The varint columns carry no length
-// and are walked either way — outside need they are just not kept. No
-// framing check depends on need: a truncated column, a region code outside
-// the log's table, a bad tier/dir flag and trailing bytes are errors
-// whether the column they sit in was asked for or not. (What a skipped
-// float column does not get is the check that its bit stream holds n
-// values; ReadRecordLog validates with every column.) n, which must not be
-// negative, is trusted only as far as the bytes back it: the times column,
-// a byte or more per record, is decoded by appending before any buffer is
-// sized from n. After an error b holds nothing usable.
+// and are walked either way — outside need they are just not kept. The
+// walks decode the common widths inline (a one-byte region code, a one- or
+// two-byte server delta; the times column's one-byte second differences in
+// colenc.DecodeTimes) and hand anything longer to colenc.Uvarint, so an
+// error is the one the plain walk reports, at the same record
+// (FuzzDecodeColumns holds the two walks equal). No framing check depends on
+// need: a truncated column, a region code outside the log's table, a bad
+// tier/dir flag and trailing bytes are errors whether the column they sit
+// in was asked for or not. (What a skipped float column does not get is the
+// check that its bit stream holds n values; ReadRecordLog validates with
+// every column.) n, which must not be negative, is trusted only as far as
+// the bytes back it: DecodeTimes rejects an n beyond the block's length —
+// every record takes a byte or more — before any buffer is sized from n.
+// After an error b holds nothing usable.
 func (l *RecordLog) decodeColumns(data []byte, n int, need Columns, b *ColumnBatch) error {
 	var k int
 	var err error
@@ -258,28 +263,46 @@ func (l *RecordLog) decodeColumns(data []byte, n int, need Columns, b *ColumnBat
 	b.size(n, need) // keeps the n times, or empties them
 	b.RegionNames = l.regions
 
-	prev := int64(0)
+	// Records are hour-major, so a server delta leaves the one-byte zigzag
+	// range often: about half of a paper-scale campaign's are two bytes.
+	prev, off := int64(0), 0
 	for i := 0; i < n; i++ {
-		d, k := colenc.Varint(data)
-		if k == 0 {
+		var u uint64
+		if off < len(data) && data[off] < 0x80 {
+			u = uint64(data[off])
+			off++
+		} else if off+1 < len(data) && data[off+1] < 0x80 {
+			u = uint64(data[off]&0x7f) | uint64(data[off+1])<<7
+			off += 2
+		} else if u, k = colenc.Uvarint(data[off:]); k == 0 {
 			return fmt.Errorf("truncated server column")
+		} else {
+			off += k
 		}
-		data = data[k:]
-		prev += d
+		prev += colenc.Unzigzag(u)
 		if need&ColServer != 0 {
 			b.Servers[i] = int(prev)
 		}
 	}
+	regions := uint64(len(l.regions))
 	for i := 0; i < n; i++ {
-		ri, k := colenc.Uvarint(data)
-		if k == 0 || ri >= uint64(len(l.regions)) {
+		var ri uint64
+		if off < len(data) && data[off] < 0x80 {
+			ri = uint64(data[off])
+			off++
+		} else if ri, k = colenc.Uvarint(data[off:]); k == 0 {
+			return fmt.Errorf("bad region index")
+		} else {
+			off += k
+		}
+		if ri >= regions {
 			return fmt.Errorf("bad region index")
 		}
-		data = data[k:]
 		if need&ColRegion != 0 {
 			b.Regions[i] = int32(ri)
 		}
 	}
+	data = data[off:]
 	if len(data) == 0 {
 		return fmt.Errorf("truncated tier/dir flag")
 	}

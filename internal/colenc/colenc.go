@@ -23,9 +23,11 @@ package colenc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // --- Bit writer ----------------------------------------------------------------
@@ -221,41 +223,48 @@ func AppendTimes(buf []byte, ts []int64) []byte {
 }
 
 // DecodeTimes decodes n timestamps appended by AppendTimes into dst
-// (resliced to length n) and returns dst plus the bytes consumed.
+// (resliced to length n) and returns dst plus the bytes consumed. n must not
+// be negative, and it is trusted only as far as the bytes back it: every
+// value takes at least a byte, so an n beyond len(buf) is a truncated column
+// before dst is sized. The one-byte varint — every second difference of a
+// constant-cadence column — is decoded inline; a longer one goes through
+// Varint.
 func DecodeTimes(dst []int64, buf []byte, n int) ([]int64, int, error) {
-	dst = dst[:0]
 	if n == 0 {
-		return dst, 0, nil
+		return dst[:0], 0, nil
 	}
-	off := 0
-	v, k := Varint(buf)
-	if k == 0 {
-		return nil, 0, fmt.Errorf("colenc: truncated timestamp column")
+	if n > len(buf) {
+		return nil, 0, errTruncatedTimes
 	}
-	off += k
-	dst = append(dst, v)
-	if n == 1 {
-		return dst, off, nil
+	dst = slices.Grow(dst[:0], n)[:n]
+	v, off := Varint(buf)
+	if off == 0 {
+		return nil, 0, errTruncatedTimes
 	}
-	delta, k := Varint(buf[off:])
-	if k == 0 {
-		return nil, 0, fmt.Errorf("colenc: truncated timestamp column")
-	}
-	off += k
-	v += delta
-	dst = append(dst, v)
-	for i := 2; i < n; i++ {
-		dd, k := Varint(buf[off:])
-		if k == 0 {
-			return nil, 0, fmt.Errorf("colenc: truncated timestamp column")
+	dst[0] = v
+	// The second value is stored as a delta from the first, which is its
+	// second difference against a zero delta: one loop decodes both.
+	var delta int64
+	for i := 1; i < n; i++ {
+		var dd int64
+		if off < len(buf) && buf[off] < 0x80 {
+			dd = Unzigzag(uint64(buf[off]))
+			off++
+		} else {
+			var k int
+			if dd, k = Varint(buf[off:]); k == 0 {
+				return nil, 0, errTruncatedTimes
+			}
+			off += k
 		}
-		off += k
 		delta += dd
 		v += delta
-		dst = append(dst, v)
+		dst[i] = v
 	}
 	return dst, off, nil
 }
+
+var errTruncatedTimes = errors.New("colenc: truncated timestamp column")
 
 // --- Float column: Gorilla XOR --------------------------------------------------
 

@@ -19,7 +19,7 @@ func benchSeries(n, days int) []Series {
 			if i%3 == 0 && h%24 >= 19 && h%24 <= 22 {
 				v *= 0.25 + 0.2*rng.Float64()
 			}
-			s.Samples = append(s.Samples, Sample{Time: start.Add(time.Duration(h) * time.Hour), Mbps: v})
+			s.Samples = append(s.Samples, Sample{Unix: start.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: v})
 		}
 		out = append(out, s)
 	}

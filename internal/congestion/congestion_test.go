@@ -19,7 +19,7 @@ func flatDaySeries(days int, base, dip float64, dipDays map[int]bool) Series {
 			if dipDays[d] && h >= 19 && h <= 22 {
 				v = dip
 			}
-			s.Samples = append(s.Samples, Sample{Time: t0.Add(time.Duration(d*24+h) * time.Hour), Mbps: v})
+			s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(d*24+h) * time.Hour).UnixNano(), Mbps: v})
 		}
 	}
 	return s
@@ -49,7 +49,7 @@ func TestSplitDaysV(t *testing.T) {
 func TestSplitDaysMinSamples(t *testing.T) {
 	var s Series
 	for h := 0; h < 3; h++ { // only 3 samples in the day
-		s.Samples = append(s.Samples, Sample{Time: t0.Add(time.Duration(h) * time.Hour), Mbps: 100})
+		s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 100})
 	}
 	if days := NewPartition(s).Days(4); len(days) != 0 {
 		t.Errorf("under-covered day kept: %v", days)
@@ -194,7 +194,7 @@ func TestCongestedPair(t *testing.T) {
 func TestZeroThroughputDaySafe(t *testing.T) {
 	var s Series
 	for h := 0; h < 24; h++ {
-		s.Samples = append(s.Samples, Sample{Time: t0.Add(time.Duration(h) * time.Hour), Mbps: 0})
+		s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 0})
 	}
 	days := NewPartition(s).Days(0)
 	if len(days) != 1 || days[0].V != 0 {

@@ -60,7 +60,7 @@ func NewPartition(s Series) *Partition {
 	i := 0
 	for ; i < n; i++ {
 		smp := &s.Samples[i]
-		d := dayIndex(smp.Time)
+		d := DayOf(smp.Unix)
 		last := len(days) - 1
 		if last < 0 || d > days[last].Day {
 			days = append(days, Day{PairID: s.PairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
@@ -106,7 +106,7 @@ func (p *Partition) splitUnsorted(i int) {
 	}
 	for ; i < len(p.samples); i++ {
 		smp := &p.samples[i]
-		d := dayIndex(smp.Time)
+		d := DayOf(smp.Unix)
 		di, ok := byDay[d]
 		if !ok {
 			di = int32(len(p.days))
@@ -229,7 +229,7 @@ func (d *Detector) EventsIn(p *Partition) []Event {
 		smp := &p.samples[i]
 		vh := (day.Tmax - smp.Mbps) / day.Tmax
 		if vh > d.H {
-			out = append(out, Event{PairID: p.pairID, Time: smp.Time, Mbps: smp.Mbps, Tmax: day.Tmax, VH: vh})
+			out = append(out, Event{PairID: p.pairID, Time: smp.T(), Mbps: smp.Mbps, Tmax: day.Tmax, VH: vh})
 		}
 	}
 	return out

@@ -29,7 +29,7 @@ func randomSeries(seed int64, days int, shuffled bool) Series {
 			if h >= 19 && h <= 22 {
 				v *= 0.3
 			}
-			s.Samples = append(s.Samples, Sample{Time: start.AddDate(0, 0, d).Add(time.Duration(h) * time.Hour), Mbps: v})
+			s.Samples = append(s.Samples, Sample{Unix: start.AddDate(0, 0, d).Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: v})
 		}
 	}
 	if shuffled {
@@ -48,7 +48,7 @@ func naiveSplitDays(s Series, minSamples int) []Day {
 	}
 	byDay := make(map[int][]float64)
 	for _, smp := range s.Samples {
-		byDay[dayIndex(smp.Time)] = append(byDay[dayIndex(smp.Time)], smp.Mbps)
+		byDay[DayOf(smp.Unix)] = append(byDay[DayOf(smp.Unix)], smp.Mbps)
 	}
 	days := make([]int, 0, len(byDay))
 	for d := range byDay {
@@ -169,7 +169,7 @@ func TestHourTallyCountsDeadDayHours(t *testing.T) {
 	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	s := Series{PairID: "dead"}
 	for h := 0; h < 24; h++ {
-		s.Samples = append(s.Samples, Sample{Time: start.Add(time.Duration(h) * time.Hour), Mbps: 0})
+		s.Samples = append(s.Samples, Sample{Unix: start.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 0})
 	}
 	p := NewPartition(s)
 	events, hours := p.HourTally(0.5, 0)

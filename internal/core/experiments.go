@@ -210,7 +210,7 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: measuring Cox pair directly: %w", err)
 			}
-			sr.Samples = append(sr.Samples, congestion.Sample{Time: at, Mbps: res.ThroughputMbps})
+			sr.Samples = append(sr.Samples, congestion.Sample{Unix: at.UnixNano(), Mbps: res.ThroughputMbps})
 		}
 		coxSeries = &sr
 	}
@@ -222,7 +222,7 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 	if len(events) > 0 {
 		evDay := events[0].Time.Truncate(24 * 3600e9)
 		for i, s := range coxSeries.Samples {
-			if !s.Time.Before(evDay) {
+			if s.Unix >= evDay.UnixNano() {
 				startIdx = i
 				break
 			}
@@ -237,15 +237,15 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 
 	// VH per sample within the window.
 	vh := make([]float64, len(window.Samples))
-	dayMax := make(map[int64]float64)
+	dayMax := make(map[int]float64)
 	for _, s := range window.Samples {
-		d := s.Time.Unix() / 86400
+		d := congestion.DayOf(s.Unix)
 		if s.Mbps > dayMax[d] {
 			dayMax[d] = s.Mbps
 		}
 	}
 	for i, s := range window.Samples {
-		if m := dayMax[s.Time.Unix()/86400]; m > 0 {
+		if m := dayMax[congestion.DayOf(s.Unix)]; m > 0 {
 			vh[i] = (m - s.Mbps) / m
 		}
 	}

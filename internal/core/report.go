@@ -48,11 +48,11 @@ func WriteFig3(w io.Writer, d *Fig3Data) {
 		events[e.Time.Unix()] = true
 	}
 	for i, s := range d.Samples {
-		mark := " "
-		if events[s.Time.Unix()] {
+		at, mark := s.T(), " "
+		if events[at.Unix()] {
 			mark = "*"
 		}
-		fmt.Fprintf(w, "%-18s %10.1f %8.2f %s\n", s.Time.Format("01-02 15:04"), s.Mbps, d.VH[i], mark)
+		fmt.Fprintf(w, "%-18s %10.1f %8.2f %s\n", at.Format("01-02 15:04"), s.Mbps, d.VH[i], mark)
 	}
 }
 

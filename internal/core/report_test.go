@@ -49,8 +49,8 @@ func TestWriteFig3MarksEvents(t *testing.T) {
 	d := &Fig3Data{
 		PairID: "pair",
 		Samples: []congestion.Sample{
-			{Time: t0, Mbps: 400},
-			{Time: t0.Add(time.Hour), Mbps: 50},
+			{Unix: t0.UnixNano(), Mbps: 400},
+			{Unix: t0.Add(time.Hour).UnixNano(), Mbps: 50},
 		},
 		VH:     []float64{0, 0.875},
 		Events: []congestion.Event{{Time: t0.Add(time.Hour), Mbps: 50, VH: 0.875}},
