@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -68,10 +68,11 @@ BENCH_RECORDS = hotpath obs faults analysis tsdb
 
 # Steady-state Measure by spec and by flow handle, cold Measure, one whole
 # campaign round, sharded TSDB ingest through the map API, the campaign's own
-# ingest path through StoreSink, and one paper-scale topology selection —
-# joined with the pre-overhaul baselines.
-hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale
-hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/
+# ingest path through StoreSink, one paper-scale topology selection and one
+# paper-scale preliminary scan on one worker — joined with the pre-overhaul
+# baselines.
+hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale
+hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/ ./internal/speedchecker/
 hotpath_JSON = -baseline BENCH_baseline.txt
 
 obs_BENCH = BenchmarkObs
@@ -113,12 +114,12 @@ bench-all:
 
 # bench-smoke executes the hot-path benchmarks a fixed small number of
 # iterations — a CI check that they still compile and run, not a timing.
-# The paper-scale selection runs once: an iteration is a whole region's
-# selection, not a nanosecond-scale call.
+# The paper-scale selection and scan run once: an iteration is a whole
+# region's selection or scan, not a nanosecond-scale call.
 bench-smoke:
 	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord' -benchtime=100x \
 		./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/
-	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale' -benchtime=1x ./internal/selection/
+	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale' -benchtime=1x ./internal/selection/ ./internal/speedchecker/
 
 # bench-build vets and tests the repository benchmark (bench/, the command
 # BENCHMARK.json names). It is a module of its own that imports

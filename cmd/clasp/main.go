@@ -198,7 +198,7 @@ func run(args []string, out io.Writer) error {
 func bindOptions(fs *flag.FlagSet, o *core.Options) {
 	fs.Int64Var(&o.Seed, "seed", 1, "simulation seed")
 	fs.Float64Var(&o.Scale, "scale", 0.25, "topology scale (1.0 = paper scale)")
-	fs.IntVar(&o.Parallelism, "parallelism", 1, "concurrent VM workers per campaign round and analysis workers per report; output is identical at any value for the same seed")
+	fs.IntVar(&o.Parallelism, "parallelism", 1, "concurrent VM workers per campaign round, workers per server selection and analysis workers per report; output is identical at any value for the same seed")
 	fs.StringVar(&o.FaultProfile, "fault-profile", "none",
 		fmt.Sprintf("fault-injection profile (%s); campaigns retry, degrade and account for the injected failures deterministically per seed", strings.Join(faults.Names(), ", ")))
 	fs.IntVar(&o.MaxMemoryMB, "max-memory", 0, "campaign record memory budget in MB (0 = unbounded); larger campaigns spill their compressed record log to disk, with byte-identical reports")

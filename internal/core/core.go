@@ -235,9 +235,10 @@ func (c *CLASP) SelectTopologyServers(region string) (*selection.TopoResult, err
 	c.selMu.Unlock()
 	m.once.Do(func() {
 		m.sel, m.err = selection.TopologyBased(c.Sim, c.Mapper, selection.TopoParams{
-			Region: region,
-			Budget: RegionBudgets[region],
-			Seed:   c.Opts.Seed,
+			Region:      region,
+			Budget:      RegionBudgets[region],
+			Seed:        c.Opts.Seed,
+			Parallelism: c.Opts.Parallelism,
 		})
 	})
 	return m.sel, m.err
@@ -268,9 +269,10 @@ func (c *CLASP) SelectDifferentialServers(region string, minSamples int) ([]sele
 
 func (c *CLASP) selectDifferentialServers(region string, minSamples int) ([]selection.DiffSelected, []speedchecker.TierDelta, error) {
 	aggs := c.Checker.RunPreliminary(speedchecker.Params{
-		Regions:    []string{region},
-		MinSamples: minSamples,
-		Start:      CampaignStart.Add(-30 * 24 * time.Hour),
+		Regions:     []string{region},
+		MinSamples:  minSamples,
+		Start:       CampaignStart.Add(-30 * 24 * time.Hour),
+		Parallelism: c.Opts.Parallelism,
 	})
 	deltas := speedchecker.Deltas(aggs)
 	target := 15

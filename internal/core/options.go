@@ -36,9 +36,10 @@ type Options struct {
 	// SimConfig overrides the simulator calibration.
 	SimConfig *netsim.Config `json:"-"`
 	// Parallelism bounds the concurrent VM workers across the engine's
-	// campaigns (see orchestrator.Config.Parallelism) and the analysis
-	// workers per report. 0 or 1 runs sequentially; results are identical
-	// at any value — the engine's determinism guarantee.
+	// campaigns (see orchestrator.Config.Parallelism), the workers of one
+	// server selection and the analysis workers per report. 0 or 1 runs
+	// sequentially; results are identical at any value — the engine's
+	// determinism guarantee.
 	Parallelism int `json:"parallelism,omitempty"`
 	// FaultProfile names the canned fault-injection profile every campaign
 	// runs under (see faults.Names). "" and "none" disable injection and

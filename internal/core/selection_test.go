@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -48,7 +49,10 @@ func selectRef(t *testing.T, c *CLASP, ref CampaignRef) selectionOutcome {
 // one engine (cold caches, so route trees and flow entries fill
 // concurrently), equal field by field what a second engine computes one
 // after the other; and the memo hands every later caller the same result.
-// Run under -race it is the selection path's data-race test.
+// The concurrent engines run at Parallelism 1 and 4, so each selection's
+// own fan-out (the preliminary scan's tuples, the topology method's
+// traceroutes) runs inline and across workers. Run under -race it is the
+// selection path's data-race test.
 func TestConcurrentSelectionsMatchSequential(t *testing.T) {
 	refs := reportAllSelections()
 	sequential := newCLASP(t)
@@ -57,27 +61,34 @@ func TestConcurrentSelectionsMatchSequential(t *testing.T) {
 		want[i] = selectRef(t, sequential, ref)
 	}
 
-	concurrent := newCLASP(t)
-	got := make([]selectionOutcome, len(refs))
-	var wg sync.WaitGroup
-	for i, ref := range refs {
-		wg.Add(1)
-		go func(i int, ref CampaignRef) {
-			defer wg.Done()
-			got[i] = selectRef(t, concurrent, ref)
-		}(i, ref)
-	}
-	wg.Wait()
-	for i, ref := range refs {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%+v: concurrent selection differs from the sequential one", ref)
-		}
-	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism%d", par), func(t *testing.T) {
+			concurrent, err := New(Options{Seed: 3, Scale: 0.1, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]selectionOutcome, len(refs))
+			var wg sync.WaitGroup
+			for i, ref := range refs {
+				wg.Add(1)
+				go func(i int, ref CampaignRef) {
+					defer wg.Done()
+					got[i] = selectRef(t, concurrent, ref)
+				}(i, ref)
+			}
+			wg.Wait()
+			for i, ref := range refs {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%+v: concurrent selection differs from the sequential one", ref)
+				}
+			}
 
-	// The memo hands every later caller the identical value.
-	for i, ref := range refs {
-		if again := selectRef(t, concurrent, ref); again.topo != got[i].topo {
-			t.Errorf("%+v: the memo returned a second TopoResult", ref)
-		}
+			// The memo hands every later caller the identical value.
+			for i, ref := range refs {
+				if again := selectRef(t, concurrent, ref); again.topo != got[i].topo {
+					t.Errorf("%+v: the memo returned a second TopoResult", ref)
+				}
+			}
+		})
 	}
 }

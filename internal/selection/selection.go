@@ -18,6 +18,7 @@ import (
 	"net/netip"
 	"sort"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bdrmap"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/netsim"
@@ -41,6 +42,9 @@ type TopoParams struct {
 	MaxASHops int
 	// Seed drives probe flow IDs.
 	Seed int64
+	// Parallelism is how many traceroutes run at once; 0 or 1 traces
+	// inline. The result is identical at any value.
+	Parallelism int
 }
 
 // Selected is one chosen server with the link it measures.
@@ -90,7 +94,7 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 
 	// 1. Pilot scan: traceroute to every visible link's engineered probe
 	// target, then infer borders.
-	var pilotTraces []traceroute.Result
+	var pilotDsts []traceroute.Destination
 	for _, l := range topo.VisibleLinks(params.Region) {
 		addr, ok := topo.ProbeTarget(l.ID)
 		if !ok {
@@ -100,13 +104,18 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		if nb == nil || len(nb.Cities) == 0 {
 			continue
 		}
-		tr, err := prober.Trace(traceroute.Destination{
+		pilotDsts = append(pilotDsts, traceroute.Destination{
 			IP: addr, ASN: l.Neighbor, City: nb.Cities[0], LinkID: l.ID, Tier: bgp.Premium,
-		}, traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(l.ID)})
-		if err != nil {
-			return nil, fmt.Errorf("selection: pilot trace: %w", err)
-		}
-		pilotTraces = append(pilotTraces, tr)
+		})
+	}
+	pilotTraces := make([]traceroute.Result, len(pilotDsts))
+	errs := make([]error, len(pilotDsts))
+	analysis.ParallelFor(params.Parallelism, len(pilotDsts), func(i int) {
+		pilotTraces[i], errs[i] = prober.Trace(pilotDsts[i],
+			traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(pilotDsts[i].LinkID)})
+	})
+	if err := firstError(errs); err != nil {
+		return nil, fmt.Errorf("selection: pilot trace: %w", err)
 	}
 	pilot, err := mapper.Infer(params.Region, pilotTraces)
 	if err != nil {
@@ -128,19 +137,30 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		asHops int
 		rtt    float64
 	}
-	var observations []serverObs
-	for _, s := range topo.ServersInCountry("US") {
+	servers := topo.ServersInCountry("US")
+	traced := make([]serverObs, len(servers))
+	errs = make([]error, len(servers))
+	analysis.ParallelFor(params.Parallelism, len(servers), func(i int) {
+		s := servers[i]
 		tr, err := prober.Trace(traceroute.Destination{
 			IP: s.IP, ASN: s.ASN, City: s.City, LinkID: -1, Tier: bgp.Premium,
 		}, traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(1_000_000 + s.ID)})
 		if err != nil {
-			return nil, fmt.Errorf("selection: server trace: %w", err)
+			errs[i] = err
+			return
 		}
-		far, hops, rtt, ok := attributeTrace(topo, neighborOf, &tr)
-		if !ok {
-			continue
+		if far, hops, rtt, ok := attributeTrace(topo, neighborOf, &tr); ok {
+			traced[i] = serverObs{server: s, farIP: far, asHops: hops, rtt: rtt}
 		}
-		observations = append(observations, serverObs{server: s, farIP: far, asHops: hops, rtt: rtt})
+	})
+	if err := firstError(errs); err != nil {
+		return nil, fmt.Errorf("selection: server trace: %w", err)
+	}
+	observations := traced[:0]
+	for _, o := range traced {
+		if o.server != nil {
+			observations = append(observations, o)
+		}
 	}
 
 	// 3. Group by far IP (merging alias-resolved routers keeps one entry
@@ -212,6 +232,17 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		Selected:        selected,
 		SharedFraction:  sharedFrac,
 	}, nil
+}
+
+// firstError is the error of the lowest failing index: the one a serial
+// loop that stops at its first failure would have returned.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // attributeTrace finds the interdomain link a server trace crossed, the AS

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
@@ -171,5 +172,27 @@ func TestDifferentialBasedErrors(t *testing.T) {
 func TestDiffClassString(t *testing.T) {
 	if Comparable.String() != "comparable" || PremiumLower.String() != "premium-lower" || StandardLower.String() != "standard-lower" {
 		t.Error("DiffClass.String broken")
+	}
+}
+
+// TestTopologyBasedParallelMatchesSequential: tracing on four workers, with
+// the routing caches filling concurrently, selects field by field what one
+// worker does.
+func TestTopologyBasedParallelMatchesSequential(t *testing.T) {
+	params := TopoParams{Region: "us-east1", Budget: 40, Seed: 13}
+	sim, mapper := setup(t)
+	want, err := TopologyBased(sim, mapper, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, mapper = setup(t)
+	params.Parallelism = 4
+	got, err := TopologyBased(sim, mapper, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("at parallelism 4: %d selected over %d links, sequential %d over %d",
+			len(got.Selected), got.ServerLinkCount, len(want.Selected), want.ServerLinkCount)
 	}
 }

@@ -1,6 +1,7 @@
 package speedchecker
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -61,21 +62,37 @@ func referencePreliminary(p *Platform, params Params) []Aggregate {
 	return out
 }
 
-// TestRunPreliminaryMatchesPerSampleReference: the hoist must leave every
-// tuple, sample count and median bit-identical — the differential selection
-// downstream thresholds those medians.
+// TestRunPreliminaryMatchesPerSampleReference: the hoist, the per-tuple
+// Pinger, the skip of tuples too small to qualify and the fan-out over
+// workers must leave every tuple, sample count and median bit-identical —
+// the differential selection downstream thresholds those medians.
 func TestRunPreliminaryMatchesPerSampleReference(t *testing.T) {
 	_, p := setup(t)
-	params := Params{Regions: []string{"europe-west1", "us-east1"}, SamplesPerVP: 5, MinSamples: 5}
-	got := p.RunPreliminary(params)
-	want := referencePreliminary(p, params)
-	if len(got) == 0 || len(got) != len(want) {
-		t.Fatalf("%d aggregates, reference has %d", len(got), len(want))
+	regions := []string{"europe-west1", "us-east1"}
+	// At 5 samples per VP, MinSamples 5 keeps every tuple and MinSamples
+	// 15 drops those with fewer than three VPs.
+	want := map[int][]Aggregate{}
+	for _, minSamples := range []int{5, 15} {
+		want[minSamples] = referencePreliminary(p, Params{Regions: regions, SamplesPerVP: 5, MinSamples: minSamples})
 	}
-	for i := range got {
-		if got[i].Key != want[i].Key || got[i].Samples != want[i].Samples ||
-			math.Float64bits(got[i].MedianMs) != math.Float64bits(want[i].MedianMs) {
-			t.Fatalf("aggregate %d = %+v, reference %+v", i, got[i], want[i])
+	if len(want[15]) == 0 || len(want[15]) >= len(want[5]) {
+		t.Fatalf("MinSamples 15 keeps %d of %d aggregates: the skip is not exercised", len(want[15]), len(want[5]))
+	}
+	for _, minSamples := range []int{5, 15} {
+		for _, par := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("min%d/parallelism%d", minSamples, par), func(t *testing.T) {
+				got := p.RunPreliminary(Params{Regions: regions, SamplesPerVP: 5, MinSamples: minSamples, Parallelism: par})
+				want := want[minSamples]
+				if len(got) != len(want) {
+					t.Fatalf("%d aggregates, reference has %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Key != want[i].Key || got[i].Samples != want[i].Samples ||
+						math.Float64bits(got[i].MedianMs) != math.Float64bits(want[i].MedianMs) {
+						t.Fatalf("aggregate %d = %+v, reference %+v", i, got[i], want[i])
+					}
+				}
+			})
 		}
 	}
 }

@@ -7,8 +7,10 @@ package speedchecker
 
 import (
 	"sort"
+	"sync"
 	"time"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/stats"
@@ -44,6 +46,9 @@ type Params struct {
 	// Start and Window position the probes in virtual time.
 	Start  time.Time
 	Window time.Duration
+	// Parallelism is how many (tuple, region, tier) jobs run at once; 0
+	// or 1 scans inline. The aggregates are identical at any value.
+	Parallelism int
 }
 
 func (p Params) withDefaults() Params {
@@ -72,6 +77,12 @@ func New(sim *netsim.Sim) *Platform { return &Platform{sim: sim} }
 
 // RunPreliminary probes every edge VP against the requested regions over
 // both tiers and returns the qualifying tuple aggregates, sorted by key.
+//
+// The scan runs one job per (⟨city, AS⟩ tuple, region, tier) on
+// params.Parallelism workers. The route and the static RTT are a function
+// of exactly that key, so a job resolves one Pinger for all of the tuple's
+// VPs; a tuple whose VPs cannot reach MinSamples between them is never
+// probed.
 func (p *Platform) RunPreliminary(params Params) []Aggregate {
 	params = params.withDefaults()
 	topo := p.sim.Topology()
@@ -82,39 +93,61 @@ func (p *Platform) RunPreliminary(params Params) []Aggregate {
 		}
 	}
 
-	samples := make(map[TupleKey][]float64)
-	for _, vp := range topo.EdgeVPs() {
-		for _, region := range regions {
-			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
-				// The ingress decision and the static RTT depend only on
-				// (VP, region, tier); every sample shares them.
-				ping, err := p.sim.Pinger(region, vp.ASN, vp.City, tier)
-				if err != nil {
-					continue
-				}
-				key := TupleKey{City: vp.City, ASN: vp.ASN, Region: region, Tier: tier}
-				xs := samples[key]
-				for i := 0; i < params.SamplesPerVP; i++ {
-					frac := float64(vp.ID*params.SamplesPerVP+i) / float64(len(topo.EdgeVPs())*params.SamplesPerVP+1)
-					at := params.Start.Add(time.Duration(frac * float64(params.Window)))
-					salt := uint64(vp.ID)<<20 | uint64(i)<<8 | uint64(tier)
-					xs = append(xs, ping.RTT(at, salt))
-				}
-				samples[key] = xs
-			}
+	vps := topo.EdgeVPs()
+	var tuples []vpTuple
+	index := make(map[location]int)
+	for _, vp := range vps {
+		k := location{city: vp.City, asn: vp.ASN}
+		i, ok := index[k]
+		if !ok {
+			i = len(tuples)
+			index[k] = i
+			tuples = append(tuples, vpTuple{location: k})
+		}
+		tuples[i].ids = append(tuples[i].ids, vp.ID)
+	}
+	kept := tuples[:0]
+	for _, t := range tuples {
+		if len(t.ids)*params.SamplesPerVP >= params.MinSamples {
+			kept = append(kept, t)
 		}
 	}
 
-	var out []Aggregate
-	for key, xs := range samples {
-		if len(xs) < params.MinSamples {
-			continue
-		}
-		med, err := stats.Median(xs)
+	tiers := [...]bgp.Tier{bgp.Premium, bgp.Standard}
+	perTuple := len(regions) * len(tiers)
+	spread := float64(len(vps)*params.SamplesPerVP + 1)
+	aggs := make([]Aggregate, len(kept)*perTuple)
+	analysis.ParallelFor(params.Parallelism, len(aggs), func(u int) {
+		t := &kept[u/perTuple]
+		region, tier := regions[u%perTuple/len(tiers)], tiers[u%len(tiers)]
+		ping, err := p.sim.Pinger(region, t.asn, t.city, tier)
 		if err != nil {
-			continue
+			return
 		}
-		out = append(out, Aggregate{Key: key, MedianMs: med, Samples: len(xs)})
+		buf := sampleBufs.Get().(*[]float64)
+		xs := (*buf)[:0]
+		for _, id := range t.ids {
+			for i := 0; i < params.SamplesPerVP; i++ {
+				frac := float64(id*params.SamplesPerVP+i) / spread
+				at := params.Start.Add(time.Duration(frac * float64(params.Window)))
+				salt := uint64(id)<<20 | uint64(i)<<8 | uint64(tier)
+				xs = append(xs, ping.RTT(at, salt))
+			}
+		}
+		// Only the median survives, so the buffer may be reordered.
+		if med, err := stats.PercentileInPlace(xs, 50); err == nil {
+			key := TupleKey{City: t.city, ASN: t.asn, Region: region, Tier: tier}
+			aggs[u] = Aggregate{Key: key, MedianMs: med, Samples: len(xs)}
+		}
+		*buf = xs
+		sampleBufs.Put(buf)
+	})
+
+	out := aggs[:0]
+	for _, a := range aggs {
+		if a.Samples > 0 {
+			out = append(out, a)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Key, out[j].Key
@@ -131,6 +164,21 @@ func (p *Platform) RunPreliminary(params Params) []Aggregate {
 	})
 	return out
 }
+
+// location is a ⟨city, AS⟩ tuple; vpTuple adds the IDs of its edge VPs,
+// in EdgeVPs order.
+type location struct {
+	city string
+	asn  topology.ASN
+}
+
+type vpTuple struct {
+	location
+	ids []int
+}
+
+// sampleBufs recycles the scan's sample buffers: one is live per worker.
+var sampleBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // TierDelta is the per-⟨city, AS, region⟩ difference between standard and
 // premium tier medians.

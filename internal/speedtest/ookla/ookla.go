@@ -195,7 +195,12 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-		line, err := br.ReadString('\n')
+		line, err := readLine(br)
+		if errors.Is(err, errLineTooLong) {
+			fmt.Fprintf(bw, "ERROR line too long\n")
+			bw.Flush()
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -253,6 +258,20 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// errLineTooLong is a protocol line that does not fit the reader's buffer.
+var errLineTooLong = errors.New("line too long")
+
+// readLine reads one '\n'-terminated protocol line. A line longer than br's
+// buffer is refused with errLineTooLong, so a peer that streams bytes with
+// no newline costs one buffer rather than an ever-growing string.
+func readLine(br *bufio.Reader) (string, error) {
+	line, err := br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return "", errLineTooLong
+	}
+	return string(line), err
 }
 
 func parseSize(fields []string, idx int) (int, error) {
@@ -362,7 +381,7 @@ func (c *Client) Run(ctx context.Context, addr string) (speedtest.Result, error)
 	if _, err := io.WriteString(conn, "HI\n"); err != nil {
 		return res, fmt.Errorf("ookla: handshake: %w", err)
 	}
-	hello, err := br.ReadString('\n')
+	hello, err := readLine(br)
 	if err != nil || !strings.HasPrefix(hello, "HELLO") {
 		return res, fmt.Errorf("ookla: bad HELLO %q: %v", strings.TrimSpace(hello), err)
 	}
@@ -374,7 +393,7 @@ func (c *Client) Run(ctx context.Context, addr string) (speedtest.Result, error)
 		if _, err := fmt.Fprintf(conn, "PING %d\n", start.UnixMilli()); err != nil {
 			return res, fmt.Errorf("ookla: ping: %w", err)
 		}
-		line, err := br.ReadString('\n')
+		line, err := readLine(br)
 		if err != nil || !strings.HasPrefix(line, "PONG") {
 			return res, fmt.Errorf("ookla: bad PONG %q: %v", strings.TrimSpace(line), err)
 		}
@@ -430,7 +449,7 @@ func (c *Client) Run(ctx context.Context, addr string) (speedtest.Result, error)
 		if _, err := conn.Write(block); err != nil {
 			return res, fmt.Errorf("ookla: upload write: %w", err)
 		}
-		line, err := br.ReadString('\n')
+		line, err := readLine(br)
 		if err != nil || !strings.HasPrefix(line, "OK") {
 			return res, fmt.Errorf("ookla: bad upload ack %q: %v", strings.TrimSpace(line), err)
 		}

@@ -3,6 +3,7 @@ package ookla
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -338,5 +339,63 @@ func TestShutdownDeadlineSeversConnections(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := br.ReadString('\n'); err == nil {
 		t.Error("severed connection still readable")
+	}
+}
+
+// TestServerClosesOnOverlongLine: a client that streams a command with no
+// newline gets the connection closed once the line outgrows the server's
+// 64 KiB reader, instead of growing the server's heap until the 60 s read
+// deadline.
+func TestServerClosesOnOverlongLine(t *testing.T) {
+	s := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		// The server may reset the connection mid-write; only the read
+		// side is under test.
+		_, _ = conn.Write([]byte(strings.Repeat("A", 1<<20)))
+	}()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open 5 s into a 1 MiB line with no newline")
+	}
+}
+
+// TestClientRefusesOverlongLine: a server that answers HI with 1 MiB and no
+// newline fails the client's handshake once the line outgrows its 256 KiB
+// reader, rather than being buffered whole.
+func TestClientRefusesOverlongLine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Take the HI first: closing on unread bytes would reset the
+		// connection under the client's read.
+		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+			return
+		}
+		_, _ = conn.Write([]byte(strings.Repeat("H", 1<<20)))
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = NewClient(quickCfg()).Run(ctx, ln.Addr().String())
+	if err == nil || !strings.Contains(err.Error(), "line too long") {
+		msg := fmt.Sprint(err)
+		if len(msg) > 200 {
+			msg = msg[:200] + "..."
+		}
+		t.Fatalf("Run = %s, want a line-too-long handshake error", msg)
 	}
 }
