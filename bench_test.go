@@ -570,7 +570,7 @@ func BenchmarkAblationTestOrder(b *testing.B) {
 	servers := f.topo["us-west1"].Selected[:10]
 	orch := orchestrator.New(f.eng.Sim, f.eng.Cloud, nil)
 	run := func(fixed bool) float64 {
-		sink := &orchestrator.SliceSink{}
+		sink := &orchestrator.LogSink{Log: analysis.NewRecordLog()}
 		_, err := orch.Run(orchestrator.Config{
 			Region: "us-west1", Servers: servers, Days: 3, Seed: benchSeed, FixedOrder: fixed,
 		}, sink)
@@ -579,11 +579,14 @@ func BenchmarkAblationTestOrder(b *testing.B) {
 		}
 		// Distinct intra-hour offsets seen per server, averaged.
 		offsets := make(map[int]map[int]bool)
-		for _, m := range sink.Out {
-			if offsets[m.ServerID] == nil {
-				offsets[m.ServerID] = make(map[int]bool)
+		c := sink.Log.Cursor()
+		for batch := c.Next(); batch != nil; batch = c.Next() {
+			for _, m := range batch {
+				if offsets[m.ServerID] == nil {
+					offsets[m.ServerID] = make(map[int]bool)
+				}
+				offsets[m.ServerID][m.Time.Minute()] = true
 			}
-			offsets[m.ServerID][m.Time.Minute()] = true
 		}
 		total := 0
 		for _, set := range offsets {
@@ -616,7 +619,7 @@ func benchMultiRegionCampaign(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		tests := 0
 		for _, region := range regions {
-			sink := &orchestrator.SliceSink{}
+			sink := &orchestrator.LogSink{Log: analysis.NewRecordLog()}
 			rep, err := orch.Run(orchestrator.Config{
 				Region:      region,
 				Servers:     f.topo[region].Selected,
@@ -670,7 +673,7 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 				Seed:        benchSeed,
 				Parallelism: parallelism,
 				Measure:     paced,
-			}, &orchestrator.SliceSink{})
+			}, &orchestrator.LogSink{Log: analysis.NewRecordLog()})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -92,7 +92,8 @@ func (p *Platform) RunTopologyCampaign(region string, days int) (*CampaignResult
 // RunTopologyCampaigns runs the topology-based campaign in several regions
 // concurrently, one goroutine per region over the shared substrate — the
 // paper's actual deployment shape. Per-region results are identical to
-// running each campaign alone with the same seed.
+// running each campaign alone with the same seed. The engine must have a
+// command scheduler attached (core.CLASP.NewCommandScheduler).
 func (p *Platform) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, error) {
 	res, _, err := p.engine.RunTopologyCampaigns(regions, days)
 	return res, err

@@ -7,7 +7,6 @@
 //
 //	speedtestd [-ookla :8080] [-http :8081] [-duration 10s]
 //	           [-scrape-interval 5s] [-telemetry-retention 1h]
-//	           [-telemetry-out self.blk]
 //
 // The HTTP listener serves ndt7 (/ndt/v7/download, /ndt/v7/upload), the
 // Xfinity endpoints (/speedtest/*), and /servers.json. Live telemetry is
@@ -18,9 +17,8 @@
 // /debug/pprof/* serves the standard profiling endpoints. Every request is
 // timed into the speedtestd_http_request_duration_ns{route,status}
 // histogram family; the scrape pipeline samples the whole registry into a
-// columnar tsdb store on -scrape-interval, keeps -telemetry-retention of
-// history, and dumps it to -telemetry-out (block-file format, readable
-// with tsdb.OpenBlockFile) on shutdown.
+// columnar tsdb store on -scrape-interval and keeps -telemetry-retention of
+// history for /debug/obs/history.
 package main
 
 import (
@@ -44,7 +42,6 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "ndt7 test duration")
 	scrapeInterval := flag.Duration("scrape-interval", 5*time.Second, "self-telemetry scrape cadence")
 	retention := flag.Duration("telemetry-retention", time.Hour, "self-telemetry history retention (0 keeps everything)")
-	telemetryOut := flag.String("telemetry-out", "", "write the scraped self-telemetry store to this block file on shutdown")
 	flag.Parse()
 
 	ret := *retention
@@ -57,7 +54,6 @@ func main() {
 		NDT7Duration:   *duration,
 		ScrapeInterval: *scrapeInterval,
 		Retention:      ret,
-		TelemetryOut:   *telemetryOut,
 		Logf:           log.Printf,
 	})
 	if err != nil {

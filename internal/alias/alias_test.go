@@ -9,7 +9,9 @@ import (
 
 func testSetup(t *testing.T) (*topology.Topology, *Prober) {
 	t.Helper()
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

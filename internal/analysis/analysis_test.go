@@ -172,7 +172,9 @@ func TestPremiumLossTargets(t *testing.T) {
 }
 
 func TestBusinessAndFig8(t *testing.T) {
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

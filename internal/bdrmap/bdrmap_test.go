@@ -20,7 +20,9 @@ type fixture struct {
 
 func setup(t *testing.T) *fixture {
 	t.Helper()
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

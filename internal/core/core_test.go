@@ -314,12 +314,17 @@ func TestRunTopologyCampaignsMatchesIndividual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	par.NewCommandScheduler("topology-campaigns")
 	results, sels, err := par.RunTopologyCampaigns(regions, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequential single-region runs on a fresh instance, same seed.
+	// Sequential single-region runs on a fresh instance, same seed. With no
+	// scheduler attached it refuses the multi-region call.
 	seq := newCLASP(t)
+	if _, _, err := seq.RunTopologyCampaigns(regions, 2); err == nil {
+		t.Fatal("RunTopologyCampaigns ran without a command scheduler")
+	}
 	for _, region := range regions {
 		want, _, err := seq.RunTopologyCampaign(region, 2)
 		if err != nil {

@@ -19,28 +19,24 @@ import (
 
 // RunTopologyCampaigns runs the topology-based campaign in several regions
 // concurrently — the deployment shape of the paper, where all regions
-// measured in parallel for the whole window. Planning (server selection,
-// checkpoint attachment) walks the regions in order; the planned campaigns
-// then fan out one goroutine per region over the shared, thread-safe
-// platform, bucket and store, with the engine's worker pool capping their
-// combined VM concurrency at Opts.Parallelism — the global budget, not a
-// per-campaign one. Each region's records are identical to running its
-// campaign alone with the same seed.
+// measured in parallel for the whole window. The engine's command
+// scheduler (NewCommandScheduler, NewResumeScheduler) plans and runs them:
+// planning (server selection, checkpoint attachment) walks the regions in
+// order, registering command-wide progress and, on resume, loading
+// finished checkpointed campaigns instead of re-running them; the planned
+// campaigns then fan out one goroutine per region over the shared,
+// thread-safe platform, bucket and store, with the engine's worker pool
+// capping their combined VM concurrency at Opts.Parallelism — the global
+// budget, not a per-campaign one. Each region's records are identical to
+// running its campaign alone with the same seed.
 func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, map[string]*selection.TopoResult, error) {
-	// When a command scheduler is attached (`costs`, resumed commands), it
-	// owns planning and execution: progress registers command-wide and
-	// already-finished checkpointed campaigns load instead of re-running.
-	planOne := c.PlanTopologyCampaign
-	runOne := c.RunPlanned
-	if s := c.sched; s != nil {
-		planOne = func(region string, days int) (*PlannedCampaign, error) {
-			return s.Plan(CampaignRef{Kind: "topology", Region: region, Days: days})
-		}
-		runOne = s.Run
+	s := c.sched
+	if s == nil {
+		return nil, nil, fmt.Errorf("core: multi-region campaigns need a command scheduler")
 	}
 	plans := make([]*PlannedCampaign, 0, len(regions))
 	for _, region := range regions {
-		p, err := planOne(region, days)
+		p, err := s.Plan(CampaignRef{Kind: "topology", Region: region, Days: days})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -53,7 +49,7 @@ func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*Ca
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = runOne(plans[i])
+			results[i], errs[i] = s.Run(plans[i])
 		}(i)
 	}
 	wg.Wait()

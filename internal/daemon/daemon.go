@@ -62,9 +62,6 @@ type Config struct {
 	ScrapeInterval time.Duration
 	// Retention bounds self-store history; default 1h, <0 keeps everything.
 	Retention time.Duration
-	// TelemetryOut, when set, dumps the self-store in block-file format to
-	// this path on Shutdown.
-	TelemetryOut string
 
 	// Logf receives startup/shutdown lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -182,8 +179,7 @@ func (d *Daemon) Err() <-chan error { return d.errc }
 
 // Shutdown drains both listeners symmetrically under ctx — in-flight tests
 // get until the deadline before remaining connections are severed — then
-// stops the telemetry pipeline and, when configured, writes the self-store
-// block dump.
+// stops the telemetry pipeline.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	logf := d.cfg.Logf
 	if logf == nil {
@@ -207,26 +203,9 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		}
 	}()
 	wg.Wait()
-	// One final scrape catches requests served since the last tick, then
-	// the loop stops and the history is (optionally) persisted.
 	d.Pipeline.Stop()
-	_ = d.Pipeline.Cycle()
-	if d.cfg.TelemetryOut != "" {
-		if err := d.writeTelemetry(); err != nil {
-			logf("daemon: telemetry dump: %v", err)
-			if httpErr == nil && ooklaErr == nil {
-				return err
-			}
-		}
-	}
 	if httpErr != nil {
 		return httpErr
 	}
 	return ooklaErr
-}
-
-func (d *Daemon) writeTelemetry() error {
-	// Atomic-rename dump: a kill during shutdown never leaves a truncated
-	// block file where the previous telemetry history used to be.
-	return d.Pipeline.WriteBlocksFile(d.cfg.TelemetryOut)
 }

@@ -26,7 +26,9 @@ var (
 func benchSetup(b *testing.B) (*topology.Topology, []TestSpec) {
 	b.Helper()
 	benchOnce.Do(func() {
-		topo, err := topology.New(topology.DefaultConfig())
+		cfg := topology.PaperScaleConfig()
+		cfg.Scale = 0.1
+		topo, err := topology.New(cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -53,20 +55,6 @@ func benchSetup(b *testing.B) (*topology.Topology, []TestSpec) {
 		b.Fatal("bench topology failed to build")
 	}
 	return benchTopo, benchSpecs
-}
-
-// BenchmarkMeasureCold includes route-tree computation: a fresh router and
-// simulator per iteration, so every Measure pays the full path resolution.
-func BenchmarkMeasureCold(b *testing.B) {
-	topo, specs := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := New(topo, nil, Config{Seed: 7})
-		if _, err := sim.Measure(specs[i%len(specs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkMeasureWarm is the steady-state cost after the first round: all

@@ -81,7 +81,9 @@ var sweepHours = []int{0, 5, 23, 24, 30, 47, 48, 72 + 13, 24 + 5, 3, 24*9 + 13, 
 // chronically lossy premium port and daytime- and evening-profile networks,
 // so every field of the day record is exercised.
 func TestFlowCacheMatchesUncached(t *testing.T) {
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,9 @@ func TestFlowCacheMatchesUncached(t *testing.T) {
 // the values a lone goroutine computes on a simulator of its own. Run under
 // -race this pins the atomic publish.
 func TestSharedFlowInterleavedDays(t *testing.T) {
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,9 @@ func TestSharedFlowInterleavedDays(t *testing.T) {
 // and asserts everyone observes the same values. Run under -race this pins
 // the lock-free fast paths.
 func TestMeasureConcurrentCold(t *testing.T) {
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 
 func newSim(t *testing.T) *Sim {
 	t.Helper()
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

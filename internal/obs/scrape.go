@@ -20,14 +20,6 @@ type ScrapeConfig struct {
 	Now func() time.Time
 }
 
-// ScrapeStats summarises a Scraper's activity so far.
-type ScrapeStats struct {
-	Scrapes uint64    // completed ScrapeOnce passes
-	Samples uint64    // points appended across all passes
-	Errors  uint64    // append errors (scrape continues past them)
-	Last    time.Time // timestamp of the most recent pass
-}
-
 // Scraper samples a Registry each time ScrapeOnce is called (the cadence is
 // its owner's: telemetry.Pipeline runs the one scrape loop) and appends the
 // readings to an Appender, turning point-in-time metrics into history:
@@ -52,7 +44,6 @@ type Scraper struct {
 	mu        sync.Mutex
 	prevCount map[string]uint64 // series id -> counter value / histogram count
 	prevAt    time.Time
-	stats     ScrapeStats
 }
 
 // NewScraper creates a scraper over r feeding app. Defaults are applied for
@@ -90,16 +81,10 @@ func (s *Scraper) ScrapeOnce() error {
 	}
 
 	var firstErr error
-	appended := uint64(0)
 	record := func(measurement string, tags map[string]string, fields map[string]float64) {
-		if err := s.app.Append(measurement, tags, at, fields); err != nil {
-			s.stats.Errors++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("obs: scrape %s: %w", measurement, err)
-			}
-			return
+		if err := s.app.Append(measurement, tags, at, fields); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("obs: scrape %s: %w", measurement, err)
 		}
-		appended++
 	}
 
 	for _, m := range samples {
@@ -130,9 +115,6 @@ func (s *Scraper) ScrapeOnce() error {
 	}
 
 	s.prevAt = at
-	s.stats.Scrapes++
-	s.stats.Samples += appended
-	s.stats.Last = at
 	return firstErr
 }
 
@@ -157,11 +139,4 @@ func labelTags(pairs []string) map[string]string {
 		t[pairs[i]] = pairs[i+1]
 	}
 	return t
-}
-
-// Stats returns a copy of the scraper's counters.
-func (s *Scraper) Stats() ScrapeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }

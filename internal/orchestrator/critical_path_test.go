@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"bytes"
 	"runtime/metrics"
 	"testing"
 	"time"
@@ -43,7 +42,7 @@ func TestCampaignPathNeverStopsTheWorld(t *testing.T) {
 		Days:        2,
 		Seed:        7,
 		Parallelism: 2,
-	}, &SliceSink{})
+	}, newLogSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestCaptureEveryTestUploadsOwnSnapshot(t *testing.T) {
 		DownlinkMbps:    2, // 144 synthesized captures small
 		CaptureEvery:    1,
 	}
-	rep, err := f.orch.Run(cfg, &SliceSink{})
+	rep, err := f.orch.Run(cfg, newLogSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +102,7 @@ func TestCaptureEveryTestUploadsOwnSnapshot(t *testing.T) {
 	start := cfg.withDefaults().Start
 	for _, key := range keys {
 		data, _ := f.bucket.Get(key)
-		snaps, err := someta.ReadJSON(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
+		snaps := decodeSnapshots(t, data)
 		if len(snaps) != 1 {
 			t.Fatalf("%s holds %d snapshots, want the capture's own", key, len(snaps))
 		}
@@ -145,8 +141,8 @@ func campaignRecords(servers, hours int) []analysis.Measurement {
 // have grown: no fields map, no boxed lookup key, no per-point object.
 func TestStoreSinkRecordDoesNotAllocate(t *testing.T) {
 	store := tsdb.NewStore()
-	store.SetSealThreshold(0)
 	sink := &StoreSink{Store: store}
+	// 300 points a series stay under the default seal threshold.
 	recs := campaignRecords(8, 300)
 	for _, m := range recs { // interns the 16 handles and grows their columns
 		sink.Record(m)

@@ -20,7 +20,7 @@ func runFaultCampaign(t *testing.T, profile string, seed int64, parallelism int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &SliceSink{}
+	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: f.topo.ServersInCountry("US")[:6],
@@ -38,7 +38,7 @@ func runFaultCampaign(t *testing.T, profile string, seed int64, parallelism int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := json.Marshal(sink.Out)
+	enc, err := json.Marshal(records(sink.Log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 	defer obs.SetEnabled(false)
 
 	servers := f.topo.ServersInCountry("US")[:6]
-	sink := &SliceSink{}
+	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: servers,
@@ -158,8 +158,8 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 		t.Errorf("books don't balance: %d completed + %d dropped != %d scheduled",
 			rep.Tests, rep.Dropped, scheduled)
 	}
-	if len(sink.Out) != rep.Tests {
-		t.Errorf("sink holds %d records, report says %d tests completed", len(sink.Out), rep.Tests)
+	if sink.Log.Len() != rep.Tests {
+		t.Errorf("sink holds %d records, report says %d tests completed", sink.Log.Len(), rep.Tests)
 	}
 	if rep.Failed < rep.Dropped {
 		t.Errorf("Failed (%d) < Dropped (%d); every drop implies at least one failure", rep.Failed, rep.Dropped)
@@ -188,7 +188,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.ServersInCountry("US")[:6]
-	sink := &SliceSink{}
+	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: servers,
@@ -222,7 +222,7 @@ func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 	if rep.BreakerOpenRounds < 12 {
 		t.Errorf("only %d rounds shed; breaker not limiting the outage", rep.BreakerOpenRounds)
 	}
-	if len(sink.Out) != 0 {
-		t.Errorf("sink holds %d records from dropped tests", len(sink.Out))
+	if sink.Log.Len() != 0 {
+		t.Errorf("sink holds %d records from dropped tests", sink.Log.Len())
 	}
 }

@@ -40,16 +40,27 @@ func TestCaptureTestUploadsLatestSnapshotOnly(t *testing.T) {
 	if !ok {
 		t.Fatalf("meta artifact %s not uploaded", key)
 	}
-	snaps, err := someta.ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps := decodeSnapshots(t, data)
 	if len(snaps) != 1 {
 		t.Fatalf("meta artifact holds %d snapshots, want 1", len(snaps))
 	}
 	if !snaps[0].Timestamp.Equal(at) {
 		t.Errorf("uploaded snapshot at %v, want capture time %v", snaps[0].Timestamp, at)
 	}
+}
+
+// decodeSnapshots reads the JSON-lines stream someta.WriteJSON uploads.
+func decodeSnapshots(t *testing.T, data []byte) []someta.Snapshot {
+	t.Helper()
+	var out []someta.Snapshot
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+		var s someta.Snapshot
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // TestMetricsDoNotChangeResults pins the disabled-path invariant from the
@@ -135,7 +146,7 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 				}
 			}()
 		}
-		sink := &SliceSink{}
+		sink := newLogSink()
 		rep, err := f.orch.Run(Config{
 			Region:          "us-east1",
 			Servers:         f.topo.ServersInCountry("US")[:6],
@@ -149,7 +160,7 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := json.Marshal(sink.Out)
+		enc, err := json.Marshal(records(sink.Log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +233,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 
-	sink := &SliceSink{}
+	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:          "us-east1",
 		Servers:         f.topo.ServersInCountry("US")[:5],

@@ -97,21 +97,11 @@ func TestEgressBytes(m analysis.Measurement, durSec float64) int64 {
 //
 // A single Run delivers records from one goroutine, so any Sink works for
 // one campaign. Sinks shared across concurrently running campaigns must be
-// safe for concurrent use: StoreSink is; LogSink and SliceSink are not, so
-// each campaign gets its own.
+// safe for concurrent use: StoreSink is; LogSink is not, so each campaign
+// gets its own.
 type Sink interface {
 	Record(analysis.Measurement)
 }
-
-// SliceSink collects records into a slice: the collector this package's
-// tests and the root benchmarks read records back from. The engine does not
-// use it. It is not safe for concurrent use: one per campaign.
-type SliceSink struct {
-	Out []analysis.Measurement
-}
-
-// Record implements Sink.
-func (s *SliceSink) Record(m analysis.Measurement) { s.Out = append(s.Out, m) }
 
 // StoreSink indexes records into a time-series store. It is safe for
 // concurrent use: tsdb.Store shards its lock internally, and the sink
@@ -141,15 +131,14 @@ func (s *StoreSink) handle(m *analysis.Measurement) *tsdb.BoundHandle {
 	defer s.mu.Unlock()
 	b, ok := s.handles[key]
 	if !ok {
-		// Handle and Bind errors are impossible for the generated tag values
-		// and the fixed field names.
-		h, _ := s.Store.Handle("speedtest", tsdb.Tags{
+		// Bind errors are impossible for the generated tag values and the
+		// fixed field names.
+		b, _ = s.Store.Bind("speedtest", tsdb.Tags{
 			"server": strconv.Itoa(m.ServerID),
 			"region": m.Region,
 			"tier":   m.Tier.String(),
 			"dir":    m.Dir.String(),
-		})
-		b, _ = h.Bind("mbps", "rtt_ms", "loss")
+		}, "mbps", "rtt_ms", "loss")
 		if s.handles == nil {
 			s.handles = make(map[storeSinkKey]*tsdb.BoundHandle)
 		}
@@ -166,7 +155,7 @@ func (s *StoreSink) Record(m analysis.Measurement) {
 // LogSink appends records into a columnar RecordLog, the engine's one
 // record representation: records are compressed block-at-a-time as they
 // arrive, checkpoints append its sealed blocks, and analyses read it back.
-// Like SliceSink it is not safe for concurrent use: one per campaign.
+// It is not safe for concurrent use: one per campaign.
 type LogSink struct {
 	Log *analysis.RecordLog
 }

@@ -19,6 +19,21 @@ import (
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
+// newLogSink collects a campaign the way the engine does: into a record log.
+func newLogSink() *LogSink { return &LogSink{Log: analysis.NewRecordLog()} }
+
+// records reads a log back through its cursor.
+func records(l *analysis.RecordLog) []analysis.Measurement {
+	var out []analysis.Measurement
+	for c := l.Cursor(); ; {
+		batch := c.Next()
+		if batch == nil {
+			return out
+		}
+		out = append(out, batch...)
+	}
+}
+
 type fixture struct {
 	topo     *topology.Topology
 	sim      *netsim.Sim
@@ -29,7 +44,9 @@ type fixture struct {
 
 func setup(t testing.TB) *fixture {
 	t.Helper()
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +84,7 @@ func TestPlanVMs(t *testing.T) {
 func TestUploadSlotOffsets(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()[:3]
-	sink := &SliceSink{}
+	sink := newLogSink()
 	_, err := f.orch.Run(Config{Region: "us-east1", Servers: servers, Days: 1, Seed: 6}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +94,7 @@ func TestUploadSlotOffsets(t *testing.T) {
 	// must spread over 6 distinct timestamps.
 	byHour := make(map[int]map[int64]int)
 	upAt := make(map[[2]int64]bool) // (server, hour) -> upload seen
-	for _, m := range sink.Out {
+	for _, m := range records(sink.Log) {
 		h := m.Time.Hour()
 		if byHour[h] == nil {
 			byHour[h] = make(map[int64]int)
@@ -132,7 +149,7 @@ func TestHourOrderGolden(t *testing.T) {
 func TestRunBasicCampaign(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.ServersInCountry("US")[:20]
-	sink := &SliceSink{}
+	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: servers,
@@ -144,8 +161,8 @@ func TestRunBasicCampaign(t *testing.T) {
 	}
 	// 20 servers, hourly, 2 days, 2 directions.
 	want := 20 * 48 * 2
-	if rep.Tests != want || len(sink.Out) != want {
-		t.Fatalf("tests = %d / records %d, want %d", rep.Tests, len(sink.Out), want)
+	if rep.Tests != want || sink.Log.Len() != want {
+		t.Fatalf("tests = %d / records %d, want %d", rep.Tests, sink.Log.Len(), want)
 	}
 	if rep.VMs != 3 {
 		t.Errorf("VMs = %d, want 3 (20 servers x 2 tests / 17 per VM)", rep.VMs)
@@ -158,7 +175,7 @@ func TestRunBasicCampaign(t *testing.T) {
 	}
 	// Records are sane.
 	downs, ups := 0, 0
-	for _, m := range sink.Out {
+	for _, m := range records(sink.Log) {
 		if m.Mbps <= 0 {
 			t.Fatalf("non-positive throughput: %+v", m)
 		}
@@ -187,10 +204,10 @@ func TestRunBasicCampaign(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	f := setup(t)
-	if _, err := f.orch.Run(Config{Region: "us-east1"}, &SliceSink{}); err == nil {
+	if _, err := f.orch.Run(Config{Region: "us-east1"}, newLogSink()); err == nil {
 		t.Error("no servers: want error")
 	}
-	if _, err := f.orch.Run(Config{Region: "atlantis", Servers: f.topo.Servers()[:1]}, &SliceSink{}); err == nil {
+	if _, err := f.orch.Run(Config{Region: "atlantis", Servers: f.topo.Servers()[:1]}, newLogSink()); err == nil {
 		t.Error("unknown region: want error")
 	}
 	// A nil sink would measure a whole campaign into nowhere.
@@ -202,7 +219,7 @@ func TestRunErrors(t *testing.T) {
 func TestRandomisedOrderDiffersAcrossHours(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.ServersInCountry("US")[:10]
-	sink := &SliceSink{}
+	sink := newLogSink()
 	_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 7}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +227,7 @@ func TestRandomisedOrderDiffersAcrossHours(t *testing.T) {
 	// Reconstruct per-hour test order from the download records and
 	// verify at least two hours ordered servers differently.
 	orders := make(map[int][]int)
-	for _, m := range sink.Out {
+	for _, m := range records(sink.Log) {
 		if m.Dir != netsim.Download {
 			continue
 		}
@@ -234,7 +251,7 @@ func TestRandomisedOrderDiffersAcrossHours(t *testing.T) {
 func TestDifferentialTierPairs(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()[:5]
-	sink := &SliceSink{}
+	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "europe-west1",
 		Servers: servers,
@@ -249,7 +266,7 @@ func TestDifferentialTierPairs(t *testing.T) {
 		t.Errorf("VMs = %d, want 2", rep.VMs)
 	}
 	// Same-hour pairs must exist for the tier comparison.
-	deltas := analysis.TierDeltasCursor(analysis.NewSliceCursor(sink.Out), "europe-west1", analysis.MetricDownload)
+	deltas := analysis.TierDeltasCursor(analysis.NewSliceCursor(records(sink.Log)), "europe-west1", analysis.MetricDownload)
 	if len(deltas) != 5*24 {
 		t.Errorf("paired deltas = %d, want %d", len(deltas), 5*24)
 	}
@@ -264,7 +281,7 @@ func TestCapturesUploadedAndParseable(t *testing.T) {
 		Days:         1,
 		Seed:         3,
 		CaptureEvery: 10,
-	}, &SliceSink{})
+	}, newLogSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +327,7 @@ func TestTraceroutesUploaded(t *testing.T) {
 		Days:            2,
 		Seed:            4,
 		TracerouteEvery: 1,
-	}, &SliceSink{})
+	}, newLogSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,21 +376,22 @@ func TestDeterministicCampaign(t *testing.T) {
 	f2 := setup(t)
 	cfg := Config{Region: "us-east1", Servers: nil, Days: 1, Seed: 11}
 	cfg.Servers = f1.topo.Servers()[:5]
-	s1 := &SliceSink{}
+	s1 := newLogSink()
 	if _, err := f1.orch.Run(cfg, s1); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Servers = f2.topo.Servers()[:5]
-	s2 := &SliceSink{}
+	s2 := newLogSink()
 	if _, err := f2.orch.Run(cfg, s2); err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Out) != len(s2.Out) {
+	r1, r2 := records(s1.Log), records(s2.Log)
+	if len(r1) != len(r2) {
 		t.Fatal("campaign lengths differ")
 	}
-	for i := range s1.Out {
-		if s1.Out[i] != s2.Out[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, s1.Out[i], s2.Out[i])
+	for i := range r1 {
+		if r1[i] != r2[i] {
+			t.Fatalf("record %d differs: %+v vs %+v", i, r1[i], r2[i])
 		}
 	}
 }
@@ -382,13 +400,13 @@ func TestFixedOrderAblation(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()[:6]
 	run := func(fixed bool) []int {
-		sink := &SliceSink{}
+		sink := newLogSink()
 		_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 9, FixedOrder: fixed}, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var order []int
-		for _, m := range sink.Out {
+		for _, m := range records(sink.Log) {
 			if m.Dir == netsim.Download && m.Time.Hour() <= 1 {
 				order = append(order, m.ServerID)
 			}

@@ -32,7 +32,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, path := range simulatedAndHooked {
 		run := func(parallelism int) (*Report, []analysis.Measurement, []string) {
 			f := setup(t)
-			sink := &SliceSink{}
+			sink := newLogSink()
 			rep, err := f.orch.Run(Config{
 				Region:          "us-east1",
 				Servers:         f.topo.ServersInCountry("US")[:12],
@@ -48,7 +48,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rep, sink.Out, f.bucket.List("")
+			return rep, records(sink.Log), f.bucket.List("")
 		}
 
 		seqRep, seqOut, seqKeys := run(1)
@@ -98,7 +98,7 @@ func TestParallelEgressAccounting(t *testing.T) {
 				Seed:        3,
 				Parallelism: parallelism,
 				Measure:     path.hook(f.sim),
-			}, &SliceSink{})
+			}, newLogSink())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,10 +124,11 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()
 	regions := []string{"us-east1", "us-west1", "europe-west1"}
-	slices := make([]SliceSink, len(regions))
+	logs := make([]*LogSink, len(regions))
 	var wg sync.WaitGroup
 	errs := make([]error, len(regions))
 	for i, region := range regions {
+		logs[i] = newLogSink()
 		wg.Add(1)
 		go func(i int, region string) {
 			defer wg.Done()
@@ -137,7 +138,7 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 				Days:        1,
 				Seed:        int64(i + 1),
 				Parallelism: 2,
-			}, MultiSink{storeSink, &slices[i]})
+			}, MultiSink{storeSink, logs[i]})
 		}(i, region)
 	}
 	wg.Wait()
@@ -146,9 +147,9 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 			t.Fatalf("campaign %s: %v", regions[i], err)
 		}
 	}
-	for i := range slices {
-		if want := 4 * 24 * 2; len(slices[i].Out) != want {
-			t.Errorf("%s: fanned-out records = %d, want %d", regions[i], len(slices[i].Out), want)
+	for i := range logs {
+		if want := 4 * 24 * 2; logs[i].Log.Len() != want {
+			t.Errorf("%s: fanned-out records = %d, want %d", regions[i], logs[i].Log.Len(), want)
 		}
 	}
 	// 4 servers x 2 dirs x 3 regions = 24 series.

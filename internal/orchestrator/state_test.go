@@ -86,7 +86,7 @@ func TestCheckpointCarriesCPUPeak(t *testing.T) {
 	}
 	f := setup(t)
 	cfg.Servers = f.topo.Servers()[:4]
-	if _, err := f.orch.Run(cfg, &SliceSink{}); !errors.Is(err, errStopped) {
+	if _, err := f.orch.Run(cfg, newLogSink()); !errors.Is(err, errStopped) {
 		t.Fatalf("stopped run returned %v", err)
 	}
 	if saved.Report.MaxVMCPUUtil <= 0 {
@@ -98,7 +98,7 @@ func TestCheckpointCarriesCPUPeak(t *testing.T) {
 	f = setup(t)
 	cfg.Servers = f.topo.Servers()[:4]
 	cfg.OnCheckpoint, cfg.Resume = nil, &saved
-	rep, err := f.orch.Run(cfg, &SliceSink{})
+	rep, err := f.orch.Run(cfg, newLogSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCheckpointCadenceFollowsWatermark(t *testing.T) {
 			Region: "us-east1", Servers: f.topo.Servers()[:2], Days: 1, Seed: 2,
 			CheckpointEvery: tc.every,
 			OnCheckpoint:    func(p Progress) error { got = append(got, p.NextHour); return nil },
-		}, &SliceSink{})
+		}, newLogSink())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestRestoreHandsStateBack(t *testing.T) {
 	}
 	c, err := f.orch.newCampaign(Config{
 		Region: "us-east1", Servers: f.topo.Servers()[:9], Days: 1, Seed: 4, Faults: prof, Resume: &want,
-	}, &SliceSink{})
+	}, newLogSink())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 				}
 				return rep, err
 			}
-			want := &SliceSink{}
+			want := newLogSink()
 			wantRep, err := run(Config{Parallelism: 1}, want)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			var sawOpen, sawHalfOpen bool
-			stopped := &SliceSink{} // the stopped campaign's records so far
+			stopped := newLogSink() // the stopped campaign's records so far
 			var at *Progress        // and its last checkpoint; nil before hour 0
 			for h := 1; h <= days*24; h++ {
 				var saved []byte
@@ -242,7 +242,10 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 				sawOpen = sawOpen || at.Breaker.State == faults.Open && at.Breaker.OpenRounds < prof.BreakerCooldown
 				sawHalfOpen = sawHalfOpen || at.Breaker.State == faults.HalfOpen
 
-				got := &SliceSink{Out: slices.Clone(stopped.Out)}
+				got := newLogSink()
+				for _, m := range records(stopped.Log) { // the records the stopped runs wrote
+					got.Record(m)
+				}
 				rep, err := run(Config{Parallelism: 1 + (h+2)%4, Resume: at}, got)
 				if err != nil {
 					t.Fatalf("hour %d: resumed run: %v", h, err)
@@ -250,8 +253,8 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(rep, wantRep) {
 					t.Fatalf("resumed at hour %d: report\n%+v\nwant\n%+v", h, rep, wantRep)
 				}
-				if !slices.Equal(got.Out, want.Out) {
-					t.Fatalf("resumed at hour %d: %d records differ from the uninterrupted run's %d", h, len(got.Out), len(want.Out))
+				if !slices.Equal(records(got.Log), records(want.Log)) {
+					t.Fatalf("resumed at hour %d: %d records differ from the uninterrupted run's %d", h, got.Log.Len(), want.Log.Len())
 				}
 			}
 			switch name {

@@ -79,9 +79,11 @@ func NewArtifactCache() *ArtifactCache {
 	return &ArtifactCache{entries: make(map[campaignKey]*campaignEntry)}
 }
 
-// UseScheduler routes the cache's campaign planning and execution through a
-// command scheduler, which accounts whole-command progress and, on resume,
-// skips campaigns whose checkpoints are already complete.
+// UseScheduler gives the cache the command scheduler that plans and runs
+// its campaigns: it accounts whole-command progress and, on resume, skips
+// campaigns whose checkpoints are already complete. A cache asked for a
+// campaign before it has one returns an error; one that renders only
+// selection artifacts (table1) needs none.
 func (c *ArtifactCache) UseScheduler(s *core.CommandScheduler) { c.sched = s }
 
 func (c *ArtifactCache) entry(k campaignKey) *campaignEntry {
@@ -96,48 +98,44 @@ func (c *ArtifactCache) entry(k campaignKey) *campaignEntry {
 }
 
 // planEntry runs the campaign's planning phase (selection, checkpoint
-// attachment) at most once.
-func (c *ArtifactCache) planEntry(eng *core.CLASP, k campaignKey) *campaignEntry {
+// attachment) at most once, through the scheduler.
+func (c *ArtifactCache) planEntry(k campaignKey) *campaignEntry {
 	e := c.entry(k)
 	e.planOnce.Do(func() {
-		if c.sched != nil {
-			e.plan, e.planErr = c.sched.Plan(k.ref())
-		} else {
-			e.plan, e.planErr = eng.PlanRef(k.ref())
+		if c.sched == nil {
+			e.planErr = fmt.Errorf("scenario: %s campaign in %s requested from an artifact cache with no command scheduler", k.kind, k.region)
+			return
 		}
+		e.plan, e.planErr = c.sched.Plan(k.ref())
 	})
 	return e
 }
 
 // runEntry executes the campaign at most once; concurrent callers block
 // until the single execution finishes.
-func (c *ArtifactCache) runEntry(eng *core.CLASP, k campaignKey) *campaignEntry {
-	e := c.planEntry(eng, k)
+func (c *ArtifactCache) runEntry(k campaignKey) *campaignEntry {
+	e := c.planEntry(k)
 	e.runOnce.Do(func() {
 		if e.planErr != nil {
 			e.runErr = e.planErr
 			return
 		}
 		c.fills.Add(1)
-		if c.sched != nil {
-			e.res, e.runErr = c.sched.Run(e.plan)
-		} else {
-			e.res, e.runErr = eng.RunPlanned(e.plan)
-		}
+		e.res, e.runErr = c.sched.Run(e.plan)
 	})
 	return e
 }
 
-func (c *ArtifactCache) topology(eng *core.CLASP, region string, days int) (*core.CampaignResult, *selection.TopoResult, error) {
-	e := c.runEntry(eng, campaignKey{kind: "topology", region: region, days: days})
+func (c *ArtifactCache) topology(region string, days int) (*core.CampaignResult, *selection.TopoResult, error) {
+	e := c.runEntry(campaignKey{kind: "topology", region: region, days: days})
 	if e.runErr != nil {
 		return nil, nil, e.runErr
 	}
 	return e.res, e.plan.TopoSel, nil
 }
 
-func (c *ArtifactCache) differential(eng *core.CLASP, region string, days, minSamples int) (*core.CampaignResult, []selection.DiffSelected, error) {
-	e := c.runEntry(eng, campaignKey{kind: "differential", region: region, days: days, minSamples: minSamples})
+func (c *ArtifactCache) differential(region string, days, minSamples int) (*core.CampaignResult, []selection.DiffSelected, error) {
+	e := c.runEntry(campaignKey{kind: "differential", region: region, days: days, minSamples: minSamples})
 	if e.runErr != nil {
 		return nil, nil, e.runErr
 	}
@@ -216,13 +214,13 @@ func CampaignRefs(artifacts []string, days, minSamples int) []core.CampaignRef {
 // immediately, leaving the campaigns planned before it running in the
 // background; execution errors surface when a renderer requests the failed
 // campaign.
-func (c *ArtifactCache) Prelaunch(eng *core.CLASP, artifacts []string, days, minSamples int) error {
+func (c *ArtifactCache) Prelaunch(artifacts []string, days, minSamples int) error {
 	for _, ref := range CampaignRefs(artifacts, days, minSamples) {
 		k := campaignKey{kind: ref.Kind, region: ref.Region, days: ref.Days, minSamples: ref.MinSamples}
-		if e := c.planEntry(eng, k); e.planErr != nil {
+		if e := c.planEntry(k); e.planErr != nil {
 			return e.planErr
 		}
-		go c.runEntry(eng, k)
+		go c.runEntry(k)
 	}
 	return nil
 }
@@ -233,7 +231,7 @@ func (c *ArtifactCache) Prelaunch(eng *core.CLASP, artifacts []string, days, min
 // its input campaigns complete — while later campaigns still measure —
 // and the concatenated output is byte-identical to the sequential loop.
 func renderAll(out io.Writer, p *clasp.Platform, cache *ArtifactCache, days, minSamples int) error {
-	if err := cache.Prelaunch(p.Engine(), artifactOrder, days, minSamples); err != nil {
+	if err := cache.Prelaunch(artifactOrder, days, minSamples); err != nil {
 		return err
 	}
 	type slot struct {
@@ -274,7 +272,7 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 	topoCampaigns := func(regions []string) (map[string]*core.CampaignResult, error) {
 		results := make(map[string]*core.CampaignResult)
 		for _, r := range regions {
-			res, _, err := cache.topology(eng, r, days)
+			res, _, err := cache.topology(r, days)
 			if err != nil {
 				return nil, err
 			}
@@ -299,7 +297,7 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 		core.WriteFig2(out, core.Fig2(results, nil, eng.Opts.Parallelism))
 
 	case "fig3":
-		res, _, err := cache.topology(eng, "us-west1", days)
+		res, _, err := cache.topology("us-west1", days)
 		if err != nil {
 			return err
 		}
@@ -328,7 +326,7 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 			tier = bgp.Standard
 		}
 		for _, r := range core.DifferentialRegions {
-			res, _, err := cache.differential(eng, r, days, minSamples)
+			res, _, err := cache.differential(r, days, minSamples)
 			if err != nil {
 				return err
 			}
@@ -340,7 +338,7 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 		}
 
 	case "fig5":
-		res, sel, err := cache.differential(eng, "europe-west1", days, minSamples)
+		res, sel, err := cache.differential("europe-west1", days, minSamples)
 		if err != nil {
 			return err
 		}
@@ -355,14 +353,14 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 		if artifact == "fig6b" {
 			region = "us-west1"
 		}
-		res, _, err := cache.topology(eng, region, days)
+		res, _, err := cache.topology(region, days)
 		if err != nil {
 			return err
 		}
 		core.WriteFig6(out, region, eng.Fig6(res, bgp.Premium, 10))
 
 	case "fig6c":
-		res, _, err := cache.differential(eng, "europe-west1", days, minSamples)
+		res, _, err := cache.differential("europe-west1", days, minSamples)
 		if err != nil {
 			return err
 		}
@@ -371,7 +369,7 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 
 	case "fig7":
 		for _, region := range core.Table1Regions {
-			_, sel, err := cache.topology(eng, region, days)
+			_, sel, err := cache.topology(region, days)
 			if err != nil {
 				return err
 			}
@@ -397,7 +395,7 @@ func RenderArtifact(out io.Writer, p *clasp.Platform, cache *ArtifactCache, arti
 		if err != nil {
 			return err
 		}
-		diff, _, err := cache.differential(eng, "europe-west1", days, minSamples)
+		diff, _, err := cache.differential("europe-west1", days, minSamples)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,6 +22,7 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewArtifactCache()
+	cache.UseScheduler(eng.NewCommandScheduler("singleflight"))
 
 	const callers = 8
 	results := make([]*core.CampaignResult, callers)
@@ -29,7 +32,7 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = cache.topology(eng, "us-west1", 1)
+			results[i], _, errs[i] = cache.topology("us-west1", 1)
 		}(i)
 	}
 	wg.Wait()
@@ -44,6 +47,19 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 	}
 	if got := cache.fills.Load(); got != 1 {
 		t.Fatalf("cache executed the campaign %d times under %d concurrent callers, want exactly 1", got, callers)
+	}
+}
+
+// TestArtifactCacheNeedsScheduler: campaigns are planned and run only
+// through a command scheduler, so a cache without one refuses to measure.
+func TestArtifactCacheNeedsScheduler(t *testing.T) {
+	eng, err := core.New(core.Options{Seed: 3, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RenderArtifact(io.Discard, clasp.NewFromCore(eng), NewArtifactCache(), "fig3", 1, 6)
+	if err == nil || !strings.Contains(err.Error(), "no command scheduler") {
+		t.Fatalf("fig3 from a cache with no scheduler: %v, want a refusal", err)
 	}
 }
 
@@ -71,16 +87,17 @@ func renderAllWith(t *testing.T, parallelism int) []byte {
 // scheduler's determinism invariant: `report all` — campaigns running
 // concurrently, artifacts rendering as their inputs complete — emits the
 // same bytes at parallelism 1 and 4, and those bytes equal the plain
-// sequential per-artifact loop with no scheduler attached.
+// sequential per-artifact loop.
 func TestReportAllByteIdenticalAcrossParallelism(t *testing.T) {
 	// Sequential reference: one artifact at a time, campaigns on demand,
-	// no scheduler, no prelaunch — the pre-pipeline rendering order.
+	// no prelaunch — the pre-pipeline rendering order.
 	eng, err := core.New(core.Options{Seed: 3, Scale: 0.1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := clasp.NewFromCore(eng)
 	cache := NewArtifactCache()
+	cache.UseScheduler(eng.NewCommandScheduler("report-sequential"))
 	var want bytes.Buffer
 	for _, a := range artifactOrder {
 		core.Separator(&want, a)

@@ -79,6 +79,9 @@ func (r *Runner) Run(w io.Writer, s *Spec) error {
 	}
 	p := clasp.NewFromCore(eng)
 	cache := NewArtifactCache()
+	// Labelled with the scenario's name: fleet members share one obs
+	// registry, so each command's progress series must be its own.
+	cache.UseScheduler(eng.NewCommandScheduler(s.Name))
 
 	for i := range s.Campaigns {
 		if err := r.runCampaign(w, s, &s.Campaigns[i], p, cache); err != nil {
@@ -100,7 +103,6 @@ func (r *Runner) Run(w io.Writer, s *Spec) error {
 
 // runCampaign runs one campaign of a scenario across its regions.
 func (r *Runner) runCampaign(w io.Writer, s *Spec, c *CampaignSpec, p *clasp.Platform, cache *ArtifactCache) error {
-	eng := p.Engine()
 	days := c.Days
 	if days == 0 {
 		days = s.days()
@@ -114,9 +116,9 @@ func (r *Runner) runCampaign(w io.Writer, s *Spec, c *CampaignSpec, p *clasp.Pla
 		// length gets its own entry.
 		switch c.Kind {
 		case KindTopology:
-			res, _, err = cache.topology(eng, region, days)
+			res, _, err = cache.topology(region, days)
 		case KindDifferential:
-			res, _, err = cache.differential(eng, region, days, s.minSamples())
+			res, _, err = cache.differential(region, days, s.minSamples())
 		}
 		if err != nil {
 			return err

@@ -13,7 +13,9 @@ import (
 
 func setup(t *testing.T) (*netsim.Sim, *bdrmap.Mapper) {
 	t.Helper()
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,19 +175,3 @@ func WriteJSON(w io.Writer, snaps []Snapshot) error {
 	}
 	return nil
 }
-
-// ReadJSON parses snapshots written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Snapshot, error) {
-	dec := json.NewDecoder(r)
-	var out []Snapshot
-	for {
-		var s Snapshot
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("someta: decoding snapshot: %w", err)
-		}
-		out = append(out, s)
-	}
-}

@@ -20,6 +20,14 @@ func startServer(t *testing.T, d time.Duration) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
+// dial opens a WebSocket to path the way the client does.
+func dial(addr, path string) (*wsock.Conn, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	conn, _, err := NewClient(Config{}).connect(ctx, addr, path)
+	return conn, err
+}
+
 func TestDownloadUploadLoopback(t *testing.T) {
 	addr := startServer(t, 400*time.Millisecond)
 	c := NewClient(Config{Duration: 400 * time.Millisecond})
@@ -45,7 +53,7 @@ func TestDownloadUploadLoopback(t *testing.T) {
 
 func TestServerSendsMeasurements(t *testing.T) {
 	addr := startServer(t, 600*time.Millisecond)
-	conn, err := wsock.Dial(addr, DownloadPath, Subprotocol, 2*time.Second)
+	conn, err := dial(addr, DownloadPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +96,7 @@ func TestServerSendsMeasurements(t *testing.T) {
 
 func TestUploadServerCounts(t *testing.T) {
 	addr := startServer(t, time.Second)
-	conn, err := wsock.Dial(addr, UploadPath, Subprotocol, 2*time.Second)
+	conn, err := dial(addr, UploadPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +159,7 @@ func TestShapedDownloadRespectsCap(t *testing.T) {
 
 func TestUnknownPath404(t *testing.T) {
 	addr := startServer(t, time.Second)
-	if _, err := wsock.Dial(addr, "/ndt/v7/bogus", Subprotocol, time.Second); err == nil {
+	if _, err := dial(addr, "/ndt/v7/bogus"); err == nil {
 		t.Error("bogus path upgraded")
 	}
 }
@@ -166,7 +174,7 @@ func TestClientErrors(t *testing.T) {
 
 func TestMessageSizeScaling(t *testing.T) {
 	addr := startServer(t, 500*time.Millisecond)
-	conn, err := wsock.Dial(addr, DownloadPath, Subprotocol, 2*time.Second)
+	conn, err := dial(addr, DownloadPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,10 +139,3 @@ func (p *Pipeline) Stop() {
 	p.startOnce.Do(func() { close(p.done) })
 	<-p.done
 }
-
-// WriteBlocksFile dumps the self-store to path via temp file and atomic
-// rename (tsdb.Store.WriteBlocksFile), so a process killed mid-dump never
-// leaves a truncated telemetry file behind.
-func (p *Pipeline) WriteBlocksFile(path string) error {
-	return p.Store.WriteBlocksFile(path)
-}

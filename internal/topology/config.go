@@ -1,7 +1,7 @@
 package topology
 
 // Config controls synthetic Internet generation. The zero value is not
-// useful; start from DefaultConfig or PaperScaleConfig.
+// useful; start from PaperScaleConfig and set Scale.
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical topologies.
 	Seed int64
@@ -47,14 +47,6 @@ type Config struct {
 	// NumEdgeVPs is the number of Speedchecker-style edge vantage points
 	// (paper: >10,000 networks).
 	NumEdgeVPs int
-}
-
-// DefaultConfig returns a small topology suitable for unit tests: a few
-// hundred interconnects and a couple hundred servers.
-func DefaultConfig() Config {
-	c := PaperScaleConfig()
-	c.Scale = 0.1
-	return c
 }
 
 // PaperScaleConfig reproduces the structural scale of the paper's

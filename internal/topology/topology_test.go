@@ -7,7 +7,8 @@ import (
 
 func small(t *testing.T) *Topology {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := PaperScaleConfig()
+	cfg.Scale = 0.1
 	topo, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -16,7 +17,7 @@ func small(t *testing.T) *Topology {
 }
 
 func TestNewRejectsBadScale(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := PaperScaleConfig()
 	cfg.Scale = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("scale 0: want error")
@@ -24,7 +25,8 @@ func TestNewRejectsBadScale(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := PaperScaleConfig()
+	cfg.Scale = 0.1
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

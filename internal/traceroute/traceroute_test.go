@@ -12,7 +12,9 @@ import (
 
 func newProber(t *testing.T) (*Prober, *topology.Topology) {
 	t.Helper()
-	topo, err := topology.New(topology.DefaultConfig())
+	cfg := topology.PaperScaleConfig()
+	cfg.Scale = 0.1
+	topo, err := topology.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // bit-identical to the input — timestamps to the nanosecond (normalised to
 // UTC) and field values to the IEEE-754 bit pattern, pinned by the
 // round-trip property tests and fuzzer in block_test.go. Nothing
-// downstream (Query, WriteBlocks, analysis) can observe whether a series was
+// downstream (Query, analysis) can observe whether a series was
 // sealed, except through memory use.
 
 package tsdb
@@ -28,8 +28,7 @@ const DefaultSealThreshold = 512
 // block is one immutable compressed run of points. Blocks of a series are
 // time-ordered and non-overlapping: every point in block i+1 is at or
 // after every point in block i, and the mutable tail follows the last
-// block. All fields are read-only after encodeColumns returns, so blocks may
-// be shared across snapshots without locks.
+// block. All fields are read-only after encodeColumns returns.
 type block struct {
 	n            int
 	minNs, maxNs int64 // UnixNano of first and last point
@@ -90,7 +89,7 @@ func encodeColumns(c *columns) *block {
 // appendPoints decodes the block and appends its points inside r to dst.
 // Decoded points carry fresh field maps, so callers own them outright.
 // Decode never fails on data produced by encodeColumns; a corrupt buffer
-// (possible via OpenBlockFile) is reported as an error.
+// is reported as an error.
 func (b *block) appendPoints(dst []Point, r timeRange) ([]Point, error) {
 	var c columns
 	if err := b.decodeInto(&c); err != nil {

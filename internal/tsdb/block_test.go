@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -214,8 +213,8 @@ func fillStores(t testing.TB, n int, stores ...*Store) {
 // blocks) or disabled.
 func TestSealedStoreMatchesUnsealed(t *testing.T) {
 	sealed, plain := NewStore(), NewStore()
-	sealed.SetSealThreshold(16)
-	plain.SetSealThreshold(0)
+	sealed.sealThreshold = 16
+	plain.sealThreshold = 0
 	fillStores(t, 500, sealed, plain)
 
 	blocks, pts, _ := sealed.BlockStats()
@@ -247,7 +246,7 @@ func TestSealedStoreMatchesUnsealed(t *testing.T) {
 // than the sealed range must land in its sorted position.
 func TestSealedOutOfOrderInsertReopens(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(8)
+	s.sealThreshold = 8
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 20; i++ {
 		if err := s.Insert("m", Tags{"k": "v"}, base.Add(time.Duration(i)*time.Hour), map[string]float64{"v": float64(i)}); err != nil {
@@ -282,12 +281,51 @@ func TestSealedOutOfOrderInsertReopens(t *testing.T) {
 	}
 }
 
+// TestDropBeforeSealedBlocks pins whole-block retention granularity: only
+// blocks entirely before the cutoff are dropped.
+func TestDropBeforeSealedBlocks(t *testing.T) {
+	st := NewStore()
+	st.sealThreshold = 4
+	for i := int64(0); i < 20; i++ {
+		if err := st.Insert("m", nil, time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocksBefore, pointsBefore, _ := st.BlockStats()
+	if blocksBefore == 0 {
+		t.Fatal("expected sealed blocks")
+	}
+	dropped := st.DropBefore(time.Unix(10, 0).UTC())
+	blocksAfter, pointsAfter, _ := st.BlockStats()
+	if blocksAfter >= blocksBefore {
+		t.Fatalf("blocks %d -> %d, expected a drop", blocksBefore, blocksAfter)
+	}
+	if pointsBefore-pointsAfter != dropped {
+		// All dropped points were sealed here (cutoff 10 < first tail point).
+		t.Fatalf("block points dropped %d, DropBefore reported %d", pointsBefore-pointsAfter, dropped)
+	}
+	// Remaining data is exactly the suffix from the first surviving block.
+	got := st.Query("m", nil, time.Time{}, time.Time{})
+	if len(got) != 1 {
+		t.Fatalf("series = %d", len(got))
+	}
+	first := got[0].Points[0].Time.Unix()
+	if first > 10 {
+		t.Fatalf("first surviving point %d — dropped a block overlapping the cutoff", first)
+	}
+	for i := 1; i < len(got[0].Points); i++ {
+		if got[0].Points[i].Time.Unix() != got[0].Points[i-1].Time.Unix()+1 {
+			t.Fatal("gap inside surviving points")
+		}
+	}
+}
+
 // TestBlockStatsCompression pins the headline storage win: campaign-shaped
 // hourly data must seal to well under the raw 16-byte (ts, value) pair
 // per sample per field.
 func TestBlockStatsCompression(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(512)
+	s.sealThreshold = 512
 	fillStores(t, 3*2048, s)
 	_, pts, encoded := s.BlockStats()
 	if pts == 0 {
@@ -303,7 +341,7 @@ func TestBlockStatsCompression(t *testing.T) {
 
 func TestQueryViewMatchesQuery(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(16)
+	s.sealThreshold = 16
 	fillStores(t, 300, s)
 	from := time.Date(2020, 5, 2, 0, 0, 0, 0, time.UTC)
 	q := s.Query("speedtest", Tags{"server": "b"}, from, time.Time{})
@@ -324,7 +362,7 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 // across later inserts.
 func TestQueryViewAliasesStore(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(0) // all points in the tail
+	s.sealThreshold = 0 // all points in the tail
 	at := time.Unix(100, 0).UTC()
 	if err := s.Insert("m", Tags{"k": "v"}, at, map[string]float64{"f": 1}); err != nil {
 		t.Fatal(err)
@@ -355,36 +393,4 @@ func TestQueryViewAliasesStore(t *testing.T) {
 	if again := s.QueryView("m", nil, time.Time{}, time.Time{}); len(again[0].Points) != 2 || again[0].Points[0].Fields["f"] != 1 {
 		t.Fatalf("store changed through a view's point: %+v", again[0].Points)
 	}
-}
-
-// --- Concurrency -----------------------------------------------------------------
-
-// TestWriteBlocksConcurrentWithInserts is the -race pin for the
-// shard-by-shard snapshot: serialisation runs while writers insert, and
-// every serialised store must itself open and decode cleanly.
-func TestWriteBlocksConcurrentWithInserts(t *testing.T) {
-	s := NewStore()
-	s.SetSealThreshold(32)
-	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			tags := Tags{"server": string(rune('a' + g))}
-			for i := 0; i < 600; i++ {
-				at := base.Add(time.Duration(i) * time.Minute)
-				if err := s.Insert("speedtest", tags, at, map[string]float64{"mbps": float64(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	for round := 0; round < 6; round++ {
-		if _, err := writeBlockFile(t, s).Query("speedtest", nil, time.Time{}, time.Time{}); err != nil {
-			t.Fatalf("round %d: serialised store does not decode: %v", round, err)
-		}
-	}
-	wg.Wait()
 }

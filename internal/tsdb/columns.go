@@ -1,6 +1,5 @@
 // Columnar rows: the one in-memory representation of uncompressed points.
-// A series' mutable tail, a decoded block and a serialisation snapshot are
-// all a columns value — a timestamp column plus one float column per field
+// A series' mutable tail and a decoded block are both a columns value — a timestamp column plus one float column per field
 // name — mirroring the sealed layout in block.go, so sealing encodes
 // straight from the columns and reopening decodes straight into them. No
 // point owns a heap object; Point values (with their Fields maps) are
@@ -156,22 +155,6 @@ func (c *columns) dropPrefix(n int) {
 			c.present[k] = slices.Delete(c.present[k], 0, n)
 		}
 	}
-}
-
-// clone returns a deep copy of the points; the field list is shared
-// (append-only, so a prefix never changes).
-func (c *columns) clone() columns {
-	out := columns{
-		fields:  c.fields[:len(c.fields):len(c.fields)],
-		times:   slices.Clone(c.times),
-		vals:    make([][]float64, len(c.vals)),
-		present: make([][]bool, len(c.present)),
-	}
-	for k := range c.fields {
-		out.vals[k] = slices.Clone(c.vals[k])
-		out.present[k] = slices.Clone(c.present[k])
-	}
-	return out
 }
 
 // sortedFields returns the indices of the columns at least one point

@@ -1,51 +1,61 @@
 package tsdb
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 )
 
+// storeBytes is the byte-level state of a store, by series key: each
+// sealed block's data, then the mutable tail encoded the way a seal would
+// encode it (fields sorted by name, so the order fields first arrived in
+// does not show).
+func storeBytes(s *Store) map[string][][]byte {
+	out := make(map[string][][]byte)
+	defer s.lockAll()()
+	for i := range s.shards {
+		for k, sr := range s.shards[i].series {
+			var data [][]byte
+			for _, b := range sr.blocks {
+				data = append(data, b.data)
+			}
+			if sr.tail.len() > 0 {
+				data = append(data, encodeColumns(&sr.tail).data)
+			}
+			out[k] = data
+		}
+	}
+	return out
+}
+
 // TestBoundInsertMatchesMapInsert is the one-write-path property: the same
 // random point stream — duplicate timestamps, points arriving out of order
 // across a seal boundary, one field missing on some points — driven through
-// the map API (Store.Insert), the handle's map API and the bound-handle API
-// leaves three stores that cannot be told apart.
+// the map API (Store.Insert) and the bound-handle API leaves two stores
+// that cannot be told apart.
 func TestBoundInsertMatchesMapInsert(t *testing.T) {
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		threshold := []int{0, 5, 32}[seed%3]
-		byMap, byHandle, byBound := NewStore(), NewStore(), NewStore()
-		for _, s := range []*Store{byMap, byHandle, byBound} {
-			s.SetSealThreshold(threshold)
-		}
+		byMap, byBound := NewStore(), NewStore()
+		byMap.sealThreshold, byBound.sealThreshold = threshold, threshold
 		type binding struct {
-			h          *Handle
 			full, part *BoundHandle // all three fields, and the two a sparse point carries
 		}
 		bindings := make([]binding, 3)
 		tagsOf := func(sr int) Tags { return Tags{"server": string(rune('a' + sr))} }
 		for sr := range bindings {
-			h, err := byHandle.Handle("speedtest", tagsOf(sr))
+			full, err := byBound.Bind("speedtest", tagsOf(sr), "mbps", "rtt_ms", "loss")
 			if err != nil {
 				t.Fatal(err)
 			}
-			hb, err := byBound.Handle("speedtest", tagsOf(sr))
+			part, err := byBound.Bind("speedtest", tagsOf(sr), "loss", "mbps")
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := hb.Bind("mbps", "rtt_ms", "loss")
-			if err != nil {
-				t.Fatal(err)
-			}
-			part, err := hb.Bind("loss", "mbps")
-			if err != nil {
-				t.Fatal(err)
-			}
-			bindings[sr] = binding{h: h, full: full, part: part}
+			bindings[sr] = binding{full: full, part: part}
 		}
 		for i := 0; i < 400; i++ {
 			sr := rng.Intn(len(bindings))
@@ -58,47 +68,32 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 			}
 			mbps, rtt, loss := rng.Float64()*900, rng.Float64()*80, rng.Float64()/100
 			b := bindings[sr]
-			var err1, err2, err3 error
+			var err1, err2 error
 			if rng.Intn(4) == 0 {
-				fields := map[string]float64{"mbps": mbps, "loss": loss}
-				err1 = byMap.Insert("speedtest", tagsOf(sr), at, fields)
-				err2 = b.h.Insert(at, fields)
-				err3 = b.part.Insert(at, loss, mbps)
+				err1 = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "loss": loss})
+				err2 = b.part.Insert(at, loss, mbps)
 			} else {
-				fields := map[string]float64{"mbps": mbps, "rtt_ms": rtt, "loss": loss}
-				err1 = byMap.Insert("speedtest", tagsOf(sr), at, fields)
-				err2 = b.h.Insert(at, fields)
-				err3 = b.full.Insert(at, mbps, rtt, loss)
+				err1 = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "rtt_ms": rtt, "loss": loss})
+				err2 = b.full.Insert(at, mbps, rtt, loss)
 			}
-			for _, err := range []error{err1, err2, err3} {
+			for _, err := range []error{err1, err2} {
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		want := byMap.Query("speedtest", nil, time.Time{}, time.Time{})
-		var wantBlocks bytes.Buffer
-		if _, err := byMap.WriteBlocks(&wantBlocks); err != nil {
-			t.Fatal(err)
-		}
 		wb, wp, wbytes := byMap.BlockStats()
 		if threshold > 0 && wb == 0 {
 			t.Fatalf("seed %d: nothing sealed at threshold %d", seed, threshold)
 		}
-		for name, s := range map[string]*Store{"handle": byHandle, "bound": byBound} {
-			if got := s.Query("speedtest", nil, time.Time{}, time.Time{}); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: %s Query differs from the map API's", seed, name)
-			}
-			var blocks bytes.Buffer
-			if _, err := s.WriteBlocks(&blocks); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(blocks.Bytes(), wantBlocks.Bytes()) {
-				t.Fatalf("seed %d: %s WriteBlocks differs from the map API's", seed, name)
-			}
-			if b, p, n := s.BlockStats(); b != wb || p != wp || n != wbytes {
-				t.Fatalf("seed %d: %s BlockStats = %d/%d/%d, want %d/%d/%d", seed, name, b, p, n, wb, wp, wbytes)
-			}
+		if got, want := byBound.Query("speedtest", nil, time.Time{}, time.Time{}), byMap.Query("speedtest", nil, time.Time{}, time.Time{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: bound Query differs from the map API's", seed)
+		}
+		if !reflect.DeepEqual(storeBytes(byBound), storeBytes(byMap)) {
+			t.Fatalf("seed %d: bound blocks and tail encode differently from the map API's", seed)
+		}
+		if b, p, n := byBound.BlockStats(); b != wb || p != wp || n != wbytes {
+			t.Fatalf("seed %d: bound BlockStats = %d/%d/%d, want %d/%d/%d", seed, b, p, n, wb, wp, wbytes)
 		}
 	}
 }
@@ -106,16 +101,13 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 // TestBindRejectsBadFields covers the validation Bind does once so that
 // BoundHandle.Insert need not.
 func TestBindRejectsBadFields(t *testing.T) {
-	h, err := NewStore().Handle("m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStore()
 	for _, fields := range [][]string{nil, {""}, {"a b"}, {"v", "v"}} {
-		if _, err := h.Bind(fields...); err == nil {
+		if _, err := s.Bind("m", nil, fields...); err == nil {
 			t.Errorf("Bind(%q) succeeded", fields)
 		}
 	}
-	b, err := h.Bind("v", "w")
+	b, err := s.Bind("m", nil, "v", "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +122,8 @@ func TestBindRejectsBadFields(t *testing.T) {
 // in-order append seals everything again.
 func TestOutOfOrderRunReopensOnce(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(8)
-	h, err := s.Handle("m", Tags{"k": "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := h.Bind("v")
+	s.sealThreshold = 8
+	b, err := s.Bind("m", Tags{"k": "v"}, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +166,8 @@ func TestOutOfOrderRunReopensOnce(t *testing.T) {
 // key, no per-point object.
 func TestBoundInsertDoesNotAllocate(t *testing.T) {
 	s := NewStore()
-	s.SetSealThreshold(0)
-	h, err := s.Handle("speedtest", Tags{"server": "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := h.Bind("mbps", "rtt_ms", "loss")
+	s.sealThreshold = 0
+	b, err := s.Bind("speedtest", Tags{"server": "1"}, "mbps", "rtt_ms", "loss")
 	if err != nil {
 		t.Fatal(err)
 	}

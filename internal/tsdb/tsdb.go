@@ -1,8 +1,7 @@
 // Package tsdb is CLASP's time-series store, standing in for InfluxDB: a
 // sharded in-memory series store with tagged points, sealed columnar
-// blocks, time-range and tag queries, and the block file format
-// (blockfile.go) it persists to. Its clients are the telemetry pipeline's
-// self-scrape history and the campaign index.
+// blocks, and time-range and tag queries. Its clients are the telemetry
+// pipeline's self-scrape history and the campaign index.
 package tsdb
 
 import (
@@ -103,9 +102,8 @@ type shard struct {
 
 // Store is a thread-safe collection of series. The lock is sharded by
 // series key: writers to distinct series take distinct locks; whole-store
-// readers (Query, QueryView, SeriesCount) lock every shard in order for a
-// consistent snapshot, while WriteBlocks snapshots one shard at a time so
-// serialisation never stalls more than one shard's writers.
+// readers (Query, QueryView, SeriesCount, BlockStats) lock every shard in
+// order for a consistent snapshot.
 type Store struct {
 	shards        [numShards]shard
 	sealThreshold int
@@ -119,17 +117,6 @@ func NewStore() *Store {
 		s.shards[i].series = make(map[string]*series)
 	}
 	return s
-}
-
-// SetSealThreshold changes the tail length at which a series is sealed
-// into a compressed block; 0 disables sealing (pure in-memory points, the
-// pre-block behaviour). Call before concurrent use: the threshold is read
-// without synchronisation on the insert path.
-func (s *Store) SetSealThreshold(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.sealThreshold = n
 }
 
 // BlockStats reports the sealed state of the store: number of sealed
@@ -155,7 +142,7 @@ func (s *Store) BlockStats() (blocks, points, bytes int) {
 // is dropped only when its entire time range precedes the cutoff (blocks
 // are immutable; splitting one would mean decode + re-seal). The mutable
 // tail drops its strict prefix of points before the cutoff. Series entries
-// themselves are never removed, even when emptied: interned Handles hold
+// themselves are never removed, even when emptied: bound handles hold
 // series pointers, and deleting the map entry would silently divorce a
 // handle's future inserts from queries.
 func (s *Store) DropBefore(cutoff time.Time) int {
@@ -165,17 +152,13 @@ func (s *Store) DropBefore(cutoff time.Time) int {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, sr := range sh.series {
-			if len(sr.blocks) > 0 {
-				keep := sr.blocks[:0:0] // fresh backing; snapshots may share the old one
-				for _, b := range sr.blocks {
-					if b.maxNs < cut {
-						dropped += b.n
-						continue
-					}
-					keep = append(keep, b)
+			sr.blocks = slices.DeleteFunc(sr.blocks, func(b *block) bool {
+				if b.maxNs < cut {
+					dropped += b.n
+					return true
 				}
-				sr.blocks = keep
-			}
+				return false
+			})
 			idx := sort.Search(sr.tail.len(), func(j int) bool { return sr.tail.times[j] >= cut })
 			if idx > 0 {
 				dropped += idx
@@ -284,53 +267,26 @@ func (s *Store) Insert(measurement string, tags Tags, at time.Time, fields map[s
 	return nil
 }
 
-// Handle is an interned reference to one series: the canonical tag string
-// is rendered and hashed once, so repeated inserts into the same series
-// (the orchestrator's sink pattern) skip key construction entirely.
-type Handle struct {
-	st *Store
-	sh *shard
-	sr *series
-}
-
-// Handle interns a (measurement, tags) series, creating it if absent. Tags
-// are copied; later mutation of the argument does not affect the handle.
-func (s *Store) Handle(measurement string, tags Tags) (*Handle, error) {
-	if err := validateSeries(measurement, tags); err != nil {
-		return nil, err
-	}
-	key := seriesKey(measurement, tags)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return &Handle{st: s, sh: sh, sr: sh.intern(key, measurement, tags)}, nil
-}
-
-// Insert adds a point to the handle's series. Nothing of fields is
-// retained. Equivalent to Store.Insert with the handle's measurement and
-// tags.
-func (h *Handle) Insert(at time.Time, fields map[string]float64) error {
-	if err := validateFields(fields); err != nil {
-		return err
-	}
-	lockShard(h.sh)
-	defer h.sh.mu.Unlock()
-	h.sr.insertFields(at.UnixNano(), fields, h.st.sealThreshold)
-	obsShardInserts[h.sh.id].Inc()
-	return nil
-}
-
-// BoundHandle is a Handle fixed to an ordered list of field names: Insert
-// takes one value per name, positionally, and — names validated and column
-// positions resolved once, at Bind — allocates nothing. It is the ingest
-// path for fixed-schema streams (a campaign's mbps/rtt_ms/loss).
+// BoundHandle is an interned reference to one series fixed to an ordered
+// list of field names: the canonical tag string is rendered and hashed
+// once, names validated and column positions resolved once, at Bind, so
+// Insert takes one value per name, positionally, and allocates nothing. It
+// is the ingest path for fixed-schema streams (a campaign's
+// mbps/rtt_ms/loss).
 type BoundHandle struct {
-	h    *Handle
+	st   *Store
+	sh   *shard
+	sr   *series
 	cols []int // the series' column index of each bound field
 }
 
-// Bind fixes the handle to the given distinct field names.
-func (h *Handle) Bind(fields ...string) (*BoundHandle, error) {
+// Bind interns a (measurement, tags) series, creating it if absent, and
+// fixes the handle to the given distinct field names. Tags are copied;
+// later mutation of the argument does not affect the handle.
+func (s *Store) Bind(measurement string, tags Tags, fields ...string) (*BoundHandle, error) {
+	if err := validateSeries(measurement, tags); err != nil {
+		return nil, err
+	}
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("tsdb: binding without fields")
 	}
@@ -342,13 +298,15 @@ func (h *Handle) Bind(fields ...string) (*BoundHandle, error) {
 			return nil, fmt.Errorf("tsdb: field %q bound twice", name)
 		}
 	}
-	cols := make([]int, len(fields))
-	h.sh.mu.Lock()
+	key := seriesKey(measurement, tags)
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b := &BoundHandle{st: s, sh: sh, sr: sh.intern(key, measurement, tags), cols: make([]int, len(fields))}
 	for i, name := range fields {
-		cols[i] = h.sr.tail.col(name)
+		b.cols[i] = b.sr.tail.col(name)
 	}
-	h.sh.mu.Unlock()
-	return &BoundHandle{h: h, cols: cols}, nil
+	return b, nil
 }
 
 // Insert adds a point carrying vals[i] for the i-th bound field.
@@ -356,11 +314,10 @@ func (b *BoundHandle) Insert(at time.Time, vals ...float64) error {
 	if len(vals) != len(b.cols) {
 		return fmt.Errorf("tsdb: %d values for %d bound fields", len(vals), len(b.cols))
 	}
-	h := b.h
-	lockShard(h.sh)
-	h.sr.insertRow(at.UnixNano(), b.cols, vals, h.st.sealThreshold)
-	h.sh.mu.Unlock()
-	obsShardInserts[h.sh.id].Inc()
+	lockShard(b.sh)
+	b.sr.insertRow(at.UnixNano(), b.cols, vals, b.st.sealThreshold)
+	b.sh.mu.Unlock()
+	obsShardInserts[b.sh.id].Inc()
 	return nil
 }
 
@@ -453,40 +410,4 @@ func appendBlockPoints(dst []Point, blocks []*block, r timeRange) []Point {
 		}
 	}
 	return dst
-}
-
-// seriesSnap is a point-in-time copy of one series taken under its shard's
-// read lock: blocks are immutable and shared, the tail's columns are copied
-// (insertions shift the live ones in place), and Tags are shared because
-// they are never mutated after the series is created.
-type seriesSnap struct {
-	key         string
-	measurement string
-	tags        Tags
-	blocks      []*block
-	tail        columns
-}
-
-// snapshotSeries collects a consistent-per-shard snapshot of every series,
-// holding only one shard's read lock at a time so concurrent inserts stall
-// for at most one shard, not the whole store (pinned by the -race test
-// TestWriteBlocksConcurrentWithInserts).
-func (s *Store) snapshotSeries() []seriesSnap {
-	var snaps []seriesSnap
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, sr := range sh.series {
-			snaps = append(snaps, seriesSnap{
-				key:         k,
-				measurement: sr.measurement,
-				tags:        sr.tags,
-				blocks:      append([]*block(nil), sr.blocks...),
-				tail:        sr.tail.clone(),
-			})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
-	return snaps
 }

@@ -126,78 +126,93 @@ func TestQueryResultsDoNotAliasStore(t *testing.T) {
 	}
 }
 
-// Property: random stores round-trip through the block file.
+// Property: random stores round-trip through sealed blocks.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewStore()
-		for i := 0; i < 30; i++ {
-			tags := Tags{"s": string(rune('a' + rng.Intn(5)))}
-			at := t0.Add(time.Duration(rng.Intn(1000)) * time.Minute)
-			s.Insert("m", tags, at, map[string]float64{"v": rng.Float64() * 1000})
-		}
-		return blockFileMatchesStore(t, seed, s)
+		return sealedMatchesUnsealed(t, seed, func(s *Store) error {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 30; i++ {
+				tags := Tags{"s": string(rune('a' + rng.Intn(5)))}
+				at := t0.Add(time.Duration(rng.Intn(1000)) * time.Minute)
+				if err := s.Insert("m", tags, at, map[string]float64{"v": rng.Float64() * 1000}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the block file round-trips the edge cases scenario fixtures
-// lean on — negative and zero (epoch) timestamps, float fields down to tiny
+// Property: sealed blocks round-trip the edge cases scenario fixtures lean
+// on — negative and zero (epoch) timestamps, float fields down to tiny
 // exponents (1e-07 and friends), multi-field points, and tag-less series.
-// WriteBlocks → OpenBlockFile must preserve every value exactly.
+// Seal → Query must preserve every value exactly.
 func TestRoundTripEdgeCasesProperty(t *testing.T) {
 	fieldNames := []string{"v", "mbps", "rtt_ms", "loss"}
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewStore()
-		for i := 0; i < 40; i++ {
-			var tags Tags
-			if rng.Intn(3) > 0 { // one third of points land in tag-less series
-				tags = Tags{"s": string(rune('a' + rng.Intn(3)))}
-			}
-			// Timestamps straddle the epoch: negative, zero and positive
-			// nanosecond counts all occur.
-			at := time.Unix(0, rng.Int63n(2_000_000)-1_000_000).UTC()
-			if i == 0 {
-				at = time.Unix(0, 0).UTC()
-			}
-			fields := make(map[string]float64)
-			for _, fn := range fieldNames[:1+rng.Intn(len(fieldNames))] {
-				v := rng.NormFloat64() * 1e3
-				switch rng.Intn(4) {
-				case 0:
-					v = rng.Float64() * 1e-7
-				case 1:
-					v = 1e-07
-				case 2:
-					v = -v
+		return sealedMatchesUnsealed(t, seed, func(s *Store) error {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 40; i++ {
+				var tags Tags
+				if rng.Intn(3) > 0 { // one third of points land in tag-less series
+					tags = Tags{"s": string(rune('a' + rng.Intn(3)))}
 				}
-				fields[fn] = v
+				// Timestamps straddle the epoch: negative, zero and positive
+				// nanosecond counts all occur.
+				at := time.Unix(0, rng.Int63n(2_000_000)-1_000_000).UTC()
+				if i == 0 {
+					at = time.Unix(0, 0).UTC()
+				}
+				fields := make(map[string]float64)
+				for _, fn := range fieldNames[:1+rng.Intn(len(fieldNames))] {
+					v := rng.NormFloat64() * 1e3
+					switch rng.Intn(4) {
+					case 0:
+						v = rng.Float64() * 1e-7
+					case 1:
+						v = 1e-07
+					case 2:
+						v = -v
+					}
+					fields[fn] = v
+				}
+				if err := s.Insert("m", tags, at, fields); err != nil {
+					return err
+				}
 			}
-			if err := s.Insert("m", tags, at, fields); err != nil {
-				t.Logf("seed %d: insert: %v", seed, err)
-				return false
-			}
-		}
-		return blockFileMatchesStore(t, seed, s)
+			return nil
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
 
-// blockFileMatchesStore spills s and reports whether the file answers the
-// whole-store query with bit-exact fields and timestamps.
-func blockFileMatchesStore(t *testing.T, seed int64, s *Store) bool {
-	have, err := writeBlockFile(t, s).Query("m", nil, time.Time{}, time.Time{})
-	if err != nil {
-		t.Logf("seed %d: query: %v", seed, err)
-		return false
+// sealedMatchesUnsealed runs the same inserts against a store that seals
+// every four points and one that never seals, seals what the first still
+// holds in its tails, and reports whether both answer the whole-store query
+// with bit-exact fields and timestamps.
+func sealedMatchesUnsealed(t *testing.T, seed int64, insert func(*Store) error) bool {
+	sealed, plain := NewStore(), NewStore()
+	sealed.sealThreshold, plain.sealThreshold = 4, 0
+	for _, s := range []*Store{sealed, plain} {
+		if err := insert(s); err != nil {
+			t.Logf("seed %d: insert: %v", seed, err)
+			return false
+		}
 	}
-	if !reflect.DeepEqual(s.Query("m", nil, time.Time{}, time.Time{}), have) {
-		t.Logf("seed %d: queried series diverged after round trip", seed)
+	for i := range sealed.shards {
+		for _, sr := range sealed.shards[i].series {
+			if sr.tail.len() > 0 {
+				sr.seal()
+			}
+		}
+	}
+	if !reflect.DeepEqual(plain.Query("m", nil, time.Time{}, time.Time{}), sealed.Query("m", nil, time.Time{}, time.Time{})) {
+		t.Logf("seed %d: queried series diverged after sealing", seed)
 		return false
 	}
 	return true

@@ -39,6 +39,10 @@ var ErrClosed = errors.New("wsock: connection closed")
 // peer from exhausting memory.
 const MaxMessageSize = 16 << 20
 
+// maxControlPayload is the largest payload a control frame (close, ping,
+// pong) may carry (RFC 6455 §5.5).
+const maxControlPayload = 125
+
 // Conn is a WebSocket connection over an underlying net.Conn.
 type Conn struct {
 	conn   net.Conn
@@ -101,23 +105,8 @@ func headerContainsToken(header, token string) bool {
 	return false
 }
 
-// Dial connects to a WebSocket endpoint over TCP ("ws://host/path" style;
-// host must include the port).
-func Dial(host, path, subprotocol string, timeout time.Duration) (*Conn, error) {
-	conn, err := net.DialTimeout("tcp", host, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("wsock: dial: %w", err)
-	}
-	c, err := ClientHandshake(conn, host, path, subprotocol)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
 // ClientHandshake performs the client side of the upgrade over an existing
-// connection (useful for shaped or in-memory transports).
+// connection: plain TCP, or a shaped or in-memory transport.
 func ClientHandshake(conn net.Conn, host, path, subprotocol string) (*Conn, error) {
 	var keyBytes [16]byte
 	if _, err := rand.Read(keyBytes[:]); err != nil {
@@ -215,7 +204,7 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 	var msg []byte
 	msgOp := -1
 	for {
-		fin, op, data, err := c.readFrame()
+		fin, op, data, err := c.readFrame(msg)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -243,17 +232,16 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 		default:
 			return 0, nil, fmt.Errorf("wsock: unknown opcode %#x", op)
 		}
-		if len(msg)+len(data) > MaxMessageSize {
-			return 0, nil, fmt.Errorf("wsock: message exceeds %d bytes", MaxMessageSize)
-		}
-		msg = append(msg, data...)
+		msg = data
 		if fin {
 			return msgOp, msg, nil
 		}
 	}
 }
 
-func (c *Conn) readFrame() (fin bool, opcode int, payload []byte, err error) {
+// readFrame reads one frame. A data frame's payload is appended to msg and
+// the grown msg returned; a control frame's payload is returned alone.
+func (c *Conn) readFrame(msg []byte) (fin bool, opcode int, payload []byte, err error) {
 	var h [2]byte
 	if _, err := io.ReadFull(c.br, h[:]); err != nil {
 		return false, 0, nil, fmt.Errorf("wsock: reading frame header: %w", err)
@@ -276,8 +264,14 @@ func (c *Conn) readFrame() (fin bool, opcode int, payload []byte, err error) {
 		}
 		length = binary.BigEndian.Uint64(ext[:])
 	}
-	if length > MaxMessageSize {
+	control := opcode >= OpClose
+	switch {
+	case control && (length > maxControlPayload || !fin):
+		return false, 0, nil, fmt.Errorf("wsock: control frame %#x of %d bytes (FIN %t)", opcode, length, fin)
+	case length > MaxMessageSize:
 		return false, 0, nil, fmt.Errorf("wsock: frame of %d bytes too large", length)
+	case !control && uint64(len(msg))+length > MaxMessageSize:
+		return false, 0, nil, fmt.Errorf("wsock: message exceeds %d bytes", MaxMessageSize)
 	}
 	var mask [4]byte
 	if masked {
@@ -285,16 +279,40 @@ func (c *Conn) readFrame() (fin bool, opcode int, payload []byte, err error) {
 			return false, 0, nil, err
 		}
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
+	if control {
+		msg = nil
+	}
+	start := len(msg)
+	if payload, err = readAppend(c.br, msg, int(length)); err != nil {
 		return false, 0, nil, fmt.Errorf("wsock: reading frame payload: %w", err)
 	}
 	if masked {
-		for i := range payload {
-			payload[i] ^= mask[i%4]
+		for i := range payload[start:] {
+			payload[start+i] ^= mask[i%4]
 		}
 	}
 	return fin, opcode, payload, nil
+}
+
+// readAppend appends n bytes read from r to dst. The buffer grows only as
+// bytes arrive — it is filled before it doubles, and never grows past the n
+// bytes — so a header that claims more than the peer sends costs what the
+// peer sent, not what it claimed.
+func readAppend(r io.Reader, dst []byte, n int) ([]byte, error) {
+	end := len(dst) + n
+	for len(dst) < end {
+		if len(dst) == cap(dst) {
+			grown := make([]byte, len(dst), min(end, max(2*cap(dst), 512)))
+			copy(grown, dst)
+			dst = grown
+		}
+		m, err := io.ReadFull(r, dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // Close sends a close frame (best effort) and closes the transport.

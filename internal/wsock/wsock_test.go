@@ -34,6 +34,21 @@ func startEchoServer(t *testing.T) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
+// dial connects to a WebSocket endpoint the way ndt7's client does: a TCP
+// dial, then the client handshake over it.
+func dial(host, path, subprotocol string) (*Conn, error) {
+	raw, err := net.DialTimeout("tcp", host, 2*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	c, err := ClientHandshake(raw, host, path, subprotocol)
+	if err != nil {
+		raw.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
 func TestAcceptKeyRFCVector(t *testing.T) {
 	// The example from RFC 6455 §1.3.
 	got := AcceptKey("dGhlIHNhbXBsZSBub25jZQ==")
@@ -45,7 +60,7 @@ func TestAcceptKeyRFCVector(t *testing.T) {
 
 func TestEchoTextAndBinary(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := Dial(host, "/ws", "", 2*time.Second)
+	c, err := dial(host, "/ws", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +95,7 @@ func TestEchoTextAndBinary(t *testing.T) {
 
 func TestMediumFrameLengthPath(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := Dial(host, "/ws", "", 2*time.Second)
+	c, err := dial(host, "/ws", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +116,7 @@ func TestMediumFrameLengthPath(t *testing.T) {
 
 func TestSubprotocolEchoed(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := Dial(host, "/ndt/v7/download", "net.measurementlab.ndt.v7", 2*time.Second)
+	c, err := dial(host, "/ndt/v7/download", "net.measurementlab.ndt.v7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +125,7 @@ func TestSubprotocolEchoed(t *testing.T) {
 
 func TestCloseHandshake(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := Dial(host, "/ws", "", 2*time.Second)
+	c, err := dial(host, "/ws", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +154,7 @@ func TestServerReceivesClose(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := Dial(host, "/", "", 2*time.Second)
+	c, err := dial(host, "/", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +185,7 @@ func TestPingAnsweredTransparently(t *testing.T) {
 			return
 		}
 		// Expect the pong back.
-		fin, op, data, err := c.readFrame()
+		fin, op, data, err := c.readFrame(nil)
 		if err == nil && fin && op == OpPong && string(data) == "probe" {
 			_ = c.WriteMessage(OpText, []byte("pong-ok"))
 		} else {
@@ -181,7 +196,7 @@ func TestPingAnsweredTransparently(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := Dial(host, "/", "", 2*time.Second)
+	c, err := dial(host, "/", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +234,7 @@ func TestFragmentedMessageReassembly(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := Dial(host, "/", "", 2*time.Second)
+	c, err := dial(host, "/", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +266,13 @@ func TestUpgradeRejectsPlainHTTP(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	// Connection refused.
-	if _, err := Dial("127.0.0.1:1", "/", "", 300*time.Millisecond); err == nil {
-		t.Error("dial to closed port succeeded")
-	}
 	// Non-websocket HTTP server.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "nope", http.StatusTeapot)
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	if _, err := Dial(host, "/", "", time.Second); err == nil {
+	if _, err := dial(host, "/", ""); err == nil {
 		t.Error("handshake against teapot succeeded")
 	}
 }
@@ -282,7 +293,7 @@ func TestClientHandshakeBadAccept(t *testing.T) {
 		conn.Read(buf)
 		conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Accept: bogus\r\n\r\n"))
 	}()
-	if _, err := Dial(ln.Addr().String(), "/", "", time.Second); err == nil {
+	if _, err := dial(ln.Addr().String(), "/", ""); err == nil {
 		t.Error("bad accept key accepted")
 	}
 }
@@ -301,7 +312,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := Dial(host, "/", "", time.Second)
+	c, err := dial(host, "/", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,28 +52,15 @@ var reachAllowed = map[string]string{
 	// Numeric oracle for the hash distributions in netsim's tests.
 	"internal/stats.Welford": reachReference,
 
-	// The only reader of what speedtestd -telemetry-out writes.
-	"internal/tsdb.OpenBlockFile":         reachObserve,
-	"internal/tsdb.BlockFile.Query":       reachObserve,
-	"internal/tsdb.BlockFile.SeriesCount": reachObserve,
 	// How orchestrator tests see uploads and teardown in the simulated cloud.
 	"internal/cloud.Bucket.Get":       reachObserve,
 	"internal/cloud.Bucket.List":      reachObserve,
 	"internal/cloud.Platform.ListVMs": reachObserve,
-	// Readers of artifacts and state the product writes.
-	"internal/someta.ReadJSON":                  reachObserve,
-	"internal/obs.Scraper.Stats":                reachObserve,
+	// The record count a checkpoint's sidecar claims.
 	"internal/checkpoint.Checkpoint.NumRecords": reachObserve,
-	"internal/orchestrator.SliceSink":           reachObserve,
-	// Store controls telemetry and orchestrator tests drive sealing with.
-	"internal/tsdb.Store.SetSealThreshold": reachObserve,
-	"internal/tsdb.Handle.Insert":          reachObserve,
-	// The topology fixture of 12 test packages and its ground truth.
-	"internal/topology.DefaultConfig":           reachObserve,
+	// Ground truth of the topology fixture.
 	"internal/topology.Topology.CloudNeighbors": reachObserve,
 	"internal/topology.Topology.RouterAliases":  reachObserve,
-	// The client end of the protocol servers, for their tests.
-	"internal/wsock.Dial": reachObserve,
 	// Reads back the captures campaigns upload (and with it pcap's reader).
 	"internal/flowstats.Analyze": reachObserve,
 }
