@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...

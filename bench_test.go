@@ -27,6 +27,7 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/core"
+	"github.com/clasp-measurement/clasp/internal/faults"
 	"github.com/clasp-measurement/clasp/internal/flowstats"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
@@ -644,9 +645,9 @@ func BenchmarkCampaignParallelism4(b *testing.B) { benchMultiRegionCampaign(b, 4
 // benchPacedCampaign is the deployment-shaped wall-clock benchmark. In the
 // real system a test occupies its measurement VM for tens of seconds while
 // the network transfers bytes — the campaign is network-bound, not
-// CPU-bound, which is exactly what the worker pool overlaps. The Measure
-// hook paces each test at a small real occupancy so the overlap is
-// measurable on any GOMAXPROCS (the pure-CPU pair above only speeds up on
+// CPU-bound, which is exactly what the worker pool overlaps. A fault
+// profile that slows every test paces each at a small real occupancy, so
+// the overlap is measurable on any GOMAXPROCS (the pure-CPU pair above only speeds up on
 // multi-core hosts). 26 servers → 52 tests/hour → 4 VMs per region, so
 // parallelism 4 runs every VM concurrently.
 func benchPacedCampaign(b *testing.B, parallelism int) {
@@ -659,10 +660,7 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 	}
 	servers = servers[:26]
 	orch := orchestrator.New(f.eng.Sim, f.eng.Cloud, nil)
-	paced := func(spec netsim.TestSpec) (netsim.TestResult, error) {
-		time.Sleep(occupancy)
-		return f.eng.Sim.Measure(spec)
-	}
+	paced := faults.Profile{Name: "paced", SlowProb: 1, SlowLatency: occupancy}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, region := range regions {
@@ -672,7 +670,7 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 				Days:        1,
 				Seed:        benchSeed,
 				Parallelism: parallelism,
-				Measure:     paced,
+				Faults:      paced,
 			}, &orchestrator.LogSink{Log: analysis.NewRecordLog()})
 			if err != nil {
 				b.Fatal(err)

@@ -151,7 +151,7 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 	analysis.ParallelFor(p.engine.Opts.Parallelism, len(withServer), func(i int) {
 		sw := withServer[i]
 		part := parts[i]
-		days := part.Days(det.MinSamples)
+		days := part.Days(congestion.MinDaySamples)
 		events := det.EventsIn(part)
 		congDays := make(map[int]bool)
 		var hourCount [24]int
@@ -180,8 +180,8 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 			Events:        len(events),
 			PeakHourLocal: peak,
 		}
-		t.congestedDays, t.days = part.DayTally(det.H, det.MinSamples)
-		t.events, t.hours = part.HourTally(det.H, det.MinSamples)
+		t.congestedDays, t.days = part.DayTally(det.H, congestion.MinDaySamples)
+		t.events, t.hours = part.HourTally(det.H, congestion.MinDaySamples)
 	})
 	dsp.End()
 	rep := &CongestionReport{Region: res.Region, Pairs: make([]PairSummary, 0, len(tallies))}

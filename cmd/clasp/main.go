@@ -405,7 +405,7 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLAS
 		// -checkpoint-dir set, records the campaign set in a manifest so
 		// `clasp resume` can skip whatever already finished.
 		sched := eng.NewCommandScheduler("costs")
-		if err := sched.WriteManifest("costs", "", costsRefs()); err != nil {
+		if err := sched.WriteManifest("costs", "", costsRefs(), costsDays, 0); err != nil {
 			return err
 		}
 		if _, err := p.RunTopologyCampaigns(core.TopologyRegions, costsDays); err != nil {
@@ -420,7 +420,7 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLAS
 		}
 		artifact := positional[0]
 		sched := eng.NewCommandScheduler("report-" + artifact)
-		if err := sched.WriteManifest("report", artifact, scenario.CampaignRefs([]string{artifact}, days, minSamples)); err != nil {
+		if err := sched.WriteManifest("report", artifact, scenario.CampaignRefs([]string{artifact}, days, minSamples), days, minSamples); err != nil {
 			return err
 		}
 		cache := scenario.NewArtifactCache()

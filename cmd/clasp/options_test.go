@@ -27,7 +27,7 @@ var (
 	// runtimeFields may change across a resume without changing output.
 	runtimeFields = []string{"Parallelism", "MaxMemoryMB", "SpillDir", "CheckpointDir"}
 	// injectionFields hand pre-built state to the engine; Go callers only.
-	injectionFields = []string{"TopoConfig", "SimConfig", "Substrate"}
+	injectionFields = []string{"Substrate"}
 	// noFlagFields are settable from the API and a spec but not the CLI.
 	noFlagFields = []string{"CaptureEvery", "TracerouteEvery"}
 )

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,4 +54,25 @@ func TestResumeDifferentialRendersLikeScenario(t *testing.T) {
 	if got.String() != want {
 		t.Fatalf("resumed differential campaign renders differently:\n--- resume ---\n%s--- scenario ---\n%s", got.String(), want)
 	}
+}
+
+// TestResumeReportFig7 kills `clasp report fig7` as its first campaign
+// completes and resumes it. Fig. 7 selects differential servers at the
+// command's -samples threshold but runs only topology campaigns, so no
+// campaign ref carries the threshold: the resume must take it from the
+// manifest, or it re-selects at the default of 100 and prints a different
+// europe-west1 selection.
+func TestResumeReportFig7(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	row := contractRow{name: "report-fig7", command: func(_ *testing.T, k knobs) []string {
+		return slices.Concat([]string{"report", "fig7"}, contractShape, k.flags())
+	}}
+	k := knobs{parallelism: 4}
+	var want bytes.Buffer
+	if err := run(row.command(t, k), &want); err != nil {
+		t.Fatal(err)
+	}
+	killAndResume(t, row, k, "campaign-done:1", want.Bytes())
 }

@@ -8,6 +8,7 @@ package clasp
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,7 +16,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/netsim"
-	"github.com/clasp-measurement/clasp/internal/stats"
 )
 
 // drainRecords flattens a campaign's cursor into one slice: the serial
@@ -51,7 +51,7 @@ func splitDays(s congestion.Series) []congestion.Day {
 		if len(xs) < 4 {
 			continue
 		}
-		min, max, _ := stats.MinMax(xs)
+		min, max := slices.Min(xs), slices.Max(xs)
 		v := 0.0
 		if max > 0 {
 			v = (max - min) / max

@@ -602,20 +602,6 @@ func perfPoints(cs []Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
 	return out
 }
 
-// MarginalKDE returns the kernel density of one PerfPoint dimension, for
-// the marginal curves on Fig. 4's axes.
-func MarginalKDE(points []PerfPoint, latency bool) ([]stats.KDEPoint, error) {
-	xs := make([]float64, 0, len(points))
-	for _, p := range points {
-		if latency {
-			xs = append(xs, p.P5LatMs)
-		} else {
-			xs = append(xs, p.P95Down)
-		}
-	}
-	return stats.KDE(xs, 128, 0)
-}
-
 // --- Fig. 5: relative tier differences ------------------------------------------
 
 // Metric selects which measurement dimension a tier delta compares.

@@ -79,16 +79,6 @@ func TestPerfPoints(t *testing.T) {
 	}
 }
 
-func TestMarginalKDE(t *testing.T) {
-	pts := []PerfPoint{{P95Down: 300, P5LatMs: 30}, {P95Down: 400, P5LatMs: 50}, {P95Down: 350, P5LatMs: 40}}
-	for _, latency := range []bool{false, true} {
-		kde, err := MarginalKDE(pts, latency)
-		if err != nil || len(kde) == 0 {
-			t.Errorf("KDE(latency=%v): %v", latency, err)
-		}
-	}
-}
-
 func TestTierDeltas(t *testing.T) {
 	var ms []Measurement
 	for h := 0; h < 24; h++ {

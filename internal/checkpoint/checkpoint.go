@@ -74,8 +74,7 @@ const Version = 2
 // without changing output.
 type Identity struct {
 	Seed int64 `json:"seed"`
-	// Scale is the topology scale the engine was built with (0 when the
-	// topology was injected, which no resume can check).
+	// Scale is the topology scale the engine was built with.
 	Scale float64 `json:"scale"`
 	// FaultProfile is the canned fault-injection profile name.
 	FaultProfile    string `json:"faultProfile,omitempty"`

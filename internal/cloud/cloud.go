@@ -76,10 +76,6 @@ type VMSpec struct {
 	Type   MachineType
 	Tier   bgp.Tier
 	Labels map[string]string
-	// DownlinkMbps/UplinkMbps are the tc caps applied inside the guest
-	// (1000/100 in the paper). Zero means unshaped.
-	DownlinkMbps float64
-	UplinkMbps   float64
 }
 
 // VM is a provisioned instance.

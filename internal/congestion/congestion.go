@@ -21,6 +21,10 @@ import (
 // DefaultThreshold is the paper's chosen variability threshold H.
 const DefaultThreshold = 0.5
 
+// MinDaySamples is the fewest samples a day needs to be labelled: a
+// half-covered day can fake a low V.
+const MinDaySamples = 4
+
 // Sample is one hourly throughput observation for a VM-server pair. It
 // holds its instant as Unix nanoseconds, not a time.Time: 16 bytes and no
 // pointer, so a grouping's series buffer is half the size and the garbage
@@ -73,8 +77,7 @@ type Event struct {
 
 // Detector labels days and hours against a threshold H.
 type Detector struct {
-	H          float64
-	MinSamples int // minimum samples per day (default 4)
+	H float64
 }
 
 // NewDetector creates a detector with the paper's defaults.
@@ -154,7 +157,7 @@ func CongestedPairIn(p *Partition, det *Detector, fracDays float64) bool {
 	if fracDays <= 0 {
 		fracDays = 0.1
 	}
-	days := p.Days(det.MinSamples)
+	days := p.Days(MinDaySamples)
 	if len(days) == 0 {
 		return false
 	}

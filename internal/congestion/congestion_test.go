@@ -62,12 +62,12 @@ func TestSplitDaysMinSamples(t *testing.T) {
 func TestDetectorCongestedDays(t *testing.T) {
 	s := flatDaySeries(10, 400, 150, map[int]bool{2: true, 7: true})
 	det := NewDetector()
-	if days, _ := NewPartition(s).DayTally(det.H, det.MinSamples); days != 2 {
+	if days, _ := NewPartition(s).DayTally(det.H, MinDaySamples); days != 2 {
 		t.Fatalf("congested days = %d, want 2", days)
 	}
 	// Shallow dip below threshold is not congested: V = (400-250)/400 = 0.375.
 	s2 := flatDaySeries(5, 400, 250, map[int]bool{1: true})
-	if days, _ := NewPartition(s2).DayTally(det.H, det.MinSamples); days != 0 {
+	if days, _ := NewPartition(s2).DayTally(det.H, MinDaySamples); days != 0 {
 		t.Errorf("shallow dip flagged on %d days", days)
 	}
 }

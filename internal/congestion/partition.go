@@ -138,7 +138,7 @@ func (p *Partition) splitUnsorted(i int) {
 // fake a low V).
 func (p *Partition) Days(minSamples int) []Day {
 	if minSamples <= 0 {
-		minSamples = 4
+		minSamples = MinDaySamples
 	}
 	out := make([]Day, 0, len(p.days))
 	for _, d := range p.days {
@@ -155,7 +155,7 @@ func (p *Partition) Days(minSamples int) []Day {
 // DayTally counts qualifying days and those with V > h without allocating.
 func (p *Partition) DayTally(h float64, minSamples int) (congested, total int) {
 	if minSamples <= 0 {
-		minSamples = 4
+		minSamples = MinDaySamples
 	}
 	for i := range p.days {
 		if p.days[i].Samples < minSamples {
@@ -176,7 +176,7 @@ func (p *Partition) DayTally(h float64, minSamples int) (congested, total int) {
 // use one value).
 func (p *Partition) hourVH(minSamples int) []float64 {
 	if minSamples <= 0 {
-		minSamples = 4
+		minSamples = MinDaySamples
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -216,14 +216,10 @@ func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
 // EventsIn extracts the congestion events of a pre-built partition —
 // identical output to Events on the original series, without re-splitting.
 func (d *Detector) EventsIn(p *Partition) []Event {
-	min := d.MinSamples
-	if min <= 0 {
-		min = 4
-	}
 	var out []Event
 	for i := range p.samples {
 		day := &p.days[p.dayOf[i]]
-		if day.Tmax <= 0 || day.Samples < min {
+		if day.Tmax <= 0 || day.Samples < MinDaySamples {
 			continue
 		}
 		smp := &p.samples[i]

@@ -152,12 +152,7 @@ func New(opts Options) (*CLASP, error) {
 		return nil, fmt.Errorf("core: invalid options: %w", err)
 	}
 	tcfg := topology.PaperScaleConfig()
-	if opts.TopoConfig != nil {
-		tcfg = *opts.TopoConfig
-	} else {
-		tcfg.Scale = opts.Scale
-	}
-	tcfg.Seed = opts.Seed
+	tcfg.Scale, tcfg.Seed = opts.Scale, opts.Seed
 	var topo *topology.Topology
 	var router *bgp.Router
 	if opts.Substrate != nil {
@@ -174,12 +169,7 @@ func New(opts Options) (*CLASP, error) {
 		}
 		router = bgp.NewRouter(topo)
 	}
-	scfg := netsim.DefaultConfig(opts.Seed)
-	if opts.SimConfig != nil {
-		scfg = *opts.SimConfig
-		scfg.Seed = opts.Seed
-	}
-	sim := netsim.New(topo, router, scfg)
+	sim := netsim.New(topo, router, netsim.DefaultConfig(opts.Seed))
 	platform := cloud.New(topo, sim, cloud.Pricing{})
 	// The paper centralised processing and storage in one region.
 	bucket, err := platform.CreateBucket("clasp-results", "us-east1")

@@ -162,9 +162,6 @@ func TestTopologyCampaignAndFigures(t *testing.T) {
 	if capped > len(fig4.Points)/10 {
 		t.Errorf("%d/%d points saturate the 1Gbps cap", capped, len(fig4.Points))
 	}
-	if len(fig4.DownKDE) == 0 || len(fig4.LatKDE) == 0 {
-		t.Error("marginal KDEs missing")
-	}
 
 	// Fig 6: top congested pairs with hourly probabilities.
 	lines := c.Fig6(res, bgp.Premium, 10)

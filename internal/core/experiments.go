@@ -251,13 +251,11 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 // --- Fig. 4 --------------------------------------------------------------------
 
 // Fig4Data is one panel of Fig. 4: per-(server, month) p95 download vs p5
-// latency points with marginal KDEs.
+// latency points.
 type Fig4Data struct {
-	Region  string
-	Tier    bgp.Tier
-	Points  []analysis.PerfPoint
-	DownKDE []stats.KDEPoint
-	LatKDE  []stats.KDEPoint
+	Region string
+	Tier   bgp.Tier
+	Points []analysis.PerfPoint
 }
 
 // Fig4 builds a panel from campaign records for one tier.
@@ -266,15 +264,7 @@ func Fig4(result *CampaignResult, tier bgp.Tier) (*Fig4Data, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("core: no perf points for %s/%s", result.Region, tier)
 	}
-	down, err := analysis.MarginalKDE(points, false)
-	if err != nil {
-		return nil, err
-	}
-	lat, err := analysis.MarginalKDE(points, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig4Data{Region: result.Region, Tier: tier, Points: points, DownKDE: down, LatKDE: lat}, nil
+	return &Fig4Data{Region: result.Region, Tier: tier, Points: points}, nil
 }
 
 // --- Fig. 5 --------------------------------------------------------------------
@@ -495,7 +485,7 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 		t := &tallies[i]
 		series, parts := res.SeriesAndPartitions(bgp.Premium)
 		for j, sw := range series {
-			ev, hrs := parts[j].HourTally(det.H, det.MinSamples)
+			ev, hrs := parts[j].HourTally(det.H, congestion.MinDaySamples)
 			t.hourEvents += ev
 			t.hourTotal += hrs
 			if analysis.BusinessOf(c.Topo, sw.ServerID) == topology.BizISP {

@@ -7,8 +7,6 @@ import (
 
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
 	"github.com/clasp-measurement/clasp/internal/faults"
-	"github.com/clasp-measurement/clasp/internal/netsim"
-	"github.com/clasp-measurement/clasp/internal/topology"
 )
 
 // Options is the one declaration of everything that configures a run. The
@@ -20,21 +18,16 @@ import (
 // that decide output bytes, plus the checkpoint cadence, form a run's
 // checkpoint.Identity and may not change across a resume; Parallelism,
 // MaxMemoryMB, SpillDir and CheckpointDir are runtime knobs that may;
-// TopoConfig, SimConfig and Substrate inject pre-built state and are
-// reachable from Go only.
+// Substrate injects pre-built state and is reachable from Go only.
 type Options struct {
 	// Seed drives all topology generation and simulation randomness; equal
 	// seeds give bit-identical campaigns. 0 means 1.
 	Seed int64 `json:"seed,omitempty"`
 	// Scale sizes the synthetic Internet relative to the paper's
 	// measurement scale (1.0 ~ 6k interdomain links per region and ~1.3k US
-	// test servers; tests use ~0.1). 0 means 0.25. Ignored when TopoConfig
-	// is set. A scenario spec sets it under topology.scale.
+	// test servers; tests use ~0.1). 0 means 0.25. A scenario spec sets it
+	// under topology.scale.
 	Scale float64 `json:"-"`
-	// TopoConfig fully overrides topology generation.
-	TopoConfig *topology.Config `json:"-"`
-	// SimConfig overrides the simulator calibration.
-	SimConfig *netsim.Config `json:"-"`
 	// Parallelism bounds the concurrent VM workers across the engine's
 	// campaigns (see orchestrator.Config.Parallelism), the workers of one
 	// server selection and the analysis workers per report. 0 or 1 runs
@@ -94,15 +87,15 @@ type Options struct {
 	Substrate *Substrate `json:"-"`
 }
 
-// WithDefaults resolves the two defaulted fields: Seed 0 becomes 1 and,
-// unless TopoConfig supplies the topology, Scale 0 becomes 0.25. New applies
+// WithDefaults resolves the two defaulted fields: Seed 0 becomes 1 and
+// Scale 0 becomes 0.25. New applies
 // it; callers that need the resolved values earlier (the scenario runner's
 // substrate cache) call it themselves.
 func (o Options) WithDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Scale == 0 && o.TopoConfig == nil {
+	if o.Scale == 0 {
 		o.Scale = 0.25
 	}
 	return o

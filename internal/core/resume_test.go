@@ -159,18 +159,21 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 		}
 	}
 
-	// Spellings of one run compare equal: "" is "none", cadence 0 is every
-	// round, and a checkpoint from an injected topology (scale 0) cannot be
-	// checked against the engine's scale.
+	// Spellings of one run compare equal: "" is "none" and cadence 0 is
+	// every round. A recorded scale of 0 is no wildcard: the engine always
+	// builds its topology from its own scale.
 	same := &CLASP{Opts: Options{Seed: 3, Scale: 0.1, FaultProfile: "none", CheckpointDir: ckDir, CheckpointEvery: 1}}
 	for _, id := range []checkpoint.Identity{
 		ck.Meta.Campaign.Identity,
 		{Seed: 3, Scale: 0.1},
-		{Seed: 3, Scale: 0, FaultProfile: "none", CheckpointEvery: 1},
+		{Seed: 3, Scale: 0.1, FaultProfile: "none", CheckpointEvery: 1},
 	} {
 		if err := same.checkCampaignIdentity(id); err != nil {
 			t.Errorf("identity %+v refused: %v", id, err)
 		}
+	}
+	if err := same.checkCampaignIdentity(checkpoint.Identity{Seed: 3}); err == nil || !strings.Contains(err.Error(), "Scale") {
+		t.Errorf("scale-0 identity: %v, want a refusal naming Scale", err)
 	}
 
 	// ResumeOptions + the runtime knobs is the sanctioned path.

@@ -36,12 +36,10 @@ type PlannedCampaign struct {
 	TopoSel *selection.TopoResult
 	DiffSel []selection.DiffSelected
 
-	// ck is a checkpoint found for this campaign when planning a resume;
-	// finished marks it complete (watermark at Days*24), in which case
-	// RunPlanned has zero rounds left to execute and the CLI reports the
-	// campaign as skipped.
-	ck       *checkpoint.Checkpoint
-	finished bool
+	// ck is a checkpoint found for this campaign when planning a resume.
+	// At its final watermark (Days*24) RunPlanned has zero rounds left to
+	// execute and the scheduler reports the campaign through OnSkip.
+	ck *checkpoint.Checkpoint
 }
 
 // PlanTopologyCampaign runs the topology selection for a region and
@@ -141,7 +139,6 @@ func newCommandMetrics(name string) *commandMetrics {
 // engine at a time.
 type CommandScheduler struct {
 	eng    *CLASP
-	name   string
 	resume bool
 
 	// OnSkip, when set, is called from the planning phase for each
@@ -161,7 +158,7 @@ type CommandScheduler struct {
 // NewCommandScheduler attaches a scheduler for a fresh command run. name
 // labels the command's progress series (e.g. "report-all", "costs").
 func (c *CLASP) NewCommandScheduler(name string) *CommandScheduler {
-	s := &CommandScheduler{eng: c, name: name, wallStart: time.Now(), m: newCommandMetrics(name)}
+	s := &CommandScheduler{eng: c, wallStart: time.Now(), m: newCommandMetrics(name)}
 	c.sched = s
 	return s
 }
@@ -176,26 +173,25 @@ func (c *CLASP) NewResumeScheduler(name string) *CommandScheduler {
 	return s
 }
 
-// WriteManifest commits the command manifest — the command identity plus
-// the full planned campaign set — into the engine's checkpoint directory.
-// No-op when checkpointing is off. Called before any campaign starts, so a
-// kill at any later point leaves a resumable manifest.
-func (s *CommandScheduler) WriteManifest(command, artifact string, refs []CampaignRef) error {
+// WriteManifest commits the command manifest — the command identity, its
+// shape flags and the full planned campaign set — into the engine's
+// checkpoint directory. shape is the command's days and then its
+// differential-scan threshold (minSamples), recorded as given: a resume
+// renders with exactly these, and the refs cannot stand in for them (an
+// artifact may select differential servers without running a differential
+// campaign). No-op when checkpointing is off, the one case a caller may
+// leave shape out. Called before any campaign starts, so a kill at any
+// later point leaves a resumable manifest.
+func (s *CommandScheduler) WriteManifest(command, artifact string, refs []CampaignRef, shape ...int) error {
 	dir := s.eng.Opts.CheckpointDir
 	if dir == "" {
 		return nil
 	}
-	man := checkpoint.Manifest{Command: command, Artifact: artifact, Identity: s.eng.Opts.Identity()}
+	if len(shape) != 2 {
+		return fmt.Errorf("core: manifest of %s needs the command's days and minSamples", command)
+	}
+	man := checkpoint.Manifest{Command: command, Artifact: artifact, Days: shape[0], MinSamples: shape[1], Identity: s.eng.Opts.Identity()}
 	for _, ref := range refs {
-		if len(man.Campaigns) == 0 {
-			man.Days = ref.Days
-			if ref.Kind == "differential" {
-				man.MinSamples = ref.MinSamples
-			}
-		}
-		if ref.MinSamples > 0 {
-			man.MinSamples = ref.MinSamples
-		}
 		man.Campaigns = append(man.Campaigns, s.eng.campaignIdentity(ref.Kind, ref.Region, ref.Days, ref.MinSamples))
 	}
 	return checkpoint.WriteManifest(dir, man)
@@ -220,11 +216,8 @@ func (s *CommandScheduler) Plan(ref CampaignRef) (*PlannedCampaign, error) {
 			}
 			p.ck = ck
 			done = ck.Meta.Progress.NextHour
-			if done >= ref.Days*24 {
-				p.finished = true
-				if s.OnSkip != nil {
-					s.OnSkip(p.Camp)
-				}
+			if done >= ref.Days*24 && s.OnSkip != nil {
+				s.OnSkip(p.Camp)
 			}
 		}
 	}
@@ -280,13 +273,9 @@ func (s *CommandScheduler) publishLocked() {
 // engine's configuration: every identity field must match, or the resumed
 // run would not reproduce the uninterrupted one. The recorded identity is
 // put through the same conversion as the engine's, so spellings compare
-// equal; a checkpoint from an engine with an injected topology records
-// scale 0, which cannot be checked.
+// equal.
 func (c *CLASP) checkCampaignIdentity(id checkpoint.Identity) error {
 	want, got := c.Opts.Identity(), ResumeOptions(id).Identity()
-	if got.Scale == 0 {
-		got.Scale = want.Scale
-	}
 	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
 	for i := 0; i < w.NumField(); i++ {
 		if w.Field(i).Interface() != g.Field(i).Interface() {

@@ -172,27 +172,25 @@ func Analyze(r io.Reader) ([]*FlowStats, error) {
 type SynthConfig struct {
 	Client, Server netip.Addr
 	ClientPort     uint16
-	ServerPort     uint16 // default 443
 	Start          time.Time
 	RTTms          float64
 	Loss           float64 // probability a data segment needs retransmission
 	RateMbps       float64 // delivery rate toward the client
 	DurationSec    float64
-	MSS            int   // default 1448
 	Seed           int64 // drives deterministic loss placement
 	// Requests inserts n client request pushes evenly through the flow
 	// (HTTPS transactions); 1 by default.
 	Requests int
 }
 
+// The synthesised flow's server port (HTTPS) and segment size.
+const (
+	serverPort = 443
+	mss        = 1448
+)
+
 // Synthesize writes a header-only capture of the modelled download flow.
 func Synthesize(w io.Writer, cfg SynthConfig) error {
-	if cfg.ServerPort == 0 {
-		cfg.ServerPort = 443
-	}
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1448
-	}
 	if cfg.Requests <= 0 {
 		cfg.Requests = 1
 	}
@@ -216,21 +214,21 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 	// Handshake as captured at the client: SYN out, SYN/ACK in after one
 	// RTT, ACK out.
 	cSeq, sSeq := uint32(1000), uint32(5000)
-	if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Seq: cSeq, SYN: true, Window: 65535}, 0); err != nil {
+	if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: serverPort, Seq: cSeq, SYN: true, Window: 65535}, 0); err != nil {
 		return err
 	}
 	now = now.Add(rtt)
-	if err := emit(now, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: cfg.ServerPort, DstPort: cfg.ClientPort, Seq: sSeq, Ack: cSeq + 1, SYN: true, ACK: true, Window: 65535}, 0); err != nil {
+	if err := emit(now, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: serverPort, DstPort: cfg.ClientPort, Seq: sSeq, Ack: cSeq + 1, SYN: true, ACK: true, Window: 65535}, 0); err != nil {
 		return err
 	}
 	cSeq++
 	sSeq++
-	if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Seq: cSeq, Ack: sSeq, ACK: true, Window: 65535}, 0); err != nil {
+	if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: serverPort, Seq: cSeq, Ack: sSeq, ACK: true, Window: 65535}, 0); err != nil {
 		return err
 	}
 
 	totalBytes := int64(cfg.RateMbps * 1e6 / 8 * cfg.DurationSec)
-	nSegs := int(totalBytes / int64(cfg.MSS))
+	nSegs := int(totalBytes / mss)
 	if nSegs < 1 {
 		nSegs = 1
 	}
@@ -257,7 +255,7 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 	for i := 0; i < nSegs; i++ {
 		// Client request pushes (transaction boundaries).
 		if reqEvery > 0 && i%reqEvery == 0 {
-			if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Seq: cSeq, Ack: sSeq, ACK: true, PSH: true, Window: 65535}, 200); err != nil {
+			if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: serverPort, Seq: cSeq, Ack: sSeq, ACK: true, PSH: true, Window: 65535}, 200); err != nil {
 				return err
 			}
 			cSeq += 200
@@ -267,7 +265,7 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 		for len(retrans) > 0 && !retrans[0].at.After(now) {
 			p := retrans[0]
 			retrans = retrans[1:]
-			if err := emit(p.at, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: cfg.ServerPort, DstPort: cfg.ClientPort, Seq: p.seq, Ack: cSeq, ACK: true, Window: 65535}, cfg.MSS); err != nil {
+			if err := emit(p.at, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: serverPort, DstPort: cfg.ClientPort, Seq: p.seq, Ack: cSeq, ACK: true, Window: 65535}, mss); err != nil {
 				return err
 			}
 		}
@@ -277,26 +275,26 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 			// shows up roughly one RTT later with the old sequence.
 			retrans = append(retrans, pending{at: now.Add(rtt + rtt/4), seq: sSeq})
 		} else {
-			if err := emit(now, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: cfg.ServerPort, DstPort: cfg.ClientPort, Seq: sSeq, Ack: cSeq, ACK: true, PSH: i%16 == 15, Window: 65535}, cfg.MSS); err != nil {
+			if err := emit(now, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: serverPort, DstPort: cfg.ClientPort, Seq: sSeq, Ack: cSeq, ACK: true, PSH: i%16 == 15, Window: 65535}, mss); err != nil {
 				return err
 			}
 		}
-		sSeq += uint32(cfg.MSS)
+		sSeq += mss
 		if i%ackEvery == ackEvery-1 {
-			if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Seq: cSeq, Ack: sSeq, ACK: true, Window: 65535}, 0); err != nil {
+			if err := emit(now, cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: serverPort, Seq: cSeq, Ack: sSeq, ACK: true, Window: 65535}, 0); err != nil {
 				return err
 			}
 		}
 		now = now.Add(segGap)
 	}
 	for _, p := range retrans {
-		if err := emit(p.at, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: cfg.ServerPort, DstPort: cfg.ClientPort, Seq: p.seq, Ack: cSeq, ACK: true, Window: 65535}, cfg.MSS); err != nil {
+		if err := emit(p.at, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: serverPort, DstPort: cfg.ClientPort, Seq: p.seq, Ack: cSeq, ACK: true, Window: 65535}, mss); err != nil {
 			return err
 		}
 	}
 	// FIN exchange.
-	if err := emit(now, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: cfg.ServerPort, DstPort: cfg.ClientPort, Seq: sSeq, Ack: cSeq, ACK: true, FIN: true, Window: 65535}, 0); err != nil {
+	if err := emit(now, cfg.Server, cfg.Client, &pcap.TCP{SrcPort: serverPort, DstPort: cfg.ClientPort, Seq: sSeq, Ack: cSeq, ACK: true, FIN: true, Window: 65535}, 0); err != nil {
 		return err
 	}
-	return emit(now.Add(rtt/2), cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Seq: cSeq, Ack: sSeq + 1, ACK: true, FIN: true, Window: 65535}, 0)
+	return emit(now.Add(rtt/2), cfg.Client, cfg.Server, &pcap.TCP{SrcPort: cfg.ClientPort, DstPort: serverPort, Seq: cSeq, Ack: sSeq + 1, ACK: true, FIN: true, Window: 65535}, 0)
 }

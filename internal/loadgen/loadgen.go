@@ -52,13 +52,12 @@ type Config struct {
 	// Platforms is the mix cycled across tests ("ookla", "mlab",
 	// "comcast"); default is all three (minus ookla when OoklaAddr is "").
 	Platforms []string
-
-	// SettleTimeout bounds the post-drive wait for the daemon's scraper
-	// to publish the final counts into its self-store (default 10s). The
-	// harness polls the history endpoint until the serving-path window
-	// stops growing.
-	SettleTimeout time.Duration
 }
+
+// settleTimeout bounds the post-drive wait for the daemon's scraper to
+// publish the final counts into its self-store. The harness polls the
+// history endpoint until the serving-path window stops growing.
+const settleTimeout = 10 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Clients <= 0 {
@@ -76,9 +75,6 @@ func (c Config) withDefaults() Config {
 		} else {
 			c.Platforms = []string{"mlab", "comcast"}
 		}
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -156,7 +152,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// The stability check must ignore the introspection routes: polling
 	// the history endpoint is itself instrumented traffic, so counting it
 	// would chase our own tail and never converge.
-	settle, cancel := context.WithTimeout(ctx, cfg.SettleTimeout)
+	settle, cancel := context.WithTimeout(ctx, settleTimeout)
 	httpQ, err := settleQuantiles(settle, cfg.HTTPAddr, HTTPDurationFamily, start, func(q Quantiles) bool {
 		r := q.Tags["route"]
 		return r != "/debug/obs/history" && r != "/metrics"
@@ -167,7 +163,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.HTTP = httpQ
 	if cfg.OoklaAddr != "" {
-		settle, cancel := context.WithTimeout(ctx, cfg.SettleTimeout)
+		settle, cancel := context.WithTimeout(ctx, settleTimeout)
 		oq, err := settleQuantiles(settle, cfg.HTTPAddr, OoklaDurationFamily, start, nil)
 		cancel()
 		if err != nil {

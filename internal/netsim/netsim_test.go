@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -125,7 +126,7 @@ func TestDiurnalCongestionOnProneISP(t *testing.T) {
 			}
 			day = append(day, res.ThroughputMbps)
 		}
-		min, max, _ := stats.MinMax(day)
+		min, max := slices.Min(day), slices.Max(day)
 		v := (max - min) / max
 		if v > 0.5 {
 			deepDays++
@@ -161,8 +162,12 @@ func TestPremiumVsStandardVariance(t *testing.T) {
 			dStd = append(dStd, q.ThroughputMbps)
 		}
 	}
-	mp, _ := stats.Mean(dPrem)
-	ms, _ := stats.Mean(dStd)
+	var wp, ws stats.Welford
+	for i := range dPrem {
+		wp.Add(dPrem[i])
+		ws.Add(dStd[i])
+	}
+	mp, ms := wp.Mean(), ws.Mean()
 	// §4.1: the standard tier generally had higher throughput.
 	if ms <= mp {
 		t.Errorf("standard mean %.1f not above premium mean %.1f", ms, mp)

@@ -43,7 +43,7 @@ type campaign struct {
 	pol     faults.Profile  // the injector's, defaults filled; zero without one
 	breaker *faults.Breaker // transitions Progress.Breaker
 	// canBlock is the one observation that decides how work fans out: a
-	// test can block under a Measure hook or an active fault profile.
+	// test can block only under an active fault profile.
 	canBlock bool
 
 	// What the schedule repeats, held once. flows is the simulator's handle
@@ -136,7 +136,7 @@ func (o *Orchestrator) newCampaign(cfg Config, sink Sink) (*campaign, error) {
 		metrics:    newCampaignMetrics(cfg.Region),
 		span:       obs.Trace("campaign").With("region", cfg.Region).WithInt("days", cfg.Days),
 	}
-	c.canBlock = cfg.Measure != nil || c.inj != nil
+	c.canBlock = c.inj != nil
 	perHour := len(cfg.Servers) * TestsPerServerPerHour * len(cfg.Tiers)
 	c.flows = make([]netsim.Flow, perHour)
 	c.round = round{
@@ -204,13 +204,11 @@ func (c *campaign) deploy() error {
 	for _, tier := range cfg.Tiers {
 		for i := 0; i < c.perTierVMs; i++ {
 			vm, retries, err := c.createVM(cloud.VMSpec{
-				Name:         fmt.Sprintf("clasp-%s-%s-%d", cfg.Region, tier, i),
-				Region:       cfg.Region,
-				Type:         cloud.N1Standard2,
-				Tier:         tier,
-				DownlinkMbps: cfg.DownlinkMbps,
-				UplinkMbps:   cfg.UplinkMbps,
-				Labels:       map[string]string{"role": "measurement", "tier": tier.String()},
+				Name:   fmt.Sprintf("clasp-%s-%s-%d", cfg.Region, tier, i),
+				Region: cfg.Region,
+				Type:   cloud.N1Standard2,
+				Tier:   tier,
+				Labels: map[string]string{"role": "measurement", "tier": tier.String()},
 			}, cfg.Start)
 			c.Report.VMCreateRetries += retries
 			if err != nil {
@@ -312,8 +310,6 @@ func (c *campaign) plan() {
 						Dir:         dir,
 						Time:        r.start.Add(time.Duration(slot) * slotGap),
 						DurationSec: cfg.TestDurationSec,
-						VMDownMbps:  cfg.DownlinkMbps,
-						VMUpMbps:    cfg.UplinkMbps,
 					}})
 			}
 		}
@@ -512,26 +508,16 @@ func (c *campaign) runTest(t *task, ti int, tally *Resilience) error {
 	}
 }
 
-// attempt is one execution of a test: injection (bounded by the profile's
-// timeout) and then the measurement under a fault profile, the hook under a
-// Measure override, and otherwise — the campaign whose tests cannot block,
-// running inline — the simulator through the campaign's own flow handle. The
-// faulted simulator route goes through MeasureCtx so the netsim fault
-// counters see every injection; a Measure override keeps its plain signature
-// and gets the injection applied here.
+// attempt is one execution of a test: under a fault profile, injection
+// (bounded by the profile's timeout) and the measurement through MeasureCtx,
+// so the netsim fault counters see every injection; otherwise — the campaign
+// whose tests cannot block, running inline — the simulator through the
+// campaign's own flow handle.
 func (c *campaign) attempt(t *task) (netsim.TestResult, error) {
 	if c.inj != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), c.pol.TestTimeout)
 		defer cancel()
-		if c.cfg.Measure == nil {
-			return c.o.sim.MeasureCtx(ctx, t.spec, c.inj)
-		}
-		if err := c.inj.BeforeMeasure(ctx, t.spec); err != nil {
-			return netsim.TestResult{}, err
-		}
-	}
-	if c.cfg.Measure != nil {
-		return c.cfg.Measure(t.spec)
+		return c.o.sim.MeasureCtx(ctx, t.spec, c.inj)
 	}
 	return c.o.sim.MeasureFlow(&c.flows[t.flow], &t.spec)
 }

@@ -79,8 +79,7 @@ func TestCaptureEveryTestUploadsOwnSnapshot(t *testing.T) {
 		Servers:         servers,
 		Days:            3,
 		Seed:            3,
-		TestDurationSec: 1, // a short test through a thin pipe keeps the
-		DownlinkMbps:    2, // 144 synthesized captures small
+		TestDurationSec: 0.002, // keeps the 144 synthesized captures small
 		CaptureEvery:    1,
 	}
 	rep, err := f.orch.Run(cfg, newLogSink())

@@ -14,9 +14,8 @@
 // is the only step that decides how: a round is shed when the circuit
 // breaker is open, and otherwise fans out across its simulated measurement
 // VMs — one goroutine per VM's test list, bounded by Config.Parallelism —
-// only when a test can block: under a Config.Measure hook (a real protocol
-// client occupies its VM for wall-clock time) or an active fault profile
-// (timeouts and retry backoff sleep). A purely simulated round runs inline
+// only when a test can block: under an active fault profile (timeouts and
+// retry backoff sleep). A purely simulated round runs inline
 // on the campaign's goroutine under one WorkerPool slot: a VM's hour is ~16
 // tests of ~0.3 µs, less than the goroutine hand-off it would ride on, and
 // multi-campaign commands already get their parallelism from concurrent
@@ -187,9 +186,6 @@ type Config struct {
 	Days  int
 	// TestDurationSec is the per-test transfer duration (default 15).
 	TestDurationSec float64
-	// DownlinkMbps/UplinkMbps are the tc caps (defaults 1000/100, §3.2).
-	DownlinkMbps float64
-	UplinkMbps   float64
 	// Seed drives the per-hour randomised test order.
 	Seed int64
 	// CaptureEvery synthesises and uploads a packet capture plus SoMeta
@@ -205,18 +201,10 @@ type Config struct {
 	FixedOrder bool
 	// Parallelism bounds how many simulated measurement VMs execute their
 	// hourly test lists — and how many follow-up traceroutes run —
-	// concurrently when tests can block (a Measure hook or an active fault
-	// profile; see the package's round model). 0 or 1 runs sequentially.
+	// concurrently when tests can block (under an active fault profile;
+	// see the package's round model). 0 or 1 runs sequentially.
 	// The measurement set is bit-identical at every setting.
 	Parallelism int
-	// Measure overrides how a scheduled test executes (default: the
-	// simulator's Measure). Drivers use it to route tests through a real
-	// protocol client, where each test occupies its VM for real
-	// wall-clock time — the case the worker pool exists for. It is called
-	// from concurrent VM goroutines when Parallelism > 1, so it must be
-	// safe for concurrent use, and it must stay deterministic in the spec
-	// for the bit-identical guarantee to hold.
-	Measure func(netsim.TestSpec) (netsim.TestResult, error)
 	// Faults selects the fault-injection profile and the resilience policy
 	// the campaign runs under (internal/faults). The zero profile — or the
 	// canned "none" — injects nothing and leaves execution bit-identical
@@ -298,12 +286,6 @@ type Progress struct {
 func (c Config) withDefaults() Config {
 	if c.TestDurationSec <= 0 {
 		c.TestDurationSec = 15
-	}
-	if c.DownlinkMbps <= 0 {
-		c.DownlinkMbps = 1000
-	}
-	if c.UplinkMbps <= 0 {
-		c.UplinkMbps = 100
 	}
 	if len(c.Tiers) == 0 {
 		c.Tiers = []bgp.Tier{bgp.Premium}

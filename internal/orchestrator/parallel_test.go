@@ -7,20 +7,19 @@ import (
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/netsim"
+	"github.com/clasp-measurement/clasp/internal/faults"
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
-// simulatedAndHooked are the two execution paths of a round: purely
-// simulated rounds run inline at any parallelism, while a Measure hook —
-// here one that only delegates to the simulator — sends them through the
-// per-VM goroutine fan-out. Both must produce the sequential run's bytes.
-var simulatedAndHooked = []struct {
-	name string
-	hook func(*netsim.Sim) func(netsim.TestSpec) (netsim.TestResult, error)
+// inlineAndFannedOut are the two execution paths of a round: a fault-free
+// round runs inline at any parallelism, while an active fault profile sends
+// it through the per-VM goroutine fan-out. Each must produce its own
+// sequential run's bytes.
+var inlineAndFannedOut = []struct {
+	name, profile string
 }{
-	{"simulated", func(*netsim.Sim) func(netsim.TestSpec) (netsim.TestResult, error) { return nil }},
-	{"measure-hook", func(sim *netsim.Sim) func(netsim.TestSpec) (netsim.TestResult, error) { return sim.Measure }},
+	{"inline", "none"},
+	{"fanned-out", "flaky-vm"},
 }
 
 // TestParallelMatchesSequential is the engine's determinism guarantee: a
@@ -28,8 +27,11 @@ var simulatedAndHooked = []struct {
 // and artifacts as the sequential run. Run with -race it doubles as the
 // data-pipeline race test.
 func TestParallelMatchesSequential(t *testing.T) {
-	var simulated []analysis.Measurement
-	for _, path := range simulatedAndHooked {
+	for _, path := range inlineAndFannedOut {
+		prof, err := faults.Named(path.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(parallelism int) (*Report, []analysis.Measurement, []string) {
 			f := setup(t)
 			sink := newLogSink()
@@ -43,20 +45,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 				CaptureEvery:    97,
 				TracerouteEvery: 1,
 				Parallelism:     parallelism,
-				Measure:         path.hook(f.sim),
+				Faults:          prof,
 			}, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep.MaxVMCPUUtil = 0 // host telemetry, outside the guarantee
 			return rep, records(sink.Log), f.bucket.List("")
 		}
 
 		seqRep, seqOut, seqKeys := run(1)
-		if simulated == nil {
-			simulated = seqOut
-		} else if !reflect.DeepEqual(seqOut, simulated) {
-			t.Fatalf("%s: sequential records differ from the simulated path's", path.name)
-		}
 		for _, parallelism := range []int{4, 16} {
 			rep, out, keys := run(parallelism)
 			if len(out) != len(seqOut) {
@@ -67,9 +65,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("%s, parallelism %d: record %d = %+v, want %+v", path.name, parallelism, i, out[i], seqOut[i])
 				}
 			}
-			if rep.Tests != seqRep.Tests || rep.Hours != seqRep.Hours ||
-				rep.VMs != seqRep.VMs || rep.Captures != seqRep.Captures ||
-				rep.Traceroutes != seqRep.Traceroutes {
+			if !reflect.DeepEqual(rep, seqRep) {
 				t.Errorf("%s, parallelism %d: report %+v, want %+v", path.name, parallelism, rep, seqRep)
 			}
 			if len(keys) != len(seqKeys) {
@@ -88,7 +84,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 // any parallelism: egress metering runs in the deterministic emit phase,
 // so even the floating-point sums match bit for bit.
 func TestParallelEgressAccounting(t *testing.T) {
-	for _, path := range simulatedAndHooked {
+	for _, path := range inlineAndFannedOut {
+		prof, err := faults.Named(path.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(parallelism int) float64 {
 			f := setup(t)
 			_, err := f.orch.Run(Config{
@@ -97,7 +97,7 @@ func TestParallelEgressAccounting(t *testing.T) {
 				Days:        1,
 				Seed:        3,
 				Parallelism: parallelism,
-				Measure:     path.hook(f.sim),
+				Faults:      prof,
 			}, newLogSink())
 			if err != nil {
 				t.Fatal(err)

@@ -207,17 +207,14 @@ func ipChecksum(hdr []byte) uint16 {
 // accessors in the gopacket style.
 type Packet struct {
 	layers []Layer
-	err    error // the first decoding problem; layers before it remain
 }
 
 // Decode parses packet bytes starting at the Ethernet layer. Decoding stops
-// at the first malformed layer, recording what went wrong, while the
-// successfully decoded prefix remains accessible. The capture info
-// stays with the caller; the packet does not retain it.
+// at the first malformed layer; the layers before it remain accessible. The
+// capture info stays with the caller; the packet does not retain it.
 func Decode(_ CaptureInfo, data []byte) *Packet {
 	p := &Packet{}
 	if len(data) < 14 {
-		p.err = fmt.Errorf("pcap: ethernet header truncated (%d bytes)", len(data))
 		return p
 	}
 	eth := &Ethernet{EtherType: binary.BigEndian.Uint16(data[12:14])}
@@ -240,12 +237,10 @@ func Decode(_ CaptureInfo, data []byte) *Packet {
 
 func (p *Packet) decodeIPv4(data []byte) {
 	if len(data) < 20 {
-		p.err = fmt.Errorf("pcap: IPv4 header truncated")
 		return
 	}
 	ihl := int(data[0]&0x0f) * 4
 	if data[0]>>4 != 4 || ihl < 20 || ihl > len(data) {
-		p.err = fmt.Errorf("pcap: bad IPv4 header (version/IHL byte %#x)", data[0])
 		return
 	}
 	ip := &IPv4{
@@ -262,7 +257,6 @@ func (p *Packet) decodeIPv4(data []byte) {
 
 func (p *Packet) decodeIPv6(data []byte) {
 	if len(data) < 40 {
-		p.err = fmt.Errorf("pcap: IPv6 header truncated")
 		return
 	}
 	ip := &IPv6{
@@ -283,12 +277,10 @@ func (p *Packet) decodeTransport(proto uint8, data []byte, ipPayloadLen int) {
 	switch proto {
 	case ProtoTCP:
 		if len(data) < 20 {
-			p.err = fmt.Errorf("pcap: TCP header truncated")
 			return
 		}
 		off := int(data[12]>>4) * 4
 		if off < 20 {
-			p.err = fmt.Errorf("pcap: bad TCP data offset %d", off)
 			return
 		}
 		flags := data[13]
@@ -315,7 +307,6 @@ func (p *Packet) decodeTransport(proto uint8, data []byte, ipPayloadLen int) {
 		}
 	case ProtoUDP:
 		if len(data) < 8 {
-			p.err = fmt.Errorf("pcap: UDP header truncated")
 			return
 		}
 		u := &UDP{

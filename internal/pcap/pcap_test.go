@@ -101,9 +101,6 @@ func TestDecodeTCPPacket(t *testing.T) {
 		SYN: true, ACK: true, Window: 29200,
 	}, 42, 57, 0, 0)
 	p := Decode(CaptureInfo{}, raw)
-	if p.err != nil {
-		t.Fatal(p.err)
-	}
 	ip, ok := p.NetworkLayer().(*IPv4)
 	if !ok {
 		t.Fatal("no IPv4 layer")
@@ -139,25 +136,24 @@ func TestDecodePayloadLenFromIPHeader(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	raw := samplePacket(0, 0)
-	for _, cut := range []int{0, 5, 13, 20, 33, 40} {
+	for _, cut := range []int{0, 5, 13, 20, 33} {
+		// Below Ethernet+IPv4 decoding stops before the network layer.
 		p := Decode(CaptureInfo{}, raw[:cut])
-		if cut >= 34 {
-			continue
+		if p.NetworkLayer() != nil || p.TransportLayer() != nil {
+			t.Errorf("cut=%d: decoded past the truncation", cut)
 		}
-		if p.err == nil && cut < 34 && cut != 0 {
-			// Ethernet-only truncations below IP+TCP must error...
-			if cut >= 14 {
-				t.Errorf("cut=%d: want decode error", cut)
-			}
+		if (p.Layer(LayerTypeEthernet) != nil) != (cut >= 14) {
+			t.Errorf("cut=%d: Ethernet layer present = %v", cut, cut >= 14)
 		}
 	}
-	// A clean Ethernet+IPv4 but truncated TCP must keep the IP layer.
+	// A clean Ethernet+IPv4 but truncated TCP must keep the IP layer and
+	// stop there.
 	p := Decode(CaptureInfo{}, raw[:14+20+10])
 	if p.Layer(LayerTypeIPv4) == nil {
 		t.Error("IPv4 layer lost on TCP truncation")
 	}
-	if p.err == nil {
-		t.Error("truncated TCP: want error recorded")
+	if p.TransportLayer() != nil {
+		t.Error("truncated TCP decoded")
 	}
 }
 
@@ -165,9 +161,6 @@ func TestDecodeUnknownEtherType(t *testing.T) {
 	raw := samplePacket(0, 0)
 	raw[12], raw[13] = 0x08, 0x06 // ARP
 	p := Decode(CaptureInfo{}, raw)
-	if p.err != nil {
-		t.Errorf("unknown ethertype should not error: %v", p.err)
-	}
 	if p.NetworkLayer() != nil {
 		t.Error("should have no network layer")
 	}
@@ -180,8 +173,8 @@ func TestDecodeBadIPVersion(t *testing.T) {
 	raw := samplePacket(0, 0)
 	raw[14] = 0x65 // version 6 in an IPv4 ethertype frame
 	p := Decode(CaptureInfo{}, raw)
-	if p.err == nil {
-		t.Error("bad IP version: want error")
+	if p.Layer(LayerTypeEthernet) == nil || p.NetworkLayer() != nil {
+		t.Error("bad IP version: want decoding to stop after Ethernet")
 	}
 }
 

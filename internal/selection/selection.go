@@ -36,10 +36,6 @@ type TopoParams struct {
 	// paper deployed all selected servers in us-west1/us-east1 but only
 	// 25/40/56 in us-west2/us-east4/us-central1.
 	Budget int
-	// MaxASHops keeps only links whose best server is at most this many
-	// AS hops away (default 2; the paper preferred directly peering
-	// servers).
-	MaxASHops int
 	// Seed drives probe flow IDs.
 	Seed int64
 	// Parallelism is how many traceroutes run at once; 0 or 1 traces
@@ -81,11 +77,12 @@ func (r *TopoResult) Coverage() float64 {
 	return float64(len(r.Selected)) / float64(r.ServerLinkCount)
 }
 
+// maxASHops keeps only links whose best server is at most this many AS hops
+// away (the paper preferred directly peering servers).
+const maxASHops = 2
+
 // TopologyBased runs the full topology-based pipeline.
 func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*TopoResult, error) {
-	if params.MaxASHops <= 0 {
-		params.MaxASHops = 2
-	}
 	topo := sim.Topology()
 	if _, ok := topo.Region(params.Region); !ok {
 		return nil, fmt.Errorf("selection: unknown region %q", params.Region)
@@ -200,7 +197,7 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 			return g[i].server.ID < g[j].server.ID
 		})
 		best := g[0]
-		if best.asHops > params.MaxASHops {
+		if best.asHops > maxASHops {
 			continue
 		}
 		selected = append(selected, Selected{
@@ -311,9 +308,6 @@ func (c DiffClass) String() string {
 // DiffParams tunes the differential-based method.
 type DiffParams struct {
 	Region string
-	// HighMs and LowMs are the |Δ| thresholds (defaults 50 and 10).
-	HighMs float64
-	LowMs  float64
 	// Target is the number of servers to select (the paper chose 15-17).
 	Target int
 	// MinSamples drops tuples with fewer measurements (default 100).
@@ -327,14 +321,13 @@ type DiffSelected struct {
 	DeltaMs float64 // standard - premium median latency
 }
 
+// highMs and lowMs are the differential method's |Δ| thresholds: a tuple is
+// a candidate when one tier is at least highMs faster, or the two are within
+// lowMs.
+const highMs, lowMs = 50, 10
+
 // DifferentialBased selects servers from preliminary-scan deltas.
 func DifferentialBased(topo *topology.Topology, deltas []speedchecker.TierDelta, params DiffParams) ([]DiffSelected, error) {
-	if params.HighMs <= 0 {
-		params.HighMs = 50
-	}
-	if params.LowMs <= 0 {
-		params.LowMs = 10
-	}
 	if params.Target <= 0 {
 		params.Target = 16
 	}
@@ -345,7 +338,7 @@ func DifferentialBased(topo *topology.Topology, deltas []speedchecker.TierDelta,
 		return nil, fmt.Errorf("selection: unknown region %q", params.Region)
 	}
 
-	// Candidate tuples: |delta| >= HighMs or < LowMs.
+	// Candidate tuples: |delta| >= highMs or < lowMs.
 	type cand struct {
 		city  string
 		asn   topology.ASN
@@ -359,11 +352,11 @@ func DifferentialBased(topo *topology.Topology, deltas []speedchecker.TierDelta,
 		}
 		abs := math.Abs(d.DeltaMs)
 		switch {
-		case abs >= params.HighMs && d.DeltaMs > 0:
+		case abs >= highMs && d.DeltaMs > 0:
 			candidates = append(candidates, cand{d.City, d.ASN, PremiumLower, d.DeltaMs})
-		case abs >= params.HighMs:
+		case abs >= highMs:
 			candidates = append(candidates, cand{d.City, d.ASN, StandardLower, d.DeltaMs})
-		case abs < params.LowMs:
+		case abs < lowMs:
 			candidates = append(candidates, cand{d.City, d.ASN, Comparable, d.DeltaMs})
 		}
 	}

@@ -92,8 +92,6 @@ type Options struct {
 	// direction unlimited.
 	ReadMbps  float64
 	WriteMbps float64
-	// BurstBytes overrides the bucket burst size.
-	BurstBytes int
 	// Latency is added once before the first read delivers data,
 	// approximating connection RTT. (tc itself shapes rate only; CLASP's
 	// latency comes from the network, so this is off by default.)
@@ -112,8 +110,8 @@ type Conn struct {
 func NewConn(c net.Conn, opts Options) *Conn {
 	return &Conn{
 		Conn:    c,
-		rd:      NewBucket(opts.ReadMbps, opts.BurstBytes),
-		wr:      NewBucket(opts.WriteMbps, opts.BurstBytes),
+		rd:      NewBucket(opts.ReadMbps, 0),
+		wr:      NewBucket(opts.WriteMbps, 0),
 		latency: opts.Latency,
 	}
 }

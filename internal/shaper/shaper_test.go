@@ -119,15 +119,16 @@ func pipeConn(t *testing.T, opts Options) (client net.Conn, server net.Conn) {
 }
 
 func TestShapedWriteThroughput(t *testing.T) {
-	// 80 Mbps write cap; sending 2 MB should take ~0.2s (±generous CI slack).
-	client, server := pipeConn(t, Options{WriteMbps: 80, BurstBytes: 64 << 10})
+	// 80 Mbps write cap (10 MB/s, a 500 KB burst free); sending 4 MB
+	// should take ~0.37s (±generous CI slack).
+	client, server := pipeConn(t, Options{WriteMbps: 80})
 	go func() {
 		io.Copy(io.Discard, server)
 	}()
 	payload := make([]byte, 256<<10)
 	start := time.Now()
 	total := 0
-	for total < 2<<20 {
+	for total < 4<<20 {
 		n, err := client.Write(payload)
 		if err != nil {
 			t.Fatal(err)
@@ -145,10 +146,10 @@ func TestShapedWriteThroughput(t *testing.T) {
 }
 
 func TestShapedReadThroughput(t *testing.T) {
-	client, server := pipeConn(t, Options{ReadMbps: 80, BurstBytes: 64 << 10})
+	client, server := pipeConn(t, Options{ReadMbps: 80})
 	go func() {
 		payload := make([]byte, 256<<10)
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 20; i++ {
 			if _, err := server.Write(payload); err != nil {
 				return
 			}

@@ -24,7 +24,7 @@ func referencePreliminary(p *Platform, params Params) []Aggregate {
 				key := TupleKey{City: vp.City, ASN: vp.ASN, Region: region, Tier: tier}
 				for i := 0; i < params.SamplesPerVP; i++ {
 					frac := float64(vp.ID*params.SamplesPerVP+i) / float64(len(topo.EdgeVPs())*params.SamplesPerVP+1)
-					at := params.Start.Add(time.Duration(frac * float64(params.Window)))
+					at := params.Start.Add(time.Duration(frac * float64(scanWindow)))
 					salt := uint64(vp.ID)<<20 | uint64(i)<<8 | uint64(tier)
 					rtt, err := p.sim.PingRTT(region, vp.ASN, vp.City, tier, at, salt)
 					if err != nil {

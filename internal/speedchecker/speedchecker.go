@@ -43,13 +43,16 @@ type Params struct {
 	// MinSamples is the minimum tuple size to report (the paper used
 	// 100; tests lower it).
 	MinSamples int
-	// Start and Window position the probes in virtual time.
-	Start  time.Time
-	Window time.Duration
+	// Start positions the probes in virtual time; they spread over the
+	// two-week scan window from there.
+	Start time.Time
 	// Parallelism is how many (tuple, region, tier) jobs run at once; 0
 	// or 1 scans inline. The aggregates are identical at any value.
 	Parallelism int
 }
+
+// scanWindow is the virtual-time span the preliminary scan's probes cover.
+const scanWindow = 14 * 24 * time.Hour
 
 func (p Params) withDefaults() Params {
 	if p.SamplesPerVP <= 0 {
@@ -57,9 +60,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.MinSamples <= 0 {
 		p.MinSamples = 100
-	}
-	if p.Window <= 0 {
-		p.Window = 14 * 24 * time.Hour
 	}
 	if p.Start.IsZero() {
 		p.Start = time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC)
@@ -129,7 +129,7 @@ func (p *Platform) RunPreliminary(params Params) []Aggregate {
 		for _, id := range t.ids {
 			for i := 0; i < params.SamplesPerVP; i++ {
 				frac := float64(id*params.SamplesPerVP+i) / spread
-				at := params.Start.Add(time.Duration(frac * float64(params.Window)))
+				at := params.Start.Add(time.Duration(frac * float64(scanWindow)))
 				salt := uint64(id)<<20 | uint64(i)<<8 | uint64(tier)
 				xs = append(xs, ping.RTT(at, salt))
 			}

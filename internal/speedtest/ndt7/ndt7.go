@@ -158,8 +158,6 @@ func (h *Handler) upload(w http.ResponseWriter, r *http.Request) {
 type Config struct {
 	// Duration bounds each direction (default 10 s).
 	Duration time.Duration
-	// DialTimeout bounds connection establishment (default 10 s).
-	DialTimeout time.Duration
 	// Dial substitutes the transport (e.g. a shaped connection); nil
 	// uses plain TCP.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -169,11 +167,11 @@ func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
-	}
 	return c
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 10 * time.Second
 
 // Client runs ndt7 tests.
 type Client struct {
@@ -193,7 +191,7 @@ func (c *Client) connect(ctx context.Context, addr, path string) (*wsock.Conn, t
 	if c.cfg.Dial != nil {
 		raw, err = c.cfg.Dial(ctx, addr)
 	} else {
-		d := net.Dialer{Timeout: c.cfg.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		raw, err = d.DialContext(ctx, "tcp", addr)
 	}
 	if err != nil {

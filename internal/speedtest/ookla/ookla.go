@@ -320,8 +320,6 @@ type Config struct {
 	UploadDuration   time.Duration
 	// BlockBytes is the per-request transfer size (default 1 MiB).
 	BlockBytes int
-	// DialTimeout bounds connection establishment (default 10 s).
-	DialTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -337,11 +335,11 @@ func (c Config) withDefaults() Config {
 	if c.BlockBytes <= 0 {
 		c.BlockBytes = 1 << 20
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
-	}
 	return c
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 10 * time.Second
 
 // Client measures against an Ookla-protocol server.
 type Client struct {
@@ -360,7 +358,7 @@ func (c *Client) dial(ctx context.Context, addr string) (net.Conn, error) {
 	if c.Dial != nil {
 		return c.Dial(ctx, addr)
 	}
-	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	return d.DialContext(ctx, "tcp", addr)
 }
 

@@ -81,8 +81,6 @@ type Config struct {
 	ObjectBytes int64
 	// PingCount is the number of latency probes (default 5).
 	PingCount int
-	// HTTPClient substitutes the transport; nil uses a dedicated client.
-	HTTPClient *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -110,13 +108,9 @@ type Client struct {
 // NewClient creates a client.
 func NewClient(cfg Config) *Client {
 	cfg = cfg.withDefaults()
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: cfg.Connections * 2,
-		}}
-	}
-	return &Client{cfg: cfg, http: hc}
+	return &Client{cfg: cfg, http: &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: cfg.Connections * 2,
+	}}}
 }
 
 // Platform implements speedtest.Client.

@@ -143,62 +143,6 @@ func selectKth(xs []float64, k int) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Variance returns the unbiased sample variance of xs. A single-element
-// sample has zero variance.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) == 1 {
-		return 0, nil
-	}
-	m, _ := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1), nil
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // CDFPoint is a single point of an empirical cumulative distribution.
 type CDFPoint struct {
 	X float64 // sample value
@@ -226,72 +170,6 @@ func CDF(xs []float64) ([]CDFPoint, error) {
 		pts = append(pts, CDFPoint{X: x, P: p})
 	}
 	return pts, nil
-}
-
-// KDEPoint is one evaluation point of a kernel density estimate.
-type KDEPoint struct {
-	X       float64
-	Density float64
-}
-
-// KDE computes a Gaussian kernel density estimate of xs, evaluated at points
-// equally spaced between min and max over `points` samples. Bandwidth is
-// chosen by Silverman's rule of thumb when bw <= 0. This mirrors the marginal
-// density curves on the axes of Fig. 4.
-func KDE(xs []float64, points int, bw float64) ([]KDEPoint, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if points < 2 {
-		return nil, errors.New("stats: KDE needs at least 2 evaluation points")
-	}
-	if bw <= 0 {
-		bw = SilvermanBandwidth(xs)
-	}
-	if bw <= 0 { // degenerate sample (all identical)
-		bw = 1
-	}
-	min, max, _ := MinMax(xs)
-	span := max - min
-	if span == 0 {
-		span = 1
-	}
-	lo := min - 3*bw
-	hi := max + 3*bw
-	step := (hi - lo) / float64(points-1)
-	out := make([]KDEPoint, points)
-	norm := 1 / (float64(len(xs)) * bw * math.Sqrt(2*math.Pi))
-	for i := 0; i < points; i++ {
-		x := lo + float64(i)*step
-		d := 0.0
-		for _, xi := range xs {
-			u := (x - xi) / bw
-			d += math.Exp(-0.5 * u * u)
-		}
-		out[i] = KDEPoint{X: x, Density: d * norm}
-	}
-	return out, nil
-}
-
-// SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth:
-// 0.9 * min(sd, IQR/1.34) * n^(-1/5).
-func SilvermanBandwidth(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	sd, _ := StdDev(xs)
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	iqr := PercentileSorted(s, 75) - PercentileSorted(s, 25)
-	a := sd
-	if iqr > 0 && iqr/1.34 < a {
-		a = iqr / 1.34
-	}
-	if a == 0 {
-		a = sd
-	}
-	return 0.9 * a * math.Pow(float64(len(xs)), -0.2)
 }
 
 // Elbow locates the "elbow" of a monotonically decreasing curve y(x) using

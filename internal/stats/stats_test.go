@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -62,36 +63,37 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// welfordOf streams xs through a Welford accumulator.
+func welfordOf(xs ...float64) *Welford {
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	return &w
+}
+
 func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || !almostEqual(m, 5, 1e-9) {
-		t.Errorf("Mean = %v (err %v), want 5", m, err)
+	w := welfordOf(2, 4, 4, 4, 5, 5, 7, 9)
+	if m := w.Mean(); !almostEqual(m, 5, 1e-9) {
+		t.Errorf("Mean = %v, want 5", m)
 	}
-	v, err := Variance(xs)
-	if err != nil || !almostEqual(v, 32.0/7.0, 1e-9) {
-		t.Errorf("Variance = %v (err %v), want %v", v, err, 32.0/7.0)
+	if v := w.Variance(); !almostEqual(v, 32.0/7.0, 1e-9) {
+		t.Errorf("Variance = %v, want %v", v, 32.0/7.0)
 	}
-	sd, _ := StdDev(xs)
-	if !almostEqual(sd, math.Sqrt(32.0/7.0), 1e-9) {
+	if sd := w.StdDev(); !almostEqual(sd, math.Sqrt(32.0/7.0), 1e-9) {
 		t.Errorf("StdDev = %v", sd)
 	}
 }
 
 func TestVarianceSingleElement(t *testing.T) {
-	v, err := Variance([]float64{42})
-	if err != nil || v != 0 {
-		t.Errorf("Variance single = %v (err %v), want 0", v, err)
+	if v := welfordOf(42).Variance(); v != 0 {
+		t.Errorf("Variance single = %v, want 0", v)
 	}
 }
 
 func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{5, -2, 9, 0})
-	if err != nil || min != -2 || max != 9 {
-		t.Errorf("MinMax = %v,%v (err %v)", min, max, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax empty: got %v", err)
+	if w := welfordOf(5, -2, 9, 0); w.Min() != -2 || w.Max() != 9 {
+		t.Errorf("MinMax = %v,%v", w.Min(), w.Max())
 	}
 }
 
@@ -109,52 +111,6 @@ func TestCDF(t *testing.T) {
 		if !almostEqual(pts[i].X, want[i].X, 1e-9) || !almostEqual(pts[i].P, want[i].P, 1e-9) {
 			t.Errorf("CDF[%d] = %+v, want %+v", i, pts[i], want[i])
 		}
-	}
-}
-
-func TestKDEIntegratesToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*10 + 100
-	}
-	pts, err := KDE(xs, 256, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trapezoidal integral should be ~1.
-	integral := 0.0
-	for i := 1; i < len(pts); i++ {
-		integral += (pts[i].Density + pts[i-1].Density) / 2 * (pts[i].X - pts[i-1].X)
-	}
-	if !almostEqual(integral, 1, 0.02) {
-		t.Errorf("KDE integral = %v, want ~1", integral)
-	}
-}
-
-func TestKDEDegenerate(t *testing.T) {
-	pts, err := KDE([]float64{5, 5, 5}, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Peak should be near x=5.
-	best := pts[0]
-	for _, p := range pts {
-		if p.Density > best.Density {
-			best = p
-		}
-	}
-	if !almostEqual(best.X, 5, 1.5) {
-		t.Errorf("KDE peak at %v, want near 5", best.X)
-	}
-}
-
-func TestKDEErrors(t *testing.T) {
-	if _, err := KDE(nil, 10, 0); err != ErrEmpty {
-		t.Errorf("KDE(nil): %v", err)
-	}
-	if _, err := KDE([]float64{1}, 1, 0); err == nil {
-		t.Error("KDE with 1 point: want error")
 	}
 }
 
@@ -196,9 +152,17 @@ func TestWelfordMatchesBatch(t *testing.T) {
 		xs[i] = rng.Float64() * 100
 		w.Add(xs[i])
 	}
-	bm, _ := Mean(xs)
-	bv, _ := Variance(xs)
-	min, max, _ := MinMax(xs)
+	// The two-pass batch formulas.
+	bm, bv := 0.0, 0.0
+	for _, x := range xs {
+		bm += x
+	}
+	bm /= float64(len(xs))
+	for _, x := range xs {
+		bv += (x - bm) * (x - bm)
+	}
+	bv /= float64(len(xs) - 1)
+	min, max := slices.Min(xs), slices.Max(xs)
 	if !almostEqual(w.Mean(), bm, 1e-9) {
 		t.Errorf("Welford mean %v vs batch %v", w.Mean(), bm)
 	}
@@ -232,7 +196,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		min, max, _ := MinMax(xs)
+		min, max := slices.Min(xs), slices.Max(xs)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 10 {
 			v, err := Percentile(xs, p)

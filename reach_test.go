@@ -7,8 +7,14 @@ package clasp
 // it calls is live). This facade package is a library like any other: an
 // export no program calls is dead. The graph is def→use over type-checked
 // identifiers, exported and unexported alike, so a declaration reached only
-// from dead code is dead too — the case a by-name scan misses. A method is live when reachable code selects it, or when its
-// receiver type is live and a live interface the type implements names it.
+// from dead code is dead too — the case a by-name scan misses. A method is
+// live when reachable code selects it, or when its receiver type is live and
+// a live interface the type implements names it.
+//
+// The field rule carries this one level down: every exported, non-embedded
+// field of a named struct type declared outside bench/ must be set by a
+// program — test writes do not count, and neither does the defaulting idiom
+// (see markWrites). A field nothing sets is a constant dressed as a knob.
 // The only escape is reachAllowed below.
 
 import (
@@ -22,6 +28,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -36,14 +43,18 @@ const (
 	// reachObserve: the only way a test in another package can read what
 	// the product wrote or did.
 	reachObserve = "observe"
+	// reachSeam (fields only): a test sets it to a value no program uses, to
+	// check behaviour the product keeps.
+	reachSeam = "seam"
 )
 
-var reachReasons = []string{reachReference, reachObserve}
+var reachReasons = []string{reachReference, reachObserve, reachSeam}
 
-// reachAllowed is the allow-list: declaration → reason. What an entry alone
-// reaches rides along with it, and an entry naming a type keeps the type's
-// methods. An entry that is reachable without being listed, or names
-// nothing, fails the test, so the list can only shrink.
+// reachAllowed is the allow-list: declaration or field → reason. What an
+// entry alone reaches rides along with it, and an entry naming a type keeps
+// the type's methods. An entry that is reachable (for a field: that a
+// program sets) without being listed, or names nothing, fails the test, so
+// the list can only shrink.
 var reachAllowed = map[string]string{
 	// Held against Pinger in netsim and against the scan in
 	// speedchecker/reference_test.go; the uncached Measure reference.
@@ -63,6 +74,29 @@ var reachAllowed = map[string]string{
 	"internal/topology.Topology.RouterAliases":  reachObserve,
 	// Reads back the captures campaigns upload (and with it pcap's reader).
 	"internal/flowstats.Analyze": reachObserve,
+
+	// Fields the program leaves at their default, set by tests only.
+	// Short transfers keep synthesized captures small (orchestrator's
+	// runFaultCampaign, TestParallelMatchesSequential and others).
+	"internal/orchestrator.Config.TestDurationSec": reachSeam,
+	// The D5 ablation (TestFixedOrderAblation, BenchmarkAblationTestOrder).
+	"internal/orchestrator.Config.FixedOrder": reachSeam,
+	// A small scan per test (quickParams, TestRunPreliminaryMatchesPerSampleReference,
+	// TestDifferentialBasedSelection).
+	"internal/speedchecker.Params.SamplesPerVP": reachSeam,
+	// Lossless traces (TestClassicModeCanOscillate, TestTraceToProbeTarget)
+	// and heavy loss (TestResponseLossProducesSilentHops,
+	// TestTraceMatchesPerTTLReference).
+	"internal/traceroute.Options.ResponseLoss": reachSeam,
+	// Several transactions in one flow (TestTransactionsIdentified).
+	"internal/flowstats.SynthConfig.Requests": reachSeam,
+	// A private registry and a fake clock (TestPipelineDeterministicSelfStore,
+	// TestPipelineRetention, TestIntrospectionEndpoints).
+	"internal/telemetry.PipelineConfig.Registry": reachSeam,
+	"internal/telemetry.PipelineConfig.Now":      reachSeam,
+	"internal/telemetry.Introspection.Registry":  reachSeam,
+	// The first-read delay (TestLatencyOption).
+	"internal/shaper.Options.Latency": reachSeam,
 }
 
 // reachStdIfaces are the std interfaces through which std code calls module
@@ -100,6 +134,8 @@ type reachImpl struct {
 
 type reachGraph struct {
 	decls   map[types.Object]*reachDecl
+	fields  map[*types.Var]*reachDecl // the exported fields the field rule checks
+	set     map[*types.Var]bool       // fields a program writes
 	byName  map[string]types.Object
 	methods map[types.Object][]types.Object // type → its declared methods
 	byType  map[types.Object][]*reachImpl
@@ -203,6 +239,7 @@ func buildReachGraph(root string) (*reachGraph, error) {
 	g := &reachGraph{
 		decls: map[types.Object]*reachDecl{}, byName: map[string]types.Object{}, methods: map[types.Object][]types.Object{},
 		byType: map[types.Object][]*reachImpl{}, byOwner: map[types.Object][]*reachImpl{},
+		fields: map[*types.Var]*reachDecl{}, set: map[*types.Var]bool{},
 	}
 	type iface struct {
 		owner types.Object
@@ -303,12 +340,29 @@ func buildReachGraph(root string) (*reachGraph, error) {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
 							add(node, spec.Name)
+							if st, ok := spec.Type.(*ast.StructType); ok && !nested[p] {
+								for _, f := range st.Fields.List {
+									for _, id := range f.Names {
+										if id.IsExported() {
+											pos := reachFset.Position(id.Pos())
+											pos.Filename = g.decls[l.info.Defs[spec.Name]].pos.Filename
+											g.fields[l.info.Defs[id].(*types.Var)] = &reachDecl{name: rel + "." + spec.Name.Name + "." + id.Name, pos: pos}
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							add(node, spec.Names...)
 						}
 					}
 				}
 			}
+		}
+	}
+
+	for _, p := range l.pkgs {
+		for _, f := range l.files[p] {
+			g.markWrites(l.info, f)
 		}
 	}
 
@@ -339,6 +393,185 @@ func buildReachGraph(root string) (*reachGraph, error) {
 		}
 	}
 	return g, nil
+}
+
+// markWrites records in g.set every field f writes (DESIGN.md §17): a key of
+// a keyed composite literal or any field of an unkeyed one; every field on
+// the selector/index chain of an assignment's target, of ++/--, of &x.F and
+// of a pointer-method call on x.F; and every exported field reachable through
+// a pointer passed where an interface is expected (json.Unmarshal,
+// Decoder.Decode). A write in the body of an if that tests the same field for
+// its zero value is the defaulting idiom and does not count.
+func (g *reachGraph) markWrites(info *types.Info, f *ast.File) {
+	var ifs []*ast.IfStmt // the if statements whose body encloses the node
+	chain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() && !reachDefaulted(info, ifs, v) {
+					g.set[v.Origin()] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	var inspect func(n ast.Node) bool
+	inspect = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if n.Init != nil {
+				ast.Inspect(n.Init, inspect)
+			}
+			ast.Inspect(n.Cond, inspect)
+			ifs = append(ifs, n)
+			ast.Inspect(n.Body, inspect)
+			ifs = ifs[:len(ifs)-1]
+			if n.Else != nil {
+				ast.Inspect(n.Else, inspect)
+			}
+			return false
+		case *ast.FuncLit:
+			saved := ifs
+			ifs = nil
+			ast.Inspect(n.Body, inspect)
+			ifs = saved
+			return false
+		case *ast.CompositeLit:
+			st, ok := reachStruct(info.TypeOf(n))
+			for _, e := range n.Elts {
+				if kv, isKV := e.(*ast.KeyValueExpr); isKV {
+					if id, isID := kv.Key.(*ast.Ident); isID {
+						if v, isVar := info.Uses[id].(*types.Var); isVar && v.IsField() {
+							g.set[v.Origin()] = true
+						}
+					}
+				} else if ok {
+					for i := 0; i < st.NumFields(); i++ {
+						g.set[st.Field(i).Origin()] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				chain(e)
+			}
+		case *ast.IncDecStmt:
+			chain(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				chain(n.X)
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+					_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					_, ptrOperand := info.TypeOf(sel.X).Underlying().(*types.Pointer)
+					if ptrRecv && !ptrOperand {
+						chain(sel.X)
+					}
+				}
+			}
+			sig, ok := info.TypeOf(n.Fun).(*types.Signature)
+			if !ok {
+				return true // a conversion or a builtin
+			}
+			for i, arg := range n.Args {
+				var pt types.Type
+				switch params := sig.Params(); {
+				case sig.Variadic() && i >= params.Len()-1:
+					pt = params.At(params.Len() - 1).Type()
+					if !n.Ellipsis.IsValid() {
+						pt = pt.(*types.Slice).Elem()
+					}
+				case i < params.Len():
+					pt = params.At(i).Type()
+				}
+				if pt != nil && types.IsInterface(pt) {
+					g.markReflected(info.TypeOf(arg), false, map[types.Type]bool{})
+				}
+			}
+		}
+		return true
+	}
+	ast.Inspect(f, inspect)
+}
+
+// markReflected marks every exported field reflection can set through a
+// value of type t: behind a pointer or a slice, inside a slice, map, array
+// or struct. A field tagged json:"-" is out of a decoder's reach.
+func (g *reachGraph) markReflected(t types.Type, settable bool, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		g.markReflected(u.Elem(), true, seen)
+	case *types.Slice:
+		g.markReflected(u.Elem(), true, seen)
+	case *types.Array:
+		g.markReflected(u.Elem(), settable, seen)
+	case *types.Map:
+		g.markReflected(u.Elem(), false, seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i); f.Exported() && reflect.StructTag(u.Tag(i)).Get("json") != "-" {
+				if settable {
+					g.set[f.Origin()] = true
+				}
+				g.markReflected(f.Type(), settable, seen)
+			}
+		}
+	}
+}
+
+// reachStruct returns the struct a composite literal of type t builds.
+func reachStruct(t types.Type) (*types.Struct, bool) {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	return st, ok
+}
+
+// reachDefaulted reports whether one of the enclosing ifs tests field v for
+// its zero value: == 0, <= 0, < 1, == nil, == "" or .IsZero().
+func reachDefaulted(info *types.Info, ifs []*ast.IfStmt, v *types.Var) bool {
+	is := func(e ast.Expr) bool {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		return ok && info.Uses[sel.Sel] == v
+	}
+	for _, s := range ifs {
+		found := false
+		ast.Inspect(s.Cond, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				lit, _ := ast.Unparen(n.Y).(*ast.BasicLit)
+				id, _ := ast.Unparen(n.Y).(*ast.Ident)
+				zero := lit != nil && (n.Op == token.EQL && (lit.Value == "0" || lit.Value == `""`) ||
+					n.Op == token.LEQ && lit.Value == "0" || n.Op == token.LSS && lit.Value == "1") ||
+					id != nil && id.Name == "nil" && n.Op == token.EQL
+				found = found || zero && is(n.X)
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "IsZero" && len(n.Args) == 0 {
+					found = found || is(sel.X)
+				}
+			}
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // walk returns what is reachable from the root declarations plus extra.
@@ -397,9 +630,22 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	fieldByName := map[string]*types.Var{}
+	for v, d := range g.fields {
+		fieldByName[d.name] = v
+	}
 	var entries [][]types.Object // each entry with the methods it keeps
 	for _, name := range names {
 		obj, reason := g.byName[name], allowed[name]
+		if reason == reachSeam {
+			switch v := fieldByName[name]; {
+			case v == nil:
+				findings = append(findings, reachFinding{&reachDecl{name: name}, "allow-listed but gone"})
+			case g.set[v]:
+				findings = append(findings, reachFinding{g.fields[v], "allow-listed but a program sets it"})
+			}
+			continue
+		}
 		switch {
 		case obj == nil:
 			findings = append(findings, reachFinding{&reachDecl{name: name}, "allow-listed but gone"})
@@ -441,6 +687,11 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 			findings = append(findings, reachFinding{decl: d})
 		}
 	}
+	for v, d := range g.fields {
+		if !g.set[v] && allowed[d.name] != reachSeam {
+			findings = append(findings, reachFinding{d, "no program sets it"})
+		}
+	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].decl, findings[j].decl
 		if a.pos.Filename != b.pos.Filename {
@@ -455,7 +706,7 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 }
 
 // TestReachability is the rule. With -v it prints what the allow-list
-// keeps, by reason, in code lines.
+// keeps, by reason, in code lines (seam: the fields).
 func TestReachability(t *testing.T) {
 	findings, kept, err := checkReach(".", reachAllowed)
 	if err != nil {
@@ -469,7 +720,11 @@ func TestReachability(t *testing.T) {
 			}
 		}
 		sort.Strings(names)
-		t.Logf("%s: %d entries keep %d code lines\n\t%s", reason, len(names), kept[reason], strings.Join(names, "\n\t"))
+		what := fmt.Sprintf("keep %d code lines", kept[reason])
+		if reason == reachSeam {
+			what = "are fields only tests set"
+		}
+		t.Logf("%s: %d entries %s\n\t%s", reason, len(names), what, strings.Join(names, "\n\t"))
 	}
 	total := 0
 	for _, f := range findings {
@@ -485,54 +740,90 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestReachabilityRuleBites runs the checker on a module shaped like this
-// one: a library package at the module's root path, with one export the
-// program calls and one it does not, and a program under cmd/ with one
-// function reached from main, one reached only from a dead function — the
-// transitive case a by-name scan misses, since the name is referenced — and
-// one method live only through an interface. It must report the unused
-// export and the dead pair and nothing else, and must reject every kind of
-// stale allow-list entry.
+// TestReachabilityRuleBites runs the checker on two modules. The first is
+// shaped like this one: a library package at the module's root path, with
+// one export the program calls and one it does not, and a program under
+// cmd/ with one function reached from main, one reached only from a dead
+// function — the transitive case a by-name scan misses, since the name is
+// referenced — and one method live only through an interface. The checker
+// must report the unused export and the dead pair and nothing else, and
+// must reject every kind of stale allow-list entry. The second holds the
+// field rule: a field nothing sets, one set only by its defaulting if and
+// one only a _test.go file sets each fail it, a stale seam entry fails, and
+// fields a program assigns, writes in a literal, binds to a flag or decodes
+// from JSON pass.
 func TestReachabilityRuleBites(t *testing.T) {
-	dir := t.TempDir()
-	for name, src := range map[string]string{
-		"go.mod":       "module fixture\n\ngo 1.22\n",
-		"lib.go":       "package fixture\n\nfunc Used() {}\n\nfunc Unused() {}\n",
-		"cmd/main.go":  "package main\n\nimport \"fixture\"\n\nfunc main() {\n\treached()\n\tfixture.Used()\n\tvar s shape = square{}\n\t_ = s.area()\n}\n\nfunc reached() {}\n",
-		"cmd/dead.go":  "package main\n\nfunc dead() { onlyFromDead() }\n\nfunc onlyFromDead() {}\n",
-		"cmd/iface.go": "package main\n\ntype shape interface{ area() int }\n\ntype square struct{}\n\nfunc (square) area() int { return 1 }\n",
-	} {
-		path := filepath.Join(dir, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
+	for _, fx := range []struct {
+		files map[string]string
+		cases []struct {
+			allowed map[string]string
+			want    string
 		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
+	}{{
+		files: map[string]string{
+			"go.mod":       "module fixture\n\ngo 1.22\n",
+			"lib.go":       "package fixture\n\nfunc Used() {}\n\nfunc Unused() {}\n",
+			"cmd/main.go":  "package main\n\nimport \"fixture\"\n\nfunc main() {\n\treached()\n\tfixture.Used()\n\tvar s shape = square{}\n\t_ = s.area()\n}\n\nfunc reached() {}\n",
+			"cmd/dead.go":  "package main\n\nfunc dead() { onlyFromDead() }\n\nfunc onlyFromDead() {}\n",
+			"cmd/iface.go": "package main\n\ntype shape interface{ area() int }\n\ntype square struct{}\n\nfunc (square) area() int { return 1 }\n",
+		},
+		cases: []struct {
+			allowed map[string]string
+			want    string
+		}{
+			{nil, "cmd.dead: | cmd.onlyFromDead: | fixture.Unused:"},
+			{map[string]string{"cmd.dead": reachReference, "fixture.Unused": reachObserve}, ""},
+			{map[string]string{"cmd.onlyFromDead": reachObserve}, "cmd.dead: | fixture.Unused:"},
+			{map[string]string{"cmd.dead": reachReference, "cmd.onlyFromDead": reachReference}, "cmd.onlyFromDead: allow-listed but reachable without its entry | fixture.Unused:"},
+			{map[string]string{"cmd.dead": reachReference, "cmd.reached": reachObserve}, "cmd.reached: allow-listed but reachable without its entry | fixture.Unused:"},
+			{map[string]string{"cmd.dead": reachReference, "fixture.Used": reachObserve}, "fixture.Used: allow-listed but reachable without its entry | fixture.Unused:"},
+			{map[string]string{"cmd.dead": reachReference, "cmd.gone": reachObserve}, "cmd.gone: allow-listed but gone | fixture.Unused:"},
+			{map[string]string{"cmd.dead": "handy"}, `cmd.dead: allow-listed with reason "handy", not one of [reference observe seam] | cmd.dead: | cmd.onlyFromDead: | fixture.Unused:`},
+		},
+	}, {
+		files: map[string]string{
+			"go.mod": "module knobs\n\ngo 1.22\n",
+			"lib.go": "package knobs\n\ntype Config struct {\n\tNever     int\n\tDefaulted int\n\tTestOnly  int\n\tAssigned  int\n\tKeyed     int\n\tFlagged   int\n\tunset     int\n}\n\n" +
+				"type Spec struct{ Decoded string }\n\n" +
+				"func (c *Config) Fill() {\n\tif c.Defaulted == 0 {\n\t\tc.Defaulted = 5\n\t}\n}\n",
+			"lib_test.go": "package knobs\n\nimport \"testing\"\n\nfunc TestSet(t *testing.T) { _ = Config{TestOnly: 1} }\n",
+			"cmd/main.go": "package main\n\nimport (\n\t\"encoding/json\"\n\t\"flag\"\n\n\t\"knobs\"\n)\n\n" +
+				"func main() {\n\tc := knobs.Config{Keyed: 1}\n\tc.Assigned = 2\n\tflag.IntVar(&c.Flagged, \"n\", 0, \"\")\n\tc.Fill()\n\tvar s knobs.Spec\n\t_ = json.Unmarshal([]byte(`{}`), &s)\n}\n",
+		},
+		cases: []struct {
+			allowed map[string]string
+			want    string
+		}{
+			{nil, "knobs.Config.Never: no program sets it | knobs.Config.Defaulted: no program sets it | knobs.Config.TestOnly: no program sets it"},
+			{map[string]string{"knobs.Config.Never": reachSeam, "knobs.Config.Defaulted": reachSeam, "knobs.Config.TestOnly": reachSeam}, ""},
+			{map[string]string{"knobs.Config.Never": reachSeam, "knobs.Config.Defaulted": reachSeam, "knobs.Config.TestOnly": reachSeam, "knobs.Config.Assigned": reachSeam},
+				"knobs.Config.Assigned: allow-listed but a program sets it"},
+			{map[string]string{"knobs.Config.Never": reachSeam, "knobs.Config.Defaulted": reachSeam, "knobs.Config.TestOnly": reachSeam, "knobs.Config.Gone": reachSeam},
+				"knobs.Config.Gone: allow-listed but gone"},
+		},
+	}} {
+		dir := t.TempDir()
+		for name, src := range fx.files {
+			path := filepath.Join(dir, name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, tc := range []struct {
-		allowed map[string]string
-		want    string
-	}{
-		{nil, "cmd.dead: | cmd.onlyFromDead: | fixture.Unused:"},
-		{map[string]string{"cmd.dead": reachReference, "fixture.Unused": reachObserve}, ""},
-		{map[string]string{"cmd.onlyFromDead": reachObserve}, "cmd.dead: | fixture.Unused:"},
-		{map[string]string{"cmd.dead": reachReference, "cmd.onlyFromDead": reachReference}, "cmd.onlyFromDead: allow-listed but reachable without its entry | fixture.Unused:"},
-		{map[string]string{"cmd.dead": reachReference, "cmd.reached": reachObserve}, "cmd.reached: allow-listed but reachable without its entry | fixture.Unused:"},
-		{map[string]string{"cmd.dead": reachReference, "fixture.Used": reachObserve}, "fixture.Used: allow-listed but reachable without its entry | fixture.Unused:"},
-		{map[string]string{"cmd.dead": reachReference, "cmd.gone": reachObserve}, "cmd.gone: allow-listed but gone | fixture.Unused:"},
-		{map[string]string{"cmd.dead": "handy"}, `cmd.dead: allow-listed with reason "handy", not one of [reference observe] | cmd.dead: | cmd.onlyFromDead: | fixture.Unused:`},
-	} {
-		findings, _, err := checkReach(dir, tc.allowed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, f := range findings {
-			got = append(got, f.decl.name+":"+strings.TrimRight(" "+f.why, " "))
-		}
-		if s := strings.Join(got, " | "); s != tc.want {
-			t.Errorf("allow-list %v: findings %q, want %q", tc.allowed, s, tc.want)
+		for _, tc := range fx.cases {
+			findings, _, err := checkReach(dir, tc.allowed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, f := range findings {
+				got = append(got, f.decl.name+":"+strings.TrimRight(" "+f.why, " "))
+			}
+			if s := strings.Join(got, " | "); s != tc.want {
+				t.Errorf("allow-list %v: findings %q, want %q", tc.allowed, s, tc.want)
+			}
 		}
 	}
 }
