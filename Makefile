@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzBitStream$$' ./internal/colenc/
 	$(FUZZ) -fuzz='^FuzzBlockRoundTrip$$' ./internal/tsdb/
 	$(FUZZ) -fuzz='^FuzzLoadCheckpoint$$' ./internal/checkpoint/
+	$(FUZZ) -fuzz='^FuzzLoadManifest$$' ./internal/checkpoint/
 	$(FUZZ) -fuzz='^FuzzDecodeColumns$$' ./internal/analysis/
 	$(FUZZ) -fuzz='^FuzzReadMessage$$' ./internal/wsock/
 

@@ -73,9 +73,14 @@ func getFixture(b *testing.B) *fixture {
 			topoSel:  make(map[string]*selection.TopoResult),
 		}
 		for _, region := range core.TopologyRegions {
-			res, sel, err := f.eng.RunTopologyCampaign(region, benchDays)
+			res, err := f.eng.RunTopologyCampaign(region, benchDays)
 			if err != nil {
 				fixErr = fmt.Errorf("fixture campaign %s: %w", region, err)
+				return
+			}
+			sel, err := f.eng.SelectTopologyServers(region)
+			if err != nil {
+				fixErr = fmt.Errorf("fixture selection %s: %w", region, err)
 				return
 			}
 			f.topo[region] = res
@@ -494,7 +499,7 @@ func BenchmarkAblationParisVsClassic(b *testing.B) {
 			}
 			traces = append(traces, t1, t2)
 		}
-		res, err := mapper.Infer("us-east1", traces)
+		res, err := mapper.Infer(traces)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -660,7 +665,7 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 	}
 	servers = servers[:26]
 	orch := orchestrator.New(f.eng.Sim, f.eng.Cloud, nil)
-	paced := faults.Profile{Name: "paced", SlowProb: 1, SlowLatency: occupancy}
+	paced := faults.Profile{SlowProb: 1, SlowLatency: occupancy}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, region := range regions {

@@ -50,11 +50,12 @@ type Platform struct {
 	engine *core.CLASP
 }
 
-// New creates a platform, defaulting and validating opts (core.New).
+// New creates a platform, defaulting and validating opts; its error is
+// core.New's.
 func New(opts Options) (*Platform, error) {
 	eng, err := core.New(opts)
 	if err != nil {
-		return nil, fmt.Errorf("clasp: %w", err)
+		return nil, err
 	}
 	return &Platform{engine: eng}, nil
 }
@@ -85,24 +86,24 @@ type CampaignResult = core.CampaignResult
 // (§3.1) and measures each hourly over the premium tier for `days` days of
 // virtual time.
 func (p *Platform) RunTopologyCampaign(region string, days int) (*CampaignResult, error) {
-	res, _, err := p.engine.RunTopologyCampaign(region, days)
-	return res, err
+	return p.engine.RunTopologyCampaign(region, days)
 }
 
 // RunTopologyCampaigns runs the topology-based campaign in several regions
 // concurrently, one goroutine per region over the shared substrate — the
-// paper's actual deployment shape. Per-region results are identical to
-// running each campaign alone with the same seed. The engine must have a
-// command scheduler attached (core.CLASP.NewCommandScheduler).
-func (p *Platform) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, error) {
-	res, _, err := p.engine.RunTopologyCampaigns(regions, days)
-	return res, err
+// paper's actual deployment shape — for what the runs leave behind: the
+// VM-hours billed to the platform, and the checkpoints under
+// Options.CheckpointDir. Each region's records are identical to running its
+// campaign alone with the same seed. The engine must have a command
+// scheduler attached (core.CLASP.NewCommandScheduler).
+func (p *Platform) RunTopologyCampaigns(regions []string, days int) error {
+	_, err := p.engine.RunTopologyCampaigns(regions, days)
+	return err
 }
 
 // PairSummary describes one measured VM-server pair in a congestion report.
 type PairSummary struct {
 	PairID        string
-	ServerID      int
 	Days          int
 	CongestedDays int
 	Events        int
@@ -151,16 +152,16 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 	analysis.ParallelFor(p.engine.Opts.Parallelism, len(withServer), func(i int) {
 		sw := withServer[i]
 		part := parts[i]
-		days := part.Days(congestion.MinDaySamples)
+		days := part.Days()
 		events := det.EventsIn(part)
 		congDays := make(map[int]bool)
 		var hourCount [24]int
 		srv := p.engine.Topo.Server(sw.ServerID) // read-only lookups, safe across workers
 		for _, e := range events {
-			congDays[congestion.DayOf(e.Time.UnixNano())] = true
+			congDays[congestion.DayOf(e.UnixNano())] = true
 			if srv != nil {
 				if city, ok := p.engine.Topo.CityOf(srv.City); ok {
-					hourCount[city.LocalHour(e.Time.Hour())]++
+					hourCount[city.LocalHour(e.Hour())]++
 				}
 			}
 		}
@@ -174,7 +175,6 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 		t := &tallies[i]
 		t.summary = PairSummary{
 			PairID:        sw.Series.PairID,
-			ServerID:      sw.ServerID,
 			Days:          len(days),
 			CongestedDays: len(congDays),
 			Events:        len(events),

@@ -123,6 +123,9 @@ func run(args []string, out io.Writer) error {
 	if *days < 1 {
 		return fmt.Errorf("-days: must be at least 1, got %d", *days)
 	}
+	if *samples < 0 {
+		return fmt.Errorf("-samples: must be non-negative, got %d", *samples)
+	}
 	minSamples := *samples
 	if minSamples == 0 {
 		minSamples = core.DefaultMinSamples(opts.Scale)
@@ -287,7 +290,7 @@ func resumeCmd(positional []string, out io.Writer, flags core.Options) error {
 		clasp.WriteTierComparison(out, tc)
 		return nil
 	}
-	return printCampaign(out, p, res, true)
+	return printCampaign(out, p, res)
 }
 
 // resumeCommand re-enters a killed multi-campaign command from its
@@ -296,9 +299,6 @@ func resumeCmd(positional []string, out io.Writer, flags core.Options) error {
 // normal render path runs — loading finished campaigns from their
 // checkpoints, resuming partial ones, and running the rest.
 func resumeCommand(man *checkpoint.Manifest, dir string, out io.Writer, flags core.Options) error {
-	if len(man.Campaigns) == 0 {
-		return fmt.Errorf("resume: manifest in %s lists no campaigns", dir)
-	}
 	eng, err := resumeEngine(man.Identity, dir, flags)
 	if err != nil {
 		return err
@@ -322,7 +322,7 @@ func resumeCommand(man *checkpoint.Manifest, dir string, out io.Writer, flags co
 		for i, c := range man.Campaigns {
 			regions[i] = c.Region
 		}
-		if _, err := p.RunTopologyCampaigns(regions, man.Days); err != nil {
+		if err := p.RunTopologyCampaigns(regions, man.Days); err != nil {
 			return err
 		}
 		printCosts(out, p)
@@ -335,11 +335,8 @@ func resumeCommand(man *checkpoint.Manifest, dir string, out io.Writer, flags co
 // printCampaign renders a finished campaign exactly like `clasp campaign`:
 // the orchestration summary, the resilience line when anything degraded,
 // and (optionally) the congestion report.
-func printCampaign(out io.Writer, p *clasp.Platform, res *core.CampaignResult, congestion bool) error {
+func printCampaign(out io.Writer, p *clasp.Platform, res *core.CampaignResult) error {
 	clasp.WriteCampaignSummary(out, res)
-	if !congestion {
-		return nil
-	}
 	rep, err := p.CongestionReport(res)
 	if err != nil {
 		return err
@@ -397,7 +394,7 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLAS
 		if err != nil {
 			return err
 		}
-		return printCampaign(out, p, res, true)
+		return printCampaign(out, p, res)
 
 	case "costs":
 		// All regions measure concurrently, like the real deployment. The
@@ -408,7 +405,7 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLAS
 		if err := sched.WriteManifest("costs", "", costsRefs(), costsDays, 0); err != nil {
 			return err
 		}
-		if _, err := p.RunTopologyCampaigns(core.TopologyRegions, costsDays); err != nil {
+		if err := p.RunTopologyCampaigns(core.TopologyRegions, costsDays); err != nil {
 			return err
 		}
 		printCosts(out, p)

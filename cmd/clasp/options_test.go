@@ -194,3 +194,21 @@ func TestInvalidOptionsRejectedEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeSamplesRefused: the selection maps every -samples value <= 0
+// to 100, so -samples -5 used to run as -samples 100 where a spec refuses
+// minSamples -5. The CLI now refuses it in the spec's words. An invalid
+// option is reported with the one "clasp:" prefix main adds, not two.
+func TestNegativeSamplesRefused(t *testing.T) {
+	err := run([]string{"select", "europe-west1", "-scale", "0.1", "-samples", "-5"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-samples: must be non-negative, got -5") {
+		t.Errorf("-samples -5: got %v, want it refused naming -samples", err)
+	}
+	_, err = scenario.ParseSpec([]byte(`{"name": "bad", "artifacts": ["table1"], "minSamples": -5}`), "bad.json")
+	if err == nil || !strings.Contains(err.Error(), "minSamples: must be non-negative, got -5") {
+		t.Errorf("spec minSamples -5: got %v", err)
+	}
+	if err := run([]string{"select", "us-west1", "-scale", "-1"}, io.Discard); err == nil || strings.HasPrefix(err.Error(), "clasp:") {
+		t.Errorf("-scale -1: got %v, want an error main prefixes once", err)
+	}
+}

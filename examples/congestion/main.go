@@ -82,7 +82,7 @@ func main() {
 		fmt.Println("no events — try another seed")
 		return
 	}
-	firstDay := events[0].Time.Truncate(24 * time.Hour)
+	firstDay := events[0].Truncate(24 * time.Hour)
 	window := congestion.Series{PairID: series.PairID}
 	var vh []float64
 	dayMax := map[int]float64{}

@@ -56,7 +56,7 @@ func splitDays(s congestion.Series) []congestion.Day {
 		if max > 0 {
 			v = (max - min) / max
 		}
-		out = append(out, congestion.Day{PairID: s.PairID, Day: d, Tmax: max, Tmin: min, V: v, Samples: len(xs)})
+		out = append(out, congestion.Day{Day: d, Tmax: max, Tmin: min, V: v, Samples: len(xs)})
 	}
 	return out
 }
@@ -85,11 +85,11 @@ func serialCongestionReport(p *Platform, res *CampaignResult) *CongestionReport 
 		congDays := make(map[int]bool)
 		var hourCount [24]int
 		for _, e := range events {
-			congDays[int(e.Time.Unix()/86400)] = true
+			congDays[int(e.Unix()/86400)] = true
 			srv := p.Engine().Topo.Server(sw.ServerID)
 			if srv != nil {
 				if city, ok := p.Engine().Topo.CityOf(srv.City); ok {
-					hourCount[city.LocalHour(e.Time.Hour())]++
+					hourCount[city.LocalHour(e.Hour())]++
 				}
 			}
 		}
@@ -102,7 +102,6 @@ func serialCongestionReport(p *Platform, res *CampaignResult) *CongestionReport 
 		}
 		rep.Pairs = append(rep.Pairs, PairSummary{
 			PairID:        sw.Series.PairID,
-			ServerID:      sw.ServerID,
 			Days:          len(days),
 			CongestedDays: len(congDays),
 			Events:        len(events),

@@ -355,9 +355,7 @@ func GroupSeriesWithServerRanges(cs []Cursor, dir netsim.Direction, tier bgp.Tie
 // download throughput and 5th-percentile latency within one month.
 type PerfPoint struct {
 	ServerID int
-	Region   string
 	Month    time.Month
-	Year     int
 	P95Down  float64
 	P5LatMs  float64
 	N        int
@@ -595,8 +593,7 @@ func perfPoints(cs []Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
 		p95, _ := stats.PercentileInPlace(d, 95)
 		p5, _ := stats.PercentileInPlace(l, 5)
 		out = append(out, PerfPoint{
-			ServerID: s.server, Region: names[s.ri], Month: s.month, Year: s.year,
-			P95Down: p95, P5LatMs: p5, N: len(d),
+			ServerID: s.server, Month: s.month, P95Down: p95, P5LatMs: p5, N: len(d),
 		})
 	}
 	return out

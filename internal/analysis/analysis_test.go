@@ -68,7 +68,7 @@ func TestPerfPoints(t *testing.T) {
 		if p.P5LatMs < 38 || p.P5LatMs > 39 {
 			t.Errorf("p5 latency = %v", p.P5LatMs)
 		}
-		if p.N == 0 || p.Region != "us-east1" || p.ServerID != 7 {
+		if p.N == 0 || p.ServerID != 7 {
 			t.Errorf("point fields: %+v", p)
 		}
 	}

@@ -161,40 +161,50 @@ func TestGroupSeriesEmpty(t *testing.T) {
 // server, year, month) group, each group sorted whole and read with
 // percentileRef.
 func naivePerfPoints(ms []Measurement, tier bgp.Tier, oneTier bool) []PerfPoint {
+	type key struct {
+		region       string
+		server, year int
+		month        time.Month
+	}
 	type group struct{ down, lat []float64 }
-	groups := make(map[PerfPoint]*group) // keyed by a point with only its identity set
+	groups := make(map[key]*group)
 	for _, m := range ms {
 		if m.Dir != netsim.Download || oneTier && m.Tier != tier {
 			continue
 		}
 		year, month, _ := m.Time.UTC().Date()
-		k := PerfPoint{ServerID: m.ServerID, Region: m.Region, Year: year, Month: month}
+		k := key{m.Region, m.ServerID, year, month}
 		if groups[k] == nil {
 			groups[k] = new(group)
 		}
 		groups[k].down = append(groups[k].down, m.Mbps)
 		groups[k].lat = append(groups[k].lat, m.RTTms)
 	}
+	keys := make([]key, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.region != b.region {
+			return a.region < b.region
+		}
+		if a.server != b.server {
+			return a.server < b.server
+		}
+		if a.year != b.year {
+			return a.year < b.year
+		}
+		return a.month < b.month
+	})
 	var out []PerfPoint
-	for p, g := range groups {
+	for _, k := range keys {
+		g := groups[k]
 		sort.Float64s(g.down)
 		sort.Float64s(g.lat)
-		p.P95Down, p.P5LatMs, p.N = percentileRef(g.down, 95), percentileRef(g.lat, 5), len(g.down)
-		out = append(out, p)
+		out = append(out, PerfPoint{ServerID: k.server, Month: k.month,
+			P95Down: percentileRef(g.down, 95), P5LatMs: percentileRef(g.lat, 5), N: len(g.down)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if a.ServerID != b.ServerID {
-			return a.ServerID < b.ServerID
-		}
-		if a.Year != b.Year {
-			return a.Year < b.Year
-		}
-		return a.Month < b.Month
-	})
 	return out
 }
 

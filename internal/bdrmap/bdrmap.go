@@ -38,10 +38,7 @@ type Link struct {
 
 // Result is a completed border inference.
 type Result struct {
-	Region string
-	Links  []Link
-	// Traces is the number of traceroutes consumed.
-	Traces int
+	Links []Link
 }
 
 // LinkCount returns the number of inferred links.
@@ -73,7 +70,7 @@ type borderObs struct {
 
 // Infer consumes traceroutes from VMs in one region and returns the
 // inferred interdomain links.
-func (m *Mapper) Infer(region string, traces []traceroute.Result) (*Result, error) {
+func (m *Mapper) Infer(traces []traceroute.Result) (*Result, error) {
 	if m.table == nil {
 		return nil, fmt.Errorf("bdrmap: nil prefix table")
 	}
@@ -151,7 +148,7 @@ func (m *Mapper) Infer(region string, traces []traceroute.Result) (*Result, erro
 	}
 
 	sort.Slice(links, func(i, j int) bool { return links[i].FarIP.Compare(links[j].FarIP) < 0 })
-	return &Result{Region: region, Links: links, Traces: len(traces)}, nil
+	return &Result{Links: links}, nil
 }
 
 // findBorder locates the cloud border crossing in one traceroute: the last

@@ -65,7 +65,7 @@ func (f *fixture) pilotTraces(t *testing.T, limit int) []traceroute.Result {
 func TestInferRecoversLinks(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 0)
-	res, err := f.mapper.Infer(f.region, traces)
+	res, err := f.mapper.Infer(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +74,12 @@ func TestInferRecoversLinks(t *testing.T) {
 	if res.LinkCount() < visible*85/100 {
 		t.Errorf("inferred %d links of %d visible", res.LinkCount(), visible)
 	}
-	if res.Traces != len(traces) {
-		t.Errorf("Traces = %d, want %d", res.Traces, len(traces))
-	}
 }
 
 func TestInferredOwnersCorrect(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 0)
-	res, err := f.mapper.Infer(f.region, traces)
+	res, err := f.mapper.Infer(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +117,7 @@ func TestInferredOwnersCorrect(t *testing.T) {
 func TestNeighborsList(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 120)
-	res, err := f.mapper.Infer(f.region, traces)
+	res, err := f.mapper.Infer(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +134,7 @@ func TestNeighborsList(t *testing.T) {
 func TestAliasGroupingPopulatesRouters(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 0)
-	res, err := f.mapper.Infer(f.region, traces)
+	res, err := f.mapper.Infer(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +180,7 @@ func TestInferFromServerTraces(t *testing.T) {
 		}
 		traces = append(traces, res)
 	}
-	res, err := f.mapper.Infer(f.region, traces)
+	res, err := f.mapper.Infer(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,7 @@ func TestInferFromServerTraces(t *testing.T) {
 
 func TestInferEmptyAndNilSafety(t *testing.T) {
 	f := setup(t)
-	res, err := f.mapper.Infer(f.region, nil)
+	res, err := f.mapper.Infer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +204,7 @@ func TestInferEmptyAndNilSafety(t *testing.T) {
 		t.Error("links from no traces")
 	}
 	m := New(15169, nil, nil)
-	if _, err := m.Infer("r", nil); err == nil {
+	if _, err := m.Infer(nil); err == nil {
 		t.Error("nil table: want error")
 	}
 }
@@ -215,7 +212,7 @@ func TestInferEmptyAndNilSafety(t *testing.T) {
 func TestInferWithoutResolver(t *testing.T) {
 	f := setup(t)
 	m := FromTopology(f.topo, nil)
-	res, err := m.Infer(f.region, f.pilotTraces(t, 50))
+	res, err := m.Infer(f.pilotTraces(t, 50))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // ManifestFile is the command-level manifest a multi-campaign command
@@ -63,7 +64,10 @@ func WriteManifest(dir string, m Manifest) error {
 
 // LoadManifest reads the command manifest under dir. It returns
 // (nil, nil) when dir exists but holds no manifest — the caller then falls
-// back to the single-campaign resume path.
+// back to the single-campaign resume path. A manifest whose shape the CLI
+// would refuse — days below 1, negative minSamples, no campaigns, a
+// campaign of no known kind or below one day — fails here, naming every bad
+// field, not later in the resumed run.
 func LoadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if os.IsNotExist(err) {
@@ -78,6 +82,27 @@ func LoadManifest(dir string) (*Manifest, error) {
 	}
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("checkpoint: %s has manifest version %d, want %d", filepath.Join(dir, ManifestFile), m.Version, ManifestVersion)
+	}
+	var bad []string
+	if m.Days < 1 {
+		bad = append(bad, fmt.Sprintf("days: must be at least 1, got %d", m.Days))
+	}
+	if m.MinSamples < 0 {
+		bad = append(bad, fmt.Sprintf("minSamples: must be non-negative, got %d", m.MinSamples))
+	}
+	if len(m.Campaigns) == 0 {
+		bad = append(bad, "campaigns: lists none")
+	}
+	for i, c := range m.Campaigns {
+		if c.Kind != "topology" && c.Kind != "differential" {
+			bad = append(bad, fmt.Sprintf("campaigns[%d].kind: must be topology or differential, got %q", i, c.Kind))
+		}
+		if c.Days < 1 {
+			bad = append(bad, fmt.Sprintf("campaigns[%d].days: must be at least 1, got %d", i, c.Days))
+		}
+	}
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("checkpoint: %s: %s", filepath.Join(dir, ManifestFile), strings.Join(bad, "; "))
 	}
 	return &m, nil
 }

@@ -13,14 +13,13 @@ package cloud
 
 import (
 	"fmt"
-	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
@@ -49,15 +48,12 @@ type VMFaults interface {
 
 // MachineType describes a VM shape.
 type MachineType struct {
-	Name       string
-	VCPUs      int
-	MemGB      float64
-	EgressGbps float64 // NIC egress cap before tc shaping
-	HourlyUSD  float64
+	Name      string
+	HourlyUSD float64
 }
 
 // N1Standard2 is the machine type the paper used (§3.2).
-var N1Standard2 = MachineType{Name: "n1-standard-2", VCPUs: 2, MemGB: 7.5, EgressGbps: 10, HourlyUSD: 0.095}
+var N1Standard2 = MachineType{Name: "n1-standard-2", HourlyUSD: 0.095}
 
 // VMState is a VM lifecycle state.
 type VMState int
@@ -74,14 +70,11 @@ type VMSpec struct {
 	Region string
 	Zone   string // empty picks a zone round-robin
 	Type   MachineType
-	Tier   bgp.Tier
-	Labels map[string]string
 }
 
 // VM is a provisioned instance.
 type VM struct {
 	VMSpec
-	IP      netip.Addr
 	Created time.Time
 	State   VMState
 }
@@ -105,12 +98,11 @@ func DefaultPricing() Pricing {
 // Platform is the cloud control plane.
 type Platform struct {
 	topo    *topology.Topology
-	sim     *netsim.Sim
 	pricing Pricing
 
 	mu             sync.Mutex
 	vms            map[string]*VM
-	buckets        map[string]*Bucket
+	buckets        []*Bucket
 	zoneNext       map[string]int
 	egressGB       map[bgp.Tier]float64
 	computeUSD     float64
@@ -118,17 +110,15 @@ type Platform struct {
 	createAttempts map[string]int
 }
 
-// New creates a platform over the topology and simulator.
-func New(topo *topology.Topology, sim *netsim.Sim, pricing Pricing) *Platform {
+// New creates a platform over the topology's regions.
+func New(topo *topology.Topology, pricing Pricing) *Platform {
 	if pricing == (Pricing{}) {
 		pricing = DefaultPricing()
 	}
 	return &Platform{
 		topo:           topo,
-		sim:            sim,
 		pricing:        pricing,
 		vms:            make(map[string]*VM),
-		buckets:        make(map[string]*Bucket),
 		zoneNext:       make(map[string]int),
 		egressGB:       make(map[bgp.Tier]float64),
 		createAttempts: make(map[string]int),
@@ -177,29 +167,13 @@ func (p *Platform) CreateVM(spec VMSpec, at time.Time) (*VM, error) {
 		}
 		delete(p.createAttempts, spec.Name)
 	}
-	zoneIdx := 0
 	if spec.Zone == "" {
-		zoneIdx = p.zoneNext[spec.Region] % len(region.Zones)
+		spec.Zone = region.Zones[p.zoneNext[spec.Region]%len(region.Zones)]
 		p.zoneNext[spec.Region]++
-		spec.Zone = region.Zones[zoneIdx]
-	} else {
-		found := false
-		for i, z := range region.Zones {
-			if z == spec.Zone {
-				zoneIdx, found = i, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cloud: zone %q not in region %q", spec.Zone, spec.Region)
-		}
+	} else if !slices.Contains(region.Zones, spec.Zone) {
+		return nil, fmt.Errorf("cloud: zone %q not in region %q", spec.Zone, spec.Region)
 	}
-	vm := &VM{
-		VMSpec:  spec,
-		IP:      p.sim.VMAddr(spec.Region, zoneIdx, len(p.vms)),
-		Created: at,
-		State:   VMRunning,
-	}
+	vm := &VM{VMSpec: spec, Created: at, State: VMRunning}
 	p.vms[spec.Name] = vm
 	return vm, nil
 }
@@ -333,39 +307,23 @@ func (p *Platform) Costs() Costs {
 
 // --- Object storage -----------------------------------------------------------
 
-// Object is one stored blob with metadata.
-type Object struct {
-	Key     string
-	Data    []byte
-	Updated time.Time
-}
-
-// Bucket is an object-storage bucket pinned to a region.
+// Bucket is an object-storage bucket: stored blobs by key.
 type Bucket struct {
-	Name   string
-	Region string
-
 	mu      sync.Mutex
-	objects map[string]Object
+	objects map[string][]byte
 }
 
-// CreateBucket makes a bucket in a region.
-func (p *Platform) CreateBucket(name, region string) (*Bucket, error) {
-	if _, ok := p.topo.Region(region); !ok {
-		return nil, fmt.Errorf("cloud: unknown region %q", region)
-	}
+// CreateBucket makes a bucket whose storage the platform bills.
+func (p *Platform) CreateBucket() *Bucket {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.buckets[name]; dup {
-		return nil, fmt.Errorf("cloud: bucket %q already exists", name)
-	}
-	b := &Bucket{Name: name, Region: region, objects: make(map[string]Object)}
-	p.buckets[name] = b
-	return b, nil
+	b := &Bucket{objects: make(map[string][]byte)}
+	p.buckets = append(p.buckets, b)
+	return b
 }
 
 // Put stores an object (copying data).
-func (b *Bucket) Put(key string, data []byte, at time.Time) error {
+func (b *Bucket) Put(key string, data []byte) error {
 	if key == "" {
 		return fmt.Errorf("cloud: empty object key")
 	}
@@ -373,7 +331,7 @@ func (b *Bucket) Put(key string, data []byte, at time.Time) error {
 	copy(cp, data)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.objects[key] = Object{Key: key, Data: cp, Updated: at}
+	b.objects[key] = cp
 	return nil
 }
 
@@ -385,9 +343,7 @@ func (b *Bucket) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	cp := make([]byte, len(o.Data))
-	copy(cp, o.Data)
-	return cp, true
+	return slices.Clone(o), true
 }
 
 // List returns object keys with the given prefix, sorted.
@@ -414,7 +370,7 @@ func (b *Bucket) Size() int64 {
 func (b *Bucket) sizeLocked() int64 {
 	var n int64
 	for _, o := range b.objects {
-		n += int64(len(o.Data))
+		n += int64(len(o))
 	}
 	return n
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
 
@@ -19,23 +18,19 @@ func setup(t *testing.T) *Platform {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := netsim.New(topo, nil, netsim.Config{Seed: 2})
-	return New(topo, sim, Pricing{})
+	return New(topo, Pricing{})
 }
 
 var t0 = time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 
 func TestVMLifecycle(t *testing.T) {
 	p := setup(t)
-	vm, err := p.CreateVM(VMSpec{Name: "meas-1", Region: "us-west1", Tier: bgp.Premium}, t0)
+	vm, err := p.CreateVM(VMSpec{Name: "meas-1", Region: "us-west1"}, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vm.Type.Name != "n1-standard-2" {
 		t.Errorf("default machine type = %q", vm.Type.Name)
-	}
-	if !vm.IP.IsValid() {
-		t.Error("VM has no IP")
 	}
 	if vm.Zone == "" {
 		t.Error("zone not assigned")
@@ -115,21 +110,12 @@ func TestListVMs(t *testing.T) {
 
 func TestBucketOperations(t *testing.T) {
 	p := setup(t)
-	b, err := p.CreateBucket("clasp-data", "us-east1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.CreateBucket("clasp-data", "us-east1"); err == nil {
-		t.Error("duplicate bucket accepted")
-	}
-	if _, err := p.CreateBucket("x", "atlantis"); err == nil {
-		t.Error("bucket in unknown region accepted")
-	}
-	if err := b.Put("", []byte("x"), t0); err == nil {
+	b := p.CreateBucket()
+	if err := b.Put("", []byte("x")); err == nil {
 		t.Error("empty key accepted")
 	}
 	data := []byte("pcap bytes")
-	if err := b.Put("us-east1/2020-05-01/test1.pcap", data, t0); err != nil {
+	if err := b.Put("us-east1/2020-05-01/test1.pcap", data); err != nil {
 		t.Fatal(err)
 	}
 	data[0] = 'X' // must not affect the stored copy
@@ -142,8 +128,8 @@ func TestBucketOperations(t *testing.T) {
 	if string(again) != "pcap bytes" {
 		t.Error("Get exposes internal buffer")
 	}
-	b.Put("us-east1/2020-05-02/test2.pcap", []byte("more"), t0)
-	b.Put("us-west1/other", []byte("x"), t0)
+	b.Put("us-east1/2020-05-02/test2.pcap", []byte("more"))
+	b.Put("us-west1/other", []byte("x"))
 	keys := b.List("us-east1/")
 	if len(keys) != 2 || keys[0] > keys[1] {
 		t.Errorf("List = %v", keys)
@@ -180,10 +166,7 @@ func TestAccrueVMHours(t *testing.T) {
 // update was dropped.
 func TestConcurrentAccounting(t *testing.T) {
 	p := setup(t)
-	b, err := p.CreateBucket("data", "us-east1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := p.CreateBucket()
 	const goroutines, ops = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -194,7 +177,7 @@ func TestConcurrentAccounting(t *testing.T) {
 				p.RecordEgress(bgp.Premium, 1e9)
 				p.AccrueVMHours(1, time.Hour, N1Standard2)
 				key := fmt.Sprintf("g%d/obj%d", g, i)
-				b.Put(key, []byte("x"), t0)
+				b.Put(key, []byte("x"))
 				b.Get(key)
 				p.Costs()
 			}
@@ -217,10 +200,10 @@ func TestConcurrentAccounting(t *testing.T) {
 
 func TestStorageBilling(t *testing.T) {
 	p := setup(t)
-	b, _ := p.CreateBucket("data", "us-east1")
+	b := p.CreateBucket()
 	blob := make([]byte, 1e6)
 	for i := 0; i < 100; i++ {
-		b.Put(time.Duration(i).String(), blob, t0)
+		b.Put(time.Duration(i).String(), blob)
 	}
 	c := p.Costs()
 	want := 0.1 * 0.020 // 0.1 GB at $0.02/GB-month

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/faults"
 )
 
@@ -23,7 +22,7 @@ func TestCreateVMFaultPath(t *testing.T) {
 	p := setup(t)
 	p.SetVMFaults(stubVMFaults{failFirst: 2})
 
-	spec := VMSpec{Name: "flaky-1", Region: "us-west1", Tier: bgp.Premium}
+	spec := VMSpec{Name: "flaky-1", Region: "us-west1"}
 	for attempt := 0; attempt < 2; attempt++ {
 		_, err := p.CreateVM(spec, t0)
 		var fe *faults.Error
@@ -59,7 +58,7 @@ func TestCreateVMFaultConsumesNoZoneSlot(t *testing.T) {
 	p := setup(t)
 	p.SetVMFaults(stubVMFaults{failFirst: 3})
 	create := func(name string) *VM {
-		spec := VMSpec{Name: name, Region: "us-west1", Tier: bgp.Premium}
+		spec := VMSpec{Name: name, Region: "us-west1"}
 		for i := 0; i < 3; i++ {
 			if _, err := p.CreateVM(spec, t0); err == nil {
 				t.Fatalf("%s attempt %d unexpectedly succeeded", name, i)
@@ -84,7 +83,7 @@ func TestCreateVMFaultConsumesNoZoneSlot(t *testing.T) {
 
 func TestPreempt(t *testing.T) {
 	p := setup(t)
-	vm, err := p.CreateVM(VMSpec{Name: "doomed-1", Region: "us-west1", Tier: bgp.Premium}, t0)
+	vm, err := p.CreateVM(VMSpec{Name: "doomed-1", Region: "us-west1"}, t0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func BenchmarkAnalysisSplitDays(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if days := NewPartition(series[0]).Days(0); len(days) != 45 {
+		if days := NewPartition(series[0]).Days(); len(days) != 45 {
 			b.Fatalf("days = %d", len(days))
 		}
 	}

@@ -59,20 +59,10 @@ func DayOf(unixNs int64) int {
 
 // Day is the per-day summary of one pair.
 type Day struct {
-	PairID     string
 	Day        int // days since the Unix epoch
 	Tmax, Tmin float64
 	V          float64 // (Tmax - Tmin) / Tmax
 	Samples    int
-}
-
-// Event is one congested hour: VH(s,t) exceeded the threshold.
-type Event struct {
-	PairID string
-	Time   time.Time
-	Mbps   float64
-	Tmax   float64 // the day's maximum
-	VH     float64
 }
 
 // Detector labels days and hours against a threshold H.
@@ -83,9 +73,9 @@ type Detector struct {
 // NewDetector creates a detector with the paper's defaults.
 func NewDetector() *Detector { return &Detector{H: DefaultThreshold} }
 
-// Events returns the congested hours of the series: samples whose
-// normalised intra-day difference VH(s,t) exceeds H.
-func (d *Detector) Events(s Series) []Event {
+// Events returns the times of the congested hours of the series: samples
+// whose normalised intra-day difference VH(s,t) exceeds H.
+func (d *Detector) Events(s Series) []time.Time {
 	return d.EventsIn(NewPartition(s))
 }
 
@@ -126,7 +116,7 @@ func ElbowThreshold(sweep []SweepPoint) (float64, error) {
 // hour-of-day: events in that hour divided by measurements in that hour.
 // utcOffset converts timestamps to the test server's local time, aligning
 // with user activity as Fig. 6 does.
-func HourlyProbability(s Series, events []Event, utcOffset int) [24]float64 {
+func HourlyProbability(s Series, events []time.Time, utcOffset int) [24]float64 {
 	var meas, ev [24]int
 	localHour := func(t time.Time) int {
 		h := (t.Hour() + utcOffset) % 24
@@ -139,7 +129,7 @@ func HourlyProbability(s Series, events []Event, utcOffset int) [24]float64 {
 		meas[localHour(smp.T())]++
 	}
 	for _, e := range events {
-		ev[localHour(e.Time)]++
+		ev[localHour(e)]++
 	}
 	var out [24]float64
 	for h := 0; h < 24; h++ {
@@ -157,13 +147,13 @@ func CongestedPairIn(p *Partition, det *Detector, fracDays float64) bool {
 	if fracDays <= 0 {
 		fracDays = 0.1
 	}
-	days := p.Days(MinDaySamples)
+	days := p.Days()
 	if len(days) == 0 {
 		return false
 	}
 	eventDays := make(map[int]bool)
 	for _, e := range det.EventsIn(p) {
-		eventDays[DayOf(e.Time.UnixNano())] = true
+		eventDays[DayOf(e.UnixNano())] = true
 	}
 	return float64(len(eventDays))/float64(len(days)) > fracDays
 }

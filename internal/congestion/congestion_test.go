@@ -27,7 +27,7 @@ func flatDaySeries(days int, base, dip float64, dipDays map[int]bool) Series {
 
 func TestSplitDaysV(t *testing.T) {
 	s := flatDaySeries(3, 400, 100, map[int]bool{1: true})
-	days := NewPartition(s).Days(0)
+	days := NewPartition(s).Days()
 	if len(days) != 3 {
 		t.Fatalf("days = %d", len(days))
 	}
@@ -51,10 +51,10 @@ func TestSplitDaysMinSamples(t *testing.T) {
 	for h := 0; h < 3; h++ { // only 3 samples in the day
 		s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 100})
 	}
-	if days := NewPartition(s).Days(4); len(days) != 0 {
+	if days := NewPartition(s).Days(); len(days) != 0 {
 		t.Errorf("under-covered day kept: %v", days)
 	}
-	if days := NewPartition(s).Days(3); len(days) != 1 {
+	if _, days := NewPartition(s).DayTally(0, 3); days != 1 {
 		t.Errorf("3-sample day dropped at min 3")
 	}
 }
@@ -76,19 +76,14 @@ func TestDetectorEvents(t *testing.T) {
 	s := flatDaySeries(2, 400, 100, map[int]bool{0: true})
 	det := NewDetector()
 	events := det.Events(s)
-	// Hours 19-22 of day 0: 4 events.
+	// Hours 19-22 of day 0, the 100 Mbps dip under a 400 Mbps peak
+	// (VH = 0.75): 4 events.
 	if len(events) != 4 {
 		t.Fatalf("events = %d, want 4", len(events))
 	}
-	for _, e := range events {
-		if e.VH <= 0.5 {
-			t.Errorf("event VH = %v", e.VH)
-		}
-		if e.Time.Hour() < 19 || e.Time.Hour() > 22 {
-			t.Errorf("event at hour %d", e.Time.Hour())
-		}
-		if e.Tmax != 400 || e.Mbps != 100 {
-			t.Errorf("event fields: %+v", e)
+	for i, e := range events {
+		if want := t0.Add(time.Duration(19+i) * time.Hour); !e.Equal(want) {
+			t.Errorf("event %d at %v, want %v", i, e, want)
 		}
 	}
 }
@@ -196,7 +191,7 @@ func TestZeroThroughputDaySafe(t *testing.T) {
 	for h := 0; h < 24; h++ {
 		s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 0})
 	}
-	days := NewPartition(s).Days(0)
+	days := NewPartition(s).Days()
 	if len(days) != 1 || days[0].V != 0 {
 		t.Errorf("all-zero day mishandled: %+v", days)
 	}

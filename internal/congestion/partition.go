@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
@@ -26,7 +27,6 @@ var (
 // every downstream analysis — possibly several rendering concurrently —
 // shares it, so the lazy cache is filled under a lock.
 type Partition struct {
-	pairID  string
 	samples []Sample
 	days    []Day   // ascending by day index; every day with >= 1 sample
 	dayOf   []int32 // per-sample index into days
@@ -46,7 +46,7 @@ type Partition struct {
 // samples slice is referenced, not copied.
 func NewPartition(s Series) *Partition {
 	obsPartitions.Inc()
-	p := &Partition{pairID: s.PairID, samples: s.Samples}
+	p := &Partition{samples: s.Samples}
 	n := len(s.Samples)
 	if n == 0 {
 		return p
@@ -63,7 +63,7 @@ func NewPartition(s Series) *Partition {
 		d := DayOf(smp.Unix)
 		last := len(days) - 1
 		if last < 0 || d > days[last].Day {
-			days = append(days, Day{PairID: s.PairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
+			days = append(days, Day{Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
 			last++
 		} else if d < days[last].Day {
 			break
@@ -111,7 +111,7 @@ func (p *Partition) splitUnsorted(i int) {
 		if !ok {
 			di = int32(len(p.days))
 			byDay[d] = di
-			p.days = append(p.days, Day{PairID: p.pairID, Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
+			p.days = append(p.days, Day{Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
 		}
 		p.days[di].add(smp.Mbps)
 		p.dayOf[i] = di
@@ -134,15 +134,12 @@ func (p *Partition) splitUnsorted(i int) {
 }
 
 // Days returns the per-day V(s,d) records, ascending by day. Days with
-// fewer than minSamples observations are skipped (a half-covered day can
+// fewer than MinDaySamples observations are skipped (a half-covered day can
 // fake a low V).
-func (p *Partition) Days(minSamples int) []Day {
-	if minSamples <= 0 {
-		minSamples = MinDaySamples
-	}
+func (p *Partition) Days() []Day {
 	out := make([]Day, 0, len(p.days))
 	for _, d := range p.days {
-		if d.Samples >= minSamples {
+		if d.Samples >= MinDaySamples {
 			out = append(out, d)
 		}
 	}
@@ -213,19 +210,18 @@ func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
 	return events, len(vhq)
 }
 
-// EventsIn extracts the congestion events of a pre-built partition —
+// EventsIn extracts the congestion event times of a pre-built partition —
 // identical output to Events on the original series, without re-splitting.
-func (d *Detector) EventsIn(p *Partition) []Event {
-	var out []Event
+func (d *Detector) EventsIn(p *Partition) []time.Time {
+	var out []time.Time
 	for i := range p.samples {
 		day := &p.days[p.dayOf[i]]
 		if day.Tmax <= 0 || day.Samples < MinDaySamples {
 			continue
 		}
 		smp := &p.samples[i]
-		vh := (day.Tmax - smp.Mbps) / day.Tmax
-		if vh > d.H {
-			out = append(out, Event{PairID: p.pairID, Time: smp.T(), Mbps: smp.Mbps, Tmax: day.Tmax, VH: vh})
+		if (day.Tmax-smp.Mbps)/day.Tmax > d.H {
+			out = append(out, smp.T())
 		}
 	}
 	return out

@@ -74,7 +74,7 @@ func naiveSplitDays(s Series, minSamples int) []Day {
 		if max > 0 {
 			v = (max - min) / max
 		}
-		out = append(out, Day{PairID: s.PairID, Day: d, Tmax: max, Tmin: min, V: v, Samples: len(xs)})
+		out = append(out, Day{Day: d, Tmax: max, Tmin: min, V: v, Samples: len(xs)})
 	}
 	return out
 }
@@ -107,11 +107,20 @@ func naiveFractions(series []Series, h float64) (days, hours float64) {
 func TestPartitionDaysMatchesNaive(t *testing.T) {
 	for _, shuffled := range []bool{false, true} {
 		s := randomSeries(21, 14, shuffled)
-		for _, min := range []int{0, 1, 4, 10} {
-			got := NewPartition(s).Days(min)
+		p := NewPartition(s)
+		if got, want := p.Days(), naiveSplitDays(s, MinDaySamples); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shuffled=%v: Days diverged\n got %+v\nwant %+v", shuffled, got, want)
+		}
+		for _, min := range []int{1, 4, 10} {
 			want := naiveSplitDays(s, min)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shuffled=%v min=%d: Days diverged\n got %+v\nwant %+v", shuffled, min, got, want)
+			wantCong := 0
+			for _, d := range want {
+				if d.V > 0.5 {
+					wantCong++
+				}
+			}
+			if cong, total := p.DayTally(0.5, min); cong != wantCong || total != len(want) {
+				t.Fatalf("shuffled=%v min=%d: DayTally %d/%d, want %d/%d", shuffled, min, cong, total, wantCong, len(want))
 			}
 		}
 	}
@@ -154,7 +163,7 @@ func TestEventsInMatchesEvents(t *testing.T) {
 	for _, shuffled := range []bool{false, true} {
 		s := randomSeries(9, 10, shuffled)
 		det := NewDetector()
-		want := make([]Event, 0)
+		want := make([]time.Time, 0)
 		// Events via the one-shot path and via an explicit partition.
 		want = append(want, det.Events(s)...)
 		got := det.EventsIn(NewPartition(s))
@@ -183,7 +192,7 @@ func TestHourTallyCountsDeadDayHours(t *testing.T) {
 
 func TestPartitionEmptySeries(t *testing.T) {
 	p := NewPartition(Series{PairID: "empty"})
-	if days := p.Days(0); len(days) != 0 {
+	if days := p.Days(); len(days) != 0 {
 		t.Errorf("empty series has %d days", len(days))
 	}
 	if e, h := p.HourTally(0.5, 0); e != 0 || h != 0 {

@@ -98,13 +98,13 @@ func TestEpochStraddlingSeriesHasTwoDays(t *testing.T) {
 	for h, v := range mbps {
 		s.Samples = append(s.Samples, Sample{Unix: start.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: v})
 	}
-	days := NewPartition(s).Days(4)
+	days := NewPartition(s).Days()
 	if len(days) != 2 {
 		t.Fatalf("%d days, want 2: %+v", len(days), days)
 	}
 	for i, want := range []Day{
-		{PairID: "epoch", Day: -1, Tmax: 100, Tmin: 50, V: 0.5, Samples: 4},
-		{PairID: "epoch", Day: 0, Tmax: 400, Tmin: 300, V: 0.25, Samples: 4},
+		{Day: -1, Tmax: 100, Tmin: 50, V: 0.5, Samples: 4},
+		{Day: 0, Tmax: 400, Tmin: 300, V: 0.25, Samples: 4},
 	} {
 		if days[i] != want {
 			t.Errorf("day %d = %+v, want %+v", i, days[i], want)

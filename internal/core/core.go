@@ -79,16 +79,14 @@ func NewSubstrate(cfg topology.Config) (*Substrate, error) {
 
 // CLASP is a fully wired platform instance.
 type CLASP struct {
-	Opts     Options
-	Topo     *topology.Topology
-	Router   *bgp.Router
-	Sim      *netsim.Sim
-	Cloud    *cloud.Platform
-	Bucket   *cloud.Bucket
-	Store    *tsdb.Store
-	Mapper   *bdrmap.Mapper
-	Resolver *alias.Prober
-	Checker  *speedchecker.Platform
+	Opts    Options
+	Topo    *topology.Topology
+	Sim     *netsim.Sim
+	Cloud   *cloud.Platform
+	Bucket  *cloud.Bucket
+	Store   *tsdb.Store
+	Mapper  *bdrmap.Mapper
+	Checker *speedchecker.Platform
 
 	// testCheckpointHook runs after every committed checkpoint; core's
 	// resume tests return a sentinel error from it to stop a campaign
@@ -170,23 +168,17 @@ func New(opts Options) (*CLASP, error) {
 		router = bgp.NewRouter(topo)
 	}
 	sim := netsim.New(topo, router, netsim.DefaultConfig(opts.Seed))
-	platform := cloud.New(topo, sim, cloud.Pricing{})
-	// The paper centralised processing and storage in one region.
-	bucket, err := platform.CreateBucket("clasp-results", "us-east1")
-	if err != nil {
-		return nil, fmt.Errorf("core: creating results bucket: %w", err)
-	}
-	resolver := alias.NewProber(topo, opts.Seed)
+	platform := cloud.New(topo, cloud.Pricing{})
+	// The paper centralised processing and storage in one bucket.
+	bucket := platform.CreateBucket()
 	return &CLASP{
 		Opts:        opts,
 		Topo:        topo,
-		Router:      router,
 		Sim:         sim,
 		Cloud:       platform,
 		Bucket:      bucket,
 		Store:       tsdb.NewStore(),
-		Mapper:      bdrmap.FromTopology(topo, resolver),
-		Resolver:    resolver,
+		Mapper:      bdrmap.FromTopology(topo, alias.NewProber(topo, opts.Seed)),
 		Checker:     speedchecker.New(sim),
 		pool:        orchestrator.NewWorkerPool(opts.Parallelism),
 		topoSels:    make(map[string]*topoSelMemo),
@@ -356,16 +348,12 @@ func (r *CampaignResult) Close() error { return r.Log.Close() }
 
 // RunTopologyCampaign selects servers with the topology-based method and
 // measures them hourly (premium tier) for the given number of days.
-func (c *CLASP) RunTopologyCampaign(region string, days int) (*CampaignResult, *selection.TopoResult, error) {
+func (c *CLASP) RunTopologyCampaign(region string, days int) (*CampaignResult, error) {
 	p, err := c.PlanTopologyCampaign(region, days)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := c.RunPlanned(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, p.TopoSel, nil
+	return c.RunPlanned(p)
 }
 
 // RunDifferentialCampaign selects servers with the differential-based

@@ -90,7 +90,11 @@ func TestTable1Shape(t *testing.T) {
 
 func TestTopologyCampaignAndFigures(t *testing.T) {
 	c := newCLASP(t)
-	res, sel, err := c.RunTopologyCampaign("us-west1", 30)
+	res, err := c.RunTopologyCampaign("us-west1", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := c.SelectTopologyServers("us-west1") // the memoised selection the campaign ran
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func TestFig3CoxSeries(t *testing.T) {
 	// Build a campaign that includes the Cox Las Vegas server directly.
 	var servers []*selection.Selected
 	_ = servers
-	res, _, err := c.RunTopologyCampaign("us-west1", 40)
+	res, err := c.RunTopologyCampaign("us-west1", 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +232,13 @@ func TestFig3CoxSeries(t *testing.T) {
 			t.Errorf("VH[%d] = %v", i, v)
 		}
 	}
+	vhAt := make(map[int64]float64, len(fig3.Samples))
+	for i, s := range fig3.Samples {
+		vhAt[s.Unix] = fig3.VH[i]
+	}
 	for _, e := range fig3.Events {
-		if e.VH <= 0.5 {
-			t.Errorf("event below threshold: %+v", e)
+		if vh, ok := vhAt[e.UnixNano()]; !ok || vh <= 0.5 {
+			t.Errorf("event at %v: VH %v (in window %v), want > 0.5", e, vh, ok)
 		}
 	}
 }
@@ -277,7 +285,7 @@ func TestDifferentialCampaignAndFig5(t *testing.T) {
 
 func TestComputeHeadlines(t *testing.T) {
 	c := newCLASP(t)
-	resW, _, err := c.RunTopologyCampaign("us-west1", 30)
+	resW, err := c.RunTopologyCampaign("us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,23 +320,23 @@ func TestRunTopologyCampaignsMatchesIndividual(t *testing.T) {
 		t.Fatal(err)
 	}
 	par.NewCommandScheduler("topology-campaigns")
-	results, sels, err := par.RunTopologyCampaigns(regions, 2)
+	results, err := par.RunTopologyCampaigns(regions, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sequential single-region runs on a fresh instance, same seed. With no
 	// scheduler attached it refuses the multi-region call.
 	seq := newCLASP(t)
-	if _, _, err := seq.RunTopologyCampaigns(regions, 2); err == nil {
+	if _, err := seq.RunTopologyCampaigns(regions, 2); err == nil {
 		t.Fatal("RunTopologyCampaigns ran without a command scheduler")
 	}
 	for _, region := range regions {
-		want, _, err := seq.RunTopologyCampaign(region, 2)
+		want, err := seq.RunTopologyCampaign(region, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := results[region]
-		if got == nil || sels[region] == nil {
+		if got == nil {
 			t.Fatalf("region %s missing from concurrent results", region)
 		}
 		gotRecs, wantRecs := drainRecords(got), drainRecords(want)
@@ -359,7 +367,7 @@ func TestFig2RegionalOrdering(t *testing.T) {
 	c := newCLASP(t)
 	results := make(map[string]*CampaignResult)
 	for _, region := range []string{"us-west1", "us-east4"} {
-		res, _, err := c.RunTopologyCampaign(region, 30)
+		res, err := c.RunTopologyCampaign(region, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

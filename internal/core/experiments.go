@@ -29,16 +29,16 @@ import (
 // capping their combined VM concurrency at Opts.Parallelism — the global
 // budget, not a per-campaign one. Each region's records are identical to
 // running its campaign alone with the same seed.
-func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, map[string]*selection.TopoResult, error) {
+func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, error) {
 	s := c.sched
 	if s == nil {
-		return nil, nil, fmt.Errorf("core: multi-region campaigns need a command scheduler")
+		return nil, fmt.Errorf("core: multi-region campaigns need a command scheduler")
 	}
 	plans := make([]*PlannedCampaign, 0, len(regions))
 	for _, region := range regions {
 		p, err := s.Plan(CampaignRef{Kind: "topology", Region: region, Days: days})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		plans = append(plans, p)
 	}
@@ -54,15 +54,13 @@ func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*Ca
 	}
 	wg.Wait()
 	out := make(map[string]*CampaignResult, len(plans))
-	sels := make(map[string]*selection.TopoResult, len(plans))
 	for i, p := range plans {
 		if errs[i] != nil {
-			return nil, nil, errs[i]
+			return nil, errs[i]
 		}
 		out[p.Camp.Region] = results[i]
-		sels[p.Camp.Region] = p.TopoSel
 	}
-	return out, sels, nil
+	return out, nil
 }
 
 // --- Table 1 -------------------------------------------------------------------
@@ -160,7 +158,7 @@ type Fig3Data struct {
 	PairID  string
 	Samples []congestion.Sample
 	VH      []float64
-	Events  []congestion.Event
+	Events  []time.Time // the congested hours
 }
 
 // Fig3 extracts the paper's example series: the Cox (Las Vegas) server
@@ -216,7 +214,7 @@ func (c *CLASP) Fig3(result *CampaignResult) (*Fig3Data, error) {
 	// Find a two-day window with events; fall back to the first two days.
 	startIdx := 0
 	if len(events) > 0 {
-		evDay := events[0].Time.Truncate(24 * 3600e9)
+		evDay := events[0].Truncate(24 * 3600e9)
 		for i, s := range coxSeries.Samples {
 			if s.Unix >= evDay.UnixNano() {
 				startIdx = i

@@ -45,7 +45,7 @@ func WriteFig3(w io.Writer, d *Fig3Data) {
 	fmt.Fprintf(w, "%-18s %10s %8s\n", "time (UTC)", "Mbps", "VH")
 	events := make(map[int64]bool, len(d.Events))
 	for _, e := range d.Events {
-		events[e.Time.Unix()] = true
+		events[e.Unix()] = true
 	}
 	for i, s := range d.Samples {
 		at, mark := s.T(), " "

@@ -53,7 +53,7 @@ func TestWriteFig3MarksEvents(t *testing.T) {
 			{Unix: t0.Add(time.Hour).UnixNano(), Mbps: 50},
 		},
 		VH:     []float64{0, 0.875},
-		Events: []congestion.Event{{Time: t0.Add(time.Hour), Mbps: 50, VH: 0.875}},
+		Events: []time.Time{t0.Add(time.Hour)},
 	}
 	var buf bytes.Buffer
 	WriteFig3(&buf, d)

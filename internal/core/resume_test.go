@@ -40,7 +40,7 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := ref.RunTopologyCampaign(region, days)
+			want, err := ref.RunTopologyCampaign(region, days)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 				}
 				return nil
 			}
-			if _, _, err := killed.RunTopologyCampaign(region, days); !errors.Is(err, errKilled) {
+			if _, err := killed.RunTopologyCampaign(region, days); !errors.Is(err, errKilled) {
 				t.Fatalf("killed campaign returned %v, want the sentinel", err)
 			}
 
@@ -131,7 +131,7 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	killed.testCheckpointHook = func(orchestrator.Progress) error { return errKilled }
-	if _, _, err := killed.RunTopologyCampaign("us-west1", 1); !errors.Is(err, errKilled) {
+	if _, err := killed.RunTopologyCampaign("us-west1", 1); !errors.Is(err, errKilled) {
 		t.Fatalf("got %v, want the sentinel", err)
 	}
 	ck, err := checkpoint.Load(ckDir)
@@ -209,7 +209,7 @@ func TestCheckpointSidecarIsCampaignLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := c.RunTopologyCampaign(region, days)
+	res, err := c.RunTopologyCampaign(region, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCommitAppendsOnly(t *testing.T) {
 			prev, prevInfo = raw, fi
 			return nil
 		}
-		res, _, err := c.RunTopologyCampaign(region, days)
+		res, err := c.RunTopologyCampaign(region, days)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := ref.RunTopologyCampaign(region, days)
+	want, err := ref.RunTopologyCampaign(region, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 		}
 		return nil
 	}
-	if _, _, err := killed.RunTopologyCampaign(region, days); !errors.Is(err, errKilled) {
+	if _, err := killed.RunTopologyCampaign(region, days); !errors.Is(err, errKilled) {
 		t.Fatalf("got %v, want the sentinel", err)
 	}
 
@@ -495,7 +495,7 @@ func TestParentCommitCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, _, err := ref.RunTopologyCampaign("us-west1", 1)
+	uninterrupted, err := ref.RunTopologyCampaign("us-west1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,11 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	mem := newCLASP(t)
 	stream := newStreamingCLASP(t)
 
-	resM, _, err := mem.RunTopologyCampaign("us-west1", 30)
+	resM, err := mem.RunTopologyCampaign("us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resS, _, err := stream.RunTopologyCampaign("us-west1", 30)
+	resS, err := stream.RunTopologyCampaign("us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCampaignViewsGroupedOnce(t *testing.T) {
 		}
 		for i, want := range first.parts {
 			id := series[i].Series.PairID
-			if !reflect.DeepEqual(parts[i].Days(minSamples), want.Days(minSamples)) {
+			if !reflect.DeepEqual(parts[i].Days(), want.Days()) {
 				t.Fatalf("%v partition %d (%s): day split differs", tier, i, id)
 			}
 			for _, h := range []float64{0.1, 0.2, 0.5} {
@@ -259,7 +259,7 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 // 4, with one analysis.group span per call that names its ranges — and at
 // parallelism 1 there is one range and no parallel task at all.
 func TestRangeScanCountersAtAnyParallelism(t *testing.T) {
-	res, _, err := newStreamingCLASP(t).RunTopologyCampaign("us-west1", 14)
+	res, err := newStreamingCLASP(t).RunTopologyCampaign("us-west1", 14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ func benchSpec() netsim.TestSpec {
 // pay per test when nothing fires — four hash draws, no blocking.
 func BenchmarkFaultsBeforeMeasureMiss(b *testing.B) {
 	prof := Profile{
-		Name:              "bench",
 		TransientErrProb:  1e-12,
 		ServerUnavailProb: 1e-12,
 		HangProb:          1e-12,
@@ -61,7 +60,7 @@ func BenchmarkFaultsNilInjector(b *testing.B) {
 
 // BenchmarkFaultsBackoff is the per-retry schedule computation.
 func BenchmarkFaultsBackoff(b *testing.B) {
-	in := NewInjector(Profile{Name: "bench", TransientErrProb: 0.5}, 7)
+	in := NewInjector(Profile{TransientErrProb: 0.5}, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -107,8 +107,6 @@ func AsError(err error) (*Error, bool) {
 // policy the orchestrator applies under it. The zero Profile injects
 // nothing.
 type Profile struct {
-	Name string
-
 	// Injection probabilities.
 	VMCreateFailProb  float64 // per CreateVM attempt
 	VMPreemptProb     float64 // per VM-hour
@@ -167,11 +165,10 @@ func (p Profile) Normalized() Profile {
 
 // profiles are the canned scenarios exposed on the clasp CLI.
 var profiles = map[string]Profile{
-	"none": {Name: "none"},
+	"none": {},
 	// flaky-vm models an unreliable control plane: CreateVM rejections,
 	// VM preemptions mid-campaign, and occasional transient or hung tests.
 	"flaky-vm": {
-		Name:             "flaky-vm",
 		VMCreateFailProb: 0.25,
 		VMPreemptProb:    0.05,
 		TransientErrProb: 0.03,
@@ -190,7 +187,6 @@ var profiles = map[string]Profile{
 	// scenario the round-granular circuit breaker exists for. Whole rounds
 	// are shed while the outage persists and the cooldown probes recovery.
 	"outage": {
-		Name:              "outage",
 		ServerUnavailProb: 0.55,
 		TransientErrProb:  0.20,
 		HangProb:          0.01,
@@ -205,7 +201,6 @@ var profiles = map[string]Profile{
 	// congested-server models an unhealthy server population: hour-long
 	// unavailability windows, frequent transient failures and slow tests.
 	"congested-server": {
-		Name:              "congested-server",
 		ServerUnavailProb: 0.10,
 		TransientErrProb:  0.12,
 		HangProb:          0.002,

@@ -12,7 +12,6 @@ import (
 
 func activeProfile() Profile {
 	return Profile{
-		Name:             "test",
 		VMCreateFailProb: 0.3,
 		VMPreemptProb:    0.1,
 		TransientErrProb: 0.2,
@@ -26,7 +25,7 @@ func activeProfile() Profile {
 
 func TestNamedProfiles(t *testing.T) {
 	p, err := Named("")
-	if err != nil || p.Name != "none" {
+	if err != nil || p != (Profile{}) {
 		t.Errorf(`Named("") = %+v, %v; want the none profile`, p, err)
 	}
 	if p.Active() {
@@ -39,9 +38,6 @@ func TestNamedProfiles(t *testing.T) {
 		}
 		if !p.Active() {
 			t.Errorf("profile %q is not active", name)
-		}
-		if p.Name != name {
-			t.Errorf("profile %q self-reports as %q", name, p.Name)
 		}
 	}
 	if _, err := Named("no-such-profile"); err == nil {
@@ -263,7 +259,6 @@ func TestBeforeMeasureHangBlocksUntilDeadline(t *testing.T) {
 
 func TestBeforeMeasureSlowAddsLatencyThenPasses(t *testing.T) {
 	prof := Profile{
-		Name:        "slow-only",
 		SlowProb:    1,
 		SlowLatency: 5 * time.Millisecond,
 	}
@@ -293,7 +288,7 @@ func TestBeforeMeasureSlowAddsLatencyThenPasses(t *testing.T) {
 // first attempt fails must deterministically succeed at the same later
 // attempt on every rerun.
 func TestTransientRetryCanSucceed(t *testing.T) {
-	prof := Profile{Name: "transient-only", TransientErrProb: 0.5}
+	prof := Profile{TransientErrProb: 0.5}
 	in := NewInjector(prof, 11)
 	succeedsAt := func(serverID int) int {
 		spec := netsim.TestSpec{

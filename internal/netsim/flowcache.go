@@ -91,10 +91,9 @@ func (m *rttModel) at(s *Sim, flowKey uint64, t time.Time) float64 {
 	return m.rtt(s, dip, hashNorm(s.cfg.Seed, flowKey, c.day, c.hour, 0xc1))
 }
 
-// flowEntry is the resolved routing decision plus interned static model
-// inputs for one flow. Immutable once built, except for the day pointer.
+// flowEntry is the static model inputs of one flow's resolved routing
+// decision. Immutable once built, except for the day pointer.
 type flowEntry struct {
-	choice  bgp.EgressChoice
 	tier    bgp.Tier
 	dir     Direction
 	flowKey uint64 // per-flow hash key (the server ID)
@@ -205,7 +204,6 @@ func (s *Sim) buildFlow(spec *TestSpec) (*flowEntry, error) {
 	link := choice.Link
 
 	fe := &flowEntry{
-		choice:     choice,
 		tier:       spec.Tier,
 		dir:        spec.Dir,
 		flowKey:    uint64(srv.ID),

@@ -42,10 +42,6 @@ func measureUncached(t *testing.T, s *Sim, spec TestSpec) TestResult {
 		ThroughputMbps: tput,
 		RTTms:          rtt,
 		LossRate:       loss,
-		Link:           choice.Link,
-		ASPath:         choice.Path,
-		Dir:            spec.Dir,
-		Tier:           spec.Tier,
 	}
 }
 
@@ -60,8 +56,22 @@ func routeFor(s *Sim, spec TestSpec) (bgp.EgressChoice, error) {
 
 // sameResult reports whether two results agree in every field, bit for bit.
 func sameResult(a, b TestResult) bool {
-	return a.ThroughputMbps == b.ThroughputMbps && a.RTTms == b.RTTms && a.LossRate == b.LossRate &&
-		a.Link == b.Link && slices.Equal(a.ASPath, b.ASPath) && a.Dir == b.Dir && a.Tier == b.Tier
+	return a.ThroughputMbps == b.ThroughputMbps && a.RTTms == b.RTTms && a.LossRate == b.LossRate
+}
+
+// sameRoute reports whether a cached flow entry was built from the route the
+// uncached path resolves for spec: the interconnect it keys its dips on, and
+// the RTT model of the AS path.
+func sameRoute(t *testing.T, s *Sim, fe *flowEntry, spec TestSpec) bool {
+	t.Helper()
+	choice, err := routeFor(s, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := spec.Server
+	return fe.linkKey == linkKey(choice.Link.ID) && fe.linkUTC == choice.Link.UTCOffset &&
+		fe.rttModel == s.newRTTModel(spec.Region, srv.ASN, srv.City, choice, spec.Tier) &&
+		fe.dir == spec.Dir && fe.tier == spec.Tier
 }
 
 // slotGap is the spacing of a VM's 17 hourly test slots (the orchestrator's
@@ -141,6 +151,13 @@ func TestFlowCacheMatchesUncached(t *testing.T) {
 								t.Fatalf("%s srv%d %v %v at %v: %s = %+v, uncached = %+v",
 									region, srv.ID, tier, dir, spec.Time, route, got, want)
 							}
+						}
+						fe, err := sim.flowFor(&spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if flow.fe != fe || !sameRoute(t, sim, fe, spec) {
+							t.Fatalf("%s srv%d %v %v: the cached flow's route differs from the uncached one", region, srv.ID, tier, dir)
 						}
 						checked++
 					}
@@ -278,9 +295,14 @@ func TestMeasureConcurrentCold(t *testing.T) {
 	for g := 1; g < goroutines; g++ {
 		for i := range specs {
 			a, b := results[0][i], results[g][i]
-			if a.ThroughputMbps != b.ThroughputMbps || a.RTTms != b.RTTms || a.LossRate != b.LossRate || a.Link != b.Link {
+			if !sameResult(a, b) {
 				t.Fatalf("goroutine %d spec %d diverged: %+v vs %+v", g, i, a, b)
 			}
+		}
+	}
+	for i, spec := range specs {
+		if fe, err := sim.flowFor(&spec); err != nil || !sameRoute(t, sim, fe, spec) {
+			t.Fatalf("spec %d: the flow built under contention has the wrong route (%v)", i, err)
 		}
 	}
 }

@@ -250,17 +250,11 @@ type TestSpec struct {
 	Attempt int
 }
 
-// TestResult is the outcome the speed test UI would report, plus the
-// ground-truth path attributes the analysis pipeline later re-estimates
-// from packet captures.
+// TestResult is the outcome the speed test UI would report.
 type TestResult struct {
 	ThroughputMbps float64
 	RTTms          float64
 	LossRate       float64
-	Link           *topology.Interconnect // interconnect crossed
-	ASPath         []ASN
-	Dir            Direction
-	Tier           bgp.Tier
 }
 
 // Measure runs one modelled speed test. The flow's routing decision and
@@ -346,20 +340,15 @@ func (s *Sim) measure(fe *flowEntry, spec *TestSpec) TestResult {
 		ThroughputMbps: tput,
 		RTTms:          rtt,
 		LossRate:       loss,
-		Link:           fe.choice.Link,
-		ASPath:         fe.choice.Path,
-		Dir:            fe.dir,
-		Tier:           fe.tier,
 	}
 }
 
 // Segment is one capacity-relevant element of a simulated path, ordered
-// from the traffic source toward the cloud VM (download) or the server
-// (upload). PathSegments lists them; pathBandwidth folds them into the
-// flow's bottleneck and loss.
+// from the traffic source toward the cloud VM (download: server access, ISP
+// aggregation, interconnect, VM NIC) or the server (upload: VM NIC,
+// interconnect, server access). PathSegments lists them; pathBandwidth
+// folds them into the flow's bottleneck and loss.
 type Segment struct {
-	Name      string
-	LinkID    int // interconnect ID, or -1
 	AvailMbps float64
 	Loss      float64 // loss contributed by this segment
 }
@@ -399,17 +388,14 @@ func (s *Sim) PathSegments(spec TestSpec, choice bgp.EgressChoice, t time.Time) 
 	var segs []Segment
 	if spec.Dir == Download {
 		// Server access link.
-		segs = append(segs, Segment{Name: "server-access", LinkID: -1, AvailMbps: srv.AccessMbps})
+		segs = append(segs, Segment{AvailMbps: srv.AccessMbps})
 
 		// ISP access-aggregation: the per-server congestion signal
 		// (keyed by server so distinct servers of one ISP behave like
 		// the paper's distinct pairs), at the server's local time.
 		ispDip := s.congestionDip(srvAS.Congestion, serverKey(srv.ID), srvCity.UTCOffset, t, regionFactor)
 		agg := hashRange(s.cfg.Seed, 500, 1400, serverKey(srv.ID), 0xb2) * (1 - ispDip)
-		segs = append(segs, Segment{
-			Name: "isp-aggregation", LinkID: -1, AvailMbps: agg,
-			Loss: congestionLoss(srvAS.Congestion, ispDip),
-		})
+		segs = append(segs, Segment{AvailMbps: agg, Loss: congestionLoss(srvAS.Congestion, ispDip)})
 
 		// Interdomain link into the cloud, modulated by the neighbor's
 		// profile at the facility's local time. The congestion dips live
@@ -429,22 +415,16 @@ func (s *Sim) PathSegments(spec TestSpec, choice bgp.EgressChoice, t time.Time) 
 		if link.Lossy && spec.Tier == bgp.Premium {
 			linkLoss += link.LossRate * hashRange(s.cfg.Seed, 0.8, 1.2, linkKey(link.ID), dayOf(t), 0xb3)
 		}
-		segs = append(segs, Segment{
-			Name: "interconnect", LinkID: link.ID,
-			AvailMbps: headroom * (1 - linkDip), Loss: linkLoss,
-		})
+		segs = append(segs, Segment{AvailMbps: headroom * (1 - linkDip), Loss: linkLoss})
 
 		// VM NIC shaping (tc).
-		segs = append(segs, Segment{Name: "vm-nic", LinkID: -1, AvailMbps: vmDown})
+		segs = append(segs, Segment{AvailMbps: vmDown})
 	} else {
-		segs = append(segs, Segment{Name: "vm-nic", LinkID: -1, AvailMbps: vmUp})
+		segs = append(segs, Segment{AvailMbps: vmUp})
 		// Mild downstream (cloud -> edge) evening load.
 		linkDip := s.congestionDip(nbAS.Congestion, linkKey(link.ID)^0x5555, linkCity.UTCOffset, t, regionFactor*0.3)
-		segs = append(segs, Segment{
-			Name: "interconnect", LinkID: link.ID,
-			AvailMbps: headroom * (1 - 0.3*linkDip), Loss: baseLoss,
-		})
-		segs = append(segs, Segment{Name: "server-access", LinkID: -1, AvailMbps: srv.AccessMbps})
+		segs = append(segs, Segment{AvailMbps: headroom * (1 - 0.3*linkDip), Loss: baseLoss})
+		segs = append(segs, Segment{AvailMbps: srv.AccessMbps})
 	}
 	return segs
 }

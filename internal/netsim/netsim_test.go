@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
@@ -70,8 +71,8 @@ func TestDownloadBounds(t *testing.T) {
 		if res.LossRate < 0 || res.LossRate > 0.9 {
 			t.Errorf("server %d loss %v out of range", srv.ID, res.LossRate)
 		}
-		if res.Link == nil || len(res.ASPath) < 2 {
-			t.Errorf("server %d missing path attribution", srv.ID)
+		if choice, err := routeFor(s, TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: Download}); err != nil || choice.Link == nil || len(choice.Path) < 2 {
+			t.Errorf("server %d missing path attribution (%v)", srv.ID, err)
 		}
 	}
 }
@@ -272,6 +273,23 @@ func TestWanProfileClassesExist(t *testing.T) {
 	}
 }
 
+// borderHops returns the indices of the hops that are the far side of an
+// interconnect.
+func borderHops(t *testing.T, s *Sim, hops []Hop) []int {
+	t.Helper()
+	far := map[netip.Addr]bool{}
+	for _, l := range s.Topology().Links() {
+		far[l.FarIP] = true
+	}
+	var out []int
+	for i, h := range hops {
+		if far[h.IP] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestForwardPathStructure(t *testing.T) {
 	s := newSim(t)
 	srv := s.Topology().Servers()[5]
@@ -282,38 +300,32 @@ func TestForwardPathStructure(t *testing.T) {
 	if len(hops) < 4 {
 		t.Fatalf("too few hops: %d", len(hops))
 	}
-	// First hops inside the cloud.
-	if hops[0].ASN != s.Topology().Cloud.ASN {
-		t.Errorf("first hop AS = %d", hops[0].ASN)
+	// The first hop is the region's cloud gateway.
+	if gw := cloudRouterIP(1, uint64(s.regionHash("us-west1"))%250); hops[0].IP != gw {
+		t.Errorf("first hop %v, want the cloud gateway %v", hops[0].IP, gw)
 	}
-	// Exactly one hop carries a link ID (the far side of the border).
-	borders := 0
-	var borderIdx int
-	for i, h := range hops {
-		if h.LinkID >= 0 {
-			borders++
-			borderIdx = i
-		}
+	// Exactly one hop is the far side of an interconnect, and it is the
+	// far side of the link the route crosses.
+	choice, err := s.router.EgressLink("us-west1", srv.ASN, srv.City, bgp.Premium)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if borders != 1 {
-		t.Fatalf("found %d border hops, want 1", borders)
+	borderIdx := borderHops(t, s, hops)
+	if len(borderIdx) != 1 {
+		t.Fatalf("found %d border hops, want 1", len(borderIdx))
 	}
-	link := s.Topology().Link(hops[borderIdx].LinkID)
-	if hops[borderIdx].IP != link.FarIP {
-		t.Errorf("border hop IP %v != link far IP %v", hops[borderIdx].IP, link.FarIP)
+	link := choice.Link
+	if hops[borderIdx[0]].IP != link.FarIP {
+		t.Errorf("border hop IP %v != link far IP %v", hops[borderIdx[0]].IP, link.FarIP)
 	}
-	// The hop before the border is a cloud border router (inbound
-	// interface, not the /30 near side — forward traceroutes never show it).
-	if hops[borderIdx-1].ASN != s.Topology().Cloud.ASN {
-		t.Errorf("hop before border owned by AS%d, want cloud", hops[borderIdx-1].ASN)
-	}
-	if hops[borderIdx-1].IP == link.NearIP {
-		t.Error("forward path leaked the near-side /30 interface")
+	// The hop before the border is the cloud border router's inbound
+	// interface, not the /30 near side — forward traceroutes never show it.
+	if before := hops[borderIdx[0]-1].IP; before != cloudRouterIP(3, uint64(link.ID)) {
+		t.Errorf("hop before border is %v, want the cloud border router", before)
 	}
 	// Last hop is the destination.
-	last := hops[len(hops)-1]
-	if last.IP != srv.IP || last.ASN != srv.ASN {
-		t.Errorf("last hop %v/%d, want %v/%d", last.IP, last.ASN, srv.IP, srv.ASN)
+	if last := hops[len(hops)-1]; last.IP != srv.IP {
+		t.Errorf("last hop %v, want %v", last.IP, srv.IP)
 	}
 	// RTT must be nondecreasing.
 	for i := 1; i < len(hops); i++ {
@@ -341,19 +353,9 @@ func TestForwardPathParisStability(t *testing.T) {
 	}
 	// Different flow IDs may differ (ECMP) but must keep the same border.
 	c, _ := s.ForwardPath("us-east1", srv.IP, srv.ASN, srv.City, -1, bgp.Premium, 8)
-	var borderA, borderC int
-	for i, h := range a {
-		if h.LinkID >= 0 {
-			borderA = a[i].LinkID
-		}
-	}
-	for i, h := range c {
-		if h.LinkID >= 0 {
-			borderC = c[i].LinkID
-		}
-	}
-	if borderA != borderC {
-		t.Errorf("border changed across flow IDs: %d vs %d", borderA, borderC)
+	borderA, borderC := borderHops(t, s, a), borderHops(t, s, c)
+	if len(borderA) != 1 || len(borderC) != 1 || a[borderA[0]].IP != c[borderC[0]].IP {
+		t.Errorf("border changed across flow IDs: hops %v vs %v", borderA, borderC)
 	}
 }
 
@@ -374,7 +376,7 @@ func TestForwardPathToProbeTargets(t *testing.T) {
 			t.Fatalf("probe path to link %d: %v", l.ID, err)
 		}
 		for _, h := range hops {
-			if h.LinkID == l.ID {
+			if h.IP == l.FarIP {
 				ok++
 				break
 			}

@@ -12,11 +12,7 @@ import (
 // would reveal it.
 type Hop struct {
 	IP    netip.Addr
-	ASN   ASN // ground-truth owner (the prober must infer this)
 	RTTms float64
-	// LinkID is the interconnect this hop's interface belongs to, or -1.
-	// The far-side hop of the interdomain link carries the link ID.
-	LinkID int
 }
 
 // ForwardPath constructs the hop-level forward path from a region VM to a
@@ -53,28 +49,27 @@ func (s *Sim) ForwardPath(region string, dstIP netip.Addr, dstASN ASN, dstCity s
 	}
 
 	var hops []Hop
-	cloud := s.topo.Cloud.ASN
-	add := func(ip netip.Addr, asn ASN, rtt float64, link int) {
-		hops = append(hops, Hop{IP: ip, ASN: asn, RTTms: rtt, LinkID: link})
+	add := func(ip netip.Addr, rtt float64) {
+		hops = append(hops, Hop{IP: ip, RTTms: rtt})
 	}
 
 	// Intra-cloud hops: first-hop gateway and a backbone router. The
 	// backbone router is chosen per flow ID among parallel LAG members,
 	// which is what paris-traceroute keeps stable.
 	gw := cloudRouterIP(1, uint64(s.regionHash(region))%250)
-	add(gw, cloud, 0.3, -1)
+	add(gw, 0.3)
 	lag := flowID % 4
 	bb := cloudRouterIP(2, uint64(s.regionHash(region))%60*4+lag)
 	wanMs := geo.RTTMs(regCoord, linkCoord) * 0.82
-	add(bb, cloud, 0.6+wanMs*0.5, -1)
+	add(bb, 0.6+wanMs*0.5)
 
 	// The cloud border router answers with its inbound (WAN-facing)
 	// interface; the /30 interconnect interface on the near side never
 	// appears in a forward traceroute.
-	add(cloudRouterIP(3, uint64(choice.Link.ID)), cloud, 1.0+wanMs, -1)
+	add(cloudRouterIP(3, uint64(choice.Link.ID)), 1.0+wanMs)
 	// Far side: the neighbor's border router replies with the
 	// interconnect interface. This is what bdrmap must identify.
-	add(choice.Link.FarIP, choice.Link.Neighbor, 1.3+wanMs, choice.Link.ID)
+	add(choice.Link.FarIP, 1.3+wanMs)
 
 	// Intra-neighbor and onward AS hops toward the destination.
 	path := choice.Path
@@ -98,12 +93,12 @@ func (s *Sim) ForwardPath(region string, dstIP netip.Addr, dstASN ASN, dstCity s
 			// .0.130-249 band, which never collides with border-router
 			// loopbacks (.0.1+), servers (.16+) or link subnets (.254+).
 			rid := (uint64(asn) + flowID%2) % 120
-			add(loopbackIP(a.Prefix, 0, byte(130+rid)), asn, cum, -1)
+			add(loopbackIP(a.Prefix, 0, byte(130+rid)), cum)
 		}
 	}
 	// Destination itself.
 	cum += step
-	add(dstIP, dstASN, cum, -1)
+	add(dstIP, cum)
 	return hops, nil
 }
 

@@ -21,6 +21,10 @@ func segmentsFor(s *Sim, spec TestSpec) ([]Segment, error) {
 	return s.PathSegments(spec, choice, spec.Time), nil
 }
 
+// downloadInterconnect is the index of the interconnect among a download's
+// segments.
+const downloadInterconnect = 2
+
 func TestSegmentsForDownloadStructure(t *testing.T) {
 	s := newSim(t)
 	srv := s.Topology().Servers()[2]
@@ -31,34 +35,24 @@ func TestSegmentsForDownloadStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(segs))
 	for i, seg := range segs {
-		names[i] = seg.Name
 		if seg.AvailMbps <= 0 {
-			t.Errorf("segment %s has avail %v", seg.Name, seg.AvailMbps)
+			t.Errorf("segment %d has avail %v", i, seg.AvailMbps)
 		}
 		if seg.Loss < 0 || seg.Loss > 1 {
-			t.Errorf("segment %s has loss %v", seg.Name, seg.Loss)
+			t.Errorf("segment %d has loss %v", i, seg.Loss)
 		}
 	}
-	want := []string{"server-access", "isp-aggregation", "interconnect", "vm-nic"}
-	if len(names) != len(want) {
-		t.Fatalf("segments = %v", names)
+	// Server access, ISP aggregation, interconnect, VM NIC.
+	if len(segs) != 4 {
+		t.Fatalf("%d segments, want 4: %+v", len(segs), segs)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("segment %d = %s, want %s", i, names[i], want[i])
-		}
-	}
-	// Only the interconnect segment carries a link ID.
-	for _, seg := range segs {
-		if (seg.Name == "interconnect") != (seg.LinkID >= 0) {
-			t.Errorf("segment %s link ID %d", seg.Name, seg.LinkID)
-		}
+	if segs[0].AvailMbps != srv.AccessMbps || segs[0].Loss != 0 {
+		t.Errorf("server-access segment %+v, want the server's %v Mbps access link", segs[0], srv.AccessMbps)
 	}
 	// The vm-nic segment equals the shaped downlink.
-	if segs[3].AvailMbps != 1000 {
-		t.Errorf("vm-nic = %v, want 1000", segs[3].AvailMbps)
+	if segs[3].AvailMbps != 1000 || segs[3].Loss != 0 {
+		t.Errorf("vm-nic = %+v, want 1000 Mbps", segs[3])
 	}
 }
 
@@ -72,11 +66,12 @@ func TestSegmentsForUploadStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs[0].Name != "vm-nic" || segs[0].AvailMbps != 100 {
-		t.Errorf("upload first segment: %+v", segs[0])
+	// VM NIC, interconnect, server access.
+	if len(segs) != 3 || segs[0].AvailMbps != 100 || segs[0].Loss != 0 {
+		t.Fatalf("upload segments %+v, want the 100 Mbps VM NIC first of 3", segs)
 	}
-	if segs[len(segs)-1].Name != "server-access" {
-		t.Errorf("upload last segment: %+v", segs[len(segs)-1])
+	if segs[2].AvailMbps != srv.AccessMbps {
+		t.Errorf("upload last segment: %+v", segs[2])
 	}
 }
 
@@ -122,37 +117,28 @@ func TestLossyLinksPremiumOnly(t *testing.T) {
 	// Find a server whose premium ingress crosses a lossy link.
 	for _, srv := range topo.Servers() {
 		spec := TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Premium, Dir: Download, Time: t0}
-		segs, err := segmentsFor(s, spec)
+		choice, err := routeFor(s, spec)
 		if err != nil {
 			continue
 		}
-		var link *Segment
-		for i := range segs {
-			if segs[i].Name == "interconnect" {
-				link = &segs[i]
-			}
-		}
-		if link == nil || link.LinkID < 0 {
+		l := choice.Link
+		if !l.Lossy {
 			continue
 		}
-		l := topo.Link(link.LinkID)
-		if l == nil || !l.Lossy {
-			continue
-		}
+		link := s.PathSegments(spec, choice, spec.Time)[downloadInterconnect]
 		// Premium crosses the lossy port: segment loss must include it.
 		if link.Loss < l.LossRate*0.5 {
 			t.Errorf("premium lossy link %d: segment loss %.4f < %.4f", l.ID, link.Loss, l.LossRate*0.5)
 		}
 		// Standard ingress over the same server must not carry that
 		// chronic loss (different port or tier exemption).
-		stdSegs, err := segmentsFor(s, TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Standard, Dir: Download, Time: t0})
+		stdSpec := TestSpec{Region: "us-east1", Server: srv, Tier: bgp.Standard, Dir: Download, Time: t0}
+		stdChoice, err := routeFor(s, stdSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seg := range stdSegs {
-			if seg.Name == "interconnect" && seg.LinkID == l.ID && seg.Loss > 0.02 {
-				t.Errorf("standard tier carries chronic loss %.4f on link %d", seg.Loss, l.ID)
-			}
+		if seg := s.PathSegments(stdSpec, stdChoice, t0)[downloadInterconnect]; stdChoice.Link == l && seg.Loss > 0.02 {
+			t.Errorf("standard tier carries chronic loss %.4f on link %d", seg.Loss, l.ID)
 		}
 		return
 	}

@@ -186,7 +186,6 @@ func (r *Registry) checkKind(id string, k MetricKind) {
 type Counter struct {
 	r          *Registry
 	name       string   // metric family
-	labels     string   // rendered label block ("" when unlabelled)
 	labelPairs []string // sorted alternating key/value pairs
 	v          atomic.Uint64
 }
@@ -201,7 +200,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if c, ok := r.counters[id]; ok {
 		return c
 	}
-	c := &Counter{r: r, name: name, labels: strings.TrimPrefix(id, name), labelPairs: pairs}
+	c := &Counter{r: r, name: name, labelPairs: pairs}
 	r.counters[id] = c
 	return c
 }
@@ -232,7 +231,6 @@ func (c *Counter) Value() uint64 {
 type Gauge struct {
 	r          *Registry
 	name       string
-	labels     string
 	labelPairs []string
 	bits       atomic.Uint64
 }
@@ -246,7 +244,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if g, ok := r.gauges[id]; ok {
 		return g
 	}
-	g := &Gauge{r: r, name: name, labels: strings.TrimPrefix(id, name), labelPairs: pairs}
+	g := &Gauge{r: r, name: name, labelPairs: pairs}
 	r.gauges[id] = g
 	return g
 }

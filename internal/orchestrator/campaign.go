@@ -207,8 +207,6 @@ func (c *campaign) deploy() error {
 				Name:   fmt.Sprintf("clasp-%s-%s-%d", cfg.Region, tier, i),
 				Region: cfg.Region,
 				Type:   cloud.N1Standard2,
-				Tier:   tier,
-				Labels: map[string]string{"role": "measurement", "tier": tier.String()},
 			}, cfg.Start)
 			c.Report.VMCreateRetries += retries
 			if err != nil {
@@ -540,7 +538,7 @@ func (c *campaign) traceroutes() error {
 			return err
 		}
 		key := fmt.Sprintf("%s/traceroute/%s/server-%d.json", cfg.Region, r.start.Format("2006-01-02"), srv.ID)
-		if err := c.o.bucket.Put(key, buf.Bytes(), r.start); err != nil {
+		if err := c.o.bucket.Put(key, buf.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -685,7 +683,7 @@ func (c *campaign) captureTest(spec netsim.TestSpec, res netsim.TestResult, coll
 		return err
 	}
 	key := fmt.Sprintf("%s/pcap/%s/server-%d-%s.pcap.gz", spec.Region, at.Format("2006-01-02"), srv.ID, spec.Tier)
-	if err := c.o.bucket.Put(key, gz.Bytes(), at); err != nil {
+	if err := c.o.bucket.Put(key, gz.Bytes()); err != nil {
 		return err
 	}
 
@@ -699,5 +697,5 @@ func (c *campaign) captureTest(spec netsim.TestSpec, res netsim.TestResult, coll
 		return err
 	}
 	metaKey := fmt.Sprintf("%s/someta/%s/server-%d-%s.json", spec.Region, at.Format("2006-01-02"), srv.ID, spec.Tier)
-	return c.o.bucket.Put(metaKey, meta.Bytes(), at)
+	return c.o.bucket.Put(metaKey, meta.Bytes())
 }

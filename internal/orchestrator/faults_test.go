@@ -195,7 +195,6 @@ func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 		Days:    1,
 		Seed:    3,
 		Faults: faults.Profile{
-			Name:              "blackout",
 			ServerUnavailProb: 1, // every (server, hour) window is down
 			TestTimeout:       5 * time.Millisecond,
 			MaxRetries:        1,

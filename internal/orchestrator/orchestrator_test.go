@@ -51,11 +51,8 @@ func setup(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	sim := netsim.New(topo, nil, netsim.Config{Seed: 31})
-	platform := cloud.New(topo, sim, cloud.Pricing{})
-	bucket, err := platform.CreateBucket("clasp-results", "us-east1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	platform := cloud.New(topo, cloud.Pricing{})
+	bucket := platform.CreateBucket()
 	return &fixture{topo: topo, sim: sim, platform: platform, bucket: bucket,
 		orch: New(sim, platform, bucket)}
 }

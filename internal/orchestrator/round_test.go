@@ -15,7 +15,7 @@ import (
 // process would; the simulator is pure and shared.
 func newTestCampaign(t testing.TB, f *fixture, cfg Config) *campaign {
 	t.Helper()
-	c, err := New(f.sim, cloud.New(f.topo, f.sim, cloud.Pricing{}), nil).newCampaign(cfg, MultiSink{})
+	c, err := New(f.sim, cloud.New(f.topo, cloud.Pricing{}), nil).newCampaign(cfg, MultiSink{})
 	if err != nil {
 		t.Fatal(err)
 	}

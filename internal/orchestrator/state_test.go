@@ -206,7 +206,7 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 				cfg.Region, cfg.Servers, cfg.Days, cfg.Seed = "us-east1", servers, days, 23
 				cfg.Tiers = []bgp.Tier{bgp.Premium, bgp.Standard} // 36 tests an hour on 4 VMs
 				cfg.Faults, cfg.CaptureEvery, cfg.TracerouteEvery = prof, 7, 1
-				rep, err := New(f.sim, cloud.New(f.topo, f.sim, cloud.Pricing{}), nil).Run(cfg, sink)
+				rep, err := New(f.sim, cloud.New(f.topo, cloud.Pricing{}), nil).Run(cfg, sink)
 				if rep != nil {
 					rep.MaxVMCPUUtil = 0 // host telemetry, not part of the contract
 				}

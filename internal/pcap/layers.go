@@ -100,7 +100,6 @@ func (ip *IPv6) LayerType() LayerType { return LayerTypeIPv6 }
 type TCP struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
-	DataOffset       uint8 // header length in 32-bit words
 	SYN, ACK, FIN    bool
 	RST, PSH, URG    bool
 	Window           uint16
@@ -285,18 +284,17 @@ func (p *Packet) decodeTransport(proto uint8, data []byte, ipPayloadLen int) {
 		}
 		flags := data[13]
 		t := &TCP{
-			SrcPort:    binary.BigEndian.Uint16(data[0:]),
-			DstPort:    binary.BigEndian.Uint16(data[2:]),
-			Seq:        binary.BigEndian.Uint32(data[4:]),
-			Ack:        binary.BigEndian.Uint32(data[8:]),
-			DataOffset: data[12] >> 4,
-			FIN:        flags&0x01 != 0,
-			SYN:        flags&0x02 != 0,
-			RST:        flags&0x04 != 0,
-			PSH:        flags&0x08 != 0,
-			ACK:        flags&0x10 != 0,
-			URG:        flags&0x20 != 0,
-			Window:     binary.BigEndian.Uint16(data[14:]),
+			SrcPort: binary.BigEndian.Uint16(data[0:]),
+			DstPort: binary.BigEndian.Uint16(data[2:]),
+			Seq:     binary.BigEndian.Uint32(data[4:]),
+			Ack:     binary.BigEndian.Uint32(data[8:]),
+			FIN:     flags&0x01 != 0,
+			SYN:     flags&0x02 != 0,
+			RST:     flags&0x04 != 0,
+			PSH:     flags&0x08 != 0,
+			ACK:     flags&0x10 != 0,
+			URG:     flags&0x20 != 0,
+			Window:  binary.BigEndian.Uint16(data[14:]),
 		}
 		if ipPayloadLen >= off {
 			t.PayloadLen = ipPayloadLen - off

@@ -29,9 +29,8 @@ var ErrBadMagic = errors.New("pcap: bad magic number")
 
 // CaptureInfo describes one captured packet record.
 type CaptureInfo struct {
-	Timestamp     time.Time
-	CaptureLength int // bytes stored in the file
-	Length        int // original wire length
+	Timestamp time.Time
+	Length    int // original wire length; the bytes stored are the record's data
 }
 
 // Writer writes a pcap file. Create with NewWriter, which emits the global
@@ -124,8 +123,7 @@ func (r *Reader) ReadPacket() (CaptureInfo, []byte, error) {
 		return CaptureInfo{}, nil, fmt.Errorf("pcap: reading record data: %w", err)
 	}
 	return CaptureInfo{
-		Timestamp:     time.Unix(int64(sec), int64(usec)*1000).UTC(),
-		CaptureLength: int(capLen),
-		Length:        int(wireLen),
+		Timestamp: time.Unix(int64(sec), int64(usec)*1000).UTC(),
+		Length:    int(wireLen),
 	}, data, nil
 }

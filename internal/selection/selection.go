@@ -55,7 +55,6 @@ type Selected struct {
 // TopoResult is the outcome of the topology-based method, carrying the
 // numbers reported in Table 1.
 type TopoResult struct {
-	Region string
 	// PilotLinks is what bdrmap found in the pilot scan (~6k per region).
 	PilotLinks *bdrmap.Result
 	// ServerLinkCount is the number of distinct interdomain links that
@@ -114,7 +113,7 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 	if err := firstError(errs); err != nil {
 		return nil, fmt.Errorf("selection: pilot trace: %w", err)
 	}
-	pilot, err := mapper.Infer(params.Region, pilotTraces)
+	pilot, err := mapper.Infer(pilotTraces)
 	if err != nil {
 		return nil, fmt.Errorf("selection: pilot inference: %w", err)
 	}
@@ -223,7 +222,6 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 	sort.Slice(selected, func(i, j int) bool { return selected[i].Server.ID < selected[j].Server.ID })
 
 	return &TopoResult{
-		Region:          params.Region,
 		PilotLinks:      pilot,
 		ServerLinkCount: len(groups),
 		Selected:        selected,

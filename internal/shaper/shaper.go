@@ -23,24 +23,17 @@ type Bucket struct {
 	sleep  func(time.Duration)
 }
 
-// NewBucket creates a bucket. rateMbps <= 0 means unlimited. burstBytes <= 0
-// defaults to 64 KiB or one 50 ms window at the rate, whichever is larger.
-func NewBucket(rateMbps float64, burstBytes int) *Bucket {
+// NewBucket creates a bucket. rateMbps <= 0 means unlimited. The burst is
+// 64 KiB or one 50 ms window at the rate, whichever is larger.
+func NewBucket(rateMbps float64) *Bucket {
 	b := &Bucket{
 		now:   time.Now,
 		sleep: time.Sleep,
 	}
 	if rateMbps > 0 {
 		b.rate = rateMbps * 1e6 / 8
-		burst := float64(burstBytes)
-		if burst <= 0 {
-			burst = b.rate * 0.05
-			if burst < 64<<10 {
-				burst = 64 << 10
-			}
-		}
-		b.burst = burst
-		b.tokens = burst
+		b.burst = max(b.rate*0.05, 64<<10)
+		b.tokens = b.burst
 	}
 	return b
 }
@@ -92,37 +85,22 @@ type Options struct {
 	// direction unlimited.
 	ReadMbps  float64
 	WriteMbps float64
-	// Latency is added once before the first read delivers data,
-	// approximating connection RTT. (tc itself shapes rate only; CLASP's
-	// latency comes from the network, so this is off by default.)
-	Latency time.Duration
 }
 
-// Conn is a rate-limited net.Conn.
+// Conn is a rate-limited net.Conn. Like tc, it shapes rate only: latency
+// comes from the network.
 type Conn struct {
 	net.Conn
-	rd, wr    *Bucket
-	latency   time.Duration
-	firstRead sync.Once
+	rd, wr *Bucket
 }
 
 // NewConn wraps c with token-bucket shaping.
 func NewConn(c net.Conn, opts Options) *Conn {
-	return &Conn{
-		Conn:    c,
-		rd:      NewBucket(opts.ReadMbps, 0),
-		wr:      NewBucket(opts.WriteMbps, 0),
-		latency: opts.Latency,
-	}
+	return &Conn{Conn: c, rd: NewBucket(opts.ReadMbps), wr: NewBucket(opts.WriteMbps)}
 }
 
 // Read implements net.Conn, pacing consumption at the read rate.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.firstRead.Do(func() {
-		if c.latency > 0 {
-			time.Sleep(c.latency)
-		}
-	})
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.rd.Wait(n)

@@ -13,9 +13,13 @@ type fakeClock struct {
 	slept time.Duration
 }
 
-func newFakeBucket(rateMbps float64, burst int) (*Bucket, *fakeClock) {
+// burst8 is the burst of an 8 Mbps bucket: 64 KiB, more than its 50 ms
+// window of 50 kB.
+const burst8 = 64 << 10
+
+func newFakeBucket(rateMbps float64) (*Bucket, *fakeClock) {
 	fc := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBucket(rateMbps, burst)
+	b := NewBucket(rateMbps)
 	b.now = func() time.Time { return fc.t }
 	b.sleep = func(d time.Duration) {
 		fc.slept += d
@@ -25,7 +29,7 @@ func newFakeBucket(rateMbps float64, burst int) (*Bucket, *fakeClock) {
 }
 
 func TestBucketUnlimited(t *testing.T) {
-	b, fc := newFakeBucket(0, 0)
+	b, fc := newFakeBucket(0)
 	if !b.Unlimited() {
 		t.Fatal("rate 0 should be unlimited")
 	}
@@ -37,8 +41,8 @@ func TestBucketUnlimited(t *testing.T) {
 
 func TestBucketRateEnforced(t *testing.T) {
 	// 8 Mbps = 1 MB/s. Waiting for 2 MB beyond the burst must take ~2 s.
-	b, fc := newFakeBucket(8, 1024)
-	b.Wait(2_000_000 + 1024)
+	b, fc := newFakeBucket(8)
+	b.Wait(2_000_000 + burst8)
 	got := fc.slept.Seconds()
 	if got < 1.8 || got > 2.2 {
 		t.Errorf("slept %.2fs for 2MB at 1MB/s, want ~2s", got)
@@ -46,8 +50,8 @@ func TestBucketRateEnforced(t *testing.T) {
 }
 
 func TestBucketBurstFreeOfCharge(t *testing.T) {
-	b, fc := newFakeBucket(8, 100000)
-	b.Wait(100000) // exactly the initial burst
+	b, fc := newFakeBucket(8)
+	b.Wait(burst8) // exactly the initial burst
 	if fc.slept != 0 {
 		t.Errorf("burst-sized request slept %v", fc.slept)
 	}
@@ -59,29 +63,30 @@ func TestBucketBurstFreeOfCharge(t *testing.T) {
 }
 
 func TestBucketRefillsOverTime(t *testing.T) {
-	b, fc := newFakeBucket(8, 10000)
-	b.Wait(10000)
-	// Advance one second: 1 MB of tokens accrue (capped at burst 10 KB).
+	b, fc := newFakeBucket(8)
+	b.Wait(burst8)
+	// Advance one second: 1 MB of tokens accrue (capped at the burst).
 	fc.t = fc.t.Add(time.Second)
 	before := fc.slept
-	b.Wait(10000)
+	b.Wait(burst8)
 	if fc.slept != before {
 		t.Errorf("refilled bucket slept %v", fc.slept-before)
 	}
 }
 
 func TestBucketLargeRequestSplit(t *testing.T) {
-	b, fc := newFakeBucket(80, 10000)
-	// 1 MB at 10 MB/s: ~0.1 s even though burst is tiny.
+	b, fc := newFakeBucket(8)
+	// 1 MiB at 1 MB/s in 64 KiB chunks: the first chunk is the burst, the
+	// other 15 wait ~0.98 s in all.
 	b.Wait(1 << 20)
 	got := fc.slept.Seconds()
-	if got < 0.08 || got > 0.15 {
-		t.Errorf("slept %.3fs, want ~0.105", got)
+	if want := float64(1<<20-burst8) / 1e6; got < want-0.01 || got > want+0.01 {
+		t.Errorf("slept %.3fs, want %.3f", got, want)
 	}
 }
 
 func TestBucketZeroAndNegative(t *testing.T) {
-	b, fc := newFakeBucket(8, 1000)
+	b, fc := newFakeBucket(8)
 	b.Wait(0)
 	b.Wait(-5)
 	if fc.slept != 0 {
@@ -162,27 +167,5 @@ func TestShapedReadThroughput(t *testing.T) {
 	mbps := float64(n) * 8 / 1e6 / elapsed
 	if mbps > 115 {
 		t.Errorf("shaped read ran at %.0f Mbps, cap 80", mbps)
-	}
-}
-
-func TestLatencyOption(t *testing.T) {
-	client, server := pipeConn(t, Options{Latency: 80 * time.Millisecond})
-	go server.Write([]byte("pong"))
-	start := time.Now()
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(client, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 75*time.Millisecond {
-		t.Errorf("first read returned after %v, want >= 80ms", d)
-	}
-	// Second read has no added latency.
-	go server.Write([]byte("pong"))
-	start = time.Now()
-	if _, err := io.ReadFull(client, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 50*time.Millisecond {
-		t.Errorf("second read took %v", d)
 	}
 }

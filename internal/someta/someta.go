@@ -116,10 +116,10 @@ func NewCollector(hostname string, probe Probe) *Collector {
 // goVersion is the toolchain every snapshot of this process reports.
 var goVersion = runtime.Version()
 
-// Snap records one snapshot at the given (possibly virtual) time. The
-// goroutine count is read once: the local probe derives its CPU proxy from
-// the same reading the snapshot records.
-func (c *Collector) Snap(at time.Time) Snapshot {
+// Snap records one snapshot at the given (possibly virtual) time; Latest
+// reads it back. The goroutine count is read once: the local probe derives
+// its CPU proxy from the same reading the snapshot records.
+func (c *Collector) Snap(at time.Time) {
 	goroutines := runtime.NumGoroutine()
 	var cpu, mem float64
 	var in, out int64
@@ -146,7 +146,6 @@ func (c *Collector) Snap(at time.Time) Snapshot {
 	c.mu.Unlock()
 	obsSnapshots.Inc()
 	obsLastSnapUnix.Set(float64(at.Unix()))
-	return s
 }
 
 // Latest returns the newest snapshot; ok is false when none has been

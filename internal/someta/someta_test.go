@@ -17,7 +17,8 @@ func TestLocalProbeSnapshot(t *testing.T) {
 	// a hundred read 0 here); a collection flushes them.
 	runtime.GC()
 	c := NewCollector("vm-test", nil)
-	s := c.Snap(t0)
+	c.Snap(t0)
+	s, _ := c.Latest()
 	if s.Hostname != "vm-test" {
 		t.Errorf("hostname = %q", s.Hostname)
 	}
@@ -49,7 +50,8 @@ func TestFuncProbe(t *testing.T) {
 	c := NewCollector("sim-vm", FuncProbe(func() (float64, float64, int64, int64) {
 		return 0.42, 1024, 7, 9
 	}))
-	s := c.Snap(t0)
+	c.Snap(t0)
+	s, _ := c.Latest()
 	if s.CPUUtil != 0.42 || s.MemUsedMB != 1024 || s.NetBytesIn != 7 || s.NetBytesOut != 9 {
 		t.Errorf("probe values lost: %+v", s)
 	}
@@ -71,7 +73,8 @@ func TestSnapClampsProbeCPU(t *testing.T) {
 	c := NewCollector("vm", FuncProbe(func() (float64, float64, int64, int64) {
 		return 1.7, 1, 0, 0
 	}))
-	if s := c.Snap(t0); s.CPUUtil != 1 {
+	c.Snap(t0)
+	if s, _ := c.Latest(); s.CPUUtil != 1 {
 		t.Errorf("CPUUtil = %v, want clamped to 1", s.CPUUtil)
 	}
 	if got := c.MaxCPU(); got != 1 {
@@ -118,7 +121,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	c := NewCollector("vm", FuncProbe(func() (float64, float64, int64, int64) { return 0.3, 500, 1000, 2000 }))
 	var snaps []Snapshot
 	for i := 0; i < 3; i++ {
-		snaps = append(snaps, c.Snap(t0.Add(time.Duration(i)*time.Second)))
+		c.Snap(t0.Add(time.Duration(i) * time.Second))
+		s, _ := c.Latest()
+		snaps = append(snaps, s)
 	}
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, snaps); err != nil {

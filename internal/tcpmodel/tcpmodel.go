@@ -37,12 +37,9 @@ type FlowParams struct {
 }
 
 // SteadyStateMbps returns the PFTK loss-limited send rate in Mbps for the
-// given RTT and loss rate, ignoring any bandwidth cap. Zero loss returns
-// +Inf (the flow is then purely bandwidth-limited).
-func SteadyStateMbps(rttMs, loss, mssBytes float64) float64 {
-	if mssBytes <= 0 {
-		mssBytes = DefaultMSS
-	}
+// given RTT and loss rate at DefaultMSS, ignoring any bandwidth cap. Zero
+// loss returns +Inf (the flow is then purely bandwidth-limited).
+func SteadyStateMbps(rttMs, loss float64) float64 {
 	if rttMs <= 0 {
 		rttMs = 1
 	}
@@ -59,16 +56,16 @@ func SteadyStateMbps(rttMs, loss, mssBytes float64) float64 {
 	denom := rtt*math.Sqrt(2*b*loss/3) +
 		rto*math.Min(1, 3*math.Sqrt(3*b*loss/8))*loss*(1+32*loss*loss)
 	pps := 1 / denom
-	return pps * mssBytes * 8 / 1e6
+	return pps * DefaultMSS * 8 / 1e6
 }
 
 // slowStartSeconds estimates the time a flow needs to ramp from one segment
-// to the target rate, doubling its window every RTT.
-func slowStartSeconds(targetMbps, rttMs, mssBytes float64) float64 {
+// of DefaultMSS to the target rate, doubling its window every RTT.
+func slowStartSeconds(targetMbps, rttMs float64) float64 {
 	if targetMbps <= 0 || rttMs <= 0 {
 		return 0
 	}
-	bdpSegments := targetMbps * 1e6 / 8 * (rttMs / 1000) / mssBytes
+	bdpSegments := targetMbps * 1e6 / 8 * (rttMs / 1000) / DefaultMSS
 	if bdpSegments <= 1 {
 		return 0
 	}
@@ -88,7 +85,7 @@ func Throughput(p FlowParams) float64 {
 		streams = 1
 	}
 	rate := p.BottleneckMbps
-	if ss := SteadyStateMbps(p.RTTms, p.Loss, DefaultMSS) * float64(streams); ss < rate {
+	if ss := SteadyStateMbps(p.RTTms, p.Loss) * float64(streams); ss < rate {
 		rate = ss
 	}
 	if rate <= 0 {
@@ -96,7 +93,7 @@ func Throughput(p FlowParams) float64 {
 	}
 	// Slow-start discount: roughly half the ramp time is "lost". Streams
 	// ramp concurrently, so the ramp is per-stream.
-	ramp := slowStartSeconds(rate/float64(streams), p.RTTms, DefaultMSS)
+	ramp := slowStartSeconds(rate/float64(streams), p.RTTms)
 	effective := p.DurationSec - ramp/2
 	if effective < p.DurationSec*0.25 {
 		effective = p.DurationSec * 0.25

@@ -7,25 +7,25 @@ import (
 )
 
 func TestSteadyStateZeroLossIsUnbounded(t *testing.T) {
-	if v := SteadyStateMbps(50, 0, 0); !math.IsInf(v, 1) {
+	if v := SteadyStateMbps(50, 0); !math.IsInf(v, 1) {
 		t.Errorf("zero loss = %v, want +Inf", v)
 	}
 }
 
 func TestSteadyStateTotalLossIsZero(t *testing.T) {
-	if v := SteadyStateMbps(50, 1, 0); v != 0 {
+	if v := SteadyStateMbps(50, 1); v != 0 {
 		t.Errorf("loss=1 gives %v, want 0", v)
 	}
 }
 
 func TestSteadyStateKnownMagnitudes(t *testing.T) {
 	// 50 ms RTT, 1e-6 loss (clean path): hundreds of Mbps.
-	v := SteadyStateMbps(50, 1e-6, 0)
+	v := SteadyStateMbps(50, 1e-6)
 	if v < 100 || v > 3000 {
 		t.Errorf("50ms/1e-6 = %.1f Mbps, want hundreds", v)
 	}
 	// 50 ms RTT, 10% loss (the premium-tier pathology): a few Mbps at most.
-	w := SteadyStateMbps(50, 0.10, 0)
+	w := SteadyStateMbps(50, 0.10)
 	if w > 10 {
 		t.Errorf("50ms/10%% = %.1f Mbps, want < 10", w)
 	}
@@ -37,7 +37,7 @@ func TestSteadyStateKnownMagnitudes(t *testing.T) {
 func TestSteadyStateMonotoneInLoss(t *testing.T) {
 	prev := math.Inf(1)
 	for _, p := range []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3} {
-		v := SteadyStateMbps(60, p, 0)
+		v := SteadyStateMbps(60, p)
 		if v > prev {
 			t.Errorf("throughput rose with loss at p=%v: %v > %v", p, v, prev)
 		}
@@ -48,7 +48,7 @@ func TestSteadyStateMonotoneInLoss(t *testing.T) {
 func TestSteadyStateMonotoneInRTT(t *testing.T) {
 	prev := math.Inf(1)
 	for _, rtt := range []float64{10, 30, 60, 120, 250} {
-		v := SteadyStateMbps(rtt, 0.001, 0)
+		v := SteadyStateMbps(rtt, 0.001)
 		if v > prev {
 			t.Errorf("throughput rose with RTT at %vms", rtt)
 		}
@@ -64,14 +64,14 @@ func TestMathisVsPFTKLowLoss(t *testing.T) {
 	}
 	// At low loss, PFTK approaches Mathis (timeout term negligible).
 	m := mathis(80, 1e-5)
-	p := SteadyStateMbps(80, 1e-5, 0)
+	p := SteadyStateMbps(80, 1e-5)
 	ratio := p / m
 	if ratio < 0.5 || ratio > 1.5 {
 		t.Errorf("PFTK/Mathis = %.2f at low loss, want ~1", ratio)
 	}
 	// At high loss, PFTK must be well below Mathis.
 	m = mathis(80, 0.2)
-	p = SteadyStateMbps(80, 0.2, 0)
+	p = SteadyStateMbps(80, 0.2)
 	if p > m*0.8 {
 		t.Errorf("PFTK (%.2f) not sufficiently below Mathis (%.2f) at 20%% loss", p, m)
 	}
@@ -116,16 +116,16 @@ func TestThroughputZeroes(t *testing.T) {
 }
 
 func TestSlowStartSeconds(t *testing.T) {
-	if s := slowStartSeconds(0, 50, DefaultMSS); s != 0 {
+	if s := slowStartSeconds(0, 50); s != 0 {
 		t.Errorf("zero target: %v", s)
 	}
 	// 600 Mbps at 100 ms: BDP ~5180 segments, ~12.3 rounds, ~1.2 s.
-	s := slowStartSeconds(600, 100, DefaultMSS)
+	s := slowStartSeconds(600, 100)
 	if s < 0.8 || s > 2 {
 		t.Errorf("slow start = %vs, want ~1.2", s)
 	}
 	// Tiny target below one segment per RTT needs no ramp.
-	if s := slowStartSeconds(0.01, 10, DefaultMSS); s != 0 {
+	if s := slowStartSeconds(0.01, 10); s != 0 {
 		t.Errorf("sub-segment target: %v", s)
 	}
 }

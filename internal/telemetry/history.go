@@ -37,7 +37,7 @@ type HistoryPoint struct {
 func (h HistoryResponse) ToSeries() []tsdb.Series {
 	out := make([]tsdb.Series, 0, len(h.Series))
 	for _, s := range h.Series {
-		sr := tsdb.Series{Measurement: h.Measurement, Tags: tsdb.Tags(s.Tags)}
+		sr := tsdb.Series{Tags: tsdb.Tags(s.Tags)}
 		for _, p := range s.Points {
 			sr.Points = append(sr.Points, tsdb.Point{Time: time.Unix(0, p.TimeNs).UTC(), Fields: p.Fields})
 		}

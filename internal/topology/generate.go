@@ -21,7 +21,6 @@ type Topology struct {
 	ases   map[ASN]*AS
 	asList []*AS // stable generation order
 
-	edges     []ASEdge
 	providers map[ASN][]ASN
 	customers map[ASN][]ASN
 	peers     map[ASN][]ASN
@@ -264,7 +263,6 @@ func (t *Topology) addEdge(a, b ASN, rel RelKind) {
 		t.providers[a] = append(t.providers[a], b)
 		t.customers[b] = append(t.customers[b], a)
 	}
-	t.edges = append(t.edges, ASEdge{A: a, B: b, Rel: rel})
 }
 
 func (t *Topology) byType(typ ASType) []*AS {
@@ -724,8 +722,8 @@ func (t *Topology) buildEdgeVPs(rng *rand.Rand) {
 	for i := 0; i < n; i++ {
 		a := pool[rng.Intn(len(pool))]
 		city := a.Cities[rng.Intn(len(a.Cities))]
-		ip := addrInPrefix(a.Prefix, byte(1+i%15), byte(rng.Intn(250)+1))
-		t.edgeVPs = append(t.edgeVPs, EdgeVP{ID: i, ASN: a.ASN, City: city, IP: ip})
+		rng.Intn(250) // one more draw per VP: every later VP's AS and city come from this stream
+		t.edgeVPs = append(t.edgeVPs, EdgeVP{ID: i, ASN: a.ASN, City: city})
 	}
 }
 

@@ -118,21 +118,14 @@ type AS struct {
 	Congestion CongestionProfile
 }
 
-// RelKind is the business relationship on an AS-level edge.
+// RelKind is the business relationship on an AS-level edge (a, b).
 type RelKind int
 
 // Relationship kinds.
 const (
-	RelC2P RelKind = iota // A is a customer of B
-	RelP2P                // A and B are settlement-free peers
+	RelC2P RelKind = iota // a is a customer of b
+	RelP2P                // a and b are settlement-free peers
 )
-
-// ASEdge is one AS-level adjacency. For RelC2P, A is the customer and B the
-// provider.
-type ASEdge struct {
-	A, B ASN
-	Rel  RelKind
-}
 
 // RouterID identifies a border router (for alias resolution).
 type RouterID int
@@ -228,5 +221,4 @@ type EdgeVP struct {
 	ID   int
 	ASN  ASN
 	City string
-	IP   netip.Addr
 }

@@ -74,9 +74,8 @@ type Point struct {
 // Query and QueryView return it: everything the store holds for the series
 // — sealed blocks and mutable tail alike — decoded into Points.
 type Series struct {
-	Measurement string
-	Tags        Tags
-	Points      []Point // sorted by time
+	Tags   Tags
+	Points []Point // sorted by time
 }
 
 // series is the store-resident form of one series: sealed compressed blocks
@@ -392,7 +391,7 @@ func (s *Store) QueryView(measurement string, match Tags, from, to time.Time) []
 		if len(pts) == 0 {
 			continue
 		}
-		out = append(out, Series{Measurement: sr.measurement, Tags: sr.tags, Points: pts})
+		out = append(out, Series{Tags: sr.tags, Points: pts})
 	}
 	return out
 }

@@ -11,10 +11,13 @@ package clasp
 // live when reachable code selects it, or when its receiver type is live and
 // a live interface the type implements names it.
 //
-// The field rule carries this one level down: every exported, non-embedded
+// The field rules carry this one level down. Every exported, non-embedded
 // field of a named struct type declared outside bench/ must be set by a
 // program — test writes do not count, and neither does the defaulting idiom
 // (see markWrites). A field nothing sets is a constant dressed as a knob.
+// Every non-embedded field, exported or not, of a type the product reaches
+// must also be read by the product — program-reached or reference code (see
+// reachReads): a field only tests read is write-only state.
 // The only escape is reachAllowed below.
 
 import (
@@ -41,7 +44,7 @@ const (
 	// bit, shared by tests of more than one package.
 	reachReference = "reference"
 	// reachObserve: the only way a test in another package can read what
-	// the product wrote or did.
+	// the product wrote or did (for a field: only tests read it).
 	reachObserve = "observe"
 	// reachSeam (fields only): a test sets it to a value no program uses, to
 	// check behaviour the product keeps.
@@ -52,9 +55,9 @@ var reachReasons = []string{reachReference, reachObserve, reachSeam}
 
 // reachAllowed is the allow-list: declaration or field → reason. What an
 // entry alone reaches rides along with it, and an entry naming a type keeps
-// the type's methods. An entry that is reachable (for a field: that a
-// program sets) without being listed, or names nothing, fails the test, so
-// the list can only shrink.
+// the type's methods. An entry that is reachable (for a seam field: that a
+// program sets; for an observe field: that a program reads) without being
+// listed, or names nothing, fails the test, so the list can only shrink.
 var reachAllowed = map[string]string{
 	// Held against Pinger in netsim and against the scan in
 	// speedchecker/reference_test.go; the uncached Measure reference.
@@ -74,6 +77,9 @@ var reachAllowed = map[string]string{
 	"internal/topology.Topology.RouterAliases":  reachObserve,
 	// Reads back the captures campaigns upload (and with it pcap's reader).
 	"internal/flowstats.Analyze": reachObserve,
+	// The decoded payload length only that read-back uses
+	// (TestCapturesUploadedAndParseable, through flowstats.Analyze).
+	"internal/pcap.TCP.PayloadLen": reachObserve,
 
 	// Fields the program leaves at their default, set by tests only.
 	// Short transfers keep synthesized captures small (orchestrator's
@@ -95,8 +101,6 @@ var reachAllowed = map[string]string{
 	"internal/telemetry.PipelineConfig.Registry": reachSeam,
 	"internal/telemetry.PipelineConfig.Now":      reachSeam,
 	"internal/telemetry.Introspection.Registry":  reachSeam,
-	// The first-read delay (TestLatencyOption).
-	"internal/shaper.Options.Latency": reachSeam,
 }
 
 // reachStdIfaces are the std interfaces through which std code calls module
@@ -123,7 +127,14 @@ type reachDecl struct {
 	pos   token.Position
 	lines int            // code lines: not blank, not comment-only
 	uses  []types.Object // every object its source mentions
+	reads []*types.Var   // every field its source reads (reachReads)
 	root  bool
+}
+
+// reachField is one struct field and the type that declares it.
+type reachField struct {
+	reachDecl
+	owner types.Object
 }
 
 // reachImpl says: once typ and owner are both live, methods are.
@@ -134,8 +145,8 @@ type reachImpl struct {
 
 type reachGraph struct {
 	decls   map[types.Object]*reachDecl
-	fields  map[*types.Var]*reachDecl // the exported fields the field rule checks
-	set     map[*types.Var]bool       // fields a program writes
+	fields  map[*types.Var]*reachField // the fields the field rules check
+	set     map[*types.Var]bool        // fields a program writes
 	byName  map[string]types.Object
 	methods map[types.Object][]types.Object // type → its declared methods
 	byType  map[types.Object][]*reachImpl
@@ -204,7 +215,8 @@ func buildReachGraph(root string) (*reachGraph, error) {
 	build.Default.CgoEnabled = false
 	l := &reachLoader{
 		root: root, mod: fields[1],
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{}},
 		pkgs:  map[string]*types.Package{},
 		files: map[*types.Package][]*ast.File{},
 	}
@@ -239,7 +251,7 @@ func buildReachGraph(root string) (*reachGraph, error) {
 	g := &reachGraph{
 		decls: map[types.Object]*reachDecl{}, byName: map[string]types.Object{}, methods: map[types.Object][]types.Object{},
 		byType: map[types.Object][]*reachImpl{}, byOwner: map[types.Object][]*reachImpl{},
-		fields: map[*types.Var]*reachDecl{}, set: map[*types.Var]bool{},
+		fields: map[*types.Var]*reachField{}, set: map[*types.Var]bool{},
 	}
 	type iface struct {
 		owner types.Object
@@ -300,6 +312,7 @@ func buildReachGraph(root string) (*reachGraph, error) {
 			if fn, err := filepath.Rel(root, pos.Filename); err == nil {
 				pos.Filename = filepath.ToSlash(fn)
 			}
+			reads := reachReads(l.info, node)
 			for _, id := range idents {
 				obj := l.info.Defs[id]
 				if obj == nil || id.Name == "_" {
@@ -317,7 +330,7 @@ func buildReachGraph(root string) (*reachGraph, error) {
 						g.methods[tn] = append(g.methods[tn], obj)
 					}
 				}
-				d := &reachDecl{name: rel + "." + name, pos: pos, lines: lines, uses: uses}
+				d := &reachDecl{name: rel + "." + name, pos: pos, lines: lines, uses: uses, reads: reads}
 				d.root = nested[p] || id.Name == "init" || p.Name() == "main" && name == "main"
 				g.decls[obj], g.byName[d.name] = d, obj
 				for _, t := range written {
@@ -343,11 +356,9 @@ func buildReachGraph(root string) (*reachGraph, error) {
 							if st, ok := spec.Type.(*ast.StructType); ok && !nested[p] {
 								for _, f := range st.Fields.List {
 									for _, id := range f.Names {
-										if id.IsExported() {
-											pos := reachFset.Position(id.Pos())
-											pos.Filename = g.decls[l.info.Defs[spec.Name]].pos.Filename
-											g.fields[l.info.Defs[id].(*types.Var)] = &reachDecl{name: rel + "." + spec.Name.Name + "." + id.Name, pos: pos}
-										}
+										pos := reachFset.Position(id.Pos())
+										pos.Filename = g.decls[l.info.Defs[spec.Name]].pos.Filename
+										g.fields[l.info.Defs[id].(*types.Var)] = &reachField{reachDecl{name: rel + "." + spec.Name.Name + "." + id.Name, pos: pos}, l.info.Defs[spec.Name]}
 									}
 								}
 							}
@@ -542,6 +553,217 @@ func reachStruct(t types.Type) (*types.Struct, bool) {
 	return st, ok
 }
 
+// reachReads returns the fields node reads (DESIGN.md §17): every x.F
+// evaluated for its value — an operand, an argument, a receiver, &x.F, a
+// range or index base, any field on a write target's chain but the last —
+// and every field of a struct compared with == or !=, used as a map key or
+// boxed in an interface, plus every exported field reflection can reach
+// through a value or pointer boxed in an interface (fmt, encoding/json). The
+// last field of the target of =, op=, ++ or --, a composite-literal key and
+// the x.F of x.F = append(x.F, …) are not reads.
+func reachReads(info *types.Info, node ast.Node) []*types.Var {
+	read := map[*types.Var]bool{}
+	seen := map[types.Type]bool{}
+	var compared, reflected func(t types.Type)
+	compared = func(t types.Type) { // every field, recursively through values
+		switch u := t.Underlying().(type) {
+		case *types.Array:
+			compared(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				compared(u.Field(i).Type())
+			}
+		}
+	}
+	reflected = func(t types.Type) { // every exported field, through anything
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			reflected(u.Elem())
+		case *types.Slice:
+			reflected(u.Elem())
+		case *types.Array:
+			reflected(u.Elem())
+		case *types.Map:
+			reflected(u.Key())
+			reflected(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Exported() {
+					read[f.Origin()] = true
+					reflected(f.Type())
+				}
+			}
+		}
+	}
+	boxed := func(to types.Type, e ast.Expr) {
+		if from := info.TypeOf(e); to != nil && from != nil && types.IsInterface(to) && !types.IsInterface(from) {
+			compared(from)
+			reflected(from)
+		}
+	}
+
+	skip := map[*ast.SelectorExpr]bool{} // write targets and self-appends
+	target := func(e ast.Expr) *ast.SelectorExpr {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				skip[x] = true
+				return x
+			default:
+				return nil
+			}
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				sel := target(lhs)
+				if sel == nil || len(n.Rhs) != len(n.Lhs) {
+					continue
+				}
+				call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					continue
+				}
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+					if arg, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok {
+						if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+							skip[arg] = true
+						}
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		}
+		return true
+	})
+
+	var results []*types.Tuple // of the enclosing functions
+	var inspect func(n ast.Node) bool
+	inspect = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			var sig *types.Signature
+			var body *ast.BlockStmt
+			if fd, ok := n.(*ast.FuncDecl); ok {
+				sig, body = info.Defs[fd.Name].Type().(*types.Signature), fd.Body
+			} else {
+				sig, body = info.TypeOf(n.(*ast.FuncLit)).(*types.Signature), n.(*ast.FuncLit).Body
+			}
+			if body != nil {
+				results = append(results, sig.Results())
+				ast.Inspect(body, inspect)
+				results = results[:len(results)-1]
+			}
+			return false
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !skip[n] {
+				read[v.Origin()] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				compared(info.TypeOf(n.X))
+			}
+		case *ast.IndexExpr:
+			if m, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				compared(m.Key())
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			for i, e := range n.Elts {
+				kv, _ := e.(*ast.KeyValueExpr)
+				if kv != nil {
+					e = kv.Value
+				}
+				switch u := t.Underlying().(type) {
+				case *types.Struct:
+					if kv == nil {
+						boxed(u.Field(i).Type(), e)
+					} else if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						boxed(v.Type(), e)
+					}
+				case *types.Slice:
+					boxed(u.Elem(), e)
+				case *types.Array:
+					boxed(u.Elem(), e)
+				case *types.Map:
+					compared(u.Key())
+					boxed(u.Key(), kv.Key)
+					boxed(u.Elem(), e)
+				}
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; tv.IsType() {
+				if len(n.Args) == 1 {
+					boxed(tv.Type, n.Args[0])
+				}
+				return true
+			}
+			sig, ok := info.TypeOf(n.Fun).(*types.Signature)
+			if !ok {
+				return true
+			}
+			for i, arg := range n.Args {
+				switch params := sig.Params(); {
+				case sig.Variadic() && i >= params.Len()-1:
+					pt := params.At(params.Len() - 1).Type()
+					if !n.Ellipsis.IsValid() {
+						pt = pt.(*types.Slice).Elem()
+					}
+					boxed(pt, arg)
+				case i < params.Len():
+					boxed(params.At(i).Type(), arg)
+				}
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) && n.Tok == token.ASSIGN {
+				for i, lhs := range n.Lhs {
+					boxed(info.TypeOf(lhs), n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				for _, v := range n.Values {
+					boxed(info.TypeOf(n.Type), v)
+				}
+			}
+		case *ast.ReturnStmt:
+			if r := results[len(results)-1]; r.Len() == len(n.Results) {
+				for i, e := range n.Results {
+					boxed(r.At(i).Type(), e)
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				boxed(ch.Elem(), n.Value)
+			}
+		}
+		return true
+	}
+	ast.Inspect(node, inspect)
+	out := make([]*types.Var, 0, len(read))
+	for v := range read {
+		out = append(out, v)
+	}
+	return out
+}
+
 // reachDefaulted reports whether one of the enclosing ifs tests field v for
 // its zero value: == 0, <= 0, < 1, == nil, == "" or .IsZero().
 func reachDefaulted(info *types.Info, ifs []*ast.IfStmt, v *types.Var) bool {
@@ -634,15 +856,35 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 	for v, d := range g.fields {
 		fieldByName[d.name] = v
 	}
+	// The product is what programs reach plus the reference code tests
+	// hold it to; its types' fields must be read, and only its reads count.
+	var refs []types.Object
+	for _, name := range names {
+		if obj := g.byName[name]; obj != nil && allowed[name] == reachReference {
+			refs = append(refs, append([]types.Object{obj}, g.methods[obj]...)...)
+		}
+	}
+	product := g.walk(refs...)
+	read := map[*types.Var]bool{}
+	for obj := range product {
+		for _, v := range g.decls[obj].reads {
+			read[v] = true
+		}
+	}
+	live := g.walk()
 	var entries [][]types.Object // each entry with the methods it keeps
 	for _, name := range names {
 		obj, reason := g.byName[name], allowed[name]
-		if reason == reachSeam {
-			switch v := fieldByName[name]; {
+		if v := fieldByName[name]; v != nil || reason == reachSeam {
+			switch {
 			case v == nil:
 				findings = append(findings, reachFinding{&reachDecl{name: name}, "allow-listed but gone"})
-			case g.set[v]:
-				findings = append(findings, reachFinding{g.fields[v], "allow-listed but a program sets it"})
+			case reason == reachSeam && g.set[v]:
+				findings = append(findings, reachFinding{&g.fields[v].reachDecl, "allow-listed but a program sets it"})
+			case reason == reachObserve && read[v]:
+				findings = append(findings, reachFinding{&g.fields[v].reachDecl, "allow-listed but a program reads it"})
+			case reason != reachSeam && reason != reachObserve:
+				findings = append(findings, reachFinding{&g.fields[v].reachDecl, fmt.Sprintf("allow-listed with reason %q, not %q or %q", reason, reachSeam, reachObserve)})
 			}
 			continue
 		}
@@ -667,7 +909,6 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 		}
 	}
 	kept = map[string]int{}
-	live := g.walk()
 	for _, reason := range reachReasons {
 		var roots []types.Object
 		for _, e := range entries {
@@ -688,8 +929,11 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 		}
 	}
 	for v, d := range g.fields {
-		if !g.set[v] && allowed[d.name] != reachSeam {
-			findings = append(findings, reachFinding{d, "no program sets it"})
+		if v.Exported() && !g.set[v] && allowed[d.name] != reachSeam {
+			findings = append(findings, reachFinding{&d.reachDecl, "no program sets it"})
+		}
+		if product[d.owner] && !read[v] && allowed[d.name] != reachObserve {
+			findings = append(findings, reachFinding{&d.reachDecl, "no program reads it"})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -740,7 +984,7 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestReachabilityRuleBites runs the checker on two modules. The first is
+// TestReachabilityRuleBites runs the checker on three modules. The first is
 // shaped like this one: a library package at the module's root path, with
 // one export the program calls and one it does not, and a program under
 // cmd/ with one function reached from main, one reached only from a dead
@@ -750,8 +994,12 @@ func TestReachability(t *testing.T) {
 // must reject every kind of stale allow-list entry. The second holds the
 // field rule: a field nothing sets, one set only by its defaulting if and
 // one only a _test.go file sets each fail it, a stale seam entry fails, and
-// fields a program assigns, writes in a literal, binds to a flag or decodes
-// from JSON pass.
+// fields a program assigns, writes in a literal, binds to a flag, decodes
+// from JSON or calls a pointer method on pass. The third holds the read rule: a field only a _test.go file
+// reads, one only appended to itself, an unexported one only assigned and
+// one only ++'d each fail it, a stale or wrongly reasoned observe entry
+// fails, and a field fmt prints, one JSON-encoded through a map[string]any,
+// a map-key struct's fields and a field compared with == pass.
 func TestReachabilityRuleBites(t *testing.T) {
 	for _, fx := range []struct {
 		files map[string]string
@@ -783,12 +1031,12 @@ func TestReachabilityRuleBites(t *testing.T) {
 	}, {
 		files: map[string]string{
 			"go.mod": "module knobs\n\ngo 1.22\n",
-			"lib.go": "package knobs\n\ntype Config struct {\n\tNever     int\n\tDefaulted int\n\tTestOnly  int\n\tAssigned  int\n\tKeyed     int\n\tFlagged   int\n\tunset     int\n}\n\n" +
-				"type Spec struct{ Decoded string }\n\n" +
+			"lib.go": "package knobs\n\ntype Config struct {\n\tNever     int\n\tDefaulted int\n\tTestOnly  int\n\tAssigned  int\n\tKeyed     int\n\tFlagged   int\n\tBumped    Counter\n\tunset     int\n}\n\n" +
+				"type Spec struct{ Decoded string }\n\ntype Counter struct{ n int }\n\nfunc (c *Counter) Set() { c.n = 1 }\n\n" +
 				"func (c *Config) Fill() {\n\tif c.Defaulted == 0 {\n\t\tc.Defaulted = 5\n\t}\n}\n",
 			"lib_test.go": "package knobs\n\nimport \"testing\"\n\nfunc TestSet(t *testing.T) { _ = Config{TestOnly: 1} }\n",
-			"cmd/main.go": "package main\n\nimport (\n\t\"encoding/json\"\n\t\"flag\"\n\n\t\"knobs\"\n)\n\n" +
-				"func main() {\n\tc := knobs.Config{Keyed: 1}\n\tc.Assigned = 2\n\tflag.IntVar(&c.Flagged, \"n\", 0, \"\")\n\tc.Fill()\n\tvar s knobs.Spec\n\t_ = json.Unmarshal([]byte(`{}`), &s)\n}\n",
+			"cmd/main.go": "package main\n\nimport (\n\t\"encoding/json\"\n\t\"flag\"\n\t\"fmt\"\n\n\t\"knobs\"\n)\n\n" +
+				"func main() {\n\tc := knobs.Config{Keyed: 1}\n\tc.Assigned = 2\n\tflag.IntVar(&c.Flagged, \"n\", 0, \"\")\n\tc.Fill()\n\tc.Bumped.Set()\n\tvar s knobs.Spec\n\t_ = json.Unmarshal([]byte(`{}`), &s)\n\tfmt.Println(c, s)\n}\n",
 		},
 		cases: []struct {
 			allowed map[string]string
@@ -800,6 +1048,28 @@ func TestReachabilityRuleBites(t *testing.T) {
 				"knobs.Config.Assigned: allow-listed but a program sets it"},
 			{map[string]string{"knobs.Config.Never": reachSeam, "knobs.Config.Defaulted": reachSeam, "knobs.Config.TestOnly": reachSeam, "knobs.Config.Gone": reachSeam},
 				"knobs.Config.Gone: allow-listed but gone"},
+		},
+	}, {
+		files: map[string]string{
+			"go.mod": "module reads\n\ngo 1.22\n",
+			"lib.go": "package reads\n\ntype State struct {\n\tTestRead int\n\tLog      []int\n\tcount    int\n\tlast     int\n\tPrinted  Row\n\tEncoded  Hist\n}\n\n" +
+				"type Row struct{ Shown int }\n\ntype Hist struct{ Count int }\n\ntype key struct{ a, b int }\n\ntype pair struct{ x int }\n\n" +
+				"func (s *State) Step(v int) bool {\n\ts.Log = append(s.Log, v)\n\ts.count++\n\ts.last = v\n\tseen := map[key]bool{}\n\tseen[key{v, v}] = true\n\treturn len(seen) == 1 && pair{v} == pair{1}\n}\n",
+			"lib_test.go": "package reads\n\nimport \"testing\"\n\nfunc TestRead(t *testing.T) { _ = State{}.TestRead }\n",
+			"cmd/main.go": "package main\n\nimport (\n\t\"encoding/json\"\n\t\"fmt\"\n\t\"os\"\n\n\t\"reads\"\n)\n\n" +
+				"func main() {\n\ts := &reads.State{TestRead: 1, Printed: reads.Row{Shown: 2}, Encoded: reads.Hist{Count: 3}}\n\t_ = s.Step(4)\n\tfmt.Println(s.Printed)\n" +
+				"\t_ = json.NewEncoder(os.Stdout).Encode(map[string]any{\"h\": s.Encoded})\n}\n",
+		},
+		cases: []struct {
+			allowed map[string]string
+			want    string
+		}{
+			{nil, "reads.State.TestRead: no program reads it | reads.State.Log: no program reads it | reads.State.count: no program reads it | reads.State.last: no program reads it"},
+			{map[string]string{"reads.State.TestRead": reachObserve, "reads.State.Log": reachObserve, "reads.State.count": reachObserve, "reads.State.last": reachObserve}, ""},
+			{map[string]string{"reads.State.TestRead": reachObserve, "reads.Row.Shown": reachObserve},
+				"reads.State.Log: no program reads it | reads.State.count: no program reads it | reads.State.last: no program reads it | reads.Row.Shown: allow-listed but a program reads it"},
+			{map[string]string{"reads.State.TestRead": reachReference, "reads.State.Gone": reachObserve},
+				`reads.State.Gone: allow-listed but gone | reads.State.TestRead: allow-listed with reason "reference", not "seam" or "observe" | reads.State.TestRead: no program reads it | reads.State.Log: no program reads it | reads.State.count: no program reads it | reads.State.last: no program reads it`},
 		},
 	}} {
 		dir := t.TempDir()
