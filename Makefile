@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/bdrmap/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -69,8 +69,9 @@ BENCH_RECORDS = hotpath obs faults analysis tsdb
 
 # Steady-state Measure by spec and by flow handle, one whole campaign round,
 # sharded TSDB ingest through the map API, the campaign's own ingest path
-# through StoreSink, one paper-scale topology selection and one paper-scale
-# preliminary scan on one worker — joined with the pre-overhaul baselines.
+# through StoreSink, one paper-scale topology selection (warm, and cold: a fresh
+# router and simulator per iteration) and one paper-scale preliminary scan on
+# one worker — joined with the pre-overhaul baselines.
 hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale
 hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/ ./internal/speedchecker/
 hotpath_JSON = -baseline BENCH_baseline.txt

@@ -499,7 +499,7 @@ func BenchmarkAblationParisVsClassic(b *testing.B) {
 			}
 			traces = append(traces, t1, t2)
 		}
-		res, err := mapper.Infer(traces)
+		res, err := mapper.Infer(traces, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,19 +27,34 @@ func NewProber(t *topology.Topology, seed int64) *Prober {
 	return &Prober{topo: t, seed: seed}
 }
 
-// Probe sends one IP-ID probe to addr at virtual time tick and returns the
-// IP-ID. ok is false when the address is not a responsive router interface.
-func (p *Prober) Probe(addr netip.Addr, tick int) (uint16, bool) {
+// counter is one router's IP-ID counter: a per-router base and velocity,
+// advancing with time, plus small per-probe noise from other traffic. h is
+// the hash state folded through (seed, router), so a probe hashes only its
+// tick.
+type counter struct {
+	base, velocity uint64
+	h              uint64
+}
+
+// counterOf derives the counter behind addr once. ok is false when the
+// address is not a responsive router interface.
+func (p *Prober) counterOf(addr netip.Addr) (counter, bool) {
 	r := p.topo.RouterOf(addr)
 	if r < 0 {
-		return 0, false
+		return counter{}, false
 	}
-	// Router counter: per-router base and velocity, advancing with time.
-	base := hashU64(p.seed, uint64(r), 0x1) % 40000
-	velocity := 3 + hashU64(p.seed, uint64(r), 0x2)%40
-	// Small per-probe increment noise from other traffic.
-	jitter := hashU64(p.seed, uint64(r), uint64(tick), 0x3) % 3
-	return uint16(base + velocity*uint64(tick) + jitter), true
+	h := hashMix(hashMix(fnvOffset, uint64(p.seed)), uint64(r))
+	return counter{
+		base:     hashFinal(hashMix(h, 0x1)) % 40000,
+		velocity: 3 + hashFinal(hashMix(h, 0x2))%40,
+		h:        h,
+	}, true
+}
+
+// at is the IP-ID a probe at virtual time tick reads.
+func (c counter) at(tick int) uint16 {
+	jitter := hashFinal(hashMix(hashMix(c.h, uint64(tick)), 0x3)) % 3
+	return uint16(c.base + c.velocity*uint64(tick) + jitter)
 }
 
 // sample is one observation in a probe series.
@@ -52,40 +67,43 @@ type sample struct {
 // each candidate in an interleaved schedule and merges pairs whose combined
 // IP-ID series stays monotonic (modulo wraparound).
 func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
-	// Deduplicate and keep responsive candidates only.
+	// Deduplicate and keep responsive candidates only, each with its
+	// router's counter.
+	type candidate struct {
+		addr netip.Addr
+		c    counter
+	}
 	seen := make(map[netip.Addr]bool)
-	var addrs []netip.Addr
+	cands := make([]candidate, 0, len(candidates))
 	for _, a := range candidates {
 		if !seen[a] {
 			seen[a] = true
-			if _, ok := p.Probe(a, 0); ok {
-				addrs = append(addrs, a)
+			if c, ok := p.counterOf(a); ok {
+				cands = append(cands, candidate{a, c})
 			}
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].addr.Compare(cands[j].addr) < 0 })
 
 	// Interleaved probing: for each address, collect a short series at
-	// staggered ticks. series[i] belongs to addrs[i] and is tick-sorted,
+	// staggered ticks. series[i] belongs to cands[i] and is tick-sorted,
 	// since ticks grow with the round; all series are carved, with capacity
 	// for every round, out of one backing array.
 	const rounds = 5
-	series := make([][]sample, len(addrs))
-	backing := make([]sample, 0, rounds*len(addrs))
+	series := make([][]sample, len(cands))
+	backing := make([]sample, 0, rounds*len(cands))
 	for i := range series {
 		series[i] = backing[i*rounds : i*rounds : (i+1)*rounds]
 	}
 	for round := 0; round < rounds; round++ {
-		for i, a := range addrs {
-			tick := round*len(addrs)*2 + i*2
-			if id, ok := p.Probe(a, tick); ok {
-				series[i] = append(series[i], sample{tick: tick, id: id})
-			}
+		for i, c := range cands {
+			tick := round*len(cands)*2 + i*2
+			series[i] = append(series[i], sample{tick: tick, id: c.c.at(tick)})
 		}
 	}
 
 	// Union-find over candidate indices.
-	parent := make([]int, len(addrs))
+	parent := make([]int, len(cands))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -99,8 +117,8 @@ func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
 
 	// Pairwise shared-counter test. O(n^2) pairs, as in MIDAR's
 	// estimation stage; candidate sets here are per-neighbor and small.
-	for i := 0; i < len(addrs); i++ {
-		for j := i + 1; j < len(addrs); j++ {
+	for i := 0; i < len(cands); i++ {
+		for j := i + 1; j < len(cands); j++ {
 			if sharedCounter(series[i], series[j]) {
 				if ri, rj := find(i), find(j); ri != rj {
 					parent[rj] = ri
@@ -109,11 +127,11 @@ func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
 		}
 	}
 
-	// addrs is sorted, so walking it in order fills every group in address
+	// cands is sorted, so walking it in order fills every group in address
 	// order and meets the groups in order of their smallest member.
 	groupOf := make(map[int]int)
 	out := [][]netip.Addr{}
-	for i, a := range addrs {
+	for i, c := range cands {
 		r := find(i)
 		g, ok := groupOf[r]
 		if !ok {
@@ -121,7 +139,7 @@ func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
 			groupOf[r] = g
 			out = append(out, nil)
 		}
-		out[g] = append(out[g], a)
+		out[g] = append(out[g], c.addr)
 	}
 	return out
 }
@@ -174,18 +192,19 @@ func sharedCounter(a, b []sample) bool {
 	return true
 }
 
-func hashU64(seed int64, keys ...uint64) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
+const fnvOffset = 14695981039346656037
+
+// hashMix folds one 64-bit value into an FNV-1a state, low byte first.
+func hashMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (v >> (8 * i)) & 0xff
+		h *= 1099511628211
 	}
-	mix(uint64(seed))
-	for _, k := range keys {
-		mix(k)
-	}
+	return h
+}
+
+// hashFinal decorrelates a folded state.
+func hashFinal(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 31

@@ -18,13 +18,22 @@ func testSetup(t *testing.T) (*topology.Topology, *Prober) {
 	return topo, NewProber(topo, 3)
 }
 
+// probe is one IP-ID probe to addr at virtual time tick.
+func probe(p *Prober, addr netip.Addr, tick int) (uint16, bool) {
+	c, ok := p.counterOf(addr)
+	if !ok {
+		return 0, false
+	}
+	return c.at(tick), true
+}
+
 func TestProbeRespondsForRouterInterfaces(t *testing.T) {
 	topo, p := testSetup(t)
 	l := topo.Links()[0]
-	if _, ok := p.Probe(l.FarIP, 0); !ok {
+	if _, ok := probe(p, l.FarIP, 0); !ok {
 		t.Error("far IP did not respond to alias probe")
 	}
-	if _, ok := p.Probe(netip.MustParseAddr("203.0.113.5"), 0); ok {
+	if _, ok := probe(p, netip.MustParseAddr("203.0.113.5"), 0); ok {
 		t.Error("unknown address responded")
 	}
 }
@@ -34,7 +43,7 @@ func TestProbeCounterMonotonic(t *testing.T) {
 	l := topo.Links()[0]
 	prev := uint16(0)
 	for tick := 0; tick < 50; tick += 5 {
-		id, ok := p.Probe(l.FarIP, tick)
+		id, ok := probe(p, l.FarIP, tick)
 		if !ok {
 			t.Fatal("probe failed")
 		}
@@ -70,8 +79,8 @@ func TestAliasesShareCounter(t *testing.T) {
 	if multi == nil {
 		t.Skip("no multi-link router in small topology")
 	}
-	a1, _ := p.Probe(multi[0], 10)
-	a2, _ := p.Probe(multi[1], 11)
+	a1, _ := probe(p, multi[0], 10)
+	a2, _ := probe(p, multi[1], 11)
 	// Counter advanced by ~velocity between ticks 10 and 11.
 	delta := uint16(a2 - a1)
 	if delta > 200 {

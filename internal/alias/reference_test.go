@@ -7,6 +7,58 @@ import (
 	"testing"
 )
 
+// referenceProbe is the IP-ID probe as it stood before counters were
+// derived once per candidate: base, velocity and jitter each hashed from
+// scratch on every probe.
+func referenceProbe(p *Prober, addr netip.Addr, tick int) (uint16, bool) {
+	r := p.topo.RouterOf(addr)
+	if r < 0 {
+		return 0, false
+	}
+	base := hashU64(p.seed, uint64(r), 0x1) % 40000
+	velocity := 3 + hashU64(p.seed, uint64(r), 0x2)%40
+	jitter := hashU64(p.seed, uint64(r), uint64(tick), 0x3) % 3
+	return uint16(base + velocity*uint64(tick) + jitter), true
+}
+
+func hashU64(seed int64, keys ...uint64) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xff
+			h *= 1099511628211
+		}
+	}
+	mix(uint64(seed))
+	for _, k := range keys {
+		mix(k)
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 31
+	return h
+}
+
+// TestCounterMatchesReferenceProbe: a counter derived once reads, at every
+// tick, the IP-ID the per-probe hashes give; unresponsive addresses have
+// no counter.
+func TestCounterMatchesReferenceProbe(t *testing.T) {
+	topo, p := testSetup(t)
+	addrs := []netip.Addr{netip.MustParseAddr("203.0.113.5")}
+	for _, l := range topo.Links() {
+		addrs = append(addrs, l.FarIP)
+	}
+	for _, a := range addrs {
+		c, ok := p.counterOf(a)
+		for tick := 0; tick < 64; tick++ {
+			want, wantOK := referenceProbe(p, a, tick)
+			if ok != wantOK || (ok && c.at(tick) != want) {
+				t.Fatalf("%v tick %d: counter (%v, %v), reference (%v, %v)", a, tick, c.at(tick), ok, want, wantOK)
+			}
+		}
+	}
+}
+
 // referenceSharedCounter is the pairwise test as it stood before the
 // per-pair allocation went: the two series concatenated into a fresh slice
 // and sorted by tick.
@@ -36,15 +88,15 @@ func referenceSharedCounter(samples []sample) bool {
 }
 
 // referenceResolve is Resolve as it stood before: series and union-find
-// keyed by address, one allocation and one sort per pair, groups sorted at
-// the end.
+// keyed by address, every probe hashed from scratch, one allocation and one
+// sort per pair, groups sorted at the end.
 func referenceResolve(p *Prober, candidates []netip.Addr) [][]netip.Addr {
 	seen := make(map[netip.Addr]bool)
 	var addrs []netip.Addr
 	for _, a := range candidates {
 		if !seen[a] {
 			seen[a] = true
-			if _, ok := p.Probe(a, 0); ok {
+			if _, ok := referenceProbe(p, a, 0); ok {
 				addrs = append(addrs, a)
 			}
 		}
@@ -54,7 +106,7 @@ func referenceResolve(p *Prober, candidates []netip.Addr) [][]netip.Addr {
 	for round := 0; round < 5; round++ {
 		for i, a := range addrs {
 			tick := round*len(addrs)*2 + i*2
-			if id, ok := p.Probe(a, tick); ok {
+			if id, ok := referenceProbe(p, a, tick); ok {
 				series[a] = append(series[a], sample{tick: tick, id: id})
 			}
 		}

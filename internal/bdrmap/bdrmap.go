@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/pfx2as"
 	"github.com/clasp-measurement/clasp/internal/topology"
 	"github.com/clasp-measurement/clasp/internal/traceroute"
@@ -69,8 +70,9 @@ type borderObs struct {
 }
 
 // Infer consumes traceroutes from VMs in one region and returns the
-// inferred interdomain links.
-func (m *Mapper) Infer(traces []traceroute.Result) (*Result, error) {
+// inferred interdomain links. Alias resolution runs on up to parallelism
+// workers (0 or 1: inline); the result is identical at any value.
+func (m *Mapper) Infer(traces []traceroute.Result, parallelism int) (*Result, error) {
 	if m.table == nil {
 		return nil, fmt.Errorf("bdrmap: nil prefix table")
 	}
@@ -121,7 +123,9 @@ func (m *Mapper) Infer(traces []traceroute.Result) (*Result, error) {
 	}
 
 	// Alias-resolve far interfaces per neighbor to group them into
-	// routers (far IPs of one router belong to the same neighbor).
+	// routers (far IPs of one router belong to the same neighbor). The
+	// neighbors resolve independently, on up to parallelism workers;
+	// router IDs are assigned afterwards in neighbor order.
 	if m.resolver != nil {
 		byNeighbor := make(map[ASN][]netip.Addr)
 		idx := make(map[netip.Addr]*Link)
@@ -129,14 +133,18 @@ func (m *Mapper) Infer(traces []traceroute.Result) (*Result, error) {
 			byNeighbor[links[i].Neighbor] = append(byNeighbor[links[i].Neighbor], links[i].FarIP)
 			idx[links[i].FarIP] = &links[i]
 		}
-		routerID := 0
 		var neighbors []ASN
 		for nb := range byNeighbor {
 			neighbors = append(neighbors, nb)
 		}
 		sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
-		for _, nb := range neighbors {
-			for _, group := range m.resolver.Resolve(byNeighbor[nb]) {
+		groups := make([][][]netip.Addr, len(neighbors))
+		analysis.ParallelFor(parallelism, len(neighbors), func(i int) {
+			groups[i] = m.resolver.Resolve(byNeighbor[neighbors[i]])
+		})
+		routerID := 0
+		for _, gs := range groups {
+			for _, group := range gs {
 				for _, ip := range group {
 					if l := idx[ip]; l != nil {
 						l.Router = routerID

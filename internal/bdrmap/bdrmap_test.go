@@ -1,6 +1,7 @@
 package bdrmap
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
@@ -65,7 +66,7 @@ func (f *fixture) pilotTraces(t *testing.T, limit int) []traceroute.Result {
 func TestInferRecoversLinks(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 0)
-	res, err := f.mapper.Infer(traces)
+	res, err := f.mapper.Infer(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestInferRecoversLinks(t *testing.T) {
 func TestInferredOwnersCorrect(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 0)
-	res, err := f.mapper.Infer(traces)
+	res, err := f.mapper.Infer(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestInferredOwnersCorrect(t *testing.T) {
 func TestNeighborsList(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 120)
-	res, err := f.mapper.Infer(traces)
+	res, err := f.mapper.Infer(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestNeighborsList(t *testing.T) {
 func TestAliasGroupingPopulatesRouters(t *testing.T) {
 	f := setup(t)
 	traces := f.pilotTraces(t, 0)
-	res, err := f.mapper.Infer(traces)
+	res, err := f.mapper.Infer(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestInferFromServerTraces(t *testing.T) {
 		}
 		traces = append(traces, res)
 	}
-	res, err := f.mapper.Infer(traces)
+	res, err := f.mapper.Infer(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestInferFromServerTraces(t *testing.T) {
 
 func TestInferEmptyAndNilSafety(t *testing.T) {
 	f := setup(t)
-	res, err := f.mapper.Infer(nil)
+	res, err := f.mapper.Infer(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestInferEmptyAndNilSafety(t *testing.T) {
 		t.Error("links from no traces")
 	}
 	m := New(15169, nil, nil)
-	if _, err := m.Infer(nil); err == nil {
+	if _, err := m.Infer(nil, 1); err == nil {
 		t.Error("nil table: want error")
 	}
 }
@@ -212,13 +213,56 @@ func TestInferEmptyAndNilSafety(t *testing.T) {
 func TestInferWithoutResolver(t *testing.T) {
 	f := setup(t)
 	m := FromTopology(f.topo, nil)
-	res, err := m.Infer(f.pilotTraces(t, 50))
+	res, err := m.Infer(f.pilotTraces(t, 50), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range res.Links {
 		if l.Router != -1 {
 			t.Error("router set without a resolver")
+		}
+	}
+}
+
+// TestInferParallelMatchesSequential: on two regions' paper-scale pilot
+// traces, Infer returns the same links, router IDs included, at any
+// parallelism.
+func TestInferParallelMatchesSequential(t *testing.T) {
+	cfg := topology.PaperScaleConfig()
+	topo, err := topology.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.New(topo, nil, netsim.Config{Seed: cfg.Seed})
+	mapper := FromTopology(topo, alias.NewProber(topo, cfg.Seed))
+	for _, region := range []string{"us-east1", "us-west2"} {
+		f := &fixture{topo: topo, sim: sim, prober: traceroute.NewProber(sim, region, cfg.Seed), mapper: mapper, region: region}
+		traces := f.pilotTraces(t, 0)
+		want, err := mapper.Infer(traces, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers := make(map[int]int)
+		for _, l := range want.Links {
+			routers[l.Router]++
+		}
+		shared := 0
+		for _, n := range routers {
+			if n > 1 {
+				shared++
+			}
+		}
+		if shared == 0 || len(routers) < 100 {
+			t.Fatalf("%s: %d routers, %d with aliases: too little to compare", region, len(routers), shared)
+		}
+		for _, par := range []int{2, 8} {
+			got, err := mapper.Infer(traces, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Infer at parallelism %d differs from parallelism 1", region, par)
+			}
 		}
 	}
 }

@@ -136,6 +136,9 @@ type Router struct {
 
 	trees     sync.Map // ASN -> *treeEntry
 	linkCache sync.Map // linkCacheKey -> *topology.Interconnect
+	// candidates is the link-cache miss path's table (buildCandidates):
+	// per (region, cloud neighbor), one link per facility city. Read-only.
+	candidates map[candidateKey][]*topology.Interconnect
 }
 
 // treeEntry singleflights one destination's computation.
@@ -150,9 +153,62 @@ type linkCacheKey struct {
 	anchor   string
 }
 
+type candidateKey struct {
+	region   string
+	neighbor ASN
+}
+
 // NewRouter creates a router for the given topology.
 func NewRouter(t *topology.Topology) *Router {
-	return &Router{topo: t, dense: buildDense(t)}
+	return &Router{topo: t, dense: buildDense(t), candidates: buildCandidates(t)}
+}
+
+// buildCandidates walks every cloud neighbor and region and keeps, per
+// facility city, the lowest-ID visible link with coordinates. Links in one
+// city share one Coord, so the nearest link to any anchor is among them. A
+// neighbor's links are grouped by city once, in ID order, so each region
+// takes the first visible link of every group.
+func buildCandidates(t *topology.Topology) map[candidateKey][]*topology.Interconnect {
+	neighbors := t.CloudNeighbors()
+	out := make(map[candidateKey][]*topology.Interconnect, len(neighbors)*len(t.Regions))
+	var byCity [][]*topology.Interconnect // reused across neighbors
+	for _, nb := range neighbors {
+		cities := 0
+		for _, l := range t.LinksOf(nb) {
+			if !l.CoordOK {
+				continue
+			}
+			i := 0
+			for i < cities && byCity[i][0].City != l.City {
+				i++
+			}
+			if i == cities {
+				if cities == len(byCity) {
+					byCity = append(byCity, nil)
+				}
+				byCity[i] = byCity[i][:0]
+				cities++
+			}
+			byCity[i] = append(byCity[i], l)
+		}
+		// One backing array for the neighbor's candidates in every region.
+		backing := make([]*topology.Interconnect, 0, cities*len(t.Regions))
+		for _, reg := range t.Regions {
+			start := len(backing)
+			for _, links := range byCity[:cities] {
+				for _, l := range links {
+					if t.IsVisible(reg.Name, l.ID) {
+						backing = append(backing, l)
+						break
+					}
+				}
+			}
+			if len(backing) > start {
+				out[candidateKey{reg.Name, nb}] = backing[start:len(backing):len(backing)]
+			}
+		}
+	}
+	return out
 }
 
 // TreeTo returns the (cached) routing tree toward dst.
@@ -266,7 +322,10 @@ func (r *Router) compute(dst ASN) *Tree {
 
 	// Phase 3: provider routes. An AS learns from each provider that
 	// provider's best exportable route. Process by increasing distance
-	// (unit weights -> bucketed BFS).
+	// (unit weights -> bucketed BFS). As in phase 2, the relaxation is a
+	// pure (distance, lowest-ASN) minimum: while bucket d is processed no
+	// route of distance <= d changes, so the order within a bucket cannot
+	// change any dist or next, and buckets are walked as filled.
 	best := func(i int32) (int32, bool) {
 		if d := dist[classCustomer][i]; d >= 0 {
 			return d, true
@@ -293,10 +352,7 @@ func (r *Router) compute(dst ASN) *Tree {
 		}
 	}
 	for d := int32(0); int(d) < len(buckets); d++ {
-		// Sort for deterministic tie-breaking.
-		bs := buckets[d]
-		sort.Slice(bs, func(i, j int) bool { return g.asns[bs[i]] < g.asns[bs[j]] })
-		for _, u := range bs {
+		for _, u := range buckets[d] {
 			bd, ok := best(u)
 			if !ok || bd != d {
 				continue // superseded by a better route
@@ -426,8 +482,10 @@ func (r *Router) IngressLink(region string, srcASN ASN, srcCity string, tier Tie
 
 // nearestVisibleLink picks the region-visible link with the given neighbor
 // whose facility is closest to anchorCity, breaking ties by lowest link ID.
-// Choices are cached lock-free: the decision is a pure function of its
-// inputs, so a racing duplicate computation stores an identical value.
+// A miss scans the per-city candidates only: every link of a city is as far
+// from the anchor as the city's lowest-ID link, which wins the tie. Choices
+// are cached lock-free: the decision is a pure function of its inputs, so a
+// racing duplicate computation stores an identical value.
 func (r *Router) nearestVisibleLink(region string, neighbor ASN, anchorCity string) (*topology.Interconnect, error) {
 	key := linkCacheKey{region: region, neighbor: neighbor, anchor: anchorCity}
 	if l, ok := r.linkCache.Load(key); ok {
@@ -442,13 +500,7 @@ func (r *Router) nearestVisibleLink(region string, neighbor ASN, anchorCity stri
 	}
 	var best *topology.Interconnect
 	bestD := 0.0
-	for _, l := range t.LinksOf(neighbor) {
-		if !t.IsVisible(region, l.ID) {
-			continue
-		}
-		if !l.CoordOK {
-			continue
-		}
+	for _, l := range r.candidates[candidateKey{region, neighbor}] {
 		d := geo.DistanceKm(anchor, l.Coord)
 		if best == nil || d < bestD || (d == bestD && l.ID < best.ID) {
 			best, bestD = l, d

@@ -73,23 +73,25 @@ type dipDay struct {
 	sigma float64 // window width in hours
 }
 
-// dayDraws draws an entity's dip for one day. regionFactor scales the daily
-// congestion probability (regions differ, Fig. 2). The flow cache remembers
-// the result per (flow, day); every other caller draws it per call.
-func (s *Sim) dayDraws(profile topology.CongestionProfile, entityKey, day uint64, regionFactor float64) dipDay {
+// dayDraws draws an entity's dip for one day from prefix, the FNV prefix
+// folded through (seed, entity, day): each of the day's draws is one more
+// key off it. regionFactor scales the daily congestion probability (regions
+// differ, Fig. 2). The flow cache remembers the result per (flow, day);
+// every other caller draws it per call.
+func (s *Sim) dayDraws(profile topology.CongestionProfile, prefix uint64, regionFactor float64) dipDay {
 	// Does this entity realise a congestion event today?
 	dayProb := s.cfg.CongestionDayProbBase
 	if profile.Prone {
 		dayProb = s.cfg.CongestionDayProbProne
 	}
 	dayProb *= regionFactor
-	congestedToday := hash01(s.cfg.Seed, entityKey, day, 0xd1) < dayProb
+	congestedToday := uniformFrom(fnvMix(prefix, 0xd1)) < dayProb
 
 	// The realised peak drifts several hours day to day, so a server's
 	// hour-of-day congestion probability stays moderate (Fig. 6 shows
 	// probabilities mostly below 0.1-0.2 even for the worst servers).
 	d := dipDay{
-		peak:  float64(profile.PeakHourLocal) + hashRange(s.cfg.Seed, -5, 5, entityKey, day, 0xd2),
+		peak:  float64(profile.PeakHourLocal) + rangeFrom(fnvMix(prefix, 0xd2), -5, 5),
 		depth: profile.PeakDepth * s.cfg.OffDayDepthFactor,
 		sigma: s.cfg.EveningSigmaHours,
 	}
@@ -97,7 +99,7 @@ func (s *Sim) dayDraws(profile topology.CongestionProfile, entityKey, day uint64
 		d.sigma = s.cfg.DaytimeSigmaHours
 	}
 	if congestedToday {
-		d.depth = profile.PeakDepth * hashRange(s.cfg.Seed, 0.85, 1.1, entityKey, day, 0xd3)
+		d.depth = profile.PeakDepth * rangeFrom(fnvMix(prefix, 0xd3), 0.85, 1.1)
 	}
 	return d
 }
@@ -120,7 +122,7 @@ func dipFrom(d dipDay, localHour float64) float64 {
 // city with the given UTC offset.
 func (s *Sim) congestionDip(profile topology.CongestionProfile, entityKey uint64, utcOffset int, t time.Time, regionFactor float64) float64 {
 	c := clockOf(t)
-	return dipFrom(s.dayDraws(profile, entityKey, c.day, regionFactor), c.local(utcOffset))
+	return dipFrom(s.dayDraws(profile, fnvFold(s.cfg.Seed, entityKey, c.day), regionFactor), c.local(utcOffset))
 }
 
 // congestionLoss returns the extra packet loss induced by a realised dip.

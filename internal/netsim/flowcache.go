@@ -82,13 +82,15 @@ func (m *rttModel) rtt(s *Sim, dip, jitter float64) float64 {
 
 // at is the cached counterpart of pathRTT for a probe keyed by its own
 // salt: nothing about the salt's day is remembered, so both draws are fresh.
+// They share one prefix, folded through (seed, salt, day) once.
 func (m *rttModel) at(s *Sim, flowKey uint64, t time.Time) float64 {
 	c := clockOf(t)
+	prefix := fnvFold(s.cfg.Seed, flowKey, c.day)
 	dip := 0.0
 	if m.hasDip {
-		dip = dipFrom(s.dayDraws(m.endCong, flowKey, c.day, m.regionFactor), c.local(m.endUTC))
+		dip = dipFrom(s.dayDraws(m.endCong, prefix, m.regionFactor), c.local(m.endUTC))
 	}
-	return m.rtt(s, dip, hashNorm(s.cfg.Seed, flowKey, c.day, c.hour, 0xc1))
+	return m.rtt(s, dip, normFrom(fnvMix(fnvMix(prefix, c.hour), 0xc1)))
 }
 
 // flowEntry is the static model inputs of one flow's resolved routing
@@ -131,7 +133,7 @@ type flowDay struct {
 	lossyFactor float64
 	// jitter and noise are the FNV prefixes of the two per-test normals,
 	// folded through (seed, flow, day); a test folds in the hour and the
-	// draw's remaining keys.
+	// draw's remaining keys. jitter is also the endpoint dip's day prefix.
 	jitter, noise uint64
 }
 
@@ -147,17 +149,18 @@ func (fe *flowEntry) dayFor(s *Sim, day uint64) *flowDay {
 		noise:  fnvFold(s.cfg.Seed, fe.regionHash, fe.flowKey, day),
 	}
 	if fe.hasDip {
-		d.endDip = s.dayDraws(fe.endCong, fe.flowKey, day, fe.regionFactor)
+		d.endDip = s.dayDraws(fe.endCong, d.jitter, fe.regionFactor)
 	}
 	if fe.dir == Download {
-		d.srvDip = s.dayDraws(fe.srvCong, fe.srvKey, day, fe.regionFactor)
-		d.linkDip = s.dayDraws(fe.nbCong, fe.linkKey, day, fe.regionFactor)
+		link := fnvFold(s.cfg.Seed, fe.linkKey, day)
+		d.srvDip = s.dayDraws(fe.srvCong, fnvFold(s.cfg.Seed, fe.srvKey, day), fe.regionFactor)
+		d.linkDip = s.dayDraws(fe.nbCong, link, fe.regionFactor)
 		if fe.lossyPremium {
-			d.lossyFactor = hashRange(s.cfg.Seed, 0.8, 1.2, fe.linkKey, day, 0xb3)
+			d.lossyFactor = rangeFrom(fnvMix(link, 0xb3), 0.8, 1.2)
 		}
 	} else {
 		// Mild downstream (cloud -> edge) evening load.
-		d.linkDip = s.dayDraws(fe.nbCong, fe.linkKey^0x5555, day, fe.regionFactor*0.3)
+		d.linkDip = s.dayDraws(fe.nbCong, fnvFold(s.cfg.Seed, fe.linkKey^0x5555, day), fe.regionFactor*0.3)
 	}
 	fe.day.Store(d)
 	return d

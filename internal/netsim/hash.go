@@ -58,6 +58,15 @@ func uniformFrom(prefix uint64) float64 {
 	return float64(fnvFinal(prefix)>>11) / (1 << 53)
 }
 
+// rangeFrom finalises a prefix state into a uniform float64 in [lo, hi).
+// lo and hi are float64 parameters on purpose: written as a constant
+// expression, 0.85 + (1.1-0.85)*u, Go's exact constant arithmetic would take
+// hi-lo as 0.25, not the float64 subtraction hashRange performs, and move
+// bits.
+func rangeFrom(prefix uint64, lo, hi float64) float64 {
+	return lo + (hi-lo)*uniformFrom(prefix)
+}
+
 // normFrom finalises a prefix state into an approximately standard normal
 // value: an Irwin-Hall sum of four uniforms that share the prefix and
 // differ only in a trailing salt, so the prefix is folded once and
@@ -78,7 +87,7 @@ func hash01(seed int64, keys ...uint64) float64 {
 
 // hashRange maps (seed, keys) to a uniform float64 in [lo, hi).
 func hashRange(seed int64, lo, hi float64, keys ...uint64) float64 {
-	return lo + (hi-lo)*hash01(seed, keys...)
+	return rangeFrom(fnvFold(seed, keys...), lo, hi)
 }
 
 // hashNorm maps (seed, keys) to an approximately standard normal value.

@@ -440,6 +440,49 @@ func TestDipShape(t *testing.T) {
 	}
 }
 
+// TestDayDrawsMatchesFullFold: a day's draws taken one key off the folded
+// (seed, entity, day) prefix equal the per-draw folds of hash01 and
+// hashRange, bit for bit, for every profile kind.
+func TestDayDrawsMatchesFullFold(t *testing.T) {
+	s := newSim(t)
+	seed := s.cfg.Seed
+	profiles := []topology.CongestionProfile{
+		{PeakHourLocal: 21, PeakDepth: 0.2},
+		{Prone: true, PeakHourLocal: 20, PeakDepth: 0.9},
+		{Prone: true, Daytime: true, PeakHourLocal: 13, PeakDepth: 0.7},
+	}
+	congested := 0
+	for _, p := range profiles {
+		for key := uint64(0); key < 200; key++ {
+			for day := uint64(18383); day < 18393; day++ {
+				got := s.dayDraws(p, fnvFold(seed, key, day), 1.3)
+				dayProb := s.cfg.CongestionDayProbBase
+				if p.Prone {
+					dayProb = s.cfg.CongestionDayProbProne
+				}
+				want := dipDay{
+					peak:  float64(p.PeakHourLocal) + hashRange(seed, -5, 5, key, day, 0xd2),
+					depth: p.PeakDepth * s.cfg.OffDayDepthFactor,
+					sigma: s.cfg.EveningSigmaHours,
+				}
+				if p.Daytime {
+					want.sigma = s.cfg.DaytimeSigmaHours
+				}
+				if hash01(seed, key, day, 0xd1) < dayProb*1.3 {
+					want.depth = p.PeakDepth * hashRange(seed, 0.85, 1.1, key, day, 0xd3)
+					congested++
+				}
+				if got != want {
+					t.Fatalf("%+v key %d day %d: dayDraws %+v, full fold %+v", p, key, day, got, want)
+				}
+			}
+		}
+	}
+	if congested == 0 {
+		t.Fatal("no congested day drawn: the depth draw went unchecked")
+	}
+}
+
 // TestMeasureConcurrentPurity drives Measure from many goroutines against
 // one Sim and checks every result matches a sequential baseline. Run with
 // -race this enforces the "pure per call" contract the parallel campaign

@@ -38,8 +38,9 @@ type TopoParams struct {
 	Budget int
 	// Seed drives probe flow IDs.
 	Seed int64
-	// Parallelism is how many traceroutes run at once; 0 or 1 traces
-	// inline. The result is identical at any value.
+	// Parallelism is how many traceroutes, and how many neighbors' alias
+	// resolutions, run at once; 0 or 1 runs inline. The result is identical
+	// at any value.
 	Parallelism int
 }
 
@@ -113,7 +114,7 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 	if err := firstError(errs); err != nil {
 		return nil, fmt.Errorf("selection: pilot trace: %w", err)
 	}
-	pilot, err := mapper.Infer(pilotTraces)
+	pilot, err := mapper.Infer(pilotTraces, params.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("selection: pilot inference: %w", err)
 	}

@@ -765,7 +765,8 @@ func (t *Topology) Links() []*Interconnect { return t.links }
 // Link returns the interconnect with the given ID, or nil.
 func (t *Topology) Link(id int) *Interconnect { return t.linkByID[id] }
 
-// LinksOf returns the cloud's interconnects with a particular neighbor.
+// LinksOf returns the cloud's interconnects with a particular neighbor, in
+// ID order.
 func (t *Topology) LinksOf(neighbor ASN) []*Interconnect {
 	return t.linksByNeighbor[neighbor]
 }

@@ -73,8 +73,7 @@ var reachAllowed = map[string]string{
 	// The record count a checkpoint's sidecar claims.
 	"internal/checkpoint.Checkpoint.NumRecords": reachObserve,
 	// Ground truth of the topology fixture.
-	"internal/topology.Topology.CloudNeighbors": reachObserve,
-	"internal/topology.Topology.RouterAliases":  reachObserve,
+	"internal/topology.Topology.RouterAliases": reachObserve,
 	// Reads back the captures campaigns upload (and with it pcap's reader).
 	"internal/flowstats.Analyze": reachObserve,
 	// The decoded payload length only that read-back uses
