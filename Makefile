@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzLoadManifest$$' ./internal/checkpoint/
 	$(FUZZ) -fuzz='^FuzzDecodeColumns$$' ./internal/analysis/
 	$(FUZZ) -fuzz='^FuzzReadMessage$$' ./internal/wsock/
+	$(FUZZ) -fuzz='^FuzzServeConn$$' ./internal/speedtest/ookla/
 
 # The committed micro-benchmark records, BENCH_<record>.json each. Per record:
 # the benchmarks it holds (_BENCH), the packages they live in (_PKGS), what its

@@ -75,6 +75,14 @@ var contractRows = []contractRow{{
 	},
 	kills: []string{"campaign-done:2"},
 }, {
+	// The bill of six concurrent seven-day campaigns: its egress is metered
+	// in integer bytes, so it is exact in any order they commit in.
+	name: "costs", spills: true,
+	command: func(_ *testing.T, k knobs) []string {
+		return slices.Concat([]string{"costs", "-seed", "3", "-scale", "0.1"}, k.flags())
+	},
+	kills: []string{"campaign-done:2"},
+}, {
 	// The catalog's two days stay under the spill threshold, so this row's
 	// budget cells hold only that the knob alone moves no byte of the golden;
 	// scenario.TestBudgetedScenarioByteIdentical crosses it on a longer variant.

@@ -225,8 +225,7 @@ func goldenLogRecords() []Measurement {
 // encoding: the hash is of the CLRL0001 file the first writer of that
 // format (byte-at-a-time bits, a fresh buffer per column) serialised for
 // this vector, rebuilt here from the frame writer and EncodeTail — so the
-// CLRL0002 sidecar carries the same bytes, and old checkpoints cross every
-// rewrite.
+// CLRL0002 sidecar carries the same bytes across every rewrite.
 func TestRecordLogFormatGolden(t *testing.T) {
 	raw := recordLogV1(t, newLog(t, goldenLogRecords()))
 	sum := sha256.Sum256(raw)
@@ -236,9 +235,53 @@ func TestRecordLogFormatGolden(t *testing.T) {
 	}
 }
 
-// TestRecordLogHostileLengths feeds ReadRecordLog files whose counts and
-// lengths lie. Each must come back as an error — never a panic, and never
-// an allocation out of proportion to the file, whatever the count claims.
+// recordLogV1 is l in the CLRL0001 layout the golden hash was first taken
+// of, which no program reads or writes any more: the magic, the region
+// table as extended by the tail, every sealed block, then the tail as one
+// more block. Its frames and payloads are the CLRL0002 ones, so it is built
+// from the frame writer and EncodeTail.
+func recordLogV1(t *testing.T, l *RecordLog) []byte {
+	t.Helper()
+	s := snapshot(t, l)
+	buf := colenc.AppendUvarint([]byte("CLRL0001"), uint64(len(s.regions)))
+	for _, r := range s.regions {
+		buf = append(colenc.AppendUvarint(buf, uint64(len(r))), r...)
+	}
+	nb := l.SealedBlocks()
+	if s.tailN > 0 {
+		nb++
+	}
+	buf = colenc.AppendUvarint(buf, uint64(nb))
+	buf = append(buf, s.file[len(FramesMagic):]...)
+	if s.tailN > 0 {
+		buf = colenc.AppendUvarint(colenc.AppendUvarint(buf, uint64(s.tailN)), uint64(len(s.tail)))
+		buf = append(buf, s.tail...)
+	}
+	return buf
+}
+
+// lieAboutLoss returns a copy of the block payload of n records with the
+// last float column's length prefix replaced by 2^63, so that only that
+// prefix lies.
+func lieAboutLoss(t *testing.T, payload []byte, n int) []byte {
+	t.Helper()
+	at := 0
+	for col := 0; col < 3; col++ {
+		at += varintsSize(t, payload[at:], n)
+	}
+	at += 1 + n // the flag and the packed tier/dir bytes
+	for col := 0; col < 2; col++ {
+		k, _ := colenc.SkipFloats(payload[at:])
+		at += k
+	}
+	return colenc.AppendUvarint(bytes.Clone(payload[:at]), 1<<63)
+}
+
+// TestRecordLogHostileLengths feeds ReadFrames files and tails whose counts
+// and lengths lie. Each must come back as an error — never a panic, and
+// never an allocation out of proportion to the bytes, whatever the count
+// claims. A frame must hold a full block, so the frame cases lie about a
+// block of logBlockSize records and the tail cases about a short one.
 func TestRecordLogHostileLengths(t *testing.T) {
 	uv := func(vs ...uint64) []byte {
 		var out []byte
@@ -248,65 +291,58 @@ func TestRecordLogHostileLengths(t *testing.T) {
 		return out
 	}
 	file := func(parts ...[]byte) []byte {
-		return append([]byte(recordLogMagic), bytes.Join(parts, nil)...)
+		return append([]byte(FramesMagic), bytes.Join(parts, nil)...)
+	}
+	type input struct {
+		file  []byte
+		tailN int
+		tail  []byte
 	}
 	l := NewRecordLog()
-	valid := bytes.Clone(l.encodeRecords(campaignRecords(50), l.internRegion))
-	regions := uv(3, 8)
-	regions = append(regions, "us-west1"...)
-	regions = append(append(regions, uv(8)...), "us-east1"...)
-	regions = append(append(regions, uv(12)...), "europe-west1"...)
-	if _, err := ReadRecordLog(bytes.NewReader(file(regions, uv(1, 50, uint64(len(valid))), valid))); err != nil {
-		t.Fatalf("the well-formed file the table corrupts does not read: %v", err)
+	block := bytes.Clone(l.encodeRecords(campaignRecords(logBlockSize), l.internRegion))
+	tail := bytes.Clone(l.encodeRecords(campaignRecords(50), l.internRegion))
+	regions, bl := l.regions, uint64(len(block))
+	whole := file(uv(logBlockSize, bl), block)
+	if got, err := ReadFrames(whole, regions, 50, tail); err != nil || got.Len() != logBlockSize+50 {
+		t.Fatalf("the well-formed file and tail the table corrupts do not read: %v", err)
 	}
 
-	cases := map[string][]byte{
+	lying := lieAboutLoss(t, block, logBlockSize)
+	cases := map[string]input{
 		// The 30-byte sidecar that panicked checkpoint.Load: a record count
 		// of 2^63 turns negative as an int, every loop over it is skipped
 		// and the packed tier/dir column is sliced by it.
-		"block count 2^63 records":             file(uv(0, 1, 1<<63, 6), []byte{1, 0, 0, 0, 0, 0}),
-		"block claims more records than bytes": file(uv(0, 1, 7, 6), []byte{1, 0, 0, 0, 0, 0}),
-		"block claims 2^40 records":            file(regions, uv(1, 1<<40, uint64(len(valid))), valid),
-		"block claims one record too many":     file(regions, uv(1, 51, uint64(len(valid))), valid),
-		"block claims one record too few":      file(regions, uv(1, 49, uint64(len(valid))), valid),
-		"block data length past the file":      file(regions, uv(1, 50, uint64(len(valid))+1), valid),
-		"block data length 2^63":               file(regions, uv(1, 50, 1<<63), valid),
-		"region count 2^63":                    file(uv(1<<63, 0)),
-		"region count past the file":           file(uv(200), bytes.Repeat([]byte{0}, 100)),
-		"region length 2^63":                   file(uv(1, 1<<63), []byte("us-west1")),
-		"region named twice":                   file(uv(2, 1), []byte("a"), uv(1), []byte("a"), uv(0)),
-		"block count 2^63":                     file(uv(0, 1<<63)),
-		"block count past the file":            file(uv(0, 1000), bytes.Repeat([]byte{0}, 100)),
+		"frame claims 2^63 records":            {file: file(uv(1<<63, 6), []byte{1, 0, 0, 0, 0, 0})},
+		"frame claims more records than bytes": {file: file(uv(logBlockSize, 6), []byte{1, 0, 0, 0, 0, 0})},
+		"frame claims 2^40 records":            {file: file(uv(1<<40, bl), block)},
+		"frame claims one record too many":     {file: file(uv(logBlockSize+1, bl), block)},
+		"frame claims one record too few":      {file: file(uv(logBlockSize-1, bl), block)},
+		"frame data length past the file":      {file: file(uv(logBlockSize, bl+1), block)},
+		"frame data length 2^63":               {file: file(uv(logBlockSize, 1<<63), block)},
+		"frame float column length 2^63":       {file: file(uv(logBlockSize, uint64(len(lying))), lying)},
+		"tail claims more records than bytes":  {file: file(), tailN: 7, tail: []byte{1, 0, 0, 0, 0, 0}},
+		"tail claims one record too many":      {file: file(), tailN: 51, tail: tail},
+		"tail claims one record too few":       {file: file(), tailN: 49, tail: tail},
+		"tail float column length 2^63":        {file: file(), tailN: 50, tail: lieAboutLoss(t, tail, 50)},
 	}
-	// The last float column's length prefix replaced by 2^63, the block's
-	// own length adjusted so that only that prefix lies.
-	lossAt := 0
-	for col := 0; col < 3; col++ {
-		lossAt += varintsSize(t, valid[lossAt:], 50)
+	for _, cut := range []int{1, 2, 3, 4, 5, 6, 7, 100, len(block) / 2, len(block) + 3} {
+		cases[fmt.Sprintf("frame cut to %d bytes", cut)] = input{file: whole[:len(FramesMagic)+cut]}
 	}
-	lossAt += 1 + 50 // the flag and the packed tier/dir bytes
-	for col := 0; col < 2; col++ {
-		k, _ := colenc.SkipFloats(valid[lossAt:])
-		lossAt += k
+	for cut := 0; cut < len(tail); cut += 7 {
+		cases[fmt.Sprintf("tail cut to %d bytes", cut)] = input{file: file(), tailN: 50, tail: tail[:cut]}
 	}
-	lying := append(bytes.Clone(valid[:lossAt]), uv(1<<63)...)
-	cases["float column length 2^63"] = file(regions, uv(1, 50, uint64(len(lying))), lying)
-	for cut := len(recordLogMagic); cut < len(valid)+40; cut += 7 {
-		whole := file(regions, uv(1, 50, uint64(len(valid))), valid)
-		cases[fmt.Sprintf("cut to %d bytes", cut)] = whole[:min(cut, len(whole)-1)]
-	}
-	for name, raw := range cases {
+	for name, c := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadRecordLog(bytes.NewReader(raw))
+		_, err := ReadFrames(c.file, regions, c.tailN, c.tail)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: read without error", name)
 		}
-		// io.ReadAll's own buffer is the 512-byte floor; a decoded column is
-		// eight bytes a record and a record is a byte or more of file.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+4096); grew > limit {
-			t.Errorf("%s: allocated %d bytes reading a %d-byte file (limit %d)", name, grew, len(raw), limit)
+		// A decoded column is eight bytes a record and a record is a byte
+		// or more of input.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*(len(c.file)+len(c.tail))+4096); grew > limit {
+			t.Errorf("%s: allocated %d bytes reading %d + %d bytes (limit %d)", name, grew, len(c.file), len(c.tail), limit)
 		}
 	}
 }

@@ -12,8 +12,6 @@ package analysis
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"slices"
 
@@ -248,7 +246,7 @@ func (l *RecordLog) encodeRecords(ms []Measurement, internRegion func(string) in
 // need: a truncated column, a region code outside the log's table, a bad
 // tier/dir flag and trailing bytes are errors whether the column they sit
 // in was asked for or not. (What a skipped float column does not get is the
-// check that its bit stream holds n values; ReadRecordLog validates with
+// check that its bit stream holds n values; ReadFrames validates with
 // every column.) n, which must not be negative, is trusted only as far as
 // the bytes back it: DecodeTimes rejects an n beyond the block's length —
 // every record takes a byte or more — before any buffer is sized from n.
@@ -484,30 +482,18 @@ func (l *RecordLog) readSpilled(b *logBlock, scratch *[]byte) ([]byte, error) {
 	return *scratch, nil
 }
 
-// The record log on disk. Both formats are built from one frame — a block
-// as uvarint record count, uvarint payload length, payload (encodeRecords)
-// — and differ only in what goes around the frames.
-//
-// CLRL0002, the campaign checkpoint's append-only records sidecar:
+// The record log on disk, CLRL0002, the campaign checkpoint's append-only
+// records sidecar:
 //
 //	header  8-byte magic "CLRL0002"
 //	frames  one per sealed block, in seal order, each of logBlockSize
-//	        records
+//	        records: uvarint record count, uvarint payload length,
+//	        payload (encodeRecords)
 //
 // A sealed block never changes, so a checkpoint appends the frames sealed
 // since its last commit and rewrites nothing. The region table and the
 // unsealed tail (EncodeTail) are kept beside the file, by the caller.
-//
-// CLRL0001, the sidecar format before it, now only read (ReadRecordLog):
-//
-//	header   8-byte magic "CLRL0001"
-//	regions  uvarint count, then per region: uvarint len, bytes
-//	blocks   uvarint count, then that many frames; the last may be the
-//	         unsealed tail, coded against the table as extended by it
-const (
-	FramesMagic    = "CLRL0002"
-	recordLogMagic = "CLRL0001"
-)
+const FramesMagic = "CLRL0002"
 
 // SealedBlocks returns how many blocks the log has sealed.
 func (l *RecordLog) SealedBlocks() int { return len(l.blocks) }
@@ -552,11 +538,14 @@ func (l *RecordLog) EncodeTail() (regions []string, n int, data []byte) {
 
 // ReadFrames rebuilds a log from a CLRL0002 file — its magic and whole
 // frames, each a full block — whose blocks are coded against regions, plus
-// the tail of tailN records EncodeTail gave beside it, which becomes one
-// last short block: the shape ReadRecordLog returns, for Adopt to take up.
-// Validation is ReadRecordLog's: every block decoded with every column, and
-// every count checked against the bytes that could back it before anything
-// is sized from it.
+// the tail of tailN records EncodeTail gave beside it, which goes back into
+// the log's tail. The blocks stay sealed as read, byte for byte, and blocks
+// seal at fixed logBlockSize-record boundaries, so a campaign that goes on
+// appending seals the blocks an uninterrupted run seals; the region table
+// already holds, in order, the names the tail adds when it seals. Every
+// block and the tail are decoded with every column, and every count is
+// checked against the bytes that could back it before anything is sized
+// from it.
 func ReadFrames(file []byte, regions []string, tailN int, tail []byte) (*RecordLog, error) {
 	if len(file) < len(FramesMagic) || string(file[:len(FramesMagic)]) != FramesMagic {
 		return nil, fmt.Errorf("analysis: bad record log magic")
@@ -568,158 +557,44 @@ func ReadFrames(file []byte, regions []string, tailN int, tail []byte) (*RecordL
 		}
 	}
 	var cols ColumnBatch
-	frames := file[len(FramesMagic):]
-	for i := 0; len(frames) > 0; i++ {
-		var n int
-		var err error
-		if frames, n, err = l.readFrame(frames, &cols); err != nil {
+	for raw := file[len(FramesMagic):]; len(raw) > 0; {
+		i := len(l.blocks)
+		n, k := colenc.Uvarint(raw)
+		if k == 0 {
+			return nil, fmt.Errorf("analysis: record log block %d: truncated header", i)
+		}
+		raw = raw[k:]
+		dl, k := colenc.Uvarint(raw)
+		if k == 0 || uint64(len(raw)-k) < dl {
+			return nil, fmt.Errorf("analysis: record log block %d: truncated data", i)
+		}
+		data := raw[k : k+int(dl)]
+		raw = raw[k+int(dl):]
+		// A record costs a byte or more in the times column alone.
+		if n != logBlockSize || dl < n {
+			return nil, fmt.Errorf("analysis: sealed record log block %d claims %d records in %d bytes, want %d", i, n, dl, logBlockSize)
+		}
+		if err := l.decodeColumns(data, logBlockSize, ColAll, &cols); err != nil {
 			return nil, fmt.Errorf("analysis: record log block %d: %w", i, err)
 		}
-		if n != logBlockSize {
-			return nil, fmt.Errorf("analysis: sealed record log block %d holds %d records, want %d", i, n, logBlockSize)
+		if i == 0 {
+			l.firstRec = cols.record(0)
 		}
+		l.lastRec = cols.record(logBlockSize - 1)
+		l.count += logBlockSize
+		l.blocks = append(l.blocks, logBlock{n: logBlockSize, data: data, size: int64(len(data))})
 	}
-	// A tail is short of a block; addBlock holds its count to its bytes.
-	if tailN < 0 || tailN >= logBlockSize || tailN == 0 && len(tail) > 0 {
+	// A tail is short of a block, and a record costs a byte or more.
+	if tailN < 0 || tailN >= logBlockSize || tailN == 0 && len(tail) > 0 || tailN > len(tail) {
 		return nil, fmt.Errorf("analysis: record log tail of %d records in %d bytes", tailN, len(tail))
 	}
 	if tailN > 0 {
-		if err := l.addBlock(tail, uint64(tailN), &cols); err != nil {
+		if err := l.decodeColumns(tail, tailN, ColAll, &cols); err != nil {
 			return nil, fmt.Errorf("analysis: record log tail: %w", err)
 		}
-	}
-	return l, nil
-}
-
-// readFrame parses the frame at the head of raw, validates its block and
-// adds it to the log, returning the rest of raw and the block's record
-// count.
-func (l *RecordLog) readFrame(raw []byte, cols *ColumnBatch) ([]byte, int, error) {
-	n, k := colenc.Uvarint(raw)
-	if k == 0 {
-		return nil, 0, fmt.Errorf("truncated header")
-	}
-	raw = raw[k:]
-	dl, k := colenc.Uvarint(raw)
-	if k == 0 || uint64(len(raw)-k) < dl {
-		return nil, 0, fmt.Errorf("truncated data")
-	}
-	if err := l.addBlock(raw[k:k+int(dl)], n, cols); err != nil {
-		return nil, 0, err
-	}
-	return raw[k+int(dl):], int(n), nil
-}
-
-// addBlock validates a block payload of n records by decoding it with every
-// column into cols — the records themselves are not built — and adds it to
-// the log, resident, with the record count and first/last records updated.
-func (l *RecordLog) addBlock(data []byte, n uint64, cols *ColumnBatch) error {
-	// A record costs a byte or more in the times column alone.
-	if n > uint64(len(data)) {
-		return fmt.Errorf("claims %d records in %d bytes", n, len(data))
-	}
-	if err := l.decodeColumns(data, int(n), ColAll, cols); err != nil {
-		return err
-	}
-	if n > 0 {
-		if l.count == 0 {
-			l.firstRec = cols.record(0)
-		}
-		l.lastRec = cols.record(int(n) - 1)
-	}
-	l.count += int(n)
-	l.blocks = append(l.blocks, logBlock{n: int(n), data: data, size: int64(len(data))})
-	return nil
-}
-
-// Adopt makes a log read back from disk (ReadRecordLog, ReadFrames) the
-// live log of a campaign resuming with its first n records. The leading
-// full blocks within n stay sealed as read, byte for byte; the records
-// after them, up to n, go back into the tail; the rest are dropped. Blocks
-// seal at fixed logBlockSize-record boundaries, so the next blocks the
-// resumed campaign seals are the ones an uninterrupted run seals. The region
-// table stays as read: any names past the kept blocks' are ones later
-// records named first, in that order, which is the order sealing them
-// interns them.
-func (l *RecordLog) Adopt(n int) error {
-	if n < 0 || n > l.count {
-		return fmt.Errorf("analysis: adopting %d of %d records", n, l.count)
-	}
-	keep := 0
-	for keep < len(l.blocks) && l.blocks[keep].n == logBlockSize && (keep+1)*logBlockSize <= n {
-		keep++
-	}
-	rest, total := l.blocks[keep:], l.count
-	// Clipped, so a block the re-appends seal cannot overwrite rest.
-	l.blocks, l.count, l.tail = slices.Clip(l.blocks[:keep]), keep*logBlockSize, nil
-	if keep == 0 {
-		l.firstRec, l.lastRec = Measurement{}, Measurement{}
-	}
-	var cols ColumnBatch
-	for i := 0; i < len(rest) && l.count < n; i++ {
-		if err := l.decodeColumns(rest[i].data, rest[i].n, ColAll, &cols); err != nil {
-			return fmt.Errorf("analysis: adopting record log block %d: %w", keep+i, err)
-		}
-		for j := 0; j < cols.N && l.count < n; j++ {
+		for j := 0; j < tailN; j++ {
 			l.Append(cols.record(j))
 		}
-	}
-	if keep > 0 && l.count == keep*logBlockSize && total != n {
-		// Nothing re-appended and the read log ran past n: the last record
-		// closes the last kept block.
-		b := &l.blocks[keep-1]
-		if err := l.decodeColumns(b.data, b.n, ColAll, &cols); err != nil {
-			return fmt.Errorf("analysis: adopting record log block %d: %w", keep-1, err)
-		}
-		l.lastRec = cols.record(b.n - 1)
-	}
-	return nil
-}
-
-// ReadRecordLog parses a CLRL0001 file back into memory: every block it
-// holds, the tail's included, validated as ReadFrames validates them, so a
-// truncated or corrupt file fails here with an error instead of panicking
-// later in a cursor.
-func ReadRecordLog(r io.Reader) (*RecordLog, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: reading record log: %w", err)
-	}
-	if len(raw) < len(recordLogMagic) || string(raw[:len(recordLogMagic)]) != recordLogMagic {
-		return nil, fmt.Errorf("analysis: bad record log magic")
-	}
-	raw = raw[len(recordLogMagic):]
-	nr, k := colenc.Uvarint(raw)
-	// A region costs a byte or more (its length), a code is an int32.
-	if k == 0 || nr > uint64(len(raw)-k) || nr > math.MaxInt32 {
-		return nil, fmt.Errorf("analysis: truncated record log region table")
-	}
-	raw = raw[k:]
-	l := NewRecordLog()
-	for i := 0; i < int(nr); i++ {
-		rl, k := colenc.Uvarint(raw)
-		if k == 0 || uint64(len(raw)-k) < rl {
-			return nil, fmt.Errorf("analysis: truncated record log region %d", i)
-		}
-		if l.internRegion(string(raw[k:k+int(rl)])) != i {
-			return nil, fmt.Errorf("analysis: record log region %d repeats an earlier one", i)
-		}
-		raw = raw[k+int(rl):]
-	}
-	nb, k := colenc.Uvarint(raw)
-	// A block costs two bytes or more (record count, data length).
-	if k == 0 || nb > uint64(len(raw)-k)/2 {
-		return nil, fmt.Errorf("analysis: truncated record log block count")
-	}
-	raw = raw[k:]
-	var cols ColumnBatch
-	for i := 0; i < int(nb); i++ {
-		if raw, _, err = l.readFrame(raw, &cols); err != nil {
-			return nil, fmt.Errorf("analysis: record log block %d: %w", i, err)
-		}
-	}
-	if len(raw) != 0 {
-		return nil, fmt.Errorf("analysis: %d trailing bytes after record log", len(raw))
 	}
 	return l, nil
 }

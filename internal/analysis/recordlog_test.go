@@ -237,35 +237,11 @@ func (s logSnapshot) read() (*RecordLog, error) {
 	return ReadFrames(s.file, s.regions, s.tailN, s.tail)
 }
 
-// recordLogV1 is l as the CLRL0001 sidecar the previous format's writer
-// produced: the region table as extended by the tail, every sealed block,
-// then the tail as one more block. The two formats share frames and
-// payloads, so it is built from the frame writer and EncodeTail.
-func recordLogV1(t *testing.T, l *RecordLog) []byte {
-	t.Helper()
-	s := snapshot(t, l)
-	buf := colenc.AppendUvarint([]byte(recordLogMagic), uint64(len(s.regions)))
-	for _, r := range s.regions {
-		buf = append(colenc.AppendUvarint(buf, uint64(len(r))), r...)
-	}
-	nb := l.SealedBlocks()
-	if s.tailN > 0 {
-		nb++
-	}
-	buf = colenc.AppendUvarint(buf, uint64(nb))
-	buf = append(buf, s.file[len(FramesMagic):]...)
-	if s.tailN > 0 {
-		buf = colenc.AppendUvarint(colenc.AppendUvarint(buf, uint64(s.tailN)), uint64(len(s.tail)))
-		buf = append(buf, s.tail...)
-	}
-	return buf
-}
-
 // TestRecordLogSerializeRoundTrip pins the checkpoint sidecar contract:
 // every log shape (empty, tail-only, sealed blocks + tail, spilled) saves
-// as frames plus an encoded tail that read back (ReadFrames + Adopt) into
-// an identical replay, and as a CLRL0001 file that ReadRecordLog reads back
-// the same way. Saving never mutates the live log, and is deterministic.
+// as frames plus an encoded tail that read back (ReadFrames) into an
+// identical replay. Saving never mutates the live log, and is
+// deterministic.
 func TestRecordLogSerializeRoundTrip(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -293,31 +269,22 @@ func TestRecordLogSerializeRoundTrip(t *testing.T) {
 			if again := snapshot(t, l); !reflect.DeepEqual(s, again) {
 				t.Fatal("two snapshots of the same log differ")
 			}
-			v1, err := ReadRecordLog(bytes.NewReader(recordLogV1(t, l)))
+			got, err := s.read()
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := s.read()
-			if err != nil {
-				t.Fatal(err)
+			if got.Len() != len(ms) {
+				t.Fatalf("decoded Len = %d, want %d", got.Len(), len(ms))
 			}
-			for name, got := range map[string]*RecordLog{"CLRL0001": v1, "CLRL0002": v2} {
-				if err := got.Adopt(len(ms)); err != nil {
-					t.Fatal(err)
+			out := drain(got.Cursor())
+			for i := range ms {
+				if !measurementsEqual(out[i], ms[i]) {
+					t.Fatalf("record %d drifted through serialization", i)
 				}
-				if got.Len() != len(ms) {
-					t.Fatalf("%s: decoded Len = %d, want %d", name, got.Len(), len(ms))
-				}
-				out := drain(got.Cursor())
-				for i := range ms {
-					if !measurementsEqual(out[i], ms[i]) {
-						t.Fatalf("%s: record %d drifted through serialization", name, i)
-					}
-				}
-				if len(ms) > 0 {
-					if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
-						t.Fatalf("%s: First/Last drifted through serialization", name)
-					}
+			}
+			if len(ms) > 0 {
+				if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
+					t.Fatal("First/Last drifted through serialization")
 				}
 			}
 			// The source log must still replay — saving may not consume or
@@ -330,62 +297,40 @@ func TestRecordLogSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdoptSealsLikeUninterrupted is the resume contract at the log: a log
-// saved at any record count, read back in either format, adopted at any n
-// up to what it holds and then fed the records after n seals the blocks an
-// uninterrupted log seals, byte for byte, with the same tail and First/Last.
-// A region only the tail names crosses the save.
-func TestAdoptSealsLikeUninterrupted(t *testing.T) {
+// TestReadFramesSealsLikeUninterrupted is the resume contract at the log:
+// a log saved at any record count, read back and then fed the records after
+// it seals the blocks an uninterrupted log seals, byte for byte, with the
+// same tail and First/Last. A region only the tail names crosses the save.
+func TestReadFramesSealsLikeUninterrupted(t *testing.T) {
 	ms := campaignRecords(3*logBlockSize + 177)
 	ms[2*logBlockSize+100].Region = "asia-east1"
 	want := snapshot(t, newLog(t, ms))
-	for _, saved := range []int{0, 100, logBlockSize, 2*logBlockSize + 150, len(ms)} {
-		l := newLog(t, ms[:saved])
-		s := snapshot(t, l)
-		v1 := recordLogV1(t, l)
-		for _, n := range []int{0, 1, logBlockSize - 1, logBlockSize, logBlockSize + 1, 2*logBlockSize + 120, saved} {
-			if n > saved {
-				continue
-			}
-			reads := map[string]func() (*RecordLog, error){
-				"CLRL0001": func() (*RecordLog, error) { return ReadRecordLog(bytes.NewReader(v1)) },
-			}
-			if n == saved { // a CLRL0002 snapshot always covers its whole log
-				reads["CLRL0002"] = s.read
-			}
-			for name, read := range reads {
-				got, err := read()
-				if err != nil {
-					t.Fatalf("%s saved at %d: %v", name, saved, err)
-				}
-				if err := got.Adopt(n); err != nil {
-					t.Fatalf("%s saved at %d, adopted at %d: %v", name, saved, n, err)
-				}
-				if n > 0 && !measurementsEqual(got.Last(), ms[n-1]) || n == 0 && got.Last() != (Measurement{}) {
-					t.Fatalf("%s saved at %d, adopted at %d: Last drifted", name, saved, n)
-				}
-				for _, m := range ms[n:] {
-					got.Append(m)
-				}
-				if !reflect.DeepEqual(snapshot(t, got), want) {
-					t.Fatalf("%s saved at %d, adopted at %d: the continued log differs from the uninterrupted one", name, saved, n)
-				}
-				if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
-					t.Fatalf("%s saved at %d, adopted at %d: First/Last drifted", name, saved, n)
-				}
-			}
+	for _, saved := range []int{0, 1, 100, logBlockSize - 1, logBlockSize, logBlockSize + 1, 2*logBlockSize + 150, len(ms)} {
+		got, err := snapshot(t, newLog(t, ms[:saved])).read()
+		if err != nil {
+			t.Fatalf("saved at %d: %v", saved, err)
 		}
-	}
-	if err := newLog(t, ms[:10]).Adopt(11); err == nil {
-		t.Fatal("adopting more records than the log holds succeeded")
+		if saved > 0 && !measurementsEqual(got.Last(), ms[saved-1]) || saved == 0 && got.Last() != (Measurement{}) {
+			t.Fatalf("saved at %d: Last drifted", saved)
+		}
+		for _, m := range ms[saved:] {
+			got.Append(m)
+		}
+		if !reflect.DeepEqual(snapshot(t, got), want) {
+			t.Fatalf("saved at %d: the continued log differs from the uninterrupted one", saved)
+		}
+		if !measurementsEqual(got.First(), ms[0]) || !measurementsEqual(got.Last(), ms[len(ms)-1]) {
+			t.Fatalf("saved at %d: First/Last drifted", saved)
+		}
 	}
 }
 
 // TestReadFramesRejectsMisshapen pins the shape ReadFrames requires, each
 // case otherwise well formed: every frame a full block, a tail short of
 // one, and no tail bytes without a tail count. A checkpoint's writer
-// resumes at the end of the frames Adopt keeps sealed, so a short frame or
-// a whole-block tail would put the sidecar and the log out of step.
+// resumes at the end of the frames ReadFrames keeps sealed, so a short
+// frame or a whole-block tail would put the sidecar and the log out of
+// step.
 func TestReadFramesRejectsMisshapen(t *testing.T) {
 	ms := campaignRecords(logBlockSize + 10)
 	whole := snapshot(t, newLog(t, ms))
@@ -409,35 +354,19 @@ func TestReadFramesRejectsMisshapen(t *testing.T) {
 	}
 }
 
-// TestReadRecordLogRejectsPartial sweeps truncation points over valid
-// sidecars of both formats: no strict prefix of a CLRL0001 file decodes,
-// no prefix of a CLRL0002 file that cuts a frame does, and garbage magic
-// fails. With the checkpoint's commit ordering this pins that a resume sees
-// either a complete record stream or an error.
+// TestReadRecordLogRejectsPartial sweeps truncation points over a valid
+// sidecar: no prefix of a CLRL0002 file that cuts a frame decodes, and
+// garbage magic fails. With the checkpoint's commit ordering this pins that
+// a resume sees either a complete record stream or an error.
 func TestReadRecordLogRejectsPartial(t *testing.T) {
 	l := newLog(t, campaignRecords(logBlockSize+57))
-	raw := recordLogV1(t, l)
-	for cut := 0; cut < len(raw); cut += 11 {
-		if _, err := ReadRecordLog(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("stream truncated to %d of %d bytes decoded without error", cut, len(raw))
-		}
-	}
-	bad := append([]byte(nil), raw...)
-	bad[0] ^= 0xff
-	if _, err := ReadRecordLog(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic decoded without error")
-	}
-	if _, err := ReadRecordLog(bytes.NewReader(append(raw, 0))); err == nil {
-		t.Fatal("trailing byte decoded without error")
-	}
-
 	s := snapshot(t, l) // the magic and one frame
 	for cut := 0; cut < len(s.file); cut++ {
 		if _, err := ReadFrames(s.file[:cut], s.regions, 0, nil); (err == nil) != (cut == len(FramesMagic)) {
 			t.Fatalf("CLRL0002 file cut to %d of %d bytes: error %v", cut, len(s.file), err)
 		}
 	}
-	bad = bytes.Clone(s.file)
+	bad := bytes.Clone(s.file)
 	bad[0] ^= 0xff
 	if _, err := ReadFrames(bad, s.regions, 0, nil); err == nil {
 		t.Fatal("bad CLRL0002 magic decoded without error")

@@ -23,15 +23,12 @@
 // the end of the sidecar. A writer's first commit creates the sidecar by temp
 // file and rename, so it supersedes any checkpoint the directory held.
 //
-// Resume adopts the loaded blocks byte for byte and puts the tail back
-// into the log's tail (analysis.RecordLog.Adopt), so the resumed campaign
+// Resume continues on the loaded blocks byte for byte, with the tail read
+// back into the log's tail (analysis.ReadFrames), so the resumed campaign
 // seals the blocks an uninterrupted run seals and its writer keeps
-// appending to the same file. A version 1 checkpoint (a CLRL0001 sidecar
-// holding blocks and tail, renamed before its metadata, so possibly ahead
-// of it) reads through analysis.ReadRecordLog into the same adopt step;
-// its resumed run's first commit rewrites the sidecar as CLRL0002. That
-// commit replaces the file the version 1 metadata names, so a kill between
-// its two renames loses the version 1 checkpoint.
+// appending to the same file. The progress snapshot carries the campaign's
+// report, egress bytes included, so a resumed run's bill needs no record
+// read again.
 //
 // Everything beyond the checkpoint is re-derived on resume, because the
 // engine is deterministic: per-hour test orders, fault decisions and
@@ -42,7 +39,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -60,9 +56,9 @@ const (
 	RecordsFile = "records.clog"
 )
 
-// Version is the checkpoint format version Commit writes. Load also reads
-// version 1, the format before the sidecar became append-only.
-const Version = 2
+// Version is the checkpoint format version Commit writes and the only one
+// Load reads.
+const Version = 3
 
 // Identity is the part of a run's options (core.Options) that a checkpoint
 // and a command manifest record: everything that decides the output bytes —
@@ -102,8 +98,7 @@ type Meta struct {
 	Version  int      `json:"version"`
 	Campaign Campaign `json:"campaign"`
 	// NumRecords is how many records the snapshot covers: the sealed
-	// blocks in the first SealedBytes of the sidecar plus the tail. (A
-	// version 1 sidecar may hold more; they are dropped.)
+	// blocks in the first SealedBytes of the sidecar plus the tail.
 	NumRecords int `json:"numRecords"`
 	// Progress is the orchestrator's cross-round state at the watermark.
 	Progress orchestrator.Progress `json:"progress"`
@@ -275,7 +270,7 @@ type Checkpoint struct {
 	Dir  string
 	Meta Meta
 
-	log *analysis.RecordLog // the snapshot's records, adopted; nil once resumed
+	log *analysis.RecordLog // the snapshot's records; nil once resumed
 }
 
 // Load reads a checkpoint. path may be the checkpoint.json file itself, a
@@ -298,50 +293,27 @@ func Load(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		return nil, fmt.Errorf("checkpoint: parsing %s: %w", metaPath, err)
 	}
-	if meta.Version != 1 && meta.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s has format version %d, want 1 or %d", metaPath, meta.Version, Version)
-	}
-	if meta.NumRecords < 0 {
-		return nil, fmt.Errorf("checkpoint: %s covers %d records", metaPath, meta.NumRecords)
+	if meta.Version != Version {
+		// An older format lacks state this one carries (version 2 has no
+		// egress bytes); reading it as zero would resume a wrong bill.
+		return nil, fmt.Errorf("checkpoint: %s has format version %d, want %d; it was written by another clasp version, rerun the command", metaPath, meta.Version, Version)
 	}
 	recordsPath := filepath.Join(dir, RecordsFile)
 	file, err := os.ReadFile(recordsPath)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	log, err := readRecords(meta, file)
+	if meta.SealedBytes < int64(len(analysis.FramesMagic)) || meta.SealedBytes > int64(len(file)) {
+		return nil, fmt.Errorf("checkpoint: %s: metadata covers %d bytes of a %d-byte file", recordsPath, meta.SealedBytes, len(file))
+	}
+	log, err := analysis.ReadFrames(file[:meta.SealedBytes], meta.Regions, meta.TailRecords, meta.Tail)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", recordsPath, err)
 	}
+	if log.Len() != meta.NumRecords {
+		return nil, fmt.Errorf("checkpoint: %s: sealed blocks and tail hold %d records, metadata expects %d", recordsPath, log.Len(), meta.NumRecords)
+	}
 	return &Checkpoint{Dir: dir, Meta: meta, log: log}, nil
-}
-
-// readRecords rebuilds the snapshot's record log from the sidecar file and
-// the metadata, and adopts it at NumRecords.
-func readRecords(meta Meta, file []byte) (*analysis.RecordLog, error) {
-	var log *analysis.RecordLog
-	var err error
-	switch {
-	case meta.Version == 1:
-		// Renamed before its metadata, a version 1 sidecar may run ahead of
-		// the snapshot (a kill between the renames) but never behind it:
-		// Adopt drops what runs ahead and refuses a shortfall.
-		log, err = analysis.ReadRecordLog(bytes.NewReader(file))
-	case meta.SealedBytes < int64(len(analysis.FramesMagic)) || meta.SealedBytes > int64(len(file)):
-		return nil, fmt.Errorf("metadata covers %d bytes of a %d-byte file", meta.SealedBytes, len(file))
-	default:
-		log, err = analysis.ReadFrames(file[:meta.SealedBytes], meta.Regions, meta.TailRecords, meta.Tail)
-		if err == nil && log.Len() != meta.NumRecords {
-			err = fmt.Errorf("sealed blocks and tail hold %d records, metadata expects %d", log.Len(), meta.NumRecords)
-		}
-	}
-	if err == nil {
-		err = log.Adopt(meta.NumRecords)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return log, nil
 }
 
 // findMeta resolves the user-supplied path to the checkpoint.json file.
@@ -412,8 +384,7 @@ func (c *Checkpoint) Replay(fn func(analysis.Measurement)) error {
 // Resume hands the snapshot's record log to the campaign resuming from
 // this checkpoint, with a writer that commits that campaign, identified by
 // camp, into Dir: appending to the sidecar where the snapshot ends, once
-// Resume has cut what a killed commit appended past it, or, for a version 1
-// checkpoint, rewriting it whole at the first commit. The log moves to the
+// Resume has cut what a killed commit appended past it. The log moves to the
 // caller, so a checkpoint resumes once. A campaign's snapshot holds one
 // record per completed test, and one that does not is refused: resuming it
 // would silently drop or duplicate records.
@@ -428,12 +399,10 @@ func (c *Checkpoint) Resume(camp Campaign) (*analysis.RecordLog, *Writer, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.Meta.Version == Version {
-		if err := os.Truncate(filepath.Join(c.Dir, RecordsFile), c.Meta.SealedBytes); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		w.blocks, w.size = c.log.SealedBlocks(), c.Meta.SealedBytes
+	if err := os.Truncate(filepath.Join(c.Dir, RecordsFile), c.Meta.SealedBytes); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	w.blocks, w.size = c.log.SealedBlocks(), c.Meta.SealedBytes
 	log := c.log
 	c.log = nil
 	return log, w, nil

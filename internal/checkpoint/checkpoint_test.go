@@ -47,6 +47,10 @@ func fillRandom(t *testing.T, v reflect.Value, path string, rng *rand.Rand) {
 		for i := 0; i < v.NumField(); i++ {
 			fillRandom(t, v.Field(i), path+"."+v.Type().Field(i).Name, rng)
 		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillRandom(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), rng)
+		}
 	case reflect.Slice:
 		if rng.Intn(4) == 0 {
 			return
@@ -477,17 +481,21 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 		}
 	}
 
-	doctor(`"version":2`, `"version":99`)
+	doctor(`"version":3`, `"version":99`)
 	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("future version: got %v", err)
 	}
-	// The count is refused before the sidecar is read, whatever version
-	// the metadata claims.
-	for _, version := range []string{`"version":2`, `"version":1`} {
-		doctor(`"numRecords":10`, `"numRecords":-5`, `"version":2`, version)
-		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "-5 records") {
-			t.Fatalf("negative record count (%s): got %v", version, err)
+	// An older version is refused by name before anything else it states
+	// is looked at; at the current one, the count is held to the records.
+	for _, version := range []string{"2", "1"} {
+		doctor(`"numRecords":10`, `"numRecords":-5`, `"version":3`, `"version":`+version)
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "format version "+version+",") {
+			t.Fatalf("negative record count at version %s: got %v", version, err)
 		}
+	}
+	doctor(`"numRecords":10`, `"numRecords":-5`)
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "metadata expects -5") {
+		t.Fatalf("negative record count: got %v", err)
 	}
 
 	if err := os.WriteFile(metaPath, []byte("{not json"), 0o644); err != nil {

@@ -110,6 +110,7 @@ func hostileCheckpoints(t testing.TB) map[string][2][]byte {
 		"record count one too many":            withMeta(func(m *Meta) { m.NumRecords++ }),
 		"record count one too few":             withMeta(func(m *Meta) { m.NumRecords-- }),
 		"version 1 over a CLRL0002 sidecar":    withMeta(func(m *Meta) { m.Version = 1 }),
+		"version 2":                            withMeta(func(m *Meta) { m.Version = 2 }),
 		"CLRL0001 magic":                       withFile("CLRL0001"),
 		"frame short of a block":               shortFrame,
 		"frame claims 2^63 records":            withFile(analysis.FramesMagic, uv(1<<63, 6), []byte{1, 0, 0, 0, 0, 0}),
@@ -166,7 +167,8 @@ func TestLoadRejectsHostileCheckpoints(t *testing.T) {
 // FuzzLoadCheckpoint feeds Load a checkpoint directory of arbitrary
 // (checkpoint.json, records.clog) bytes. Its seed corpus under testdata is
 // a real checkpoint of a block and a tail (realCheckpoint of 4,396
-// records) and hostileCheckpoints' pairs. Load refuses or succeeds
+// records), the same checkpoint as version 2 wrote it, and
+// hostileCheckpoints' pairs. Load refuses or succeeds
 // and never panics; a checkpoint it loads replays exactly NumRecords
 // records; and one a campaign may resume from commits, resumed, into a
 // checkpoint that loads with the same records.

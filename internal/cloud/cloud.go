@@ -104,7 +104,7 @@ type Platform struct {
 	vms            map[string]*VM
 	buckets        []*Bucket
 	zoneNext       map[string]int
-	egressGB       map[bgp.Tier]float64
+	egressBytes    map[bgp.Tier]int64
 	computeUSD     float64
 	vmFaults       VMFaults
 	createAttempts map[string]int
@@ -120,7 +120,7 @@ func New(topo *topology.Topology, pricing Pricing) *Platform {
 		pricing:        pricing,
 		vms:            make(map[string]*VM),
 		zoneNext:       make(map[string]int),
-		egressGB:       make(map[bgp.Tier]float64),
+		egressBytes:    make(map[bgp.Tier]int64),
 		createAttempts: make(map[string]int),
 	}
 }
@@ -264,14 +264,15 @@ func (p *Platform) ListVMs(region string) []*VM {
 
 // RecordEgress meters bytes leaving the cloud from a VM (uploads and test
 // traffic toward the Internet). GCP charges egress only (§3.2's rationale
-// for the asymmetric caps).
+// for the asymmetric caps). The meter is integer bytes, so the bill does not
+// depend on the order concurrent campaigns record in.
 func (p *Platform) RecordEgress(tier bgp.Tier, bytes int64) {
 	if c := obsEgressBytes[tier]; c != nil && bytes > 0 {
 		c.Add(uint64(bytes))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.egressGB[tier] += float64(bytes) / 1e9
+	p.egressBytes[tier] += bytes
 }
 
 // AccrueVMHours adds running-time cost for a set of VMs over a duration
@@ -294,8 +295,8 @@ func (p *Platform) Costs() Costs {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var c Costs
-	c.EgressUSD = p.egressGB[bgp.Premium]*p.pricing.EgressPremiumPerGB +
-		p.egressGB[bgp.Standard]*p.pricing.EgressStandardPerGB
+	c.EgressUSD = float64(p.egressBytes[bgp.Premium])/1e9*p.pricing.EgressPremiumPerGB +
+		float64(p.egressBytes[bgp.Standard])/1e9*p.pricing.EgressStandardPerGB
 	var storageGB float64
 	for _, b := range p.buckets {
 		storageGB += float64(b.Size()) / 1e9

@@ -426,7 +426,19 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	}
 	sinks := orchestrator.MultiSink{&orchestrator.LogSink{Log: log}}
 	if est <= storeIndexLimit {
-		sinks = append(sinks, &orchestrator.StoreSink{Store: c.Store})
+		index := &orchestrator.StoreSink{Store: c.Store}
+		sinks = append(sinks, index)
+		if resume != nil {
+			// The log already holds the checkpointed records, and the
+			// checkpointed report their bill; the index is all that needs
+			// them replayed.
+			cur := log.Cursor()
+			for batch := cur.Next(); batch != nil; batch = cur.Next() {
+				for _, m := range batch {
+					index.Record(m)
+				}
+			}
+		}
 	}
 
 	cfg := orchestrator.Config{
@@ -459,19 +471,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		}
 	}
 	if resume != nil {
-		// The log already holds the checkpointed records; replay them into
-		// what it does not hold — the store index and the egress meter, with
-		// the emit phase's formula, so a resumed `costs` bills the same
-		// transfers as an uninterrupted run. The orchestrator then
-		// re-executes only from the watermark.
-		index := sinks[1:]
-		cur := log.Cursor()
-		for batch := cur.Next(); batch != nil; batch = cur.Next() {
-			for _, m := range batch {
-				index.Record(m)
-				c.Cloud.RecordEgress(m.Tier, orchestrator.TestEgressBytes(m, 0))
-			}
-		}
 		cfg.Resume = &resume.Meta.Progress
 	}
 	// The deploy/measure/teardown window holds the region lock: VM names

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
+	"path/filepath"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
+	"github.com/clasp-measurement/clasp/internal/checkpoint"
+	"github.com/clasp-measurement/clasp/internal/cloud"
+	"github.com/clasp-measurement/clasp/internal/orchestrator"
 	"github.com/clasp-measurement/clasp/internal/selection"
 )
 
@@ -351,6 +356,80 @@ func TestRunTopologyCampaignsMatchesIndividual(t *testing.T) {
 		if got.Report.Tests != want.Report.Tests || got.Report.VMs != want.Report.VMs {
 			t.Errorf("%s: report %+v, want %+v", region, got.Report, want.Report)
 		}
+	}
+}
+
+// TestEgressBillExact holds the egress bill of concurrent campaigns exact:
+// every campaign meters integer bytes into its own report, so the platform's
+// bill is bit-equal across repeated runs, parallelism and a kill-and-resume,
+// and is exactly those reports' bytes priced per tier. A float sum the
+// campaigns shared would follow their interleaving and differ in the last
+// bits.
+func TestEgressBillExact(t *testing.T) {
+	const days = 1
+	ckDir := t.TempDir()
+	bill := func(name string, par int, resume bool, hook func(orchestrator.Progress) error) float64 {
+		t.Helper()
+		opts := Options{Seed: 3, Scale: 0.1, Parallelism: par}
+		if hook != nil || resume {
+			opts.CheckpointDir = ckDir
+		}
+		eng, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.testCheckpointHook = hook
+		if resume {
+			eng.NewResumeScheduler("costs")
+		} else {
+			eng.NewCommandScheduler("costs")
+		}
+		results, err := eng.RunTopologyCampaigns(TopologyRegions, days)
+		if hook != nil {
+			if !errors.Is(err, errKilled) {
+				t.Fatalf("%s: killed run returned %v", name, err)
+			}
+			return 0
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var bytes [2]int64
+		for _, res := range results {
+			for tier, n := range res.Report.EgressBytes {
+				bytes[tier] += n
+			}
+		}
+		p := cloud.DefaultPricing()
+		usd := eng.Cloud.Costs().EgressUSD
+		if priced := float64(bytes[bgp.Premium])/1e9*p.EgressPremiumPerGB + float64(bytes[bgp.Standard])/1e9*p.EgressStandardPerGB; usd != priced || usd <= 0 {
+			t.Errorf("%s: egress bill $%.17g, want the reports' %v bytes priced, $%.17g", name, usd, bytes, priced)
+		}
+		return usd
+	}
+	want := bill("P1", 1, false, nil)
+	for _, run := range []struct {
+		name string
+		par  int
+	}{{"P1 again", 1}, {"P1 a third time", 1}, {"P4", 4}, {"P16", 16}} {
+		if got := bill(run.name, run.par, false, nil); got != want {
+			t.Errorf("%s: egress bill $%.17g, want $%.17g", run.name, got, want)
+		}
+	}
+	bill("killed", 4, false, func(p orchestrator.Progress) error {
+		if p.NextHour == 10 {
+			return errKilled
+		}
+		return nil
+	})
+	for _, region := range TopologyRegions {
+		ck, err := checkpoint.Load(filepath.Join(ckDir, region+"-topology"))
+		if err != nil || ck.Meta.Progress.NextHour != 10 {
+			t.Fatalf("%s: the killed run left %v, %v; want a checkpoint at hour 10", region, ck, err)
+		}
+	}
+	if got := bill("resumed", 4, true, nil); got != want {
+		t.Errorf("resumed: egress bill $%.17g, want $%.17g", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -435,90 +436,40 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestParentCommitCheckpointResumes pins on-disk compatibility across the
-// Identity refactor. testdata/parent-checkpoint is `clasp report fig3 -seed
-// 5 -scale 0.1 -days 1 -fault-profile flaky-vm -checkpoint-dir ...` as
-// written by the commit before checkpoint.Identity existed, SIGKILLed at
-// round-boundary:2. Its command.json omits the default cadence while its
-// checkpoint.json spells it 1; both must load to the same identity, and an
-// engine rebuilt from it must finish the campaign with the records of an
-// uninterrupted run.
-func TestParentCommitCheckpointResumes(t *testing.T) {
-	// The resumed run commits into the checkpoint's directory, so work on a
-	// copy of the fixture.
-	dir := t.TempDir()
-	for _, name := range []string{checkpoint.ManifestFile, "us-west1-topology/" + checkpoint.MetaFile, "us-west1-topology/" + checkpoint.RecordsFile} {
-		raw, err := os.ReadFile(filepath.Join("testdata/parent-checkpoint", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestParentCommitCheckpointRefused pins on-disk compatibility across the
+// Identity refactor and the refusal of the version 1 checkpoint format.
+// testdata/parent-checkpoint is `clasp report fig3 -seed 5 -scale 0.1 -days
+// 1 -fault-profile flaky-vm -checkpoint-dir ...` as written by the commit
+// before checkpoint.Identity existed, SIGKILLed at round-boundary:2. Its
+// command.json omits the default cadence while its checkpoint.json spells
+// it 1; both must decode to the same identity. Its campaign checkpoint is
+// version 1, which carries no egress bytes, so loading it must fail with an
+// error that names the version rather than resume a wrong bill.
+func TestParentCommitCheckpointRefused(t *testing.T) {
+	dir := "testdata/parent-checkpoint"
 	man, err := checkpoint.LoadManifest(dir)
 	if err != nil || man == nil {
 		t.Fatalf("LoadManifest = %v, %v", man, err)
 	}
-	ck, err := checkpoint.LoadCampaign(dir, man.Campaigns[0])
-	if err != nil || ck == nil {
-		t.Fatalf("LoadCampaign = %v, %v", ck, err)
+	raw, err := os.ReadFile(filepath.Join(dir, checkpoint.CampaignDir(man.Campaigns[0]), checkpoint.MetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta checkpoint.Meta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
 	}
 	want := checkpoint.Identity{Seed: 5, Scale: 0.1, FaultProfile: "flaky-vm", CheckpointEvery: 1}
 	for name, id := range map[string]checkpoint.Identity{
 		"command.json":           man.Identity,
 		"command.json campaigns": man.Campaigns[0].Identity,
-		"checkpoint.json":        ck.Meta.Campaign.Identity,
+		"checkpoint.json":        meta.Campaign.Identity,
 	} {
 		if got := ResumeOptions(id).Identity(); got != want {
 			t.Errorf("%s loads to identity %+v, want %+v", name, got, want)
 		}
 	}
-	if ck.Meta.Progress.NextHour != 3 || ck.NumRecords() != 378 {
-		t.Fatalf("fixture checkpoint at hour %d with %d records, want 3 and 378", ck.Meta.Progress.NextHour, ck.NumRecords())
-	}
-
-	opts := ResumeOptions(man.Identity)
-	opts.CheckpointDir = dir
-	eng, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.ResumeCampaign(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(Options{Seed: 5, Scale: 0.1, FaultProfile: "flaky-vm"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uninterrupted, err := ref.RunTopologyCampaign("us-west1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(drainRecords(got), drainRecords(uninterrupted)) {
-		t.Errorf("resumed parent checkpoint produced %d records that differ from the uninterrupted run's %d",
-			got.NumRecords(), uninterrupted.NumRecords())
-	}
-
-	// The resumed run rewrote the sidecar in the current format, and its
-	// final checkpoint loads at the final watermark.
-	sidecar, err := os.ReadFile(filepath.Join(ck.Dir, checkpoint.RecordsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(sidecar, []byte(analysis.FramesMagic)) {
-		t.Fatalf("resumed sidecar starts %q, want %q", sidecar[:min(len(sidecar), 8)], analysis.FramesMagic)
-	}
-	final, err := checkpoint.Load(ck.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Meta.Version != checkpoint.Version || final.Meta.Progress.NextHour != 24 || final.NumRecords() != uninterrupted.NumRecords() {
-		t.Fatalf("final checkpoint: version %d at hour %d with %d records, want %d at 24 with %d",
-			final.Meta.Version, final.Meta.Progress.NextHour, final.NumRecords(), checkpoint.Version, uninterrupted.NumRecords())
+	if ck, err := checkpoint.LoadCampaign(dir, man.Campaigns[0]); err == nil || !strings.Contains(err.Error(), "format version 1,") {
+		t.Fatalf("LoadCampaign of a version 1 checkpoint = %v, %v; want an error naming version 1", ck, err)
 	}
 }

@@ -99,9 +99,9 @@ func (c *CLASP) PlanRef(ref CampaignRef) (*PlannedCampaign, error) {
 // partial checkpoint, or — for a checkpoint already at its final watermark
 // — a replay-only pass that re-measures nothing. The finished case needs
 // no special path: the watermark leaves zero rounds to execute, so the
-// run replays the recorded stream through the live sink fan-out and
-// re-runs only the deterministic deploy/teardown, which re-accrues every
-// compute and egress cost component exactly as the original run did.
+// run re-runs only the deterministic deploy/teardown, which re-accrues the
+// compute cost, and bills the egress bytes the checkpointed report carries,
+// exactly as the original run did.
 // Safe to call concurrently for different planned campaigns; the engine's
 // worker pool bounds their combined VM concurrency.
 func (c *CLASP) RunPlanned(p *PlannedCampaign) (*CampaignResult, error) {

@@ -84,9 +84,10 @@ func testSchedulerResumeSkipsFinished(t *testing.T, every int) {
 	if got.Report.Tests != want.Report.Tests || got.Report.Hours != want.Report.Hours || got.Report.VMs != want.Report.VMs {
 		t.Errorf("loaded report %+v differs from original %+v", got.Report, want.Report)
 	}
-	// The resumed engine must re-accrue every cost component — egress per
-	// replayed record plus both compute accruals (per-hour and VM
-	// teardown) — or a resumed `costs` under-reports the bill.
+	// The resumed engine must re-accrue every cost component — the egress
+	// bytes the checkpointed report carries plus both compute accruals
+	// (per-hour and VM teardown) — or a resumed `costs` under-reports the
+	// bill.
 	if gc, wc := second.Cloud.Costs(), first.Cloud.Costs(); gc != wc {
 		t.Errorf("loaded campaign costs %+v differ from original %+v", gc, wc)
 	}

@@ -559,11 +559,10 @@ func (c *campaign) traceServer(i int) error {
 }
 
 // commit folds an executed (or shed) round into the campaign state and is
-// the only place that touches the sink, the egress meter, the report, the
-// breaker, the watermark, the checkpoint, the kill points and the progress
-// hooks — from the campaign's goroutine, in task order, so the record
-// stream and the accrued floating-point sums match the sequential schedule
-// exactly at any parallelism.
+// the only place that touches the sink, the report, the breaker, the
+// watermark, the checkpoint, the kill points and the progress hooks — from
+// the campaign's goroutine, in task order, so the record stream matches the
+// sequential schedule exactly at any parallelism.
 func (c *campaign) commit() error {
 	cfg, rep, r := &c.cfg, &c.Report, &c.round
 	if r.executed > 0 {
@@ -598,7 +597,7 @@ func (c *campaign) commit() error {
 		}
 		c.sink.Record(m)
 		rep.Tests++
-		c.o.platform.RecordEgress(spec.Tier, TestEgressBytes(m, spec.DurationSec))
+		rep.EgressBytes[spec.Tier] += testEgressBytes(spec, res.ThroughputMbps)
 		if r.tasks[i].capture {
 			rep.Captures++
 		}
@@ -634,6 +633,9 @@ func (c *campaign) commit() error {
 
 // finish closes the books of a campaign that ran to its last hour.
 func (c *campaign) finish() *Report {
+	for tier, n := range c.Report.EgressBytes {
+		c.o.platform.RecordEgress(bgp.Tier(tier), n)
+	}
 	c.o.platform.AccrueVMHours(len(c.vms), time.Duration(c.total)*time.Hour, cloud.N1Standard2)
 	return &c.Report
 }

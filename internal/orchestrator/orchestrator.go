@@ -24,8 +24,8 @@
 // refills one round, one permutation buffer and one generator hour after
 // hour, so a simulated round within a day allocates nothing. Either way
 // measurement results land in a slice indexed by the deterministic task
-// order, and commit applies every observable side effect
-// — sink records, egress metering, report counters, breaker transition,
+// order, and commit applies every observable side effect — sink records,
+// report counters (the egress bytes among them), breaker transition,
 // watermark, checkpoint — in that order from the campaign's goroutine.
 // Because netsim.Sim.Measure is a pure function of (seed, spec), a campaign
 // produces bit-identical measurement sets at every parallelism level,
@@ -73,17 +73,11 @@ func PlanVMsForTests(tests int) int {
 	return (tests + TestsPerVMPerHour - 1) / TestsPerVMPerHour
 }
 
-// TestEgressBytes is the emit phase's egress formula for one completed
-// test: uploads push the full transfer out of the cloud, downloads only
-// return ACKs (~2%). durSec <= 0 uses the default test duration. Exposed
-// so checkpoint replay can re-meter the same transfers a live emit phase
-// billed, keeping a resumed `costs` consistent with an uninterrupted run.
-func TestEgressBytes(m analysis.Measurement, durSec float64) int64 {
-	if durSec <= 0 {
-		durSec = 15
-	}
-	xfer := int64(m.Mbps * 1e6 / 8 * durSec)
-	if m.Dir == netsim.Upload {
+// testEgressBytes is what one completed test sends out of the cloud at mbps:
+// uploads push the full transfer, downloads only return ACKs (~2%).
+func testEgressBytes(spec *netsim.TestSpec, mbps float64) int64 {
+	xfer := int64(mbps * 1e6 / 8 * spec.DurationSec)
+	if spec.Dir == netsim.Upload {
 		return xfer
 	}
 	return xfer / 50
@@ -355,6 +349,11 @@ type Report struct {
 	// telemetry, not part of the deterministic measurement set, and never
 	// rendered.
 	MaxVMCPUUtil float64
+	// EgressBytes, indexed by bgp.Tier, is what the completed tests sent
+	// out of the cloud: integer bytes, so the bill is exact in any order.
+	// finish folds it into the platform once, and a resumed run carries
+	// it in with the rest of the checkpointed report.
+	EgressBytes [2]int64
 
 	Resilience
 }

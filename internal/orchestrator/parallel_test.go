@@ -81,8 +81,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelEgressAccounting verifies the accrued bill is identical at
-// any parallelism: egress metering runs in the deterministic emit phase,
-// so even the floating-point sums match bit for bit.
+// any parallelism: the report counts egress bytes in the deterministic emit
+// phase, so the bill matches bit for bit.
 func TestParallelEgressAccounting(t *testing.T) {
 	for _, path := range inlineAndFannedOut {
 		prof, err := faults.Named(path.profile)

@@ -2,11 +2,13 @@ package ookla
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -398,4 +400,59 @@ func TestClientRefusesOverlongLine(t *testing.T) {
 		}
 		t.Fatalf("Run = %s, want a line-too-long handshake error", msg)
 	}
+}
+
+// halfClosedConn is the server's end of a connection whose client sent its
+// bytes and then closed its write side: reads drain them and then see EOF,
+// so they never block and need no deadline, and writes go to the other end
+// of a net.Pipe.
+type halfClosedConn struct {
+	net.Conn
+	in *bytes.Reader
+}
+
+func (c halfClosedConn) Read(p []byte) (int, error)      { return c.in.Read(p) }
+func (c halfClosedConn) SetReadDeadline(time.Time) error { return nil }
+
+// FuzzServeConn feeds arbitrary client bytes to the server's line protocol,
+// with every reply drained: serving never panics, and allocates the
+// reader's and writer's buffers plus a bounded amount per line — the line,
+// its fields and at most one formatted reply — so in proportion to the
+// input, whatever a size claims.
+func FuzzServeConn(f *testing.F) {
+	for _, seed := range []string{
+		"HI\n",
+		"PING 12\n",
+		"DOWNLOAD 100000\n",
+		"UPLOAD 64 0\n" + strings.Repeat("x", 64),
+		"QUIT\n",
+		"HI\nPING 1\nDOWNLOAD 20\nUPLOAD 5 0\nabcdeQUIT\n",
+		strings.Repeat("A", 64<<10+1) + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	const slack = 256 << 10 // the reader's and writer's 64 KiB buffers, with room
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		client, server := net.Pipe()
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			_, _ = io.Copy(io.Discard, client)
+		}()
+		before := totalAlloc()
+		(&Server{}).handle(halfClosedConn{Conn: server, in: bytes.NewReader(raw)})
+		got := totalAlloc() - before
+		server.Close()
+		<-drained
+		if limit := 64*uint64(len(raw)) + slack; got > limit {
+			t.Fatalf("%d input bytes allocated %d bytes (limit %d)", len(raw), got, limit)
+		}
+	})
+}
+
+// totalAlloc is the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
