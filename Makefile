@@ -30,20 +30,28 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# cover-check enforces the statement-coverage floor on the checkpoint
-# package — the code whose whole job is surviving kills, where an
-# untested branch is a lost campaign. The floor is a checked-in constant:
-# raising coverage ratchets it, lowering it is a reviewed decision.
+# cover-check enforces statement-coverage floors: on the checkpoint
+# package — the code whose whole job is surviving kills, where an untested
+# branch is a lost campaign — and on analysis, orchestrator and core, the
+# layers every output byte passes through. Each floor is a checked-in
+# constant a few points under its measurement: raising coverage ratchets
+# it, lowering it is a reviewed decision.
 CHECKPOINT_COVER_MIN = 80.0
+ANALYSIS_COVER_MIN = 93.0
+ORCHESTRATOR_COVER_MIN = 88.0
+CORE_COVER_MIN = 85.0
 
 cover-check:
-	@profile=$$(mktemp); \
-	$(GO) test -count=1 -coverprofile=$$profile ./internal/checkpoint/ >/dev/null || { rm -f $$profile; exit 1; }; \
-	total=$$($(GO) tool cover -func=$$profile | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
-	rm -f $$profile; \
-	awk -v got="$$total" -v min="$(CHECKPOINT_COVER_MIN)" 'BEGIN { \
-		if (got+0 < min+0) { printf "cover-check: internal/checkpoint coverage %.1f%% is below the %.1f%% floor\n", got, min; exit 1 } \
-		printf "cover-check: OK: internal/checkpoint coverage %.1f%% (floor %.1f%%)\n", got, min }'
+	@for floor in checkpoint:$(CHECKPOINT_COVER_MIN) analysis:$(ANALYSIS_COVER_MIN) \
+		orchestrator:$(ORCHESTRATOR_COVER_MIN) core:$(CORE_COVER_MIN); do \
+		pkg=$${floor%%:*}; min=$${floor#*:}; profile=$$(mktemp); \
+		$(GO) test -count=1 -coverprofile=$$profile ./internal/$$pkg/ >/dev/null || { rm -f $$profile; exit 1; }; \
+		total=$$($(GO) tool cover -func=$$profile | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
+		rm -f $$profile; \
+		awk -v pkg="$$pkg" -v got="$$total" -v min="$$min" 'BEGIN { \
+			if (got+0 < min+0) { printf "cover-check: internal/%s coverage %.1f%% is below the %.1f%% floor\n", pkg, got, min; exit 1 } \
+			printf "cover-check: OK: internal/%s coverage %.1f%% (floor %.1f%%)\n", pkg, got, min }' || exit 1; \
+	done
 
 # fuzz-smoke searches for crashers: every fuzz target runs for 10 s on
 # inputs it generates, where tier-1 only replays the checked-in corpora

@@ -86,13 +86,18 @@ func getFixture(b *testing.B) *fixture {
 			f.topo[region] = res
 			f.topoSel[region] = sel
 		}
-		res, sel, err := f.eng.RunDifferentialCampaign("europe-west1", benchDays, 12)
+		plan, err := f.eng.PlanDifferentialCampaign("europe-west1", benchDays, 12)
+		if err != nil {
+			fixErr = fmt.Errorf("fixture differential campaign: %w", err)
+			return
+		}
+		res, err := f.eng.RunPlanned(plan)
 		if err != nil {
 			fixErr = fmt.Errorf("fixture differential campaign: %w", err)
 			return
 		}
 		f.diff = res
-		f.diffSel = sel
+		f.diffSel = plan.DiffSel
 		fix = f
 	})
 	if fixErr != nil {
@@ -253,8 +258,8 @@ func BenchmarkFig4bc_TierPerf(b *testing.B) {
 			for _, p := range std.Points {
 				sv = append(sv, p.P95Down)
 			}
-			pm, _ := stats.Median(pv)
-			sm, _ := stats.Median(sv)
+			pm, _ := stats.Percentile(pv, 50)
+			sm, _ := stats.Percentile(sv, 50)
 			b.ReportMetric(pm, "premium-median-p95")
 			b.ReportMetric(sm, "standard-median-p95")
 		}
@@ -373,7 +378,7 @@ func BenchmarkElbowMethod(b *testing.B) {
 	hs := core.DefaultThresholdGrid()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep := congestion.SweepDays(all, hs, 0)
+		sweep := congestion.SweepDaysPartitioned(congestion.Partitions(all), hs, 0)
 		h, err := congestion.ElbowThreshold(sweep)
 		if err != nil {
 			b.Fatal(err)
@@ -391,13 +396,13 @@ func BenchmarkPremiumLossAnalysis(b *testing.B) {
 	recs := drainRecords(f.diff)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lossy := analysis.PremiumLossTargetsCursor(analysis.NewSliceCursor(recs), "europe-west1", 0.01)
+		lossy := analysis.PremiumLossTargetsCursor(analysis.NewSliceCursor(recs), "europe-west1")
 		// Validate one lossy target end-to-end through the packet-capture
 		// pipeline: synthesise its flow, re-estimate the loss.
 		if len(lossy) > 0 {
 			var buf bytes.Buffer
 			err := flowstats.Synthesize(&buf, flowstats.SynthConfig{
-				Client:      f.eng.Sim.VMAddr("europe-west1", 0, 0),
+				Client:      f.eng.Sim.VMAddr("europe-west1"),
 				Server:      f.eng.Topo.Server(lossy[0].ServerID).IP,
 				ClientPort:  40001,
 				Start:       core.CampaignStart,
@@ -460,7 +465,7 @@ func BenchmarkAblationParisVsClassic(b *testing.B) {
 	topo := f.eng.Topo
 	prober := traceroute.NewProber(f.eng.Sim, "us-east1", benchSeed)
 	mapper := bdrmap.FromTopology(topo, alias.NewProber(topo, benchSeed))
-	servers := topo.ServersInCountry("US")
+	servers := topo.USServers()
 	if len(servers) > 120 {
 		servers = servers[:120]
 	}
@@ -529,7 +534,7 @@ func BenchmarkAblationSelectionRule(b *testing.B) {
 		for _, s := range sel.Selected {
 			best = append(best, s.RTTms)
 		}
-		bestMed, _ := stats.Median(best)
+		bestMed, _ := stats.Percentile(best, 50)
 		if i == 0 {
 			b.ReportMetric(bestMed, "best-rule-median-rtt-ms")
 			b.ReportMetric(float64(len(sel.Selected)), "links-covered")
@@ -659,7 +664,7 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 	const occupancy = time.Millisecond
 	f := getFixture(b)
 	regions := []string{"us-west1", "us-east1", "us-central1"}
-	servers := f.eng.Topo.ServersInCountry("US")
+	servers := f.eng.Topo.USServers()
 	if len(servers) < 26 {
 		b.Skipf("only %d US servers at this scale", len(servers))
 	}

@@ -97,8 +97,7 @@ func (p *Platform) RunTopologyCampaign(region string, days int) (*CampaignResult
 // campaign alone with the same seed. The engine must have a command
 // scheduler attached (core.CLASP.NewCommandScheduler).
 func (p *Platform) RunTopologyCampaigns(regions []string, days int) error {
-	_, err := p.engine.RunTopologyCampaigns(regions, days)
-	return err
+	return p.engine.RunTopologyCampaigns(regions, days)
 }
 
 // PairSummary describes one measured VM-server pair in a congestion report.
@@ -283,7 +282,7 @@ func (p *Platform) CompareTiers(res *CampaignResult) (*TierComparison, error) {
 		Region:              res.Region,
 		StdFasterDownload:   analysis.FractionStandardHigher(down),
 		StdFasterUpload:     analysis.FractionStandardHigher(up),
-		Within50:            analysis.FractionWithin(down, 0.5),
+		Within50:            analysis.FractionWithin(down),
 		MedianDownloadDelta: median,
 		PairedTests:         len(down),
 	}, nil

@@ -77,7 +77,11 @@ func TestTopologyCampaignAndCongestionReport(t *testing.T) {
 
 func TestDifferentialCampaignAndTierComparison(t *testing.T) {
 	p := newPlatform(t)
-	res, _, err := p.Engine().RunDifferentialCampaign("europe-west1", 7, 6)
+	plan, err := p.Engine().PlanDifferentialCampaign("europe-west1", 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Engine().RunPlanned(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

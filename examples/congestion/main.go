@@ -60,7 +60,7 @@ func main() {
 
 	// Fig. 2-style sweep over this single pair.
 	hs := core.DefaultThresholdGrid()
-	daySweep := congestion.SweepDays([]congestion.Series{series}, hs, 0)
+	daySweep := congestion.SweepDaysPartitioned(congestion.Partitions([]congestion.Series{series}), hs, 0)
 	fmt.Println("threshold sweep (fraction of congested days):")
 	for _, pt := range daySweep {
 		bar := ""

@@ -27,7 +27,12 @@ func main() {
 	// (the paper's >=100 rule assumes the full VP population).
 	const minSamples = 25
 	region := "europe-west1"
-	res, selected, err := eng.RunDifferentialCampaign(region, 21, minSamples)
+	plan, err := eng.PlanDifferentialCampaign(region, 21, minSamples)
+	if err != nil {
+		log.Fatal(err)
+	}
+	selected := plan.DiffSel
+	res, err := eng.RunPlanned(plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +57,7 @@ func main() {
 	fmt.Printf("median download delta (prem-std)/std: %+.2f; |delta|<0.5 in %.0f%%\n",
 		cmp.MedianDownloadDelta, cmp.Within50*100)
 
-	lossy := analysis.PremiumLossTargetsCursor(res.Cursor(), region, 0.02)
+	lossy := analysis.PremiumLossTargetsCursor(res.Cursor(), region)
 	fmt.Printf("\npremium-tier targets with persistent loss (> 2%% mean):\n")
 	for _, l := range lossy {
 		srv := eng.Topo.Server(l.ServerID)

@@ -718,15 +718,15 @@ func FractionStandardHigher(deltas []TierDelta) float64 {
 	return float64(n) / float64(len(deltas))
 }
 
-// FractionWithin returns the fraction of deltas with |Δ| < bound (the
-// paper: <50 % in over 92 % of measurements).
-func FractionWithin(deltas []TierDelta, bound float64) float64 {
+// FractionWithin returns the fraction of deltas with |Δ| < 50 % (the
+// paper: over 92 % of measurements).
+func FractionWithin(deltas []TierDelta) float64 {
 	if len(deltas) == 0 {
 		return 0
 	}
 	n := 0
 	for _, d := range deltas {
-		if d.Delta < bound && d.Delta > -bound {
+		if d.Delta < 0.5 && d.Delta > -0.5 {
 			n++
 		}
 	}
@@ -744,9 +744,9 @@ type LossySummary struct {
 }
 
 // PremiumLossTargetsCursor returns servers whose average premium-tier
-// download loss exceeds the threshold (the paper found eight above 10 %),
-// lossiest first, equal means by server ID.
-func PremiumLossTargetsCursor(c Cursor, region string, threshold float64) []LossySummary {
+// download loss exceeds 2 % (the paper found eight above 10 %), lossiest
+// first, equal means by server ID.
+func PremiumLossTargetsCursor(c Cursor, region string) []LossySummary {
 	sum := make(map[int]float64)
 	n := make(map[int]int)
 	const need = ColServer | ColRegion | ColTierDir | ColLoss
@@ -765,7 +765,7 @@ func PremiumLossTargetsCursor(c Cursor, region string, threshold float64) []Loss
 	var out []LossySummary
 	for id, s := range sum {
 		mean := s / float64(n[id])
-		if mean > threshold {
+		if mean > 0.02 {
 			out = append(out, LossySummary{ServerID: id, MeanLoss: mean, N: n[id]})
 		}
 	}

@@ -123,10 +123,10 @@ func TestDeltaHelpers(t *testing.T) {
 	if f := FractionStandardHigher(deltas); math.Abs(f-0.75) > 1e-9 {
 		t.Errorf("FractionStandardHigher = %v", f)
 	}
-	if f := FractionWithin(deltas, 0.5); math.Abs(f-0.75) > 1e-9 {
+	if f := FractionWithin(deltas); math.Abs(f-0.75) > 1e-9 {
 		t.Errorf("FractionWithin = %v", f)
 	}
-	if FractionStandardHigher(nil) != 0 || FractionWithin(nil, 1) != 0 {
+	if FractionStandardHigher(nil) != 0 || FractionWithin(nil) != 0 {
 		t.Error("empty delta helpers should be 0")
 	}
 	cdf, err := DeltaCDF(deltas)
@@ -148,7 +148,7 @@ func TestPremiumLossTargets(t *testing.T) {
 		}
 		ms = append(ms, mkMeasure(5, h, bgp.Premium, netsim.Download, 10, 50, 0.3))
 	}
-	lossy := PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1", 0.1)
+	lossy := PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1")
 	var ids []int
 	for _, l := range lossy {
 		ids = append(ids, l.ServerID)

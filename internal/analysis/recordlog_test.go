@@ -435,8 +435,8 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 			t.Fatalf("TierDeltasCursor(%v) differs from slice kernel", metric)
 		}
 	}
-	if got, want := PremiumLossTargetsCursor(l.Cursor(), "us-east1", 0.01),
-		PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1", 0.01); !reflect.DeepEqual(got, want) {
+	if got, want := PremiumLossTargetsCursor(l.Cursor(), "us-east1"),
+		PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1"); !reflect.DeepEqual(got, want) {
 		t.Fatal("PremiumLossTargetsCursor differs from slice kernel")
 	}
 }

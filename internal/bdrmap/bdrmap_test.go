@@ -172,7 +172,7 @@ func TestInferFromServerTraces(t *testing.T) {
 	// Trace to US servers (the Table 1 second column: links traversed by
 	// all US test servers).
 	var traces []traceroute.Result
-	for _, s := range f.topo.ServersInCountry("US") {
+	for _, s := range f.topo.USServers() {
 		res, err := f.prober.Trace(traceroute.Destination{
 			IP: s.IP, ASN: s.ASN, City: s.City, LinkID: -1, Tier: bgp.Premium,
 		}, traceroute.Options{Mode: traceroute.Paris, FlowID: uint64(s.ID)})

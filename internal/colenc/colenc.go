@@ -74,21 +74,6 @@ func (w *BitWriter) Bytes() []byte {
 
 // --- Bit reader ----------------------------------------------------------------
 
-// BitReader consumes MSB-first bit runs from a byte buffer through a
-// left-aligned 64-bit window: the next unread bit is the window's top bit,
-// and the window refills eight bytes at a time (fill). A BitReader with buf
-// set is ready to use.
-type BitReader struct {
-	buf   []byte
-	pos   int    // next byte of buf to load into the window
-	win   uint64 // unread bits, left-aligned
-	nbits uint   // valid bits in win, at most 63
-	err   error
-}
-
-// Err reports whether the reader ran past the end of its buffer.
-func (r *BitReader) Err() error { return r.err }
-
 // fill tops a window up from buf[pos:]: to at least 56 valid bits while
 // eight bytes remain to load from, and byte by byte with everything that is
 // left inside the last eight. It is a function of the window state, not a
@@ -111,43 +96,6 @@ func fill(buf []byte, pos int, win uint64, nbits uint) (int, uint64, uint) {
 
 func overrun(buf []byte) error {
 	return fmt.Errorf("colenc: bit reader overrun at byte %d", len(buf))
-}
-
-// ReadBits reads n bits (n in [0, 64]), most significant first. A read past
-// the end of the buffer returns 0, as does every read after it, and sets
-// Err.
-func (r *BitReader) ReadBits(n uint) uint64 {
-	if n > r.nbits {
-		return r.readRefill(n)
-	}
-	v := r.win >> (64 - n)
-	r.win <<= n
-	r.nbits -= n
-	return v
-}
-
-// readRefill is ReadBits when the window holds fewer than n bits: one
-// refill serves any n up to 56; a longer run takes the window whole, refills
-// and takes the rest.
-func (r *BitReader) readRefill(n uint) uint64 {
-	r.pos, r.win, r.nbits = fill(r.buf, r.pos, r.win, r.nbits)
-	var hi uint64
-	if n > r.nbits {
-		hi = r.win >> (64 - r.nbits)
-		n -= r.nbits
-		r.pos, r.win, r.nbits = fill(r.buf, r.pos, 0, 0)
-		if n > r.nbits {
-			if r.err == nil {
-				r.err = overrun(r.buf)
-			}
-			r.win, r.nbits = 0, 0
-			return 0
-		}
-	}
-	v := hi<<n | r.win>>(64-n)
-	r.win <<= n
-	r.nbits -= n
-	return v
 }
 
 // --- Varints -------------------------------------------------------------------
@@ -339,9 +287,10 @@ func SkipFloats(buf []byte) (int, error) {
 
 // DecodeFloats decodes n values appended by AppendFloats into dst
 // (resliced, reallocated only when its capacity is short) and returns dst
-// plus the bytes consumed. The loop is BitReader's, with the window in
-// locals: a sample is one to four dependent reads, and keeping their state
-// out of memory is most of the decoder's speed.
+// plus the bytes consumed. The loop reads MSB-first bit runs through a
+// left-aligned 64-bit window (fill) kept in locals: a sample is one to four
+// dependent reads, and keeping their state out of memory is most of the
+// decoder's speed.
 func DecodeFloats(dst []float64, buf []byte, n int) ([]float64, int, error) {
 	body, size, err := floatColumn(buf)
 	if err != nil {
@@ -360,13 +309,17 @@ func DecodeFloats(dst []float64, buf []byte, n int) ([]float64, int, error) {
 	}
 	dst = dst[:n]
 
-	r := BitReader{buf: body}
-	prev := r.ReadBits(64)
-	if err := r.Err(); err != nil {
-		return nil, 0, err
+	// The first value is stored whole: 64 bits, more than one fill holds,
+	// so it takes the window whole, refills and takes the rest.
+	pos, win, nbits := fill(body, 0, 0, 0)
+	hi, rest := win>>(64-nbits), 64-nbits
+	if pos, win, nbits = fill(body, pos, 0, 0); rest > nbits {
+		return nil, 0, overrun(body)
 	}
+	prev := hi<<rest | win>>(64-rest)
+	win <<= rest
+	nbits -= rest
 	dst[0] = math.Float64frombits(prev)
-	pos, win, nbits := r.pos, r.win, r.nbits
 	var leading, trailing uint8
 	for i := 1; i < n; i++ {
 		if nbits < 14 {

@@ -12,7 +12,7 @@ import (
 )
 
 // refBitWriter and refBitReader are the bit-at-a-time reference BitWriter
-// and BitReader are held to: one loop turn per bit, nothing to get wrong.
+// and BitReader (below) are held to: one loop turn per bit, nothing to get wrong.
 // The reader has the contract of the byte-wise reader the window reader
 // replaced — a read past the end returns 0 and sets the error, and so does
 // every read after it.
@@ -48,6 +48,60 @@ func (r *refBitReader) read(n uint) uint64 {
 		v = v<<1 | uint64(r.buf[r.pos/8]>>(7-r.pos%8))&1
 		r.pos++
 	}
+	return v
+}
+
+// BitReader is DecodeFloats' bit reading in method form: it consumes
+// MSB-first bit runs from a byte buffer through a left-aligned 64-bit
+// window, the next unread bit at the window's top, refilled eight bytes at
+// a time by fill. The bit-stream tests and FuzzBitStream hold it, and with
+// it fill, to the bit-at-a-time reference. A BitReader with buf set is
+// ready to use.
+type BitReader struct {
+	buf   []byte
+	pos   int    // next byte of buf to load into the window
+	win   uint64 // unread bits, left-aligned
+	nbits uint   // valid bits in win, at most 63
+	err   error
+}
+
+// Err reports whether the reader ran past the end of its buffer.
+func (r *BitReader) Err() error { return r.err }
+
+// ReadBits reads n bits (n in [0, 64]), most significant first. A read past
+// the end of the buffer returns 0, as does every read after it, and sets
+// Err.
+func (r *BitReader) ReadBits(n uint) uint64 {
+	if n > r.nbits {
+		return r.readRefill(n)
+	}
+	v := r.win >> (64 - n)
+	r.win <<= n
+	r.nbits -= n
+	return v
+}
+
+// readRefill is ReadBits when the window holds fewer than n bits: one
+// refill serves any n up to 56; a longer run takes the window whole, refills
+// and takes the rest.
+func (r *BitReader) readRefill(n uint) uint64 {
+	r.pos, r.win, r.nbits = fill(r.buf, r.pos, r.win, r.nbits)
+	var hi uint64
+	if n > r.nbits {
+		hi = r.win >> (64 - r.nbits)
+		n -= r.nbits
+		r.pos, r.win, r.nbits = fill(r.buf, r.pos, 0, 0)
+		if n > r.nbits {
+			if r.err == nil {
+				r.err = overrun(r.buf)
+			}
+			r.win, r.nbits = 0, 0
+			return 0
+		}
+	}
+	v := hi<<n | r.win>>(64-n)
+	r.win <<= n
+	r.nbits -= n
 	return v
 }
 

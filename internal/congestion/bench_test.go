@@ -42,7 +42,7 @@ func BenchmarkAnalysisSweepDays(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep := SweepDays(series, hs, 0)
+		sweep := SweepDaysPartitioned(Partitions(series), hs, 0)
 		if len(sweep) != len(hs) {
 			b.Fatal("bad sweep")
 		}

@@ -85,14 +85,6 @@ type SweepPoint struct {
 	Fraction float64
 }
 
-// SweepDays evaluates the fraction of pair-days with V > H (one point of
-// Fig. 2a per threshold) over a threshold grid. Each series is split into
-// days once; every threshold then scans the cached partition, so the sweep
-// costs one split plus |hs| cheap tallies instead of |hs| full re-splits.
-func SweepDays(series []Series, hs []float64, minSamples int) []SweepPoint {
-	return SweepDaysPartitioned(Partitions(series), hs, minSamples)
-}
-
 // ElbowThreshold locates the knee of a sweep with the maximum-distance-to-
 // chord method, returning the H at the elbow.
 func ElbowThreshold(sweep []SweepPoint) (float64, error) {
@@ -141,12 +133,9 @@ func HourlyProbability(s Series, events []time.Time, utcOffset int) [24]float64 
 }
 
 // CongestedPairIn reports whether a pair qualifies as "congested" under the
-// Fig. 8 rule: more than fracDays of its measured days contain at least one
-// congestion event (the paper used 10 %).
-func CongestedPairIn(p *Partition, det *Detector, fracDays float64) bool {
-	if fracDays <= 0 {
-		fracDays = 0.1
-	}
+// Fig. 8 rule: more than 10 % of its measured days contain at least one
+// congestion event.
+func CongestedPairIn(p *Partition, det *Detector) bool {
 	days := p.Days()
 	if len(days) == 0 {
 		return false
@@ -155,5 +144,5 @@ func CongestedPairIn(p *Partition, det *Detector, fracDays float64) bool {
 	for _, e := range det.EventsIn(p) {
 		eventDays[DayOf(e.UnixNano())] = true
 	}
-	return float64(len(eventDays))/float64(len(days)) > fracDays
+	return float64(len(eventDays))/float64(len(days)) > 0.1
 }

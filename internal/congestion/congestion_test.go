@@ -112,7 +112,7 @@ func TestFractions(t *testing.T) {
 func TestSweepMonotone(t *testing.T) {
 	series := []Series{flatDaySeries(30, 400, 100, map[int]bool{1: true, 5: true, 9: true})}
 	hs := []float64{0, 0.25, 0.5, 0.75, 1}
-	sweep := SweepDays(series, hs, 0)
+	sweep := SweepDaysPartitioned(Partitions(series), hs, 0)
 	for i := 1; i < len(sweep); i++ {
 		if sweep[i].Fraction > sweep[i-1].Fraction {
 			t.Errorf("sweep not non-increasing at %v", sweep[i].H)
@@ -173,15 +173,15 @@ func TestCongestedPair(t *testing.T) {
 	det := NewDetector()
 	// 2 event days of 10 -> 20% > 10% -> congested.
 	s := flatDaySeries(10, 400, 100, map[int]bool{0: true, 5: true})
-	if !CongestedPairIn(NewPartition(s), det, 0.1) {
+	if !CongestedPairIn(NewPartition(s), det) {
 		t.Error("20% event days not flagged")
 	}
 	// 1 event day of 20 -> 5% -> not congested.
 	s2 := flatDaySeries(20, 400, 100, map[int]bool{3: true})
-	if CongestedPairIn(NewPartition(s2), det, 0.1) {
+	if CongestedPairIn(NewPartition(s2), det) {
 		t.Error("5% event days flagged")
 	}
-	if CongestedPairIn(NewPartition(Series{}), det, 0.1) {
+	if CongestedPairIn(NewPartition(Series{}), det) {
 		t.Error("empty series flagged")
 	}
 }

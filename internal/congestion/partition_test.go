@@ -146,7 +146,7 @@ func TestPartitionTalliesMatchFractions(t *testing.T) {
 func TestSweepsMatchPerThresholdFractions(t *testing.T) {
 	series := []Series{randomSeries(5, 12, false), randomSeries(6, 12, true)}
 	hs := []float64{0, 0.1, 0.3, 0.5, 0.7, 1}
-	daySweep := SweepDays(series, hs, 0)
+	daySweep := SweepDaysPartitioned(Partitions(series), hs, 0)
 	hourSweep := SweepHoursPartitioned(Partitions(series), hs, 0)
 	for i, h := range hs {
 		wantDays, wantHours := naiveFractions(series, h)

@@ -356,20 +356,6 @@ func (c *CLASP) RunTopologyCampaign(region string, days int) (*CampaignResult, e
 	return c.RunPlanned(p)
 }
 
-// RunDifferentialCampaign selects servers with the differential-based
-// method and measures them hourly over both tiers.
-func (c *CLASP) RunDifferentialCampaign(region string, days, minSamples int) (*CampaignResult, []selection.DiffSelected, error) {
-	p, err := c.PlanDifferentialCampaign(region, days, minSamples)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.RunPlanned(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, p.DiffSel, nil
-}
-
 // storeIndexLimit bounds how large a campaign still gets indexed into the
 // shared time-series store. The store powers interactive queries; bulk
 // paper-scale campaigns (millions of records) stay in the returned result

@@ -14,6 +14,20 @@ import (
 )
 
 // newCLASP builds a small-scale instance shared across subtests.
+// runDifferential plans and runs a differential campaign, the two steps
+// examples/tiercompare takes.
+func runDifferential(c *CLASP, region string, days, minSamples int) (*CampaignResult, []selection.DiffSelected, error) {
+	p, err := c.PlanDifferentialCampaign(region, days, minSamples)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := c.RunPlanned(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, p.DiffSel, nil
+}
+
 func newCLASP(t *testing.T) *CLASP {
 	t.Helper()
 	c, err := New(Options{Seed: 3, Scale: 0.1})
@@ -250,7 +264,7 @@ func TestFig3CoxSeries(t *testing.T) {
 
 func TestDifferentialCampaignAndFig5(t *testing.T) {
 	c := newCLASP(t)
-	res, sel, err := c.RunDifferentialCampaign("europe-west1", 14, 6)
+	res, sel, err := runDifferential(c, "europe-west1", 14, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +308,7 @@ func TestComputeHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, _, err := c.RunDifferentialCampaign("europe-west1", 10, 6)
+	diff, _, err := runDifferential(c, "europe-west1", 10, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,22 +331,44 @@ func TestComputeHeadlines(t *testing.T) {
 	}
 }
 
+// readBack returns each region's finished topology campaign as eng's
+// checkpoints hold it, through a resume scheduler: a campaign at its final
+// watermark loads without being measured again.
+func readBack(t *testing.T, eng *CLASP, regions []string, days int) map[string]*CampaignResult {
+	t.Helper()
+	s := eng.NewResumeScheduler("read-back")
+	out := make(map[string]*CampaignResult, len(regions))
+	for _, region := range regions {
+		p, err := s.Plan(CampaignRef{Kind: "topology", Region: region, Days: days})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ck == nil || p.ck.Meta.Progress.NextHour != days*24 {
+			t.Fatalf("%s: no finished checkpoint to read back", region)
+		}
+		if out[region], err = s.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestRunTopologyCampaignsMatchesIndividual(t *testing.T) {
 	regions := []string{"us-west1", "us-central1"}
 	// Concurrent multi-region run at parallelism 3.
-	par, err := New(Options{Seed: 3, Scale: 0.1, Parallelism: 3})
+	par, err := New(Options{Seed: 3, Scale: 0.1, Parallelism: 3, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	par.NewCommandScheduler("topology-campaigns")
-	results, err := par.RunTopologyCampaigns(regions, 2)
-	if err != nil {
+	if err := par.RunTopologyCampaigns(regions, 2); err != nil {
 		t.Fatal(err)
 	}
+	results := readBack(t, par, regions, 2)
 	// Sequential single-region runs on a fresh instance, same seed. With no
 	// scheduler attached it refuses the multi-region call.
 	seq := newCLASP(t)
-	if _, err := seq.RunTopologyCampaigns(regions, 2); err == nil {
+	if err := seq.RunTopologyCampaigns(regions, 2); err == nil {
 		t.Fatal("RunTopologyCampaigns ran without a command scheduler")
 	}
 	for _, region := range regions {
@@ -370,7 +406,7 @@ func TestEgressBillExact(t *testing.T) {
 	ckDir := t.TempDir()
 	bill := func(name string, par int, resume bool, hook func(orchestrator.Progress) error) float64 {
 		t.Helper()
-		opts := Options{Seed: 3, Scale: 0.1, Parallelism: par}
+		opts := Options{Seed: 3, Scale: 0.1, Parallelism: par, CheckpointDir: t.TempDir()}
 		if hook != nil || resume {
 			opts.CheckpointDir = ckDir
 		}
@@ -384,7 +420,7 @@ func TestEgressBillExact(t *testing.T) {
 		} else {
 			eng.NewCommandScheduler("costs")
 		}
-		results, err := eng.RunTopologyCampaigns(TopologyRegions, days)
+		err = eng.RunTopologyCampaigns(TopologyRegions, days)
 		if hook != nil {
 			if !errors.Is(err, errKilled) {
 				t.Fatalf("%s: killed run returned %v", name, err)
@@ -394,14 +430,14 @@ func TestEgressBillExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		usd := eng.Cloud.Costs().EgressUSD
 		var bytes [2]int64
-		for _, res := range results {
+		for _, res := range readBack(t, eng, TopologyRegions, days) {
 			for tier, n := range res.Report.EgressBytes {
 				bytes[tier] += n
 			}
 		}
 		p := cloud.DefaultPricing()
-		usd := eng.Cloud.Costs().EgressUSD
 		if priced := float64(bytes[bgp.Premium])/1e9*p.EgressPremiumPerGB + float64(bytes[bgp.Standard])/1e9*p.EgressStandardPerGB; usd != priced || usd <= 0 {
 			t.Errorf("%s: egress bill $%.17g, want the reports' %v bytes priced, $%.17g", name, usd, bytes, priced)
 		}

@@ -28,39 +28,38 @@ import (
 // thread-safe platform, bucket and store, with the engine's worker pool
 // capping their combined VM concurrency at Opts.Parallelism — the global
 // budget, not a per-campaign one. Each region's records are identical to
-// running its campaign alone with the same seed.
-func (c *CLASP) RunTopologyCampaigns(regions []string, days int) (map[string]*CampaignResult, error) {
+// running its campaign alone with the same seed. The runs leave the
+// VM-hours and egress billed to the platform and, under
+// Opts.CheckpointDir, each campaign's checkpoint.
+func (c *CLASP) RunTopologyCampaigns(regions []string, days int) error {
 	s := c.sched
 	if s == nil {
-		return nil, fmt.Errorf("core: multi-region campaigns need a command scheduler")
+		return fmt.Errorf("core: multi-region campaigns need a command scheduler")
 	}
 	plans := make([]*PlannedCampaign, 0, len(regions))
 	for _, region := range regions {
 		p, err := s.Plan(CampaignRef{Kind: "topology", Region: region, Days: days})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		plans = append(plans, p)
 	}
-	results := make([]*CampaignResult, len(plans))
 	errs := make([]error, len(plans))
 	var wg sync.WaitGroup
 	for i := range plans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.Run(plans[i])
+			_, errs[i] = s.Run(plans[i])
 		}(i)
 	}
 	wg.Wait()
-	out := make(map[string]*CampaignResult, len(plans))
-	for i, p := range plans {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		out[p.Camp.Region] = results[i]
 	}
-	return out, nil
+	return nil
 }
 
 // --- Table 1 -------------------------------------------------------------------
@@ -300,7 +299,7 @@ func Fig5(result *CampaignResult, selected []selection.DiffSelected) (*Fig5Summa
 		deltas := analysis.TierDeltasCursor(result.Cursor(), result.Region, metric)
 		if metric == analysis.MetricDownload {
 			out.StdHigherDownload = analysis.FractionStandardHigher(deltas)
-			out.Within50 = analysis.FractionWithin(deltas, 0.5)
+			out.Within50 = analysis.FractionWithin(deltas)
 		}
 		byClass := make(map[selection.DiffClass][]analysis.TierDelta)
 		for _, d := range deltas {
@@ -434,7 +433,7 @@ func (c *CLASP) Fig8(result *CampaignResult, tier bgp.Tier) []analysis.Fig8Row {
 	var ids []int
 	for i, sw := range series {
 		ids = append(ids, sw.ServerID)
-		if congestion.CongestedPairIn(parts[i], det, 0.1) {
+		if congestion.CongestedPairIn(parts[i], det) {
 			congested[sw.ServerID] = true
 		}
 	}
@@ -488,7 +487,7 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 			t.hourTotal += hrs
 			if analysis.BusinessOf(c.Topo, sw.ServerID) == topology.BizISP {
 				t.ispPairs++
-				if congestion.CongestedPairIn(parts[j], det, 0.1) {
+				if congestion.CongestedPairIn(parts[j], det) {
 					t.ispCongested++
 				}
 			}

@@ -68,8 +68,8 @@ func WriteFig4(w io.Writer, d *Fig4Data) {
 		down = append(down, p.P95Down)
 		lat = append(lat, p.P5LatMs)
 	}
-	dm, _ := stats.Median(down)
-	lm, _ := stats.Median(lat)
+	dm, _ := stats.PercentileInPlace(down, 50)
+	lm, _ := stats.PercentileInPlace(lat, 50)
 	fmt.Fprintf(w, "medians: download %.1f Mbps, latency %.1f ms; %d points\n", dm, lm, len(d.Points))
 }
 

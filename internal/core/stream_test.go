@@ -130,11 +130,11 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 // on every series and on every partition's day split and tallies.
 func TestCampaignViewsGroupedOnce(t *testing.T) {
 	const region, days, minSamples = "europe-west1", 14, 4
-	resident, _, err := newCLASP(t).RunDifferentialCampaign(region, days, 6)
+	resident, _, err := runDifferential(newCLASP(t), region, days, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, _, err := newStreamingCLASP(t).RunDifferentialCampaign(region, days, 6)
+	spilled, _, err := runDifferential(newStreamingCLASP(t), region, days, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 	mem := newCLASP(t)
 	stream := newStreamingCLASP(t)
 
-	resM, selM, err := mem.RunDifferentialCampaign("europe-west1", 14, 6)
+	resM, selM, err := runDifferential(mem, "europe-west1", 14, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resS, _, err := stream.RunDifferentialCampaign("europe-west1", 14, 6)
+	resS, _, err := runDifferential(stream, "europe-west1", 14, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

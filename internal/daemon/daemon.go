@@ -25,12 +25,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/telemetry"
 )
 
-// HTTPDurationFamily is the serving-path histogram family recorded by the
-// daemon's middleware (nanoseconds, labelled route/status). It supersedes
-// the old unlabelled speedtestd_http_requests_total counter: the total is
-// the sum of this family's _count series.
-const HTTPDurationFamily = "speedtestd_http_request_duration_ns"
-
 // Routes is the bounded route-label allow-list for the middleware; paths
 // outside it record as "other". Entries ending in "/" match by prefix.
 var Routes = []string{
@@ -150,7 +144,7 @@ func Start(cfg Config) (*Daemon, error) {
 		fmt.Fprintln(w, "clasp speedtestd: /servers.json, /ndt/v7/{download,upload}, /speedtest/{latency,download,upload}, /metrics, /debug/vars, /debug/obs/history, /debug/pprof/")
 	})
 
-	metrics := telemetry.NewHTTPMetrics(obs.Default(), HTTPDurationFamily, Routes)
+	metrics := telemetry.NewHTTPMetrics(obs.Default(), Routes)
 	httpSrv := &http.Server{Handler: metrics.Wrap(mux)}
 	d := &Daemon{
 		Pipeline: pipeline,

@@ -197,7 +197,7 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 	if cfg.RateMbps <= 0 || cfg.DurationSec <= 0 {
 		return fmt.Errorf("flowstats: rate and duration must be positive")
 	}
-	pw, err := pcap.NewWriter(w, 96)
+	pw, err := pcap.NewWriter(w)
 	if err != nil {
 		return err
 	}
@@ -207,7 +207,7 @@ func Synthesize(w io.Writer, cfg SynthConfig) error {
 
 	emit := func(at time.Time, src, dst netip.Addr, t *pcap.TCP, payload int) error {
 		ipID++
-		pkt := pcap.TCPPacket(src, dst, t, ipID, 60, payload, 0)
+		pkt := pcap.TCPPacket(src, dst, t, ipID, payload)
 		return pw.WritePacket(pcap.CaptureInfo{Timestamp: at, Length: len(pkt) + payload}, pkt)
 	}
 

@@ -24,11 +24,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
-// HTTPDurationFamily mirrors daemon.HTTPDurationFamily without importing
-// the server side: loadgen only needs the daemon's HTTP surface, so it can
-// drive a remote speedtestd it does not link against.
-const HTTPDurationFamily = "speedtestd_http_request_duration_ns"
-
 // OoklaDurationFamily is the per-command histogram family the Ookla server
 // records (the TCP protocol never passes through the HTTP middleware).
 const OoklaDurationFamily = "ookla_command_duration_ns"
@@ -153,7 +148,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// the history endpoint is itself instrumented traffic, so counting it
 	// would chase our own tail and never converge.
 	settle, cancel := context.WithTimeout(ctx, settleTimeout)
-	httpQ, err := settleQuantiles(settle, cfg.HTTPAddr, HTTPDurationFamily, start, func(q Quantiles) bool {
+	httpQ, err := settleQuantiles(settle, cfg.HTTPAddr, telemetry.HTTPDurationFamily, start, func(q Quantiles) bool {
 		r := q.Tags["route"]
 		return r != "/debug/obs/history" && r != "/metrics"
 	})

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/stats"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
 
@@ -81,7 +80,7 @@ func TestUploadNearCap(t *testing.T) {
 	s := newSim(t)
 	near := 0
 	n := 0
-	for _, srv := range s.Topology().ServersInCountry("US")[:60] {
+	for _, srv := range s.Topology().USServers()[:60] {
 		res, err := s.Measure(TestSpec{Region: "us-central1", Server: srv, Tier: bgp.Premium, Dir: Upload, Time: t0.Add(6 * time.Hour), DurationSec: 30})
 		if err != nil {
 			continue
@@ -146,7 +145,7 @@ func TestDiurnalCongestionOnProneISP(t *testing.T) {
 
 func TestPremiumVsStandardVariance(t *testing.T) {
 	s := newSim(t)
-	servers := s.Topology().ServersInCountry("US")
+	servers := s.Topology().USServers()
 	var dPrem, dStd []float64
 	if len(servers) > 120 {
 		servers = servers[:120]
@@ -163,12 +162,8 @@ func TestPremiumVsStandardVariance(t *testing.T) {
 			dStd = append(dStd, q.ThroughputMbps)
 		}
 	}
-	var wp, ws stats.Welford
-	for i := range dPrem {
-		wp.Add(dPrem[i])
-		ws.Add(dStd[i])
-	}
-	mp, ms := wp.Mean(), ws.Mean()
+	mp, _ := moments(dPrem)
+	ms, _ := moments(dStd)
 	// §4.1: the standard tier generally had higher throughput.
 	if ms <= mp {
 		t.Errorf("standard mean %.1f not above premium mean %.1f", ms, mp)
@@ -179,7 +174,7 @@ func TestLatencyTopologyServersUnder150ms(t *testing.T) {
 	s := newSim(t)
 	over := 0
 	n := 0
-	for _, srv := range s.Topology().ServersInCountry("US") {
+	for _, srv := range s.Topology().USServers() {
 		res, err := s.Measure(TestSpec{Region: "us-central1", Server: srv, Tier: bgp.Premium, Dir: Download, Time: t0.Add(8 * time.Hour)})
 		if err != nil {
 			continue
@@ -389,41 +384,53 @@ func TestForwardPathToProbeTargets(t *testing.T) {
 
 func TestVMAddr(t *testing.T) {
 	s := newSim(t)
-	a := s.VMAddr("us-west1", 0, 1)
-	b := s.VMAddr("us-west1", 0, 2)
-	c := s.VMAddr("us-east1", 0, 1)
-	if a == b || a == c {
-		t.Error("VM addresses must be distinct")
+	a := s.VMAddr("us-west1")
+	if a != s.VMAddr("us-west1") || a == s.VMAddr("us-east1") {
+		t.Error("a region's VM address must be its own")
 	}
 	if a.As4()[0] != 15 {
 		t.Errorf("VM address %v outside cloud space", a)
 	}
 }
 
-func TestHashUniformity(t *testing.T) {
-	var w stats.Welford
-	for i := uint64(0); i < 10000; i++ {
-		w.Add(hash01(1, i))
+// moments returns the mean and the unbiased variance of xs, in two passes.
+func moments(xs []float64) (mean, variance float64) {
+	for _, x := range xs {
+		mean += x
 	}
-	if math.Abs(w.Mean()-0.5) > 0.02 {
-		t.Errorf("hash01 mean = %v", w.Mean())
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		variance += (x - mean) * (x - mean)
+	}
+	return mean, variance / float64(len(xs)-1)
+}
+
+func TestHashUniformity(t *testing.T) {
+	xs := make([]float64, 10000)
+	for i := range xs {
+		xs[i] = hash01(1, uint64(i))
+	}
+	mean, variance := moments(xs)
+	if math.Abs(mean-0.5) > 0.02 {
+		t.Errorf("hash01 mean = %v", mean)
 	}
 	// Variance of U(0,1) is 1/12.
-	if math.Abs(w.Variance()-1.0/12) > 0.01 {
-		t.Errorf("hash01 variance = %v", w.Variance())
+	if math.Abs(variance-1.0/12) > 0.01 {
+		t.Errorf("hash01 variance = %v", variance)
 	}
 }
 
 func TestHashNormMoments(t *testing.T) {
-	var w stats.Welford
-	for i := uint64(0); i < 20000; i++ {
-		w.Add(hashNorm(3, i))
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = hashNorm(3, uint64(i))
 	}
-	if math.Abs(w.Mean()) > 0.03 {
-		t.Errorf("hashNorm mean = %v", w.Mean())
+	mean, variance := moments(xs)
+	if math.Abs(mean) > 0.03 {
+		t.Errorf("hashNorm mean = %v", mean)
 	}
-	if math.Abs(w.StdDev()-1) > 0.05 {
-		t.Errorf("hashNorm sd = %v", w.StdDev())
+	if sd := math.Sqrt(variance); math.Abs(sd-1) > 0.05 {
+		t.Errorf("hashNorm sd = %v", sd)
 	}
 }
 
@@ -489,7 +496,7 @@ func TestDayDrawsMatchesFullFold(t *testing.T) {
 // engine depends on.
 func TestMeasureConcurrentPurity(t *testing.T) {
 	s := newSim(t)
-	servers := s.Topology().ServersInCountry("US")[:16]
+	servers := s.Topology().USServers()[:16]
 	specs := make([]TestSpec, 0, len(servers)*4)
 	for i, srv := range servers {
 		for h := 0; h < 4; h++ {

@@ -93,7 +93,8 @@ func (s *Sim) ForwardPath(region string, dstIP netip.Addr, dstASN ASN, dstCity s
 			// .0.130-249 band, which never collides with border-router
 			// loopbacks (.0.1+), servers (.16+) or link subnets (.254+).
 			rid := (uint64(asn) + flowID%2) % 120
-			add(loopbackIP(a.Prefix, 0, byte(130+rid)), cum)
+			b := a.Prefix.Addr().As4()
+			add(netip.AddrFrom4([4]byte{b[0], b[1], 0, byte(130 + rid)}), cum)
 		}
 	}
 	// Destination itself.
@@ -102,18 +103,13 @@ func (s *Sim) ForwardPath(region string, dstIP netip.Addr, dstASN ASN, dstCity s
 	return hops, nil
 }
 
-// VMAddr returns the address of a measurement VM instance in a region zone.
-// VM addresses stay inside the cloud's announced 15.0.0.0/10.
-func (s *Sim) VMAddr(region string, zoneIdx, vmIdx int) netip.Addr {
+// VMAddr returns the address of a region's measurement VM, inside the
+// cloud's announced 15.0.0.0/10.
+func (s *Sim) VMAddr(region string) netip.Addr {
 	rk := s.regionHash(region) % 40
-	return netip.AddrFrom4([4]byte{15, byte(10 + rk), byte(zoneIdx), byte(10 + vmIdx)})
+	return netip.AddrFrom4([4]byte{15, byte(10 + rk), 0, 10})
 }
 
 func cloudRouterIP(tier byte, n uint64) netip.Addr {
 	return netip.AddrFrom4([4]byte{15, tier, byte(n / 250), byte(n%250 + 1)})
-}
-
-func loopbackIP(prefix netip.Prefix, third, fourth byte) netip.Addr {
-	b := prefix.Addr().As4()
-	return netip.AddrFrom4([4]byte{b[0], b[1], third, fourth})
 }

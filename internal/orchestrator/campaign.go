@@ -663,7 +663,7 @@ func (c *campaign) captureTest(spec netsim.TestSpec, res netsim.TestResult, coll
 	}
 	var raw bytes.Buffer
 	err := flowstats.Synthesize(&raw, flowstats.SynthConfig{
-		Client:      c.o.sim.VMAddr(spec.Region, 0, 0),
+		Client:      c.o.sim.VMAddr(spec.Region),
 		Server:      srv.IP,
 		ClientPort:  uint16(40000 + srv.ID%20000),
 		Start:       at,

@@ -38,7 +38,7 @@ func TestCampaignPathNeverStopsTheWorld(t *testing.T) {
 	before := stopTheWorldPauses(t)
 	rep, err := f.orch.Run(Config{
 		Region:      "us-east1",
-		Servers:     f.topo.ServersInCountry("US")[:20],
+		Servers:     f.topo.USServers()[:20],
 		Days:        2,
 		Seed:        7,
 		Parallelism: 2,

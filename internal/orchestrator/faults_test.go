@@ -23,7 +23,7 @@ func runFaultCampaign(t *testing.T, profile string, seed int64, parallelism int)
 	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
-		Servers: f.topo.ServersInCountry("US")[:6],
+		Servers: f.topo.USServers()[:6],
 		Days:    1,
 		Seed:    seed,
 		// Packet capture dominates campaign wall-clock (~160ms per
@@ -133,7 +133,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 
-	servers := f.topo.ServersInCountry("US")[:6]
+	servers := f.topo.USServers()[:6]
 	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
@@ -187,7 +187,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 // shed with their tasks accounted as dropped.
 func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 	f := setup(t)
-	servers := f.topo.ServersInCountry("US")[:6]
+	servers := f.topo.USServers()[:6]
 	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",

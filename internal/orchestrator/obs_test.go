@@ -149,7 +149,7 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 		sink := newLogSink()
 		rep, err := f.orch.Run(Config{
 			Region:          "us-east1",
-			Servers:         f.topo.ServersInCountry("US")[:6],
+			Servers:         f.topo.USServers()[:6],
 			Days:            1,
 			Seed:            99,
 			TestDurationSec: 0.2, // keeps the synthesized captures small
@@ -236,7 +236,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:          "us-east1",
-		Servers:         f.topo.ServersInCountry("US")[:5],
+		Servers:         f.topo.USServers()[:5],
 		Days:            1,
 		Seed:            7,
 		TestDurationSec: 0.2, // keeps the synthesized captures small

@@ -124,9 +124,7 @@ func (s *StoreSink) handle(m *analysis.Measurement) *tsdb.BoundHandle {
 	defer s.mu.Unlock()
 	b, ok := s.handles[key]
 	if !ok {
-		// Bind errors are impossible for the generated tag values and the
-		// fixed field names.
-		b, _ = s.Store.Bind("speedtest", tsdb.Tags{
+		b = s.Store.Bind(tsdb.Tags{
 			"server": strconv.Itoa(m.ServerID),
 			"region": m.Region,
 			"tier":   m.Tier.String(),
@@ -142,7 +140,7 @@ func (s *StoreSink) handle(m *analysis.Measurement) *tsdb.BoundHandle {
 
 // Record implements Sink.
 func (s *StoreSink) Record(m analysis.Measurement) {
-	_ = s.handle(&m).Insert(m.Time, m.Mbps, m.RTTms, m.Loss) // arity fixed by Bind above
+	s.handle(&m).Insert(m.Time, m.Mbps, m.RTTms, m.Loss)
 }
 
 // LogSink appends records into a columnar RecordLog, the engine's one

@@ -145,7 +145,7 @@ func TestHourOrderGolden(t *testing.T) {
 
 func TestRunBasicCampaign(t *testing.T) {
 	f := setup(t)
-	servers := f.topo.ServersInCountry("US")[:20]
+	servers := f.topo.USServers()[:20]
 	sink := newLogSink()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
@@ -215,7 +215,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRandomisedOrderDiffersAcrossHours(t *testing.T) {
 	f := setup(t)
-	servers := f.topo.ServersInCountry("US")[:10]
+	servers := f.topo.USServers()[:10]
 	sink := newLogSink()
 	_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 7}, sink)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sink := newLogSink()
 			rep, err := f.orch.Run(Config{
 				Region:          "us-east1",
-				Servers:         f.topo.ServersInCountry("US")[:12],
+				Servers:         f.topo.USServers()[:12],
 				Tiers:           []bgp.Tier{bgp.Premium, bgp.Standard},
 				Days:            2,
 				Seed:            17,

@@ -186,7 +186,7 @@ func TestRestoreHandsStateBack(t *testing.T) {
 // deployed once always re-creates; TestRestoreHandsStateBack covers them.)
 func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 	f := setup(t)
-	servers := f.topo.ServersInCountry("US")[:9]
+	servers := f.topo.USServers()[:9]
 	const days = 2
 	for _, name := range faults.Names() {
 		t.Run(name, func(t *testing.T) {

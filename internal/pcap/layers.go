@@ -126,19 +126,13 @@ func (p Payload) LayerType() LayerType { return LayerTypePayload }
 
 // --- Serialisation ----------------------------------------------------------
 
-// TCPPacket serialises an Ethernet/IPv4/TCP packet with payloadLen bytes of
-// zero-filled application data (header captures carry no real payload, but
-// the IP total length records the true size, exactly like a tcpdump -s 96
-// capture).
-//
-// capPayload limits how many payload bytes are materialised; the IP header
-// length field always reflects payloadLen.
-func TCPPacket(src, dst netip.Addr, tcp *TCP, ipID uint16, ttl uint8, payloadLen, capPayload int) []byte {
-	if capPayload > payloadLen {
-		capPayload = payloadLen
-	}
+// TCPPacket serialises the headers of an Ethernet/IPv4/TCP packet, TTL 60,
+// carrying payloadLen bytes of application data: like a tcpdump -s 96
+// capture, no payload byte is materialised, but the IP total length records
+// the true size.
+func TCPPacket(src, dst netip.Addr, tcp *TCP, ipID uint16, payloadLen int) []byte {
 	const ethLen, ipLen, tcpLen = 14, 20, 20
-	buf := make([]byte, ethLen+ipLen+tcpLen+capPayload)
+	buf := make([]byte, ethLen+ipLen+tcpLen)
 	eth := Ethernet{EtherType: EtherTypeIPv4}
 	eth.SrcMAC = [6]byte{2, 0, 0, 0, 0, 1}
 	eth.DstMAC = [6]byte{2, 0, 0, 0, 0, 2}
@@ -148,7 +142,7 @@ func TCPPacket(src, dst netip.Addr, tcp *TCP, ipID uint16, ttl uint8, payloadLen
 	ip[0] = 0x45 // version 4, IHL 5
 	binary.BigEndian.PutUint16(ip[2:], uint16(ipLen+tcpLen+payloadLen))
 	binary.BigEndian.PutUint16(ip[4:], ipID)
-	ip[8] = ttl
+	ip[8] = 60 // TTL
 	ip[9] = ProtoTCP
 	s4 := src.As4()
 	d4 := dst.As4()

@@ -36,17 +36,15 @@ type CaptureInfo struct {
 // Writer writes a pcap file. Create with NewWriter, which emits the global
 // header immediately.
 type Writer struct {
-	w       io.Writer
-	snaplen uint32
+	w io.Writer
 }
 
+// snaplen is the capture length: the paper captured headers only
+// (tcpdump -s 96).
+const snaplen = 96
+
 // NewWriter writes the pcap global header and returns a packet writer.
-// snaplen 0 defaults to 65535 (tcpdump -s 0 behaviour is full packets; the
-// paper captured headers only, so callers typically pass ~96).
-func NewWriter(w io.Writer, snaplen uint32) (*Writer, error) {
-	if snaplen == 0 {
-		snaplen = 65535
-	}
+func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magicMicroseconds)
 	binary.LittleEndian.PutUint16(hdr[4:], versionMajor)
@@ -57,13 +55,13 @@ func NewWriter(w io.Writer, snaplen uint32) (*Writer, error) {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: writing global header: %w", err)
 	}
-	return &Writer{w: w, snaplen: snaplen}, nil
+	return &Writer{w: w}, nil
 }
 
 // WritePacket writes one packet record, truncating data to the snaplen.
 func (w *Writer) WritePacket(ci CaptureInfo, data []byte) error {
-	if len(data) > int(w.snaplen) {
-		data = data[:w.snaplen]
+	if len(data) > snaplen {
+		data = data[:snaplen]
 	}
 	if ci.Length < len(data) {
 		ci.Length = len(data)

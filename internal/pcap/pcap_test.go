@@ -17,12 +17,12 @@ var (
 func samplePacket(seq uint32, payload int) []byte {
 	return TCPPacket(srcIP, dstIP, &TCP{
 		SrcPort: 443, DstPort: 51000, Seq: seq, Ack: 100, ACK: true, PSH: payload > 0, Window: 65535,
-	}, 7, 64, payload, 0)
+	}, 7, payload)
 }
 
 func TestWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 96)
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func TestReaderRejectsImplausibleRecord(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0)
+	w, _ := NewWriter(&buf)
 	_ = w
 	// Append a record header claiming a 2 MB packet.
 	rec := make([]byte, 16)
@@ -99,13 +99,13 @@ func TestDecodeTCPPacket(t *testing.T) {
 	raw := TCPPacket(srcIP, dstIP, &TCP{
 		SrcPort: 8080, DstPort: 443, Seq: 1000, Ack: 2000,
 		SYN: true, ACK: true, Window: 29200,
-	}, 42, 57, 0, 0)
+	}, 42, 0)
 	p := Decode(CaptureInfo{}, raw)
 	ip, ok := p.NetworkLayer().(*IPv4)
 	if !ok {
 		t.Fatal("no IPv4 layer")
 	}
-	if ip.SrcIP != srcIP || ip.DstIP != dstIP || ip.TTL != 57 || ip.ID != 42 {
+	if ip.SrcIP != srcIP || ip.DstIP != dstIP || ip.TTL != 60 || ip.ID != 42 {
 		t.Errorf("IPv4 fields wrong: %+v", ip)
 	}
 	tcp, ok := p.TransportLayer().(*TCP)
@@ -126,7 +126,7 @@ func TestDecodeTCPPacket(t *testing.T) {
 func TestDecodePayloadLenFromIPHeader(t *testing.T) {
 	// Payload of 1448 recorded in IP length, but zero bytes materialised
 	// (header-only capture).
-	raw := TCPPacket(srcIP, dstIP, &TCP{SrcPort: 443, DstPort: 50000, ACK: true}, 1, 64, 1448, 0)
+	raw := TCPPacket(srcIP, dstIP, &TCP{SrcPort: 443, DstPort: 50000, ACK: true}, 1, 1448)
 	p := Decode(CaptureInfo{}, raw)
 	tcp := p.TransportLayer().(*TCP)
 	if tcp.PayloadLen != 1448 {
@@ -195,7 +195,7 @@ func TestIPChecksumValid(t *testing.T) {
 }
 
 func TestFlowHelpers(t *testing.T) {
-	raw := TCPPacket(srcIP, dstIP, &TCP{SrcPort: 443, DstPort: 50000, ACK: true}, 1, 64, 0, 0)
+	raw := TCPPacket(srcIP, dstIP, &TCP{SrcPort: 443, DstPort: 50000, ACK: true}, 1, 0)
 	p := Decode(CaptureInfo{}, raw)
 	nf, ok := p.NetworkFlow()
 	if !ok || nf.Src.Addr != srcIP || nf.Dst.Addr != dstIP {
@@ -237,7 +237,7 @@ func TestTCPRoundTripProperty(t *testing.T) {
 			RST: flags&8 != 0, PSH: flags&16 != 0, URG: flags&32 != 0,
 		}
 		pl := int(payload % 1449)
-		raw := TCPPacket(srcIP, dstIP, in, 3, 60, pl, 0)
+		raw := TCPPacket(srcIP, dstIP, in, 3, pl)
 		p := Decode(CaptureInfo{}, raw)
 		out, ok := p.TransportLayer().(*TCP)
 		if !ok {

@@ -58,15 +58,9 @@ func New() *Table {
 	return &Table{v4: &trieNode{}, v6: &trieNode{}}
 }
 
-// Insert adds or replaces the origin for a prefix. An invalid prefix or an
-// empty origin is rejected.
-func (t *Table) Insert(p netip.Prefix, origin Origin) error {
-	if !p.IsValid() {
-		return fmt.Errorf("pfx2as: invalid prefix %v", p)
-	}
-	if len(origin) == 0 {
-		return fmt.Errorf("pfx2as: empty origin for %v", p)
-	}
+// Insert adds or replaces the origin for a prefix. The table is built from
+// the generated topology, so the prefix is valid and the origin not empty.
+func (t *Table) Insert(p netip.Prefix, origin Origin) {
 	p = p.Masked()
 	root := t.v4
 	if p.Addr().Is6() && !p.Addr().Is4In6() {
@@ -85,14 +79,13 @@ func (t *Table) Insert(p netip.Prefix, origin Origin) error {
 	copy(o, origin)
 	n.origin = o
 	n.set = true
-	return nil
 }
 
-// Lookup returns the origin AS set and matched prefix length for the longest
-// prefix covering addr. ok is false when no prefix matches.
-func (t *Table) Lookup(addr netip.Addr) (origin Origin, bits int, ok bool) {
+// LookupASN returns the primary origin AS of the longest prefix covering
+// addr, or 0 when none does.
+func (t *Table) LookupASN(addr netip.Addr) ASN {
 	if !addr.IsValid() {
-		return nil, 0, false
+		return 0
 	}
 	root := t.v4
 	maxBits := 32
@@ -105,9 +98,10 @@ func (t *Table) Lookup(addr netip.Addr) (origin Origin, bits int, ok bool) {
 	}
 	slice := addr.AsSlice()
 	n := root
+	var origin Origin
 	for i := 0; i <= maxBits; i++ {
 		if n.set {
-			origin, bits, ok = n.origin, i, true
+			origin = n.origin
 		}
 		if i == maxBits {
 			break
@@ -118,17 +112,7 @@ func (t *Table) Lookup(addr netip.Addr) (origin Origin, bits int, ok bool) {
 		}
 		n = n.child[b]
 	}
-	return origin, bits, ok
-}
-
-// LookupASN is a convenience wrapper returning the primary origin AS for
-// addr, or 0 when unmapped.
-func (t *Table) LookupASN(addr netip.Addr) ASN {
-	o, _, ok := t.Lookup(addr)
-	if !ok {
-		return 0
-	}
-	return o.Primary()
+	return origin.Primary()
 }
 
 func bitAt(b []byte, i int) int {

@@ -134,7 +134,7 @@ func TopologyBased(sim *netsim.Sim, mapper *bdrmap.Mapper, params TopoParams) (*
 		asHops int
 		rtt    float64
 	}
-	servers := topo.ServersInCountry("US")
+	servers := topo.USServers()
 	traced := make([]serverObs, len(servers))
 	errs = make([]error, len(servers))
 	analysis.ParallelFor(params.Parallelism, len(servers), func(i int) {

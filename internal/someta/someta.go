@@ -76,12 +76,14 @@ type LocalProbe struct {
 
 // Sample implements Probe.
 func (p *LocalProbe) Sample() (float64, float64, int64, int64) {
-	return p.sample(runtime.NumGoroutine())
+	cpu, mem := p.sample(runtime.NumGoroutine())
+	return cpu, mem, 0, 0
 }
 
 // sample is Sample with the goroutine count taken by the caller, so a
-// snapshot's CPU proxy and its Goroutines field come from one reading.
-func (p *LocalProbe) sample(goroutines int) (float64, float64, int64, int64) {
+// snapshot's CPU proxy and its Goroutines field come from one reading. It
+// returns the CPU proxy and the heap in MB.
+func (p *LocalProbe) sample(goroutines int) (float64, float64) {
 	cpu := ClampUtil(float64(goroutines) / float64(runtime.NumCPU()*8))
 	p.mu.Lock()
 	p.heap[0].Name = heapObjectsMetric
@@ -91,7 +93,7 @@ func (p *LocalProbe) sample(goroutines int) (float64, float64, int64, int64) {
 		heapBytes = p.heap[0].Value.Uint64()
 	}
 	p.mu.Unlock()
-	return cpu, float64(heapBytes) / (1 << 20), 0, 0
+	return cpu, float64(heapBytes) / (1 << 20)
 }
 
 // Collector takes snapshots from a probe.
@@ -124,7 +126,7 @@ func (c *Collector) Snap(at time.Time) {
 	var cpu, mem float64
 	var in, out int64
 	if local, ok := c.Probe.(*LocalProbe); ok {
-		cpu, mem, in, out = local.sample(goroutines)
+		cpu, mem = local.sample(goroutines)
 	} else {
 		cpu, mem, in, out = c.Probe.Sample()
 	}

@@ -40,7 +40,7 @@ func referencePreliminary(p *Platform, params Params) []Aggregate {
 		if len(xs) < params.MinSamples {
 			continue
 		}
-		med, err := stats.Median(xs)
+		med, err := stats.Percentile(xs, 50)
 		if err != nil {
 			continue
 		}

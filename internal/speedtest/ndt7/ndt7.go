@@ -19,8 +19,6 @@ import (
 
 // Protocol constants.
 const (
-	// Subprotocol is the required WebSocket subprotocol.
-	Subprotocol = "net.measurementlab.ndt.v7"
 	// DownloadPath and UploadPath are the ndt7 endpoints.
 	DownloadPath = "/ndt/v7/download"
 	UploadPath   = "/ndt/v7/upload"
@@ -71,12 +69,14 @@ func (h *Handler) duration() time.Duration {
 }
 
 func (h *Handler) download(w http.ResponseWriter, r *http.Request) {
-	c, err := wsock.Upgrade(w, r, Subprotocol)
+	c, err := wsock.Upgrade(w, r)
 	if err != nil {
 		return
 	}
 	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(h.duration() + 15*time.Second))
+	if err := c.SetDeadline(time.Now().Add(h.duration() + 15*time.Second)); err != nil {
+		return
+	}
 
 	start := time.Now()
 	var sent int64
@@ -115,12 +115,14 @@ func (h *Handler) download(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) upload(w http.ResponseWriter, r *http.Request) {
-	c, err := wsock.Upgrade(w, r, Subprotocol)
+	c, err := wsock.Upgrade(w, r)
 	if err != nil {
 		return
 	}
 	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(h.duration() + 15*time.Second))
+	if err := c.SetDeadline(time.Now().Add(h.duration() + 15*time.Second)); err != nil {
+		return
+	}
 
 	start := time.Now()
 	var received int64
@@ -197,7 +199,7 @@ func (c *Client) connect(ctx context.Context, addr, path string) (*wsock.Conn, t
 	if err != nil {
 		return nil, 0, fmt.Errorf("ndt7: dial: %w", err)
 	}
-	conn, err := wsock.ClientHandshake(raw, addr, path, Subprotocol)
+	conn, err := wsock.ClientHandshake(raw, addr, path)
 	if err != nil {
 		raw.Close()
 		return nil, 0, fmt.Errorf("ndt7: handshake: %w", err)
@@ -213,7 +215,9 @@ func (c *Client) Download(ctx context.Context, addr string) (mbps float64, bytes
 		return 0, 0, 0, err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.Duration + 15*time.Second))
+	if err := conn.SetDeadline(time.Now().Add(c.cfg.Duration + 15*time.Second)); err != nil {
+		return 0, 0, rtt, fmt.Errorf("ndt7: download: %w", err)
+	}
 	start := time.Now()
 	for time.Since(start) < c.cfg.Duration {
 		if err := ctx.Err(); err != nil {
@@ -246,7 +250,9 @@ func (c *Client) Upload(ctx context.Context, addr string) (mbps float64, bytes i
 		return 0, 0, err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.Duration + 15*time.Second))
+	if err := conn.SetDeadline(time.Now().Add(c.cfg.Duration + 15*time.Second)); err != nil {
+		return 0, 0, fmt.Errorf("ndt7: upload: %w", err)
+	}
 	start := time.Now()
 	size := minMessageSize
 	buf := make([]byte, maxMessageSize)

@@ -223,7 +223,7 @@ func (s *Server) handle(conn net.Conn) {
 		case "PING":
 			fmt.Fprintf(bw, "PONG %d\n", time.Now().UnixMilli())
 		case "DOWNLOAD":
-			n, err := parseSize(fields, 1)
+			n, err := parseSize(fields)
 			if err != nil {
 				fmt.Fprintf(bw, "ERROR %v\n", err)
 				bw.Flush()
@@ -233,7 +233,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case "UPLOAD":
-			n, err := parseSize(fields, 1)
+			n, err := parseSize(fields)
 			if err != nil {
 				fmt.Fprintf(bw, "ERROR %v\n", err)
 				bw.Flush()
@@ -274,13 +274,14 @@ func readLine(br *bufio.Reader) (string, error) {
 	return string(line), err
 }
 
-func parseSize(fields []string, idx int) (int, error) {
-	if len(fields) <= idx {
+// parseSize reads the size argument of a DOWNLOAD or UPLOAD line.
+func parseSize(fields []string) (int, error) {
+	if len(fields) < 2 {
 		return 0, errors.New("missing size")
 	}
-	n, err := strconv.Atoi(fields[idx])
+	n, err := strconv.Atoi(fields[1])
 	if err != nil || n <= 0 || n > MaxBlock {
-		return 0, fmt.Errorf("bad size %q", fields[idx])
+		return 0, fmt.Errorf("bad size %q", fields[1])
 	}
 	return n, nil
 }

@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives used throughout CLASP:
 // percentiles, empirical CDFs, Gaussian kernel density estimation, the elbow
-// locator used to pick the congestion threshold H, and streaming moments.
+// locator used to pick the congestion threshold H.
 //
 // All functions are pure and operate on float64 slices. Functions that need
 // sorted input document it; the exported helpers sort defensively on a copy
@@ -140,9 +140,6 @@ func selectKth(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // CDFPoint is a single point of an empirical cumulative distribution.
 type CDFPoint struct {
 	X float64 // sample value
@@ -202,54 +199,3 @@ func Elbow(xs, ys []float64) (int, error) {
 	}
 	return best, nil
 }
-
-// Welford accumulates streaming mean and variance using Welford's online
-// algorithm. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased running variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the unbiased running standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample seen (0 for an empty accumulator).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample seen (0 for an empty accumulator).
-func (w *Welford) Max() float64 { return w.max }

@@ -63,40 +63,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// welfordOf streams xs through a Welford accumulator.
-func welfordOf(xs ...float64) *Welford {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return &w
-}
-
-func TestMeanVariance(t *testing.T) {
-	w := welfordOf(2, 4, 4, 4, 5, 5, 7, 9)
-	if m := w.Mean(); !almostEqual(m, 5, 1e-9) {
-		t.Errorf("Mean = %v, want 5", m)
-	}
-	if v := w.Variance(); !almostEqual(v, 32.0/7.0, 1e-9) {
-		t.Errorf("Variance = %v, want %v", v, 32.0/7.0)
-	}
-	if sd := w.StdDev(); !almostEqual(sd, math.Sqrt(32.0/7.0), 1e-9) {
-		t.Errorf("StdDev = %v", sd)
-	}
-}
-
-func TestVarianceSingleElement(t *testing.T) {
-	if v := welfordOf(42).Variance(); v != 0 {
-		t.Errorf("Variance single = %v, want 0", v)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if w := welfordOf(5, -2, 9, 0); w.Min() != -2 || w.Max() != 9 {
-		t.Errorf("MinMax = %v,%v", w.Min(), w.Max())
-	}
-}
-
 func TestCDF(t *testing.T) {
 	pts, err := CDF([]float64{3, 1, 2, 2})
 	if err != nil {
@@ -141,46 +107,6 @@ func TestElbowErrors(t *testing.T) {
 	}
 	if _, err := Elbow([]float64{1, 1, 1}, []float64{2, 2, 2}); err == nil {
 		t.Error("coincident endpoints: want error")
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-		w.Add(xs[i])
-	}
-	// The two-pass batch formulas.
-	bm, bv := 0.0, 0.0
-	for _, x := range xs {
-		bm += x
-	}
-	bm /= float64(len(xs))
-	for _, x := range xs {
-		bv += (x - bm) * (x - bm)
-	}
-	bv /= float64(len(xs) - 1)
-	min, max := slices.Min(xs), slices.Max(xs)
-	if !almostEqual(w.Mean(), bm, 1e-9) {
-		t.Errorf("Welford mean %v vs batch %v", w.Mean(), bm)
-	}
-	if !almostEqual(w.Variance(), bv, 1e-6) {
-		t.Errorf("Welford var %v vs batch %v", w.Variance(), bv)
-	}
-	if w.Min() != min || w.Max() != max {
-		t.Errorf("Welford min/max %v/%v vs %v/%v", w.Min(), w.Max(), min, max)
-	}
-	if w.N() != 1000 {
-		t.Errorf("Welford N = %d", w.N())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.N() != 0 {
-		t.Error("zero-value Welford should report zeros")
 	}
 }
 
@@ -242,28 +168,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 			prev = p.P
 		}
 		return almostEqual(pts[len(pts)-1].P, 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Welford mean always lies within [min, max].
-func TestWelfordBoundsProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var w Welford
-		for _, x := range raw {
-			// Skip values whose differences overflow float64; the
-			// accumulator targets measurement-scale magnitudes.
-			if math.IsNaN(x) || math.Abs(x) > 1e150 {
-				continue
-			}
-			w.Add(x)
-		}
-		if w.N() == 0 {
-			return true
-		}
-		return w.Mean() >= w.Min()-1e-9 && w.Mean() <= w.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

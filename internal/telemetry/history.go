@@ -70,23 +70,23 @@ func (h *HistoryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	measurement := q.Get("measurement")
 	if measurement == "" {
-		historyError(w, http.StatusBadRequest, "missing required parameter: measurement")
+		historyError(w, "missing required parameter: measurement")
 		return
 	}
 	from, err := parseHistoryTime(q.Get("from"))
 	if err != nil {
-		historyError(w, http.StatusBadRequest, "bad from: %v", err)
+		historyError(w, "bad from: %v", err)
 		return
 	}
 	to, err := parseHistoryTime(q.Get("to"))
 	if err != nil {
-		historyError(w, http.StatusBadRequest, "bad to: %v", err)
+		historyError(w, "bad to: %v", err)
 		return
 	}
 	if last := q.Get("last"); last != "" {
 		d, err := time.ParseDuration(last)
 		if err != nil {
-			historyError(w, http.StatusBadRequest, "bad last: %v", err)
+			historyError(w, "bad last: %v", err)
 			return
 		}
 		now := time.Now
@@ -125,8 +125,9 @@ func (h *HistoryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-func historyError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.WriteHeader(code)
+// historyError answers a bad query: 400 and the reason as JSON.
+func historyError(w http.ResponseWriter, format string, args ...any) {
+	w.WriteHeader(http.StatusBadRequest)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 

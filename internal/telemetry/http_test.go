@@ -17,7 +17,7 @@ import (
 func TestHTTPMetricsRoutesAndStatuses(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
-	m := NewHTTPMetrics(reg, "d_ns", []string{"/servers.json", "/speedtest/", "/metrics"})
+	m := NewHTTPMetrics(reg, []string{"/servers.json", "/speedtest/", "/metrics"})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/servers.json", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, "ok") })
@@ -36,10 +36,10 @@ func TestHTTPMetricsRoutesAndStatuses(t *testing.T) {
 	}
 
 	want := map[string]uint64{
-		`d_ns{route="/servers.json",status="200"}`: 1,
-		`d_ns{route="/speedtest/",status="200"}`:   1, // latency, exact-ish
-		`d_ns{route="/speedtest/",status="404"}`:   1, // upload has no handler
-		`d_ns{route="other",status="404"}`:         2, // /missing and /also-missing
+		HTTPDurationFamily + `{route="/servers.json",status="200"}`: 1,
+		HTTPDurationFamily + `{route="/speedtest/",status="200"}`:   1, // latency, exact-ish
+		HTTPDurationFamily + `{route="/speedtest/",status="404"}`:   1, // upload has no handler
+		HTTPDurationFamily + `{route="other",status="404"}`:         2, // /missing and /also-missing
 	}
 	for _, s := range reg.Samples() {
 		if s.Kind != obs.KindHistogram {
@@ -66,7 +66,7 @@ func TestHTTPMetricsRoutesAndStatuses(t *testing.T) {
 func TestHTTPMetricsHijack(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
-	m := NewHTTPMetrics(reg, "d_ns", []string{"/ws"})
+	m := NewHTTPMetrics(reg, []string{"/ws"})
 
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hj, ok := w.(http.Hijacker)
@@ -107,7 +107,7 @@ func TestHTTPMetricsHijack(t *testing.T) {
 
 	found := false
 	for _, s := range reg.Samples() {
-		if s.ID == `d_ns{route="/ws",status="101"}` {
+		if s.ID == HTTPDurationFamily+`{route="/ws",status="101"}` {
 			found = true
 			if s.Count != 1 {
 				t.Fatalf("hijack series count = %d, want 1", s.Count)

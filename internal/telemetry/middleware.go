@@ -20,21 +20,23 @@ import (
 // everything else collapses to "other".
 type HTTPMetrics struct {
 	reg      *obs.Registry
-	family   string
 	exact    map[string]string
 	prefixes []string
 
 	hists sync.Map // route + "\x00" + status -> *obs.Histogram
 }
 
-// NewHTTPMetrics builds middleware recording into family (a histogram of
-// nanoseconds, labelled route/status) on reg. routes is the allow-list;
-// entries ending in "/" match by prefix.
-func NewHTTPMetrics(reg *obs.Registry, family string, routes []string) *HTTPMetrics {
+// HTTPDurationFamily is the serving-path histogram family the middleware
+// records (nanoseconds, labelled route/status); the request total is the
+// sum of its _count series.
+const HTTPDurationFamily = "speedtestd_http_request_duration_ns"
+
+// NewHTTPMetrics builds middleware recording into HTTPDurationFamily on
+// reg. routes is the allow-list; entries ending in "/" match by prefix.
+func NewHTTPMetrics(reg *obs.Registry, routes []string) *HTTPMetrics {
 	m := &HTTPMetrics{
-		reg:    reg,
-		family: family,
-		exact:  make(map[string]string, len(routes)),
+		reg:   reg,
+		exact: make(map[string]string, len(routes)),
 	}
 	for _, r := range routes {
 		if strings.HasSuffix(r, "/") {
@@ -65,7 +67,7 @@ func (m *HTTPMetrics) histogram(route, status string) *obs.Histogram {
 	if h, ok := m.hists.Load(key); ok {
 		return h.(*obs.Histogram)
 	}
-	h := m.reg.Histogram(m.family, "route", route, "status", status)
+	h := m.reg.Histogram(HTTPDurationFamily, "route", route, "status", status)
 	m.hists.Store(key, h)
 	return h
 }

@@ -27,6 +27,7 @@
 package telemetry
 
 import (
+	"log"
 	"sync"
 	"time"
 
@@ -121,7 +122,9 @@ func (p *Pipeline) Start() {
 				case <-p.stop:
 					return
 				case <-t.C:
-					_ = p.Cycle() // errors accumulate in Scraper.Stats()
+					if err := p.Cycle(); err != nil {
+						log.Printf("telemetry: %v", err) // the pass went on past the bad series
+					}
 				}
 			}
 		}()

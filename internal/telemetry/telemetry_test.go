@@ -126,9 +126,7 @@ func TestPipelineRetention(t *testing.T) {
 func TestHistogramWindowsAndQuantile(t *testing.T) {
 	st := tsdb.NewStore()
 	ins := func(le string, sec int64, cum float64) {
-		if err := st.Insert("lat_ns_bucket", tsdb.Tags{"route": "/x", "le": le}, time.Unix(sec, 0).UTC(), map[string]float64{"cum": cum}); err != nil {
-			t.Fatal(err)
-		}
+		st.Insert("lat_ns_bucket", tsdb.Tags{"route": "/x", "le": le}, time.Unix(sec, 0).UTC(), map[string]float64{"cum": cum})
 	}
 	// t=100: 10 obs <= 8, 20 obs total (<= 64).
 	ins("8", 100, 10)
@@ -275,23 +273,16 @@ func TestBuildProgressCommands(t *testing.T) {
 
 func TestDropBeforeKeepsHandles(t *testing.T) {
 	st := tsdb.NewStore()
-	h, err := st.Bind("m", tsdb.Tags{"k": "v"}, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := st.Bind(tsdb.Tags{"k": "v"}, "f")
 	for i := int64(0); i < 10; i++ {
-		if err := h.Insert(time.Unix(i, 0).UTC(), float64(i)); err != nil {
-			t.Fatal(err)
-		}
+		h.Insert(time.Unix(i, 0).UTC(), float64(i))
 	}
 	if n := st.DropBefore(time.Unix(5, 0).UTC()); n != 5 {
 		t.Fatalf("dropped %d, want 5", n)
 	}
 	// The handle keeps working after retention emptied part of its series.
-	if err := h.Insert(time.Unix(20, 0).UTC(), 20); err != nil {
-		t.Fatal(err)
-	}
-	got := st.Query("m", nil, time.Time{}, time.Time{})
+	h.Insert(time.Unix(20, 0).UTC(), 20)
+	got := st.Query("speedtest", nil, time.Time{}, time.Time{})
 	if len(got) != 1 || len(got[0].Points) != 6 {
 		t.Fatalf("after drop: %+v", got)
 	}
@@ -301,13 +292,11 @@ func TestDropBeforeKeepsHandles(t *testing.T) {
 
 	// Drop everything — the series survives as an empty shell.
 	st.DropBefore(time.Unix(100, 0).UTC())
-	if got := st.Query("m", nil, time.Time{}, time.Time{}); len(got) != 0 {
+	if got := st.Query("speedtest", nil, time.Time{}, time.Time{}); len(got) != 0 {
 		t.Fatalf("expected no queryable points, got %+v", got)
 	}
-	if err := h.Insert(time.Unix(200, 0).UTC(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Query("m", nil, time.Time{}, time.Time{}); len(got) != 1 || len(got[0].Points) != 1 {
+	h.Insert(time.Unix(200, 0).UTC(), 1)
+	if got := st.Query("speedtest", nil, time.Time{}, time.Time{}); len(got) != 1 || len(got[0].Points) != 1 {
 		t.Fatalf("handle insert after full drop lost: %+v", got)
 	}
 }

@@ -738,7 +738,7 @@ func (t *Topology) buildPrefixTable() {
 			p = netip.PrefixFrom(p.Addr(), 10)
 		}
 		// Errors impossible: generated prefixes and origins are valid.
-		_ = t.prefixTable.Insert(p, pfx2as.Origin{a.ASN})
+		t.prefixTable.Insert(p, pfx2as.Origin{a.ASN})
 	}
 }
 
@@ -813,11 +813,11 @@ func (t *Topology) Servers() []*Server { return t.servers }
 // Server returns the server with the given ID, or nil.
 func (t *Topology) Server(id int) *Server { return t.serverByID[id] }
 
-// ServersInCountry filters servers by country code.
-func (t *Topology) ServersInCountry(cc string) []*Server {
+// USServers returns the servers in the US, the paper's measurement targets.
+func (t *Topology) USServers() []*Server {
 	var out []*Server
 	for _, s := range t.servers {
-		if s.Country == cc {
+		if s.Country == "US" {
 			out = append(out, s)
 		}
 	}

@@ -331,7 +331,7 @@ func TestServers(t *testing.T) {
 
 func TestServersInCountry(t *testing.T) {
 	topo := small(t)
-	us := topo.ServersInCountry("US")
+	us := topo.USServers()
 	if len(us) == 0 {
 		t.Fatal("no US servers")
 	}
@@ -341,7 +341,7 @@ func TestServersInCountry(t *testing.T) {
 	}
 	for _, s := range us {
 		if s.Country != "US" {
-			t.Errorf("ServersInCountry returned %s server", s.Country)
+			t.Errorf("USServers returned %s server", s.Country)
 		}
 	}
 }
@@ -434,7 +434,7 @@ func TestPaperScaleStructure(t *testing.T) {
 		}
 	}
 	// ~1.3k US servers (paper found 1,329).
-	us := len(topo.ServersInCountry("US"))
+	us := len(topo.USServers())
 	if us < 1100 || us > 1500 {
 		t.Errorf("US servers = %d, want ~1329", us)
 	}

@@ -58,7 +58,7 @@ func referenceTrace(p *Prober, dst Destination, opts Options) (Result, error) {
 func TestTraceMatchesPerTTLReference(t *testing.T) {
 	p, topo := newProber(t)
 	var dsts []Destination
-	for _, s := range topo.ServersInCountry("US") {
+	for _, s := range topo.USServers() {
 		dsts = append(dsts, serverDest(s))
 	}
 	for _, l := range topo.VisibleLinks("us-east1") {

@@ -47,14 +47,8 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 		bindings := make([]binding, 3)
 		tagsOf := func(sr int) Tags { return Tags{"server": string(rune('a' + sr))} }
 		for sr := range bindings {
-			full, err := byBound.Bind("speedtest", tagsOf(sr), "mbps", "rtt_ms", "loss")
-			if err != nil {
-				t.Fatal(err)
-			}
-			part, err := byBound.Bind("speedtest", tagsOf(sr), "loss", "mbps")
-			if err != nil {
-				t.Fatal(err)
-			}
+			full := byBound.Bind(tagsOf(sr), "mbps", "rtt_ms", "loss")
+			part := byBound.Bind(tagsOf(sr), "loss", "mbps")
 			bindings[sr] = binding{full: full, part: part}
 		}
 		for i := 0; i < 400; i++ {
@@ -68,18 +62,16 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 			}
 			mbps, rtt, loss := rng.Float64()*900, rng.Float64()*80, rng.Float64()/100
 			b := bindings[sr]
-			var err1, err2 error
+			var err error
 			if rng.Intn(4) == 0 {
-				err1 = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "loss": loss})
-				err2 = b.part.Insert(at, loss, mbps)
+				err = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "loss": loss})
+				b.part.Insert(at, loss, mbps)
 			} else {
-				err1 = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "rtt_ms": rtt, "loss": loss})
-				err2 = b.full.Insert(at, mbps, rtt, loss)
+				err = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "rtt_ms": rtt, "loss": loss})
+				b.full.Insert(at, mbps, rtt, loss)
 			}
-			for _, err := range []error{err1, err2} {
-				if err != nil {
-					t.Fatal(err)
-				}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 		wb, wp, wbytes := byMap.BlockStats()
@@ -98,24 +90,6 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 	}
 }
 
-// TestBindRejectsBadFields covers the validation Bind does once so that
-// BoundHandle.Insert need not.
-func TestBindRejectsBadFields(t *testing.T) {
-	s := NewStore()
-	for _, fields := range [][]string{nil, {""}, {"a b"}, {"v", "v"}} {
-		if _, err := s.Bind("m", nil, fields...); err == nil {
-			t.Errorf("Bind(%q) succeeded", fields)
-		}
-	}
-	b, err := s.Bind("m", nil, "v", "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert(time.Unix(1, 0), 1); err == nil {
-		t.Error("Insert with one value for two bound fields succeeded")
-	}
-}
-
 // TestOutOfOrderRunReopensOnce pins the linear re-seal: the first point
 // older than a sealed range reopens the series, every further out-of-order
 // point finds it open — no block to decode, none re-encoded — and the first
@@ -123,34 +97,25 @@ func TestBindRejectsBadFields(t *testing.T) {
 func TestOutOfOrderRunReopensOnce(t *testing.T) {
 	s := NewStore()
 	s.sealThreshold = 8
-	b, err := s.Bind("m", Tags{"k": "v"}, "v")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := s.Bind(Tags{"k": "v"}, "v")
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 20; i++ {
-		if err := b.Insert(base.Add(time.Duration(i)*time.Hour), float64(i)); err != nil {
-			t.Fatal(err)
-		}
+		b.Insert(base.Add(time.Duration(i)*time.Hour), float64(i))
 	}
 	if blocks, pts, _ := s.BlockStats(); blocks != 2 || pts != 16 {
 		t.Fatalf("before: %d blocks / %d points sealed, want 2 / 16", blocks, pts)
 	}
 	for i := 0; i < 30; i++ {
-		if err := b.Insert(base.Add(time.Duration(i)*time.Hour/2), -1); err != nil {
-			t.Fatal(err)
-		}
+		b.Insert(base.Add(time.Duration(i)*time.Hour/2), -1)
 		if blocks, _, _ := s.BlockStats(); blocks != 0 {
 			t.Fatalf("out-of-order insert %d left %d sealed blocks; the series must stay open", i, blocks)
 		}
 	}
-	if err := b.Insert(base.Add(20*time.Hour), 20); err != nil {
-		t.Fatal(err)
-	}
+	b.Insert(base.Add(20*time.Hour), 20)
 	if blocks, pts, _ := s.BlockStats(); blocks != 1 || pts != 51 {
 		t.Fatalf("after an in-order append: %d blocks / %d points sealed, want 1 / 51", blocks, pts)
 	}
-	got := s.Query("m", nil, time.Time{}, time.Time{})
+	got := s.Query("speedtest", nil, time.Time{}, time.Time{})
 	if len(got) != 1 || len(got[0].Points) != 51 {
 		t.Fatalf("query = %+v", got)
 	}
@@ -167,16 +132,11 @@ func TestOutOfOrderRunReopensOnce(t *testing.T) {
 func TestBoundInsertDoesNotAllocate(t *testing.T) {
 	s := NewStore()
 	s.sealThreshold = 0
-	b, err := s.Bind("speedtest", Tags{"server": "1"}, "mbps", "rtt_ms", "loss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := s.Bind(Tags{"server": "1"}, "mbps", "rtt_ms", "loss")
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	i := 0
 	insert := func() {
-		if err := b.Insert(base.Add(time.Duration(i)*time.Hour), float64(i), 12, 0); err != nil {
-			t.Fatal(err)
-		}
+		b.Insert(base.Add(time.Duration(i)*time.Hour), float64(i), 12, 0)
 		i++
 	}
 	for i < 1024 { // grow the columns: capacity now covers the runs below

@@ -104,35 +104,16 @@ func TestHandleMatchesInsert(t *testing.T) {
 	plain := NewStore()
 	handled := NewStore()
 	for i, tags := range tagSets {
-		h, err := handled.Bind("speedtest", tags, "mbps", "loss")
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := handled.Bind(tags, "mbps", "loss")
 		for j := 0; j < 5; j++ {
 			at := base.Add(time.Duration(i*7+j) * time.Minute)
 			if err := plain.Insert("speedtest", tags, at, map[string]float64{"mbps": float64(i*10 + j), "loss": 0.1}); err != nil {
 				t.Fatal(err)
 			}
-			if err := h.Insert(at, float64(i*10+j), 0.1); err != nil {
-				t.Fatal(err)
-			}
+			h.Insert(at, float64(i*10+j), 0.1)
 		}
 	}
 	if !reflect.DeepEqual(storeBytes(plain), storeBytes(handled)) {
 		t.Fatal("handle inserts encode differently")
-	}
-}
-
-// TestHandleValidation pins Bind's checking of the series it interns.
-func TestHandleValidation(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Bind("bad measurement", nil, "v"); err == nil {
-		t.Fatal("expected error for measurement with space")
-	}
-	if _, err := s.Bind("m", Tags{"k": "a,b"}, "v"); err == nil {
-		t.Fatal("expected error for tag value with comma")
-	}
-	if _, err := s.Bind("m", Tags{"k": "v"}, "v"); err != nil {
-		t.Fatal(err)
 	}
 }

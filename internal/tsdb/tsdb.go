@@ -279,24 +279,13 @@ type BoundHandle struct {
 	cols []int // the series' column index of each bound field
 }
 
-// Bind interns a (measurement, tags) series, creating it if absent, and
-// fixes the handle to the given distinct field names. Tags are copied;
-// later mutation of the argument does not affect the handle.
-func (s *Store) Bind(measurement string, tags Tags, fields ...string) (*BoundHandle, error) {
-	if err := validateSeries(measurement, tags); err != nil {
-		return nil, err
-	}
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("tsdb: binding without fields")
-	}
-	for i, name := range fields {
-		if err := validateIdent(name); err != nil {
-			return nil, err
-		}
-		if slices.Contains(fields[:i], name) {
-			return nil, fmt.Errorf("tsdb: field %q bound twice", name)
-		}
-	}
+// Bind interns a series of the speedtest measurement, creating it if
+// absent, and fixes the handle to the given distinct field names. The tags
+// and fields are the campaign sink's own, never outside input, so unlike
+// Insert's they are not validated. Tags are copied; later mutation of the
+// argument does not affect the handle.
+func (s *Store) Bind(tags Tags, fields ...string) *BoundHandle {
+	const measurement = "speedtest"
 	key := seriesKey(measurement, tags)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -305,19 +294,16 @@ func (s *Store) Bind(measurement string, tags Tags, fields ...string) (*BoundHan
 	for i, name := range fields {
 		b.cols[i] = b.sr.tail.col(name)
 	}
-	return b, nil
+	return b
 }
 
-// Insert adds a point carrying vals[i] for the i-th bound field.
-func (b *BoundHandle) Insert(at time.Time, vals ...float64) error {
-	if len(vals) != len(b.cols) {
-		return fmt.Errorf("tsdb: %d values for %d bound fields", len(vals), len(b.cols))
-	}
+// Insert adds a point carrying vals[i] for the i-th bound field: one value
+// per bound field.
+func (b *BoundHandle) Insert(at time.Time, vals ...float64) {
 	lockShard(b.sh)
 	b.sr.insertRow(at.UnixNano(), b.cols, vals, b.st.sealThreshold)
 	b.sh.mu.Unlock()
 	obsShardInserts[b.sh.id].Inc()
-	return nil
 }
 
 // SeriesCount returns the number of distinct series.
@@ -387,7 +373,7 @@ func (s *Store) QueryView(measurement string, match Tags, from, to time.Time) []
 	var out []Series
 	for _, k := range keys {
 		sr := byKey[k]
-		pts := sr.tail.appendPoints(appendBlockPoints(nil, sr.blocks, r), r)
+		pts := sr.tail.appendPoints(blockPoints(sr.blocks, r), r)
 		if len(pts) == 0 {
 			continue
 		}
@@ -396,9 +382,10 @@ func (s *Store) QueryView(measurement string, match Tags, from, to time.Time) []
 	return out
 }
 
-// appendBlockPoints decodes the sealed blocks overlapping r into dst. The
-// blocks are the store's own, so a decode failure is a bug, not bad input.
-func appendBlockPoints(dst []Point, blocks []*block, r timeRange) []Point {
+// blockPoints decodes the sealed blocks overlapping r. The blocks are the
+// store's own, so a decode failure is a bug, not bad input.
+func blockPoints(blocks []*block, r timeRange) []Point {
+	var dst []Point
 	for _, b := range blocks {
 		if !r.overlaps(b.minNs, b.maxNs) {
 			continue

@@ -22,6 +22,10 @@ import (
 // websocketGUID is the fixed RFC 6455 handshake GUID.
 const websocketGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
+// Subprotocol is the one WebSocket subprotocol this package speaks, ndt7's:
+// both ends of every handshake name it in Sec-WebSocket-Protocol.
+const Subprotocol = "net.measurementlab.ndt.v7"
+
 // Message opcodes.
 const (
 	OpContinuation = 0x0
@@ -58,11 +62,10 @@ func AcceptKey(key string) string {
 }
 
 // Upgrade performs the server side of the handshake on an http request and
-// hijacks the connection. subprotocol, when non-empty, is echoed in
-// Sec-WebSocket-Protocol.
-func Upgrade(w http.ResponseWriter, r *http.Request, subprotocol string) (*Conn, error) {
+// hijacks the connection.
+func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), "websocket") ||
-		!headerContainsToken(r.Header.Get("Connection"), "upgrade") {
+		!connectionUpgrade(r.Header.Get("Connection")) {
 		http.Error(w, "not a websocket handshake", http.StatusBadRequest)
 		return nil, fmt.Errorf("wsock: not a websocket handshake")
 	}
@@ -85,9 +88,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request, subprotocol string) (*Conn,
 	b.WriteString("Upgrade: websocket\r\n")
 	b.WriteString("Connection: Upgrade\r\n")
 	b.WriteString("Sec-WebSocket-Accept: " + AcceptKey(key) + "\r\n")
-	if subprotocol != "" {
-		b.WriteString("Sec-WebSocket-Protocol: " + subprotocol + "\r\n")
-	}
+	b.WriteString("Sec-WebSocket-Protocol: " + Subprotocol + "\r\n")
 	b.WriteString("\r\n")
 	if _, err := conn.Write([]byte(b.String())); err != nil {
 		conn.Close()
@@ -96,9 +97,10 @@ func Upgrade(w http.ResponseWriter, r *http.Request, subprotocol string) (*Conn,
 	return &Conn{conn: conn, br: rw.Reader, client: false}, nil
 }
 
-func headerContainsToken(header, token string) bool {
+// connectionUpgrade reports whether a Connection header lists "upgrade".
+func connectionUpgrade(header string) bool {
 	for _, part := range strings.Split(header, ",") {
-		if strings.EqualFold(strings.TrimSpace(part), token) {
+		if strings.EqualFold(strings.TrimSpace(part), "upgrade") {
 			return true
 		}
 	}
@@ -107,7 +109,7 @@ func headerContainsToken(header, token string) bool {
 
 // ClientHandshake performs the client side of the upgrade over an existing
 // connection: plain TCP, or a shaped or in-memory transport.
-func ClientHandshake(conn net.Conn, host, path, subprotocol string) (*Conn, error) {
+func ClientHandshake(conn net.Conn, host, path string) (*Conn, error) {
 	var keyBytes [16]byte
 	if _, err := rand.Read(keyBytes[:]); err != nil {
 		return nil, fmt.Errorf("wsock: generating key: %w", err)
@@ -121,9 +123,7 @@ func ClientHandshake(conn net.Conn, host, path, subprotocol string) (*Conn, erro
 	b.WriteString("Connection: Upgrade\r\n")
 	fmt.Fprintf(&b, "Sec-WebSocket-Key: %s\r\n", key)
 	b.WriteString("Sec-WebSocket-Version: 13\r\n")
-	if subprotocol != "" {
-		fmt.Fprintf(&b, "Sec-WebSocket-Protocol: %s\r\n", subprotocol)
-	}
+	b.WriteString("Sec-WebSocket-Protocol: " + Subprotocol + "\r\n")
 	b.WriteString("\r\n")
 	if _, err := conn.Write([]byte(b.String())); err != nil {
 		return nil, fmt.Errorf("wsock: writing handshake: %w", err)

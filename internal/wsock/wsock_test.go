@@ -15,7 +15,7 @@ import (
 func startEchoServer(t *testing.T) string {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, r.Header.Get("Sec-WebSocket-Protocol"))
+		c, err := Upgrade(w, r)
 		if err != nil {
 			return
 		}
@@ -36,12 +36,12 @@ func startEchoServer(t *testing.T) string {
 
 // dial connects to a WebSocket endpoint the way ndt7's client does: a TCP
 // dial, then the client handshake over it.
-func dial(host, path, subprotocol string) (*Conn, error) {
+func dial(host, path string) (*Conn, error) {
 	raw, err := net.DialTimeout("tcp", host, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	c, err := ClientHandshake(raw, host, path, subprotocol)
+	c, err := ClientHandshake(raw, host, path)
 	if err != nil {
 		raw.Close()
 		return nil, err
@@ -60,7 +60,7 @@ func TestAcceptKeyRFCVector(t *testing.T) {
 
 func TestEchoTextAndBinary(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := dial(host, "/ws", "")
+	c, err := dial(host, "/ws")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestEchoTextAndBinary(t *testing.T) {
 
 func TestMediumFrameLengthPath(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := dial(host, "/ws", "")
+	c, err := dial(host, "/ws")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMediumFrameLengthPath(t *testing.T) {
 
 func TestSubprotocolEchoed(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := dial(host, "/ndt/v7/download", "net.measurementlab.ndt.v7")
+	c, err := dial(host, "/ndt/v7/download")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSubprotocolEchoed(t *testing.T) {
 
 func TestCloseHandshake(t *testing.T) {
 	host := startEchoServer(t)
-	c, err := dial(host, "/ws", "")
+	c, err := dial(host, "/ws")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCloseHandshake(t *testing.T) {
 func TestServerReceivesClose(t *testing.T) {
 	done := make(chan error, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, "")
+		c, err := Upgrade(w, r)
 		if err != nil {
 			done <- err
 			return
@@ -154,7 +154,7 @@ func TestServerReceivesClose(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := dial(host, "/", "")
+	c, err := dial(host, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestServerReceivesClose(t *testing.T) {
 
 func TestPingAnsweredTransparently(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, "")
+		c, err := Upgrade(w, r)
 		if err != nil {
 			return
 		}
@@ -196,7 +196,7 @@ func TestPingAnsweredTransparently(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := dial(host, "/", "")
+	c, err := dial(host, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPingAnsweredTransparently(t *testing.T) {
 
 func TestFragmentedMessageReassembly(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, "")
+		c, err := Upgrade(w, r)
 		if err != nil {
 			return
 		}
@@ -234,7 +234,7 @@ func TestFragmentedMessageReassembly(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := dial(host, "/", "")
+	c, err := dial(host, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFragmentedMessageReassembly(t *testing.T) {
 
 func TestUpgradeRejectsPlainHTTP(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, err := Upgrade(w, r, ""); err == nil {
+		if _, err := Upgrade(w, r); err == nil {
 			t.Error("plain GET upgraded")
 		}
 	}))
@@ -272,7 +272,7 @@ func TestDialErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	if _, err := dial(host, "/", ""); err == nil {
+	if _, err := dial(host, "/"); err == nil {
 		t.Error("handshake against teapot succeeded")
 	}
 }
@@ -293,14 +293,14 @@ func TestClientHandshakeBadAccept(t *testing.T) {
 		conn.Read(buf)
 		conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Accept: bogus\r\n\r\n"))
 	}()
-	if _, err := dial(ln.Addr().String(), "/", ""); err == nil {
+	if _, err := dial(ln.Addr().String(), "/"); err == nil {
 		t.Error("bad accept key accepted")
 	}
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, "")
+		c, err := Upgrade(w, r)
 		if err != nil {
 			return
 		}
@@ -312,7 +312,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}))
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
-	c, err := dial(host, "/", "")
+	c, err := dial(host, "/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package clasp
 
 // The reachability rule (DESIGN.md §17): every package-level declaration and
 // method of the module's non-test code must be reachable from a program. The
-// roots are func main and every init of the main packages, and every
-// declaration of a nested module (bench/, frozen to this rule, so whatever
-// it calls is live). This facade package is a library like any other: an
-// export no program calls is dead. The graph is def→use over type-checked
+// roots are func main and every init of the main packages. A nested module
+// (bench/) is type-checked too but is no root: what only it keeps needs a
+// bench entry, and the entry fails once bench/ stops calling it. This facade
+// package is a library like any other: an export no program calls is dead. The graph is def→use over type-checked
 // identifiers, exported and unexported alike, so a declaration reached only
 // from dead code is dead too — the case a by-name scan misses. A method is
 // live when reachable code selects it, or when its receiver type is live and
@@ -18,6 +18,11 @@ package clasp
 // Every non-embedded field, exported or not, of a type the product reaches
 // must also be read by the product — program-reached or reference code (see
 // reachReads): a field only tests read is write-only state.
+//
+// The signature legs carry it into every function programs reach (see
+// checkSigs): each result needs a product call site that keeps it and may
+// not be the same constant at every return, and each parameter must be read
+// and be given two values across the product's call sites.
 // The only escape is reachAllowed below.
 
 import (
@@ -46,12 +51,16 @@ const (
 	// reachObserve: the only way a test in another package can read what
 	// the product wrote or did (for a field: only tests read it).
 	reachObserve = "observe"
-	// reachSeam (fields only): a test sets it to a value no program uses, to
-	// check behaviour the product keeps.
+	// reachSeam (fields and parameters): a test sets it to a value no
+	// program uses, to check behaviour the product keeps.
 	reachSeam = "seam"
+	// reachBench: only a bench/ site keeps it — a declaration bench calls, a
+	// result only bench reads, a parameter only bench gives a second value.
+	// bench/ changes only with its own records, so these wait for it.
+	reachBench = "bench"
 )
 
-var reachReasons = []string{reachReference, reachObserve, reachSeam}
+var reachReasons = []string{reachReference, reachObserve, reachSeam, reachBench}
 
 // reachAllowed is the allow-list: declaration or field → reason. What an
 // entry alone reaches rides along with it, and an entry naming a type keeps
@@ -63,8 +72,9 @@ var reachAllowed = map[string]string{
 	// speedchecker/reference_test.go; the uncached Measure reference.
 	"internal/netsim.Sim.PingRTT":       reachReference,
 	"internal/netsim.Sim.pathBandwidth": reachReference,
-	// Numeric oracle for the hash distributions in netsim's tests.
-	"internal/stats.Welford": reachReference,
+	// The sorting percentile PercentileInPlace is held to bit for bit, and
+	// the scan in speedchecker/reference_test.go and the root's tests with it.
+	"internal/stats.Percentile": reachReference,
 
 	// How orchestrator tests see uploads and teardown in the simulated cloud.
 	"internal/cloud.Bucket.Get":       reachObserve,
@@ -100,6 +110,30 @@ var reachAllowed = map[string]string{
 	"internal/telemetry.PipelineConfig.Registry": reachSeam,
 	"internal/telemetry.PipelineConfig.Now":      reachSeam,
 	"internal/telemetry.Introspection.Registry":  reachSeam,
+	// Programs only turn the process-wide registry on; tests turn it off
+	// again (cmd/clasp's TestMain, orchestrator's obs and fault tests).
+	"internal/obs.SetEnabled(on)": reachSeam,
+
+	// What only bench/ keeps: each waits for the benchmark's next change
+	// (ROADMAP 1(c)). The harness's analysis probes over a slice adapter.
+	"internal/analysis.GroupSeriesWithServerCursor":         reachBench,
+	"internal/analysis.GroupSeriesWithServerRanges(dir)":    reachBench,
+	"internal/analysis.NewSliceCursor":                      reachBench,
+	"internal/analysis.PerfPointsCursor":                    reachBench,
+	"internal/analysis.RecordLog.CompressedBytes":           reachBench,
+	"internal/congestion.SweepDaysPartitioned(minSamples)":  reachBench,
+	"internal/congestion.SweepHoursPartitioned(minSamples)": reachBench,
+	// The checkpoint and store probes.
+	"internal/checkpoint.Checkpoint.Replay": reachBench,
+	"internal/tsdb.Store.BlockStats":        reachBench,
+	"internal/tsdb.Store.SeriesCount":       reachBench,
+	"internal/tsdb.Store.DropBefore#0":      reachBench,
+	// The workloads' selection, topology, figure and someta calls.
+	"internal/core.CLASP.SelectDifferentialServers#1": reachBench,
+	"internal/core.CLASP.Fig8(tier)":                  reachBench,
+	"internal/core.Fig2(hs)":                          reachBench,
+	"internal/someta.NewCollector(probe)":             reachBench,
+	"internal/topology.Topology.Links":                reachBench,
 }
 
 // reachStdIfaces are the std interfaces through which std code calls module
@@ -127,7 +161,10 @@ type reachDecl struct {
 	lines int            // code lines: not blank, not comment-only
 	uses  []types.Object // every object its source mentions
 	reads []*types.Var   // every field its source reads (reachReads)
-	root  bool
+	calls []reachCall    // every call its source makes to a declared function
+	sig   *reachSig      // a function's own signature facts; nil for the rest
+	root  bool           // main or init of a program
+	bench bool           // declared in a nested module: a root of the bench walk only
 }
 
 // reachField is one struct field and the type that declares it.
@@ -150,6 +187,8 @@ type reachGraph struct {
 	methods map[types.Object][]types.Object // type → its declared methods
 	byType  map[types.Object][]*reachImpl
 	byOwner map[types.Object][]*reachImpl
+	valued  map[types.Object]bool           // functions some code uses as values
+	pins    map[types.Object]token.Position // first use of each object in a nested module
 }
 
 // reachFset and reachStd are shared by every load: the source importer
@@ -251,6 +290,7 @@ func buildReachGraph(root string) (*reachGraph, error) {
 		decls: map[types.Object]*reachDecl{}, byName: map[string]types.Object{}, methods: map[types.Object][]types.Object{},
 		byType: map[types.Object][]*reachImpl{}, byOwner: map[types.Object][]*reachImpl{},
 		fields: map[*types.Var]*reachField{}, set: map[*types.Var]bool{},
+		valued: map[types.Object]bool{}, pins: map[types.Object]token.Position{},
 	}
 	type iface struct {
 		owner types.Object
@@ -282,13 +322,21 @@ func buildReachGraph(root string) (*reachGraph, error) {
 			ast.Inspect(node, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
-					switch o := l.info.Uses[n].(type) {
+					var o types.Object
+					switch u := l.info.Uses[n].(type) {
 					case *types.Func:
-						uses = append(uses, o.Origin())
+						o = u.Origin()
 					case *types.Var:
-						uses = append(uses, o.Origin())
+						o = u.Origin()
 					case *types.TypeName, *types.Const:
-						uses = append(uses, o)
+						o = u
+					}
+					if o == nil {
+						break
+					}
+					uses = append(uses, o)
+					if pos, ok := g.pins[o]; nested[p] && (!ok || reachBefore(reachFset.Position(n.Pos()), pos)) {
+						g.pins[o] = reachFset.Position(n.Pos())
 					}
 				case *ast.InterfaceType:
 					if t, ok := l.info.TypeOf(n).(*types.Interface); ok && t.NumMethods() > 0 {
@@ -312,6 +360,10 @@ func buildReachGraph(root string) (*reachGraph, error) {
 				pos.Filename = filepath.ToSlash(fn)
 			}
 			reads := reachReads(l.info, node)
+			calls, values := reachCalls(l.info, node)
+			for _, v := range values {
+				g.valued[v] = true
+			}
 			for _, id := range idents {
 				obj := l.info.Defs[id]
 				if obj == nil || id.Name == "_" {
@@ -329,8 +381,11 @@ func buildReachGraph(root string) (*reachGraph, error) {
 						g.methods[tn] = append(g.methods[tn], obj)
 					}
 				}
-				d := &reachDecl{name: rel + "." + name, pos: pos, lines: lines, uses: uses, reads: reads}
-				d.root = nested[p] || id.Name == "init" || p.Name() == "main" && name == "main"
+				d := &reachDecl{name: rel + "." + name, pos: pos, lines: lines, uses: uses, reads: reads, calls: calls, bench: nested[p]}
+				d.root = !nested[p] && (id.Name == "init" || p.Name() == "main" && name == "main")
+				if fd, ok := node.(*ast.FuncDecl); ok && fd.Body != nil {
+					d.sig = reachSigOf(l.info, fd)
+				}
 				g.decls[obj], g.byName[d.name] = d, obj
 				for _, t := range written {
 					ifaces = append(ifaces, iface{obj, t})
@@ -763,6 +818,178 @@ func reachReads(info *types.Info, node ast.Node) []*types.Var {
 	return out
 }
 
+// reachCall is one call site of a declared function or method.
+type reachCall struct {
+	fn   types.Object // the callee (its origin, for a generic one)
+	pos  token.Position
+	args []string // per non-variadic parameter: the constant it gets (reachConst), "" for anything else
+	read []bool   // per result: whether the site keeps it
+}
+
+// reachCalls returns the calls node makes to declared functions, and the
+// functions it uses as values. A call keeps every result except those an
+// expression statement, go, defer or a _ on the left of = or := drops.
+func reachCalls(info *types.Info, node ast.Node) (calls []reachCall, values []types.Object) {
+	type drop func(i int) bool
+	all := drop(func(int) bool { return true })
+	dropped := map[*ast.CallExpr]drop{}
+	blank := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "_"
+	}
+	assign := func(lhs, rhs []ast.Expr) {
+		if len(rhs) == 1 && len(lhs) > 1 {
+			if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
+				dropped[call] = func(i int) bool { return blank(lhs[i]) }
+			}
+			return
+		}
+		for i, e := range rhs {
+			if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && i < len(lhs) && blank(lhs[i]) {
+				dropped[call] = all
+			}
+		}
+	}
+	callee := map[*ast.Ident]bool{}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+				dropped[call] = all
+			}
+		case *ast.GoStmt:
+			dropped[n.Call] = all
+		case *ast.DeferStmt:
+			dropped[n.Call] = all
+		case *ast.AssignStmt:
+			assign(n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, id := range n.Names {
+				lhs[i] = id
+			}
+			assign(lhs, n.Values)
+		case *ast.CallExpr:
+			fun, shift := ast.Unparen(n.Fun), 0
+			switch f := fun.(type) {
+			case *ast.IndexExpr:
+				fun = f.X
+			case *ast.IndexListExpr:
+				fun = f.X
+			}
+			var id *ast.Ident
+			switch f := fun.(type) {
+			case *ast.Ident:
+				id = f
+			case *ast.SelectorExpr:
+				id = f.Sel
+				if s := info.Selections[f]; s != nil && s.Kind() == types.MethodExpr {
+					shift = 1 // T.M(x, ...): the receiver comes first
+				}
+			}
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok {
+				return true
+			}
+			callee[id] = true
+			sig := fn.Origin().Type().(*types.Signature)
+			c := reachCall{fn: fn.Origin(), pos: reachFset.Position(n.Pos()), read: make([]bool, sig.Results().Len())}
+			spread := false // f(g()): g's results are f's arguments
+			if len(n.Args) == 1 {
+				_, spread = info.TypeOf(n.Args[0]).(*types.Tuple)
+			}
+			for i := 0; i < sig.Params().Len() && !(sig.Variadic() && i == sig.Params().Len()-1); i++ {
+				arg := ""
+				if !spread && i+shift < len(n.Args) {
+					arg = reachConst(info, n.Args[i+shift])
+				}
+				c.args = append(c.args, arg)
+			}
+			for i := range c.read {
+				c.read[i] = dropped[n] == nil || !dropped[n](i)
+			}
+			calls = append(calls, c)
+		case *ast.Ident:
+			if fn, ok := info.Uses[n].(*types.Func); ok && !callee[n] {
+				values = append(values, fn.Origin())
+			}
+		}
+		return true
+	})
+	return calls, values
+}
+
+// reachConst returns the constant e is — its exact value, or "nil" — or ""
+// if e is anything else.
+func reachConst(info *types.Info, e ast.Expr) string {
+	switch tv := info.Types[e]; {
+	case tv.Value != nil:
+		return tv.Value.ExactString()
+	case tv.IsNil():
+		return "nil"
+	}
+	return ""
+}
+
+// reachSig is what a function's own body says about its signature.
+type reachSig struct {
+	params []*types.Var
+	unread []bool   // per parameter: the body never reads it
+	always []string // per result: the constant every return gives (reachConst), or ""
+}
+
+// reachSigOf reads fd's signature against its body. A naked return, or one
+// that returns a call's results, gives no constant.
+func reachSigOf(info *types.Info, fd *ast.FuncDecl) *reachSig {
+	sig := info.Defs[fd.Name].Type().(*types.Signature)
+	s := &reachSig{always: make([]string, sig.Results().Len())}
+	read := map[types.Object]bool{}
+	var rets []*ast.ReturnStmt
+	var inspect func(n ast.Node) bool
+	inspect = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			read[info.Uses[n]] = true
+		case *ast.FuncLit: // its returns are not fd's
+			saved := rets
+			ast.Inspect(n.Body, inspect)
+			rets = saved
+			return false
+		case *ast.ReturnStmt:
+			rets = append(rets, n)
+		}
+		return true
+	}
+	ast.Inspect(fd.Body, inspect)
+	for i := 0; i < sig.Params().Len(); i++ {
+		v := sig.Params().At(i)
+		s.params = append(s.params, v)
+		s.unread = append(s.unread, !read[v])
+	}
+	for i := range s.always {
+		for k, r := range rets {
+			v := ""
+			if len(r.Results) == len(s.always) {
+				v = reachConst(info, r.Results[i])
+			}
+			if v == "" || k > 0 && v != s.always[i] {
+				s.always[i] = ""
+				break
+			}
+			s.always[i] = v
+		}
+	}
+	return s
+}
+
+// reachBefore orders positions by file, then line.
+func reachBefore(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	return a.Line < b.Line
+}
+
 // reachDefaulted reports whether one of the enclosing ifs tests field v for
 // its zero value: == 0, <= 0, < 1, == nil, == "" or .IsZero().
 func reachDefaulted(info *types.Info, ifs []*ast.IfStmt, v *types.Var) bool {
@@ -835,16 +1062,27 @@ func (g *reachGraph) walk(extra ...types.Object) map[types.Object]bool {
 // reachFinding is one line of the checker's verdict.
 type reachFinding struct {
 	decl *reachDecl
-	why  string // "" = unreachable; otherwise what is wrong with its allow-list entry
+	why  string // "" = unreachable; otherwise what is wrong with it or its allow-list entry
+}
+
+// reachSigName reports whether name is a signature entry — pkg.F(p) names
+// parameter p, pkg.T.M#1 result 1 — and returns the function's name.
+func reachSigName(name string) (fn string, ok bool) {
+	if i := strings.IndexAny(name, "(#"); i > 0 {
+		return name[:i], true
+	}
+	return name, false
 }
 
 // checkReach applies the rule to the module at root. It returns the
-// findings that fail it and, per reason, the code lines the allow-list
-// keeps (entries plus what only they reach).
-func checkReach(root string, allowed map[string]string) (findings []reachFinding, kept map[string]int, err error) {
+// findings that fail it; per reason, the code lines the allow-list keeps
+// (entries plus what only they reach); and per bench entry, the first
+// bench/ site that pins it and, for a declaration, the code lines only it
+// keeps.
+func checkReach(root string, allowed map[string]string) (findings []reachFinding, kept map[string]int, pins map[string]string, err error) {
 	g, err := buildReachGraph(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	names := make([]string, 0, len(allowed))
 	for name := range allowed {
@@ -857,13 +1095,18 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 	}
 	// The product is what programs reach plus the reference code tests
 	// hold it to; its types' fields must be read, and only its reads count.
-	var refs []types.Object
+	var refs, benchRoots []types.Object
 	for _, name := range names {
 		if obj := g.byName[name]; obj != nil && allowed[name] == reachReference {
 			refs = append(refs, append([]types.Object{obj}, g.methods[obj]...)...)
 		}
 	}
-	product := g.walk(refs...)
+	for obj, d := range g.decls {
+		if d.bench {
+			benchRoots = append(benchRoots, obj)
+		}
+	}
+	product, benchLive := g.walk(refs...), g.walk(benchRoots...)
 	read := map[*types.Var]bool{}
 	for obj := range product {
 		for _, v := range g.decls[obj].reads {
@@ -871,9 +1114,49 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 		}
 	}
 	live := g.walk()
+	at := func(pos token.Position) string { // relative to root
+		if fn, err := filepath.Rel(root, pos.Filename); err == nil {
+			pos.Filename = filepath.ToSlash(fn)
+		}
+		return fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+	}
+	pinned := map[string]token.Position{}
+	pin := func(name string, pos token.Position) {
+		if p, ok := pinned[name]; !ok || reachBefore(pos, p) {
+			pinned[name] = pos
+		}
+	}
+	benchLines := map[string]int{}
+
+	sigs := g.checkSigs(live, product, benchLive)
+	for _, f := range sigs {
+		switch reason := allowed[f.decl.name]; {
+		case reason == reachBench && f.pin != nil:
+			pin(f.decl.name, *f.pin)
+		case reason == reachSeam && f.seam:
+		case reason == reachBench:
+			findings = append(findings, reachFinding{f.decl, "allow-listed but bench does not pin it"})
+		case reason != "":
+			findings = append(findings, reachFinding{f.decl, fmt.Sprintf("allow-listed with reason %q, not %q or %q", reason, reachBench, reachSeam)})
+		case f.pin != nil:
+			findings = append(findings, reachFinding{f.decl, fmt.Sprintf("%s, but bench/ calls it (%s): list it as %q", f.why, at(*f.pin), reachBench)})
+		default:
+			findings = append(findings, f.reachFinding)
+		}
+	}
+
 	var entries [][]types.Object // each entry with the methods it keeps
 	for _, name := range names {
 		obj, reason := g.byName[name], allowed[name]
+		if fn, ok := reachSigName(name); ok {
+			switch {
+			case g.byName[fn] == nil:
+				findings = append(findings, reachFinding{&reachDecl{name: name}, "allow-listed but gone"})
+			case sigs[name] == nil:
+				findings = append(findings, reachFinding{&reachDecl{name: name, pos: g.decls[g.byName[fn]].pos}, "allow-listed but holds without its entry"})
+			}
+			continue
+		}
 		if v := fieldByName[name]; v != nil || reason == reachSeam {
 			switch {
 			case v == nil:
@@ -893,8 +1176,23 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 			continue
 		case !slices.Contains(reachReasons, reason):
 			findings = append(findings, reachFinding{g.decls[obj], fmt.Sprintf("allow-listed with reason %q, not one of %v", reason, reachReasons)})
+		case reason == reachBench && !benchLive[obj]:
+			findings = append(findings, reachFinding{g.decls[obj], "allow-listed but bench does not pin it"})
 		}
-		entries = append(entries, append([]types.Object{obj}, g.methods[obj]...))
+		e := append([]types.Object{obj}, g.methods[obj]...)
+		if reason == reachBench {
+			for _, o := range e {
+				if pos, ok := g.pins[o]; ok {
+					pin(name, pos)
+				}
+			}
+			for o := range g.walk(e...) {
+				if !live[o] {
+					benchLines[name] += g.decls[o].lines
+				}
+			}
+		}
+		entries = append(entries, e)
 	}
 	for i, e := range entries {
 		var others []types.Object
@@ -923,7 +1221,7 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 		}
 	}
 	for obj, d := range g.decls {
-		if !live[obj] {
+		if !live[obj] && !d.bench {
 			findings = append(findings, reachFinding{decl: d})
 		}
 	}
@@ -935,23 +1233,117 @@ func checkReach(root string, allowed map[string]string) (findings []reachFinding
 			findings = append(findings, reachFinding{&d.reachDecl, "no program reads it"})
 		}
 	}
+	pins = map[string]string{}
+	for name, pos := range pinned {
+		pins[name] = at(pos)
+		if n, ok := benchLines[name]; ok {
+			pins[name] += fmt.Sprintf(", %d lines", n)
+		}
+	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].decl, findings[j].decl
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
-		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
+		if a.pos.Filename != b.pos.Filename || a.pos.Line != b.pos.Line {
+			return reachBefore(a.pos, b.pos)
 		}
 		return a.name < b.name
 	})
-	return findings, kept, nil
+	return findings, kept, pins, nil
+}
+
+// reachSigFinding is a signature that fails its leg, named as its entry.
+type reachSigFinding struct {
+	reachFinding
+	pin  *token.Position // the first bench/ call site of the function
+	seam bool            // a parameter every program call gives one constant
+}
+
+// checkSigs applies the result and parameter legs (DESIGN.md §17) to every
+// function programs reach (live), counting the call sites in product code
+// and, apart, those only bench reaches. Methods that implement an
+// interface and functions used as values are exempt: their signature is
+// not theirs to choose.
+func (g *reachGraph) checkSigs(live, product, benchLive map[types.Object]bool) map[string]*reachSigFinding {
+	exempt := map[types.Object]bool{}
+	for _, impls := range g.byType {
+		for _, impl := range impls {
+			for _, m := range impl.methods {
+				exempt[m] = true
+			}
+		}
+	}
+	type site struct {
+		reachCall
+		bench bool
+	}
+	sites := map[types.Object][]site{}
+	for obj, d := range g.decls {
+		if product[obj] || benchLive[obj] {
+			for _, c := range d.calls {
+				sites[c.fn] = append(sites[c.fn], site{c, !product[obj]})
+			}
+		}
+	}
+	out := map[string]*reachSigFinding{}
+	for obj, d := range g.decls {
+		if d.sig == nil || !live[obj] || g.valued[obj] || exempt[obj] {
+			continue
+		}
+		// A signature bench/ calls stays as it is until bench/ changes.
+		var pin *token.Position
+		for _, s := range sites[obj] {
+			if s.bench && (pin == nil || reachBefore(s.pos, *pin)) {
+				pin = &s.pos
+			}
+		}
+		fail := func(name, why string, seam bool) {
+			out[name] = &reachSigFinding{reachFinding{&reachDecl{name: name, pos: d.pos}, why}, pin, seam}
+		}
+		for i, c := range d.sig.always {
+			name := fmt.Sprintf("%s#%d", d.name, i)
+			if c != "" {
+				fail(name, "every return gives "+c, false)
+				continue
+			}
+			if !slices.ContainsFunc(sites[obj], func(s site) bool { return s.read[i] && !s.bench }) {
+				fail(name, "no product call site keeps it", false)
+			}
+		}
+		sig := obj.Type().(*types.Signature)
+		for i, v := range d.sig.params {
+			if sig.Variadic() && i == len(d.sig.params)-1 {
+				continue
+			}
+			pname := v.Name()
+			if pname == "" || pname == "_" {
+				pname = fmt.Sprint("_", i)
+			}
+			name := fmt.Sprintf("%s(%s)", d.name, pname)
+			if d.sig.unread[i] {
+				fail(name, "the body never reads it", false)
+				continue
+			}
+			given := map[string]bool{}
+			for _, s := range sites[obj] {
+				if !s.bench {
+					given[s.args[i]] = true
+				}
+			}
+			if len(given) != 1 || given[""] {
+				continue
+			}
+			for c := range given {
+				fail(name, "every program call passes "+c, true)
+			}
+		}
+	}
+	return out
 }
 
 // TestReachability is the rule. With -v it prints what the allow-list
-// keeps, by reason, in code lines (seam: the fields).
+// keeps, by reason, in code lines (seam: the fields and parameters), and
+// the bench/ site that pins each bench entry.
 func TestReachability(t *testing.T) {
-	findings, kept, err := checkReach(".", reachAllowed)
+	findings, kept, pins, err := checkReach(".", reachAllowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -959,13 +1351,16 @@ func TestReachability(t *testing.T) {
 		var names []string
 		for name, r := range reachAllowed {
 			if r == reason {
+				if pin, ok := pins[name]; ok {
+					name += "  (" + pin + ")"
+				}
 				names = append(names, name)
 			}
 		}
 		sort.Strings(names)
 		what := fmt.Sprintf("keep %d code lines", kept[reason])
 		if reason == reachSeam {
-			what = "are fields only tests set"
+			what = "are fields and parameters only tests set"
 		}
 		t.Logf("%s: %d entries %s\n\t%s", reason, len(names), what, strings.Join(names, "\n\t"))
 	}
@@ -983,7 +1378,7 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestReachabilityRuleBites runs the checker on three modules. The first is
+// TestReachabilityRuleBites runs the checker on four modules. The first is
 // shaped like this one: a library package at the module's root path, with
 // one export the program calls and one it does not, and a program under
 // cmd/ with one function reached from main, one reached only from a dead
@@ -998,7 +1393,15 @@ func TestReachability(t *testing.T) {
 // reads, one only appended to itself, an unexported one only assigned and
 // one only ++'d each fail it, a stale or wrongly reasoned observe entry
 // fails, and a field fmt prints, one JSON-encoded through a map[string]any,
-// a map-key struct's fields and a field compared with == pass.
+// a map-key struct's fields and a field compared with == pass. The fourth
+// holds the signature legs: a result dropped by _, one dropped by an
+// expression statement, one every return gives as nil, a parameter the body
+// never reads and one every call gives the same constant each fail, and so
+// do a stale bench entry, a stale seam entry and one naming nothing; a
+// result read at one of two sites, a parameter given two constants or a
+// variable, an interface method's unread parameter and a function used as a
+// value pass, and a parameter only bench/ gives a second value passes once
+// listed as bench.
 func TestReachabilityRuleBites(t *testing.T) {
 	for _, fx := range []struct {
 		files map[string]string
@@ -1025,7 +1428,7 @@ func TestReachabilityRuleBites(t *testing.T) {
 			{map[string]string{"cmd.dead": reachReference, "cmd.reached": reachObserve}, "cmd.reached: allow-listed but reachable without its entry | fixture.Unused:"},
 			{map[string]string{"cmd.dead": reachReference, "fixture.Used": reachObserve}, "fixture.Used: allow-listed but reachable without its entry | fixture.Unused:"},
 			{map[string]string{"cmd.dead": reachReference, "cmd.gone": reachObserve}, "cmd.gone: allow-listed but gone | fixture.Unused:"},
-			{map[string]string{"cmd.dead": "handy"}, `cmd.dead: allow-listed with reason "handy", not one of [reference observe seam] | cmd.dead: | cmd.onlyFromDead: | fixture.Unused:`},
+			{map[string]string{"cmd.dead": "handy"}, `cmd.dead: allow-listed with reason "handy", not one of [reference observe seam bench] | cmd.dead: | cmd.onlyFromDead: | fixture.Unused:`},
 		},
 	}, {
 		files: map[string]string{
@@ -1056,7 +1459,7 @@ func TestReachabilityRuleBites(t *testing.T) {
 				"func (s *State) Step(v int) bool {\n\ts.Log = append(s.Log, v)\n\ts.count++\n\ts.last = v\n\tseen := map[key]bool{}\n\tseen[key{v, v}] = true\n\treturn len(seen) == 1 && pair{v} == pair{1}\n}\n",
 			"lib_test.go": "package reads\n\nimport \"testing\"\n\nfunc TestRead(t *testing.T) { _ = State{}.TestRead }\n",
 			"cmd/main.go": "package main\n\nimport (\n\t\"encoding/json\"\n\t\"fmt\"\n\t\"os\"\n\n\t\"reads\"\n)\n\n" +
-				"func main() {\n\ts := &reads.State{TestRead: 1, Printed: reads.Row{Shown: 2}, Encoded: reads.Hist{Count: 3}}\n\t_ = s.Step(4)\n\tfmt.Println(s.Printed)\n" +
+				"func main() {\n\ts := &reads.State{TestRead: 1, Printed: reads.Row{Shown: 2}, Encoded: reads.Hist{Count: 3}}\n\tfmt.Println(s.Step(len(os.Args)), s.Printed)\n" +
 				"\t_ = json.NewEncoder(os.Stdout).Encode(map[string]any{\"h\": s.Encoded})\n}\n",
 		},
 		cases: []struct {
@@ -1070,6 +1473,30 @@ func TestReachabilityRuleBites(t *testing.T) {
 			{map[string]string{"reads.State.TestRead": reachReference, "reads.State.Gone": reachObserve},
 				`reads.State.Gone: allow-listed but gone | reads.State.TestRead: allow-listed with reason "reference", not "seam" or "observe" | reads.State.TestRead: no program reads it | reads.State.Log: no program reads it | reads.State.count: no program reads it | reads.State.last: no program reads it`},
 		},
+	}, {
+		files: map[string]string{
+			"go.mod": "module sigs\n\ngo 1.22\n",
+			"lib.go": "package sigs\n\nvar n int\n\nfunc Blanked() int { return n }\n\nfunc Dropped() int { return n }\n\nfunc Nil() error { return nil }\n\n" +
+				"func Half() int { return n }\n\nfunc Unread(a int) {}\n\nfunc Const(c int) { n += c }\n\nfunc Two(c int) { n += c }\n\nfunc Var(c int) { n += c }\n\n" +
+				"func Pinned(c int) { n += c }\n\ntype Shape interface{ Scale(f int) int }\n\ntype Square struct{}\n\nfunc (Square) Scale(f int) int { return 1 }\n\n" +
+				"func Callback(x int) int { return 0 }\n",
+			"cmd/main.go": "package main\n\nimport (\n\t\"os\"\n\n\t\"sigs\"\n)\n\n" +
+				"func main() {\n\t_ = sigs.Blanked()\n\tsigs.Dropped()\n\tif err := sigs.Nil(); err != nil {\n\t\tos.Exit(1)\n\t}\n\tx := sigs.Half()\n\tsigs.Half()\n" +
+				"\tsigs.Unread(x)\n\tsigs.Const(3)\n\tsigs.Const(3)\n\tsigs.Two(1)\n\tsigs.Two(2)\n\tsigs.Var(len(os.Args))\n\tsigs.Pinned(1)\n" +
+				"\tvar s sigs.Shape = sigs.Square{}\n\tapply(sigs.Callback, s.Scale(x))\n}\n\nfunc apply(f func(int) int, v int) { os.Exit(f(v)) }\n",
+			"bench/go.mod":  "module sigs/bench\n\ngo 1.22\n",
+			"bench/main.go": "package main\n\nimport \"sigs\"\n\nfunc main() { sigs.Pinned(7) }\n",
+		},
+		cases: []struct {
+			allowed map[string]string
+			want    string
+		}{
+			{nil, `sigs.Blanked#0: no product call site keeps it | sigs.Dropped#0: no product call site keeps it | sigs.Nil#0: every return gives nil | sigs.Unread(a): the body never reads it | sigs.Const(c): every program call passes 3 | sigs.Pinned(c): every program call passes 1, but bench/ calls it (bench/main.go:5): list it as "bench"`},
+			{map[string]string{"sigs.Pinned(c)": reachBench}, "sigs.Blanked#0: no product call site keeps it | sigs.Dropped#0: no product call site keeps it | sigs.Nil#0: every return gives nil | sigs.Unread(a): the body never reads it | sigs.Const(c): every program call passes 3"},
+			{map[string]string{"sigs.Pinned(c)": reachBench, "sigs.Const(c)": reachSeam}, "sigs.Blanked#0: no product call site keeps it | sigs.Dropped#0: no product call site keeps it | sigs.Nil#0: every return gives nil | sigs.Unread(a): the body never reads it"},
+			{map[string]string{"sigs.Pinned(c)": reachBench, "sigs.Const(c)": reachBench, "sigs.Two(c)": reachSeam, "sigs.Gone#0": reachBench},
+				"sigs.Gone#0: allow-listed but gone | sigs.Blanked#0: no product call site keeps it | sigs.Dropped#0: no product call site keeps it | sigs.Nil#0: every return gives nil | sigs.Unread(a): the body never reads it | sigs.Const(c): allow-listed but bench does not pin it | sigs.Two(c): allow-listed but holds without its entry"},
+		},
 	}} {
 		dir := t.TempDir()
 		for name, src := range fx.files {
@@ -1082,7 +1509,7 @@ func TestReachabilityRuleBites(t *testing.T) {
 			}
 		}
 		for _, tc := range fx.cases {
-			findings, _, err := checkReach(dir, tc.allowed)
+			findings, _, _, err := checkReach(dir, tc.allowed)
 			if err != nil {
 				t.Fatal(err)
 			}
