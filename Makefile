@@ -159,7 +159,7 @@ bench-check:
 
 # ci is the gate for every change: formatting, tier-1 build + tests (the
 # determinism contract, the observability, serving-path and fault gates are
-# all go tests), static checks, the checkpoint coverage floor, the full suite
+# all go tests), static checks, the coverage floors, the full suite
 # under the race detector, a short crasher search by every fuzz target, a
 # benchmark smoke run, the bench/ module build, and the benchmark regression
 # check against the committed BENCH_*.json records. It is the local superset

@@ -35,7 +35,7 @@ func analysisFixture(b *testing.B) *analysisFix {
 			anErr = err
 			return
 		}
-		res, err := p1.RunTopologyCampaign("us-west1", 14)
+		res, err := runTopology(p1.Engine(), "us-west1", 14)
 		if err != nil {
 			anErr = err
 			return

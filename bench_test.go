@@ -73,7 +73,7 @@ func getFixture(b *testing.B) *fixture {
 			topoSel:  make(map[string]*selection.TopoResult),
 		}
 		for _, region := range core.TopologyRegions {
-			res, err := f.eng.RunTopologyCampaign(region, benchDays)
+			res, err := runTopology(f.eng, region, benchDays)
 			if err != nil {
 				fixErr = fmt.Errorf("fixture campaign %s: %w", region, err)
 				return

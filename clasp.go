@@ -22,7 +22,8 @@
 //
 //	p, err := clasp.New(clasp.Options{Seed: 1, Scale: 0.1})
 //	if err != nil { ... }
-//	res, err := p.RunTopologyCampaign("us-west1", 30)
+//	plan, err := p.Engine().PlanTopologyCampaign("us-west1", 30)
+//	res, err := p.Engine().RunPlanned(plan)
 //	rep, err := p.CongestionReport(res)
 package clasp
 
@@ -81,13 +82,6 @@ func (p *Platform) Regions() []string {
 
 // CampaignResult is the outcome of one measurement campaign.
 type CampaignResult = core.CampaignResult
-
-// RunTopologyCampaign selects servers with the topology-based method
-// (§3.1) and measures each hourly over the premium tier for `days` days of
-// virtual time.
-func (p *Platform) RunTopologyCampaign(region string, days int) (*CampaignResult, error) {
-	return p.engine.RunTopologyCampaign(region, days)
-}
 
 // RunTopologyCampaigns runs the topology-based campaign in several regions
 // concurrently, one goroutine per region over the shared substrate — the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
+	"github.com/clasp-measurement/clasp/internal/core"
 )
 
 func newPlatform(t *testing.T) *Platform {
@@ -15,6 +16,16 @@ func newPlatform(t *testing.T) *Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// runTopology plans and runs one topology campaign on eng, as the
+// quickstart does.
+func runTopology(eng *core.CLASP, region string, days int) (*CampaignResult, error) {
+	plan, err := eng.PlanTopologyCampaign(region, days)
+	if err != nil {
+		return nil, err
+	}
+	return eng.RunPlanned(plan)
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -33,7 +44,7 @@ func TestNewDefaults(t *testing.T) {
 
 func TestTopologyCampaignAndCongestionReport(t *testing.T) {
 	p := newPlatform(t)
-	res, err := p.RunTopologyCampaign("us-west1", 20)
+	res, err := runTopology(p.Engine(), "us-west1", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,7 @@ func TestCompareTiersErrors(t *testing.T) {
 	if _, err := p.CompareTiers(nil); err == nil {
 		t.Error("nil result accepted")
 	}
-	res, err := p.RunTopologyCampaign("us-east1", 1)
+	res, err := runTopology(p.Engine(), "us-east1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +142,7 @@ func TestCongestionReportErrors(t *testing.T) {
 
 func TestCostsAccrue(t *testing.T) {
 	p := newPlatform(t)
-	if _, err := p.RunTopologyCampaign("us-central1", 2); err != nil {
+	if _, err := runTopology(p.Engine(), "us-central1", 2); err != nil {
 		t.Fatal(err)
 	}
 	egress, _, compute := p.Costs()

@@ -67,7 +67,9 @@ var contractRows = []contractRow{{
 	command: func(_ *testing.T, k knobs) []string {
 		return slices.Concat([]string{"campaign", "us-west1"}, contractShape, k.flags())
 	},
-	kills: []string{"mid-round:7", "block-flush:7", "round-boundary:7"},
+	// The hour kills stop the one campaign mid-way; campaign-done:1 lands as
+	// it completes, so the resume loads it and re-measures nothing.
+	kills: []string{"mid-round:7", "block-flush:7", "round-boundary:7", "campaign-done:1"},
 }, {
 	name: "report-all", spills: true,
 	command: func(_ *testing.T, k knobs) []string {
@@ -211,10 +213,13 @@ func finishedOnDisk(t *testing.T, ck, kill string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man == nil { // a single campaign, killed at hour n
-		c, err := checkpoint.Load(ck)
-		if err != nil {
-			t.Fatal(err)
+	if point != "campaign-done" { // the manifest's one campaign, killed at hour n
+		if len(man.Campaigns) != 1 {
+			t.Fatalf("killed at %s: the manifest lists %d campaigns, want one", kill, len(man.Campaigns))
+		}
+		c, err := checkpoint.LoadCampaign(ck, man.Campaigns[0])
+		if err != nil || c == nil {
+			t.Fatalf("killed at %s: the campaign left %v, %v; want a checkpoint", kill, c, err)
 		}
 		if point == "round-boundary" {
 			n++ // dies after hour n's checkpoint committed, the other two before

@@ -18,16 +18,18 @@
 //	                                  concurrently over one shared topology;
 //	                                  output is byte-identical to running
 //	                                  each scenario alone
-//	clasp resume <checkpoint>         continue a campaign from a checkpoint
-//	                                  directory written by -checkpoint-dir;
-//	                                  the finished run's output is
-//	                                  byte-identical to a never-killed run
+//	clasp resume <checkpoint-dir>     continue a killed campaign, report or
+//	                                  costs run from the directory its
+//	                                  -checkpoint-dir named; the finished
+//	                                  run's output is byte-identical to a
+//	                                  never-killed run
 //
 // Flags follow the subcommand and its positional arguments; `clasp <command>
 // -h` lists them with their defaults. run and fleet read everything from
-// the spec instead (and reject the flag that a spec key replaces), and resume
-// takes the run's identity from the checkpoint and only the runtime flags
-// (-parallelism, -max-memory, -spill-dir) from the command line.
+// the spec instead (and reject the flags that shape a run), and resume
+// takes the run's identity and shape from the command's manifest and only
+// the runtime flags (-parallelism, -max-memory, -spill-dir) from the command
+// line.
 package main
 
 import (
@@ -37,9 +39,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
@@ -85,18 +87,16 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
-	if cmd == "run" || cmd == "fleet" {
-		// A scenario takes every engine knob from its spec; these flags
-		// used to parse here and be silently ignored.
-		var misplaced error
-		fs.Visit(func(f *flag.Flag) {
-			if key, ok := specKeys[f.Name]; ok && misplaced == nil {
-				misplaced = fmt.Errorf("-%s: clasp %s reads it from the spec, not the command line: set %q there", f.Name, cmd, key)
-			}
-		})
-		if misplaced != nil {
-			return misplaced
+	// A flag a command takes from elsewhere used to parse here and be
+	// silently ignored.
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
+		if why := refusal(cmd, f.Name); why != "" && misplaced == nil {
+			misplaced = fmt.Errorf("-%s: %s", f.Name, why)
 		}
+	})
+	if misplaced != nil {
+		return misplaced
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -183,7 +183,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cmdErr = dispatch(cmd, positional, p, p.Engine(), out, *days, minSamples)
+		cmdErr = dispatch(cmd, positional, p, out, *days, minSamples)
 	}
 	if *metricsOut != "" {
 		if err := writeMetricsDump(*metricsOut); err != nil {
@@ -211,138 +211,133 @@ func bindOptions(fs *flag.FlagSet, o *core.Options) {
 }
 
 // specKeys maps each flag that shapes a run — bindOptions', -days and
-// -samples — to the scenario-spec key that sets the same knob.
+// -samples — to the scenario-spec key that sets the same knob, "" for the
+// checkpoint flags: scenarios do not checkpoint.
 var specKeys = map[string]string{
 	"seed": "seed", "scale": "topology.scale", "parallelism": "parallelism", "fault-profile": "faultProfile",
-	"max-memory": "maxMemoryMB", "spill-dir": "spillDir", "checkpoint-dir": "checkpointDir", "checkpoint-every": "checkpointEvery",
+	"max-memory": "maxMemoryMB", "spill-dir": "spillDir", "checkpoint-dir": "", "checkpoint-every": "",
 	"days": "days", "samples": "minSamples",
+}
+
+// resumeFlags are the flags of specKeys that resume takes from its command
+// line: the runtime knobs no output byte depends on.
+var resumeFlags = []string{"parallelism", "max-memory", "spill-dir"}
+
+// refusal says why cmd refuses a flag it was given, or "" when it takes
+// it: run and fleet read every knob from the spec, and resume reads the
+// run's identity and shape from the command's manifest.
+func refusal(cmd, name string) string {
+	key, shapes := specKeys[name]
+	switch {
+	case shapes && cmd == "resume" && !slices.Contains(resumeFlags, name):
+		return "clasp resume reads it from " + checkpoint.ManifestFile + ", not the command line"
+	case !shapes || cmd != "run" && cmd != "fleet":
+		return ""
+	case key == "":
+		return "scenarios do not checkpoint"
+	}
+	return fmt.Sprintf("clasp %s reads it from the spec, not the command line: set %q there", cmd, key)
 }
 
 // costsDays is the campaign length of the `costs` command's all-region
 // deployment, matching the paper's one-week bill.
 const costsDays = 7
 
-// costsRefs is the campaign set `costs` runs, in plan order.
-func costsRefs() []core.CampaignRef {
-	refs := make([]core.CampaignRef, len(core.TopologyRegions))
-	for i, r := range core.TopologyRegions {
-		refs[i] = core.CampaignRef{Kind: "topology", Region: r, Days: costsDays}
+// command is a checkpointing command — campaign, report or costs — as its
+// manifest records it: what a fresh run and its resume both run.
+type command struct {
+	name, artifact   string
+	refs             []core.CampaignRef // the campaigns it plans, in plan order
+	days, minSamples int
+}
+
+// run runs the command on p's engine and prints its output. A fresh run
+// attaches a command scheduler, which writes the manifest (under
+// -checkpoint-dir) before any campaign starts; a resume attaches a resume
+// scheduler, which loads each campaign's checkpoint as it plans it and says
+// which ones had finished. Nothing else differs, so a resumed command
+// prints what the uninterrupted one would have.
+func (c command) run(out io.Writer, p *clasp.Platform, resume bool) error {
+	label, eng := strings.TrimSuffix(c.name+"-"+c.artifact, "-"), p.Engine()
+	var sched *core.CommandScheduler
+	if resume {
+		sched = eng.NewResumeScheduler(label)
+		sched.OnSkip = func(camp checkpoint.Campaign) {
+			fmt.Fprintf(os.Stderr, "clasp: skipping finished campaign %s\n", checkpoint.CampaignDir(camp))
+		}
+	} else {
+		sched = eng.NewCommandScheduler(label)
+		if err := sched.WriteManifest(c.name, c.artifact, c.refs, c.days, c.minSamples); err != nil {
+			return err
+		}
 	}
-	return refs
+	switch c.name {
+	case "campaign":
+		plan, err := sched.Plan(c.refs[0])
+		if err != nil {
+			return err
+		}
+		res, err := sched.Run(plan)
+		if err != nil {
+			return err
+		}
+		clasp.WriteCampaignSummary(out, res)
+		rep, err := p.CongestionReport(res)
+		if err != nil {
+			return err
+		}
+		clasp.WriteReport(out, rep)
+		return nil
+	case "costs":
+		// All regions measure concurrently, like the real deployment.
+		regions := make([]string, len(c.refs))
+		for i, ref := range c.refs {
+			regions[i] = ref.Region
+		}
+		if err := p.RunTopologyCampaigns(regions, c.days); err != nil {
+			return err
+		}
+		egress, storage, compute := p.Costs()
+		fmt.Fprintf(out, "Simulated 7-day all-region bill:\n")
+		fmt.Fprintf(out, "  egress:  $%8.2f\n  storage: $%8.2f\n  compute: $%8.2f\n  total:   $%8.2f\n",
+			egress, storage, compute, egress+storage+compute)
+		fmt.Fprintf(out, "(the paper's real deployment exceeded USD 6k/month)\n")
+		return nil
+	case "report":
+		cache := scenario.NewArtifactCache()
+		cache.UseScheduler(sched)
+		return scenario.RenderArtifact(out, p, cache, c.artifact, c.days, c.minSamples)
+	default:
+		return fmt.Errorf("unknown command %q", c.name)
+	}
 }
 
-// printCosts renders the simulated bill after the costs campaign set.
-func printCosts(out io.Writer, p *clasp.Platform) {
-	egress, storage, compute := p.Costs()
-	fmt.Fprintf(out, "Simulated 7-day all-region bill:\n")
-	fmt.Fprintf(out, "  egress:  $%8.2f\n  storage: $%8.2f\n  compute: $%8.2f\n  total:   $%8.2f\n",
-		egress, storage, compute, egress+storage+compute)
-	fmt.Fprintf(out, "(the paper's real deployment exceeded USD 6k/month)\n")
-}
-
-// resumeEngine rebuilds the engine that wrote a checkpoint or command
-// manifest: the identity comes from disk, the runtime knobs from this
-// invocation's flags, and ckRoot is the checkpoint directory the run keeps
-// committing under.
-func resumeEngine(id checkpoint.Identity, ckRoot string, flags core.Options) (*core.CLASP, error) {
-	opts := core.ResumeOptions(id)
-	opts.Parallelism, opts.MaxMemoryMB, opts.SpillDir = flags.Parallelism, flags.MaxMemoryMB, flags.SpillDir
-	opts.CheckpointDir = ckRoot
-	return core.New(opts)
-}
-
-// resumeCmd continues a checkpointed command or campaign to completion and
-// prints the finished run's output — byte-identical to what the
-// uninterrupted command would have printed. A directory holding a command
-// manifest re-enters the multi-campaign scheduler (finished campaigns are
-// skipped, partial ones resume from their watermark, never-started ones
-// run fresh); a bare campaign checkpoint takes the single-campaign path.
+// resumeCmd re-enters a killed command from the manifest in its checkpoint
+// directory: the engine is rebuilt from the recorded identity, with the
+// runtime knobs from this invocation's flags, and the command runs again
+// under a resume scheduler — finished campaigns load from their
+// checkpoints, partial ones resume from their watermark, never-started ones
+// run fresh — printing what the uninterrupted command would have.
 func resumeCmd(positional []string, out io.Writer, flags core.Options) error {
 	if len(positional) != 1 {
 		return fmt.Errorf("usage: clasp resume <checkpoint-dir>")
 	}
-	man, err := checkpoint.LoadManifest(positional[0])
+	dir := positional[0]
+	man, err := checkpoint.LoadManifest(dir)
 	if err != nil {
 		return err
 	}
-	if man != nil {
-		return resumeCommand(man, positional[0], out, flags)
-	}
-	ck, err := checkpoint.Load(positional[0])
+	opts := core.ResumeOptions(man.Identity)
+	opts.Parallelism, opts.MaxMemoryMB, opts.SpillDir, opts.CheckpointDir = flags.Parallelism, flags.MaxMemoryMB, flags.SpillDir, dir
+	p, err := clasp.New(opts)
 	if err != nil {
 		return err
 	}
-	eng, err := resumeEngine(ck.Meta.Campaign.Identity, filepath.Dir(ck.Dir), flags)
-	if err != nil {
-		return err
+	c := command{name: man.Command, artifact: man.Artifact, days: man.Days, minSamples: man.MinSamples}
+	for _, camp := range man.Campaigns {
+		c.refs = append(c.refs, core.CampaignRef{Kind: camp.Kind, Region: camp.Region, Days: camp.Days, MinSamples: camp.MinSamples})
 	}
-	res, err := eng.ResumeCampaign(ck)
-	if err != nil {
-		return err
-	}
-	p := clasp.NewFromCore(eng)
-	if ck.Meta.Campaign.Kind == "differential" {
-		clasp.WriteCampaignSummary(out, res)
-		tc, err := p.CompareTiers(res)
-		if err != nil {
-			return err
-		}
-		clasp.WriteTierComparison(out, tc)
-		return nil
-	}
-	return printCampaign(out, p, res)
-}
-
-// resumeCommand re-enters a killed multi-campaign command from its
-// manifest: the engine is rebuilt from the recorded identity, a resume
-// scheduler attaches the per-campaign checkpoints, and the command's
-// normal render path runs — loading finished campaigns from their
-// checkpoints, resuming partial ones, and running the rest.
-func resumeCommand(man *checkpoint.Manifest, dir string, out io.Writer, flags core.Options) error {
-	eng, err := resumeEngine(man.Identity, dir, flags)
-	if err != nil {
-		return err
-	}
-	p := clasp.NewFromCore(eng)
-	name := man.Command
-	if man.Artifact != "" {
-		name += "-" + man.Artifact
-	}
-	sched := eng.NewResumeScheduler(name)
-	sched.OnSkip = func(camp checkpoint.Campaign) {
-		fmt.Fprintf(os.Stderr, "clasp: skipping finished campaign %s\n", checkpoint.CampaignDir(camp))
-	}
-	switch man.Command {
-	case "report":
-		cache := scenario.NewArtifactCache()
-		cache.UseScheduler(sched)
-		return scenario.RenderArtifact(out, p, cache, man.Artifact, man.Days, man.MinSamples)
-	case "costs":
-		regions := make([]string, len(man.Campaigns))
-		for i, c := range man.Campaigns {
-			regions[i] = c.Region
-		}
-		if err := p.RunTopologyCampaigns(regions, man.Days); err != nil {
-			return err
-		}
-		printCosts(out, p)
-		return nil
-	default:
-		return fmt.Errorf("resume: manifest in %s has unknown command %q", dir, man.Command)
-	}
-}
-
-// printCampaign renders a finished campaign exactly like `clasp campaign`:
-// the orchestration summary, the resilience line when anything degraded,
-// and (optionally) the congestion report.
-func printCampaign(out io.Writer, p *clasp.Platform, res *core.CampaignResult) error {
-	clasp.WriteCampaignSummary(out, res)
-	rep, err := p.CongestionReport(res)
-	if err != nil {
-		return err
-	}
-	clasp.WriteReport(out, rep)
-	return nil
+	return c.run(out, p, true)
 }
 
 // scenarioCmd runs the declarative-scenario subcommands.
@@ -362,13 +357,12 @@ func scenarioCmd(cmd string, positional []string, out io.Writer) error {
 }
 
 // dispatch runs one classic subcommand against an initialised platform.
-func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLASP, out io.Writer, days, minSamples int) error {
-	switch cmd {
-	case "select":
+func dispatch(cmd string, positional []string, p *clasp.Platform, out io.Writer, days, minSamples int) error {
+	if cmd == "select" {
 		if len(positional) != 1 {
 			return fmt.Errorf("usage: clasp select <region>")
 		}
-		region := positional[0]
+		region, eng := positional[0], p.Engine()
 		sel, err := eng.SelectTopologyServers(region)
 		if err != nil {
 			return err
@@ -385,48 +379,38 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, eng *core.CLAS
 		}
 		core.WriteDifferentialSelection(out, region, diff)
 		return nil
+	}
+	c, err := newCommand(cmd, positional, days, minSamples)
+	if err != nil {
+		return err
+	}
+	return c.run(out, p, false)
+}
 
+// newCommand reads a campaign, report or costs invocation.
+func newCommand(name string, positional []string, days, minSamples int) (command, error) {
+	c := command{name: name, days: days}
+	switch name {
 	case "campaign":
 		if len(positional) != 1 {
-			return fmt.Errorf("usage: clasp campaign <region>")
+			return c, fmt.Errorf("usage: clasp campaign <region>")
 		}
-		res, err := p.RunTopologyCampaign(positional[0], days)
-		if err != nil {
-			return err
-		}
-		return printCampaign(out, p, res)
-
+		c.refs = []core.CampaignRef{{Kind: "topology", Region: positional[0], Days: days}}
 	case "costs":
-		// All regions measure concurrently, like the real deployment. The
-		// command scheduler accounts whole-command progress and, with
-		// -checkpoint-dir set, records the campaign set in a manifest so
-		// `clasp resume` can skip whatever already finished.
-		sched := eng.NewCommandScheduler("costs")
-		if err := sched.WriteManifest("costs", "", costsRefs(), costsDays, 0); err != nil {
-			return err
+		c.days = costsDays
+		for _, region := range core.TopologyRegions {
+			c.refs = append(c.refs, core.CampaignRef{Kind: "topology", Region: region, Days: costsDays})
 		}
-		if err := p.RunTopologyCampaigns(core.TopologyRegions, costsDays); err != nil {
-			return err
-		}
-		printCosts(out, p)
-		return nil
-
 	case "report":
 		if len(positional) != 1 {
-			return fmt.Errorf("usage: clasp report <table1|fig2|...|all>")
+			return c, fmt.Errorf("usage: clasp report <table1|fig2|...|all>")
 		}
-		artifact := positional[0]
-		sched := eng.NewCommandScheduler("report-" + artifact)
-		if err := sched.WriteManifest("report", artifact, scenario.CampaignRefs([]string{artifact}, days, minSamples), days, minSamples); err != nil {
-			return err
-		}
-		cache := scenario.NewArtifactCache()
-		cache.UseScheduler(sched)
-		return scenario.RenderArtifact(out, p, cache, artifact, days, minSamples)
-
+		c.artifact, c.minSamples = positional[0], minSamples
+		c.refs = scenario.CampaignRefs([]string{c.artifact}, days, minSamples)
 	default:
-		return fmt.Errorf("unknown command %q", cmd)
+		return c, fmt.Errorf("unknown command %q", name)
 	}
+	return c, nil
 }
 
 // writeMetricsDump writes the end-of-run telemetry: Prometheus text

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,14 +31,18 @@ var (
 	injectionFields = []string{"Substrate"}
 	// noFlagFields are settable from the API and a spec but not the CLI.
 	noFlagFields = []string{"CaptureEvery", "TracerouteEvery"}
+	// noSpecFields are settable from the API and the CLI but not a spec:
+	// a scenario has no resume, so it does not checkpoint.
+	noSpecFields = []string{"CheckpointDir", "CheckpointEvery"}
 )
 
 // TestEveryOptionReachesEveryLayer is the guard against a new option
 // silently missing a layer: every exported core.Options field must be part
 // of the checkpoint identity (and survive Options -> Identity ->
 // ResumeOptions) or be listed as a runtime/injection field, and every
-// non-injection field must be settable from a scenario spec and — unless
-// listed in noFlagFields — from a CLI flag.
+// non-injection field must be settable — unless listed in noSpecFields —
+// from a scenario spec and — unless listed in noFlagFields — from a CLI
+// flag.
 func TestEveryOptionReachesEveryLayer(t *testing.T) {
 	optT, idT := reflect.TypeOf(core.Options{}), reflect.TypeOf(checkpoint.Identity{})
 	var identity []string
@@ -107,6 +112,13 @@ func TestEveryOptionReachesEveryLayer(t *testing.T) {
 			}
 			continue
 		}
+		noSpec := slices.Contains(noSpecFields, f.Name)
+		if noSpec {
+			if key != "-" {
+				t.Errorf("%s is listed in noSpecFields but has spec key %q", f.Name, key)
+			}
+			key = strings.ToLower(f.Name[:1]) + f.Name[1:] // how a spec would spell it
+		}
 		// The scale is the one knob a spec spells elsewhere.
 		doc, landed := fmt.Sprintf(`{%q: 7}`, key), func(s *scenario.Spec) any { return reflect.ValueOf(s.Options).Field(i).Interface() }
 		if f.Name == "Scale" {
@@ -117,10 +129,14 @@ func TestEveryOptionReachesEveryLayer(t *testing.T) {
 		var spec scenario.Spec
 		dec := json.NewDecoder(bytes.NewReader([]byte(doc)))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		switch err := dec.Decode(&spec); {
+		case noSpec && (err == nil || !strings.Contains(err.Error(), "unknown field")):
+			t.Errorf("%s is listed in noSpecFields: decoding %s gave %v, want the key refused", f.Name, doc, err)
+		case noSpec:
+		case err != nil:
 			t.Errorf("%s has no scenario spec key: decoding %s: %v", f.Name, doc, err)
-		} else if got := fmt.Sprint(landed(&spec)); got != "7" {
-			t.Errorf("spec document %s left %s = %v, want 7", doc, f.Name, got)
+		case fmt.Sprint(landed(&spec)) != "7":
+			t.Errorf("spec document %s left %s = %v, want 7", doc, f.Name, landed(&spec))
 		}
 		fl, hasFlag := flagOf[f.Name]
 		if hasFlag == slices.Contains(noFlagFields, f.Name) {
@@ -128,6 +144,8 @@ func TestEveryOptionReachesEveryLayer(t *testing.T) {
 		}
 		if f.Name == "Scale" {
 			key = "topology.scale"
+		} else if noSpec {
+			key = ""
 		}
 		if hasFlag && specKeys[fl] != key {
 			t.Errorf("specKeys[%q] = %q, want %s's spec key %q", fl, specKeys[fl], f.Name, key)
@@ -138,14 +156,19 @@ func TestEveryOptionReachesEveryLayer(t *testing.T) {
 // TestScenarioCommandsRejectEngineFlags: run and fleet take every knob from
 // the spec, so a flag that names one — each used to parse and be ignored — is
 // refused with the spec key to set instead (specKeys lists every bindOptions
-// flag: TestEveryOptionReachesEveryLayer). Telemetry flags stay valid.
+// flag: TestEveryOptionReachesEveryLayer), and a checkpoint flag because
+// scenarios do not checkpoint. Telemetry flags stay valid.
 func TestScenarioCommandsRejectEngineFlags(t *testing.T) {
 	const spec = "../../examples/scenarios/small-smoke.json"
 	for name, key := range specKeys {
+		want := fmt.Sprintf("%q", key)
+		if key == "" {
+			want = "scenarios do not checkpoint"
+		}
 		for _, cmd := range []string{"run", "fleet"} {
 			err := run([]string{cmd, spec, "-" + name, "7"}, io.Discard)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", key)) {
-				t.Errorf("clasp %s <spec> -%s 7: got %v, want an error naming spec key %q", cmd, name, err, key)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("clasp %s <spec> -%s 7: got %v, want an error saying %s", cmd, name, err, want)
 			}
 		}
 	}
@@ -154,39 +177,72 @@ func TestScenarioCommandsRejectEngineFlags(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsManifestFlags: resume takes the run's identity and shape
+// from command.json, so a flag that sets one — each used to parse and be
+// ignored, the resume printing the recorded run's bytes — is refused naming
+// the flag and the manifest. The runtime and telemetry flags stay valid and
+// move no byte.
+func TestResumeRejectsManifestFlags(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck")
+	var want bytes.Buffer
+	if err := run([]string{"campaign", "us-west1", "-scale", "0.1", "-days", "1", "-checkpoint-dir", ck}, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"seed", "9"}, {"scale", "0.3"}, {"fault-profile", "flaky-vm"}, {"checkpoint-dir", ck},
+		{"checkpoint-every", "4"}, {"days", "5"}, {"samples", "7"},
+	} {
+		err := run([]string{"resume", ck, "-" + tc.flag, tc.value}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-"+tc.flag+":") || !strings.Contains(err.Error(), checkpoint.ManifestFile) {
+			t.Errorf("clasp resume <dir> -%s %s: got %v, want an error naming -%[1]s and %[4]s", tc.flag, tc.value, err, checkpoint.ManifestFile)
+		}
+	}
+	var got bytes.Buffer
+	err := run([]string{"resume", ck, "-parallelism", "4", "-max-memory", "1", "-spill-dir", t.TempDir(),
+		"-memprofile", filepath.Join(t.TempDir(), "mem.prof")}, &got)
+	if err != nil {
+		t.Fatalf("clasp resume <dir> with runtime flags: %v", err)
+	}
+	requireSameBytes(t, got.Bytes(), want.Bytes())
+}
+
 // TestInvalidOptionsRejectedEverywhere: core.Options.Validate is the one
 // validation point, so the CLI, clasp.New and a scenario spec all refuse
 // the same bad values, each naming the field. Before it, `-scale -1`
 // silently ran the paper-scale topology and the other values were accepted
 // by every entry point but the spec parser.
 func TestInvalidOptionsRejectedEverywhere(t *testing.T) {
+	// A spec has no checkpoint keys (scenarios do not checkpoint), so it
+	// refuses the key itself.
+	const noKey = `unknown field "checkpointEvery"`
 	for _, tc := range []struct {
-		field string // what every error must name
-		args  []string
-		spec  string
-		set   func(*clasp.Options)
+		field     string // what every error must name
+		args      []string
+		spec      string
+		specField string // what the spec's error must name, when not field
+		set       func(*clasp.Options)
 	}{
-		{"seed", []string{"-seed", "-1"}, `"seed": -1`, func(o *clasp.Options) { o.Seed = -1 }},
-		{"scale", []string{"-scale", "-1"}, `"topology": {"scale": -1}`, func(o *clasp.Options) { o.Scale = -1 }},
-		{"parallelism", []string{"-parallelism", "-1"}, `"parallelism": -1`, func(o *clasp.Options) { o.Parallelism = -1 }},
-		{"maxMemoryMB", []string{"-max-memory", "-1"}, `"maxMemoryMB": -1`, func(o *clasp.Options) { o.MaxMemoryMB = -1 }},
-		{"checkpointEvery", []string{"-checkpoint-dir", "d", "-checkpoint-every", "-1"}, `"checkpointDir": "d", "checkpointEvery": -1`,
+		{"seed", []string{"-seed", "-1"}, `"seed": -1`, "", func(o *clasp.Options) { o.Seed = -1 }},
+		{"scale", []string{"-scale", "-1"}, `"topology": {"scale": -1}`, "", func(o *clasp.Options) { o.Scale = -1 }},
+		{"parallelism", []string{"-parallelism", "-1"}, `"parallelism": -1`, "", func(o *clasp.Options) { o.Parallelism = -1 }},
+		{"maxMemoryMB", []string{"-max-memory", "-1"}, `"maxMemoryMB": -1`, "", func(o *clasp.Options) { o.MaxMemoryMB = -1 }},
+		{"checkpointEvery", []string{"-checkpoint-dir", "d", "-checkpoint-every", "-1"}, `"checkpointEvery": -1`, noKey,
 			func(o *clasp.Options) { o.CheckpointDir, o.CheckpointEvery = "d", -1 }},
-		{"checkpointEvery: needs checkpointDir", []string{"-checkpoint-every", "2"}, `"checkpointEvery": 2`, func(o *clasp.Options) { o.CheckpointEvery = 2 }},
-		{"faultProfile", []string{"-fault-profile", "cosmic-rays"}, `"faultProfile": "cosmic-rays"`, func(o *clasp.Options) { o.FaultProfile = "cosmic-rays" }},
+		{"checkpointEvery: needs checkpointDir", []string{"-checkpoint-every", "2"}, `"checkpointEvery": 2`, noKey, func(o *clasp.Options) { o.CheckpointEvery = 2 }},
+		{"faultProfile", []string{"-fault-profile", "cosmic-rays"}, `"faultProfile": "cosmic-rays"`, "", func(o *clasp.Options) { o.FaultProfile = "cosmic-rays" }},
 	} {
-		check := func(entry string, err error) {
-			if err == nil || !strings.Contains(err.Error(), tc.field) {
-				t.Errorf("%s with a bad %s: got %v, want an error naming it", entry, tc.field, err)
+		check := func(entry, field string, err error) {
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s with a bad %s: got %v, want an error naming %s", entry, tc.field, err, field)
 			}
 		}
-		check("CLI", run(append([]string{"select", "us-west1"}, tc.args...), io.Discard))
+		check("CLI", tc.field, run(append([]string{"select", "us-west1"}, tc.args...), io.Discard))
 		opts := clasp.Options{Scale: 0.1}
 		tc.set(&opts)
 		_, err := clasp.New(opts)
-		check("clasp.New", err)
+		check("clasp.New", tc.field, err)
 		_, err = scenario.ParseSpec([]byte(`{"name": "bad", "artifacts": ["table1"], `+tc.spec+`}`), "bad.json")
-		check("spec", err)
+		check("spec", cmp.Or(tc.specField, tc.field), err)
 	}
 	for _, days := range []string{"0", "-3"} {
 		if err := run([]string{"campaign", "us-west1", "-scale", "0.1", "-days", days}, io.Discard); err == nil || !strings.Contains(err.Error(), "-days") {

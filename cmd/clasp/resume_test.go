@@ -2,57 +2,69 @@ package main
 
 import (
 	"bytes"
-	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/checkpoint"
 	"github.com/clasp-measurement/clasp/internal/core"
 	"github.com/clasp-measurement/clasp/internal/scenario"
 )
 
-// TestResumeDifferentialRendersLikeScenario pins that a resumed differential
-// campaign is rendered by the same code as every other path: `clasp resume`
-// on the checkpoint a scenario's differential campaign left behind (at its
-// final watermark, so the resume is a replay-only pass) must print exactly
-// the summary, Resilience and tier-comparison lines the scenario printed.
-func TestResumeDifferentialRendersLikeScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration in -short mode")
-	}
-	ckRoot := t.TempDir()
-	spec, err := scenario.ParseSpec([]byte(fmt.Sprintf(`{
-		"name": "drill", "topology": {"scale": 0.1}, "seed": 3, "days": 2, "minSamples": 6,
-		"faultProfile": "flaky-vm", "checkpointDir": %q,
-		"campaigns": [{"kind": "differential", "regions": ["europe-west1"]}]
-	}`, ckRoot)), "drill")
+// TestFreshManifestsLoad: what a fresh checkpointing command leaves under
+// -checkpoint-dir once its manifest is written is either no manifest — a
+// command that plans no campaign loses nothing to a kill — or one its
+// resume loads. `report table1` used to write "campaigns": null, which the
+// resume then refused.
+func TestFreshManifestsLoad(t *testing.T) {
+	eng, err := core.New(core.Options{Seed: 3, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ran bytes.Buffer
-	if err := scenario.NewRunner().Run(&ran, spec); err != nil {
-		t.Fatal(err)
-	}
-	var sep bytes.Buffer
-	core.Separator(&sep, "differential europe-west1")
-	want, ok := strings.CutPrefix(ran.String(), sep.String())
-	if !ok {
-		t.Fatalf("scenario output does not start with the campaign separator:\n%s", ran.String())
-	}
-	for _, line := range []string{"Campaign: ", "Resilience: ", "Tier comparison for europe-west1", "downloads within 50%"} {
-		if !strings.Contains(want, line) {
-			t.Fatalf("scenario output has no %q line:\n%s", line, want)
+	wrote := 0
+	for _, name := range append(scenario.Artifacts(), "costs", "campaign") {
+		cmd, positional := "report", []string{name}
+		switch name {
+		case "costs":
+			cmd, positional = name, nil
+		case "campaign":
+			cmd, positional = name, []string{"us-west1"}
+		}
+		c, err := newCommand(cmd, positional, 3, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What command.run writes before its first campaign.
+		dir := filepath.Join(t.TempDir(), "ck")
+		eng.Opts.CheckpointDir = dir
+		if err := eng.NewCommandScheduler(name).WriteManifest(c.name, c.artifact, c.refs, c.days, c.minSamples); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, checkpoint.ManifestFile)); os.IsNotExist(err) {
+			if len(c.refs) > 0 {
+				t.Errorf("%s plans %d campaigns and wrote no manifest", name, len(c.refs))
+			}
+			continue
+		}
+		wrote++
+		if _, err := checkpoint.LoadManifest(dir); err != nil {
+			t.Errorf("%s wrote a manifest its resume refuses: %v", name, err)
 		}
 	}
-
-	var got bytes.Buffer
-	ckDir := filepath.Join(ckRoot, "drill", "europe-west1-differential")
-	if err := resumeCmd([]string{ckDir}, &got, core.Options{Parallelism: 1}); err != nil {
-		t.Fatal(err)
+	if wrote == 0 {
+		t.Fatal("no command wrote a manifest")
 	}
-	if got.String() != want {
-		t.Fatalf("resumed differential campaign renders differently:\n--- resume ---\n%s--- scenario ---\n%s", got.String(), want)
+}
+
+// TestResumeNeedsManifest: a directory without command.json is no
+// command's checkpoint set, and resume fails naming the file.
+func TestResumeNeedsManifest(t *testing.T) {
+	err := run([]string{"resume", t.TempDir()}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), checkpoint.ManifestFile) {
+		t.Fatalf("resume of a directory without a manifest: %v, want an error naming %s", err, checkpoint.ManifestFile)
 	}
 }
 

@@ -23,9 +23,14 @@ func main() {
 	}
 	fmt.Printf("regions: %v\n", p.Regions())
 
-	// Select servers with the topology-based method and measure each one
-	// hourly for 14 virtual days over the premium tier.
-	res, err := p.RunTopologyCampaign("us-west1", 14)
+	// Select servers with the topology-based method (the plan), then
+	// measure each one hourly for 14 virtual days over the premium tier.
+	eng := p.Engine()
+	plan, err := eng.PlanTopologyCampaign("us-west1", 14)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.RunPlanned(plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestCongestionReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunTopologyCampaign("us-west1", 10)
+	res, err := runTopology(p.Engine(), "us-west1", 10)
 	if err != nil {
 		t.Fatal(err)
 	}

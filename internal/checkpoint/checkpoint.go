@@ -273,10 +273,9 @@ type Checkpoint struct {
 	log *analysis.RecordLog // the snapshot's records; nil once resumed
 }
 
-// Load reads a checkpoint. path may be the checkpoint.json file itself, a
-// directory containing one, or a parent directory (such as the
-// -checkpoint-dir of a single-campaign run) exactly one of whose
-// subdirectories contains one. Every block is validated on the way in, and
+// Load reads a checkpoint. path may be a directory containing a
+// checkpoint.json, or a parent directory (such as the -checkpoint-dir of a
+// one-campaign run) exactly one of whose subdirectories contains one. Every block is validated on the way in, and
 // every count and length the metadata states is checked against the bytes
 // that back it, so a corrupt checkpoint fails here.
 func Load(path string) (*Checkpoint, error) {
@@ -316,15 +315,9 @@ func Load(path string) (*Checkpoint, error) {
 	return &Checkpoint{Dir: dir, Meta: meta, log: log}, nil
 }
 
-// findMeta resolves the user-supplied path to the checkpoint.json file.
+// findMeta resolves a checkpoint directory, or its parent, to the
+// checkpoint.json file.
 func findMeta(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	if !fi.IsDir() {
-		return path, nil
-	}
 	direct := filepath.Join(path, MetaFile)
 	if _, err := os.Stat(direct); err == nil {
 		return direct, nil

@@ -321,8 +321,8 @@ func TestCheckpointOverwrite(t *testing.T) {
 }
 
 // TestLoadPathForms pins every accepted argument shape of Load/findMeta:
-// the metadata file itself, the checkpoint directory, and a parent with
-// exactly one checkpointed subdirectory — plus the error cases (none, or
+// the checkpoint directory, and a parent with exactly one checkpointed
+// subdirectory — plus the error cases (the metadata file itself, none, or
 // several and ambiguous).
 func TestLoadPathForms(t *testing.T) {
 	commit := func(t *testing.T, dir string) {
@@ -340,11 +340,7 @@ func TestLoadPathForms(t *testing.T) {
 	sub := filepath.Join(parent, "us-west1-topology")
 	commit(t, sub)
 
-	for _, path := range []string{
-		filepath.Join(sub, MetaFile),
-		sub,
-		parent,
-	} {
+	for _, path := range []string{sub, parent} {
 		ck, err := Load(path)
 		if err != nil {
 			t.Fatalf("Load(%s): %v", path, err)
@@ -354,6 +350,9 @@ func TestLoadPathForms(t *testing.T) {
 		}
 	}
 
+	if _, err := Load(filepath.Join(sub, MetaFile)); err == nil {
+		t.Fatal("the metadata file itself should fail: Load takes a directory")
+	}
 	if _, err := Load(t.TempDir()); err == nil || !strings.Contains(err.Error(), "no "+MetaFile) {
 		t.Fatalf("empty parent: got %v", err)
 	}

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// ManifestFile is the command-level manifest a multi-campaign command
-// (report all, costs) writes at the root of its -checkpoint-dir. Each
-// campaign of the command still checkpoints independently into its own
+// ManifestFile is the command-level manifest a checkpointing command
+// (campaign, report, costs) writes at the root of its -checkpoint-dir. Each
+// campaign of the command checkpoints independently into its own
 // <region>-<kind> subdirectory; the manifest records the command identity
 // and the full planned campaign set, so `clasp resume` can rebuild the
 // engine, skip the campaigns whose checkpoints are already at their final
@@ -25,9 +25,10 @@ const ManifestVersion = 1
 type Manifest struct {
 	Version int `json:"version"`
 	// Command is the CLI command the checkpoint set belongs to:
-	// "report" or "costs".
+	// "campaign", "report" or "costs".
 	Command string `json:"command"`
-	// Artifact is the report target ("all", "fig2", ...); empty for costs.
+	// Artifact is the report target ("all", "fig2", ...); empty for the
+	// other commands.
 	Artifact string `json:"artifact,omitempty"`
 	// Days / MinSamples are the command-level campaign shape flags.
 	Days       int `json:"days"`
@@ -41,8 +42,7 @@ type Manifest struct {
 }
 
 // CampaignDir returns the subdirectory (relative to the manifest's
-// directory) a campaign of the set checkpoints into — the same
-// <region>-<kind> layout single-campaign runs use.
+// directory) a campaign of the set checkpoints into: <region>-<kind>.
 func CampaignDir(camp Campaign) string {
 	return camp.Region + "-" + camp.Kind
 }
@@ -62,17 +62,13 @@ func WriteManifest(dir string, m Manifest) error {
 	}, nil)
 }
 
-// LoadManifest reads the command manifest under dir. It returns
-// (nil, nil) when dir exists but holds no manifest — the caller then falls
-// back to the single-campaign resume path. A manifest whose shape the CLI
-// would refuse — days below 1, negative minSamples, no campaigns, a
-// campaign of no known kind or below one day — fails here, naming every bad
-// field, not later in the resumed run.
+// LoadManifest reads the command manifest under dir; a dir without one
+// fails naming the file. A manifest whose shape the CLI would refuse —
+// days below 1, negative minSamples, no campaigns, a campaign of no known
+// kind or below one day — fails here, naming every bad field, not later in
+// the resumed run.
 func LoadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}

@@ -53,16 +53,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadManifestAbsent pins the fallback contract: a directory without a
-// command.json loads as (nil, nil), so `clasp resume` can tell a
-// single-campaign checkpoint from a command set without extra probing.
+// TestLoadManifestAbsent: a directory without a command.json is no
+// command's checkpoint set, and loading it fails naming the file.
 func TestLoadManifestAbsent(t *testing.T) {
 	m, err := LoadManifest(t.TempDir())
-	if err != nil {
-		t.Fatalf("LoadManifest on empty dir: %v", err)
-	}
-	if m != nil {
-		t.Fatalf("LoadManifest on empty dir = %+v, want nil", m)
+	if err == nil || !strings.Contains(err.Error(), ManifestFile) {
+		t.Fatalf("LoadManifest on empty dir = %+v, %v; want an error naming %s", m, err, ManifestFile)
 	}
 }
 

@@ -203,7 +203,7 @@ func (c *CLASP) lockRegion(region string) func() {
 // SelectTopologyServers runs the topology-based method for one region,
 // applying the region's budget from RegionBudgets. The result is memoized
 // per region for the engine's lifetime — the selection is a pure function
-// of the seed (ResumeCampaign has always relied on that), and one `report
+// of the seed (a resume re-plans every campaign on that), and one `report
 // all` used to recompute the same regions for Table 1, Fig. 7 and the
 // campaigns. Safe for concurrent use: callers for different regions run
 // side by side, callers for one region share one computation.
@@ -346,16 +346,6 @@ func (r *CampaignResult) LastRecord() analysis.Measurement { return r.Log.Last()
 // runs may rely on process exit (spill files are unlinked at creation).
 func (r *CampaignResult) Close() error { return r.Log.Close() }
 
-// RunTopologyCampaign selects servers with the topology-based method and
-// measures them hourly (premium tier) for the given number of days.
-func (c *CLASP) RunTopologyCampaign(region string, days int) (*CampaignResult, error) {
-	p, err := c.PlanTopologyCampaign(region, days)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunPlanned(p)
-}
-
 // storeIndexLimit bounds how large a campaign still gets indexed into the
 // shared time-series store. The store powers interactive queries; bulk
 // paper-scale campaigns (millions of records) stay in the returned result
@@ -483,24 +473,4 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		Selected:    servers,
 		parallelism: c.Opts.Parallelism,
 	}, nil
-}
-
-// ResumeCampaign continues a checkpointed campaign to completion on this
-// engine and returns the same result an uninterrupted run would have: the
-// server selection is re-run (it is a pure function of the seed), the
-// campaign continues on the record log the checkpoint loaded, and the
-// remaining rounds re-execute from the watermark. The engine must be built
-// with options matching the checkpoint's identity (see ResumeOptions); new
-// checkpoints keep committing into the checkpoint's own directory.
-func (c *CLASP) ResumeCampaign(ck *checkpoint.Checkpoint) (*CampaignResult, error) {
-	camp := ck.Meta.Campaign
-	if err := c.checkCampaignIdentity(camp.Identity); err != nil {
-		return nil, err
-	}
-	p, err := c.PlanRef(CampaignRef{Kind: camp.Kind, Region: camp.Region, Days: camp.Days, MinSamples: camp.MinSamples})
-	if err != nil {
-		return nil, err
-	}
-	p.ck = ck
-	return c.RunPlanned(p)
 }

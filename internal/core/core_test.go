@@ -13,7 +13,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/selection"
 )
 
-// newCLASP builds a small-scale instance shared across subtests.
 // runDifferential plans and runs a differential campaign, the two steps
 // examples/tiercompare takes.
 func runDifferential(c *CLASP, region string, days, minSamples int) (*CampaignResult, []selection.DiffSelected, error) {
@@ -28,6 +27,17 @@ func runDifferential(c *CLASP, region string, days, minSamples int) (*CampaignRe
 	return res, p.DiffSel, nil
 }
 
+// runTopology plans and runs one topology campaign directly, with no
+// command scheduler.
+func runTopology(c *CLASP, region string, days int) (*CampaignResult, error) {
+	p, err := c.PlanTopologyCampaign(region, days)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunPlanned(p)
+}
+
+// newCLASP builds a small-scale instance shared across subtests.
 func newCLASP(t *testing.T) *CLASP {
 	t.Helper()
 	c, err := New(Options{Seed: 3, Scale: 0.1})
@@ -109,7 +119,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestTopologyCampaignAndFigures(t *testing.T) {
 	c := newCLASP(t)
-	res, err := c.RunTopologyCampaign("us-west1", 30)
+	res, err := runTopology(c, "us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +245,7 @@ func TestFig3CoxSeries(t *testing.T) {
 	// Build a campaign that includes the Cox Las Vegas server directly.
 	var servers []*selection.Selected
 	_ = servers
-	res, err := c.RunTopologyCampaign("us-west1", 40)
+	res, err := runTopology(c, "us-west1", 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +314,7 @@ func TestDifferentialCampaignAndFig5(t *testing.T) {
 
 func TestComputeHeadlines(t *testing.T) {
 	c := newCLASP(t)
-	resW, err := c.RunTopologyCampaign("us-west1", 30)
+	resW, err := runTopology(c, "us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +382,7 @@ func TestRunTopologyCampaignsMatchesIndividual(t *testing.T) {
 		t.Fatal("RunTopologyCampaigns ran without a command scheduler")
 	}
 	for _, region := range regions {
-		want, err := seq.RunTopologyCampaign(region, 2)
+		want, err := runTopology(seq, region, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +492,7 @@ func TestFig2RegionalOrdering(t *testing.T) {
 	c := newCLASP(t)
 	results := make(map[string]*CampaignResult)
 	for _, region := range []string{"us-west1", "us-east4"} {
-		res, err := c.RunTopologyCampaign(region, 30)
+		res, err := runTopology(c, region, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,17 +68,17 @@ type Options struct {
 	SpillDir string `json:"spillDir,omitempty"`
 	// CheckpointDir enables campaign checkpointing: each campaign
 	// periodically commits its progress and record stream into
-	// <CheckpointDir>/<region>-<kind>/ by atomic rename, and a killed run
-	// can be continued with ResumeCampaign (CLI: clasp resume) to produce
-	// output byte-identical to a never-killed run. "" disables. A scenario
-	// spec's checkpointDir is scoped by the scenario name
-	// (<checkpointDir>/<name>/...), so fleet members never collide.
-	CheckpointDir string `json:"checkpointDir,omitempty"`
+	// <CheckpointDir>/<region>-<kind>/ by atomic rename, and a killed
+	// command can be continued from its manifest (CLI: clasp resume; Go: a
+	// NewResumeScheduler's Plan and Run) to produce output byte-identical to
+	// a never-killed run. "" disables. A scenario has no resume, so a spec
+	// has no key for it or for CheckpointEvery.
+	CheckpointDir string `json:"-"`
 	// CheckpointEvery commits a checkpoint every N completed rounds
 	// (hours); 0 means every round. Every round adds one VM-hour per
 	// deployed VM, so a cadence of H VM-hours is ceil(H/VMs) rounds. Needs
 	// CheckpointDir.
-	CheckpointEvery int `json:"checkpointEvery,omitempty"`
+	CheckpointEvery int `json:"-"`
 	// Substrate injects a pre-built topology and router instead of
 	// generating them — the fleet path, where concurrent engines share one
 	// warmed substrate. The substrate's topology config must match what

@@ -26,6 +26,24 @@ import (
 // matrix is cmd/clasp's TestDeterminismContract).
 var errKilled = errors.New("resume test: simulated kill after checkpoint")
 
+// resume re-enters ck's campaign on eng the way `clasp resume` does: a
+// resume scheduler plans it, which checks eng against the checkpoint's
+// identity and attaches the checkpoint under eng's CheckpointDir, and runs
+// it to completion.
+func resume(t *testing.T, eng *CLASP, ck *checkpoint.Checkpoint) (*CampaignResult, error) {
+	t.Helper()
+	camp := ck.Meta.Campaign
+	s := eng.NewResumeScheduler("resume")
+	p, err := s.Plan(CampaignRef{Kind: camp.Kind, Region: camp.Region, Days: camp.Days, MinSamples: camp.MinSamples})
+	if err != nil {
+		return nil, err
+	}
+	if p.ck == nil || p.ck.Meta.Progress.NextHour != ck.Meta.Progress.NextHour {
+		t.Fatalf("the resume scheduler did not attach the checkpoint at hour %d", ck.Meta.Progress.NextHour)
+	}
+	return s.Run(p)
+}
+
 // TestResumeCampaignBitIdentical is the core resume invariant: kill a
 // campaign after a mid-run checkpoint, resume it on a fresh engine at a
 // DIFFERENT parallelism, and the records and report must match an
@@ -41,7 +59,7 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.RunTopologyCampaign(region, days)
+			want, err := runTopology(ref, region, days)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +75,7 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := killed.RunTopologyCampaign(region, days); !errors.Is(err, errKilled) {
+			if _, err := runTopology(killed, region, days); !errors.Is(err, errKilled) {
 				t.Fatalf("killed campaign returned %v, want the sentinel", err)
 			}
 
@@ -72,11 +90,11 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 				t.Fatalf("checkpoint watermark %d, want in (0, %d]", got, stopAfter+1)
 			}
 
-			resumed, err := New(Options{Seed: 3, Scale: 0.1, FaultProfile: prof, Parallelism: 4})
+			resumed, err := New(Options{Seed: 3, Scale: 0.1, FaultProfile: prof, Parallelism: 4, CheckpointDir: ckDir})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := resumed.ResumeCampaign(ck)
+			res, err := resume(t, resumed, ck)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +150,7 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	killed.testCheckpointHook = func(orchestrator.Progress) error { return errKilled }
-	if _, err := killed.RunTopologyCampaign("us-west1", 1); !errors.Is(err, errKilled) {
+	if _, err := runTopology(killed, "us-west1", 1); !errors.Is(err, errKilled) {
 		t.Fatalf("got %v, want the sentinel", err)
 	}
 	ck, err := checkpoint.Load(ckDir)
@@ -149,13 +167,14 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 		{"FaultProfile", Options{Seed: 3, Scale: 0.1, FaultProfile: "flaky-vm"}},
 		{"CaptureEvery", Options{Seed: 3, Scale: 0.1, CaptureEvery: 50}},
 		{"TracerouteEvery", Options{Seed: 3, Scale: 0.1, TracerouteEvery: 1}},
-		{"CheckpointEvery", Options{Seed: 3, Scale: 0.1, CheckpointDir: ckDir, CheckpointEvery: 5}},
+		{"CheckpointEvery", Options{Seed: 3, Scale: 0.1, CheckpointEvery: 5}},
 	} {
+		tc.opts.CheckpointDir = ckDir
 		eng, err := New(tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.ResumeCampaign(ck); err == nil || !strings.Contains(err.Error(), tc.field) {
+		if _, err := resume(t, eng, ck); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s mismatch: resume returned %v, want a refusal naming the field", tc.field, err)
 		}
 	}
@@ -184,13 +203,13 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ResumeCampaign(ck); err != nil {
+	if _, err := resume(t, eng, ck); err != nil {
 		t.Errorf("ResumeOptions-built engine refused: %v", err)
 	}
 
 	// An unknown kind in doctored metadata must also refuse.
 	ck.Meta.Campaign.Kind = "bogus"
-	if _, err := eng.ResumeCampaign(ck); err == nil {
+	if _, err := resume(t, eng, ck); err == nil {
 		t.Error("bogus kind: resume succeeded, want refusal")
 	}
 }
@@ -210,7 +229,7 @@ func TestCheckpointSidecarIsCampaignLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunTopologyCampaign(region, days)
+	res, err := runTopology(c, region, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +344,7 @@ func TestCommitAppendsOnly(t *testing.T) {
 			prev, prevInfo = raw, fi
 			return nil
 		}
-		res, err := c.RunTopologyCampaign(region, days)
+		res, err := runTopology(c, region, days)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +399,7 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.RunTopologyCampaign(region, days)
+	want, err := runTopology(ref, region, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +419,7 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := killed.RunTopologyCampaign(region, days); !errors.Is(err, errKilled) {
+	if _, err := runTopology(killed, region, days); !errors.Is(err, errKilled) {
 		t.Fatalf("got %v, want the sentinel", err)
 	}
 
@@ -417,7 +436,7 @@ func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := resumed.ResumeCampaign(ck)
+	res, err := resume(t, resumed, ck)
 	if err != nil {
 		t.Fatal(err)
 	}

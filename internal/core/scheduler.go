@@ -130,8 +130,8 @@ func newCommandMetrics(name string) *commandMetrics {
 	}
 }
 
-// CommandScheduler coordinates the campaigns of one multi-campaign command
-// (report all, costs): it owns the planning phase (callers plan in ref
+// CommandScheduler coordinates the campaigns of one command (campaign,
+// report, costs, a scenario): it owns the planning phase (callers plan in ref
 // order, so skip lines and progress registration are deterministic;
 // checkpoints attach on resume), accounts whole-command progress across
 // the concurrent campaign runs, writes the command manifest, and arms the
@@ -180,11 +180,12 @@ func (c *CLASP) NewResumeScheduler(name string) *CommandScheduler {
 // renders with exactly these, and the refs cannot stand in for them (an
 // artifact may select differential servers without running a differential
 // campaign). No-op when checkpointing is off, the one case a caller may
-// leave shape out. Called before any campaign starts, so a kill at any
-// later point leaves a resumable manifest.
+// leave shape out, and for a command that plans no campaign, where a kill
+// loses nothing. Called before any campaign starts, so a kill at any later
+// point leaves a resumable manifest.
 func (s *CommandScheduler) WriteManifest(command, artifact string, refs []CampaignRef, shape ...int) error {
 	dir := s.eng.Opts.CheckpointDir
-	if dir == "" {
+	if dir == "" || len(refs) == 0 {
 		return nil
 	}
 	if len(shape) != 2 {

@@ -34,11 +34,11 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	mem := newCLASP(t)
 	stream := newStreamingCLASP(t)
 
-	resM, err := mem.RunTopologyCampaign("us-west1", 30)
+	resM, err := runTopology(mem, "us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resS, err := stream.RunTopologyCampaign("us-west1", 30)
+	resS, err := runTopology(stream, "us-west1", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 // 4, with one analysis.group span per call that names its ranges — and at
 // parallelism 1 there is one range and no parallel task at all.
 func TestRangeScanCountersAtAnyParallelism(t *testing.T) {
-	res, err := newStreamingCLASP(t).RunTopologyCampaign("us-west1", 14)
+	res, err := runTopology(newStreamingCLASP(t), "us-west1", 14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 
 	"github.com/clasp-measurement/clasp/internal/core"
@@ -68,11 +67,6 @@ func (r *Runner) Run(w io.Writer, s *Spec) error {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	o.Substrate = sub
-	if o.CheckpointDir != "" {
-		// Scope per scenario name, so fleet members sharing one
-		// checkpoint root never write into each other's campaigns.
-		o.CheckpointDir = filepath.Join(o.CheckpointDir, s.Name)
-	}
 	eng, err := core.New(o)
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)

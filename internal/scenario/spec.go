@@ -38,10 +38,9 @@ type Spec struct {
 	Description string `json:"description,omitempty"`
 	// Options carries the run knobs under their spec keys — seed,
 	// parallelism, faultProfile, captureEvery, tracerouteEvery, maxMemoryMB,
-	// spillDir, checkpointDir, checkpointEvery; core.Options documents and
-	// validates them. Two are spelled differently here: the scale is set
-	// under topology, and checkpointDir is scoped per scenario
-	// (<checkpointDir>/<name>/) so fleet members never collide.
+	// spillDir; core.Options documents and validates them. The scale is set
+	// under topology, and the checkpoint knobs have no key: a scenario has
+	// no resume.
 	core.Options
 	// Topology sets the synthetic-Internet knobs.
 	Topology TopologySpec `json:"topology,omitempty"`
