@@ -16,6 +16,7 @@ import (
 
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
 	"github.com/clasp-measurement/clasp/internal/killpoint"
+	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
 // asCLIEnv in a child's environment makes this test binary behave as the
@@ -152,9 +153,14 @@ func TestDeterminismContract(t *testing.T) {
 			want = ref.Bytes()
 		}
 		if row.spills {
-			nowhere := append(row.command(t, knobs{1, 1}), "-spill-dir", filepath.Join(t.TempDir(), "missing"))
-			if err := run(nowhere, io.Discard); err == nil || !strings.Contains(err.Error(), "spilling") {
-				t.Errorf("%s with no directory to spill into: %v; want a failed spill, or its budget cells spill nothing", row.name, err)
+			spilled := obs.Default().Counter("analysis_log_spilled_bytes_total")
+			obs.SetEnabled(true)
+			before := spilled.Value()
+			err := run(row.command(t, knobs{1, 1}), io.Discard)
+			moved := spilled.Value() - before
+			obs.SetEnabled(false)
+			if err != nil || moved == 0 {
+				t.Errorf("%s under a 1 MB budget: %v, %d bytes spilled; want a run that spills, or its budget cells spill nothing", row.name, err, moved)
 			}
 		}
 		for _, budget := range []int{0, 1} {

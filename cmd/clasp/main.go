@@ -204,7 +204,7 @@ func bindOptions(fs *flag.FlagSet, o *core.Options) {
 	fs.IntVar(&o.Parallelism, "parallelism", 1, "concurrent VM workers per campaign round, workers per server selection and analysis workers per report; output is identical at any value for the same seed")
 	fs.StringVar(&o.FaultProfile, "fault-profile", "none",
 		fmt.Sprintf("fault-injection profile (%s); campaigns retry, degrade and account for the injected failures deterministically per seed", strings.Join(faults.Names(), ", ")))
-	fs.IntVar(&o.MaxMemoryMB, "max-memory", 0, "campaign record memory budget in MB (0 = unbounded); larger campaigns spill their compressed record log to disk, with byte-identical reports")
+	fs.IntVar(&o.MaxMemoryMB, "max-memory", 0, "memory budget in MB (0 = none); half of it decides which campaigns spill their compressed record log to disk, and half caps the grouped analysis views kept for reuse; reports are byte-identical at any value")
 	fs.StringVar(&o.SpillDir, "spill-dir", "", "`dir` for spilled record logs (default: the system temp dir); spill files are unlinked at creation")
 	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", "", "enable campaign checkpointing: commit progress and records under this `dir` by atomic rename; continue a killed run with clasp resume <dir>")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "checkpoint every N campaign rounds (default every round; needs -checkpoint-dir)")

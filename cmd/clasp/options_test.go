@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -247,6 +248,56 @@ func TestInvalidOptionsRejectedEverywhere(t *testing.T) {
 	for _, days := range []string{"0", "-3"} {
 		if err := run([]string{"campaign", "us-west1", "-scale", "0.1", "-days", days}, io.Discard); err == nil || !strings.Contains(err.Error(), "-days") {
 			t.Errorf("-days %s: got %v, want an error naming -days", days, err)
+		}
+	}
+}
+
+// TestMissingSpillDirRefusedUpFront: a budget spills only a finished
+// campaign, so `report all -max-memory 64 -spill-dir <missing>` used to
+// measure its campaigns and print its first artifacts before it failed on
+// the spill. Every command that builds an engine now fails first, naming
+// spillDir, with nothing printed but a fleet's scenario header.
+func TestMissingSpillDirRefusedUpFront(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing")
+	ck := filepath.Join(dir, "ck")
+	if err := run([]string{"campaign", "us-west1", "-scale", "0.1", "-days", "1", "-checkpoint-dir", ck}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("../../examples/scenarios/small-smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec map[string]any
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec["maxMemoryMB"], spec["spillDir"] = 1, missing
+	if raw, err = json.Marshal(spec); err != nil {
+		t.Fatal(err)
+	}
+	fleet := filepath.Join(dir, "fleet")
+	if err := os.Mkdir(fleet, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fleet, "small-smoke.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var header bytes.Buffer
+	core.Separator(&header, "scenario small-smoke")
+	for _, tc := range []struct {
+		args []string
+		want string // what may be printed before the error
+	}{
+		{[]string{"report", "all", "-scale", "0.1", "-days", "1", "-max-memory", "64", "-spill-dir", missing}, ""},
+		{[]string{"run", filepath.Join(fleet, "small-smoke.json")}, ""},
+		{[]string{"fleet", fleet}, header.String()},
+		{[]string{"resume", ck, "-max-memory", "1", "-spill-dir", missing}, ""},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), "spillDir") || out.String() != tc.want {
+			t.Errorf("clasp %s: got %v after printing %q, want an error naming spillDir after %q", strings.Join(tc.args, " "), err, out.String(), tc.want)
 		}
 	}
 }

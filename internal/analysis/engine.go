@@ -12,6 +12,7 @@ var (
 	obsGroupRecords = obs.Default().Counter("analysis_records_scanned_total")
 	obsGroupSeries  = obs.Default().Counter("analysis_series_grouped_total")
 	obsParTasks     = obs.Default().Counter("analysis_parallel_tasks_total")
+	obsSpilledBytes = obs.Default().Counter("analysis_log_spilled_bytes_total")
 )
 
 // ParallelFor runs fn(i) for every i in [0, n) across up to parallelism

@@ -132,11 +132,9 @@ func (l *RecordLog) Spill(dir string) error {
 	}
 	l.spill = f
 	l.spilled = true
+	obsSpilledBytes.Add(uint64(off))
 	return nil
 }
-
-// Spilled reports whether the log's blocks live on disk.
-func (l *RecordLog) Spilled() bool { return l.spilled }
 
 // Close releases the spill file, if any. Cursors must not be used after.
 func (l *RecordLog) Close() error {

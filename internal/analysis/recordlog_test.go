@@ -14,6 +14,7 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/colenc"
 	"github.com/clasp-measurement/clasp/internal/netsim"
+	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
 // campaignRecords builds n hour-major campaign-shaped measurements, the
@@ -108,16 +109,23 @@ func TestRecordLogRoundTrip(t *testing.T) {
 }
 
 // TestRecordLogSpill pins that spilling to disk changes nothing a reader
-// can see, drops the resident footprint, and supports concurrent cursors.
+// can see, drops the resident footprint, counts every spilled byte once in
+// analysis_log_spilled_bytes_total, and supports concurrent cursors.
 func TestRecordLogSpill(t *testing.T) {
 	ms := campaignRecords(2*logBlockSize + 17)
 	l := newLog(t, ms)
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	before := obsSpilledBytes.Value()
 	if err := l.Spill(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if !l.Spilled() {
+	if !l.spilled {
 		t.Fatal("not spilled")
+	}
+	if moved := obsSpilledBytes.Value() - before; moved != uint64(l.CompressedBytes()) {
+		t.Errorf("spilled-bytes counter moved %d, want the log's %d compressed bytes", moved, l.CompressedBytes())
 	}
 	for i := range l.blocks {
 		if l.blocks[i].data != nil {
@@ -152,6 +160,9 @@ func TestRecordLogSpill(t *testing.T) {
 	if err := l.Spill(t.TempDir()); err != nil {
 		t.Fatalf("second Spill: %v", err)
 	}
+	if moved := obsSpilledBytes.Value() - before; moved != uint64(l.CompressedBytes()) {
+		t.Errorf("a second Spill moved the spilled-bytes counter to %d, want it left at %d", moved, l.CompressedBytes())
+	}
 }
 
 // TestRecordLogResidentConcurrentCursors pins the default campaign state: a
@@ -166,8 +177,8 @@ func TestRecordLogResidentConcurrentCursors(t *testing.T) {
 	// table of the cursor's own, never by growing the log's.
 	ms[len(ms)-1].Region = "asia-east1"
 	l := newLog(t, ms)
-	if l.Spilled() || len(l.tail) == 0 {
-		t.Fatalf("want a resident log with a non-empty tail (spilled %v, tail %d)", l.Spilled(), len(l.tail))
+	if l.spilled || len(l.tail) == 0 {
+		t.Fatalf("want a resident log with a non-empty tail (spilled %v, tail %d)", l.spilled, len(l.tail))
 	}
 	check := func(name string, got []Measurement) {
 		if len(got) != len(ms) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
@@ -23,7 +24,7 @@ var (
 //
 // A Partition is cheap to build (one pass when samples are time-sorted,
 // as grouped campaign series are) and safe for concurrent use once built:
-// a resident campaign memoises one partition per series on first use and
+// a campaign result keeps one partition per series on first use and
 // every downstream analysis — possibly several rendering concurrently —
 // shares it, so the lazy cache is filled under a lock.
 type Partition struct {
@@ -82,6 +83,15 @@ func NewPartition(s Series) *Partition {
 		}
 	}
 	return p
+}
+
+// Bytes returns the memory the partition holds, counted up front: its own
+// struct, the day split, the per-sample day index and the VH cache at the
+// size its first HourTally fills it to. The samples it references belong
+// to the series and are not counted.
+func (p *Partition) Bytes() int64 {
+	return int64(unsafe.Sizeof(*p)) + int64(cap(p.days))*int64(unsafe.Sizeof(Day{})) +
+		int64(cap(p.dayOf))*4 + int64(len(p.samples))*8
 }
 
 func (d *Day) add(mbps float64) {

@@ -6,10 +6,12 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
 	"github.com/clasp-measurement/clasp/internal/analysis"
@@ -100,6 +102,10 @@ type CLASP struct {
 	// behaviour and bytes unchanged.
 	pool *orchestrator.WorkerPool
 
+	// views is the allowance every campaign result of this engine offers
+	// its grouped views to (CampaignResult.SeriesAndPartitions).
+	views *viewAllowance
+
 	// Selection memos. The two selection methods are pure functions of the
 	// seed, but expensive — at paper scale they dominate `report all`
 	// (Table 1, Fig. 7 and the campaigns each re-ran them before this
@@ -149,6 +155,15 @@ func New(opts Options) (*CLASP, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid options: %w", err)
 	}
+	// Only a finished campaign spills, so a spill directory that is not
+	// there would otherwise be found after the campaign was measured.
+	if opts.MaxMemoryMB > 0 && opts.SpillDir != "" {
+		if fi, err := os.Stat(opts.SpillDir); err != nil {
+			return nil, fmt.Errorf("core: invalid options: spillDir: %w", err)
+		} else if !fi.IsDir() {
+			return nil, fmt.Errorf("core: invalid options: spillDir: %s is not a directory", opts.SpillDir)
+		}
+	}
 	tcfg := topology.PaperScaleConfig()
 	tcfg.Scale, tcfg.Seed = opts.Scale, opts.Seed
 	var topo *topology.Topology
@@ -181,6 +196,7 @@ func New(opts Options) (*CLASP, error) {
 		Mapper:      bdrmap.FromTopology(topo, alias.NewProber(topo, opts.Seed)),
 		Checker:     speedchecker.New(sim),
 		pool:        orchestrator.NewWorkerPool(opts.Parallelism),
+		views:       &viewAllowance{limit: opts.halfBudget()},
 		topoSels:    make(map[string]*topoSelMemo),
 		diffSels:    make(map[diffSelKey]*diffSelMemo),
 		regionLocks: make(map[string]*sync.Mutex),
@@ -287,38 +303,84 @@ type CampaignResult struct {
 	// parallelism is the engine's Opts.Parallelism: how many block ranges
 	// of Log the grouping and perf-point kernels scan at once.
 	parallelism int
-	views       [2]tierViews // indexed by bgp.Tier; used while Log is resident
+	allowance   *viewAllowance // the engine's
+	views       [2]tierViews   // indexed by bgp.Tier
 }
 
-// tierViews memoises one tier's download views over a resident log.
+// tierViews holds one tier's download views once the allowance admitted
+// them. mu is held while the views are grouped, so concurrent callers wait
+// for the first instead of grouping beside it.
 type tierViews struct {
-	once   sync.Once
+	mu     sync.Mutex
+	held   bool
+	bytes  int64
 	series []analysis.SeriesWithServer
 	parts  []*congestion.Partition // index-aligned with series
 }
 
+// viewAllowance is the engine-wide allowance for the views its campaign
+// results hold: half of Options.MaxMemoryMB, or no limit without a budget.
+type viewAllowance struct {
+	limit int64 // bytes; 0 = no limit
+	mu    sync.Mutex
+	held  int64
+}
+
+// admit reserves n bytes for a view and reports whether they fit.
+func (a *viewAllowance) admit(n int64) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.limit > 0 && a.held+n > a.limit {
+		return false
+	}
+	a.held += n
+	return true
+}
+
+// release returns the bytes of a dropped view.
+func (a *viewAllowance) release(n int64) {
+	a.mu.Lock()
+	a.held -= n
+	a.mu.Unlock()
+}
+
 // SeriesAndPartitions returns the campaign's per-pair download series of
 // one tier and their index-aligned day partitions, grouped over the log's
-// block ranges (ranges) and partitioned on as many workers. A resident log
-// is grouped once per tier, by the first caller, and every later or
-// concurrent caller shares those views (a partition is safe for concurrent
-// use). A spilled log is regrouped on every call, so an
-// over-budget campaign holds no views between analyses.
+// block ranges (ranges) and partitioned on as many workers. The first
+// caller groups while concurrent callers wait, and offers the views' bytes
+// (viewBytes) to the engine's allowance. Admitted views are kept and
+// shared with every later caller (a partition is safe for concurrent use);
+// views that do not fit go to their caller only, and the next caller
+// groups again. A view is a pure function of the log, so either way every
+// caller gets the same answer.
 func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWithServer, []*congestion.Partition) {
-	group := func() ([]analysis.SeriesWithServer, []*congestion.Partition) {
-		sw := analysis.GroupSeriesWithServerRanges(r.ranges(), netsim.Download, tier)
-		parts := make([]*congestion.Partition, len(sw))
-		analysis.ParallelFor(r.parallelism, len(sw), func(i int) {
-			parts[i] = congestion.NewPartition(sw[i].Series)
-		})
-		return sw, parts
-	}
-	if r.Log.Spilled() {
-		return group()
-	}
 	v := &r.views[tier]
-	v.once.Do(func() { v.series, v.parts = group() })
-	return v.series, v.parts
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.held {
+		return v.series, v.parts
+	}
+	series := analysis.GroupSeriesWithServerRanges(r.ranges(), netsim.Download, tier)
+	parts := make([]*congestion.Partition, len(series))
+	analysis.ParallelFor(r.parallelism, len(series), func(i int) {
+		parts[i] = congestion.NewPartition(series[i].Series)
+	})
+	if n := viewBytes(series, parts); r.allowance.admit(n) {
+		v.held, v.bytes, v.series, v.parts = true, n, series, parts
+	}
+	return series, parts
+}
+
+// viewBytes is what a tier's views hold once every partition's VH cache is
+// filled: the series headers and partition pointers, each series' samples
+// and pair ID, and each partition (the region names are the log's).
+func viewBytes(series []analysis.SeriesWithServer, parts []*congestion.Partition) int64 {
+	n := int64(len(series)) * int64(unsafe.Sizeof(analysis.SeriesWithServer{})+unsafe.Sizeof(&congestion.Partition{}))
+	for i := range series {
+		s := &series[i].Series
+		n += int64(len(s.Samples))*int64(unsafe.Sizeof(congestion.Sample{})) + int64(len(s.PairID)) + parts[i].Bytes()
+	}
+	return n
 }
 
 // ranges splits the campaign's records into one cursor per analysis worker
@@ -340,11 +402,24 @@ func (r *CampaignResult) FirstRecord() analysis.Measurement { return r.Log.First
 // LastRecord returns the last delivered record (zero value when empty).
 func (r *CampaignResult) LastRecord() analysis.Measurement { return r.Log.Last() }
 
-// Close releases the spill file behind an over-budget campaign's record
-// log; it is a no-op for a resident log, whose cursors keep working.
-// Long-lived processes that discard results should call it; short-lived CLI
-// runs may rely on process exit (spill files are unlinked at creation).
-func (r *CampaignResult) Close() error { return r.Log.Close() }
+// Close drops the views the result holds, returning their bytes to the
+// engine's allowance, and releases the spill file behind an over-budget
+// campaign's record log. A resident log's cursors keep working, and a
+// later SeriesAndPartitions groups again. Long-lived processes that discard
+// results should call it; short-lived CLI runs may rely on process exit
+// (spill files are unlinked at creation).
+func (r *CampaignResult) Close() error {
+	for i := range r.views {
+		v := &r.views[i]
+		v.mu.Lock()
+		if v.held {
+			r.allowance.release(v.bytes)
+			v.held, v.bytes, v.series, v.parts = false, 0, nil, nil
+		}
+		v.mu.Unlock()
+	}
+	return r.Log.Close()
+}
 
 // storeIndexLimit bounds how large a campaign still gets indexed into the
 // shared time-series store. The store powers interactive queries; bulk
@@ -377,8 +452,8 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	// interactive store index and — against the memory budget — whether the
 	// finished log is spilled.
 	est := len(servers) * days * 24 * 2 * len(tiers)
-	budget := int64(c.Opts.MaxMemoryMB) << 20
-	overBudget := budget > 0 && int64(est)*analysis.MeasurementBytes > budget/2
+	half := c.Opts.halfBudget()
+	overBudget := half > 0 && int64(est)*analysis.MeasurementBytes > half
 
 	// One record log per campaign, and the checkpoint sidecar holds its
 	// sealed blocks: a resume continues on the log the checkpoint loaded,
@@ -459,9 +534,9 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		return nil, fmt.Errorf("core: campaign in %s: %w", region, err)
 	}
 	if overBudget {
-		// Spilling moves the compressed blocks to disk, so the result's
+		// Spilling moves the compressed blocks to disk, so the log's
 		// resident footprint is a few cursor batches regardless of campaign
-		// size.
+		// size; the views grouped from it answer to the view allowance.
 		if err := log.Spill(c.Opts.SpillDir); err != nil {
 			return nil, fmt.Errorf("core: spilling campaign records in %s: %w", region, err)
 		}
@@ -472,5 +547,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		Report:      rep,
 		Selected:    servers,
 		parallelism: c.Opts.Parallelism,
+		allowance:   c.views,
 	}, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
@@ -69,6 +71,32 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if c.Topo == nil || c.Sim == nil || c.Bucket == nil || c.Store == nil {
 		t.Error("components missing")
+	}
+}
+
+// TestNewChecksSpillDir: a budget only spills a finished campaign, so a
+// spill directory that is not there used to fail the command after its
+// campaigns were measured. New refuses it up front, naming spillDir; with no
+// budget the directory is never used and is not checked.
+func TestNewChecksSpillDir(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing")
+	for _, tc := range []struct {
+		budgetMB int
+		spillDir string
+		ok       bool
+	}{{1, missing, false}, {1, file, false}, {0, missing, true}, {1, dir, true}} {
+		_, err := New(Options{Scale: 0.1, MaxMemoryMB: tc.budgetMB, SpillDir: tc.spillDir})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("budget %d MB, spill dir %s: %v, want it accepted", tc.budgetMB, tc.spillDir, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "spillDir")):
+			t.Errorf("budget %d MB, spill dir %s: got %v, want an error naming spillDir", tc.budgetMB, tc.spillDir, err)
+		}
 	}
 }
 

@@ -51,16 +51,17 @@ type Options struct {
 	// TracerouteEvery runs follow-up traceroutes per server every N
 	// campaign days (0 disables).
 	TracerouteEvery int `json:"tracerouteEvery,omitempty"`
-	// MaxMemoryMB budgets the resident footprint of campaign records
-	// (0 = unbounded). Every campaign appends its records to one compressed
-	// columnar log (analysis.RecordLog). For a campaign whose records,
-	// uncompressed, would exceed half the budget, the budget decides one
-	// thing: the finished log's blocks are spilled to disk. The resident
-	// footprint is then bounded by the log's block size rather than the
-	// record count, and analyses run the same kernels over the spilled log,
-	// regrouping per call where a resident log's per-pair views are grouped
-	// once and shared. Every report is byte-identical on either side of the
-	// budget.
+	// MaxMemoryMB is a memory budget for campaign records and the analysis
+	// views grouped from them (0 = none). Every campaign appends its
+	// records to one compressed columnar log (analysis.RecordLog), and the
+	// budget decides two things, each against half of it. A campaign whose
+	// records, uncompressed, would exceed that half spills its finished
+	// log's blocks to disk. And the per-pair views the analyses group from
+	// a log (CampaignResult.SeriesAndPartitions) are kept and shared only
+	// while all the engine's results together hold no more than that half;
+	// a view that does not fit is grouped again for each caller. The budget
+	// bounds nothing else: an analysis still allocates what it stages.
+	// Every report is byte-identical at any budget.
 	MaxMemoryMB int `json:"maxMemoryMB,omitempty"`
 	// SpillDir is where over-budget campaigns place their spilled record
 	// logs ("" = the system temp dir). Spill files are unlinked at
@@ -100,6 +101,12 @@ func (o Options) WithDefaults() Options {
 	}
 	return o
 }
+
+// halfBudget is the half of MaxMemoryMB, in bytes, that both of the
+// budget's decisions are made against: a campaign whose raw records would
+// exceed it spills its log, and the views an engine's campaign results
+// hold stay within it together. 0 without a budget.
+func (o Options) halfBudget() int64 { return int64(o.MaxMemoryMB) << 20 / 2 }
 
 // DefaultMinSamples is the differential-scan tuple threshold when none is
 // given: the paper's >= 100 rule scaled with the vantage-point population,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strconv"
 	"strings"
@@ -34,21 +35,20 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	mem := newCLASP(t)
 	stream := newStreamingCLASP(t)
 
-	resM, err := runTopology(mem, "us-west1", 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resS, err := runTopology(stream, "us-west1", 30)
-	if err != nil {
+	var resM, resS *CampaignResult
+	var errM, errS error
+	spillM := spilled(func() { resM, errM = runTopology(mem, "us-west1", 30) })
+	spillS := spilled(func() { resS, errS = runTopology(stream, "us-west1", 30) })
+	if err := errors.Join(errM, errS); err != nil {
 		t.Fatal(err)
 	}
 	defer resS.Close()
 
-	if resM.Log.Spilled() {
-		t.Fatal("unbudgeted campaign spilled its log")
+	if spillM != 0 {
+		t.Fatalf("unbudgeted campaign spilled %d bytes of its log", spillM)
 	}
-	if !resS.Log.Spilled() {
-		t.Fatal("budgeted campaign kept its log resident (raise the campaign size or lower the budget)")
+	if spillS != uint64(resS.Log.CompressedBytes()) {
+		t.Fatalf("budgeted campaign spilled %d of its log's %d bytes (raise the campaign size or lower the budget)", spillS, resS.Log.CompressedBytes())
 	}
 	if got, want := resS.NumRecords(), resM.NumRecords(); got != want || got != resS.Report.Tests {
 		t.Fatalf("budgeted campaign has %d records for %d tests, unbudgeted has %d", got, resS.Report.Tests, want)
@@ -112,7 +112,7 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 		t.Errorf("headlines differ: mem %+v stream %+v", hM, hS)
 	}
 
-	// Close has nothing to release behind a resident log: it is a no-op and
+	// Close drops a resident result's views but leaves its log alone:
 	// cursors opened afterwards still replay every record.
 	if err := resM.Close(); err != nil {
 		t.Fatalf("Close on a resident result: %v", err)
@@ -122,95 +122,219 @@ func TestStreamingCampaignIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignViewsGroupedOnce is SeriesAndPartitions' contract on both
-// sides of the budget. A resident campaign groups each tier once: eight
-// goroutines racing the first call (and reading the shared partitions) and
-// two calls after them all get the same backing arrays. A spilled twin
-// hands back fresh slices per call, and its answer equals the resident one
-// on every series and on every partition's day split and tallies.
+// spilled runs f with metrics on and returns how many record-log bytes it
+// spilled to disk: the analysis_log_spilled_bytes_total a metrics dump
+// exports.
+func spilled(f func()) uint64 {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	c := obs.Default().Counter("analysis_log_spilled_bytes_total")
+	before := c.Value()
+	f()
+	return c.Value() - before
+}
+
+// TestCampaignViewsGroupedOnce is SeriesAndPartitions' contract under the
+// view allowance, on three twins of one two-tier campaign. A resident log
+// and a spilled log whose views the allowance admits each group a tier
+// once: eight goroutines racing the first call (and reading the shared
+// partitions) and two calls after them all get the same backing arrays,
+// and the spilled log's analysis_group_calls_total moves once per tier. A
+// spilled twin whose allowance is too small for its views hands back fresh
+// slices on every call. All three answer alike on every series and on
+// every partition's day split and tallies.
 func TestCampaignViewsGroupedOnce(t *testing.T) {
 	const region, days, minSamples = "europe-west1", 14, 4
 	resident, _, err := runDifferential(newCLASP(t), region, days, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, _, err := runDifferential(newStreamingCLASP(t), region, days, 6)
+	var admitted *CampaignResult
+	n := spilled(func() { admitted, _, err = runDifferential(newStreamingCLASP(t), region, days, 6) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer spilled.Close()
-	if resident.Log.Spilled() || !spilled.Log.Spilled() {
-		t.Fatalf("spilled: resident %v, budgeted %v (resize the campaign)", resident.Log.Spilled(), spilled.Log.Spilled())
+	defer admitted.Close()
+	if n == 0 {
+		t.Fatal("the budgeted campaign kept its log resident (resize the campaign)")
 	}
+	refused := &CampaignResult{Region: admitted.Region, Log: admitted.Log, Report: admitted.Report, Selected: admitted.Selected,
+		parallelism: admitted.parallelism, allowance: &viewAllowance{limit: 1}}
 	tiers := []bgp.Tier{bgp.Premium, bgp.Standard}
 
 	type views struct {
 		series []analysis.SeriesWithServer
 		parts  []*congestion.Partition
 	}
-	const callers = 8
-	got := make([][]views, callers+2)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for _, tier := range tiers {
-				series, parts := resident.SeriesAndPartitions(tier)
-				for _, p := range parts {
-					p.HourTally(0.2, minSamples)
+	// calls returns, per caller and tier, what eight racing callers and two
+	// later ones got from res.
+	calls := func(res *CampaignResult) [][]views {
+		const callers = 8
+		got := make([][]views, callers+2)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, tier := range tiers {
+					series, parts := res.SeriesAndPartitions(tier)
+					for _, p := range parts {
+						p.HourTally(0.2, minSamples)
+					}
+					got[g] = append(got[g], views{series, parts})
 				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g := callers; g < len(got); g++ {
+			for _, tier := range tiers {
+				series, parts := res.SeriesAndPartitions(tier)
 				got[g] = append(got[g], views{series, parts})
 			}
-		}()
+		}
+		return got
 	}
-	close(start)
-	wg.Wait()
-	for g := callers; g < len(got); g++ {
-		for _, tier := range tiers {
-			series, parts := resident.SeriesAndPartitions(tier)
-			got[g] = append(got[g], views{series, parts})
+	groupCalls := obs.Default().Counter("analysis_group_calls_total")
+	obs.SetEnabled(true)
+	before := groupCalls.Value()
+	shared := calls(admitted)
+	moved := groupCalls.Value() - before
+	obs.SetEnabled(false)
+	if moved != uint64(len(tiers)) {
+		t.Errorf("the admitted spilled log was grouped %d times for %d tiers", moved, len(tiers))
+	}
+
+	for name, got := range map[string][][]views{"resident": calls(resident), "admitted spilled": shared} {
+		for ti, tier := range tiers {
+			first := got[0][ti]
+			if len(first.series) == 0 || len(first.parts) != len(first.series) {
+				t.Fatalf("%s %v: %d series, %d partitions", name, tier, len(first.series), len(first.parts))
+			}
+			for g := range got {
+				v := got[g][ti]
+				if &v.series[0] != &first.series[0] || &v.parts[0] != &first.parts[0] {
+					t.Fatalf("%s %v: caller %d got a second grouping", name, tier, g)
+				}
+			}
 		}
 	}
 
 	for ti, tier := range tiers {
-		first := got[0][ti]
-		if len(first.series) == 0 || len(first.parts) != len(first.series) {
-			t.Fatalf("%v: %d series, %d partitions", tier, len(first.series), len(first.parts))
-		}
-		for g := range got {
-			v := got[g][ti]
-			if &v.series[0] != &first.series[0] || &v.parts[0] != &first.parts[0] {
-				t.Fatalf("%v: caller %d got a second grouping of a resident log", tier, g)
-			}
-		}
-
-		series, parts := spilled.SeriesAndPartitions(tier)
-		again, againParts := spilled.SeriesAndPartitions(tier)
+		want, wantParts := resident.SeriesAndPartitions(tier)
+		series, parts := refused.SeriesAndPartitions(tier)
+		again, againParts := refused.SeriesAndPartitions(tier)
 		if &again[0] == &series[0] || &againParts[0] == &parts[0] {
-			t.Fatalf("%v: a spilled log's views were memoised", tier)
+			t.Fatalf("%v: views over the allowance were kept", tier)
 		}
-		if !reflect.DeepEqual(series, first.series) {
-			t.Fatalf("%v: spilled series differ from the resident ones", tier)
-		}
-		for i, want := range first.parts {
-			id := series[i].Series.PairID
-			if !reflect.DeepEqual(parts[i].Days(), want.Days()) {
-				t.Fatalf("%v partition %d (%s): day split differs", tier, i, id)
+		for name, v := range map[string]views{"admitted spilled": shared[0][ti], "refused spilled": {series, parts}} {
+			if !reflect.DeepEqual(v.series, want) {
+				t.Fatalf("%s %v: series differ from the resident ones", name, tier)
 			}
-			for _, h := range []float64{0.1, 0.2, 0.5} {
-				gotC, gotN := parts[i].DayTally(h, minSamples)
-				wantC, wantN := want.DayTally(h, minSamples)
-				gotEv, gotHr := parts[i].HourTally(h, minSamples)
-				wantEv, wantHr := want.HourTally(h, minSamples)
-				if gotC != wantC || gotN != wantN || gotEv != wantEv || gotHr != wantHr {
-					t.Fatalf("%v partition %d (%s) at h=%v: tallies (%d,%d,%d,%d) != (%d,%d,%d,%d)",
-						tier, i, id, h, gotC, gotN, gotEv, gotHr, wantC, wantN, wantEv, wantHr)
+			for i, w := range wantParts {
+				p, id := v.parts[i], v.series[i].Series.PairID
+				if !reflect.DeepEqual(p.Days(), w.Days()) {
+					t.Fatalf("%s %v partition %d (%s): day split differs", name, tier, i, id)
+				}
+				for _, h := range []float64{0.1, 0.2, 0.5} {
+					gotC, gotN := p.DayTally(h, minSamples)
+					wantC, wantN := w.DayTally(h, minSamples)
+					gotEv, gotHr := p.HourTally(h, minSamples)
+					wantEv, wantHr := w.HourTally(h, minSamples)
+					if gotC != wantC || gotN != wantN || gotEv != wantEv || gotHr != wantHr {
+						t.Fatalf("%s %v partition %d (%s) at h=%v: tallies (%d,%d,%d,%d) != (%d,%d,%d,%d)",
+							name, tier, i, id, h, gotC, gotN, gotEv, gotHr, wantC, wantN, wantEv, wantHr)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestCampaignViewsWithinAllowance renders Fig. 2, Fig. 8 and the headlines
+// at once over spilled campaigns whose views do not all fit a 1 MB budget's
+// allowance. The bytes held stay within the allowance, at least one view is
+// refused and regrouped per call, the output equals the unbudgeted run's,
+// and closing every result returns the allowance to empty.
+func TestCampaignViewsWithinAllowance(t *testing.T) {
+	regions := []string{"us-central1", "us-east1", "us-west1"}
+	const days = 10
+	type render struct {
+		fig2     []Fig2Series
+		fig8     [][]analysis.Fig8Row
+		headline Headlines
+	}
+	run := func(c *CLASP) (render, map[string]*CampaignResult) {
+		results := make(map[string]*CampaignResult)
+		for _, region := range regions {
+			res, err := runTopology(c, region, days)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[region] = res
+		}
+		out := render{fig8: make([][]analysis.Fig8Row, len(regions))}
+		var wg sync.WaitGroup
+		wg.Add(2 + len(regions))
+		go func() { defer wg.Done(); out.fig2 = Fig2(results, nil, c.Opts.Parallelism) }()
+		go func() { defer wg.Done(); out.headline = c.ComputeHeadlines(results, nil) }()
+		for i, region := range regions {
+			go func() { defer wg.Done(); out.fig8[i] = c.Fig8(results[region], bgp.Premium) }()
+		}
+		wg.Wait()
+		return out, results
+	}
+	want, _ := run(newCLASP(t))
+	budgeted, err := New(Options{Seed: 3, Scale: 0.1, Parallelism: 2, MaxMemoryMB: 1, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got render
+	var results map[string]*CampaignResult
+	n := spilled(func() { got, results = run(budgeted) })
+	logBytes := 0
+	for _, res := range results {
+		logBytes += res.Log.CompressedBytes()
+	}
+	if n != uint64(logBytes) {
+		t.Fatalf("%d of the campaigns' %d log bytes spilled (lengthen the campaigns)", n, logBytes)
+	}
+
+	// Only Close releases a view, so the bytes held never fell while the
+	// renderers ran: what is held now is the most held after any admission.
+	a := budgeted.views
+	if a.held > a.limit {
+		t.Errorf("views hold %d bytes, over the %d-byte allowance", a.held, a.limit)
+	}
+	var held int64
+	refused := 0
+	for _, res := range results {
+		v := &res.views[bgp.Premium]
+		if v.held {
+			held += v.bytes
+		} else {
+			refused++
+		}
+	}
+	if held != a.held {
+		t.Errorf("results hold views of %d bytes, the allowance counts %d", held, a.held)
+	}
+	if refused == 0 {
+		t.Errorf("all %d views fit the %d-byte allowance (lengthen the campaigns)", len(results), a.limit)
+	}
+	t.Logf("%d of %d views refused; %d of %d bytes held", refused, len(results), a.held, a.limit)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the budgeted render differs from the unbudgeted one")
+	}
+	for _, res := range results {
+		if err := res.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.held != 0 {
+		t.Errorf("%d view bytes still held after every result was closed", a.held)
 	}
 }
 
@@ -224,12 +348,13 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resS, _, err := runDifferential(stream, "europe-west1", 14, 6)
+	var resS *CampaignResult
+	n := spilled(func() { resS, _, err = runDifferential(stream, "europe-west1", 14, 6) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resS.Close()
-	if !resS.Log.Spilled() {
+	if n == 0 {
 		t.Fatal("budgeted differential campaign did not spill its log")
 	}
 
@@ -284,7 +409,7 @@ func TestRangeScanCountersAtAnyParallelism(t *testing.T) {
 		fig4   *Fig4Data
 	}
 	run := func(parallelism int) scan {
-		r := &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected, parallelism: parallelism}
+		r := &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected, parallelism: parallelism, allowance: res.allowance}
 		var trace bytes.Buffer
 		obs.SetTraceWriter(&trace)
 		before := read()

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
 // emitTrace drives the real obs tracer through a miniature campaign shape
 // (campaign → rounds → vm-hours → tests) so the reconstruction is tested
-// against genuine tracer output, not hand-written JSON.
+// against genuine tracer output, not hand-written JSON. Each test span
+// lasts a millisecond, so a round always outlasts the warm span beside it
+// and the critical path runs through the rounds: with empty spans the two
+// took microseconds each and the warm span was sometimes the slower.
 func emitTrace(t *testing.T) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
@@ -26,6 +30,7 @@ func emitTrace(t *testing.T) *bytes.Buffer {
 			vh := round.Child("vm-hour").WithInt("vm", vm)
 			for i := 0; i < 3; i++ {
 				test := vh.Child("test").WithInt("idx", i)
+				time.Sleep(time.Millisecond)
 				test.End()
 			}
 			vh.End()
