@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
+	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/core"
+	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
 func newPlatform(t *testing.T) *Platform {
@@ -83,6 +85,41 @@ func TestTopologyCampaignAndCongestionReport(t *testing.T) {
 	WriteReport(&buf, rep)
 	if !strings.Contains(buf.String(), "Congestion report for us-west1") {
 		t.Error("report rendering broken")
+	}
+}
+
+// TestCampaignViewsOneLogPass renders everything that reads a campaign's
+// Premium download view — the congestion report and Fig. 2, 4, 6 and 8 —
+// twice over one held view: in all, the log is grouped once and each of its
+// records scanned once.
+func TestCampaignViewsOneLogPass(t *testing.T) {
+	p := newPlatform(t)
+	eng := p.Engine()
+	res, err := runTopology(eng, "us-west1", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	calls := obs.Default().Counter("analysis_group_calls_total")
+	scanned := obs.Default().Counter("analysis_records_scanned_total")
+	calls0, scanned0 := calls.Value(), scanned.Value()
+	for range 2 {
+		if _, err := p.CongestionReport(res); err != nil {
+			t.Fatal(err)
+		}
+		core.Fig2(map[string]*CampaignResult{res.Region: res}, nil, eng.Opts.Parallelism)
+		if _, err := core.Fig4(res, bgp.Premium); err != nil {
+			t.Fatal(err)
+		}
+		eng.Fig6(res, bgp.Premium, 5)
+		eng.Fig8(res, bgp.Premium)
+	}
+	if got := calls.Value() - calls0; got != 1 {
+		t.Errorf("the renders grouped the log %d times, want once", got)
+	}
+	if got, want := scanned.Value()-scanned0, uint64(res.NumRecords()); got != want {
+		t.Errorf("the renders scanned %d records of a %d-record log, want each once", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -40,25 +41,31 @@ type Measurement struct {
 const MeasurementBytes = 88
 
 // pairIDString renders "region/serverID/tier/dir" without fmt — the only
-// string construction in the grouping hot loop, called once per pair.
+// string construction in the grouping hot loop, called once per pair — in
+// one allocation: the builder's buffer becomes the string.
 func pairIDString(region string, serverID int, tier bgp.Tier, dir netsim.Direction) string {
 	t, d := tier.String(), dir.String()
-	b := make([]byte, 0, len(region)+len(t)+len(d)+23)
-	b = append(b, region...)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(serverID), 10)
-	b = append(b, '/')
-	b = append(b, t...)
-	b = append(b, '/')
-	b = append(b, d...)
-	return string(b)
+	var id [20]byte
+	var b strings.Builder
+	b.Grow(len(region) + len(t) + len(d) + len(id) + 3)
+	b.WriteString(region)
+	b.WriteByte('/')
+	b.Write(strconv.AppendInt(id[:0], int64(serverID), 10))
+	b.WriteByte('/')
+	b.WriteString(t)
+	b.WriteByte('/')
+	b.WriteString(d)
+	return b.String()
 }
 
-// SeriesWithServer pairs a congestion series with the server it measures.
+// SeriesWithServer pairs a congestion series with the server it measures
+// and each sample's latency: LatMs[i] is the RTT (ms) of the test that
+// measured Series.Samples[i], the column Fig. 4 reads beside throughput.
 type SeriesWithServer struct {
 	ServerID int
 	Region   string
 	Series   congestion.Series
+	LatMs    []float64
 }
 
 // regionTable interns region names, so the grouping kernels key their slots
@@ -126,6 +133,7 @@ type groupStage struct {
 	slots    []pairSlot
 
 	samples []congestion.Sample // staged, in delivery order
+	lats    []float64           // latency of each staged sample
 	slotOf  []int32             // slot of each staged sample
 	records int                 // records scanned, kept or not
 }
@@ -172,7 +180,7 @@ func newGroupStage() *groupStage {
 		clear(t)
 	}
 	clear(g.overflow)
-	g.slots, g.samples, g.slotOf, g.records = g.slots[:0], g.samples[:0], g.slotOf[:0], 0
+	g.slots, g.samples, g.lats, g.slotOf, g.records = g.slots[:0], g.samples[:0], g.lats[:0], g.slotOf[:0], 0
 	return g
 }
 
@@ -200,10 +208,10 @@ func (g *groupStage) slot(ri int32, id int, ns int64) int32 {
 	return int32(len(g.slots)) - 1
 }
 
-// put stages one sample for the pair (ri, id) at ns (Unix ns). Sortedness
-// is tracked per slot so already time-ordered pairs (the campaign's
-// hour-major layout) skip sorting after the merge.
-func (g *groupStage) put(ri int32, id int, ns int64, mbps float64) {
+// put stages one sample and its latency for the pair (ri, id) at ns (Unix
+// ns). Sortedness is tracked per slot so already time-ordered pairs (the
+// campaign's hour-major layout) skip sorting after the merge.
+func (g *groupStage) put(ri int32, id int, ns int64, mbps, lat float64) {
 	si := g.slot(ri, id, ns)
 	s := &g.slots[si]
 	if s.count > 0 && ns < s.last {
@@ -212,27 +220,48 @@ func (g *groupStage) put(ri int32, id int, ns int64, mbps float64) {
 	s.last = ns
 	s.count++
 	g.samples = append(g.samples, congestion.Sample{Unix: ns, Mbps: mbps})
+	g.lats = append(g.lats, lat)
 	g.slotOf = append(g.slotOf, si)
 }
 
+// anyTier, passed as the grouping kernel's tier, keeps the downloads of
+// both tiers in one series per (region, server): the all-tier grouping
+// PerfPointsCursor reads. Their pair IDs say "standard"; no reader of
+// these series reads a pair ID.
+const anyTier bgp.Tier = -1
+
 // scan stages the (dir, tier) samples of one cursor. It filters on tier and
 // direction before it touches anything else of a record, never asks for
-// latency or loss, and stages the times column's Unix nanoseconds as they
-// are: a congestion.Sample holds no time.Time, so nothing is converted per
-// record.
+// loss, and stages the times column's Unix nanoseconds as they are: a
+// congestion.Sample holds no time.Time, so nothing is converted per record.
 func (g *groupStage) scan(c Cursor, dir netsim.Direction, tier bgp.Tier) {
-	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps
+	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps | ColRTT
 	var regions batchRegions
 	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
 		g.records += b.N
 		regions.reset(b)
 		for i, d := range b.Dirs {
-			if d != dir || b.Tiers[i] != tier {
+			if d != dir || b.Tiers[i] != tier && tier != anyTier {
 				continue
 			}
-			g.put(regions.resolve(b.Regions[i], &g.regions), b.Servers[i], b.Times[i], b.Mbps[i])
+			g.put(regions.resolve(b.Regions[i], &g.regions), b.Servers[i], b.Times[i], b.Mbps[i], b.RTTms[i])
 		}
 	}
+}
+
+// byTime sorts a series' samples by time and carries each sample's latency
+// with it. sort.Sort runs the pdqsort sort.Slice runs, so samples of one
+// instant land where sort.Slice over the samples alone would put them.
+type byTime struct {
+	samples []congestion.Sample
+	lats    []float64
+}
+
+func (s byTime) Len() int           { return len(s.samples) }
+func (s byTime) Less(a, b int) bool { return s.samples[a].Unix < s.samples[b].Unix }
+func (s byTime) Swap(a, b int) {
+	s.samples[a], s.samples[b] = s.samples[b], s.samples[a]
+	s.lats[a], s.lats[b] = s.lats[b], s.lats[a]
 }
 
 // mergeGroups turns the ranges' staged samples into per-pair series. A
@@ -283,7 +312,7 @@ func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []Se
 		slots[si].next = off
 		off += slots[si].count
 	}
-	buf := make([]congestion.Sample, total)
+	buf, lats := make([]congestion.Sample, total), make([]float64, total)
 	ParallelFor(len(stages), len(stages), func(r int) {
 		st := stages[r]
 		for ls := range st.slots {
@@ -291,16 +320,17 @@ func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []Se
 		}
 		for j, ls := range st.slotOf {
 			s := &st.slots[ls]
-			buf[s.next] = st.samples[j]
+			buf[s.next], lats[s.next] = st.samples[j], st.lats[j]
 			s.next++
 		}
 	})
 	out := make([]SeriesWithServer, 0, len(order))
 	for _, si := range order {
 		s := &slots[si]
-		samples := buf[s.next : s.next+s.count : s.next+s.count]
+		end := s.next + s.count
+		samples, lat := buf[s.next:end:end], lats[s.next:end:end]
 		if s.unsorted {
-			sort.Slice(samples, func(a, b int) bool { return samples[a].Unix < samples[b].Unix })
+			sort.Sort(byTime{samples, lat})
 		}
 		out = append(out, SeriesWithServer{
 			ServerID: s.serverID,
@@ -309,6 +339,7 @@ func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []Se
 				PairID:  pairIDString(names[s.regionIdx], s.serverID, tier, dir),
 				Samples: samples,
 			},
+			LatMs: lat,
 		})
 	}
 	return out
@@ -343,7 +374,6 @@ func GroupSeriesWithServerRanges(cs []Cursor, dir netsim.Direction, tier bgp.Tie
 		records += g.records
 		groupStages.Put(g)
 	}
-	obsGroupRecords.Add(uint64(records))
 	obsGroupSeries.Add(uint64(len(out)))
 	sp.WithInt("records", records).WithInt("series", len(out)).WithInt("ranges", len(cs)).End()
 	return out
@@ -362,17 +392,12 @@ type PerfPoint struct {
 }
 
 // PerfPointsCursor computes one point per (server, region, month) from the
-// download measurements of a stream, mirroring Fig. 4's use of p95/p5 to
-// mitigate outliers.
-func PerfPointsCursor(c Cursor) []PerfPoint { return perfPoints([]Cursor{c}, 0, false) }
-
-// PerfPointsRanges is PerfPointsCursor over the stream that cs deliver one
-// after another (RecordLog.Cursors), each range scanned on its own worker.
-func PerfPointsRanges(cs []Cursor) []PerfPoint { return perfPoints(cs, 0, false) }
-
-// PerfPointsTierRanges is PerfPointsRanges over the downloads of one tier:
-// a panel of Fig. 4.
-func PerfPointsTierRanges(cs []Cursor, tier bgp.Tier) []PerfPoint { return perfPoints(cs, tier, true) }
+// download measurements of a stream, of both tiers, mirroring Fig. 4's use
+// of p95/p5 to mitigate outliers: the stream's downloads grouped per
+// (region, server) across tiers, then PerfPointsOfSeries.
+func PerfPointsCursor(c Cursor) []PerfPoint {
+	return PerfPointsOfSeries(GroupSeriesWithServerCursor(c, netsim.Download, anyTier))
+}
 
 // monthSpan caches the calendar month an instant fell in: a campaign stream
 // stays inside one month for tens of thousands of records, so the (year,
@@ -393,208 +418,36 @@ func (s *monthSpan) at(ns int64) {
 	s.hi = time.Date(s.year, s.month+1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 }
 
-// perfKey identifies one Fig. 4 group.
-type perfKey struct {
-	server, ym int // ym = year*12 + month: (year, month) order preserved
-	ri         int32
-}
-
-type perfSlot struct {
-	server int
-	ri     int32
-	year   int
-	month  time.Month
-	count  int
-	chunks []*perfChunk // the slot's samples, perfChunkLen to a chunk
-}
-
-// perfChunkLen is how many samples a perfChunk holds: small enough that a
-// group's last, partly filled chunk wastes little, large enough that
-// chunking costs nothing per sample.
-const perfChunkLen = 128
-
-// perfChunk holds a run of one group's throughput and latency samples.
-type perfChunk struct{ down, lat [perfChunkLen]float64 }
-
-// perfStage is one block range's half of the Fig. 4 kernel: in one pass it
-// resolves each kept download's (region, server, month) slot, range-local
-// and keyed by an interned region index, and appends the throughput and
-// latency to the slot's chunks. Stages never escape a call, so they are
-// pooled, chunks and all.
-type perfStage struct {
-	regions regionTable
-	idx     map[perfKey]int32
-	last    [][]perfLast // per region: serverID -> the month and slot it last resolved to
-	slots   []perfSlot
-	spare   []*perfChunk // chunks of an earlier use, for reuse
-}
-
-// perfLast is one dense entry of perfStage.last: the ym of the pair's last
-// slot and that slot+1, 0 while the pair has none.
-type perfLast struct {
-	ym   int
-	slot int32
-}
-
-var perfStages = sync.Pool{New: func() any { return &perfStage{idx: make(map[perfKey]int32)} }}
-
-// newPerfStage takes an empty stage from the pool.
-func newPerfStage() *perfStage {
-	p := perfStages.Get().(*perfStage)
-	p.regions = regionTable{names: p.regions.names[:0]}
-	clear(p.idx)
-	for _, t := range p.last {
-		clear(t)
-	}
-	for _, s := range p.slots {
-		p.spare = append(p.spare, s.chunks...)
-	}
-	p.slots = p.slots[:0]
-	return p
-}
-
-// slot returns the slot of k, adding one for (year, month). A dense
-// per-(region, server ID) entry — groupStage's idiom — holds the month and
-// slot the pair last resolved to and is tried first, so the campaign's
-// hour-major layout hashes k once per pair-month, not once per download.
-func (p *perfStage) slot(k perfKey, year int, month time.Month) int32 {
-	var last *perfLast
-	if k.server >= 0 && k.server < denseServerMax {
-		last = &denseTable(&p.last, k.ri, k.server)[k.server]
-		if last.slot != 0 && last.ym == k.ym {
-			return last.slot - 1
-		}
-	}
-	si, ok := p.idx[k]
-	if !ok {
-		si = int32(len(p.slots))
-		p.idx[k] = si
-		p.slots = append(p.slots, perfSlot{server: k.server, ri: k.ri, year: year, month: month})
-	}
-	if last != nil {
-		*last = perfLast{ym: k.ym, slot: si + 1}
-	}
-	return si
-}
-
-// put appends one sample to slot si.
-func (p *perfStage) put(si int32, down, lat float64) {
-	s := &p.slots[si]
-	i := s.count % perfChunkLen
-	if i == 0 {
-		if n := len(p.spare); n > 0 {
-			s.chunks = append(s.chunks, p.spare[n-1])
-			p.spare = p.spare[:n-1]
-		} else {
-			s.chunks = append(s.chunks, new(perfChunk))
-		}
-	}
-	c := s.chunks[len(s.chunks)-1]
-	c.down[i], c.lat[i] = down, lat
-	s.count++
-}
-
-// scan stages the downloads of one cursor, of one tier when oneTier.
-func (p *perfStage) scan(c Cursor, tier bgp.Tier, oneTier bool) {
-	const need = ColTime | ColServer | ColRegion | ColTierDir | ColMbps | ColRTT
-	var codes batchRegions
+// PerfPointsOfSeries is the Fig. 4 kernel: one point per (region, server,
+// month) of grouped download series, in the series' (region, server) order
+// and then by month. A series is time-ordered, so each calendar month is
+// one run of its samples; the run's throughputs and latencies are copied
+// into reused scratch — the series may be a shared view, never reordered —
+// and each percentile is selected (stats.PercentileInPlace) rather than
+// paying a full sort.
+func PerfPointsOfSeries(series []SeriesWithServer) []PerfPoint {
+	var out []PerfPoint
+	var down, lat []float64
 	var in monthSpan
-	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
-		codes.reset(b)
-		for i, d := range b.Dirs {
-			if d != netsim.Download || oneTier && b.Tiers[i] != tier {
-				continue
+	for i := range series {
+		sw := &series[i]
+		samples := sw.Series.Samples
+		for lo := 0; lo < len(samples); {
+			in.at(samples[lo].Unix)
+			hi := lo + 1
+			for hi < len(samples) && samples[hi].Unix < in.hi {
+				hi++
 			}
-			in.at(b.Times[i])
-			k := perfKey{server: b.Servers[i], ym: in.year*12 + int(in.month), ri: codes.resolve(b.Regions[i], &p.regions)}
-			p.put(p.slot(k, in.year, in.month), b.Mbps[i], b.RTTms[i])
+			down = down[:0]
+			for _, s := range samples[lo:hi] {
+				down = append(down, s.Mbps)
+			}
+			lat = append(lat[:0], sw.LatMs[lo:hi]...)
+			p95, _ := stats.PercentileInPlace(down, 95)
+			p5, _ := stats.PercentileInPlace(lat, 5)
+			out = append(out, PerfPoint{ServerID: sw.ServerID, Month: in.month, P95Down: p95, P5LatMs: p5, N: hi - lo})
+			lo = hi
 		}
-	}
-}
-
-// appendSamples appends the samples the stage holds of the group named by
-// region, server and ym, if it has seen the group, to down and lat.
-func (p *perfStage) appendSamples(down, lat []float64, region string, server, ym int) ([]float64, []float64) {
-	ri := slices.Index(p.regions.names, region)
-	if ri < 0 {
-		return down, lat
-	}
-	si, ok := p.idx[perfKey{server: server, ym: ym, ri: int32(ri)}]
-	if !ok {
-		return down, lat
-	}
-	s := &p.slots[si]
-	for i, c := range s.chunks {
-		n := min(perfChunkLen, s.count-i*perfChunkLen)
-		down, lat = append(down, c.down[:n]...), append(lat, c.lat[:n]...)
-	}
-	return down, lat
-}
-
-// perfPoints is the Fig. 4 kernel: each range of cs is staged on its own
-// ParallelFor worker (perfStage), the ranges' slots map onto global (region
-// name, server, month) slots, and each global group's throughput and
-// latency samples are gathered from the ranges' chunks, in range order —
-// the order one cursor over the whole stream delivers them — into one
-// reused pair of buffers, where each percentile is selected
-// (stats.PercentileInPlace) rather than paying a full sort. The stream is
-// read once; the footprint is the staged samples, 16 bytes each, and one
-// input block per range, never the records.
-func perfPoints(cs []Cursor, tier bgp.Tier, oneTier bool) []PerfPoint {
-	stages := make([]*perfStage, len(cs))
-	ParallelFor(len(cs), len(cs), func(r int) {
-		stages[r] = newPerfStage()
-		stages[r].scan(cs[r], tier, oneTier)
-	})
-	m := newPerfStage()
-	defer func() {
-		for _, p := range stages {
-			perfStages.Put(p)
-		}
-		perfStages.Put(m)
-	}()
-
-	for _, st := range stages {
-		for _, s := range st.slots {
-			k := perfKey{server: s.server, ym: s.year*12 + int(s.month), ri: m.regions.intern(st.regions.names[s.ri])}
-			m.slots[m.slot(k, s.year, s.month)].count += s.count
-		}
-	}
-	slots, names := m.slots, m.regions.names
-	if len(slots) == 0 {
-		return nil
-	}
-	order := make([]int32, len(slots))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &slots[order[i]], &slots[order[j]]
-		if a.ri != b.ri {
-			return names[a.ri] < names[b.ri]
-		}
-		if a.server != b.server {
-			return a.server < b.server
-		}
-		if a.year != b.year {
-			return a.year < b.year
-		}
-		return a.month < b.month
-	})
-	out := make([]PerfPoint, 0, len(order))
-	var down, lat []float64 // one group's samples, gathered from the ranges
-	for _, si := range order {
-		s := &slots[si]
-		d, l := down[:0], lat[:0]
-		for _, st := range stages {
-			d, l = st.appendSamples(d, l, names[s.ri], s.server, s.year*12+int(s.month))
-		}
-		down, lat = d, l
-		p95, _ := stats.PercentileInPlace(d, 95)
-		p5, _ := stats.PercentileInPlace(l, 5)
-		out = append(out, PerfPoint{
-			ServerID: s.server, Month: s.month, P95Down: p95, P5LatMs: p5, N: len(d),
-		})
 	}
 	return out
 }

@@ -55,19 +55,20 @@ func BenchmarkBlockStreamGroupSeries(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockStreamPerfPoints is the Fig. 4 kernel over one cursor of a
-// compressed log: one range staged in one pass, then merged.
+// BenchmarkBlockStreamPerfPoints is Fig. 4 over a view it cannot keep: one
+// cursor of a compressed log grouped per call, then the series kernel.
 func BenchmarkBlockStreamPerfPoints(b *testing.B) {
-	ms := benchRecords(128, 45)
-	l := benchLog(ms)
-	if pts := PerfPointsCursor(l.Cursor()); len(pts) == 0 {
+	l := benchLog(benchRecords(128, 45))
+	fig4 := func() []PerfPoint {
+		return PerfPointsOfSeries(GroupSeriesWithServerCursor(l.Cursor(), netsim.Download, bgp.Premium))
+	}
+	if pts := fig4(); len(pts) == 0 {
 		b.Fatal("no perf points")
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts := PerfPointsCursor(l.Cursor())
-		if len(pts) == 0 {
+		if pts := fig4(); len(pts) == 0 {
 			b.Fatal("no perf points")
 		}
 	}

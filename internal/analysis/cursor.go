@@ -137,11 +137,11 @@ func (b *ColumnBatch) record(i int) Measurement {
 //
 // A cursor may cover one range of a longer stream: RecordLog.Cursors splits
 // a log into contiguous block ranges, and a range cursor's start is its
-// range's first block. The range kernels (GroupSeriesWithServerRanges,
-// PerfPointsRanges) stage each range on its own worker and merge the stages
-// in range order, which rebuilds the one-cursor sequence exactly; so their
-// results — and every byte rendered from them — cannot depend on how many
-// ranges there are.
+// range's first block. The range kernel (GroupSeriesWithServerRanges)
+// stages each range on its own worker and merges the stages in range
+// order, which rebuilds the one-cursor sequence exactly; so its results —
+// and every byte rendered from them — cannot depend on how many ranges
+// there are.
 //
 // A Cursor is single-goroutine; concurrent readers each open their own
 // (RecordLog.Cursor, RecordLog.Cursors, NewSliceCursor are cheap).
@@ -186,6 +186,7 @@ func (c *SliceCursor) NextColumns(need Columns) *ColumnBatch {
 	chunk := c.ms[c.pos:min(c.pos+logBlockSize, len(c.ms))]
 	c.pos += len(chunk)
 	c.cols.transpose(chunk, need, &c.regions)
+	obsRecordsScanned.Add(uint64(len(chunk)))
 	return &c.cols
 }
 

@@ -8,11 +8,13 @@ import (
 )
 
 var (
-	obsGroupCalls   = obs.Default().Counter("analysis_group_calls_total")
-	obsGroupRecords = obs.Default().Counter("analysis_records_scanned_total")
-	obsGroupSeries  = obs.Default().Counter("analysis_series_grouped_total")
-	obsParTasks     = obs.Default().Counter("analysis_parallel_tasks_total")
-	obsSpilledBytes = obs.Default().Counter("analysis_log_spilled_bytes_total")
+	obsGroupCalls = obs.Default().Counter("analysis_group_calls_total")
+	// obsRecordsScanned counts the records cursors deliver column-wise
+	// (NextColumns), so every kernel's scan of a stream moves it.
+	obsRecordsScanned = obs.Default().Counter("analysis_records_scanned_total")
+	obsGroupSeries    = obs.Default().Counter("analysis_series_grouped_total")
+	obsParTasks       = obs.Default().Counter("analysis_parallel_tasks_total")
+	obsSpilledBytes   = obs.Default().Counter("analysis_log_spilled_bytes_total")
 )
 
 // ParallelFor runs fn(i) for every i in [0, n) across up to parallelism

@@ -36,15 +36,20 @@ type pairKey struct {
 }
 
 // naiveGroup is the pre-kernel map-of-slices implementation, kept here as
-// the reference the count-then-fill kernel must reproduce exactly.
+// the reference the count-then-fill kernel must reproduce exactly. Each
+// sample is sorted together with its latency.
 func naiveGroup(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []SeriesWithServer {
-	byPair := make(map[pairKey][]congestion.Sample)
+	type sampleLat struct {
+		s   congestion.Sample
+		lat float64
+	}
+	byPair := make(map[pairKey][]sampleLat)
 	for _, m := range ms {
 		if m.Dir != dir || m.Tier != tier {
 			continue
 		}
 		k := pairKey{ServerID: m.ServerID, Region: m.Region, Tier: m.Tier, Dir: m.Dir}
-		byPair[k] = append(byPair[k], congestion.Sample{Unix: m.Time.UnixNano(), Mbps: m.Mbps})
+		byPair[k] = append(byPair[k], sampleLat{congestion.Sample{Unix: m.Time.UnixNano(), Mbps: m.Mbps}, m.RTTms})
 	}
 	keys := make([]pairKey, 0, len(byPair))
 	for k := range byPair {
@@ -58,8 +63,12 @@ func naiveGroup(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []SeriesW
 	})
 	out := make([]SeriesWithServer, 0, len(keys))
 	for _, k := range keys {
-		samples := byPair[k]
-		sort.Slice(samples, func(i, j int) bool { return samples[i].Unix < samples[j].Unix })
+		pairs := byPair[k]
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].s.Unix < pairs[j].s.Unix })
+		samples, lats := make([]congestion.Sample, len(pairs)), make([]float64, len(pairs))
+		for i, p := range pairs {
+			samples[i], lats[i] = p.s, p.lat
+		}
 		out = append(out, SeriesWithServer{
 			ServerID: k.ServerID,
 			Region:   k.Region,
@@ -67,6 +76,7 @@ func naiveGroup(ms []Measurement, dir netsim.Direction, tier bgp.Tier) []SeriesW
 				PairID:  fmt.Sprintf("%s/%d/%s/%s", k.Region, k.ServerID, k.Tier, k.Dir),
 				Samples: samples,
 			},
+			LatMs: lats,
 		})
 	}
 	return out
@@ -113,6 +123,9 @@ func checkGrouped(t *testing.T, label string, got, want []SeriesWithServer) {
 		}
 		if !reflect.DeepEqual(got[i].Series.Samples, want[i].Series.Samples) {
 			t.Fatalf("%s series %d (%s): samples differ", label, i, got[i].Series.PairID)
+		}
+		if !reflect.DeepEqual(got[i].LatMs, want[i].LatMs) {
+			t.Fatalf("%s series %d (%s): latencies differ", label, i, got[i].Series.PairID)
 		}
 	}
 }
@@ -208,9 +221,11 @@ func naivePerfPoints(ms []Measurement, tier bgp.Tier, oneTier bool) []PerfPoint 
 	return out
 }
 
-// TestPerfPointsMatchesPercentile holds both entry points of the Fig. 4
-// kernel, over a slice cursor and over a log cursor, to naivePerfPoints —
-// on a stream that crosses month and year boundaries out of order.
+// TestPerfPointsMatchesPercentile holds the Fig. 4 kernel to
+// naivePerfPoints over a slice cursor and over a log cursor, on a stream
+// that crosses month and year boundaries out of order: PerfPointsCursor
+// (both tiers) and PerfPointsOfSeries over each tier's grouped view, the
+// path Fig. 4 takes.
 func TestPerfPointsMatchesPercentile(t *testing.T) {
 	ms := randomMeasurements(13, 2*logBlockSize+300, true)
 	for i := range ms {
@@ -232,8 +247,9 @@ func TestPerfPointsMatchesPercentile(t *testing.T) {
 			t.Errorf("%s cursor: PerfPointsCursor differs from the naive reference", name)
 		}
 		for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
-			if got := PerfPointsTierRanges([]Cursor{open()}, tier); !reflect.DeepEqual(got, naivePerfPoints(ms, tier, true)) {
-				t.Errorf("%s cursor: PerfPointsTierRanges(%s) differs from the naive reference", name, tier)
+			view := GroupSeriesWithServerCursor(open(), netsim.Download, tier)
+			if got := PerfPointsOfSeries(view); !reflect.DeepEqual(got, naivePerfPoints(ms, tier, true)) {
+				t.Errorf("%s cursor: PerfPointsOfSeries(%s view) differs from the naive reference", name, tier)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func boundaryRecords() []Measurement {
 
 // rangeScans is everything the range kernels compute over one split of a
 // log: both tiers by both directions grouped, and perf points over every
-// tier and over each.
+// tier and over each tier's download view.
 type rangeScans struct {
 	groups [4][]SeriesWithServer
 	perf   []PerfPoint
@@ -64,10 +64,9 @@ func scanRanges(cs []Cursor) rangeScans {
 		}
 	}
 	reset()
-	r.perf = PerfPointsRanges(cs)
-	for i, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
-		reset()
-		r.tiers[i] = PerfPointsTierRanges(cs, tier)
+	r.perf = PerfPointsOfSeries(GroupSeriesWithServerRanges(cs, netsim.Download, anyTier))
+	for i := range r.tiers {
+		r.tiers[i] = PerfPointsOfSeries(r.groups[i])
 	}
 	return r
 }

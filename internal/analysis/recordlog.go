@@ -3,9 +3,12 @@
 // struct (delta-of-delta times, zigzag-delta server IDs, interned regions,
 // XOR float columns — internal/colenc, the same codecs as tsdb's sealed
 // blocks). Its sealed blocks stay resident by default and can spill to an
-// unlinked temp file, so a budgeted campaign's footprint is bounded by the
-// block size, not the record count. Decode is lossless: a cursor replays the
-// exact append sequence (pinned by TestRecordLogRoundTrip).
+// unlinked temp file. Spill bounds the log's own resident bytes — the
+// unsealed tail plus one block per open cursor — not the campaign's: the
+// download views analyses group from the log are uncompressed and grow
+// with the record count, and a budget governs them separately (the
+// engine's view allowance in internal/core). Decode is lossless: a cursor
+// replays the exact append sequence (pinned by TestRecordLogRoundTrip).
 
 package analysis
 
@@ -426,6 +429,7 @@ func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 			c.tailRegions.names = slices.Clip(l.regions)
 		}
 		c.cols.transpose(l.tail, need, &c.tailRegions)
+		obsRecordsScanned.Add(uint64(len(l.tail)))
 		return &c.cols
 	}
 	if c.next >= len(l.blocks) || c.end >= 0 && c.next >= c.end {
@@ -443,6 +447,7 @@ func (c *logCursor) NextColumns(need Columns) *ColumnBatch {
 	if err := l.decodeColumns(data, b.n, need, &c.cols); err != nil {
 		panic(fmt.Sprintf("analysis: record log corrupt: %v", err))
 	}
+	obsRecordsScanned.Add(uint64(b.n))
 	return &c.cols
 }
 

@@ -453,8 +453,8 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 }
 
 // TestPerfPointsTierMatchesFilteredSlice pins Fig. 4's tier split: the
-// per-tier entry point over a whole stream yields what the all-tier kernel
-// yields over the records of that tier alone.
+// series kernel over one tier's download view of a whole stream yields what
+// the all-tier entry point yields over the records of that tier alone.
 func TestPerfPointsTierMatchesFilteredSlice(t *testing.T) {
 	ms := campaignRecords(logBlockSize + 301)
 	l := newLog(t, ms)
@@ -469,10 +469,10 @@ func TestPerfPointsTierMatchesFilteredSlice(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: no perf points", tier)
 		}
-		if got := PerfPointsTierRanges([]Cursor{l.Cursor()}, tier); !reflect.DeepEqual(got, want) {
+		if got := PerfPointsOfSeries(GroupSeriesWithServerCursor(l.Cursor(), netsim.Download, tier)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: perf points over the log differ from those of the pre-filtered slice", tier)
 		}
-		if got := PerfPointsTierRanges([]Cursor{NewSliceCursor(ms)}, tier); !reflect.DeepEqual(got, want) {
+		if got := PerfPointsOfSeries(GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, tier)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: perf points over the slice differ from those of the pre-filtered slice", tier)
 		}
 	}

@@ -301,7 +301,7 @@ type CampaignResult struct {
 	Selected []*topology.Server
 
 	// parallelism is the engine's Opts.Parallelism: how many block ranges
-	// of Log the grouping and perf-point kernels scan at once.
+	// of Log the grouping kernel scans at once.
 	parallelism int
 	allowance   *viewAllowance // the engine's
 	views       [2]tierViews   // indexed by bgp.Tier
@@ -372,13 +372,15 @@ func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWi
 }
 
 // viewBytes is what a tier's views hold once every partition's VH cache is
-// filled: the series headers and partition pointers, each series' samples
-// and pair ID, and each partition (the region names are the log's).
+// filled: the series headers and partition pointers, each series' samples,
+// latencies and pair ID, and each partition (the region names are the
+// log's).
 func viewBytes(series []analysis.SeriesWithServer, parts []*congestion.Partition) int64 {
 	n := int64(len(series)) * int64(unsafe.Sizeof(analysis.SeriesWithServer{})+unsafe.Sizeof(&congestion.Partition{}))
 	for i := range series {
-		s := &series[i].Series
-		n += int64(len(s.Samples))*int64(unsafe.Sizeof(congestion.Sample{})) + int64(len(s.PairID)) + parts[i].Bytes()
+		sw := &series[i]
+		n += int64(len(sw.Series.Samples))*int64(unsafe.Sizeof(congestion.Sample{})) +
+			int64(len(sw.LatMs))*int64(unsafe.Sizeof(float64(0))) + int64(len(sw.Series.PairID)) + parts[i].Bytes()
 	}
 	return n
 }

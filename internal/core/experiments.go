@@ -255,9 +255,11 @@ type Fig4Data struct {
 	Points []analysis.PerfPoint
 }
 
-// Fig4 builds a panel from campaign records for one tier.
+// Fig4 builds a panel for one tier from the campaign's download view of
+// that tier (SeriesAndPartitions), which carries each download's latency.
 func Fig4(result *CampaignResult, tier bgp.Tier) (*Fig4Data, error) {
-	points := analysis.PerfPointsTierRanges(result.ranges(), tier)
+	series, _ := result.SeriesAndPartitions(tier)
+	points := analysis.PerfPointsOfSeries(series)
 	if len(points) == 0 {
 		return nil, fmt.Errorf("core: no perf points for %s/%s", result.Region, tier)
 	}
@@ -459,10 +461,13 @@ type Headlines struct {
 }
 
 // ComputeHeadlines derives the findings from topology-campaign results and
-// an optional differential campaign. Per-region analysis fans out across
-// Opts.Parallelism workers; every fold below is an integer tally summed in
-// region-sorted index order, so the headlines are identical at any
-// parallelism.
+// an optional differential campaign. Every per-region tally — congested
+// hours, congested ISP pairs and the p95 share of Fig. 4's points — reads
+// the region's one Premium download view (SeriesAndPartitions): topology
+// campaigns measure only the Premium tier, so that view holds every
+// download they made. Per-region analysis fans out across Opts.Parallelism
+// workers; every fold below is an integer tally summed in region-sorted
+// index order, so the headlines are identical at any parallelism.
 func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *CampaignResult) Headlines {
 	var h Headlines
 	regions := make([]string, 0, len(topoResults))
@@ -492,7 +497,7 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 				}
 			}
 		}
-		for _, p := range analysis.PerfPointsRanges(res.ranges()) {
+		for _, p := range analysis.PerfPointsOfSeries(series) {
 			t.perfPoints++
 			if p.P95Down >= 200 && p.P95Down <= 600 {
 				t.perfIn200600++

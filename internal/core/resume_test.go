@@ -113,6 +113,18 @@ func TestResumeCampaignBitIdentical(t *testing.T) {
 			if len(wantSeries) == 0 || !reflect.DeepEqual(gotSeries, wantSeries) {
 				t.Fatalf("series drifted across kill+resume (%d vs %d series)", len(gotSeries), len(wantSeries))
 			}
+			gotFig4, gotErr := Fig4(res, bgp.Premium)
+			wantFig4, wantErr := Fig4(want, bgp.Premium)
+			if err := errors.Join(gotErr, wantErr); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotFig4, wantFig4) {
+				t.Fatal("Fig. 4 drifted across kill+resume")
+			}
+			gotH := resumed.ComputeHeadlines(map[string]*CampaignResult{region: res}, nil)
+			if wantH := ref.ComputeHeadlines(map[string]*CampaignResult{region: want}, nil); gotH != wantH {
+				t.Fatalf("headlines drifted across kill+resume:\n got: %+v\nwant: %+v", gotH, wantH)
+			}
 			gotRep, wantRep := *res.Report, *want.Report
 			// CPU peaks depend on goroutine interleaving, not the seed; they
 			// are excluded from every durable output for the same reason.

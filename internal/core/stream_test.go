@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
+	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
@@ -255,12 +258,14 @@ func TestCampaignViewsGroupedOnce(t *testing.T) {
 
 // TestCampaignViewsWithinAllowance renders Fig. 2, Fig. 8 and the headlines
 // at once over spilled campaigns whose views do not all fit a 1 MB budget's
-// allowance. The bytes held stay within the allowance, at least one view is
-// refused and regrouped per call, the output equals the unbudgeted run's,
-// and closing every result returns the allowance to empty.
+// allowance. The bytes held stay within the allowance, each held view's
+// bytes recount from the log (a sample and its latency per Premium
+// download) and its series, at least one view is refused and regrouped per
+// call, the output equals the unbudgeted run's, and closing every result
+// returns the allowance to empty.
 func TestCampaignViewsWithinAllowance(t *testing.T) {
 	regions := []string{"us-central1", "us-east1", "us-west1"}
-	const days = 10
+	const days = 8
 	type render struct {
 		fig2     []Fig2Series
 		fig8     [][]analysis.Fig8Row
@@ -312,10 +317,28 @@ func TestCampaignViewsWithinAllowance(t *testing.T) {
 	refused := 0
 	for _, res := range results {
 		v := &res.views[bgp.Premium]
-		if v.held {
-			held += v.bytes
-		} else {
+		if !v.held {
 			refused++
+			continue
+		}
+		held += v.bytes
+		// Recount the view: its samples and their latencies from the log's
+		// Premium downloads, the rest from the series it holds.
+		downloads := 0
+		for _, m := range drainRecords(res) {
+			if m.Dir == netsim.Download && m.Tier == bgp.Premium {
+				downloads++
+			}
+		}
+		want := int64(downloads) * int64(unsafe.Sizeof(congestion.Sample{})+unsafe.Sizeof(float64(0)))
+		for i, sw := range v.series {
+			if len(sw.LatMs) != len(sw.Series.Samples) {
+				t.Fatalf("%s: series %s holds %d latencies for %d samples", res.Region, sw.Series.PairID, len(sw.LatMs), len(sw.Series.Samples))
+			}
+			want += int64(unsafe.Sizeof(sw)+unsafe.Sizeof(v.parts[i])) + int64(len(sw.Series.PairID)) + v.parts[i].Bytes()
+		}
+		if v.bytes != want {
+			t.Errorf("%s: the view was admitted at %d bytes, recounted %d", res.Region, v.bytes, want)
 		}
 	}
 	if held != a.held {
@@ -323,6 +346,9 @@ func TestCampaignViewsWithinAllowance(t *testing.T) {
 	}
 	if refused == 0 {
 		t.Errorf("all %d views fit the %d-byte allowance (lengthen the campaigns)", len(results), a.limit)
+	}
+	if refused == len(results) {
+		t.Errorf("no view fits the %d-byte allowance (shorten the campaigns)", a.limit)
 	}
 	t.Logf("%d of %d views refused; %d of %d bytes held", refused, len(results), a.held, a.limit)
 	if !reflect.DeepEqual(got, want) {
@@ -336,6 +362,89 @@ func TestCampaignViewsWithinAllowance(t *testing.T) {
 	if a.held != 0 {
 		t.Errorf("%d view bytes still held after every result was closed", a.held)
 	}
+}
+
+// TestCampaignViewsFig4MatchesRecords holds Fig. 4 and the headlines' p95
+// share, both read from the held download views, to the perf points of
+// the campaign's own records — analysis.PerfPointsCursor over the records
+// of one tier (of every tier for the headline, as topology campaigns
+// measure Premium only), itself held to the naive reference in
+// internal/analysis. It does so on a resident log and on the same log
+// spilled, each with its views held and refused, at parallelism 1, 2 and 4.
+func TestCampaignViewsFig4MatchesRecords(t *testing.T) {
+	c := newCLASP(t)
+	diff, _, err := runDifferential(c, "europe-west1", 10, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := runTopology(c, "us-west1", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := []bgp.Tier{bgp.Premium, bgp.Standard}
+	var wantFig4 [2][]analysis.PerfPoint
+	for _, tier := range tiers {
+		var only []analysis.Measurement
+		for _, m := range drainRecords(diff) {
+			if m.Tier == tier {
+				only = append(only, m)
+			}
+		}
+		if wantFig4[tier] = analysis.PerfPointsCursor(analysis.NewSliceCursor(only)); len(wantFig4[tier]) == 0 {
+			t.Fatalf("%v: no reference perf points", tier)
+		}
+	}
+	in, points := 0, 0
+	for _, p := range analysis.PerfPointsCursor(analysis.NewSliceCursor(drainRecords(topo))) {
+		points++
+		if p.P95Down >= 200 && p.P95Down <= 600 {
+			in++
+		}
+	}
+	wantP95 := float64(in) / float64(points)
+
+	var first *Headlines
+	check := func(logName string) {
+		for _, parallelism := range []int{1, 2, 4} {
+			for _, limit := range []int64{0, 1} { // no limit: held; one byte: refused
+				label := fmt.Sprintf("%s log, parallelism %d, allowance %d", logName, parallelism, limit)
+				twin := func(res *CampaignResult) *CampaignResult {
+					return &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected,
+						parallelism: parallelism, allowance: &viewAllowance{limit: limit}}
+				}
+				d := twin(diff)
+				for _, tier := range tiers {
+					fig4, err := Fig4(d, tier)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fig4.Points, wantFig4[tier]) {
+						t.Errorf("%s: Fig. 4 %v differs from the records' perf points", label, tier)
+					}
+					if d.views[tier].held != (limit == 0) {
+						t.Errorf("%s: %v view held = %v", label, tier, d.views[tier].held)
+					}
+				}
+				h := c.ComputeHeadlines(map[string]*CampaignResult{topo.Region: twin(topo)}, nil)
+				if h.P95DownIn200600 != wantP95 {
+					t.Errorf("%s: headline p95 share %v, want %v", label, h.P95DownIn200600, wantP95)
+				}
+				if first == nil {
+					first = &h
+				} else if h != *first {
+					t.Errorf("%s: headlines %+v differ from %+v", label, h, *first)
+				}
+			}
+		}
+	}
+	check("resident")
+	for _, res := range []*CampaignResult{diff, topo} {
+		if err := res.Log.Spill(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		defer res.Close()
+	}
+	check("spilled")
 }
 
 // TestStreamingDifferentialIdentical covers the two-tier analysis path
@@ -379,10 +488,11 @@ func TestStreamingDifferentialIdentical(t *testing.T) {
 }
 
 // TestRangeScanCountersAtAnyParallelism pins that splitting a log into
-// block ranges changes no observable counter: one campaign's grouping and
-// Fig. 4 read the same call, record and series counts at parallelism 1 and
-// 4, with one analysis.group span per call that names its ranges — and at
-// parallelism 1 there is one range and no parallel task at all.
+// block ranges changes no observable counter: one campaign's held Premium
+// view, and Fig. 4 read from it, move the same call, record and series
+// counts at parallelism 1 and 4, with one analysis.group span per view that
+// names its ranges — and at parallelism 1 there is one range and no
+// parallel task at all.
 func TestRangeScanCountersAtAnyParallelism(t *testing.T) {
 	res, err := runTopology(newStreamingCLASP(t), "us-west1", 14)
 	if err != nil {
@@ -409,7 +519,7 @@ func TestRangeScanCountersAtAnyParallelism(t *testing.T) {
 		fig4   *Fig4Data
 	}
 	run := func(parallelism int) scan {
-		r := &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected, parallelism: parallelism, allowance: res.allowance}
+		r := &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected, parallelism: parallelism, allowance: &viewAllowance{}}
 		var trace bytes.Buffer
 		obs.SetTraceWriter(&trace)
 		before := read()

@@ -116,7 +116,6 @@ var reachAllowed = map[string]string{
 
 	// What only bench/ keeps: each waits for the benchmark's next change
 	// (ROADMAP 1(c)). The harness's analysis probes over a slice adapter.
-	"internal/analysis.GroupSeriesWithServerCursor":         reachBench,
 	"internal/analysis.GroupSeriesWithServerRanges(dir)":    reachBench,
 	"internal/analysis.NewSliceCursor":                      reachBench,
 	"internal/analysis.PerfPointsCursor":                    reachBench,
