@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract' ./internal/analysis/ ./internal/bdrmap/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore' ./internal/analysis/ ./internal/bdrmap/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -64,6 +64,7 @@ FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=100x
 fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzBitStream$$' ./internal/colenc/
 	$(FUZZ) -fuzz='^FuzzBlockRoundTrip$$' ./internal/tsdb/
+	$(FUZZ) -fuzz='^FuzzInsertRows$$' ./internal/tsdb/
 	$(FUZZ) -fuzz='^FuzzLoadCheckpoint$$' ./internal/checkpoint/
 	$(FUZZ) -fuzz='^FuzzLoadManifest$$' ./internal/checkpoint/
 	$(FUZZ) -fuzz='^FuzzDecodeColumns$$' ./internal/analysis/
@@ -77,11 +78,12 @@ fuzz-smoke:
 BENCH_RECORDS = hotpath obs faults analysis tsdb
 
 # Steady-state Measure by spec and by flow handle, one whole campaign round,
-# sharded TSDB ingest through the map API, the campaign's own ingest path
-# through StoreSink, one paper-scale topology selection (warm, and cold: a fresh
+# sharded TSDB ingest through the map API, the index one record at a time
+# through StoreSink.Record and in bulk from a finished campaign log through
+# StoreSink.Index, one paper-scale topology selection (warm, and cold: a fresh
 # router and simulator per iteration) and one paper-scale preliminary scan on
 # one worker — joined with the pre-overhaul baselines.
-hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale
+hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale
 hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/ ./internal/speedchecker/
 hotpath_JSON = -baseline BENCH_baseline.txt
 
@@ -133,7 +135,7 @@ bench-all:
 # The paper-scale selection and scan run once: an iteration is a whole
 # region's selection or scan, not a nanosecond-scale call.
 bench-smoke:
-	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord' -benchtime=100x \
+	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex' -benchtime=100x \
 		./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/
 	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale' -benchtime=1x ./internal/selection/ ./internal/speedchecker/
 

@@ -581,16 +581,16 @@ func BenchmarkAblationTestOrder(b *testing.B) {
 	servers := f.topo["us-west1"].Selected[:10]
 	orch := orchestrator.New(f.eng.Sim, f.eng.Cloud, nil)
 	run := func(fixed bool) float64 {
-		sink := &orchestrator.LogSink{Log: analysis.NewRecordLog()}
+		log := analysis.NewRecordLog()
 		_, err := orch.Run(orchestrator.Config{
 			Region: "us-west1", Servers: servers, Days: 3, Seed: benchSeed, FixedOrder: fixed,
-		}, sink)
+		}, log)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Distinct intra-hour offsets seen per server, averaged.
 		offsets := make(map[int]map[int]bool)
-		c := sink.Log.Cursor()
+		c := log.Cursor()
 		for batch := c.Next(); batch != nil; batch = c.Next() {
 			for _, m := range batch {
 				if offsets[m.ServerID] == nil {
@@ -630,14 +630,13 @@ func benchMultiRegionCampaign(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		tests := 0
 		for _, region := range regions {
-			sink := &orchestrator.LogSink{Log: analysis.NewRecordLog()}
 			rep, err := orch.Run(orchestrator.Config{
 				Region:      region,
 				Servers:     f.topo[region].Selected,
 				Days:        3,
 				Seed:        benchSeed,
 				Parallelism: parallelism,
-			}, sink)
+			}, analysis.NewRecordLog())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -681,7 +680,7 @@ func benchPacedCampaign(b *testing.B, parallelism int) {
 				Seed:        benchSeed,
 				Parallelism: parallelism,
 				Faults:      paced,
-			}, &orchestrator.LogSink{Log: analysis.NewRecordLog()})
+			}, analysis.NewRecordLog())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -424,9 +424,10 @@ func (r *CampaignResult) Close() error {
 }
 
 // storeIndexLimit bounds how large a campaign still gets indexed into the
-// shared time-series store. The store powers interactive queries; bulk
-// paper-scale campaigns (millions of records) stay in the returned result
-// to keep memory proportional to one campaign.
+// shared time-series store, which holds every indexed campaign for the
+// engine's lifetime; larger campaigns (paper scale and up) live only in
+// their record log, keeping memory proportional to one campaign. No
+// program queries the store.
 const storeIndexLimit = 250_000
 
 // campaignIdentity records what a checkpoint needs to rebuild this
@@ -451,8 +452,8 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	orch := orchestrator.New(c.Sim, c.Cloud, c.Bucket)
 	// est is the record-count upper bound the orchestrator plans for, so
 	// every size decision is made before any record exists: it gates the
-	// interactive store index and — against the memory budget — whether the
-	// finished log is spilled.
+	// store index and — against the memory budget — whether the finished
+	// log is spilled.
 	est := len(servers) * days * 24 * 2 * len(tiers)
 	half := c.Opts.halfBudget()
 	overBudget := half > 0 && int64(est)*analysis.MeasurementBytes > half
@@ -477,23 +478,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 			}
 		}
 	}
-	sinks := orchestrator.MultiSink{&orchestrator.LogSink{Log: log}}
-	if est <= storeIndexLimit {
-		index := &orchestrator.StoreSink{Store: c.Store}
-		sinks = append(sinks, index)
-		if resume != nil {
-			// The log already holds the checkpointed records, and the
-			// checkpointed report their bill; the index is all that needs
-			// them replayed.
-			cur := log.Cursor()
-			for batch := cur.Next(); batch != nil; batch = cur.Next() {
-				for _, m := range batch {
-					index.Record(m)
-				}
-			}
-		}
-	}
-
 	cfg := orchestrator.Config{
 		Region:          region,
 		Servers:         servers,
@@ -530,7 +514,14 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	// and the platform's per-name fault counters are region-scoped, so two
 	// campaigns in one region must not hold live VMs at the same time.
 	unlock := c.lockRegion(region)
-	rep, err := orch.Run(cfg, sinks)
+	rep, err := orch.Run(cfg, log)
+	if err == nil && est <= storeIndexLimit {
+		// The finished log, checkpointed records and all, goes into the
+		// index in one pass; a failed campaign indexes nothing. Indexing
+		// under the region lock keeps a series that two campaigns of the
+		// region share filled in the order the campaigns ran.
+		(&orchestrator.StoreSink{Store: c.Store}).Index(log)
+	}
 	unlock()
 	if err != nil {
 		return nil, fmt.Errorf("core: campaign in %s: %w", region, err)

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
@@ -25,12 +26,30 @@ func BenchmarkStoreSinkRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSinkIndex is the index as the engine builds it: one
+// campaign's finished log — 54 servers x 2 directions over 12 days, the
+// report_all benchmark's series length — indexed in bulk into a fresh store
+// per op. ns/record is the figure to hold against StoreSinkRecord's ns/op.
+func BenchmarkStoreSinkIndex(b *testing.B) {
+	log := analysis.NewRecordLog()
+	for _, m := range campaignRecords(54, 24*12) {
+		log.Append(m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		(&StoreSink{Store: tsdb.NewStore()}).Index(log)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*log.Len()), "ns/record")
+}
+
 // BenchmarkCampaignRound is one hour of a simulated campaign — plan, execute
-// and commit into a sink that discards — at 32 servers over both tiers (128
+// and commit into the campaign's record log — at 32 servers over both tiers (128
 // tests on 8 VMs), hours following one another through days as a campaign's
 // do. ns/test is the figure to hold against netsim's BenchmarkMeasureFlow:
 // the difference is the round loop's own cost. Allocations are the day
-// records alone, one per flow every 24th round (128/24 ≈ 5 allocs/op);
+// records, one per flow every 24th round (128/24 ≈ 5 allocs/op), and the
+// log's block sealed every 32nd (4096 records, ≈ 3 KB/op);
 // TestSteadyRoundAllocs pins the rounds in between at zero.
 func BenchmarkCampaignRound(b *testing.B) {
 	f := setup(b)

@@ -32,7 +32,7 @@ type campaign struct {
 
 	o          *Orchestrator
 	cfg        Config // defaults applied
-	sink       Sink
+	log        *analysis.RecordLog
 	total      int // campaign length in hours
 	perTierVMs int
 
@@ -51,7 +51,7 @@ type campaign struct {
 	// by the flow's first test; only the campaign whose tests cannot block
 	// reads it, inline on its own goroutine, so it needs no lock. round is the
 	// one round value plan refills, and order and rng the server permutation
-	// buffer and its re-seeded generator.
+	// buffer and its generator, re-seeded every hour over an hourSource.
 	flows []netsim.Flow
 	round round
 	order []int
@@ -112,15 +112,15 @@ type round struct {
 // newCampaign validates the config, warms the routing caches, deploys the
 // VMs and — when resuming — restores the checkpointed state, leaving the
 // campaign ready for its first plan.
-func (o *Orchestrator) newCampaign(cfg Config, sink Sink) (*campaign, error) {
+func (o *Orchestrator) newCampaign(cfg Config, log *analysis.RecordLog) (*campaign, error) {
 	cfg = cfg.withDefaults()
 	total := cfg.Days * 24
 	topo := o.sim.Topology()
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("orchestrator: no servers to measure")
 	}
-	if sink == nil {
-		return nil, fmt.Errorf("orchestrator: nil sink")
+	if log == nil {
+		return nil, fmt.Errorf("orchestrator: nil record log")
 	}
 	if _, ok := topo.Region(cfg.Region); !ok {
 		return nil, fmt.Errorf("orchestrator: unknown region %q", cfg.Region)
@@ -129,7 +129,7 @@ func (o *Orchestrator) newCampaign(cfg Config, sink Sink) (*campaign, error) {
 		return nil, fmt.Errorf("orchestrator: resume watermark %d outside campaign of %d hours", res.NextHour, total)
 	}
 	c := &campaign{
-		o: o, cfg: cfg, sink: sink, total: total,
+		o: o, cfg: cfg, log: log, total: total,
 		perTierVMs: PlanVMs(len(cfg.Servers)),
 		inj:        faults.NewInjector(cfg.Faults, cfg.Seed),
 		prober:     traceroute.NewProber(o.sim, cfg.Region, cfg.Seed),
@@ -149,7 +149,7 @@ func (o *Orchestrator) newCampaign(cfg Config, sink Sink) (*campaign, error) {
 	for i := range c.order {
 		c.order[i] = i // the order under FixedOrder; hourOrder overwrites it otherwise
 	}
-	c.rng = rand.New(rand.NewSource(0)) // hourOrder re-seeds it every hour
+	c.rng = rand.New(newHourSource()) // hourOrder seeds it every hour
 	// The platform injector is (re)installed unconditionally so a previous
 	// campaign's cannot leak into this run.
 	if c.inj != nil {
@@ -559,7 +559,7 @@ func (c *campaign) traceServer(i int) error {
 }
 
 // commit folds an executed (or shed) round into the campaign state and is
-// the only place that touches the sink, the report, the breaker, the
+// the only place that touches the log, the report, the breaker, the
 // watermark, the checkpoint, the kill points and the progress hooks — from
 // the campaign's goroutine, in task order, so the record stream matches the
 // sequential schedule exactly at any parallelism.
@@ -577,7 +577,7 @@ func (c *campaign) commit() error {
 	// trip point is deterministic at any parallelism.
 	c.breaker.ObserveRound(r.tally.Dropped, r.executed)
 
-	// Emit. Dropped tests never reach the sink — the paper discards failed
+	// Emit. Dropped tests never reach the log — the paper discards failed
 	// tests rather than recording partial measurements.
 	phaseStart := time.Now()
 	for i := range r.tasks {
@@ -585,7 +585,7 @@ func (c *campaign) commit() error {
 			continue
 		}
 		spec, res := &r.tasks[i].spec, &r.results[i]
-		m := analysis.Measurement{
+		c.log.Append(analysis.Measurement{
 			ServerID: spec.Server.ID,
 			Region:   spec.Region,
 			Tier:     spec.Tier,
@@ -594,8 +594,7 @@ func (c *campaign) commit() error {
 			Mbps:     res.ThroughputMbps,
 			RTTms:    res.RTTms,
 			Loss:     res.LossRate,
-		}
-		c.sink.Record(m)
+		})
 		rep.Tests++
 		rep.EgressBytes[spec.Tier] += testEgressBytes(spec, res.ThroughputMbps)
 		if r.tasks[i].capture {

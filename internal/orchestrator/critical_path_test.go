@@ -42,7 +42,7 @@ func TestCampaignPathNeverStopsTheWorld(t *testing.T) {
 		Days:        2,
 		Seed:        7,
 		Parallelism: 2,
-	}, newLogSink())
+	}, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCaptureEveryTestUploadsOwnSnapshot(t *testing.T) {
 		TestDurationSec: 0.002, // keeps the 144 synthesized captures small
 		CaptureEvery:    1,
 	}
-	rep, err := f.orch.Run(cfg, newLogSink())
+	rep, err := f.orch.Run(cfg, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/faults"
 	"github.com/clasp-measurement/clasp/internal/obs"
 )
@@ -20,7 +21,7 @@ func runFaultCampaign(t *testing.T, profile string, seed int64, parallelism int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := newLogSink()
+	log := analysis.NewRecordLog()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: f.topo.USServers()[:6],
@@ -34,11 +35,11 @@ func runFaultCampaign(t *testing.T, profile string, seed int64, parallelism int)
 		CaptureEvery:    48,
 		Parallelism:     parallelism,
 		Faults:          prof,
-	}, sink)
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := json.Marshal(records(sink.Log))
+	enc, err := json.Marshal(records(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 	defer obs.SetEnabled(false)
 
 	servers := f.topo.USServers()[:6]
-	sink := newLogSink()
+	log := analysis.NewRecordLog()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: servers,
@@ -145,7 +146,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 		TestDurationSec: 0.2,
 		CaptureEvery:    48,
 		Faults:          prof,
-	}, sink)
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,8 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 		t.Errorf("books don't balance: %d completed + %d dropped != %d scheduled",
 			rep.Tests, rep.Dropped, scheduled)
 	}
-	if sink.Log.Len() != rep.Tests {
-		t.Errorf("sink holds %d records, report says %d tests completed", sink.Log.Len(), rep.Tests)
+	if log.Len() != rep.Tests {
+		t.Errorf("log holds %d records, report says %d tests completed", log.Len(), rep.Tests)
 	}
 	if rep.Failed < rep.Dropped {
 		t.Errorf("Failed (%d) < Dropped (%d); every drop implies at least one failure", rep.Failed, rep.Dropped)
@@ -188,7 +189,7 @@ func TestCongestedServerPartialRounds(t *testing.T) {
 func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.USServers()[:6]
-	sink := newLogSink()
+	log := analysis.NewRecordLog()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: servers,
@@ -202,7 +203,7 @@ func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 			BreakerMinSamples: 5,
 			BreakerCooldown:   2,
 		},
-	}, sink)
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestBreakerShedsRoundsUnderTotalOutage(t *testing.T) {
 	if rep.BreakerOpenRounds < 12 {
 		t.Errorf("only %d rounds shed; breaker not limiting the outage", rep.BreakerOpenRounds)
 	}
-	if sink.Log.Len() != 0 {
-		t.Errorf("sink holds %d records from dropped tests", sink.Log.Len())
+	if log.Len() != 0 {
+		t.Errorf("log holds %d records from dropped tests", log.Len())
 	}
 }

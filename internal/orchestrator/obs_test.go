@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/obs"
@@ -146,7 +147,7 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 				}
 			}()
 		}
-		sink := newLogSink()
+		log := analysis.NewRecordLog()
 		rep, err := f.orch.Run(Config{
 			Region:          "us-east1",
 			Servers:         f.topo.USServers()[:6],
@@ -156,11 +157,11 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 			CaptureEvery:    5,
 			TracerouteEvery: 1,
 			Parallelism:     2,
-		}, sink)
+		}, log)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := json.Marshal(records(sink.Log))
+		enc, err := json.Marshal(records(log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 
-	sink := newLogSink()
+	log := analysis.NewRecordLog()
 	rep, err := f.orch.Run(Config{
 		Region:          "us-east1",
 		Servers:         f.topo.USServers()[:5],
@@ -242,7 +243,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 		TestDurationSec: 0.2, // keeps the synthesized captures small
 		CaptureEvery:    4,
 		TracerouteEvery: 1,
-	}, sink)
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}

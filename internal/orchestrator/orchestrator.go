@@ -3,7 +3,8 @@
 // (each VM runs one test at a time, at most 17 per hour), deploys them
 // across availability zones, executes hourly rounds in randomised order,
 // captures packet headers and SoMeta metadata, runs follow-up traceroutes,
-// uploads results to the region's storage bucket, and indexes them into the
+// uploads results to the region's storage bucket, and appends every record
+// to the campaign's record log; StoreSink indexes a finished log into the
 // time-series store.
 //
 // # Round model
@@ -24,7 +25,7 @@
 // refills one round, one permutation buffer and one generator hour after
 // hour, so a simulated round within a day allocates nothing. Either way
 // measurement results land in a slice indexed by the deterministic task
-// order, and commit applies every observable side effect — sink records,
+// order, and commit applies every observable side effect — log records,
 // report counters (the egress bytes among them), breaker transition,
 // watermark, checkpoint — in that order from the campaign's goroutine.
 // Because netsim.Sim.Measure is a pure function of (seed, spec), a campaign
@@ -34,6 +35,7 @@ package orchestrator
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -83,24 +85,13 @@ func testEgressBytes(spec *netsim.TestSpec, mbps float64) int64 {
 	return xfer / 50
 }
 
-// Sink consumes measurement records as the campaign produces them, so
-// full-scale runs need not hold every record in memory. The engine feeds
-// every campaign's records to a LogSink, plus a StoreSink when the campaign
-// is small enough to index.
-//
-// A single Run delivers records from one goroutine, so any Sink works for
-// one campaign. Sinks shared across concurrently running campaigns must be
-// safe for concurrent use: StoreSink is; LogSink is not, so each campaign
-// gets its own.
-type Sink interface {
-	Record(analysis.Measurement)
-}
-
-// StoreSink indexes records into a time-series store. It is safe for
-// concurrent use: tsdb.Store shards its lock internally, and the sink
-// interns one bound series handle per (server, region, tier, dir) so a
-// repeated record skips tag construction, key rendering and field-name
-// handling, and inserts its three values without allocating.
+// StoreSink indexes records into a time-series store, one series per
+// (server, region, tier, dir). The engine indexes a finished campaign's log
+// in bulk (Index); Record is the same index one record at a time. It is safe
+// for concurrent use: tsdb.Store shards its lock internally, and the sink
+// interns one bound series handle per series, so a repeated series skips
+// tag construction, key rendering and field-name handling, and inserts its
+// three values without allocating.
 type StoreSink struct {
 	Store *tsdb.Store
 
@@ -116,19 +107,18 @@ type storeSinkKey struct {
 	dir    netsim.Direction
 }
 
-// handle returns the bound handle of a record's series, interning it on
-// first use.
-func (s *StoreSink) handle(m *analysis.Measurement) *tsdb.BoundHandle {
-	key := storeSinkKey{server: m.ServerID, region: m.Region, tier: m.Tier, dir: m.Dir}
+// handle returns the bound handle of a series, interning it on first use.
+func (s *StoreSink) handle(server int, region string, tier bgp.Tier, dir netsim.Direction) *tsdb.BoundHandle {
+	key := storeSinkKey{server: server, region: region, tier: tier, dir: dir}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.handles[key]
 	if !ok {
 		b = s.Store.Bind(tsdb.Tags{
-			"server": strconv.Itoa(m.ServerID),
-			"region": m.Region,
-			"tier":   m.Tier.String(),
-			"dir":    m.Dir.String(),
+			"server": strconv.Itoa(server),
+			"region": region,
+			"tier":   tier.String(),
+			"dir":    dir.String(),
 		}, "mbps", "rtt_ms", "loss")
 		if s.handles == nil {
 			s.handles = make(map[storeSinkKey]*tsdb.BoundHandle)
@@ -138,30 +128,132 @@ func (s *StoreSink) handle(m *analysis.Measurement) *tsdb.BoundHandle {
 	return b
 }
 
-// Record implements Sink.
+// Record indexes one record.
 func (s *StoreSink) Record(m analysis.Measurement) {
-	s.handle(&m).Insert(m.Time, m.Mbps, m.RTTms, m.Loss)
+	s.handle(m.ServerID, m.Region, m.Tier, m.Dir).Insert(m.Time, m.Mbps, m.RTTms, m.Loss)
 }
 
-// LogSink appends records into a columnar RecordLog, the engine's one
-// record representation: records are compressed block-at-a-time as they
-// arrive, checkpoints append its sealed blocks, and analyses read it back.
-// It is not safe for concurrent use: one per campaign.
-type LogSink struct {
-	Log *analysis.RecordLog
+// indexDense bounds the server IDs whose series Index numbers through a
+// dense table; IDs outside [0, indexDense) — none a topology assigns — take
+// a map.
+const indexDense = 1 << 16
+
+// indexSlots numbers the series of one Index pass: by region, then one
+// slot per (server ID, tier, dir).
+type indexSlots struct {
+	dense  [][]int32 // [region][server*4+slot]: series number + 1, 0 while unseen
+	sparse map[[3]int]*int32
 }
 
-// Record implements Sink.
-func (s *LogSink) Record(m analysis.Measurement) { s.Log.Append(m) }
+// ref returns the cell that holds the number of series (region, server,
+// slot), adding it to the tables; region must be one the tables hold. Index
+// reads a cell the dense table already holds without the call.
+func (t *indexSlots) ref(region, server, slot int) *int32 {
+	if uint(server) >= indexDense {
+		key := [3]int{region, server, slot}
+		p := t.sparse[key]
+		if p == nil {
+			if t.sparse == nil {
+				t.sparse = make(map[[3]int]*int32)
+			}
+			p = new(int32)
+			t.sparse[key] = p
+		}
+		return p
+	}
+	j := server*4 + slot
+	if d := t.dense[region]; j >= len(d) {
+		t.dense[region] = append(d, make([]int32, j+1-len(d))...)
+	}
+	return &t.dense[region][j]
+}
 
-// MultiSink fans records out to several sinks. It holds no state of its
-// own, so it is as safe for concurrent use as its least safe component.
-type MultiSink []Sink
-
-// Record implements Sink.
-func (ms MultiSink) Record(m analysis.Measurement) {
-	for _, s := range ms {
-		s.Record(m)
+// Index indexes every record of log, leaving the store as Record of each
+// record in log order would. One cursor pass stages the records column-wise
+// and numbers each record's series, binding each series once; a counting
+// sort then lists the records series by series, each series' in log order,
+// and each series' run is gathered into one InsertRows call.
+func (s *StoreSink) Index(log *analysis.RecordLog) {
+	const need = analysis.ColTime | analysis.ColServer | analysis.ColRegion | analysis.ColTierDir |
+		analysis.ColMbps | analysis.ColRTT | analysis.ColLoss
+	n := log.Len()
+	seriesOf, times := make([]int32, 0, n), make([]int64, 0, n)
+	var vals [3][]float64
+	for j := range vals {
+		vals[j] = make([]float64, 0, n)
+	}
+	var (
+		handles []*tsdb.BoundHandle // by series number
+		ends    []int32             // each series' record count, then its run's end
+		slots   indexSlots
+		regions []string // the log's region names, numbered as first seen
+		codes   []int    // the batch's region codes, renumbered
+	)
+	cur := log.Cursor()
+	for b := cur.NextColumns(need); b != nil; b = cur.NextColumns(need) {
+		codes = codes[:0]
+		for _, name := range b.RegionNames {
+			r := slices.Index(regions, name)
+			if r < 0 {
+				r, regions = len(regions), append(regions, name)
+				slots.dense = append(slots.dense, nil)
+			}
+			codes = append(codes, r)
+		}
+		for i := range b.N {
+			// A series' tags name its tier and direction by String, which
+			// tells Premium and Download from everything else.
+			slot := 0
+			if b.Tiers[i] != bgp.Premium {
+				slot = 2
+			}
+			if b.Dirs[i] != netsim.Download {
+				slot++
+			}
+			r, id := codes[b.Regions[i]], b.Servers[i]
+			var ref *int32
+			if d, j := slots.dense[r], id*4+slot; uint(id) < indexDense && j < len(d) {
+				ref = &d[j]
+			} else {
+				ref = slots.ref(r, id, slot)
+			}
+			if *ref == 0 {
+				handles = append(handles, s.handle(id, regions[r], b.Tiers[i], b.Dirs[i]))
+				ends = append(ends, 0)
+				*ref = int32(len(handles))
+			}
+			seriesOf = append(seriesOf, *ref-1)
+			ends[*ref-1]++
+		}
+		times = append(times, b.Times...)
+		vals[0] = append(vals[0], b.Mbps...)
+		vals[1] = append(vals[1], b.RTTms...)
+		vals[2] = append(vals[2], b.Loss...)
+	}
+	at := int32(0)
+	for k, c := range ends {
+		ends[k] = at // the run's start, advanced to its end as order fills
+		at += c
+	}
+	order := make([]int32, n)
+	for i, k := range seriesOf {
+		order[ends[k]] = int32(i)
+		ends[k]++
+	}
+	var runTimes []int64
+	var runVals [3][]float64
+	start := int32(0)
+	for k, end := range ends {
+		rows := order[start:end]
+		runTimes = slices.Grow(runTimes[:0], len(rows))[:len(rows)]
+		for j := range runVals {
+			runVals[j] = slices.Grow(runVals[j][:0], len(rows))[:len(rows)]
+		}
+		for p, i := range rows {
+			runTimes[p], runVals[0][p], runVals[1][p], runVals[2][p] = times[i], vals[0][i], vals[1][i], vals[2][i]
+		}
+		handles[k].InsertRows(runTimes, runVals[0], runVals[1], runVals[2])
+		start = end
 	}
 }
 
@@ -216,9 +308,9 @@ type Config struct {
 	// in-process resume tests do exactly that). nil disables checkpointing.
 	OnCheckpoint func(Progress) error
 	// Resume continues a campaign from a checkpointed Progress instead of
-	// from hour zero. The caller's sink must already hold the checkpoint's
+	// from hour zero. The caller's log must already hold the checkpoint's
 	// records: Run only re-executes rounds from Progress.NextHour on,
-	// emitting into the same sink. Every other Config field must match
+	// appending to the same log. Every other Config field must match
 	// the original run for the byte-identical guarantee to hold.
 	Resume *Progress
 	// Workers, when set, is a command-wide VM-worker budget shared with the
@@ -310,9 +402,10 @@ func hourSeed(seed int64, hour int) int64 {
 
 // hourOrder fills order with the randomised server visit order of one
 // campaign hour: rand.New(rand.NewSource(hourSeed(seed, hour))).Perm(n) —
-// re-seeding rng restarts the same source's sequence and the loop is Perm's
-// own, which never reads an element it has not written — without the 5 KB
-// source and the slice a fresh generator costs every hour.
+// re-seeding rng restarts its source's sequence and the loop is Perm's own,
+// which never reads an element it has not written — without the slice a
+// fresh generator costs every hour. A campaign's rng draws from an
+// hourSource, whose Seed costs nothing until a word is read.
 func hourOrder(rng *rand.Rand, seed int64, hour int, order []int) {
 	rng.Seed(hourSeed(seed, hour))
 	for i := range order {
@@ -382,11 +475,12 @@ func (r *Resilience) add(o Resilience) {
 	r.BreakerOpenRounds += o.BreakerOpenRounds
 }
 
-// Run executes the campaign, streaming measurements into sink. The campaign
-// is a state machine over one struct: each hour is planned from the state,
-// executed without touching it, and committed into it (campaign.go).
-func (o *Orchestrator) Run(cfg Config, sink Sink) (*Report, error) {
-	c, err := o.newCampaign(cfg, sink)
+// Run executes the campaign, appending its measurements to log. The
+// campaign is a state machine over one struct: each hour is planned from
+// the state, executed without touching it, and committed into it
+// (campaign.go).
+func (o *Orchestrator) Run(cfg Config, log *analysis.RecordLog) (*Report, error) {
+	c, err := o.newCampaign(cfg, log)
 	if err != nil {
 		return nil, err
 	}

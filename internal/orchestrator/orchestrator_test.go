@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"io"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -18,9 +19,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/topology"
 	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
-
-// newLogSink collects a campaign the way the engine does: into a record log.
-func newLogSink() *LogSink { return &LogSink{Log: analysis.NewRecordLog()} }
 
 // records reads a log back through its cursor.
 func records(l *analysis.RecordLog) []analysis.Measurement {
@@ -81,8 +79,8 @@ func TestPlanVMs(t *testing.T) {
 func TestUploadSlotOffsets(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()[:3]
-	sink := newLogSink()
-	_, err := f.orch.Run(Config{Region: "us-east1", Servers: servers, Days: 1, Seed: 6}, sink)
+	log := analysis.NewRecordLog()
+	_, err := f.orch.Run(Config{Region: "us-east1", Servers: servers, Days: 1, Seed: 6}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestUploadSlotOffsets(t *testing.T) {
 	// must spread over 6 distinct timestamps.
 	byHour := make(map[int]map[int64]int)
 	upAt := make(map[[2]int64]bool) // (server, hour) -> upload seen
-	for _, m := range records(sink.Log) {
+	for _, m := range records(log) {
 		h := m.Time.Hour()
 		if byHour[h] == nil {
 			byHour[h] = make(map[int64]int)
@@ -146,20 +144,20 @@ func TestHourOrderGolden(t *testing.T) {
 func TestRunBasicCampaign(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.USServers()[:20]
-	sink := newLogSink()
+	log := analysis.NewRecordLog()
 	rep, err := f.orch.Run(Config{
 		Region:  "us-east1",
 		Servers: servers,
 		Days:    2,
 		Seed:    1,
-	}, sink)
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 20 servers, hourly, 2 days, 2 directions.
 	want := 20 * 48 * 2
-	if rep.Tests != want || sink.Log.Len() != want {
-		t.Fatalf("tests = %d / records %d, want %d", rep.Tests, sink.Log.Len(), want)
+	if rep.Tests != want || log.Len() != want {
+		t.Fatalf("tests = %d / records %d, want %d", rep.Tests, log.Len(), want)
 	}
 	if rep.VMs != 3 {
 		t.Errorf("VMs = %d, want 3 (20 servers x 2 tests / 17 per VM)", rep.VMs)
@@ -172,7 +170,7 @@ func TestRunBasicCampaign(t *testing.T) {
 	}
 	// Records are sane.
 	downs, ups := 0, 0
-	for _, m := range records(sink.Log) {
+	for _, m := range records(log) {
 		if m.Mbps <= 0 {
 			t.Fatalf("non-positive throughput: %+v", m)
 		}
@@ -201,30 +199,30 @@ func TestRunBasicCampaign(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	f := setup(t)
-	if _, err := f.orch.Run(Config{Region: "us-east1"}, newLogSink()); err == nil {
+	if _, err := f.orch.Run(Config{Region: "us-east1"}, analysis.NewRecordLog()); err == nil {
 		t.Error("no servers: want error")
 	}
-	if _, err := f.orch.Run(Config{Region: "atlantis", Servers: f.topo.Servers()[:1]}, newLogSink()); err == nil {
+	if _, err := f.orch.Run(Config{Region: "atlantis", Servers: f.topo.Servers()[:1]}, analysis.NewRecordLog()); err == nil {
 		t.Error("unknown region: want error")
 	}
-	// A nil sink would measure a whole campaign into nowhere.
+	// A nil log would measure a whole campaign into nowhere.
 	if _, err := f.orch.Run(Config{Region: "us-east1", Servers: f.topo.Servers()[:1]}, nil); err == nil {
-		t.Error("nil sink: want error")
+		t.Error("nil log: want error")
 	}
 }
 
 func TestRandomisedOrderDiffersAcrossHours(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.USServers()[:10]
-	sink := newLogSink()
-	_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 7}, sink)
+	log := analysis.NewRecordLog()
+	_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 7}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reconstruct per-hour test order from the download records and
 	// verify at least two hours ordered servers differently.
 	orders := make(map[int][]int)
-	for _, m := range records(sink.Log) {
+	for _, m := range records(log) {
 		if m.Dir != netsim.Download {
 			continue
 		}
@@ -248,14 +246,14 @@ func TestRandomisedOrderDiffersAcrossHours(t *testing.T) {
 func TestDifferentialTierPairs(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()[:5]
-	sink := newLogSink()
+	log := analysis.NewRecordLog()
 	rep, err := f.orch.Run(Config{
 		Region:  "europe-west1",
 		Servers: servers,
 		Tiers:   []bgp.Tier{bgp.Premium, bgp.Standard},
 		Days:    1,
 		Seed:    2,
-	}, sink)
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +261,7 @@ func TestDifferentialTierPairs(t *testing.T) {
 		t.Errorf("VMs = %d, want 2", rep.VMs)
 	}
 	// Same-hour pairs must exist for the tier comparison.
-	deltas := analysis.TierDeltasCursor(analysis.NewSliceCursor(records(sink.Log)), "europe-west1", analysis.MetricDownload)
+	deltas := analysis.TierDeltasCursor(analysis.NewSliceCursor(records(log)), "europe-west1", analysis.MetricDownload)
 	if len(deltas) != 5*24 {
 		t.Errorf("paired deltas = %d, want %d", len(deltas), 5*24)
 	}
@@ -278,7 +276,7 @@ func TestCapturesUploadedAndParseable(t *testing.T) {
 		Days:         1,
 		Seed:         3,
 		CaptureEvery: 10,
-	}, newLogSink())
+	}, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +322,7 @@ func TestTraceroutesUploaded(t *testing.T) {
 		Days:            2,
 		Seed:            4,
 		TracerouteEvery: 1,
-	}, newLogSink())
+	}, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,31 +339,90 @@ func TestTraceroutesUploaded(t *testing.T) {
 	}
 }
 
+// indexByRecord is the index's oracle: every record of log, one at a
+// time through StoreSink.Record, into a fresh store.
+func indexByRecord(log *analysis.RecordLog) *tsdb.Store {
+	store := tsdb.NewStore()
+	sink := &StoreSink{Store: store}
+	for _, m := range records(log) {
+		sink.Record(m)
+	}
+	return store
+}
+
+// checkIndexMatches fails unless the two stores hold the same series and
+// points, sealed into the same blocks.
+func checkIndexMatches(t *testing.T, got, want *tsdb.Store) {
+	t.Helper()
+	all := func(s *tsdb.Store) []tsdb.Series { return s.Query("speedtest", nil, time.Time{}, time.Time{}) }
+	if g, w := all(got), all(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("index holds %d series, want %d, or their points differ", len(g), len(w))
+	}
+	gb, gp, gn := got.BlockStats()
+	if wb, wp, wn := want.BlockStats(); gb != wb || gp != wp || gn != wn {
+		t.Fatalf("index BlockStats = %d/%d/%d, want %d/%d/%d", gb, gp, gn, wb, wp, wn)
+	}
+	if g, w := got.SeriesCount(), want.SeriesCount(); g != w {
+		t.Fatalf("index holds %d series, want %d", g, w)
+	}
+}
+
+// TestStoreSinkIndexes: a campaign's finished log indexed in one pass
+// equals its records indexed one at a time — over both tiers, across a seal
+// (24 days is 576 points a series) and, indexed twice, into series that
+// already hold a sealed block and a tail.
 func TestStoreSinkIndexes(t *testing.T) {
 	f := setup(t)
-	store := tsdb.NewStore()
+	log := analysis.NewRecordLog()
 	_, err := f.orch.Run(Config{
-		Region:  "us-west1",
-		Servers: f.topo.Servers()[:4],
-		Days:    1,
-		Seed:    5,
-	}, MultiSink{&StoreSink{Store: store}})
+		Region:          "us-west1",
+		Servers:         f.topo.Servers()[:3],
+		Tiers:           []bgp.Tier{bgp.Premium, bgp.Standard},
+		Days:            24,
+		Seed:            5,
+		TestDurationSec: 1,
+	}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 servers x 1 tier x 2 directions = 8 series.
-	if store.SeriesCount() != 8 {
-		t.Errorf("series = %d, want 8", store.SeriesCount())
+	store := tsdb.NewStore()
+	(&StoreSink{Store: store}).Index(log)
+	want := indexByRecord(log)
+	checkIndexMatches(t, store, want)
+	// 3 servers x 2 tiers x 2 directions = 12 series.
+	if store.SeriesCount() != 12 {
+		t.Errorf("series = %d, want 12", store.SeriesCount())
 	}
-	got := store.Query("speedtest", tsdb.Tags{"dir": "download"}, time.Time{}, time.Time{})
-	if len(got) != 4 {
-		t.Errorf("download series = %d", len(got))
+	if blocks, _, _ := store.BlockStats(); blocks != 12 {
+		t.Errorf("sealed blocks = %d, want one a series", blocks)
 	}
-	for _, sr := range got {
-		if len(sr.Points) != 24 {
-			t.Errorf("series %v has %d points", sr.Tags, len(sr.Points))
+	(&StoreSink{Store: store}).Index(log)
+	sink := &StoreSink{Store: want}
+	for _, m := range records(log) {
+		sink.Record(m)
+	}
+	checkIndexMatches(t, store, want)
+
+	// Server IDs no topology assigns — negative, past the dense table —
+	// interleaved with ones it does, and two regions in one log.
+	odd := analysis.NewRecordLog()
+	for i, m := range campaignRecords(6, 40) {
+		switch m.ServerID {
+		case 1:
+			m.ServerID = -7
+		case 2:
+			m.ServerID = indexDense
+		case 3:
+			m.ServerID = 1 << 40
 		}
+		if i%3 == 0 {
+			m.Region = "europe-west1"
+		}
+		odd.Append(m)
 	}
+	store = tsdb.NewStore()
+	(&StoreSink{Store: store}).Index(odd)
+	checkIndexMatches(t, store, indexByRecord(odd))
 }
 
 func TestDeterministicCampaign(t *testing.T) {
@@ -373,16 +430,16 @@ func TestDeterministicCampaign(t *testing.T) {
 	f2 := setup(t)
 	cfg := Config{Region: "us-east1", Servers: nil, Days: 1, Seed: 11}
 	cfg.Servers = f1.topo.Servers()[:5]
-	s1 := newLogSink()
+	s1 := analysis.NewRecordLog()
 	if _, err := f1.orch.Run(cfg, s1); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Servers = f2.topo.Servers()[:5]
-	s2 := newLogSink()
+	s2 := analysis.NewRecordLog()
 	if _, err := f2.orch.Run(cfg, s2); err != nil {
 		t.Fatal(err)
 	}
-	r1, r2 := records(s1.Log), records(s2.Log)
+	r1, r2 := records(s1), records(s2)
 	if len(r1) != len(r2) {
 		t.Fatal("campaign lengths differ")
 	}
@@ -397,13 +454,13 @@ func TestFixedOrderAblation(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()[:6]
 	run := func(fixed bool) []int {
-		sink := newLogSink()
-		_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 9, FixedOrder: fixed}, sink)
+		log := analysis.NewRecordLog()
+		_, err := f.orch.Run(Config{Region: "us-west1", Servers: servers, Days: 1, Seed: 9, FixedOrder: fixed}, log)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var order []int
-		for _, m := range records(sink.Log) {
+		for _, m := range records(log) {
 			if m.Dir == netsim.Download && m.Time.Hour() <= 1 {
 				order = append(order, m.ServerID)
 			}

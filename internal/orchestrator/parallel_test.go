@@ -34,7 +34,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		run := func(parallelism int) (*Report, []analysis.Measurement, []string) {
 			f := setup(t)
-			sink := newLogSink()
+			log := analysis.NewRecordLog()
 			rep, err := f.orch.Run(Config{
 				Region:          "us-east1",
 				Servers:         f.topo.USServers()[:12],
@@ -46,12 +46,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 				TracerouteEvery: 1,
 				Parallelism:     parallelism,
 				Faults:          prof,
-			}, sink)
+			}, log)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rep.MaxVMCPUUtil = 0 // host telemetry, outside the guarantee
-			return rep, records(sink.Log), f.bucket.List("")
+			return rep, records(log), f.bucket.List("")
 		}
 
 		seqRep, seqOut, seqKeys := run(1)
@@ -98,7 +98,7 @@ func TestParallelEgressAccounting(t *testing.T) {
 				Seed:        3,
 				Parallelism: parallelism,
 				Faults:      prof,
-			}, newLogSink())
+			}, analysis.NewRecordLog())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,21 +114,18 @@ func TestParallelEgressAccounting(t *testing.T) {
 	}
 }
 
-// TestMultiSinkConcurrentFanOut fans records out from concurrent campaigns
-// to one shared store sink and, each campaign delivering from its own
-// goroutine, a slice sink per campaign.
-func TestMultiSinkConcurrentFanOut(t *testing.T) {
-	store := tsdb.NewStore()
-	storeSink := &StoreSink{Store: store}
-
+// TestConcurrentCampaignsIndexOneStore runs campaigns concurrently, each
+// into its own log, and indexes the finished logs concurrently through one
+// shared StoreSink: the store equals every record indexed one at a time.
+func TestConcurrentCampaignsIndexOneStore(t *testing.T) {
 	f := setup(t)
 	servers := f.topo.Servers()
 	regions := []string{"us-east1", "us-west1", "europe-west1"}
-	logs := make([]*LogSink, len(regions))
+	logs := make([]*analysis.RecordLog, len(regions))
 	var wg sync.WaitGroup
 	errs := make([]error, len(regions))
 	for i, region := range regions {
-		logs[i] = newLogSink()
+		logs[i] = analysis.NewRecordLog()
 		wg.Add(1)
 		go func(i int, region string) {
 			defer wg.Done()
@@ -138,7 +135,7 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 				Days:        1,
 				Seed:        int64(i + 1),
 				Parallelism: 2,
-			}, MultiSink{storeSink, logs[i]})
+			}, logs[i])
 		}(i, region)
 	}
 	wg.Wait()
@@ -147,11 +144,25 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 			t.Fatalf("campaign %s: %v", regions[i], err)
 		}
 	}
+	store := tsdb.NewStore()
+	shared := &StoreSink{Store: store}
+	want := tsdb.NewStore()
+	oracle := &StoreSink{Store: want}
 	for i := range logs {
-		if want := 4 * 24 * 2; logs[i].Log.Len() != want {
-			t.Errorf("%s: fanned-out records = %d, want %d", regions[i], logs[i].Log.Len(), want)
+		if want := 4 * 24 * 2; logs[i].Len() != want {
+			t.Errorf("%s: records = %d, want %d", regions[i], logs[i].Len(), want)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			shared.Index(logs[i])
+		}(i)
+		for _, m := range records(logs[i]) {
+			oracle.Record(m)
 		}
 	}
+	wg.Wait()
+	checkIndexMatches(t, store, want)
 	// 4 servers x 2 dirs x 3 regions = 24 series.
 	if store.SeriesCount() != 24 {
 		t.Errorf("series = %d, want 24", store.SeriesCount())

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/cloud"
 )
@@ -15,7 +16,7 @@ import (
 // process would; the simulator is pure and shared.
 func newTestCampaign(t testing.TB, f *fixture, cfg Config) *campaign {
 	t.Helper()
-	c, err := New(f.sim, cloud.New(f.topo, cloud.Pricing{}), nil).newCampaign(cfg, MultiSink{})
+	c, err := New(f.sim, cloud.New(f.topo, cloud.Pricing{}), nil).newCampaign(cfg, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}

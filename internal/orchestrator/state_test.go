@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/cloud"
 	"github.com/clasp-measurement/clasp/internal/faults"
@@ -20,7 +21,7 @@ import (
 var rebuiltOnResume = map[string]string{
 	"o":          "the Orchestrator Run was called on",
 	"cfg":        "Run's argument, defaults applied",
-	"sink":       "Run's argument; the caller replays the checkpointed records into it",
+	"log":        "Run's argument; the caller opens it on the checkpointed records",
 	"total":      "Config.Days",
 	"perTierVMs": "len(Config.Servers)",
 	"inj":        "Config.Faults and Config.Seed; immutable",
@@ -86,7 +87,7 @@ func TestCheckpointCarriesCPUPeak(t *testing.T) {
 	}
 	f := setup(t)
 	cfg.Servers = f.topo.Servers()[:4]
-	if _, err := f.orch.Run(cfg, newLogSink()); !errors.Is(err, errStopped) {
+	if _, err := f.orch.Run(cfg, analysis.NewRecordLog()); !errors.Is(err, errStopped) {
 		t.Fatalf("stopped run returned %v", err)
 	}
 	if saved.Report.MaxVMCPUUtil <= 0 {
@@ -98,7 +99,7 @@ func TestCheckpointCarriesCPUPeak(t *testing.T) {
 	f = setup(t)
 	cfg.Servers = f.topo.Servers()[:4]
 	cfg.OnCheckpoint, cfg.Resume = nil, &saved
-	rep, err := f.orch.Run(cfg, newLogSink())
+	rep, err := f.orch.Run(cfg, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCheckpointCadenceFollowsWatermark(t *testing.T) {
 			Region: "us-east1", Servers: f.topo.Servers()[:2], Days: 1, Seed: 2,
 			CheckpointEvery: tc.every,
 			OnCheckpoint:    func(p Progress) error { got = append(got, p.NextHour); return nil },
-		}, newLogSink())
+		}, analysis.NewRecordLog())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestRestoreHandsStateBack(t *testing.T) {
 	}
 	c, err := f.orch.newCampaign(Config{
 		Region: "us-east1", Servers: f.topo.Servers()[:9], Days: 1, Seed: 4, Faults: prof, Resume: &want,
-	}, newLogSink())
+	}, analysis.NewRecordLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,25 +203,25 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 			prof.BackoffBase, prof.BackoffCap = time.Nanosecond, time.Nanosecond
 			// Every run gets a fresh platform, as a restarted process would;
 			// the simulator is pure and shared.
-			run := func(cfg Config, sink Sink) (*Report, error) {
+			run := func(cfg Config, log *analysis.RecordLog) (*Report, error) {
 				cfg.Region, cfg.Servers, cfg.Days, cfg.Seed = "us-east1", servers, days, 23
 				cfg.Tiers = []bgp.Tier{bgp.Premium, bgp.Standard} // 36 tests an hour on 4 VMs
 				cfg.Faults, cfg.CaptureEvery, cfg.TracerouteEvery = prof, 7, 1
-				rep, err := New(f.sim, cloud.New(f.topo, cloud.Pricing{}), nil).Run(cfg, sink)
+				rep, err := New(f.sim, cloud.New(f.topo, cloud.Pricing{}), nil).Run(cfg, log)
 				if rep != nil {
 					rep.MaxVMCPUUtil = 0 // host telemetry, not part of the contract
 				}
 				return rep, err
 			}
-			want := newLogSink()
+			want := analysis.NewRecordLog()
 			wantRep, err := run(Config{Parallelism: 1}, want)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			var sawOpen, sawHalfOpen bool
-			stopped := newLogSink() // the stopped campaign's records so far
-			var at *Progress        // and its last checkpoint; nil before hour 0
+			stopped := analysis.NewRecordLog() // the stopped campaign's records so far
+			var at *Progress                   // and its last checkpoint; nil before hour 0
 			for h := 1; h <= days*24; h++ {
 				var saved []byte
 				_, err := run(Config{Parallelism: 1 + h%4, Resume: at, OnCheckpoint: func(p Progress) (err error) {
@@ -242,9 +243,9 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 				sawOpen = sawOpen || at.Breaker.State == faults.Open && at.Breaker.OpenRounds < prof.BreakerCooldown
 				sawHalfOpen = sawHalfOpen || at.Breaker.State == faults.HalfOpen
 
-				got := newLogSink()
-				for _, m := range records(stopped.Log) { // the records the stopped runs wrote
-					got.Record(m)
+				got := analysis.NewRecordLog()
+				for _, m := range records(stopped) { // the records the stopped runs wrote
+					got.Append(m)
 				}
 				rep, err := run(Config{Parallelism: 1 + (h+2)%4, Resume: at}, got)
 				if err != nil {
@@ -253,8 +254,8 @@ func TestResumeAtEveryHourIsBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(rep, wantRep) {
 					t.Fatalf("resumed at hour %d: report\n%+v\nwant\n%+v", h, rep, wantRep)
 				}
-				if !slices.Equal(records(got.Log), records(want.Log)) {
-					t.Fatalf("resumed at hour %d: %d records differ from the uninterrupted run's %d", h, got.Log.Len(), want.Log.Len())
+				if !slices.Equal(records(got), records(want)) {
+					t.Fatalf("resumed at hour %d: %d records differ from the uninterrupted run's %d", h, got.Len(), want.Len())
 				}
 			}
 			switch name {

@@ -286,6 +286,56 @@ func (sr *series) insertRow(at int64, cols []int, vals []float64, threshold int)
 	}
 }
 
+// insertRows is insertRow of each row i in turn, where row i carries
+// vals[j][i] for column cols[j]. Each maximal run of rows at or after the
+// series' last point is appended a column at a time, split where insertRow
+// would seal: when an append leaves the tail at threshold or past it — the
+// first append already, for a tail a reopen left that long. Every other
+// row goes through insertRow. Callers hold the owning shard's write lock.
+func (sr *series) insertRows(times []int64, cols []int, vals [][]float64, threshold int) {
+	for i := 0; i < len(times); {
+		last, ok := sr.lastNs()
+		j := i
+		for j < len(times) && (!ok || times[j] >= last) {
+			last, ok = times[j], true
+			j++
+		}
+		if j == i {
+			var rowBuf [8]float64
+			row := rowBuf[:0]
+			for _, col := range vals {
+				row = append(row, col[i])
+			}
+			sr.insertRow(times[i], cols, row, threshold)
+			i++
+			continue
+		}
+		for i < j {
+			k := j
+			if threshold > 0 {
+				k = min(j, i+max(threshold-sr.tail.len(), 1))
+			}
+			sr.tail.appendRows(times[i:k], cols, vals, i)
+			if threshold > 0 && sr.tail.len() >= threshold {
+				sr.seal()
+			}
+			i = k
+		}
+	}
+}
+
+// lastNs returns the time of the series' last point: the tail's last, or
+// with an empty tail the last block's end; ok is false for an empty series.
+func (sr *series) lastNs() (ns int64, ok bool) {
+	if n := sr.tail.len(); n > 0 {
+		return sr.tail.times[n-1], true
+	}
+	if n := len(sr.blocks); n > 0 {
+		return sr.blocks[n-1].maxNs, true
+	}
+	return 0, false
+}
+
 // insertFields translates a map-form point onto insertRow, interning field
 // names the series has not seen.
 func (sr *series) insertFields(at int64, fields map[string]float64, threshold int) {

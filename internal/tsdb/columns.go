@@ -104,6 +104,29 @@ func (c *columns) insert(at int64, cols []int, vals []float64) (appended bool) {
 	return idx == n
 }
 
+// appendRows appends len(times) points at the end, point i carrying
+// vals[j][from+i] for column cols[j] (distinct indices from col): insert's
+// append, a column at a time. times must not precede the last point.
+func (c *columns) appendRows(times []int64, cols []int, vals [][]float64, from int) {
+	n := len(times)
+	if len(cols) != len(c.fields) {
+		filled := make([]bool, len(c.fields))
+		for _, k := range cols {
+			filled[k] = true
+		}
+		c.padAbsent(n, filled)
+	}
+	for j, k := range cols {
+		c.vals[k] = append(c.vals[k], vals[j][from:from+n]...)
+		if c.present[k] != nil {
+			for range n {
+				c.present[k] = append(c.present[k], true)
+			}
+		}
+	}
+	c.times = append(c.times, times...)
+}
+
 // padAbsent extends every column not marked in filled by n points that
 // lack its field. The caller appends the same n points to times and to the
 // filled columns.

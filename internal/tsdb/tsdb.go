@@ -47,23 +47,6 @@ func lockShard(sh *shard) {
 // direction, ...). Values must not contain spaces or commas.
 type Tags map[string]string
 
-// canonical renders tags in sorted key=value form.
-func (t Tags) canonical() string {
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteByte(',')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(t[k])
-	}
-	return b.String()
-}
-
 // Point is one timestamped observation with float fields.
 type Point struct {
 	Time   time.Time
@@ -169,8 +152,26 @@ func (s *Store) DropBefore(cutoff time.Time) int {
 	return dropped
 }
 
+// seriesKey renders a series' identity: the measurement, then its tags in
+// sorted ,key=value form, built in one allocation.
 func seriesKey(measurement string, tags Tags) string {
-	return measurement + tags.canonical()
+	var keyBuf [8]string
+	keys, n := keyBuf[:0], len(measurement)
+	for k, v := range tags {
+		keys = append(keys, k)
+		n += len(k) + len(v) + 2
+	}
+	slices.Sort(keys)
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(measurement)
+	for _, k := range keys {
+		b.WriteByte(',')
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(tags[k])
+	}
+	return b.String()
 }
 
 // shardFor hashes a series key (FNV-1a) onto its shard.
@@ -291,6 +292,10 @@ func (s *Store) Bind(tags Tags, fields ...string) *BoundHandle {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b := &BoundHandle{st: s, sh: sh, sr: sh.intern(key, measurement, tags), cols: make([]int, len(fields))}
+	if t := &b.sr.tail; t.fields == nil {
+		// A new series: its columns are the bound fields.
+		t.fields, t.vals, t.present = make([]string, 0, len(fields)), make([][]float64, 0, len(fields)), make([][]bool, 0, len(fields))
+	}
 	for i, name := range fields {
 		b.cols[i] = b.sr.tail.col(name)
 	}
@@ -304,6 +309,19 @@ func (b *BoundHandle) Insert(at time.Time, vals ...float64) {
 	b.sr.insertRow(at.UnixNano(), b.cols, vals, b.st.sealThreshold)
 	b.sh.mu.Unlock()
 	obsShardInserts[b.sh.id].Inc()
+}
+
+// InsertRows adds len(times) points, point i carrying vals[j][i] for the
+// j-th bound field: one column per bound field, each as long as times. The
+// store ends exactly as Insert of each point in turn would leave it —
+// blocks, tail and seal boundaries alike — but an in-order run is appended
+// a column at a time under one lock; only a point older than the series'
+// last takes Insert's path.
+func (b *BoundHandle) InsertRows(times []int64, vals ...[]float64) {
+	lockShard(b.sh)
+	b.sr.insertRows(times, b.cols, vals, b.st.sealThreshold)
+	b.sh.mu.Unlock()
+	obsShardInserts[b.sh.id].Add(uint64(len(times)))
 }
 
 // SeriesCount returns the number of distinct series.

@@ -122,11 +122,13 @@ var reachAllowed = map[string]string{
 	"internal/analysis.RecordLog.CompressedBytes":           reachBench,
 	"internal/congestion.SweepDaysPartitioned(minSamples)":  reachBench,
 	"internal/congestion.SweepHoursPartitioned(minSamples)": reachBench,
-	// The checkpoint and store probes.
-	"internal/checkpoint.Checkpoint.Replay": reachBench,
-	"internal/tsdb.Store.BlockStats":        reachBench,
-	"internal/tsdb.Store.SeriesCount":       reachBench,
-	"internal/tsdb.Store.DropBefore#0":      reachBench,
+	// The checkpoint and store probes; the engine indexes a campaign's log
+	// in bulk (StoreSink.Index), the tsdb probe one record at a time.
+	"internal/checkpoint.Checkpoint.Replay":  reachBench,
+	"internal/orchestrator.StoreSink.Record": reachBench,
+	"internal/tsdb.Store.BlockStats":         reachBench,
+	"internal/tsdb.Store.SeriesCount":        reachBench,
+	"internal/tsdb.Store.DropBefore#0":       reachBench,
 	// The workloads' selection, topology, figure and someta calls.
 	"internal/core.CLASP.SelectDifferentialServers#1": reachBench,
 	"internal/core.CLASP.Fig8(tier)":                  reachBench,
@@ -148,6 +150,7 @@ var reachStdIfaces = [][2]string{
 	{"", "error"}, {"fmt", "Stringer"},
 	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
 	{"sort", "Interface"}, {"flag", "Value"},
+	{"math/rand", "Source"}, {"math/rand", "Source64"},
 	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
 	{"net", "Conn"}, {"net", "Listener"},
 	{"net/http", "Handler"}, {"net/http", "ResponseWriter"}, {"net/http", "Hijacker"}, {"net/http", "Flusher"},
