@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore' ./internal/analysis/ ./internal/bdrmap/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore' ./internal/analysis/ ./internal/bdrmap/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -81,9 +81,10 @@ BENCH_RECORDS = hotpath obs faults analysis tsdb
 # sharded TSDB ingest through the map API, the index one record at a time
 # through StoreSink.Record and in bulk from a finished campaign log through
 # StoreSink.Index, one paper-scale topology selection (warm, and cold: a fresh
-# router and simulator per iteration) and one paper-scale preliminary scan on
-# one worker — joined with the pre-overhaul baselines.
-hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale
+# router and simulator per iteration) and the paper-scale preliminary scan on
+# one worker, of one region and of the three differential regions in one call
+# — joined with the pre-overhaul baselines.
+hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale|BenchmarkPreliminaryScanDifferentialRegions
 hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/ ./internal/speedchecker/
 hotpath_JSON = -baseline BENCH_baseline.txt
 
@@ -137,7 +138,7 @@ bench-all:
 bench-smoke:
 	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex' -benchtime=100x \
 		./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/
-	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale' -benchtime=1x ./internal/selection/ ./internal/speedchecker/
+	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale|BenchmarkPreliminaryScanDifferentialRegions' -benchtime=1x ./internal/selection/ ./internal/speedchecker/
 
 # bench-build vets and tests the repository benchmark (bench/, the command
 # BENCHMARK.json names). It is a module of its own that imports

@@ -123,6 +123,37 @@ func TestCampaignViewsOneLogPass(t *testing.T) {
 	}
 }
 
+// TestFig5OneLogPass: Fig. 5's three metrics come from one pass over the
+// differential campaign's log — download and latency ride on the same
+// download tests — so a render scans each record once, not once per metric.
+func TestFig5OneLogPass(t *testing.T) {
+	eng := newPlatform(t).Engine()
+	plan, err := eng.PlanDifferentialCampaign("europe-west1", 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunPlanned(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, _, err := eng.SelectDifferentialServers("europe-west1", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	scanned := obs.Default().Counter("analysis_records_scanned_total")
+	scanned0 := scanned.Value()
+	s, err := core.Fig5(res, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.WriteFig5(&bytes.Buffer{}, s)
+	if got, want := scanned.Value()-scanned0, uint64(res.NumRecords()); got != want {
+		t.Errorf("Fig. 5 scanned %d records of a %d-record log, want each once", got, want)
+	}
+}
+
 func TestDifferentialCampaignAndTierComparison(t *testing.T) {
 	p := newPlatform(t)
 	plan, err := p.Engine().PlanDifferentialCampaign("europe-west1", 7, 6)

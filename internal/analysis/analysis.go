@@ -491,40 +491,73 @@ type TierDelta struct {
 // metric names and keeps one value per (tier, server, hour) — the last one
 // delivered — never the input stream.
 func TierDeltasCursor(c Cursor, region string, metric Metric) []TierDelta {
-	type key struct {
-		server int
-		hour   int64
+	return tierDeltas(c, region, metric)[metric]
+}
+
+// TierDeltasEach is TierDeltasCursor for all three metrics in one pass over
+// c, indexed by Metric: download and latency deltas ride on the same
+// download tests, upload deltas on the upload tests.
+func TierDeltasEach(c Cursor, region string) [3][]TierDelta {
+	return tierDeltas(c, region, MetricDownload, MetricUpload, MetricLatency)
+}
+
+// tierKey is one (server, hour) of a tier comparison.
+type tierKey struct {
+	server int
+	hour   int64
+}
+
+// tierDeltas computes the deltas of the given metrics in one scan; the
+// slots of metrics not asked for stay nil.
+func tierDeltas(c Cursor, region string, metrics ...Metric) (out [3][]TierDelta) {
+	var prem, std [3]map[tierKey]float64 // nil for metrics not asked for
+	need := ColTime | ColServer | ColRegion | ColTierDir
+	for _, m := range metrics {
+		prem[m], std[m] = make(map[tierKey]float64), make(map[tierKey]float64)
+		// Latency deltas ride on download tests (each test reports RTT).
+		if m == MetricLatency {
+			need |= ColRTT
+		} else {
+			need |= ColMbps
+		}
 	}
-	// Latency deltas ride on download tests (each test reports RTT).
-	wantDir, need := netsim.Download, ColTime|ColServer|ColRegion|ColTierDir
-	if metric == MetricUpload {
-		wantDir = netsim.Upload
+	put := func(m Metric, tier bgp.Tier, k tierKey, v float64) {
+		if tier == bgp.Premium {
+			prem[m][k] = v
+		} else {
+			std[m][k] = v
+		}
 	}
-	if metric == MetricLatency {
-		need |= ColRTT
-	} else {
-		need |= ColMbps
-	}
-	prem := make(map[key]float64)
-	std := make(map[key]float64)
 	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
 		code := int32(slices.Index(b.RegionNames, region))
-		vals := b.Mbps
-		if metric == MetricLatency {
-			vals = b.RTTms
-		}
 		for i, r := range b.Regions {
-			if r != code || b.Dirs[i] != wantDir {
+			if r != code {
 				continue
 			}
-			k := key{b.Servers[i], b.Times[i] / int64(time.Hour)}
-			if b.Tiers[i] == bgp.Premium {
-				prem[k] = vals[i]
-			} else {
-				std[k] = vals[i]
+			k := tierKey{b.Servers[i], b.Times[i] / int64(time.Hour)}
+			if b.Dirs[i] == netsim.Upload {
+				if prem[MetricUpload] != nil {
+					put(MetricUpload, b.Tiers[i], k, b.Mbps[i])
+				}
+				continue
+			}
+			if prem[MetricDownload] != nil {
+				put(MetricDownload, b.Tiers[i], k, b.Mbps[i])
+			}
+			if prem[MetricLatency] != nil {
+				put(MetricLatency, b.Tiers[i], k, b.RTTms[i])
 			}
 		}
 	}
+	for _, m := range metrics {
+		out[m] = pairTiers(prem[m], std[m], m)
+	}
+	return out
+}
+
+// pairTiers turns one metric's per-tier values into deltas, sorted by time
+// and then server.
+func pairTiers(prem, std map[tierKey]float64, metric Metric) []TierDelta {
 	var out []TierDelta
 	for k, pv := range prem {
 		sv, ok := std[k]

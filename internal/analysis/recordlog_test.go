@@ -440,15 +440,46 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 	if got, want := PerfPointsCursor(l.Cursor()), PerfPointsCursor(NewSliceCursor(ms)); !reflect.DeepEqual(got, want) {
 		t.Fatal("PerfPointsCursor differs from slice kernel")
 	}
+	each := TierDeltasEach(l.Cursor(), "us-west1")
 	for _, metric := range []Metric{MetricDownload, MetricUpload, MetricLatency} {
-		if got, want := TierDeltasCursor(l.Cursor(), "us-west1", metric),
-			TierDeltasCursor(NewSliceCursor(ms), "us-west1", metric); !reflect.DeepEqual(got, want) {
+		want := TierDeltasCursor(NewSliceCursor(ms), "us-west1", metric)
+		if got := TierDeltasCursor(l.Cursor(), "us-west1", metric); !reflect.DeepEqual(got, want) {
 			t.Fatalf("TierDeltasCursor(%v) differs from slice kernel", metric)
+		}
+		if !reflect.DeepEqual(each[metric], want) {
+			t.Fatalf("TierDeltasEach[%v] differs from the one-metric kernel", metric)
 		}
 	}
 	if got, want := PremiumLossTargetsCursor(l.Cursor(), "us-east1"),
 		PremiumLossTargetsCursor(NewSliceCursor(ms), "us-east1"); !reflect.DeepEqual(got, want) {
 		t.Fatal("PremiumLossTargetsCursor differs from slice kernel")
+	}
+}
+
+// TestTierDeltasEachMatchesOneMetric: Fig. 5's one pass must build each
+// metric's deltas exactly as a scan for that metric alone does, over a log
+// of several blocks where both tiers of a server meet in an hour, in both
+// directions and in several regions, and where a (tier, server, hour)
+// repeats, so the last record delivered wins in each metric.
+func TestTierDeltasEachMatchesOneMetric(t *testing.T) {
+	ms := campaignRecords(3*logBlockSize + 77)
+	for i := range ms {
+		ms[i].ServerID = (i / 8) % 40
+		ms[i].Tier = bgp.Tier((i / 4) % 2)
+	}
+	l := newLog(t, ms)
+	for _, region := range []string{"us-west1", "europe-west1", "nowhere"} {
+		each := TierDeltasEach(l.Cursor(), region)
+		for _, metric := range []Metric{MetricDownload, MetricUpload, MetricLatency} {
+			want := TierDeltasCursor(NewSliceCursor(ms), region, metric)
+			if (region == "nowhere") != (len(want) == 0) {
+				t.Fatalf("%s %v: %d deltas", region, metric, len(want))
+			}
+			if !reflect.DeepEqual(each[metric], want) {
+				t.Fatalf("%s: TierDeltasEach[%v] has %d deltas, the one-metric kernel %d, or they differ",
+					region, metric, len(each[metric]), len(want))
+			}
+		}
 	}
 }
 

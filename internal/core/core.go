@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 	"unsafe"
@@ -114,9 +116,10 @@ type CLASP struct {
 	// bdrmap mapper and the alias prober hold no mutable state beyond
 	// concurrency-safe caches) and concurrent callers of one key share a
 	// single computation.
-	selMu    sync.Mutex
-	topoSels map[string]*topoSelMemo
-	diffSels map[diffSelKey]*diffSelMemo
+	selMu     sync.Mutex
+	topoSels  map[string]*topoSelMemo
+	diffSels  map[diffSelKey]*diffSelMemo
+	diffScans map[int]*diffScanMemo // by minSamples
 
 	// sched, when non-nil, is the command scheduler coordinating this
 	// engine's campaigns; runCampaign reports round completions to it.
@@ -147,6 +150,12 @@ type diffSelMemo struct {
 	sel    []selection.DiffSelected
 	deltas []speedchecker.TierDelta
 	err    error
+}
+
+// diffScanMemo is one preliminary scan of every DifferentialRegions region.
+type diffScanMemo struct {
+	once sync.Once
+	aggs []speedchecker.Aggregate
 }
 
 // New builds a CLASP instance.
@@ -199,6 +208,7 @@ func New(opts Options) (*CLASP, error) {
 		views:       &viewAllowance{limit: opts.halfBudget()},
 		topoSels:    make(map[string]*topoSelMemo),
 		diffSels:    make(map[diffSelKey]*diffSelMemo),
+		diffScans:   make(map[int]*diffScanMemo),
 		regionLocks: make(map[string]*sync.Mutex),
 	}, nil
 }
@@ -246,7 +256,12 @@ func (c *CLASP) SelectTopologyServers(region string) (*selection.TopoResult, err
 // differential-based method for one region. minSamples scales with the
 // topology (the paper's >= 100 rule assumes Speedchecker-scale VP counts).
 // Like the topology method, results are memoized in a once-cell per
-// (region, minSamples).
+// (region, minSamples). The scan is memoized too: the first call for any
+// region of DifferentialRegions scans all of them at once, as one platform
+// sends one probe schedule to every target, and each later call takes its
+// region's aggregates from that scan. A region's aggregates do not depend
+// on which regions share its scan, so the selection is the one a scan of
+// the region alone gives. Any other region scans alone.
 func (c *CLASP) SelectDifferentialServers(region string, minSamples int) ([]selection.DiffSelected, []speedchecker.TierDelta, error) {
 	if minSamples <= 0 {
 		minSamples = 100
@@ -260,24 +275,50 @@ func (c *CLASP) SelectDifferentialServers(region string, minSamples int) ([]sele
 	}
 	c.selMu.Unlock()
 	m.once.Do(func() {
-		m.sel, m.deltas, m.err = c.selectDifferentialServers(region, minSamples)
+		m.sel, m.deltas, m.err = selectFromScan(c.Topo, region, minSamples, c.preliminary(region, minSamples))
 	})
 	return m.sel, m.deltas, m.err
 }
 
-func (c *CLASP) selectDifferentialServers(region string, minSamples int) ([]selection.DiffSelected, []speedchecker.TierDelta, error) {
-	aggs := c.Checker.RunPreliminary(speedchecker.Params{
-		Regions:     []string{region},
+// preliminary returns region's preliminary-scan aggregates, sorted by key.
+func (c *CLASP) preliminary(region string, minSamples int) []speedchecker.Aggregate {
+	if !slices.Contains(DifferentialRegions, region) {
+		return c.Checker.RunPreliminary(c.scanParams([]string{region}, minSamples))
+	}
+	c.selMu.Lock()
+	m, ok := c.diffScans[minSamples]
+	if !ok {
+		m = &diffScanMemo{}
+		c.diffScans[minSamples] = m
+	}
+	c.selMu.Unlock()
+	m.once.Do(func() {
+		m.aggs = c.Checker.RunPreliminary(c.scanParams(DifferentialRegions, minSamples))
+	})
+	// The aggregates sort by region first.
+	lo := sort.Search(len(m.aggs), func(i int) bool { return m.aggs[i].Key.Region >= region })
+	hi := sort.Search(len(m.aggs), func(i int) bool { return m.aggs[i].Key.Region > region })
+	return m.aggs[lo:hi]
+}
+
+func (c *CLASP) scanParams(regions []string, minSamples int) speedchecker.Params {
+	return speedchecker.Params{
+		Regions:     regions,
 		MinSamples:  minSamples,
 		Start:       CampaignStart.Add(-30 * 24 * time.Hour),
 		Parallelism: c.Opts.Parallelism,
-	})
+	}
+}
+
+// selectFromScan is the differential-based method over one region's
+// preliminary-scan aggregates.
+func selectFromScan(topo *topology.Topology, region string, minSamples int, aggs []speedchecker.Aggregate) ([]selection.DiffSelected, []speedchecker.TierDelta, error) {
 	deltas := speedchecker.Deltas(aggs)
 	target := 15
 	if region == "europe-west1" {
 		target = 17
 	}
-	sel, err := selection.DifferentialBased(c.Topo, deltas, selection.DiffParams{
+	sel, err := selection.DifferentialBased(topo, deltas, selection.DiffParams{
 		Region:     region,
 		Target:     target,
 		MinSamples: minSamples,

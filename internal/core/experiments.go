@@ -297,8 +297,9 @@ func Fig5(result *CampaignResult, selected []selection.DiffSelected) (*Fig5Summa
 		classOf[s.Server.ID] = s.Class
 	}
 	out := &Fig5Summary{Region: result.Region}
+	each := analysis.TierDeltasEach(result.Cursor(), result.Region)
 	for _, metric := range []analysis.Metric{analysis.MetricDownload, analysis.MetricUpload, analysis.MetricLatency} {
-		deltas := analysis.TierDeltasCursor(result.Cursor(), result.Region, metric)
+		deltas := each[metric]
 		if metric == analysis.MetricDownload {
 			out.StdHigherDownload = analysis.FractionStandardHigher(deltas)
 			out.Within50 = analysis.FractionWithin(deltas)

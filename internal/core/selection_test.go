@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -87,6 +88,64 @@ func TestConcurrentSelectionsMatchSequential(t *testing.T) {
 			for i, ref := range refs {
 				if again := selectRef(t, concurrent, ref); again.topo != got[i].topo {
 					t.Errorf("%+v: the memo returned a second TopoResult", ref)
+				}
+			}
+		})
+	}
+}
+
+// TestDifferentialSelectionMatchesOneRegionScan pins the shared preliminary
+// scan: the first differential selection scans every DifferentialRegions
+// region at once and each region takes its aggregates from that one scan,
+// so every region's selection and deltas must equal what a scan of the
+// region alone gives — at two MinSamples values, each with a scan of its
+// own, on engines at parallelism 1, 2 and 4. A region outside the list
+// scans alone and must leave the shared scans as they were.
+func TestDifferentialSelectionMatchesOneRegionScan(t *testing.T) {
+	regions := append(slices.Clone(DifferentialRegions), "us-west1")
+	minSamples := []int{6, 30}
+	ref := newCLASP(t)
+	want := map[diffSelKey]selectionOutcome{}
+	for _, ms := range minSamples {
+		for _, region := range regions {
+			aggs := ref.Checker.RunPreliminary(ref.scanParams([]string{region}, ms))
+			var out selectionOutcome
+			var err error
+			if out.diff, out.deltas, err = selectFromScan(ref.Topo, region, ms, aggs); err != nil {
+				t.Fatalf("%s min %d: %v", region, ms, err)
+			}
+			if len(out.diff) == 0 {
+				t.Fatalf("%s min %d: the one-region scan selects nothing", region, ms)
+			}
+			want[diffSelKey{region, ms}] = out
+		}
+	}
+	if reflect.DeepEqual(want[diffSelKey{"europe-west1", 6}].deltas, want[diffSelKey{"europe-west1", 30}].deltas) {
+		t.Fatal("both MinSamples values give the same deltas: the second value is not exercised")
+	}
+
+	for _, par := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("parallelism%d", par), func(t *testing.T) {
+			c, err := New(Options{Seed: 3, Scale: 0.1, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ms := range minSamples {
+				for _, region := range regions {
+					got := selectRef(t, c, CampaignRef{Kind: "differential", Region: region, MinSamples: ms})
+					if !reflect.DeepEqual(got, want[diffSelKey{region, ms}]) {
+						t.Errorf("%s min %d: the selection differs from a one-region scan's", region, ms)
+					}
+				}
+			}
+			if len(c.diffScans) != len(minSamples) {
+				t.Errorf("%d shared scans, want one per MinSamples value (%d)", len(c.diffScans), len(minSamples))
+			}
+			for ms, m := range c.diffScans {
+				for _, a := range m.aggs {
+					if !slices.Contains(DifferentialRegions, a.Key.Region) {
+						t.Fatalf("the shared scan for min %d holds %s", ms, a.Key.Region)
+					}
 				}
 			}
 		})

@@ -26,9 +26,17 @@ type clock struct {
 	hm   float64 // fractional hour of day
 }
 
+// clockOf reads the UTC clock off t's Unix seconds, with the seconds of
+// the day floored as time.Time.Clock floors them; every caller passes a UTC
+// time, so the two agree (TestClockOfMatchesTimeClock).
 func clockOf(t time.Time) clock {
-	h, m, _ := t.Clock()
-	return clock{day: dayOf(t), hour: uint64(h), hm: float64(h) + float64(m)/60}
+	u := t.Unix()
+	sec := u % 86400
+	if sec < 0 {
+		sec += 86400
+	}
+	h, m := sec/3600, sec%3600/60
+	return clock{day: uint64(u / 86400), hour: uint64(h), hm: float64(h) + float64(m)/60}
 }
 
 // local converts the clock's (UTC) hour of day to fractional local hour for
@@ -73,41 +81,71 @@ type dipDay struct {
 	sigma float64 // window width in hours
 }
 
-// dayDraws draws an entity's dip for one day from prefix, the FNV prefix
-// folded through (seed, entity, day): each of the day's draws is one more
-// key off it. regionFactor scales the daily congestion probability (regions
-// differ, Fig. 2). The flow cache remembers the result per (flow, day);
-// every other caller draws it per call.
-func (s *Sim) dayDraws(profile topology.CongestionProfile, prefix uint64, regionFactor float64) dipDay {
-	// Does this entity realise a congestion event today?
-	dayProb := s.cfg.CongestionDayProbBase
-	if profile.Prone {
-		dayProb = s.cfg.CongestionDayProbProne
-	}
-	dayProb *= regionFactor
-	congestedToday := uniformFrom(fnvMix(prefix, 0xd1)) < dayProb
+// dayDraw is the region-free half of an entity's day: every draw keyed by
+// (seed, entity, day) and the profile. Only whether the day's event
+// realises depends on the region, whose factor scales the event
+// probability (regions differ, Fig. 2), so one dayDraw serves every region
+// that probes the entity that day (depth).
+type dayDraw struct {
+	prefix    uint64  // the FNV prefix, for the event depth's draw
+	u         float64 // the event draw
+	dayProb   float64 // the profile's event probability before the region's factor
+	peak      float64 // realised peak, local hour
+	sigma     float64 // window width in hours
+	offDepth  float64 // the depth on a day without an event
+	peakDepth float64 // the profile's depth at a realised event
+}
 
+// drawDay draws an entity's day into d from prefix, the FNV prefix folded
+// through (seed, entity, day): each of the day's draws is one more key off
+// it.
+func (s *Sim) drawDay(d *dayDraw, profile *topology.CongestionProfile, prefix uint64) {
+	d.prefix = prefix
+	d.u = uniformFrom(fnvMix(prefix, 0xd1))
+	d.dayProb = s.cfg.CongestionDayProbBase
+	if profile.Prone {
+		d.dayProb = s.cfg.CongestionDayProbProne
+	}
 	// The realised peak drifts several hours day to day, so a server's
 	// hour-of-day congestion probability stays moderate (Fig. 6 shows
 	// probabilities mostly below 0.1-0.2 even for the worst servers).
-	d := dipDay{
-		peak:  float64(profile.PeakHourLocal) + rangeFrom(fnvMix(prefix, 0xd2), -5, 5),
-		depth: profile.PeakDepth * s.cfg.OffDayDepthFactor,
-		sigma: s.cfg.EveningSigmaHours,
-	}
+	d.peak = float64(profile.PeakHourLocal) + rangeFrom(fnvMix(prefix, 0xd2), -5, 5)
+	d.sigma = s.cfg.EveningSigmaHours
 	if profile.Daytime {
 		d.sigma = s.cfg.DaytimeSigmaHours
 	}
-	if congestedToday {
-		d.depth = profile.PeakDepth * rangeFrom(fnvMix(prefix, 0xd3), 0.85, 1.1)
+	d.offDepth = profile.PeakDepth * s.cfg.OffDayDepthFactor
+	d.peakDepth = profile.PeakDepth
+}
+
+// depth is the day's dip depth as a region with the given congestion
+// factor sees it: does the entity realise a congestion event today, and if
+// so how deep is it.
+func (d *dayDraw) depth(regionFactor float64) float64 {
+	if d.u < d.dayProb*regionFactor {
+		return d.peakDepth * rangeFrom(fnvMix(d.prefix, 0xd3), 0.85, 1.1)
 	}
-	return d
+	return d.offDepth
+}
+
+// dayDraws is an entity's dip for one day as one region sees it. The flow
+// cache remembers the result per (flow, day); every other caller draws it
+// per call.
+func (s *Sim) dayDraws(profile *topology.CongestionProfile, prefix uint64, regionFactor float64) dipDay {
+	var d dayDraw
+	s.drawDay(&d, profile, prefix)
+	return dipDay{peak: d.peak, depth: d.depth(regionFactor), sigma: d.sigma}
 }
 
 // dipFrom is the dip at a local hour of the day d was drawn for: the one
-// body behind every congestion dip, with fresh or remembered day draws.
+// body behind every congestion dip, with fresh or remembered day draws. A
+// Pinger takes it apart, computing the shape once for every region.
 func dipFrom(d dipDay, localHour float64) float64 {
-	dip := d.depth * dipShape(localHour, d.peak, d.sigma)
+	return clampDip(d.depth * dipShape(localHour, d.peak, d.sigma))
+}
+
+// clampDip bounds a dip to what a link can lose: nothing to 97 %.
+func clampDip(dip float64) float64 {
 	if dip < 0 {
 		dip = 0
 	}
@@ -122,7 +160,7 @@ func dipFrom(d dipDay, localHour float64) float64 {
 // city with the given UTC offset.
 func (s *Sim) congestionDip(profile topology.CongestionProfile, entityKey uint64, utcOffset int, t time.Time, regionFactor float64) float64 {
 	c := clockOf(t)
-	return dipFrom(s.dayDraws(profile, fnvFold(s.cfg.Seed, entityKey, c.day), regionFactor), c.local(utcOffset))
+	return dipFrom(s.dayDraws(&profile, fnvFold(s.cfg.Seed, entityKey, c.day), regionFactor), c.local(utcOffset))
 }
 
 // congestionLoss returns the extra packet loss induced by a realised dip.

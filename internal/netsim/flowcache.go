@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/topology"
@@ -45,52 +44,59 @@ type flowKeyT struct {
 // interconnect, tier): everything but the hour's congestion dip and jitter.
 // Immutable once built.
 type rttModel struct {
+	regionRTT
+	endpoint
+}
+
+// regionRTT is the region's share of an rttModel.
+type regionRTT struct {
 	baseRTT      float64 // static partial sum, accumulated in pathRTT's order
-	hasDip       bool    // endpoint city and AS resolved
-	endCong      topology.CongestionProfile
-	endUTC       int
-	regionFactor float64
+	regionFactor float64 // scales the endpoint's daily event probability
+}
+
+// endpoint is the region-free share of an rttModel: the endpoint's
+// congestion profile and UTC offset, which place its queueing dip.
+type endpoint struct {
+	hasDip  bool // endpoint city and AS resolved
+	endCong topology.CongestionProfile
+	endUTC  int
 }
 
 // newRTTModel resolves the static inputs of pathRTT for one routed path.
 func (s *Sim) newRTTModel(region string, endASN ASN, endCity string, choice bgp.EgressChoice, tier bgp.Tier) rttModel {
-	m := rttModel{
+	return rttModel{s.newRegionRTT(region, endASN, endCity, choice, tier), s.endpointOf(endASN, endCity)}
+}
+
+func (s *Sim) newRegionRTT(region string, endASN ASN, endCity string, choice bgp.EgressChoice, tier bgp.Tier) regionRTT {
+	r := regionRTT{
 		baseRTT:      s.staticRTT(region, endASN, endCity, choice, tier),
 		regionFactor: s.cfg.RegionCongestionFactor[region],
 	}
-	if m.regionFactor == 0 {
-		m.regionFactor = 1
+	if r.regionFactor == 0 {
+		r.regionFactor = 1
 	}
+	return r
+}
+
+func (s *Sim) endpointOf(endASN ASN, endCity string) endpoint {
 	if city, ok := s.topo.CityOf(endCity); ok {
 		if endAS := s.topo.AS(endASN); endAS != nil {
-			m.hasDip = true
-			m.endCong = endAS.Congestion
-			m.endUTC = city.UTCOffset
+			return endpoint{hasDip: true, endCong: endAS.Congestion, endUTC: city.UTCOffset}
 		}
 	}
-	return m
+	return endpoint{}
 }
 
 // rtt is the time-varying half of pathRTT given the hour's two draws: the
 // endpoint's congestion dip (0 for a model without one, which adds nothing)
-// and the jitter normal.
-func (m *rttModel) rtt(s *Sim, dip, jitter float64) float64 {
-	rtt := m.baseRTT + dip*s.cfg.QueueDelayMaxMs
-	rtt *= clamp(1+0.03*jitter, 0.9, 1.15)
-	return rtt
+// and the jitter factor.
+func (r *regionRTT) rtt(s *Sim, dip, jitter float64) float64 {
+	return (r.baseRTT + dip*s.cfg.QueueDelayMaxMs) * jitter
 }
 
-// at is the cached counterpart of pathRTT for a probe keyed by its own
-// salt: nothing about the salt's day is remembered, so both draws are fresh.
-// They share one prefix, folded through (seed, salt, day) once.
-func (m *rttModel) at(s *Sim, flowKey uint64, t time.Time) float64 {
-	c := clockOf(t)
-	prefix := fnvFold(s.cfg.Seed, flowKey, c.day)
-	dip := 0.0
-	if m.hasDip {
-		dip = dipFrom(s.dayDraws(m.endCong, prefix, m.regionFactor), c.local(m.endUTC))
-	}
-	return m.rtt(s, dip, normFrom(fnvMix(fnvMix(prefix, c.hour), 0xc1)))
+// jitterFactor scales an RTT by the hour's jitter normal.
+func jitterFactor(n float64) float64 {
+	return clamp(1+0.03*n, 0.9, 1.15)
 }
 
 // flowEntry is the static model inputs of one flow's resolved routing
@@ -149,18 +155,18 @@ func (fe *flowEntry) dayFor(s *Sim, day uint64) *flowDay {
 		noise:  fnvFold(s.cfg.Seed, fe.regionHash, fe.flowKey, day),
 	}
 	if fe.hasDip {
-		d.endDip = s.dayDraws(fe.endCong, d.jitter, fe.regionFactor)
+		d.endDip = s.dayDraws(&fe.endCong, d.jitter, fe.regionFactor)
 	}
 	if fe.dir == Download {
 		link := fnvFold(s.cfg.Seed, fe.linkKey, day)
-		d.srvDip = s.dayDraws(fe.srvCong, fnvFold(s.cfg.Seed, fe.srvKey, day), fe.regionFactor)
-		d.linkDip = s.dayDraws(fe.nbCong, link, fe.regionFactor)
+		d.srvDip = s.dayDraws(&fe.srvCong, fnvFold(s.cfg.Seed, fe.srvKey, day), fe.regionFactor)
+		d.linkDip = s.dayDraws(&fe.nbCong, link, fe.regionFactor)
 		if fe.lossyPremium {
 			d.lossyFactor = rangeFrom(fnvMix(link, 0xb3), 0.8, 1.2)
 		}
 	} else {
 		// Mild downstream (cloud -> edge) evening load.
-		d.linkDip = s.dayDraws(fe.nbCong, fnvFold(s.cfg.Seed, fe.linkKey^0x5555, day), fe.regionFactor*0.3)
+		d.linkDip = s.dayDraws(&fe.nbCong, fnvFold(s.cfg.Seed, fe.linkKey^0x5555, day), fe.regionFactor*0.3)
 	}
 	fe.day.Store(d)
 	return d

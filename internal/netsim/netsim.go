@@ -20,6 +20,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -316,7 +317,7 @@ func (s *Sim) measure(fe *flowEntry, spec *TestSpec) TestResult {
 	if fe.hasDip {
 		endDip = dipFrom(d.endDip, c.local(fe.endUTC))
 	}
-	rtt := fe.rtt(s, endDip, normFrom(fnvMix(fnvMix(d.jitter, c.hour), 0xc1)))
+	rtt := fe.rtt(s, endDip, jitterFactor(normFrom(fnvMix(fnvMix(d.jitter, c.hour), 0xc1))))
 	avail, loss := fe.bandwidth(s, d, c, spec)
 
 	tput := tcpmodel.Throughput(tcpmodel.FlowParams{
@@ -542,28 +543,76 @@ func (s *Sim) PingRTT(region string, endASN ASN, endCity string, tier bgp.Tier, 
 	return s.pathRTT(region, endASN, endCity, choice, tier, t, flowSalt), nil
 }
 
-// Pinger is PingRTT toward one endpoint with the route lookup and the
-// static RTT resolved once: a scan that probes the same (region, endpoint,
-// tier) many times pays for the ingress decision and the path geometry on
-// the first probe only. RTT performs PingRTT's per-probe arithmetic in
-// PingRTT's order, so the two agree bit for bit.
+// Pinger is PingRTT from one or more regions toward one endpoint over one
+// tier, with each region's route lookup and static RTT resolved once: a
+// scan that probes the same endpoint many times pays for the ingress
+// decisions and the path geometry on the first probe only. Everything a
+// probe draws — its clock, the endpoint's day, the dip's shape and the
+// jitter — is keyed by the probe's salt, not by the region, so RTTs draws it
+// once and applies only each region's congestion factor and static RTT; a
+// one-region Pinger runs the same arithmetic. Every region's RTT agrees bit
+// for bit with PingRTT's.
 type Pinger struct {
-	sim   *Sim
-	model rttModel
+	sim *Sim
+	endpoint
+	regions []pingRegion
 }
 
-// Pinger resolves the route PingRTT would take to (endASN, endCity).
-func (s *Sim) Pinger(region string, endASN ASN, endCity string, tier bgp.Tier) (Pinger, error) {
-	choice, err := s.router.IngressLink(region, endASN, endCity, tier)
-	if err != nil {
-		return Pinger{}, err
+// pingRegion is one region of a Pinger; routed is false where the region's
+// route did not resolve.
+type pingRegion struct {
+	regionRTT
+	routed bool
+}
+
+// Resolve points p at (endASN, endCity) over tier from each of regions,
+// resolving the route PingRTT would take from each; p's region storage is
+// reused, so a scan that resolves one Pinger per job allocates none once it
+// has grown. errs is nil when every route resolved; otherwise errs[i] is
+// region i's error, or nil where its route resolved.
+func (p *Pinger) Resolve(s *Sim, regions []string, endASN ASN, endCity string, tier bgp.Tier) (errs []error) {
+	p.sim, p.endpoint = s, s.endpointOf(endASN, endCity)
+	p.regions = slices.Grow(p.regions[:0], len(regions))[:len(regions)]
+	for i, region := range regions {
+		choice, err := s.router.IngressLink(region, endASN, endCity, tier)
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(regions))
+			}
+			errs[i] = err
+			p.regions[i] = pingRegion{}
+			continue
+		}
+		p.regions[i] = pingRegion{s.newRegionRTT(region, endASN, endCity, choice, tier), true}
 	}
-	return Pinger{sim: s, model: s.newRTTModel(region, endASN, endCity, choice, tier)}, nil
+	return errs
 }
 
-// RTT is one probe at virtual time t; flowSalt decorrelates repeated probes.
-func (p *Pinger) RTT(t time.Time, flowSalt uint64) float64 {
-	return p.model.at(p.sim, flowSalt, t)
+// RTTs is one probe at virtual time t from every region: out[i] is region
+// i's RTT, left as it was where the region's route did not resolve.
+// flowSalt decorrelates repeated probes.
+func (p *Pinger) RTTs(t time.Time, flowSalt uint64, out []float64) {
+	s := p.sim
+	c := clockOf(t)
+	prefix := fnvFold(s.cfg.Seed, flowSalt, c.day)
+	var day dayDraw
+	shape := 0.0
+	if p.hasDip {
+		s.drawDay(&day, &p.endCong, prefix)
+		shape = dipShape(c.local(p.endUTC), day.peak, day.sigma)
+	}
+	jitter := jitterFactor(normFrom(fnvMix(fnvMix(prefix, c.hour), 0xc1)))
+	for i := range p.regions {
+		r := &p.regions[i]
+		if !r.routed {
+			continue
+		}
+		dip := 0.0
+		if p.hasDip {
+			dip = clampDip(day.depth(r.regionFactor) * shape)
+		}
+		out[i] = r.rtt(s, dip, jitter)
+	}
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -206,23 +206,25 @@ func TestPingRTTStable(t *testing.T) {
 	}
 }
 
-// TestPingerMatchesPingRTT: a Pinger is PingRTT with the route lookup and
-// the static RTT hoisted, so every probe must agree bit for bit — across
-// vantage points, regions, tiers, hours of the day and salts — and the two
-// must fail together.
+// TestPingerMatchesPingRTT: a one-region Pinger is PingRTT with the route
+// lookup and the static RTT hoisted, so every probe must agree bit for bit
+// — across vantage points, regions, tiers, hours of the day and salts — and
+// the two must fail together.
 func TestPingerMatchesPingRTT(t *testing.T) {
 	s := newSim(t)
 	vps := s.Topology().EdgeVPs()
 	if len(vps) > 200 {
 		vps = vps[:200]
 	}
+	var ping Pinger
+	var got [1]float64
 	for _, vp := range vps {
 		for _, region := range []string{"us-west1", "europe-west1"} {
 			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
-				ping, err := s.Pinger(region, vp.ASN, vp.City, tier)
-				if err != nil {
+				errs := ping.Resolve(s, []string{region}, vp.ASN, vp.City, tier)
+				if errs != nil {
 					if _, perr := s.PingRTT(region, vp.ASN, vp.City, tier, t0, 0); perr == nil {
-						t.Fatalf("Pinger failed (%v) where PingRTT succeeds", err)
+						t.Fatalf("Pinger failed (%v) where PingRTT succeeds", errs[0])
 					}
 					continue
 				}
@@ -233,15 +235,153 @@ func TestPingerMatchesPingRTT(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := ping.RTT(at, salt); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("VP %d %s %v probe %d: Pinger %v, PingRTT %v", vp.ID, region, tier, i, got, want)
+					if ping.RTTs(at, salt, got[:]); math.Float64bits(got[0]) != math.Float64bits(want) {
+						t.Fatalf("VP %d %s %v probe %d: Pinger %v, PingRTT %v", vp.ID, region, tier, i, got[0], want)
 					}
 				}
 			}
 		}
 	}
-	if _, err := s.Pinger("nowhere", vps[0].ASN, vps[0].City, bgp.Premium); err == nil {
+	if errs := ping.Resolve(s, []string{"nowhere"}, vps[0].ASN, vps[0].City, bgp.Premium); errs == nil || errs[0] == nil {
 		t.Error("Pinger for an unknown region succeeded")
+	}
+}
+
+// TestPingerRegionsMatchOneRegion: a Pinger over several regions draws each
+// probe once and applies every region's congestion factor and static RTT,
+// so each region's RTT must equal, bit for bit, a one-region Pinger's.
+// The regions span the congestion factors (0.65 to 1.45), and the test
+// insists on meeting every case the shared draws must keep apart: prone and
+// daytime endpoints, an endpoint without a dip (an unknown city, which the
+// standard tier still routes), a probe day on which one region sees an
+// event and another does not, and a region whose route does not resolve,
+// whose slot must stay untouched.
+func TestPingerRegionsMatchOneRegion(t *testing.T) {
+	s := newSim(t)
+	regions := []string{"us-west1", "us-central1", "nowhere", "us-east4", "europe-west1"}
+	const unrouted = 2
+	type endpointCase struct {
+		asn  ASN
+		city string
+	}
+	var cases []endpointCase
+	for _, vp := range s.Topology().EdgeVPs()[:300] {
+		cases = append(cases, endpointCase{vp.ASN, vp.City})
+	}
+	cases = append(cases, endpointCase{cases[0].asn, "no-such-city"})
+
+	var prone, daytime, noDip, mixed, probes int
+	var joint Pinger
+	single := make([]Pinger, len(regions))
+	var one [1]float64
+	for _, ec := range cases {
+		for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+			errs := joint.Resolve(s, regions, ec.asn, ec.city, tier)
+			if errs == nil || errs[unrouted] == nil {
+				t.Fatalf("%+v %v: the unknown region routed", ec, tier)
+			}
+			routed := 0
+			for r, region := range regions {
+				oneErrs := single[r].Resolve(s, []string{region}, ec.asn, ec.city, tier)
+				if (oneErrs == nil) != (errs[r] == nil) {
+					t.Fatalf("%+v %s %v: joint route error %v, one-region %v", ec, region, tier, errs[r], oneErrs)
+				}
+				if errs[r] == nil {
+					routed++
+				}
+			}
+			if routed == 0 {
+				continue
+			}
+			switch {
+			case !joint.hasDip:
+				noDip++
+			case joint.endCong.Daytime:
+				daytime++
+			case joint.endCong.Prone:
+				prone++
+			}
+			out := make([]float64, len(regions))
+			for i := 0; i < 40; i++ {
+				at := t0.Add(time.Duration(i)*7*time.Hour + time.Duration(ec.asn)*time.Minute)
+				salt := uint64(ec.asn)<<20 | uint64(i)<<8 | uint64(tier)
+				out[unrouted] = -1
+				joint.RTTs(at, salt, out)
+				probes++
+				if out[unrouted] != -1 {
+					t.Fatalf("the unrouted region's slot was written: %v", out[unrouted])
+				}
+				for r := range regions {
+					if errs[r] != nil {
+						continue
+					}
+					single[r].RTTs(at, salt, one[:])
+					if math.Float64bits(out[r]) != math.Float64bits(one[0]) {
+						t.Fatalf("%+v %s %v probe %d: joint %v, one-region %v", ec, regions[r], tier, i, out[r], one[0])
+					}
+				}
+				if joint.hasDip {
+					c := clockOf(at)
+					var day dayDraw
+					s.drawDay(&day, &joint.endCong, fnvFold(s.cfg.Seed, salt, c.day))
+					events := 0
+					for r := range regions {
+						if errs[r] == nil && day.u < day.dayProb*joint.regions[r].regionFactor {
+							events++
+						}
+					}
+					if events > 0 && events < routed {
+						mixed++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d probes: %d prone, %d daytime, %d dip-free endpoint cases, %d probe days with an event in some regions only",
+		probes, prone, daytime, noDip, mixed)
+	if prone == 0 || daytime == 0 || noDip == 0 || mixed == 0 {
+		t.Fatal("a case the shared draws must keep apart never occurred")
+	}
+}
+
+// TestClockOfMatchesTimeClock: clockOf reads the hour and minute off the
+// Unix seconds; they must be what time.Time.Clock reads, at every minute
+// of the preliminary scan's window and of a 153-day campaign, at odd
+// seconds and nanoseconds within the minute, and before the epoch.
+func TestClockOfMatchesTimeClock(t *testing.T) {
+	viaClock := func(t time.Time) clock {
+		h, m, _ := t.Clock()
+		return clock{day: dayOf(t), hour: uint64(h), hm: float64(h) + float64(m)/60}
+	}
+	check := func(at time.Time) {
+		t.Helper()
+		if got, want := clockOf(at), viaClock(at); got != want {
+			t.Fatalf("clockOf(%v) = %+v, time.Clock gives %+v", at, got, want)
+		}
+	}
+	campaign := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	windows := []struct {
+		start time.Time
+		span  time.Duration
+	}{
+		{campaign.Add(-30 * 24 * time.Hour), 14 * 24 * time.Hour}, // the differential scan
+		{campaign, 153 * 24 * time.Hour},
+	}
+	for _, w := range windows {
+		for at := w.start; at.Before(w.start.Add(w.span)); at = at.Add(time.Minute) {
+			check(at)
+			check(at.Add(59*time.Second + 999999999))
+		}
+	}
+	for _, at := range []time.Time{
+		time.Unix(-1, 0).UTC(),
+		time.Unix(-86400*3-3661, 5).UTC(),
+		time.Date(1969, 7, 20, 20, 17, 40, 0, time.UTC),
+	} {
+		h, m, _ := at.Clock()
+		if c := clockOf(at); c.hour != uint64(h) || c.hm != float64(h)+float64(m)/60 {
+			t.Fatalf("clockOf(%v) = %+v, time.Clock gives %02d:%02d", at, c, h, m)
+		}
 	}
 }
 
@@ -462,7 +602,7 @@ func TestDayDrawsMatchesFullFold(t *testing.T) {
 	for _, p := range profiles {
 		for key := uint64(0); key < 200; key++ {
 			for day := uint64(18383); day < 18393; day++ {
-				got := s.dayDraws(p, fnvFold(seed, key, day), 1.3)
+				got := s.dayDraws(&p, fnvFold(seed, key, day), 1.3)
 				dayProb := s.cfg.CongestionDayProbBase
 				if p.Prone {
 					dayProb = s.cfg.CongestionDayProbProne

@@ -48,7 +48,9 @@ func (s *Sim) ForwardPath(region string, dstIP netip.Addr, dstASN ASN, dstCity s
 		dstCoord = linkCoord
 	}
 
-	var hops []Hop
+	// Four cloud and border hops, at most one core router per AS after
+	// the cloud's, and the destination.
+	hops := make([]Hop, 0, 4+len(choice.Path))
 	add := func(ip netip.Addr, rtt float64) {
 		hops = append(hops, Hop{IP: ip, RTTms: rtt})
 	}

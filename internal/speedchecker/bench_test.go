@@ -32,3 +32,29 @@ func BenchmarkPreliminaryScanPaperScale(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPreliminaryScanDifferentialRegions is the scan the differential
+// method makes at paper scale: the three differential regions (us-central1,
+// us-east1, europe-west1; core.DifferentialRegions) in one call, each probe
+// drawn once for all three. One worker, warm routing trees, as
+// PreliminaryScanPaperScale; against three of its one-region scans it is
+// what the joint scan saves.
+func BenchmarkPreliminaryScanDifferentialRegions(b *testing.B) {
+	cfg := topology.PaperScaleConfig()
+	topo, err := topology.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := New(netsim.New(topo, nil, netsim.Config{Seed: cfg.Seed}))
+	params := Params{Regions: []string{"us-central1", "us-east1", "europe-west1"}, MinSamples: 100, Parallelism: 1}
+	if len(p.RunPreliminary(params)) == 0 {
+		b.Fatal("no aggregates")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(p.RunPreliminary(params)) == 0 {
+			b.Fatal("no aggregates")
+		}
+	}
+}

@@ -6,6 +6,7 @@
 package speedchecker
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,8 +47,9 @@ type Params struct {
 	// Start positions the probes in virtual time; they spread over the
 	// two-week scan window from there.
 	Start time.Time
-	// Parallelism is how many (tuple, region, tier) jobs run at once; 0
-	// or 1 scans inline. The aggregates are identical at any value.
+	// Parallelism is how many (tuple, tier) jobs run at once, each
+	// probing every region; 0 or 1 scans inline. The aggregates are
+	// identical at any value.
 	Parallelism int
 }
 
@@ -78,11 +80,14 @@ func New(sim *netsim.Sim) *Platform { return &Platform{sim: sim} }
 // RunPreliminary probes every edge VP against the requested regions over
 // both tiers and returns the qualifying tuple aggregates, sorted by key.
 //
-// The scan runs one job per (⟨city, AS⟩ tuple, region, tier) on
-// params.Parallelism workers. The route and the static RTT are a function
-// of exactly that key, so a job resolves one Pinger for all of the tuple's
-// VPs; a tuple whose VPs cannot reach MinSamples between them is never
-// probed.
+// The scan runs one job per (⟨city, AS⟩ tuple, tier) on params.Parallelism
+// workers, with every requested region inside the job. The routes and the
+// static RTTs are a function of the tuple, the tier and the region, so a
+// job resolves one Pinger over all regions for all of the tuple's VPs, and
+// each probe's draws — keyed by the VP, the probe and the tier, never the
+// region — are made once for every region. A region's aggregates are
+// therefore the same whichever regions share its scan. A tuple whose VPs
+// cannot reach MinSamples between them is never probed.
 func (p *Platform) RunPreliminary(params Params) []Aggregate {
 	params = params.withDefaults()
 	topo := p.sim.Topology()
@@ -114,33 +119,44 @@ func (p *Platform) RunPreliminary(params Params) []Aggregate {
 	}
 
 	tiers := [...]bgp.Tier{bgp.Premium, bgp.Standard}
-	perTuple := len(regions) * len(tiers)
 	spread := float64(len(vps)*params.SamplesPerVP + 1)
-	aggs := make([]Aggregate, len(kept)*perTuple)
-	analysis.ParallelFor(params.Parallelism, len(aggs), func(u int) {
-		t := &kept[u/perTuple]
-		region, tier := regions[u%perTuple/len(tiers)], tiers[u%len(tiers)]
-		ping, err := p.sim.Pinger(region, t.asn, t.city, tier)
-		if err != nil {
+	aggs := make([]Aggregate, len(kept)*len(tiers)*len(regions))
+	analysis.ParallelFor(params.Parallelism, len(kept)*len(tiers), func(u int) {
+		t, tier := &kept[u/len(tiers)], tiers[u%len(tiers)]
+		job := jobs.Get().(*scanJob)
+		defer jobs.Put(job)
+		ping := &job.ping
+		errs := ping.Resolve(p.sim, regions, t.asn, t.city, tier)
+		if errs != nil && !slices.Contains(errs, nil) {
 			return
 		}
-		buf := sampleBufs.Get().(*[]float64)
-		xs := (*buf)[:0]
+		// One probe's RTTs, one per region, then each region's samples.
+		n := len(t.ids) * params.SamplesPerVP
+		job.xs = slices.Grow(job.xs[:0], len(regions)*(n+1))[:len(regions)*(n+1)]
+		probe, samples := job.xs[:len(regions)], job.xs[len(regions):]
+		k := 0
 		for _, id := range t.ids {
 			for i := 0; i < params.SamplesPerVP; i++ {
 				frac := float64(id*params.SamplesPerVP+i) / spread
 				at := params.Start.Add(time.Duration(frac * float64(scanWindow)))
 				salt := uint64(id)<<20 | uint64(i)<<8 | uint64(tier)
-				xs = append(xs, ping.RTT(at, salt))
+				ping.RTTs(at, salt, probe)
+				for r, rtt := range probe {
+					samples[r*n+k] = rtt
+				}
+				k++
 			}
 		}
-		// Only the median survives, so the buffer may be reordered.
-		if med, err := stats.PercentileInPlace(xs, 50); err == nil {
-			key := TupleKey{City: t.city, ASN: t.asn, Region: region, Tier: tier}
-			aggs[u] = Aggregate{Key: key, MedianMs: med, Samples: len(xs)}
+		for r, region := range regions {
+			if errs != nil && errs[r] != nil {
+				continue
+			}
+			// Only the median survives, so the samples may be reordered.
+			if med, err := stats.PercentileInPlace(samples[r*n:(r+1)*n], 50); err == nil {
+				key := TupleKey{City: t.city, ASN: t.asn, Region: region, Tier: tier}
+				aggs[u*len(regions)+r] = Aggregate{Key: key, MedianMs: med, Samples: n}
+			}
 		}
-		*buf = xs
-		sampleBufs.Put(buf)
 	})
 
 	out := aggs[:0]
@@ -177,8 +193,15 @@ type vpTuple struct {
 	ids []int
 }
 
-// sampleBufs recycles the scan's sample buffers: one is live per worker.
-var sampleBufs = sync.Pool{New: func() any { return new([]float64) }}
+// scanJob is what a scan job reuses: its Pinger's region storage, and a
+// buffer holding one probe's RTTs and then every region's samples.
+type scanJob struct {
+	ping netsim.Pinger
+	xs   []float64
+}
+
+// jobs recycles the scan's job state: one is live per worker.
+var jobs = sync.Pool{New: func() any { return new(scanJob) }}
 
 // TierDelta is the per-⟨city, AS, region⟩ difference between standard and
 // premium tier medians.
