@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore' ./internal/analysis/ ./internal/bdrmap/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore|VerdictMatches|TierDeltasMatch' ./internal/analysis/ ./internal/bdrmap/ ./internal/congestion/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -101,7 +101,7 @@ faults_JSON = -note "fault injection: FaultsDisabledMeasureCtx vs MeasureWarm (B
 analysis_BENCH = BenchmarkAnalysis
 analysis_PKGS = ./internal/analysis/ ./internal/congestion/ .
 analysis_TEST = -count=3
-analysis_JSON = -baseline BENCH_analysis_baseline.txt -note "analysis engine: grouping and sweep kernels and the end-to-end CongestionReport; Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report)"
+analysis_JSON = -baseline BENCH_analysis_baseline.txt -note "analysis engine: grouping and sweep kernels and the end-to-end CongestionReport; Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report; for AnalysisTierDeltas the map-and-sort tier join the dense kernel replaced)"
 
 tsdb_BENCH = BenchmarkBlock
 tsdb_PKGS = ./internal/tsdb/ ./internal/analysis/

@@ -119,11 +119,11 @@ type CongestionReport struct {
 }
 
 // CongestionReport runs the §3.3 detector over a campaign's download
-// measurements (premium tier). Per-series detection fans out across
-// Options.Parallelism workers; each worker builds one memoized day
-// partition per series, writes its tallies to its own index, and the
-// merge reads them back in index order — so the report is bit-identical
-// at any parallelism (pinned by TestCongestionReportGolden).
+// measurements (premium tier). Each series' day partition is shared by
+// every renderer of the campaign and holds its verdict, built in one pass
+// on first use and cached, so the report reads integer tallies and folds
+// them in series order — bit-identical at any parallelism (pinned by
+// TestCongestionReportGolden).
 func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, error) {
 	if res == nil || res.NumRecords() == 0 {
 		return nil, fmt.Errorf("clasp: empty campaign result")
@@ -135,26 +135,17 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 	if len(withServer) == 0 {
 		return nil, fmt.Errorf("clasp: no premium download series in result")
 	}
-	type pairTally struct {
-		summary             PairSummary
-		days, congestedDays int // qualifying days; V > H days
-		hours, events       int // samples on qualifying days; VH > H
-	}
-	tallies := make([]pairTally, len(withServer))
-	dsp := sp.Child("detect").WithInt("series", len(withServer)).WithInt("parallelism", p.engine.Opts.Parallelism)
-	analysis.ParallelFor(p.engine.Opts.Parallelism, len(withServer), func(i int) {
-		sw := withServer[i]
-		part := parts[i]
-		days := part.Days()
-		events := det.EventsIn(part)
-		congDays := make(map[int]bool)
+	rep := &CongestionReport{Region: res.Region, Pairs: make([]PairSummary, 0, len(withServer))}
+	// Campaign-wide fractions fold the per-series integer tallies and divide
+	// once, so they are identical to the serial reference in golden_test.go.
+	var dTot, dCong, hTot, hCong int
+	for i, part := range parts {
+		v := part.Verdict(det.H)
 		var hourCount [24]int
-		srv := p.engine.Topo.Server(sw.ServerID) // read-only lookups, safe across workers
-		for _, e := range events {
-			congDays[congestion.DayOf(e.UnixNano())] = true
-			if srv != nil {
-				if city, ok := p.engine.Topo.CityOf(srv.City); ok {
-					hourCount[city.LocalHour(e.Hour())]++
+		if srv := p.engine.Topo.Server(withServer[i].ServerID); srv != nil {
+			if city, ok := p.engine.Topo.CityOf(srv.City); ok {
+				for h, n := range v.HourEvents {
+					hourCount[city.LocalHour(h)] += n
 				}
 			}
 		}
@@ -165,30 +156,17 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 				best, peak = n, h
 			}
 		}
-		t := &tallies[i]
-		t.summary = PairSummary{
-			PairID:        sw.Series.PairID,
-			Days:          len(days),
-			CongestedDays: len(congDays),
-			Events:        len(events),
+		rep.Pairs = append(rep.Pairs, PairSummary{
+			PairID:        withServer[i].Series.PairID,
+			Days:          v.Days,
+			CongestedDays: v.EventDays,
+			Events:        v.Events,
 			PeakHourLocal: peak,
-		}
-		t.congestedDays, t.days = part.DayTally(det.H, congestion.MinDaySamples)
-		t.events, t.hours = part.HourTally(det.H, congestion.MinDaySamples)
-	})
-	dsp.End()
-	rep := &CongestionReport{Region: res.Region, Pairs: make([]PairSummary, 0, len(tallies))}
-	// Campaign-wide fractions fold the per-series integer tallies, in index
-	// order, and divide once — order-independent, so identical to the
-	// serial reference in golden_test.go.
-	var dTot, dCong, hTot, hCong int
-	for i := range tallies {
-		t := &tallies[i]
-		rep.Pairs = append(rep.Pairs, t.summary)
-		dTot += t.days
-		dCong += t.congestedDays
-		hTot += t.hours
-		hCong += t.events
+		})
+		dTot += v.Days
+		dCong += v.CongestedDays
+		hTot += v.Hours
+		hCong += v.Events
 	}
 	if hTot > 0 {
 		rep.HourFraction = float64(hCong) / float64(hTot)
@@ -256,11 +234,11 @@ func (p *Platform) CompareTiers(res *CampaignResult) (*TierComparison, error) {
 	if res == nil {
 		return nil, fmt.Errorf("clasp: nil campaign result")
 	}
-	down := analysis.TierDeltasCursor(res.Cursor(), res.Region, analysis.MetricDownload)
+	each := analysis.TierDeltasEach(res.Log.Cursors(p.engine.Opts.Parallelism), res.Region, analysis.MetricDownload, analysis.MetricUpload)
+	down, up := each[analysis.MetricDownload], each[analysis.MetricUpload]
 	if len(down) == 0 {
 		return nil, fmt.Errorf("clasp: no paired tier measurements (run a differential campaign)")
 	}
-	up := analysis.TierDeltasCursor(res.Cursor(), res.Region, analysis.MetricUpload)
 	cdf, err := analysis.DeltaCDF(down)
 	if err != nil {
 		return nil, err

@@ -480,103 +480,230 @@ func (m Metric) String() string {
 // Δ = (T_prem - T_std) / T_std (§4.1).
 type TierDelta struct {
 	ServerID int
-	Time     time.Time
-	Metric   Metric
 	Delta    float64
 }
 
-// TierDeltasCursor pairs measurements of the two tiers taken for the same
+// TierDeltasEach pairs measurements of the two tiers taken for the same
 // (server, region, direction) in the same hour and computes the relative
-// difference for the requested metric. It asks for the one float column the
-// metric names and keeps one value per (tier, server, hour) — the last one
-// delivered — never the input stream.
-func TierDeltasCursor(c Cursor, region string, metric Metric) []TierDelta {
-	return tierDeltas(c, region, metric)[metric]
-}
-
-// TierDeltasEach is TierDeltasCursor for all three metrics in one pass over
-// c, indexed by Metric: download and latency deltas ride on the same
-// download tests, upload deltas on the upload tests.
-func TierDeltasEach(c Cursor, region string) [3][]TierDelta {
-	return tierDeltas(c, region, MetricDownload, MetricUpload, MetricLatency)
-}
-
-// tierKey is one (server, hour) of a tier comparison.
-type tierKey struct {
-	server int
-	hour   int64
-}
-
-// tierDeltas computes the deltas of the given metrics in one scan; the
-// slots of metrics not asked for stay nil.
-func tierDeltas(c Cursor, region string, metrics ...Metric) (out [3][]TierDelta) {
-	var prem, std [3]map[tierKey]float64 // nil for metrics not asked for
+// difference of each metric asked for, indexed by Metric; the slots of the
+// others stay nil. Download and latency deltas ride on the same download
+// tests, upload deltas on the upload tests. Each metric's deltas come in
+// (hour, server) order, and a (tier, server, hour) repeated in the stream
+// keeps the last value delivered.
+//
+// It reads the stream cs deliver one after another (RecordLog.Cursors):
+// each range is staged on its own ParallelFor worker into dense tables, a
+// row per hour of cells by server, asking only for the columns the metrics
+// name; the merge lays the ranges' rows over each other in range order, so
+// the result is the one-cursor result at any number of ranges.
+func TierDeltasEach(cs []Cursor, region string, metrics ...Metric) [3][]TierDelta {
+	var want [3]bool
 	need := ColTime | ColServer | ColRegion | ColTierDir
 	for _, m := range metrics {
-		prem[m], std[m] = make(map[tierKey]float64), make(map[tierKey]float64)
-		// Latency deltas ride on download tests (each test reports RTT).
+		want[m] = true
 		if m == MetricLatency {
 			need |= ColRTT
 		} else {
 			need |= ColMbps
 		}
 	}
-	put := func(m Metric, tier bgp.Tier, k tierKey, v float64) {
-		if tier == bgp.Premium {
-			prem[m][k] = v
-		} else {
-			std[m][k] = v
-		}
+	stages := make([]*tierStage, len(cs))
+	ParallelFor(len(cs), len(cs), func(r int) {
+		stages[r] = newTierStage()
+		stages[r].scan(cs[r], region, need, want)
+	})
+	return mergeTierStages(stages, want)
+}
+
+// tierCell is one (server, hour) of a tier comparison: the last value
+// delivered per metric and tier, at index tierSide(metric, tier), and a bit
+// per index that says whether one was.
+type tierCell struct {
+	v   [6]float64
+	set uint8
+}
+
+// tierSide indexes a tierCell: premium and standard side by side per metric.
+func tierSide(m Metric, tier bgp.Tier) int {
+	if tier == bgp.Premium {
+		return 2 * int(m)
 	}
+	return 2*int(m) + 1
+}
+
+// tierStage is one block range's tables: a row per hour the range holds,
+// each a slice of cells indexed by the range's server slot.
+type tierStage struct {
+	servers  []int     // slot -> server ID
+	dense    [][]int32 // one table (denseTable's region 0): server ID -> slot+1
+	overflow map[int]int32
+
+	rowOf    map[int64]int32 // hour -> row
+	rows     [][]tierCell
+	lastHour int64 // hour of row lastRow; the stream is hour-major
+	lastRow  int32
+
+	premKeys [3]int // cells whose premium side of a metric was set: a bound on the deltas
+}
+
+func newTierStage() *tierStage {
+	return &tierStage{rowOf: make(map[int64]int32), lastRow: -1}
+}
+
+// slot returns the range's slot of server id, adding one.
+func (st *tierStage) slot(id int) int32 {
+	if id >= 0 && id < denseServerMax {
+		t := denseTable(&st.dense, 0, id)
+		if si := t[id] - 1; si >= 0 {
+			return si
+		}
+		t[id] = int32(len(st.servers)) + 1
+	} else {
+		if st.overflow == nil {
+			st.overflow = make(map[int]int32)
+		}
+		if si, ok := st.overflow[id]; ok {
+			return si
+		}
+		st.overflow[id] = int32(len(st.servers))
+	}
+	st.servers = append(st.servers, id)
+	return int32(len(st.servers)) - 1
+}
+
+// row returns the row of hour, adding one as wide as the servers seen.
+func (st *tierStage) row(hour int64) int32 {
+	if st.lastRow >= 0 && hour == st.lastHour {
+		return st.lastRow
+	}
+	ri, ok := st.rowOf[hour]
+	if !ok {
+		ri = int32(len(st.rows))
+		st.rowOf[hour] = ri
+		st.rows = append(st.rows, make([]tierCell, len(st.servers)))
+	}
+	st.lastHour, st.lastRow = hour, ri
+	return ri
+}
+
+// put records v as the latest value of metric m from tier in cell c.
+func (st *tierStage) put(c *tierCell, m Metric, tier bgp.Tier, v float64) {
+	i := tierSide(m, tier)
+	if tier == bgp.Premium && c.set&(1<<i) == 0 {
+		st.premKeys[m]++
+	}
+	c.v[i] = v
+	c.set |= 1 << i
+}
+
+// scan stages the region's records of one cursor.
+func (st *tierStage) scan(c Cursor, region string, need Columns, want [3]bool) {
 	for b := c.NextColumns(need); b != nil; b = c.NextColumns(need) {
 		code := int32(slices.Index(b.RegionNames, region))
 		for i, r := range b.Regions {
 			if r != code {
 				continue
 			}
-			k := tierKey{b.Servers[i], b.Times[i] / int64(time.Hour)}
+			ri := st.row(b.Times[i] / int64(time.Hour))
+			si := st.slot(b.Servers[i])
+			if int(si) >= len(st.rows[ri]) {
+				st.rows[ri] = append(st.rows[ri], make([]tierCell, int(si)+1-len(st.rows[ri]))...)
+			}
+			cell, tier := &st.rows[ri][si], b.Tiers[i]
 			if b.Dirs[i] == netsim.Upload {
-				if prem[MetricUpload] != nil {
-					put(MetricUpload, b.Tiers[i], k, b.Mbps[i])
+				if want[MetricUpload] {
+					st.put(cell, MetricUpload, tier, b.Mbps[i])
 				}
 				continue
 			}
-			if prem[MetricDownload] != nil {
-				put(MetricDownload, b.Tiers[i], k, b.Mbps[i])
+			if want[MetricDownload] {
+				st.put(cell, MetricDownload, tier, b.Mbps[i])
 			}
-			if prem[MetricLatency] != nil {
-				put(MetricLatency, b.Tiers[i], k, b.RTTms[i])
+			if want[MetricLatency] {
+				st.put(cell, MetricLatency, tier, b.RTTms[i])
+			}
+		}
+	}
+}
+
+// mergeTierStages lays the ranges' rows over each other hour by hour, in
+// range order and one value at a time, so a later range's value replaces
+// an earlier one's as a later record does inside a range. Hours ascend and
+// each hour's servers are laid out by ascending ID, so the deltas come out
+// in (hour, server) order as they are emitted.
+func mergeTierStages(stages []*tierStage, want [3]bool) (out [3][]TierDelta) {
+	var metrics []Metric
+	for m, ok := range want {
+		if ok {
+			metrics = append(metrics, Metric(m))
+		}
+	}
+	var servers []int
+	var hours []int64
+	for _, st := range stages {
+		servers = append(servers, st.servers...)
+		for hour := range st.rowOf {
+			hours = append(hours, hour)
+		}
+	}
+	slices.Sort(servers)
+	servers = slices.Compact(servers)
+	slices.Sort(hours)
+	hours = slices.Compact(hours)
+	// rank maps each range's slots onto positions in servers.
+	rank := make([][]int32, len(stages))
+	for r, st := range stages {
+		rank[r] = make([]int32, len(st.servers))
+		for si, id := range st.servers {
+			pos, _ := slices.BinarySearch(servers, id)
+			rank[r][si] = int32(pos)
+		}
+	}
+	for _, m := range metrics {
+		bound := 0
+		for _, st := range stages {
+			bound += st.premKeys[m]
+		}
+		out[m] = make([]TierDelta, 0, bound)
+	}
+	row := make([]tierCell, len(servers))
+	for _, hour := range hours {
+		clear(row)
+		for r, st := range stages {
+			ri, ok := st.rowOf[hour]
+			if !ok {
+				continue
+			}
+			for si := range st.rows[ri] {
+				src := &st.rows[ri][si]
+				if src.set == 0 {
+					continue
+				}
+				dst := &row[rank[r][si]]
+				for i := range src.v {
+					if src.set&(1<<i) != 0 {
+						dst.v[i] = src.v[i]
+					}
+				}
+				dst.set |= src.set
+			}
+		}
+		for pos := range row {
+			c := &row[pos]
+			for _, m := range metrics {
+				p, s := tierSide(m, bgp.Premium), tierSide(m, bgp.Standard)
+				if c.set&(1<<p) == 0 || c.set&(1<<s) == 0 || c.v[s] == 0 {
+					continue
+				}
+				out[m] = append(out[m], TierDelta{ServerID: servers[pos], Delta: (c.v[p] - c.v[s]) / c.v[s]})
 			}
 		}
 	}
 	for _, m := range metrics {
-		out[m] = pairTiers(prem[m], std[m], m)
-	}
-	return out
-}
-
-// pairTiers turns one metric's per-tier values into deltas, sorted by time
-// and then server.
-func pairTiers(prem, std map[tierKey]float64, metric Metric) []TierDelta {
-	var out []TierDelta
-	for k, pv := range prem {
-		sv, ok := std[k]
-		if !ok || sv == 0 {
-			continue
+		if len(out[m]) == 0 {
+			out[m] = nil
 		}
-		out = append(out, TierDelta{
-			ServerID: k.server,
-			Time:     time.Unix(k.hour*3600, 0).UTC(),
-			Metric:   metric,
-			Delta:    (pv - sv) / sv,
-		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Time.Equal(out[j].Time) {
-			return out[i].Time.Before(out[j].Time)
-		}
-		return out[i].ServerID < out[j].ServerID
-	})
 	return out
 }
 

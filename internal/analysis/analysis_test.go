@@ -87,7 +87,7 @@ func TestTierDeltas(t *testing.T) {
 		ms = append(ms, mkMeasure(1, h, bgp.Premium, netsim.Upload, 90, 30, 0))
 		ms = append(ms, mkMeasure(1, h, bgp.Standard, netsim.Upload, 95, 45, 0))
 	}
-	down := TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricDownload)
+	down := tierDeltasOf(NewSliceCursor(ms), "us-east1", MetricDownload)
 	if len(down) != 24 {
 		t.Fatalf("download deltas = %d", len(down))
 	}
@@ -97,23 +97,23 @@ func TestTierDeltas(t *testing.T) {
 			t.Errorf("delta = %v, want %v", d.Delta, want)
 		}
 	}
-	up := TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricUpload)
+	up := tierDeltasOf(NewSliceCursor(ms), "us-east1", MetricUpload)
 	if len(up) != 24 || math.Abs(up[0].Delta-(90.0-95.0)/95.0) > 1e-9 {
 		t.Errorf("upload deltas wrong: %v", up[:1])
 	}
-	lat := TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricLatency)
+	lat := tierDeltasOf(NewSliceCursor(ms), "us-east1", MetricLatency)
 	if len(lat) != 24 || math.Abs(lat[0].Delta-(30.0-45.0)/45.0) > 1e-9 {
 		t.Errorf("latency deltas wrong: %v", lat[:1])
 	}
 	// Different region: nothing.
-	if len(TierDeltasCursor(NewSliceCursor(ms), "europe-west1", MetricDownload)) != 0 {
+	if len(tierDeltasOf(NewSliceCursor(ms), "europe-west1", MetricDownload)) != 0 {
 		t.Error("wrong region matched")
 	}
 }
 
 func TestTierDeltasUnpaired(t *testing.T) {
 	ms := []Measurement{mkMeasure(1, 0, bgp.Premium, netsim.Download, 250, 30, 0)}
-	if len(TierDeltasCursor(NewSliceCursor(ms), "us-east1", MetricDownload)) != 0 {
+	if len(tierDeltasOf(NewSliceCursor(ms), "us-east1", MetricDownload)) != 0 {
 		t.Error("unpaired measurement produced a delta")
 	}
 }

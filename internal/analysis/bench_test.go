@@ -94,3 +94,37 @@ func BenchmarkAnalysisPerfPoints(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalysisTierDeltas is Fig. 5's tier join over a differential
+// log: 64 servers measured every hour for 30 days over both tiers in both
+// directions (~184k records in a compressed record log), all three
+// metrics in one pass over one range.
+func BenchmarkAnalysisTierDeltas(b *testing.B) {
+	const servers, days = 64, 30
+	l := NewRecordLog()
+	rng := rand.New(rand.NewSource(9))
+	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	for h := 0; h < days*24; h++ {
+		at := start.Add(time.Duration(h) * time.Hour)
+		for s := 0; s < servers; s++ {
+			for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
+				for _, dir := range []netsim.Direction{netsim.Download, netsim.Upload} {
+					l.Append(Measurement{
+						ServerID: 2000 + s, Region: "europe-west1", Tier: tier, Dir: dir,
+						Time: at.Add(time.Duration(rng.Intn(3000)) * time.Second),
+						Mbps: 200 + 100*rng.Float64(), RTTms: 20 + 10*rng.Float64(), Loss: 0.001,
+					})
+				}
+			}
+		}
+	}
+	want := servers * days * 24
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		each := TierDeltasEach(l.Cursors(1), "europe-west1", MetricDownload, MetricUpload, MetricLatency)
+		if len(each[MetricDownload]) != want || len(each[MetricUpload]) != want || len(each[MetricLatency]) != want {
+			b.Fatalf("deltas = %d/%d/%d, want %d each", len(each[MetricDownload]), len(each[MetricUpload]), len(each[MetricLatency]), want)
+		}
+	}
+}

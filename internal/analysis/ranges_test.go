@@ -42,12 +42,13 @@ func boundaryRecords() []Measurement {
 }
 
 // rangeScans is everything the range kernels compute over one split of a
-// log: both tiers by both directions grouped, and perf points over every
-// tier and over each tier's download view.
+// log: both tiers by both directions grouped, perf points over every tier
+// and over each tier's download view, and each region's tier deltas.
 type rangeScans struct {
 	groups [4][]SeriesWithServer
 	perf   []PerfPoint
 	tiers  [2][]PerfPoint
+	deltas [2][3][]TierDelta
 }
 
 func scanRanges(cs []Cursor) rangeScans {
@@ -68,15 +69,19 @@ func scanRanges(cs []Cursor) rangeScans {
 	for i := range r.tiers {
 		r.tiers[i] = PerfPointsOfSeries(r.groups[i])
 	}
+	for i, region := range []string{"us-east1", "us-west1"} {
+		reset()
+		r.deltas[i] = TierDeltasEach(cs, region, MetricDownload, MetricUpload, MetricLatency)
+	}
 	return r
 }
 
 // TestRangeScanMatchesOneCursor pins the range-scan contract: however a log
 // is split by Cursors(n), the ranges read one after another replay the
-// one-cursor sequence, and the grouping and perf-point kernels return
-// exactly what they return over that one cursor — on a resident log, a
-// spilled one, one that is all tail, an empty one, and one whose pairs go
-// out of order exactly at the range boundaries.
+// one-cursor sequence, and the grouping, perf-point and tier-delta kernels
+// return exactly what they return over that one cursor — on a resident log,
+// a spilled one, one that is all tail, an empty one, one whose pairs go
+// out of order exactly at the range boundaries, and a differential one.
 func TestRangeScanMatchesOneCursor(t *testing.T) {
 	spilled := newLog(t, campaignRecords(5*logBlockSize+333))
 	if err := spilled.Spill(t.TempDir()); err != nil {
@@ -89,12 +94,18 @@ func TestRangeScanMatchesOneCursor(t *testing.T) {
 		"tail-only": newLog(t, campaignRecords(300)),
 		"empty":     NewRecordLog(),
 		"boundary":  newLog(t, boundaryRecords()),
+		// Both tiers of a server meet in an hour (in campaignRecords a
+		// server is measured over one tier only).
+		"differential": newLog(t, tierRecords(13, 4*logBlockSize+99, false)),
 	}
 	for name, l := range logs {
 		records := drain(l.Cursor())
 		want := scanRanges([]Cursor{l.Cursor()})
 		if name != "empty" && (len(want.groups[0]) == 0 || len(want.perf) == 0) {
 			t.Fatalf("%s: the one-cursor scan found nothing to compare", name)
+		}
+		if (name == "boundary" || name == "differential") && len(want.deltas[0][MetricDownload]) == 0 {
+			t.Fatalf("%s: the one-cursor scan found no tier deltas to compare", name)
 		}
 		ns := []int{1, 2, 3, 4, 5, 6, 7, 8, l.SealedBlocks() + 3}
 		for _, n := range ns {

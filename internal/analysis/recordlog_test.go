@@ -440,11 +440,11 @@ func TestCursorKernelsMatchSlice(t *testing.T) {
 	if got, want := PerfPointsCursor(l.Cursor()), PerfPointsCursor(NewSliceCursor(ms)); !reflect.DeepEqual(got, want) {
 		t.Fatal("PerfPointsCursor differs from slice kernel")
 	}
-	each := TierDeltasEach(l.Cursor(), "us-west1")
+	each := TierDeltasEach([]Cursor{l.Cursor()}, "us-west1", MetricDownload, MetricUpload, MetricLatency)
 	for _, metric := range []Metric{MetricDownload, MetricUpload, MetricLatency} {
-		want := TierDeltasCursor(NewSliceCursor(ms), "us-west1", metric)
-		if got := TierDeltasCursor(l.Cursor(), "us-west1", metric); !reflect.DeepEqual(got, want) {
-			t.Fatalf("TierDeltasCursor(%v) differs from slice kernel", metric)
+		want := tierDeltasOf(NewSliceCursor(ms), "us-west1", metric)
+		if got := tierDeltasOf(l.Cursor(), "us-west1", metric); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TierDeltasEach(%v) differs from slice kernel", metric)
 		}
 		if !reflect.DeepEqual(each[metric], want) {
 			t.Fatalf("TierDeltasEach[%v] differs from the one-metric kernel", metric)
@@ -469,9 +469,9 @@ func TestTierDeltasEachMatchesOneMetric(t *testing.T) {
 	}
 	l := newLog(t, ms)
 	for _, region := range []string{"us-west1", "europe-west1", "nowhere"} {
-		each := TierDeltasEach(l.Cursor(), region)
+		each := TierDeltasEach([]Cursor{l.Cursor()}, region, MetricDownload, MetricUpload, MetricLatency)
 		for _, metric := range []Metric{MetricDownload, MetricUpload, MetricLatency} {
-			want := TierDeltasCursor(NewSliceCursor(ms), region, metric)
+			want := tierDeltasOf(NewSliceCursor(ms), region, metric)
 			if (region == "nowhere") != (len(want) == 0) {
 				t.Fatalf("%s %v: %d deltas", region, metric, len(want))
 			}

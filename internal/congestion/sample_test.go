@@ -98,7 +98,7 @@ func TestEpochStraddlingSeriesHasTwoDays(t *testing.T) {
 	for h, v := range mbps {
 		s.Samples = append(s.Samples, Sample{Unix: start.Add(time.Duration(h) * time.Hour).UnixNano(), Mbps: v})
 	}
-	days := NewPartition(s).Days()
+	days := referenceDays(NewPartition(s))
 	if len(days) != 2 {
 		t.Fatalf("%d days, want 2: %+v", len(days), days)
 	}

@@ -412,8 +412,8 @@ func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWi
 	return series, parts
 }
 
-// viewBytes is what a tier's views hold once every partition's VH cache is
-// filled: the series headers and partition pointers, each series' samples,
+// viewBytes is what a tier's views hold once every partition's VH cache and
+// verdict are filled: the series headers and partition pointers, each series' samples,
 // latencies and pair ID, and each partition (the region names are the
 // log's).
 func viewBytes(series []analysis.SeriesWithServer, parts []*congestion.Partition) int64 {

@@ -297,8 +297,9 @@ func Fig5(result *CampaignResult, selected []selection.DiffSelected) (*Fig5Summa
 		classOf[s.Server.ID] = s.Class
 	}
 	out := &Fig5Summary{Region: result.Region}
-	each := analysis.TierDeltasEach(result.Cursor(), result.Region)
-	for _, metric := range []analysis.Metric{analysis.MetricDownload, analysis.MetricUpload, analysis.MetricLatency} {
+	metrics := []analysis.Metric{analysis.MetricDownload, analysis.MetricUpload, analysis.MetricLatency}
+	each := analysis.TierDeltasEach(result.ranges(), result.Region, metrics...)
+	for _, metric := range metrics {
 		deltas := each[metric]
 		if metric == analysis.MetricDownload {
 			out.StdHigherDownload = analysis.FractionStandardHigher(deltas)
@@ -349,14 +350,10 @@ func (c *CLASP) Fig6(result *CampaignResult, tier bgp.Tier, topN int) []Fig6Line
 	}
 	det := congestion.NewDetector()
 	series, parts := result.SeriesAndPartitions(tier)
-	type cand struct {
-		line   Fig6Line
-		events int
-	}
-	var cands []cand
+	var lines []Fig6Line
 	for i, sw := range series {
-		events := det.EventsIn(parts[i])
-		if len(events) == 0 {
+		v := parts[i].Verdict(det.H)
+		if v.Events == 0 {
 			continue
 		}
 		srv := c.Topo.Server(sw.ServerID)
@@ -368,31 +365,23 @@ func (c *CLASP) Fig6(result *CampaignResult, tier bgp.Tier, topN int) []Fig6Line
 			continue
 		}
 		as := c.Topo.AS(srv.ASN)
-		label := fmt.Sprintf("<%s><%s AS%d>", srv.City, as.Name, srv.ASN)
-		cands = append(cands, cand{
-			line: Fig6Line{
-				Label:  label,
-				Tier:   tier,
-				Events: len(events),
-				Probs:  congestion.HourlyProbability(sw.Series, events, city.UTCOffset),
-			},
-			events: len(events),
+		lines = append(lines, Fig6Line{
+			Label:  fmt.Sprintf("<%s><%s AS%d>", srv.City, as.Name, srv.ASN),
+			Tier:   tier,
+			Events: v.Events,
+			Probs:  congestion.HourlyProbability(v, city.UTCOffset),
 		})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].events != cands[j].events {
-			return cands[i].events > cands[j].events
+	sort.Slice(lines, func(i, j int) bool {
+		if lines[i].Events != lines[j].Events {
+			return lines[i].Events > lines[j].Events
 		}
-		return cands[i].line.Label < cands[j].line.Label
+		return lines[i].Label < lines[j].Label
 	})
-	if len(cands) > topN {
-		cands = cands[:topN]
+	if len(lines) > topN {
+		lines = lines[:topN]
 	}
-	out := make([]Fig6Line, len(cands))
-	for i, c := range cands {
-		out[i] = c.line
-	}
-	return out
+	return lines
 }
 
 // --- Fig. 7 --------------------------------------------------------------------
@@ -488,9 +477,9 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 		t := &tallies[i]
 		series, parts := res.SeriesAndPartitions(bgp.Premium)
 		for j, sw := range series {
-			ev, hrs := parts[j].HourTally(det.H, congestion.MinDaySamples)
-			t.hourEvents += ev
-			t.hourTotal += hrs
+			v := parts[j].Verdict(det.H)
+			t.hourEvents += v.Events
+			t.hourTotal += v.Hours
 			if analysis.BusinessOf(c.Topo, sw.ServerID) == topology.BizISP {
 				t.ispPairs++
 				if congestion.CongestedPairIn(parts[j], det) {
@@ -524,8 +513,8 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 		h.P95DownIn200600 = float64(sum.perfIn200600) / float64(sum.perfPoints)
 	}
 	if diff != nil {
-		deltas := analysis.TierDeltasCursor(diff.Cursor(), diff.Region, analysis.MetricDownload)
-		h.StdTierHigherFrac = analysis.FractionStandardHigher(deltas)
+		deltas := analysis.TierDeltasEach(diff.ranges(), diff.Region, analysis.MetricDownload)
+		h.StdTierHigherFrac = analysis.FractionStandardHigher(deltas[analysis.MetricDownload])
 	}
 	return h
 }

@@ -261,7 +261,7 @@ func TestDifferentialTierPairs(t *testing.T) {
 		t.Errorf("VMs = %d, want 2", rep.VMs)
 	}
 	// Same-hour pairs must exist for the tier comparison.
-	deltas := analysis.TierDeltasCursor(analysis.NewSliceCursor(records(log)), "europe-west1", analysis.MetricDownload)
+	deltas := analysis.TierDeltasEach([]analysis.Cursor{analysis.NewSliceCursor(records(log))}, "europe-west1", analysis.MetricDownload)[analysis.MetricDownload]
 	if len(deltas) != 5*24 {
 		t.Errorf("paired deltas = %d, want %d", len(deltas), 5*24)
 	}
