@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore|VerdictMatches|TierDeltasMatch' ./internal/analysis/ ./internal/bdrmap/ ./internal/congestion/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore|VerdictMatches|TierDeltasMatch|SweepsMatch|PerfPointsHeld' ./internal/analysis/ ./internal/bdrmap/ ./internal/congestion/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...
@@ -97,11 +97,13 @@ faults_PKGS = ./internal/netsim/ ./internal/faults/
 faults_JSON = -note "fault injection: FaultsDisabledMeasureCtx vs MeasureWarm (BENCH_hotpath.json) is the nil-injector overhead on the fault-free campaign path, budget 0 allocs/op (pinned by TestMeasureCtxDisabledPathZeroAlloc); FaultsBeforeMeasureMiss is the per-test decision cost under an active profile; FaultsBackoff is the per-retry schedule computation"
 
 # -count=3 (benchjson keeps the min): the ms-scale analysis kernels see far
-# fewer iterations per run than the ns-scale hot-path ones.
+# fewer iterations per run than the ns-scale hot-path ones. The prefix takes
+# in every analysis benchmark, BenchmarkAnalysisCongestionReportFirst (the
+# report's first render) included.
 analysis_BENCH = BenchmarkAnalysis
 analysis_PKGS = ./internal/analysis/ ./internal/congestion/ .
 analysis_TEST = -count=3
-analysis_JSON = -baseline BENCH_analysis_baseline.txt -note "analysis engine: grouping and sweep kernels and the end-to-end CongestionReport; Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report; for AnalysisTierDeltas the map-and-sort tier join the dense kernel replaced)"
+analysis_JSON = -baseline BENCH_analysis_baseline.txt -note "analysis engine: grouping and sweep kernels and the end-to-end CongestionReport (cache hits; CongestionReportFirst drops the held views before each call, so it groups, partitions and builds every verdict again); Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report; for AnalysisTierDeltas the map-and-sort tier join the dense kernel replaced)"
 
 tsdb_BENCH = BenchmarkBlock
 tsdb_PKGS = ./internal/tsdb/ ./internal/analysis/

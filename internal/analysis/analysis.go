@@ -120,22 +120,31 @@ const denseServerMax = 1 << 20
 
 // groupStage is one block range's half of the count-then-fill grouping
 // kernel for one (direction, tier): put resolves each sample's pair slot,
-// range-local, and appends the sample to a staging buffer in delivery order.
-// mergeGroups then maps every range's slots onto the global pairs, in range
-// order, and scatters all the staged samples into one contiguous pre-sized
-// buffer whose subslices become the series. Its one feeder is
-// GroupSeriesWithServerRanges' column loop over a finished record stream.
-// Stages never escape a call, so they are pooled, buffers and all.
+// range-local, and stages the sample in delivery order into fixed-size
+// chunks, each filled before the next is taken, so staging never copies
+// what it staged. mergeGroups then maps every range's slots onto the
+// global pairs, in range order, and scatters all the staged samples chunk
+// by chunk into one contiguous pre-sized buffer whose subslices become the
+// series. Its one feeder is GroupSeriesWithServerRanges' column loop over
+// a finished record stream. Stages never escape a call, so they are
+// pooled, slot tables and chunks and all.
 type groupStage struct {
 	regions  regionTable
 	tables   [][]int32 // per region: serverID -> slot+1
 	overflow map[overflowKey]int32
 	slots    []pairSlot
 
-	samples []congestion.Sample // staged, in delivery order
-	lats    []float64           // latency of each staged sample
-	slotOf  []int32             // slot of each staged sample
-	records int                 // records scanned, kept or not
+	chunks  []*stageChunk // the staged samples, in delivery order
+	staged  int           // samples staged
+	records int           // records scanned, kept or not
+}
+
+// stageChunk is logBlockSize staged samples, each with its latency and its
+// pair slot: a block's worth when the whole block is kept.
+type stageChunk struct {
+	samples [logBlockSize]congestion.Sample
+	lats    [logBlockSize]float64
+	slotOf  [logBlockSize]int32
 }
 
 type pairSlot struct {
@@ -180,7 +189,7 @@ func newGroupStage() *groupStage {
 		clear(t)
 	}
 	clear(g.overflow)
-	g.slots, g.samples, g.lats, g.slotOf, g.records = g.slots[:0], g.samples[:0], g.lats[:0], g.slotOf[:0], 0
+	g.slots, g.chunks, g.staged, g.records = g.slots[:0], g.chunks[:0], 0, 0
 	return g
 }
 
@@ -219,9 +228,18 @@ func (g *groupStage) put(ri int32, id int, ns int64, mbps, lat float64) {
 	}
 	s.last = ns
 	s.count++
-	g.samples = append(g.samples, congestion.Sample{Unix: ns, Mbps: mbps})
-	g.lats = append(g.lats, lat)
-	g.slotOf = append(g.slotOf, si)
+	j := g.staged & (logBlockSize - 1) // logBlockSize is a power of two
+	if j == 0 {
+		// A pooled stage refills the chunks it staged into before.
+		if n := len(g.chunks); n < cap(g.chunks) && g.chunks[:n+1][n] != nil {
+			g.chunks = g.chunks[:n+1]
+		} else {
+			g.chunks = append(g.chunks, new(stageChunk))
+		}
+	}
+	c := g.chunks[len(g.chunks)-1]
+	c.samples[j], c.lats[j], c.slotOf[j] = congestion.Sample{Unix: ns, Mbps: mbps}, lat, si
+	g.staged++
 }
 
 // anyTier, passed as the grouping kernel's tier, keeps the downloads of
@@ -277,7 +295,7 @@ func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []Se
 	defer groupStages.Put(m)
 	total := 0
 	for _, st := range stages {
-		total += len(st.samples)
+		total += st.staged
 		for ls := range st.slots {
 			s := &st.slots[ls]
 			s.merged = m.slot(m.regions.intern(st.regions.names[s.regionIdx]), s.serverID, s.first)
@@ -318,10 +336,13 @@ func mergeGroups(stages []*groupStage, dir netsim.Direction, tier bgp.Tier) []Se
 		for ls := range st.slots {
 			st.slots[ls].next += slots[st.slots[ls].merged].next
 		}
-		for j, ls := range st.slotOf {
-			s := &st.slots[ls]
-			buf[s.next], lats[s.next] = st.samples[j], st.lats[j]
-			s.next++
+		for i, c := range st.chunks {
+			n := min(logBlockSize, st.staged-i*logBlockSize) // the last chunk may be part full
+			for j, ls := range c.slotOf[:n] {
+				s := &st.slots[ls]
+				buf[s.next], lats[s.next] = c.samples[j], c.lats[j]
+				s.next++
+			}
 		}
 	})
 	out := make([]SeriesWithServer, 0, len(order))
@@ -450,6 +471,23 @@ func PerfPointsOfSeries(series []SeriesWithServer) []PerfPoint {
 		}
 	}
 	return out
+}
+
+// PerfPointCount returns how many points PerfPointsOfSeries returns for
+// series — one per calendar month each series spans — without building
+// them: a month's run of a time-ordered series ends at the first sample of
+// a later month, found by binary search.
+func PerfPointCount(series []SeriesWithServer) int {
+	n := 0
+	var in monthSpan
+	for i := range series {
+		samples := series[i].Series.Samples
+		for lo := 0; lo < len(samples); n++ {
+			in.at(samples[lo].Unix)
+			lo += sort.Search(len(samples)-lo, func(k int) bool { return samples[lo+k].Unix >= in.hi })
+		}
+	}
+	return n
 }
 
 // --- Fig. 5: relative tier differences ------------------------------------------

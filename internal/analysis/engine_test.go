@@ -225,7 +225,7 @@ func naivePerfPoints(ms []Measurement, tier bgp.Tier, oneTier bool) []PerfPoint 
 // naivePerfPoints over a slice cursor and over a log cursor, on a stream
 // that crosses month and year boundaries out of order: PerfPointsCursor
 // (both tiers) and PerfPointsOfSeries over each tier's grouped view, the
-// path Fig. 4 takes.
+// path Fig. 4 takes, whose points PerfPointCount counts.
 func TestPerfPointsMatchesPercentile(t *testing.T) {
 	ms := randomMeasurements(13, 2*logBlockSize+300, true)
 	for i := range ms {
@@ -248,10 +248,27 @@ func TestPerfPointsMatchesPercentile(t *testing.T) {
 		}
 		for _, tier := range []bgp.Tier{bgp.Premium, bgp.Standard} {
 			view := GroupSeriesWithServerCursor(open(), netsim.Download, tier)
-			if got := PerfPointsOfSeries(view); !reflect.DeepEqual(got, naivePerfPoints(ms, tier, true)) {
+			want := naivePerfPoints(ms, tier, true)
+			if got := PerfPointsOfSeries(view); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s cursor: PerfPointsOfSeries(%s view) differs from the naive reference", name, tier)
 			}
+			if n := PerfPointCount(view); n != len(want) {
+				t.Errorf("%s cursor: PerfPointCount(%s view) = %d, want %d", name, tier, n, len(want))
+			}
 		}
+	}
+	// Samples on either side of a month's first instant, and on it.
+	var edge []congestion.Sample
+	for _, at := range []time.Time{
+		time.Date(2020, 5, 31, 23, 0, 0, 0, time.UTC), time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2020, 7, 1, 0, 0, 0, -1, time.UTC), time.Date(2020, 7, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		edge = append(edge, congestion.Sample{Unix: at.UnixNano(), Mbps: 100})
+	}
+	series := []SeriesWithServer{{Series: congestion.Series{Samples: edge}, LatMs: make([]float64, len(edge))}}
+	if n, pts := PerfPointCount(series), PerfPointsOfSeries(series); n != 4 || len(pts) != 4 {
+		t.Errorf("month edges: PerfPointCount %d and %d points, want 4", n, len(pts))
 	}
 }
 
@@ -342,7 +359,7 @@ func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 					s.Samples = append(s.Samples, congestion.Sample{Unix: p.Time.UnixNano(), Mbps: v})
 				}
 			}
-			congestion.NewPartition(s).DayTally(0.5, 0)
+			congestion.NewPartition(s).Verdict(0.5)
 		})
 		return len(views)
 	}

@@ -41,6 +41,30 @@ func boundaryRecords() []Measurement {
 	return ms
 }
 
+// chunkRecords is three full blocks and a one-record tail whose download
+// grouping stages exactly one staging chunk from the first block, nothing
+// from the second (all uploads) and one chunk and one sample from the
+// third block and the tail: at three ranges, one range each.
+func chunkRecords() []Measurement {
+	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	ms := make([]Measurement, 3*logBlockSize+1)
+	for i := range ms {
+		ms[i] = Measurement{
+			ServerID: i % 37,
+			Region:   "us-east1",
+			Tier:     bgp.Premium,
+			Dir:      netsim.Download,
+			Time:     base.Add(time.Duration(i/37) * time.Hour),
+			Mbps:     float64(i%251) + 1,
+			RTTms:    float64(i % 89),
+		}
+		if i/logBlockSize == 1 {
+			ms[i].Dir = netsim.Upload
+		}
+	}
+	return ms
+}
+
 // rangeScans is everything the range kernels compute over one split of a
 // log: both tiers by both directions grouped, perf points over every tier
 // and over each tier's download view, and each region's tier deltas.
@@ -81,7 +105,9 @@ func scanRanges(cs []Cursor) rangeScans {
 // one-cursor sequence, and the grouping, perf-point and tier-delta kernels
 // return exactly what they return over that one cursor — on a resident log,
 // a spilled one, one that is all tail, an empty one, one whose pairs go
-// out of order exactly at the range boundaries, and a differential one.
+// out of order exactly at the range boundaries, a differential one, and one
+// whose ranges stage exactly a staging chunk, a chunk and one sample, and
+// nothing.
 func TestRangeScanMatchesOneCursor(t *testing.T) {
 	spilled := newLog(t, campaignRecords(5*logBlockSize+333))
 	if err := spilled.Spill(t.TempDir()); err != nil {
@@ -97,6 +123,15 @@ func TestRangeScanMatchesOneCursor(t *testing.T) {
 		// Both tiers of a server meet in an hour (in campaignRecords a
 		// server is measured over one tier only).
 		"differential": newLog(t, tierRecords(13, 4*logBlockSize+99, false)),
+		"chunks":       newLog(t, chunkRecords()),
+	}
+	for i, c := range logs["chunks"].Cursors(3) {
+		g := newGroupStage()
+		g.scan(c, netsim.Download, bgp.Premium)
+		if want := []int{logBlockSize, 0, logBlockSize + 1}[i]; g.staged != want {
+			t.Fatalf("chunks range %d staged %d samples, want %d", i, g.staged, want)
+		}
+		groupStages.Put(g)
 	}
 	for name, l := range logs {
 		records := drain(l.Cursor())

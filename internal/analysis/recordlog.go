@@ -49,7 +49,7 @@ type RecordLog struct {
 
 	count    int
 	firstRec Measurement
-	lastRec  Measurement
+	lastRec  Measurement // the last record of the last sealed block
 	spill    *os.File
 	spilled  bool
 
@@ -74,7 +74,6 @@ func (l *RecordLog) Append(m Measurement) {
 	if l.count == 0 {
 		l.firstRec = m
 	}
-	l.lastRec = m
 	l.count++
 	l.tail = append(l.tail, m)
 	if len(l.tail) >= logBlockSize {
@@ -88,8 +87,14 @@ func (l *RecordLog) Len() int { return l.count }
 // First returns the first appended record (zero value when empty).
 func (l *RecordLog) First() Measurement { return l.firstRec }
 
-// Last returns the last appended record (zero value when empty).
-func (l *RecordLog) Last() Measurement { return l.lastRec }
+// Last returns the last appended record (zero value when empty): the
+// tail's last, or the last sealed block's when the tail is empty.
+func (l *RecordLog) Last() Measurement {
+	if n := len(l.tail); n > 0 {
+		return l.tail[n-1]
+	}
+	return l.lastRec
+}
 
 // CompressedBytes returns the encoded size of all sealed blocks, wherever
 // they live (memory or spill file).
@@ -165,6 +170,7 @@ func (l *RecordLog) sealTail() {
 	// bytes and no spare capacity.
 	data := bytes.Clone(l.encodeRecords(l.tail, l.internRegion))
 	l.blocks = append(l.blocks, logBlock{n: len(l.tail), data: data, size: int64(len(data))})
+	l.lastRec = l.tail[len(l.tail)-1]
 	l.tail = l.tail[:0]
 }
 

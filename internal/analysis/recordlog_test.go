@@ -93,6 +93,16 @@ func TestRecordLogRoundTrip(t *testing.T) {
 	if !measurementsEqual(l.First(), ms[0]) || !measurementsEqual(l.Last(), ms[len(ms)-1]) {
 		t.Fatal("First/Last drifted")
 	}
+	// Last reads the tail, or the sealed block's last record when a block
+	// has just sealed and the tail is empty.
+	for _, n := range []int{1, logBlockSize - 1, logBlockSize, logBlockSize + 1, 2 * logBlockSize} {
+		if got := newLog(t, ms[:n]).Last(); !measurementsEqual(got, ms[n-1]) {
+			t.Fatalf("after %d appends: Last is not the last record", n)
+		}
+	}
+	if got := NewRecordLog().Last(); got != (Measurement{}) {
+		t.Fatal("an empty log's Last is not the zero record")
+	}
 	c := l.Cursor()
 	for pass := 0; pass < 2; pass++ {
 		got := drain(c)

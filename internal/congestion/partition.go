@@ -1,8 +1,9 @@
 package congestion
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -15,33 +16,23 @@ var (
 	obsSweepPoints = obs.Default().Counter("congestion_sweep_points_total")
 )
 
-// Partition is the memoized per-day decomposition of one series. The
-// threshold sweeps of Fig. 2 evaluate the same series at ~20 thresholds;
-// before Partition existed every threshold re-split the series into days
-// from scratch. A Partition splits once and answers day/hour tallies for
-// any threshold from the cached decomposition, so a sweep is one split
-// plus a cheap scan per threshold.
+// Partition is the memoized per-day decomposition of one series: the
+// threshold sweeps of Fig. 2 and the verdict read its days and its
+// per-sample day index instead of re-splitting the series.
 //
 // A Partition is cheap to build (one pass when samples are time-sorted,
 // as grouped campaign series are) and safe for concurrent use once built:
 // a campaign result keeps one partition per series on first use and
 // every downstream analysis — possibly several rendering concurrently —
-// shares it, so the lazy cache is filled under a lock.
+// shares it. The split never changes after the build, so the sweeps read
+// it without a lock; only the verdict is cached, under one.
 type Partition struct {
 	samples []Sample
 	days    []Day   // ascending by day index; every day with >= 1 sample
 	dayOf   []int32 // per-sample index into days
 
-	mu sync.Mutex // guards the lazy cache below
-
-	// vhq caches VH(s,t) for samples on qualifying days (>= vhqMin
-	// samples); samples on zero-peak days are kept as NaN so they count
-	// as measured hours but can never exceed a threshold.
-	vhq    []float64
-	vhqMin int
-
-	// verdict caches the verdict at verdict.H.
-	verdict *Verdict
+	mu      sync.Mutex // guards verdict
+	verdict *Verdict   // the verdict at verdict.H
 }
 
 // Verdict is the §3.3 detector's answer for one pair at a threshold H, as
@@ -94,7 +85,7 @@ func NewPartition(s Series) *Partition {
 	}
 	p.days, p.dayOf = days, dayOf
 	if i < n {
-		p.splitUnsorted(i)
+		p.splitUnsorted()
 	}
 	for i := range p.days {
 		day := &p.days[i]
@@ -106,12 +97,11 @@ func NewPartition(s Series) *Partition {
 }
 
 // Bytes returns the memory the partition holds, counted up front: its own
-// struct, the day split, the per-sample day index, the VH cache at the
-// size its first HourTally fills it to and one verdict. The samples it
-// references belong to the series and are not counted.
+// struct, the day split, the per-sample day index and one verdict. The
+// samples it references belong to the series and are not counted.
 func (p *Partition) Bytes() int64 {
 	return int64(unsafe.Sizeof(*p)) + int64(cap(p.days))*int64(unsafe.Sizeof(Day{})) +
-		int64(cap(p.dayOf))*4 + int64(len(p.samples))*8 + int64(unsafe.Sizeof(Verdict{}))
+		int64(cap(p.dayOf))*4 + int64(unsafe.Sizeof(Verdict{}))
 }
 
 func (d *Day) add(mbps float64) {
@@ -124,110 +114,34 @@ func (d *Day) add(mbps float64) {
 	d.Samples++
 }
 
-// splitUnsorted finishes the day split from sample i, the first that steps
-// back to an earlier day: the rest of the pass finds its day through a map,
-// so days stand in first-seen order, and the ascending day order is
-// re-established at the end with the per-sample day indices
-// remapped to the sorted positions.
-func (p *Partition) splitUnsorted(i int) {
-	byDay := make(map[int]int32, len(p.days))
-	for j := range p.days {
-		byDay[p.days[j].Day] = int32(j)
+// splitUnsorted redoes the day split of samples that step back to an
+// earlier day: it visits the samples day by day — a stable sort of their
+// indices, so a day's samples keep their order — and the days come out
+// ascending, each summarised from its samples in sample order, as the
+// time-sorted pass summarises them.
+func (p *Partition) splitUnsorted() {
+	order := make([]int32, len(p.samples))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	for ; i < len(p.samples); i++ {
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(DayOf(p.samples[a].Unix), DayOf(p.samples[b].Unix))
+	})
+	p.days = p.days[:0]
+	for _, i := range order {
 		smp := &p.samples[i]
-		d := DayOf(smp.Unix)
-		di, ok := byDay[d]
-		if !ok {
-			di = int32(len(p.days))
-			byDay[d] = di
+		if d, last := DayOf(smp.Unix), len(p.days)-1; last < 0 || d != p.days[last].Day {
 			p.days = append(p.days, Day{Day: d, Tmax: smp.Mbps, Tmin: smp.Mbps})
 		}
-		p.days[di].add(smp.Mbps)
-		p.dayOf[i] = di
+		p.days[len(p.days)-1].add(smp.Mbps)
+		p.dayOf[i] = int32(len(p.days) - 1)
 	}
-	perm := make([]int32, len(p.days))
-	for j := range perm {
-		perm[j] = int32(j)
-	}
-	sort.Slice(perm, func(a, b int) bool { return p.days[perm[a]].Day < p.days[perm[b]].Day })
-	sorted := make([]Day, len(p.days))
-	inv := make([]int32, len(p.days))
-	for pos, old := range perm {
-		sorted[pos] = p.days[old]
-		inv[old] = int32(pos)
-	}
-	p.days = sorted
-	for j, di := range p.dayOf {
-		p.dayOf[j] = inv[di]
-	}
-}
-
-// DayTally counts qualifying days and those with V > h without allocating.
-func (p *Partition) DayTally(h float64, minSamples int) (congested, total int) {
-	if minSamples <= 0 {
-		minSamples = MinDaySamples
-	}
-	for i := range p.days {
-		if p.days[i].Samples < minSamples {
-			continue
-		}
-		total++
-		if p.days[i].V > h {
-			congested++
-		}
-	}
-	return congested, total
-}
-
-// hourVH returns VH(s,t) for every sample on a qualifying day, in sample
-// order. Samples on zero-peak days are NaN: they count as measured hours
-// but compare false against every threshold, matching Detector.Events'
-// skip rule. The slice is cached per minSamples (callers overwhelmingly
-// use one value).
-func (p *Partition) hourVH(minSamples int) []float64 {
-	if minSamples <= 0 {
-		minSamples = MinDaySamples
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.vhq != nil && p.vhqMin == minSamples {
-		return p.vhq
-	}
-	vhq := make([]float64, 0, len(p.samples))
-	for i := range p.samples {
-		day := &p.days[p.dayOf[i]]
-		if day.Samples < minSamples {
-			continue
-		}
-		if day.Tmax <= 0 {
-			vhq = append(vhq, math.NaN())
-			continue
-		}
-		vhq = append(vhq, (day.Tmax-p.samples[i].Mbps)/day.Tmax)
-	}
-	p.vhq, p.vhqMin = vhq, minSamples
-	return vhq
-}
-
-// HourTally counts qualifying samples and those with VH > h — one series'
-// share of a Fig. 2b point. hours counts every sample on a qualifying day
-// (samples on zero-peak days are measured hours that can never be events)
-// and events matches len(Detector.Events) at the same threshold.
-func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
-	vhq := p.hourVH(minSamples)
-	for _, v := range vhq {
-		if v > h {
-			events++
-		}
-	}
-	return events, len(vhq)
 }
 
 // Verdict returns the partition's verdict at threshold h. It is built in
 // one pass over the samples the first time it is asked for and cached for
-// that h, as the VH cache is for its minSamples (callers overwhelmingly use
-// one threshold); the result is shared and must not be modified.
+// that h (callers overwhelmingly use one threshold); the result is shared
+// and must not be modified.
 func (p *Partition) Verdict(h float64) *Verdict {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -285,8 +199,8 @@ func (d *Detector) EventsIn(p *Partition) []time.Time {
 	return out
 }
 
-// Partitions splits every series once, for callers that run several
-// tallies (day sweep + hour sweep, say) over the same series set.
+// Partitions splits every series once, for callers that run both sweeps
+// over the same series set.
 func Partitions(series []Series) []*Partition {
 	out := make([]*Partition, len(series))
 	for i := range series {
@@ -295,44 +209,128 @@ func Partitions(series []Series) []*Partition {
 	return out
 }
 
-// SweepDaysPartitioned evaluates the Fig. 2a day sweep over pre-built
-// partitions: one scan of the cached day summaries per threshold.
-func SweepDaysPartitioned(parts []*Partition, hs []float64, minSamples int) []SweepPoint {
+// thresholdBins counts values against a grid of thresholds in one pass:
+// each value is binned once by its rank, the number of grid thresholds it
+// exceeds, found exactly by `<` steps from the guess of a bucket table over
+// the grid's finite span, so in O(1) steps whatever the grid. A value
+// compares as `v > h` would against every h: NaN exceeds nothing.
+type thresholdBins struct {
+	grid      []float64 // the distinct non-NaN thresholds, ascending
+	lo, scale float64   // bucket i starts at lo + i/scale
+	start     []int32   // per bucket: the rank of its lower edge, a guess for its values
+	counts    []int     // counts[k]: values of rank k
+}
+
+// binScratch holds the bins of a grid of up to 32 thresholds (the default
+// has 21) on a sweep's stack, so the sweep allocates only its points.
+type binScratch struct {
+	grid   [32]float64
+	counts [33]int
+	start  [4 * 32]int32
+}
+
+// newThresholdBins prepares the bins of the thresholds hs, in any order
+// and with repeats, in sc when they fit.
+func newThresholdBins(hs []float64, sc *binScratch) thresholdBins {
+	b := thresholdBins{grid: sc.grid[:0], counts: sc.counts[:], start: sc.start[:]}
+	if len(hs) > len(sc.grid) {
+		b = thresholdBins{grid: make([]float64, 0, len(hs)), counts: make([]int, len(hs)+1), start: make([]int32, 4*len(hs))}
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, h := range hs {
+		if !math.IsNaN(h) {
+			b.grid = append(b.grid, h)
+			if !math.IsInf(h, 0) {
+				lo, hi = min(lo, h), max(hi, h)
+			}
+		}
+	}
+	slices.Sort(b.grid)
+	b.grid = slices.Compact(b.grid)
+	b.counts, b.start = b.counts[:len(b.grid)+1], b.start[:0]
+	if hi > lo { // four buckets per threshold over the finite span
+		b.start = b.start[:4*len(b.grid)]
+		b.lo, b.scale = lo, float64(len(b.start))/(hi-lo)
+		for i, k := 0, 0; i < len(b.start); i++ {
+			for k < len(b.grid) && b.grid[k] < lo+float64(i)/b.scale {
+				k++
+			}
+			b.start[i] = int32(k)
+		}
+	}
+	return b
+}
+
+// add bins the value v.
+func (b *thresholdBins) add(v float64) {
+	k := 0 // NaN, or below the span
+	if x := (v - b.lo) * b.scale; x >= float64(len(b.start)) {
+		k = len(b.grid)
+	} else if x >= 0 {
+		k = int(b.start[int(x)])
+	}
+	for k < len(b.grid) && b.grid[k] < v {
+		k++
+	}
+	for k > 0 && !(b.grid[k-1] < v) {
+		k--
+	}
+	b.counts[k]++
+}
+
+// points returns one point per threshold of hs, in hs' order: the share of
+// the binned values that exceed it.
+func (b *thresholdBins) points(hs []float64) []SweepPoint {
+	above, total := b.counts, 0 // above[k]: the values of rank > k, which exceed grid[k]
+	for k := len(above) - 1; k >= 0; k-- {
+		total, above[k] = total+above[k], total
+	}
 	out := make([]SweepPoint, len(hs))
 	for i, h := range hs {
-		congested, total := 0, 0
-		for _, p := range parts {
-			c, t := p.DayTally(h, minSamples)
-			congested += c
-			total += t
+		out[i].H = h
+		if k, ok := slices.BinarySearch(b.grid, h); ok && total > 0 {
+			out[i].Fraction = float64(above[k]) / float64(total)
 		}
-		frac := 0.0
-		if total > 0 {
-			frac = float64(congested) / float64(total)
-		}
-		out[i] = SweepPoint{H: h, Fraction: frac}
 	}
 	obsSweepPoints.Add(uint64(len(hs)))
 	return out
 }
 
-// SweepHoursPartitioned evaluates the Fig. 2b hour sweep over pre-built
-// partitions; the per-sample VH cache is built once on the first threshold.
-func SweepHoursPartitioned(parts []*Partition, hs []float64, minSamples int) []SweepPoint {
-	out := make([]SweepPoint, len(hs))
-	for i, h := range hs {
-		congested, total := 0, 0
-		for _, p := range parts {
-			e, n := p.HourTally(h, minSamples)
-			congested += e
-			total += n
+// SweepDaysPartitioned evaluates the Fig. 2a day sweep over pre-built
+// partitions: each qualifying day's V(s,d) is binned once against the
+// grid hs (any order, repeats allowed), and each point is the share of
+// qualifying days whose V exceeds its threshold. minSamples <= 0 means
+// MinDaySamples.
+func SweepDaysPartitioned(parts []*Partition, hs []float64, minSamples int) []SweepPoint {
+	var sc binScratch
+	b, minSamples := newThresholdBins(hs, &sc), cmp.Or(max(minSamples, 0), MinDaySamples)
+	for _, p := range parts {
+		for i := range p.days {
+			if d := &p.days[i]; d.Samples >= minSamples {
+				b.add(d.V)
+			}
 		}
-		frac := 0.0
-		if total > 0 {
-			frac = float64(congested) / float64(total)
-		}
-		out[i] = SweepPoint{H: h, Fraction: frac}
 	}
-	obsSweepPoints.Add(uint64(len(hs)))
-	return out
+	return b.points(hs)
+}
+
+// SweepHoursPartitioned evaluates the Fig. 2b hour sweep over pre-built
+// partitions: each sample on a qualifying day is a measured hour, and its
+// VH(s,t) is binned once against the grid hs. A zero-peak day's samples
+// are hours that exceed no threshold (NaN), as Detector.Events skips them.
+func SweepHoursPartitioned(parts []*Partition, hs []float64, minSamples int) []SweepPoint {
+	var sc binScratch
+	b, minSamples := newThresholdBins(hs, &sc), cmp.Or(max(minSamples, 0), MinDaySamples)
+	for _, p := range parts {
+		for i := range p.samples {
+			switch d := &p.days[p.dayOf[i]]; {
+			case d.Samples < minSamples:
+			case d.Tmax <= 0:
+				b.add(math.NaN())
+			default:
+				b.add((d.Tmax - p.samples[i].Mbps) / d.Tmax)
+			}
+		}
+	}
+	return b.points(hs)
 }

@@ -1,12 +1,54 @@
 package congestion
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 )
+
+// DayTally is the per-threshold reference of the day sweep: the qualifying
+// days (minSamples <= 0 means MinDaySamples) and those with V > h, counted
+// by one scan of the day split.
+func (p *Partition) DayTally(h float64, minSamples int) (congested, total int) {
+	if minSamples <= 0 {
+		minSamples = MinDaySamples
+	}
+	for i := range p.days {
+		if p.days[i].Samples < minSamples {
+			continue
+		}
+		total++
+		if p.days[i].V > h {
+			congested++
+		}
+	}
+	return congested, total
+}
+
+// HourTally is the per-threshold reference of the hour sweep — one
+// series' share of a Fig. 2b point: every sample on a qualifying day is an
+// hour, and an event when its VH(s,t) exceeds h; a zero-peak day's samples
+// are hours that are never events, so events matches len(Detector.Events)
+// at the same threshold.
+func (p *Partition) HourTally(h float64, minSamples int) (events, hours int) {
+	if minSamples <= 0 {
+		minSamples = MinDaySamples
+	}
+	for i := range p.samples {
+		day := &p.days[p.dayOf[i]]
+		if day.Samples < minSamples {
+			continue
+		}
+		hours++
+		if day.Tmax > 0 && (day.Tmax-p.samples[i].Mbps)/day.Tmax > h {
+			events++
+		}
+	}
+	return events, hours
+}
 
 // randomSeries exercises both partition build paths: time-sorted samples
 // (the grouped-campaign shape) and shuffled ones (the map fallback), with
@@ -197,5 +239,93 @@ func TestPartitionEmptySeries(t *testing.T) {
 	}
 	if e, h := p.HourTally(0.5, 0); e != 0 || h != 0 {
 		t.Errorf("empty tally: %d/%d", e, h)
+	}
+}
+
+// sameSweepPoint reports whether two sweep points hold the same bits, so a
+// NaN threshold matches itself.
+func sameSweepPoint(a, b SweepPoint) bool {
+	return math.Float64bits(a.H) == math.Float64bits(b.H) && math.Float64bits(a.Fraction) == math.Float64bits(b.Fraction)
+}
+
+// TestSweepsMatchPerThreshold holds both one-pass sweeps to the
+// per-threshold references DayTally and HourTally, point by point and bit
+// for bit: over sorted and shuffled series with zero-peak days (their
+// samples are hours that are never events) and short days, at minSamples
+// 0, 3 and 20, against grids that are unsorted and repeated, reach below 0
+// and above 1, hold ±Inf and NaN, and hit realised values of V and VH
+// exactly — fixed ones, and random draws from all of these.
+func TestSweepsMatchPerThreshold(t *testing.T) {
+	series := []Series{randomSeries(31, 11, false), randomSeries(32, 9, true), randomSeries(33, 3, false)}
+	parts := Partitions(series)
+	// Realised values: every day's V and a spread of samples' VH.
+	var realised []float64
+	for _, p := range parts {
+		for i, d := range p.days {
+			realised = append(realised, d.V)
+			if d.Tmax > 0 {
+				for j := range p.samples {
+					if int(p.dayOf[j]) == i && j%7 == 0 {
+						realised = append(realised, (d.Tmax-p.samples[j].Mbps)/d.Tmax)
+					}
+				}
+			}
+		}
+	}
+	special := []float64{0, -0.25, 1, 1.5, math.Inf(1), math.Inf(-1), math.NaN(), 0.5, 0.5}
+	grids := [][]float64{
+		{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1},
+		{0.9, 0.1, 0.5, 0.1, -3, 7, 0.5},
+		special,
+		append(append([]float64{}, realised...), special...),
+		{math.NaN()},
+		{math.Inf(-1), math.Inf(1)},
+		{0.3},
+		{0.3, 0.3 + 1e-300},
+		nil,
+	}
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 200; trial++ {
+		g := make([]float64, 1+rng.Intn(30))
+		for i := range g {
+			switch rng.Intn(5) {
+			case 0:
+				g[i] = special[rng.Intn(len(special))]
+			case 1:
+				g[i] = realised[rng.Intn(len(realised))]
+			case 2:
+				g[i] = math.Round(rng.Float64()*20) / 20
+			default:
+				g[i] = 2.5*rng.Float64() - 0.75
+			}
+		}
+		grids = append(grids, g)
+	}
+	for _, min := range []int{0, 3, 20} {
+		for gi, hs := range grids {
+			days, hours := SweepDaysPartitioned(parts, hs, min), SweepHoursPartitioned(parts, hs, min)
+			if len(days) != len(hs) || len(hours) != len(hs) {
+				t.Fatalf("min=%d grid %d: %d/%d points for %d thresholds", min, gi, len(days), len(hours), len(hs))
+			}
+			for i, h := range hs {
+				var dc, dt, he, ht int
+				for _, p := range parts {
+					c, n := p.DayTally(h, min)
+					e, m := p.HourTally(h, min)
+					dc, dt, he, ht = dc+c, dt+n, he+e, ht+m
+				}
+				want := [2]SweepPoint{{H: h}, {H: h}}
+				if dt > 0 {
+					want[0].Fraction = float64(dc) / float64(dt)
+				}
+				if ht > 0 {
+					want[1].Fraction = float64(he) / float64(ht)
+				}
+				if !sameSweepPoint(days[i], want[0]) || !sameSweepPoint(hours[i], want[1]) {
+					t.Fatalf("min=%d grid %d h=%v: sweeps (%v, %v), references (%v, %v)",
+						min, gi, h, days[i], hours[i], want[0], want[1])
+				}
+			}
+		}
 	}
 }

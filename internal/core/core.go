@@ -348,15 +348,31 @@ type CampaignResult struct {
 	views       [2]tierViews   // indexed by bgp.Tier
 }
 
-// tierViews holds one tier's download views once the allowance admitted
-// them. mu is held while the views are grouped, so concurrent callers wait
-// for the first instead of grouping beside it.
+// tierViews holds one tier's download view once the allowance admitted
+// it. mu is held while the view is grouped, so concurrent callers wait for
+// the first instead of grouping beside it.
 type tierViews struct {
-	mu     sync.Mutex
-	held   bool
-	bytes  int64
+	mu    sync.Mutex
+	held  *tierView // nil until admitted
+	bytes int64
+}
+
+// tierView is one tier's download view of a campaign: the per-pair series,
+// their index-aligned day partitions and, once asked for, Fig. 4's points
+// over the series. It is safe for concurrent use.
+type tierView struct {
 	series []analysis.SeriesWithServer
-	parts  []*congestion.Partition // index-aligned with series
+	parts  []*congestion.Partition
+
+	pointsOnce sync.Once
+	points     []analysis.PerfPoint
+}
+
+// perfPoints returns Fig. 4's points of the view's series, computed on the
+// first call; the result is shared and must not be modified.
+func (v *tierView) perfPoints() []analysis.PerfPoint {
+	v.pointsOnce.Do(func() { v.points = analysis.PerfPointsOfSeries(v.series) })
+	return v.points
 }
 
 // viewAllowance is the engine-wide allowance for the views its campaign
@@ -386,42 +402,50 @@ func (a *viewAllowance) release(n int64) {
 }
 
 // SeriesAndPartitions returns the campaign's per-pair download series of
-// one tier and their index-aligned day partitions, grouped over the log's
-// block ranges (ranges) and partitioned on as many workers. The first
-// caller groups while concurrent callers wait, and offers the views' bytes
-// (viewBytes) to the engine's allowance. Admitted views are kept and
-// shared with every later caller (a partition is safe for concurrent use);
-// views that do not fit go to their caller only, and the next caller
-// groups again. A view is a pure function of the log, so either way every
-// caller gets the same answer.
+// one tier and their index-aligned day partitions: the series and
+// partitions of view(tier).
 func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWithServer, []*congestion.Partition) {
-	v := &r.views[tier]
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.held {
-		return v.series, v.parts
-	}
-	series := analysis.GroupSeriesWithServerRanges(r.ranges(), netsim.Download, tier)
-	parts := make([]*congestion.Partition, len(series))
-	analysis.ParallelFor(r.parallelism, len(series), func(i int) {
-		parts[i] = congestion.NewPartition(series[i].Series)
-	})
-	if n := viewBytes(series, parts); r.allowance.admit(n) {
-		v.held, v.bytes, v.series, v.parts = true, n, series, parts
-	}
-	return series, parts
+	v := r.view(tier)
+	return v.series, v.parts
 }
 
-// viewBytes is what a tier's views hold once every partition's VH cache and
-// verdict are filled: the series headers and partition pointers, each series' samples,
-// latencies and pair ID, and each partition (the region names are the
-// log's).
-func viewBytes(series []analysis.SeriesWithServer, parts []*congestion.Partition) int64 {
-	n := int64(len(series)) * int64(unsafe.Sizeof(analysis.SeriesWithServer{})+unsafe.Sizeof(&congestion.Partition{}))
-	for i := range series {
-		sw := &series[i]
+// view returns the campaign's download view of one tier, grouped over the
+// log's block ranges (ranges) and partitioned on as many workers. The first
+// caller groups while concurrent callers wait, and offers the view's bytes
+// (viewBytes) to the engine's allowance. An admitted view is kept and
+// shared with every later caller, Fig. 4's points with it once built; a
+// view that does not fit goes to its caller only, and the next caller
+// groups again. A view is a pure function of the log, so either way every
+// caller gets the same answer.
+func (r *CampaignResult) view(tier bgp.Tier) *tierView {
+	tv := &r.views[tier]
+	tv.mu.Lock()
+	defer tv.mu.Unlock()
+	if tv.held != nil {
+		return tv.held
+	}
+	series := analysis.GroupSeriesWithServerRanges(r.ranges(), netsim.Download, tier)
+	v := &tierView{series: series, parts: make([]*congestion.Partition, len(series))}
+	analysis.ParallelFor(r.parallelism, len(series), func(i int) {
+		v.parts[i] = congestion.NewPartition(series[i].Series)
+	})
+	if n := viewBytes(v); r.allowance.admit(n) {
+		tv.held, tv.bytes = v, n
+	}
+	return v
+}
+
+// viewBytes is what a tier's view holds once every partition's verdict and
+// Fig. 4's points are built: the series headers and partition pointers,
+// each series' samples, latencies and pair ID, each partition, and one
+// point per series and calendar month (the region names are the log's).
+func viewBytes(v *tierView) int64 {
+	n := int64(len(v.series))*int64(unsafe.Sizeof(analysis.SeriesWithServer{})+unsafe.Sizeof(&congestion.Partition{})) +
+		int64(analysis.PerfPointCount(v.series))*int64(unsafe.Sizeof(analysis.PerfPoint{}))
+	for i := range v.series {
+		sw := &v.series[i]
 		n += int64(len(sw.Series.Samples))*int64(unsafe.Sizeof(congestion.Sample{})) +
-			int64(len(sw.LatMs))*int64(unsafe.Sizeof(float64(0))) + int64(len(sw.Series.PairID)) + parts[i].Bytes()
+			int64(len(sw.LatMs))*int64(unsafe.Sizeof(float64(0))) + int64(len(sw.Series.PairID)) + v.parts[i].Bytes()
 	}
 	return n
 }
@@ -455,9 +479,9 @@ func (r *CampaignResult) Close() error {
 	for i := range r.views {
 		v := &r.views[i]
 		v.mu.Lock()
-		if v.held {
+		if v.held != nil {
 			r.allowance.release(v.bytes)
-			v.held, v.bytes, v.series, v.parts = false, 0, nil, nil
+			v.held, v.bytes = nil, 0
 		}
 		v.mu.Unlock()
 	}

@@ -255,11 +255,10 @@ type Fig4Data struct {
 	Points []analysis.PerfPoint
 }
 
-// Fig4 builds a panel for one tier from the campaign's download view of
-// that tier (SeriesAndPartitions), which carries each download's latency.
+// Fig4 builds a panel for one tier from the points of the campaign's
+// download view of that tier, whose series carry each download's latency.
 func Fig4(result *CampaignResult, tier bgp.Tier) (*Fig4Data, error) {
-	series, _ := result.SeriesAndPartitions(tier)
-	points := analysis.PerfPointsOfSeries(series)
+	points := result.view(tier).perfPoints()
 	if len(points) == 0 {
 		return nil, fmt.Errorf("core: no perf points for %s/%s", result.Region, tier)
 	}
@@ -453,7 +452,7 @@ type Headlines struct {
 // ComputeHeadlines derives the findings from topology-campaign results and
 // an optional differential campaign. Every per-region tally — congested
 // hours, congested ISP pairs and the p95 share of Fig. 4's points — reads
-// the region's one Premium download view (SeriesAndPartitions): topology
+// the region's one Premium download view, Fig. 4's points included: topology
 // campaigns measure only the Premium tier, so that view holds every
 // download they made. Per-region analysis fans out across Opts.Parallelism
 // workers; every fold below is an integer tally summed in region-sorted
@@ -475,19 +474,19 @@ func (c *CLASP) ComputeHeadlines(topoResults map[string]*CampaignResult, diff *C
 	analysis.ParallelFor(c.Opts.Parallelism, len(regions), func(i int) {
 		res := topoResults[regions[i]]
 		t := &tallies[i]
-		series, parts := res.SeriesAndPartitions(bgp.Premium)
-		for j, sw := range series {
-			v := parts[j].Verdict(det.H)
+		view := res.view(bgp.Premium)
+		for j, sw := range view.series {
+			v := view.parts[j].Verdict(det.H)
 			t.hourEvents += v.Events
 			t.hourTotal += v.Hours
 			if analysis.BusinessOf(c.Topo, sw.ServerID) == topology.BizISP {
 				t.ispPairs++
-				if congestion.CongestedPairIn(parts[j], det) {
+				if congestion.CongestedPairIn(view.parts[j], det) {
 					t.ispCongested++
 				}
 			}
 		}
-		for _, p := range analysis.PerfPointsOfSeries(series) {
+		for _, p := range view.perfPoints() {
 			t.perfPoints++
 			if p.P95Down >= 200 && p.P95Down <= 600 {
 				t.perfIn200600++

@@ -145,7 +145,7 @@ func spilled(f func()) uint64 {
 // and the spilled log's analysis_group_calls_total moves once per tier. A
 // spilled twin whose allowance is too small for its views hands back fresh
 // slices on every call. All three answer alike on every series and on
-// every partition's day split and tallies.
+// every partition's verdict and sweeps.
 func TestCampaignViewsGroupedOnce(t *testing.T) {
 	const region, days, minSamples = "europe-west1", 14, 4
 	resident, _, err := runDifferential(newCLASP(t), region, days, 6)
@@ -183,9 +183,7 @@ func TestCampaignViewsGroupedOnce(t *testing.T) {
 				<-start
 				for _, tier := range tiers {
 					series, parts := res.SeriesAndPartitions(tier)
-					for _, p := range parts {
-						p.HourTally(0.2, minSamples)
-					}
+					congestion.SweepHoursPartitioned(parts, []float64{0.2}, minSamples)
 					got[g] = append(got[g], views{series, parts})
 				}
 			}()
@@ -241,15 +239,10 @@ func TestCampaignViewsGroupedOnce(t *testing.T) {
 				if !reflect.DeepEqual(p.Verdict(0.5), w.Verdict(0.5)) {
 					t.Fatalf("%s %v partition %d (%s): verdicts differ", name, tier, i, id)
 				}
-				for _, h := range []float64{0.1, 0.2, 0.5} {
-					gotC, gotN := p.DayTally(h, minSamples)
-					wantC, wantN := w.DayTally(h, minSamples)
-					gotEv, gotHr := p.HourTally(h, minSamples)
-					wantEv, wantHr := w.HourTally(h, minSamples)
-					if gotC != wantC || gotN != wantN || gotEv != wantEv || gotHr != wantHr {
-						t.Fatalf("%s %v partition %d (%s) at h=%v: tallies (%d,%d,%d,%d) != (%d,%d,%d,%d)",
-							name, tier, i, id, h, gotC, gotN, gotEv, gotHr, wantC, wantN, wantEv, wantHr)
-					}
+				hs, one, wantOne := []float64{0.1, 0.2, 0.5}, []*congestion.Partition{p}, []*congestion.Partition{w}
+				if !reflect.DeepEqual(congestion.SweepDaysPartitioned(one, hs, minSamples), congestion.SweepDaysPartitioned(wantOne, hs, minSamples)) ||
+					!reflect.DeepEqual(congestion.SweepHoursPartitioned(one, hs, minSamples), congestion.SweepHoursPartitioned(wantOne, hs, minSamples)) {
+					t.Fatalf("%s %v partition %d (%s): sweeps differ", name, tier, i, id)
 				}
 			}
 		}
@@ -316,29 +309,34 @@ func TestCampaignViewsWithinAllowance(t *testing.T) {
 	var held int64
 	refused := 0
 	for _, res := range results {
-		v := &res.views[bgp.Premium]
-		if !v.held {
+		tv := &res.views[bgp.Premium]
+		v := tv.held
+		if v == nil {
 			refused++
 			continue
 		}
-		held += v.bytes
+		held += tv.bytes
 		// Recount the view: its samples and their latencies from the log's
-		// Premium downloads, the rest from the series it holds.
+		// Premium downloads, its Fig. 4 points from the log's records (a
+		// topology campaign measures Premium only), the rest from the series
+		// it holds.
 		downloads := 0
-		for _, m := range drainRecords(res) {
+		records := drainRecords(res)
+		for _, m := range records {
 			if m.Dir == netsim.Download && m.Tier == bgp.Premium {
 				downloads++
 			}
 		}
-		want := int64(downloads) * int64(unsafe.Sizeof(congestion.Sample{})+unsafe.Sizeof(float64(0)))
+		want := int64(downloads)*int64(unsafe.Sizeof(congestion.Sample{})+unsafe.Sizeof(float64(0))) +
+			int64(len(analysis.PerfPointsCursor(analysis.NewSliceCursor(records))))*int64(unsafe.Sizeof(analysis.PerfPoint{}))
 		for i, sw := range v.series {
 			if len(sw.LatMs) != len(sw.Series.Samples) {
 				t.Fatalf("%s: series %s holds %d latencies for %d samples", res.Region, sw.Series.PairID, len(sw.LatMs), len(sw.Series.Samples))
 			}
 			want += int64(unsafe.Sizeof(sw)+unsafe.Sizeof(v.parts[i])) + int64(len(sw.Series.PairID)) + v.parts[i].Bytes()
 		}
-		if v.bytes != want {
-			t.Errorf("%s: the view was admitted at %d bytes, recounted %d", res.Region, v.bytes, want)
+		if tv.bytes != want {
+			t.Errorf("%s: the view was admitted at %d bytes, recounted %d", res.Region, tv.bytes, want)
 		}
 	}
 	if held != a.held {
@@ -421,8 +419,8 @@ func TestCampaignViewsFig4MatchesRecords(t *testing.T) {
 					if !reflect.DeepEqual(fig4.Points, wantFig4[tier]) {
 						t.Errorf("%s: Fig. 4 %v differs from the records' perf points", label, tier)
 					}
-					if d.views[tier].held != (limit == 0) {
-						t.Errorf("%s: %v view held = %v", label, tier, d.views[tier].held)
+					if held := d.views[tier].held != nil; held != (limit == 0) {
+						t.Errorf("%s: %v view held = %v", label, tier, held)
 					}
 				}
 				h := c.ComputeHeadlines(map[string]*CampaignResult{topo.Region: twin(topo)}, nil)
@@ -445,6 +443,87 @@ func TestCampaignViewsFig4MatchesRecords(t *testing.T) {
 		defer res.Close()
 	}
 	check("spilled")
+}
+
+// TestCampaignPerfPointsHeld holds Fig. 4's points to their view. An
+// admitted view builds its points once and shares them with eight racing
+// callers, Fig. 4 and the headlines, and its bytes counted them up front
+// (analysis.PerfPointCount is the points' number). A twin whose allowance
+// refuses the view gives Fig. 4 and the headlines the same answers. Counted
+// with analysis_group_calls_total, the racing callers group a held view
+// once and Fig. 4 and the headlines not again, while they group a refused
+// view once each.
+func TestCampaignPerfPointsHeld(t *testing.T) {
+	c := newCLASP(t)
+	res, err := runTopology(c, "us-west1", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := func(limit int64) *CampaignResult {
+		return &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected,
+			parallelism: 2, allowance: &viewAllowance{limit: limit}}
+	}
+	groupCalls := obs.Default().Counter("analysis_group_calls_total")
+	type render struct {
+		fig4      *Fig4Data
+		headlines Headlines
+		groups    uint64
+	}
+	renders := func(r *CampaignResult) render {
+		obs.SetEnabled(true)
+		defer obs.SetEnabled(false)
+		before := groupCalls.Value()
+		fig4, err := Fig4(r, bgp.Premium)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := c.ComputeHeadlines(map[string]*CampaignResult{r.Region: r}, nil)
+		return render{fig4, h, groupCalls.Value() - before}
+	}
+
+	held := twin(0)
+	var racing [8][]analysis.PerfPoint
+	var wg sync.WaitGroup
+	obs.SetEnabled(true)
+	before := groupCalls.Value()
+	for g := range racing {
+		wg.Add(1)
+		go func() { defer wg.Done(); racing[g] = held.view(bgp.Premium).perfPoints() }()
+	}
+	wg.Wait()
+	racingGroups := groupCalls.Value() - before
+	obs.SetEnabled(false)
+	if racingGroups != 1 {
+		t.Errorf("eight racing callers grouped an admitted view %d times", racingGroups)
+	}
+	got := renders(held)
+	v := held.views[bgp.Premium].held
+	if v == nil {
+		t.Fatal("the view was refused without a limit")
+	}
+	want := analysis.PerfPointsOfSeries(v.series)
+	if len(want) == 0 || !reflect.DeepEqual(got.fig4.Points, want) {
+		t.Fatal("Fig. 4 over the held view differs from the series' points")
+	}
+	for g, pts := range racing {
+		if &pts[0] != &got.fig4.Points[0] {
+			t.Fatalf("racing caller %d got points of its own", g)
+		}
+	}
+	if n := analysis.PerfPointCount(v.series); n != len(want) {
+		t.Fatalf("PerfPointCount = %d, the view has %d points", n, len(want))
+	}
+	if got.groups != 0 {
+		t.Errorf("Fig. 4 and the headlines grouped a held view %d times", got.groups)
+	}
+
+	refused := renders(twin(1))
+	if !reflect.DeepEqual(refused.fig4, got.fig4) || refused.headlines != got.headlines {
+		t.Error("Fig. 4 or the headlines over a refused view differ from the held view's")
+	}
+	if refused.groups != 2 {
+		t.Errorf("Fig. 4 and the headlines grouped a refused view %d times, want once each", refused.groups)
+	}
 }
 
 // TestStreamingDifferentialIdentical covers the two-tier analysis path
