@@ -367,8 +367,16 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, out io.Writer,
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "Topology-based selection (%s): pilot links %d, server links %d, selected %d (coverage %.1f%%)\n",
-			region, sel.PilotLinks.LinkCount(), sel.ServerLinkCount, len(sel.Selected), sel.Coverage()*100)
+		// Router IDs run from 0 in the order alias resolution found them.
+		routers, viaNext := 0, 0
+		for _, l := range sel.PilotLinks.Links {
+			routers = max(routers, l.Router+1)
+			if l.ViaNextHop {
+				viaNext++
+			}
+		}
+		fmt.Fprintf(out, "Topology-based selection (%s): pilot links %d (%d routers, %d owned via next hop), server links %d, selected %d (coverage %.1f%%)\n",
+			region, sel.PilotLinks.LinkCount(), routers, viaNext, sel.ServerLinkCount, len(sel.Selected), sel.Coverage()*100)
 		for _, s := range sel.Selected {
 			fmt.Fprintf(out, "  %-38s %-18s AS%-10d hops=%d rtt=%.1fms far=%s\n",
 				s.Server.Host, s.Server.City, s.Server.ASN, s.ASHops, s.RTTms, s.FarIP)

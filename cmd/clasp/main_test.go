@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
@@ -29,8 +31,18 @@ func TestRunSelect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration in -short mode")
 	}
-	if err := run([]string{"select", "us-west1", "-scale", "0.1", "-seed", "2"}, io.Discard); err != nil {
+	var out strings.Builder
+	if err := run([]string{"select", "us-west1", "-scale", "0.1", "-seed", "2"}, &out); err != nil {
 		t.Fatal(err)
+	}
+	// The pilot scan's alias sets and next-hop attributions are reported.
+	var links, routers, viaNext int
+	if _, err := fmt.Sscanf(out.String(), "Topology-based selection (us-west1): pilot links %d (%d routers, %d owned via next hop)",
+		&links, &routers, &viaNext); err != nil {
+		t.Fatalf("summary line: %v\n%s", err, out.String())
+	}
+	if routers == 0 || routers >= links || viaNext == 0 || viaNext >= links {
+		t.Errorf("pilot links %d, routers %d, via next hop %d: want 0 < routers, via next hop < links", links, routers, viaNext)
 	}
 }
 

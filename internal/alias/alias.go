@@ -11,7 +11,7 @@ package alias
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
@@ -73,17 +73,14 @@ func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
 		addr netip.Addr
 		c    counter
 	}
-	seen := make(map[netip.Addr]bool)
-	cands := make([]candidate, 0, len(candidates))
-	for _, a := range candidates {
-		if !seen[a] {
-			seen[a] = true
-			if c, ok := p.counterOf(a); ok {
-				cands = append(cands, candidate{a, c})
-			}
+	addrs := slices.Clone(candidates)
+	slices.SortFunc(addrs, netip.Addr.Compare)
+	cands := make([]candidate, 0, len(addrs))
+	for _, a := range slices.Compact(addrs) {
+		if c, ok := p.counterOf(a); ok {
+			cands = append(cands, candidate{a, c})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].addr.Compare(cands[j].addr) < 0 })
 
 	// Interleaved probing: for each address, collect a short series at
 	// staggered ticks. series[i] belongs to cands[i] and is tick-sorted,
@@ -129,17 +126,15 @@ func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
 
 	// cands is sorted, so walking it in order fills every group in address
 	// order and meets the groups in order of their smallest member.
-	groupOf := make(map[int]int)
+	groupOf := make([]int, len(cands)) // by root: 1 + the group's index in out, 0 before
 	out := [][]netip.Addr{}
 	for i, c := range cands {
 		r := find(i)
-		g, ok := groupOf[r]
-		if !ok {
-			g = len(out)
-			groupOf[r] = g
+		if groupOf[r] == 0 {
 			out = append(out, nil)
+			groupOf[r] = len(out)
 		}
-		out[g] = append(out[g], c.addr)
+		out[groupOf[r]-1] = append(out[groupOf[r]-1], c.addr)
 	}
 	return out
 }

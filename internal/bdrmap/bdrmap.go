@@ -8,9 +8,10 @@
 package bdrmap
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
 	"github.com/clasp-measurement/clasp/internal/analysis"
@@ -70,93 +71,97 @@ type borderObs struct {
 }
 
 // Infer consumes traceroutes from VMs in one region and returns the
-// inferred interdomain links. Alias resolution runs on up to parallelism
-// workers (0 or 1: inline); the result is identical at any value.
+// inferred interdomain links in far-IP order. Alias resolution runs on up
+// to parallelism workers (0 or 1: inline); the result is identical at any
+// value.
 func (m *Mapper) Infer(traces []traceroute.Result, parallelism int) (*Result, error) {
 	if m.table == nil {
 		return nil, fmt.Errorf("bdrmap: nil prefix table")
 	}
-	type agg struct {
-		owners   map[ASN]int
-		viaNext  int
-		evidence int
-	}
-	byFar := make(map[netip.Addr]*agg)
-
+	obs := make([]borderObs, 0, len(traces))
 	for ti := range traces {
-		obs, ok := m.findBorder(&traces[ti])
-		if !ok {
-			continue
-		}
-		a := byFar[obs.farIP]
-		if a == nil {
-			a = &agg{owners: make(map[ASN]int)}
-			byFar[obs.farIP] = a
-		}
-		a.owners[obs.owner]++
-		a.evidence++
-		if obs.viaNext {
-			a.viaNext++
+		if o, ok := m.findBorder(&traces[ti]); ok {
+			obs = append(obs, o)
 		}
 	}
-
-	// Build links with majority-vote owners.
-	var links []Link
-	for far, a := range byFar {
-		var best ASN
-		bestN := -1
-		for owner, n := range a.owners {
-			if n > bestN || (n == bestN && owner < best) {
-				best, bestN = owner, n
-			}
-		}
-		if best == 0 || best == m.cloudASN {
-			continue // could not attribute to a neighbor
-		}
-		links = append(links, Link{
-			FarIP:      far,
-			Neighbor:   best,
-			Router:     -1,
-			Evidence:   a.evidence,
-			ViaNextHop: a.viaNext > a.evidence/2,
-		})
-	}
-
-	// Alias-resolve far interfaces per neighbor to group them into
-	// routers (far IPs of one router belong to the same neighbor). The
-	// neighbors resolve independently, on up to parallelism workers;
-	// router IDs are assigned afterwards in neighbor order.
+	links := aggregate(obs)
 	if m.resolver != nil {
-		byNeighbor := make(map[ASN][]netip.Addr)
-		idx := make(map[netip.Addr]*Link)
-		for i := range links {
-			byNeighbor[links[i].Neighbor] = append(byNeighbor[links[i].Neighbor], links[i].FarIP)
-			idx[links[i].FarIP] = &links[i]
+		m.groupRouters(links, parallelism)
+	}
+	return &Result{Links: links}, nil
+}
+
+// aggregate merges the observations of each far IP into one link: the
+// majority owner (the lowest ASN among equals), the evidence, and whether
+// most sightings inferred the owner via next hop. It sorts obs by (far IP,
+// owner), so each link is one run and each owner's count a run within it;
+// the links come out in far-IP order. findBorder never attributes a far IP
+// to the cloud or to no AS, so every link has a neighbor.
+func aggregate(obs []borderObs) []Link {
+	slices.SortFunc(obs, func(a, b borderObs) int {
+		if c := a.farIP.Compare(b.farIP); c != 0 {
+			return c
 		}
-		var neighbors []ASN
-		for nb := range byNeighbor {
-			neighbors = append(neighbors, nb)
+		return cmp.Compare(a.owner, b.owner)
+	})
+	var links []Link
+	via, run, best := 0, 0, 0 // the link's via-next sightings, the owner's run, the longest run
+	for i, o := range obs {
+		if i == 0 || o.farIP != obs[i-1].farIP {
+			links = append(links, Link{FarIP: o.farIP, Router: -1})
+			via, run, best = 0, 0, 0
+		} else if o.owner != obs[i-1].owner {
+			run = 0
 		}
-		sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
-		groups := make([][][]netip.Addr, len(neighbors))
-		analysis.ParallelFor(parallelism, len(neighbors), func(i int) {
-			groups[i] = m.resolver.Resolve(byNeighbor[neighbors[i]])
-		})
-		routerID := 0
-		for _, gs := range groups {
-			for _, group := range gs {
-				for _, ip := range group {
-					if l := idx[ip]; l != nil {
-						l.Router = routerID
-					}
-				}
-				routerID++
-			}
+		l := &links[len(links)-1]
+		if run++; run > best {
+			best, l.Neighbor = run, o.owner
+		}
+		if o.viaNext {
+			via++
+		}
+		l.Evidence++
+		l.ViaNextHop = via > l.Evidence/2
+	}
+	return links
+}
+
+// groupRouters alias-resolves the far interfaces of each neighbor's links
+// (far IPs of one router belong to the same neighbor) and numbers the
+// routers in neighbor order, then in Resolve's order. The neighbors resolve
+// independently, on up to parallelism workers. links must be in far-IP
+// order.
+func (m *Mapper) groupRouters(links []Link, parallelism int) {
+	// order lists the links by neighbor, each neighbor's in far-IP order;
+	// runs[n] is where the n-th neighbor's links start.
+	order := make([]int, len(links))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(links[a].Neighbor, links[b].Neighbor) })
+	ips := make([]netip.Addr, len(order))
+	var runs []int
+	for k, i := range order {
+		ips[k] = links[i].FarIP
+		if k == 0 || links[i].Neighbor != links[order[k-1]].Neighbor {
+			runs = append(runs, k)
 		}
 	}
-
-	sort.Slice(links, func(i, j int) bool { return links[i].FarIP.Compare(links[j].FarIP) < 0 })
-	return &Result{Links: links}, nil
+	runs = append(runs, len(order))
+	groups := make([][][]netip.Addr, len(runs)-1)
+	analysis.ParallelFor(parallelism, len(groups), func(n int) {
+		groups[n] = m.resolver.Resolve(ips[runs[n]:runs[n+1]])
+	})
+	routerID := 0
+	for n, gs := range groups {
+		for _, group := range gs {
+			for _, ip := range group {
+				k, _ := slices.BinarySearchFunc(ips[runs[n]:runs[n+1]], ip, netip.Addr.Compare)
+				links[order[runs[n]+k]].Router = routerID
+			}
+			routerID++
+		}
+	}
 }
 
 // findBorder locates the cloud border crossing in one traceroute: the last

@@ -11,14 +11,17 @@
 //     near the origin region and crosses the public Internet; incoming
 //     traffic stays on the public Internet and enters near the region.
 //
-// Routing state is cached aggressively: trees and link choices are pure
-// functions of the topology, computed once and then served from lock-free
-// sync.Map reads, so concurrent measurement workers never contend on a
-// route that is already known. Warm precomputes the tree set up front.
+// Routing state is cached aggressively: the cloud's routes, trees and link
+// choices are pure functions of the topology, computed once and then served
+// from lock-free reads, so concurrent measurement workers never contend on
+// a route that is already known. The cloud's route to a destination needs
+// only that destination's provider cone, not a tree; a full tree is built
+// for the routes toward the cloud. Warm precomputes both up front.
 package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,19 +84,24 @@ type denseGraph struct {
 	peers     [][]int32     // sorted by peer ASN
 }
 
-func buildDense(t *topology.Topology) *denseGraph {
-	ases := t.ASes()
+// relations is the part of a topology buildDense reads.
+type relations interface {
+	Providers(ASN) []ASN
+	Customers(ASN) []ASN
+	Peers(ASN) []ASN
+}
+
+func buildDense(asns []ASN, rel relations) *denseGraph {
 	g := &denseGraph{
-		n:         len(ases),
-		asns:      make([]ASN, len(ases)),
-		index:     make(map[ASN]int32, len(ases)),
-		providers: make([][]int32, len(ases)),
-		customers: make([][]int32, len(ases)),
-		peers:     make([][]int32, len(ases)),
+		n:         len(asns),
+		asns:      asns,
+		index:     make(map[ASN]int32, len(asns)),
+		providers: make([][]int32, len(asns)),
+		customers: make([][]int32, len(asns)),
+		peers:     make([][]int32, len(asns)),
 	}
-	for i, a := range ases {
-		g.asns[i] = a.ASN
-		g.index[a.ASN] = int32(i)
+	for i, a := range asns {
+		g.index[a] = int32(i)
 	}
 	conv := func(ns []ASN) []int32 {
 		if len(ns) == 0 {
@@ -106,10 +114,10 @@ func buildDense(t *topology.Topology) *denseGraph {
 		sort.Slice(out, func(i, j int) bool { return g.asns[out[i]] < g.asns[out[j]] })
 		return out
 	}
-	for i, a := range ases {
-		g.providers[i] = conv(t.Providers(a.ASN))
-		g.customers[i] = conv(t.Customers(a.ASN))
-		g.peers[i] = conv(t.Peers(a.ASN))
+	for i, a := range asns {
+		g.providers[i] = conv(rel.Providers(a))
+		g.customers[i] = conv(rel.Customers(a))
+		g.peers[i] = conv(rel.Peers(a))
 	}
 	return g
 }
@@ -127,12 +135,18 @@ type Tree struct {
 	next [3][]int32
 }
 
-// Router computes and caches routing trees over a topology. Cache hits are
-// lock-free sync.Map reads; each tree is computed at most once (misses
+// Router computes and caches routes over a topology: the cloud's route to
+// each destination (cloudPath) and full routing trees (TreeTo). Cache hits
+// are lock-free reads; each route and tree is computed at most once (misses
 // singleflight through a per-destination sync.Once).
 type Router struct {
 	topo  *topology.Topology
 	dense *denseGraph
+	cloud int32 // the cloud's AS index
+	// cloudPeer[i] is whether AS i peers with the cloud.
+	cloudPeer []bool
+	routes    []cloudRoute // by destination AS index
+	scratch   sync.Pool    // *climbScratch
 
 	trees     sync.Map // ASN -> *treeEntry
 	linkCache sync.Map // linkCacheKey -> *topology.Interconnect
@@ -145,6 +159,20 @@ type Router struct {
 type treeEntry struct {
 	once sync.Once
 	tree *Tree
+}
+
+// cloudRoute singleflights the cloud's path to one destination; nil when
+// the cloud has no route.
+type cloudRoute struct {
+	once sync.Once
+	path []ASN
+}
+
+// climbScratch is climb's state for one cloud route: per-AS customer-route
+// distance and next hop, -1 everywhere between uses, and the BFS queue.
+type climbScratch struct {
+	dist, next []int32
+	queue      []climbed
 }
 
 type linkCacheKey struct {
@@ -160,7 +188,33 @@ type candidateKey struct {
 
 // NewRouter creates a router for the given topology.
 func NewRouter(t *topology.Topology) *Router {
-	return &Router{topo: t, dense: buildDense(t), candidates: buildCandidates(t)}
+	asns := make([]ASN, len(t.ASes()))
+	for i, a := range t.ASes() {
+		asns[i] = a.ASN
+	}
+	r := newRouter(buildDense(asns, t), t.Cloud.ASN)
+	r.topo, r.candidates = t, buildCandidates(t)
+	return r
+}
+
+// newRouter sets up the route caches over g for the given cloud AS.
+func newRouter(g *denseGraph, cloud ASN) *Router {
+	ci, ok := g.index[cloud]
+	if !ok {
+		panic(fmt.Sprintf("bgp: the cloud AS%d is not in the graph", cloud))
+	}
+	r := &Router{dense: g, cloud: ci, cloudPeer: make([]bool, g.n), routes: make([]cloudRoute, g.n)}
+	for i, ps := range g.peers {
+		r.cloudPeer[i] = slices.Contains(ps, ci)
+	}
+	r.scratch.New = func() any {
+		s := &climbScratch{dist: make([]int32, g.n), next: make([]int32, g.n)}
+		for i := range s.dist {
+			s.dist[i], s.next[i] = -1, -1
+		}
+		return s
+	}
+	return r
 }
 
 // buildCandidates walks every cloud neighbor and region and keeps, per
@@ -226,9 +280,11 @@ func (r *Router) TreeTo(dst ASN) *Tree {
 	return en.tree
 }
 
-// Warm bulk-precomputes the routing trees toward every destination in dsts,
-// at most parallelism computations in flight. A campaign calls this once at
-// start so steady-state measurement never waits on a tree build. Warming is
+// Warm bulk-precomputes the routes a campaign's flows take, at most
+// parallelism computations in flight: for the cloud in dsts, the tree of
+// every AS's route to it (download ingress); for every other destination,
+// the cloud's route to it (upload egress). A campaign calls this once at
+// start so steady-state measurement never waits on a route. Warming is
 // purely a cache fill: it changes no routing decision.
 func (r *Router) Warm(dsts []ASN, parallelism int) {
 	if parallelism < 1 {
@@ -236,6 +292,7 @@ func (r *Router) Warm(dsts []ASN, parallelism int) {
 	}
 	start := time.Now()
 	defer func() { obsWarmDur.Observe(float64(time.Since(start))) }()
+	cloud := r.dense.asns[r.cloud]
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
 	for _, dst := range dsts {
@@ -244,10 +301,97 @@ func (r *Router) Warm(dsts []ASN, parallelism int) {
 		go func(dst ASN) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r.TreeTo(dst)
+			if dst == cloud {
+				r.TreeTo(dst)
+			} else {
+				r.Path(cloud, dst)
+			}
 		}(dst)
 	}
 	wg.Wait()
+}
+
+// climbed is one AS climb reached, at its customer-route distance.
+type climbed struct {
+	idx  int32
+	dist int32
+}
+
+// climb is phase 1 of the Gao-Rexford propagation toward the AS at index
+// di: an AS has a customer route if di sits in its customer cone, so a BFS
+// from di up customer->provider edges gives each such AS its distance and
+// next hop, the lowest-ASN one among equals. dist and next must hold -1 for
+// every AS; climb fills them for the ASes it reaches and returns queue
+// (reused storage) listing them.
+func (g *denseGraph) climb(di int32, dist, next []int32, queue []climbed) []climbed {
+	queue = append(queue[:0], climbed{di, 0})
+	dist[di] = 0
+	for h := 0; h < len(queue); h++ {
+		cur := queue[h]
+		if dist[cur.idx] != cur.dist {
+			continue // superseded
+		}
+		curASN := g.asns[cur.idx]
+		for _, p := range g.providers[cur.idx] {
+			nd := cur.dist + 1
+			d := dist[p]
+			if d < 0 || nd < d ||
+				(nd == d && curASN < g.asns[next[p]]) {
+				if d < 0 || nd < d {
+					queue = append(queue, climbed{p, nd})
+				}
+				dist[p] = nd
+				next[p] = cur.idx
+			}
+		}
+	}
+	return queue
+}
+
+// cloudPath computes the cloud's route to the AS at index di (not the
+// cloud's) from di's provider cone alone. The cloud takes a customer route
+// when di is in its customer cone; otherwise phase 2's rule applied at the
+// cloud: the lowest (distance+1, ASN) over cone members that peer with it.
+// The remaining hops are the member's customer route. A cloud with neither
+// falls back to the full tree, which is exact for provider routes.
+func (r *Router) cloudPath(di int32) []ASN {
+	g := r.dense
+	s := r.scratch.Get().(*climbScratch)
+	defer r.scratch.Put(s)
+	s.queue = g.climb(di, s.dist, s.next, s.queue)
+	defer func() {
+		for _, q := range s.queue {
+			s.dist[q.idx], s.next[q.idx] = -1, -1
+		}
+	}()
+
+	hop, hopDist := r.cloud, s.dist[r.cloud]
+	if hopDist < 0 {
+		hop = -1
+		for _, q := range s.queue {
+			if !r.cloudPeer[q.idx] || s.dist[q.idx] != q.dist {
+				continue
+			}
+			if hop < 0 || q.dist+1 < hopDist ||
+				(q.dist+1 == hopDist && g.asns[q.idx] < g.asns[hop]) {
+				hop, hopDist = q.idx, q.dist+1
+			}
+		}
+		if hop < 0 {
+			path, _ := r.TreeTo(g.asns[di]).Path(g.asns[r.cloud])
+			return path
+		}
+	}
+	path := make([]ASN, 1, hopDist+1)
+	path[0] = g.asns[r.cloud]
+	for cur := hop; ; cur = s.next[cur] {
+		if cur != r.cloud {
+			path = append(path, g.asns[cur])
+		}
+		if cur == di {
+			return path
+		}
+	}
 }
 
 // compute runs the three-phase Gao-Rexford propagation toward dst over the
@@ -271,34 +415,8 @@ func (r *Router) compute(dst ASN) *Tree {
 	}
 	dist, next := &tr.dist, &tr.next
 
-	// Phase 1: customer routes. An AS has a customer route if dst sits in
-	// its customer cone. BFS from dst following customer->provider edges.
-	type qe struct {
-		idx  int32
-		dist int32
-	}
-	queue := []qe{{di, 0}}
-	dist[classCustomer][di] = 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if dist[classCustomer][cur.idx] != cur.dist {
-			continue // superseded
-		}
-		curASN := g.asns[cur.idx]
-		for _, p := range g.providers[cur.idx] {
-			nd := cur.dist + 1
-			d := dist[classCustomer][p]
-			if d < 0 || nd < d ||
-				(nd == d && curASN < g.asns[next[classCustomer][p]]) {
-				if d < 0 || nd < d {
-					queue = append(queue, qe{p, nd})
-				}
-				dist[classCustomer][p] = nd
-				next[classCustomer][p] = cur.idx
-			}
-		}
-	}
+	// Phase 1: customer routes.
+	g.climb(di, dist[classCustomer], next[classCustomer], nil)
 
 	// Phase 2: peer routes. One peer edge, then a customer route. The
 	// result is a pure (distance, lowest-ASN) minimum over candidates, so
@@ -421,9 +539,20 @@ func (tr *Tree) Path(src ASN) ([]ASN, bool) {
 	return append(path, tr.dst), true
 }
 
-// Path returns the AS path from src to dst.
+// Path returns the AS path from src to dst. The cloud's paths are computed
+// once per destination and shared: callers must not modify them.
 func (r *Router) Path(src, dst ASN) ([]ASN, bool) {
-	return r.TreeTo(dst).Path(src)
+	cloud := r.dense.asns[r.cloud]
+	if src != cloud || dst == cloud {
+		return r.TreeTo(dst).Path(src)
+	}
+	di, ok := r.dense.index[dst]
+	if !ok {
+		return nil, false
+	}
+	rt := &r.routes[di]
+	rt.once.Do(func() { rt.path = r.cloudPath(di) })
+	return rt.path, rt.path != nil
 }
 
 // EgressChoice describes the cloud-side routing decision for one flow.

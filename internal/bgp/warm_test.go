@@ -45,10 +45,11 @@ func TestWarmMatchesLazy(t *testing.T) {
 	}
 }
 
-// TestConcurrentTreeToAndWarm hammers a cold router with concurrent TreeTo
-// and Warm calls over overlapping destinations; run under -race this pins
-// the lock-free cache. All goroutines must observe the same tree pointer
-// per destination (each tree is computed exactly once).
+// TestConcurrentTreeToAndWarm hammers a cold router with concurrent TreeTo,
+// Path(cloud, dst) and Warm calls over overlapping destinations; run under
+// -race this pins the lock-free caches. All goroutines must observe the
+// same tree pointer and the same cloud-route slice per destination (each is
+// computed exactly once).
 func TestConcurrentTreeToAndWarm(t *testing.T) {
 	topo := testTopo(t)
 	r := NewRouter(topo)
@@ -64,6 +65,7 @@ func TestConcurrentTreeToAndWarm(t *testing.T) {
 
 	const goroutines = 8
 	got := make([][]*Tree, goroutines)
+	routes := make([][]*ASN, goroutines)
 	var wg sync.WaitGroup
 	for gi := 0; gi < goroutines; gi++ {
 		wg.Add(1)
@@ -73,18 +75,31 @@ func TestConcurrentTreeToAndWarm(t *testing.T) {
 				r.Warm(dsts, 4)
 			}
 			trees := make([]*Tree, len(dsts))
+			firsts := make([]*ASN, len(dsts))
 			for i, d := range dsts {
+				p, ok := r.Path(topo.Cloud.ASN, d)
+				if !ok {
+					t.Errorf("no route from the cloud to AS%d", d)
+					return
+				}
+				firsts[i] = &p[0]
 				trees[i] = r.TreeTo(d)
 			}
-			got[gi] = trees
+			got[gi], routes[gi] = trees, firsts
 		}(gi)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
 	for gi := 1; gi < goroutines; gi++ {
 		for i := range dsts {
 			if got[gi][i] != got[0][i] {
 				t.Fatalf("goroutine %d saw a different tree for AS%d", gi, dsts[i])
+			}
+			if i > 0 && routes[gi][i] != routes[0][i] {
+				t.Fatalf("goroutine %d saw a different cloud route to AS%d", gi, dsts[i])
 			}
 		}
 	}

@@ -160,10 +160,11 @@ func (o *Orchestrator) newCampaign(cfg Config, log *analysis.RecordLog) (*campai
 		o.platform.SetVMFaults(nil)
 	}
 
-	// Precompute the routing trees every measurement will need — the tree
-	// toward the cloud (download ingress) and toward each server AS
-	// (upload egress) — so the first hourly round starts with caches hot.
-	// Warming is a pure cache fill: results are identical without it.
+	// Precompute the routes every measurement will need — the tree toward
+	// the cloud (download ingress) and the cloud's route to each server AS
+	// (upload egress), the one full tree and the cone walks — so the first
+	// hourly round starts with caches hot. Warming is a pure cache fill:
+	// results are identical without it.
 	warmDsts := []bgp.ASN{topo.Cloud.ASN}
 	seen := map[bgp.ASN]bool{topo.Cloud.ASN: true}
 	for _, srv := range cfg.Servers {

@@ -266,3 +266,32 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 		t.Errorf("snapshots delta = %d, want %d", d, wantSnaps)
 	}
 }
+
+// TestCampaignFillsOneTree: a campaign warms the cloud's tree and the
+// cloud's routes to its servers, and then — downloads, uploads and
+// traceroutes alike — builds no other routing tree.
+func TestCampaignFillsOneTree(t *testing.T) {
+	f := setup(t) // a fresh simulator and router
+	fills := obs.Default().Counter("bgp_tree_fills_total")
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	before := fills.Value()
+	rep, err := f.orch.Run(Config{
+		Region:          "us-east1",
+		Servers:         f.topo.USServers()[:20],
+		Days:            1,
+		Seed:            7,
+		TestDurationSec: 0.2, // keeps the synthesized captures small
+		CaptureEvery:    4,
+		TracerouteEvery: 1,
+	}, analysis.NewRecordLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tests == 0 || rep.Traceroutes == 0 {
+		t.Fatalf("campaign ran %d tests and %d traceroutes", rep.Tests, rep.Traceroutes)
+	}
+	if d := fills.Value() - before; d != 1 {
+		t.Errorf("a campaign filled %d routing trees, want 1 (the cloud's)", d)
+	}
+}

@@ -12,9 +12,9 @@ import (
 // BenchmarkSelectTopologyPaperScale is one region's topology-based selection
 // on the paper-scale topology — ~6.8k pilot traces, bdrmap with alias
 // resolution, then a trace to each of ~1.3k US servers — the cold path that
-// `report all`, `costs` and `table1` pay per region. Routing trees are warm
-// after the first iteration, as they are for every region after a command's
-// first.
+// `report all`, `costs` and `table1` pay per region. The cloud's routes are
+// warm after the first iteration, as they are for every region after a
+// command's first.
 func BenchmarkSelectTopologyPaperScale(b *testing.B) {
 	cfg := topology.PaperScaleConfig()
 	topo, err := topology.New(cfg)
@@ -42,7 +42,7 @@ func BenchmarkSelectTopologyPaperScale(b *testing.B) {
 
 // BenchmarkSelectTopologyPaperScaleCold is the same selection as a command's
 // first region pays for it: every iteration builds a fresh Router and Sim, so
-// every routing tree is computed and every link choice misses the cache. The
+// every cloud route is computed and every link choice misses the cache. The
 // topology is built once, outside the timer.
 func BenchmarkSelectTopologyPaperScaleCold(b *testing.B) {
 	cfg := topology.PaperScaleConfig()

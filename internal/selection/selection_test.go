@@ -7,6 +7,7 @@ import (
 	"github.com/clasp-measurement/clasp/internal/alias"
 	"github.com/clasp-measurement/clasp/internal/bdrmap"
 	"github.com/clasp-measurement/clasp/internal/netsim"
+	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/speedchecker"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
@@ -196,5 +197,32 @@ func TestTopologyBasedParallelMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("at parallelism 4: %d selected over %d links, sequential %d over %d",
 			len(got.Selected), got.ServerLinkCount, len(want.Selected), want.ServerLinkCount)
+	}
+}
+
+// TestSelectionBuildsNoTree: a cold paper-scale topology selection asks BGP
+// only for the cloud's routes, which come from each destination's provider
+// cone, so it builds no full routing tree.
+func TestSelectionBuildsNoTree(t *testing.T) {
+	cfg := topology.PaperScaleConfig()
+	topo, err := topology.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.New(topo, nil, netsim.Config{Seed: cfg.Seed})
+	mapper := bdrmap.FromTopology(topo, alias.NewProber(topo, cfg.Seed))
+	fills := obs.Default().Counter("bgp_tree_fills_total")
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	before := fills.Value()
+	res, err := TopologyBased(sim, mapper, TopoParams{Region: "us-east1", Budget: 184, Seed: cfg.Seed, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Selected) == 0 {
+		t.Fatal("nothing selected")
+	}
+	if d := fills.Value() - before; d != 0 {
+		t.Errorf("a paper-scale selection filled %d routing trees, want 0", d)
 	}
 }
