@@ -13,7 +13,7 @@ build:
 # bytes.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore|VerdictMatches|TierDeltasMatch|SweepsMatch|PerfPointsHeld|CloudRoutes|InferMatches|WarmMatchesLazy|ConcurrentTreeToAndWarm' ./internal/analysis/ ./internal/bdrmap/ ./internal/bgp/ ./internal/congestion/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
+	$(GO) test -cpu 1,2 -run 'NeverStopsTheWorld|ConcurrentSelections|ParallelMatchesSequential|FaultedCampaignParallelismInvariant|RunPreliminaryMatchesPerSampleReference|PingerRegionsMatchOneRegion|DifferentialSelectionMatchesOneRegionScan|ResumeAtEveryHour|ReportAllByteIdentical|SharedFlowInterleavedDays|CampaignViews|RangeScan|DeterminismContract|HourOrderMatchesMathRand|CampaignIndexMatchesRecords|ConcurrentCampaignsIndexOneStore|VerdictMatches|TierDeltasMatch|SweepsMatch|PerfPointsHeld|CloudRoutes|InferMatches|WarmMatchesLazy|ConcurrentTreeToAndWarm|SweepsHeld|RoutersOnFirstRead|SortPairs' . ./internal/analysis/ ./internal/bdrmap/ ./internal/bgp/ ./internal/congestion/ ./internal/netsim/ ./internal/orchestrator/ ./internal/core/ ./internal/scenario/ ./internal/speedchecker/ ./internal/selection/ ./cmd/clasp/
 
 vet:
 	$(GO) vet ./...

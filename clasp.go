@@ -28,8 +28,10 @@
 package clasp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
@@ -178,13 +180,12 @@ func (p *Platform) CongestionReport(res *CampaignResult) (*CongestionReport, err
 	return rep, nil
 }
 
+// sortPairs orders a report's pairs by events, most first, then by pair
+// ID; a pair ID is unique within a report, so the order is total.
 func sortPairs(pairs []PairSummary) {
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && (pairs[j].Events > pairs[j-1].Events ||
-			(pairs[j].Events == pairs[j-1].Events && pairs[j].PairID < pairs[j-1].PairID)); j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
-		}
-	}
+	slices.SortFunc(pairs, func(a, b PairSummary) int {
+		return cmp.Or(cmp.Compare(b.Events, a.Events), cmp.Compare(a.PairID, b.PairID))
+	})
 }
 
 // WriteReport renders a congestion report as text.

@@ -2,6 +2,9 @@ package clasp
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -216,5 +219,39 @@ func TestCostsAccrue(t *testing.T) {
 	egress, _, compute := p.Costs()
 	if egress <= 0 || compute <= 0 {
 		t.Errorf("costs = %v/%v", egress, compute)
+	}
+}
+
+// TestSortPairsMatchesInsertionSort holds sortPairs to the insertion sort it
+// replaced — events descending, then pair ID ascending — on shuffled pairs
+// whose events tie in runs and whose IDs sort differently as text and as
+// numbers.
+func TestSortPairsMatchesInsertionSort(t *testing.T) {
+	reference := func(pairs []PairSummary) {
+		for i := 1; i < len(pairs); i++ {
+			for j := i; j > 0 && (pairs[j].Events > pairs[j-1].Events ||
+				(pairs[j].Events == pairs[j-1].Events && pairs[j].PairID < pairs[j-1].PairID)); j-- {
+				pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 17, 400} {
+		pairs := make([]PairSummary, n)
+		for i := range pairs {
+			pairs[i] = PairSummary{
+				PairID:        fmt.Sprintf("us-west1/%d/premium/download", i),
+				Days:          i % 9,
+				Events:        rng.Intn(4),
+				PeakHourLocal: rng.Intn(25) - 1,
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		want := append(pairs[:0:0], pairs...)
+		reference(want)
+		sortPairs(pairs)
+		if !reflect.DeepEqual(pairs, want) {
+			t.Fatalf("%d pairs: sortPairs differs from the insertion sort", n)
+		}
 	}
 }

@@ -369,8 +369,10 @@ func dispatch(cmd string, positional []string, p *clasp.Platform, out io.Writer,
 		}
 		// Router IDs run from 0 in the order alias resolution found them.
 		routers, viaNext := 0, 0
+		for _, id := range sel.PilotLinks.Routers() {
+			routers = max(routers, id+1)
+		}
 		for _, l := range sel.PilotLinks.Links {
-			routers = max(routers, l.Router+1)
 			if l.ViaNextHop {
 				viaNext++
 			}

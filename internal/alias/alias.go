@@ -13,8 +13,13 @@ import (
 	"net/netip"
 	"slices"
 
+	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/topology"
 )
+
+// obsResolves counts Resolve calls, one per candidate set; a no-op while
+// the obs registry is disabled.
+var obsResolves = obs.Default().Counter("alias_resolve_calls_total")
 
 // Prober answers IP-ID probes for router interface addresses.
 type Prober struct {
@@ -67,6 +72,7 @@ type sample struct {
 // each candidate in an interleaved schedule and merges pairs whose combined
 // IP-ID series stays monotonic (modulo wraparound).
 func (p *Prober) Resolve(candidates []netip.Addr) [][]netip.Addr {
+	obsResolves.Inc()
 	// Deduplicate and keep responsive candidates only, each with its
 	// router's counter.
 	type candidate struct {

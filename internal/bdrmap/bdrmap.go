@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
 	"github.com/clasp-measurement/clasp/internal/analysis"
@@ -28,9 +29,6 @@ type ASN = pfx2as.ASN
 type Link struct {
 	FarIP    netip.Addr
 	Neighbor ASN // inferred owner of the far side
-	// Router groups far IPs resolved to one physical router; -1 when
-	// alias resolution found nothing.
-	Router int
 	// Evidence counts the traceroutes that crossed this link.
 	Evidence int
 	// ViaNextHop marks links whose owner was inferred from subsequent
@@ -38,9 +36,34 @@ type Link struct {
 	ViaNextHop bool
 }
 
-// Result is a completed border inference.
+// Result is a completed border inference. Its alias sets are resolved on
+// the first call to Routers; the links must not be changed before it.
 type Result struct {
 	Links []Link
+
+	mapper      *Mapper
+	parallelism int // Infer's
+	routersOnce sync.Once
+	routers     []int
+}
+
+// Routers returns each link's router ID, index-aligned with Links: far IPs
+// resolved to one physical router share an ID, numbered from 0 in neighbor
+// order, then in alias.Resolve's order; -1 where alias resolution found
+// nothing, and for every link when the mapper has no resolver. The first
+// call resolves the aliases on as many workers as Infer was given; the
+// result is shared and must not be modified. Safe for concurrent use.
+func (r *Result) Routers() []int {
+	r.routersOnce.Do(func() {
+		r.routers = make([]int, len(r.Links))
+		for i := range r.routers {
+			r.routers[i] = -1
+		}
+		if r.mapper.resolver != nil {
+			r.mapper.groupRouters(r.Links, r.routers, r.parallelism)
+		}
+	})
+	return r.routers
 }
 
 // LinkCount returns the number of inferred links.
@@ -71,9 +94,9 @@ type borderObs struct {
 }
 
 // Infer consumes traceroutes from VMs in one region and returns the
-// inferred interdomain links in far-IP order. Alias resolution runs on up
-// to parallelism workers (0 or 1: inline); the result is identical at any
-// value.
+// inferred interdomain links in far-IP order. Alias resolution waits for
+// the first Result.Routers call and runs on up to parallelism workers (0 or
+// 1: inline); the result is identical at any value.
 func (m *Mapper) Infer(traces []traceroute.Result, parallelism int) (*Result, error) {
 	if m.table == nil {
 		return nil, fmt.Errorf("bdrmap: nil prefix table")
@@ -84,11 +107,7 @@ func (m *Mapper) Infer(traces []traceroute.Result, parallelism int) (*Result, er
 			obs = append(obs, o)
 		}
 	}
-	links := aggregate(obs)
-	if m.resolver != nil {
-		m.groupRouters(links, parallelism)
-	}
-	return &Result{Links: links}, nil
+	return &Result{Links: aggregate(obs), mapper: m, parallelism: parallelism}, nil
 }
 
 // aggregate merges the observations of each far IP into one link: the
@@ -108,7 +127,7 @@ func aggregate(obs []borderObs) []Link {
 	via, run, best := 0, 0, 0 // the link's via-next sightings, the owner's run, the longest run
 	for i, o := range obs {
 		if i == 0 || o.farIP != obs[i-1].farIP {
-			links = append(links, Link{FarIP: o.farIP, Router: -1})
+			links = append(links, Link{FarIP: o.farIP})
 			via, run, best = 0, 0, 0
 		} else if o.owner != obs[i-1].owner {
 			run = 0
@@ -128,10 +147,10 @@ func aggregate(obs []borderObs) []Link {
 
 // groupRouters alias-resolves the far interfaces of each neighbor's links
 // (far IPs of one router belong to the same neighbor) and numbers the
-// routers in neighbor order, then in Resolve's order. The neighbors resolve
-// independently, on up to parallelism workers. links must be in far-IP
-// order.
-func (m *Mapper) groupRouters(links []Link, parallelism int) {
+// routers in neighbor order, then in Resolve's order, into the
+// index-aligned routers. The neighbors resolve independently, on up to
+// parallelism workers. links must be in far-IP order.
+func (m *Mapper) groupRouters(links []Link, routers []int, parallelism int) {
 	// order lists the links by neighbor, each neighbor's in far-IP order;
 	// runs[n] is where the n-th neighbor's links start.
 	order := make([]int, len(links))
@@ -157,7 +176,7 @@ func (m *Mapper) groupRouters(links []Link, parallelism int) {
 		for _, group := range gs {
 			for _, ip := range group {
 				k, _ := slices.BinarySearchFunc(ips[runs[n]:runs[n+1]], ip, netip.Addr.Compare)
-				links[order[runs[n]+k]].Router = routerID
+				routers[order[runs[n]+k]] = routerID
 			}
 			routerID++
 		}

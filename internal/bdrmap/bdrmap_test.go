@@ -141,10 +141,10 @@ func TestAliasGroupingPopulatesRouters(t *testing.T) {
 	}
 	withRouter := 0
 	routers := make(map[int][]Link)
-	for _, l := range res.Links {
-		if l.Router >= 0 {
+	for i, id := range res.Routers() {
+		if id >= 0 {
 			withRouter++
-			routers[l.Router] = append(routers[l.Router], l)
+			routers[id] = append(routers[id], res.Links[i])
 		}
 	}
 	if withRouter < len(res.Links)/2 {
@@ -217,8 +217,11 @@ func TestInferWithoutResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range res.Links {
-		if l.Router != -1 {
+	if len(res.Routers()) != len(res.Links) {
+		t.Fatalf("%d router IDs for %d links", len(res.Routers()), len(res.Links))
+	}
+	for _, id := range res.Routers() {
+		if id != -1 {
 			t.Error("router set without a resolver")
 		}
 	}
@@ -243,8 +246,8 @@ func TestInferParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		routers := make(map[int]int)
-		for _, l := range want.Links {
-			routers[l.Router]++
+		for _, id := range want.Routers() {
+			routers[id]++
 		}
 		shared := 0
 		for _, n := range routers {
@@ -260,7 +263,7 @@ func TestInferParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got.Links, want.Links) || !reflect.DeepEqual(got.Routers(), want.Routers()) {
 				t.Fatalf("%s: Infer at parallelism %d differs from parallelism 1", region, par)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -49,7 +50,6 @@ func referenceLinks(cloudASN ASN, obs []borderObs) []Link {
 		links = append(links, Link{
 			FarIP:      far,
 			Neighbor:   best,
-			Router:     -1,
 			Evidence:   a.evidence,
 			ViaNextHop: a.viaNext > a.evidence/2,
 		})
@@ -57,12 +57,13 @@ func referenceLinks(cloudASN ASN, obs []borderObs) []Link {
 	return links
 }
 
-// referenceInfer is Infer as it stood before the observations were sorted:
-// referenceLinks' maps, then a map of far IPs per neighbor and a map from
-// far IP to link for the router IDs, and a final sort by far IP.
-func referenceInfer(m *Mapper, traces []traceroute.Result, parallelism int) (*Result, error) {
+// referenceInfer is Infer as it stood before the observations were sorted,
+// with the router IDs resolved eagerly: referenceLinks' maps, then a map of
+// far IPs per neighbor and a map from far IP to link for the router IDs
+// (each link's ID, -1 without one), and a final sort by far IP.
+func referenceInfer(m *Mapper, traces []traceroute.Result, parallelism int) ([]Link, []int, error) {
 	if m.table == nil {
-		return nil, fmt.Errorf("bdrmap: nil prefix table")
+		return nil, nil, fmt.Errorf("bdrmap: nil prefix table")
 	}
 	var obs []borderObs
 	for ti := range traces {
@@ -70,10 +71,17 @@ func referenceInfer(m *Mapper, traces []traceroute.Result, parallelism int) (*Re
 			obs = append(obs, o)
 		}
 	}
-	links := referenceLinks(m.cloudASN, obs)
+	type routed struct {
+		Link
+		router int
+	}
+	var links []routed
+	for _, l := range referenceLinks(m.cloudASN, obs) {
+		links = append(links, routed{l, -1})
+	}
 	if m.resolver != nil {
 		byNeighbor := make(map[ASN][]netip.Addr)
-		idx := make(map[netip.Addr]*Link)
+		idx := make(map[netip.Addr]*routed)
 		for i := range links {
 			byNeighbor[links[i].Neighbor] = append(byNeighbor[links[i].Neighbor], links[i].FarIP)
 			idx[links[i].FarIP] = &links[i]
@@ -92,7 +100,7 @@ func referenceInfer(m *Mapper, traces []traceroute.Result, parallelism int) (*Re
 			for _, group := range gs {
 				for _, ip := range group {
 					if l := idx[ip]; l != nil {
-						l.Router = routerID
+						l.router = routerID
 					}
 				}
 				routerID++
@@ -100,7 +108,12 @@ func referenceInfer(m *Mapper, traces []traceroute.Result, parallelism int) (*Re
 		}
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i].FarIP.Compare(links[j].FarIP) < 0 })
-	return &Result{Links: links}, nil
+	var out []Link
+	var routers []int
+	for _, l := range links {
+		out, routers = append(out, l.Link), append(routers, l.router)
+	}
+	return out, routers, nil
 }
 
 // hopsTo is a traceroute whose hops answer from the given addresses in
@@ -116,7 +129,8 @@ func hopsTo(addrs ...netip.Addr) traceroute.Result {
 // TestInferMatchesReference: on shuffled pilot traces with far IPs seen
 // more than once, on crafted traces where next-hop owners tie and where no
 // border shows, with and without a resolver, and at parallelism 1, 2 and 4,
-// Infer returns the reference's links exactly; on observations with
+// Infer returns the reference's links, and Routers its router IDs,
+// exactly; on observations with
 // via-next at exactly half of a far IP's sightings, so does the
 // aggregation.
 func TestInferMatchesReference(t *testing.T) {
@@ -167,7 +181,7 @@ func TestInferMatchesReference(t *testing.T) {
 	for _, resolver := range []*alias.Prober{alias.NewProber(f.topo, 21), nil} {
 		m := FromTopology(f.topo, resolver)
 		for name, trs := range cases {
-			want, err := referenceInfer(m, trs, 1)
+			want, wantRouters, err := referenceInfer(m, trs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,9 +190,13 @@ func TestInferMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !reflect.DeepEqual(got.Links, want) {
 					t.Fatalf("%s, resolver %v, parallelism %d: Infer differs from the reference:\n got %v\nwant %v",
-						name, resolver != nil, par, got.Links, want.Links)
+						name, resolver != nil, par, got.Links, want)
+				}
+				if routers := got.Routers(); !slices.Equal(routers, wantRouters) {
+					t.Fatalf("%s, resolver %v, parallelism %d: Routers differ from the reference:\n got %v\nwant %v",
+						name, resolver != nil, par, routers, wantRouters)
 				}
 			}
 		}

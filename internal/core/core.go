@@ -359,13 +359,18 @@ type tierViews struct {
 
 // tierView is one tier's download view of a campaign: the per-pair series,
 // their index-aligned day partitions and, once asked for, Fig. 4's points
-// over the series. It is safe for concurrent use.
+// over the series and Fig. 2's sweeps over the partitions. It is safe for
+// concurrent use.
 type tierView struct {
 	series []analysis.SeriesWithServer
 	parts  []*congestion.Partition
 
 	pointsOnce sync.Once
 	points     []analysis.PerfPoint
+
+	sweepsOnce sync.Once
+	days       []congestion.SweepPoint
+	hours      []congestion.SweepPoint
 }
 
 // perfPoints returns Fig. 4's points of the view's series, computed on the
@@ -373,6 +378,18 @@ type tierView struct {
 func (v *tierView) perfPoints() []analysis.PerfPoint {
 	v.pointsOnce.Do(func() { v.points = analysis.PerfPointsOfSeries(v.series) })
 	return v.points
+}
+
+// sweeps returns Fig. 2's day and hour sweeps of the view's partitions at
+// DefaultThresholdGrid, computed on the first call; the results are shared
+// and must not be modified.
+func (v *tierView) sweeps() (days, hours []congestion.SweepPoint) {
+	v.sweepsOnce.Do(func() {
+		hs := DefaultThresholdGrid()
+		v.days = congestion.SweepDaysPartitioned(v.parts, hs, 0)
+		v.hours = congestion.SweepHoursPartitioned(v.parts, hs, 0)
+	})
+	return v.days, v.hours
 }
 
 // viewAllowance is the engine-wide allowance for the views its campaign
@@ -413,10 +430,10 @@ func (r *CampaignResult) SeriesAndPartitions(tier bgp.Tier) ([]analysis.SeriesWi
 // log's block ranges (ranges) and partitioned on as many workers. The first
 // caller groups while concurrent callers wait, and offers the view's bytes
 // (viewBytes) to the engine's allowance. An admitted view is kept and
-// shared with every later caller, Fig. 4's points with it once built; a
-// view that does not fit goes to its caller only, and the next caller
-// groups again. A view is a pure function of the log, so either way every
-// caller gets the same answer.
+// shared with every later caller, Fig. 4's points and Fig. 2's sweeps with
+// it once built; a view that does not fit goes to its caller only, and the
+// next caller groups again. A view is a pure function of the log, so either
+// way every caller gets the same answer.
 func (r *CampaignResult) view(tier bgp.Tier) *tierView {
 	tv := &r.views[tier]
 	tv.mu.Lock()
@@ -435,13 +452,15 @@ func (r *CampaignResult) view(tier bgp.Tier) *tierView {
 	return v
 }
 
-// viewBytes is what a tier's view holds once every partition's verdict and
-// Fig. 4's points are built: the series headers and partition pointers,
-// each series' samples, latencies and pair ID, each partition, and one
-// point per series and calendar month (the region names are the log's).
+// viewBytes is what a tier's view holds once every partition's verdict,
+// Fig. 4's points and Fig. 2's sweeps are built: the series headers and
+// partition pointers, each series' samples, latencies and pair ID, each
+// partition, one point per series and calendar month, and the two sweeps'
+// points (the region names are the log's).
 func viewBytes(v *tierView) int64 {
 	n := int64(len(v.series))*int64(unsafe.Sizeof(analysis.SeriesWithServer{})+unsafe.Sizeof(&congestion.Partition{})) +
-		int64(analysis.PerfPointCount(v.series))*int64(unsafe.Sizeof(analysis.PerfPoint{}))
+		int64(analysis.PerfPointCount(v.series))*int64(unsafe.Sizeof(analysis.PerfPoint{})) +
+		2*(thresholdGridSteps+1)*int64(unsafe.Sizeof(congestion.SweepPoint{}))
 	for i := range v.series {
 		sw := &v.series[i]
 		n += int64(len(sw.Series.Samples))*int64(unsafe.Sizeof(congestion.Sample{})) +

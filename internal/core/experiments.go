@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -108,11 +109,15 @@ type Fig2Series struct {
 	ElbowH float64
 }
 
+// thresholdGridSteps is the number of steps of DefaultThresholdGrid over
+// [0, 1]; the grid has one more threshold.
+const thresholdGridSteps = 20
+
 // DefaultThresholdGrid is the H grid used for the Fig. 2 sweeps.
 func DefaultThresholdGrid() []float64 {
-	hs := make([]float64, 0, 21)
-	for i := 0; i <= 20; i++ {
-		hs = append(hs, float64(i)/20)
+	hs := make([]float64, 0, thresholdGridSteps+1)
+	for i := 0; i <= thresholdGridSteps; i++ {
+		hs = append(hs, float64(i)/thresholdGridSteps)
 	}
 	return hs
 }
@@ -121,12 +126,11 @@ func DefaultThresholdGrid() []float64 {
 // (download direction, premium tier — the ingress measurements of §3.3).
 // Regions fan out across `parallelism` workers; each writes its sweep to
 // its own index in region-sorted order, so the output is identical to the
-// serial loop at any parallelism. Each region's series are partitioned
-// into days once and both sweeps reuse the cached partition.
+// serial loop at any parallelism. With hs nil (DefaultThresholdGrid) each
+// region's sweeps are read from its Premium view, swept once while the view
+// is held; any other grid sweeps the view's partitions on every call. The
+// series' slices are the caller's own either way.
 func Fig2(results map[string]*CampaignResult, hs []float64, parallelism int) []Fig2Series {
-	if hs == nil {
-		hs = DefaultThresholdGrid()
-	}
 	regions := make([]string, 0, len(results))
 	for r := range results {
 		regions = append(regions, r)
@@ -135,11 +139,14 @@ func Fig2(results map[string]*CampaignResult, hs []float64, parallelism int) []F
 	out := make([]Fig2Series, len(regions))
 	analysis.ParallelFor(parallelism, len(regions), func(i int) {
 		region := regions[i]
-		_, parts := results[region].SeriesAndPartitions(bgp.Premium)
-		s := Fig2Series{
-			Region: region,
-			Days:   congestion.SweepDaysPartitioned(parts, hs, 0),
-			Hours:  congestion.SweepHoursPartitioned(parts, hs, 0),
+		v := results[region].view(bgp.Premium)
+		s := Fig2Series{Region: region}
+		if hs == nil {
+			days, hours := v.sweeps()
+			s.Days, s.Hours = slices.Clone(days), slices.Clone(hours)
+		} else {
+			s.Days = congestion.SweepDaysPartitioned(v.parts, hs, 0)
+			s.Hours = congestion.SweepHoursPartitioned(v.parts, hs, 0)
 		}
 		if h, err := congestion.ElbowThreshold(s.Days); err == nil {
 			s.ElbowH = h

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/clasp-measurement/clasp/internal/bdrmap"
+	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/selection"
 	"github.com/clasp-measurement/clasp/internal/speedchecker"
 )
@@ -29,6 +31,20 @@ type selectionOutcome struct {
 	topo   *selection.TopoResult
 	diff   []selection.DiffSelected
 	deltas []speedchecker.TierDelta
+}
+
+// sameOutcome reports whether two selections are equal field by field, a
+// topology selection's pilot links by their links and router IDs: a
+// bdrmap.Result also holds its mapper and resolves routers on first read.
+func sameOutcome(a, b selectionOutcome) bool {
+	if a.topo == nil || b.topo == nil {
+		return reflect.DeepEqual(a, b)
+	}
+	pa, pb := a.topo.PilotLinks, b.topo.PilotLinks
+	ta, tb := *a.topo, *b.topo
+	ta.PilotLinks, tb.PilotLinks = nil, nil
+	a.topo, b.topo = &ta, &tb
+	return reflect.DeepEqual(a, b) && reflect.DeepEqual(pa.Links, pb.Links) && slices.Equal(pa.Routers(), pb.Routers())
 }
 
 func selectRef(t *testing.T, c *CLASP, ref CampaignRef) selectionOutcome {
@@ -79,7 +95,7 @@ func TestConcurrentSelectionsMatchSequential(t *testing.T) {
 			}
 			wg.Wait()
 			for i, ref := range refs {
-				if !reflect.DeepEqual(got[i], want[i]) {
+				if !sameOutcome(got[i], want[i]) {
 					t.Errorf("%+v: concurrent selection differs from the sequential one", ref)
 				}
 			}
@@ -149,5 +165,70 @@ func TestDifferentialSelectionMatchesOneRegionScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoutersOnFirstRead: topology selections in every region, Table 1, a
+// differential selection and a campaign resolve no alias set —
+// alias_resolve_calls_total stays put — until a selection's pilot links are
+// asked for their Routers. Eight racing readers then resolve that region
+// once, one Resolve per neighbor, and share one slice, index-aligned with
+// the links; later reads resolve nothing.
+func TestRoutersOnFirstRead(t *testing.T) {
+	c := newCLASP(t)
+	resolves := obs.Default().Counter("alias_resolve_calls_total")
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	before := resolves.Value()
+	for _, region := range TopologyRegions {
+		if _, err := c.SelectTopologyServers(region); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Table1(TopologyRegions); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.SelectDifferentialServers(DifferentialRegions[0], 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runTopology(c, "us-west1", 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := resolves.Value() - before; n != 0 {
+		t.Fatalf("selections, Table 1 and a campaign ran %d alias resolutions, want 0", n)
+	}
+
+	sel, err := c.SelectTopologyServers("us-west1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := sel.PilotLinks.Links
+	neighbors := map[bdrmap.ASN]bool{}
+	for _, l := range links {
+		neighbors[l.Neighbor] = true
+	}
+	var racing [8][]int
+	var wg sync.WaitGroup
+	for g := range racing {
+		wg.Add(1)
+		go func() { defer wg.Done(); racing[g] = sel.PilotLinks.Routers() }()
+	}
+	wg.Wait()
+	if n := resolves.Value() - before; n != uint64(len(neighbors)) {
+		t.Errorf("eight racing readers ran %d alias resolutions, want one per neighbor (%d)", n, len(neighbors))
+	}
+	routers := racing[0]
+	if len(routers) != len(links) || slices.Max(routers) < 0 {
+		t.Fatalf("%d router IDs for %d links, the largest %d", len(routers), len(links), slices.Max(routers))
+	}
+	for g, r := range racing {
+		if &r[0] != &routers[0] {
+			t.Fatalf("racing reader %d got router IDs of its own", g)
+		}
+	}
+	before = resolves.Value()
+	sel.PilotLinks.Routers()
+	if n := resolves.Value() - before; n != 0 {
+		t.Errorf("a later read ran %d alias resolutions", n)
 	}
 }

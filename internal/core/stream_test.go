@@ -318,8 +318,8 @@ func TestCampaignViewsWithinAllowance(t *testing.T) {
 		held += tv.bytes
 		// Recount the view: its samples and their latencies from the log's
 		// Premium downloads, its Fig. 4 points from the log's records (a
-		// topology campaign measures Premium only), the rest from the series
-		// it holds.
+		// topology campaign measures Premium only), Fig. 2's two sweeps from
+		// the grid, the rest from the series it holds.
 		downloads := 0
 		records := drainRecords(res)
 		for _, m := range records {
@@ -328,7 +328,8 @@ func TestCampaignViewsWithinAllowance(t *testing.T) {
 			}
 		}
 		want := int64(downloads)*int64(unsafe.Sizeof(congestion.Sample{})+unsafe.Sizeof(float64(0))) +
-			int64(len(analysis.PerfPointsCursor(analysis.NewSliceCursor(records))))*int64(unsafe.Sizeof(analysis.PerfPoint{}))
+			int64(len(analysis.PerfPointsCursor(analysis.NewSliceCursor(records))))*int64(unsafe.Sizeof(analysis.PerfPoint{})) +
+			int64(2*len(DefaultThresholdGrid()))*int64(unsafe.Sizeof(congestion.SweepPoint{}))
 		for i, sw := range v.series {
 			if len(sw.LatMs) != len(sw.Series.Samples) {
 				t.Fatalf("%s: series %s holds %d latencies for %d samples", res.Region, sw.Series.PairID, len(sw.LatMs), len(sw.Series.Samples))
@@ -523,6 +524,128 @@ func TestCampaignPerfPointsHeld(t *testing.T) {
 	}
 	if refused.groups != 2 {
 		t.Errorf("Fig. 4 and the headlines grouped a refused view %d times, want once each", refused.groups)
+	}
+}
+
+// TestCampaignSweepsHeld holds Fig. 2's sweeps to the view as
+// TestCampaignPerfPointsHeld holds Fig. 4's points. Eight racing callers
+// bin an admitted view once (congestion_sweep_points_total moves by one
+// day and one hour sweep) and share its points; Fig. 2 over held, refused
+// and closed-then-regrouped views equals fresh sweeps of the partitions at
+// parallelism 1, 2 and 4, and sweeps again only where no view is held; a
+// custom grid sweeps on every call; a caller that mutates its Fig2Series
+// leaves the held points alone; and the bytes admitted count the points.
+func TestCampaignSweepsHeld(t *testing.T) {
+	c := newCLASP(t)
+	res, err := runTopology(c, "us-west1", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := func(par int, limit int64) *CampaignResult {
+		return &CampaignResult{Region: res.Region, Log: res.Log, Report: res.Report, Selected: res.Selected,
+			parallelism: par, allowance: &viewAllowance{limit: limit}}
+	}
+	sweepPoints := obs.Default().Counter("congestion_sweep_points_total")
+	swept := func(f func()) uint64 {
+		obs.SetEnabled(true)
+		defer obs.SetEnabled(false)
+		before := sweepPoints.Value()
+		f()
+		return sweepPoints.Value() - before
+	}
+	fig2 := func(r *CampaignResult, hs []float64, par int) (out []Fig2Series, points uint64) {
+		points = swept(func() { out = Fig2(map[string]*CampaignResult{r.Region: r}, hs, par) })
+		return out, points
+	}
+	fresh := func(hs []float64) []Fig2Series {
+		_, parts := res.SeriesAndPartitions(bgp.Premium)
+		s := Fig2Series{Region: res.Region, Days: congestion.SweepDaysPartitioned(parts, hs, 0), Hours: congestion.SweepHoursPartitioned(parts, hs, 0)}
+		if h, err := congestion.ElbowThreshold(s.Days); err == nil {
+			s.ElbowH = h
+		}
+		return []Fig2Series{s}
+	}
+	grid := DefaultThresholdGrid()
+	want, once := fresh(grid), uint64(2*len(grid))
+	if len(want[0].Days) != len(grid) || want[0].Days[0].Fraction == 0 {
+		t.Fatalf("the campaign's day sweep is %v: too little to compare", want[0].Days)
+	}
+
+	held := twin(2, 0)
+	var racing [8][]congestion.SweepPoint
+	var wg sync.WaitGroup
+	if n := swept(func() {
+		for g := range racing {
+			wg.Add(1)
+			go func() { defer wg.Done(); _, racing[g] = held.view(bgp.Premium).sweeps() }()
+		}
+		wg.Wait()
+	}); n != once {
+		t.Errorf("eight racing callers swept %d points of an admitted view, want %d", n, once)
+	}
+	for g, pts := range racing {
+		if &pts[0] != &racing[0][0] {
+			t.Fatalf("racing caller %d got a sweep of its own", g)
+		}
+	}
+	got, n := fig2(held, nil, 2)
+	if !reflect.DeepEqual(got, want) || n != 0 {
+		t.Fatalf("Fig. 2 over the held view swept %d points, or differs from fresh sweeps", n)
+	}
+	got[0].Days[3].Fraction, got[0].Hours[5].H = -1, -1
+	if again, _ := fig2(held, nil, 2); !reflect.DeepEqual(again, want) {
+		t.Fatal("a caller's change to its Fig2Series reached the held sweeps")
+	}
+
+	tv := &held.views[bgp.Premium]
+	v := tv.held
+	days, hours := v.sweeps()
+	bytes := int64(len(v.perfPoints()))*int64(unsafe.Sizeof(analysis.PerfPoint{})) +
+		int64(len(days)+len(hours))*int64(unsafe.Sizeof(congestion.SweepPoint{}))
+	for i, sw := range v.series {
+		bytes += int64(unsafe.Sizeof(sw)+unsafe.Sizeof(v.parts[i])) + int64(len(sw.Series.Samples))*int64(unsafe.Sizeof(congestion.Sample{})) +
+			int64(len(sw.LatMs))*int64(unsafe.Sizeof(float64(0))) + int64(len(sw.Series.PairID)) + v.parts[i].Bytes()
+	}
+	if tv.bytes != bytes {
+		t.Errorf("the view was admitted at %d bytes, holds %d with its points and sweeps", tv.bytes, bytes)
+	}
+
+	custom := []float64{0.7, 0.1, 0.5, 0.1}
+	wantCustom := fresh(custom)
+	for i := 0; i < 2; i++ {
+		if got, n := fig2(held, custom, 2); !reflect.DeepEqual(got, wantCustom) || n != uint64(2*len(custom)) {
+			t.Fatalf("call %d: Fig. 2 at a custom grid swept %d points, or differs from fresh sweeps", i, n)
+		}
+	}
+
+	for _, par := range []int{1, 2, 4} {
+		// Each case renders twice: the points swept by each render.
+		cases := []struct {
+			name  string
+			r     *CampaignResult
+			close bool
+			want  [2]uint64
+		}{
+			{"held", twin(par, 0), false, [2]uint64{once, 0}},
+			{"refused", twin(par, 1), false, [2]uint64{once, once}},
+			{"closed", twin(par, 0), true, [2]uint64{once, 0}},
+		}
+		for _, tc := range cases {
+			if tc.close {
+				Fig2(map[string]*CampaignResult{tc.r.Region: tc.r}, nil, par)
+				if err := tc.r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if tc.r.views[bgp.Premium].held != nil {
+					t.Fatalf("P=%d: Close kept the view", par)
+				}
+			}
+			for i, wantN := range tc.want {
+				if got, n := fig2(tc.r, nil, par); !reflect.DeepEqual(got, want) || n != wantN {
+					t.Errorf("P=%d, %s view, render %d: swept %d points (want %d), or differs from fresh sweeps", par, tc.name, i, n, wantN)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/alias"
@@ -194,6 +195,12 @@ func TestTopologyBasedParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A bdrmap.Result also holds its mapper and Infer's parallelism: compare
+	// what it answers, the links and their router IDs.
+	if !reflect.DeepEqual(got.PilotLinks.Links, want.PilotLinks.Links) || !slices.Equal(got.PilotLinks.Routers(), want.PilotLinks.Routers()) {
+		t.Error("at parallelism 4: the pilot links differ from one worker's")
+	}
+	got.PilotLinks, want.PilotLinks = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("at parallelism 4: %d selected over %d links, sequential %d over %d",
 			len(got.Selected), got.ServerLinkCount, len(want.Selected), want.ServerLinkCount)
