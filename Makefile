@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzDecodeColumns$$' ./internal/analysis/
 	$(FUZZ) -fuzz='^FuzzReadMessage$$' ./internal/wsock/
 	$(FUZZ) -fuzz='^FuzzServeConn$$' ./internal/speedtest/ookla/
+	$(FUZZ) -fuzz='^FuzzSplitSeriesID$$' ./internal/obs/
 
 # The committed micro-benchmark records, BENCH_<record>.json each. Per record:
 # the benchmarks it holds (_BENCH), the packages they live in (_PKGS), what its
@@ -78,14 +79,13 @@ fuzz-smoke:
 BENCH_RECORDS = hotpath obs faults analysis tsdb
 
 # Steady-state Measure by spec and by flow handle, one whole campaign round,
-# sharded TSDB ingest through the map API, the index one record at a time
-# through StoreSink.Record and in bulk from a finished campaign log through
+# the index one record at a time through StoreSink.Record and in bulk from a finished campaign log through
 # StoreSink.Index, one paper-scale topology selection (warm, and cold: a fresh
 # router and simulator per iteration) and the paper-scale preliminary scan on
 # one worker, of one region and of the three differential regions in one call
 # — joined with the pre-overhaul baselines.
-hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale|BenchmarkPreliminaryScanDifferentialRegions
-hotpath_PKGS = ./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/ ./internal/selection/ ./internal/speedchecker/
+hotpath_BENCH = BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex|BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale|BenchmarkPreliminaryScanDifferentialRegions
+hotpath_PKGS = ./internal/netsim/ ./internal/orchestrator/ ./internal/selection/ ./internal/speedchecker/
 hotpath_JSON = -baseline BENCH_baseline.txt
 
 obs_BENCH = BenchmarkObs
@@ -108,7 +108,7 @@ analysis_JSON = -baseline BENCH_analysis_baseline.txt -note "analysis engine: gr
 tsdb_BENCH = BenchmarkBlock
 tsdb_PKGS = ./internal/tsdb/ ./internal/analysis/
 tsdb_TEST = -count=3
-tsdb_JSON = -note "columnar blocks: BlockEncode seals one 512-point columnar tail and BlockDecode reopens it into caller-owned, reused columns (0 allocs/op; it built 512 Points with a map each, 1,039 allocs/op, until the tail went columnar in PR 17; Query still pays one map per point it returns); extra bytes/sample is the compressed footprint, against 32 B for a raw ts+3-field sample, which is also what a tail row costs; BlockRecordLogAppend is streaming campaign ingest (extra bytes/record vs the 88 B in-memory Measurement — the >=4x compression gate); BlockStream* are the cursor kernels over a compressed log, comparable to their in-memory twins in BENCH_analysis.json"
+tsdb_JSON = -note "columnar blocks: BlockEncode seals one 512-point columnar tail and BlockDecode reopens it into caller-owned, reused columns (0 allocs/op; it built 512 Points with a map each, 1,039 allocs/op, until the tail went columnar in PR 17); extra bytes/sample is the compressed footprint, against 32 B for a raw ts+3-field sample, which is also what a tail row costs; BlockRecordLogAppend is streaming campaign ingest (extra bytes/record vs the 88 B in-memory Measurement — the >=4x compression gate); BlockStream* are the cursor kernels over a compressed log, comparable to their in-memory twins in BENCH_analysis.json"
 
 empty :=
 space := $(empty) $(empty)
@@ -138,8 +138,8 @@ bench-all:
 # The paper-scale selection and scan run once: an iteration is a whole
 # region's selection or scan, not a nanosecond-scale call.
 bench-smoke:
-	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkInsert|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex' -benchtime=100x \
-		./internal/netsim/ ./internal/tsdb/ ./internal/orchestrator/
+	$(GO) test -run=^$$ -bench='BenchmarkMeasure|BenchmarkCampaignRound|BenchmarkStoreSinkRecord|BenchmarkStoreSinkIndex' -benchtime=100x \
+		./internal/netsim/ ./internal/orchestrator/
 	$(GO) test -run=^$$ -bench='BenchmarkSelectTopologyPaperScale|BenchmarkPreliminaryScanPaperScale|BenchmarkPreliminaryScanDifferentialRegions' -benchtime=1x ./internal/selection/ ./internal/speedchecker/
 
 # bench-build vets and tests the repository benchmark (bench/, the command

@@ -73,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	days := fs.Int("days", 30, "campaign length in virtual days")
 	samples := fs.Int("samples", 0, "differential-scan minimum tuple samples (default scales with the topology)")
 	metricsOut := fs.String("metrics-out", "", "enable metrics and write Prometheus text to this file (JSON snapshot beside it as <file>.json)")
-	debugAddr := fs.String("debug-addr", "", "enable metrics and serve live introspection (/metrics, /progress, /debug/obs/history, /debug/pprof/) on this address while the command runs")
+	debugAddr := fs.String("debug-addr", "", "enable metrics and serve live introspection (/metrics, /progress, /debug/pprof/) on this address while the command runs")
 	tracelog := fs.String("tracelog", "", "enable tracing and write span events as JSON lines to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -141,19 +141,12 @@ func run(args []string, out io.Writer) error {
 	if *debugAddr != "" {
 		// Live introspection while the command runs: the orchestrator
 		// publishes per-region progress/ETA gauges the /progress endpoint
-		// renders, and a background scrape pipeline gives /debug/obs/history
-		// real time-series depth. Both are pure observers of the registry.
-		pipe := telemetry.NewPipeline(telemetry.PipelineConfig{})
-		pipe.Start()
-		defer pipe.Stop()
-		dbg, err := telemetry.StartDebug(*debugAddr, telemetry.Introspection{
-			History:  pipe.Store,
-			Progress: true,
-		})
+		// renders, a pure observer of the registry.
+		dbg, err := telemetry.StartDebug(*debugAddr, telemetry.Introspection{Progress: true})
 		if err != nil {
 			return fmt.Errorf("debug-addr: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "clasp: introspection on http://%s (/metrics /progress /debug/obs/history /debug/pprof/)\n", dbg.Addr())
+		fmt.Fprintf(os.Stderr, "clasp: introspection on http://%s (/metrics /progress /debug/pprof/)\n", dbg.Addr())
 		defer dbg.Close()
 	}
 	if *tracelog != "" {

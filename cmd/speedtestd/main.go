@@ -6,19 +6,15 @@
 // Usage:
 //
 //	speedtestd [-ookla :8080] [-http :8081] [-duration 10s]
-//	           [-scrape-interval 5s] [-telemetry-retention 1h]
 //
 // The HTTP listener serves ndt7 (/ndt/v7/download, /ndt/v7/upload), the
 // Xfinity endpoints (/speedtest/*), and /servers.json. Live telemetry is
 // exposed on the same listener: GET /metrics serves the obs registry in
 // Prometheus text format, /debug/vars serves expvar JSON (full registry
-// snapshot under "clasp_obs"), /debug/obs/history serves windowed JSON
-// queries over the daemon's scraped self-telemetry store, and
-// /debug/pprof/* serves the standard profiling endpoints. Every request is
-// timed into the speedtestd_http_request_duration_ns{route,status}
-// histogram family; the scrape pipeline samples the whole registry into a
-// columnar tsdb store on -scrape-interval and keeps -telemetry-retention of
-// history for /debug/obs/history.
+// snapshot under "clasp_obs"), and /debug/pprof/* serves the standard
+// profiling endpoints. Every request is timed into the
+// speedtestd_http_request_duration_ns{route,status} histogram family; two
+// reads of /debug/vars give the exact window between them (loadgen).
 package main
 
 import (
@@ -40,21 +36,13 @@ func main() {
 	ooklaAddr := flag.String("ookla", "127.0.0.1:8080", "Ookla protocol listen address")
 	httpAddr := flag.String("http", "127.0.0.1:8081", "HTTP listen address (ndt7 + xfinity + directory)")
 	duration := flag.Duration("duration", 10*time.Second, "ndt7 test duration")
-	scrapeInterval := flag.Duration("scrape-interval", 5*time.Second, "self-telemetry scrape cadence")
-	retention := flag.Duration("telemetry-retention", time.Hour, "self-telemetry history retention (0 keeps everything)")
 	flag.Parse()
 
-	ret := *retention
-	if ret == 0 {
-		ret = -1 // daemon.Config: <0 keeps everything, 0 means default
-	}
 	d, err := daemon.Start(daemon.Config{
-		OoklaAddr:      *ooklaAddr,
-		HTTPAddr:       *httpAddr,
-		NDT7Duration:   *duration,
-		ScrapeInterval: *scrapeInterval,
-		Retention:      ret,
-		Logf:           log.Printf,
+		OoklaAddr:    *ooklaAddr,
+		HTTPAddr:     *httpAddr,
+		NDT7Duration: *duration,
+		Logf:         log.Printf,
 	})
 	if err != nil {
 		log.Fatalf("speedtestd: %v", err)

@@ -329,40 +329,23 @@ func TestParallelForDeterministicOutput(t *testing.T) {
 
 // TestParallelAnalysisConcurrentWithInserts drives the parallel analysis
 // engine while another goroutine streams inserts into the time-series
-// store — the continuous re-analysis shape (Globalping-style) where
-// reports are computed mid-campaign. Run under -race in CI.
+// store through bound handles, and whole-store reads interleave with both
+// — the continuous re-analysis shape (Globalping-style) where reports are
+// computed mid-campaign. Run under -race in CI.
 func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 	store := tsdb.NewStore()
 	ms := randomMeasurements(23, 2000, false)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i, m := range ms {
-			err := store.Insert("speedtest",
-				tsdb.Tags{"server": strconv.Itoa(m.ServerID), "region": m.Region, "tier": m.Tier.String(), "dir": m.Dir.String()},
-				m.Time, map[string]float64{"mbps": m.Mbps, "rtt_ms": m.RTTms})
-			if err != nil {
-				t.Errorf("insert %d: %v", i, err)
-				return
-			}
+		for _, m := range ms {
+			tags := tsdb.Tags{"server": strconv.Itoa(m.ServerID), "region": m.Region, "tier": m.Tier.String(), "dir": m.Dir.String()}
+			store.Bind(tags, "mbps", "rtt_ms").Insert(m.Time, m.Mbps, m.RTTms)
 		}
 	}()
-	// readStore partitions every premium download series straight off the
-	// store's copy-free read path (tsdb.Store.QueryView) and returns how many
-	// there were.
-	readStore := func() int {
-		views := store.QueryView("speedtest", tsdb.Tags{"dir": "download", "tier": "premium"}, time.Time{}, time.Time{})
-		ParallelFor(4, len(views), func(i int) {
-			var s congestion.Series
-			for _, p := range views[i].Points {
-				if v, ok := p.Fields["mbps"]; ok {
-					s.Samples = append(s.Samples, congestion.Sample{Unix: p.Time.UnixNano(), Mbps: v})
-				}
-			}
-			congestion.NewPartition(s).Verdict(0.5)
-		})
-		return len(views)
-	}
+	// readStore reads the whole store's state and returns how many series
+	// it holds.
+	readStore := func() int { return len(store.Dump()) }
 	det := congestion.NewDetector()
 	for round := 0; round < 4; round++ {
 		ws := GroupSeriesWithServerCursor(NewSliceCursor(ms), netsim.Download, bgp.Premium)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/clasp-measurement/clasp/internal/checkpoint"
 	"github.com/clasp-measurement/clasp/internal/orchestrator"
@@ -30,13 +29,8 @@ func indexedByRecord(results ...*CampaignResult) *tsdb.Store {
 // same series and points, sealed into the same blocks.
 func checkIndex(t *testing.T, eng *CLASP, want *tsdb.Store) {
 	t.Helper()
-	all := func(s *tsdb.Store) []tsdb.Series { return s.Query("speedtest", nil, time.Time{}, time.Time{}) }
-	if got, want := all(eng.Store), all(want); !reflect.DeepEqual(got, want) {
-		t.Fatalf("index holds %d series, want %d, or their points differ", len(got), len(want))
-	}
-	gb, gp, gn := eng.Store.BlockStats()
-	if wb, wp, wn := want.BlockStats(); gb != wb || gp != wp || gn != wn {
-		t.Fatalf("index BlockStats = %d/%d/%d, want %d/%d/%d", gb, gp, gn, wb, wp, wn)
+	if got, want := eng.Store.Dump(), want.Dump(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("index holds %d series, want %d, or their points or blocks differ", len(got), len(want))
 	}
 }
 

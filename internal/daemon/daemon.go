@@ -1,10 +1,9 @@
 // Package daemon is the embeddable core of cmd/speedtestd: the three
 // speed-test protocol servers, the serving-path telemetry (per-route /
-// per-status latency histograms through hijack-safe middleware, a
-// self-telemetry scrape pipeline into a columnar tsdb store), and the
-// introspection endpoints (/metrics, /debug/vars, /debug/obs/history,
-// net/http/pprof). Extracting it from main() lets tests and the loadgen
-// tool boot the full daemon in-process on ephemeral ports.
+// per-status latency histograms through hijack-safe middleware), and the
+// introspection endpoints (/metrics, /debug/vars, net/http/pprof).
+// Extracting it from main() lets tests and the loadgen tool boot the full
+// daemon in-process on ephemeral ports.
 package daemon
 
 import (
@@ -25,8 +24,10 @@ import (
 	"github.com/clasp-measurement/clasp/internal/telemetry"
 )
 
-// Routes is the bounded route-label allow-list for the middleware; paths
-// outside it record as "other". Entries ending in "/" match by prefix.
+// Routes is the bounded route-label allow-list for the middleware. Entries
+// ending in "/" match by prefix, so the last, "/", takes every path the
+// others miss — the root handler answers those — and none records as
+// "other".
 var Routes = []string{
 	ndt7.DownloadPath,
 	ndt7.UploadPath,
@@ -36,7 +37,6 @@ var Routes = []string{
 	"/servers.json",
 	"/metrics",
 	"/debug/vars",
-	"/debug/obs/history",
 	"/debug/pprof/",
 	"/",
 }
@@ -52,19 +52,12 @@ type Config struct {
 	HTTPAddr     string        // default 127.0.0.1:8081
 	NDT7Duration time.Duration // ndt7 test length, default 10s
 
-	// ScrapeInterval is the self-telemetry cadence; default 5s.
-	ScrapeInterval time.Duration
-	// Retention bounds self-store history; default 1h, <0 keeps everything.
-	Retention time.Duration
-
 	// Logf receives startup/shutdown lines; nil discards them.
 	Logf func(format string, args ...any)
 }
 
 // Daemon is a running speedtestd instance.
 type Daemon struct {
-	Pipeline *telemetry.Pipeline
-
 	cfg     Config
 	ookla   *ookla.Server
 	httpSrv *http.Server
@@ -72,10 +65,10 @@ type Daemon struct {
 	errc    chan error
 }
 
-// Start boots the daemon: Ookla TCP server, HTTP listener (ndt7 + xfinity
-// + directory + introspection) behind the telemetry middleware, and the
-// self-telemetry scrape pipeline. It also enables the obs registry — a
-// long-lived daemon always runs with live metrics on.
+// Start boots the daemon: Ookla TCP server and HTTP listener (ndt7 +
+// xfinity + directory + introspection) behind the telemetry middleware. It
+// also enables the obs registry — a long-lived daemon always runs with live
+// metrics on.
 func Start(cfg Config) (*Daemon, error) {
 	if cfg.OoklaAddr == "" {
 		cfg.OoklaAddr = "127.0.0.1:8080"
@@ -85,14 +78,6 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	if cfg.NDT7Duration <= 0 {
 		cfg.NDT7Duration = 10 * time.Second
-	}
-	if cfg.ScrapeInterval <= 0 {
-		cfg.ScrapeInterval = 5 * time.Second
-	}
-	if cfg.Retention == 0 {
-		cfg.Retention = time.Hour
-	} else if cfg.Retention < 0 {
-		cfg.Retention = 0 // explicit "keep everything"
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -117,12 +102,6 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	logf("ndt7 + xfinity + directory on http://%s", ln.Addr())
 
-	pipeline := telemetry.NewPipeline(telemetry.PipelineConfig{
-		Interval:  cfg.ScrapeInterval,
-		Retention: cfg.Retention,
-	})
-	pipeline.Start()
-
 	directory := speedtest.NewDirectory([]speedtest.ServerInfo{
 		{ID: 1, Platform: "ookla", Host: srv.Addr().String(), City: "localhost", Country: "US", Sponsor: "clasp"},
 		{ID: 2, Platform: "mlab", Host: ln.Addr().String(), City: "localhost", Country: "US", Sponsor: "clasp"},
@@ -139,20 +118,19 @@ func Start(cfg Config) (*Daemon, error) {
 	mux.Handle(xfinity.UploadPath, xf)
 	mux.Handle("/servers.json", directory)
 	mux.Handle("/debug/vars", expvar.Handler())
-	telemetry.Introspection{History: pipeline.Store}.Register(mux)
+	telemetry.Introspection{}.Register(mux)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "clasp speedtestd: /servers.json, /ndt/v7/{download,upload}, /speedtest/{latency,download,upload}, /metrics, /debug/vars, /debug/obs/history, /debug/pprof/")
+		fmt.Fprintln(w, "clasp speedtestd: /servers.json, /ndt/v7/{download,upload}, /speedtest/{latency,download,upload}, /metrics, /debug/vars, /debug/pprof/")
 	})
 
 	metrics := telemetry.NewHTTPMetrics(obs.Default(), Routes)
 	httpSrv := &http.Server{Handler: metrics.Wrap(mux)}
 	d := &Daemon{
-		Pipeline: pipeline,
-		cfg:      cfg,
-		ookla:    srv,
-		httpSrv:  httpSrv,
-		httpLn:   ln,
-		errc:     make(chan error, 1),
+		cfg:     cfg,
+		ookla:   srv,
+		httpSrv: httpSrv,
+		httpLn:  ln,
+		errc:    make(chan error, 1),
 	}
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -172,8 +150,7 @@ func (d *Daemon) OoklaAddr() net.Addr { return d.ookla.Addr() }
 func (d *Daemon) Err() <-chan error { return d.errc }
 
 // Shutdown drains both listeners symmetrically under ctx — in-flight tests
-// get until the deadline before remaining connections are severed — then
-// stops the telemetry pipeline.
+// get until the deadline before remaining connections are severed.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	logf := d.cfg.Logf
 	if logf == nil {
@@ -197,7 +174,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		}
 	}()
 	wg.Wait()
-	d.Pipeline.Stop()
 	if httpErr != nil {
 		return httpErr
 	}

@@ -19,11 +19,10 @@ import (
 func startTest(t *testing.T) *Daemon {
 	t.Helper()
 	d, err := Start(Config{
-		OoklaAddr:      "127.0.0.1:0",
-		HTTPAddr:       "127.0.0.1:0",
-		NDT7Duration:   200 * time.Millisecond,
-		ScrapeInterval: 50 * time.Millisecond,
-		Logf:           t.Logf,
+		OoklaAddr:    "127.0.0.1:0",
+		HTTPAddr:     "127.0.0.1:0",
+		NDT7Duration: 200 * time.Millisecond,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,17 +40,12 @@ func shutdown(t *testing.T, d *Daemon) {
 }
 
 func histCount(id string) uint64 {
-	for _, s := range obs.Default().Samples() {
-		if s.ID == id {
-			return s.Count
-		}
-	}
-	return 0
+	hv, _ := obs.Default().Snapshot()[id].(obs.HistogramValue)
+	return hv.Count
 }
 
 // TestDaemonServesAndInstruments drives every protocol through the full
-// in-process daemon and asserts the serving-path histograms and the scraped
-// history endpoint work.
+// in-process daemon and asserts the serving-path histograms move.
 func TestDaemonServesAndInstruments(t *testing.T) {
 	d := startTest(t)
 	base := "http://" + d.HTTPAddr().String()
@@ -97,45 +91,6 @@ func TestDaemonServesAndInstruments(t *testing.T) {
 		t.Fatalf("/servers.json histogram count = %d, want %d", got, before+1)
 	}
 
-	// Force a scrape so /debug/obs/history has fresh data, then query the
-	// serving-path family's history through the HTTP surface itself.
-	if err := d.Pipeline.Cycle(); err != nil {
-		t.Fatalf("cycle: %v", err)
-	}
-	resp, err = http.Get(base + "/debug/obs/history?measurement=speedtestd_http_request_duration_ns_bucket")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hr telemetry.HistoryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatalf("history decode: %v", err)
-	}
-	resp.Body.Close()
-	if len(hr.Series) == 0 {
-		t.Fatal("no scraped bucket series in /debug/obs/history")
-	}
-	if hr.Measurement != "speedtestd_http_request_duration_ns_bucket" {
-		t.Errorf("history echoes measurement %q", hr.Measurement)
-	}
-	seenRoute := false
-	for _, s := range hr.Series {
-		if s.Tags["route"] == "/servers.json" && s.Tags["le"] != "" {
-			seenRoute = true
-		}
-		// What loadgen's quantile reconstruction reads off every series.
-		if s.Tags["le"] == "" || s.Tags["route"] == "" || s.Tags["status"] == "" || len(s.Points) == 0 {
-			t.Errorf("bucket series %v with %d points: want le, route and status tags and at least one point", s.Tags, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if _, ok := p.Fields["cum"]; !ok {
-				t.Errorf("bucket series %v point lacks the cum field: %v", s.Tags, p.Fields)
-			}
-		}
-	}
-	if !seenRoute {
-		t.Fatalf("no /servers.json bucket series; got %d series", len(hr.Series))
-	}
-
 	// pprof and expvar stay reachable through the middleware.
 	for _, path := range []string{"/debug/pprof/", "/debug/vars", "/metrics"} {
 		resp, err := http.Get(base + path)
@@ -166,30 +121,56 @@ func TestDaemonServesAndInstruments(t *testing.T) {
 	shutdown(t, d)
 }
 
-// TestDaemonScraperRunsOnCadence waits, without forcing a scrape, until
-// /debug/obs/history answers with a series two background scrapes wrote.
-func TestDaemonScraperRunsOnCadence(t *testing.T) {
+// TestDebugVarsCarriesServingPath reads what loadgen reads: after one
+// request, /debug/vars holds that request's serving-path histogram as a
+// snapshot. The retired history path is no route of its own any more: the
+// root handler answers it, and it records under the root's prefix entry.
+func TestDebugVarsCarriesServingPath(t *testing.T) {
 	d := startTest(t)
 	defer shutdown(t, d)
-	url := "http://" + d.HTTPAddr().String() + "/debug/obs/history?measurement=tsdb_inserts_total"
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(url)
+	base := "http://" + d.HTTPAddr().String()
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hr telemetry.HistoryResponse
-		err = json.NewDecoder(resp.Body).Decode(&hr)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("history decode: %v", err)
-		}
-		if len(hr.Series) > 0 && len(hr.Series[0].Points) >= 2 {
-			return
-		}
+		return resp
+	}
+
+	resp := get("/servers.json")
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	resp = get("/debug/vars")
+	var vars struct {
+		Obs map[string]json.RawMessage `json:"clasp_obs"`
+	}
+	err := json.NewDecoder(resp.Body).Decode(&vars)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/debug/vars decode: %v", err)
+	}
+	var hv obs.HistogramValue
+	id := telemetry.HTTPDurationFamily + `{route="/servers.json",status="200"}`
+	if err := json.Unmarshal(vars.Obs[id], &hv); err != nil || hv.Count == 0 || len(hv.Buckets) == 0 {
+		t.Fatalf("/debug/vars %s = %s (%v), want a histogram with observations", id, vars.Obs[id], err)
+	}
+
+	root := telemetry.HTTPDurationFamily + `{route="/",status="200"}`
+	before := histCount(root)
+	resp = get("/debug/obs/history?measurement=x")
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || strings.Contains(string(b), "history") {
+		t.Fatalf("/debug/obs/history: %d %q, want the root banner, which names no history", resp.StatusCode, b)
+	}
+	// The middleware records after the handler returns, which can be after
+	// the client has read the reply.
+	deadline := time.Now().Add(5 * time.Second)
+	for histCount(root) != before+1 {
 		if time.Now().After(deadline) {
-			t.Fatal("scraper did not run twice on its cadence")
+			t.Fatalf("%s count = %d, want %d", root, histCount(root), before+1)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -2,10 +2,10 @@
 // real-protocol clients — Ookla over raw TCP, ndt7 over WebSocket and
 // Xfinity-style HTTP — and then reports the daemon's serving-path latency
 // percentiles. The percentiles are deliberately NOT measured client-side:
-// they are reconstructed from the daemon's own scraped self-telemetry via
-// /debug/obs/history, so the harness exercises the whole observability
-// pipeline (middleware histogram → scraper → columnar self-store → history
-// endpoint → windowed quantile) end to end.
+// they are the difference of two reads of the daemon's own /debug/vars
+// histograms, one before the drive and one after it, so the harness
+// exercises the daemon's observability path (middleware histogram →
+// /debug/vars × 2 → windowed quantile) end to end.
 package loadgen
 
 import (
@@ -17,11 +17,11 @@ import (
 	"sync"
 	"time"
 
+	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/speedtest/ndt7"
 	"github.com/clasp-measurement/clasp/internal/speedtest/ookla"
 	"github.com/clasp-measurement/clasp/internal/speedtest/xfinity"
 	"github.com/clasp-measurement/clasp/internal/telemetry"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // OoklaDurationFamily is the per-command histogram family the Ookla server
@@ -30,7 +30,7 @@ const OoklaDurationFamily = "ookla_command_duration_ns"
 
 // Config tunes one load run.
 type Config struct {
-	// HTTPAddr is the daemon's HTTP address (ndt7 + xfinity + history).
+	// HTTPAddr is the daemon's HTTP address (ndt7 + xfinity + /debug/vars).
 	HTTPAddr string
 	// OoklaAddr is the daemon's Ookla TCP address; "" drops ookla from
 	// the platform mix.
@@ -49,10 +49,19 @@ type Config struct {
 	Platforms []string
 }
 
-// settleTimeout bounds the post-drive wait for the daemon's scraper to
-// publish the final counts into its self-store. The harness polls the
-// history endpoint until the serving-path window stops growing.
-const settleTimeout = 10 * time.Second
+// settleTimeout bounds the post-drive wait for the daemon to record the
+// drive's last requests, and settlePoll spaces the reads of /debug/vars
+// that wait: the middleware records a request after its handler returns,
+// which can be after the client has read the last byte.
+const (
+	settleTimeout = 10 * time.Second
+	settlePoll    = 20 * time.Millisecond
+)
+
+// varsRoute is the route loadgen's own reads of /debug/vars record under;
+// they are the harness's traffic, not the drive's, so no total or result
+// counts them.
+const varsRoute = "/debug/vars"
 
 func (c Config) withDefaults() Config {
 	if c.Clients <= 0 {
@@ -95,8 +104,8 @@ type Result struct {
 	Elapsed   time.Duration  `json:"elapsed_ns"`
 
 	// HTTP holds per-route/status serving-path percentiles for the drive
-	// window, computed from the daemon's scraped history. Ookla holds the
-	// per-command equivalents when OoklaAddr was set.
+	// window, computed from two snapshots of the daemon's histograms. Ookla
+	// holds the per-command equivalents when OoklaAddr was set.
 	HTTP  []Quantiles `json:"http"`
 	Ookla []Quantiles `json:"ookla,omitempty"`
 }
@@ -105,11 +114,15 @@ type Result struct {
 const maxErrors = 5
 
 // Run executes the load drive and assembles percentiles from the daemon's
-// scraped history. A client failure does not abort the run — it is
-// tallied — but a history/scrape failure does, since the percentiles are
-// the harness's whole point.
+// /debug/vars, read once before the drive and again after it. A client
+// failure does not abort the run — it is tallied — but a failed or
+// malformed read does, since the percentiles are the harness's whole point.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	before, err := readVars(ctx, cfg.HTTPAddr)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: /debug/vars before the drive: %w", err)
+	}
 	start := time.Now()
 	res := &Result{
 		Requested: cfg.Clients * cfg.PerClient,
@@ -142,29 +155,19 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 
-	// The daemon scrapes on its own cadence; wait until the serving-path
-	// window covering the drive stops growing before reading percentiles.
-	// The stability check must ignore the introspection routes: polling
-	// the history endpoint is itself instrumented traffic, so counting it
-	// would chase our own tail and never converge.
 	settle, cancel := context.WithTimeout(ctx, settleTimeout)
-	httpQ, err := settleQuantiles(settle, cfg.HTTPAddr, telemetry.HTTPDurationFamily, start, func(q Quantiles) bool {
-		r := q.Tags["route"]
-		return r != "/debug/obs/history" && r != "/metrics"
-	})
+	after, err := settledVars(settle, cfg.HTTPAddr)
 	cancel()
 	if err != nil {
-		return res, fmt.Errorf("loadgen: serving-path history: %w", err)
+		return res, fmt.Errorf("loadgen: /debug/vars after the drive: %w", err)
 	}
-	res.HTTP = httpQ
+	if res.HTTP, err = reduce(before, after, telemetry.HTTPDurationFamily); err != nil {
+		return res, err
+	}
 	if cfg.OoklaAddr != "" {
-		settle, cancel := context.WithTimeout(ctx, settleTimeout)
-		oq, err := settleQuantiles(settle, cfg.HTTPAddr, OoklaDurationFamily, start, nil)
-		cancel()
-		if err != nil {
-			return res, fmt.Errorf("loadgen: ookla history: %w", err)
+		if res.Ookla, err = reduce(before, after, OoklaDurationFamily); err != nil {
+			return res, err
 		}
-		res.Ookla = oq
 	}
 	return res, nil
 }
@@ -196,84 +199,115 @@ func (c Config) runOne(ctx context.Context, plat string) error {
 	}
 }
 
-// FetchQuantiles reads one histogram family's scraped bucket series from a
-// daemon's /debug/obs/history endpoint and reduces the [from, now] window
-// to per-group p50/p90/p99.
-func FetchQuantiles(ctx context.Context, httpAddr, family string, from time.Time) ([]Quantiles, error) {
-	series, to, err := fetchBuckets(ctx, httpAddr, family)
+// series is one histogram series of a /debug/vars read: its family, its
+// labels and its snapshot.
+type series struct {
+	family string
+	tags   map[string]string
+	value  obs.HistogramValue
+}
+
+// snapshot is one /debug/vars read: every histogram series of the families
+// loadgen reports, by series id, except those of varsRoute.
+type snapshot map[string]series
+
+// total is the number of observations the snapshot holds.
+func (s snapshot) total() uint64 {
+	var n uint64
+	for _, sr := range s {
+		n += sr.value.Count
+	}
+	return n
+}
+
+// readVars GETs the daemon's /debug/vars and keeps the histograms of the
+// two families loadgen reports. The reply is the daemon's, not ours: an id
+// obs.SplitSeriesID refuses or a value that is no histogram is an error.
+func readVars(ctx context.Context, httpAddr string) (snapshot, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+httpAddr+"/debug/vars", nil)
 	if err != nil {
 		return nil, err
 	}
-	return reduce(series, from, to), nil
-}
-
-// settleQuantiles polls FetchQuantiles until the family's total windowed
-// count — over groups passing the include filter (nil includes all) — is
-// stable across two polls (the scraper has caught up with the drive) or
-// ctx expires, returning the last snapshot either way, so a slow scraper
-// degrades to "best effort" only after the full timeout.
-func settleQuantiles(ctx context.Context, httpAddr, family string, from time.Time, include func(Quantiles) bool) ([]Quantiles, error) {
-	var prev uint64
-	var last []Quantiles
-	first := true
-	for {
-		q, err := FetchQuantiles(ctx, httpAddr, family, from)
-		if err != nil {
-			return nil, err
-		}
-		var total uint64
-		for _, g := range q {
-			if include != nil && !include(g) {
-				continue
-			}
-			total += g.Count
-		}
-		if !first && total > 0 && total == prev {
-			return q, nil
-		}
-		first, prev, last = false, total, q
-		select {
-		case <-ctx.Done():
-			return last, nil
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-}
-
-// fetchBuckets GETs the family's "<family>_bucket" history (unbounded
-// window: quantile reconstruction needs the pre-drive baselines too).
-func fetchBuckets(ctx context.Context, httpAddr, family string) ([]tsdb.Series, time.Time, error) {
-	url := fmt.Sprintf("http://%s/debug/obs/history?measurement=%s_bucket", httpAddr, family)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, time.Time{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, time.Time{}, fmt.Errorf("history endpoint: HTTP %d", resp.StatusCode)
+		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	var hr telemetry.HistoryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		return nil, time.Time{}, fmt.Errorf("history decode: %w", err)
+	var vars struct {
+		Obs map[string]json.RawMessage `json:"clasp_obs"`
 	}
-	return hr.ToSeries(), time.Now(), nil
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		return nil, err
+	}
+	snap := make(snapshot)
+	for id, raw := range vars.Obs {
+		family, labels, ok := obs.SplitSeriesID(id)
+		if !ok {
+			return nil, fmt.Errorf("bad series id %q", id)
+		}
+		if family != telemetry.HTTPDurationFamily && family != OoklaDurationFamily {
+			continue
+		}
+		sr := series{family: family, tags: make(map[string]string, len(labels)/2)}
+		for i := 0; i < len(labels); i += 2 {
+			sr.tags[labels[i]] = labels[i+1]
+		}
+		if sr.tags["route"] == varsRoute {
+			continue
+		}
+		if err := json.Unmarshal(raw, &sr.value); err != nil {
+			return nil, fmt.Errorf("series %s: %w", id, err)
+		}
+		snap[id] = sr
+	}
+	return snap, nil
 }
 
-// reduce windows the bucket series and keeps only groups active in the
-// window, sorted by descending count (busiest route first).
-func reduce(series []tsdb.Series, from, to time.Time) []Quantiles {
-	windows := telemetry.WindowsFromSeries(series, from, to)
-	out := make([]Quantiles, 0, len(windows))
-	for _, w := range windows {
+// settledVars reads /debug/vars until two reads in a row hold the same
+// total, or ctx expires, returning the last read either way.
+func settledVars(ctx context.Context, httpAddr string) (snapshot, error) {
+	prev, err := readVars(ctx, httpAddr)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return prev, nil
+		case <-time.After(settlePoll):
+		}
+		snap, err := readVars(ctx, httpAddr)
+		if err != nil {
+			return nil, err
+		}
+		if snap.total() == prev.total() {
+			return snap, nil
+		}
+		prev = snap
+	}
+}
+
+// reduce windows each series of family between the two reads and keeps
+// only those active in the window, sorted by descending count (busiest
+// route first).
+func reduce(before, after snapshot, family string) ([]Quantiles, error) {
+	var out []Quantiles
+	for id, sr := range after {
+		if sr.family != family {
+			continue
+		}
+		w, err := telemetry.Window(before[id].value, sr.value)
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: series %s: %w", id, err)
+		}
 		if w.Count == 0 {
 			continue
 		}
 		out = append(out, Quantiles{
-			Tags:  w.Tags,
+			Tags:  sr.tags,
 			Count: w.Count,
 			P50:   w.Quantile(0.50),
 			P90:   w.Quantile(0.90),
@@ -286,5 +320,5 @@ func reduce(series []tsdb.Series, from, to time.Time) []Quantiles {
 		}
 		return fmt.Sprint(out[i].Tags) < fmt.Sprint(out[j].Tags)
 	})
-	return out
+	return out, nil
 }

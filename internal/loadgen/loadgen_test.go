@@ -13,18 +13,17 @@ import (
 // TestBurstAgainstDaemon is the serving-path gate: a concurrent burst of
 // real-protocol clients (ookla TCP, ndt7 WebSocket, xfinity HTTP) against
 // the full speedtestd daemon on ephemeral ports must all succeed, and the
-// percentiles Run rebuilds from the daemon's own scraped history — middleware
-// histogram, scraper, self-store, /debug/obs/history, windowed quantile —
+// percentiles Run rebuilds from the daemon's own histograms — middleware
+// histogram, /debug/vars before and after the drive, windowed quantile —
 // must show every protocol's route with sane values.
 func TestBurstAgainstDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets under load in -short mode")
 	}
 	d, err := daemon.Start(daemon.Config{
-		OoklaAddr:      "127.0.0.1:0",
-		HTTPAddr:       "127.0.0.1:0",
-		NDT7Duration:   50 * time.Millisecond,
-		ScrapeInterval: 100 * time.Millisecond,
+		OoklaAddr:    "127.0.0.1:0",
+		HTTPAddr:     "127.0.0.1:0",
+		NDT7Duration: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

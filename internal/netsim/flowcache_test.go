@@ -45,6 +45,31 @@ func measureUncached(t *testing.T, s *Sim, spec TestSpec) TestResult {
 	}
 }
 
+// pathBandwidth computes the bandwidth available to the test flow and the
+// path loss rate at the given time: the uncached reference the flow cache's
+// bandwidth must match bit for bit.
+func (s *Sim) pathBandwidth(spec TestSpec, choice bgp.EgressChoice, t time.Time) (availMbps, loss float64) {
+	segs := s.PathSegments(spec, choice, t)
+	availMbps = segs[0].AvailMbps
+	for _, seg := range segs {
+		if seg.AvailMbps < availMbps {
+			availMbps = seg.AvailMbps
+		}
+		loss += seg.Loss
+	}
+	// Upload paths carry at least the clean-path base loss.
+	if loss == 0 {
+		loss = s.cfg.BaseLoss
+	}
+	if loss > 0.9 {
+		loss = 0.9
+	}
+	if availMbps < 0.1 {
+		availMbps = 0.1
+	}
+	return availMbps, loss
+}
+
 // routeFor resolves the interconnect a test crosses: the ingress link of a
 // download, the egress link of an upload.
 func routeFor(s *Sim, spec TestSpec) (bgp.EgressChoice, error) {

@@ -8,6 +8,93 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 )
 
+// Segment is one capacity-relevant element of a simulated path, ordered
+// from the traffic source toward the cloud VM (download: server access, ISP
+// aggregation, interconnect, VM NIC) or the server (upload: VM NIC,
+// interconnect, server access). PathSegments lists them; pathBandwidth
+// folds them into the flow's bottleneck and loss, the uncached reference
+// for the flow cache's bandwidth.
+type Segment struct {
+	AvailMbps float64
+	Loss      float64 // loss contributed by this segment
+}
+
+// PathSegments decomposes the path of a test into its capacity segments at
+// the given time. The first segment is nearest the remote endpoint.
+func (s *Sim) PathSegments(spec TestSpec, choice bgp.EgressChoice, t time.Time) []Segment {
+	srv := spec.Server
+	link := choice.Link
+	regionFactor := s.cfg.RegionCongestionFactor[spec.Region]
+	if regionFactor == 0 {
+		regionFactor = 1
+	}
+	vmDown, vmUp := spec.VMDownMbps, spec.VMUpMbps
+	if vmDown <= 0 {
+		vmDown = s.cfg.VMDownMbps
+	}
+	if vmUp <= 0 {
+		vmUp = s.cfg.VMUpMbps
+	}
+
+	srvAS := s.topo.AS(srv.ASN)
+	srvCity, _ := s.topo.CityOf(srv.City)
+	linkCity, _ := s.topo.CityOf(link.City)
+	nbAS := s.topo.AS(link.Neighbor)
+
+	baseLoss := s.cfg.BaseLoss
+	if spec.Tier == bgp.Premium {
+		baseLoss += s.cfg.PremiumExtraLoss
+	}
+
+	headroom := link.Headroom
+	if spec.Tier == bgp.Premium {
+		headroom *= s.cfg.PremiumAvailFactor
+	}
+
+	var segs []Segment
+	if spec.Dir == Download {
+		// Server access link.
+		segs = append(segs, Segment{AvailMbps: srv.AccessMbps})
+
+		// ISP access-aggregation: the per-server congestion signal
+		// (keyed by server so distinct servers of one ISP behave like
+		// the paper's distinct pairs), at the server's local time.
+		ispDip := s.congestionDip(srvAS.Congestion, serverKey(srv.ID), srvCity.UTCOffset, t, regionFactor)
+		agg := hashRange(s.cfg.Seed, 500, 1400, serverKey(srv.ID), 0xb2) * (1 - ispDip)
+		segs = append(segs, Segment{AvailMbps: agg, Loss: congestionLoss(srvAS.Congestion, ispDip)})
+
+		// Interdomain link into the cloud, modulated by the neighbor's
+		// profile at the facility's local time. The congestion dips live
+		// on the upstream (edge -> core) direction: the paper's download
+		// tests crossed them while uploads stayed near the cap. Ports are
+		// provisioned with more slack than access aggregation, so the dip
+		// is capped and couples weakly into loss; the server-specific
+		// ISP-aggregation dip above is the dominant congestion signal.
+		linkDip := s.congestionDip(nbAS.Congestion, linkKey(link.ID), linkCity.UTCOffset, t, regionFactor)
+		if linkDip > 0.8 {
+			linkDip = 0.8
+		}
+		linkLoss := baseLoss + congestionLoss(nbAS.Congestion, linkDip)*0.25
+		// Chronically lossy interconnects: the §4.1 pathology lives on
+		// the private-interconnect ports the premium tier rides; the
+		// standard tier's transit ingress does not cross them.
+		if link.Lossy && spec.Tier == bgp.Premium {
+			linkLoss += link.LossRate * hashRange(s.cfg.Seed, 0.8, 1.2, linkKey(link.ID), dayOf(t), 0xb3)
+		}
+		segs = append(segs, Segment{AvailMbps: headroom * (1 - linkDip), Loss: linkLoss})
+
+		// VM NIC shaping (tc).
+		segs = append(segs, Segment{AvailMbps: vmDown})
+	} else {
+		segs = append(segs, Segment{AvailMbps: vmUp})
+		// Mild downstream (cloud -> edge) evening load.
+		linkDip := s.congestionDip(nbAS.Congestion, linkKey(link.ID)^0x5555, linkCity.UTCOffset, t, regionFactor*0.3)
+		segs = append(segs, Segment{AvailMbps: headroom * (1 - 0.3*linkDip), Loss: baseLoss})
+		segs = append(segs, Segment{AvailMbps: srv.AccessMbps})
+	}
+	return segs
+}
+
 // segmentsFor resolves the routing for a test as Measure does and returns
 // its path segments at the test's time.
 func segmentsFor(s *Sim, spec TestSpec) ([]Segment, error) {

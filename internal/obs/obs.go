@@ -44,7 +44,7 @@ import (
 )
 
 // MetricKind discriminates registered metric types — for conflict detection
-// at registration and for consumers of the structured Samples snapshot.
+// at registration and for the dump writers.
 type MetricKind uint8
 
 const (
@@ -111,7 +111,7 @@ func (r *Registry) Enabled() bool { return r.enabled.Load() }
 // seriesID renders the canonical series identity — name plus a sorted,
 // Prometheus-style label block ({k="v",...}) when labels are present — and
 // returns the sorted alternating key/value pairs alongside it, which each
-// metric keeps for structured snapshots (Samples) and the scraper.
+// metric keeps for structured snapshots (Samples).
 func seriesID(name string, labels []string) (string, []string) {
 	if err := validateName(name); err != nil {
 		panic(err)
@@ -147,6 +147,41 @@ func seriesID(name string, labels []string) (string, []string) {
 	}
 	b.WriteByte('}')
 	return b.String(), sorted
+}
+
+// SplitSeriesID is seriesID's inverse: it splits a canonical series id into
+// the family name and the sorted alternating key/value label pairs (nil when
+// unlabelled). It reports false for any string seriesID cannot produce — an
+// invalid name or key, keys out of order or repeated, an empty label block,
+// a value holding a quote, or bytes after the closing brace — so a series id
+// read off the wire either names exactly one series or is refused.
+func SplitSeriesID(id string) (name string, labels []string, ok bool) {
+	name, rest, braced := strings.Cut(id, "{")
+	if validateName(name) != nil {
+		return "", nil, false
+	}
+	if !braced {
+		return name, nil, true
+	}
+	for {
+		key, after, found := strings.Cut(rest, "=\"")
+		if !found || validateName(key) != nil || len(labels) > 0 && key <= labels[len(labels)-2] {
+			return "", nil, false
+		}
+		val, after, found := strings.Cut(after, "\"")
+		if !found {
+			return "", nil, false
+		}
+		labels = append(labels, key, val)
+		switch {
+		case after == "}":
+			return name, labels, true
+		case strings.HasPrefix(after, ","):
+			rest = after[1:]
+		default:
+			return "", nil, false
+		}
+	}
 }
 
 // validateName rejects identifiers that would corrupt the Prometheus text
@@ -513,39 +548,27 @@ func (r *Registry) WriteProm(w io.Writer) error {
 
 // --- Structured samples ---------------------------------------------------------
 
-// BucketCount is one populated histogram bucket in a MetricSample:
-// cumulative count of observations <= LE.
-type BucketCount struct {
-	LE  float64
-	Cum uint64
-}
-
-// MetricSample is one series in a structured registry snapshot. Exactly the
-// fields matching Kind are meaningful: Counter for KindCounter, Value for
-// KindGauge, Count/Sum/Buckets for KindHistogram.
+// MetricSample is one series in a structured registry snapshot: Counter
+// holds a counter's count and Value a gauge's reading; a histogram carries
+// only its name and labels.
 type MetricSample struct {
-	ID     string // canonical series id (name{k="v",...})
-	Kind   MetricKind
 	Name   string   // metric family name
 	Labels []string // sorted alternating key/value pairs (nil when unlabelled)
 
 	Counter uint64
 	Value   float64
-	Count   uint64
-	Sum     float64
-	Buckets []BucketCount // populated buckets only, cumulative, ascending LE
 }
 
 // Samples returns a point-in-time structured snapshot of every registered
 // series, sorted by series id. Pointers are captured under the registration
 // lock and values read atomically after it is released, so Samples is safe
 // against concurrent registration and updates; it is the feed for the
-// Scraper and the introspection endpoints.
+// /progress endpoint.
 func (r *Registry) Samples() []MetricSample {
 	refs := r.snapshotRefs()
 	out := make([]MetricSample, 0, len(refs))
 	for _, ref := range refs {
-		s := MetricSample{ID: ref.id, Kind: ref.kind}
+		var s MetricSample
 		switch ref.kind {
 		case KindCounter:
 			s.Name = ref.c.name
@@ -556,20 +579,8 @@ func (r *Registry) Samples() []MetricSample {
 			s.Labels = ref.g.labelPairs
 			s.Value = ref.g.Value()
 		case KindHistogram:
-			h := ref.h
-			s.Name = h.name
-			s.Labels = h.labelPairs
-			s.Count = h.Count()
-			s.Sum = h.Sum()
-			var cum uint64
-			for i := 0; i <= histBuckets; i++ {
-				n := h.buckets[i].Load()
-				if n == 0 {
-					continue
-				}
-				cum += n
-				s.Buckets = append(s.Buckets, BucketCount{LE: BucketBound(i), Cum: cum})
-			}
+			s.Name = ref.h.name
+			s.Labels = ref.h.labelPairs
 		}
 		out = append(out, s)
 	}

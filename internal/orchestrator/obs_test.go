@@ -68,8 +68,8 @@ func decodeSnapshots(t *testing.T, data []byte) []someta.Snapshot {
 // obs package doc: a campaign produces bit-identical measurements and
 // reports whether metrics and tracing are enabled or not — telemetry never
 // feeds back into measurement arithmetic. A third run adds the full
-// -debug-addr introspection stack (live HTTP server being polled plus a
-// background scrape pipeline) and must still match byte for byte.
+// -debug-addr introspection stack (a live HTTP server polled at /metrics
+// and /progress throughout) and must still match byte for byte.
 func TestMetricsDoNotChangeResults(t *testing.T) {
 	run := func(enabled, introspect bool, trace *bytes.Buffer) ([]byte, *Report) {
 		f := setup(t)
@@ -82,16 +82,10 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 			}()
 		}
 		if introspect {
-			// Mirror cmd/clasp -debug-addr: background scraper into a
-			// self-store plus a live introspection server, polled while the
-			// campaign runs to exercise the concurrent read path.
-			pipe := telemetry.NewPipeline(telemetry.PipelineConfig{Interval: 5 * time.Millisecond})
-			pipe.Start()
-			defer pipe.Stop()
-			dbg, err := telemetry.StartDebug("127.0.0.1:0", telemetry.Introspection{
-				History:  pipe.Store,
-				Progress: true,
-			})
+			// Mirror cmd/clasp -debug-addr: a live introspection server,
+			// polled while the campaign runs to exercise the concurrent
+			// read path.
+			dbg, err := telemetry.StartDebug("127.0.0.1:0", telemetry.Introspection{Progress: true})
 			if err != nil {
 				t.Fatal(err)
 			}

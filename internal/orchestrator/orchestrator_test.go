@@ -354,16 +354,8 @@ func indexByRecord(log *analysis.RecordLog) *tsdb.Store {
 // points, sealed into the same blocks.
 func checkIndexMatches(t *testing.T, got, want *tsdb.Store) {
 	t.Helper()
-	all := func(s *tsdb.Store) []tsdb.Series { return s.Query("speedtest", nil, time.Time{}, time.Time{}) }
-	if g, w := all(got), all(want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("index holds %d series, want %d, or their points differ", len(g), len(w))
-	}
-	gb, gp, gn := got.BlockStats()
-	if wb, wp, wn := want.BlockStats(); gb != wb || gp != wp || gn != wn {
-		t.Fatalf("index BlockStats = %d/%d/%d, want %d/%d/%d", gb, gp, gn, wb, wp, wn)
-	}
-	if g, w := got.SeriesCount(), want.SeriesCount(); g != w {
-		t.Fatalf("index holds %d series, want %d", g, w)
+	if g, w := got.Dump(), want.Dump(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("index holds %d series, want %d, or their points or blocks differ", len(g), len(w))
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 func TestHTTPMetricsRoutesAndStatuses(t *testing.T) {
@@ -41,17 +39,18 @@ func TestHTTPMetricsRoutesAndStatuses(t *testing.T) {
 		HTTPDurationFamily + `{route="/speedtest/",status="404"}`:   1, // upload has no handler
 		HTTPDurationFamily + `{route="other",status="404"}`:         2, // /missing and /also-missing
 	}
-	for _, s := range reg.Samples() {
-		if s.Kind != obs.KindHistogram {
+	for id, v := range reg.Snapshot() {
+		hv, ok := v.(obs.HistogramValue)
+		if !ok {
 			continue
 		}
-		if n, ok := want[s.ID]; ok {
-			if s.Count != n {
-				t.Errorf("%s count = %d, want %d", s.ID, s.Count, n)
+		if n, ok := want[id]; ok {
+			if hv.Count != n {
+				t.Errorf("%s count = %d, want %d", id, hv.Count, n)
 			}
-			delete(want, s.ID)
+			delete(want, id)
 		} else {
-			t.Errorf("unexpected series %s (count %d)", s.ID, s.Count)
+			t.Errorf("unexpected series %s (count %d)", id, hv.Count)
 		}
 	}
 	for id := range want {
@@ -105,106 +104,12 @@ func TestHTTPMetricsHijack(t *testing.T) {
 		t.Fatal("wrapped handler did not return")
 	}
 
-	found := false
-	for _, s := range reg.Samples() {
-		if s.ID == HTTPDurationFamily+`{route="/ws",status="101"}` {
-			found = true
-			if s.Count != 1 {
-				t.Fatalf("hijack series count = %d, want 1", s.Count)
-			}
-		}
+	hv, found := reg.Snapshot()[HTTPDurationFamily+`{route="/ws",status="101"}`].(obs.HistogramValue)
+	if found && hv.Count != 1 {
+		t.Fatalf("hijack series count = %d, want 1", hv.Count)
 	}
 	if !found {
 		t.Fatal("no status=101 series recorded for the hijacked request")
-	}
-}
-
-func TestHistoryHandler(t *testing.T) {
-	st := tsdb.NewStore()
-	for i := int64(0); i < 5; i++ {
-		if err := st.Insert("m_total", tsdb.Tags{"route": "/a"}, time.Unix(100+i, 0).UTC(), map[string]float64{"value": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Insert("m_total", tsdb.Tags{"route": "/b"}, time.Unix(102, 0).UTC(), map[string]float64{"value": 9}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(&HistoryHandler{Store: st})
-	defer srv.Close()
-
-	get := func(query string) (*http.Response, HistoryResponse) {
-		resp, err := http.Get(srv.URL + "/debug/obs/history?" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var hr HistoryResponse
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-		}
-		return resp, hr
-	}
-
-	// Missing measurement → 400 with a JSON error body.
-	resp, _ := get("")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("no measurement: status %d, want 400", resp.StatusCode)
-	}
-
-	// Full fetch: both series, window-inclusive `to`.
-	_, hr := get("measurement=m_total&from=100&to=104")
-	if len(hr.Series) != 2 {
-		t.Fatalf("series = %d, want 2", len(hr.Series))
-	}
-	var a, b *HistorySeries
-	for i := range hr.Series {
-		switch hr.Series[i].Tags["route"] {
-		case "/a":
-			a = &hr.Series[i]
-		case "/b":
-			b = &hr.Series[i]
-		}
-	}
-	if a == nil || b == nil {
-		t.Fatalf("missing series: %+v", hr.Series)
-	}
-	if len(a.Points) != 5 {
-		t.Fatalf("/a points = %d, want 5 (to must be inclusive)", len(a.Points))
-	}
-	if len(b.Points) != 1 || b.Points[0].Fields["value"] != 9 {
-		t.Fatalf("/b points = %+v", b.Points)
-	}
-
-	// Tag filter.
-	_, hr = get("measurement=m_total&tag.route=%2Fb")
-	if len(hr.Series) != 1 || hr.Series[0].Tags["route"] != "/b" {
-		t.Fatalf("tag filter: %+v", hr.Series)
-	}
-
-	// Windowing cuts the early points.
-	_, hr = get("measurement=m_total&from=103&tag.route=%2Fa")
-	if len(hr.Series) != 1 || len(hr.Series[0].Points) != 2 {
-		t.Fatalf("windowed: %+v", hr.Series)
-	}
-
-	// ToSeries round-trip keeps timestamps and fields.
-	series := hr.ToSeries()
-	if len(series) != 1 || series[0].Points[0].Time.Unix() != 103 {
-		t.Fatalf("ToSeries: %+v", series)
-	}
-
-	// Unknown measurement: empty but well-formed.
-	resp, hr = get("measurement=nope_total")
-	if resp.StatusCode != http.StatusOK || hr.Series == nil || len(hr.Series) != 0 {
-		t.Fatalf("unknown measurement: status %d, series %+v", resp.StatusCode, hr.Series)
-	}
-
-	// Bad time → 400.
-	resp, _ = get("measurement=m_total&from=tuesday")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad from: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -212,12 +117,7 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
 	reg.Counter("campaign_tests_scheduled_total", "region", "r1").Add(3)
-	st := tsdb.NewStore()
-	if err := st.Insert("x_total", nil, time.Unix(1, 0).UTC(), map[string]float64{"value": 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := StartDebug("127.0.0.1:0", Introspection{Registry: reg, History: st, Progress: true})
+	d, err := StartDebug("127.0.0.1:0", Introspection{Registry: reg, Progress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +139,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	}
 	if code, b := body("/progress"); code != 200 || !strings.Contains(b, `"region": "r1"`) {
 		t.Fatalf("/progress: %d %q", code, b)
-	}
-	if code, b := body("/debug/obs/history?measurement=x_total"); code != 200 || !strings.Contains(b, `"series"`) {
-		t.Fatalf("/debug/obs/history: %d %q", code, b)
 	}
 	// pprof index answers; that's enough to know the handlers are wired.
 	if code, _ := body("/debug/pprof/"); code != 200 {

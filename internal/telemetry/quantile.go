@@ -1,12 +1,12 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
-	"time"
 
-	"github.com/clasp-measurement/clasp/internal/tsdb"
+	"github.com/clasp-measurement/clasp/internal/obs"
 )
 
 // BucketDelta is one le bucket of a windowed histogram: the cumulative
@@ -16,12 +16,10 @@ type BucketDelta struct {
 	Count uint64
 }
 
-// HistogramWindow is one histogram series' activity within a time window,
-// reconstructed from scraped cumulative bucket series: Buckets are
-// cumulative and ascending by LE, Count is the total observations in the
-// window.
+// HistogramWindow is one histogram series' activity within a window, the
+// difference of two snapshots (Window): Buckets are cumulative and
+// ascending by LE, Count is the total observations in the window.
 type HistogramWindow struct {
-	Tags    tsdb.Tags // family tags, "le" removed
 	Buckets []BucketDelta
 	Count   uint64
 }
@@ -67,120 +65,63 @@ func (w HistogramWindow) Quantile(q float64) float64 {
 	return last
 }
 
-// WindowsFromSeries reconstructs the windowed histograms of one metric
-// family from its scraped "<family>_bucket" series (e.g. decoded from a
-// /debug/obs/history response). from/to bound the window, zero times
-// meaning unbounded on that side. The baseline at `from` and the end state
-// at `to` are both "last cumulative value at or before the boundary", which
-// may predate the window itself, so fetch everything up to the window's
-// end. Each input series must carry an "le" tag and the scraped "cum"
-// field; series without them are skipped. The series' points must already
-// be bounded above by the window end — pass the same `to` used to fetch
-// them.
-func WindowsFromSeries(series []tsdb.Series, from, to time.Time) []HistogramWindow {
-	type bucketState struct {
-		le         float64
-		start, end uint64 // cumulative values at the window edges
-		haveStart  bool
+// Window returns the observations a histogram gained between two
+// snapshots of it, before and after, as exact per-bound deltas: at each
+// bound either snapshot populates, ascending, the after count minus the
+// before count. Snapshots hold cumulative counts at populated bounds only,
+// so a bound first populated inside the window has no explicit before
+// value; its true one is the largest before count at a lower bound, the
+// running maximum. A snapshot taken after a restart counts less than the
+// one before it; such a bound gains nothing. A bucket key that is not a
+// bound (a number or "+Inf") is an error.
+func Window(before, after obs.HistogramValue) (HistogramWindow, error) {
+	type edge struct {
+		le            float64
+		before, after uint64
 	}
-	groups := make(map[string][]bucketState)
-	groupTags := make(map[string]tsdb.Tags)
-	for _, sr := range series {
-		leStr, ok := sr.Tags["le"]
-		if !ok {
-			continue
+	byKey := make(map[string]*edge, len(after.Buckets))
+	edgeAt := func(key string) (*edge, error) {
+		if e := byKey[key]; e != nil {
+			return e, nil
 		}
-		le, err := parseBound(leStr)
+		le, err := strconv.ParseFloat(key, 64) // reads "+Inf" too
+		if err != nil || math.IsNaN(le) {
+			return nil, fmt.Errorf("telemetry: histogram bucket %q is not a bound", key)
+		}
+		e := &edge{le: le}
+		byKey[key] = e
+		return e, nil
+	}
+	for key, cum := range before.Buckets {
+		e, err := edgeAt(key)
 		if err != nil {
-			continue
+			return HistogramWindow{}, err
 		}
-		st := bucketState{le: le}
-		for _, p := range sr.Points {
-			if !to.IsZero() && p.Time.After(to) {
-				continue
-			}
-			cum, ok := p.Fields["cum"]
-			if !ok {
-				continue
-			}
-			// Points are time-ordered, so the last survivor of each filter
-			// wins: end is cum at the last point <= to, start is cum at the
-			// last point strictly before `from`.
-			st.end = uint64(cum)
-			if !from.IsZero() && p.Time.Before(from) {
-				st.start = uint64(cum)
-				st.haveStart = true
-			}
-		}
-		key := groupKey(sr.Tags)
-		groups[key] = append(groups[key], st)
-		if _, seen := groupTags[key]; !seen {
-			t := make(tsdb.Tags, len(sr.Tags))
-			for k, v := range sr.Tags {
-				if k != "le" {
-					t[k] = v
-				}
-			}
-			groupTags[key] = t
-		}
+		e.before = cum
 	}
+	for key, cum := range after.Buckets {
+		e, err := edgeAt(key)
+		if err != nil {
+			return HistogramWindow{}, err
+		}
+		e.after = cum
+	}
+	edges := make([]*edge, 0, len(byKey))
+	for _, e := range byKey {
+		edges = append(edges, e)
+	}
+	sort.Slice(edges, func(i, j int) bool { return edges[i].le < edges[j].le })
 
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	out := make([]HistogramWindow, 0, len(keys))
-	for _, k := range keys {
-		bs := groups[k]
-		sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-		w := HistogramWindow{Tags: groupTags[k]}
-		// Cumulative counts are monotone in le at any instant, but a bucket
-		// first populated mid-window has no explicit baseline: its true
-		// start value is the running maximum of the baselines below it.
-		var runStart, runEnd uint64
-		for _, b := range bs {
-			if b.haveStart && b.start > runStart {
-				runStart = b.start
-			}
-			if b.end > runEnd {
-				runEnd = b.end
-			}
-			var delta uint64
-			if runEnd > runStart {
-				delta = runEnd - runStart
-			}
-			w.Buckets = append(w.Buckets, BucketDelta{LE: b.le, Count: delta})
+	var w HistogramWindow
+	var runBefore, runAfter uint64
+	for _, e := range edges {
+		runBefore, runAfter = max(runBefore, e.before), max(runAfter, e.after)
+		var delta uint64
+		if runAfter > runBefore {
+			delta = runAfter - runBefore
 		}
-		if n := len(w.Buckets); n > 0 {
-			w.Count = w.Buckets[n-1].Count
-		}
-		out = append(out, w)
+		w.Buckets = append(w.Buckets, BucketDelta{LE: e.le, Count: delta})
+		w.Count = delta
 	}
-	return out
-}
-
-// groupKey renders a series' tags minus "le" in canonical sorted form.
-func groupKey(tags tsdb.Tags) string {
-	keys := make([]string, 0, len(tags))
-	for k := range tags {
-		if k != "le" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += "," + k + "=" + tags[k]
-	}
-	return out
-}
-
-// parseBound parses a scraped le tag value ("+Inf" or a decimal bound).
-func parseBound(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
+	return w, nil
 }

@@ -7,7 +7,6 @@ import (
 	"net/http/pprof"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // Introspection describes which debug endpoints to expose on a mux.
@@ -15,8 +14,6 @@ type Introspection struct {
 	// Registry serves /metrics (Prometheus text) and, when Progress is
 	// set, /progress. Defaults to obs.Default().
 	Registry *obs.Registry
-	// History, when non-nil, serves /debug/obs/history over the store.
-	History *tsdb.Store
 	// Progress registers the /progress campaign endpoint.
 	Progress bool
 }
@@ -33,9 +30,6 @@ func (in Introspection) Register(mux *http.ServeMux) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = reg.WriteProm(w)
 	})
-	if in.History != nil {
-		mux.Handle("/debug/obs/history", &HistoryHandler{Store: in.History})
-	}
 	if in.Progress {
 		mux.Handle("/progress", &ProgressHandler{Registry: reg})
 	}

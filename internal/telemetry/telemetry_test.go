@@ -2,156 +2,33 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"testing"
-	"time"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
-// TestPipelineDeterministicSelfStore pins the exact self-store contents
-// after two scrape cycles under a fake clock: the satellite-required
-// deterministic scraper test, at the pipeline level where the real tsdb
-// store is the sink.
-func TestPipelineDeterministicSelfStore(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.SetEnabled(true)
-	c := reg.Counter("serve_total", "route", "/metrics")
-	h := reg.Histogram("serve_ns", "route", "/metrics")
-
-	now := time.Unix(2000, 0).UTC()
-	p := NewPipeline(PipelineConfig{Registry: reg, Now: func() time.Time { return now }})
-
-	c.Add(4)
-	h.Observe(3) // le=4
-	if err := p.Cycle(); err != nil {
-		t.Fatalf("cycle 1: %v", err)
+// histogramSnapshot reads one histogram of reg the way /debug/vars serves it.
+func histogramSnapshot(t *testing.T, reg *obs.Registry, id string) obs.HistogramValue {
+	t.Helper()
+	hv, ok := reg.Snapshot()[id].(obs.HistogramValue)
+	if !ok {
+		t.Fatalf("no histogram %s in the snapshot", id)
 	}
-	now = now.Add(5 * time.Second)
-	c.Add(6) // 6 over 5s = 1.2/s
-	h.Observe(100)
-	h.Observe(90) // both le=128
-	if err := p.Cycle(); err != nil {
-		t.Fatalf("cycle 2: %v", err)
-	}
-
-	// Counter series: {value, rate} at both instants.
-	got := p.Store.Query("serve_total", nil, time.Time{}, time.Time{})
-	if len(got) != 1 {
-		t.Fatalf("serve_total series = %d, want 1", len(got))
-	}
-	wantPoints := []struct {
-		sec   int64
-		value float64
-		rate  float64
-	}{{2000, 4, 0}, {2005, 10, 1.2}}
-	if len(got[0].Points) != len(wantPoints) {
-		t.Fatalf("serve_total points = %d, want %d", len(got[0].Points), len(wantPoints))
-	}
-	if got[0].Tags["route"] != "/metrics" {
-		t.Fatalf("serve_total tags = %v", got[0].Tags)
-	}
-	for i, w := range wantPoints {
-		pt := got[0].Points[i]
-		if pt.Time.Unix() != w.sec || pt.Fields["value"] != w.value || pt.Fields["rate"] != w.rate {
-			t.Fatalf("serve_total point %d = %v %v, want t=%d value=%g rate=%g", i, pt.Time.Unix(), pt.Fields, w.sec, w.value, w.rate)
-		}
-	}
-
-	// Histogram family series: count/sum/rate.
-	fam := p.Store.Query("serve_ns", nil, time.Time{}, time.Time{})
-	if len(fam) != 1 || len(fam[0].Points) != 2 {
-		t.Fatalf("serve_ns series/points = %d", len(fam))
-	}
-	p1, p2 := fam[0].Points[0], fam[0].Points[1]
-	if p1.Fields["count"] != 1 || p1.Fields["sum"] != 3 || p1.Fields["rate"] != 0 {
-		t.Fatalf("serve_ns point 1 = %v", p1.Fields)
-	}
-	if p2.Fields["count"] != 3 || p2.Fields["sum"] != 193 || p2.Fields["rate"] != 0.4 {
-		t.Fatalf("serve_ns point 2 = %v", p2.Fields)
-	}
-
-	// Bucket series: le=4 both cycles, le=128 only the second.
-	buckets := p.Store.Query("serve_ns_bucket", nil, time.Time{}, time.Time{})
-	if len(buckets) != 2 {
-		t.Fatalf("serve_ns_bucket series = %d, want 2 (le=4, le=128)", len(buckets))
-	}
-	for _, sr := range buckets {
-		switch sr.Tags["le"] {
-		case "4":
-			if len(sr.Points) != 2 || sr.Points[0].Fields["cum"] != 1 || sr.Points[1].Fields["cum"] != 1 {
-				t.Fatalf("le=4 points = %+v", sr.Points)
-			}
-		case "128":
-			if len(sr.Points) != 1 || sr.Points[0].Fields["cum"] != 3 {
-				t.Fatalf("le=128 points = %+v", sr.Points)
-			}
-		default:
-			t.Fatalf("unexpected bucket le=%q", sr.Tags["le"])
-		}
-		if sr.Tags["route"] != "/metrics" {
-			t.Fatalf("bucket tags = %v", sr.Tags)
-		}
-	}
-}
-
-func TestPipelineRetention(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.SetEnabled(true)
-	c := reg.Counter("old_total")
-
-	now := time.Unix(5000, 0).UTC()
-	p := NewPipeline(PipelineConfig{Registry: reg, Retention: 10 * time.Second, Now: func() time.Time { return now }})
-	for i := 0; i < 5; i++ {
-		c.Inc()
-		if err := p.Cycle(); err != nil {
-			t.Fatal(err)
-		}
-		now = now.Add(5 * time.Second)
-	}
-	// Cycles at t=5000..5020; final retention pass ran at t=5020 with
-	// cutoff 5010, so points at 5000 and 5005 must be gone.
-	got := p.Store.Query("old_total", nil, time.Time{}, time.Time{})
-	if len(got) != 1 {
-		t.Fatalf("series = %d, want 1", len(got))
-	}
-	if len(got[0].Points) != 3 {
-		t.Fatalf("points after retention = %d, want 3", len(got[0].Points))
-	}
-	if first := got[0].Points[0].Time.Unix(); first != 5010 {
-		t.Fatalf("oldest surviving point at %d, want 5010", first)
-	}
+	return hv
 }
 
 func TestHistogramWindowsAndQuantile(t *testing.T) {
-	st := tsdb.NewStore()
-	ins := func(le string, sec int64, cum float64) {
-		st.Insert("lat_ns_bucket", tsdb.Tags{"route": "/x", "le": le}, time.Unix(sec, 0).UTC(), map[string]float64{"cum": cum})
-	}
-	// t=100: 10 obs <= 8, 20 obs total (<= 64).
-	ins("8", 100, 10)
-	ins("64", 100, 20)
-	// t=200: 30 <= 8, 60 <= 64, 70 total <= 128 (le=128 first appears here).
-	ins("8", 200, 30)
-	ins("64", 200, 60)
-	ins("128", 200, 70)
+	// Before: 10 obs <= 8, 20 obs total (<= 64). After: 30 <= 8, 60 <= 64,
+	// 70 total <= 128 (le=128 first populated inside the window).
+	before := obs.HistogramValue{Count: 20, Buckets: map[string]uint64{"8": 10, "64": 20}}
+	after := obs.HistogramValue{Count: 70, Buckets: map[string]uint64{"8": 30, "64": 60, "128": 70}}
 
-	// Window (100, 200]: deltas 20/40/50 — le=128's baseline must inherit
-	// the lower buckets' running start (20), not zero.
-	windows := func(from, to time.Time) []HistogramWindow {
-		var end time.Time
-		if !to.IsZero() {
-			end = to.Add(time.Nanosecond) // Query's upper bound is exclusive
-		}
-		return WindowsFromSeries(st.Query("lat_ns_bucket", nil, time.Time{}, end), from, to)
-	}
-	ws := windows(time.Unix(150, 0), time.Unix(200, 0))
-	if len(ws) != 1 {
-		t.Fatalf("windows = %d, want 1", len(ws))
-	}
-	w := ws[0]
-	if w.Tags["route"] != "/x" {
-		t.Fatalf("window tags = %v", w.Tags)
+	// Deltas 20/40/50: le=128's baseline must inherit the lower buckets'
+	// running before count (20), not zero.
+	w, err := Window(before, after)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if w.Count != 50 {
 		t.Fatalf("window count = %d, want 50", w.Count)
@@ -179,10 +56,9 @@ func TestHistogramWindowsAndQuantile(t *testing.T) {
 		t.Fatalf("p100 = %g, want 128", got)
 	}
 
-	// Unbounded window covers everything: count 70.
-	all := windows(time.Time{}, time.Time{})
-	if len(all) != 1 || all[0].Count != 70 {
-		t.Fatalf("unbounded window = %+v", all)
+	// From an empty snapshot the window covers everything: count 70.
+	if all, err := Window(obs.HistogramValue{}, after); err != nil || all.Count != 70 {
+		t.Fatalf("window from nothing = %+v, %v", all, err)
 	}
 
 	// Empty window: NaN quantile.
@@ -195,6 +71,66 @@ func TestHistogramWindowsAndQuantile(t *testing.T) {
 	inf := HistogramWindow{Count: 10, Buckets: []BucketDelta{{LE: 4, Count: 5}, {LE: math.Inf(1), Count: 10}}}
 	if got := inf.Quantile(0.99); got != 4 {
 		t.Fatalf("overflow quantile = %g, want 4", got)
+	}
+}
+
+// TestWindowExactDeltas holds Window to a histogram that saw only the
+// window's observations: those made before the first snapshot are excluded,
+// a bucket first populated inside the window counts from the running
+// baseline below it, the +Inf overflow counts like any bound, and a series
+// unchanged between the snapshots gains nothing, so loadgen drops it.
+func TestWindowExactDeltas(t *testing.T) {
+	reg, only := obs.NewRegistry(), obs.NewRegistry()
+	reg.SetEnabled(true)
+	only.SetEnabled(true)
+	h, still := reg.Histogram("lat_ns"), reg.Histogram("idle_ns")
+	for _, v := range []float64{3, 3, 100, 5000} { // before the window
+		h.Observe(v)
+	}
+	still.Observe(7)
+	before, stillBefore := histogramSnapshot(t, reg, "lat_ns"), histogramSnapshot(t, reg, "idle_ns")
+	inWindow := []float64{3, 40, 100, 100, 1e15, 1e300} // 40 first populates le=64; the last two overflow
+	for _, v := range inWindow {
+		h.Observe(v)
+		only.Histogram("lat_ns").Observe(v)
+	}
+
+	w, err := Window(before, histogramSnapshot(t, reg, "lat_ns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []BucketDelta{{LE: 4, Count: 1}, {LE: 64, Count: 2}, {LE: 128, Count: 4}, {LE: 8192, Count: 4}, {LE: math.Inf(1), Count: 6}}
+	if len(w.Buckets) != len(want) || w.Count != uint64(len(inWindow)) {
+		t.Fatalf("window = %+v, want buckets %+v and count %d", w, want, len(inWindow))
+	}
+	for i := range want {
+		if w.Buckets[i] != want[i] {
+			t.Fatalf("bucket %d = %+v, want %+v", i, w.Buckets[i], want[i])
+		}
+	}
+	// The same deltas, read off a histogram that only ever saw the window.
+	fresh, err := Window(obs.HistogramValue{}, histogramSnapshot(t, only, "lat_ns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range fresh.Buckets {
+		if i := slices.IndexFunc(w.Buckets, func(d BucketDelta) bool { return d.LE == b.LE }); i < 0 || w.Buckets[i] != b {
+			t.Fatalf("fresh histogram's bucket %+v is not in the window %+v", b, w.Buckets)
+		}
+	}
+
+	idle, err := Window(stillBefore, histogramSnapshot(t, reg, "idle_ns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Count != 0 || len(idle.Buckets) != 1 || idle.Buckets[0] != (BucketDelta{LE: 8}) {
+		t.Fatalf("unchanged series window = %+v, want one empty bucket at le=8", idle)
+	}
+
+	for _, bad := range []string{"NaN", "eight", ""} {
+		if _, err := Window(obs.HistogramValue{}, obs.HistogramValue{Buckets: map[string]uint64{bad: 1}}); err == nil {
+			t.Errorf("bucket key %q accepted", bad)
+		}
 	}
 }
 
@@ -268,82 +204,5 @@ func TestBuildProgressCommands(t *testing.T) {
 	// The region series still builds independently.
 	if len(got.Regions) != 1 || got.Regions[0].HoursTotal != 48 {
 		t.Fatalf("regions = %+v, want the one us-west1 entry", got.Regions)
-	}
-}
-
-func TestDropBeforeKeepsHandles(t *testing.T) {
-	st := tsdb.NewStore()
-	h := st.Bind(tsdb.Tags{"k": "v"}, "f")
-	for i := int64(0); i < 10; i++ {
-		h.Insert(time.Unix(i, 0).UTC(), float64(i))
-	}
-	if n := st.DropBefore(time.Unix(5, 0).UTC()); n != 5 {
-		t.Fatalf("dropped %d, want 5", n)
-	}
-	// The handle keeps working after retention emptied part of its series.
-	h.Insert(time.Unix(20, 0).UTC(), 20)
-	got := st.Query("speedtest", nil, time.Time{}, time.Time{})
-	if len(got) != 1 || len(got[0].Points) != 6 {
-		t.Fatalf("after drop: %+v", got)
-	}
-	if got[0].Points[0].Time.Unix() != 5 {
-		t.Fatalf("oldest = %d, want 5", got[0].Points[0].Time.Unix())
-	}
-
-	// Drop everything — the series survives as an empty shell.
-	st.DropBefore(time.Unix(100, 0).UTC())
-	if got := st.Query("speedtest", nil, time.Time{}, time.Time{}); len(got) != 0 {
-		t.Fatalf("expected no queryable points, got %+v", got)
-	}
-	h.Insert(time.Unix(200, 0).UTC(), 1)
-	if got := st.Query("speedtest", nil, time.Time{}, time.Time{}); len(got) != 1 || len(got[0].Points) != 1 {
-		t.Fatalf("handle insert after full drop lost: %+v", got)
-	}
-}
-
-func TestParseHistoryTime(t *testing.T) {
-	if got, err := parseHistoryTime(""); err != nil || !got.IsZero() {
-		t.Fatalf("empty = %v, %v", got, err)
-	}
-	if got, err := parseHistoryTime("2026-08-08T10:00:00Z"); err != nil || got.Unix() != 1786183200 {
-		t.Fatalf("rfc3339 = %v (%d), %v", got, got.Unix(), err)
-	}
-	if got, err := parseHistoryTime("12345"); err != nil || got.Unix() != 12345 {
-		t.Fatalf("unix = %v, %v", got, err)
-	}
-	if _, err := parseHistoryTime("yesterday"); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestPipelineStartStop(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.SetEnabled(true)
-	reg.Counter("tick_total").Inc()
-	p := NewPipeline(PipelineConfig{Registry: reg, Interval: time.Millisecond})
-	p.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(p.Store.Query("tick_total", nil, time.Time{}, time.Time{})) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pipeline never scraped")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.Stop()
-	p.Stop()
-	if got := p.Store.Query("tick_total", nil, time.Time{}, time.Time{}); len(got) != 1 {
-		t.Fatalf("self-store series = %d, want 1", len(got))
-	}
-}
-
-func TestStoreAppenderRejectsBadIdent(t *testing.T) {
-	st := tsdb.NewStore()
-	app := StoreAppender{Store: st}
-	err := app.Append("bad measurement", nil, time.Unix(0, 0), map[string]float64{"f": 1})
-	if err == nil {
-		t.Fatal("space in measurement accepted")
-	}
-	if err := app.Append("ok", map[string]string{"le": "+Inf"}, time.Unix(0, 0), map[string]float64{"f": 1}); err != nil {
-		t.Fatalf("+Inf tag value rejected: %v", err)
 	}
 }

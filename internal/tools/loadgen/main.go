@@ -1,6 +1,7 @@
 // Command loadgen drives a speedtestd with concurrent real-protocol
 // clients and prints the daemon's serving-path latency percentiles,
-// reconstructed from the daemon's own scraped self-telemetry history.
+// reconstructed from two reads of the daemon's /debug/vars histograms, one
+// before the drive and one after it.
 //
 // Usage:
 //
@@ -15,7 +16,6 @@
 //	-per-client N    tests per client (default 2)
 //	-duration D      per-phase transfer duration (default 100ms)
 //	-platforms LIST  comma-separated mix: ookla,mlab,comcast (default all)
-//	-scrape-interval D  self-telemetry cadence for -boot (default 500ms)
 //	-json            emit the full result as JSON instead of a table
 package main
 
@@ -42,23 +42,21 @@ func main() {
 }
 
 func run() error {
-	httpAddr := flag.String("http", "", "daemon HTTP address (ndt7 + xfinity + history)")
+	httpAddr := flag.String("http", "", "daemon HTTP address (ndt7 + xfinity + /debug/vars)")
 	ooklaAddr := flag.String("ookla", "", "daemon Ookla TCP address (omit to skip ookla)")
 	boot := flag.Bool("boot", false, "boot an in-process daemon on ephemeral ports and drive it")
 	clients := flag.Int("clients", 100, "concurrent clients")
 	perClient := flag.Int("per-client", 2, "tests per client")
 	duration := flag.Duration("duration", 100*time.Millisecond, "per-phase transfer duration")
 	platforms := flag.String("platforms", "", "comma-separated platform mix (ookla,mlab,comcast)")
-	scrapeInterval := flag.Duration("scrape-interval", 500*time.Millisecond, "self-telemetry cadence for -boot")
 	asJSON := flag.Bool("json", false, "emit the full result as JSON")
 	flag.Parse()
 
 	if *boot {
 		d, err := daemon.Start(daemon.Config{
-			OoklaAddr:      "127.0.0.1:0",
-			HTTPAddr:       "127.0.0.1:0",
-			NDT7Duration:   *duration,
-			ScrapeInterval: *scrapeInterval,
+			OoklaAddr:    "127.0.0.1:0",
+			HTTPAddr:     "127.0.0.1:0",
+			NDT7Duration: *duration,
 		})
 		if err != nil {
 			return err
@@ -112,7 +110,7 @@ func run() error {
 	for _, e := range res.Errors {
 		fmt.Printf("  error: %s\n", e)
 	}
-	fmt.Printf("serving-path latency (daemon-side, from scraped history):\n")
+	fmt.Printf("serving-path latency (daemon-side, from /debug/vars before and after):\n")
 	printQuantiles(res.HTTP)
 	if len(res.Ookla) > 0 {
 		fmt.Printf("ookla command latency:\n")

@@ -2,14 +2,14 @@
 // seal threshold, the tail is frozen into an immutable compressed block —
 // delta-of-delta varint timestamps plus one Gorilla XOR float column per
 // field (see internal/colenc). The sharded in-memory store stays the write
-// head; queries decode blocks on the fly, losslessly.
+// head; a point older than the sealed range decodes the blocks back into
+// the tail, losslessly.
 //
 // Sealed-block purity invariant: encode(points) followed by decode is
-// bit-identical to the input — timestamps to the nanosecond (normalised to
-// UTC) and field values to the IEEE-754 bit pattern, pinned by the
-// round-trip property tests and fuzzer in block_test.go. Nothing
-// downstream (Query, analysis) can observe whether a series was
-// sealed, except through memory use.
+// bit-identical to the input — timestamps to the nanosecond and field
+// values to the IEEE-754 bit pattern, pinned by the round-trip property
+// tests and fuzzer in block_test.go. Nothing can observe whether a series
+// was sealed, except through memory use.
 
 package tsdb
 
@@ -30,9 +30,9 @@ const DefaultSealThreshold = 512
 // after every point in block i, and the mutable tail follows the last
 // block. All fields are read-only after encodeColumns returns.
 type block struct {
-	n            int
-	minNs, maxNs int64 // UnixNano of first and last point
-	data         []byte
+	n     int
+	maxNs int64 // UnixNano of the last point
+	data  []byte
 }
 
 // Layout of block.data (all integers varint unless noted):
@@ -52,7 +52,7 @@ type block struct {
 // only read.
 func encodeColumns(c *columns) *block {
 	n := c.len()
-	b := &block{n: n, minNs: c.times[0], maxNs: c.times[n-1]}
+	b := &block{n: n, maxNs: c.times[n-1]}
 	fields := c.sortedFields()
 
 	buf := make([]byte, 0, 16*n/4+64)
@@ -84,18 +84,6 @@ func encodeColumns(c *columns) *block {
 	}
 	b.data = buf
 	return b
-}
-
-// appendPoints decodes the block and appends its points inside r to dst.
-// Decoded points carry fresh field maps, so callers own them outright.
-// Decode never fails on data produced by encodeColumns; a corrupt buffer
-// is reported as an error.
-func (b *block) appendPoints(dst []Point, r timeRange) ([]Point, error) {
-	var c columns
-	if err := b.decodeInto(&c); err != nil {
-		return nil, err
-	}
-	return c.appendPoints(dst, r), nil
 }
 
 // decodeInto appends the block's points to c, adding any column c lacks.
@@ -334,17 +322,4 @@ func (sr *series) lastNs() (ns int64, ok bool) {
 		return sr.blocks[n-1].maxNs, true
 	}
 	return 0, false
-}
-
-// insertFields translates a map-form point onto insertRow, interning field
-// names the series has not seen.
-func (sr *series) insertFields(at int64, fields map[string]float64, threshold int) {
-	var colBuf [8]int
-	var valBuf [8]float64
-	cols, vals := colBuf[:0], valBuf[:0]
-	for name, v := range fields {
-		cols = append(cols, sr.tail.col(name))
-		vals = append(vals, v)
-	}
-	sr.insertRow(at, cols, vals, threshold)
 }

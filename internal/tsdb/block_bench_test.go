@@ -49,9 +49,7 @@ func BenchmarkBlockEncode(b *testing.B) {
 }
 
 // BenchmarkBlockDecode is the read side: one sealed block decoded back into
-// caller-owned, reused columns — what reopening a series and serialising a
-// store do. Materialising Point values with their Fields maps is Query's
-// own cost on top, one map per point returned.
+// caller-owned, reused columns — what reopening a series does.
 func BenchmarkBlockDecode(b *testing.B) {
 	blk := encodeBlock(benchBlockPoints(DefaultSealThreshold))
 	var dst columns

@@ -99,8 +99,8 @@ func TestBlockRoundTrip(t *testing.T) {
 		if !pointsEqual(tc.pts, got) {
 			t.Fatalf("%s: round trip drifted:\n in: %v\nout: %v", tc.name, tc.pts, got)
 		}
-		if b.minNs != tc.pts[0].Time.UnixNano() || b.maxNs != tc.pts[len(tc.pts)-1].Time.UnixNano() {
-			t.Fatalf("%s: bad bounds [%d, %d]", tc.name, b.minNs, b.maxNs)
+		if b.maxNs != tc.pts[len(tc.pts)-1].Time.UnixNano() {
+			t.Fatalf("%s: bad upper bound %d", tc.name, b.maxNs)
 		}
 	}
 }
@@ -201,15 +201,13 @@ func fillStores(t testing.TB, n int, stores ...*Store) {
 		at := base.Add(time.Duration(i/3) * time.Hour)
 		fields := map[string]float64{"mbps": rng.Float64() * 1000, "rtt_ms": rng.Float64() * 100}
 		for _, s := range stores {
-			if err := s.Insert("speedtest", tags, at, fields); err != nil {
-				t.Fatal(err)
-			}
+			put(s, tags, at, fields)
 		}
 	}
 }
 
-// TestSealedStoreMatchesUnsealed pins that sealing is invisible: Query
-// results are identical whether blocks are enabled (small threshold, many
+// TestSealedStoreMatchesUnsealed pins that sealing is invisible: a store
+// reads back identically whether blocks are enabled (small threshold, many
 // blocks) or disabled.
 func TestSealedStoreMatchesUnsealed(t *testing.T) {
 	sealed, plain := NewStore(), NewStore()
@@ -225,20 +223,20 @@ func TestSealedStoreMatchesUnsealed(t *testing.T) {
 		t.Fatalf("plain store sealed anyway: %d blocks / %d points", b, p)
 	}
 
-	qs := sealed.Query("speedtest", nil, time.Time{}, time.Time{})
-	qp := plain.Query("speedtest", nil, time.Time{}, time.Time{})
+	qs := sealed.query(nil, time.Time{}, time.Time{})
+	qp := plain.query(nil, time.Time{}, time.Time{})
 	if !reflect.DeepEqual(qs, qp) {
-		t.Fatal("sealed Query differs from unsealed")
+		t.Fatal("sealed store reads back differently from unsealed")
 	}
 
 	// Range query crossing block boundaries.
 	from := time.Date(2020, 5, 3, 7, 0, 0, 0, time.UTC)
 	to := time.Date(2020, 5, 5, 19, 0, 0, 0, time.UTC)
 	if !reflect.DeepEqual(
-		sealed.Query("speedtest", Tags{"server": "a"}, from, to),
-		plain.Query("speedtest", Tags{"server": "a"}, from, to),
+		sealed.query(Tags{"server": "a"}, from, to),
+		plain.query(Tags{"server": "a"}, from, to),
 	) {
-		t.Fatal("sealed range Query differs from unsealed")
+		t.Fatal("sealed range read differs from unsealed")
 	}
 }
 
@@ -249,9 +247,7 @@ func TestSealedOutOfOrderInsertReopens(t *testing.T) {
 	s.sealThreshold = 8
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 20; i++ {
-		if err := s.Insert("m", Tags{"k": "v"}, base.Add(time.Duration(i)*time.Hour), map[string]float64{"v": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		put(s, Tags{"k": "v"}, base.Add(time.Duration(i)*time.Hour), map[string]float64{"v": float64(i)})
 	}
 	if blocks, _, _ := s.BlockStats(); blocks == 0 {
 		t.Fatal("expected at least one sealed block")
@@ -259,11 +255,9 @@ func TestSealedOutOfOrderInsertReopens(t *testing.T) {
 	// Before everything, and into the middle of the sealed range.
 	late := []time.Time{base.Add(-time.Hour), base.Add(90 * time.Minute)}
 	for i, at := range late {
-		if err := s.Insert("m", Tags{"k": "v"}, at, map[string]float64{"v": -float64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
+		put(s, Tags{"k": "v"}, at, map[string]float64{"v": -float64(i + 1)})
 	}
-	got := s.Query("m", nil, time.Time{}, time.Time{})
+	got := s.query(nil, time.Time{}, time.Time{})
 	if len(got) != 1 {
 		t.Fatalf("got %d series", len(got))
 	}
@@ -287,9 +281,7 @@ func TestDropBeforeSealedBlocks(t *testing.T) {
 	st := NewStore()
 	st.sealThreshold = 4
 	for i := int64(0); i < 20; i++ {
-		if err := st.Insert("m", nil, time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		put(st, nil, time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)})
 	}
 	blocksBefore, pointsBefore, _ := st.BlockStats()
 	if blocksBefore == 0 {
@@ -305,7 +297,7 @@ func TestDropBeforeSealedBlocks(t *testing.T) {
 		t.Fatalf("block points dropped %d, DropBefore reported %d", pointsBefore-pointsAfter, dropped)
 	}
 	// Remaining data is exactly the suffix from the first surviving block.
-	got := st.Query("m", nil, time.Time{}, time.Time{})
+	got := st.query(nil, time.Time{}, time.Time{})
 	if len(got) != 1 {
 		t.Fatalf("series = %d", len(got))
 	}
@@ -337,60 +329,35 @@ func TestBlockStatsCompression(t *testing.T) {
 	}
 }
 
-// --- QueryView -------------------------------------------------------------------
-
-func TestQueryViewMatchesQuery(t *testing.T) {
-	s := NewStore()
-	s.sealThreshold = 16
-	fillStores(t, 300, s)
-	from := time.Date(2020, 5, 2, 0, 0, 0, 0, time.UTC)
-	q := s.Query("speedtest", Tags{"server": "b"}, from, time.Time{})
-	v := s.QueryView("speedtest", Tags{"server": "b"}, from, time.Time{})
-	if !reflect.DeepEqual(q, v) {
-		t.Fatal("QueryView differs from Query")
+// TestDropBeforeKeepsHandles pins that retention never divorces a handle
+// from its series: inserts after a partial and after a full drop land in
+// the store.
+func TestDropBeforeKeepsHandles(t *testing.T) {
+	st := NewStore()
+	h := st.Bind(Tags{"k": "v"}, "f")
+	for i := int64(0); i < 10; i++ {
+		h.Insert(time.Unix(i, 0).UTC(), float64(i))
 	}
-	if !reflect.DeepEqual(s.Query("speedtest", nil, time.Time{}, time.Time{}),
-		s.QueryView("speedtest", nil, time.Time{}, time.Time{})) {
-		t.Fatal("unbounded QueryView differs from Query")
+	if n := st.DropBefore(time.Unix(5, 0).UTC()); n != 5 {
+		t.Fatalf("dropped %d, want 5", n)
 	}
-}
-
-// TestQueryViewAliasesStore pins the aliasing contract both ways: the view
-// shares Tags with the store (no copy on the read path) while Query copies
-// them, and points — materialised from the store's columns on every call —
-// belong to the caller in both, so a reader holding a view stays correct
-// across later inserts.
-func TestQueryViewAliasesStore(t *testing.T) {
-	s := NewStore()
-	s.sealThreshold = 0 // all points in the tail
-	at := time.Unix(100, 0).UTC()
-	if err := s.Insert("m", Tags{"k": "v"}, at, map[string]float64{"f": 1}); err != nil {
-		t.Fatal(err)
+	// The handle keeps working after retention emptied part of its series.
+	h.Insert(time.Unix(20, 0).UTC(), 20)
+	got := st.query(nil, time.Time{}, time.Time{})
+	if len(got) != 1 || len(got[0].Points) != 6 {
+		t.Fatalf("after drop: %+v", got)
+	}
+	if got[0].Points[0].Time.Unix() != 5 {
+		t.Fatalf("oldest = %d, want 5", got[0].Points[0].Time.Unix())
 	}
 
-	view := s.QueryView("m", nil, time.Time{}, time.Time{})
-	copied := s.Query("m", nil, time.Time{}, time.Time{})
-
-	sh := s.shardFor(seriesKey("m", Tags{"k": "v"}))
-	stored := sh.series[seriesKey("m", Tags{"k": "v"})]
-
-	if reflect.ValueOf(view[0].Tags).Pointer() != reflect.ValueOf(stored.tags).Pointer() {
-		t.Fatal("QueryView Tags should alias the store")
+	// Drop everything — the series survives as an empty shell.
+	st.DropBefore(time.Unix(100, 0).UTC())
+	if got := st.query(nil, time.Time{}, time.Time{}); len(got) != 0 {
+		t.Fatalf("expected no points, got %+v", got)
 	}
-	if reflect.ValueOf(copied[0].Tags).Pointer() == reflect.ValueOf(stored.tags).Pointer() {
-		t.Fatal("Query Tags must not alias the store")
-	}
-
-	// Writing through a view's point must not reach the store, and a later
-	// insert must not disturb the view's already-captured points.
-	view[0].Points[0].Fields["f"] = -1
-	if err := s.Insert("m", Tags{"k": "v"}, at.Add(time.Hour), map[string]float64{"f": 2}); err != nil {
-		t.Fatal(err)
-	}
-	if len(view[0].Points) != 1 || view[0].Points[0].Fields["f"] != -1 {
-		t.Fatal("view mutated by subsequent insert")
-	}
-	if again := s.QueryView("m", nil, time.Time{}, time.Time{}); len(again[0].Points) != 2 || again[0].Points[0].Fields["f"] != 1 {
-		t.Fatalf("store changed through a view's point: %+v", again[0].Points)
+	h.Insert(time.Unix(200, 0).UTC(), 1)
+	if got := st.query(nil, time.Time{}, time.Time{}); len(got) != 1 || len(got[0].Points) != 1 {
+		t.Fatalf("handle insert after full drop lost: %+v", got)
 	}
 }

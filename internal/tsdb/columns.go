@@ -1,16 +1,14 @@
 // Columnar rows: the one in-memory representation of uncompressed points.
-// A series' mutable tail and a decoded block are both a columns value — a timestamp column plus one float column per field
-// name — mirroring the sealed layout in block.go, so sealing encodes
-// straight from the columns and reopening decodes straight into them. No
-// point owns a heap object; Point values (with their Fields maps) are
-// materialised only at the Query boundary.
+// A series' mutable tail and a decoded block are both a columns value — a
+// timestamp column plus one float column per field name — mirroring the
+// sealed layout in block.go, so sealing encodes straight from the columns
+// and reopening decodes straight into them. No point owns a heap object.
 
 package tsdb
 
 import (
 	"slices"
 	"sort"
-	"time"
 )
 
 // columns is a time-sorted run of points in columnar form. The field list
@@ -27,9 +25,6 @@ type columns struct {
 }
 
 func (c *columns) len() int { return len(c.times) }
-
-// has reports whether point i carries field k.
-func (c *columns) has(k, i int) bool { return c.present[k] == nil || c.present[k][i] }
 
 // col returns the index of the named column, adding it — absent from every
 // existing point — when new.
@@ -191,51 +186,4 @@ func (c *columns) sortedFields() []int {
 	}
 	sort.Slice(order, func(i, j int) bool { return c.fields[order[i]] < c.fields[order[j]] })
 	return order
-}
-
-// timeRange is a [from, to) filter in UnixNano; an unset bound is open.
-type timeRange struct {
-	from, to       int64
-	hasFrom, hasTo bool
-}
-
-// newTimeRange converts Query-style bounds, where a zero Time disables
-// that side.
-func newTimeRange(from, to time.Time) timeRange {
-	r := timeRange{hasFrom: !from.IsZero(), hasTo: !to.IsZero()}
-	if r.hasFrom {
-		r.from = from.UnixNano()
-	}
-	if r.hasTo {
-		r.to = to.UnixNano()
-	}
-	return r
-}
-
-func (r timeRange) contains(ns int64) bool {
-	return !(r.hasFrom && ns < r.from) && !(r.hasTo && ns >= r.to)
-}
-
-// overlaps reports whether any point of a run spanning [minNs, maxNs] can
-// fall inside the range.
-func (r timeRange) overlaps(minNs, maxNs int64) bool {
-	return !(r.hasFrom && maxNs < r.from) && !(r.hasTo && minNs >= r.to)
-}
-
-// appendPoints materialises the points inside r as Point values appended to
-// dst, each with a freshly allocated Fields map and a UTC timestamp.
-func (c *columns) appendPoints(dst []Point, r timeRange) []Point {
-	for i, ns := range c.times {
-		if !r.contains(ns) {
-			continue
-		}
-		fields := make(map[string]float64, len(c.fields))
-		for k, name := range c.fields {
-			if c.has(k, i) {
-				fields[name] = c.vals[k][i]
-			}
-		}
-		dst = append(dst, Point{Time: time.Unix(0, ns).UTC(), Fields: fields})
-	}
-	return dst
 }

@@ -7,33 +7,12 @@ import (
 	"time"
 )
 
-// storeBytes is the byte-level state of a store, by series key: each
-// sealed block's data, then the mutable tail encoded the way a seal would
-// encode it (fields sorted by name, so the order fields first arrived in
-// does not show).
-func storeBytes(s *Store) map[string][][]byte {
-	out := make(map[string][][]byte)
-	defer s.lockAll()()
-	for i := range s.shards {
-		for k, sr := range s.shards[i].series {
-			var data [][]byte
-			for _, b := range sr.blocks {
-				data = append(data, b.data)
-			}
-			if sr.tail.len() > 0 {
-				data = append(data, encodeColumns(&sr.tail).data)
-			}
-			out[k] = data
-		}
-	}
-	return out
-}
-
 // TestBoundInsertMatchesMapInsert is the one-write-path property: the same
 // random point stream — duplicate timestamps, points arriving out of order
-// across a seal boundary, one field missing on some points — driven through
-// the map API (Store.Insert) and the bound-handle API leaves two stores
-// that cannot be told apart.
+// across a seal boundary, one field missing on some points — driven point by
+// point in map form (put, a fresh handle bound to each point's own fields in
+// name order) and through handles held across the stream (bound in another
+// field order) leaves two stores that cannot be told apart.
 func TestBoundInsertMatchesMapInsert(t *testing.T) {
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	for seed := int64(1); seed <= 20; seed++ {
@@ -62,27 +41,23 @@ func TestBoundInsertMatchesMapInsert(t *testing.T) {
 			}
 			mbps, rtt, loss := rng.Float64()*900, rng.Float64()*80, rng.Float64()/100
 			b := bindings[sr]
-			var err error
 			if rng.Intn(4) == 0 {
-				err = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "loss": loss})
+				put(byMap, tagsOf(sr), at, map[string]float64{"mbps": mbps, "loss": loss})
 				b.part.Insert(at, loss, mbps)
 			} else {
-				err = byMap.Insert("speedtest", tagsOf(sr), at, map[string]float64{"mbps": mbps, "rtt_ms": rtt, "loss": loss})
+				put(byMap, tagsOf(sr), at, map[string]float64{"mbps": mbps, "rtt_ms": rtt, "loss": loss})
 				b.full.Insert(at, mbps, rtt, loss)
-			}
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
 		wb, wp, wbytes := byMap.BlockStats()
 		if threshold > 0 && wb == 0 {
 			t.Fatalf("seed %d: nothing sealed at threshold %d", seed, threshold)
 		}
-		if got, want := byBound.Query("speedtest", nil, time.Time{}, time.Time{}), byMap.Query("speedtest", nil, time.Time{}, time.Time{}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: bound Query differs from the map API's", seed)
+		if got, want := byBound.query(nil, time.Time{}, time.Time{}), byMap.query(nil, time.Time{}, time.Time{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: bound query differs from the map form's", seed)
 		}
-		if !reflect.DeepEqual(storeBytes(byBound), storeBytes(byMap)) {
-			t.Fatalf("seed %d: bound blocks and tail encode differently from the map API's", seed)
+		if !reflect.DeepEqual(byBound.Dump(), byMap.Dump()) {
+			t.Fatalf("seed %d: bound blocks and tail encode differently from the map form's", seed)
 		}
 		if b, p, n := byBound.BlockStats(); b != wb || p != wp || n != wbytes {
 			t.Fatalf("seed %d: bound BlockStats = %d/%d/%d, want %d/%d/%d", seed, b, p, n, wb, wp, wbytes)
@@ -115,7 +90,7 @@ func TestOutOfOrderRunReopensOnce(t *testing.T) {
 	if blocks, pts, _ := s.BlockStats(); blocks != 1 || pts != 51 {
 		t.Fatalf("after an in-order append: %d blocks / %d points sealed, want 1 / 51", blocks, pts)
 	}
-	got := s.Query("speedtest", nil, time.Time{}, time.Time{})
+	got := s.query(nil, time.Time{}, time.Time{})
 	if len(got) != 1 || len(got[0].Points) != 51 {
 		t.Fatalf("query = %+v", got)
 	}

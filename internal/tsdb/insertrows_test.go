@@ -39,16 +39,16 @@ func rowsStores(threshold int, ops []rowsOp) (byRows, byRow *Store) {
 	return byRows, byRow
 }
 
-// checkRowsMatch fails unless the two stores cannot be told apart: Query,
+// checkRowsMatch fails unless the two stores cannot be told apart: query,
 // the byte-level blocks and tail, SeriesCount, BlockStats, and DropBefore
 // at every cutoff in cuts (ascending; each drops from what the last left).
 func checkRowsMatch(t *testing.T, byRows, byRow *Store, cuts []int64) {
 	t.Helper()
-	all := func(s *Store) []Series { return s.Query("speedtest", nil, time.Time{}, time.Time{}) }
+	all := func(s *Store) []Series { return s.query(nil, time.Time{}, time.Time{}) }
 	if got, want := all(byRows), all(byRow); !reflect.DeepEqual(got, want) {
-		t.Fatalf("InsertRows Query differs from Insert's:\n got %v\nwant %v", got, want)
+		t.Fatalf("InsertRows query differs from Insert's:\n got %v\nwant %v", got, want)
 	}
-	if !reflect.DeepEqual(storeBytes(byRows), storeBytes(byRow)) {
+	if !reflect.DeepEqual(byRows.Dump(), byRow.Dump()) {
 		t.Fatal("InsertRows blocks and tail encode differently from Insert's")
 	}
 	if got, want := byRows.SeriesCount(), byRow.SeriesCount(); got != want {
@@ -64,7 +64,7 @@ func checkRowsMatch(t *testing.T, byRows, byRow *Store, cuts []int64) {
 			t.Fatalf("DropBefore(%d) = %d, want %d", cut, got, want)
 		}
 		if !reflect.DeepEqual(all(byRows), all(byRow)) {
-			t.Fatalf("after DropBefore(%d): Query differs", cut)
+			t.Fatalf("after DropBefore(%d): query differs", cut)
 		}
 	}
 }

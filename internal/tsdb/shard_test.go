@@ -23,12 +23,7 @@ func TestConcurrentInsertDistinctSeries(t *testing.T) {
 			defer wg.Done()
 			tags := Tags{"server": fmt.Sprintf("%d", g), "region": "us-east1"}
 			for i := 0; i < perG; i++ {
-				err := s.Insert("speedtest", tags, base.Add(time.Duration(i)*time.Minute),
-					map[string]float64{"mbps": float64(g*1000 + i)})
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				put(s, tags, base.Add(time.Duration(i)*time.Minute), map[string]float64{"mbps": float64(g*1000 + i)})
 			}
 		}(g)
 	}
@@ -38,7 +33,7 @@ func TestConcurrentInsertDistinctSeries(t *testing.T) {
 		t.Fatalf("SeriesCount = %d, want %d", got, goroutines)
 	}
 	for g := 0; g < goroutines; g++ {
-		res := s.Query("speedtest", Tags{"server": fmt.Sprintf("%d", g)}, time.Time{}, time.Time{})
+		res := s.query(Tags{"server": fmt.Sprintf("%d", g)}, time.Time{}, time.Time{})
 		if len(res) != 1 {
 			t.Fatalf("series %d: got %d series, want 1", g, len(res))
 		}
@@ -70,16 +65,13 @@ func TestConcurrentInsertSameSeries(t *testing.T) {
 				// Interleaved, partly out-of-order timestamps to exercise
 				// both insert paths under contention.
 				at := base.Add(time.Duration((i*goroutines+g)%(perG*goroutines)) * time.Second)
-				if err := s.Insert("speedtest", tags, at, map[string]float64{"v": 1}); err != nil {
-					t.Error(err)
-					return
-				}
+				put(s, tags, at, map[string]float64{"v": 1})
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	res := s.Query("speedtest", nil, time.Time{}, time.Time{})
+	res := s.query(nil, time.Time{}, time.Time{})
 	if len(res) != 1 {
 		t.Fatalf("got %d series, want 1", len(res))
 	}
@@ -94,12 +86,12 @@ func TestConcurrentInsertSameSeries(t *testing.T) {
 	}
 }
 
-// TestHandleMatchesInsert asserts the bound-handle path is observably
-// identical to Store.Insert: same series, same points, same block and tail
-// bytes.
+// TestHandleMatchesInsert asserts a handle held across inserts is
+// observably identical to binding each point afresh (put): same series,
+// same points, same block and tail bytes.
 func TestHandleMatchesInsert(t *testing.T) {
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	tagSets := benchTagSets(4)
+	tagSets := campaignTagSets(4)
 
 	plain := NewStore()
 	handled := NewStore()
@@ -107,13 +99,30 @@ func TestHandleMatchesInsert(t *testing.T) {
 		h := handled.Bind(tags, "mbps", "loss")
 		for j := 0; j < 5; j++ {
 			at := base.Add(time.Duration(i*7+j) * time.Minute)
-			if err := plain.Insert("speedtest", tags, at, map[string]float64{"mbps": float64(i*10 + j), "loss": 0.1}); err != nil {
-				t.Fatal(err)
-			}
+			put(plain, tags, at, map[string]float64{"mbps": float64(i*10 + j), "loss": 0.1})
 			h.Insert(at, float64(i*10+j), 0.1)
 		}
 	}
-	if !reflect.DeepEqual(storeBytes(plain), storeBytes(handled)) {
+	if !reflect.DeepEqual(plain.Dump(), handled.Dump()) {
 		t.Fatal("handle inserts encode differently")
 	}
+}
+
+// campaignTagSets mirrors a campaign's series population: one series per
+// (server, tier, dir), inserted round-robin the way StoreSink sees records.
+func campaignTagSets(n int) []Tags {
+	out := make([]Tags, 0, n*4)
+	for i := 0; i < n; i++ {
+		for _, tier := range []string{"premium", "standard"} {
+			for _, dir := range []string{"download", "upload"} {
+				out = append(out, Tags{
+					"server": fmt.Sprintf("%d", i),
+					"region": "us-east1",
+					"tier":   tier,
+					"dir":    dir,
+				})
+			}
+		}
+	}
+	return out
 }

@@ -15,21 +15,17 @@ func TestInsertAndQuery(t *testing.T) {
 	s := NewStore()
 	tags := Tags{"server": "42", "region": "us-west1", "dir": "down"}
 	for h := 0; h < 24; h++ {
-		err := s.Insert("throughput", tags, t0.Add(time.Duration(h)*time.Hour),
-			map[string]float64{"mbps": float64(100 + h), "rtt_ms": 20})
-		if err != nil {
-			t.Fatal(err)
-		}
+		put(s, tags, t0.Add(time.Duration(h)*time.Hour), map[string]float64{"mbps": float64(100 + h), "rtt_ms": 20})
 	}
 	if s.SeriesCount() != 1 {
 		t.Errorf("series = %d", s.SeriesCount())
 	}
-	got := s.Query("throughput", Tags{"server": "42"}, time.Time{}, time.Time{})
+	got := s.query(Tags{"server": "42"}, time.Time{}, time.Time{})
 	if len(got) != 1 || len(got[0].Points) != 24 {
 		t.Fatalf("query returned %d series", len(got))
 	}
 	// Time-range restriction.
-	got = s.Query("throughput", nil, t0.Add(6*time.Hour), t0.Add(12*time.Hour))
+	got = s.query(nil, t0.Add(6*time.Hour), t0.Add(12*time.Hour))
 	if len(got) != 1 || len(got[0].Points) != 6 {
 		t.Fatalf("range query points = %v", got)
 	}
@@ -37,27 +33,8 @@ func TestInsertAndQuery(t *testing.T) {
 		t.Errorf("first point = %v", got[0].Points[0])
 	}
 	// Mismatch returns nothing.
-	if r := s.Query("throughput", Tags{"server": "43"}, time.Time{}, time.Time{}); len(r) != 0 {
+	if r := s.query(Tags{"server": "43"}, time.Time{}, time.Time{}); len(r) != 0 {
 		t.Error("tag mismatch returned series")
-	}
-	if r := s.Query("latency", nil, time.Time{}, time.Time{}); len(r) != 0 {
-		t.Error("wrong measurement returned series")
-	}
-}
-
-func TestInsertValidation(t *testing.T) {
-	s := NewStore()
-	if err := s.Insert("", nil, t0, map[string]float64{"x": 1}); err == nil {
-		t.Error("empty measurement accepted")
-	}
-	if err := s.Insert("m", Tags{"bad key": "v"}, t0, map[string]float64{"x": 1}); err == nil {
-		t.Error("space in tag key accepted")
-	}
-	if err := s.Insert("m", Tags{"k": "a,b"}, t0, map[string]float64{"x": 1}); err == nil {
-		t.Error("comma in tag value accepted")
-	}
-	if err := s.Insert("m", nil, t0, nil); err == nil {
-		t.Error("fieldless point accepted")
 	}
 }
 
@@ -65,9 +42,9 @@ func TestOutOfOrderInsertKeptSorted(t *testing.T) {
 	s := NewStore()
 	times := []int{5, 1, 3, 2, 4, 0}
 	for _, h := range times {
-		s.Insert("m", nil, t0.Add(time.Duration(h)*time.Hour), map[string]float64{"v": float64(h)})
+		put(s, nil, t0.Add(time.Duration(h)*time.Hour), map[string]float64{"v": float64(h)})
 	}
-	got := s.Query("m", nil, time.Time{}, time.Time{})[0]
+	got := s.query(nil, time.Time{}, time.Time{})[0]
 	for i := 1; i < len(got.Points); i++ {
 		if got.Points[i].Time.Before(got.Points[i-1].Time) {
 			t.Fatalf("points not sorted: %v", got.Points)
@@ -80,65 +57,27 @@ func TestOutOfOrderInsertKeptSorted(t *testing.T) {
 
 func TestSeparateSeriesPerTagSet(t *testing.T) {
 	s := NewStore()
-	s.Insert("m", Tags{"a": "1"}, t0, map[string]float64{"v": 1})
-	s.Insert("m", Tags{"a": "2"}, t0, map[string]float64{"v": 2})
-	s.Insert("m", Tags{"a": "1", "b": "x"}, t0, map[string]float64{"v": 3})
+	put(s, Tags{"a": "1"}, t0, map[string]float64{"v": 1})
+	put(s, Tags{"a": "2"}, t0, map[string]float64{"v": 2})
+	put(s, Tags{"a": "1", "b": "x"}, t0, map[string]float64{"v": 3})
 	if s.SeriesCount() != 3 {
 		t.Errorf("series = %d, want 3", s.SeriesCount())
 	}
-	if got := s.Query("m", Tags{"a": "1"}, time.Time{}, time.Time{}); len(got) != 2 {
+	if got := s.query(Tags{"a": "1"}, time.Time{}, time.Time{}); len(got) != 2 {
 		t.Errorf("partial tag match returned %d series", len(got))
-	}
-}
-
-// Regression: Query used to return the store's own Tags and Point.Fields
-// maps, so callers mutating a result silently corrupted stored samples.
-func TestQueryResultsDoNotAliasStore(t *testing.T) {
-	s := NewStore()
-	tags := Tags{"server": "7"}
-	if err := s.Insert("m", tags, t0, map[string]float64{"mbps": 100}); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Query("m", nil, time.Time{}, time.Time{})
-	if len(got) != 1 {
-		t.Fatalf("query returned %d series", len(got))
-	}
-	got[0].Tags["server"] = "evil"
-	got[0].Tags["extra"] = "x"
-	got[0].Points[0].Fields["mbps"] = -1
-	got[0].Points[0].Fields["injected"] = 42
-
-	again := s.Query("m", nil, time.Time{}, time.Time{})
-	if len(again) != 1 {
-		t.Fatalf("re-query returned %d series", len(again))
-	}
-	if v := again[0].Tags["server"]; v != "7" {
-		t.Errorf("stored tag mutated through query result: server = %q", v)
-	}
-	if _, ok := again[0].Tags["extra"]; ok {
-		t.Error("tag added through query result reached the store")
-	}
-	if v := again[0].Points[0].Fields["mbps"]; v != 100 {
-		t.Errorf("stored field mutated through query result: mbps = %v", v)
-	}
-	if _, ok := again[0].Points[0].Fields["injected"]; ok {
-		t.Error("field added through query result reached the store")
 	}
 }
 
 // Property: random stores round-trip through sealed blocks.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		return sealedMatchesUnsealed(t, seed, func(s *Store) error {
+		return sealedMatchesUnsealed(t, seed, func(s *Store) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 30; i++ {
 				tags := Tags{"s": string(rune('a' + rng.Intn(5)))}
 				at := t0.Add(time.Duration(rng.Intn(1000)) * time.Minute)
-				if err := s.Insert("m", tags, at, map[string]float64{"v": rng.Float64() * 1000}); err != nil {
-					return err
-				}
+				put(s, tags, at, map[string]float64{"v": rng.Float64() * 1000})
 			}
-			return nil
 		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -149,11 +88,11 @@ func TestRoundTripProperty(t *testing.T) {
 // Property: sealed blocks round-trip the edge cases scenario fixtures lean
 // on — negative and zero (epoch) timestamps, float fields down to tiny
 // exponents (1e-07 and friends), multi-field points, and tag-less series.
-// Seal → Query must preserve every value exactly.
+// Sealing must preserve every value exactly.
 func TestRoundTripEdgeCasesProperty(t *testing.T) {
 	fieldNames := []string{"v", "mbps", "rtt_ms", "loss"}
 	f := func(seed int64) bool {
-		return sealedMatchesUnsealed(t, seed, func(s *Store) error {
+		return sealedMatchesUnsealed(t, seed, func(s *Store) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				var tags Tags
@@ -179,11 +118,8 @@ func TestRoundTripEdgeCasesProperty(t *testing.T) {
 					}
 					fields[fn] = v
 				}
-				if err := s.Insert("m", tags, at, fields); err != nil {
-					return err
-				}
+				put(s, tags, at, fields)
 			}
-			return nil
 		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -193,17 +129,13 @@ func TestRoundTripEdgeCasesProperty(t *testing.T) {
 
 // sealedMatchesUnsealed runs the same inserts against a store that seals
 // every four points and one that never seals, seals what the first still
-// holds in its tails, and reports whether both answer the whole-store query
+// holds in its tails, and reports whether both read back the same series
 // with bit-exact fields and timestamps.
-func sealedMatchesUnsealed(t *testing.T, seed int64, insert func(*Store) error) bool {
+func sealedMatchesUnsealed(t *testing.T, seed int64, insert func(*Store)) bool {
 	sealed, plain := NewStore(), NewStore()
 	sealed.sealThreshold, plain.sealThreshold = 4, 0
-	for _, s := range []*Store{sealed, plain} {
-		if err := insert(s); err != nil {
-			t.Logf("seed %d: insert: %v", seed, err)
-			return false
-		}
-	}
+	insert(sealed)
+	insert(plain)
 	for i := range sealed.shards {
 		for _, sr := range sealed.shards[i].series {
 			if sr.tail.len() > 0 {
@@ -211,7 +143,7 @@ func sealedMatchesUnsealed(t *testing.T, seed int64, insert func(*Store) error) 
 			}
 		}
 	}
-	if !reflect.DeepEqual(plain.Query("m", nil, time.Time{}, time.Time{}), sealed.Query("m", nil, time.Time{}, time.Time{})) {
+	if !reflect.DeepEqual(plain.query(nil, time.Time{}, time.Time{}), sealed.query(nil, time.Time{}, time.Time{})) {
 		t.Logf("seed %d: queried series diverged after sealing", seed)
 		return false
 	}
@@ -224,7 +156,6 @@ func TestConcurrentInsert(t *testing.T) {
 	s := NewStore()
 	const goroutines, points = 8, 100
 	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -232,29 +163,21 @@ func TestConcurrentInsert(t *testing.T) {
 			tags := Tags{"worker": string(rune('a' + g))}
 			for i := 0; i < points; i++ {
 				at := t0.Add(time.Duration(i) * time.Minute)
-				if err := s.Insert("m", tags, at, map[string]float64{"v": float64(i)}); err != nil {
-					errs[g] = err
-					return
-				}
+				put(s, tags, at, map[string]float64{"v": float64(i)})
 				// Interleave reads with writes.
 				if i%10 == 0 {
-					s.Query("m", tags, time.Time{}, time.Time{})
+					s.query(tags, time.Time{}, time.Time{})
 					s.SeriesCount()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	if s.SeriesCount() != goroutines {
 		t.Errorf("series = %d, want %d", s.SeriesCount(), goroutines)
 	}
 	for g := 0; g < goroutines; g++ {
-		got := s.Query("m", Tags{"worker": string(rune('a' + g))}, time.Time{}, time.Time{})
+		got := s.query(Tags{"worker": string(rune('a' + g))}, time.Time{}, time.Time{})
 		if len(got) != 1 || len(got[0].Points) != points {
 			t.Errorf("worker %d: lost points: %d series", g, len(got))
 		}

@@ -70,8 +70,7 @@ var reachReasons = []string{reachReference, reachObserve, reachSeam, reachBench}
 var reachAllowed = map[string]string{
 	// Held against Pinger in netsim and against the scan in
 	// speedchecker/reference_test.go; the uncached Measure reference.
-	"internal/netsim.Sim.PingRTT":       reachReference,
-	"internal/netsim.Sim.pathBandwidth": reachReference,
+	"internal/netsim.Sim.PingRTT": reachReference,
 	// The sorting percentile PercentileInPlace is held to bit for bit, and
 	// the scan in speedchecker/reference_test.go and the root's tests with it.
 	"internal/stats.Percentile": reachReference,
@@ -82,6 +81,10 @@ var reachAllowed = map[string]string{
 	"internal/cloud.Platform.ListVMs": reachObserve,
 	// The record count a checkpoint's sidecar claims.
 	"internal/checkpoint.Checkpoint.NumRecords": reachObserve,
+	// What the campaign index holds, against its record-by-record oracle
+	// (core's TestCampaignIndexMatchesRecords, orchestrator's
+	// TestStoreSinkIndexes).
+	"internal/tsdb.Store.Dump": reachObserve,
 	// Ground truth of the topology fixture.
 	"internal/topology.Topology.RouterAliases": reachObserve,
 	// Reads back the captures campaigns upload (and with it pcap's reader).
@@ -105,11 +108,8 @@ var reachAllowed = map[string]string{
 	"internal/traceroute.Options.ResponseLoss": reachSeam,
 	// Several transactions in one flow (TestTransactionsIdentified).
 	"internal/flowstats.SynthConfig.Requests": reachSeam,
-	// A private registry and a fake clock (TestPipelineDeterministicSelfStore,
-	// TestPipelineRetention, TestIntrospectionEndpoints).
-	"internal/telemetry.PipelineConfig.Registry": reachSeam,
-	"internal/telemetry.PipelineConfig.Now":      reachSeam,
-	"internal/telemetry.Introspection.Registry":  reachSeam,
+	// A private registry (TestIntrospectionEndpoints).
+	"internal/telemetry.Introspection.Registry": reachSeam,
 	// Programs only turn the process-wide registry on; tests turn it off
 	// again (cmd/clasp's TestMain, orchestrator's obs and fault tests).
 	"internal/obs.SetEnabled(on)": reachSeam,
@@ -128,7 +128,7 @@ var reachAllowed = map[string]string{
 	"internal/orchestrator.StoreSink.Record": reachBench,
 	"internal/tsdb.Store.BlockStats":         reachBench,
 	"internal/tsdb.Store.SeriesCount":        reachBench,
-	"internal/tsdb.Store.DropBefore#0":       reachBench,
+	"internal/tsdb.Store.DropBefore":         reachBench,
 	// The workloads' selection, topology, figure and someta calls.
 	"internal/core.CLASP.SelectDifferentialServers#1": reachBench,
 	"internal/core.CLASP.Fig8(tier)":                  reachBench,
